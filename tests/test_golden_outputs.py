@@ -1,9 +1,11 @@
 """Golden-master regression tests pinning the numeric outputs.
 
-These tests freeze the exact numbers of one Chapter 4 and one Chapter 5
-experiment cell — plus the campaign tables built from them — so that
-refactors for speed (batched kernels, scenario plumbing, cache layers)
-cannot silently drift the physics.  Any numeric deviation beyond 1e-9
+These tests freeze the exact numbers of Chapter 4 cells (one per DTM
+scheme family, a cache-aware-scheduling run, and a run checkpointed
+mid-epoch and resumed in a fresh engine), one Chapter 5 experiment
+cell, and the campaign tables built from them, so that refactors for
+speed (batched kernels, scenario plumbing, cache layers) cannot
+silently drift the physics.  Any numeric deviation beyond 1e-9
 fails the suite.
 
 Every golden run executes against a :class:`NullStore`, so a stale disk
@@ -33,7 +35,10 @@ from repro.analysis.specs import (
     run_result_to_dict,
     server_result_to_dict,
 )
-from repro.campaign import NullStore, run
+from repro.campaign import NullStore, engine_for_spec, run
+from repro.core.simulator import SimulationConfig, TwoLevelSimulator
+from repro.dtm import DTMACG
+from repro.engine import EngineState
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 TOLERANCE = 1e-9
@@ -43,6 +48,42 @@ UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
 def _ch4_payload() -> dict:
     result = run(Chapter4Spec(mix="W1", policy="ts", copies=1), store=NullStore())
     return run_result_to_dict(result)
+
+
+#: One Chapter 4 cell per DTM scheme family beyond the DTM-TS cell above.
+CH4_POLICIES = ("no-limit", "bw", "acg", "cdvfs", "comb", "bw+pid")
+#: Windows the resumed cell runs before its checkpoint: between two job
+#: completions, so the restore lands in the middle of an epoch.
+RESUME_AT_WINDOW = 12345
+
+
+def _ch4_policy_payload(policy: str) -> dict:
+    result = run(
+        Chapter4Spec(mix="W1", policy=policy, copies=1), store=NullStore()
+    )
+    return run_result_to_dict(result)
+
+
+def _cache_aware_payload() -> dict:
+    # Two copies per application: with one, every refill choice is
+    # forced and the cache-aware scheduler matches round-robin.
+    config = SimulationConfig(
+        mix_name="W2", copies=2, cache_aware_scheduling=True,
+        record_trace=False,
+    )
+    return run_result_to_dict(TwoLevelSimulator(config, DTMACG()).run())
+
+
+def _resumed_payload() -> dict:
+    spec = Chapter4Spec(mix="W1", policy="acg", copies=1)
+    first = engine_for_spec(spec)
+    assert first.step_windows(RESUME_AT_WINDOW) == RESUME_AT_WINDOW
+    progress = first.strategy.progress(first)
+    assert 0 < progress["finished_jobs"] < progress["total_jobs"]
+    state = json.loads(json.dumps(first.checkpoint().to_dict()))
+    resumed = engine_for_spec(spec)
+    resumed.restore(EngineState.from_dict(state))
+    return run_result_to_dict(resumed.run_to_completion())
 
 
 def _ch5_payload() -> dict:
@@ -116,6 +157,19 @@ def _check_golden(name: str, fresh: dict) -> None:
 
 def test_golden_ch4_cell():
     _check_golden("ch4_W1_ts_copies1", _ch4_payload())
+
+
+@pytest.mark.parametrize("policy", CH4_POLICIES)
+def test_golden_ch4_policy_cell(policy):
+    _check_golden(f"ch4_W1_{policy}_copies1", _ch4_policy_payload(policy))
+
+
+def test_golden_ch4_cache_aware_scheduling():
+    _check_golden("ch4_W2_acg_copies2_cache_aware", _cache_aware_payload())
+
+
+def test_golden_ch4_resumed_mid_epoch():
+    _check_golden("ch4_W1_acg_copies1_resumed", _resumed_payload())
 
 
 def test_golden_ch5_cell():
