@@ -10,8 +10,7 @@
 - :mod:`repro.analysis.specs` — the Chapter 4/5 run specs and
   runners, registered with the :mod:`repro.campaign` engine, which
   caches them in memory and on disk so the 25+ benches don't recompute
-  the same (workload, policy, cooling) runs.  (The old
-  ``repro.analysis.experiments`` path still works but warns.)
+  the same (workload, policy, cooling) runs.
 - :mod:`repro.analysis.campaigns` — named parameter grids for the
   ``python -m repro campaign`` subcommand.
 """

@@ -1,8 +1,7 @@
 """Chapter 4/5 run specs and runners for the campaign engine.
 
-(Formerly ``repro.analysis.experiments``; that import path still works
-but warns — programmatic users should prefer the stable client API in
-:mod:`repro.api`.)
+Programmatic users should prefer the stable client API in
+:mod:`repro.api`.
 
 Every figure bench needs the same underlying runs (e.g. the no-limit
 baseline of every workload).  This module defines the two spec kinds —

@@ -224,134 +224,6 @@ class ReproClient:
         entry.update(payload=payload, cache="miss")
         return entry
 
-    def run_cell_gang(
-        self,
-        specs: list[RunSpec],
-        window_slice: int | None = None,
-        resume: dict[str, dict] | None = None,
-    ) -> list[dict]:
-        """Run one coordinator-proposed gang of cells together.
-
-        The gang-aware ``/v1/worker/run`` path.  The coordinator groups
-        cells by a cheap spec descriptor without building engines; this
-        worker re-plans authoritatively with
-        :func:`~repro.engine.gang.plan_gangs` (cells that turn out to
-        be incompatible or cached simply demote to the per-cell paths)
-        and drives each surviving gang through one
-        :class:`~repro.engine.gang.GangStrategy` — bit-identical per
-        cell to running it solo.  Returns one wire-shaped entry per
-        spec, in input order, with the gang's wall-clock split equally
-        across its members as ``compute_seconds``.
-        """
-        from repro.engine.gang import plan_gangs
-
-        resume = resume or {}
-        entries: dict[str, dict] = {}
-        misses: list[tuple[str, RunSpec]] = []
-        for spec in specs:
-            key = spec.key()
-            payload = cached_payload(spec, self._store)
-            if payload is not None:
-                entries[key] = {
-                    "key": key,
-                    "kind": spec.kind,
-                    "payload": payload,
-                    "cache": "hit",
-                    "compute_seconds": 0.0,
-                    "windows_done": 0,
-                    "resumed_from": 0,
-                }
-            else:
-                misses.append((key, spec))
-        if misses:
-            plan = plan_gangs(misses, batch_cells=max(2, len(misses)))
-            for planned in plan.gangs:
-                entries.update(
-                    self._run_gang_slice(planned, window_slice, resume)
-                )
-            for key, spec in plan.solo:
-                if window_slice is None:
-                    payload, hit, seconds = self.run_cell_payload(spec)
-                    entries[key] = {
-                        "key": key,
-                        "kind": spec.kind,
-                        "payload": payload,
-                        "cache": "hit" if hit else "miss",
-                        "compute_seconds": round(seconds, 6),
-                    }
-                else:
-                    entries[key] = self.run_cell_slice(
-                        spec, window_slice, resume.get(key)
-                    )
-        return [entries[spec.key()] for spec in specs]
-
-    def _run_gang_slice(
-        self,
-        planned: Any,
-        window_slice: int | None,
-        resume: dict[str, dict],
-    ) -> dict[str, dict]:
-        """Step one planned gang, whole-run or one ``window_slice``.
-
-        Members resume individually from their checkpoint states — a
-        re-planned gang on a fresh worker picks up exactly where each
-        cell's last slice stopped — then advance in lockstep.  Done
-        cells finish into stored payloads; the rest return partial
-        entries with fresh checkpoints.
-        """
-        gang = planned.gang
-        cells = planned.cells
-        resumed_from: dict[str, int] = {}
-        for (key, _spec), engine in zip(cells, gang.engines):
-            state = resume.get(key)
-            if state is not None:
-                engine.restore(EngineState.from_dict(state))
-                resumed_from[key] = engine.windows
-        store = default_store() if self._store is None else self._store
-        out: dict[str, dict] = {}
-        started = time.perf_counter()
-        with TRACER.span(
-            "worker.gang", cells=len(cells), slice=window_slice or 0
-        ):
-            if window_slice is None:
-                results = gang.run_to_completion()
-                seconds = time.perf_counter() - started
-                per_cell = round(seconds / len(cells), 6)
-                for (key, spec), result in zip(cells, results):
-                    payload = runner_for(spec.kind).encode(result)
-                    store.put(key, payload, meta=spec_meta(spec))
-                    out[key] = {
-                        "key": key,
-                        "kind": spec.kind,
-                        "payload": payload,
-                        "cache": "miss",
-                        "compute_seconds": per_cell,
-                        "windows_done": 0,
-                        "resumed_from": resumed_from.get(key, 0),
-                    }
-                return out
-            gang.step_windows(window_slice)
-            states = gang.checkpoint()
-            seconds = time.perf_counter() - started
-            per_cell = round(seconds / len(cells), 6)
-            for (key, spec), engine, state in zip(cells, gang.engines, states):
-                entry: dict[str, Any] = {
-                    "key": key,
-                    "kind": spec.kind,
-                    "windows_done": engine.windows,
-                    "resumed_from": resumed_from.get(key, 0),
-                    "compute_seconds": per_cell,
-                }
-                if engine.done:
-                    result = engine.finish()
-                    payload = runner_for(spec.kind).encode(result)
-                    store.put(key, payload, meta=spec_meta(spec))
-                    entry.update(payload=payload, cache="miss")
-                else:
-                    entry.update(partial=True, state=state.to_dict())
-                out[key] = entry
-        return out
-
     # -- jobs façade -------------------------------------------------------
 
     def submit_job(

@@ -529,7 +529,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ConfigurationError(
                 "worker run body needs a non-empty 'cells' list"
             )
-        unknown = set(body) - {"cells", "window_slice", "resume", "gangs"}
+        unknown = set(body) - {"cells", "window_slice", "resume"}
         if unknown:
             raise ConfigurationError(
                 f"unknown worker run fields {sorted(unknown)}"
@@ -546,39 +546,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise ConfigurationError(
                 "worker run 'resume' must map cell keys to engine states"
             )
-        gangs = body.get("gangs") or []
-        if not isinstance(gangs, list) or not all(
-            isinstance(group, list)
-            and len(group) >= 2
-            and all(isinstance(key, str) for key in group)
-            for group in gangs
-        ):
-            raise ConfigurationError(
-                "worker run 'gangs' must be a list of >=2-element "
-                "cell-key lists"
-            )
         if self._reject_over_capacity():
             return
         try:
             specs = [cell_from_wire(raw) for raw in cells]
-            by_key = {spec.key(): spec for spec in specs}
-            ganged: set[str] = set()
             results = []
-            for group in gangs:
-                if any(key not in by_key for key in group) or ganged & set(group):
-                    raise ConfigurationError(
-                        "worker run 'gangs' entries must be disjoint "
-                        "subsets of the request's cell keys"
-                    )
-                ganged.update(group)
-                results.extend(
-                    self.server.client.run_cell_gang(
-                        [by_key[key] for key in group], window_slice, resume
-                    )
-                )
             for spec in specs:
-                if spec.key() in ganged:
-                    continue
                 if window_slice is None:
                     payload, hit, seconds = self.server.client.run_cell_payload(spec)
                     results.append({
@@ -614,24 +587,24 @@ class _Handler(BaseHTTPRequestHandler):
             )
         if self._reject_over_capacity():
             return
+        # Release the slot before responding: a client that reads the
+        # body and immediately sends its next request must find the
+        # slot free, never a spurious 429.
         try:
             client = self.server.client
             if type_tag == "simulate":
-                self._respond(200, client.simulate(request).to_json())
+                document = client.simulate(request).to_json()
             elif type_tag == "server":
-                self._respond(200, client.server(request).to_json())
+                document = client.server(request).to_json()
             elif type_tag == "compare":
-                self._respond(200, results_document(client.compare(request)))
+                document = results_document(client.compare(request))
             elif type_tag == "campaign":
-                self._respond(
-                    200, results_document(list(client.run_campaign(request)))
-                )
+                document = results_document(list(client.run_campaign(request)))
             else:  # scenarios
-                self._respond(
-                    200, results_document(list(client.run_scenarios(request)))
-                )
+                document = results_document(list(client.run_scenarios(request)))
         finally:
             self.server.release_run_slot()
+        self._respond(200, document)
 
 
 class ReproService(ThreadingHTTPServer):

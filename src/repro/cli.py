@@ -502,8 +502,8 @@ def _add_backend_flags(command: argparse.ArgumentParser) -> None:
     )
     command.add_argument(
         "--batch-cells", default=None, type=int, metavar="N",
-        help="gang width cap for --backend vector (default 16), or "
-        "gang dispatch-unit size for --backend http (at least 2)",
+        help="gang width cap for --backend vector (default 16, at "
+        "least 2)",
     )
 
 
@@ -515,9 +515,7 @@ def _backend_from_args(args: argparse.Namespace):
         if workers:
             raise ConfigurationError("--workers requires --backend http")
         if batch_cells is not None:
-            raise ConfigurationError(
-                "--batch-cells requires --backend vector or http"
-            )
+            raise ConfigurationError("--batch-cells requires --backend vector")
         return None
     return backend_for(
         args.backend,

@@ -50,14 +50,12 @@ def backend_for(
 
     ``jobs`` sizes the ``local`` pool; ``workers`` are the ``http``
     fleet's base URLs; ``batch_cells`` caps the ``vector`` backend's
-    gang width — or, with ``http``, turns on gang-aware dispatch
-    (compatible cells ship to one worker as a unit and run in
-    lockstep there).  Mismatched arguments fail loudly — a worker
-    list without ``--backend http`` is almost certainly a mistake.
+    gang width.  Mismatched arguments fail loudly — a worker list
+    without ``--backend http`` is almost certainly a mistake.
     """
-    if batch_cells is not None and name not in ("vector", "http"):
+    if batch_cells is not None and name != "vector":
         raise ConfigurationError(
-            "--batch-cells only applies to --backend vector or http"
+            "--batch-cells only applies to --backend vector"
         )
     if name == "serial":
         if workers:
@@ -93,7 +91,7 @@ def backend_for(
                 "--jobs does not apply to --backend http: parallelism "
                 "comes from the number of workers (add more --workers)"
             )
-        return HttpWorkerBackend(list(workers), batch_cells=batch_cells)
+        return HttpWorkerBackend(list(workers))
     raise ConfigurationError(
         f"unknown backend {name!r} (choices: {list(BACKEND_CHOICES)})"
     )

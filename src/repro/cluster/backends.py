@@ -127,7 +127,7 @@ class VectorBackend(ExecutionBackend):
 
     The batch is planned once per :meth:`iter_results` pass with
     :func:`repro.engine.gang.plan_gangs`: cache misses group into
-    leader/lockstep gangs (capped at ``batch_cells`` members) stepping
+    lockstep gangs (capped at ``batch_cells`` members) stepping
     one :class:`~repro.core.kernel.GridMemSpot` per window, and
     incompatible leftovers fall back to per-cell serial execution.
     Results are bit-identical to :class:`SerialBackend` — gangs reuse

@@ -103,17 +103,9 @@ class _Worker:
 class _PendingCell:
     """One cell awaiting dispatch, with its retry + resume history."""
 
-    def __init__(
-        self, key: str, wire: dict, unit: tuple[str, ...] | None = None
-    ) -> None:
+    def __init__(self, key: str, wire: dict) -> None:
         self.key = key
         self.wire = wire
-        #: Keys of the gang dispatch unit this cell belongs to (None =
-        #: solo).  Unit members are always dispatched to one worker in
-        #: one request so the worker can step them in lockstep; a
-        #: requeued member keeps its unit, so survivors of a dead
-        #: worker re-gang on the next dispatch.
-        self.unit = unit
         self.attempts = 0
         self.excluded: set[str] = set()
         #: Last checkpoint returned by a time-sliced worker (None until
@@ -151,7 +143,6 @@ class HttpWorkerBackend(ExecutionBackend):
         blacklist_after: int = 2,
         chunk_cells: int | None = None,
         window_slice: int | None = None,
-        batch_cells: int | None = None,
         on_event: Callable[[dict], None] | None = None,
     ) -> None:
         urls = [_normalize_worker_url(url) for url in workers]
@@ -175,8 +166,6 @@ class HttpWorkerBackend(ExecutionBackend):
                 "time-sliced dispatch sends one cell per request so each "
                 "partial checkpoint maps to exactly one cell"
             )
-        if batch_cells is not None and batch_cells < 2:
-            raise ConfigurationError("batch_cells must be >= 2 or None")
         self.timeout_s = timeout_s
         self.health_timeout_s = health_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -194,14 +183,6 @@ class HttpWorkerBackend(ExecutionBackend):
         #: checkpoint state carries the trace-so-far, so each slice
         #: ships it both ways — slice wall time should dwarf that.
         self.window_slice = window_slice
-        #: Gang dispatch-unit size (None = per-cell dispatch).  Cells
-        #: with matching gang descriptors group into units of up to
-        #: this many; a unit always travels to one worker in one
-        #: request, flagged in the wire body's ``gangs`` field so the
-        #: worker steps it through one lockstep gang.  Compatible with
-        #: ``window_slice``: gang responses carry one checkpoint per
-        #: member, so slicing keeps per-cell resume granularity.
-        self.batch_cells = batch_cells
         #: Optional fleet-event listener: called with a small dict for
         #: worker deaths and cell requeues (the jobs scheduler turns
         #: these into job events).  Handlers run under the backend's
@@ -243,45 +224,8 @@ class HttpWorkerBackend(ExecutionBackend):
         # request: an uncapped chunk on a huge grid (cells >> slots)
         # serializes whole shards behind single requests, so adding
         # workers stops shrinking the chunk — and therefore stops
-        # adding parallelism or retry granularity.  The cap is a
-        # target, not a truncation point: with ``batch_cells`` set,
-        # ``_take_chunk`` always rounds a request up to whole gang
-        # units, so a gang larger than 16 still ships intact.
+        # adding parallelism or retry granularity.
         return max(1, min(math.ceil(cells / (slots * 2)), 16))
-
-    def _plan_pending(self, cells: Sequence[Cell]) -> list[_PendingCell]:
-        """Queue entries for a batch, grouped into gang dispatch units.
-
-        Without ``batch_cells`` every cell is solo.  With it, cells
-        sharing a cheap gang descriptor (kind + DTM interval + DIMM
-        count — no engines are built on the coordinator) chunk into
-        units of up to ``batch_cells`` adjacent queue entries; the
-        worker's own :func:`~repro.engine.gang.plan_gangs` re-plans
-        each unit authoritatively, demoting incompatible or cached
-        members to per-cell execution.
-        """
-        if self.batch_cells is None:
-            return [_PendingCell(key, cell_to_wire(spec)) for key, spec in cells]
-        groups: dict[tuple, list[Cell]] = {}
-        for key, spec in cells:
-            descriptor = (
-                getattr(spec, "kind", None),
-                getattr(spec, "dtm_interval_s", None),
-                getattr(spec, "dimms_per_channel", None),
-            )
-            groups.setdefault(descriptor, []).append((key, spec))
-        pending: list[_PendingCell] = []
-        for members in groups.values():
-            for start in range(0, len(members), self.batch_cells):
-                chunk = members[start : start + self.batch_cells]
-                unit = (
-                    tuple(key for key, _ in chunk) if len(chunk) >= 2 else None
-                )
-                pending.extend(
-                    _PendingCell(key, cell_to_wire(spec), unit)
-                    for key, spec in chunk
-                )
-        return pending
 
     def submit_cells(
         self, cells: Sequence[Cell], store: ResultStore | None = None
@@ -304,7 +248,9 @@ class HttpWorkerBackend(ExecutionBackend):
         with self._cond:
             self._generation += 1
             generation = self._generation
-            self._pending = deque(self._plan_pending(cells))
+            self._pending = deque(
+                _PendingCell(key, cell_to_wire(spec)) for key, spec in cells
+            )
             self._results = deque()
             self._remaining = len(self._pending)
             self._done = set()
@@ -393,37 +339,12 @@ class HttpWorkerBackend(ExecutionBackend):
                 index = 0
                 while index < len(self._pending) and len(taken) < self._chunk:
                     cell = self._pending[index]
-                    if cell.unit is None:
-                        if worker.url not in cell.excluded:
-                            del self._pending[index]
-                            worker.in_flight[cell.key] = cell
-                            taken.append(cell)
-                        else:
-                            index += 1
-                        continue
-                    # A gang unit is taken whole or not at all — never
-                    # split across workers — and whole means *whatever
-                    # is still pending*: members already completed or
-                    # in flight elsewhere re-gang on requeue.  Taking
-                    # the unit may overshoot the chunk target; that is
-                    # the round-up that keeps gangs larger than the
-                    # auto-chunk cap intact.
-                    positions = [
-                        pos
-                        for pos, other in enumerate(self._pending)
-                        if other.unit == cell.unit
-                    ]
-                    members = [self._pending[pos] for pos in positions]
-                    if any(worker.url in member.excluded for member in members):
+                    if worker.url in cell.excluded:
                         index += 1
                         continue
-                    for pos in reversed(positions):
-                        del self._pending[pos]
-                    for member in members:
-                        worker.in_flight[member.key] = member
-                        taken.append(member)
-                    # Removals shifted positions; restart the scan.
-                    index = 0
+                    del self._pending[index]
+                    worker.in_flight[cell.key] = cell
+                    taken.append(cell)
                 if taken:
                     return taken
                 # Nothing dispatchable to this worker.  A pending cell
@@ -482,14 +403,6 @@ class HttpWorkerBackend(ExecutionBackend):
     ) -> tuple[list[tuple[_PendingCell, dict]], list[tuple[_PendingCell, dict]]]:
         """POST one chunk; returns (completed, partial) raw cell results."""
         body: dict = {"cells": [cell.wire for cell in cells]}
-        if self.batch_cells is not None:
-            units: dict[tuple[str, ...], list[str]] = {}
-            for cell in cells:
-                if cell.unit is not None:
-                    units.setdefault(cell.unit, []).append(cell.key)
-            gangs = [keys for keys in units.values() if len(keys) >= 2]
-            if gangs:
-                body["gangs"] = gangs
         if self.window_slice is not None:
             body["window_slice"] = self.window_slice
             resume = {

@@ -486,13 +486,16 @@ class GridMemSpot:
         write_bytes_per_s: Sequence[float],
         cpu_heating_sums: Sequence[float],
         dt_s: float,
-    ) -> list[MemSpotSample]:
-        """Advance every cell by one window; per-cell samples in order.
+    ) -> tuple[Any, Any, Any, Any]:
+        """Advance every cell by one window.
 
-        The three traffic sequences give each cell its own window input
-        (a lock-step gang passes per-cell outcomes; a leader-broadcast
-        gang passes the same value N times).  ``dt_s`` is shared — the
-        gang's lock-step cadence is what makes cells compatible.
+        The three traffic sequences give each cell its own window
+        input; ``dt_s`` is shared — the gang's lock-step cadence is
+        what makes cells compatible.  Returns ``(amb_peak_c,
+        dram_peak_c, ambient_c, memory_power_w)`` as four (N,) float64
+        arrays (NumPy backend) or lists (python backend): the exact
+        values each cell's :class:`~repro.core.memspot.MemSpotSample`
+        would carry, with no per-cell object built.
         """
         count = len(self._cells)
         if (
@@ -502,77 +505,6 @@ class GridMemSpot:
         ):
             raise ConfigurationError(
                 f"step_all needs one input per cell ({count}), got "
-                f"{len(read_bytes_per_s)}/{len(write_bytes_per_s)}/"
-                f"{len(cpu_heating_sums)}"
-            )
-        if self._np is None:
-            return [
-                cell.step(read_bps, write_bps, heating, dt_s)
-                for cell, read_bps, write_bps, heating in zip(
-                    self._cells,
-                    read_bytes_per_s,
-                    write_bytes_per_s,
-                    cpu_heating_sums,
-                )
-            ]
-        return self._step_all_numpy(
-            read_bytes_per_s, write_bytes_per_s, cpu_heating_sums, dt_s
-        )
-
-    def step_all_uniform(
-        self,
-        read_bytes_per_s: float,
-        write_bytes_per_s: float,
-        cpu_heating_sum: float,
-        dt_s: float,
-    ) -> list[MemSpotSample]:
-        """Advance every cell with one *shared* window input.
-
-        The leader-broadcast gang path: all cells receive the same
-        traffic and CPU heating, so the per-window inputs are three
-        floats instead of three N-element lists.  Bit-identical to
-        :meth:`step_all` with the values repeated per cell — NumPy
-        broadcasts the python float into every lane, and
-        ``float64 op scalar`` is the same IEEE-correctly-rounded
-        elementwise operation as ``float64 op float64``.
-        """
-        if self._np is None:
-            return [
-                cell.step(
-                    read_bytes_per_s, write_bytes_per_s, cpu_heating_sum, dt_s
-                )
-                for cell in self._cells
-            ]
-        if read_bytes_per_s < 0 or write_bytes_per_s < 0:
-            raise ConfigurationError("channel throughput must be non-negative")
-        return self._step_kernel(
-            read_bytes_per_s, write_bytes_per_s, cpu_heating_sum, dt_s
-        )
-
-    def step_all_raw(
-        self,
-        read_bytes_per_s: Sequence[float],
-        write_bytes_per_s: Sequence[float],
-        cpu_heating_sums: Sequence[float],
-        dt_s: float,
-    ) -> tuple[Any, Any, Any, Any]:
-        """:meth:`step_all` without the sample objects.
-
-        Returns ``(amb_peak_c, dram_peak_c, ambient_c, memory_power_w)``
-        as four (N,) float64 arrays (NumPy backend) or lists (python
-        backend) — the exact values the per-cell
-        :class:`~repro.core.memspot.MemSpotSample` fields would carry,
-        with no per-cell object construction.  The batched gang apply
-        path consumes these directly for its flat-array accounting.
-        """
-        count = len(self._cells)
-        if (
-            len(read_bytes_per_s) != count
-            or len(write_bytes_per_s) != count
-            or len(cpu_heating_sums) != count
-        ):
-            raise ConfigurationError(
-                f"step_all_raw needs one input per cell ({count}), got "
                 f"{len(read_bytes_per_s)}/{len(write_bytes_per_s)}/"
                 f"{len(cpu_heating_sums)}"
             )
@@ -595,45 +527,15 @@ class GridMemSpot:
         np = self._np
         if min(read_bytes_per_s) < 0 or min(write_bytes_per_s) < 0:
             raise ConfigurationError("channel throughput must be non-negative")
-        return self._step_kernel_raw(
+        return self._step_numpy(
             np.asarray(read_bytes_per_s, dtype=np.float64),
             np.asarray(write_bytes_per_s, dtype=np.float64),
             np.asarray(cpu_heating_sums, dtype=np.float64),
             dt_s,
         )
 
-    def _step_all_numpy(
-        self, reads, writes, heats, dt_s: float
-    ) -> list[MemSpotSample]:
-        np = self._np
-        if min(reads) < 0 or min(writes) < 0:
-            raise ConfigurationError("channel throughput must be non-negative")
-        return self._step_kernel(
-            np.asarray(reads, dtype=np.float64),
-            np.asarray(writes, dtype=np.float64),
-            np.asarray(heats, dtype=np.float64),
-            dt_s,
-        )
-
-    def _step_kernel(self, reads, writes, heats, dt_s: float):
-        """`_step_kernel_raw` wrapped into per-cell samples."""
-        amb_peak, dram_peak, ambient_c, power = self._step_kernel_raw(
-            reads, writes, heats, dt_s
-        )
-        return [
-            MemSpotSample(
-                amb_c=amb, dram_c=dram, ambient_c=ambient, memory_power_w=watts
-            )
-            for amb, dram, ambient, watts in zip(
-                amb_peak.tolist(),
-                dram_peak.tolist(),
-                ambient_c.tolist(),
-                power.tolist(),
-            )
-        ]
-
-    def _step_kernel_raw(self, reads, writes, heats, dt_s: float):
-        """The numpy chain pass; inputs are (N,) arrays or scalars."""
+    def _step_numpy(self, reads, writes, heats, dt_s: float):
+        """The numpy chain pass over (N,) input arrays."""
         np = self._np
         if dt_s != self._gain_dt:
             self._set_dt(dt_s)

@@ -179,10 +179,11 @@ class Chapter4Strategy:
         self._since_rotation_s = 0.0
         self._total_intervals = 0
         self._shutdown_intervals = 0
-        # Steady-state cache for the gang's window_fast path.  Valid
+        # Steady-state window cache (see window_with_decision).  Valid
         # only for the plain round-robin scheduler, whose slot
         # assignment changes exactly when finished_jobs does; subclass
-        # refill rules may reassign without finishing a job.
+        # refill rules may reassign without finishing a job, so they
+        # get no cache and every window computes its entry afresh.
         self._window_cache: dict | None = (
             {} if type(self._scheduler) is BatchScheduler else None
         )
@@ -195,18 +196,6 @@ class Chapter4Strategy:
     def default_observers(self) -> tuple[Observer, ...]:
         """The observers every Chapter 4 engine carries."""
         return (self.trace_recorder, ProgressObserver())
-
-    @property
-    def thermally_insensitive(self) -> bool:
-        """Whether the window path ignores the thermal sample.
-
-        True only when the policy never reads its ThermalReading —
-        everything else in :meth:`window` is driven by internal
-        counters, so two runs differing only in thermal parameters
-        then produce identical outcome streams (the leader-gang
-        precondition; see :mod:`repro.engine.gang`).
-        """
-        return getattr(self._policy, "thermally_insensitive", False)
 
     # -- engine protocol ---------------------------------------------------
 
@@ -237,144 +226,61 @@ class Chapter4Strategy:
     def window_with_decision(
         self, engine: SteppingEngine, decision: Any
     ) -> WindowOutcome:
-        """One window under an externally-computed policy decision.
+        """One window under an already-made policy decision.
 
         The post-decide half of :meth:`window`, split out so a lockstep
         gang can batch the policy step
         (:meth:`~repro.dtm.base.DTMPolicy.decide_all`) across cells and
-        feed each cell its decision — every remaining operation and
-        accumulation below is the exact :meth:`window` sequence, so a
-        gang-driven window is bit-identical to a solo one.  ``decision``
-        must be what ``self.dtm_policy`` produced for this window (with
-        its state already advanced).
+        feed each cell its decision.  ``decision`` must be what
+        ``self.dtm_policy`` produced for this window (with its state
+        already advanced).
+
+        Between job completions the scheduler's slot assignment is
+        frozen, so everything after the decision — slot selection,
+        level-1 evaluation, per-slot products, chip power — is a pure
+        function of (decision, burst phase, rotation offset).  Those
+        products are cached per assignment epoch (the number of
+        finished jobs); a hit replays the cached per-slot additions in
+        their original order, so every engine/scheduler mutation
+        applies exactly the bits a fresh computation would.  Without a
+        cache (a subclassed scheduler) the entry is computed from fresh
+        ``occupied_slots()`` every window and not stored.
         """
-        cfg = self._config
         dt = self.dt_s
         scheduler = self._scheduler
         self._total_intervals += 1
         if not decision.memory_on or decision.emergency_level >= self._top_level:
             self._shutdown_intervals += 1
-
         self._since_rotation_s += dt
-        if self._since_rotation_s >= cfg.rotation_interval_s:
+        if self._since_rotation_s >= self._config.rotation_interval_s:
             self._since_rotation_s = 0.0
             self._rotation += 1
-
-        if decision.dvfs_level >= self._stopped_level:
-            frequency = 0.0
-            voltage = 0.0
-        else:
-            frequency = self._points[decision.dvfs_level].frequency_hz
-            voltage = self._points[decision.dvfs_level].voltage_v
-
-        occupied = scheduler.occupied_slots()
-        active_slots: list[int] = []
         burst_idle = (
             self._burst_gated
             and (self._total_intervals - 1) % self._duty_windows >= self._duty_on
         )
-        if (
-            not burst_idle
-            and decision.memory_on
-            and frequency > 0.0
-            and decision.active_cores > 0
-        ):
-            if decision.active_cores >= len(occupied):
-                active_slots = occupied
-            else:
-                offset = self._rotation % len(occupied)
-                rotated = occupied[offset:] + occupied[:offset]
-                active_slots = sorted(rotated[: decision.active_cores])
-
-        heating_sum = 0.0
-        read_bps = 0.0
-        write_bps = 0.0
-        if active_slots:
-            slot_apps = scheduler.running_apps(active_slots)
-            ordered_slots = list(slot_apps)
-            result = self._window.evaluate(
-                [slot_apps[slot] for slot in ordered_slots],
-                frequency_hz=frequency,
-                bandwidth_cap_bytes_per_s=decision.bandwidth_cap_bytes_per_s,
-                memory_on=True,
-            )
-            progress = {}
-            for slot, slot_result in zip(ordered_slots, result.slots):
-                advanced = (
-                    slot_result.instructions_per_s * dt * self._overhead_factor
-                )
-                progress[slot] = advanced
-                engine.instructions += advanced
-                heating_sum += (
-                    voltage * slot_result.instructions_per_s / self._max_frequency
-                )
-            scheduler.advance(progress)
-            read_bps = result.read_bytes_per_s
-            write_bps = result.write_bytes_per_s
-            engine.traffic_bytes += result.total_bytes_per_s * dt
-            engine.l2_misses += result.l2_misses_per_s * dt
-
-        cpu_power = simulated_chip_power_w(
-            active_cores=len(active_slots),
-            dvfs_level=min(decision.dvfs_level, self._stopped_level),
-            memory_on=decision.memory_on,
-            table=cfg.cpu_power,
-        )
-        return WindowOutcome(
-            read_bytes_per_s=read_bps,
-            write_bytes_per_s=write_bps,
-            heating_sum=heating_sum,
-            cpu_power_w=cpu_power,
-        )
-
-    def window_fast(self, engine: SteppingEngine, decision: Any) -> WindowOutcome:
-        """:meth:`window_with_decision` through a steady-state cache.
-
-        The lockstep gang's per-cell window driver.  Between job
-        completions the scheduler's slot assignment is frozen, so the
-        whole post-decide computation — slot selection, level-1
-        evaluation, per-slot products, chip power — is a pure function
-        of (decision, rotation offset, burst phase).  This path caches
-        those products per assignment epoch and, on a hit, replays the
-        cached per-slot additions in the original order, so every
-        engine/scheduler mutation applies exactly the bits
-        :meth:`window_with_decision` would have produced (the gang
-        bitwise-equality suite pins the two paths together).  Falls
-        back to the plain path when the scheduler is subclassed.
-        """
         cache = self._window_cache
         if cache is None:
-            return self.window_with_decision(engine, decision)
-        cfg = self._config
-        dt = self.dt_s
-        scheduler = self._scheduler
-        self._total_intervals += 1
-        if not decision.memory_on or decision.emergency_level >= self._top_level:
-            self._shutdown_intervals += 1
-        self._since_rotation_s += dt
-        if self._since_rotation_s >= cfg.rotation_interval_s:
-            self._since_rotation_s = 0.0
-            self._rotation += 1
-        epoch = scheduler.finished_jobs
-        if epoch != self._cache_epoch:
-            cache.clear()
-            self._cache_epoch = epoch
-            self._cache_occupied = scheduler.occupied_slots()
-        occupied = self._cache_occupied
-        burst_idle = (
-            self._burst_gated
-            and (self._total_intervals - 1) % self._duty_windows >= self._duty_on
-        )
-        key = (
-            decision,
-            burst_idle,
-            self._rotation % len(occupied) if occupied else 0,
-        )
-        entry = cache.get(key)
-        if entry is None:
-            entry = cache[key] = self._window_entry(
-                decision, burst_idle, occupied
+            entry = self._window_entry(
+                decision, burst_idle, scheduler.occupied_slots()
             )
+        else:
+            epoch = scheduler.finished_jobs
+            if epoch != self._cache_epoch:
+                cache.clear()
+                self._cache_epoch = epoch
+                self._cache_occupied = scheduler.occupied_slots()
+            occupied = self._cache_occupied
+            key = (
+                decision,
+                burst_idle,
+                self._rotation % len(occupied) if occupied else 0,
+            )
+            entry = cache.get(key)
+            if entry is None:
+                entry = cache[key] = self._window_entry(
+                    decision, burst_idle, occupied
+                )
         outcome, progress, slot_adds, traffic_delta, l2_delta = entry
         if progress is not None:
             for advanced in slot_adds:
@@ -387,9 +293,9 @@ class Chapter4Strategy:
     def _window_entry(
         self, decision: Any, burst_idle: bool, occupied: list[int]
     ) -> tuple:
-        """One :meth:`window_fast` cache entry — the pure products of
-        the post-decide body, mirroring :meth:`window_with_decision`
-        operation for operation."""
+        """One window-cache entry: the pure products of the post-decide
+        body, ``(outcome, progress, slot_adds, traffic_delta, l2_delta)``
+        with ``progress`` None when no slot runs."""
         cfg = self._config
         dt = self.dt_s
         scheduler = self._scheduler

@@ -9,12 +9,7 @@ traffic — is where most of its performance advantage comes from (§4.4.2).
 
 from __future__ import annotations
 
-from repro.dtm.base import (
-    ControlDecision,
-    DTMPolicy,
-    ThermalReading,
-    _decision_memo,
-)
+from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.levels import LevelTracker
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
@@ -33,7 +28,6 @@ class DTMACG(DTMPolicy):
     """
 
     name = "DTM-ACG"
-    vectorized = True
 
     def __init__(
         self,
@@ -50,61 +44,35 @@ class DTMACG(DTMPolicy):
         self._since_rotation_s = 0.0
         self.rotation = 0
 
-    def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
+    def decide_values(
+        self, amb_c: float, dram_c: float, dt_s: float
+    ) -> ControlDecision:
         """Gate cores down to the ladder's count for the current level."""
-        level = self._tracker.level(reading)
-        active = self._levels.acg_active_cores[level]
-        active = min(self._cores, max(active, self._min_active if active > 0 else 0))
+        level = self._tracker.level_values(amb_c, dram_c)
         self._since_rotation_s += dt_s
         if self._since_rotation_s >= self._rotation_interval_s:
             self._since_rotation_s = 0.0
             self.rotation += 1
-        # At the highest emergency level the memory shuts down too (§4.2.2:
-        # "in the highest thermal emergency level ... the memory will be
-        # fully shut down").
-        memory_on = active > 0 or level < self._levels.level_count - 1
-        return ControlDecision(
-            memory_on=memory_on and active >= 0 and not self._full_shutdown(level),
-            active_cores=active,
-            emergency_level=level,
-        )
-
-    @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
-        """Batched gating: level tracking, rotation and ladder per cell.
-
-        The rotation counter advances exactly as in :meth:`decide`
-        (float accumulation order preserved); decisions depend only on
-        the level, so they come from the per-rung cache.
-        """
-        if cls is not DTMACG:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
-        decisions = []
-        for policy, amb, dram in zip(policies, amb_c, dram_c):
-            level = policy._tracker.level_values(amb, dram)
-            policy._since_rotation_s += dt_s
-            if policy._since_rotation_s >= policy._rotation_interval_s:
-                policy._since_rotation_s = 0.0
-                policy.rotation += 1
-            memo = _decision_memo(policy)
-            decision = memo.get(level)
-            if decision is None:
-                levels = policy._levels
-                active = levels.acg_active_cores[level]
-                active = min(
-                    policy._cores,
-                    max(active, policy._min_active if active > 0 else 0),
-                )
-                memory_on = active > 0 or level < levels.level_count - 1
-                decision = memo[level] = ControlDecision(
-                    memory_on=memory_on
-                    and active >= 0
-                    and not policy._full_shutdown(level),
-                    active_cores=active,
-                    emergency_level=level,
-                )
-            decisions.append(decision)
-        return decisions, None
+        memo = _decision_memo(self)
+        decision = memo.get(level)
+        if decision is None:
+            levels = self._levels
+            active = levels.acg_active_cores[level]
+            active = min(
+                self._cores, max(active, self._min_active if active > 0 else 0)
+            )
+            # At the highest emergency level the memory shuts down too
+            # (§4.2.2: "in the highest thermal emergency level ... the
+            # memory will be fully shut down").
+            memory_on = active > 0 or level < levels.level_count - 1
+            decision = memo[level] = ControlDecision(
+                memory_on=memory_on
+                and active >= 0
+                and not self._full_shutdown(level),
+                active_cores=active,
+                emergency_level=level,
+            )
+        return decision
 
     def _full_shutdown(self, level: int) -> bool:
         """Whether this level calls for a complete memory shutdown."""

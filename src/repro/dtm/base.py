@@ -63,26 +63,24 @@ class DTMPolicy(abc.ABC):
 
     Policies are stateful (hysteresis, fairness rotation, PID integrals);
     :meth:`reset` restores the initial state between experiment runs.
+    Each policy writes its rule once, in :meth:`decide_values`; the
+    per-reading :meth:`decide` and the many-cell :meth:`decide_all`
+    both delegate to it.
     """
 
     #: Human-readable scheme name ("DTM-ACG", ...).
     name: str = "DTM"
 
-    #: True when :meth:`decide` provably ignores its ThermalReading —
-    #: the opt-in that lets a gang (:mod:`repro.engine.gang`) step one
-    #: leader cell's policy and broadcast the decision to cells that
-    #: differ only thermally.  Leave False for anything that reads a
-    #: temperature, even conditionally.
-    thermally_insensitive: bool = False
-
-    #: True when the class overrides :meth:`decide_all` with a batched
-    #: implementation (the lockstep-gang fast path).  Purely
-    #: informational — the default ``decide_all`` is always correct.
-    vectorized: bool = False
-
     @abc.abstractmethod
+    def decide_values(
+        self, amb_c: float, dram_c: float, dt_s: float
+    ) -> ControlDecision:
+        """Produce the actuator state for the next interval from bare
+        AMB/DRAM temperatures, degC."""
+
     def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
         """Produce the actuator state for the next interval."""
+        return self.decide_values(reading.amb_c, reading.dram_c, dt_s)
 
     @classmethod
     def decide_all(
@@ -91,48 +89,18 @@ class DTMPolicy(abc.ABC):
         amb_c: Sequence[float],
         dram_c: Sequence[float],
         dt_s: float,
-        pending: Any = None,
-    ) -> tuple[list[ControlDecision], Any]:
-        """Batched :meth:`decide` over many same-class policy instances.
+    ) -> list[ControlDecision]:
+        """:meth:`decide_values` over many policies, one window each.
 
-        The vector protocol the lockstep gang drives
-        (:mod:`repro.engine.gang`): one call produces every cell's
-        decision for the window from flat temperature sequences,
-        bit-identical — decisions *and* policy state — to calling
+        The lockstep gang's per-window policy step
+        (:mod:`repro.engine.gang`): policy ``i`` reads ``amb_c[i]`` and
+        ``dram_c[i]``, so decisions and policy state match calling
         :meth:`decide` per cell in order.
-
-        Returns ``(decisions, pending)``.  ``pending`` is an opaque,
-        implementation-owned bundle of staged state: a vectorized
-        implementation may keep its hysteresis latches / integrals in
-        flat arrays across windows instead of scattering them into the
-        policy objects every call.  The caller must thread the returned
-        ``pending`` into the next ``decide_all`` over the *same*
-        policies in the same order, and must call :meth:`apply_all`
-        before any policy's state becomes externally visible
-        (``state_dict``, a per-cell ``decide``, retirement of a member).
-        The default implementation is the plain per-cell loop — state
-        commits immediately and ``pending`` is ``None`` — so policies
-        without a batched override degrade transparently.
         """
-        return (
-            [
-                policy.decide(ThermalReading(amb_c=amb, dram_c=dram), dt_s)
-                for policy, amb, dram in zip(policies, amb_c, dram_c)
-            ],
-            None,
-        )
-
-    @classmethod
-    def apply_all(
-        cls, policies: Sequence["DTMPolicy"], pending: Any
-    ) -> None:
-        """Commit state staged by :meth:`decide_all` into the policies.
-
-        No-op for implementations that commit immediately (the default
-        and every table-driven policy); the array-backed PID path
-        scatters its controller state here.  Safe to call with
-        ``pending=None``.
-        """
+        return [
+            policy.decide_values(amb, dram, dt_s)
+            for policy, amb, dram in zip(policies, amb_c, dram_c)
+        ]
 
     def reset(self) -> None:
         """Restore initial policy state (default: stateless)."""
@@ -152,12 +120,12 @@ class DTMPolicy(abc.ABC):
 
 
 def _decision_memo(policy: DTMPolicy) -> dict:
-    """The per-instance decision cache used by batched deciders.
+    """The per-instance cache of frozen decisions.
 
     A policy emits very few *distinct* decisions (one per ladder rung /
-    latch state); ``decide_all`` implementations reuse the frozen
-    :class:`ControlDecision` objects instead of re-validating a new one
-    per cell per window.  Lazy so the concrete policies' constructors
+    latch state); :meth:`DTMPolicy.decide_values` implementations reuse
+    the frozen :class:`ControlDecision` objects instead of validating a
+    new one per window.  Lazy so the concrete policies' constructors
     stay untouched.
     """
     memo = getattr(policy, "_decision_cache", None)
@@ -170,29 +138,16 @@ class NoLimitPolicy(DTMPolicy):
     """The ideal system without any thermal limit (the paper's baseline)."""
 
     name = "No-limit"
-    #: The decision is a constant — temperatures are never read.
-    thermally_insensitive = True
-    vectorized = True
 
     def __init__(self, cores: int = 4) -> None:
         self._cores = cores
 
-    def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
+    def decide_values(
+        self, amb_c: float, dram_c: float, dt_s: float
+    ) -> ControlDecision:
         """Always full speed, regardless of temperature."""
-        return ControlDecision(active_cores=self._cores)
-
-    @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
-        """Batched decide: one shared constant decision per policy."""
-        if cls is not NoLimitPolicy:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
-        decisions = []
-        for policy in policies:
-            memo = _decision_memo(policy)
-            decision = memo.get(None)
-            if decision is None:
-                decision = memo[None] = ControlDecision(
-                    active_cores=policy._cores
-                )
-            decisions.append(decision)
-        return decisions, None
+        memo = _decision_memo(self)
+        decision = memo.get(None)
+        if decision is None:
+            decision = memo[None] = ControlDecision(active_cores=self._cores)
+        return decision

@@ -8,12 +8,7 @@ entirely, with DTM-TS-style release hysteresis.
 
 from __future__ import annotations
 
-from repro.dtm.base import (
-    ControlDecision,
-    DTMPolicy,
-    ThermalReading,
-    _decision_memo,
-)
+from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.levels import LevelTracker
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
@@ -28,46 +23,29 @@ class DTMBW(DTMPolicy):
     """
 
     name = "DTM-BW"
-    vectorized = True
 
     def __init__(self, levels: EmergencyLevels | None = None, cores: int = 4) -> None:
         self._levels = levels if levels is not None else SIMULATION_LEVELS
         self._tracker = LevelTracker(self._levels)
         self._cores = cores
 
-    def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
+    def decide_values(
+        self, amb_c: float, dram_c: float, dt_s: float
+    ) -> ControlDecision:
         """Look up the traffic cap for the current emergency level."""
-        level = self._tracker.level(reading)
-        cap = self._levels.bw_caps_bytes_per_s[level]
-        memory_on = cap is None or cap > 0.0
-        return ControlDecision(
-            memory_on=memory_on,
-            bandwidth_cap_bytes_per_s=cap if memory_on else 0.0,
-            active_cores=self._cores,
-            emergency_level=level,
-        )
-
-    @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
-        """Batched level tracking + ladder lookup, per-rung decisions."""
-        if cls is not DTMBW:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
-        decisions = []
-        for policy, amb, dram in zip(policies, amb_c, dram_c):
-            level = policy._tracker.level_values(amb, dram)
-            memo = _decision_memo(policy)
-            decision = memo.get(level)
-            if decision is None:
-                cap = policy._levels.bw_caps_bytes_per_s[level]
-                memory_on = cap is None or cap > 0.0
-                decision = memo[level] = ControlDecision(
-                    memory_on=memory_on,
-                    bandwidth_cap_bytes_per_s=cap if memory_on else 0.0,
-                    active_cores=policy._cores,
-                    emergency_level=level,
-                )
-            decisions.append(decision)
-        return decisions, None
+        level = self._tracker.level_values(amb_c, dram_c)
+        memo = _decision_memo(self)
+        decision = memo.get(level)
+        if decision is None:
+            cap = self._levels.bw_caps_bytes_per_s[level]
+            memory_on = cap is None or cap > 0.0
+            decision = memo[level] = ControlDecision(
+                memory_on=memory_on,
+                bandwidth_cap_bytes_per_s=cap if memory_on else 0.0,
+                active_cores=self._cores,
+                emergency_level=level,
+            )
+        return decision
 
     def reset(self) -> None:
         """Clear the shutdown latch."""

@@ -11,12 +11,7 @@ is why CDVFS overtakes ACG on real systems (§4.5, §5.4.3).
 
 from __future__ import annotations
 
-from repro.dtm.base import (
-    ControlDecision,
-    DTMPolicy,
-    ThermalReading,
-    _decision_memo,
-)
+from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.levels import LevelTracker
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
@@ -32,7 +27,6 @@ class DTMCDVFS(DTMPolicy):
     """
 
     name = "DTM-CDVFS"
-    vectorized = True
 
     def __init__(
         self,
@@ -45,41 +39,23 @@ class DTMCDVFS(DTMPolicy):
         self._cores = cores
         self._stopped_level = stopped_level
 
-    def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
+    def decide_values(
+        self, amb_c: float, dram_c: float, dt_s: float
+    ) -> ControlDecision:
         """Map the emergency level to a DVFS ladder position."""
-        level = self._tracker.level(reading)
-        dvfs = min(self._levels.cdvfs_levels[level], self._stopped_level)
-        stopped = dvfs >= self._stopped_level
-        return ControlDecision(
-            memory_on=not stopped,
-            active_cores=0 if stopped else self._cores,
-            dvfs_level=dvfs,
-            emergency_level=level,
-        )
-
-    @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
-        """Batched level tracking + DVFS ladder, per-rung decisions."""
-        if cls is not DTMCDVFS:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
-        decisions = []
-        for policy, amb, dram in zip(policies, amb_c, dram_c):
-            level = policy._tracker.level_values(amb, dram)
-            memo = _decision_memo(policy)
-            decision = memo.get(level)
-            if decision is None:
-                dvfs = min(
-                    policy._levels.cdvfs_levels[level], policy._stopped_level
-                )
-                stopped = dvfs >= policy._stopped_level
-                decision = memo[level] = ControlDecision(
-                    memory_on=not stopped,
-                    active_cores=0 if stopped else policy._cores,
-                    dvfs_level=dvfs,
-                    emergency_level=level,
-                )
-            decisions.append(decision)
-        return decisions, None
+        level = self._tracker.level_values(amb_c, dram_c)
+        memo = _decision_memo(self)
+        decision = memo.get(level)
+        if decision is None:
+            dvfs = min(self._levels.cdvfs_levels[level], self._stopped_level)
+            stopped = dvfs >= self._stopped_level
+            decision = memo[level] = ControlDecision(
+                memory_on=not stopped,
+                active_cores=0 if stopped else self._cores,
+                dvfs_level=dvfs,
+                emergency_level=level,
+            )
+        return decision
 
     def reset(self) -> None:
         """Clear the shutdown latch."""

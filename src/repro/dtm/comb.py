@@ -9,12 +9,7 @@ study.
 
 from __future__ import annotations
 
-from repro.dtm.base import (
-    ControlDecision,
-    DTMPolicy,
-    ThermalReading,
-    _decision_memo,
-)
+from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.levels import LevelTracker
 from repro.params.emergency import EmergencyLevels, PE1950_LEVELS
 
@@ -31,7 +26,6 @@ class DTMCOMB(DTMPolicy):
     """
 
     name = "DTM-COMB"
-    vectorized = True
 
     def __init__(
         self,
@@ -44,43 +38,25 @@ class DTMCOMB(DTMPolicy):
         self._cores = cores
         self._min_active = min_active
 
-    def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
+    def decide_values(
+        self, amb_c: float, dram_c: float, dt_s: float
+    ) -> ControlDecision:
         """Apply both the core ladder and the DVFS ladder."""
-        level = self._tracker.level(reading)
-        active = self._levels.acg_active_cores[level]
-        if active > 0:
-            active = max(active, self._min_active)
-        dvfs = self._levels.cdvfs_levels[level]
-        return ControlDecision(
-            memory_on=active > 0,
-            active_cores=min(active, self._cores),
-            dvfs_level=dvfs,
-            emergency_level=level,
-        )
-
-    @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
-        """Batched level tracking + both ladders, per-rung decisions."""
-        if cls is not DTMCOMB:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
-        decisions = []
-        for policy, amb, dram in zip(policies, amb_c, dram_c):
-            level = policy._tracker.level_values(amb, dram)
-            memo = _decision_memo(policy)
-            decision = memo.get(level)
-            if decision is None:
-                levels = policy._levels
-                active = levels.acg_active_cores[level]
-                if active > 0:
-                    active = max(active, policy._min_active)
-                decision = memo[level] = ControlDecision(
-                    memory_on=active > 0,
-                    active_cores=min(active, policy._cores),
-                    dvfs_level=levels.cdvfs_levels[level],
-                    emergency_level=level,
-                )
-            decisions.append(decision)
-        return decisions, None
+        level = self._tracker.level_values(amb_c, dram_c)
+        memo = _decision_memo(self)
+        decision = memo.get(level)
+        if decision is None:
+            levels = self._levels
+            active = levels.acg_active_cores[level]
+            if active > 0:
+                active = max(active, self._min_active)
+            decision = memo[level] = ControlDecision(
+                memory_on=active > 0,
+                active_cores=min(active, self._cores),
+                dvfs_level=levels.cdvfs_levels[level],
+                emergency_level=level,
+            )
+        return decision
 
     def reset(self) -> None:
         """Clear the shutdown latch."""

@@ -40,9 +40,8 @@ class LevelTracker:
         return self.level_values(reading.amb_c, reading.dram_c)
 
     def level_values(self, amb_c: float, dram_c: float) -> int:
-        """:meth:`level` on bare temperatures — the batched deciders'
-        entry point (``decide_all`` feeds floats straight from the
-        gang's flat arrays without building a ThermalReading)."""
+        """:meth:`level` on bare temperatures — the entry point of
+        every policy's :meth:`~repro.dtm.base.DTMPolicy.decide_values`."""
         levels = self._levels
         raw = levels.level(amb_c, dram_c)
         top = levels.level_count - 1

@@ -12,12 +12,7 @@ rung regardless of controller state (the worst-case safety net).
 
 from __future__ import annotations
 
-from repro.dtm.base import (
-    ControlDecision,
-    DTMPolicy,
-    ThermalReading,
-    _decision_memo,
-)
+from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.pid import (
     AMB_GAINS,
     AMB_INTEGRAL_ENABLE_C,
@@ -29,97 +24,6 @@ from repro.dtm.pid import (
 )
 from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
-
-
-class _ControllerLanes:
-    """One batch of same-side PID controllers as flat NumPy arrays.
-
-    The lockstep gang steps N PID policies per window; re-reading and
-    re-writing eight scalar attributes per controller per window would
-    cost more than the arithmetic.  Lanes gather the mutable controller
-    state (integral, previous error, saturation flags) once, advance it
-    elementwise window after window, and scatter it back only at
-    :meth:`PIDPolicy.apply_all` time.  Every elementwise float64
-    operation is the IEEE operation the scalar
-    :meth:`~repro.dtm.pid.PIDController.update` performs, in the same
-    order, so the staged state and outputs are bit-identical per cell.
-    """
-
-    __slots__ = (
-        "np", "target", "enable", "kc", "ki", "kd",
-        "out_min", "out_max", "span",
-        "integral", "prev", "has_prev", "sat_low", "sat_high",
-    )
-
-    def __init__(self, np, controllers) -> None:
-        self.np = np
-        asarray = np.asarray
-        self.target = asarray([c._target_c for c in controllers])
-        self.enable = asarray([c._integral_enable_c for c in controllers])
-        self.kc = asarray([c._gains.kc for c in controllers])
-        self.ki = asarray([c._gains.ki for c in controllers])
-        self.kd = asarray([c._gains.kd for c in controllers])
-        self.out_min = asarray([c._output_min for c in controllers])
-        self.out_max = asarray([c._output_max for c in controllers])
-        self.span = self.out_max - self.out_min
-        self.integral = asarray([c._integral for c in controllers])
-        self.prev = asarray(
-            [
-                0.0 if c._previous_error is None else c._previous_error
-                for c in controllers
-            ]
-        )
-        self.has_prev = asarray(
-            [c._previous_error is not None for c in controllers], dtype=bool
-        )
-        self.sat_low = asarray([c._saturated_low for c in controllers], dtype=bool)
-        self.sat_high = asarray([c._saturated_high for c in controllers], dtype=bool)
-
-    def update(self, measured, dt_s: float):
-        """Vectorized :meth:`PIDController.update`; returns normalized u."""
-        np = self.np
-        error = self.target - measured
-        integral_on = measured >= self.enable
-        pushing = ((error < 0) & self.sat_low) | ((error > 0) & self.sat_high)
-        self.integral = np.where(
-            integral_on,
-            np.where(pushing, self.integral, self.integral + error * dt_s),
-            0.0,
-        )
-        derivative = np.where(
-            self.has_prev, (error - self.prev) / dt_s, 0.0
-        )
-        self.prev = error
-        self.has_prev = np.ones(len(error), dtype=bool)
-        raw = self.kc * (error + self.ki * self.integral + self.kd * derivative)
-        output = np.minimum(self.out_max, np.maximum(self.out_min, raw))
-        self.sat_low = output <= self.out_min
-        self.sat_high = output >= self.out_max
-        return (output - self.out_min) / self.span
-
-    def scatter(self, controllers) -> None:
-        """Write the staged state back into the controller objects."""
-        integral = self.integral.tolist()
-        prev = self.prev.tolist()
-        has_prev = self.has_prev.tolist()
-        sat_low = self.sat_low.tolist()
-        sat_high = self.sat_high.tolist()
-        for i, controller in enumerate(controllers):
-            controller._integral = integral[i]
-            controller._previous_error = prev[i] if has_prev[i] else None
-            controller._saturated_low = sat_low[i]
-            controller._saturated_high = sat_high[i]
-
-
-class _PIDPending:
-    """Chained ``decide_all`` state: paired AMB/DRAM controller lanes."""
-
-    __slots__ = ("key", "amb", "dram")
-
-    def __init__(self, np, policies) -> None:
-        self.key = tuple(id(policy) for policy in policies)
-        self.amb = _ControllerLanes(np, [p._amb_pid for p in policies])
-        self.dram = _ControllerLanes(np, [p._dram_pid for p in policies])
 
 
 class PIDPolicy(DTMPolicy):
@@ -160,111 +64,29 @@ class PIDPolicy(DTMPolicy):
             DRAM_GAINS, dram_target_c, integral_enable_c=dram_enable
         )
 
-    vectorized = True
-
     @property
     def scheme(self) -> str:
         """Which actuator this policy drives."""
         return self._scheme
 
-    @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
-        """Batched dual-PID step over controller lanes.
-
-        With NumPy the mutable controller state lives in flat arrays
-        chained through ``pending`` — per window the cost is one
-        elementwise update per controller side plus a per-cell rung
-        lookup, instead of 2N scalar controller steps.  Without NumPy
-        the per-cell loop runs the scalar controllers directly (still
-        skipping the reading/decision object churn).  Both paths are
-        bit-identical to :meth:`decide` per cell.
-        """
-        if cls is not PIDPolicy:
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
-        if dt_s <= 0:
-            raise ConfigurationError("dt must be positive")
-        from repro.core import kernel as _kernel
-
-        np = _kernel._import_numpy()
-        if np is None:
-            decisions = []
-            for policy, amb, dram in zip(policies, amb_c, dram_c):
-                amb_u = policy._amb_pid.normalized(
-                    policy._amb_pid.update(amb, dt_s)
-                )
-                dram_u = policy._dram_pid.normalized(
-                    policy._dram_pid.update(dram, dt_s)
-                )
-                decisions.append(
-                    policy._rung_decision(min(amb_u, dram_u), amb, dram)
-                )
-            return decisions, None
-        if (
-            not isinstance(pending, _PIDPending)
-            or pending.key != tuple(id(policy) for policy in policies)
-        ):
-            pending = _PIDPending(np, policies)
-        amb_vals = np.asarray(amb_c, dtype=np.float64)
-        dram_vals = np.asarray(dram_c, dtype=np.float64)
-        amb_u = pending.amb.update(amb_vals, dt_s)
-        dram_u = pending.dram.update(dram_vals, dt_s)
-        u_all = np.minimum(amb_u, dram_u).tolist()
-        decisions = [
-            policy._rung_decision(u, amb, dram)
-            for policy, u, amb, dram in zip(
-                policies, u_all, amb_vals.tolist(), dram_vals.tolist()
-            )
-        ]
-        return decisions, pending
-
-    @classmethod
-    def apply_all(cls, policies, pending) -> None:
-        """Scatter lane state back into the per-policy controllers."""
-        if not isinstance(pending, _PIDPending):
-            return
-        if pending.key != tuple(id(policy) for policy in policies):
-            raise ConfigurationError(
-                "PID apply_all received pending state for a different "
-                "policy batch"
-            )
-        pending.amb.scatter([p._amb_pid for p in policies])
-        pending.dram.scatter([p._dram_pid for p in policies])
-
-    def _rung_decision(
-        self, u: float, amb_c: float, dram_c: float
+    def decide_values(
+        self, amb_c: float, dram_c: float, dt_s: float
     ) -> ControlDecision:
-        """The post-controller half of :meth:`decide`, decision cached
-        per rung (the frozen decisions are pure functions of the rung)."""
+        """Run both controllers; the binding (lower) output acts."""
+        amb_u = self._amb_pid.normalized(self._amb_pid.update(amb_c, dt_s))
+        dram_u = self._dram_pid.normalized(self._dram_pid.update(dram_c, dt_s))
+        u = min(amb_u, dram_u)
         rung_count = self._levels.level_count
+        # u = 1 -> rung 0 (full performance); u = 0 -> most aggressive rung.
         rung = round((1.0 - u) * (rung_count - 1))
-        if (
-            amb_c >= self._levels.amb_tdp_c
-            or dram_c >= self._levels.dram_tdp_c
-        ):
+        # Safety net: at/above a TDP, force the most aggressive rung.
+        if amb_c >= self._levels.amb_tdp_c or dram_c >= self._levels.dram_tdp_c:
             rung = rung_count - 1
         memo = _decision_memo(self)
         decision = memo.get(rung)
         if decision is None:
             decision = memo[rung] = self._decision_for_rung(rung)
         return decision
-
-    def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
-        """Run both controllers; the binding (lower) output acts."""
-        amb_out = self._amb_pid.update(reading.amb_c, dt_s)
-        dram_out = self._dram_pid.update(reading.dram_c, dt_s)
-        amb_u = self._amb_pid.normalized(amb_out)
-        dram_u = self._dram_pid.normalized(dram_out)
-        u = min(amb_u, dram_u)
-        rung_count = self._levels.level_count
-        # u = 1 -> rung 0 (full performance); u = 0 -> most aggressive rung.
-        rung = round((1.0 - u) * (rung_count - 1))
-        # Safety net: at/above a TDP, force the most aggressive rung.
-        if (
-            reading.amb_c >= self._levels.amb_tdp_c
-            or reading.dram_c >= self._levels.dram_tdp_c
-        ):
-            rung = rung_count - 1
-        return self._decision_for_rung(rung)
 
     def _decision_for_rung(self, rung: int) -> ControlDecision:
         """Translate a ladder rung into the scheme's actuator state."""

@@ -9,12 +9,7 @@ stay safely below the TDP to tolerate imperfect sensors (§4.4.1).
 
 from __future__ import annotations
 
-from repro.dtm.base import (
-    ControlDecision,
-    DTMPolicy,
-    ThermalReading,
-    _decision_memo,
-)
+from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
@@ -32,7 +27,6 @@ class DTMTS(DTMPolicy):
     """
 
     name = "DTM-TS"
-    vectorized = True
 
     def __init__(
         self,
@@ -58,59 +52,29 @@ class DTMTS(DTMPolicy):
         """Whether memory is currently shut down."""
         return self._shut_down
 
-    def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
+    def decide_values(
+        self, amb_c: float, dram_c: float, dt_s: float
+    ) -> ControlDecision:
         """On/off decision with hysteresis between TDP and TRP."""
-        overheated = (
-            reading.amb_c >= self._levels.amb_tdp_c
-            or reading.dram_c >= self._levels.dram_tdp_c
-        )
-        released = (
-            reading.amb_c <= self._amb_trp_c and reading.dram_c <= self._dram_trp_c
-        )
-        if overheated:
+        levels = self._levels
+        if amb_c >= levels.amb_tdp_c or dram_c >= levels.dram_tdp_c:
             self._shut_down = True
-        elif self._shut_down and released:
+        elif (
+            self._shut_down
+            and amb_c <= self._amb_trp_c
+            and dram_c <= self._dram_trp_c
+        ):
             self._shut_down = False
-        level = self._levels.level(reading.amb_c, reading.dram_c)
-        return ControlDecision(
-            memory_on=not self._shut_down,
-            active_cores=self._cores,
-            emergency_level=level,
-        )
-
-    @classmethod
-    def decide_all(cls, policies, amb_c, dram_c, dt_s, pending=None):
-        """Batched hysteresis: one tight loop, shared decision objects.
-
-        Identical comparisons in identical order to :meth:`decide`; the
-        per-cell saving is the ThermalReading/ControlDecision object
-        churn and the dispatch, not the arithmetic.  Latch state commits
-        immediately (``pending`` stays ``None``).
-        """
-        if cls is not DTMTS:
-            # A subclass may have changed decide(); never vectorize it.
-            return super().decide_all(policies, amb_c, dram_c, dt_s, pending)
-        decisions = []
-        for policy, amb, dram in zip(policies, amb_c, dram_c):
-            levels = policy._levels
-            shut = policy._shut_down
-            if amb >= levels.amb_tdp_c or dram >= levels.dram_tdp_c:
-                shut = policy._shut_down = True
-            elif shut and (
-                amb <= policy._amb_trp_c and dram <= policy._dram_trp_c
-            ):
-                shut = policy._shut_down = False
-            level = levels.level(amb, dram)
-            memo = _decision_memo(policy)
-            decision = memo.get((shut, level))
-            if decision is None:
-                decision = memo[(shut, level)] = ControlDecision(
-                    memory_on=not shut,
-                    active_cores=policy._cores,
-                    emergency_level=level,
-                )
-            decisions.append(decision)
-        return decisions, None
+        key = (self._shut_down, levels.level(amb_c, dram_c))
+        memo = _decision_memo(self)
+        decision = memo.get(key)
+        if decision is None:
+            decision = memo[key] = ControlDecision(
+                memory_on=not key[0],
+                active_cores=self._cores,
+                emergency_level=key[1],
+            )
+        return decision
 
     def reset(self) -> None:
         """Memory back on."""

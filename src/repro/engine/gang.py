@@ -2,97 +2,38 @@
 
 A campaign grid pays the per-window cadence once per cell: sensor
 reading, policy decision, level-1 evaluation, kernel step, accounting.
-A *gang* steps N compatible cells through that cadence together, with
-one :class:`~repro.core.kernel.GridMemSpot` advancing all N thermal
-chains per window.  Two modes, chosen by how much the cells share:
+A *gang* steps N compatible cells through that cadence together: cells
+share the DTM cadence (equal ``dt_s``) and the chain topology but may
+differ in policy, workload and thermal parameters.  Per window the gang
+makes one :meth:`~repro.dtm.base.DTMPolicy.decide_all` call over every
+cell's policy, runs each cell's own window body under its decision,
+and advances all N thermal chains with one
+:class:`~repro.core.kernel.GridMemSpot` step.
 
-- **lockstep** — cells share the DTM cadence (equal ``dt_s``) and the
-  chain topology but may differ in policy/workload.  Each cell's
-  strategy still runs every window (:meth:`SteppingEngine.begin_window`);
-  only the thermal kernel dispatch is batched.
-- **leader** — cells additionally share every workload-relevant axis
-  (mix, policy, copies, duty cycle, bandwidth scale, ...) and their
-  policy is :attr:`~repro.dtm.base.DTMPolicy.thermally_insensitive` —
-  the decision provably never reads a temperature.  The per-window
-  strategy work is then *identical* across the gang, so one leader
-  cell's strategy runs and its :class:`~repro.engine.stepping.WindowOutcome`
-  broadcasts to every follower.  This is the mode that makes a
-  homogeneous thermal-sensitivity sweep (e.g. a no-limit baseline
-  under N inlet temperatures) cost roughly one cell's strategy work
-  plus N vectorized thermal lanes.
-
-Bit-identity is the design constraint, not an afterthought: gangs call
-the exact :meth:`~repro.engine.stepping.SteppingEngine.begin_window` /
-:meth:`~repro.engine.stepping.SteppingEngine.apply_window` halves a
-solo run uses, the grid kernel is bit-identical to per-cell stepping,
-and leader-mode followers receive the leader's strategy-owned
-accumulators by *assignment* (their own sequential additions would
-have produced exactly these bits — same operations, same order).  The
+Bit-identity is the design constraint, not an afterthought: the policy
+step and window body are the ones a solo run uses, the grid kernel is
+bit-identical to per-cell stepping, and the flat-array accounting
+performs each engine's max/multiply/add sequence elementwise.  The
 property suite pins gang results to serial runs byte for byte.
 
 :func:`plan_gangs` is the safe entry point: it groups arbitrary cells
-into leader gangs, lockstep gangs, and solo leftovers, proving the
-leader precondition from the spec fields (everything except the
-declared thermal-only axes must match) plus the policy's insensitivity
-marker.  Construct :class:`GangStrategy` directly only with cells you
-have proven compatible yourself.
+into gangs and solo leftovers.  Construct :class:`GangStrategy`
+directly only with cells you have proven compatible yourself.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from repro.core.kernel import BatchedMemSpot, GridMemSpot, _import_numpy
+from repro.core.memspot import MemSpotSample
+from repro.dtm.base import DTMPolicy
 from repro.engine.observers import ProgressObserver, TraceRecorder
 from repro.engine.state import EngineState
 from repro.engine.stepping import SteppingEngine
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.metrics import METRICS
-
-#: Per spec kind: fields that influence only the thermal chain (or pure
-#: presentation), never the strategy's decision/evaluation/advance.
-#: Two thermally-insensitive cells whose remaining fields match produce
-#: identical per-window outcomes and may share one leader.  Kinds not
-#: listed here never form leader gangs (lockstep still applies).
-LEADER_IRRELEVANT_FIELDS: dict[str, frozenset[str]] = {
-    "ch4": frozenset(
-        {
-            "cooling",
-            "ambient",
-            "interaction",
-            "inlet_delta_c",
-            "channels",
-            "dimms_per_channel",
-            # Release points parameterize thermally *sensitive*
-            # policies; an insensitive one (the leader gate) ignores
-            # them by definition.
-            "amb_trp_c",
-            "dram_trp_c",
-            # Observer/presentation knobs: traces record per cell.
-            "record_trace",
-            "scenario",
-        }
-    ),
-}
-
-
-def leader_signature(spec: Any) -> str | None:
-    """The workload-identity key for leader grouping, or None.
-
-    Serializes every spec field *except* the kind's declared
-    thermal-only axes (same field walk as
-    :func:`repro.campaign.spec.spec_key`).  Cells may share a leader
-    only when their signatures match **and** their strategies are
-    thermally insensitive; kinds with no declared axis split always
-    return None.
-    """
-    irrelevant = LEADER_IRRELEVANT_FIELDS.get(getattr(spec, "kind", None))
-    if irrelevant is None:
-        return None
-    fields = {k: v for k, v in spec.__dict__.items() if k not in irrelevant}
-    return f"{spec.kind}|{json.dumps(fields, sort_keys=True, default=str)}"
 
 
 class _VectorEpoch:
@@ -101,22 +42,18 @@ class _VectorEpoch:
     One instance spans one membership generation of a gang (built
     lazily, dropped on retirement/restore/flush).  It shadows the
     engine-owned per-window accounting in flat arrays — peaks, energy
-    integrals, clocks — and carries the per-policy-class grouping that
-    :meth:`~repro.dtm.base.DTMPolicy.decide_all` batches over, so the
-    per-window cost of N thermally-sensitive cells is a handful of
-    array operations plus the strategies' own scheduler work instead of
-    N full ``begin_window``/``apply_window`` round trips.  The arrays
-    are scattered back into the engines (and staged policy state
-    committed via ``apply_all``) at every point where engine or policy
-    state becomes externally visible.
+    integrals, clocks — so the per-window cost of N cells is a handful
+    of array operations plus the strategies' own window bodies instead
+    of N full ``begin_window``/``apply_window`` round trips.  The
+    arrays are scattered back into the engines at every point where
+    engine state becomes externally visible.
     """
 
     __slots__ = (
         "engines",
         "strategies",
-        "window_fns",
+        "policies",
         "done_fns",
-        "groups",
         "grid",
         "np",
         "horizons",
@@ -138,28 +75,21 @@ class _VectorEpoch:
 class GangStrategy:
     """Drives N compatible engines window by window through one grid.
 
-    ``mode`` is ``"lockstep"`` or ``"leader"`` (see the module
-    docstring); ``backend`` selects the
-    :class:`~repro.core.kernel.GridMemSpot` kernel backend.  The gang
-    owns no results — each engine finalizes its own, exactly as a solo
-    run would — and cells that finish early retire from the grid while
-    the rest keep stepping.
+    ``backend`` selects the :class:`~repro.core.kernel.GridMemSpot`
+    kernel backend.  The gang owns no results — each engine finalizes
+    its own, exactly as a solo run would — and cells that finish early
+    retire from the grid while the rest keep stepping.
     """
 
     def __init__(
         self,
         engines: Sequence[SteppingEngine],
         *,
-        mode: str = "lockstep",
         backend: str = "auto",
     ) -> None:
         engines = list(engines)
         if not engines:
             raise ConfigurationError("a gang needs at least one engine")
-        if mode not in ("lockstep", "leader"):
-            raise ConfigurationError(
-                f"gang mode must be 'lockstep' or 'leader', got {mode!r}"
-            )
         dt = engines[0].dt_s
         for engine in engines:
             if engine.dt_s != dt:
@@ -172,20 +102,6 @@ class GangStrategy:
                     "gang cells need BatchedMemSpot kernels "
                     f"(got {type(engine.strategy.memspot).__name__})"
                 )
-        if mode == "leader":
-            kinds = {engine.strategy.kind for engine in engines}
-            if len(kinds) > 1:
-                raise ConfigurationError(
-                    f"a leader gang cannot mix strategy kinds {sorted(kinds)}"
-                )
-            for engine in engines:
-                if not getattr(engine.strategy, "thermally_insensitive", False):
-                    raise ConfigurationError(
-                        "leader mode requires thermally-insensitive "
-                        "strategies (the policy must never read a "
-                        "temperature); use lockstep mode instead"
-                    )
-        self.mode = mode
         self.dt_s = dt
         self._engines = engines
         self._backend_choice = backend
@@ -201,13 +117,6 @@ class GangStrategy:
         #: current membership, False = ineligible (per-cell fallback),
         #: else the live :class:`_VectorEpoch`.
         self._vector: Any = None
-        if mode == "leader":
-            METRICS.counter_inc(
-                "repro_gang_step_path_total",
-                "Gang cells by stepping path",
-                amount=float(len(engines)),
-                path="leader",
-            )
 
     # -- introspection -----------------------------------------------------
 
@@ -248,40 +157,13 @@ class GangStrategy:
         if self._grid is not None:
             self._grid.sync()
 
-    def _sync_follower_strategies(self) -> None:
-        """Overlay the leader's strategy state onto every follower.
-
-        In leader mode follower strategies never step; at any boundary
-        where their state becomes visible (retirement, checkpoint,
-        finalize) they adopt the leader's — which is the state their
-        own identical window stream would have produced.  The JSON
-        round-trip gives each follower private containers.
-        """
-        if self.mode != "leader" or len(self._active) < 2:
-            return
-        state = json.dumps(self._engines[self._active[0]].strategy.state_dict())
-        for j in self._active[1:]:
-            self._engines[j].strategy.load_state_dict(json.loads(state))
-
     def _retire_finished(self) -> None:
-        # Leader mode: follower strategies never step, so their done
-        # flag (scheduler state) is stale — only the leader's is live,
-        # and when it flips every follower is done by construction.
-        # Probing it alone keeps the hot path at one done check per
-        # window instead of N; the overlay then makes the followers'
-        # own flags agree before the shared retirement scan (without
-        # it they would run one ghost window after the batch ended).
-        if self.mode == "leader":
-            if not self._engines[self._active[0]].done:
-                return
-            self._sync_follower_strategies()
         still = [j for j in self._active if not self._engines[j].done]
         if len(still) == len(self._active):
             return
         # Write thermal state back before shrinking the grid: retiring
         # cells must leave with their final temperatures, and the next
         # grid re-pulls the survivors'.
-        self._sync_follower_strategies()
         self._sync_grid()
         self._active = still
         self._active_engines = [self._engines[j] for j in still]
@@ -326,22 +208,10 @@ class GangStrategy:
         ep = _VectorEpoch()
         ep.engines = list(engines)
         ep.strategies = strategies
-        ep.window_fns = [
-            getattr(s, "window_fast", None) or s.window_with_decision
-            for s in strategies
-        ]
+        ep.policies = [strategy.dtm_policy for strategy in strategies]
         ep.done_fns = [
             (engine.strategy.done, engine) for engine in engines
         ]
-        groups: dict[type, list] = {}
-        for position, strategy in enumerate(strategies):
-            policy = strategy.dtm_policy
-            group = groups.get(type(policy))
-            if group is None:
-                groups[type(policy)] = group = [type(policy), [], [], None]
-            group[1].append(position)
-            group[2].append(policy)
-        ep.groups = list(groups.values())
         ep.grid = self._ensure_grid()
         ep.np = _import_numpy() if ep.grid.backend == "numpy" else None
         ep.horizons = [s.max_sim_horizon() for s in strategies]
@@ -399,8 +269,8 @@ class GangStrategy:
     def _flush_vector(self) -> None:
         """Fully commit and drop a live vector epoch.
 
-        Engine accumulators, staged policy state (``apply_all``),
-        thermal state, and each engine's live ``sample`` all become
+        Engine accumulators, thermal state, and each engine's live
+        ``sample`` all become
         consistent with what per-cell stepping would have left — the
         same boundary contract :meth:`SteppingEngine.restore` relies
         on (``sample()`` at a window boundary equals the last step's
@@ -411,10 +281,6 @@ class GangStrategy:
             return
         self._vector = None
         self._scatter_vector_state(ep)
-        for group in ep.groups:
-            cls, _positions, policies, pending = group
-            cls.apply_all(policies, pending)
-            group[3] = None
         self._sync_grid()
         for engine in ep.engines:
             engine.sample = engine.strategy.memspot.sample()
@@ -435,37 +301,18 @@ class GangStrategy:
                     self._flush_vector()
                     raise strategy.timeout_error(engine)
 
-        # Batched policy decisions, one decide_all per policy class.
-        amb = ep.amb
-        dram = ep.dram
-        groups = ep.groups
-        if len(groups) == 1:
-            group = groups[0]
-            decisions, group[3] = group[0].decide_all(
-                group[2], amb, dram, dt, group[3]
-            )
-        else:
-            decisions = [None] * count
-            for group in groups:
-                cls, positions, policies, pending = group
-                got, group[3] = cls.decide_all(
-                    policies,
-                    [amb[i] for i in positions],
-                    [dram[i] for i in positions],
-                    dt,
-                    pending,
-                )
-                for i, decision in zip(positions, got):
-                    decisions[i] = decision
-
-        # Per-cell strategy windows under the precomputed decisions.
+        # One policy step for every cell, then each cell's own window
+        # body under its decision.
+        decisions = DTMPolicy.decide_all(ep.policies, ep.amb, ep.dram, dt)
         outcomes = [
-            fn(engine, decision)
-            for fn, engine, decision in zip(ep.window_fns, engines, decisions)
+            strategy.window_with_decision(engine, decision)
+            for strategy, engine, decision in zip(
+                ep.strategies, engines, decisions
+            )
         ]
 
         # One grid step for all thermal chains, no sample objects.
-        amb_peak, dram_peak, ambient_c, power = ep.grid.step_all_raw(
+        amb_peak, dram_peak, ambient_c, power = ep.grid.step_all(
             [o.read_bytes_per_s for o in outcomes],
             [o.write_bytes_per_s for o in outcomes],
             [o.heating_sum for o in outcomes],
@@ -542,45 +389,37 @@ class GangStrategy:
         if not self._active:
             return False
         engines = self._active_engines
-        if self.mode == "lockstep":
-            epoch = self._vector
-            if epoch is None:
-                epoch = self._vector = self._build_vector_epoch()
-                METRICS.counter_inc(
-                    "repro_gang_step_path_total",
-                    "Gang cells by stepping path",
-                    amount=float(len(engines)),
-                    path="vector" if epoch is not False else "fallback",
-                )
-            if epoch is not False:
-                return self._step_vector(epoch)
-        if self.mode == "leader":
-            leader = engines[0]
-            outcome = leader.begin_window()
-            for follower in engines[1:]:
-                # Assignment, not addition: the leader's accumulators
-                # hold exactly the bits each follower's own (identical)
-                # per-slot additions would have produced.
-                follower.traffic_bytes = leader.traffic_bytes
-                follower.l2_misses = leader.l2_misses
-                follower.instructions = leader.instructions
-            outcomes = [outcome] * len(engines)
-            samples = self._ensure_grid().step_all_uniform(
-                outcome.read_bytes_per_s,
-                outcome.write_bytes_per_s,
-                outcome.heating_sum,
-                self.dt_s,
+        epoch = self._vector
+        if epoch is None:
+            epoch = self._vector = self._build_vector_epoch()
+            METRICS.counter_inc(
+                "repro_gang_step_path_total",
+                "Gang cells by stepping path",
+                amount=float(len(engines)),
+                path="vector" if epoch is not False else "fallback",
             )
-        else:
-            outcomes = [engine.begin_window() for engine in engines]
-            samples = self._ensure_grid().step_all(
-                [o.read_bytes_per_s for o in outcomes],
-                [o.write_bytes_per_s for o in outcomes],
-                [o.heating_sum for o in outcomes],
-                self.dt_s,
+        if epoch is not False:
+            return self._step_vector(epoch)
+        grid = self._ensure_grid()
+        outcomes = [engine.begin_window() for engine in engines]
+        columns = grid.step_all(
+            [o.read_bytes_per_s for o in outcomes],
+            [o.write_bytes_per_s for o in outcomes],
+            [o.heating_sum for o in outcomes],
+            self.dt_s,
+        )
+        if grid.backend == "numpy":
+            columns = [column.tolist() for column in columns]
+        for engine, outcome, amb, dram, ambient, power in zip(
+            engines, outcomes, *columns
+        ):
+            engine.apply_window(
+                outcome,
+                MemSpotSample(
+                    amb_c=amb, dram_c=dram, ambient_c=ambient,
+                    memory_power_w=power,
+                ),
             )
-        for engine, outcome, sample in zip(engines, outcomes, samples):
-            engine.apply_window(outcome, sample)
         self._retire_finished()
         return True
 
@@ -602,7 +441,6 @@ class GangStrategy:
     def finish(self) -> list[Any]:
         """Finalize every cell (idempotent), in gang order."""
         self._flush_vector()
-        self._sync_follower_strategies()
         self._sync_grid()
         return [engine.finish() for engine in self._engines]
 
@@ -611,14 +449,12 @@ class GangStrategy:
     def checkpoint(self) -> list[EngineState]:
         """Per-cell snapshots at the current window boundary.
 
-        Thermal state is synced out of the grid and leader-mode
-        follower strategies adopt the leader's state first, so each
-        snapshot equals the one a solo run of that cell would have
-        written — restoring into fresh solo engines (or a fresh gang)
-        resumes bit-identically.
+        Thermal state is synced out of the grid first, so each snapshot
+        equals the one a solo run of that cell would have written —
+        restoring into fresh solo engines (or a fresh gang) resumes
+        bit-identically.
         """
         self._flush_vector()
-        self._sync_follower_strategies()
         self._sync_grid()
         return [engine.checkpoint() for engine in self._engines]
 
@@ -678,12 +514,10 @@ def plan_gangs(
     """Group campaign cells into executable gangs.
 
     ``cells`` are deduplicated ``(cache key, spec)`` pairs.  Cells
-    group by (kind, window length, chain topology); within a group,
-    thermally-insensitive cells with equal :func:`leader_signature`
-    form leader gangs and the rest form lockstep gangs, each capped at
-    ``batch_cells`` members.  Cells with no engine factory, a
-    non-batched kernel, or no compatible partner come back in ``solo``
-    (order preserved) for per-cell execution.
+    group by (kind, window length, chain topology) and each group
+    chunks into gangs of at most ``batch_cells`` members.  Cells with
+    no engine factory, a non-batched kernel, or no compatible partner
+    come back in ``solo`` (order preserved) for per-cell execution.
     """
     from repro.campaign.spec import engine_for_spec, runner_for
 
@@ -704,8 +538,7 @@ def plan_gangs(
         groups.setdefault(group_key, []).append((key, spec, engine))
 
     gangs: list[PlannedGang] = []
-
-    def emit(members: list, mode: str) -> None:
+    for members in groups.values():
         for chunk in _chunked(members, batch_cells):
             if len(chunk) < 2:
                 # A gang of one is just overhead; run the cell solo.
@@ -715,33 +548,10 @@ def plan_gangs(
                 PlannedGang(
                     cells=tuple((key, spec) for key, spec, _ in chunk),
                     gang=GangStrategy(
-                        [engine for _, _, engine in chunk],
-                        mode=mode,
-                        backend=backend,
+                        [engine for _, _, engine in chunk], backend=backend
                     ),
                 )
             )
-
-    for members in groups.values():
-        leaders: dict[str, list] = {}
-        lockstep: list = []
-        for member in members:
-            _, spec, engine = member
-            signature = (
-                leader_signature(spec)
-                if getattr(engine.strategy, "thermally_insensitive", False)
-                else None
-            )
-            if signature is None:
-                lockstep.append(member)
-            else:
-                leaders.setdefault(signature, []).append(member)
-        for family in leaders.values():
-            if len(family) < 2:
-                lockstep.extend(family)
-            else:
-                emit(family, "leader")
-        emit(lockstep, "lockstep")
     plan = GangPlan(gangs=tuple(gangs), solo=tuple(solo))
     if plan.gangs:
         METRICS.counter_inc(

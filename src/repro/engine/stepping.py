@@ -231,7 +231,7 @@ class SteppingEngine:
         :class:`WindowOutcome` the thermal kernel consumes.  Split out
         of :meth:`step_window` so the gang runner
         (:mod:`repro.engine.gang`) can collect many cells' outcomes,
-        step them through one vectorized kernel, and hand each cell's
+        step them through one grid kernel step, and hand each cell's
         sample back through :meth:`apply_window` — reusing this exact
         code path keeps gang-stepped cells bit-identical to solo runs.
         """

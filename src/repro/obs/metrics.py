@@ -13,8 +13,7 @@ scrape payload flat — the standing advice from every production
 monitoring postmortem, enforced in the registry rather than left to
 caller discipline.
 
-This module is the process-wide home of the registry (it grew up in
-``repro.jobs.metrics``, which remains as a deprecated alias): the
+This module is the process-wide home of the registry: the
 :data:`METRICS` singleton collects engine cell timings, store
 hit/miss/single-flight counts, cluster dispatch events, HTTP route
 latencies, and the jobs-service series, so one ``/metrics`` scrape

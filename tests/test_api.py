@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
-import sys
-
 import pytest
 
 from repro.api import (
@@ -348,7 +345,7 @@ def test_metrics_include_derived_power_averages():
 
 
 # ---------------------------------------------------------------------------
-# Satellites: platform registry + deprecation shim
+# Satellites: platform registry
 # ---------------------------------------------------------------------------
 
 
@@ -357,11 +354,3 @@ def test_platforms_registry_is_canonical():
     assert all(name == platform.name for name, platform in PLATFORMS.items())
 
 
-def test_experiments_import_path_warns_but_works():
-    sys.modules.pop("repro.analysis.experiments", None)
-    with pytest.warns(DeprecationWarning, match="repro.api"):
-        legacy = importlib.import_module("repro.analysis.experiments")
-    specs = importlib.import_module("repro.analysis.specs")
-    assert legacy.run_chapter4 is specs.run_chapter4
-    assert legacy.Chapter4Spec is specs.Chapter4Spec
-    assert set(legacy.__all__) == set(specs.__all__)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -238,6 +239,52 @@ def test_worker_route_errors(service):
     assert code == 405 and "use POST" in body["error"]
     code, body = _error(service, "/v1/worker/health", data=b"{}")
     assert code == 405 and "use GET" in body["error"]
+
+
+def test_worker_run_rejects_gangs_field(service):
+    """Fleet dispatch is per cell: a body still carrying the retired
+    ``gangs`` field is an unknown field, answered with a structured 400."""
+    spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
+    key = spec.key()
+    code, body = _error(
+        service, "/v1/worker/run",
+        data=json.dumps({
+            "cells": [cell_to_wire(spec)], "gangs": [[key, key]],
+        }).encode(),
+    )
+    assert code == 400
+    assert body["schema_version"] == SCHEMA_VERSION
+    assert "unknown worker run fields ['gangs']" in body["error"]
+
+
+def test_sequential_requests_never_see_spurious_429(monkeypatch):
+    """Regression: the run slot is released before the response is
+    written, so a client that reads one reply and sends the next
+    request at once never finds the slot still held."""
+    svc = ReproService(port=0, max_concurrent_runs=1)
+    release = svc.release_run_slot
+
+    def slow_release() -> None:
+        time.sleep(0.05)
+        release()
+
+    monkeypatch.setattr(svc, "release_run_slot", slow_release)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread.start()
+    statuses = []
+    try:
+        for _ in range(5):
+            try:
+                statuses.append(
+                    _get(svc, "/v1/simulate?mix=W1&policy=ts&copies=1")[0]
+                )
+            except urllib.error.HTTPError as error:
+                statuses.append(error.code)
+    finally:
+        svc.shutdown()
+        svc.server_close()
+        thread.join(timeout=5)
+    assert statuses == [200] * 5
 
 
 def test_jobs_rejected_over_http(service):

@@ -513,81 +513,12 @@ def test_http_backend_dispatch_option_validation():
     assert HttpWorkerBackend(two)._auto_chunk(8) == 2  # small grids unchanged
 
 
-# ---------------------------------------------------------------------------
-# Gang-aware dispatch units (white-box, no network)
-# ---------------------------------------------------------------------------
-
-
-def _ts_sweep(cells: int) -> list[tuple[str, Chapter4Spec]]:
-    return [
-        (spec_key(spec), spec)
-        for spec in (
-            Chapter4Spec(
-                mix="W1", policy="ts", copies=1, inlet_delta_c=0.05 * i
-            )
-            for i in range(cells)
-        )
-    ]
-
-
 def test_batch_cells_validates():
-    with pytest.raises(ConfigurationError, match="batch_cells"):
-        HttpWorkerBackend(["127.0.0.1:9001"], batch_cells=1)
-    backend = backend_for(
-        "http", workers=["127.0.0.1:9001"], batch_cells=4
-    )
-    assert isinstance(backend, HttpWorkerBackend)
-    assert backend.batch_cells == 4
-    with pytest.raises(ConfigurationError, match="vector or http"):
+    """The gang width applies to the in-process vector backend only;
+    the fleet dispatches cell by cell."""
+    with pytest.raises(TypeError, match="batch_cells"):
+        HttpWorkerBackend(["127.0.0.1:9001"], batch_cells=4)
+    with pytest.raises(ConfigurationError, match="--backend vector"):
+        backend_for("http", workers=["127.0.0.1:9001"], batch_cells=4)
+    with pytest.raises(ConfigurationError, match="--backend vector"):
         backend_for("serial", batch_cells=4)
-
-
-def test_plan_pending_groups_compatible_cells_into_units():
-    backend = HttpWorkerBackend(["127.0.0.1:9001"], batch_cells=3)
-    pending = backend._plan_pending(_ts_sweep(7))
-    units = [cell.unit for cell in pending]
-    # 7 compatible cells at batch_cells=3: two 3-cell units and a
-    # trailing solo (a unit of one is just overhead).
-    assert [len(u) if u else None for u in units] == [3, 3, 3, 3, 3, 3, None]
-    assert len({u for u in units if u}) == 2
-    # Without batch_cells every cell is solo.
-    plain = HttpWorkerBackend(["127.0.0.1:9001"])._plan_pending(_ts_sweep(3))
-    assert all(cell.unit is None for cell in plain)
-
-
-def test_gang_unit_is_taken_whole_past_the_chunk_cap():
-    """Regression: a 20-cell gang on a 2-worker fleet must ship intact
-    in one request — rounded up past the 16-cell auto-chunk cap and
-    the per-wave chunk target, never truncated."""
-    two = ["127.0.0.1:9001", "127.0.0.1:9002"]
-    backend = HttpWorkerBackend(two, batch_cells=20)
-    cells = _ts_sweep(20)
-    with backend._cond:
-        pending = backend._plan_pending(cells)
-        assert all(cell.unit is not None and len(cell.unit) == 20
-                   for cell in pending)
-        backend._pending.extend(pending)
-        backend._remaining = len(pending)
-        backend._chunk = backend._auto_chunk(len(pending))
-    assert backend._chunk < 20  # the target alone would split the gang
-    taken = backend._take_chunk(backend._workers[0], backend._generation)
-    assert [cell.key for cell in taken] == [key for key, _ in cells]
-    assert len(backend._workers[0].in_flight) == 20
-    assert not backend._pending
-
-
-def test_gang_unit_never_splits_across_workers():
-    """A unit with any member excluded from a worker is skipped whole
-    by that worker and taken whole by one that every member accepts."""
-    two = ["127.0.0.1:9001", "127.0.0.1:9002"]
-    backend = HttpWorkerBackend(two, batch_cells=2)
-    with backend._cond:
-        pending = backend._plan_pending(_ts_sweep(2))
-        pending[1].excluded = {backend._workers[0].url}
-        backend._pending.extend(pending)
-        backend._remaining = len(pending)
-        backend._chunk = backend._auto_chunk(len(pending))
-    assert backend._take_chunk(
-        backend._workers[1], backend._generation
-    ) == pending
-    assert not backend._workers[0].in_flight

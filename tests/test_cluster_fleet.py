@@ -205,76 +205,3 @@ def test_worker_killed_mid_grid_requeues_onto_survivor(tmp_path):
     # Every cell matches a purely local serial run of the same grid.
     serial = Campaign(specs, store=MemoryStore()).run()
     assert results == serial
-
-
-def test_fleet_gang_dispatch_matches_serial(fleet):
-    """Gang-aware dispatch (batch_cells): compatible cells ship to one
-    worker as a unit, run there in lockstep, and come back
-    value-identical to a local serial run."""
-    specs = [
-        Chapter4Spec(mix="W1", policy="ts", copies=1, inlet_delta_c=0.31 * i)
-        for i in range(4)
-    ]
-    serial = Campaign(specs, store=MemoryStore()).run()
-    with HttpWorkerBackend(fleet.urls, batch_cells=2) as backend:
-        results = Campaign(
-            specs, store=MemoryStore(), backend=backend
-        ).run()
-    assert results == serial
-
-
-def test_worker_killed_mid_gang_resumes_warm(tmp_path):
-    """Acceptance: killing a worker mid-gang re-plans the surviving
-    members as a gang on another worker and resumes every cell from
-    its last checkpoint — results identical to a serial run."""
-    import threading
-
-    specs = [
-        Chapter4Spec(mix="W1", policy="ts", copies=1, inlet_delta_c=0.17 * i)
-        for i in range(4)
-    ]
-    serial = Campaign(specs, store=MemoryStore()).run()
-    with LocalFleet(
-        2, env={"REPRO_CACHE_DIR": str(tmp_path / "worker-cache")}
-    ) as fleet:
-        backend = HttpWorkerBackend(
-            fleet.urls,
-            batch_cells=2,
-            window_slice=400,
-            heartbeat_interval_s=0.5,
-            health_timeout_s=1.0,
-            blacklist_after=2,
-        )
-        with backend:
-            results: list = []
-
-            def consume() -> None:
-                campaign = Campaign(specs, store=MemoryStore(), backend=backend)
-                for _, result, _, _ in campaign.iter_run():
-                    results.append(result)
-
-            consumer = threading.Thread(target=consume, daemon=True)
-            consumer.start()
-            # Let every gang bank at least one checkpoint per member
-            # before taking a machine away mid-slice.
-            deadline = time.monotonic() + 60
-            while (
-                backend.dispatch_stats()["partial_slices"] < 4
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.05)
-            assert backend.dispatch_stats()["partial_slices"] >= 4
-            fleet.kill(1)  # SIGKILL mid-gang-slice
-            consumer.join(timeout=240)
-            assert not consumer.is_alive(), "grid did not finish after the kill"
-            stats = backend.dispatch_stats()
-    assert len(results) == len(specs)
-    # Gang members rescued off the dead worker kept their units and
-    # checkpoints: every cell finished from a warm resume, none
-    # restarted from window zero.
-    assert len(stats["cells"]) == len(specs)
-    for record in stats["cells"].values():
-        assert record["slices"] > 1
-        assert record["windows_done"] > 0
-    assert any(record["resumed_from"] > 0 for record in stats["cells"].values())
-    assert results == serial

@@ -2,8 +2,8 @@
 backend, and checkpoint/resume of ganged cells in a fresh process.
 
 The acceptance property mirrors the engine suite's: however cells are
-ganged (leader broadcast, lockstep, retirement mid-stream, checkpoint
-and restore in a new interpreter), the per-cell encoded payloads equal
+ganged (mixed policies, retirement mid-stream, checkpoint and restore
+in a new interpreter), the per-cell encoded payloads equal
 a solo :func:`engine_for_spec(...).run_to_completion()` byte for byte.
 """
 
@@ -24,18 +24,17 @@ from repro.campaign.stores import MemoryStore
 from repro.cli import main
 from repro.cluster import VectorBackend, backend_for
 from repro.engine import EngineStateSerializer, GangStrategy, plan_gangs
-from repro.engine.gang import leader_signature
 from repro.errors import CheckpointError, ConfigurationError
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
-#: A fast leader family: thermally-insensitive cells differing only in
-#: a thermal-only axis, plus two thermally-sensitive lockstep partners.
+#: A fast family: thermally-insensitive cells differing only in the
+#: inlet temperature, plus two thermally-sensitive partners.
 _BASE = Chapter4Spec(mix="W1", policy="no-limit", copies=1)
-_LEADER_FAMILY = tuple(
+_NO_LIMIT_FAMILY = tuple(
     replace(_BASE, inlet_delta_c=delta) for delta in (0.0, 1.0, 2.0)
 )
-_LOCKSTEP_PAIR = (
+_TS_PAIR = (
     replace(_BASE, policy="ts"),
     replace(_BASE, policy="ts", inlet_delta_c=1.0),
 )
@@ -60,15 +59,14 @@ def _serial_payloads(specs) -> dict[str, dict]:
 
 
 def test_plan_gangs_groups_by_compatibility():
-    specs = list(_LEADER_FAMILY) + list(_LOCKSTEP_PAIR) + [
-        replace(_BASE, copies=2),  # different leader signature, singleton
+    specs = list(_NO_LIMIT_FAMILY) + list(_TS_PAIR) + [
+        replace(_BASE, copies=2),  # other workload, same cadence
         Chapter5Spec(mix="W1", policy="bw", copies=1),  # foreign group
     ]
     plan = plan_gangs(_cells(specs), batch_cells=16)
-    modes = sorted((g.gang.mode, len(g.cells)) for g in plan.gangs)
-    # The no-limit copies=2 singleton demotes into the lockstep gang;
+    # Every ch4 cell shares one gang whatever its policy or workload;
     # the lone ch5 cell has no partner and runs solo.
-    assert modes == [("leader", 3), ("lockstep", 3)]
+    assert [len(g.cells) for g in plan.gangs] == [6]
     assert [spec.kind for _, spec in plan.solo] == ["ch5"]
     assert plan.ganged_cells == 6
 
@@ -77,33 +75,21 @@ def test_plan_gangs_chunks_and_demotes_singletons():
     family = [replace(_BASE, inlet_delta_c=0.5 * i) for i in range(5)]
     plan = plan_gangs(_cells(family), batch_cells=2)
     assert [len(g.cells) for g in plan.gangs] == [2, 2]
-    assert all(g.gang.mode == "leader" for g in plan.gangs)
     # The fifth cell's chunk of one is pure overhead -> solo.
     assert len(plan.solo) == 1
 
 
 def test_plan_gangs_rejects_tiny_batches():
     with pytest.raises(ConfigurationError, match="batch_cells"):
-        plan_gangs(_cells(_LEADER_FAMILY), batch_cells=1)
-
-
-def test_leader_signature_splits_on_workload_axes_only():
-    a, b = _LEADER_FAMILY[0], _LEADER_FAMILY[1]
-    assert leader_signature(a) == leader_signature(b)
-    assert leader_signature(a) != leader_signature(replace(a, copies=2))
-    assert leader_signature(a) != leader_signature(replace(a, mix="W2"))
-    # Kinds with no declared thermal-only axes never form leader gangs.
-    assert leader_signature(Chapter5Spec()) is None
+        plan_gangs(_cells(_NO_LIMIT_FAMILY), batch_cells=1)
 
 
 def test_gang_strategy_validation():
     with pytest.raises(ConfigurationError, match="at least one"):
         GangStrategy([])
-    engines = [engine_for_spec(spec) for spec in _LOCKSTEP_PAIR]
-    with pytest.raises(ConfigurationError, match="mode"):
-        GangStrategy(engines, mode="sideways")
-    with pytest.raises(ConfigurationError, match="thermally-insensitive"):
-        GangStrategy(engines, mode="leader")
+    coarse = engine_for_spec(replace(_TS_PAIR[0], dtm_interval_s=0.02))
+    with pytest.raises(ConfigurationError, match="window length"):
+        GangStrategy([engine_for_spec(_TS_PAIR[1]), coarse])
 
 
 # -- bit-identity -----------------------------------------------------------
@@ -111,7 +97,7 @@ def test_gang_strategy_validation():
 
 @pytest.mark.parametrize("backend", ["python", "auto"])
 def test_gang_results_match_serial_bit_for_bit(backend):
-    specs = list(_LEADER_FAMILY) + list(_LOCKSTEP_PAIR)
+    specs = list(_NO_LIMIT_FAMILY) + list(_TS_PAIR)
     serial = _serial_payloads(specs)
     plan = plan_gangs(_cells(specs), batch_cells=16, backend=backend)
     assert not plan.solo
@@ -122,8 +108,26 @@ def test_gang_results_match_serial_bit_for_bit(backend):
             assert _payload(spec, result) == serial[key]
 
 
+@pytest.mark.parametrize("backend", ["python", "auto"])
+def test_fallback_gang_matches_serial(backend):
+    """Cells recording traces step through the per-cell fallback path
+    (each engine's own begin/apply halves around one grid step) and
+    still match serial runs byte for byte."""
+    from repro.obs.metrics import METRICS
+
+    specs = [replace(spec, record_trace=True) for spec in _TS_PAIR]
+    serial = _serial_payloads(specs)
+    (planned,) = plan_gangs(_cells(specs), batch_cells=16, backend=backend).gangs
+    before = METRICS.counter_value("repro_gang_step_path_total", path="fallback")
+    results = planned.gang.run_to_completion()
+    after = METRICS.counter_value("repro_gang_step_path_total", path="fallback")
+    assert after > before
+    for (key, spec), result in zip(planned.cells, results):
+        assert _payload(spec, result) == serial[key]
+
+
 def test_gang_restore_rejects_wrong_arity():
-    gang = plan_gangs(_cells(_LEADER_FAMILY), batch_cells=16).gangs[0].gang
+    gang = plan_gangs(_cells(_NO_LIMIT_FAMILY), batch_cells=16).gangs[0].gang
     with pytest.raises(CheckpointError, match="restore needs"):
         gang.restore(gang.checkpoint()[:1])
 
@@ -141,9 +145,7 @@ from repro.engine import EngineState, GangStrategy
 request = json.load(sys.stdin)
 specs = [cell_from_wire(raw) for raw in request["cells"]]
 gang = GangStrategy(
-    [engine_for_spec(spec) for spec in specs],
-    mode=request["mode"],
-    backend="python",
+    [engine_for_spec(spec) for spec in specs], backend="python"
 )
 gang.restore([EngineState.from_dict(raw) for raw in request["states"]])
 payloads = [
@@ -155,26 +157,20 @@ print(json.dumps(payloads))
 
 
 @pytest.mark.parametrize(
-    "specs,mode",
-    [(_LEADER_FAMILY, "leader"), (_LOCKSTEP_PAIR, "lockstep")],
-    ids=["leader", "lockstep"],
+    "specs", [_NO_LIMIT_FAMILY + _TS_PAIR], ids=["lockstep"]
 )
-def test_gang_checkpoint_restores_bit_identically_in_fresh_process(
-    specs, mode
-):
+def test_gang_checkpoint_restores_bit_identically_in_fresh_process(specs):
     from repro.cluster.wire import cell_to_wire
 
     serial = _serial_payloads(specs)
     plan = plan_gangs(_cells(specs), batch_cells=16, backend="python")
     (planned,) = plan.gangs
-    assert planned.gang.mode == mode
     assert planned.gang.step_windows(211) == 211
     states = [state.to_dict() for state in planned.gang.checkpoint()]
 
     request = {
         "cells": [cell_to_wire(spec) for _, spec in planned.cells],
         "states": states,
-        "mode": mode,
     }
     proc = subprocess.run(
         [sys.executable, "-c", _GANG_RESTORE_DRIVER.format(src=str(SRC_DIR))],
@@ -194,7 +190,7 @@ def test_gang_checkpoint_restores_bit_identically_in_fresh_process(
 
 
 def test_vector_backend_matches_serial_campaign():
-    specs = list(_LEADER_FAMILY) + list(_LOCKSTEP_PAIR)
+    specs = list(_NO_LIMIT_FAMILY) + list(_TS_PAIR)
     serial = Campaign(specs, store=MemoryStore()).run()
     store = MemoryStore()
     with VectorBackend(batch_cells=4) as backend:
@@ -258,7 +254,7 @@ def test_cli_batch_cells_requires_vector(capsys):
 
 
 def test_serializer_output_matches_plain_dumps_across_writes():
-    engine = engine_for_spec(_LOCKSTEP_PAIR[0])
+    engine = engine_for_spec(_TS_PAIR[0])
     serializer = EngineStateSerializer()
     for _ in range(3):
         engine.step_windows(97)
@@ -271,7 +267,7 @@ def test_serializer_output_matches_plain_dumps_across_writes():
 def test_checkpoint_file_written_via_serializer_loads_identically(tmp_path):
     from repro.engine import CheckpointFile
 
-    engine = engine_for_spec(_LOCKSTEP_PAIR[0])
+    engine = engine_for_spec(_TS_PAIR[0])
     engine.step_windows(113)
     state = engine.checkpoint()
     plain = CheckpointFile(tmp_path / "plain.json")
@@ -292,9 +288,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 #: Policy families the vectorized lockstep path must reproduce
 #: bit-for-bit: table-driven (ts), latch-driven (bw), multi-actuator
-#: (comb), and the array-backed PID controller — alone and mixed, so
-#: both the single-group decide_all fast case and the multi-group
-#: scatter path are exercised.
+#: (comb), rotating (acg), DVFS (cdvfs), constant (no-limit) and the
+#: PID controllers — alone and mixed within one gang.
 _LOCKSTEP_FAMILIES = (
     ("ts",),
     ("bw",),
@@ -302,6 +297,8 @@ _LOCKSTEP_FAMILIES = (
     ("bw+pid",),
     ("ts", "bw"),
     ("comb", "bw+pid"),
+    ("no-limit", "acg"),
+    ("cdvfs", "acg+pid", "cdvfs+pid"),
 )
 
 
@@ -313,7 +310,7 @@ def _lockstep_specs(policies, delta_step):
     ]
 
 
-@settings(max_examples=12, derandomize=True, deadline=None)
+@settings(max_examples=16, derandomize=True, deadline=None)
 @given(
     policies=st.sampled_from(_LOCKSTEP_FAMILIES),
     delta_step=st.floats(
@@ -326,7 +323,7 @@ def _lockstep_specs(policies, delta_step):
 def test_lockstep_gang_prefix_bitwise_identical_to_solo(
     policies, delta_step, backend, windows
 ):
-    """Property: any thermally-sensitive gang's full engine state after
+    """Property: any gang's full engine state after
     N windows — temperatures, energy integrals, scheduler, policy
     latches and PID integrals — equals the solo engines' bit for bit,
     on both kernel backends."""
@@ -337,7 +334,6 @@ def test_lockstep_gang_prefix_bitwise_identical_to_solo(
     plan = plan_gangs(_cells(specs), batch_cells=16, backend=backend)
     assert len(plan.gangs) == 1 and not plan.solo
     gang = plan.gangs[0].gang
-    assert gang.mode == "lockstep"
     gang.step_windows(windows)
     gang_states = [state.to_dict() for state in gang.checkpoint()]
     solo_states = [engine.checkpoint().to_dict() for engine in solo]

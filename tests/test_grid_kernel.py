@@ -3,8 +3,8 @@
 The acceptance property (hypothesis, derandomized for CI): stack N
 heterogeneous :class:`BatchedMemSpot` cells into one
 :class:`GridMemSpot`, drive both through the same traffic stream, and
-every per-window :class:`MemSpotSample` — and the final synced thermal
-state — is *exactly* equal (``==`` on floats, no tolerance) to stepping
+every per-window grid output (read back as one :class:`MemSpotSample`
+per cell) — and the final synced thermal state — is *exactly* equal (``==`` on floats, no tolerance) to stepping
 each cell alone.  The property must hold for the pure-python backend
 (true by construction) and, when NumPy is importable, for the numpy
 backend (true because the array path replays the scalar expressions
@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 import repro.core.kernel as kernel_module
 from repro.core.kernel import BatchedMemSpot, GridMemSpot, MemSpot
+from repro.core.memspot import MemSpotSample
 from repro.errors import ConfigurationError
 from repro.params import (
     INTEGRATED_AMBIENT,
@@ -43,6 +44,18 @@ _BACKENDS = ("python", "numpy")
 def _require_backend(backend: str) -> None:
     if backend == "numpy":
         pytest.importorskip("numpy")
+
+
+def _samples(columns) -> list[MemSpotSample]:
+    """``step_all``'s per-cell output columns as one sample per cell."""
+    amb, dram, ambient, power = (
+        column if isinstance(column, list) else column.tolist()
+        for column in columns
+    )
+    return [
+        MemSpotSample(amb_c=a, dram_c=d, ambient_c=t, memory_power_w=w)
+        for a, d, t, w in zip(amb, dram, ambient, power)
+    ]
 
 
 def _make_cell(thermal_index: int, channels: int, dimms: int, warm: bool):
@@ -103,7 +116,7 @@ def test_grid_step_is_bitwise_identical_to_per_cell(backend, case):
     assert grid.backend == backend
 
     for reads, writes, heats, in windows:
-        grid_samples = grid.step_all(reads, writes, heats, 0.01)
+        grid_samples = _samples(grid.step_all(reads, writes, heats, 0.01))
         for cell, read, write, heat, got in zip(
             reference, reads, writes, heats, grid_samples
         ):
@@ -148,7 +161,9 @@ def test_auto_backend_falls_back_to_python(monkeypatch):
     monkeypatch.setattr(kernel_module, "_import_numpy", lambda: None)
     grid = GridMemSpot([_make_cell(0, 4, 4, True)], backend="auto")
     assert grid.backend == "python"
-    (sample,) = grid.step_all([1e9], [1e9], [10.0], 0.01)
+    columns = grid.step_all([1e9], [1e9], [10.0], 0.01)
+    assert all(isinstance(column, list) for column in columns)
+    (sample,) = _samples(columns)
     assert sample == _make_cell(0, 4, 4, True).step(1e9, 1e9, 10.0, 0.01)
 
 

@@ -7,9 +7,7 @@ Covers the PR 9 acceptance criteria:
   end to end over a live 2-worker :class:`LocalFleet`);
 - the :class:`TracingObserver` is transient — attaching it never
   changes engine checkpoint shape or restore compatibility;
-- the registry that moved to ``repro.obs.metrics`` keeps its old
-  ``repro.jobs.metrics`` import path alive behind a one-shot
-  deprecation warning, and its exposition passes the strict
+- the ``repro.obs.metrics`` registry's exposition passes the strict
   ``tools/check_prom.py`` checker (including the histogram
   bucket-double-count bug that checker caught);
 - SLO evaluation: quantile + ratio objectives, ``no_data`` floors,
@@ -22,7 +20,6 @@ Covers the PR 9 acceptance criteria:
 
 from __future__ import annotations
 
-import importlib
 import json
 import subprocess
 import sys
@@ -30,7 +27,6 @@ import threading
 import time
 import urllib.error
 import urllib.request
-import warnings
 from pathlib import Path
 
 import pytest
@@ -203,33 +199,6 @@ class TestEngineTracing:
 
 
 class TestMetricsMoved:
-    def _fresh_shim(self):
-        sys.modules.pop("repro.jobs.metrics", None)
-        return importlib.import_module("repro.jobs.metrics")
-
-    def test_shim_warns_exactly_once_on_first_import(self):
-        with pytest.warns(DeprecationWarning) as records:
-            shim = self._fresh_shim()
-        matching = [
-            r for r in records
-            if "repro.jobs.metrics is deprecated" in str(r.message)
-        ]
-        assert len(matching) == 1
-        assert "repro.obs.metrics" in str(matching[0].message)
-        # Same objects, not copies.
-        from repro.obs import metrics as obs_metrics
-
-        assert shim.MetricsRegistry is obs_metrics.MetricsRegistry
-        assert shim.METRICS is obs_metrics.METRICS
-
-    def test_shim_cached_reimport_does_not_warn_again(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            self._fresh_shim()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            importlib.import_module("repro.jobs.metrics")
-
     def test_histogram_buckets_are_not_double_counted(self):
         """The bug tools/check_prom.py caught: ``observe`` stored
         cumulative bucket counts and ``render_text`` cumulated again,
