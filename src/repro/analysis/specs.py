@@ -11,7 +11,7 @@ caching, grid expansion, and parallel execution:
 
 - a process-wide **memory memo** so one pytest session never repeats a
   run, and
-- a sharded **on-disk JSON cache** under ``.exp_cache/`` keyed by the
+- an **on-disk JSON cache** under ``.exp_cache/`` keyed by the
   spec hash, so tests and benches across sessions reuse results.
   Temperature traces are persisted alongside the scalars.
 
@@ -26,8 +26,7 @@ import os
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
-from repro.campaign import register_rewriter, register_runner, run, spec_key
-from repro.campaign.spec import CACHE_VERSION  # noqa: F401  (compat re-export)
+from repro.campaign import register_runner, run, spec_key
 from repro.core.results import RunResult, TemperatureTrace
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
 from repro.core.windowmodel import MemoryEnvelope, WindowModel
@@ -50,7 +49,6 @@ from repro.testbed.platforms import PLATFORMS, ServerPlatform
 from repro.testbed.runner import ServerRunResult, ServerSimulator
 
 __all__ = [
-    "CACHE_VERSION",
     "CHAPTER4_POLICIES",
     "CHAPTER4_POLICY_CHOICES",
     "CHAPTER5_POLICIES",
@@ -393,36 +391,3 @@ register_runner(
     spec_type=Chapter5Spec,
     make_engine=_chapter5_engine,
 )
-
-
-# ---------------------------------------------------------------------------
-# Cache-schema rewriters
-# ---------------------------------------------------------------------------
-#
-# CACHE_VERSION v1 -> v2 happened when the scenario knobs landed:
-# Chapter4Spec gained inlet_delta_c / channels / dimms_per_channel /
-# duty_cycle / duty_period_s / bandwidth_scale (all at defaults that
-# reproduce the v1 physics), Chapter5Spec gained only the key-excluded
-# scenario label.  A v1 entry therefore names the same physical run as
-# the v2 spec with those fields at their defaults, so migration is
-# "add the defaults, re-key" — the payload moves verbatim.
-
-def _ch4_v1_to_v2(fields: dict, payload: dict) -> tuple[dict, dict]:
-    upgraded = dict(fields)
-    upgraded.setdefault("inlet_delta_c", 0.0)
-    upgraded.setdefault("channels", 4)
-    upgraded.setdefault("dimms_per_channel", 4)
-    upgraded.setdefault("duty_cycle", 1.0)
-    upgraded.setdefault("duty_period_s", 0.1)
-    upgraded.setdefault("bandwidth_scale", 1.0)
-    return upgraded, payload
-
-
-def _ch5_v1_to_v2(fields: dict, payload: dict) -> tuple[dict, dict]:
-    # v2 added no key-relevant ch5 fields; only the version string in
-    # the key hash changed.
-    return dict(fields), payload
-
-
-register_rewriter("ch4", "v1", "v2", _ch4_v1_to_v2)
-register_rewriter("ch5", "v1", "v2", _ch5_v1_to_v2)

@@ -406,7 +406,6 @@ class ReproClient:
                 cache="hit" if hit else "miss",
                 cache_key=spec.key(),
                 compute_seconds=round(elapsed, 6),
-                shard=store_info.get("shard"),
                 single_flight=store_info.get("single_flight"),
             ),
         )

@@ -22,11 +22,11 @@ no cacheable spec, emits a plain versioned summary instead):
   ``CACHE_VERSION``, and the wall seconds spent computing (0 on a hit,
   so a warm cell serializes deterministically: the same request yields
   byte-identical JSON from the CLI and the HTTP service).  Since 1.1
-  it may additionally carry ``shard`` (which shard of a sharded store
-  holds a freshly computed payload) and ``single_flight``
-  (``"coalesced"`` when the result was served by another thread's
-  in-flight compute).  Both are omitted — not null — when absent, so
-  plain warm envelopes remain byte-identical across store layouts.
+  it may additionally carry ``single_flight`` (``"coalesced"`` when
+  the result was served by another thread's in-flight compute),
+  omitted — not null — when absent, so plain warm envelopes remain
+  byte-identical.  Envelopes from older emitters may also carry a
+  ``shard`` field; readers drop it like any unknown key.
 
 ``to_dict``/``from_dict`` round-trip losslessly; :meth:`to_json` is the
 canonical serialization (sorted keys, two-space indent) shared by every
@@ -44,7 +44,8 @@ from repro.errors import ConfigurationError
 
 #: Envelope schema version.  Bump the minor for additive changes, the
 #: major for breaking ones (see the module docstring for the rules).
-#: 1.1: optional ``shard``/``single_flight`` provenance fields.
+#: 1.1: optional ``single_flight`` provenance field (and ``shard``,
+#: no longer emitted).
 #: 1.2: the jobs/healthz/metrics document family (``/v1/jobs`` job
 #: documents, ``/v1/healthz``, ``/metrics?format=json``); result
 #: envelopes themselves are unchanged.
@@ -85,10 +86,6 @@ class Provenance:
     cache_version: str = CACHE_VERSION
     #: Wall seconds spent executing the run; 0.0 for a cache hit.
     compute_seconds: float = 0.0
-    #: Shard (directory name) of a sharded store that holds a freshly
-    #: computed payload; None (and omitted from the dict form) when
-    #: the store is unsharded or the result was a plain warm hit.
-    shard: str | None = None
     #: ``"coalesced"`` when this result was served by another thread's
     #: in-flight compute of the same cell; None (omitted) otherwise.
     single_flight: str | None = None
@@ -103,7 +100,7 @@ class Provenance:
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready).
 
-        The optional 1.1 fields are omitted (not emitted as null) when
+        The optional 1.1 field is omitted (not emitted as null) when
         absent, keeping plain warm envelopes byte-identical to 1.0
         emitters modulo ``schema_version``.
         """
@@ -113,8 +110,6 @@ class Provenance:
             "cache_version": self.cache_version,
             "compute_seconds": self.compute_seconds,
         }
-        if self.shard is not None:
-            document["shard"] = self.shard
         if self.single_flight is not None:
             document["single_flight"] = self.single_flight
         return document

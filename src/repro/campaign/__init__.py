@@ -4,7 +4,7 @@ One ``run(spec)`` entry point executes any registered run spec with
 write-through caching; ``sweep()`` expands declarative parameter grids;
 ``Campaign`` runs a batch in parallel with deterministic result order;
 the ``ResultStore`` hierarchy makes the cache pluggable (in-memory
-memo, sharded atomic on-disk JSON, null).
+memo, atomic on-disk JSON, null).
 
 The chapter-specific runners live in :mod:`repro.analysis.specs`;
 this package knows nothing about thermal simulation — only how to
@@ -26,7 +26,6 @@ from repro.campaign.spec import (
     Runner,
     RunSpec,
     engine_for_spec,
-    key_for_fields,
     register_runner,
     register_spec_type,
     registered_kinds,
@@ -44,16 +43,13 @@ from repro.campaign.stores import (
     MigrationReport,
     NullStore,
     ResultStore,
-    ShardedStore,
     SingleFlightStore,
     TieredStore,
     cache_dir,
-    cache_shards,
     default_disk_store,
     default_store,
     disk_cache_enabled,
     migrate,
-    register_rewriter,
 )
 
 __all__ = [
@@ -69,7 +65,6 @@ __all__ = [
     "Runner",
     "RunSpec",
     "engine_for_spec",
-    "key_for_fields",
     "register_runner",
     "register_spec_type",
     "registered_kinds",
@@ -85,14 +80,11 @@ __all__ = [
     "MigrationReport",
     "NullStore",
     "ResultStore",
-    "ShardedStore",
     "SingleFlightStore",
     "TieredStore",
     "cache_dir",
-    "cache_shards",
     "default_disk_store",
     "default_store",
     "disk_cache_enabled",
     "migrate",
-    "register_rewriter",
 ]

@@ -56,11 +56,10 @@ def _decode_cached(kind: str, key: str, payload: dict) -> Any:
 class RunOutcome:
     """Everything one cached run reports.
 
-    ``store_info`` is the store's provenance for the access — the
-    shard that holds a freshly computed payload, or
+    ``store_info`` is the store's provenance for the access:
     ``{"single_flight": "coalesced"}`` when this call was served by
-    another thread's in-flight compute.  Plain warm hits report ``{}``
-    so warm envelopes stay byte-identical across store layouts.
+    another thread's in-flight compute, ``{}`` otherwise, so plain
+    warm envelopes stay byte-identical.
     """
 
     payload: dict
@@ -134,20 +133,10 @@ def _outcome(spec: RunSpec, store: ResultStore) -> RunOutcome:
     return RunOutcome(payload, result, False, compute_seconds, info)
 
 
-def _payload_and_result(
-    spec: RunSpec, store: ResultStore
-) -> tuple[dict, Any, bool, float]:
-    """Back-compat 4-tuple view of :func:`_outcome`."""
-    outcome = _outcome(spec, store)
-    return (
-        outcome.payload, outcome.result, outcome.hit, outcome.compute_seconds
-    )
-
-
 def cached_payload(spec: RunSpec, store: ResultStore | None = None) -> dict | None:
     """The spec's stored payload, or None when absent or stale-schema.
 
-    The decodability check mirrors :func:`_payload_and_result`: a
+    The decodability check mirrors :func:`_outcome`'s: a
     payload written under an older result schema reads as a miss, so
     callers (the time-sliced worker path) recompute instead of
     forwarding undecodable bytes to a coordinator.
@@ -177,8 +166,8 @@ def run_outcome(
     """Run (or recall) one spec, reporting full provenance.
 
     The richest single-cell entry point: payload, decoded result,
-    hit/miss, execute wall time, and the store's placement /
-    single-flight info (see :class:`RunOutcome`).  ``run``,
+    hit/miss, execute wall time, and the store's single-flight info
+    (see :class:`RunOutcome`).  ``run``,
     ``run_cached``, and ``run_payload`` are narrower views of this.
     """
     store = default_store() if store is None else store
@@ -335,8 +324,8 @@ class Campaign:
         """Stream ``(spec, RunOutcome)`` in spec order.
 
         Like :meth:`iter_run` but carrying the full provenance,
-        including the store's placement / single-flight info for each
-        cell (``{}`` for warm hits and duplicate-spec repeats).
+        including the store's single-flight info for each cell (``{}``
+        for warm hits and duplicate-spec repeats).
         """
         unique: dict[str, RunSpec] = {}
         for spec in self.specs:
@@ -378,17 +367,13 @@ class Campaign:
                     continue
                 while key not in seen:
                     try:
-                        item = next(results)
+                        done_key, payload, hit, seconds, info = next(results)
                     except StopIteration:
                         raise ConfigurationError(
                             f"execution backend "
                             f"{type(backend).__name__} finished without "
                             f"delivering cell {key}"
                         ) from None
-                    # Backends yield 5-tuples; tolerate legacy 4-tuples
-                    # from out-of-tree implementations.
-                    done_key, payload, hit, seconds = item[:4]
-                    info = item[4] if len(item) > 4 else {}
                     seen[done_key] = (payload, hit, seconds, info)
                     if backfill is not None:
                         done_spec = spec_of.get(done_key)

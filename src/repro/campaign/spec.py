@@ -40,24 +40,6 @@ class RunSpec(Protocol):
         ...
 
 
-def key_for_fields(
-    kind: str, fields: dict, cache_version: str = CACHE_VERSION
-) -> str:
-    """The cache key naming ``fields`` under ``cache_version``.
-
-    This is :func:`spec_key` without the spec object: given the same
-    key-relevant fields it reproduces the same digest, which is what
-    lets a store migration re-key an entry from its persisted metadata
-    (:mod:`repro.campaign.stores.migrate`) — and what lets it compute
-    the key an *old* version produced, by passing that version.
-    """
-    payload = json.dumps(fields, sort_keys=True, default=str)
-    digest = hashlib.sha256(
-        f"{cache_version}|{kind}|{payload}".encode()
-    ).hexdigest()
-    return f"{kind}-{digest[:20]}"
-
-
 def _key_fields(spec: RunSpec) -> dict:
     excluded = getattr(spec, "KEY_EXCLUDED_FIELDS", ())
     return {k: v for k, v in spec.__dict__.items() if k not in excluded}
@@ -73,7 +55,11 @@ def spec_key(spec: RunSpec) -> str:
     so differently-labeled descriptions of the same physical run share
     one cache entry.
     """
-    return key_for_fields(spec.kind, _key_fields(spec))
+    payload = json.dumps(_key_fields(spec), sort_keys=True, default=str)
+    digest = hashlib.sha256(
+        f"{CACHE_VERSION}|{spec.kind}|{payload}".encode()
+    ).hexdigest()
+    return f"{spec.kind}-{digest[:20]}"
 
 
 def spec_fields(spec: RunSpec) -> dict:
@@ -91,9 +77,8 @@ def spec_fields(spec: RunSpec) -> dict:
 def spec_meta(spec: RunSpec) -> dict:
     """The cache metadata a disk store persists beside a payload.
 
-    Carries everything a future :func:`repro.campaign.stores.migrate.migrate`
-    needs to re-key the entry after a ``CACHE_VERSION`` bump: the
-    version the key was computed under, the kind, and the key fields.
+    The version the key was computed under, the kind, and the key
+    fields, so a record says which run it holds.
     """
     return {
         "cache_version": CACHE_VERSION,

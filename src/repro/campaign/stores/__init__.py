@@ -7,12 +7,9 @@ runner (:mod:`repro.campaign.spec`) — so any store can hold any kind.
 Implementations:
 
 - :class:`MemoryStore` — per-process dict (the old in-process memo).
-- :class:`JsonDirStore` — hash-sharded on-disk JSON with atomic
+- :class:`JsonDirStore` — on-disk JSON split by key hash, with atomic
   (tmp + :func:`os.replace`) writes and versioned records
   (:mod:`~repro.campaign.stores.disk`).
-- :class:`ShardedStore` — consistent-hash ring over N ``JsonDirStore``
-  roots; adding a shard remaps ~1/N keys and reads self-repair
-  (:mod:`~repro.campaign.stores.sharded`).
 - :class:`SingleFlightStore` — wrapper coalescing concurrent identical
   lookup-then-computes into one execution
   (:mod:`~repro.campaign.stores.singleflight`).
@@ -20,14 +17,12 @@ Implementations:
 - :class:`TieredStore` — layered lookup (memory in front of disk) with
   read-through backfill.
 
-:func:`migrate` upgrades old-``CACHE_VERSION`` entries in place via
-the registered rewriter chains (:mod:`~repro.campaign.stores.migrate`).
+:func:`migrate` wraps bare pre-record files in place and reports
+stale-version records (:mod:`~repro.campaign.stores.migrate`).
 
 :func:`default_store` assembles the standard stack from the
 environment: ``REPRO_CACHE_DIR`` relocates the disk cache (default
-``.exp_cache``), ``REPRO_CACHE=0`` drops the disk layer entirely, and
-``REPRO_CACHE_SHARDS=N`` (N >= 1) replaces the single disk root with
-an N-way :class:`ShardedStore` under ``<cache_dir>/shards/``.
+``.exp_cache``) and ``REPRO_CACHE=0`` drops the disk layer entirely.
 """
 
 from __future__ import annotations
@@ -52,18 +47,11 @@ from repro.campaign.stores.disk import (
     payload_of,
     version_of,
 )
-from repro.campaign.stores.migrate import (
-    MigrationReport,
-    migrate,
-    register_rewriter,
-    rewriter_chain,
-)
-from repro.campaign.stores.sharded import ShardedStore
+from repro.campaign.stores.migrate import MigrationReport, migrate
 from repro.campaign.stores.singleflight import (
     SingleFlightStore,
     flights_in_progress,
 )
-from repro.errors import ConfigurationError
 
 __all__ = [
     "GLOBAL_MEMORY",
@@ -76,11 +64,9 @@ __all__ = [
     "MigrationReport",
     "NullStore",
     "ResultStore",
-    "ShardedStore",
     "SingleFlightStore",
     "TieredStore",
     "cache_dir",
-    "cache_shards",
     "default_disk_store",
     "default_store",
     "disk_cache_enabled",
@@ -88,8 +74,6 @@ __all__ = [
     "make_record",
     "migrate",
     "payload_of",
-    "register_rewriter",
-    "rewriter_chain",
     "version_of",
 ]
 
@@ -104,38 +88,11 @@ def disk_cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "1") != "0"
 
 
-def cache_shards() -> int:
-    """Shard count from ``REPRO_CACHE_SHARDS`` (0 = single flat root)."""
-    raw = os.environ.get("REPRO_CACHE_SHARDS", "0").strip()
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_CACHE_SHARDS must be an integer, got {raw!r}"
-        ) from None
-    if count < 0:
-        raise ConfigurationError(
-            f"REPRO_CACHE_SHARDS must be >= 0, got {count}"
-        )
-    return count
-
-
-def default_disk_store() -> ResultStore | None:
-    """The environment-configured disk layer, or None when disabled.
-
-    With ``REPRO_CACHE_SHARDS`` unset (or 0) this is the classic flat
-    :class:`JsonDirStore`; with N >= 1 it is an N-way
-    :class:`ShardedStore` under ``<cache_dir>/shards/`` — a distinct
-    namespace, so flipping the knob never corrupts the flat cache (run
-    ``repro cache migrate``/``rebalance`` to carry entries over).
-    """
+def default_disk_store() -> JsonDirStore | None:
+    """The environment-configured disk layer, or None when disabled."""
     if not disk_cache_enabled():
         return None
-    count = cache_shards()
-    root = cache_dir()
-    if count >= 1:
-        return ShardedStore.at(root, count)
-    return JsonDirStore(root)
+    return JsonDirStore(cache_dir())
 
 
 def default_store() -> ResultStore:

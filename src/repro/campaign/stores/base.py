@@ -9,15 +9,12 @@ capabilities the engine layers use:
 
 - ``put(key, payload, meta=...)`` — ``meta`` is the spec's cache
   metadata (``cache_version``/``kind``/key fields, see
-  :func:`repro.campaign.spec.spec_meta`).  Disk stores persist it so
-  entries can be migrated across ``CACHE_VERSION`` bumps; memory
-  stores ignore it.
+  :func:`repro.campaign.spec.spec_meta`).  Disk stores persist it in
+  the record beside the payload; memory stores ignore it.
 - ``get_or_compute(key, compute, ...)`` — the lookup-then-compute
   transaction.  The base implementation is get/compute/put; the
   single-flight wrapper (:mod:`repro.campaign.stores.singleflight`)
   overrides it to coalesce concurrent identical computes.
-- ``describe(key)`` — placement provenance (e.g. which shard would
-  hold the key), merged into cold-run envelope provenance.
 """
 
 from __future__ import annotations
@@ -51,15 +48,8 @@ class ResultStore(ABC):
         """Store ``payload`` under ``key`` (best effort; may drop).
 
         ``meta`` is the spec's cache metadata (version/kind/key
-        fields); stores without a migration story ignore it.
+        fields); stores that keep no records ignore it.
         """
-
-    def describe(self, key: str) -> dict:
-        """Placement provenance for ``key`` (e.g. ``{"shard": "02"}``).
-
-        The base store has no placement to report.
-        """
-        return {}
 
     def get_or_compute(
         self,
@@ -73,10 +63,9 @@ class ResultStore(ABC):
         ``compute`` returns ``(payload, info)`` where ``info`` carries
         compute provenance (e.g. ``compute_seconds``).  A stored
         payload rejected by ``validate`` (stale schema) is treated as a
-        miss.  Returns ``(payload, hit, info)``; on a miss the info
-        dict additionally carries this store's :meth:`describe`
-        placement.  The base implementation does not coalesce
-        concurrent computes — wrap the store in a
+        miss.  Returns ``(payload, hit, info)``.  The base
+        implementation does not coalesce concurrent computes — wrap
+        the store in a
         :class:`~repro.campaign.stores.SingleFlightStore` for that.
         """
         payload = self.get(key)
@@ -85,8 +74,6 @@ class ResultStore(ABC):
             return payload, True, {}
         payload, info = compute()
         self.put(key, payload, meta=meta)
-        info = dict(info)
-        info.update(self.describe(key))
         _count_request(hit=False)
         return payload, False, info
 
@@ -152,13 +139,6 @@ class TieredStore(ResultStore):
     ) -> None:
         for layer in self.layers:
             layer.put(key, payload, meta=meta)
-
-    def describe(self, key: str) -> dict:
-        """Merged placement across layers (later layers override)."""
-        info: dict = {}
-        for layer in self.layers:
-            info.update(layer.describe(key))
-        return info
 
 
 #: Process-wide memory layer shared by every default store instance,

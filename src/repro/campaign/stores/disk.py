@@ -1,11 +1,9 @@
 """On-disk JSON store with atomic writes and versioned records.
 
-Layout: keys live under ``root/<shard>/<key>.json`` where the shard
-directory is the last two hex characters of the key hash, keeping
-directories small when campaigns write thousands of results.  Two
-older layouts stay readable: a flat ``root/<key>.json`` file
-(pre-sharding) and *bare* files holding the payload dict directly
-(pre-record-format).
+Layout: keys live under ``root/<hh>/<key>.json`` where ``<hh>`` is the
+last two hex characters of the key hash, keeping directories small
+when campaigns write thousands of results.  This is the only layout
+the store reads: a miss opens exactly one path.
 
 Writes are atomic: the document goes to a
 ``<key>.json.tmp.<pid>.<tid>.<counter>`` sibling first and is
@@ -23,11 +21,11 @@ cache metadata::
      "cache_version": "v2", "kind": "ch4",
      "spec": {...key fields...}, "payload": {...}}
 
-``cache_version``/``kind``/``spec`` are what
-:func:`repro.campaign.stores.migrate.migrate` needs to re-key an entry
-after a ``CACHE_VERSION`` bump.  ``get`` unwraps the payload; a bare
-legacy file (no ``format`` marker) is served as-is and reported as
-``"unrecorded"`` in :meth:`JsonDirStore.stats`.
+``get`` unwraps the payload.  A *bare* file (a payload dict with no
+``format`` marker, written before the record format existed) reads as
+a miss until ``repro cache migrate`` wraps it
+(:mod:`repro.campaign.stores.migrate`); :meth:`JsonDirStore.stats`
+labels it ``"unrecorded"`` either way.
 
 I/O errors degrade to cache misses — the store is an accelerator, not
 a dependency.
@@ -45,12 +43,14 @@ from typing import Iterator, Mapping
 
 from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores.base import ResultStore
+from repro.errors import ConfigurationError
 
 #: ``format`` marker of wrapped on-disk entries.
 RECORD_FORMAT = "repro-cache-record"
 #: Version of the record wrapper itself (not of the cached payload).
 RECORD_VERSION = 1
-#: Version label reported for bare (pre-record-format) entries.
+#: Version label of entries with no recorded cache version: bare
+#: pre-record files, and the records ``cache migrate`` wraps them in.
 UNRECORDED = "unrecorded"
 #: Tmp files older than this many seconds are swept by ``prune()``;
 #: young ones may belong to an in-flight writer and are left alone.
@@ -66,10 +66,9 @@ def make_record(
 ) -> dict:
     """Wrap ``payload`` in the on-disk record format.
 
-    Without ``meta`` the record is stamped with the current
-    ``CACHE_VERSION`` and the kind parsed from the key prefix, but has
-    no spec fields — such entries count in version stats yet cannot be
-    re-keyed by a migration.
+    Fields missing from ``meta`` default to the current
+    ``CACHE_VERSION``, the kind parsed from the key prefix, and no spec
+    fields.
     """
     meta = dict(meta) if meta else {}
     kind = meta.get("kind")
@@ -85,24 +84,30 @@ def make_record(
     }
 
 
-def payload_of(document: object) -> dict | None:
-    """The payload dict inside a parsed entry document, or None.
+def is_record(document: object) -> bool:
+    """Whether a parsed entry document is in the record format."""
+    return isinstance(document, dict) and document.get("format") == RECORD_FORMAT
 
-    Accepts both record-wrapped and bare legacy documents; anything
-    that is not a dict (or a record whose payload is not a dict) is
-    unusable and reads as a miss.
+
+def payload_of(document: object) -> dict | None:
+    """The payload dict inside a parsed record, or None.
+
+    Anything that is not a record (or a record whose payload is not a
+    dict) is unusable and reads as a miss.
     """
-    if not isinstance(document, dict):
+    if not is_record(document):
         return None
-    if document.get("format") == RECORD_FORMAT:
-        payload = document.get("payload")
-        return payload if isinstance(payload, dict) else None
-    return document
+    payload = document.get("payload")
+    return payload if isinstance(payload, dict) else None
 
 
 def version_of(document: object) -> str:
-    """The cache-version label of a parsed entry document."""
-    if isinstance(document, dict) and document.get("format") == RECORD_FORMAT:
+    """The cache-version label of a parsed entry document.
+
+    A bare file has no recorded version and reads as ``UNRECORDED``,
+    the label ``cache migrate`` stamps when it wraps one.
+    """
+    if is_record(document):
         return str(document.get("cache_version") or "unknown")
     return UNRECORDED
 
@@ -113,17 +118,13 @@ def _is_hash_shard(name: str) -> bool:
 
 
 class JsonDirStore(ResultStore):
-    """Hash-sharded on-disk JSON store (see module docstring)."""
+    """On-disk JSON store split by key hash (see module docstring)."""
 
     def __init__(self, root: Path | str) -> None:
         self.root = Path(root)
 
     def _path(self, key: str) -> Path:
         return self.root / key[-2:] / f"{key}.json"
-
-    def _legacy_path(self, key: str) -> Path:
-        # Pre-sharding layout: a flat root/<key>.json file.
-        return self.root / f"{key}.json"
 
     def _tmp_path(self, path: Path) -> Path:
         return path.with_name(
@@ -134,22 +135,7 @@ class JsonDirStore(ResultStore):
     # -- lookup ------------------------------------------------------------
 
     def get(self, key: str) -> dict | None:
-        # Prefer the sharded layout, but fall through to the legacy
-        # flat file whenever the sharded one is absent *or unusable* —
-        # a sharded file parsing to a non-dict must not mask a valid
-        # legacy entry.
-        payload = payload_of(self._read_document(self._path(key)))
-        if payload is None:
-            payload = payload_of(self._read_document(self._legacy_path(key)))
-        return payload
-
-    def read_record(self, key: str) -> dict | None:
-        """The raw entry document (record wrapper or bare legacy dict)."""
-        for path in (self._path(key), self._legacy_path(key)):
-            document = self._read_document(path)
-            if isinstance(document, dict):
-                return document
-        return None
+        return payload_of(self._read_document(self._path(key)))
 
     @staticmethod
     def _read_document(path: Path) -> object:
@@ -157,7 +143,7 @@ class JsonDirStore(ResultStore):
             with path.open() as handle:
                 return json.load(handle)
         except (OSError, ValueError):
-            # Missing, unreadable, or mid-upgrade partial legacy file.
+            # Missing, unreadable, or not JSON.
             return None
 
     # -- publish -----------------------------------------------------------
@@ -170,8 +156,8 @@ class JsonDirStore(ResultStore):
     def write_document(self, key: str, document: dict) -> None:
         """Atomically publish a raw entry document under ``key``.
 
-        Used by rebalance/migration to move records *verbatim* —
-        unlike :meth:`put` this never re-stamps the cache version.
+        Used by ``cache migrate`` to wrap bare files in place — unlike
+        :meth:`put` this never re-stamps the cache version.
         """
         path = self._path(key)
         tmp = self._tmp_path(path)
@@ -186,43 +172,32 @@ class JsonDirStore(ResultStore):
             except OSError:
                 pass
 
-    def remove(self, key: str) -> bool:
-        """Delete the entry under ``key`` (both layouts); True if found."""
-        removed = False
-        for path in (self._path(key), self._legacy_path(key)):
-            try:
-                path.unlink()
-                removed = True
-            except OSError:
-                continue
-        return removed
-
     # -- enumeration -------------------------------------------------------
 
-    def _entry_items(self) -> list[tuple[str, Path]]:
-        """Unique ``(key, path)`` entries; the sharded layout wins.
-
-        A key present in both layouts is counted once (the sharded
-        copy).  Only this store's own layouts are scanned — nested
-        stores (e.g. shard roots under a ``shards/`` subdirectory of a
-        legacy root) are invisible.
-        """
-        if not self.root.is_dir():
-            return []
-        items: dict[str, Path] = {}
+    def _hash_dirs(self) -> list[Path]:
+        """The ``<hh>/`` directories under the root."""
         try:
-            subdirs = sorted(
+            return [
                 sub for sub in self.root.iterdir()
                 if sub.is_dir() and _is_hash_shard(sub.name)
-            )
-            for sub in subdirs:
-                for path in sorted(sub.glob("*.json")):
-                    items.setdefault(path.name[: -len(".json")], path)
-            for path in sorted(self.root.glob("*.json")):
-                items.setdefault(path.name[: -len(".json")], path)
+            ]
         except OSError:
             return []
-        return sorted(items.items())
+
+    def _entry_items(self) -> list[tuple[str, Path]]:
+        """``(key, path)`` of every entry file, sorted by key.
+
+        Only ``<hh>/<key>.json`` files count; anything else under the
+        root (e.g. seed-era flat ``<key>.json`` files) is invisible.
+        """
+        try:
+            return sorted(
+                (path.name[: -len(".json")], path)
+                for sub in self._hash_dirs()
+                for path in sub.glob("*.json")
+            )
+        except OSError:
+            return []
 
     def iter_records(self) -> Iterator[tuple[str, dict]]:
         """Yield every readable ``(key, document)`` entry once."""
@@ -231,30 +206,17 @@ class JsonDirStore(ResultStore):
             if isinstance(document, dict):
                 yield key, document
 
-    def dated_entries(self) -> list[tuple[float, str, Path]]:
-        """``(mtime, key, path)`` per entry, for age-based eviction."""
-        dated = []
-        for key, path in self._entry_items():
-            try:
-                dated.append((path.stat().st_mtime, key, path))
-            except OSError:
-                continue
-        return dated
-
     def _tmp_files(self) -> list[Path]:
-        """Every leftover tmp file (current and legacy ``.tmp`` naming)."""
-        if not self.root.is_dir():
-            return []
+        """Every leftover tmp file under the ``<hh>/`` directories."""
         try:
-            found = [p for p in self.root.glob("*.tmp.*") if p.is_file()]
-            for sub in self.root.iterdir():
-                if sub.is_dir() and _is_hash_shard(sub.name):
-                    found.extend(
-                        p for p in sub.glob("*.tmp.*") if p.is_file()
-                    )
+            return [
+                path
+                for sub in self._hash_dirs()
+                for path in sub.glob("*.tmp.*")
+                if path.is_file()
+            ]
         except OSError:
             return []
-        return found
 
     # -- maintenance -------------------------------------------------------
 
@@ -275,8 +237,7 @@ class JsonDirStore(ResultStore):
             except OSError:
                 continue
             entries += 1
-            if path.parent != self.root:
-                shards.add(path.parent.name)
+            shards.add(path.parent.name)
             label = version_of(self._read_document(path))
             versions[label] = versions.get(label, 0) + 1
         return {
@@ -304,18 +265,34 @@ class JsonDirStore(ResultStore):
         number of files removed.  Races are benign: a file deleted by
         a concurrent pruner just counts for whoever unlinked it first,
         and readers of a pruned key see an ordinary cache miss.
+
+        A negative ``max_entries`` or ``tmp_grace_s`` (the latter would
+        put the cutoff in the future and sweep in-flight writers' tmp
+        files) raises :class:`ConfigurationError` before anything is
+        removed.
         """
+        if max_entries is not None and max_entries < 0:
+            raise ConfigurationError(
+                f"max_entries must be >= 0, got {max_entries}"
+            )
+        if tmp_grace_s < 0:
+            raise ConfigurationError(
+                f"tmp_grace_s must be >= 0, got {tmp_grace_s}"
+            )
         removed = self._sweep_tmp(tmp_grace_s)
         if max_entries is None:
             return removed
-        if max_entries < 0:
-            raise ValueError("max_entries must be >= 0")
-        dated = self.dated_entries()
+        dated = []
+        for _, path in self._entry_items():
+            try:
+                dated.append((path.stat().st_mtime, path))
+            except OSError:
+                continue
         excess = len(dated) - max_entries
         if excess <= 0:
             return removed
         dated.sort(key=lambda item: item[0])
-        for _, _, path in dated[:excess]:
+        for _, path in dated[:excess]:
             try:
                 path.unlink()
                 removed += 1

@@ -1,91 +1,32 @@
-"""Schema migrations across ``CACHE_VERSION`` bumps.
+"""``repro cache migrate``: bring a cache directory into the record format.
 
-A ``CACHE_VERSION`` bump changes every spec's cache key (the version
-string is part of the hash), which without help silently orphans every
-cached entry — the old behavior was "recompute the world".  Disk
-stores now persist each entry's cache metadata (version, kind, and the
-exact key fields that were hashed — see
-:mod:`repro.campaign.stores.disk`), which is enough to *re-key* an
-entry instead: apply the registered rewriters to the old key fields,
-recompute the key under the new version, and move the payload there.
+:class:`~repro.campaign.stores.JsonDirStore` serves only *records*
+(see :mod:`repro.campaign.stores.disk`).  Caches written before the
+record format existed hold *bare* ``<hh>/<key>.json`` files — the
+payload dict alone — whose keys may still be live.  :func:`migrate`
+wraps each one in place: same key, payload unchanged, kind taken from
+the key prefix, ``spec: null`` and ``cache_version: "unrecorded"``.
+After that ``get`` serves it and ``stats`` labels it ``unrecorded``.
 
-Rewriters form a chain: ``register_rewriter("ch4", "v1", "v2", fn)``
-teaches the migrator one hop; a v1 entry migrating to v3 runs the
-v1→v2 then v2→v3 rewriters.  Each rewriter maps
-``(key_fields, payload) -> (key_fields, payload)`` — typically just
-adding newly introduced spec fields at their defaults (which is
-exactly what makes the old and new keys name the same physical run).
-Spec-defining modules register their own rewriters next to their spec
-classes (:mod:`repro.analysis.specs`).
-
-Entries that cannot migrate are left untouched and reported:
-*unrecorded* (bare pre-record files with no spec metadata) and
-*unmigratable* (no rewriter chain reaches the target).  ``dry_run``
-reports without writing.
+Records stamped with a cache version other than ``CACHE_VERSION``
+are reported as *stale* and left untouched: a ``CACHE_VERSION`` bump
+changes every key, so no current spec can name them (``cache prune
+--max-entries`` evicts them, oldest first).  ``dry_run`` reports without writing, and a
+second run is a no-op.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Protocol
 
-from repro.campaign.spec import CACHE_VERSION, key_for_fields
+from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores.disk import (
-    RECORD_FORMAT,
-    RECORD_VERSION,
+    UNRECORDED,
+    JsonDirStore,
+    is_record,
+    make_record,
     version_of,
 )
-from repro.errors import ConfigurationError
-
-#: One migration hop: (key_fields, payload) -> (key_fields, payload).
-Rewriter = Callable[[dict, dict], tuple[dict, dict]]
-
-#: ``(kind, from_version) -> (to_version, rewriter)``.
-_REWRITERS: dict[tuple[str, str], tuple[str, Rewriter]] = {}
-
-
-class MigratableStore(Protocol):
-    """What :func:`migrate` needs: raw-record access on a store."""
-
-    def iter_records(self) -> Iterator[tuple[str, dict]]: ...
-    def write_document(self, key: str, document: dict) -> None: ...
-    def remove(self, key: str) -> bool: ...
-
-
-def register_rewriter(
-    kind: str, from_version: str, to_version: str, fn: Rewriter
-) -> Rewriter:
-    """Register the ``from_version -> to_version`` hop for ``kind``.
-
-    Re-registration of the same hop is allowed (module reloads stay
-    idempotent); a version cannot fan out to two targets.
-    """
-    if from_version == to_version:
-        raise ConfigurationError(
-            f"rewriter for kind {kind!r} maps {from_version!r} to itself"
-        )
-    _REWRITERS[(kind, from_version)] = (to_version, fn)
-    return fn
-
-
-def rewriter_chain(
-    kind: str, from_version: str, target: str
-) -> list[Rewriter] | None:
-    """The rewriter hops taking ``kind`` from ``from_version`` to
-    ``target``, or None when no registered path exists."""
-    chain: list[Rewriter] = []
-    version = from_version
-    visited = {version}
-    while version != target:
-        hop = _REWRITERS.get((kind, version))
-        if hop is None:
-            return None
-        version, fn = hop
-        if version in visited:
-            return None  # cycle: defensive, never built by register
-        visited.add(version)
-        chain.append(fn)
-    return chain
 
 
 @dataclass
@@ -96,16 +37,14 @@ class MigrationReport:
     dry_run: bool
     #: Entries examined.
     scanned: int = 0
-    #: Entries re-keyed (or, dry-run, that would be).
-    migrated: int = 0
-    #: Entries already at the target version.
+    #: Bare files wrapped into records (or, dry-run, that would be).
+    wrapped: int = 0
+    #: Records stamped with the current ``CACHE_VERSION``.
     current: int = 0
-    #: Bare legacy entries with no spec metadata to migrate from.
+    #: Records wrapped by an earlier pass (no recorded version).
     unrecorded: int = 0
-    #: Versioned entries with no rewriter chain (or no key fields).
-    unmigratable: int = 0
-    #: Entries whose rewriter raised; left untouched.
-    failed: int = 0
+    #: Records stamped with any other version; left untouched.
+    stale: int = 0
     #: Pre-migration per-version census of everything scanned.
     by_version: dict = field(default_factory=dict)
 
@@ -114,74 +53,31 @@ class MigrationReport:
             "target": self.target,
             "dry_run": self.dry_run,
             "scanned": self.scanned,
-            "migrated": self.migrated,
+            "wrapped": self.wrapped,
             "current": self.current,
             "unrecorded": self.unrecorded,
-            "unmigratable": self.unmigratable,
-            "failed": self.failed,
+            "stale": self.stale,
             "by_version": dict(sorted(self.by_version.items())),
         }
 
 
-def migrate(
-    store: MigratableStore,
-    *,
-    dry_run: bool = False,
-    target: str = CACHE_VERSION,
-) -> MigrationReport:
-    """Upgrade every old-version entry of ``store`` in place.
-
-    Each migratable entry is rewritten through its kind's rewriter
-    chain, re-keyed under ``target``, published at the new key, and
-    removed from the old one — the payload itself moves verbatim
-    unless a rewriter changes it, so a warm lookup after migration
-    returns byte-identical payloads.  Safe to re-run: already-current
-    entries are skipped.
-    """
-    report = MigrationReport(target=target, dry_run=dry_run)
+def migrate(store: JsonDirStore, *, dry_run: bool = False) -> MigrationReport:
+    """Wrap every bare entry of ``store`` in place; report stale ones."""
+    report = MigrationReport(target=CACHE_VERSION, dry_run=dry_run)
     for key, document in list(store.iter_records()):
         report.scanned += 1
         label = version_of(document)
         report.by_version[label] = report.by_version.get(label, 0) + 1
-        if document.get("format") != RECORD_FORMAT:
-            report.unrecorded += 1
-            continue
-        version = str(document.get("cache_version") or "unknown")
-        if version == target:
+        if not is_record(document):
+            report.wrapped += 1
+            if not dry_run:
+                store.write_document(key, make_record(
+                    document, {"cache_version": UNRECORDED}, key=key
+                ))
+        elif label == CACHE_VERSION:
             report.current += 1
-            continue
-        kind = document.get("kind")
-        fields = document.get("spec")
-        payload = document.get("payload")
-        if (
-            not isinstance(kind, str)
-            or not isinstance(fields, dict)
-            or not isinstance(payload, dict)
-        ):
-            report.unmigratable += 1
-            continue
-        chain = rewriter_chain(kind, version, target)
-        if chain is None:
-            report.unmigratable += 1
-            continue
-        try:
-            for fn in chain:
-                fields, payload = fn(dict(fields), payload)
-            new_key = key_for_fields(kind, fields, cache_version=target)
-        except Exception:
-            report.failed += 1
-            continue
-        report.migrated += 1
-        if dry_run:
-            continue
-        store.write_document(new_key, {
-            "format": RECORD_FORMAT,
-            "record": RECORD_VERSION,
-            "cache_version": target,
-            "kind": kind,
-            "spec": fields,
-            "payload": payload,
-        })
-        if new_key != key:
-            store.remove(key)
+        elif label == UNRECORDED:
+            report.unrecorded += 1
+        else:
+            report.stale += 1
     return report

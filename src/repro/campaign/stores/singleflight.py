@@ -89,9 +89,6 @@ class SingleFlightStore(ResultStore):
     ) -> None:
         self.inner.put(key, payload, meta=meta)
 
-    def describe(self, key: str) -> dict:
-        return self.inner.describe(key)
-
     # -- flight control (used directly by the vector backend) --------------
 
     def try_lead(self, key: str) -> bool:
@@ -180,15 +177,11 @@ class SingleFlightStore(ResultStore):
                 raise
             self.inner.put(key, payload, meta=meta)
             self.settle(key, payload)
-            info = dict(info)
-            info.update(self.describe(key))
             _count_request(hit=False)
             _count_flight("led")
             return payload, False, info
         payload, info = compute()
         self.inner.put(key, payload, meta=meta)
-        info = dict(info)
-        info.update(self.describe(key))
         _count_request(hit=False)
         return payload, False, info
 

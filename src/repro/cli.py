@@ -23,8 +23,8 @@ Commands:
   scenarios through the campaign engine.
 - ``cache`` — inspect or maintain the on-disk result cache:
   ``stats`` (census with per-version counts), ``prune`` (evict oldest
-  entries, sweep stale tmp files), ``migrate`` (re-key
-  old-``CACHE_VERSION`` entries through the registered rewriters).
+  entries, sweep stale tmp files), ``migrate`` (wrap bare pre-record
+  files as records, report stale-version records).
 - ``serve`` — expose the API over HTTP (``/v1/simulate``,
   ``/v1/scenarios``, ``/v1/campaign``, ...).
 - ``worker`` — run a fleet worker: the same HTTP service, started for
@@ -59,7 +59,7 @@ Examples::
     python -m repro scenarios run hot-ambient throttle-storm --copies 1
     python -m repro cache stats --json
     python -m repro cache prune --max-entries 500
-    REPRO_CACHE_SHARDS=4 python -m repro cache migrate --dry-run
+    python -m repro cache migrate --dry-run
     python -m repro serve --port 8765
     python -m repro worker --port 9001
     python -m repro campaign --mixes W1,W2 --backend http \\
@@ -277,13 +277,13 @@ def _build_parser() -> argparse.ArgumentParser:
     cache = sub.add_parser(
         "cache",
         help="inspect or maintain the on-disk result cache "
-        "(REPRO_CACHE_DIR / REPRO_CACHE_SHARDS select the store)",
+        "(REPRO_CACHE_DIR selects it)",
     )
     cache_action = cache.add_subparsers(dest="action", required=True)
     c_stats = cache_action.add_parser(
         "stats",
         help="cache census: entries, bytes, per-version counts, "
-        "per-shard breakdown, leftover tmp files",
+        "leftover tmp files",
     )
     add_json_flag(c_stats)
     c_prune = cache_action.add_parser(
@@ -291,25 +291,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     c_prune.add_argument(
         "--max-entries", type=int, default=None, metavar="N",
-        help="evict oldest entries (by mtime, globally across shards) "
-        "down to N; without it only stale tmp files are swept",
+        help="evict oldest entries (by mtime) down to N (>= 0); "
+        "without it only stale tmp files are swept",
     )
     c_prune.add_argument(
         "--tmp-grace-s", type=float, default=None, metavar="SECONDS",
-        help="sweep tmp files older than this (default 3600); younger "
-        "ones may belong to an in-flight writer",
+        help="sweep tmp files older than this (>= 0, default 3600); "
+        "younger ones may belong to an in-flight writer",
     )
     add_json_flag(c_prune)
     c_migrate = cache_action.add_parser(
         "migrate",
-        help=f"re-key old-CACHE_VERSION entries to {CACHE_VERSION} via "
-        "the registered rewriters (payloads move verbatim); on a "
-        "sharded store, also move entries the ring no longer places "
-        "where they sit",
+        help="wrap bare pre-record <hh>/<key>.json files in place as "
+        "records (same key, payload unchanged, cache_version "
+        "'unrecorded') so they are served again; report records "
+        f"stamped with a version other than {CACHE_VERSION} as stale "
+        "and leave them untouched",
     )
     c_migrate.add_argument(
         "--dry-run", action="store_true",
-        help="report what would migrate without writing",
+        help="report what would be wrapped without writing",
     )
     add_json_flag(c_migrate)
 
@@ -792,11 +793,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
         print(f"versions:   {rendered or 'none'} (current: {CACHE_VERSION})")
         print(f"tmp files:  {stats['tmp_files']}")
-        for shard in stats.get("per_shard", ()):
-            print(
-                f"  shard {Path(shard['root']).name}: "
-                f"{shard['entries']} entries, {shard['bytes']} bytes"
-            )
         return 0
     if args.action == "prune":
         kwargs = {}
@@ -810,24 +806,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         return 0
     # action == "migrate"
     report = migrate(store, dry_run=args.dry_run)
-    moved = None
-    if hasattr(store, "rebalance") and not args.dry_run:
-        moved = store.rebalance()["moved"]
-    document = report.to_dict()
-    if moved is not None:
-        document["rebalanced"] = moved
     if args.json:
-        _print_json(document)
+        _print_json(report.to_dict())
         return 0
-    verb = "would migrate" if args.dry_run else "migrated"
+    verb = "would wrap" if args.dry_run else "wrapped"
     print(
-        f"{verb} {report.migrated} of {report.scanned} entries to "
-        f"{report.target} (current: {report.current}, "
-        f"unrecorded: {report.unrecorded}, "
-        f"unmigratable: {report.unmigratable}, failed: {report.failed})"
+        f"{verb} {report.wrapped} of {report.scanned} entries "
+        f"(current {report.target}: {report.current}, "
+        f"unrecorded: {report.unrecorded}, stale: {report.stale})"
     )
-    if moved is not None:
-        print(f"rebalanced {moved} misplaced entr{'y' if moved == 1 else 'ies'}")
     return 0
 
 

@@ -17,8 +17,7 @@ The protocol is two calls per batch:
   submitted cell, in any order.  Payloads are the encoded (JSON-safe)
   form, so the campaign can re-publish them into its own store and
   decode them exactly like cache hits; ``store_info`` is the store's
-  placement / single-flight provenance for the cell (``{}`` for plain
-  warm hits).
+  single-flight provenance for the cell (``{}`` for plain warm hits).
 
 Backends are context managers.  A campaign that builds its own backend
 closes it when the run (or an abandoned iterator) finishes; a backend
@@ -221,7 +220,7 @@ class VectorBackend(ExecutionBackend):
                     if flights is not None:
                         flights.settle(key, payload)
                         led.discard(key)
-                    yield key, payload, False, per_cell, store.describe(key)
+                    yield key, payload, False, per_cell, {}
             for key, spec in plan.solo:
                 # ``run_outcome`` re-enters ``get_or_compute``; the
                 # flight table recognizes this thread as the owner and

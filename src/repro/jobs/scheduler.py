@@ -373,7 +373,6 @@ class JobScheduler:
                 cache="hit" if hit else "miss",
                 cache_key=spec.key(),
                 compute_seconds=round(seconds, 6),
-                shard=store_info.get("shard"),
                 single_flight=store_info.get("single_flight"),
             ),
         )

@@ -107,6 +107,15 @@ def test_provenance_tolerates_future_minor_fields():
     assert provenance == Provenance(cache="hit", cache_key="k")
 
 
+def test_provenance_drops_retired_shard_field():
+    # Envelopes from emitters that still wrote ``shard`` keep parsing.
+    provenance = Provenance.from_dict(
+        {"cache": "miss", "cache_key": "k", "shard": "02"}
+    )
+    assert provenance == Provenance(cache="miss", cache_key="k")
+    assert "shard" not in provenance.to_dict()
+
+
 # ---------------------------------------------------------------------------
 # Request validation and dict round-trips
 # ---------------------------------------------------------------------------

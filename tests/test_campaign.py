@@ -30,6 +30,7 @@ from repro.campaign import (
     spec_key,
     sweep,
 )
+from repro.campaign.stores import make_record
 from repro.core.results import RunResult, TemperatureTrace
 from repro.errors import ConfigurationError
 from repro.testbed.runner import ServerRunResult
@@ -159,10 +160,15 @@ def test_json_dir_store_round_trip(tmp_path):
     assert not list(tmp_path.rglob("*.tmp.*"))
 
 
-def test_json_dir_store_reads_legacy_flat_layout(tmp_path):
+def test_json_dir_store_ignores_flat_layout(tmp_path):
+    # A seed-era flat <root>/<key>.json file is never served, even when
+    # it holds a well-formed record.
     key = "ch4-0123456789abcdef0123"
-    (tmp_path / f"{key}.json").write_text(json.dumps({"legacy": True}))
-    assert JsonDirStore(tmp_path).get(key) == {"legacy": True}
+    record = make_record({"legacy": True}, key=key)
+    (tmp_path / f"{key}.json").write_text(json.dumps(record))
+    store = JsonDirStore(tmp_path)
+    assert store.get(key) is None
+    assert store.stats()["entries"] == 0
 
 
 def test_json_dir_store_write_is_atomic(tmp_path, monkeypatch):
@@ -206,9 +212,6 @@ def test_json_dir_store_stats(tmp_path):
     assert stats["entries"] == 5
     assert stats["bytes"] > 0
     assert 1 <= stats["shards"] <= 5
-    # Legacy flat-layout entries count too.
-    (tmp_path / "test-square-legacy000000.json").write_text("{}")
-    assert store.stats()["entries"] == 6
 
 
 def test_json_dir_store_prune_evicts_oldest_first(tmp_path):
@@ -228,8 +231,10 @@ def test_json_dir_store_prune_evicts_oldest_first(tmp_path):
     assert store.prune(3) == 0  # already within budget
     assert store.prune(0) == 3  # evict everything
     assert store.stats()["entries"] == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="max_entries"):
         store.prune(-1)
+    with pytest.raises(ConfigurationError, match="tmp_grace_s"):
+        store.prune(tmp_grace_s=-5)
 
 
 def _hammer_store(root: str, writer: int, keys: list[str]) -> int:

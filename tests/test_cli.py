@@ -333,3 +333,57 @@ def test_resume_without_checkpoint_dir_is_an_error(capsys):
     assert main(["server", "--platform", "PE1950", "--mix", "W1",
                  "--policy", "bw", "--copies", "1", "--resume"]) == 2
     assert "--checkpoint-dir" in capsys.readouterr().err
+
+
+def _seeded_cache(root) -> list:
+    """A cache holding one entry and one stale and one young tmp file."""
+    import os
+    import time
+
+    from repro.campaign import JsonDirStore
+
+    store = JsonDirStore(root)
+    store.put("test-cube-00c1", {"cube": 1})
+    shard_dir = store._path("test-cube-00c1").parent
+    stale = shard_dir / "a.json.tmp.1.2.3"
+    young = shard_dir / "b.json.tmp.4.5.6"
+    stale.write_text("{")
+    young.write_text("{")
+    old = time.time() - 7200
+    os.utime(stale, (old, old))
+    return sorted(root.rglob("*"))
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--max-entries", "-1", "max_entries"),
+    # A negative grace would put the cutoff in the future and sweep the
+    # young tmp file of an in-flight writer.
+    ("--tmp-grace-s", "-5", "tmp_grace_s"),
+])
+def test_cache_prune_rejects_negative_arguments(
+    capsys, tmp_path, monkeypatch, flag, value, field
+):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    before = _seeded_cache(tmp_path)
+    assert main(["cache", "prune", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert _one_clean_error_line(err) and field in err
+    assert sorted(tmp_path.rglob("*")) == before  # nothing removed
+
+
+def test_cache_migrate_wraps_bare_files(capsys, tmp_path, monkeypatch):
+    import json
+
+    from repro.campaign import JsonDirStore
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    store = JsonDirStore(tmp_path)
+    store.write_document("test-cube-00c2", {"cube": 8})  # bare
+    assert store.get("test-cube-00c2") is None
+    assert main(["cache", "migrate", "--dry-run"]) == 0
+    assert "would wrap 1 of 1 entries" in capsys.readouterr().out
+    assert main(["cache", "migrate", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["wrapped"] == 1
+    assert store.get("test-cube-00c2") == {"cube": 8}
+    assert main(["cache", "stats"]) == 0
+    assert "unrecorded=1" in capsys.readouterr().out

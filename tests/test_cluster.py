@@ -232,7 +232,7 @@ class _RemoteLikeBackend(SerialBackend):
         private = MemoryStore()
         for key, spec in self._cells:
             payload, hit, seconds = run_payload(spec, private)
-            yield key, payload, hit, seconds
+            yield key, payload, hit, seconds, {}
 
 
 def test_remote_backend_payloads_backfill_the_campaign_store(

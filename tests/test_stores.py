@@ -1,12 +1,13 @@
-"""The PR 7 store stack: sharding, single-flight dedup, migrations.
+"""The store stack: single-flight dedup, the one disk layout, migrate.
 
 The acceptance-critical properties live here:
 
 - N concurrent identical cold requests perform exactly 1 compute and
   0 torn reads (single-flight coalescing + atomic disk publishes).
-- Warm envelopes are byte-identical across ``JsonDirStore``,
-  ``ShardedStore``, and a post-``migrate()`` store.
-- Adding a shard to the consistent-hash ring remaps ~1/N keys.
+- A ``JsonDirStore`` miss opens exactly one path; files outside the
+  ``<hh>/<key>.json`` layout are never served.
+- ``migrate()`` turns a bare payload file into a record that serves a
+  byte-identical warm envelope, and reports stale records untouched.
 
 ``REPRO_STORE_STRESS`` scales the thread-hammer tests (default 1x) so
 the CI store-stress leg can turn the same tests up without an edit.
@@ -19,35 +20,31 @@ import os
 import threading
 import time
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar
-
-import pytest
 
 from repro.api import ReproClient, SimulateRequest
 from repro.campaign import (
+    CACHE_VERSION,
+    GLOBAL_MEMORY,
     JsonDirStore,
     MemoryStore,
-    ShardedStore,
     SingleFlightStore,
     TieredStore,
-    key_for_fields,
     migrate,
-    register_rewriter,
     register_runner,
     run_outcome,
     spec_key,
     spec_meta,
 )
-from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores import (
     RECORD_FORMAT,
     RECORD_VERSION,
-    cache_shards,
+    UNRECORDED,
     default_disk_store,
     flights_in_progress,
     make_record,
 )
-from repro.errors import ConfigurationError
 
 #: Thread-count multiplier for the hammer tests (CI stress leg sets 4).
 STRESS = max(1, int(os.environ.get("REPRO_STORE_STRESS", "1")))
@@ -276,138 +273,60 @@ def test_run_outcome_reports_flight_provenance(tmp_path, request):
 
 
 # ---------------------------------------------------------------------------
-# Consistent-hash ring (tentpole: adding a shard remaps ~1/N keys)
+# One layout: a miss opens one path, nothing outside <hh>/ is served
 # ---------------------------------------------------------------------------
 
 
-def test_ring_remaps_about_one_in_n_keys(tmp_path):
-    four = ShardedStore.at(tmp_path, 4)
-    five = ShardedStore.at(tmp_path, 5)
-    keys = [f"test-cube-{i:05d}" for i in range(2000)]
-    moved = sum(
-        four.shard_for(k).root.name != five.shard_for(k).root.name
-        for k in keys
-    )
-    # Ideal is 1/5 = 0.20; the 64-replica ring lands near it.
-    assert 0.10 < moved / len(keys) < 0.35
-
-
-def test_sharded_routing_is_stable_and_balanced(tmp_path):
-    store = ShardedStore.at(tmp_path, 3)
-    keys = [f"test-cube-{i:04d}" for i in range(900)]
-    by_shard: dict[str, int] = {}
-    for k in keys:
-        name = store.shard_for(k).root.name
-        by_shard[name] = by_shard.get(name, 0) + 1
-        assert store.shard_for(k).root.name == name  # deterministic
-    assert set(by_shard) == {"00", "01", "02"}
-    assert min(by_shard.values()) > 900 // 3 // 3  # no starved shard
-
-
-def test_sharded_read_repair_after_ring_change(tmp_path):
-    four = ShardedStore.at(tmp_path, 4)
-    five = ShardedStore.at(tmp_path, 5)
-    # Find a seeded key the new ring routes elsewhere; repair on read.
-    keys = [f"test-cube-{i:05d}" for i in range(64)]
-    for key in keys:
-        four.put(key, {"k": key})
-    displaced = [
-        k for k in keys
-        if four.shard_for(k).root.name != five.shard_for(k).root.name
-    ]
-    assert displaced  # with 65 keys and 1/5 expected movement
-    key = displaced[0]
-    assert five.get(key) is not None  # served despite wrong shard...
-    assert five.shard_for(key).get(key) is not None  # ...and repaired
-
-
-def test_rebalance_moves_records_verbatim(tmp_path):
-    spec = CubeSpec(9)
-    four = ShardedStore.at(tmp_path, 4)
-    for i in range(60):
-        four.put(f"test-cube-r{i:03d}", {"i": i})
-    four.put(spec.key(), {"cube": 729}, meta=spec_meta(spec))
-    five = ShardedStore.at(tmp_path, 5)
-    plan = five.rebalance(dry_run=True)
-    assert plan["scanned"] == 61 and plan["moved"] > 0
-    done = five.rebalance()
-    assert done["moved"] == plan["moved"]
-    assert five.rebalance()["moved"] == 0  # converged
-    # Every record still reads, with its metadata intact.
-    record = five.read_record(spec.key())
-    assert record["cache_version"] == CACHE_VERSION
-    assert record["spec"] == {"value": 9}
-    assert five.get(spec.key()) == {"cube": 729}
-    assert five.stats()["entries"] == 61
-
-
-def test_sharded_store_rejects_bad_configs(tmp_path):
-    with pytest.raises(ConfigurationError):
-        ShardedStore([])
-    with pytest.raises(ConfigurationError):
-        ShardedStore.at(tmp_path, 0)
-    with pytest.raises(ConfigurationError):
-        ShardedStore.at(tmp_path, 2, replicas=0)
-    a = JsonDirStore(tmp_path / "x" / "same")
-    b = JsonDirStore(tmp_path / "y" / "same")
-    with pytest.raises(ConfigurationError):
-        ShardedStore([a, b])  # ring positions collide on the name
-    with pytest.raises(ValueError):
-        ShardedStore.at(tmp_path, 2).prune(max_entries=-1)
-
-
-def test_sharded_remove_and_prune_without_quota(tmp_path):
-    store = ShardedStore.at(tmp_path, 2)
-    store.put("test-cube-00cc", {"x": 1})
-    assert store.remove("test-cube-00cc")
-    assert not store.remove("test-cube-00cc")  # already gone
-    assert store.get("test-cube-00cc") is None
-    store.put("test-cube-00dd", {"x": 2})
-    assert store.prune() == 0  # tmp sweep only; no entry quota
-    assert store.prune(max_entries=5) == 0  # under quota: no eviction
-    assert store.get("test-cube-00dd") == {"x": 2}
-
-
-# ---------------------------------------------------------------------------
-# Disk-layer bug sweep (satellites: legacy masking, double counting,
-# stale tmp orphans)
-# ---------------------------------------------------------------------------
-
-
-def test_non_dict_sharded_file_does_not_mask_legacy_entry(tmp_path):
+def test_get_miss_opens_exactly_one_path(tmp_path, monkeypatch):
     store = JsonDirStore(tmp_path)
-    key = "test-cube-mask"
-    sharded = store._path(key)
-    sharded.parent.mkdir(parents=True)
-    sharded.write_text(json.dumps(["not", "a", "payload"]))
-    store._legacy_path(key).write_text(json.dumps({"cube": 8}))
-    assert store.get(key) == {"cube": 8}
+    key = "test-cube-00ab"
+    # A seed-era flat file and an unusable <hh>/ file must not make the
+    # miss path look anywhere else.
+    (tmp_path / f"{key}.json").write_text(json.dumps({"cube": 8}))
+    other = "test-cube-01ab"
+    store._path(other).parent.mkdir(parents=True)
+    store._path(other).write_text(json.dumps(["not", "a", "record"]))
+    opened: list[Path] = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        opened.append(self)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    assert store.get(key) is None
+    assert opened == [store._path(key)]
+    opened.clear()
+    assert store.get(other) is None
+    assert opened == [store._path(other)]
 
 
-def test_stats_counts_dual_layout_entries_once(tmp_path):
+def test_stats_ignores_flat_layout_files(tmp_path):
     store = JsonDirStore(tmp_path)
     key = "test-cube-00aa"
-    store.put(key, {"cube": 1})  # sharded layout
-    store._legacy_path(key).write_text(json.dumps({"cube": 1}))  # legacy
+    store.put(key, {"cube": 1})
+    # Seed-era flat files, one shadowing a live key, one on its own.
+    (tmp_path / f"{key}.json").write_text(json.dumps({"cube": 1}))
+    (tmp_path / "test-cube-00bb.json").write_text(json.dumps({"cube": 2}))
     stats = store.stats()
     assert stats["entries"] == 1
-    # The sharded (record-wrapped) copy wins the census.
     assert stats["versions"] == {CACHE_VERSION: 1}
+    assert [k for k, _ in store.iter_records()] == [key]
 
 
 def test_prune_sweeps_stale_tmp_files_only(tmp_path):
     store = JsonDirStore(tmp_path)
     store.put("test-cube-0bb0", {"cube": 1})
-    old_flat = tmp_path / "a.json.tmp.1.2.3"
-    old_flat.write_text("{")
     shard_dir = next(p for p in tmp_path.iterdir() if p.is_dir())
-    old_sharded = shard_dir / "b.json.tmp.4.5.6"
-    old_sharded.write_text("{")
-    young = tmp_path / "c.json.tmp.7.8.9"
+    old_a = shard_dir / "a.json.tmp.1.2.3"
+    old_a.write_text("{")
+    old_b = shard_dir / "b.json.tmp.4.5.6"
+    old_b.write_text("{")
+    young = shard_dir / "c.json.tmp.7.8.9"
     young.write_text("{")
     stale = time.time() - 7200
-    os.utime(old_flat, (stale, stale))
-    os.utime(old_sharded, (stale, stale))
+    os.utime(old_a, (stale, stale))
+    os.utime(old_b, (stale, stale))
 
     assert store.stats()["tmp_files"] == 3
     assert store.prune() == 2  # default grace spares the young writer
@@ -418,185 +337,84 @@ def test_prune_sweeps_stale_tmp_files_only(tmp_path):
     assert store.get("test-cube-0bb0") == {"cube": 1}
 
 
-def test_sharded_prune_evicts_globally_oldest(tmp_path):
-    store = ShardedStore.at(tmp_path, 3)
-    for i in range(9):
-        key = f"test-cube-{i:04d}"
-        store.put(key, {"i": i})
-        path = store.shard_for(key)._path(key)
-        os.utime(path, (1000.0 + i, 1000.0 + i))
-    removed = store.prune(max_entries=4)
-    assert removed == 5
-    kept = {key for key, _ in store.iter_records()}
-    assert kept == {f"test-cube-{i:04d}" for i in range(5, 9)}
-
-
 # ---------------------------------------------------------------------------
-# Migration (acceptance: byte-identical envelopes after re-keying)
+# cache migrate: wrap bare files in place, report stale records
 # ---------------------------------------------------------------------------
 
-#: ch4 fields that CACHE_VERSION v2 added; a true v1 record lacks them.
-_CH4_V2_FIELDS = (
-    "inlet_delta_c", "channels", "dimms_per_channel",
-    "duty_cycle", "duty_period_s", "bandwidth_scale",
-)
 
-
-def _downgrade_to_v1(store: JsonDirStore, key: str) -> str:
-    """Rewrite ``key``'s record as the v1 entry it would have been."""
-    record = store.read_record(key)
-    v1_fields = {
-        k: v for k, v in record["spec"].items() if k not in _CH4_V2_FIELDS
-    }
-    v1_key = key_for_fields("ch4", v1_fields, cache_version="v1")
-    store.write_document(v1_key, {
-        "format": RECORD_FORMAT,
-        "record": RECORD_VERSION,
-        "cache_version": "v1",
-        "kind": "ch4",
-        "spec": v1_fields,
-        "payload": record["payload"],
-    })
-    store.remove(key)
-    return v1_key
-
-
-def test_migrate_rekeys_v1_entries_to_current(tmp_path):
+def test_migrate_wraps_bare_entry_into_byte_identical_hit(tmp_path):
     request = SimulateRequest(mix="W1", policy="ts", copies=1)
-    spec = request.spec()
+    key = request.spec().key()
     store = JsonDirStore(tmp_path)
     client = ReproClient(store)
     client.simulate(request)  # cold compute
     warm_before = client.simulate(request).to_json()
+    payload = store.get(key)
 
-    v1_key = _downgrade_to_v1(store, spec.key())
-    assert v1_key != spec.key()
-    assert store.get(spec.key()) is None  # orphaned without migration
+    # Rewrite the entry as the bare <hh>/<key>.json file an older
+    # writer left: the payload dict alone.  It reads as a miss.
+    path = store._path(key)
+    path.write_text(json.dumps(payload))
+    assert store.get(key) is None
+    assert store.stats()["versions"] == {UNRECORDED: 1}
 
     plan = migrate(store, dry_run=True)
-    assert plan.migrated == 1 and plan.by_version == {"v1": 1}
-    assert store.get(spec.key()) is None  # dry run wrote nothing
+    assert (plan.scanned, plan.wrapped) == (1, 1)
+    assert plan.by_version == {UNRECORDED: 1}
+    assert store.get(key) is None  # dry run wrote nothing
 
     report = migrate(store)
-    assert (report.migrated, report.failed, report.unmigratable) == (1, 0, 0)
-    assert store.get(v1_key) is None  # old key removed
-    record = store.read_record(spec.key())
-    assert record["cache_version"] == CACHE_VERSION
+    assert report.to_dict() == {
+        "target": CACHE_VERSION, "dry_run": False, "scanned": 1,
+        "wrapped": 1, "current": 0, "unrecorded": 0, "stale": 0,
+        "by_version": {UNRECORDED: 1},
+    }
+    record = json.loads(path.read_text())
+    assert record == {
+        "format": RECORD_FORMAT, "record": RECORD_VERSION,
+        "cache_version": UNRECORDED, "kind": "ch4", "spec": None,
+        "payload": payload,
+    }
+    assert json.dumps(store.get(key)) == json.dumps(payload)
+    assert store.stats()["versions"] == {UNRECORDED: 1}
 
-    # The acceptance bar: the warm envelope after migration is
-    # byte-identical to the warm envelope before.
+    # The warm envelope served from the wrapped record is byte-identical
+    # to the one served before the rewrite.
+    GLOBAL_MEMORY.clear()
     warm_after = ReproClient(store).simulate(request)
     assert warm_after.provenance.cache == "hit"
     assert warm_after.to_json() == warm_before
 
-    assert migrate(store).current == 1  # idempotent: nothing left to do
+    # A second pass is a no-op.
+    wrapped_bytes = path.read_bytes()
+    again = migrate(store)
+    assert (again.wrapped, again.unrecorded) == (0, 1)
+    assert path.read_bytes() == wrapped_bytes
 
 
-def test_migrate_reports_unrecorded_unmigratable_failed(tmp_path):
+def test_migrate_reports_stale_records_untouched(tmp_path):
     store = JsonDirStore(tmp_path)
-    # Bare pre-record file: no metadata to migrate from.
-    store.write_document("test-cube-0ba0", {"cube": 1})
-    # Versioned record of a kind with no registered chain.
-    store.write_document("test-mystery-0a1", make_record(
-        {"p": 1}, {"cache_version": "v1", "kind": "test-mystery",
-                    "spec": {"x": 1}}, key="test-mystery-0a1"))
-
-    def _boom(fields: dict, payload: dict) -> tuple[dict, dict]:
-        raise ValueError("rewriter bug")
-
-    register_rewriter("test-broken", "v1", CACHE_VERSION, _boom)
-    store.write_document("test-broken-0b2", make_record(
-        {"p": 2}, {"cache_version": "v1", "kind": "test-broken",
-                    "spec": {"y": 2}}, key="test-broken-0b2"))
+    spec = CubeSpec(4)
+    store.put(spec.key(), {"cube": 64}, meta=spec_meta(spec))
+    stale_key = "test-cube-0a1"
+    store.write_document(stale_key, make_record(
+        {"cube": 1}, {"cache_version": "v1", "spec": {"value": 1}},
+        key=stale_key,
+    ))
+    stale_bytes = store._path(stale_key).read_bytes()
+    store.write_document("test-cube-0b2", {"cube": 8})  # bare
 
     report = migrate(store)
-    assert report.scanned == 3
-    assert report.unrecorded == 1
-    assert report.unmigratable == 1
-    assert report.failed == 1
-    assert report.migrated == 0
-    # Every problem entry is left untouched and still readable.
-    assert store.get("test-cube-0ba0") == {"cube": 1}
-    assert store.get("test-mystery-0a1") == {"p": 1}
-    assert store.get("test-broken-0b2") == {"p": 2}
-
-
-def test_migrate_sharded_store_and_report_dict(tmp_path):
-    # Migration drives the store through its raw-record protocol
-    # (iter_records / write_document / remove), which a ShardedStore
-    # implements ring-aware: the re-keyed entry must land on the NEW
-    # key's ring shard.
-    store = ShardedStore.at(tmp_path, 3)
-    spec = CubeSpec(11)
-    v1_fields = {"value": 11}
-    v1_key = key_for_fields("test-cube", v1_fields, cache_version="v1")
-    store.write_document(v1_key, {
-        "format": RECORD_FORMAT,
-        "record": RECORD_VERSION,
-        "cache_version": "v1",
-        "kind": "test-cube",
-        "spec": v1_fields,
-        "payload": {"cube": 1331},
-    })
-    register_rewriter("test-cube", "v1", CACHE_VERSION, lambda f, p: (f, p))
-
-    report = migrate(store)
-    assert report.migrated == 1
-    assert store.get(v1_key) is None
-    assert store.get(spec.key()) == {"cube": 1331}
-    assert store.shard_for(spec.key()).get(spec.key()) is not None
-    document = report.to_dict()
-    assert document["migrated"] == 1 and document["by_version"] == {"v1": 1}
-    assert document["target"] == CACHE_VERSION and not document["dry_run"]
-
-
-def test_migrate_skips_record_with_unusable_fields(tmp_path):
-    store = JsonDirStore(tmp_path)
-    store.write_document("test-cube-00ee", {
-        "format": RECORD_FORMAT,
-        "record": RECORD_VERSION,
-        "cache_version": "v1",
-        "kind": "test-cube",
-        "spec": None,  # no key fields: cannot be re-keyed
-        "payload": {"cube": 1},
-    })
-    report = migrate(store)
-    assert report.unmigratable == 1 and report.migrated == 0
-    assert store.get("test-cube-00ee") == {"cube": 1}
-
-
-def test_register_rewriter_rejects_self_map():
-    with pytest.raises(ConfigurationError):
-        register_rewriter("test-self", "v1", "v1", lambda f, p: (f, p))
-
-
-# ---------------------------------------------------------------------------
-# Envelope byte-identity across store layouts (acceptance)
-# ---------------------------------------------------------------------------
-
-
-def test_warm_envelopes_byte_identical_flat_vs_sharded(tmp_path):
-    request = SimulateRequest(mix="W1", policy="ts", copies=1)
-    flat = JsonDirStore(tmp_path / "flat")
-    sharded = ShardedStore.at(tmp_path / "sharded", 3)
-
-    cold_flat = ReproClient(flat).simulate(request)
-    cold_sharded = ReproClient(sharded).simulate(request)
-    # Cold runs differ exactly by shard provenance (a 1.1 field,
-    # omitted entirely on unsharded stores)...
-    assert cold_flat.provenance.shard is None
-    assert cold_sharded.provenance.shard is not None
-    assert "shard" not in cold_flat.to_dict()["provenance"]
-
-    # ...while warm envelopes are byte-for-byte interchangeable.
-    warm_flat = ReproClient(flat).simulate(request)
-    warm_sharded = ReproClient(sharded).simulate(request)
-    assert warm_flat.provenance.cache == "hit"
-    assert warm_sharded.provenance.cache == "hit"
-    assert warm_flat.to_json() == warm_sharded.to_json()
-    # And both stores hold byte-identical payloads for the key.
-    key = request.spec().key()
-    assert flat.get(key) == sharded.get(key)
+    assert (report.scanned, report.current, report.stale, report.wrapped) == (
+        3, 1, 1, 1,
+    )
+    assert report.by_version == {
+        CACHE_VERSION: 1, "v1": 1, UNRECORDED: 1,
+    }
+    # The stale record is reported, not rewritten or removed.
+    assert store._path(stale_key).read_bytes() == stale_bytes
+    assert store.get(spec.key()) == {"cube": 64}
+    assert store.get("test-cube-0b2") == {"cube": 8}
 
 
 # ---------------------------------------------------------------------------
@@ -604,31 +422,11 @@ def test_warm_envelopes_byte_identical_flat_vs_sharded(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_default_disk_store_follows_shard_env(tmp_path, monkeypatch):
+def test_default_disk_store_follows_cache_env(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_SHARDS", raising=False)
-    assert isinstance(default_disk_store(), JsonDirStore)
-
-    monkeypatch.setenv("REPRO_CACHE_SHARDS", "3")
     store = default_disk_store()
-    assert isinstance(store, ShardedStore)
-    assert cache_shards() == 3
-    # Shards live in their own namespace under the cache dir.
-    assert all(
-        s.root.parent == tmp_path / "shards" for s in store.shards
-    )
-
-    monkeypatch.setenv("REPRO_CACHE_SHARDS", "0")
-    assert isinstance(default_disk_store(), JsonDirStore)
-    monkeypatch.setenv("REPRO_CACHE_SHARDS", "-1")
-    with pytest.raises(ConfigurationError):
-        default_disk_store()
-    monkeypatch.setenv("REPRO_CACHE_SHARDS", "many")
-    with pytest.raises(ConfigurationError):
-        cache_shards()
-
-    monkeypatch.setenv("REPRO_CACHE_SHARDS", "3")
+    assert isinstance(store, JsonDirStore) and store.root == tmp_path
     monkeypatch.setenv("REPRO_CACHE", "0")
     assert default_disk_store() is None
 
@@ -638,7 +436,6 @@ def test_single_flight_wraps_default_stack(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_SHARDS", raising=False)
     stack = default_store()
     assert isinstance(stack, SingleFlightStore)
     assert isinstance(stack.inner, TieredStore)

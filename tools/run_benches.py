@@ -36,9 +36,8 @@ diffable JSON file instead of anecdotes.  Current probes:
   wall clock of the grid with time-sliced (resume-from-checkpoint)
   dispatch vs whole-run (restart-from-zero) dispatch.
 - ``warm_hit_latency`` — per-hit cost of a warm ``get_or_compute``
-  through the flat ``JsonDirStore`` vs a 4-way ``ShardedStore`` (reps
-  interleaved; the ring lookup must stay within 5x of the flat read)
-  and through the memory-fronted tiered stack.
+  through the ``JsonDirStore`` disk layer and through the
+  memory-fronted tiered stack (reps interleaved).
 - ``single_flight_dedup`` — N threads stampede one cold Fig. 4.3 cell
   through a ``SingleFlightStore``; the bench asserts exactly one
   compute ran (the PR 7 acceptance bar) and reports the wall clock
@@ -82,7 +81,6 @@ from repro.campaign import (  # noqa: E402
     JsonDirStore,
     MemoryStore,
     NullStore,
-    ShardedStore,
     SingleFlightStore,
     TieredStore,
     engine_for_spec,
@@ -530,20 +528,12 @@ def bench_resume_vs_restart() -> dict:
     }
 
 
-#: The sharded warm hit adds one ring lookup (a sha256 + bisect) to the
-#: flat store's read; losing more than this factor means the read path
-#: regressed (e.g. read-repair scanning on the hit path).
-WARM_HIT_MAX_SHARDED_RATIO = 5.0
-
-
 def bench_warm_hit_latency(repeats: int, hits: int = 2000) -> dict:
-    """Per-hit cost of warm lookups across the PR 7 store layouts.
+    """Per-hit cost of warm lookups through the store stack.
 
     One payload (a realistic ~1 KB record) is served ``hits`` times
-    from the flat disk store, a 4-way sharded store, and the
-    memory-fronted tiered stack.  Reps interleave the variants so disk
-    weather hits all of them equally; the sharded/flat ratio is
-    asserted because both sides do the same single file read.
+    from the disk store and from the memory-fronted tiered stack.
+    Reps interleave the variants so disk weather hits both equally.
     """
     import tempfile
 
@@ -560,38 +550,27 @@ def bench_warm_hit_latency(repeats: int, hits: int = 2000) -> dict:
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-warm-") as root:
         flat = JsonDirStore(Path(root) / "flat")
-        sharded = ShardedStore.at(Path(root) / "sharded", 4)
         tiered = SingleFlightStore(
             TieredStore([MemoryStore(), JsonDirStore(Path(root) / "tier")]),
             scope="bench-warmhit",
         )
-        for store in (flat, sharded, tiered):
+        for store in (flat, tiered):
             store.put(key, payload)
-        samples = {name: [] for name in ("flat", "sharded", "tiered")}
+        samples = {name: [] for name in ("flat", "tiered")}
         for _ in range(repeats):
             samples["flat"].append(drive(flat))
-            samples["sharded"].append(drive(sharded))
             samples["tiered"].append(drive(tiered))
 
     best = {name: min(times) for name, times in samples.items()}
-    ratio = best["sharded"] / best["flat"]
-    assert ratio <= WARM_HIT_MAX_SHARDED_RATIO, (
-        f"sharded warm hit {best['sharded'] / hits * 1e6:.1f} us is "
-        f"{ratio:.2f}x the flat store's (max "
-        f"{WARM_HIT_MAX_SHARDED_RATIO}x) — the hit path regressed"
-    )
     return {
         "description": (
-            f"{hits} warm get_or_compute hits on one ~1 KB entry: flat "
-            f"JsonDirStore vs 4-way ShardedStore vs the memory-fronted "
-            f"single-flight stack (reps interleaved)"
+            f"{hits} warm get_or_compute hits on one ~1 KB entry: "
+            f"JsonDirStore vs the memory-fronted single-flight stack "
+            f"(reps interleaved)"
         ),
         "hits": hits,
         "flat_us_per_hit": round(best["flat"] / hits * 1e6, 2),
-        "sharded_us_per_hit": round(best["sharded"] / hits * 1e6, 2),
         "tiered_us_per_hit": round(best["tiered"] / hits * 1e6, 2),
-        "sharded_over_flat": round(ratio, 3),
-        "max_sharded_over_flat": WARM_HIT_MAX_SHARDED_RATIO,
     }
 
 
@@ -932,7 +911,6 @@ def main(argv: list[str] | None = None) -> int:
         if headline is None and "flat_us_per_hit" in bench:
             print(
                 f"  {name}: flat {bench['flat_us_per_hit']} us/hit, "
-                f"sharded {bench['sharded_us_per_hit']} us/hit, "
                 f"tiered {bench['tiered_us_per_hit']} us/hit"
             )
             continue
