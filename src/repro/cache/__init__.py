@@ -15,12 +15,11 @@ This package provides:
 
 from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.mrc import MissRatioCurve, measured_mrc
-from repro.cache.sharing import SharedCacheModel, CacheClient
+from repro.cache.sharing import SharedCacheModel
 
 __all__ = [
     "SetAssociativeCache",
     "MissRatioCurve",
     "measured_mrc",
     "SharedCacheModel",
-    "CacheClient",
 ]

@@ -7,38 +7,112 @@ Chandra et al. and successors).  The fixed point below captures exactly
 the behaviour DTM-ACG exploits: gating a core removes its insertions,
 the survivors' shares grow, their miss ratios fall, and total memory
 traffic drops (§4.4.2 reports ~17% on average).
+
+Clients are positional: client ``i`` is ``rates[i]`` with
+``curves[i]``, so identical co-runners are distinct clients.
+
+Exactness contract.  The fixed point sits on the level-1 model's hot
+path (a cold window evaluation runs it ~180 times), so 2, 3 and 4 fully
+active clients — the only counts a 4-core Chapter 4 cell or a 2-core
+Chapter 5 socket produces — run flat kernels over local variables.
+Every path performs the same IEEE operations in the same order on the
+same values: the miss-ratio curve's formula term by term (only the
+per-curve constant ``m_peak - m_floor`` is taken once), the weight total
+as ``sum()`` over the weights in client order (``sum()`` of floats is
+compensated since Python 3.12, so a ``+`` chain would differ there), and
+no expression is reassociated.  The flat kernels, the generic loop and
+the readable per-client oracle in the tests agree bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 
 from repro.cache.mrc import MissRatioCurve
 from repro.errors import ConfigurationError
 
-
-@dataclass(frozen=True)
-class CacheClient:
-    """One program competing for the shared cache."""
-
-    name: str
-    #: L2 accesses per second this client generates at its current speed.
-    access_rate_per_s: float
-    #: The client's miss-ratio curve.
-    mrc: MissRatioCurve
-
-    def __post_init__(self) -> None:
-        if self.access_rate_per_s < 0:
-            raise ConfigurationError("access rate must be non-negative")
+#: Fixed-point iterations (converges geometrically; a dozen suffices for
+#: four clients).
+ITERATIONS = 16
+#: Under-relaxation factor in (0, 1] for stability.
+DAMPING = 0.7
+#: Miss-ratio floor of the insertion weight: it keeps fully-fitting
+#: clients from collapsing to zero share (they still own their resident
+#: working set).
+MISS_FLOOR = 1e-4
 
 
-@dataclass(frozen=True)
-class CacheShare:
-    """Resolved share and miss ratio of one client."""
+def _flat2(capacity, rates, curves):
+    r0, r1 = rates
+    c0, c1 = curves
+    f0, s0, h0, a0 = c0.m_floor, c0.m_peak - c0.m_floor, c0.c_half_bytes, c0.alpha
+    f1, s1, h1, a1 = c1.m_floor, c1.m_peak - c1.m_floor, c1.c_half_bytes, c1.alpha
+    x0 = x1 = capacity / 2
+    for _ in range(ITERATIONS):
+        m0 = f0 + s0 / (1.0 + (x0 / h0) ** a0)
+        m1 = f1 + s1 / (1.0 + (x1 / h1) ** a1)
+        w0 = r0 * (MISS_FLOOR if m0 < MISS_FLOOR else m0)
+        w1 = r1 * (MISS_FLOOR if m1 < MISS_FLOOR else m1)
+        total = sum((w0, w1))
+        x0 = x0 + (capacity * w0 / total - x0) * DAMPING
+        x1 = x1 + (capacity * w1 / total - x1) * DAMPING
+    return [x0, x1], [c0.miss_ratio(x0), c1.miss_ratio(x1)]
 
-    name: str
-    capacity_bytes: float
-    miss_ratio: float
+
+def _flat3(capacity, rates, curves):
+    r0, r1, r2 = rates
+    c0, c1, c2 = curves
+    f0, s0, h0, a0 = c0.m_floor, c0.m_peak - c0.m_floor, c0.c_half_bytes, c0.alpha
+    f1, s1, h1, a1 = c1.m_floor, c1.m_peak - c1.m_floor, c1.c_half_bytes, c1.alpha
+    f2, s2, h2, a2 = c2.m_floor, c2.m_peak - c2.m_floor, c2.c_half_bytes, c2.alpha
+    x0 = x1 = x2 = capacity / 3
+    for _ in range(ITERATIONS):
+        m0 = f0 + s0 / (1.0 + (x0 / h0) ** a0)
+        m1 = f1 + s1 / (1.0 + (x1 / h1) ** a1)
+        m2 = f2 + s2 / (1.0 + (x2 / h2) ** a2)
+        w0 = r0 * (MISS_FLOOR if m0 < MISS_FLOOR else m0)
+        w1 = r1 * (MISS_FLOOR if m1 < MISS_FLOOR else m1)
+        w2 = r2 * (MISS_FLOOR if m2 < MISS_FLOOR else m2)
+        total = sum((w0, w1, w2))
+        x0 = x0 + (capacity * w0 / total - x0) * DAMPING
+        x1 = x1 + (capacity * w1 / total - x1) * DAMPING
+        x2 = x2 + (capacity * w2 / total - x2) * DAMPING
+    return (
+        [x0, x1, x2],
+        [c0.miss_ratio(x0), c1.miss_ratio(x1), c2.miss_ratio(x2)],
+    )
+
+
+def _flat4(capacity, rates, curves):
+    r0, r1, r2, r3 = rates
+    c0, c1, c2, c3 = curves
+    f0, s0, h0, a0 = c0.m_floor, c0.m_peak - c0.m_floor, c0.c_half_bytes, c0.alpha
+    f1, s1, h1, a1 = c1.m_floor, c1.m_peak - c1.m_floor, c1.c_half_bytes, c1.alpha
+    f2, s2, h2, a2 = c2.m_floor, c2.m_peak - c2.m_floor, c2.c_half_bytes, c2.alpha
+    f3, s3, h3, a3 = c3.m_floor, c3.m_peak - c3.m_floor, c3.c_half_bytes, c3.alpha
+    x0 = x1 = x2 = x3 = capacity / 4
+    for _ in range(ITERATIONS):
+        m0 = f0 + s0 / (1.0 + (x0 / h0) ** a0)
+        m1 = f1 + s1 / (1.0 + (x1 / h1) ** a1)
+        m2 = f2 + s2 / (1.0 + (x2 / h2) ** a2)
+        m3 = f3 + s3 / (1.0 + (x3 / h3) ** a3)
+        w0 = r0 * (MISS_FLOOR if m0 < MISS_FLOOR else m0)
+        w1 = r1 * (MISS_FLOOR if m1 < MISS_FLOOR else m1)
+        w2 = r2 * (MISS_FLOOR if m2 < MISS_FLOOR else m2)
+        w3 = r3 * (MISS_FLOOR if m3 < MISS_FLOOR else m3)
+        total = sum((w0, w1, w2, w3))
+        x0 = x0 + (capacity * w0 / total - x0) * DAMPING
+        x1 = x1 + (capacity * w1 / total - x1) * DAMPING
+        x2 = x2 + (capacity * w2 / total - x2) * DAMPING
+        x3 = x3 + (capacity * w3 / total - x3) * DAMPING
+    return (
+        [x0, x1, x2, x3],
+        [c0.miss_ratio(x0), c1.miss_ratio(x1), c2.miss_ratio(x2), c3.miss_ratio(x3)],
+    )
+
+
+#: Flat kernels by client count, taken only when every client is active.
+_FLAT_KERNELS = {2: _flat2, 3: _flat3, 4: _flat4}
 
 
 class SharedCacheModel:
@@ -46,85 +120,67 @@ class SharedCacheModel:
 
     Args:
         capacity_bytes: total shared-cache capacity.
-        iterations: fixed-point iterations (converges geometrically;
-            a dozen suffices for four clients).
-        damping: under-relaxation factor in (0, 1] for stability.
     """
 
-    def __init__(
-        self,
-        capacity_bytes: float,
-        iterations: int = 16,
-        damping: float = 0.7,
-    ) -> None:
+    def __init__(self, capacity_bytes: float) -> None:
         if capacity_bytes <= 0:
             raise ConfigurationError("cache capacity must be positive")
-        if iterations < 1:
-            raise ConfigurationError("need at least one iteration")
-        if not 0.0 < damping <= 1.0:
-            raise ConfigurationError("damping must be in (0, 1]")
         self._capacity = capacity_bytes
-        self._iterations = iterations
-        self._damping = damping
 
     @property
     def capacity_bytes(self) -> float:
         """Total shared capacity."""
         return self._capacity
 
-    def solve(self, clients: list[CacheClient]) -> list[CacheShare]:
+    def solve(
+        self, rates: Sequence[float], curves: Sequence[MissRatioCurve]
+    ) -> tuple[list[float], list[float]]:
         """Resolve shares and miss ratios for a set of co-runners.
 
-        A single client receives the whole cache.  Clients with zero
-        access rate hold no cache.  The fixed point iterates:
+        Args:
+            rates: each client's L2 accesses per second at its current
+                speed (non-negative).
+            curves: each client's miss-ratio curve, in the same order.
+
+        Returns:
+            ``(shares_bytes, miss_ratios)``, one entry per client.
+
+        A single active client receives the whole cache.  Clients with
+        zero access rate hold no cache.  The fixed point iterates:
 
         ``share_i ∝ access_rate_i * miss_ratio_i(share_i)``
 
         with under-relaxation, then evaluates each client's MRC at its
         converged share.
         """
-        if not clients:
-            return []
-        active = [c for c in clients if c.access_rate_per_s > 0]
-        if not active:
-            return [CacheShare(c.name, 0.0, c.mrc.miss_ratio(0.0)) for c in clients]
+        capacity = self._capacity
+        kernel = _FLAT_KERNELS.get(len(rates))
+        if kernel is not None and all(rate > 0.0 for rate in rates):
+            return kernel(capacity, rates, curves)
+        if any(rate < 0 for rate in rates):
+            raise ConfigurationError("access rate must be non-negative")
+        active = [index for index, rate in enumerate(rates) if rate > 0]
+        shares = [0.0] * len(rates)
         if len(active) == 1:
-            only = active[0]
-            shares = {only.name: self._capacity}
-        else:
-            shares = {c.name: self._capacity / len(active) for c in active}
-            for _ in range(self._iterations):
-                weights = {}
-                for client in active:
-                    miss = client.mrc.miss_ratio(shares[client.name])
-                    # Insertion rate; epsilon keeps fully-fitting clients
-                    # from collapsing to zero share (they still own their
-                    # resident working set).
-                    weights[client.name] = client.access_rate_per_s * max(miss, 1e-4)
-                total_weight = sum(weights.values())
-                for client in active:
-                    target = self._capacity * weights[client.name] / total_weight
-                    current = shares[client.name]
-                    shares[client.name] = (
-                        current + (target - current) * self._damping
-                    )
-        results = []
-        for client in clients:
-            share = shares.get(client.name, 0.0)
-            results.append(
-                CacheShare(
-                    name=client.name,
-                    capacity_bytes=share,
-                    miss_ratio=client.mrc.miss_ratio(share),
-                )
-            )
-        return results
+            shares[active[0]] = capacity
+        elif active:
+            for index in active:
+                shares[index] = capacity / len(active)
+            for _ in range(ITERATIONS):
+                weights = [
+                    rates[index] * max(curves[index].miss_ratio(shares[index]), MISS_FLOOR)
+                    for index in active
+                ]
+                total_weight = sum(weights)
+                for index, weight in zip(active, weights):
+                    current = shares[index]
+                    target = capacity * weight / total_weight
+                    shares[index] = current + (target - current) * DAMPING
+        return shares, [curve.miss_ratio(share) for curve, share in zip(curves, shares)]
 
-    def total_miss_rate_per_s(self, clients: list[CacheClient]) -> float:
+    def total_miss_rate_per_s(
+        self, rates: Sequence[float], curves: Sequence[MissRatioCurve]
+    ) -> float:
         """Aggregate miss rate (misses/second) of a co-running set."""
-        shares = self.solve(clients)
-        by_name = {share.name: share for share in shares}
-        return sum(
-            client.access_rate_per_s * by_name[client.name].miss_ratio
-            for client in clients
-        )
+        _, miss_ratios = self.solve(rates, curves)
+        return sum(rate * miss for rate, miss in zip(rates, miss_ratios))

@@ -22,16 +22,32 @@ The fixed point couples 1–3 (shares depend on access rates, rates on
 IPC, IPC on latency, latency on total demand) and converges in a handful
 of damped iterations.  Results are memoized: within a batch run the
 (running apps, control state) pair recurs for thousands of windows.
+
+A memo miss is still the costliest call of a cold cell: a bisection over
+utilization whose every point runs ``IPC_SWEEPS`` cache-sharing solves.
+It is written for speed under one exactness contract, shared with
+:mod:`repro.cache.sharing`: only values are hoisted (per-app constants,
+the first sweep's cache split, which no latency changes), never
+operations.  Each expression keeps its operations and their left-to-right
+order — the access rate stays ``frequency_hz * ipc * apki / 1000.0`` —
+and sums keep their order, so every output bit matches the plain
+per-client loop the tests keep as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.sharing import CacheClient, SharedCacheModel
+from repro.cache.sharing import SharedCacheModel
 from repro.errors import ConfigurationError
 from repro.units import CACHE_LINE_BYTES
 from repro.workloads.profiles import AppProfile
+
+#: Bisection steps on channel utilization per evaluation.
+BISECTION_STEPS = 24
+#: Damped IPC sweeps per fixed memory latency, one cache-sharing solve
+#: each.
+IPC_SWEEPS = 8
 
 
 @dataclass(frozen=True)
@@ -130,6 +146,71 @@ def _idle_result(app_names: tuple[str, ...]) -> WindowResult:
     )
 
 
+class _FixedLatencyRates:
+    """IPC, miss ratios and demand of one app set at a pinned latency.
+
+    Built once per :meth:`WindowModel._solve`: it holds the per-app
+    constants of that call and the first sweep's cache split.  The first
+    IPC sweep starts from ``ipc = 1 / CPI_base`` whatever the latency, so
+    its access rates, and therefore its shares and miss ratios, are the
+    same at every bisection point; solving it once here instead of once
+    per point cuts a bisected evaluation from 26 x ``IPC_SWEEPS`` = 208
+    solves to 183.
+    """
+
+    def __init__(
+        self,
+        apps: list[AppProfile],
+        frequency_hz: float,
+        frequency_scale: float,
+        cache_model: SharedCacheModel,
+    ) -> None:
+        self._frequency_hz = frequency_hz
+        self._solve = cache_model.solve
+        self._curves = [app.mrc for app in apps]
+        self._apkis = [app.apki for app in apps]
+        self._cpis = [app.cpi_base for app in apps]
+        self._mlps = [app.mlp for app in apps]
+        self._mpi_per_miss = [app.apki / 1000.0 for app in apps]
+        self._traffic = [
+            1.0 + app.spec_traffic_frac * frequency_scale + app.write_frac for app in apps
+        ]
+        self._first_ipc = [1.0 / cpi for cpi in self._cpis]
+        _, self._first_miss = self._solve(
+            self._access_rates(self._first_ipc), self._curves
+        )
+
+    def _access_rates(self, ipc: list[float]) -> list[float]:
+        frequency_hz = self._frequency_hz
+        return [frequency_hz * x * apki / 1000.0 for x, apki in zip(ipc, self._apkis)]
+
+    def at_latency(self, latency_s: float) -> tuple[list[float], list[float], float]:
+        """IPC, miss ratios and total demand (bytes/s) at one latency.
+
+        With the latency pinned, the only remaining coupling is between
+        cache shares and access rates, which converges quickly under
+        damping.
+        """
+        frequency_hz = self._frequency_hz
+        cpis, mlps, mpi_per_miss = self._cpis, self._mlps, self._mpi_per_miss
+        latency_cycles = latency_s * frequency_hz
+        ipc = self._first_ipc
+        miss_ratio = self._first_miss
+        for sweep in range(IPC_SWEEPS):
+            if sweep:
+                _, miss_ratio = self._solve(self._access_rates(ipc), self._curves)
+            ipc = [
+                x + (1.0 / (cpi + per_miss * miss * latency_cycles / mlp) - x) * 0.6
+                for x, cpi, per_miss, miss, mlp in zip(
+                    ipc, cpis, mpi_per_miss, miss_ratio, mlps
+                )
+            ]
+        demand = 0.0
+        for x, per_miss, miss, traffic in zip(ipc, mpi_per_miss, miss_ratio, self._traffic):
+            demand += frequency_hz * x * (per_miss * miss * CACHE_LINE_BYTES * traffic)
+        return ipc, miss_ratio, demand
+
+
 class WindowModel:
     """Evaluates one control state for one set of co-running applications.
 
@@ -138,10 +219,10 @@ class WindowModel:
         max_frequency_hz: the platform's top core frequency (reference
             cycles for the ambient model use this).
         envelope: the memory latency/bandwidth envelope.
-        iterations: fixed-point iterations.
-        memoize: cache results by (apps, control state).  The evaluation
-            is deterministic, so this is exact, and it is what makes
-            thousand-second batch runs fast.
+
+    Results are memoized by (apps, control state).  The evaluation is
+    deterministic, so this is exact, and it is what makes thousand-second
+    batch runs fast.
     """
 
     def __init__(
@@ -149,16 +230,10 @@ class WindowModel:
         l2_capacity_bytes: float = 4 * 1024 * 1024,
         max_frequency_hz: float = 3.2e9,
         envelope: MemoryEnvelope | None = None,
-        iterations: int = 24,
-        memoize: bool = True,
     ) -> None:
-        if iterations < 1:
-            raise ConfigurationError("need at least one iteration")
         self._l2_capacity = l2_capacity_bytes
         self._max_frequency_hz = max_frequency_hz
         self._envelope = envelope if envelope is not None else MemoryEnvelope()
-        self._iterations = iterations
-        self._memoize = memoize
         self._cache: dict[tuple, WindowResult] = {}
         self._cache_model = SharedCacheModel(l2_capacity_bytes)
 
@@ -210,23 +285,19 @@ class WindowModel:
         )
         if off:
             return _idle_result(names)
-        key = None
-        if self._memoize:
-            key = (
-                tuple(sorted(names)),
-                round(frequency_hz),
-                None
-                if bandwidth_cap_bytes_per_s is None
-                else round(bandwidth_cap_bytes_per_s),
-                cache_capacity_override_bytes,
-            )
-            cached = self._cache.get(key)
-            if cached is not None:
-                return self._reorder(cached, names)
-        result = self._solve(
-            apps, frequency_hz, bandwidth_cap_bytes_per_s, cache_capacity_override_bytes
+        key = (
+            tuple(sorted(names)),
+            round(frequency_hz),
+            None
+            if bandwidth_cap_bytes_per_s is None
+            else round(bandwidth_cap_bytes_per_s),
+            cache_capacity_override_bytes,
         )
-        if key is not None:
+        result = self._cache.get(key)
+        if result is None:
+            result = self._solve(
+                apps, frequency_hz, bandwidth_cap_bytes_per_s, cache_capacity_override_bytes
+            )
             self._cache[key] = result
         return self._reorder(result, names)
 
@@ -247,48 +318,6 @@ class WindowModel:
             utilization=result.utilization,
             latency_s=result.latency_s,
         )
-
-    def _rates_at_latency(
-        self,
-        apps: list[AppProfile],
-        frequency_hz: float,
-        latency_s: float,
-        cache_model: SharedCacheModel,
-        frequency_scale: float,
-    ) -> tuple[list[float], list[float], float]:
-        """IPC and miss ratios at a fixed memory latency.
-
-        With the latency pinned, the only remaining coupling is between
-        cache shares and access rates, which converges quickly under
-        damping.  Returns (ipc, miss_ratio, total demand in bytes/s).
-        """
-        count = len(apps)
-        ipc = [1.0 / app.cpi_base for app in apps]
-        miss_ratio = [app.mrc.miss_ratio(cache_model.capacity_bytes / count) for app in apps]
-        latency_cycles = latency_s * frequency_hz
-        for _ in range(8):
-            clients = [
-                CacheClient(
-                    name=f"{app.name}#{index}",
-                    access_rate_per_s=frequency_hz * ipc[index] * app.apki / 1000.0,
-                    mrc=app.mrc,
-                )
-                for index, app in enumerate(apps)
-            ]
-            shares = cache_model.solve(clients)
-            miss_ratio = [share.miss_ratio for share in shares]
-            for index, app in enumerate(apps):
-                mpi = app.apki / 1000.0 * miss_ratio[index]
-                stall_cpi = mpi * latency_cycles / app.mlp
-                target_ipc = 1.0 / (app.cpi_base + stall_cpi)
-                ipc[index] += (target_ipc - ipc[index]) * 0.6
-        demand = 0.0
-        for index, app in enumerate(apps):
-            mpi = app.apki / 1000.0 * miss_ratio[index]
-            spec = 1.0 + app.spec_traffic_frac * frequency_scale
-            bytes_per_instr = mpi * CACHE_LINE_BYTES * (spec + app.write_frac)
-            demand += frequency_hz * ipc[index] * bytes_per_instr
-        return ipc, miss_ratio, demand
 
     def _solve(
         self,
@@ -315,11 +344,10 @@ class WindowModel:
             if cache_override is None
             else SharedCacheModel(cache_override)
         )
+        rates = _FixedLatencyRates(apps, frequency_hz, frequency_scale, cache_model)
         rho_max = envelope.rho_max
         scale = 1.0
-        ipc, miss_ratio, demand = self._rates_at_latency(
-            apps, frequency_hz, envelope.latency_s(rho_max), cache_model, frequency_scale
-        )
+        ipc, miss_ratio, demand = rates.at_latency(envelope.latency_s(rho_max))
         if demand >= rho_max * effective_peak:
             utilization = rho_max
             latency = envelope.latency_s(rho_max)
@@ -327,20 +355,16 @@ class WindowModel:
                 scale = rho_max * effective_peak / demand
         else:
             lo, hi = 0.0, rho_max
-            for _ in range(self._iterations):
+            for _ in range(BISECTION_STEPS):
                 mid = (lo + hi) / 2.0
-                _, _, demand_mid = self._rates_at_latency(
-                    apps, frequency_hz, envelope.latency_s(mid), cache_model, frequency_scale
-                )
+                _, _, demand_mid = rates.at_latency(envelope.latency_s(mid))
                 if demand_mid > mid * effective_peak:
                     lo = mid
                 else:
                     hi = mid
             utilization = (lo + hi) / 2.0
             latency = envelope.latency_s(utilization)
-            ipc, miss_ratio, _ = self._rates_at_latency(
-                apps, frequency_hz, latency, cache_model, frequency_scale
-            )
+            ipc, miss_ratio, _ = rates.at_latency(latency)
         slots = []
         total_read = 0.0
         total_write = 0.0

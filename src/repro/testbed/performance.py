@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.sharing import CacheClient, SharedCacheModel
+from repro.cache.sharing import SharedCacheModel
 from repro.core.windowmodel import MemoryEnvelope
 from repro.errors import ConfigurationError
 from repro.testbed.linux import TimeSliceModel
@@ -293,16 +293,12 @@ class ServerWindowModel:
         for app in apps:
             mpi = app.misses_per_instruction(self._platform.l2_per_socket_bytes / 2)
             ipc_estimates.append(1.0 / (app.cpi_base + mpi * latency_cycles / app.mlp))
-        clients = [
-            CacheClient(
-                name=f"{app.name}#{index}",
-                access_rate_per_s=frequency_hz * ipc_estimates[index] * app.apki / 1000.0,
-                mrc=app.mrc,
-            )
-            for index, app in enumerate(apps)
+        rates = [
+            frequency_hz * ipc * app.apki / 1000.0
+            for ipc, app in zip(ipc_estimates, apps)
         ]
-        solved = self._cache_model.solve(clients)
-        return [share.capacity_bytes for share in solved]
+        shares, _ = self._cache_model.solve(rates, [app.mrc for app in apps])
+        return shares
 
     def _program_rate(
         self,

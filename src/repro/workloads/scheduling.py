@@ -14,7 +14,7 @@ performance.
 
 from __future__ import annotations
 
-from repro.cache.sharing import CacheClient, SharedCacheModel
+from repro.cache.sharing import SharedCacheModel
 from repro.errors import SchedulingError
 from repro.workloads.batch import BatchJob, BatchScheduler
 from repro.workloads.mixes import WorkloadMix
@@ -33,16 +33,10 @@ def predicted_miss_rate(
     """
     if not apps:
         return 0.0
-    model = SharedCacheModel(cache_capacity_bytes)
-    clients = [
-        CacheClient(
-            name=f"{app.name}#{index}",
-            access_rate_per_s=frequency_hz / app.cpi_base * app.apki / 1000.0,
-            mrc=app.mrc,
-        )
-        for index, app in enumerate(apps)
-    ]
-    return model.total_miss_rate_per_s(clients)
+    rates = [frequency_hz / app.cpi_base * app.apki / 1000.0 for app in apps]
+    return SharedCacheModel(cache_capacity_bytes).total_miss_rate_per_s(
+        rates, [app.mrc for app in apps]
+    )
 
 
 class CacheAwareScheduler(BatchScheduler):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache.mrc import MissRatioCurve, measured_mrc
 from repro.cache.setassoc import SetAssociativeCache
-from repro.cache.sharing import CacheClient, SharedCacheModel
+from repro.cache.sharing import SharedCacheModel
 from repro.errors import ConfigurationError
 
 MB = 1024 * 1024
@@ -111,45 +111,73 @@ def test_measured_mrc_monotone():
     assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
+def oracle_solve(capacity, rates, curves):
+    """The readable per-client fixed point that ``SharedCacheModel.solve``
+    must match bit for bit (flat kernels and generic loop alike)."""
+    active = [index for index, rate in enumerate(rates) if rate > 0]
+    shares = {}
+    if len(active) == 1:
+        shares[active[0]] = capacity
+    elif active:
+        shares = {index: capacity / len(active) for index in active}
+        for _ in range(16):
+            weights = {}
+            for index in active:
+                miss = curves[index].miss_ratio(shares[index])
+                weights[index] = rates[index] * max(miss, 1e-4)
+            total_weight = sum(weights.values())
+            for index in active:
+                target = capacity * weights[index] / total_weight
+                current = shares[index]
+                shares[index] = current + (target - current) * 0.7
+    resolved = [shares.get(index, 0.0) for index in range(len(rates))]
+    return resolved, [curve.miss_ratio(share) for curve, share in zip(curves, resolved)]
+
+
 def test_single_client_gets_whole_cache():
     model = SharedCacheModel(4 * MB)
     curve = MissRatioCurve(0.8, 0.2, 1 * MB)
-    [share] = model.solve([CacheClient("a", 1e9, curve)])
-    assert share.capacity_bytes == pytest.approx(4 * MB)
+    [share], _ = model.solve([1e9], [curve])
+    assert share == pytest.approx(4 * MB)
 
 
 def test_shares_sum_to_capacity():
     model = SharedCacheModel(4 * MB)
     curve = MissRatioCurve(0.8, 0.2, 1 * MB)
-    clients = [CacheClient(f"c{i}", 1e9, curve) for i in range(4)]
-    shares = model.solve(clients)
-    assert sum(s.capacity_bytes for s in shares) == pytest.approx(4 * MB, rel=1e-6)
+    shares, _ = model.solve([1e9] * 4, [curve] * 4)
+    assert sum(shares) == pytest.approx(4 * MB, rel=1e-6)
 
 
 def test_equal_clients_get_equal_shares():
     model = SharedCacheModel(4 * MB)
     curve = MissRatioCurve(0.8, 0.2, 1 * MB)
-    shares = model.solve([CacheClient("a", 1e9, curve), CacheClient("b", 1e9, curve)])
-    assert shares[0].capacity_bytes == pytest.approx(shares[1].capacity_bytes, rel=1e-6)
+    shares, _ = model.solve([1e9, 1e9], [curve, curve])
+    assert shares[0] == pytest.approx(shares[1], rel=1e-6)
+
+
+def test_identical_co_runners_split_the_cache():
+    """Clients are positional: two identical co-runners are two clients
+    and split the cache, never both own all of it."""
+    model = SharedCacheModel(4 * MB)
+    curve = MissRatioCurve(0.8, 0.2, 1 * MB)
+    shares, _ = model.solve([1e9, 1e9], [curve, curve])
+    assert shares == [2 * MB, 2 * MB]
+    assert sum(shares) == 4 * MB
 
 
 def test_hungrier_client_takes_more():
     model = SharedCacheModel(4 * MB)
     curve = MissRatioCurve(0.8, 0.2, 1 * MB)
-    shares = model.solve(
-        [CacheClient("hungry", 4e9, curve), CacheClient("light", 1e9, curve)]
-    )
-    by_name = {s.name: s for s in shares}
-    assert by_name["hungry"].capacity_bytes > by_name["light"].capacity_bytes
+    (hungry, light), _ = model.solve([4e9, 1e9], [curve, curve])
+    assert hungry > light
 
 
 def test_idle_client_holds_nothing():
     model = SharedCacheModel(4 * MB)
     curve = MissRatioCurve(0.8, 0.2, 1 * MB)
-    shares = model.solve([CacheClient("busy", 1e9, curve), CacheClient("idle", 0.0, curve)])
-    by_name = {s.name: s for s in shares}
-    assert by_name["idle"].capacity_bytes == 0.0
-    assert by_name["busy"].capacity_bytes == pytest.approx(4 * MB)
+    (busy, idle), _ = model.solve([1e9, 0.0], [curve, curve])
+    assert idle == 0.0
+    assert busy == pytest.approx(4 * MB)
 
 
 def test_fewer_clients_lower_miss_ratio():
@@ -157,26 +185,30 @@ def test_fewer_clients_lower_miss_ratio():
     ratio through bigger shares."""
     model = SharedCacheModel(4 * MB)
     curve = MissRatioCurve(0.8, 0.2, 1 * MB, alpha=1.3)
-    four = model.solve([CacheClient(f"c{i}", 1e9, curve) for i in range(4)])
-    two = model.solve([CacheClient(f"c{i}", 1e9, curve) for i in range(2)])
-    assert two[0].miss_ratio < four[0].miss_ratio
+    _, four = model.solve([1e9] * 4, [curve] * 4)
+    _, two = model.solve([1e9] * 2, [curve] * 2)
+    assert two[0] < four[0]
 
 
 def test_total_miss_rate_decreases_with_fewer_clients():
     model = SharedCacheModel(4 * MB)
     curve = MissRatioCurve(0.8, 0.2, 1 * MB, alpha=1.3)
-    four = model.total_miss_rate_per_s(
-        [CacheClient(f"c{i}", 1e9, curve) for i in range(4)]
-    )
-    two = model.total_miss_rate_per_s(
-        [CacheClient(f"c{i}", 1e9, curve) for i in range(2)]
-    )
+    four = model.total_miss_rate_per_s([1e9] * 4, [curve] * 4)
+    two = model.total_miss_rate_per_s([1e9] * 2, [curve] * 2)
     # Aggregate miss rate per client is lower with fewer co-runners.
     assert two / 2 < four / 4
 
 
 def test_empty_client_list():
-    assert SharedCacheModel(4 * MB).solve([]) == []
+    assert SharedCacheModel(4 * MB).solve([], []) == ([], [])
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+def test_negative_rate_rejected(count):
+    curve = MissRatioCurve(0.8, 0.2, 1 * MB)
+    rates = [1e9] * (count - 1) + [-1.0]
+    with pytest.raises(ConfigurationError):
+        SharedCacheModel(4 * MB).solve(rates, [curve] * count)
 
 
 @settings(deadline=None, max_examples=30)
@@ -186,7 +218,40 @@ def test_empty_client_list():
 def test_shares_never_exceed_capacity(rates):
     model = SharedCacheModel(4 * MB)
     curve = MissRatioCurve(0.9, 0.1, 1 * MB)
-    clients = [CacheClient(f"c{i}", rate, curve) for i, rate in enumerate(rates)]
-    shares = model.solve(clients)
-    assert sum(s.capacity_bytes for s in shares) <= 4 * MB * 1.001
-    assert all(0 <= s.miss_ratio <= 1 for s in shares)
+    shares, miss_ratios = model.solve(rates, [curve] * len(rates))
+    assert sum(shares) <= 4 * MB * 1.001
+    assert all(0 <= miss <= 1 for miss in miss_ratios)
+
+
+_curves = st.builds(
+    lambda peak, floor_frac, c_half, alpha: MissRatioCurve(
+        peak, peak * floor_frac, c_half, alpha
+    ),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=16 * 1024, max_value=64 * MB),
+    st.floats(min_value=0.2, max_value=3.0),
+)
+#: About one client in four idles (zero rate); the rest span eight decades.
+_rates = st.tuples(st.integers(0, 3), st.floats(min_value=1e3, max_value=1e11)).map(
+    lambda drawn: 0.0 if drawn[0] == 0 else drawn[1]
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.tuples(_rates, _curves), min_size=1, max_size=6),
+    # Not only powers of two: scaling by one of those is exact, which
+    # would hide a reassociated ``capacity * weight / total``.
+    st.floats(min_value=256 * 1024, max_value=16 * MB),
+)
+def test_solve_matches_oracle_bit_for_bit(clients, capacity):
+    """Every path (flat 2/3/4-client kernels, generic loop, one client,
+    idle clients) reproduces the oracle exactly, including the
+    compensated ``sum()`` of weights spanning eight decades."""
+    rates = [rate for rate, _ in clients]
+    curves = [curve for _, curve in clients]
+    expected = oracle_solve(capacity, rates, curves)
+    assert SharedCacheModel(capacity).solve(rates, curves) == expected
+    total = sum(rate * miss for rate, miss in zip(rates, expected[1]))
+    assert SharedCacheModel(capacity).total_miss_rate_per_s(rates, curves) == total

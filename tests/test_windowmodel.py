@@ -1,11 +1,15 @@
 """Level-1 analytic window model."""
 
-import pytest
+import random
 
-from repro.core.windowmodel import MemoryEnvelope, WindowModel
+import pytest
+from test_cache import oracle_solve
+
+from repro.core.windowmodel import MemoryEnvelope, SlotResult, WindowModel, WindowResult
 from repro.errors import ConfigurationError
+from repro.units import CACHE_LINE_BYTES
 from repro.workloads.mixes import get_mix
-from repro.workloads.profiles import get_app
+from repro.workloads.profiles import all_apps, get_app
 
 F_MAX = 3.2e9
 
@@ -168,3 +172,100 @@ def test_clear_cache():
     model.evaluate([get_app("swim")], F_MAX)
     model.clear_cache()
     assert model.cache_entries == 0
+
+
+def _oracle_rates_at_latency(apps, frequency_hz, latency_s, capacity, frequency_scale):
+    """Plain per-client IPC sweeps at a pinned latency: every sweep,
+    including the latency-free first one, solves the cache split."""
+    ipc = [1.0 / app.cpi_base for app in apps]
+    latency_cycles = latency_s * frequency_hz
+    for _ in range(8):
+        rates = [
+            frequency_hz * ipc[index] * app.apki / 1000.0
+            for index, app in enumerate(apps)
+        ]
+        _, miss_ratio = oracle_solve(capacity, rates, [app.mrc for app in apps])
+        for index, app in enumerate(apps):
+            mpi = app.apki / 1000.0 * miss_ratio[index]
+            stall_cpi = mpi * latency_cycles / app.mlp
+            target_ipc = 1.0 / (app.cpi_base + stall_cpi)
+            ipc[index] += (target_ipc - ipc[index]) * 0.6
+    demand = 0.0
+    for index, app in enumerate(apps):
+        mpi = app.apki / 1000.0 * miss_ratio[index]
+        spec = 1.0 + app.spec_traffic_frac * frequency_scale
+        bytes_per_instr = mpi * CACHE_LINE_BYTES * (spec + app.write_frac)
+        demand += frequency_hz * ipc[index] * bytes_per_instr
+    return ipc, miss_ratio, demand
+
+
+def _oracle_window(apps, frequency_hz, cap, capacity):
+    """The level-1 bisection built on the oracle sweeps (default envelope)."""
+    envelope = MemoryEnvelope()
+    effective_peak = envelope.peak_bandwidth_bytes_per_s
+    if cap is not None:
+        effective_peak = min(effective_peak, cap)
+    frequency_scale = frequency_hz / F_MAX
+    rho_max = envelope.rho_max
+    scale = 1.0
+    ipc, miss_ratio, demand = _oracle_rates_at_latency(
+        apps, frequency_hz, envelope.latency_s(rho_max), capacity, frequency_scale
+    )
+    if demand >= rho_max * effective_peak:
+        utilization = rho_max
+        latency = envelope.latency_s(rho_max)
+        if demand > 0:
+            scale = rho_max * effective_peak / demand
+    else:
+        lo, hi = 0.0, rho_max
+        for _ in range(24):
+            mid = (lo + hi) / 2.0
+            _, _, demand_mid = _oracle_rates_at_latency(
+                apps, frequency_hz, envelope.latency_s(mid), capacity, frequency_scale
+            )
+            if demand_mid > mid * effective_peak:
+                lo = mid
+            else:
+                hi = mid
+        utilization = (lo + hi) / 2.0
+        latency = envelope.latency_s(utilization)
+        ipc, miss_ratio, _ = _oracle_rates_at_latency(
+            apps, frequency_hz, latency, capacity, frequency_scale
+        )
+    slots = []
+    total_read = total_write = 0.0
+    for index, app in enumerate(apps):
+        ips = frequency_hz * ipc[index] * scale
+        accesses = ips * app.apki / 1000.0
+        misses = accesses * miss_ratio[index]
+        spec = 1.0 + app.spec_traffic_frac * frequency_scale
+        read_bps = misses * CACHE_LINE_BYTES * spec
+        write_bps = misses * CACHE_LINE_BYTES * app.write_frac
+        total_read += read_bps
+        total_write += write_bps
+        slots.append(
+            SlotResult(app.name, ips, ipc[index] * scale, accesses, misses, read_bps, write_bps)
+        )
+    return WindowResult(tuple(slots), total_read, total_write, min(utilization, 1.0), latency)
+
+
+def test_evaluate_matches_oracle_bit_for_bit():
+    """A cold evaluation (hoisted first sweep, flat sharing kernels)
+    equals the plain per-client model exactly, for a seeded sample of
+    (apps, frequency, cap, cache override) keys covering 1-4 co-runners,
+    saturated and bisected operating points."""
+    rng = random.Random(20070609)
+    saturated = set()
+    for index in range(16):
+        mix_apps = get_mix(f"W{index % 8 + 1}").apps
+        apps = rng.sample(mix_apps, rng.randint(1, len(mix_apps)))
+        frequency = rng.choice([3.2e9, 2.8e9, 2.4e9, 1.6e9, 0.8e9])
+        cap = rng.choice([None, 1.6e9, 3.2e9, 6.4e9, 12.8e9])
+        override = rng.choice([None, 2 * 1024 * 1024])
+        capacity = 4 * 1024 * 1024 if override is None else override
+        result = WindowModel().evaluate(
+            apps, frequency, cap, cache_capacity_override_bytes=override
+        )
+        assert result == _oracle_window(apps, frequency, cap, capacity)
+        saturated.add(result.utilization == MemoryEnvelope().rho_max)
+    assert saturated == {True, False}
