@@ -50,10 +50,13 @@ Routes (v1):
   by any route of this service *and* sliced worker cells, so a
   coordinator can watch its fleet warm up cell by cell.
 
-GET passes axes as query parameters (comma-separated lists, e.g.
-``?grid=ch4&mixes=W1,W2&policies=ts,acg``); POST passes a JSON object
-(the ``type`` tag is implied by the route).  Library errors return
-``400 {"schema_version": ..., "error": ...}``; unknown routes 404;
+GET passes request fields as query parameters, typed by the one request
+schema in :mod:`repro.api.requests` exactly as CLI flags and ``jobs
+submit --set`` are (lists comma-separated, e.g.
+``?grid=ch4&mixes=W1,W2``); POST passes a JSON object (the route
+implies the ``type`` tag).  Every field is checked before any work
+starts; library errors return ``400 {"schema_version": ..., "error":
+...}`` naming the bad field or value; unknown routes 404;
 refusals carry machine-readable fields (``retry_after_s``, ``reason``).
 
 Concurrency is bounded: the server remains threaded (cheap routes and
@@ -89,7 +92,7 @@ from repro.api.envelope import (
     results_document,
     scenarios_document,
 )
-from repro.api.requests import request_from_dict
+from repro.api.requests import request_from_dict, request_from_text
 from repro.campaign import spec_kinds_with_types
 from repro.cluster.wire import WIRE_VERSION, cell_from_wire
 from repro.engine.progress import PROGRESS
@@ -100,10 +103,6 @@ from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.slo import slo_document
 from repro.obs.trace import TRACE_HEADER, TRACER, chrome_trace
 
-#: Query parameters parsed as integers.
-_INT_FIELDS = frozenset({"copies", "jobs"})
-#: Query parameters parsed as comma-separated lists.
-_LIST_FIELDS = frozenset({"mixes", "policies", "variants", "names"})
 #: Route path -> request ``type`` tag.
 _RUN_ROUTES = {
     "/v1/simulate": "simulate",
@@ -114,25 +113,9 @@ _RUN_ROUTES = {
 }
 
 
-def _params_from_query(query: str) -> dict:
-    """Decode query parameters into request-field values."""
-    params: dict = {}
-    for key, value in parse_qsl(query, keep_blank_values=True):
-        if key in _INT_FIELDS:
-            try:
-                params[key] = int(value)
-            except ValueError:
-                raise ConfigurationError(
-                    f"query parameter {key!r} must be an integer, "
-                    f"got {value!r}"
-                )
-        elif key in _LIST_FIELDS:
-            params[key] = [
-                item.strip() for item in value.split(",") if item.strip()
-            ]
-        else:
-            params[key] = value
-    return params
+def _params_from_query(query: str) -> dict[str, str]:
+    """Query parameters as text (a repeated key keeps its last value)."""
+    return dict(parse_qsl(query, keep_blank_values=True))
 
 
 def _route_label(path: str) -> str:
@@ -291,13 +274,14 @@ class _Handler(BaseHTTPRequestHandler):
             self._trace(url.path)
         elif url.path in _RUN_ROUTES:
             params = _params_from_query(url.query)
-            self._run(_RUN_ROUTES[url.path], params)
+            self._run(request_from_text(_RUN_ROUTES[url.path], params))
         else:
             self._error(404, f"unknown route {url.path!r}")
 
     def _route_post(self, url) -> None:
         if url.path in _RUN_ROUTES:
-            self._run(_RUN_ROUTES[url.path], self._read_json_body())
+            body = self._read_json_body()
+            self._run(request_from_dict({**body, "type": _RUN_ROUTES[url.path]}))
         elif url.path == "/v1/worker/run":
             self._worker_run(self._read_json_body())
         elif url.path == "/v1/jobs":
@@ -573,9 +557,8 @@ class _Handler(BaseHTTPRequestHandler):
             200, {"schema_version": SCHEMA_VERSION, "results": results}
         )
 
-    def _run(self, type_tag: str, params: dict) -> None:
-        params.pop("type", None)
-        request = request_from_dict({"type": type_tag, **params})
+    def _run(self, request) -> None:
+        type_tag = request.TYPE
         if getattr(request, "jobs", 1) != 1:
             # Forking a worker pool inside a handler thread of a
             # multithreaded server risks child deadlocks; HTTP callers

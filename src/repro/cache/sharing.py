@@ -18,10 +18,11 @@ Chapter 5 socket produces — run flat kernels over local variables.
 Every path performs the same IEEE operations in the same order on the
 same values: the miss-ratio curve's formula term by term (only the
 per-curve constant ``m_peak - m_floor`` is taken once), the weight total
-as ``sum()`` over the weights in client order (``sum()`` of floats is
-compensated since Python 3.12, so a ``+`` chain would differ there), and
-no expression is reassociated.  The flat kernels, the generic loop and
-the readable per-client oracle in the tests agree bit for bit.
+as a left-to-right ``+`` chain over the weights in client order, and no
+expression is reassociated.  No total goes through ``sum()``: since
+Python 3.12 it compensates float rounding, so its result would depend on
+the interpreter.  The flat kernels, the generic loop and the readable
+per-client oracle in the tests agree bit for bit on every version.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def _flat2(capacity, rates, curves):
         m1 = f1 + s1 / (1.0 + (x1 / h1) ** a1)
         w0 = r0 * (MISS_FLOOR if m0 < MISS_FLOOR else m0)
         w1 = r1 * (MISS_FLOOR if m1 < MISS_FLOOR else m1)
-        total = sum((w0, w1))
+        total = w0 + w1
         x0 = x0 + (capacity * w0 / total - x0) * DAMPING
         x1 = x1 + (capacity * w1 / total - x1) * DAMPING
     return [x0, x1], [c0.miss_ratio(x0), c1.miss_ratio(x1)]
@@ -73,7 +74,7 @@ def _flat3(capacity, rates, curves):
         w0 = r0 * (MISS_FLOOR if m0 < MISS_FLOOR else m0)
         w1 = r1 * (MISS_FLOOR if m1 < MISS_FLOOR else m1)
         w2 = r2 * (MISS_FLOOR if m2 < MISS_FLOOR else m2)
-        total = sum((w0, w1, w2))
+        total = w0 + w1 + w2
         x0 = x0 + (capacity * w0 / total - x0) * DAMPING
         x1 = x1 + (capacity * w1 / total - x1) * DAMPING
         x2 = x2 + (capacity * w2 / total - x2) * DAMPING
@@ -100,7 +101,7 @@ def _flat4(capacity, rates, curves):
         w1 = r1 * (MISS_FLOOR if m1 < MISS_FLOOR else m1)
         w2 = r2 * (MISS_FLOOR if m2 < MISS_FLOOR else m2)
         w3 = r3 * (MISS_FLOOR if m3 < MISS_FLOOR else m3)
-        total = sum((w0, w1, w2, w3))
+        total = w0 + w1 + w2 + w3
         x0 = x0 + (capacity * w0 / total - x0) * DAMPING
         x1 = x1 + (capacity * w1 / total - x1) * DAMPING
         x2 = x2 + (capacity * w2 / total - x2) * DAMPING
@@ -171,7 +172,9 @@ class SharedCacheModel:
                     rates[index] * max(curves[index].miss_ratio(shares[index]), MISS_FLOOR)
                     for index in active
                 ]
-                total_weight = sum(weights)
+                total_weight = 0.0
+                for weight in weights:
+                    total_weight += weight
                 for index, weight in zip(active, weights):
                     current = shares[index]
                     target = capacity * weight / total_weight
@@ -183,4 +186,7 @@ class SharedCacheModel:
     ) -> float:
         """Aggregate miss rate (misses/second) of a co-running set."""
         _, miss_ratios = self.solve(rates, curves)
-        return sum(rate * miss for rate, miss in zip(rates, miss_ratios))
+        total = 0.0
+        for rate, miss in zip(rates, miss_ratios):
+            total += rate * miss
+        return total

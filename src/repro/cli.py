@@ -77,7 +77,6 @@ import urllib.request
 from pathlib import Path
 
 from repro.analysis.campaigns import CAMPAIGN_GRIDS
-from repro.analysis.specs import CHAPTER4_POLICY_CHOICES, CHAPTER5_POLICIES
 from repro.analysis.tables import format_csv, format_series, format_table
 from repro.api import (
     REQUEST_TYPES,
@@ -92,6 +91,12 @@ from repro.api import (
     results_document,
     scenarios_document,
     serve,
+)
+from repro.api.requests import (
+    REQUEST_SCHEMA,
+    request_from_text,
+    request_to_dict,
+    split_names,
 )
 from repro.campaign import (
     CACHE_VERSION,
@@ -117,7 +122,6 @@ from repro.obs import (
     with_overrides,
 )
 from repro.obs.slo import BREACH, NO_DATA, parse_overrides
-from repro.params.thermal_params import COOLING_CONFIGS
 from repro.testbed.platforms import PLATFORMS
 from repro.testbed.runner import run_homogeneous
 
@@ -154,25 +158,16 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     simulate = sub.add_parser("simulate", help="one Chapter 4 simulation run")
-    simulate.add_argument("--mix", default="W1")
-    simulate.add_argument("--policy", default="acg", choices=CHAPTER4_POLICY_CHOICES)
-    simulate.add_argument("--cooling", default="AOHS_1.5", choices=sorted(COOLING_CONFIGS))
-    simulate.add_argument("--ambient", default="isolated", choices=("isolated", "integrated"))
-    simulate.add_argument("--copies", type=int, default=2)
+    _add_request_flags(simulate, SimulateRequest)
     add_checkpoint_flags(simulate)
     add_json_flag(simulate)
 
     compare = sub.add_parser("compare", help="all Chapter 4 schemes on one mix")
-    compare.add_argument("--mix", default="W1")
-    compare.add_argument("--cooling", default="AOHS_1.5", choices=sorted(COOLING_CONFIGS))
-    compare.add_argument("--copies", type=int, default=2)
+    _add_request_flags(compare, CompareRequest)
     add_json_flag(compare)
 
     server = sub.add_parser("server", help="one Chapter 5 server measurement")
-    server.add_argument("--platform", default="PE1950", choices=sorted(PLATFORMS))
-    server.add_argument("--mix", default="W1")
-    server.add_argument("--policy", default="acg", choices=CHAPTER5_POLICIES)
-    server.add_argument("--copies", type=int, default=2)
+    _add_request_flags(server, ServerRequest)
     add_checkpoint_flags(server)
     add_json_flag(server)
 
@@ -185,41 +180,14 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign = sub.add_parser(
         "campaign", help="run a named experiment grid through the campaign engine"
     )
-    campaign.add_argument(
-        "--grid", default="ch4", choices=sorted(CAMPAIGN_GRIDS),
-        help="named grid: ch4 (simulation), ch5 (server measurement), "
-        "or scenarios (the registered library)",
-    )
-    campaign.add_argument(
-        "--mixes", default=None,
-        help="comma-separated workload mixes (default: W1, or each "
-        "scenario's own mix for the scenarios grid)",
-    )
-    campaign.add_argument(
-        "--policies", default=None,
-        help="comma-separated policies (default: every policy of the grid, "
-        "or each scenario's own policy for the scenarios grid)",
-    )
-    campaign.add_argument(
-        "--coolings", default=None,
-        help="comma-separated cooling configs (ch4 grid only; "
-        "default AOHS_1.5)",
-    )
-    campaign.add_argument(
-        "--platforms", default=None,
-        help="comma-separated server platforms (ch5 grid only; "
-        "default PE1950)",
-    )
-    campaign.add_argument(
-        "--scenarios", default=None,
-        help="comma-separated scenario names, or 'all' "
-        "(scenarios grid only; default all)",
-    )
-    campaign.add_argument("--copies", type=int, default=2)
-    campaign.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel worker processes (results are order-deterministic)",
-    )
+    # Each grid spells the variants axis its own way (--coolings, ...).
+    _add_request_flags(campaign, CampaignRequest, skip=("variants",))
+    for grid in CAMPAIGN_GRIDS.values():
+        campaign.add_argument(
+            grid.variant_flag, default=None,
+            help=f"comma-separated {grid.variant_flag[2:]} ({grid.name} "
+            f"grid only; default {grid.variant_default})",
+        )
     _add_backend_flags(campaign)
     campaign.add_argument(
         "--export", default=None, metavar="PATH",
@@ -237,11 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_json_flag(s_list)
     s_run = action.add_parser("run", help="run one or more scenarios by name")
     s_run.add_argument("names", nargs="+", metavar="NAME")
-    s_run.add_argument("--copies", type=int, default=2)
-    s_run.add_argument(
-        "--jobs", type=int, default=1,
-        help="parallel worker processes (results are order-deterministic)",
-    )
+    _add_request_flags(s_run, ScenarioRequest, skip=("names",))
     _add_backend_flags(s_run)
     s_run.add_argument(
         "--export", default=None, metavar="PATH",
@@ -394,8 +358,8 @@ def _build_parser() -> argparse.ArgumentParser:
     j_submit.add_argument(
         "--set", action="append", default=[], metavar="KEY=VALUE",
         dest="fields",
-        help="request field (repeatable); list axes are comma-separated, "
-        "e.g. --set mixes=W1,W2 --set policies=ts,acg",
+        help="request field (repeatable), parsed like the matching flag "
+        "and checked before submit, e.g. --set mixes=W1,W2 --set copies=1",
     )
     j_submit.add_argument("--tenant", default="default")
     j_submit.add_argument(
@@ -487,6 +451,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_request_flags(command: argparse.ArgumentParser, cls: type, skip=()) -> None:
+    """One ``--<field>`` flag per field of request class ``cls``.
+
+    A flag left out stays ``None`` (the field's default applies); a
+    given one is text, parsed like an HTTP query parameter.
+    """
+    for spec in REQUEST_SCHEMA[cls].values():
+        if spec.name not in skip:
+            default = "" if spec.default is None else f" (default {spec.default})"
+            command.add_argument(
+                f"--{spec.name}", choices=spec.choices, help=spec.help + default
+            )
+
+
+def _request_from_args(args: argparse.Namespace):
+    """The typed request of a run command (named after its ``type`` tag).
+
+    ``scenarios run`` names come as a positional list, and ``campaign``
+    variants from the selected grid's own flag.
+    """
+    cls = REQUEST_TYPES[args.command]
+    values = {
+        name: getattr(args, name)
+        for name in REQUEST_SCHEMA[cls]
+        if getattr(args, name, None) is not None
+    }
+    if cls is CampaignRequest:
+        grid_name = values.get("grid", REQUEST_SCHEMA[cls]["grid"].default)
+        for grid in CAMPAIGN_GRIDS.values():
+            raw = getattr(args, grid.variant_flag[2:])
+            if raw is not None and grid.name != grid_name:
+                raise ConfigurationError(
+                    f"{grid.variant_flag} does not apply to the {grid_name} grid"
+                )
+            if raw is not None:
+                values["variants"] = raw
+    return request_from_text(cls.TYPE, values)
+
+
 def _add_backend_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--backend", default=None, choices=BACKEND_CHOICES,
@@ -508,9 +511,9 @@ def _add_backend_flags(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _backend_from_args(args: argparse.Namespace):
+def _backend_from_args(args: argparse.Namespace, jobs: int):
     """Build the borrowed execution backend the flags describe (or None)."""
-    workers = tuple(_split_csv_arg(args.workers)) if args.workers else ()
+    workers = split_names(args.workers or "")
     batch_cells = getattr(args, "batch_cells", None)
     if args.backend is None:
         if workers:
@@ -520,7 +523,7 @@ def _backend_from_args(args: argparse.Namespace):
         return None
     return backend_for(
         args.backend,
-        jobs=args.jobs,
+        jobs=jobs,
         workers=workers,
         batch_cells=batch_cells,
     )
@@ -565,10 +568,7 @@ def _checkpoint_kwargs(args: argparse.Namespace) -> dict | None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    request = SimulateRequest(
-        mix=args.mix, policy=args.policy, cooling=args.cooling,
-        ambient=args.ambient, copies=args.copies,
-    )
+    request = _request_from_args(args)
     client = ReproClient()
     checkpointing = _checkpoint_kwargs(args)
     if checkpointing is None:
@@ -589,13 +589,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         ["peak DRAM (degC)", metrics["peak_dram_c"]],
         ["shutdown fraction", metrics["shutdown_fraction"]],
     ]
-    print(f"{metrics['policy']} on {args.mix} @ {args.cooling} ({args.ambient} model):\n")
+    print(f"{metrics['policy']} on {request.mix} @ {request.cooling} ({request.ambient} model):\n")
     print(format_table(["metric", "value"], rows))
     return 0
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    request = CompareRequest(mix=args.mix, cooling=args.cooling, copies=args.copies)
+    request = _request_from_args(args)
     envelopes = ReproClient().compare(request)
     if args.json:
         _print_json(results_document(envelopes))
@@ -609,16 +609,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
          metrics["peak_amb_c"]]
         for metrics in (envelope.metrics for envelope in envelopes)
     ]
-    print(f"{args.mix} @ {args.cooling}, normalized to No-limit:\n")
+    print(f"{request.mix} @ {request.cooling}, normalized to No-limit:\n")
     print(format_table(["scheme", "runtime", "traffic", "cpu E", "peak AMB"], rows))
     return 0
 
 
 def _cmd_server(args: argparse.Namespace) -> int:
-    request = ServerRequest(
-        platform=args.platform, mix=args.mix, policy=args.policy,
-        copies=args.copies,
-    )
+    request = _request_from_args(args)
     client = ReproClient()
     checkpointing = _checkpoint_kwargs(args)
     if checkpointing is None:
@@ -636,7 +633,7 @@ def _cmd_server(args: argparse.Namespace) -> int:
         ["mean inlet (degC)", metrics["mean_inlet_c"]],
         ["peak AMB (degC)", metrics["peak_amb_c"]],
     ]
-    print(f"{metrics['policy']} on {args.mix} @ {args.platform}:\n")
+    print(f"{metrics['policy']} on {request.mix} @ {request.platform}:\n")
     print(format_table(["metric", "value"], rows))
     return 0
 
@@ -672,56 +669,15 @@ def _cmd_homogeneous(args: argparse.Namespace) -> int:
     return 0
 
 
-def _split_csv_arg(raw: str) -> list[str]:
-    return [item.strip() for item in raw.split(",") if item.strip()]
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    grid = CAMPAIGN_GRIDS[args.grid]
-    all_variant_flags = {g.variant_flag for g in CAMPAIGN_GRIDS.values()}
-    for flag in sorted(all_variant_flags - {grid.variant_flag}):
-        if getattr(args, flag.lstrip("-")) is not None:
-            print(
-                f"error: {flag} does not apply to the {args.grid} grid",
-                file=sys.stderr,
-            )
-            return 2
-    raw_variants = getattr(args, grid.variant_flag.lstrip("-"))
-    request = CampaignRequest(
-        grid=args.grid,
-        mixes=(
-            tuple(_split_csv_arg(args.mixes)) if args.mixes is not None else None
-        ),
-        policies=(
-            tuple(_split_csv_arg(args.policies))
-            if args.policies is not None
-            else None
-        ),
-        variants=(
-            tuple(_split_csv_arg(raw_variants))
-            if raw_variants is not None
-            else None
-        ),
-        copies=args.copies,
-        jobs=args.jobs,
-    )
-    return _run_grid_command(
-        args, request, run="run_campaign", table="campaign_table",
-        label=f"campaign {args.grid}",
-    )
-
-
-def _run_grid_command(
-    args: argparse.Namespace,
-    request,
-    *,
-    run: str,
-    table: str,
-    label: str,
-) -> int:
-    """Shared campaign/scenarios execution: backend wiring, JSON/table."""
+def _run_grid_command(args: argparse.Namespace) -> int:
+    """``campaign`` and ``scenarios run``: backend wiring, JSON/table."""
+    request = _request_from_args(args)
+    if isinstance(request, CampaignRequest):
+        run, table, label = "run_campaign", "campaign_table", f"campaign {request.grid}"
+    else:
+        run, table, label = "run_scenarios", "scenarios_table", "scenarios"
     with contextlib.ExitStack() as stack:
-        backend = _backend_from_args(args)
+        backend = _backend_from_args(args, request.jobs)
         if backend is not None:
             stack.enter_context(backend)
         client = ReproClient(backend=backend)
@@ -760,13 +716,7 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         ))
         return 0
     # action == "run" — same columns as `campaign --grid scenarios`.
-    request = ScenarioRequest(
-        names=tuple(args.names), copies=args.copies, jobs=args.jobs
-    )
-    return _run_grid_command(
-        args, request, run="run_scenarios", table="scenarios_table",
-        label="scenarios",
-    )
+    return _run_grid_command(args)
 
 
 def _disk_store_or_fail():
@@ -818,35 +768,17 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Request fields whose ``--set`` value is a comma-separated name list.
-_LIST_FIELDS = {"mixes", "policies", "variants", "names"}
-
-
-def _parse_field_value(key: str, raw: str):
-    """Lower one ``--set KEY=VALUE`` value to its JSON-shaped form.
-
-    JSON literals pass through (``copies=2``, ``jobs=4``); bare names
-    stay strings; list axes split on commas (``mixes=W1,W2``).
-    """
-    try:
-        return json.loads(raw)
-    except ValueError:
-        pass
-    if key in _LIST_FIELDS:
-        return [part.strip() for part in raw.split(",") if part.strip()]
-    return raw
-
-
 def _job_request_from_flags(args: argparse.Namespace) -> dict:
-    request: dict = {"type": args.request_type}
+    """The ``--set KEY=VALUE`` request, parsed and checked before submit."""
+    values: dict[str, str] = {}
     for item in args.fields:
         key, eq, value = item.partition("=")
         if not eq or not key:
             raise ConfigurationError(
                 f"--set expects KEY=VALUE, got {item!r}"
             )
-        request[key] = _parse_field_value(key, value)
-    return request
+        values[key] = value
+    return request_to_dict(request_from_text(args.request_type, values))
 
 
 def _print_job_line(job: dict) -> None:
@@ -937,11 +869,7 @@ def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
     if args.jobs_backend == "vector":
         backend = backend_for("vector", batch_cells=args.jobs_batch_cells)
     elif args.jobs_backend == "http":
-        workers = [
-            url.strip()
-            for url in (args.jobs_workers or "").split(",")
-            if url.strip()
-        ]
+        workers = split_names(args.jobs_workers or "")
         if not workers:
             raise ConfigurationError(
                 "--jobs-backend http needs --jobs-workers URL[,URL...]"
@@ -1126,7 +1054,7 @@ def main(argv: list[str] | None = None) -> int:
         "compare": _cmd_compare,
         "server": _cmd_server,
         "homogeneous": _cmd_homogeneous,
-        "campaign": _cmd_campaign,
+        "campaign": _run_grid_command,
         "scenarios": _cmd_scenarios,
         "cache": _cmd_cache,
         "jobs": _cmd_jobs,

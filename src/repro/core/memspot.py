@@ -130,7 +130,10 @@ class MemSpot:
         powers = channel_dimm_powers(
             traffic, self._dimms_per_channel, self._amb_params, self._dram_params
         )
-        return self._channels * sum(p.total_w for p in powers)
+        total_w = 0.0
+        for power in powers:
+            total_w += power.total_w
+        return self._channels * total_w
 
     def step(
         self,

@@ -311,6 +311,19 @@ def test_error_responses(service):
     assert code == 405 and "use GET" in body["error"]
     code, body = _error(service, "/nope", data=b"{}")
     assert code == 404
+    # A non-string value for a string field is a 400 naming the field,
+    # not a dropped connection.
+    for path, payload, field in (
+        ("/v1/simulate", {"mix": {"a": 1}}, "mix"),
+        ("/v1/server", {"platform": {"a": 1}}, "platform"),
+        ("/v1/compare", {"mix": {"a": 1}}, "mix"),
+        ("/v1/campaign", {"grid": ["ch4"]}, "grid"),
+    ):
+        code, body = _error(service, path, data=json.dumps(payload).encode())
+        assert code == 400, path
+        assert body["error"].startswith(f"{field} must be a string"), path
+    code, body = _error(service, "/v1/simulate?mix=W99")
+    assert code == 400 and "unknown workload mix 'W99'" in body["error"]
     # Every error body is itself versioned.
     assert body["schema_version"] == SCHEMA_VERSION
 

@@ -125,7 +125,9 @@ def oracle_solve(capacity, rates, curves):
             for index in active:
                 miss = curves[index].miss_ratio(shares[index])
                 weights[index] = rates[index] * max(miss, 1e-4)
-            total_weight = sum(weights.values())
+            total_weight = 0.0
+            for index in active:
+                total_weight += weights[index]
             for index in active:
                 target = capacity * weights[index] / total_weight
                 current = shares[index]
@@ -248,10 +250,12 @@ _rates = st.tuples(st.integers(0, 3), st.floats(min_value=1e3, max_value=1e11)).
 def test_solve_matches_oracle_bit_for_bit(clients, capacity):
     """Every path (flat 2/3/4-client kernels, generic loop, one client,
     idle clients) reproduces the oracle exactly, including the
-    compensated ``sum()`` of weights spanning eight decades."""
+    left-to-right total of weights spanning eight decades."""
     rates = [rate for rate, _ in clients]
     curves = [curve for _, curve in clients]
     expected = oracle_solve(capacity, rates, curves)
     assert SharedCacheModel(capacity).solve(rates, curves) == expected
-    total = sum(rate * miss for rate, miss in zip(rates, expected[1]))
+    total = 0.0
+    for rate, miss in zip(rates, expected[1]):
+        total += rate * miss
     assert SharedCacheModel(capacity).total_miss_rate_per_s(rates, curves) == total

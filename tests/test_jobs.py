@@ -38,7 +38,7 @@ from repro.api.envelope import SCHEMA_VERSION, dumps_canonical
 from repro.campaign import MemoryStore
 from repro.cli import main
 from repro.engine.progress import PROGRESS, ProgressBroker
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.jobs import (
     CANCELLED,
     COMPLETED,
@@ -519,6 +519,31 @@ class TestJobsManager:
             manager.submit_body({"request": {"type": "unknown-kind"}})
         with pytest.raises(ConfigurationError):
             manager.submit_body({"request": "not-a-dict"})
+
+    def test_invalid_request_rejected_before_quota_and_disk(self, tmp_path):
+        """A bad request is a 400 at submit: no record, no quota token."""
+        jobs_dir = tmp_path / "jobs"
+        manager = JobsManager(
+            str(jobs_dir),
+            store=MemoryStore(),
+            quotas=QuotaManager(
+                TenantPolicy(max_active=8, rate_per_s=1e-6, burst=1)
+            ),
+        )
+        for bad in (
+            {"type": "simulate", "mix": "W99"},
+            {"type": "simulate", "mix": {"a": 1}},
+            {"type": "server", "platform": {"a": 1}},
+            {"type": "campaign", "mixes": ["W1", "W99"]},
+        ):
+            with pytest.raises(ReproError):
+                manager.submit_body({"request": bad, "tenant": "alice"})
+        assert list(jobs_dir.glob("*")) == []
+        # The tenant's single burst token is still there for a good job.
+        job_id = _submit(manager, tenant="alice")
+        assert manager.queue.get(job_id).status == QUEUED
+        with pytest.raises(QuotaExceeded):
+            _submit(manager, tenant="alice")
 
     def test_quota_exhaustion_raises_structured_429_payload(self, tmp_path):
         clock = FakeClock()
