@@ -2,8 +2,8 @@
 
 When N threads ask for the same cold cache key at once — N handler
 threads of the ``ThreadingHTTPServer`` service, or a
-:class:`~repro.cluster.backends.VectorBackend` gang racing an API
-request — exactly one of them (the *leader*) should execute the
+:class:`~repro.cluster.backends.VectorBackend` batch whose claimed
+cells race an API request — exactly one of them (the *leader*) should execute the
 compute; the others (*followers*) wait and receive the leader's
 payload.  Without coalescing each thread runs the full simulation,
 multiplying minutes of identical work.
@@ -19,8 +19,9 @@ process-wide table keyed by ``(scope, key)``:
   cross-instance sharing is safe.  ``scope`` (default ``"default"``)
   exists so tests with independent store roots can opt out of sharing.
 - Keyed by *thread owner*, so a leader that re-enters the store while
-  computing (the vector backend's solo fallback calls the engine,
-  which calls ``get_or_compute`` again) passes straight through
+  computing (the vector backend claims a flight, then runs the cell
+  through ``run_outcome``, which calls ``get_or_compute`` again) passes
+  straight through
   instead of deadlocking on its own flight.
 
 Instances hold only the inner store and the scope string — no locks or

@@ -302,10 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker base URLs for --jobs-backend http",
     )
     serve_cmd.add_argument(
-        "--jobs-batch-cells", default=None, type=int, metavar="N",
-        help="gang width cap for --jobs-backend vector",
-    )
-    serve_cmd.add_argument(
         "--window-slice", type=int, default=500, metavar="N",
         help="DTM windows per scheduling slice (default 500): the "
         "preemption/cancel/checkpoint granularity of running jobs",
@@ -494,8 +490,8 @@ def _add_backend_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--backend", default=None, choices=BACKEND_CHOICES,
         help="where cells execute: local process pool (sized by --jobs), "
-        "serial (in-process), vector (in-process, compatible cells "
-        "lock-stepped in gangs — bit-identical to serial), or http (a "
+        "serial (in-process), vector (in-process and serial, claiming "
+        "every cold cell's single-flight slot first), or http (a "
         "worker fleet); without the flag, runs are serial unless "
         "--jobs > 1 builds a pool",
     )
@@ -504,29 +500,16 @@ def _add_backend_flags(command: argparse.ArgumentParser) -> None:
         help="comma-separated worker base URLs for --backend http "
         "(start workers with 'python -m repro worker')",
     )
-    command.add_argument(
-        "--batch-cells", default=None, type=int, metavar="N",
-        help="gang width cap for --backend vector (default 16, at "
-        "least 2)",
-    )
 
 
 def _backend_from_args(args: argparse.Namespace, jobs: int):
     """Build the borrowed execution backend the flags describe (or None)."""
     workers = split_names(args.workers or "")
-    batch_cells = getattr(args, "batch_cells", None)
     if args.backend is None:
         if workers:
             raise ConfigurationError("--workers requires --backend http")
-        if batch_cells is not None:
-            raise ConfigurationError("--batch-cells requires --backend vector")
         return None
-    return backend_for(
-        args.backend,
-        jobs=jobs,
-        workers=workers,
-        batch_cells=batch_cells,
-    )
+    return backend_for(args.backend, jobs=jobs, workers=workers)
 
 
 def _print_json(document) -> None:
@@ -867,7 +850,7 @@ def _parse_tenant_quota(item: str) -> tuple[str, TenantPolicy]:
 def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
     backend = None
     if args.jobs_backend == "vector":
-        backend = backend_for("vector", batch_cells=args.jobs_batch_cells)
+        backend = backend_for("vector")
     elif args.jobs_backend == "http":
         workers = split_names(args.jobs_workers or "")
         if not workers:
@@ -875,10 +858,9 @@ def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
                 "--jobs-backend http needs --jobs-workers URL[,URL...]"
             )
         backend = HttpWorkerBackend(workers)
-    elif args.jobs_workers or args.jobs_batch_cells is not None:
+    elif args.jobs_workers:
         raise ConfigurationError(
-            "--jobs-workers / --jobs-batch-cells need a matching "
-            "--jobs-backend"
+            "--jobs-workers needs a matching --jobs-backend"
         )
     quotas = QuotaManager(
         default=TenantPolicy(

@@ -5,10 +5,11 @@ package decides *where*.  An :class:`ExecutionBackend` receives a
 campaign's deduplicated cells and streams back encoded payloads:
 
 - :class:`SerialBackend` — the calling process, one cell at a time.
-- :class:`VectorBackend` — the calling process, with compatible cells
-  lock-stepped in gangs through one grid kernel
-  (:mod:`repro.engine.gang`); bit-identical to serial, much faster on
-  homogeneous grids.
+- :class:`VectorBackend` — the calling process, serial, with every
+  cold cell's single-flight slot claimed before the batch runs.  Its
+  lockstep gangs are gone (solo windows outran them); the name stays
+  for ``--backend vector`` and the benchmark harness until the next
+  benchmark change retires it.
 - :class:`LocalProcessBackend` — a reusable local process pool.
 - :class:`HttpWorkerBackend` — a coordinator sharding cells across
   ``python -m repro worker`` processes over the ``/v1`` JSON protocol,
@@ -35,28 +36,18 @@ from repro.errors import ClusterError, ConfigurationError
 #: The CLI's ``--backend`` vocabulary.
 BACKEND_CHOICES = ("local", "serial", "vector", "http")
 
-#: Sentinel for "the backend's own default" gang width.
-_DEFAULT_BATCH_CELLS = 16
-
-
 def backend_for(
     name: str,
     *,
     jobs: int = 1,
     workers: tuple[str, ...] | list[str] = (),
-    batch_cells: int | None = None,
 ) -> ExecutionBackend:
     """Build an execution backend from CLI-shaped arguments.
 
     ``jobs`` sizes the ``local`` pool; ``workers`` are the ``http``
-    fleet's base URLs; ``batch_cells`` caps the ``vector`` backend's
-    gang width.  Mismatched arguments fail loudly — a worker list
-    without ``--backend http`` is almost certainly a mistake.
+    fleet's base URLs.  Mismatched arguments fail loudly — a worker
+    list without ``--backend http`` is almost certainly a mistake.
     """
-    if batch_cells is not None and name != "vector":
-        raise ConfigurationError(
-            "--batch-cells only applies to --backend vector"
-        )
     if name == "serial":
         if workers:
             raise ConfigurationError("--workers only applies to --backend http")
@@ -69,13 +60,9 @@ def backend_for(
         if jobs != 1:
             raise ConfigurationError(
                 "--jobs does not apply to --backend vector: cells run "
-                "in this process, batched through one grid kernel"
+                "in this process, one at a time"
             )
-        return VectorBackend(
-            batch_cells=(
-                _DEFAULT_BATCH_CELLS if batch_cells is None else batch_cells
-            )
-        )
+        return VectorBackend()
     if name == "local":
         if workers:
             raise ConfigurationError("--workers only applies to --backend http")

@@ -2,7 +2,8 @@
 
 :class:`~repro.campaign.Campaign` owns *what* to run (dedup, ordering,
 caching, provenance); an :class:`ExecutionBackend` owns *where*: the
-calling process (:class:`SerialBackend`), a pool of local worker
+calling process (:class:`SerialBackend`, or :class:`VectorBackend`,
+which claims single-flight slots up front), a pool of local worker
 processes (:class:`LocalProcessBackend`), or an HTTP worker fleet
 (:class:`~repro.cluster.http.HttpWorkerBackend`).
 
@@ -36,19 +37,17 @@ layer, so only the in-process memo needs backfilling).
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import ClassVar, Iterator, Sequence
 
 from repro.campaign.engine import cached_payload, run_outcome
-from repro.campaign.spec import RunSpec, runner_for, spec_meta
+from repro.campaign.spec import RunSpec
 from repro.campaign.stores import (
     ResultStore,
     SingleFlightStore,
     default_store,
 )
-from repro.engine.gang import plan_gangs
 from repro.errors import ConfigurationError
 
 #: One submitted cell: (cache key, run spec).
@@ -122,44 +121,30 @@ class SerialBackend(ExecutionBackend):
 
 
 class VectorBackend(ExecutionBackend):
-    """Run compatible cells in lock-stepped gangs, in this process.
+    """Serial execution that claims every cold cell's flight up front.
 
-    The batch is planned once per :meth:`iter_results` pass with
-    :func:`repro.engine.gang.plan_gangs`: cache misses group into
-    lockstep gangs (capped at ``batch_cells`` members) stepping
-    one :class:`~repro.core.kernel.GridMemSpot` per window, and
-    incompatible leftovers fall back to per-cell serial execution.
-    Results are bit-identical to :class:`SerialBackend` — gangs reuse
-    the exact solo stepping halves and the grid kernel reproduces the
-    scalar float ops — so payloads, and therefore cache keys and
-    envelopes, match byte for byte.
+    Kept for its callers while the lockstep gangs it used to run are
+    gone (solo windows now outrun them): the frozen benchmark harness
+    (``perfbench/sims.py``) and ``--backend vector`` /
+    ``--jobs-backend vector`` still construct it, with no arguments.
+    The next benchmark change retires it in favor of
+    :class:`SerialBackend`.
 
-    ``kernel_backend`` picks the grid arithmetic: ``"auto"`` uses NumPy
-    when importable and pure python otherwise, ``"numpy"`` insists,
-    ``"python"`` opts out.  Like :class:`SerialBackend` the results are
-    computed through the campaign's store (``in_process``), with cache
-    hits self-served before any gang runs; unlike serial, cells inside
-    one gang finish together, so streaming granularity is the gang, not
-    the cell, and gang-hosted cells do not surface individual
-    ``/v1/progress`` labels.
+    One pass over the batch serves cache hits at once and, when the
+    store coalesces (the default stack does), registers a single-flight
+    claim for each cold cell before any of them runs: an API request
+    racing this batch for the same cell waits for it instead of
+    recomputing, and cells another thread is already computing are
+    followed instead of recomputed.  The claimed cells then run one at
+    a time, exactly as :class:`SerialBackend` runs them, so payloads
+    are byte-identical.
     """
 
     name = "vector"
     in_process = True
     shares_disk = True
 
-    def __init__(
-        self, batch_cells: int = 16, kernel_backend: str = "auto"
-    ) -> None:
-        if batch_cells < 2:
-            raise ConfigurationError("batch_cells must be >= 2")
-        if kernel_backend not in ("auto", "numpy", "python"):
-            raise ConfigurationError(
-                "kernel backend must be 'auto', 'numpy' or 'python', "
-                f"got {kernel_backend!r}"
-            )
-        self.batch_cells = batch_cells
-        self.kernel_backend = kernel_backend
+    def __init__(self) -> None:
         self._cells: list[Cell] = []
         self._store: ResultStore | None = None
 
@@ -171,11 +156,6 @@ class VectorBackend(ExecutionBackend):
 
     def iter_results(self) -> Iterator[CellResult]:
         store = default_store() if self._store is None else self._store
-        # When the store coalesces (the default stack does), register a
-        # flight per cold cell before the gangs run: an API request
-        # racing this batch for the same cell waits for the gang
-        # instead of recomputing, and cells another thread is already
-        # computing are followed instead of ganged.
         flights = store if isinstance(store, SingleFlightStore) else None
         led: set[str] = set()
         misses: list[Cell] = []
@@ -201,27 +181,7 @@ class VectorBackend(ExecutionBackend):
                         if flights.try_lead(key):
                             led.add(key)
                 misses.append((key, spec))
-            if not misses:
-                return
-            plan = plan_gangs(
-                misses,
-                batch_cells=self.batch_cells,
-                backend=self.kernel_backend,
-            )
-            for planned in plan.gangs:
-                started = time.perf_counter()
-                results = planned.gang.run_to_completion()
-                # The gang's wall time is genuinely joint; attribute an
-                # equal share to each cell so provenance sums correctly.
-                per_cell = (time.perf_counter() - started) / len(results)
-                for (key, spec), result in zip(planned.cells, results):
-                    payload = runner_for(spec.kind).encode(result)
-                    store.put(key, payload, meta=spec_meta(spec))
-                    if flights is not None:
-                        flights.settle(key, payload)
-                        led.discard(key)
-                    yield key, payload, False, per_cell, {}
-            for key, spec in plan.solo:
+            for key, spec in misses:
                 # ``run_outcome`` re-enters ``get_or_compute``; the
                 # flight table recognizes this thread as the owner and
                 # passes straight through, so settling stays ours.

@@ -14,6 +14,10 @@ hop counts, the Table 3.2 resistances, and the three RC gains
 ``1 - exp(-dt/tau)`` — and keeps the chain's AMB/DRAM temperatures in
 flat lists.  One :meth:`step` is then a single pass of scalar float
 arithmetic: no dataclasses, no per-node dispatch, no repeated ``exp()``.
+The default FBDIMM topology, four DIMMs per channel, gets that pass
+unrolled over local variables inside :meth:`step` (selected by chain
+length); every other length runs the loop.  The result is a
+:class:`~repro.core.memspot.MemSpotSample` named tuple.
 
 Numerical contract: every expression below reproduces the scalar path's
 floating-point operations *in the same order*, so the batched and
@@ -25,27 +29,12 @@ enforce this equivalence.
 from __future__ import annotations
 
 import math
-from typing import Any, Sequence
 
-from repro.core.memspot import MemSpot, MemSpotSample
+from repro.core.memspot import MemSpot, MemSpotSample, checked_thermal_state
 from repro.errors import ConfigurationError, ThermalModelError
 from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
 from repro.units import GB
-
-
-def _import_numpy():
-    """NumPy if importable, else None.
-
-    NumPy is an optional accelerator, never a dependency: every caller
-    of :class:`GridMemSpot` works (bit-identically) without it, just on
-    the pure-python cell loop instead of stacked arrays.
-    """
-    try:
-        import numpy
-    except Exception:  # pragma: no cover - exercised via monkeypatch
-        return None
-    return numpy
 
 
 def make_memspot(kernel: str = "batched", **kwargs) -> "MemSpot | BatchedMemSpot":
@@ -137,11 +126,6 @@ class BatchedMemSpot:
         return self._cooling
 
     @property
-    def dimms_per_channel(self) -> int:
-        """Chain length — :class:`GridMemSpot` cells must share it."""
-        return self._dimms
-
-    @property
     def amb_temperatures_c(self) -> list[float]:
         """Per-chain-position AMB temperatures (for tests/ablations)."""
         return list(self._t_amb)
@@ -193,16 +177,9 @@ class BatchedMemSpot:
         restore recomputes the same ``1 - exp(-dt/tau)`` gains a fresh
         kernel would — restored trajectories stay bit-identical.
         """
-        t_amb = state["t_amb"]
-        t_dram = state["t_dram"]
-        if len(t_amb) != self._dimms or len(t_dram) != self._dimms:
-            raise ConfigurationError(
-                f"thermal state has {len(t_amb)} DIMM positions, "
-                f"this chain has {self._dimms}"
-            )
-        self._t_ambient = float(state["t_ambient"])
-        self._t_amb = [float(t) for t in t_amb]
-        self._t_dram = [float(t) for t in t_dram]
+        self._t_ambient, self._t_amb, self._t_dram = checked_thermal_state(
+            state, self._dimms
+        )
         self._gain_dt = -1.0
 
     # -- sampling ----------------------------------------------------------
@@ -270,8 +247,6 @@ class BatchedMemSpot:
             + self._alpha2 * ((write_ch / n) / GB)
         )
 
-        # One flat pass over the chain: Eq. 3.2 power, Eq. 3.3/3.4 stable
-        # points, Eq. 3.5 RC update.
         beta = self._beta
         gamma = self._gamma
         psi_amb = self._psi_amb
@@ -280,6 +255,46 @@ class BatchedMemSpot:
         psi_amb_dram = self._psi_amb_dram
         gain_amb = self._gain_amb
         gain_dram = self._gain_dram
+        if n == 4:
+            # The default FBDIMM chain, unrolled over locals: the loop
+            # below with i = 0..3 (bypass hops 3, 2, 1, 0) written out.
+            # Position-invariant products are computed once (each is
+            # the same single operation the loop repeats), ``max`` runs
+            # over the same left-to-right sequence, and the power sum
+            # keeps the loop's ``0.0 +`` start and addition order.
+            local_w = gamma * local_gbps
+            dram_amb = dram_w * psi_dram_amb
+            dram_dram = dram_w * psi_dram
+            idle0, idle1, idle2, idle3 = self._idle_w
+            ta0, ta1, ta2, ta3 = self._t_amb
+            td0, td1, td2, td3 = self._t_dram
+            a0 = idle0 + beta * ((total * 3 / 4) / GB) + local_w
+            a1 = idle1 + beta * ((total * 2 / 4) / GB) + local_w
+            a2 = idle2 + beta * ((total * 1 / 4) / GB) + local_w
+            a3 = idle3 + beta * ((total * 0 / 4) / GB) + local_w
+            ta0 += (ambient_c + a0 * psi_amb + dram_amb - ta0) * gain_amb
+            ta1 += (ambient_c + a1 * psi_amb + dram_amb - ta1) * gain_amb
+            ta2 += (ambient_c + a2 * psi_amb + dram_amb - ta2) * gain_amb
+            ta3 += (ambient_c + a3 * psi_amb + dram_amb - ta3) * gain_amb
+            td0 += (ambient_c + a0 * psi_amb_dram + dram_dram - td0) * gain_dram
+            td1 += (ambient_c + a1 * psi_amb_dram + dram_dram - td1) * gain_dram
+            td2 += (ambient_c + a2 * psi_amb_dram + dram_dram - td2) * gain_dram
+            td3 += (ambient_c + a3 * psi_amb_dram + dram_dram - td3) * gain_dram
+            self._t_amb = [ta0, ta1, ta2, ta3]
+            self._t_dram = [td0, td1, td2, td3]
+            total_power = (
+                0.0 + (a0 + dram_w) + (a1 + dram_w) + (a2 + dram_w)
+                + (a3 + dram_w)
+            )
+            return MemSpotSample(
+                max(-273.15, ta0, ta1, ta2, ta3),
+                max(-273.15, td0, td1, td2, td3),
+                ambient_c,
+                total_power * channels,
+            )
+
+        # Any other chain length: one flat pass over the chain, Eq. 3.2
+        # power, Eq. 3.3/3.4 stable points, Eq. 3.5 RC update.
         t_amb = self._t_amb
         t_dram = self._t_dram
         idle_w = self._idle_w
@@ -298,306 +313,4 @@ class BatchedMemSpot:
             amb_c = max(amb_c, ta)
             dram_c = max(dram_c, td)
             total_power += amb_w + dram_w
-        return MemSpotSample(
-            amb_c=amb_c,
-            dram_c=dram_c,
-            ambient_c=ambient_c,
-            memory_power_w=total_power * channels,
-        )
-
-
-class GridMemSpot:
-    """N compatible cells' thermal chains stepped as one flat grid.
-
-    A *grid* stacks the RC state of many :class:`BatchedMemSpot` cells
-    along an extra cell axis: every cell shares the chain topology (the
-    DIMMs-per-channel count fixes the number of RC nodes) while all
-    per-cell parameters — cooling resistances, inlet/interaction,
-    channel count, power coefficients — broadcast per cell.  One
-    :meth:`step_all` advances every cell by one window, which is what
-    lets a gang (:mod:`repro.engine.gang`) pay the per-window kernel
-    dispatch once for a whole campaign batch.
-
-    Two backends, selected by ``backend``:
-
-    - ``"python"`` — delegates to each cell's own
-      :meth:`BatchedMemSpot.step`, so equivalence with per-cell
-      stepping holds by construction;
-    - ``"numpy"`` — keeps the state in ``(cells, dimms)`` float64
-      arrays and replays the scalar kernel's expressions elementwise.
-      Only IEEE-correctly-rounded elementwise operations are used (the
-      RC gains still come from per-cell :func:`math.exp`, the chain
-      power sum still accumulates position by position), so the array
-      path is **bit-identical** to the scalar one — the property suite
-      enforces this, and the scalar kernels remain the golden
-      reference.
-    - ``"auto"`` (default) — ``numpy`` when importable, else
-      ``python``.  NumPy stays an optional extra, never a dependency.
-
-    The cell kernels are the source of truth between grids: the NumPy
-    backend copies their state in at construction and writes it back on
-    :meth:`sync` (cheap, and required before reading a cell's
-    ``thermal_state()`` — e.g. for an engine checkpoint).  The python
-    backend mutates the cells directly, so ``sync`` is a no-op.
-    """
-
-    def __init__(
-        self, cells: Sequence[BatchedMemSpot], backend: str = "auto"
-    ) -> None:
-        cells = list(cells)
-        if not cells:
-            raise ConfigurationError("a grid needs at least one cell")
-        for cell in cells:
-            if not isinstance(cell, BatchedMemSpot):
-                raise ConfigurationError(
-                    f"grid cells must be BatchedMemSpot kernels, "
-                    f"got {type(cell).__name__}"
-                )
-        dimms = cells[0].dimms_per_channel
-        if any(cell.dimms_per_channel != dimms for cell in cells):
-            raise ConfigurationError(
-                "grid cells must share the RC topology "
-                "(equal dimms_per_channel)"
-            )
-        if backend == "auto":
-            self._np = _import_numpy()
-        elif backend == "numpy":
-            self._np = _import_numpy()
-            if self._np is None:
-                raise ConfigurationError(
-                    "backend='numpy' requires NumPy (not importable here); "
-                    "use backend='auto' or 'python'"
-                )
-        elif backend == "python":
-            self._np = None
-        else:
-            raise ConfigurationError(
-                f"backend must be 'auto', 'numpy' or 'python', got {backend!r}"
-            )
-        self._cells = cells
-        self._dimms = dimms
-        if self._np is not None:
-            self._pull()
-
-    # -- introspection -----------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    @property
-    def cells(self) -> tuple[BatchedMemSpot, ...]:
-        """The per-cell kernels, in grid order."""
-        return tuple(self._cells)
-
-    @property
-    def backend(self) -> str:
-        """The resolved backend: ``"numpy"`` or ``"python"``."""
-        return "python" if self._np is None else "numpy"
-
-    # -- numpy state management --------------------------------------------
-
-    def _pull(self) -> None:
-        """Load every cell's state and constants into stacked arrays."""
-        np = self._np
-        cells = self._cells
-
-        def rows(name: str):
-            return np.asarray([getattr(c, name) for c in cells], dtype=np.float64)
-
-        self._idle_w = rows("_idle_w")                    # (N, n)
-        self._t_amb = rows("_t_amb")
-        self._t_dram = rows("_t_dram")
-        self._t_ambient = rows("_t_ambient")              # (N,)
-        self._beta = rows("_beta")
-        self._gamma = rows("_gamma")
-        self._dram_static = rows("_dram_static")
-        self._alpha1 = rows("_alpha1")
-        self._alpha2 = rows("_alpha2")
-        self._psi_amb = rows("_psi_amb")
-        self._psi_dram_amb = rows("_psi_dram_amb")
-        self._psi_dram = rows("_psi_dram")
-        self._psi_amb_dram = rows("_psi_amb_dram")
-        self._inlet = rows("_inlet")
-        self._interaction = rows("_interaction")
-        self._channels = rows("_channels")
-        #: Cells whose ambient model is isolated report the fixed inlet
-        #: as their ambient reading (the scalar kernel's ``== 0.0``
-        #: branch, as a per-cell select).
-        self._isolated = self._interaction == 0.0
-        #: Bypass hop counts are topology-shared small ints (see
-        #: BatchedMemSpot._hops), stored as a float64 row so the 2-D
-        #: bypass expression broadcasts them per position.  The int ->
-        #: float64 conversion is exact, so ``total * hops / n`` performs
-        #: the scalar path's operations bit for bit.
-        self._hops = np.asarray(
-            [float(self._dimms - 1 - i) for i in range(self._dimms)]
-        )
-        #: Per-cell RC time constants, kept as python lists: the gains
-        #: ``1 - exp(-dt/tau)`` must come from ``math.exp`` per cell
-        #: (np.exp is not guaranteed bit-identical to libm).
-        self._taus_ambient = [c._tau_ambient for c in cells]
-        self._taus_amb = [c._tau_amb for c in cells]
-        self._taus_dram = [c._tau_dram for c in cells]
-        self._gain_dt = -1.0
-
-    def sync(self) -> None:
-        """Write the stacked state back into the per-cell kernels.
-
-        Call before reading any cell's ``thermal_state()``/``sample()``
-        (checkpoints, finalization) and before handing cells to another
-        grid.  The python backend steps the cells directly, so there is
-        nothing to write back.
-        """
-        if self._np is None:
-            return
-        t_amb = self._t_amb.tolist()
-        t_dram = self._t_dram.tolist()
-        t_ambient = self._t_ambient.tolist()
-        for cell, ta, td, tam in zip(self._cells, t_amb, t_dram, t_ambient):
-            cell._t_amb = ta
-            cell._t_dram = td
-            cell._t_ambient = tam
-            # Mirror load_thermal_state: force a gain recompute on the
-            # cell's next solo step (recomputed gains are identical).
-            cell._gain_dt = -1.0
-
-    def _set_dt(self, dt_s: float) -> None:
-        if dt_s < 0:
-            raise ThermalModelError(
-                f"time step must be non-negative, got {dt_s}"
-            )
-        np = self._np
-        self._gain_dt = dt_s
-        self._gain_ambient = np.asarray(
-            [1.0 - math.exp(-dt_s / tau) for tau in self._taus_ambient]
-        )
-        self._gain_amb = np.asarray(
-            [1.0 - math.exp(-dt_s / tau) for tau in self._taus_amb]
-        )
-        self._gain_dram = np.asarray(
-            [1.0 - math.exp(-dt_s / tau) for tau in self._taus_dram]
-        )
-
-    # -- the hot path ------------------------------------------------------
-
-    def step_all(
-        self,
-        read_bytes_per_s: Sequence[float],
-        write_bytes_per_s: Sequence[float],
-        cpu_heating_sums: Sequence[float],
-        dt_s: float,
-    ) -> tuple[Any, Any, Any, Any]:
-        """Advance every cell by one window.
-
-        The three traffic sequences give each cell its own window
-        input; ``dt_s`` is shared — the gang's lock-step cadence is
-        what makes cells compatible.  Returns ``(amb_peak_c,
-        dram_peak_c, ambient_c, memory_power_w)`` as four (N,) float64
-        arrays (NumPy backend) or lists (python backend): the exact
-        values each cell's :class:`~repro.core.memspot.MemSpotSample`
-        would carry, with no per-cell object built.
-        """
-        count = len(self._cells)
-        if (
-            len(read_bytes_per_s) != count
-            or len(write_bytes_per_s) != count
-            or len(cpu_heating_sums) != count
-        ):
-            raise ConfigurationError(
-                f"step_all needs one input per cell ({count}), got "
-                f"{len(read_bytes_per_s)}/{len(write_bytes_per_s)}/"
-                f"{len(cpu_heating_sums)}"
-            )
-        if self._np is None:
-            samples = [
-                cell.step(read_bps, write_bps, heating, dt_s)
-                for cell, read_bps, write_bps, heating in zip(
-                    self._cells,
-                    read_bytes_per_s,
-                    write_bytes_per_s,
-                    cpu_heating_sums,
-                )
-            ]
-            return (
-                [s.amb_c for s in samples],
-                [s.dram_c for s in samples],
-                [s.ambient_c for s in samples],
-                [s.memory_power_w for s in samples],
-            )
-        np = self._np
-        if min(read_bytes_per_s) < 0 or min(write_bytes_per_s) < 0:
-            raise ConfigurationError("channel throughput must be non-negative")
-        return self._step_numpy(
-            np.asarray(read_bytes_per_s, dtype=np.float64),
-            np.asarray(write_bytes_per_s, dtype=np.float64),
-            np.asarray(cpu_heating_sums, dtype=np.float64),
-            dt_s,
-        )
-
-    def _step_numpy(self, reads, writes, heats, dt_s: float):
-        """The numpy chain pass over (N,) input arrays."""
-        np = self._np
-        if dt_s != self._gain_dt:
-            self._set_dt(dt_s)
-
-        # Eq. 3.6 ambient node, one lane per cell.
-        stable_ambient = self._inlet + self._interaction * heats
-        self._t_ambient = self._t_ambient + (
-            stable_ambient - self._t_ambient
-        ) * self._gain_ambient
-        ambient_c = np.where(self._isolated, self._inlet, self._t_ambient)
-
-        # Per-channel traffic split (per-cell channel counts broadcast).
-        read_ch = reads / self._channels
-        write_ch = writes / self._channels
-        total = read_ch + write_ch
-        n = self._dimms
-        local = total / n
-        local_gbps = local / GB
-        dram_w = (
-            self._dram_static
-            + self._alpha1 * ((read_ch / n) / GB)
-            + self._alpha2 * ((write_ch / n) / GB)
-        )
-
-        # The whole chain pass on the (cells, dimms) plane at once.
-        # Each scalar per-position expression becomes one elementwise
-        # op over the full plane — the identical IEEE operations in the
-        # identical order, issued once per window instead of once per
-        # position (the per-position issue overhead used to dominate
-        # the grid step at gang widths).  Only max (exact, no rounding)
-        # reduces across positions; the chain power sum stays a
-        # sequential column accumulation because np.sum's pairwise
-        # reduction would round differently from the scalar kernel's
-        # position-by-position additions.
-        ambient_col = ambient_c[:, None]
-        amb_w = (
-            self._idle_w
-            + self._beta[:, None] * ((total[:, None] * self._hops / n) / GB)
-            + self._gamma[:, None] * local_gbps[:, None]
-        )
-        dram_col = dram_w[:, None]
-        stable_amb = (
-            ambient_col
-            + amb_w * self._psi_amb[:, None]
-            + dram_col * self._psi_dram_amb[:, None]
-        )
-        stable_dram = (
-            ambient_col
-            + amb_w * self._psi_amb_dram[:, None]
-            + dram_col * self._psi_dram[:, None]
-        )
-        self._t_amb = self._t_amb + (
-            stable_amb - self._t_amb
-        ) * self._gain_amb[:, None]
-        self._t_dram = self._t_dram + (
-            stable_dram - self._t_dram
-        ) * self._gain_dram[:, None]
-        amb_peak = np.max(self._t_amb, axis=1)
-        dram_peak = np.max(self._t_dram, axis=1)
-        chain_w = amb_w + dram_col
-        total_power = np.zeros(len(self._cells))
-        for i in range(n):
-            total_power = total_power + chain_w[:, i]
-        power = total_power * self._channels
-        return amb_peak, dram_peak, ambient_c, power
+        return MemSpotSample(amb_c, dram_c, ambient_c, total_power * channels)

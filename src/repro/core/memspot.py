@@ -17,9 +17,9 @@ policy polling every sensor would act on).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Any, NamedTuple
 
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError, checkpoint_float
 from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
 from repro.power.dimm_power import ChannelTraffic, channel_dimm_powers
@@ -27,9 +27,13 @@ from repro.thermal.integrated import AmbientModel
 from repro.thermal.isolated import DimmThermalModel
 
 
-@dataclass(frozen=True)
-class MemSpotSample:
-    """One MEMSpot step's outputs."""
+class MemSpotSample(NamedTuple):
+    """One MEMSpot step's outputs.
+
+    A named tuple, not a dataclass: the batched kernel returns one per
+    10 ms window, and the tuple builds at a fraction of the cost while
+    keeping attribute access and ``==``.
+    """
 
     #: Hottest AMB temperature across the chain, degC.
     amb_c: float
@@ -203,15 +207,42 @@ class MemSpot:
 
     def load_thermal_state(self, state: dict) -> None:
         """Restore temperatures captured by :meth:`thermal_state`."""
-        t_amb = state["t_amb"]
-        t_dram = state["t_dram"]
-        if len(t_amb) != len(self._dimm_models) or len(t_dram) != len(
-            self._dimm_models
-        ):
-            raise ConfigurationError(
-                f"thermal state has {len(t_amb)} DIMM positions, "
-                f"this chain has {len(self._dimm_models)}"
-            )
-        self._ambient.restore_node(state["t_ambient"])
+        t_ambient, t_amb, t_dram = checked_thermal_state(
+            state, len(self._dimm_models)
+        )
+        self._ambient.restore_node(t_ambient)
         for model, amb_c, dram_c in zip(self._dimm_models, t_amb, t_dram):
-            model.reset_to(float(amb_c), float(dram_c))
+            model.reset_to(amb_c, dram_c)
+
+
+def checked_thermal_state(
+    state: Any, dimms: int
+) -> tuple[float, list[float], list[float]]:
+    """Validate a ``thermal_state()`` snapshot for a ``dimms``-long chain.
+
+    Returns ``(t_ambient, t_amb, t_dram)`` as floats.  A missing key, a
+    non-numeric or non-finite temperature, or a chain of the wrong
+    length raises :class:`~repro.errors.CheckpointError` before any
+    kernel state is touched.
+    """
+    if not isinstance(state, dict):
+        raise CheckpointError(
+            f"thermal state must be an object, got {type(state).__name__}"
+        )
+    missing = [k for k in ("t_ambient", "t_amb", "t_dram") if k not in state]
+    if missing:
+        raise CheckpointError(f"thermal state is missing {missing}")
+    chains = []
+    for name in ("t_amb", "t_dram"):
+        chain = state[name]
+        if not isinstance(chain, list) or len(chain) != dimms:
+            raise CheckpointError(
+                f"thermal state {name} must list {dimms} DIMM positions, "
+                f"got {chain!r}"
+            )
+        chains.append([
+            checkpoint_float(t, f"thermal state {name}[{i}]")
+            for i, t in enumerate(chain)
+        ])
+    t_ambient = checkpoint_float(state["t_ambient"], "thermal state t_ambient")
+    return t_ambient, chains[0], chains[1]

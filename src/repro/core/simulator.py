@@ -31,7 +31,7 @@ from repro.core.kernel import make_memspot
 from repro.core.results import RunResult
 from repro.core.windowmodel import MemoryEnvelope, WindowModel
 from repro.cpu.power import simulated_chip_power_w
-from repro.dtm.base import DTMPolicy, ThermalReading
+from repro.dtm.base import DTMPolicy
 from repro.engine.observers import Observer, ProgressObserver, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
 from repro.errors import ConfigurationError, SimulationError
@@ -179,11 +179,11 @@ class Chapter4Strategy:
         self._since_rotation_s = 0.0
         self._total_intervals = 0
         self._shutdown_intervals = 0
-        # Steady-state window cache (see window_with_decision).  Valid
-        # only for the plain round-robin scheduler, whose slot
-        # assignment changes exactly when finished_jobs does; subclass
-        # refill rules may reassign without finishing a job, so they
-        # get no cache and every window computes its entry afresh.
+        # Steady-state window cache (see window).  Valid only for the
+        # plain round-robin scheduler, whose slot assignment changes
+        # exactly when finished_jobs does; subclass refill rules may
+        # reassign without finishing a job, so they get no cache and
+        # every window computes its entry afresh.
         self._window_cache: dict | None = (
             {} if type(self._scheduler) is BatchScheduler else None
         )
@@ -212,28 +212,12 @@ class Chapter4Strategy:
             f"{self._scheduler.total_jobs} jobs done)"
         )
 
-    @property
-    def dtm_policy(self) -> DTMPolicy:
-        """The policy instance — the gang's batched-decide entry point."""
-        return self._policy
-
     def window(self, engine: SteppingEngine) -> WindowOutcome:
-        sample = engine.sample
-        reading = ThermalReading(amb_c=sample.amb_c, dram_c=sample.dram_c)
-        decision = self._policy.decide(reading, self.dt_s)
-        return self.window_with_decision(engine, decision)
+        """One DTM window: decide on the last sample, then run it.
 
-    def window_with_decision(
-        self, engine: SteppingEngine, decision: Any
-    ) -> WindowOutcome:
-        """One window under an already-made policy decision.
-
-        The post-decide half of :meth:`window`, split out so a lockstep
-        gang can batch the policy step
-        (:meth:`~repro.dtm.base.DTMPolicy.decide_all`) across cells and
-        feed each cell its decision.  ``decision`` must be what
-        ``self.dtm_policy`` produced for this window (with its state
-        already advanced).
+        The policy reads ``engine.sample`` — the previous window's
+        MEMSpot sample, whose ``amb_c``/``dram_c`` are the sensor
+        reading — through :meth:`DTMPolicy.decide`.
 
         Between job completions the scheduler's slot assignment is
         frozen, so everything after the decision — slot selection,
@@ -247,6 +231,7 @@ class Chapter4Strategy:
         ``occupied_slots()`` every window and not stored.
         """
         dt = self.dt_s
+        decision = self._policy.decide(engine.sample, dt)
         scheduler = self._scheduler
         self._total_intervals += 1
         if not decision.memory_on or decision.emergency_level >= self._top_level:

@@ -1,17 +1,18 @@
 """DTM policy interface and control vocabulary.
 
-Every policy consumes a :class:`ThermalReading` once per DTM interval and
-produces a :class:`ControlDecision` — the full actuator state: memory
-on/off, bandwidth cap, active core count and DVFS level.  Schemes that
-only use one actuator leave the others at their permissive defaults, so
-the second-level simulator can apply any decision uniformly.
+Every policy consumes a thermal reading (AMB and DRAM temperatures) once
+per DTM interval and produces a :class:`ControlDecision` — the full
+actuator state: memory on/off, bandwidth cap, active core count and DVFS
+level.  Schemes that only use one actuator leave the others at their
+permissive defaults, so the second-level simulator can apply any
+decision uniformly.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from repro.errors import ConfigurationError
 
@@ -64,8 +65,7 @@ class DTMPolicy(abc.ABC):
     Policies are stateful (hysteresis, fairness rotation, PID integrals);
     :meth:`reset` restores the initial state between experiment runs.
     Each policy writes its rule once, in :meth:`decide_values`; the
-    per-reading :meth:`decide` and the many-cell :meth:`decide_all`
-    both delegate to it.
+    per-reading :meth:`decide` delegates to it.
     """
 
     #: Human-readable scheme name ("DTM-ACG", ...).
@@ -78,29 +78,15 @@ class DTMPolicy(abc.ABC):
         """Produce the actuator state for the next interval from bare
         AMB/DRAM temperatures, degC."""
 
-    def decide(self, reading: ThermalReading, dt_s: float) -> ControlDecision:
-        """Produce the actuator state for the next interval."""
-        return self.decide_values(reading.amb_c, reading.dram_c, dt_s)
+    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
+        """Produce the actuator state for the next interval.
 
-    @classmethod
-    def decide_all(
-        cls,
-        policies: Sequence["DTMPolicy"],
-        amb_c: Sequence[float],
-        dram_c: Sequence[float],
-        dt_s: float,
-    ) -> list[ControlDecision]:
-        """:meth:`decide_values` over many policies, one window each.
-
-        The lockstep gang's per-window policy step
-        (:mod:`repro.engine.gang`): policy ``i`` reads ``amb_c[i]`` and
-        ``dram_c[i]``, so decisions and policy state match calling
-        :meth:`decide` per cell in order.
+        ``reading`` is anything with ``amb_c``/``dram_c`` attributes: a
+        :class:`ThermalReading`, or the engine's last
+        :class:`~repro.core.memspot.MemSpotSample`, which the simulators
+        pass as is instead of building a reading per window.
         """
-        return [
-            policy.decide_values(amb, dram, dt_s)
-            for policy, amb, dram in zip(policies, amb_c, dram_c)
-        ]
+        return self.decide_values(reading.amb_c, reading.dram_c, dt_s)
 
     def reset(self) -> None:
         """Restore initial policy state (default: stateless)."""

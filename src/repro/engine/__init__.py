@@ -10,12 +10,6 @@ Layer stack::
     repro.api / cli       <- envelopes, /v1/progress, --checkpoint-dir
 """
 
-from repro.engine.gang import (
-    GangPlan,
-    GangStrategy,
-    PlannedGang,
-    plan_gangs,
-)
 from repro.engine.observers import (
     CheckpointObserver,
     Observer,
@@ -39,10 +33,7 @@ __all__ = [
     "CheckpointObserver",
     "EngineState",
     "EngineStateSerializer",
-    "GangPlan",
-    "GangStrategy",
     "Observer",
-    "PlannedGang",
     "ProgressBroker",
     "ProgressObserver",
     "RunStrategy",

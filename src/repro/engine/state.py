@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, checkpoint_float
 
 #: Engine snapshot schema version.  Bump the minor for additive
 #: changes, the major for breaking ones (same rules as the API's
@@ -87,7 +87,14 @@ class EngineState:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "EngineState":
-        """Rebuild a snapshot, rejecting incompatible majors."""
+        """Rebuild a snapshot, rejecting incompatible majors.
+
+        Every defect raises :class:`CheckpointError`: a missing key, a
+        section that is not an object, a window count that is not a
+        non-negative integer, or a clock or accumulator that is not a
+        finite number.  The thermal and strategy sections are checked
+        by :meth:`SteppingEngine.restore`, which knows their shape.
+        """
         if not isinstance(raw, Mapping):
             raise CheckpointError(
                 f"engine state must be a JSON object, got {type(raw).__name__}"
@@ -99,21 +106,52 @@ class EngineState:
                 f"engine speaks major {_state_major(ENGINE_STATE_VERSION)} "
                 f"({ENGINE_STATE_VERSION})"
             )
-        try:
-            return cls(
-                strategy=str(raw["strategy"]),
-                windows=int(raw["windows"]),
-                now_s=float(raw["now_s"]),
-                accumulators=dict(raw["accumulators"]),
-                thermal=dict(raw["thermal"]),
-                strategy_state=dict(raw["strategy_state"]),
-                observers=[dict(state) for state in raw.get("observers", [])],
-                version=version,
+        missing = [
+            name
+            for name in (
+                "strategy", "windows", "now_s", "accumulators", "thermal",
+                "strategy_state",
             )
-        except (KeyError, TypeError, ValueError) as error:
+            if name not in raw
+        ]
+        if missing:
+            raise CheckpointError(f"malformed engine state: missing {missing}")
+        windows = raw["windows"]
+        if isinstance(windows, bool) or not isinstance(windows, int) or windows < 0:
             raise CheckpointError(
-                f"malformed engine state: {error!r}"
-            ) from None
+                f"malformed engine state: windows must be a non-negative "
+                f"integer, got {windows!r}"
+            )
+        sections = {}
+        for name in ("accumulators", "thermal", "strategy_state"):
+            if not isinstance(raw[name], Mapping):
+                raise CheckpointError(
+                    f"malformed engine state: {name} must be an object, "
+                    f"got {raw[name]!r}"
+                )
+            sections[name] = dict(raw[name])
+        observers = raw.get("observers", [])
+        if not isinstance(observers, list) or not all(
+            isinstance(state, Mapping) for state in observers
+        ):
+            raise CheckpointError(
+                "malformed engine state: observers must be a list of objects"
+            )
+        return cls(
+            strategy=str(raw["strategy"]),
+            windows=windows,
+            now_s=checkpoint_float(raw["now_s"], "engine state now_s"),
+            accumulators={
+                name: checkpoint_float(
+                    value, f"engine state accumulators.{name}"
+                )
+                for name, value in sections["accumulators"].items()
+            },
+            thermal=sections["thermal"],
+            strategy_state=sections["strategy_state"],
+            observers=[dict(state) for state in observers],
+            version=version,
+        )
 
 
 class EngineStateSerializer:

@@ -32,7 +32,8 @@ engine-hosted runs reproduce the pre-refactor goldens byte for byte.
 Within one window the division of labor is:
 
 1. engine: runaway guard (``now > max_sim_s`` raises the strategy's
-   :class:`~repro.errors.SimulationError`);
+   :class:`~repro.errors.SimulationError`; the horizon is read once,
+   when the engine is built);
 2. strategy ``window(engine)``: sensor reading -> decision ->
    actuation -> level-1 evaluation -> scheduler advance.  The strategy
    accumulates ``instructions`` / ``traffic_bytes`` / ``l2_misses``
@@ -40,16 +41,22 @@ Within one window the division of labor is:
    bit-identity contract) and returns a :class:`WindowOutcome`;
 3. engine: MEMSpot step, peaks, integrals, energies, clock advance,
    observer notification.
+
+:meth:`SteppingEngine.step_window` is that whole window and the unit
+every loop steps; :meth:`SteppingEngine.apply_window` is step 3's
+accounting.  With tracing on, the engine counts windows and times
+only the sampled ones (see :class:`~repro.obs.trace.TracingObserver`).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol
 
 from repro.engine.state import EngineState
-from repro.errors import CheckpointError, SimulationError
+from repro.errors import CheckpointError, ReproError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.memspot import MemSpotSample
@@ -114,7 +121,8 @@ class RunStrategy(Protocol):
         ...
 
     def max_sim_horizon(self) -> float | None:
-        """Simulated-seconds runaway limit (None = unbounded)."""
+        """Simulated-seconds runaway limit (None = unbounded); read once,
+        when the engine is built."""
         ...
 
 
@@ -141,15 +149,19 @@ class SteppingEngine:
     ) -> None:
         self.strategy = strategy
         self.dt_s = strategy.dt_s
+        self._memspot = strategy.memspot
+        horizon = strategy.max_sim_horizon()
+        #: Runaway limit, read once: every strategy's is fixed per run.
+        self._horizon = math.inf if horizon is None else horizon
         self._observers = list(observers)
-        # When process-wide tracing is on, a transient TracingObserver
-        # rides along and `step_window` takes the phase-timed path.
-        # Imported lazily: repro.obs.trace subclasses Observer.
+        # When process-wide tracing is on, `step_window` counts windows
+        # and times every `sample_every`-th one for a transient
+        # TracingObserver.  Imported lazily: repro.obs.trace subclasses
+        # Observer.
         from repro.obs.trace import engine_observer
 
         self._tracing = engine_observer()
-        if self._tracing is not None:
-            self._observers.append(self._tracing)
+        self._traced_windows = 0
         self.windows = 0
         self.now_s = 0.0
         self.traffic_bytes = 0.0
@@ -189,12 +201,22 @@ class SteppingEngine:
         return self.strategy.done(self)
 
     def step_window(self) -> None:
-        """Advance exactly one DTM window."""
+        """Advance exactly one DTM window.
+
+        Runaway guard, then the strategy's window (sensor reading ->
+        decision -> actuation -> level-1 evaluation -> scheduler
+        advance), the thermal kernel step, and :meth:`apply_window`.
+        """
         if self._tracing is not None:
-            self._step_window_traced()
-            return
-        outcome = self.begin_window()
-        sample = self.strategy.memspot.step(
+            index = self._traced_windows
+            self._traced_windows = index + 1
+            if not index % self._tracing.sample_every:
+                self._step_window_timed(index)
+                return
+        if self.now_s > self._horizon:
+            raise self.strategy.timeout_error(self)
+        outcome = self.strategy.window(self)
+        sample = self._memspot.step(
             outcome.read_bytes_per_s,
             outcome.write_bytes_per_s,
             outcome.heating_sum,
@@ -202,17 +224,19 @@ class SteppingEngine:
         )
         self.apply_window(outcome, sample)
 
-    def _step_window_traced(self) -> None:
-        """`step_window` with per-phase wall timing for the tracer.
+    def _step_window_timed(self, index: int) -> None:
+        """`step_window` with per-phase wall timing, for a sampled window.
 
-        Identical arithmetic to the fast path — only `perf_counter`
-        reads are added around the three phases, and the observer
-        decides (under sampling) whether a window span is emitted.
+        Identical arithmetic to the plain path; only `perf_counter`
+        reads are added around the three phases, and the tracing
+        observer records them as window ``index``'s span.
         """
         t0 = time.perf_counter()
-        outcome = self.begin_window()
+        if self.now_s > self._horizon:
+            raise self.strategy.timeout_error(self)
+        outcome = self.strategy.window(self)
         t1 = time.perf_counter()
-        sample = self.strategy.memspot.step(
+        sample = self._memspot.step(
             outcome.read_bytes_per_s,
             outcome.write_bytes_per_s,
             outcome.heating_sum,
@@ -221,39 +245,22 @@ class SteppingEngine:
         t2 = time.perf_counter()
         self.apply_window(outcome, sample)
         t3 = time.perf_counter()
-        self._tracing.record_phases(self, t1 - t0, t2 - t1, t3 - t2)
-
-    def begin_window(self) -> WindowOutcome:
-        """The pre-thermal half of one window: guard + strategy.
-
-        Runs the runaway-horizon check and the strategy's
-        decision/evaluation/advance, returning the
-        :class:`WindowOutcome` the thermal kernel consumes.  Split out
-        of :meth:`step_window` so the gang runner
-        (:mod:`repro.engine.gang`) can collect many cells' outcomes,
-        step them through one grid kernel step, and hand each cell's
-        sample back through :meth:`apply_window` — reusing this exact
-        code path keeps gang-stepped cells bit-identical to solo runs.
-        """
-        horizon = self.strategy.max_sim_horizon()
-        if horizon is not None and self.now_s > horizon:
-            raise self.strategy.timeout_error(self)
-        return self.strategy.window(self)
+        self._tracing.record_window(index, t1 - t0, t2 - t1, t3 - t2)
 
     def apply_window(self, outcome: WindowOutcome, sample: "MemSpotSample") -> None:
         """The post-thermal half of one window: accounting + observers.
 
-        ``sample`` is the thermal kernel's output for ``outcome`` —
-        normally produced by ``strategy.memspot.step`` inside
-        :meth:`step_window`, or by a :class:`~repro.core.kernel.GridMemSpot`
-        stepping this cell inside a gang.  Every accumulation below
-        keeps the historical floating-point order (part of the
-        bit-identity contract).
+        ``sample`` is the thermal kernel's output for ``outcome``.
+        Every accumulation below keeps the historical floating-point
+        order (part of the bit-identity contract); each peak update is
+        ``max(peak, value)`` written as its compare.
         """
         dt = self.dt_s
         self.sample = sample
-        self.peak_amb_c = max(self.peak_amb_c, sample.amb_c)
-        self.peak_dram_c = max(self.peak_dram_c, sample.dram_c)
+        if sample.amb_c > self.peak_amb_c:
+            self.peak_amb_c = sample.amb_c
+        if sample.dram_c > self.peak_dram_c:
+            self.peak_dram_c = sample.dram_c
         self.ambient_integral += sample.ambient_c * dt
         self.memory_energy_j += sample.memory_power_w * dt
         self.cpu_energy_j += outcome.cpu_power_w * dt
@@ -272,16 +279,20 @@ class SteppingEngine:
         """
         if count < 0:
             raise SimulationError("cannot step a negative window count")
+        done = self.strategy.done
+        step = self.step_window
         stepped = 0
-        while stepped < count and not self._stop_requested and not self.done:
-            self.step_window()
+        while stepped < count and not self._stop_requested and not done(self):
+            step()
             stepped += 1
         return stepped
 
     def run_to_completion(self) -> Any:
         """Run the remaining windows and return the strategy's result."""
-        while not self._stop_requested and not self.done:
-            self.step_window()
+        done = self.strategy.done
+        step = self.step_window
+        while not self._stop_requested and not done(self):
+            step()
         return self.finish()
 
     def finish(self) -> Any:
@@ -343,14 +354,26 @@ class SteppingEngine:
             raise CheckpointError(
                 f"checkpoint is missing accumulators {missing}"
             )
+        # Validates before it overwrites: a bad thermal section leaves
+        # the kernel untouched.
+        self.strategy.memspot.load_thermal_state(state.thermal)
+        try:
+            self.strategy.load_state_dict(state.strategy_state)
+            for observer, observer_state in zip(durable, state.observers):
+                observer.load_state_dict(observer_state)
+        except (
+            ReproError, LookupError, TypeError, ValueError, AttributeError
+        ) as error:
+            raise CheckpointError(
+                f"checkpoint strategy or observer state is malformed: "
+                f"{error!r}"
+            ) from None
+        # EngineState.from_dict has already checked these are finite
+        # numbers and a non-negative window count.
         self.windows = int(state.windows)
         self.now_s = float(state.now_s)
         for name in _ACCUMULATORS:
             setattr(self, name, float(state.accumulators[name]))
-        self.strategy.memspot.load_thermal_state(state.thermal)
-        self.strategy.load_state_dict(state.strategy_state)
-        for observer, observer_state in zip(durable, state.observers):
-            observer.load_state_dict(observer_state)
         # At a window boundary the live sample's temperatures equal the
         # chain maxima, which is exactly what ``sample()`` reports; the
         # power field is never read before the next step overwrites it.

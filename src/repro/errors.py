@@ -7,6 +7,8 @@ still letting programming errors (``TypeError`` and friends) propagate.
 
 from __future__ import annotations
 
+import math
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -53,6 +55,18 @@ class CheckpointError(ReproError):
     A *torn* file can never cause this: checkpoints are published with
     the same write-then-rename discipline as the result stores.
     """
+
+
+def checkpoint_float(value: object, where: str) -> float:
+    """``value`` as a finite float, or :class:`CheckpointError` naming
+    ``where``.  Booleans, strings, NaN and infinities are refused, so a
+    hand-edited or corrupted snapshot fails before it is restored."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CheckpointError(f"{where} must be a number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise CheckpointError(f"{where} must be finite, got {value!r}")
+    return value
 
 
 class ClusterError(ReproError):

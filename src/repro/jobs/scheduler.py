@@ -18,7 +18,7 @@ Execution has two paths:
   submit sequence, and the urgent job takes the thread.
 - **execution backend** — cells run through
   :class:`~repro.campaign.Campaign` on any
-  :class:`~repro.cluster.ExecutionBackend` (vector gangs, a process
+  :class:`~repro.cluster.ExecutionBackend` (in-process serial, a process
   pool, an HTTP worker fleet).  Cancel/preempt/drain are honored at
   cell boundaries (the backend owns the intra-cell loop); an
   :class:`~repro.cluster.HttpWorkerBackend`'s heartbeat requeues and

@@ -330,15 +330,18 @@ class TracingObserver(Observer):
     """Per-window engine phase timings, recorded under sampling.
 
     Attached by :class:`~repro.engine.SteppingEngine` when tracing is
-    enabled.  The engine times the three window phases — DTM policy
-    decision (``begin_window``), the thermal kernel step, and
-    accounting + observer fan-out (which contains checkpoint writes) —
-    and hands them here; every ``sample_every``-th window becomes a
-    ``window`` span whose args carry the phase split, so a Perfetto
-    view of a slow cell answers "where did the time go".
+    enabled.  The engine counts its windows and times only every
+    ``sample_every``-th one, in three phases — the strategy window (DTM
+    policy decision, level-1 evaluation, scheduler advance), the
+    thermal kernel step, and accounting + observer fan-out (which
+    contains checkpoint writes) — and hands them here as a ``window``
+    span whose args carry the phase split, so a Perfetto view of a slow
+    cell answers "where did the time go".  Unsampled windows pay one
+    counter increment and one modulo.
 
-    Transient: excluded from engine checkpoints, so attaching it never
-    changes checkpoint shape or restore compatibility.
+    Transient: kept out of the engine's observer list and excluded from
+    checkpoints, so attaching it never changes checkpoint shape or
+    restore compatibility.
     """
 
     transient = True
@@ -350,23 +353,19 @@ class TracingObserver(Observer):
         self.sample_every = (
             sample_every if sample_every else self.tracer.sample_every
         )
-        self._windows = 0
 
-    def record_phases(
+    def record_window(
         self,
-        engine,
+        index: int,
         policy_s: float,
         kernel_s: float,
         apply_s: float,
     ) -> None:
-        """Called by the engine after each window when tracing is on."""
-        self._windows += 1
-        if (self._windows - 1) % self.sample_every:
-            return
+        """Emit the span of sampled window ``index`` (engine-counted)."""
         total = policy_s + kernel_s + apply_s
         with self.tracer.span(
             "window",
-            index=self._windows - 1,
+            index=index,
             policy_s=round(policy_s, 9),
             kernel_s=round(kernel_s, 9),
             apply_s=round(apply_s, 9),

@@ -28,7 +28,7 @@ from typing import Any, Mapping
 from repro.core.kernel import make_memspot
 from repro.core.results import TemperatureTrace
 from repro.cpu.power import measured_chip_power_w
-from repro.dtm.base import DTMPolicy, ThermalReading
+from repro.dtm.base import DTMPolicy
 from repro.engine.observers import Observer, ProgressObserver, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
 from repro.errors import ConfigurationError, SimulationError
@@ -161,9 +161,8 @@ class ServerStrategy:
         cpufreq = self._cpufreq
         throttle = self._throttle
         dt = self.dt_s
-        sample = engine.sample
-        reading = ThermalReading(amb_c=sample.amb_c, dram_c=sample.dram_c)
-        decision = self._policy.decide(reading, dt)
+        # The previous window's sample carries the sensor reading.
+        decision = self._policy.decide(engine.sample, dt)
 
         # Apply the decision through the Linux/chipset mechanisms.
         active = max(2, decision.active_cores) if decision.active_cores else 2

@@ -257,6 +257,77 @@ def test_worker_run_rejects_gangs_field(service):
     assert "unknown worker run fields ['gangs']" in body["error"]
 
 
+@pytest.fixture(scope="module")
+def one_slot_service():
+    """A service with a single compute slot, so a leaked slot shows."""
+    svc = ReproService(port=0, max_concurrent_runs=1)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread.start()
+    yield svc
+    svc.shutdown()
+    svc.server_close()
+    thread.join(timeout=5)
+
+
+#: A cell no other test computes, so the worker always tries to resume
+#: it (a cached cell would be served without touching ``resume``).
+_RESUME_SPEC = Chapter4Spec(mix="W3", policy="bw", copies=1, inlet_delta_c=0.37)
+
+
+def _resume_state() -> dict:
+    from repro.campaign import engine_for_spec
+
+    engine = engine_for_spec(_RESUME_SPEC)
+    engine.step_windows(10)
+    return engine.checkpoint().to_dict()
+
+
+def _t_amb_not_numeric(state: dict) -> None:
+    state["thermal"]["t_amb"][0] = "x"
+
+
+def _t_ambient_missing(state: dict) -> None:
+    del state["thermal"]["t_ambient"]
+
+
+def _traffic_bytes_not_numeric(state: dict) -> None:
+    state["accumulators"]["traffic_bytes"] = "x"
+
+
+def _scheduler_missing(state: dict) -> None:
+    del state["strategy_state"]["scheduler"]
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [
+        _t_amb_not_numeric,
+        _t_ambient_missing,
+        _traffic_bytes_not_numeric,
+        _scheduler_missing,
+    ],
+)
+def test_worker_run_rejects_a_malformed_resume_state(one_slot_service, defect):
+    """A broken checkpoint in a sliced worker run is a structured 400
+    naming the defect, not a dropped connection, and the compute slot
+    it took is released."""
+    state = _resume_state()
+    defect(state)
+    code, body = _error(
+        one_slot_service, "/v1/worker/run",
+        data=json.dumps({
+            "cells": [cell_to_wire(_RESUME_SPEC)],
+            "window_slice": 50,
+            "resume": {_RESUME_SPEC.key(): state},
+        }).encode(),
+    )
+    assert code == 400
+    assert body["schema_version"] == SCHEMA_VERSION
+    assert "state" in body["error"] or "thermal" in body["error"]
+    assert one_slot_service.acquire_run_slot()
+    one_slot_service.release_run_slot()
+
+
 def test_sequential_requests_never_see_spurious_429(monkeypatch):
     """Regression: the run slot is released before the response is
     written, so a client that reads one reply and sends the next

@@ -7,11 +7,12 @@ executors (or an in-process :class:`ReproService`), so it stays fast.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import socket
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar
 
 import pytest
@@ -29,15 +30,18 @@ from repro.campaign import (
     spec_type_for,
     sweep,
 )
+from repro.campaign.stores import SingleFlightStore, flights_in_progress
 from repro.cluster import (
     BACKEND_CHOICES,
     HttpWorkerBackend,
     LocalProcessBackend,
     SerialBackend,
+    VectorBackend,
     backend_for,
     cell_from_wire,
     cell_to_wire,
 )
+from repro.engine.gang import plan_gangs
 from repro.errors import ClusterError, ConfigurationError
 from repro.scenarios import get_scenario
 
@@ -514,11 +518,93 @@ def test_http_backend_dispatch_option_validation():
 
 
 def test_batch_cells_validates():
-    """The gang width applies to the in-process vector backend only;
-    the fleet dispatches cell by cell."""
+    """No backend takes a gang width any more: ``batch_cells`` is an
+    unknown argument everywhere, not a silently ignored one."""
     with pytest.raises(TypeError, match="batch_cells"):
         HttpWorkerBackend(["127.0.0.1:9001"], batch_cells=4)
-    with pytest.raises(ConfigurationError, match="--backend vector"):
-        backend_for("http", workers=["127.0.0.1:9001"], batch_cells=4)
-    with pytest.raises(ConfigurationError, match="--backend vector"):
-        backend_for("serial", batch_cells=4)
+    with pytest.raises(TypeError, match="batch_cells"):
+        backend_for("vector", batch_cells=4)
+
+
+# ---------------------------------------------------------------------------
+# The in-process vector backend (serial execution, flights claimed first)
+# ---------------------------------------------------------------------------
+
+#: Cheap Chapter 4 cells: an inlet family plus two thermally-sensitive
+#: partners.
+_VECTOR_BASE = Chapter4Spec(mix="W1", policy="no-limit", copies=1)
+_VECTOR_SPECS = (
+    _VECTOR_BASE,
+    replace(_VECTOR_BASE, inlet_delta_c=1.0),
+    replace(_VECTOR_BASE, policy="ts"),
+    replace(_VECTOR_BASE, policy="ts", inlet_delta_c=1.0),
+)
+
+
+def test_vector_backend_payloads_match_serial_backend_bytes():
+    cells = [(spec_key(spec), spec) for spec in _VECTOR_SPECS]
+
+    def payload_bytes(backend) -> list[bytes]:
+        with backend:
+            backend.submit_cells(cells, store=MemoryStore())
+            by_key = {key: payload for key, payload, *_ in backend.iter_results()}
+        return [
+            json.dumps(by_key[key], sort_keys=True).encode() for key, _ in cells
+        ]
+
+    assert payload_bytes(VectorBackend()) == payload_bytes(SerialBackend())
+
+
+def test_plan_gangs_returns_every_cell_solo_in_order():
+    specs = [*_VECTOR_SPECS, Chapter5Spec(mix="W1", policy="bw", copies=1)]
+    cells = [(spec_key(spec), spec) for spec in specs]
+    plan = plan_gangs(cells, batch_cells=16)
+    assert plan.gangs == ()
+    assert plan.solo == tuple(cells)
+
+
+class _SignallingFlights(SingleFlightStore):
+    """A flight store that reports when a caller starts following."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner, scope="vector-coalesce")
+        self.following = threading.Event()
+
+    def follow(self, key, timeout=None):
+        self.following.set()
+        return super().follow(key, timeout)
+
+
+def test_vector_backend_coalesces_with_a_racing_flight():
+    """A cold cell another thread is already computing is followed, not
+    recomputed: the backend yields the leader's payload as a coalesced
+    hit, and its own claimed cells still compute and settle."""
+    store = _SignallingFlights(MemoryStore())
+    racing, own = _VECTOR_SPECS[0], _VECTOR_SPECS[2]
+    racing_key = spec_key(racing)
+    leader_payload = run_payload(racing, MemoryStore())[0]
+    claimed = threading.Event()
+
+    def leader() -> None:
+        assert store.try_lead(racing_key)
+        claimed.set()
+        # Settle only once the backend is waiting on this flight.
+        store.following.wait(10)
+        store.settle(racing_key, leader_payload)
+
+    thread = threading.Thread(target=leader)
+    thread.start()
+    assert claimed.wait(10)
+    with VectorBackend() as backend:
+        backend.submit_cells(
+            [(racing_key, racing), (spec_key(own), own)], store=store
+        )
+        results = {key: rest for key, *rest in backend.iter_results()}
+    thread.join(10)
+    assert not thread.is_alive()
+    payload, hit, seconds, info = results[racing_key]
+    assert payload == leader_payload and hit and seconds == 0.0
+    assert info == {"single_flight": "coalesced"}
+    payload, hit, _, _ = results[spec_key(own)]
+    assert not hit and payload == run_payload(own, MemoryStore())[0]
+    assert flights_in_progress("vector-coalesce") == 0

@@ -356,3 +356,116 @@ def test_observer_defaults_and_validation(tmp_path):
     assert state["since_s"] is None
     recorder.load_state_dict(state)
     assert recorder.state_dict() == state
+
+
+# -- the per-window call ledger -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        Chapter4Spec(mix="W2", policy="comb", copies=1),
+        Chapter5Spec(platform="PE1950", mix="W1", policy="bw", copies=1),
+    ],
+    ids=["ch4", "ch5"],
+)
+def test_each_layer_runs_once_per_window(spec, monkeypatch):
+    """A solo run calls the engine step, the engine apply, the thermal
+    kernel and the policy decision exactly once per DTM window, through
+    their public names (what a tracer wrapping those names relies on)."""
+    from repro.core.kernel import BatchedMemSpot
+    from repro.dtm.base import DTMPolicy
+    from repro.engine import SteppingEngine
+
+    calls: dict[str, int] = {}
+    for owner, name in (
+        (SteppingEngine, "step_window"),
+        (SteppingEngine, "apply_window"),
+        (BatchedMemSpot, "step"),
+        (DTMPolicy, "decide"),
+    ):
+        original = getattr(owner, name)
+        label = f"{owner.__name__}.{name}"
+        calls[label] = 0
+
+        def counted(*args, _original=original, _label=label, **kwargs):
+            calls[_label] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    engine = engine_for_spec(spec)
+    engine.run_to_completion()
+    assert engine.windows > 0
+    assert calls == dict.fromkeys(calls, engine.windows)
+
+
+# -- malformed snapshots --------------------------------------------------------
+
+
+def _ch4_state() -> dict:
+    engine = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
+    engine.step_windows(20)
+    return engine.checkpoint().to_dict()
+
+
+def _set(state: dict, path: str, value) -> dict:
+    *parents, leaf = path.split(".")
+    node = state
+    for part in parents:
+        node = node[part]
+    if value is _DELETE:
+        del node[leaf]
+    else:
+        node[leaf] = value
+    return state
+
+
+_DELETE = object()
+
+
+@pytest.mark.parametrize(
+    "path,value,match",
+    [
+        ("thermal.t_amb", ["x", 1.0, 1.0, 1.0], r"t_amb\[0\] must be a number"),
+        ("thermal.t_amb", [60.0, 60.0], "must list 4 DIMM positions"),
+        ("thermal.t_dram", [float("nan")] * 4, "must be finite"),
+        ("thermal.t_ambient", _DELETE, "missing"),
+        ("thermal.t_ambient", float("inf"), "must be finite"),
+        ("accumulators.traffic_bytes", "x", "must be a number"),
+        ("accumulators.peak_amb_c", float("nan"), "must be finite"),
+        ("now_s", True, "must be a number"),
+        ("windows", -3, "non-negative integer"),
+        ("windows", "abc", "non-negative integer"),
+        ("strategy_state.scheduler", _DELETE, "malformed"),
+        ("strategy_state.scheduler", "x", "malformed"),
+        ("strategy_state", [], "must be an object"),
+        ("observers", [1], "list of objects"),
+    ],
+    ids=[
+        "t_amb-string", "t_amb-short", "t_dram-nan", "t_ambient-missing",
+        "t_ambient-inf", "traffic-string", "peak-nan", "now-bool",
+        "windows-negative", "windows-string", "scheduler-missing",
+        "scheduler-string", "strategy_state-list", "observers-ints",
+    ],
+)
+def test_malformed_snapshots_raise_checkpoint_errors(path, value, match):
+    """Every defect surfaces as a CheckpointError (a structured 400 over
+    HTTP, an ``error:`` line on the CLI), never a raw ValueError or
+    KeyError, and a NaN temperature is refused rather than restored."""
+    broken = _set(_ch4_state(), path, value)
+    engine = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
+    with pytest.raises(CheckpointError, match=match):
+        engine.restore(EngineState.from_dict(json.loads(json.dumps(broken))))
+
+
+def test_bad_thermal_state_leaves_the_kernel_untouched():
+    from repro.core.kernel import BatchedMemSpot
+    from repro.params.thermal_params import AOHS_1_5, ISOLATED_AMBIENT
+
+    kernel = BatchedMemSpot(AOHS_1_5, ISOLATED_AMBIENT)
+    before = kernel.thermal_state()
+    bad = {**before, "t_dram": before["t_dram"][:3] + ["hot"]}
+    with pytest.raises(CheckpointError, match=r"t_dram\[3\]"):
+        kernel.load_thermal_state(bad)
+    assert kernel.thermal_state() == before

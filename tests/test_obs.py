@@ -167,6 +167,44 @@ class TestEngineTracing:
             assert {"policy_s", "kernel_s", "apply_s"} <= set(span.args)
             assert span.trace_id == tracer.spans()[0].trace_id
 
+    def test_process_tracing_keeps_payload_bytes_and_samples_every_32nd(
+        self,
+    ):
+        """With process-wide tracing on at the default 1-in-32 sampling,
+        the engine times only windows 0, 32, 64, ... and the encoded
+        payload is byte-identical to an untraced run."""
+        from repro.campaign import engine_for_spec, runner_for
+        from repro.obs.trace import DEFAULT_RING, DEFAULT_SAMPLE_EVERY
+
+        spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
+        encode = runner_for(spec.kind).encode
+
+        def payload_bytes() -> tuple[bytes, int]:
+            engine = engine_for_spec(spec)
+            result = engine.run_to_completion()
+            return json.dumps(encode(result), sort_keys=True).encode(), (
+                engine.windows
+            )
+
+        untraced, windows = payload_bytes()
+        TRACER.clear()
+        TRACER.configure(
+            enabled=True, sample_every=DEFAULT_SAMPLE_EVERY, ring=windows
+        )
+        try:
+            traced, _ = payload_bytes()
+            spans = [s for s in TRACER.spans() if s.name == "window"]
+        finally:
+            TRACER.configure(enabled=False, ring=DEFAULT_RING)
+            TRACER.clear()
+        assert traced == untraced
+        assert [s.args["index"] for s in spans] == list(
+            range(0, windows, DEFAULT_SAMPLE_EVERY)
+        )
+        assert all(
+            s.args["sampled_every"] == DEFAULT_SAMPLE_EVERY for s in spans
+        )
+
     def test_tracing_observer_is_checkpoint_transparent(self):
         """A checkpoint taken with tracing on restores with it off.
 

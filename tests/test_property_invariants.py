@@ -15,6 +15,7 @@ Three families, each over randomized-but-seeded parameter grids
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -106,7 +107,11 @@ def test_exponential_step_dt_splitting(tau, start, stable, dt):
 # 3. Batched-vs-scalar kernel equivalence
 # ---------------------------------------------------------------------------
 
-_SHAPES = ((4, 4), (2, 8), (1, 1), (3, 6))
+#: (channels, DIMMs per channel): every chain length from 1 to 8, so
+#: both the flat 4-DIMM body and the generic loop meet the oracle.
+_SHAPES = (
+    (4, 4), (2, 8), (1, 1), (3, 6), (1, 2), (2, 3), (4, 5), (1, 7),
+)
 
 
 @settings(max_examples=20, derandomize=True, deadline=None)
@@ -134,6 +139,52 @@ def test_batched_kernel_matches_scalar_bitwise(seed, cooling, ambient, shape, wa
     scalar.reset()
     batched.reset()
     assert scalar.sample() == batched.sample()
+
+
+@pytest.mark.parametrize("dimms", range(1, 9))
+def test_batched_kernel_matches_scalar_at_every_chain_length(dimms):
+    """Deterministic companion to the property above: each chain length
+    1-8 is stepped against the scalar oracle from a shuffled thermal
+    state, so any position (the last one included) can be the hottest
+    and every position reaches the reported peaks."""
+    scalar = MemSpot(FDHS_1_0, INTEGRATED_AMBIENT, 2, dimms)
+    batched = BatchedMemSpot(FDHS_1_0, INTEGRATED_AMBIENT, 2, dimms)
+    rng = random.Random(dimms)
+    start = {
+        "t_ambient": rng.uniform(30.0, 50.0),
+        "t_amb": [rng.uniform(40.0, 120.0) for _ in range(dimms)],
+        "t_dram": [rng.uniform(40.0, 100.0) for _ in range(dimms)],
+    }
+    start["t_amb"][-1] = 130.0
+    start["t_dram"][-1] = 110.0
+    scalar.load_thermal_state(start)
+    batched.load_thermal_state(start)
+    for step in range(80):
+        inputs = (rng.random() * 3e10, rng.random() * 1.5e10,
+                  rng.random() * 12.0, 0.01)
+        assert scalar.step(*inputs) == batched.step(*inputs), step
+    assert scalar.thermal_state() == batched.thermal_state()
+
+
+def test_flat_chain_resumes_bitwise_from_mid_run_thermal_state():
+    """A mid-run ``thermal_state()`` loaded into a fresh 4-DIMM kernel
+    continues exactly (``==``) as the uninterrupted kernel does."""
+    rng = random.Random(7)
+    stream = [
+        (rng.random() * 2.5e10, rng.random() * 1.2e10, rng.random() * 9.0,
+         0.01)
+        for _ in range(120)
+    ]
+    whole = BatchedMemSpot(AOHS_1_5, INTEGRATED_AMBIENT)
+    first = BatchedMemSpot(AOHS_1_5, INTEGRATED_AMBIENT)
+    for inputs in stream[:50]:
+        whole.step(*inputs)
+        first.step(*inputs)
+    resumed = BatchedMemSpot(AOHS_1_5, INTEGRATED_AMBIENT)
+    resumed.load_thermal_state(json.loads(json.dumps(first.thermal_state())))
+    for inputs in stream[50:]:
+        assert whole.step(*inputs) == resumed.step(*inputs)
+    assert whole.thermal_state() == resumed.thermal_state()
 
 
 def test_batched_kernel_rejects_bad_inputs():

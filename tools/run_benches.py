@@ -14,14 +14,6 @@ diffable JSON file instead of anecdotes.  Current probes:
   apps at the top frequency), so a change to the level-1 model shows.
 - ``kernel_window_stream`` — the batched thermal kernel vs the scalar
   one on an identical window stream (the PR 2 speedup, tracked).
-- ``lockstep_gang_vs_serial`` — a 32-cell W1/ts inlet sweep: per-cell
-  serial vs one lockstep gang (one ``decide_all`` per window, one
-  ``GridMemSpot`` step, flat per-window accounting), on the
-  pure-python backend and (when importable) the NumPy one.  Both
-  sides run the same cached window body, so the ratio measures what
-  ganging adds over the simplest path.  Byte-identical payloads
-  asserted, floors >= 1.0x pure python (a gang is never slower than
-  serial) and >= 1.3x NumPy.
 - ``campaign_grid_serial`` / ``campaign_grid_fleet2`` — the 8-cell ch4
   grid cold through an in-process serial run vs an
   ``HttpWorkerBackend`` over a 2-worker :class:`LocalFleet` with
@@ -50,7 +42,7 @@ diffable JSON file instead of anecdotes.  Current probes:
   ``repro.jobs`` service: warm single-cell jobs at 1/8/32 queued
   (the per-job queue overhead — persist, schedule, envelope), and one
   cold 8-cell compare job on the serial sliced scheduler vs the
-  vector backend's lockstep gang.
+  vector backend (serial cells, single-flight slots claimed first).
 - ``tracing_overhead`` — the same Fig. 4.3 cell with ``repro.obs``
   tracing off (the default: one ``is None`` check per window) vs on
   at the default 1-in-32 window sampling, reps interleaved.  The
@@ -92,10 +84,8 @@ from repro.campaign import (  # noqa: E402
     run_outcome,
     run_payload,
 )
-from repro.campaign.spec import runner_for  # noqa: E402
 from repro.cluster import HttpWorkerBackend, LocalFleet  # noqa: E402
-from repro.core.kernel import BatchedMemSpot, _import_numpy  # noqa: E402
-from repro.engine import plan_gangs  # noqa: E402
+from repro.core.kernel import BatchedMemSpot  # noqa: E402
 from repro.core.memspot import MemSpot  # noqa: E402
 from repro.core.windowmodel import WindowModel  # noqa: E402
 from repro.engine import (  # noqa: E402
@@ -193,101 +183,6 @@ def bench_kernel_window_stream(repeats: int) -> dict:
         "batched_seconds": round(batched, 4),
         "speedup": round(scalar / batched, 3),
     }
-
-
-#: Speedup floors for the lockstep bench.  Serial cells run the same
-#: steady-state window cache as gang members, so the gang's margin is
-#: only the one decide_all, the one grid step and the flat per-window
-#: accounting: without NumPy it must merely never lose.
-LOCKSTEP_MIN_SPEEDUP_PYTHON = 1.0
-LOCKSTEP_MIN_SPEEDUP_NUMPY = 1.3
-
-
-def bench_lockstep_gang_vs_serial(repeats: int, cells: int = 32) -> dict:
-    """A thermally-sensitive inlet sweep: per-cell serial vs lockstep.
-
-    Every cell steps its own DTM-TS policy and scheduler, so the
-    speedup measures the vectorized lockstep path itself.  Reps are
-    interleaved so machine-load drift hits every variant equally;
-    per-cell payloads are asserted byte-identical to the serial
-    baseline.
-    """
-    specs = [
-        Chapter4Spec(
-            mix="W1", policy="ts", copies=1, inlet_delta_c=0.05 * i
-        )
-        for i in range(cells)
-    ]
-    grid = [(spec.key(), spec) for spec in specs]
-    encode = runner_for("ch4").encode
-
-    def serial_once() -> tuple[float, dict[str, dict]]:
-        started = time.perf_counter()
-        payloads = {
-            key: encode(engine_for_spec(spec).run_to_completion())
-            for key, spec in grid
-        }
-        return time.perf_counter() - started, payloads
-
-    def gang_once(backend: str) -> tuple[float, dict[str, dict]]:
-        started = time.perf_counter()
-        plan = plan_gangs(grid, batch_cells=len(grid), backend=backend)
-        assert not plan.solo and len(plan.gangs) == 1, "expected one gang"
-        (planned,) = plan.gangs
-        payloads = {
-            key: encode(result)
-            for (key, _), result in zip(
-                planned.cells, planned.gang.run_to_completion()
-            )
-        }
-        return time.perf_counter() - started, payloads
-
-    backends = ["python"] + (["numpy"] if _import_numpy() is not None else [])
-    serial_samples: list[float] = []
-    gang_samples: dict[str, list[float]] = {name: [] for name in backends}
-    baseline: dict[str, dict] | None = None
-    for _ in range(repeats):
-        seconds, payloads = serial_once()
-        serial_samples.append(seconds)
-        if baseline is None:
-            baseline = payloads
-        assert payloads == baseline, "serial reps must be deterministic"
-        for name in backends:
-            seconds, payloads = gang_once(name)
-            gang_samples[name].append(seconds)
-            assert payloads == baseline, (
-                f"lockstep gang ({name}) payloads differ from the "
-                f"serial baseline"
-            )
-
-    best_serial = min(serial_samples)
-    result = {
-        "description": (
-            f"{cells}-cell thermally-sensitive W1/ts inlet sweep: "
-            f"per-cell serial vs one lockstep gang (payloads "
-            f"byte-identical)"
-        ),
-        "cells": cells,
-        "serial_seconds": round(best_serial, 4),
-        "numpy_available": "numpy" in backends,
-    }
-    for name in backends:
-        best = min(gang_samples[name])
-        speedup = best_serial / best
-        floor = (
-            LOCKSTEP_MIN_SPEEDUP_NUMPY
-            if name == "numpy"
-            else LOCKSTEP_MIN_SPEEDUP_PYTHON
-        )
-        assert speedup >= floor, (
-            f"lockstep gang ({name}) speedup {speedup:.2f}x fell below "
-            f"the {floor}x floor (serial {best_serial:.3f}s vs gang "
-            f"{best:.3f}s)"
-        )
-        result[f"gang_{name}_seconds"] = round(best, 4)
-        result[f"speedup_{name}"] = round(speedup, 3)
-        result[f"min_speedup_{name}"] = floor
-    return result
 
 
 def _serial_grid_once() -> float:
@@ -728,9 +623,8 @@ def bench_tracing_overhead(repeats: int) -> dict:
 
 
 #: The job-bench cold workload: the full Fig. 4.3 comparison — eight
-#: same-workload cells that the vector backend runs as one lockstep
-#: gang through the grid kernel, while the serial scheduler steps them
-#: one by one.
+#: same-workload cells, which the serial sliced scheduler steps in
+#: window slices and the vector backend runs whole, one after another.
 JOB_COLD_REQUEST = {"type": "compare", "mix": "W1", "copies": 1}
 JOB_COLD_CELLS = 8
 
@@ -746,7 +640,7 @@ def bench_job_queue_throughput(repeats: int) -> dict:
       schedule, envelope, persist again — per job;
     - one cold 8-cell compare job (the Fig. 4.3 scheme sweep) on the
       serial (sliced, preemptible) scheduler vs the vector backend,
-      which lock-steps the same-workload cells as one gang.
+      which runs each cell whole with its single-flight slot claimed.
     """
     import tempfile
 
@@ -797,7 +691,7 @@ def bench_job_queue_throughput(repeats: int) -> dict:
             "submit-to-complete latency through the jobs service: warm "
             "single-cell jobs at 1/8/32 queued (pure queue overhead), "
             "and one cold 8-cell compare job (Fig. 4.3 sweep), serial "
-            "sliced scheduler vs vector-backend lockstep gang"
+            "sliced scheduler vs vector backend"
         ),
     }
     for load in (1, 8, 32):
@@ -848,10 +742,6 @@ def main(argv: list[str] | None = None) -> int:
     benches["fig4_3_cell"] = bench_fig4_3_cell(args.repeats)
     print("bench: kernel_window_stream ...", flush=True)
     benches["kernel_window_stream"] = bench_kernel_window_stream(args.repeats)
-    print("bench: lockstep_gang_vs_serial ...", flush=True)
-    benches["lockstep_gang_vs_serial"] = bench_lockstep_gang_vs_serial(
-        args.repeats
-    )
     print("bench: checkpoint_overhead ...", flush=True)
     benches["checkpoint_overhead"] = bench_checkpoint_overhead(args.repeats)
     print("bench: warm_hit_latency ...", flush=True)
@@ -907,14 +797,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         extra = (
             f" (speedup {bench['speedup']}x)" if "speedup" in bench else ""
-        ) + (
-            f" (gang python {bench['speedup_python']}x)"
-            if "speedup_python" in bench
-            else ""
-        ) + (
-            f" (gang numpy {bench['speedup_numpy']}x)"
-            if "speedup_numpy" in bench
-            else ""
         ) + (
             f" (speedup vs serial {bench['speedup_vs_serial']}x)"
             if "speedup_vs_serial" in bench
