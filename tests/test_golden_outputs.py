@@ -2,9 +2,10 @@
 
 These tests freeze the exact numbers of Chapter 4 cells (one per DTM
 scheme family, a cache-aware-scheduling run, and a run checkpointed
-mid-epoch and resumed in a fresh engine), one Chapter 5 experiment
-cell, and the campaign tables built from them, so that refactors for
-speed (batched kernels, scenario plumbing, cache layers) cannot
+mid-epoch and resumed in a fresh engine), the Chapter 5 grid (one cell
+per policy on each platform, plus a run checkpointed mid-epoch and
+resumed), and the campaign tables built from them, so that refactors
+for speed (batched kernels, scenario plumbing, cache layers) cannot
 silently drift the physics.  Any numeric deviation beyond 1e-9
 fails the suite.
 
@@ -30,6 +31,7 @@ import pytest
 
 from repro.analysis.campaigns import run_campaign
 from repro.analysis.specs import (
+    CHAPTER5_POLICIES,
     Chapter4Spec,
     Chapter5Spec,
     run_result_to_dict,
@@ -92,6 +94,35 @@ def _ch5_payload() -> dict:
         store=NullStore(),
     )
     return server_result_to_dict(result)
+
+
+#: Both measured servers; the Chapter 5 grid pins one W1 cell per
+#: policy on each.
+CH5_PLATFORMS = ("PE1950", "SR1500AL")
+#: Windows (1 s each) the resumed Chapter 5 cell runs before its
+#: checkpoint: after the first job completion (window 150), before the
+#: second (window 190).
+CH5_RESUME_AT_WINDOW = 170
+
+
+def _ch5_policy_payload(platform: str, policy: str) -> dict:
+    result = run(
+        Chapter5Spec(platform=platform, mix="W1", policy=policy, copies=1),
+        store=NullStore(),
+    )
+    return server_result_to_dict(result)
+
+
+def _ch5_resumed_payload() -> dict:
+    spec = Chapter5Spec(platform="PE1950", mix="W1", policy="comb", copies=1)
+    first = engine_for_spec(spec)
+    assert first.step_windows(CH5_RESUME_AT_WINDOW) == CH5_RESUME_AT_WINDOW
+    progress = first.strategy.progress(first)
+    assert 0 < progress["finished_jobs"] < progress["total_jobs"]
+    state = json.loads(json.dumps(first.checkpoint().to_dict()))
+    resumed = engine_for_spec(spec)
+    resumed.restore(EngineState.from_dict(state))
+    return server_result_to_dict(resumed.run_to_completion())
 
 
 def _campaign_payload() -> dict:
@@ -174,6 +205,19 @@ def test_golden_ch4_resumed_mid_epoch():
 
 def test_golden_ch5_cell():
     _check_golden("ch5_PE1950_W1_bw_copies1", _ch5_payload())
+
+
+@pytest.mark.parametrize("platform", CH5_PLATFORMS)
+@pytest.mark.parametrize("policy", CHAPTER5_POLICIES)
+def test_golden_ch5_policy_cell(platform, policy):
+    _check_golden(
+        f"ch5_{platform}_W1_{policy}_copies1",
+        _ch5_policy_payload(platform, policy),
+    )
+
+
+def test_golden_ch5_resumed_mid_epoch():
+    _check_golden("ch5_PE1950_W1_comb_copies1_resumed", _ch5_resumed_payload())
 
 
 def test_golden_campaign_tables():
