@@ -20,6 +20,7 @@ loaded latency.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.cache.sharing import SharedCacheModel
@@ -121,16 +122,17 @@ class ServerWindowModel:
                 defaults to the platform's 100 ms.
         """
         slice_s = time_slice_s if time_slice_s is not None else self._platform.time_slice_s
+        # Exact values, never rounded: the model is shared by every cell
+        # of a process, so two inputs that merely round alike must not
+        # share a result.
         key = (
             tuple(
                 (tuple(a.name for a in s.resident), s.active_cores) for s in sockets
             ),
-            round(frequency_hz),
-            round(voltage_v, 4),
-            None
-            if bandwidth_cap_bytes_per_s is None
-            else round(bandwidth_cap_bytes_per_s),
-            round(slice_s, 6),
+            frequency_hz,
+            voltage_v,
+            bandwidth_cap_bytes_per_s,
+            slice_s,
         )
         cached = self._memo.get(key)
         if cached is not None:
@@ -156,6 +158,89 @@ class ServerWindowModel:
             programs.extend(rates)
             demand += sum(r.bytes_per_s for r in rates)
         return programs, demand
+
+    def _demand_kernel(
+        self,
+        sockets: list[SocketLoad],
+        frequency_hz: float,
+        slice_s: float,
+    ) -> Callable[[float], float]:
+        """``demand_at(latency_s)``: the total demand of :meth:`_rates_at`
+        at one latency, for the bisection steps of :meth:`_solve`.
+
+        The terms that do not depend on latency are taken once per
+        socket shape: each program's misses per instruction at half
+        capacity (shape 1's co-runner estimate) or full capacity
+        (shapes 2 and 3), shape 2's time-slice extra misses, and
+        ``spec + write_frac``.  ``demand_at`` then performs exactly the
+        float operations of :meth:`_rates_at` in the same order, so the
+        two agree bit for bit.  A socket's total starts at integer 0 and
+        adds its one or two programs left to right, which is what
+        ``sum()`` computes there on every Python version.
+        """
+        capacity = self._platform.l2_per_socket_bytes
+        top_frequency = self._platform.cpu_power.operating_points[0].frequency_hz
+        solve = self._cache_model.solve
+        plan = []
+        for load in sockets:
+            apps = load.resident
+            shared = len(apps) == 2 and load.active_cores == 2
+            time_shared = len(apps) == 2 and load.active_cores == 1
+            duty = 0.5 if time_shared else 1.0
+            programs = []
+            for app in apps:
+                extra = 0.0
+                if time_shared:
+                    resident = min(app.mrc.c_half_bytes, capacity)
+                    extra = self._slice_model.extra_misses_per_s(slice_s, resident)
+                spec = 1.0 + app.spec_traffic_frac * frequency_hz / top_frequency
+                programs.append((
+                    app.cpi_base,
+                    app.mlp,
+                    app.misses_per_instruction(capacity / 2 if shared else capacity),
+                    app.apki,
+                    extra,
+                    extra * duty,
+                    spec + app.write_frac,
+                ))
+            curves = [app.mrc for app in apps] if shared else None
+            plan.append((programs, curves, duty))
+
+        def demand_at(latency_s: float) -> float:
+            latency_cycles = latency_s * frequency_hz
+            demand = 0.0
+            for programs, curves, duty in plan:
+                if curves is not None:
+                    # Shape 1: the co-runners' shares at this latency.
+                    rates = [
+                        frequency_hz
+                        * (1.0 / (cpi + mpi_half * latency_cycles / mlp))
+                        * apki
+                        / 1000.0
+                        for cpi, mlp, mpi_half, apki, _, _, _ in programs
+                    ]
+                    _, ratios = solve(rates, curves)
+                    mpis = [
+                        apki / 1000.0 * ratio
+                        for (_, _, _, apki, _, _, _), ratio in zip(programs, ratios)
+                    ]
+                else:
+                    mpis = [mpi for _, _, mpi, _, _, _, _ in programs]
+                total = 0
+                for (cpi, mlp, _, _, extra, extra_duty, traffic), mpi in zip(
+                    programs, mpis
+                ):
+                    ips = frequency_hz * (1.0 / (cpi + mpi * latency_cycles / mlp)) * duty
+                    misses = ips * mpi
+                    if extra > 0.0 and ips > 0.0:
+                        mpi = mpi + extra_duty / ips
+                        ips = frequency_hz * (1.0 / (cpi + mpi * latency_cycles / mlp)) * duty
+                        misses = ips * mpi
+                    total = total + misses * CACHE_LINE_BYTES * traffic
+                demand += total
+            return demand
+
+        return demand_at
 
     def _solve(
         self,
@@ -198,13 +283,11 @@ class ServerWindowModel:
             utilization = rho_max
             latency = envelope.latency_s(rho_max)
         else:
+            demand_at = self._demand_kernel(sockets, frequency_hz, slice_s)
             lo, hi = 0.0, rho_max
             for _ in range(max(self._iterations, 20)):
                 mid = (lo + hi) / 2.0
-                _, demand_mid = self._rates_at(
-                    sockets, frequency_hz, envelope.latency_s(mid), slice_s
-                )
-                if demand_mid > mid * effective_peak:
+                if demand_at(envelope.latency_s(mid)) > mid * effective_peak:
                     lo = mid
                 else:
                     hi = mid

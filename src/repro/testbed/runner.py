@@ -11,7 +11,10 @@ Since the engine refactor the measurement loop is hosted on
 :class:`repro.engine.SteppingEngine`: :class:`ServerStrategy` supplies
 the per-second mechanism application and performance evaluation, the
 engine supplies stepping, checkpoint/resume and observers, and the
-results stay byte-identical to the historical inlined loop.
+results stay byte-identical to the historical inlined loop.  Between
+job completions a window's products depend only on the policy
+decision, so :class:`ServerStrategy` computes them once per decision
+and replays them (see :meth:`ServerStrategy.window`).
 
 :func:`run_homogeneous` reproduces the §5.4.1 warm-up experiments: four
 copies of one program from idle-stable temperature, with the chipset
@@ -22,6 +25,7 @@ sensor logging attached as an observer.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -91,9 +95,10 @@ class ServerStrategy:
     engine strategy.
 
     The Linux/chipset mechanism objects (hotplug, cpufreq, throttle)
-    are fully re-programmed from the policy decision at the top of
-    every window, so they carry no cross-window state and stay out of
-    the checkpoint.
+    are fully re-programmed from the policy decision whenever a window
+    computes its cache entry (see :meth:`window`).  Only that
+    computation reads them, so they carry no cross-window state and
+    stay out of the checkpoint.
     """
 
     kind = "ch5"
@@ -133,6 +138,10 @@ class ServerStrategy:
         self.dt_s = platform.dtm_interval_s
         self._top_level = platform.levels.level_count - 1
         self._safety_cap = platform.levels.bw_caps_bytes_per_s[-1]
+        # Window cache: decision -> entry, for the current assignment
+        # epoch (the number of finished jobs; see window).
+        self._window_cache: dict = {}
+        self._cache_epoch = -1
         self.trace_recorder = TraceRecorder(resolution_s=None)
 
     def default_observers(self) -> tuple[Observer, ...]:
@@ -155,14 +164,46 @@ class ServerStrategy:
         )
 
     def window(self, engine: SteppingEngine) -> WindowOutcome:
-        platform = self._platform
+        """One DTM window: decide on the last sample, then run it.
+
+        The policy reads ``engine.sample``, the previous window's
+        sample, whose ``amb_c`` is the AMB sensor reading.  Between job
+        completions the round-robin scheduler's slot assignment is
+        frozen, so everything after the decision is a pure function of
+        the decision.  As in the Chapter 4 window, those products are
+        cached per assignment epoch (the number of finished jobs), and
+        a hit replays the cached per-slot additions in their original
+        order, so the engine and scheduler receive exactly the bits a
+        fresh computation would.
+        """
+        decision = self._policy.decide(engine.sample, self.dt_s)
         scheduler = self._scheduler
+        cache = self._window_cache
+        epoch = scheduler.finished_jobs
+        if epoch != self._cache_epoch:
+            cache.clear()
+            self._cache_epoch = epoch
+        entry = cache.get(decision)
+        if entry is None:
+            entry = cache[decision] = self._window_entry(decision)
+        outcome, progress, slot_adds, traffic_delta, l2_delta = entry
+        if progress is not None:
+            for advanced in slot_adds:
+                engine.instructions += advanced
+            scheduler.advance(progress)
+            engine.traffic_bytes += traffic_delta
+            engine.l2_misses += l2_delta
+        return outcome
+
+    def _window_entry(self, decision: Any) -> tuple:
+        """One window-cache entry: the pure products of the post-decide
+        body, ``(outcome, progress, slot_adds, traffic_delta, l2_delta)``
+        with ``progress`` None when no socket runs a program."""
+        platform = self._platform
         hotplug = self._hotplug
         cpufreq = self._cpufreq
         throttle = self._throttle
         dt = self.dt_s
-        # The previous window's sample carries the sensor reading.
-        decision = self._policy.decide(engine.sample, dt)
 
         # Apply the decision through the Linux/chipset mechanisms.
         active = max(2, decision.active_cores) if decision.active_cores else 2
@@ -179,10 +220,15 @@ class ServerStrategy:
             cap = self._safety_cap if cap is None else min(cap, self._safety_cap)
         throttle.program_bandwidth(cap)
 
-        loads, slot_groups = self._build_loads(scheduler, hotplug, online)
+        loads, slot_groups = self._build_loads(self._scheduler, hotplug, online)
         heating = 0.0
         read_bps = 0.0
         write_bps = 0.0
+        progress: dict[int, float] | None = None
+        slot_adds: list[float] = []
+        traffic_delta = 0.0
+        l2_delta = 0.0
+        utilizations: list[float] = []
         if loads:
             result = self._window.evaluate(
                 loads,
@@ -191,23 +237,21 @@ class ServerStrategy:
                 bandwidth_cap_bytes_per_s=throttle.bandwidth_cap_bytes_per_s(),
                 time_slice_s=self._time_slice_s,
             )
-            progress: dict[int, float] = {}
+            progress = {}
             index = 0
-            utilizations: list[float] = []
             for load, slots in zip(loads, slot_groups):
                 socket_utils = []
                 for slot in slots:
                     rate = result.programs[index]
                     advanced = rate.instructions_per_s * dt
                     progress[slot] = advanced
-                    engine.instructions += advanced
+                    slot_adds.append(advanced)
                     socket_utils.append(rate.utilization)
                     index += 1
                 if load.active_cores >= 2:
                     utilizations.extend(socket_utils[:2])
                 else:
                     utilizations.append(min(1.0, sum(socket_utils)))
-            scheduler.advance(progress)
             # Eq. 3.6 heating plus a spin term: stalled-but-running
             # cores still draw dynamic power (why the measured inlet
             # is hottest under DTM-BW, Fig. 5.9), scaling with V and f.
@@ -221,20 +265,19 @@ class ServerStrategy:
             heating = result.heating_sum + spin
             read_bps = result.read_bytes_per_s
             write_bps = result.write_bytes_per_s
-            engine.traffic_bytes += result.total_bytes_per_s * dt
-            engine.l2_misses += result.l2_misses_per_s * dt
-        else:
-            utilizations = []
+            traffic_delta = result.total_bytes_per_s * dt
+            l2_delta = result.l2_misses_per_s * dt
 
         cpu_power = measured_chip_power_w(
             utilizations, cpufreq.level, platform.cpu_power
         )
-        return WindowOutcome(
+        outcome = WindowOutcome(
             read_bytes_per_s=read_bps,
             write_bytes_per_s=write_bps,
             heating_sum=heating,
             cpu_power_w=cpu_power,
         )
+        return (outcome, progress, tuple(slot_adds), traffic_delta, l2_delta)
 
     def finalize(self, engine: SteppingEngine) -> ServerRunResult:
         now = engine.now_s
@@ -267,6 +310,10 @@ class ServerStrategy:
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
+        # A restore moves the scheduler to an arbitrary point; the
+        # window cache is stale even if finished_jobs happens to match.
+        self._window_cache.clear()
+        self._cache_epoch = -1
         self._scheduler.load_state_dict(state["scheduler"])
         self._policy.load_state_dict(state.get("policy", {}))
 
@@ -298,6 +345,11 @@ class ServerStrategy:
         return loads, slot_groups
 
 
+def _is_number(value: object) -> bool:
+    """A real int or float (booleans refused)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class ServerSimulator:
     """Runs one (platform, workload, policy) measurement to completion."""
 
@@ -316,6 +368,26 @@ class ServerSimulator:
     ) -> None:
         if copies < 1:
             raise ConfigurationError("need at least one batch copy")
+        # Checked here, before the first window: a bad slice would
+        # otherwise fail mid-run (or, under a policy that never
+        # time-shares a core, not at all) and a bad level only at the
+        # first cpufreq write.
+        if time_slice_s is not None and not (
+            _is_number(time_slice_s) and 0 < time_slice_s < math.inf
+        ):
+            raise ConfigurationError(
+                f"time_slice_s must be finite and > 0, got {time_slice_s!r}"
+            )
+        levels = len(platform.cpu_power.operating_points)
+        if not (
+            _is_number(base_frequency_level)
+            and isinstance(base_frequency_level, int)
+            and 0 <= base_frequency_level < levels
+        ):
+            raise ConfigurationError(
+                f"base_frequency_level must be an integer in [0, {levels}), "
+                f"got {base_frequency_level!r}"
+            )
         self._platform = platform
         self._policy = policy
         self._mix = get_mix(mix_name)

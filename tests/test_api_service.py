@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.analysis.specs import Chapter4Spec, run_result_from_dict
+from repro.analysis.specs import Chapter4Spec, Chapter5Spec, run_result_from_dict
 from repro.api import SCHEMA_VERSION, ReproClient, ReproService, ResultEnvelope
 from repro.api import service as service_module
 from repro.cli import main
@@ -239,6 +239,18 @@ def test_worker_route_errors(service):
     assert code == 405 and "use POST" in body["error"]
     code, body = _error(service, "/v1/worker/health", data=b"{}")
     assert code == 405 and "use GET" in body["error"]
+
+
+def test_worker_run_rejects_invalid_ch5_cells(service):
+    """An invalid Chapter 5 cell on the wire is a structured 400 before
+    any window runs, never a 500 or a cached payload."""
+    for fields in ({"time_slice_s": -1.0}, {"base_frequency_level": 9}):
+        spec = Chapter5Spec(policy="no-limit", copies=1, **fields)
+        code, body = _error(
+            service, "/v1/worker/run",
+            data=json.dumps({"cells": [cell_to_wire(spec)]}).encode(),
+        )
+        assert code == 400 and next(iter(fields)) in body["error"]
 
 
 def test_worker_run_rejects_gangs_field(service):

@@ -76,24 +76,17 @@ def _cache_aware_payload() -> dict:
     return run_result_to_dict(TwoLevelSimulator(config, DTMACG()).run())
 
 
-def _resumed_payload() -> dict:
-    spec = Chapter4Spec(mix="W1", policy="acg", copies=1)
+def _resumed_payload(spec, at_window: int, to_dict) -> dict:
+    """``spec`` run to ``at_window``, checkpointed through JSON, and
+    finished in a fresh engine."""
     first = engine_for_spec(spec)
-    assert first.step_windows(RESUME_AT_WINDOW) == RESUME_AT_WINDOW
+    assert first.step_windows(at_window) == at_window
     progress = first.strategy.progress(first)
     assert 0 < progress["finished_jobs"] < progress["total_jobs"]
     state = json.loads(json.dumps(first.checkpoint().to_dict()))
     resumed = engine_for_spec(spec)
     resumed.restore(EngineState.from_dict(state))
-    return run_result_to_dict(resumed.run_to_completion())
-
-
-def _ch5_payload() -> dict:
-    result = run(
-        Chapter5Spec(platform="PE1950", mix="W1", policy="bw", copies=1),
-        store=NullStore(),
-    )
-    return server_result_to_dict(result)
+    return to_dict(resumed.run_to_completion())
 
 
 #: Both measured servers; the Chapter 5 grid pins one W1 cell per
@@ -111,18 +104,6 @@ def _ch5_policy_payload(platform: str, policy: str) -> dict:
         store=NullStore(),
     )
     return server_result_to_dict(result)
-
-
-def _ch5_resumed_payload() -> dict:
-    spec = Chapter5Spec(platform="PE1950", mix="W1", policy="comb", copies=1)
-    first = engine_for_spec(spec)
-    assert first.step_windows(CH5_RESUME_AT_WINDOW) == CH5_RESUME_AT_WINDOW
-    progress = first.strategy.progress(first)
-    assert 0 < progress["finished_jobs"] < progress["total_jobs"]
-    state = json.loads(json.dumps(first.checkpoint().to_dict()))
-    resumed = engine_for_spec(spec)
-    resumed.restore(EngineState.from_dict(state))
-    return server_result_to_dict(resumed.run_to_completion())
 
 
 def _campaign_payload() -> dict:
@@ -200,11 +181,15 @@ def test_golden_ch4_cache_aware_scheduling():
 
 
 def test_golden_ch4_resumed_mid_epoch():
-    _check_golden("ch4_W1_acg_copies1_resumed", _resumed_payload())
+    spec = Chapter4Spec(mix="W1", policy="acg", copies=1)
+    _check_golden(
+        "ch4_W1_acg_copies1_resumed",
+        _resumed_payload(spec, RESUME_AT_WINDOW, run_result_to_dict),
+    )
 
 
 def test_golden_ch5_cell():
-    _check_golden("ch5_PE1950_W1_bw_copies1", _ch5_payload())
+    _check_golden("ch5_PE1950_W1_bw_copies1", _ch5_policy_payload("PE1950", "bw"))
 
 
 @pytest.mark.parametrize("platform", CH5_PLATFORMS)
@@ -217,7 +202,11 @@ def test_golden_ch5_policy_cell(platform, policy):
 
 
 def test_golden_ch5_resumed_mid_epoch():
-    _check_golden("ch5_PE1950_W1_comb_copies1_resumed", _ch5_resumed_payload())
+    spec = Chapter5Spec(platform="PE1950", mix="W1", policy="comb", copies=1)
+    _check_golden(
+        "ch5_PE1950_W1_comb_copies1_resumed",
+        _resumed_payload(spec, CH5_RESUME_AT_WINDOW, server_result_to_dict),
+    )
 
 
 def test_golden_campaign_tables():

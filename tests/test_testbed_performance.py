@@ -131,3 +131,42 @@ def test_utilization_bounded(sr1500al_model):
     assert 0.0 <= result.utilization <= 1.0
     for program in result.programs:
         assert 0.0 <= program.utilization <= 1.0
+
+
+def _demand_shapes():
+    """Socket lists covering the three shapes, each with unlike apps."""
+    swim, gzip, mcf = get_app("swim"), get_app("gzip"), get_app("mcf")
+    return {
+        "shared L2": [
+            SocketLoad(resident=(swim, gzip), active_cores=2),
+            SocketLoad(resident=(mcf, swim), active_cores=2),
+        ],
+        "time-shared core": [
+            SocketLoad(resident=(swim, gzip), active_cores=1),
+            SocketLoad(resident=(mcf, gzip), active_cores=1),
+        ],
+        "solo tail": [
+            SocketLoad(resident=(mcf,), active_cores=2),
+            SocketLoad(resident=(swim,), active_cores=1),
+        ],
+    }
+
+
+@pytest.mark.parametrize("platform", [PE1950, SR1500AL], ids=lambda p: p.name)
+@pytest.mark.parametrize("shape", sorted(_demand_shapes()))
+def test_demand_kernel_matches_rates_at_bit_for_bit(platform, shape):
+    """The bisection's demand kernel is an exact re-expression of
+    ``_rates_at``: same value, to the bit, at every latency, frequency
+    and time slice the bisection can meet."""
+    model = ServerWindowModel(platform)
+    sockets = _demand_shapes()[shape]
+    envelope = model.envelope
+    rho_max = envelope.rho_max
+    for point in platform.cpu_power.operating_points:
+        frequency = point.frequency_hz
+        for slice_s in (0.1, 0.005):
+            demand_at = model._demand_kernel(sockets, frequency, slice_s)
+            for utilization in (0.0, rho_max / 2, rho_max):
+                latency = envelope.latency_s(utilization)
+                _, expected = model._rates_at(sockets, frequency, latency, slice_s)
+                assert demand_at(latency) == expected, (frequency, slice_s, utilization)

@@ -1,12 +1,25 @@
 """Server experiment runner integration tests."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
+from repro.analysis import specs as specs_module
+from repro.analysis.specs import (
+    CHAPTER5_POLICIES,
+    Chapter5Spec,
+    server_result_to_dict,
+)
+from repro.campaign import MemoryStore, NullStore, engine_for_spec, run
+from repro.cluster import cell_from_wire, cell_to_wire
 from repro.dtm.acg import DTMACG
 from repro.dtm.base import NoLimitPolicy
 from repro.dtm.bw import DTMBW
 from repro.dtm.cdvfs import DTMCDVFS
 from repro.dtm.comb import DTMCOMB
+from repro.engine import EngineState
+from repro.errors import ConfigurationError
 from repro.testbed.platforms import PE1950, SR1500AL
 from repro.testbed.runner import ServerSimulator, run_homogeneous
 
@@ -128,3 +141,85 @@ def test_homogeneous_safety_throttle_pins_100c(sr1500al_model):
     )
     assert max(trace.amb_c) <= 102.0
     assert max(trace.amb_c) >= 99.0
+
+
+class _NeverStores(dict):
+    """A window cache that forgets every entry: each window recomputes."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+@pytest.mark.parametrize("platform", ["PE1950", "SR1500AL"])
+@pytest.mark.parametrize("policy", CHAPTER5_POLICIES)
+def test_window_cache_matches_recomputing_every_window(platform, policy):
+    """The epoch-keyed window cache replays exactly what a fresh
+    computation of each window would apply."""
+    spec = Chapter5Spec(platform=platform, mix="W1", policy=policy, copies=1)
+    cached = engine_for_spec(spec)
+    uncached = engine_for_spec(spec)
+    uncached.strategy._window_cache = _NeverStores()
+    cached_payload = server_result_to_dict(cached.run_to_completion())
+    fresh_payload = server_result_to_dict(uncached.run_to_completion())
+    assert cached_payload == fresh_payload
+
+
+def test_restore_drops_a_populated_window_cache():
+    """A restore into an engine whose cache was filled at another
+    window of the same epoch still finishes exactly like a straight
+    run."""
+    spec = Chapter5Spec(platform="PE1950", mix="W1", policy="comb", copies=1)
+    straight = server_result_to_dict(engine_for_spec(spec).run_to_completion())
+    source = engine_for_spec(spec)
+    source.step_windows(170)
+    state = json.loads(json.dumps(source.checkpoint().to_dict()))
+    target = engine_for_spec(spec)
+    target.step_windows(180)
+    assert (
+        target.strategy.progress(target)["finished_jobs"]
+        == source.strategy.progress(source)["finished_jobs"]
+        == 1
+    )
+    assert target.strategy._window_cache
+    target.restore(EngineState.from_dict(state))
+    assert not target.strategy._window_cache
+    assert server_result_to_dict(target.run_to_completion()) == straight
+
+
+def test_server_model_memo_is_order_independent(monkeypatch):
+    """A ch5 result must not depend on what the process ran before:
+    two time slices that round alike get their own model evaluations."""
+    monkeypatch.setattr(specs_module, "_server_models", {})
+    first = Chapter5Spec(policy="acg", mix="W1", copies=1, time_slice_s=0.0100004)
+    second = replace(first, time_slice_s=0.0100001)
+    run(first, store=NullStore())
+    after_first = server_result_to_dict(run(second, store=NullStore()))
+    specs_module._server_models.clear()
+    fresh = server_result_to_dict(run(second, store=NullStore()))
+    assert after_first == fresh
+
+
+_INVALID_CH5_FIELDS = [
+    {"policy": "no-limit", "time_slice_s": -1.0},
+    {"policy": "no-limit", "time_slice_s": 0.0},
+    {"policy": "acg", "time_slice_s": 0.0},
+    {"policy": "acg", "time_slice_s": float("inf")},
+    {"policy": "bw", "base_frequency_level": 4},
+    {"policy": "bw", "base_frequency_level": -1},
+]
+
+
+@pytest.mark.parametrize(
+    "fields",
+    _INVALID_CH5_FIELDS,
+    ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()),
+)
+def test_invalid_ch5_inputs_rejected_before_running(fields):
+    """Bad time slices and base levels fail up front, on the spec path
+    and the wire path alike, and nothing reaches the store."""
+    spec = Chapter5Spec(mix="W1", copies=1, **fields)
+    for cell in (spec, cell_from_wire(cell_to_wire(spec))):
+        store = MemoryStore()
+        with pytest.raises(ConfigurationError):
+            run(cell, store=store)
+        assert store.get(cell.key()) is None
