@@ -1,7 +1,8 @@
 """Golden-master regression tests pinning the numeric outputs.
 
 These tests freeze the exact numbers of Chapter 4 cells (one per DTM
-scheme family, a cache-aware-scheduling run, and a run checkpointed
+scheme family, three on the integrated-ambient, two-DIMM-chain and
+burst-idle paths, a cache-aware-scheduling run, and a run checkpointed
 mid-epoch and resumed in a fresh engine), the Chapter 5 grid (one cell
 per policy on each platform, plus a run checkpointed mid-epoch and
 resumed), and the campaign tables built from them, so that refactors
@@ -64,6 +65,17 @@ def _ch4_policy_payload(policy: str) -> dict:
         Chapter4Spec(mix="W1", policy=policy, copies=1), store=NullStore()
     )
     return run_result_to_dict(result)
+
+
+#: Chapter 4 cells on the kernel and window-cache paths the default
+#: cells above do not reach: a per-window ambient node (integrated
+#: model), the generic chain loop (two DIMMs per channel), and
+#: burst-idle windows that retire no progress (duty cycle 0.5).
+CH4_PATH_CELLS = {
+    "ch4_W1_comb_copies1_integrated": dict(policy="comb", ambient="integrated"),
+    "ch4_W1_acg_copies1_dimms2": dict(policy="acg", dimms_per_channel=2),
+    "ch4_W1_bw_copies1_duty0.5": dict(policy="bw", duty_cycle=0.5),
+}
 
 
 def _cache_aware_payload() -> dict:
@@ -174,6 +186,12 @@ def test_golden_ch4_cell():
 @pytest.mark.parametrize("policy", CH4_POLICIES)
 def test_golden_ch4_policy_cell(policy):
     _check_golden(f"ch4_W1_{policy}_copies1", _ch4_policy_payload(policy))
+
+
+@pytest.mark.parametrize("name", sorted(CH4_PATH_CELLS))
+def test_golden_ch4_path_cell(name):
+    spec = Chapter4Spec(mix="W1", copies=1, **CH4_PATH_CELLS[name])
+    _check_golden(name, run_result_to_dict(run(spec, store=NullStore())))
 
 
 def test_golden_ch4_cache_aware_scheduling():
