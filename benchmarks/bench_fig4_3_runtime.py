@@ -6,8 +6,8 @@ Expected shape: TS ~ BW worst, ACG best (avg ~1.5 vs ~1.8), CDVFS in
 between, PID improving each (§4.4.2).
 
 ``test_fig4_3_kernel_speedup`` additionally proves the batched thermal
-kernel beats the per-node scalar path on the same inputs: a window
-stream micro-benchmark plus one end-to-end Fig. 4.3 cell per kernel.
+kernel, driven through ``load`` and ``step``, beats the per-node
+``MemSpot`` oracle on the same window stream and matches it bit for bit.
 """
 
 import random
@@ -21,9 +21,6 @@ from repro.analysis.tables import format_table
 from repro.campaign import sweep
 from repro.core.kernel import BatchedMemSpot
 from repro.core.memspot import MemSpot
-from repro.core.simulator import SimulationConfig, TwoLevelSimulator
-from repro.core.windowmodel import WindowModel
-from repro.dtm.ts import DTMTS
 from repro.params.thermal_params import AOHS_1_5, ISOLATED_AMBIENT
 
 POLICIES = ("ts", "bw", "acg", "cdvfs", "bw+pid", "acg+pid", "cdvfs+pid")
@@ -55,7 +52,7 @@ def _figure(cooling: str) -> str:
     return format_table(["mix"] + [p.upper() for p in POLICIES], rows)
 
 
-def _drive_memspot(memspot, windows):
+def _drive_scalar(memspot, windows):
     start = time.perf_counter()
     sample = None
     for read_bps, write_bps, heating in windows:
@@ -63,16 +60,16 @@ def _drive_memspot(memspot, windows):
     return time.perf_counter() - start, sample
 
 
-def _end_to_end_s(kernel: str, window_model: WindowModel) -> float:
-    config = SimulationConfig(mix_name="W1", copies=1, kernel=kernel,
-                              record_trace=False)
+def _drive_batched(kernel, windows):
     start = time.perf_counter()
-    TwoLevelSimulator(config, DTMTS(), window_model=window_model).run()
-    return time.perf_counter() - start
+    sample = None
+    for read_bps, write_bps, heating in windows:
+        sample = kernel.step(kernel.load(read_bps, write_bps, heating), 0.01)
+    return time.perf_counter() - start, sample
 
 
 def _kernel_speedup() -> str:
-    """Batched vs scalar thermal kernel on identical inputs."""
+    """Batched kernel vs the scalar oracle on identical inputs."""
     rng = random.Random(1234)
     windows = [
         (rng.random() * 2.2e10, rng.random() * 1.1e10, rng.random() * 8.0)
@@ -82,33 +79,23 @@ def _kernel_speedup() -> str:
     batched_s = []
     scalar_sample = batched_sample = None
     for _ in range(3):
-        elapsed, scalar_sample = _drive_memspot(
+        elapsed, scalar_sample = _drive_scalar(
             MemSpot(AOHS_1_5, ISOLATED_AMBIENT), windows
         )
         scalar_s.append(elapsed)
-        elapsed, batched_sample = _drive_memspot(
+        elapsed, batched_sample = _drive_batched(
             BatchedMemSpot(AOHS_1_5, ISOLATED_AMBIENT), windows
         )
         batched_s.append(elapsed)
     # Not merely close: the batched kernel must be bit-identical.
     assert scalar_sample == batched_sample
     micro_scalar, micro_batched = min(scalar_s), min(batched_s)
-
-    # One full Fig. 4.3 cell per kernel, sharing one prewarmed level-1
-    # model so the comparison isolates the thermal hot path.
-    window_model = WindowModel()
-    _end_to_end_s("scalar", window_model)  # warm the level-1 memo
-    e2e_scalar = min(_end_to_end_s("scalar", window_model) for _ in range(3))
-    e2e_batched = min(_end_to_end_s("batched", window_model) for _ in range(3))
-
     assert micro_batched < micro_scalar, (
         f"batched kernel not faster: {micro_batched:.3f}s vs {micro_scalar:.3f}s"
     )
     rows = [
         ["20k-window stream", micro_scalar, micro_batched,
          micro_scalar / micro_batched],
-        ["fig4.3 W1/ts cell", e2e_scalar, e2e_batched,
-         e2e_scalar / e2e_batched],
     ]
     return format_table(
         ["harness", "scalar(s)", "batched(s)", "speedup"], rows

@@ -1,62 +1,81 @@
-"""Batched per-window thermal kernel (the MEMSpot hot path, flattened).
+"""The simulators' per-window thermal kernel (MEMSpot, flattened).
 
-Profile of a batch run: the level-1 window model memoizes, so after the
-first few hundred windows the simulators spend most of their time inside
-:meth:`repro.core.memspot.MemSpot.step` — which, per 10 ms window, builds
-a :class:`ChannelTraffic`, one :class:`DimmPower` per DIMM, one
-:class:`DimmTemperatures` per DIMM, and dispatches two
-:class:`~repro.thermal.rc.RCNode` method calls per DIMM, each re-checking
-its cached gain.  None of that allocation changes between windows.
+:class:`repro.core.memspot.MemSpot` is the readable paper-equation
+model: per 10 ms window it builds a :class:`ChannelTraffic`, one
+:class:`DimmPower` and one :class:`DimmTemperatures` per DIMM, and
+dispatches two :class:`~repro.thermal.rc.RCNode` method calls per DIMM.
+It stays as the tests' oracle; every simulator steps
+:class:`BatchedMemSpot`.
 
 :class:`BatchedMemSpot` precomputes everything that is constant for a
 fixed configuration and time step — per-position AMB idle powers, bypass
 hop counts, the Table 3.2 resistances, and the three RC gains
-``1 - exp(-dt/tau)`` — and keeps the chain's AMB/DRAM temperatures in
-flat lists.  One :meth:`step` is then a single pass of scalar float
-arithmetic: no dataclasses, no per-node dispatch, no repeated ``exp()``.
-The default FBDIMM topology, four DIMMs per channel, gets that pass
-unrolled over local variables inside :meth:`step` (selected by chain
-length); every other length runs the loop.  The result is a
-:class:`~repro.core.memspot.MemSpotSample` named tuple.
+``1 - exp(-dt/tau)`` — keeps the chain's AMB/DRAM temperatures in flat
+lists, and splits a window in two:
 
-Numerical contract: every expression below reproduces the scalar path's
-floating-point operations *in the same order*, so the batched and
-per-node kernels are bit-identical, not merely close.  The golden-master
-suite and the property tests in ``tests/test_property_invariants.py``
-enforce this equivalence.
+- :meth:`BatchedMemSpot.load` is the input-only half: the channel
+  split, Eq. 3.2 power per chain position, the Eq. 3.3/3.4 stable-point
+  products and the Eq. 3.6 stable ambient, as a :class:`ThermalLoad`.
+  A window whose throughput and heating repeat (every hit of a
+  strategy's window cache) reuses the load it built once.
+- :meth:`BatchedMemSpot.step` is the state half: the Eq. 3.6 ambient
+  node, the Eq. 3.5 RC update of each AMB and DRAM, and the chain
+  peaks, returned as a :class:`~repro.core.memspot.MemSpotSample`.  The
+  default FBDIMM topology, four DIMMs per channel, gets that pass
+  unrolled over local variables; every other length runs the loop.
+
+Numerical contract: every expression below reproduces ``MemSpot``'s
+floating-point operations *in the same order* — the stable points are
+still summed ``ambient + AMB rise + DRAM rise`` left to right, nothing
+folded across the ambient, which moves under the integrated model — so
+``step(load(r, w, h), dt)`` and ``MemSpot.step(r, w, h, dt)`` are
+bit-identical, not merely close.  The golden-master suite and the
+property tests in ``tests/test_property_invariants.py`` enforce this.
 """
 
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
-from repro.core.memspot import MemSpot, MemSpotSample, checked_thermal_state
+from repro.core.memspot import MemSpotSample, checked_thermal_state
 from repro.errors import ConfigurationError, ThermalModelError
 from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
 from repro.units import GB
 
 
-def make_memspot(kernel: str = "batched", **kwargs) -> "MemSpot | BatchedMemSpot":
-    """Build the level-2 thermal emulator for the requested kernel.
+class ThermalLoad(NamedTuple):
+    """The input-only half of one MEMSpot window.
 
-    ``batched`` is the flat-array fast path, ``scalar`` the per-node
-    reference implementation; both yield bit-identical trajectories.
+    Everything a window's thermal step needs that depends only on its
+    throughput and CPU heating, not on the thermal state: Eq. 3.2 power
+    per chain position folded into the Eq. 3.3/3.4 stable-point terms,
+    and the Eq. 3.6 stable ambient.  Built by
+    :meth:`BatchedMemSpot.load`; a window-cache entry keeps one and
+    every hit steps it again.
     """
-    if kernel == "scalar":
-        return MemSpot(**kwargs)
-    if kernel == "batched":
-        return BatchedMemSpot(**kwargs)
-    raise ConfigurationError(
-        f"kernel must be 'batched' or 'scalar', got {kernel!r}"
-    )
+
+    #: Eq. 3.6 stable ambient, ``inlet + interaction * heating``, degC.
+    stable_ambient_c: float
+    #: Per chain position, AMB power times psi_amb (Eq. 3.3), degC.
+    amb_rise: tuple[float, ...]
+    #: Per chain position, AMB power times psi_amb_dram (Eq. 3.4), degC.
+    amb_dram_rise: tuple[float, ...]
+    #: DRAM power times psi_dram_amb (Eq. 3.3), degC.
+    dram_amb_rise: float
+    #: DRAM power times psi_dram (Eq. 3.4), degC.
+    dram_rise: float
+    #: Total memory subsystem power (all channels), watts.
+    memory_power_w: float
 
 
 class BatchedMemSpot:
-    """Drop-in replacement for :class:`~repro.core.memspot.MemSpot`.
+    """The flat-state counterpart of :class:`~repro.core.memspot.MemSpot`.
 
-    Same constructor, same :meth:`sample`/:meth:`step`/:meth:`reset`
-    interface, same numbers — the state just lives in flat per-position
+    Same constructor, same :meth:`sample`/:meth:`reset` and checkpoint
+    interface, same numbers; a window is :meth:`load` then :meth:`step`
+    (see the module doc), and the state lives in flat per-position
     lists instead of one object tree per DIMM.
     """
 
@@ -205,7 +224,7 @@ class BatchedMemSpot:
             memory_power_w=self.idle_power_w(),
         )
 
-    # -- the hot path ------------------------------------------------------
+    # -- one window: load, then step -----------------------------------------
 
     def _set_dt(self, dt_s: float) -> None:
         if dt_s < 0:
@@ -215,102 +234,121 @@ class BatchedMemSpot:
         self._gain_amb = 1.0 - math.exp(-dt_s / self._tau_amb)
         self._gain_dram = 1.0 - math.exp(-dt_s / self._tau_dram)
 
-    def step(
+    def load(
         self,
         read_bytes_per_s: float,
         write_bytes_per_s: float,
         cpu_heating_sum: float,
-        dt_s: float,
-    ) -> MemSpotSample:
-        """Advance the thermal state by one window (see MemSpot.step)."""
-        if read_bytes_per_s < 0 or write_bytes_per_s < 0:
-            raise ConfigurationError("channel throughput must be non-negative")
-        if dt_s != self._gain_dt:
-            self._set_dt(dt_s)
+    ) -> ThermalLoad:
+        """The input-only half of one window (see :class:`ThermalLoad`).
 
-        # Eq. 3.6 ambient node.
-        stable_ambient = self._inlet + self._interaction * cpu_heating_sum
-        self._t_ambient += (stable_ambient - self._t_ambient) * self._gain_ambient
-        ambient_c = self._inlet if self._interaction == 0.0 else self._t_ambient
+        Args:
+            read_bytes_per_s: system-wide read throughput.
+            write_bytes_per_s: system-wide write throughput.
+            cpu_heating_sum: Eq. 3.6 sum over cores of V_i * IPC_i.
 
+        A negative or non-finite throughput or a non-finite heating sum
+        raises :class:`~repro.errors.ConfigurationError`: a NaN would
+        otherwise poison the chain for the rest of the run.
+        """
+        if not (
+            0.0 <= read_bytes_per_s < math.inf
+            and 0.0 <= write_bytes_per_s < math.inf
+        ):
+            raise ConfigurationError(
+                "channel throughput must be finite and non-negative, got "
+                f"read={read_bytes_per_s!r}, write={write_bytes_per_s!r}"
+            )
+        if not math.isfinite(cpu_heating_sum):
+            raise ConfigurationError(
+                f"CPU heating sum must be finite, got {cpu_heating_sum!r}"
+            )
         # Per-channel traffic split (all channels interleave identically).
         channels = self._channels
         read_ch = read_bytes_per_s / channels
         write_ch = write_bytes_per_s / channels
         total = read_ch + write_ch
         n = self._dimms
-        local = total / n
-        local_gbps = local / GB
+        local_w = self._gamma * ((total / n) / GB)
         dram_w = (
             self._dram_static
             + self._alpha1 * ((read_ch / n) / GB)
             + self._alpha2 * ((write_ch / n) / GB)
         )
+        amb_rise = []
+        amb_dram_rise = []
+        total_power = 0.0
+        for idle_w, hops in zip(self._idle_w, self._hops):
+            amb_w = idle_w + self._beta * ((total * hops / n) / GB) + local_w
+            amb_rise.append(amb_w * self._psi_amb)
+            amb_dram_rise.append(amb_w * self._psi_amb_dram)
+            total_power += amb_w + dram_w
+        return ThermalLoad(
+            self._inlet + self._interaction * cpu_heating_sum,
+            tuple(amb_rise),
+            tuple(amb_dram_rise),
+            dram_w * self._psi_dram_amb,
+            dram_w * self._psi_dram,
+            total_power * channels,
+        )
 
-        beta = self._beta
-        gamma = self._gamma
-        psi_amb = self._psi_amb
-        psi_dram_amb = self._psi_dram_amb
-        psi_dram = self._psi_dram
-        psi_amb_dram = self._psi_amb_dram
+    def step(self, load: ThermalLoad, dt_s: float) -> MemSpotSample:
+        """Advance the thermal state by one window under ``load``.
+
+        The state half of :meth:`MemSpot.step`: the Eq. 3.6 ambient
+        node, the Eq. 3.5 RC update of every AMB and DRAM, and the
+        chain peaks.  ``step(load(r, w, h), dt)`` equals
+        ``MemSpot.step(r, w, h, dt)`` bit for bit.
+        """
+        if dt_s != self._gain_dt:
+            self._set_dt(dt_s)
+        stable_ambient, amb_rise, amb_dram_rise, dram_amb, dram_dram, power_w = load
+
+        # Eq. 3.6 ambient node.
+        self._t_ambient += (stable_ambient - self._t_ambient) * self._gain_ambient
+        ambient_c = self._inlet if self._interaction == 0.0 else self._t_ambient
+
         gain_amb = self._gain_amb
         gain_dram = self._gain_dram
-        if n == 4:
+        if self._dimms == 4:
             # The default FBDIMM chain, unrolled over locals: the loop
-            # below with i = 0..3 (bypass hops 3, 2, 1, 0) written out.
-            # Position-invariant products are computed once (each is
-            # the same single operation the loop repeats), ``max`` runs
-            # over the same left-to-right sequence, and the power sum
-            # keeps the loop's ``0.0 +`` start and addition order.
-            local_w = gamma * local_gbps
-            dram_amb = dram_w * psi_dram_amb
-            dram_dram = dram_w * psi_dram
-            idle0, idle1, idle2, idle3 = self._idle_w
+            # below with i = 0..3 written out; ``max`` runs over the
+            # same left-to-right sequence.
+            pa0, pa1, pa2, pa3 = amb_rise
+            pd0, pd1, pd2, pd3 = amb_dram_rise
             ta0, ta1, ta2, ta3 = self._t_amb
             td0, td1, td2, td3 = self._t_dram
-            a0 = idle0 + beta * ((total * 3 / 4) / GB) + local_w
-            a1 = idle1 + beta * ((total * 2 / 4) / GB) + local_w
-            a2 = idle2 + beta * ((total * 1 / 4) / GB) + local_w
-            a3 = idle3 + beta * ((total * 0 / 4) / GB) + local_w
-            ta0 += (ambient_c + a0 * psi_amb + dram_amb - ta0) * gain_amb
-            ta1 += (ambient_c + a1 * psi_amb + dram_amb - ta1) * gain_amb
-            ta2 += (ambient_c + a2 * psi_amb + dram_amb - ta2) * gain_amb
-            ta3 += (ambient_c + a3 * psi_amb + dram_amb - ta3) * gain_amb
-            td0 += (ambient_c + a0 * psi_amb_dram + dram_dram - td0) * gain_dram
-            td1 += (ambient_c + a1 * psi_amb_dram + dram_dram - td1) * gain_dram
-            td2 += (ambient_c + a2 * psi_amb_dram + dram_dram - td2) * gain_dram
-            td3 += (ambient_c + a3 * psi_amb_dram + dram_dram - td3) * gain_dram
+            ta0 += (ambient_c + pa0 + dram_amb - ta0) * gain_amb
+            ta1 += (ambient_c + pa1 + dram_amb - ta1) * gain_amb
+            ta2 += (ambient_c + pa2 + dram_amb - ta2) * gain_amb
+            ta3 += (ambient_c + pa3 + dram_amb - ta3) * gain_amb
+            td0 += (ambient_c + pd0 + dram_dram - td0) * gain_dram
+            td1 += (ambient_c + pd1 + dram_dram - td1) * gain_dram
+            td2 += (ambient_c + pd2 + dram_dram - td2) * gain_dram
+            td3 += (ambient_c + pd3 + dram_dram - td3) * gain_dram
             self._t_amb = [ta0, ta1, ta2, ta3]
             self._t_dram = [td0, td1, td2, td3]
-            total_power = (
-                0.0 + (a0 + dram_w) + (a1 + dram_w) + (a2 + dram_w)
-                + (a3 + dram_w)
-            )
             return MemSpotSample(
                 max(-273.15, ta0, ta1, ta2, ta3),
                 max(-273.15, td0, td1, td2, td3),
                 ambient_c,
-                total_power * channels,
+                power_w,
             )
 
-        # Any other chain length: one flat pass over the chain, Eq. 3.2
-        # power, Eq. 3.3/3.4 stable points, Eq. 3.5 RC update.
+        # Any other chain length: one flat pass over the chain, Eq. 3.3/
+        # 3.4 stable points (ambient + AMB rise + DRAM rise), Eq. 3.5 RC
+        # update.
         t_amb = self._t_amb
         t_dram = self._t_dram
-        idle_w = self._idle_w
-        hops = self._hops
         amb_c = -273.15
         dram_c = -273.15
-        total_power = 0.0
-        for i in range(n):
-            amb_w = idle_w[i] + beta * ((total * hops[i] / n) / GB) + gamma * local_gbps
-            stable_amb = ambient_c + amb_w * psi_amb + dram_w * psi_dram_amb
-            stable_dram = ambient_c + amb_w * psi_amb_dram + dram_w * psi_dram
-            ta = t_amb[i] + (stable_amb - t_amb[i]) * gain_amb
-            td = t_dram[i] + (stable_dram - t_dram[i]) * gain_dram
+        for i in range(self._dimms):
+            ta = t_amb[i] + (ambient_c + amb_rise[i] + dram_amb - t_amb[i]) * gain_amb
+            td = t_dram[i] + (
+                ambient_c + amb_dram_rise[i] + dram_dram - t_dram[i]
+            ) * gain_dram
             t_amb[i] = ta
             t_dram[i] = td
             amb_c = max(amb_c, ta)
             dram_c = max(dram_c, td)
-            total_power += amb_w + dram_w
-        return MemSpotSample(amb_c, dram_c, ambient_c, total_power * channels)
+        return MemSpotSample(amb_c, dram_c, ambient_c, power_w)

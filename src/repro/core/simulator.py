@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.kernel import make_memspot
+from repro.core.kernel import BatchedMemSpot
 from repro.core.results import RunResult
 from repro.core.windowmodel import MemoryEnvelope, WindowModel
 from repro.cpu.power import simulated_chip_power_w
@@ -53,7 +53,10 @@ class SimulationConfig:
 
     Defaults reproduce the Chapter 4 platform: four cores, AOHS_1.5
     cooling, the isolated ambient model, Table 4.3 emergency levels and a
-    10 ms DTM interval with 25 us overhead.
+    10 ms DTM interval with 25 us overhead.  Every run steps the batched
+    thermal kernel (:class:`~repro.core.kernel.BatchedMemSpot`); the
+    per-node :class:`~repro.core.memspot.MemSpot` is the tests' oracle,
+    not a configuration choice.
     """
 
     mix_name: str = "W1"
@@ -84,10 +87,6 @@ class SimulationConfig:
     #: paper's continuous batch.
     duty_cycle: float = 1.0
     duty_period_s: float = 0.1
-    #: Thermal kernel: "batched" (flat-array fast path) or "scalar"
-    #: (per-node reference).  Both produce bit-identical results; the
-    #: scalar path exists as the equivalence oracle.
-    kernel: str = "batched"
 
     def __post_init__(self) -> None:
         if self.dtm_interval_s <= 0:
@@ -112,10 +111,6 @@ class SimulationConfig:
                     f"duty_period_s={self.duty_period_s}, "
                     f"dtm_interval_s={self.dtm_interval_s})"
                 )
-        if self.kernel not in ("batched", "scalar"):
-            raise ConfigurationError(
-                f"kernel must be 'batched' or 'scalar', got {self.kernel!r}"
-            )
 
     def duty_windows_per_period(self) -> int:
         """DTM windows per duty period (the burst gate counts windows,
@@ -159,8 +154,7 @@ class Chapter4Strategy:
             )
         else:
             self._scheduler = BatchScheduler(mix, cfg.copies, cfg.cores)
-        self.memspot = make_memspot(
-            kernel=cfg.kernel,
+        self.memspot = BatchedMemSpot(
             cooling=cfg.cooling,
             ambient=cfg.ambient,
             physical_channels=cfg.physical_channels,
@@ -221,7 +215,8 @@ class Chapter4Strategy:
 
         Between job completions the scheduler's slot assignment is
         frozen, so everything after the decision — slot selection,
-        level-1 evaluation, per-slot products, chip power — is a pure
+        level-1 evaluation, per-slot products, chip power, and the
+        thermal load (Eq. 3.2 power and stable-point terms) — is a pure
         function of (decision, burst phase, rotation offset).  Those
         products are cached per assignment epoch (the number of
         finished jobs); a hit replays the cached per-slot additions in
@@ -280,7 +275,8 @@ class Chapter4Strategy:
     ) -> tuple:
         """One window-cache entry: the pure products of the post-decide
         body, ``(outcome, progress, slot_adds, traffic_delta, l2_delta)``
-        with ``progress`` None when no slot runs."""
+        with ``progress`` None when no slot runs.  The outcome carries
+        the window's thermal load, built here once per entry."""
         cfg = self._config
         dt = self.dt_s
         scheduler = self._scheduler
@@ -342,9 +338,7 @@ class Chapter4Strategy:
             table=cfg.cpu_power,
         )
         outcome = WindowOutcome(
-            read_bytes_per_s=read_bps,
-            write_bytes_per_s=write_bps,
-            heating_sum=heating_sum,
+            load=self.memspot.load(read_bps, write_bps, heating_sum),
             cpu_power_w=cpu_power,
         )
         return (outcome, progress, slot_adds, traffic_delta, l2_delta)

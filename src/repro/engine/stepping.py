@@ -15,8 +15,8 @@ only execute to completion inside one opaque call.
 - :meth:`checkpoint` / :meth:`restore` — an explicit, versioned,
   JSON-serializable :class:`~repro.engine.state.EngineState` snapshot
   at any window boundary.  A restored run is **bit-identical** to an
-  uninterrupted one (the property suite enforces this for both
-  simulators under both thermal kernels);
+  uninterrupted one (the engine tests enforce this for both
+  simulators, restoring in a fresh process);
 - pluggable :class:`~repro.engine.observers.Observer` hooks for trace
   recording, progress emission, checkpoint files, and early-stop
   guards.
@@ -38,9 +38,12 @@ Within one window the division of labor is:
    actuation -> level-1 evaluation -> scheduler advance.  The strategy
    accumulates ``instructions`` / ``traffic_bytes`` / ``l2_misses``
    directly on the engine (per-slot addition order is part of the
-   bit-identity contract) and returns a :class:`WindowOutcome`;
-3. engine: MEMSpot step, peaks, integrals, energies, clock advance,
-   observer notification.
+   bit-identity contract) and returns a :class:`WindowOutcome`, whose
+   thermal load it built with ``memspot.load`` (once per window-cache
+   entry in the Chapter 4 and 5 strategies);
+3. engine: the thermal kernel's ``step(outcome.load, dt)`` (the RC
+   update, the only part of MEMSpot that depends on thermal state),
+   peaks, integrals, energies, clock advance, observer notification.
 
 :meth:`SteppingEngine.step_window` is that whole window and the unit
 every loop steps; :meth:`SteppingEngine.apply_window` is step 3's
@@ -59,6 +62,7 @@ from repro.engine.state import EngineState
 from repro.errors import CheckpointError, ReproError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.core.kernel import ThermalLoad
     from repro.core.memspot import MemSpotSample
     from repro.engine.observers import Observer
 
@@ -67,12 +71,10 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 class WindowOutcome:
     """What one strategy window hands back to the engine."""
 
-    #: System-wide read throughput over the window, bytes/s.
-    read_bytes_per_s: float
-    #: System-wide write throughput over the window, bytes/s.
-    write_bytes_per_s: float
-    #: Eq. 3.6 CPU heating sum (sum of V_i * reference-IPC_i).
-    heating_sum: float
+    #: The window's thermal load: memory throughput and CPU heating
+    #: turned into power and stable-point terms by the kernel's
+    #: ``load``, once per strategy window-cache entry.
+    load: "ThermalLoad"
     #: Processor power over the window, watts.
     cpu_power_w: float
 
@@ -89,7 +91,7 @@ class RunStrategy(Protocol):
     kind: str
     #: DTM window length, seconds.
     dt_s: float
-    #: The level-2 thermal emulator (MemSpot or BatchedMemSpot).
+    #: The level-2 thermal kernel (a ``BatchedMemSpot``).
     memspot: Any
 
     def done(self, engine: "SteppingEngine") -> bool:
@@ -216,12 +218,7 @@ class SteppingEngine:
         if self.now_s > self._horizon:
             raise self.strategy.timeout_error(self)
         outcome = self.strategy.window(self)
-        sample = self._memspot.step(
-            outcome.read_bytes_per_s,
-            outcome.write_bytes_per_s,
-            outcome.heating_sum,
-            self.dt_s,
-        )
+        sample = self._memspot.step(outcome.load, self.dt_s)
         self.apply_window(outcome, sample)
 
     def _step_window_timed(self, index: int) -> None:
@@ -236,12 +233,7 @@ class SteppingEngine:
             raise self.strategy.timeout_error(self)
         outcome = self.strategy.window(self)
         t1 = time.perf_counter()
-        sample = self._memspot.step(
-            outcome.read_bytes_per_s,
-            outcome.write_bytes_per_s,
-            outcome.heating_sum,
-            self.dt_s,
-        )
+        sample = self._memspot.step(outcome.load, self.dt_s)
         t2 = time.perf_counter()
         self.apply_window(outcome, sample)
         t3 = time.perf_counter()

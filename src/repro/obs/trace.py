@@ -35,7 +35,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -55,7 +54,13 @@ _HEX = set("0123456789abcdef")
 
 
 def _new_id(length: int) -> str:
-    return uuid.uuid4().hex[:length]
+    """``length`` random lowercase hex digits (a span or trace id).
+
+    ``os.urandom`` directly: ``uuid.uuid4()`` builds a UUID object
+    around the same bytes at several times the cost, and a sampled
+    window span pays for one id.
+    """
+    return os.urandom((length + 1) // 2).hex()[:length]
 
 
 def _valid_id(value: str, max_length: int = 32) -> bool:
@@ -361,21 +366,38 @@ class TracingObserver(Observer):
         kernel_s: float,
         apply_s: float,
     ) -> None:
-        """Emit the span of sampled window ``index`` (engine-counted)."""
+        """Record the span of sampled window ``index`` (engine-counted).
+
+        The window has already run, so the span is written finished,
+        back-dated to cover it, as a child of the current context —
+        no span handle, context switch or clock read around an empty
+        body.
+        """
+        tracer = self.tracer
+        if not tracer.enabled:
+            return
         total = policy_s + kernel_s + apply_s
-        with self.tracer.span(
-            "window",
-            index=index,
-            policy_s=round(policy_s, 9),
-            kernel_s=round(kernel_s, 9),
-            apply_s=round(apply_s, 9),
-            sampled_every=self.sample_every,
-        ) as span:
-            # Back-date the span to cover the measured window instead of
-            # the (empty) body of this with-block.
-            if isinstance(span, _SpanHandle):
-                span._start_wall = time.time() - total
-                span._start_perf = time.perf_counter() - total
+        current = _CURRENT.get()
+        trace_id, parent_id = (_new_id(16), None) if current is None else current
+        tracer._record(
+            Span(
+                name="window",
+                trace_id=trace_id,
+                span_id=_new_id(16),
+                parent_id=parent_id,
+                start_s=time.time() - total,
+                duration_s=total,
+                pid=os.getpid(),
+                tid=threading.get_ident() % 1_000_000,
+                args={
+                    "index": index,
+                    "policy_s": round(policy_s, 9),
+                    "kernel_s": round(kernel_s, 9),
+                    "apply_s": round(apply_s, 9),
+                    "sampled_every": self.sample_every,
+                },
+            )
+        )
 
 
 def engine_observer() -> TracingObserver | None:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
-from repro.core.kernel import make_memspot
+from repro.core.kernel import BatchedMemSpot
 from repro.core.results import TemperatureTrace
 from repro.cpu.power import measured_chip_power_w
 from repro.dtm.base import DTMPolicy
@@ -114,7 +114,6 @@ class ServerStrategy:
         window_model: ServerWindowModel,
         base_frequency_level: int,
         max_sim_s: float,
-        kernel: str,
     ) -> None:
         self._platform = platform
         self._policy = policy
@@ -128,8 +127,7 @@ class ServerStrategy:
         self._hotplug = CPUHotplug(platform.total_cores)
         self._cpufreq = CPUFreq(platform.cpu_power)
         self._throttle = OpenLoopThrottle()
-        self.memspot = make_memspot(
-            kernel=kernel,
+        self.memspot = BatchedMemSpot(
             cooling=platform.cooling,
             ambient=platform.ambient_params(ambient_override_c),
             physical_channels=platform.channels,
@@ -198,7 +196,9 @@ class ServerStrategy:
     def _window_entry(self, decision: Any) -> tuple:
         """One window-cache entry: the pure products of the post-decide
         body, ``(outcome, progress, slot_adds, traffic_delta, l2_delta)``
-        with ``progress`` None when no socket runs a program."""
+        with ``progress`` None when no socket runs a program.  The
+        outcome carries the window's thermal load, built here once per
+        entry."""
         platform = self._platform
         hotplug = self._hotplug
         cpufreq = self._cpufreq
@@ -272,9 +272,7 @@ class ServerStrategy:
             utilizations, cpufreq.level, platform.cpu_power
         )
         outcome = WindowOutcome(
-            read_bytes_per_s=read_bps,
-            write_bytes_per_s=write_bps,
-            heating_sum=heating,
+            load=self.memspot.load(read_bps, write_bps, heating),
             cpu_power_w=cpu_power,
         )
         return (outcome, progress, tuple(slot_adds), traffic_delta, l2_delta)
@@ -364,7 +362,6 @@ class ServerSimulator:
         window_model: ServerWindowModel | None = None,
         base_frequency_level: int = 0,
         max_sim_s: float = 500_000.0,
-        kernel: str = "batched",
     ) -> None:
         if copies < 1:
             raise ConfigurationError("need at least one batch copy")
@@ -397,7 +394,6 @@ class ServerSimulator:
         self._window = window_model or ServerWindowModel(platform)
         self._base_frequency_level = base_frequency_level
         self._max_sim_s = max_sim_s
-        self._kernel = kernel
 
     @property
     def window_model(self) -> ServerWindowModel:
@@ -423,7 +419,6 @@ class ServerSimulator:
             self._window,
             self._base_frequency_level,
             self._max_sim_s,
-            self._kernel,
         )
         return SteppingEngine(
             strategy,
@@ -478,7 +473,7 @@ class HomogeneousStrategy:
         self._window = window_model
         self._throttle = OpenLoopThrottle()
         self._cpufreq = CPUFreq(platform.cpu_power)
-        self.memspot = make_memspot(
+        self.memspot = BatchedMemSpot(
             cooling=platform.cooling,
             ambient=platform.ambient_params(),
             physical_channels=platform.channels,
@@ -515,9 +510,11 @@ class HomogeneousStrategy:
             bandwidth_cap_bytes_per_s=self._throttle.bandwidth_cap_bytes_per_s(),
         )
         return WindowOutcome(
-            read_bytes_per_s=result.read_bytes_per_s,
-            write_bytes_per_s=result.write_bytes_per_s,
-            heating_sum=result.heating_sum,
+            load=self.memspot.load(
+                result.read_bytes_per_s,
+                result.write_bytes_per_s,
+                result.heating_sum,
+            ),
             cpu_power_w=0.0,
         )
 

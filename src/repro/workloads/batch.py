@@ -16,6 +16,7 @@ finishes on a laptop; shapes are scale-invariant).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.errors import SchedulingError
 from repro.workloads.mixes import WorkloadMix
@@ -32,19 +33,6 @@ class BatchJob:
 
     def __post_init__(self) -> None:
         self.remaining_instructions = self.app.instructions
-
-    @property
-    def done(self) -> bool:
-        """Whether this copy has retired all its instructions."""
-        return self.remaining_instructions <= 0.0
-
-    def advance(self, instructions: float) -> float:
-        """Retire instructions; returns the unused surplus (>= 0)."""
-        if instructions < 0:
-            raise SchedulingError("cannot advance by negative instructions")
-        surplus = max(0.0, instructions - self.remaining_instructions)
-        self.remaining_instructions = max(0.0, self.remaining_instructions - instructions)
-        return surplus
 
 
 class BatchScheduler:
@@ -124,30 +112,47 @@ class BatchScheduler:
                 result[slot] = job.app
         return result
 
-    def advance(self, progress: dict[int, float]) -> list[BatchJob]:
+    def advance(self, progress: dict[int, float]) -> Sequence[BatchJob]:
         """Retire per-slot instruction progress; refill emptied slots.
 
         Args:
             progress: slot -> instructions retired this interval.
 
         Returns:
-            Jobs that finished during the interval.
+            Jobs that finished during the interval (an empty tuple when
+            none did, so the common window allocates nothing).
+
+        A job finishes when its remaining count reaches zero or below;
+        it is then clamped to ``0.0``, the bits ``max(0.0, r - i)``
+        gives.  Negative or NaN progress on a running job, or positive
+        progress on an empty slot, raises :class:`SchedulingError`.
         """
-        newly_finished: list[BatchJob] = []
+        finished: list[BatchJob] | None = None
+        slots = self._slots
         for slot, instructions in progress.items():
-            job = self._slots[slot]
+            job = slots[slot]
             if job is None:
                 if instructions > 0:
                     raise SchedulingError(f"progress reported for empty slot {slot}")
                 continue
-            job.advance(instructions)
-            if job.done:
-                newly_finished.append(job)
-                self._finished.append(job)
-                self._slots[slot] = None
-        if newly_finished:
-            self._fill_slots()
-        return newly_finished
+            if not instructions >= 0.0:
+                raise SchedulingError(
+                    f"cannot advance by {instructions!r} instructions"
+                )
+            remaining = job.remaining_instructions - instructions
+            if remaining > 0.0:
+                job.remaining_instructions = remaining
+                continue
+            job.remaining_instructions = 0.0
+            if finished is None:
+                finished = []
+            finished.append(job)
+            self._finished.append(job)
+            slots[slot] = None
+        if finished is None:
+            return ()
+        self._fill_slots()
+        return finished
 
     def remaining_instructions(self) -> float:
         """Instructions left across slots and queue (progress metric)."""

@@ -8,9 +8,12 @@ Three families, each over randomized-but-seeded parameter grids
    the stable point is non-increasing.
 2. **dt-splitting consistency** — ``step(2dt)`` lands where
    ``step(dt); step(dt)`` lands (the Eq. 3.5 exponential composes).
-3. **Batched-vs-scalar equivalence** — :class:`BatchedMemSpot` and
-   :class:`MemSpot` produce *bit-identical* samples on any traffic
-   sequence, for every cooling/ambient/shape combination.
+3. **Batched-vs-scalar equivalence** — :class:`BatchedMemSpot`'s
+   ``step(load(r, w, h), dt)`` and the per-node oracle
+   :class:`MemSpot`'s ``step(r, w, h, dt)`` produce *bit-identical*
+   samples on any traffic sequence, for every cooling/ambient/shape
+   combination, and a load built once steps like one rebuilt each
+   window.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernel import BatchedMemSpot, make_memspot
+from repro.core.kernel import BatchedMemSpot
 from repro.core.memspot import MemSpot
 from repro.errors import ConfigurationError
 from repro.params.thermal_params import (
@@ -114,6 +117,11 @@ _SHAPES = (
 )
 
 
+def _batched_step(kernel: BatchedMemSpot, read, write, heating, dt):
+    """One window through the batched kernel's two halves."""
+    return kernel.step(kernel.load(read, write, heating), dt)
+
+
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
@@ -133,8 +141,8 @@ def test_batched_kernel_matches_scalar_bitwise(seed, cooling, ambient, shape, wa
         write = rng.random() * 1.2e10
         heating = rng.random() * 10.0
         dt = 1.0 if step % 17 == 0 else 0.01
-        assert scalar.step(read, write, heating, dt) == batched.step(
-            read, write, heating, dt
+        assert scalar.step(read, write, heating, dt) == _batched_step(
+            batched, read, write, heating, dt
         ), f"diverged at step {step}"
     scalar.reset()
     batched.reset()
@@ -144,69 +152,109 @@ def test_batched_kernel_matches_scalar_bitwise(seed, cooling, ambient, shape, wa
 @pytest.mark.parametrize("dimms", range(1, 9))
 def test_batched_kernel_matches_scalar_at_every_chain_length(dimms):
     """Deterministic companion to the property above: each chain length
-    1-8 is stepped against the scalar oracle from a shuffled thermal
-    state, so any position (the last one included) can be the hottest
-    and every position reaches the reported peaks."""
-    scalar = MemSpot(FDHS_1_0, INTEGRATED_AMBIENT, 2, dimms)
-    batched = BatchedMemSpot(FDHS_1_0, INTEGRATED_AMBIENT, 2, dimms)
-    rng = random.Random(dimms)
-    start = {
-        "t_ambient": rng.uniform(30.0, 50.0),
-        "t_amb": [rng.uniform(40.0, 120.0) for _ in range(dimms)],
-        "t_dram": [rng.uniform(40.0, 100.0) for _ in range(dimms)],
-    }
-    start["t_amb"][-1] = 130.0
-    start["t_dram"][-1] = 110.0
-    scalar.load_thermal_state(start)
-    batched.load_thermal_state(start)
-    for step in range(80):
-        inputs = (rng.random() * 3e10, rng.random() * 1.5e10,
-                  rng.random() * 12.0, 0.01)
-        assert scalar.step(*inputs) == batched.step(*inputs), step
-    assert scalar.thermal_state() == batched.thermal_state()
+    1-8, under both ambient models, is stepped against the scalar
+    oracle from a shuffled thermal state, so any position (the last one
+    included) can be the hottest and every position reaches the
+    reported peaks."""
+    for ambient in (ISOLATED_AMBIENT, INTEGRATED_AMBIENT):
+        scalar = MemSpot(FDHS_1_0, ambient, 2, dimms)
+        batched = BatchedMemSpot(FDHS_1_0, ambient, 2, dimms)
+        rng = random.Random(dimms)
+        start = {
+            "t_ambient": rng.uniform(30.0, 50.0),
+            "t_amb": [rng.uniform(40.0, 120.0) for _ in range(dimms)],
+            "t_dram": [rng.uniform(40.0, 100.0) for _ in range(dimms)],
+        }
+        start["t_amb"][-1] = 130.0
+        start["t_dram"][-1] = 110.0
+        scalar.load_thermal_state(start)
+        batched.load_thermal_state(start)
+        for step in range(80):
+            inputs = (rng.random() * 3e10, rng.random() * 1.5e10,
+                      rng.random() * 12.0, 0.01)
+            assert scalar.step(*inputs) == _batched_step(batched, *inputs), (
+                ambient.interaction, step
+            )
+        assert scalar.thermal_state() == batched.thermal_state()
 
 
 def test_flat_chain_resumes_bitwise_from_mid_run_thermal_state():
-    """A mid-run ``thermal_state()`` loaded into a fresh 4-DIMM kernel
-    continues exactly (``==``) as the uninterrupted kernel does."""
+    """A mid-run ``thermal_state()`` loaded into a fresh kernel
+    continues exactly (``==``) as the uninterrupted kernel and the
+    scalar oracle do, on the flat 4-DIMM body and the generic loop."""
     rng = random.Random(7)
     stream = [
         (rng.random() * 2.5e10, rng.random() * 1.2e10, rng.random() * 9.0,
          0.01)
         for _ in range(120)
     ]
-    whole = BatchedMemSpot(AOHS_1_5, INTEGRATED_AMBIENT)
-    first = BatchedMemSpot(AOHS_1_5, INTEGRATED_AMBIENT)
-    for inputs in stream[:50]:
-        whole.step(*inputs)
-        first.step(*inputs)
-    resumed = BatchedMemSpot(AOHS_1_5, INTEGRATED_AMBIENT)
-    resumed.load_thermal_state(json.loads(json.dumps(first.thermal_state())))
-    for inputs in stream[50:]:
-        assert whole.step(*inputs) == resumed.step(*inputs)
-    assert whole.thermal_state() == resumed.thermal_state()
+    for dimms in (4, 3):
+        shape = (AOHS_1_5, INTEGRATED_AMBIENT, 4, dimms)
+        whole = BatchedMemSpot(*shape)
+        first = BatchedMemSpot(*shape)
+        for inputs in stream[:50]:
+            _batched_step(whole, *inputs)
+            _batched_step(first, *inputs)
+        state = json.loads(json.dumps(first.thermal_state()))
+        resumed = BatchedMemSpot(*shape)
+        resumed.load_thermal_state(state)
+        oracle = MemSpot(*shape)
+        oracle.load_thermal_state(state)
+        for inputs in stream[50:]:
+            sample = _batched_step(whole, *inputs)
+            assert sample == _batched_step(resumed, *inputs)
+            assert sample == oracle.step(*inputs)
+        assert whole.thermal_state() == resumed.thermal_state()
+
+
+@pytest.mark.parametrize("ambient", [ISOLATED_AMBIENT, INTEGRATED_AMBIENT],
+                         ids=["isolated", "integrated"])
+@pytest.mark.parametrize("dimms", [4, 2])
+def test_a_load_built_once_steps_like_one_rebuilt_every_window(dimms, ambient):
+    """A window-cache hit steps the load its entry built once; that
+    trajectory equals rebuilding the load every window, bit for bit,
+    even while the integrated ambient node moves underneath it."""
+    reused = BatchedMemSpot(AOHS_1_5, ambient, 4, dimms)
+    rebuilt = BatchedMemSpot(AOHS_1_5, ambient, 4, dimms)
+    inputs = (1.9e10, 0.8e10, 6.5)
+    load = reused.load(*inputs)
+    for step in range(400):
+        assert reused.step(load, 0.01) == rebuilt.step(
+            rebuilt.load(*inputs), 0.01
+        ), step
+    assert reused.thermal_state() == rebuilt.thermal_state()
 
 
 def test_batched_kernel_rejects_bad_inputs():
     batched = BatchedMemSpot(AOHS_1_5, ISOLATED_AMBIENT)
     with pytest.raises(ConfigurationError):
-        batched.step(-1.0, 0.0, 0.0, 0.01)
+        batched.load(-1.0, 0.0, 0.0)
     with pytest.raises(ConfigurationError):
         BatchedMemSpot(AOHS_1_5, ISOLATED_AMBIENT, physical_channels=0)
 
 
-def test_make_memspot_factory():
-    assert isinstance(make_memspot("scalar", cooling=AOHS_1_5,
-                                   ambient=ISOLATED_AMBIENT), MemSpot)
-    assert isinstance(make_memspot("batched", cooling=AOHS_1_5,
-                                   ambient=ISOLATED_AMBIENT), BatchedMemSpot)
-    with pytest.raises(ConfigurationError):
-        make_memspot("warp", cooling=AOHS_1_5, ambient=ISOLATED_AMBIENT)
+_NOT_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
+@pytest.mark.parametrize("bad", _NOT_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["read", "write", "heating"])
+def test_non_finite_load_inputs_are_refused(field, bad):
+    """Regression: a NaN throughput or heating sum passed the ``< 0``
+    check and then lost every ``max`` against the -273.15 floor, so the
+    sensors read absolute zero from then on and no DTM policy ever
+    throttled."""
+    kernel = BatchedMemSpot(AOHS_1_5, INTEGRATED_AMBIENT)
+    before = kernel.thermal_state()
+    inputs = {"read": 1e10, "write": 5e9, "heating": 4.0}
+    inputs[field] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        kernel.load(inputs["read"], inputs["write"], inputs["heating"])
+    assert kernel.thermal_state() == before
 
 
 def test_batched_kernel_exposes_chain_state():
     batched = BatchedMemSpot(FDHS_1_0, ISOLATED_AMBIENT, dimms_per_channel=4)
-    batched.step(2e10, 1e10, 0.0, 1.0)
+    _batched_step(batched, 2e10, 1e10, 0.0, 1.0)
     amb = batched.amb_temperatures_c
     # Nearest DIMM carries the most bypass traffic and runs hottest;
     # the last AMB idles cooler (§5.4.1 / Table 3.1).

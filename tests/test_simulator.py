@@ -2,6 +2,12 @@
 
 import pytest
 
+from repro.analysis.specs import (
+    CHAPTER4_POLICY_CHOICES,
+    Chapter4Spec,
+    run_result_to_dict,
+)
+from repro.campaign import engine_for_spec
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
 from repro.dtm.acg import DTMACG
 from repro.dtm.base import NoLimitPolicy
@@ -132,3 +138,31 @@ def test_normalization_helpers(window_model):
     assert other.normalized_energy(baseline, "total") > 0
     with pytest.raises(SimulationError):
         other.normalized_energy(baseline, "plutonium")
+
+
+class _NeverStores(dict):
+    """A window cache that forgets every entry: each window recomputes."""
+
+    def __setitem__(self, key, value) -> None:
+        pass
+
+
+_CH4_CACHE_CELLS = [
+    Chapter4Spec(mix="W1", policy=policy, copies=1)
+    for policy in CHAPTER4_POLICY_CHOICES
+] + [Chapter4Spec(mix="W1", policy="comb", ambient="integrated", copies=1)]
+
+
+@pytest.mark.parametrize(
+    "spec", _CH4_CACHE_CELLS,
+    ids=[f"{s.policy}-{s.ambient}" for s in _CH4_CACHE_CELLS],
+)
+def test_window_cache_matches_recomputing_every_window(spec):
+    """The epoch-keyed window cache, thermal load included, replays
+    exactly what a fresh computation of each window would apply."""
+    cached = engine_for_spec(spec)
+    uncached = engine_for_spec(spec)
+    uncached.strategy._window_cache = _NeverStores()
+    assert run_result_to_dict(cached.run_to_completion()) == run_result_to_dict(
+        uncached.run_to_completion()
+    )

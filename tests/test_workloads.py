@@ -1,6 +1,10 @@
 """Workload profiles, mixes and the batch scheduler."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError, WorkloadError
 from repro.workloads.batch import BatchScheduler
@@ -136,6 +140,64 @@ def test_batch_progress_on_empty_slot_rejected():
             with pytest.raises(SchedulingError):
                 scheduler.advance({slot: 100.0})
             break
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0], ids=["nan", "negative"])
+def test_nan_or_negative_progress_is_refused(bad):
+    """Regression: ``max(0.0, nan)`` is ``0.0``, so NaN progress once
+    retired a job (swim, 3.4e11 instructions left) in one window."""
+    scheduler = BatchScheduler(get_mix("W1"), copies=1, cores=4)
+    job = scheduler.job_at(0)
+    before = job.remaining_instructions
+    with pytest.raises(SchedulingError):
+        scheduler.advance({0: bad})
+    assert scheduler.finished_jobs == 0
+    assert scheduler.job_at(0) is job
+    assert job.remaining_instructions == before
+
+
+def _reference_advance(remaining: float, instructions: float) -> tuple[float, bool]:
+    """The per-job arithmetic ``advance`` inlines: clamp at zero, done
+    once nothing is left."""
+    left = max(0.0, remaining - instructions)
+    return left, left <= 0.0
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    fractions=st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
+            st.just(1.0),
+            st.just(0.0),
+        ),
+        min_size=4,
+        max_size=4,
+    ),
+    exact_slot=st.integers(min_value=-1, max_value=3),
+)
+def test_inline_advance_matches_per_job_arithmetic(fractions, exact_slot):
+    """Partial, exact and overshooting progress leave every job with the
+    bits ``max(0.0, remaining - instructions)`` gives, and finish
+    exactly the jobs that reach zero."""
+    scheduler = BatchScheduler(get_mix("W2"), copies=2, cores=4)
+    # Start from a state with non-round remainders.
+    scheduler.advance({slot: 1.234567e9 * (slot + 1) for slot in range(4)})
+    jobs = [scheduler.job_at(slot) for slot in range(4)]
+    progress = {}
+    expected = []
+    for slot, (job, fraction) in enumerate(zip(jobs, fractions)):
+        remaining = job.remaining_instructions
+        instructions = remaining if slot == exact_slot else remaining * fraction
+        progress[slot] = instructions
+        expected.append(_reference_advance(remaining, instructions))
+    finished = scheduler.advance(progress)
+    assert list(finished) == [
+        job for job, (_, done) in zip(jobs, expected) if done
+    ]
+    for job, (left, _) in zip(jobs, expected):
+        assert job.remaining_instructions == left
+        assert math.copysign(1.0, job.remaining_instructions) == 1.0
 
 
 def test_batch_validation():

@@ -12,8 +12,9 @@ diffable JSON file instead of anecdotes.  Current probes:
   empties it before every repeat, as a fresh ``repro simulate`` does,
   and ``level1_miss_ms`` is one cold level-1 evaluation (W1's four
   apps at the top frequency), so a change to the level-1 model shows.
-- ``kernel_window_stream`` — the batched thermal kernel vs the scalar
-  one on an identical window stream (the PR 2 speedup, tracked).
+- ``kernel_window_stream`` — the batched thermal kernel (``load`` then
+  ``step`` per window) vs the per-node ``MemSpot`` oracle on an
+  identical window stream, asserted bit-identical.
 - ``campaign_grid_serial`` / ``campaign_grid_fleet2`` — the 8-cell ch4
   grid cold through an in-process serial run vs an
   ``HttpWorkerBackend`` over a 2-worker :class:`LocalFleet` with
@@ -164,19 +165,26 @@ def bench_kernel_window_stream(repeats: int) -> dict:
         for _ in range(5_000)
     ]
 
-    def drive(memspot) -> float:
+    def drive_scalar() -> tuple[float, object]:
+        memspot = MemSpot(AOHS_1_5, ISOLATED_AMBIENT)
         started = time.perf_counter()
         for read_bps, write_bps, heating in windows:
-            memspot.step(read_bps, write_bps, heating, 0.01)
-        return time.perf_counter() - started
+            sample = memspot.step(read_bps, write_bps, heating, 0.01)
+        return time.perf_counter() - started, sample
 
-    scalar = min(
-        drive(MemSpot(AOHS_1_5, ISOLATED_AMBIENT)) for _ in range(repeats)
-    )
-    batched = min(
-        drive(BatchedMemSpot(AOHS_1_5, ISOLATED_AMBIENT))
-        for _ in range(repeats)
-    )
+    def drive_batched() -> tuple[float, object]:
+        kernel = BatchedMemSpot(AOHS_1_5, ISOLATED_AMBIENT)
+        started = time.perf_counter()
+        for read_bps, write_bps, heating in windows:
+            sample = kernel.step(kernel.load(read_bps, write_bps, heating), 0.01)
+        return time.perf_counter() - started, sample
+
+    scalar_runs = [drive_scalar() for _ in range(repeats)]
+    batched_runs = [drive_batched() for _ in range(repeats)]
+    # Not merely close: the batched kernel must be bit-identical.
+    assert scalar_runs[-1][1] == batched_runs[-1][1]
+    scalar = min(seconds for seconds, _ in scalar_runs)
+    batched = min(seconds for seconds, _ in batched_runs)
     return {
         "description": "5k-window thermal kernel stream, scalar vs batched",
         "scalar_seconds": round(scalar, 4),
