@@ -79,6 +79,7 @@ class TestTracer:
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
+        TracingObserver(tracer, sample_every=1).record_window(0, 1e-3, 1e-3, 1e-3)
         assert tracer.spans() == []
         assert tracer.propagation_header() is None
 
