@@ -5,7 +5,8 @@ scheme family, three on the integrated-ambient, two-DIMM-chain and
 burst-idle paths, a cache-aware-scheduling run, and a run checkpointed
 mid-epoch and resumed in a fresh engine), the Chapter 5 grid (one cell
 per policy on each platform, plus a run checkpointed mid-epoch and
-resumed), and the campaign tables built from them, so that refactors
+resumed), the §5.4.1 homogeneous warm-up traces, and the campaign
+tables built from them, so that refactors
 for speed (batched kernels, scenario plumbing, cache layers) cannot
 silently drift the physics.  Any numeric deviation beyond 1e-9
 fails the suite.
@@ -37,11 +38,14 @@ from repro.analysis.specs import (
     Chapter5Spec,
     run_result_to_dict,
     server_result_to_dict,
+    trace_to_dict,
 )
 from repro.campaign import NullStore, engine_for_spec, run
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
 from repro.dtm import DTMACG
 from repro.engine import EngineState
+from repro.testbed.platforms import PLATFORMS
+from repro.testbed.runner import run_homogeneous
 
 GOLDEN_DIR = Path(__file__).parent / "goldens"
 TOLERANCE = 1e-9
@@ -116,6 +120,21 @@ def _ch5_policy_payload(platform: str, policy: str) -> dict:
         store=NullStore(),
     )
     return server_result_to_dict(result)
+
+
+#: §5.4.1 warm-up runs (Figs. 5.4/5.5) pinned over 400 s: a
+#: memory-intensive program that arms the SR1500AL safety throttle and
+#: one that stays below it on the PE1950.
+HOMOGENEOUS_CELLS = (("SR1500AL", "swim"), ("PE1950", "mcf"))
+HOMOGENEOUS_DURATION_S = 400.0
+
+
+def _homogeneous_payload(platform: str, app: str) -> dict:
+    """The model-truth trace (the daughter card's noisy log is not pinned)."""
+    trace, _ = run_homogeneous(
+        PLATFORMS[platform], app, duration_s=HOMOGENEOUS_DURATION_S
+    )
+    return trace_to_dict(trace)
 
 
 def _campaign_payload() -> dict:
@@ -224,6 +243,17 @@ def test_golden_ch5_resumed_mid_epoch():
     _check_golden(
         "ch5_PE1950_W1_comb_copies1_resumed",
         _resumed_payload(spec, CH5_RESUME_AT_WINDOW, server_result_to_dict),
+    )
+
+
+@pytest.mark.parametrize(
+    "platform,app", HOMOGENEOUS_CELLS,
+    ids=[f"{platform}-{app}" for platform, app in HOMOGENEOUS_CELLS],
+)
+def test_golden_homogeneous_trace(platform, app):
+    _check_golden(
+        f"homogeneous_{platform}_{app}_{int(HOMOGENEOUS_DURATION_S)}s",
+        _homogeneous_payload(platform, app),
     )
 
 

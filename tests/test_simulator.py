@@ -153,16 +153,32 @@ _CH4_CACHE_CELLS = [
 ] + [Chapter4Spec(mix="W1", policy="comb", ambient="integrated", copies=1)]
 
 
+def _cache_aware_engine():
+    # Two copies per application, so the refill choices are not forced.
+    config = SimulationConfig(
+        mix_name="W2", copies=2, cache_aware_scheduling=True,
+        record_trace=False,
+    )
+    return TwoLevelSimulator(config, DTMACG()).engine()
+
+
+_CH4_CACHE_ENGINES = {
+    f"{spec.policy}-{spec.ambient}": (lambda spec=spec: engine_for_spec(spec))
+    for spec in _CH4_CACHE_CELLS
+}
+_CH4_CACHE_ENGINES["acg-cache_aware"] = _cache_aware_engine
+
+
 @pytest.mark.parametrize(
-    "spec", _CH4_CACHE_CELLS,
-    ids=[f"{s.policy}-{s.ambient}" for s in _CH4_CACHE_CELLS],
+    "build", list(_CH4_CACHE_ENGINES.values()), ids=list(_CH4_CACHE_ENGINES)
 )
-def test_window_cache_matches_recomputing_every_window(spec):
-    """The epoch-keyed window cache, thermal load included, replays
-    exactly what a fresh computation of each window would apply."""
-    cached = engine_for_spec(spec)
-    uncached = engine_for_spec(spec)
-    uncached.strategy._window_cache = _NeverStores()
+def test_window_cache_matches_recomputing_every_window(build):
+    """The engine's window cache, thermal load included, replays
+    exactly what a fresh computation of each window would apply; the
+    cache-aware scheduler's refills included."""
+    cached = build()
+    uncached = build()
+    uncached._window_cache = _NeverStores()
     assert run_result_to_dict(cached.run_to_completion()) == run_result_to_dict(
         uncached.run_to_completion()
     )

@@ -10,6 +10,7 @@ from repro.analysis.specs import (
     CHAPTER5_POLICIES,
     Chapter5Spec,
     server_result_to_dict,
+    trace_to_dict,
 )
 from repro.campaign import MemoryStore, NullStore, engine_for_spec, run
 from repro.cluster import cell_from_wire, cell_to_wire
@@ -18,10 +19,16 @@ from repro.dtm.base import NoLimitPolicy
 from repro.dtm.bw import DTMBW
 from repro.dtm.cdvfs import DTMCDVFS
 from repro.dtm.comb import DTMCOMB
-from repro.engine import EngineState
+from repro.engine import EngineState, SteppingEngine
 from repro.errors import ConfigurationError
-from repro.testbed.platforms import PE1950, SR1500AL
-from repro.testbed.runner import ServerSimulator, run_homogeneous
+from repro.testbed.performance import ServerWindowModel
+from repro.testbed.platforms import PE1950, PLATFORMS, SR1500AL
+from repro.testbed.runner import (
+    HomogeneousStrategy,
+    ServerSimulator,
+    run_homogeneous,
+)
+from repro.workloads.profiles import get_app
 
 
 def _run(platform, policy, model, **kwargs):
@@ -150,18 +157,40 @@ class _NeverStores(dict):
         pass
 
 
-@pytest.mark.parametrize("platform", ["PE1950", "SR1500AL"])
-@pytest.mark.parametrize("policy", CHAPTER5_POLICIES)
-def test_window_cache_matches_recomputing_every_window(platform, policy):
-    """The epoch-keyed window cache replays exactly what a fresh
-    computation of each window would apply."""
-    spec = Chapter5Spec(platform=platform, mix="W1", policy=policy, copies=1)
-    cached = engine_for_spec(spec)
-    uncached = engine_for_spec(spec)
-    uncached.strategy._window_cache = _NeverStores()
-    cached_payload = server_result_to_dict(cached.run_to_completion())
-    fresh_payload = server_result_to_dict(uncached.run_to_completion())
-    assert cached_payload == fresh_payload
+def _homogeneous_engine(platform):
+    # SR1500AL/swim arms and disarms the safety throttle.
+    strategy = HomogeneousStrategy(
+        platform, get_app("swim"), 400.0, 3.0e9, 100.0,
+        ServerWindowModel(platform),
+    )
+    return SteppingEngine(strategy, observers=strategy.default_observers())
+
+
+@pytest.mark.parametrize(
+    "policy,platform",
+    [
+        (policy, platform)
+        for policy in CHAPTER5_POLICIES
+        for platform in ("PE1950", "SR1500AL")
+    ] + [("homogeneous", "SR1500AL")],
+)
+def test_window_cache_matches_recomputing_every_window(policy, platform):
+    """The engine's window cache replays exactly what a fresh
+    computation of each window would apply, for every Chapter 5 policy
+    and for the homogeneous warm-up."""
+    if policy == "homogeneous":
+        build = lambda: _homogeneous_engine(PLATFORMS[platform])  # noqa: E731
+        to_dict = trace_to_dict
+    else:
+        spec = Chapter5Spec(platform=platform, mix="W1", policy=policy, copies=1)
+        build = lambda: engine_for_spec(spec)  # noqa: E731
+        to_dict = server_result_to_dict
+    cached = build()
+    uncached = build()
+    uncached._window_cache = _NeverStores()
+    assert to_dict(cached.run_to_completion()) == to_dict(
+        uncached.run_to_completion()
+    )
 
 
 def test_restore_drops_a_populated_window_cache():
