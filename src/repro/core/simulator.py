@@ -34,7 +34,12 @@ from repro.cpu.power import simulated_chip_power_w
 from repro.dtm.base import DTMPolicy
 from repro.engine.observers import Observer, ProgressObserver, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    SimulationError,
+    checkpoint_count,
+    checkpoint_float,
+)
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 from repro.params.power_params import ProcessorPowerTable, SIMULATED_CPU_POWER
 from repro.params.thermal_params import (
@@ -148,12 +153,12 @@ class Chapter4Strategy:
         if cfg.cache_aware_scheduling:
             from repro.workloads.scheduling import CacheAwareScheduler
 
-            self._scheduler: BatchScheduler = CacheAwareScheduler(
+            self.scheduler: BatchScheduler = CacheAwareScheduler(
                 mix, cfg.copies, cfg.cores,
                 cache_capacity_bytes=cfg.l2_capacity_bytes,
             )
         else:
-            self._scheduler = BatchScheduler(mix, cfg.copies, cfg.cores)
+            self.scheduler = BatchScheduler(mix, cfg.copies, cfg.cores)
         self.memspot = BatchedMemSpot(
             cooling=cfg.cooling,
             ambient=cfg.ambient,
@@ -173,16 +178,10 @@ class Chapter4Strategy:
         self._since_rotation_s = 0.0
         self._total_intervals = 0
         self._shutdown_intervals = 0
-        # Steady-state window cache (see window).  Valid only for the
-        # plain round-robin scheduler, whose slot assignment changes
-        # exactly when finished_jobs does; subclass refill rules may
-        # reassign without finishing a job, so they get no cache and
-        # every window computes its entry afresh.
-        self._window_cache: dict | None = (
-            {} if type(self._scheduler) is BatchScheduler else None
-        )
-        self._cache_epoch = -1
-        self._cache_occupied: list[int] = []
+        # The occupied slots, refreshed when the finished-job count
+        # moves (see window).
+        self._occupied: list[int] = []
+        self._occupied_at = -1
         self.trace_recorder = TraceRecorder(
             resolution_s=cfg.trace_resolution_s, enabled=cfg.record_trace
         )
@@ -194,7 +193,7 @@ class Chapter4Strategy:
     # -- engine protocol ---------------------------------------------------
 
     def done(self, engine: SteppingEngine) -> bool:
-        return self._scheduler.done
+        return self.scheduler.done
 
     def max_sim_horizon(self) -> float | None:
         return self._config.max_sim_s
@@ -202,32 +201,25 @@ class Chapter4Strategy:
     def timeout_error(self, engine: SteppingEngine) -> SimulationError:
         return SimulationError(
             f"batch did not finish within {self._config.max_sim_s} "
-            f"simulated seconds ({self._scheduler.finished_jobs}/"
-            f"{self._scheduler.total_jobs} jobs done)"
+            f"simulated seconds ({self.scheduler.finished_jobs}/"
+            f"{self.scheduler.total_jobs} jobs done)"
         )
 
-    def window(self, engine: SteppingEngine) -> WindowOutcome:
-        """One DTM window: decide on the last sample, then run it.
+    def window(self, engine: SteppingEngine) -> tuple:
+        """One DTM window's decision, on the last sample.
 
         The policy reads ``engine.sample`` — the previous window's
         MEMSpot sample, whose ``amb_c``/``dram_c`` are the sensor
-        reading — through :meth:`DTMPolicy.decide`.
+        reading — through :meth:`DTMPolicy.decide`.  The rotation,
+        shutdown and burst counters advance here, once per window.
 
-        Between job completions the scheduler's slot assignment is
-        frozen, so everything after the decision — slot selection,
-        level-1 evaluation, per-slot products, chip power, and the
-        thermal load (Eq. 3.2 power and stable-point terms) — is a pure
-        function of (decision, burst phase, rotation offset).  Those
-        products are cached per assignment epoch (the number of
-        finished jobs); a hit replays the cached per-slot additions in
-        their original order, so every engine/scheduler mutation
-        applies exactly the bits a fresh computation would.  Without a
-        cache (a subclassed scheduler) the entry is computed from fresh
-        ``occupied_slots()`` every window and not stored.
+        Both schedulers assign slots only when a job finishes, so the
+        occupied slots are taken once per finished-job count, and the
+        rest of the window is a pure function of the returned key,
+        ``(decision, burst_idle, rotation offset)``.
         """
         dt = self.dt_s
         decision = self._policy.decide(engine.sample, dt)
-        scheduler = self._scheduler
         self._total_intervals += 1
         if not decision.memory_on or decision.emergency_level >= self._top_level:
             self._shutdown_intervals += 1
@@ -239,47 +231,24 @@ class Chapter4Strategy:
             self._burst_gated
             and (self._total_intervals - 1) % self._duty_windows >= self._duty_on
         )
-        cache = self._window_cache
-        if cache is None:
-            entry = self._window_entry(
-                decision, burst_idle, scheduler.occupied_slots()
-            )
-        else:
-            epoch = scheduler.finished_jobs
-            if epoch != self._cache_epoch:
-                cache.clear()
-                self._cache_epoch = epoch
-                self._cache_occupied = scheduler.occupied_slots()
-            occupied = self._cache_occupied
-            key = (
-                decision,
-                burst_idle,
-                self._rotation % len(occupied) if occupied else 0,
-            )
-            entry = cache.get(key)
-            if entry is None:
-                entry = cache[key] = self._window_entry(
-                    decision, burst_idle, occupied
-                )
-        outcome, progress, slot_adds, traffic_delta, l2_delta = entry
-        if progress is not None:
-            for advanced in slot_adds:
-                engine.instructions += advanced
-            scheduler.advance(progress)
-            engine.traffic_bytes += traffic_delta
-            engine.l2_misses += l2_delta
-        return outcome
+        scheduler = self.scheduler
+        if scheduler.finished_jobs != self._occupied_at:
+            self._occupied_at = scheduler.finished_jobs
+            self._occupied = scheduler.occupied_slots()
+        occupied = self._occupied
+        return (
+            decision,
+            burst_idle,
+            self._rotation % len(occupied) if occupied else 0,
+        )
 
-    def _window_entry(
-        self, decision: Any, burst_idle: bool, occupied: list[int]
-    ) -> tuple:
-        """One window-cache entry: the pure products of the post-decide
-        body, ``(outcome, progress, slot_adds, traffic_delta, l2_delta)``
-        with ``progress`` None when no slot runs.  The outcome carries
-        the window's thermal load, built here once per entry."""
-        cfg = self._config
+    def window_outcome(self, key: tuple) -> WindowOutcome:
+        """The window after its decision: slot selection, level-1
+        evaluation, per-slot progress, chip power and the thermal load
+        (Eq. 3.2 power and stable-point terms)."""
+        decision, burst_idle, offset = key
         dt = self.dt_s
-        scheduler = self._scheduler
+        occupied = self._occupied
         if decision.dvfs_level >= self._stopped_level:
             frequency = 0.0
             voltage = 0.0
@@ -296,52 +265,42 @@ class Chapter4Strategy:
             if decision.active_cores >= len(occupied):
                 active_slots = occupied
             else:
-                offset = self._rotation % len(occupied)
                 rotated = occupied[offset:] + occupied[:offset]
                 active_slots = sorted(rotated[: decision.active_cores])
-        heating_sum = 0.0
-        read_bps = 0.0
-        write_bps = 0.0
-        progress: dict[int, float] | None = None
-        slot_adds: tuple[float, ...] = ()
-        traffic_delta = 0.0
-        l2_delta = 0.0
-        if active_slots:
-            slot_apps = scheduler.running_apps(active_slots)
-            ordered_slots = list(slot_apps)
-            result = self._window.evaluate(
-                [slot_apps[slot] for slot in ordered_slots],
-                frequency_hz=frequency,
-                bandwidth_cap_bytes_per_s=decision.bandwidth_cap_bytes_per_s,
-                memory_on=True,
-            )
-            progress = {}
-            adds = []
-            for slot, slot_result in zip(ordered_slots, result.slots):
-                advanced = (
-                    slot_result.instructions_per_s * dt * self._overhead_factor
-                )
-                progress[slot] = advanced
-                adds.append(advanced)
-                heating_sum += (
-                    voltage * slot_result.instructions_per_s / self._max_frequency
-                )
-            slot_adds = tuple(adds)
-            read_bps = result.read_bytes_per_s
-            write_bps = result.write_bytes_per_s
-            traffic_delta = result.total_bytes_per_s * dt
-            l2_delta = result.l2_misses_per_s * dt
         cpu_power = simulated_chip_power_w(
             active_cores=len(active_slots),
             dvfs_level=min(decision.dvfs_level, self._stopped_level),
             memory_on=decision.memory_on,
-            table=cfg.cpu_power,
+            table=self._config.cpu_power,
         )
-        outcome = WindowOutcome(
-            load=self.memspot.load(read_bps, write_bps, heating_sum),
+        if not active_slots:
+            return WindowOutcome(self.memspot.load(0.0, 0.0, 0.0), cpu_power)
+        slot_apps = self.scheduler.running_apps(active_slots)
+        ordered_slots = list(slot_apps)
+        result = self._window.evaluate(
+            [slot_apps[slot] for slot in ordered_slots],
+            frequency_hz=frequency,
+            bandwidth_cap_bytes_per_s=decision.bandwidth_cap_bytes_per_s,
+            memory_on=True,
+        )
+        progress = {}
+        heating_sum = 0.0
+        for slot, slot_result in zip(ordered_slots, result.slots):
+            progress[slot] = (
+                slot_result.instructions_per_s * dt * self._overhead_factor
+            )
+            heating_sum += (
+                voltage * slot_result.instructions_per_s / self._max_frequency
+            )
+        return WindowOutcome(
+            load=self.memspot.load(
+                result.read_bytes_per_s, result.write_bytes_per_s, heating_sum
+            ),
             cpu_power_w=cpu_power,
+            progress=progress,
+            traffic_bytes=result.total_bytes_per_s * dt,
+            l2_misses=result.l2_misses_per_s * dt,
         )
-        return (outcome, progress, slot_adds, traffic_delta, l2_delta)
 
     def finalize(self, engine: SteppingEngine) -> RunResult:
         cfg = self._config
@@ -362,19 +321,19 @@ class Chapter4Strategy:
             shutdown_fraction=(
                 self._shutdown_intervals / max(1, self._total_intervals)
             ),
-            finished_jobs=self._scheduler.finished_jobs,
+            finished_jobs=self.scheduler.finished_jobs,
             trace=self.trace_recorder.trace,
         )
 
     def progress(self, engine: SteppingEngine) -> dict[str, Any]:
         return {
-            "finished_jobs": self._scheduler.finished_jobs,
-            "total_jobs": self._scheduler.total_jobs,
+            "finished_jobs": self.scheduler.finished_jobs,
+            "total_jobs": self.scheduler.total_jobs,
         }
 
     def state_dict(self) -> dict[str, Any]:
         return {
-            "scheduler": self._scheduler.state_dict(),
+            "scheduler": self.scheduler.state_dict(),
             "policy": self._policy.state_dict(),
             "rotation": self._rotation,
             "since_rotation_s": self._since_rotation_s,
@@ -383,18 +342,26 @@ class Chapter4Strategy:
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        # A restore moves the scheduler to an arbitrary point; the
-        # steady-state window cache is stale even if finished_jobs
-        # happens to match.
-        if self._window_cache is not None:
-            self._window_cache.clear()
-        self._cache_epoch = -1
-        self._scheduler.load_state_dict(state["scheduler"])
+        # Counters are validated before anything is overwritten.
+        rotation = checkpoint_count(state.get("rotation", 0), "rotation")
+        since_rotation_s = checkpoint_float(
+            state.get("since_rotation_s", 0.0), "since_rotation_s", 0.0
+        )
+        total = checkpoint_count(
+            state.get("total_intervals", 0), "total_intervals"
+        )
+        shutdown = checkpoint_count(
+            state.get("shutdown_intervals", 0), "shutdown_intervals", total + 1
+        )
+        self.scheduler.load_state_dict(state["scheduler"])
         self._policy.load_state_dict(state.get("policy", {}))
-        self._rotation = int(state.get("rotation", 0))
-        self._since_rotation_s = float(state.get("since_rotation_s", 0.0))
-        self._total_intervals = int(state.get("total_intervals", 0))
-        self._shutdown_intervals = int(state.get("shutdown_intervals", 0))
+        # The scheduler moved to an arbitrary point: retake the
+        # occupied slots even if finished_jobs happens to match.
+        self._occupied_at = -1
+        self._rotation = rotation
+        self._since_rotation_s = since_rotation_s
+        self._total_intervals = total
+        self._shutdown_intervals = shutdown
 
 
 class TwoLevelSimulator:

@@ -9,6 +9,8 @@ traffic — is where most of its performance advantage comes from (§4.4.2).
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.levels import LevelTracker
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
@@ -44,11 +46,9 @@ class DTMACG(DTMPolicy):
         self._since_rotation_s = 0.0
         self.rotation = 0
 
-    def decide_values(
-        self, amb_c: float, dram_c: float, dt_s: float
-    ) -> ControlDecision:
+    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Gate cores down to the ladder's count for the current level."""
-        level = self._tracker.level_values(amb_c, dram_c)
+        level = self._tracker.level(reading)
         self._since_rotation_s += dt_s
         if self._since_rotation_s >= self._rotation_interval_s:
             self._since_rotation_s = 0.0

@@ -64,29 +64,20 @@ class DTMPolicy(abc.ABC):
 
     Policies are stateful (hysteresis, fairness rotation, PID integrals);
     :meth:`reset` restores the initial state between experiment runs.
-    Each policy writes its rule once, in :meth:`decide_values`; the
-    per-reading :meth:`decide` delegates to it.
     """
 
     #: Human-readable scheme name ("DTM-ACG", ...).
     name: str = "DTM"
 
     @abc.abstractmethod
-    def decide_values(
-        self, amb_c: float, dram_c: float, dt_s: float
-    ) -> ControlDecision:
-        """Produce the actuator state for the next interval from bare
-        AMB/DRAM temperatures, degC."""
-
     def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Produce the actuator state for the next interval.
 
-        ``reading`` is anything with ``amb_c``/``dram_c`` attributes: a
-        :class:`ThermalReading`, or the engine's last
+        ``reading`` is anything with ``amb_c``/``dram_c`` attributes
+        (degC): a :class:`ThermalReading`, or the engine's last
         :class:`~repro.core.memspot.MemSpotSample`, which the simulators
         pass as is instead of building a reading per window.
         """
-        return self.decide_values(reading.amb_c, reading.dram_c, dt_s)
 
     def reset(self) -> None:
         """Restore initial policy state (default: stateless)."""
@@ -109,7 +100,7 @@ def _decision_memo(policy: DTMPolicy) -> dict:
     """The per-instance cache of frozen decisions.
 
     A policy emits very few *distinct* decisions (one per ladder rung /
-    latch state); :meth:`DTMPolicy.decide_values` implementations reuse
+    latch state); :meth:`DTMPolicy.decide` implementations reuse
     the frozen :class:`ControlDecision` objects instead of validating a
     new one per window.  Lazy so the concrete policies' constructors
     stay untouched.
@@ -128,9 +119,7 @@ class NoLimitPolicy(DTMPolicy):
     def __init__(self, cores: int = 4) -> None:
         self._cores = cores
 
-    def decide_values(
-        self, amb_c: float, dram_c: float, dt_s: float
-    ) -> ControlDecision:
+    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Always full speed, regardless of temperature."""
         memo = _decision_memo(self)
         decision = memo.get(None)

@@ -8,6 +8,8 @@ entirely, with DTM-TS-style release hysteresis.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.levels import LevelTracker
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
@@ -29,11 +31,9 @@ class DTMBW(DTMPolicy):
         self._tracker = LevelTracker(self._levels)
         self._cores = cores
 
-    def decide_values(
-        self, amb_c: float, dram_c: float, dt_s: float
-    ) -> ControlDecision:
+    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Look up the traffic cap for the current emergency level."""
-        level = self._tracker.level_values(amb_c, dram_c)
+        level = self._tracker.level(reading)
         memo = _decision_memo(self)
         decision = memo.get(level)
         if decision is None:

@@ -11,6 +11,8 @@ is why CDVFS overtakes ACG on real systems (§4.5, §5.4.3).
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.levels import LevelTracker
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
@@ -39,11 +41,9 @@ class DTMCDVFS(DTMPolicy):
         self._cores = cores
         self._stopped_level = stopped_level
 
-    def decide_values(
-        self, amb_c: float, dram_c: float, dt_s: float
-    ) -> ControlDecision:
+    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Map the emergency level to a DVFS ladder position."""
-        level = self._tracker.level_values(amb_c, dram_c)
+        level = self._tracker.level(reading)
         memo = _decision_memo(self)
         decision = memo.get(level)
         if decision is None:

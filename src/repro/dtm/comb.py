@@ -9,6 +9,8 @@ study.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.levels import LevelTracker
 from repro.params.emergency import EmergencyLevels, PE1950_LEVELS
@@ -38,11 +40,9 @@ class DTMCOMB(DTMPolicy):
         self._cores = cores
         self._min_active = min_active
 
-    def decide_values(
-        self, amb_c: float, dram_c: float, dt_s: float
-    ) -> ControlDecision:
+    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Apply both the core ladder and the DVFS ladder."""
-        level = self._tracker.level_values(amb_c, dram_c)
+        level = self._tracker.level(reading)
         memo = _decision_memo(self)
         decision = memo.get(level)
         if decision is None:

@@ -33,15 +33,13 @@ class LevelTracker:
     def level(self, reading: ThermalReading) -> int:
         """Current emergency level with top-level release hysteresis.
 
+        ``reading`` is anything with ``amb_c``/``dram_c`` attributes.
         Reaching the highest level latches it; the latch clears only when
         both temperatures fall to their thermal release points, at which
         point the level is re-evaluated normally.
         """
-        return self.level_values(reading.amb_c, reading.dram_c)
-
-    def level_values(self, amb_c: float, dram_c: float) -> int:
-        """:meth:`level` on bare temperatures — the entry point of
-        every policy's :meth:`~repro.dtm.base.DTMPolicy.decide_values`."""
+        amb_c = reading.amb_c
+        dram_c = reading.dram_c
         levels = self._levels
         raw = levels.level(amb_c, dram_c)
         top = levels.level_count - 1

@@ -12,6 +12,8 @@ rung regardless of controller state (the worst-case safety net).
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.dtm.pid import (
     AMB_GAINS,
@@ -69,10 +71,10 @@ class PIDPolicy(DTMPolicy):
         """Which actuator this policy drives."""
         return self._scheme
 
-    def decide_values(
-        self, amb_c: float, dram_c: float, dt_s: float
-    ) -> ControlDecision:
+    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Run both controllers; the binding (lower) output acts."""
+        amb_c = reading.amb_c
+        dram_c = reading.dram_c
         amb_u = self._amb_pid.normalized(self._amb_pid.update(amb_c, dt_s))
         dram_u = self._dram_pid.normalized(self._dram_pid.update(dram_c, dt_s))
         u = min(amb_u, dram_u)

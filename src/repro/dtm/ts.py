@@ -9,6 +9,8 @@ stay safely below the TDP to tolerate imperfect sensors (§4.4.1).
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
 from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
@@ -52,10 +54,10 @@ class DTMTS(DTMPolicy):
         """Whether memory is currently shut down."""
         return self._shut_down
 
-    def decide_values(
-        self, amb_c: float, dram_c: float, dt_s: float
-    ) -> ControlDecision:
+    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """On/off decision with hysteresis between TDP and TRP."""
+        amb_c = reading.amb_c
+        dram_c = reading.dram_c
         levels = self._levels
         if amb_c >= levels.amb_tdp_c or dram_c >= levels.dram_tdp_c:
             self._shut_down = True

@@ -27,11 +27,14 @@ capture them; stateless observers inherit the empty defaults.
 
 from __future__ import annotations
 
+from math import inf
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.results import TemperatureTrace
 from repro.engine.progress import PROGRESS
 from repro.engine.state import CheckpointFile, EngineStateSerializer
+from repro.errors import CheckpointError, checkpoint_float
+from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.engine.stepping import SteppingEngine
@@ -39,12 +42,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 class Observer:
     """Base observer: every hook is optional."""
-
-    #: Transient observers carry no run state worth checkpointing and
-    #: are excluded from :meth:`SteppingEngine.checkpoint` entirely —
-    #: attaching one (e.g. the tracing observer) never changes
-    #: checkpoint shape or restore compatibility.
-    transient = False
 
     def on_window(self, engine: "SteppingEngine") -> None:
         """Called after each completed window (clock already advanced)."""
@@ -77,7 +74,7 @@ class TraceRecorder(Observer):
         self.resolution_s = resolution_s
         self.enabled = enabled
         self.trace = TemperatureTrace()
-        self._since_s = float("inf")
+        self._since_s = inf
 
     def on_window(self, engine: "SteppingEngine") -> None:
         if not self.enabled:
@@ -109,7 +106,7 @@ class TraceRecorder(Observer):
         # dispatch of trace-heavy cells should use generous slices.
         return {
             # JSON has no Infinity; None marks the pristine accumulator.
-            "since_s": None if self._since_s == float("inf") else self._since_s,
+            "since_s": None if self._since_s == inf else self._since_s,
             "trace": {
                 "times_s": list(self.trace.times_s),
                 "amb_c": list(self.trace.amb_c),
@@ -120,17 +117,19 @@ class TraceRecorder(Observer):
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
         since = state.get("since_s")
-        self._since_s = float("inf") if since is None else float(since)
+        since = inf if since is None else checkpoint_float(since, "since_s", 0.0)
         raw = state.get("trace", {})
-        trace = TemperatureTrace()
-        for t, a, d, amb in zip(
-            raw.get("times_s", []),
-            raw.get("amb_c", []),
-            raw.get("dram_c", []),
-            raw.get("ambient_c", []),
-        ):
-            trace.append(t, a, d, amb)
-        self.trace = trace
+        columns = [
+            [
+                checkpoint_float(value, f"trace {name}[{i}]")
+                for i, value in enumerate(raw.get(name, []))
+            ]
+            for name in ("times_s", "amb_c", "dram_c", "ambient_c")
+        ]
+        if len({len(column) for column in columns}) > 1:
+            raise CheckpointError("trace columns must have equal lengths")
+        self._since_s = since
+        self.trace = TemperatureTrace(*columns)
 
 
 class ProgressObserver(Observer):
@@ -197,10 +196,6 @@ class CheckpointObserver(Observer):
 
     def on_window(self, engine: "SteppingEngine") -> None:
         if engine.windows % self.every_windows == 0:
-            # Lazy import: repro.obs.trace subclasses this module's
-            # Observer, so a top-level import would be circular.
-            from repro.obs.trace import TRACER
-
             with TRACER.span("checkpoint", window=engine.windows):
                 self.checkpoint.write(
                     engine.checkpoint(), serializer=self._serializer

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import CheckpointError, checkpoint_float
+from repro.errors import CheckpointError, checkpoint_count, checkpoint_float
 
 #: Engine snapshot schema version.  Bump the minor for additive
 #: changes, the major for breaking ones (same rules as the API's
@@ -116,12 +116,7 @@ class EngineState:
         ]
         if missing:
             raise CheckpointError(f"malformed engine state: missing {missing}")
-        windows = raw["windows"]
-        if isinstance(windows, bool) or not isinstance(windows, int) or windows < 0:
-            raise CheckpointError(
-                f"malformed engine state: windows must be a non-negative "
-                f"integer, got {windows!r}"
-            )
+        windows = checkpoint_count(raw["windows"], "malformed engine state: windows")
         sections = {}
         for name in ("accumulators", "thermal", "strategy_state"):
             if not isinstance(raw[name], Mapping):

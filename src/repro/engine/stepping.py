@@ -34,21 +34,28 @@ Within one window the division of labor is:
 1. engine: runaway guard (``now > max_sim_s`` raises the strategy's
    :class:`~repro.errors.SimulationError`; the horizon is read once,
    when the engine is built);
-2. strategy ``window(engine)``: sensor reading -> decision ->
-   actuation -> level-1 evaluation -> scheduler advance.  The strategy
-   accumulates ``instructions`` / ``traffic_bytes`` / ``l2_misses``
-   directly on the engine (per-slot addition order is part of the
-   bit-identity contract) and returns a :class:`WindowOutcome`, whose
-   thermal load it built with ``memspot.load`` (once per window-cache
-   entry in the Chapter 4 and 5 strategies);
-3. engine: the thermal kernel's ``step(outcome.load, dt)`` (the RC
-   update, the only part of MEMSpot that depends on thermal state),
-   peaks, integrals, energies, clock advance, observer notification.
+2. strategy ``window(engine)``: sensor reading -> decision, plus the
+   strategy's own per-window counters; it returns the window's cache
+   key, on which everything after the decision depends;
+3. engine: window-cache lookup; on a miss the strategy's
+   ``window_outcome(key)`` computes the :class:`WindowOutcome`
+   (actuation, level-1 evaluation, per-slot progress, thermal load
+   built with ``memspot.load``) and the engine stores it;
+4. engine: the thermal kernel's ``step(outcome.load, dt)`` (the RC
+   update, the only part of MEMSpot that depends on thermal state);
+5. engine (:meth:`SteppingEngine.apply_window`): every accumulation,
+   in the historical per-slot order (part of the bit-identity
+   contract) — instructions, the scheduler's ``advance``, traffic, L2
+   misses, peaks, integrals, energies — then the clock and observers.
+
+Between job completions the scheduler's slot assignment is frozen, so
+an outcome is a pure function of its key for as long as no job
+finishes: the engine clears the cache when ``advance`` reports a
+finished job and on :meth:`SteppingEngine.restore`.
 
 :meth:`SteppingEngine.step_window` is that whole window and the unit
-every loop steps; :meth:`SteppingEngine.apply_window` is step 3's
-accounting.  With tracing on, the engine counts windows and times
-only the sampled ones (see :class:`~repro.obs.trace.TracingObserver`).
+every loop steps.  With tracing on, the engine counts windows and
+times only the sampled ones (see :class:`~repro.obs.trace.TracingObserver`).
 """
 
 from __future__ import annotations
@@ -56,10 +63,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Protocol
 
 from repro.engine.state import EngineState
 from repro.errors import CheckpointError, ReproError, SimulationError
+from repro.obs.trace import engine_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.kernel import ThermalLoad
@@ -67,20 +75,35 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.engine.observers import Observer
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WindowOutcome:
-    """What one strategy window hands back to the engine."""
+    """One window-cache entry: everything a window applies after its
+    decision (see :meth:`RunStrategy.window_outcome`)."""
 
     #: The window's thermal load: memory throughput and CPU heating
     #: turned into power and stable-point terms by the kernel's
-    #: ``load``, once per strategy window-cache entry.
+    #: ``load``.
     load: "ThermalLoad"
     #: Processor power over the window, watts.
     cpu_power_w: float
+    #: Slot -> instructions retired, for the scheduler's ``advance``
+    #: and, in insertion order, the run's total; None when no slot runs.
+    progress: dict[int, float] | None = None
+    #: Memory traffic over the window, bytes.
+    traffic_bytes: float = 0.0
+    #: L2 misses over the window.
+    l2_misses: float = 0.0
 
 
 class RunStrategy(Protocol):
     """Experiment-specific wiring the engine drives (see module doc).
+
+    A window is split in two: :meth:`window` decides and returns a
+    hashable cache key; :meth:`window_outcome` turns a key the engine
+    has not cached yet into the window's :class:`WindowOutcome`.  The
+    outcome must be a pure function of the key while the scheduler's
+    slot assignment stands, i.e. until a job finishes.  The strategy
+    never touches the engine's accumulators.
 
     Implementations: ``Chapter4Strategy`` (:mod:`repro.core.simulator`),
     ``ServerStrategy`` and ``HomogeneousStrategy``
@@ -93,13 +116,20 @@ class RunStrategy(Protocol):
     dt_s: float
     #: The level-2 thermal kernel (a ``BatchedMemSpot``).
     memspot: Any
+    #: The batch scheduler the engine advances with each outcome's
+    #: progress (None for a run without one).
+    scheduler: Any
 
     def done(self, engine: "SteppingEngine") -> bool:
         """Whether the run has nothing left to simulate."""
         ...
 
-    def window(self, engine: "SteppingEngine") -> WindowOutcome:
-        """Execute one window's decision/evaluation/advance."""
+    def window(self, engine: "SteppingEngine") -> Hashable:
+        """Decide on ``engine.sample``; return the window's cache key."""
+        ...
+
+    def window_outcome(self, key: Any) -> WindowOutcome:
+        """Compute the outcome of a window whose key missed the cache."""
         ...
 
     def timeout_error(self, engine: "SteppingEngine") -> SimulationError:
@@ -155,13 +185,12 @@ class SteppingEngine:
         horizon = strategy.max_sim_horizon()
         #: Runaway limit, read once: every strategy's is fixed per run.
         self._horizon = math.inf if horizon is None else horizon
+        self._scheduler = strategy.scheduler
         self._observers = list(observers)
+        #: Key -> :class:`WindowOutcome`, valid until a job finishes.
+        self._window_cache: dict = {}
         # When process-wide tracing is on, `step_window` counts windows
-        # and times every `sample_every`-th one for a transient
-        # TracingObserver.  Imported lazily: repro.obs.trace subclasses
-        # Observer.
-        from repro.obs.trace import engine_observer
-
+        # and times every `sample_every`-th one for this recorder.
         self._tracing = engine_observer()
         self._traced_windows = 0
         self.windows = 0
@@ -205,9 +234,9 @@ class SteppingEngine:
     def step_window(self) -> None:
         """Advance exactly one DTM window.
 
-        Runaway guard, then the strategy's window (sensor reading ->
-        decision -> actuation -> level-1 evaluation -> scheduler
-        advance), the thermal kernel step, and :meth:`apply_window`.
+        Runaway guard, the strategy's decision, the window-cache lookup
+        (the strategy computes the outcome on a miss), the thermal
+        kernel step, and :meth:`apply_window`.
         """
         if self._tracing is not None:
             index = self._traced_windows
@@ -217,21 +246,26 @@ class SteppingEngine:
                 return
         if self.now_s > self._horizon:
             raise self.strategy.timeout_error(self)
-        outcome = self.strategy.window(self)
-        sample = self._memspot.step(outcome.load, self.dt_s)
-        self.apply_window(outcome, sample)
+        key = self.strategy.window(self)
+        outcome = self._window_cache.get(key)
+        if outcome is None:
+            outcome = self._window_cache[key] = self.strategy.window_outcome(key)
+        self.apply_window(outcome, self._memspot.step(outcome.load, self.dt_s))
 
     def _step_window_timed(self, index: int) -> None:
         """`step_window` with per-phase wall timing, for a sampled window.
 
         Identical arithmetic to the plain path; only `perf_counter`
         reads are added around the three phases, and the tracing
-        observer records them as window ``index``'s span.
+        recorder records them as window ``index``'s span.
         """
         t0 = time.perf_counter()
         if self.now_s > self._horizon:
             raise self.strategy.timeout_error(self)
-        outcome = self.strategy.window(self)
+        key = self.strategy.window(self)
+        outcome = self._window_cache.get(key)
+        if outcome is None:
+            outcome = self._window_cache[key] = self.strategy.window_outcome(key)
         t1 = time.perf_counter()
         sample = self._memspot.step(outcome.load, self.dt_s)
         t2 = time.perf_counter()
@@ -240,14 +274,27 @@ class SteppingEngine:
         self._tracing.record_window(index, t1 - t0, t2 - t1, t3 - t2)
 
     def apply_window(self, outcome: WindowOutcome, sample: "MemSpotSample") -> None:
-        """The post-thermal half of one window: accounting + observers.
+        """One window's accounting, then the clock and observers.
 
         ``sample`` is the thermal kernel's output for ``outcome``.
         Every accumulation below keeps the historical floating-point
-        order (part of the bit-identity contract); each peak update is
-        ``max(peak, value)`` written as its compare.
+        order (part of the bit-identity contract): per-slot
+        instructions, the scheduler advance, traffic and misses, then
+        peaks (each ``max(peak, value)`` written as its compare),
+        integrals and energies.  A finished job invalidates the window
+        cache.
         """
         dt = self.dt_s
+        progress = outcome.progress
+        if progress is not None:
+            instructions = self.instructions
+            for advanced in progress.values():
+                instructions += advanced
+            self.instructions = instructions
+            if self._scheduler.advance(progress):
+                self._window_cache.clear()
+            self.traffic_bytes += outcome.traffic_bytes
+            self.l2_misses += outcome.l2_misses
         self.sample = sample
         if sample.amb_c > self.peak_amb_c:
             self.peak_amb_c = sample.amb_c
@@ -307,11 +354,7 @@ class SteppingEngine:
             accumulators={name: getattr(self, name) for name in _ACCUMULATORS},
             thermal=self.strategy.memspot.thermal_state(),
             strategy_state=self.strategy.state_dict(),
-            observers=[
-                obs.state_dict()
-                for obs in self._observers
-                if not getattr(obs, "transient", False)
-            ],
+            observers=[obs.state_dict() for obs in self._observers],
         )
 
     def restore(self, state: EngineState) -> None:
@@ -328,15 +371,10 @@ class SteppingEngine:
                 f"checkpoint belongs to strategy {state.strategy!r}, "
                 f"this engine runs {self.strategy.kind!r}"
             )
-        durable = [
-            obs
-            for obs in self._observers
-            if not getattr(obs, "transient", False)
-        ]
-        if len(state.observers) != len(durable):
+        if len(state.observers) != len(self._observers):
             raise CheckpointError(
                 f"checkpoint carries {len(state.observers)} observer "
-                f"states, this engine has {len(durable)} observers "
+                f"states, this engine has {len(self._observers)} observers "
                 f"attached — rebuild the engine with the same observers"
             )
         missing = [
@@ -351,7 +389,7 @@ class SteppingEngine:
         self.strategy.memspot.load_thermal_state(state.thermal)
         try:
             self.strategy.load_state_dict(state.strategy_state)
-            for observer, observer_state in zip(durable, state.observers):
+            for observer, observer_state in zip(self._observers, state.observers):
                 observer.load_state_dict(observer_state)
         except (
             ReproError, LookupError, TypeError, ValueError, AttributeError
@@ -370,6 +408,9 @@ class SteppingEngine:
         # chain maxima, which is exactly what ``sample()`` reports; the
         # power field is never read before the next step overwrites it.
         self.sample = self.strategy.memspot.sample()
+        # The scheduler moved to an arbitrary point: every cached
+        # outcome is stale, even if the finished-job count matches.
+        self._window_cache.clear()
         self._stop_requested = False
         self._result = None
         self._finished = False

@@ -57,15 +57,31 @@ class CheckpointError(ReproError):
     """
 
 
-def checkpoint_float(value: object, where: str) -> float:
-    """``value`` as a finite float, or :class:`CheckpointError` naming
-    ``where``.  Booleans, strings, NaN and infinities are refused, so a
-    hand-edited or corrupted snapshot fails before it is restored."""
+def checkpoint_float(
+    value: object, where: str, minimum: float = -math.inf
+) -> float:
+    """``value`` as a finite float ``>= minimum``, or
+    :class:`CheckpointError` naming ``where``.  Booleans, strings, NaN
+    and infinities are refused, so a hand-edited or corrupted snapshot
+    fails before it is restored."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CheckpointError(f"{where} must be a number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise CheckpointError(f"{where} must be finite, got {value!r}")
+    if value < minimum:
+        raise CheckpointError(f"{where} must be >= {minimum}, got {value!r}")
+    return value
+
+
+def checkpoint_count(value: object, where: str, limit: float = math.inf) -> int:
+    """``value`` as an integer in ``[0, limit)``, or
+    :class:`CheckpointError` naming ``where`` (booleans refused)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < limit:
+        below = "" if limit == math.inf else f" below {limit}"
+        raise CheckpointError(
+            f"{where} must be a non-negative integer{below}, got {value!r}"
+        )
     return value
 
 

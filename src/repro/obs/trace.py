@@ -39,8 +39,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.engine.observers import Observer
-
 #: The propagation header carried by every traced HTTP request.
 TRACE_HEADER = "X-Repro-Trace"
 
@@ -331,25 +329,22 @@ class _ActivatedContext:
 TRACER = Tracer()
 
 
-class TracingObserver(Observer):
+class TracingObserver:
     """Per-window engine phase timings, recorded under sampling.
 
-    Attached by :class:`~repro.engine.SteppingEngine` when tracing is
+    Held by :class:`~repro.engine.SteppingEngine` when tracing is
     enabled.  The engine counts its windows and times only every
     ``sample_every``-th one, in three phases — the strategy window (DTM
-    policy decision, level-1 evaluation, scheduler advance), the
-    thermal kernel step, and accounting + observer fan-out (which
-    contains checkpoint writes) — and hands them here as a ``window``
-    span whose args carry the phase split, so a Perfetto view of a slow
-    cell answers "where did the time go".  Unsampled windows pay one
-    counter increment and one modulo.
+    policy decision, window-cache lookup, level-1 evaluation on a
+    miss), the thermal kernel step, and accounting + observer fan-out
+    (scheduler advance, checkpoint writes) — and hands them here as a
+    ``window`` span whose args carry the phase split, so a Perfetto
+    view of a slow cell answers "where did the time go".  Unsampled
+    windows pay one counter increment and one modulo.
 
-    Transient: kept out of the engine's observer list and excluded from
-    checkpoints, so attaching it never changes checkpoint shape or
-    restore compatibility.
+    Not an engine observer: it is never in the observer list, so it
+    never changes checkpoint shape or restore compatibility.
     """
-
-    transient = True
 
     def __init__(
         self, tracer: Tracer | None = None, sample_every: int | None = None

@@ -13,8 +13,8 @@ the per-second mechanism application and performance evaluation, the
 engine supplies stepping, checkpoint/resume and observers, and the
 results stay byte-identical to the historical inlined loop.  Between
 job completions a window's products depend only on the policy
-decision, so :class:`ServerStrategy` computes them once per decision
-and replays them (see :meth:`ServerStrategy.window`).
+decision, which is the strategy's window-cache key (see
+:meth:`ServerStrategy.window`).
 
 :func:`run_homogeneous` reproduces the §5.4.1 warm-up experiments: four
 copies of one program from idle-stable temperature, with the chipset
@@ -95,10 +95,10 @@ class ServerStrategy:
     engine strategy.
 
     The Linux/chipset mechanism objects (hotplug, cpufreq, throttle)
-    are fully re-programmed from the policy decision whenever a window
-    computes its cache entry (see :meth:`window`).  Only that
-    computation reads them, so they carry no cross-window state and
-    stay out of the checkpoint.
+    are fully re-programmed from the policy decision whenever the
+    engine asks for a window's outcome (see :meth:`window_outcome`).
+    Only that computation reads them, so they carry no cross-window
+    state and stay out of the checkpoint.
     """
 
     kind = "ch5"
@@ -123,7 +123,7 @@ class ServerStrategy:
         self._max_sim_s = max_sim_s
         policy.reset()
         self._mix = get_mix(mix_name)
-        self._scheduler = BatchScheduler(self._mix, copies, platform.total_cores)
+        self.scheduler = BatchScheduler(self._mix, copies, platform.total_cores)
         self._hotplug = CPUHotplug(platform.total_cores)
         self._cpufreq = CPUFreq(platform.cpu_power)
         self._throttle = OpenLoopThrottle()
@@ -136,10 +136,6 @@ class ServerStrategy:
         self.dt_s = platform.dtm_interval_s
         self._top_level = platform.levels.level_count - 1
         self._safety_cap = platform.levels.bw_caps_bytes_per_s[-1]
-        # Window cache: decision -> entry, for the current assignment
-        # epoch (the number of finished jobs; see window).
-        self._window_cache: dict = {}
-        self._cache_epoch = -1
         self.trace_recorder = TraceRecorder(resolution_s=None)
 
     def default_observers(self) -> tuple[Observer, ...]:
@@ -149,7 +145,7 @@ class ServerStrategy:
     # -- engine protocol ---------------------------------------------------
 
     def done(self, engine: SteppingEngine) -> bool:
-        return self._scheduler.done
+        return self.scheduler.done
 
     def max_sim_horizon(self) -> float | None:
         return self._max_sim_s
@@ -157,48 +153,24 @@ class ServerStrategy:
     def timeout_error(self, engine: SteppingEngine) -> SimulationError:
         return SimulationError(
             f"server batch did not finish within {self._max_sim_s} s "
-            f"({self._scheduler.finished_jobs}/"
-            f"{self._scheduler.total_jobs} jobs)"
+            f"({self.scheduler.finished_jobs}/"
+            f"{self.scheduler.total_jobs} jobs)"
         )
 
-    def window(self, engine: SteppingEngine) -> WindowOutcome:
-        """One DTM window: decide on the last sample, then run it.
+    def window(self, engine: SteppingEngine) -> Any:
+        """One DTM window's decision, which is also its cache key.
 
         The policy reads ``engine.sample``, the previous window's
         sample, whose ``amb_c`` is the AMB sensor reading.  Between job
         completions the round-robin scheduler's slot assignment is
         frozen, so everything after the decision is a pure function of
-        the decision.  As in the Chapter 4 window, those products are
-        cached per assignment epoch (the number of finished jobs), and
-        a hit replays the cached per-slot additions in their original
-        order, so the engine and scheduler receive exactly the bits a
-        fresh computation would.
+        the decision.
         """
-        decision = self._policy.decide(engine.sample, self.dt_s)
-        scheduler = self._scheduler
-        cache = self._window_cache
-        epoch = scheduler.finished_jobs
-        if epoch != self._cache_epoch:
-            cache.clear()
-            self._cache_epoch = epoch
-        entry = cache.get(decision)
-        if entry is None:
-            entry = cache[decision] = self._window_entry(decision)
-        outcome, progress, slot_adds, traffic_delta, l2_delta = entry
-        if progress is not None:
-            for advanced in slot_adds:
-                engine.instructions += advanced
-            scheduler.advance(progress)
-            engine.traffic_bytes += traffic_delta
-            engine.l2_misses += l2_delta
-        return outcome
+        return self._policy.decide(engine.sample, self.dt_s)
 
-    def _window_entry(self, decision: Any) -> tuple:
-        """One window-cache entry: the pure products of the post-decide
-        body, ``(outcome, progress, slot_adds, traffic_delta, l2_delta)``
-        with ``progress`` None when no socket runs a program.  The
-        outcome carries the window's thermal load, built here once per
-        entry."""
+    def window_outcome(self, decision: Any) -> WindowOutcome:
+        """The window after its decision: the mechanisms, the socket
+        model, per-slot progress, chip power and the thermal load."""
         platform = self._platform
         hotplug = self._hotplug
         cpufreq = self._cpufreq
@@ -220,62 +192,56 @@ class ServerStrategy:
             cap = self._safety_cap if cap is None else min(cap, self._safety_cap)
         throttle.program_bandwidth(cap)
 
-        loads, slot_groups = self._build_loads(self._scheduler, hotplug, online)
-        heating = 0.0
-        read_bps = 0.0
-        write_bps = 0.0
-        progress: dict[int, float] | None = None
-        slot_adds: list[float] = []
-        traffic_delta = 0.0
-        l2_delta = 0.0
+        loads, slot_groups = self._build_loads(self.scheduler, hotplug, online)
+        if not loads:
+            return WindowOutcome(
+                self.memspot.load(0.0, 0.0, 0.0),
+                measured_chip_power_w([], cpufreq.level, platform.cpu_power),
+            )
+        result = self._window.evaluate(
+            loads,
+            frequency_hz=cpufreq.frequency_hz,
+            voltage_v=cpufreq.voltage_v,
+            bandwidth_cap_bytes_per_s=throttle.bandwidth_cap_bytes_per_s(),
+            time_slice_s=self._time_slice_s,
+        )
+        progress = {}
         utilizations: list[float] = []
-        if loads:
-            result = self._window.evaluate(
-                loads,
-                frequency_hz=cpufreq.frequency_hz,
-                voltage_v=cpufreq.voltage_v,
-                bandwidth_cap_bytes_per_s=throttle.bandwidth_cap_bytes_per_s(),
-                time_slice_s=self._time_slice_s,
-            )
-            progress = {}
-            index = 0
-            for load, slots in zip(loads, slot_groups):
-                socket_utils = []
-                for slot in slots:
-                    rate = result.programs[index]
-                    advanced = rate.instructions_per_s * dt
-                    progress[slot] = advanced
-                    slot_adds.append(advanced)
-                    socket_utils.append(rate.utilization)
-                    index += 1
-                if load.active_cores >= 2:
-                    utilizations.extend(socket_utils[:2])
-                else:
-                    utilizations.append(min(1.0, sum(socket_utils)))
-            # Eq. 3.6 heating plus a spin term: stalled-but-running
-            # cores still draw dynamic power (why the measured inlet
-            # is hottest under DTM-BW, Fig. 5.9), scaling with V and f.
-            top_hz = platform.cpu_power.operating_points[0].frequency_hz
-            spin = (
-                _SPIN_HEAT
-                * cpufreq.voltage_v
-                * (cpufreq.frequency_hz / top_hz)
-                * len(online)
-            )
-            heating = result.heating_sum + spin
-            read_bps = result.read_bytes_per_s
-            write_bps = result.write_bytes_per_s
-            traffic_delta = result.total_bytes_per_s * dt
-            l2_delta = result.l2_misses_per_s * dt
-
-        cpu_power = measured_chip_power_w(
-            utilizations, cpufreq.level, platform.cpu_power
+        index = 0
+        for load, slots in zip(loads, slot_groups):
+            socket_utils = []
+            for slot in slots:
+                rate = result.programs[index]
+                progress[slot] = rate.instructions_per_s * dt
+                socket_utils.append(rate.utilization)
+                index += 1
+            if load.active_cores >= 2:
+                utilizations.extend(socket_utils[:2])
+            else:
+                utilizations.append(min(1.0, sum(socket_utils)))
+        # Eq. 3.6 heating plus a spin term: stalled-but-running cores
+        # still draw dynamic power (why the measured inlet is hottest
+        # under DTM-BW, Fig. 5.9), scaling with V and f.
+        top_hz = platform.cpu_power.operating_points[0].frequency_hz
+        spin = (
+            _SPIN_HEAT
+            * cpufreq.voltage_v
+            * (cpufreq.frequency_hz / top_hz)
+            * len(online)
         )
-        outcome = WindowOutcome(
-            load=self.memspot.load(read_bps, write_bps, heating),
-            cpu_power_w=cpu_power,
+        return WindowOutcome(
+            load=self.memspot.load(
+                result.read_bytes_per_s,
+                result.write_bytes_per_s,
+                result.heating_sum + spin,
+            ),
+            cpu_power_w=measured_chip_power_w(
+                utilizations, cpufreq.level, platform.cpu_power
+            ),
+            progress=progress,
+            traffic_bytes=result.total_bytes_per_s * dt,
+            l2_misses=result.l2_misses_per_s * dt,
         )
-        return (outcome, progress, tuple(slot_adds), traffic_delta, l2_delta)
 
     def finalize(self, engine: SteppingEngine) -> ServerRunResult:
         now = engine.now_s
@@ -291,28 +257,24 @@ class ServerStrategy:
             memory_energy_j=engine.memory_energy_j,
             mean_inlet_c=engine.ambient_integral / now if now > 0 else 0.0,
             peak_amb_c=engine.peak_amb_c,
-            finished_jobs=self._scheduler.finished_jobs,
+            finished_jobs=self.scheduler.finished_jobs,
             trace=self.trace_recorder.trace,
         )
 
     def progress(self, engine: SteppingEngine) -> dict[str, Any]:
         return {
-            "finished_jobs": self._scheduler.finished_jobs,
-            "total_jobs": self._scheduler.total_jobs,
+            "finished_jobs": self.scheduler.finished_jobs,
+            "total_jobs": self.scheduler.total_jobs,
         }
 
     def state_dict(self) -> dict[str, Any]:
         return {
-            "scheduler": self._scheduler.state_dict(),
+            "scheduler": self.scheduler.state_dict(),
             "policy": self._policy.state_dict(),
         }
 
     def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        # A restore moves the scheduler to an arbitrary point; the
-        # window cache is stale even if finished_jobs happens to match.
-        self._window_cache.clear()
-        self._cache_epoch = -1
-        self._scheduler.load_state_dict(state["scheduler"])
+        self.scheduler.load_state_dict(state["scheduler"])
         self._policy.load_state_dict(state.get("policy", {}))
 
     def _build_loads(
@@ -453,10 +415,12 @@ class HomogeneousStrategy:
 
     No DTM policy and no batch scheduler: four copies of one program
     run for a fixed duration while the chipset open-loop throttle arms
-    above the safety threshold.
+    above the safety threshold.  Whether it is armed is the window's
+    cache key, and the only input of its outcome.
     """
 
     kind = "homogeneous"
+    scheduler = None
 
     def __init__(
         self,
@@ -498,11 +462,11 @@ class HomogeneousStrategy:
     def timeout_error(self, engine: SteppingEngine) -> SimulationError:
         raise AssertionError("homogeneous runs have a fixed duration")
 
-    def window(self, engine: SteppingEngine) -> WindowOutcome:
-        if engine.sample.amb_c >= self._safety_threshold_c:
-            self._throttle.program_bandwidth(self._safety_cap)
-        else:
-            self._throttle.program_bandwidth(None)
+    def window(self, engine: SteppingEngine) -> bool:
+        return engine.sample.amb_c >= self._safety_threshold_c
+
+    def window_outcome(self, armed: bool) -> WindowOutcome:
+        self._throttle.program_bandwidth(self._safety_cap if armed else None)
         result = self._window.evaluate(
             self._loads,
             frequency_hz=self._cpufreq.frequency_hz,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.errors import SchedulingError
+from repro.errors import SchedulingError, checkpoint_count, checkpoint_float
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import AppProfile
 
@@ -50,6 +50,7 @@ class BatchScheduler:
         if cores < 1:
             raise SchedulingError("need at least one core slot")
         self._mix = mix
+        self._copies = copies
         self._cores = cores
         # Interleave copies round-robin over applications:
         # A1#0, A2#0, ..., An#0, A1#1, A2#1, ...
@@ -187,24 +188,39 @@ class BatchScheduler:
             "finished": [self._job_ref(job) for job in self._finished],
         }
 
-    def _job_from_ref(self, ref) -> BatchJob:
+    def _job_from_ref(self, ref, where: str) -> BatchJob:
+        """A job from :meth:`_job_ref` output, validated: indices in
+        range, and a finite remaining count, positive unless the job
+        is finished."""
         index, copy_index, remaining = ref
-        job = BatchJob(app=self._mix.apps[int(index)], copy_index=int(copy_index))
-        job.remaining_instructions = float(remaining)
+        apps = self._mix.apps
+        job = BatchJob(
+            app=apps[checkpoint_count(index, f"{where} app index", len(apps))],
+            copy_index=checkpoint_count(
+                copy_index, f"{where} copy index", self._copies
+            ),
+        )
+        remaining = checkpoint_float(remaining, f"{where} remaining", 0.0)
+        if not remaining and where != "finished":
+            raise SchedulingError(f"{where} job has no instructions remaining")
+        job.remaining_instructions = remaining
         return job
 
     def load_state_dict(self, state) -> None:
         """Restore scheduler state captured by :meth:`state_dict`.
 
         The scheduler must have been constructed with the same (mix,
-        copies, cores) as the one that produced the state.
+        copies, cores) as the one that produced the state.  Every job
+        is validated before anything is overwritten.
         """
-        queue = [self._job_from_ref(ref) for ref in state["queue"]]
+        queue = [self._job_from_ref(ref, "queued") for ref in state["queue"]]
         slots = [
-            None if ref is None else self._job_from_ref(ref)
+            None if ref is None else self._job_from_ref(ref, "running")
             for ref in state["slots"]
         ]
-        finished = [self._job_from_ref(ref) for ref in state["finished"]]
+        finished = [
+            self._job_from_ref(ref, "finished") for ref in state["finished"]
+        ]
         if len(slots) != self._cores:
             raise SchedulingError(
                 f"checkpoint has {len(slots)} core slots, "

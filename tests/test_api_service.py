@@ -310,6 +310,10 @@ def _scheduler_missing(state: dict) -> None:
     del state["strategy_state"]["scheduler"]
 
 
+def _running_job_remaining_negative(state: dict) -> None:
+    state["strategy_state"]["scheduler"]["slots"][0][2] = -1.0
+
+
 @pytest.mark.parametrize(
     "defect",
     [
@@ -317,6 +321,7 @@ def _scheduler_missing(state: dict) -> None:
         _t_ambient_missing,
         _traffic_bytes_not_numeric,
         _scheduler_missing,
+        _running_job_remaining_negative,
     ],
 )
 def test_worker_run_rejects_a_malformed_resume_state(one_slot_service, defect):

@@ -5,8 +5,9 @@ Covers the PR 9 acceptance criteria:
 - spans parent correctly across nested blocks and propagate across the
   ``X-Repro-Trace`` header (one fleet campaign = one trace, asserted
   end to end over a live 2-worker :class:`LocalFleet`);
-- the :class:`TracingObserver` is transient — attaching it never
-  changes engine checkpoint shape or restore compatibility;
+- the :class:`TracingObserver` stays out of the engine's observer
+  list — enabling it never changes engine checkpoint shape or restore
+  compatibility;
 - the ``repro.obs.metrics`` registry's exposition passes the strict
   ``tools/check_prom.py`` checker (including the histogram
   bucket-double-count bug that checker caught);
@@ -157,9 +158,7 @@ class TestEngineTracing:
     def test_traced_engine_emits_sampled_window_spans(self, tracer):
         spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
         engine = engine_for_spec(spec)
-        observer = TracingObserver(tracer, sample_every=500)
-        engine._observers.append(observer)
-        engine._tracing = observer
+        engine._tracing = TracingObserver(tracer, sample_every=500)
         with tracer.span("cell"):
             engine.step_windows(1200)
         windows = [s for s in tracer.spans() if s.name == "window"]
@@ -209,9 +208,10 @@ class TestEngineTracing:
     def test_tracing_observer_is_checkpoint_transparent(self):
         """A checkpoint taken with tracing on restores with it off.
 
-        The observer is ``transient``: it never appears in the
-        checkpoint's observer states, so enabling tracing can never
-        strand a checkpoint (or change its shape).
+        The engine holds the recorder in ``_tracing`` only, never in
+        its observer list, so it never appears in the checkpoint's
+        observer states: enabling tracing can never strand a
+        checkpoint (or change its shape).
         """
         spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
         plain = engine_for_spec(spec)
@@ -219,18 +219,14 @@ class TestEngineTracing:
         baseline = plain.checkpoint().to_dict()
 
         traced = engine_for_spec(spec)
-        observer = TracingObserver(Tracer(), sample_every=10)
-        traced._observers.append(observer)
-        traced._tracing = observer
+        traced._tracing = TracingObserver(Tracer(), sample_every=10)
         traced.step_windows(300)
         state = traced.checkpoint()
         assert state.to_dict() == baseline
 
         # Restore into a traced engine from an untraced checkpoint.
         resumed = engine_for_spec(spec)
-        resumed_observer = TracingObserver(Tracer(), sample_every=10)
-        resumed._observers.append(resumed_observer)
-        resumed._tracing = resumed_observer
+        resumed._tracing = TracingObserver(Tracer(), sample_every=10)
         resumed.restore(state)
         resumed.step_windows(100)
         plain.step_windows(100)

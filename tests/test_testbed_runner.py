@@ -209,9 +209,9 @@ def test_restore_drops_a_populated_window_cache():
         == source.strategy.progress(source)["finished_jobs"]
         == 1
     )
-    assert target.strategy._window_cache
+    assert target._window_cache
     target.restore(EngineState.from_dict(state))
-    assert not target.strategy._window_cache
+    assert not target._window_cache
     assert server_result_to_dict(target.run_to_completion()) == straight
 
 
