@@ -221,11 +221,6 @@ def _chapter4_engine(spec: Chapter4Spec, extra_observers: tuple = ()):
     return simulator.engine(extra_observers=extra_observers)
 
 
-def _execute_chapter4(spec: Chapter4Spec) -> RunResult:
-    """Simulate one Chapter 4 spec (no caching — the engine provides it)."""
-    return _chapter4_engine(spec).run_to_completion()
-
-
 def run_chapter4(spec: Chapter4Spec) -> RunResult:
     """Run (or recall) one Chapter 4 experiment through the engine."""
     return run(spec)
@@ -309,11 +304,6 @@ def _chapter5_engine(spec: Chapter5Spec, extra_observers: tuple = ()):
     return simulator.engine(extra_observers=extra_observers)
 
 
-def _execute_chapter5(spec: Chapter5Spec) -> ServerRunResult:
-    """Measure one Chapter 5 spec (no caching — the engine provides it)."""
-    return _chapter5_engine(spec).run_to_completion()
-
-
 def run_chapter5(spec: Chapter5Spec) -> ServerRunResult:
     """Run (or recall) one Chapter 5 experiment through the engine."""
     return run(spec)
@@ -377,17 +367,15 @@ def server_result_from_dict(raw: dict) -> ServerRunResult:
 
 register_runner(
     "ch4",
-    _execute_chapter4,
+    _chapter4_engine,
     encode=run_result_to_dict,
     decode=run_result_from_dict,
     spec_type=Chapter4Spec,
-    make_engine=_chapter4_engine,
 )
 register_runner(
     "ch5",
-    _execute_chapter5,
+    _chapter5_engine,
     encode=server_result_to_dict,
     decode=server_result_from_dict,
     spec_type=Chapter5Spec,
-    make_engine=_chapter5_engine,
 )

@@ -19,7 +19,6 @@ consumer can stream a large grid without holding it in memory.
 
 from __future__ import annotations
 
-import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterator
@@ -36,17 +35,13 @@ from repro.api.requests import (
 from repro.campaign import (
     Campaign,
     ResultStore,
+    RunOutcome,
     RunSpec,
-    cached_payload,
     default_store,
-    engine_for_spec,
+    run_cell,
     run_outcome,
-    run_payload,
-    runner_for,
-    spec_meta,
 )
 from repro.engine import CheckpointFile, CheckpointObserver, EngineState
-from repro.engine.progress import PROGRESS
 from repro.obs.trace import TRACER
 from repro.scenarios import iter_scenarios
 
@@ -64,6 +59,28 @@ def metrics_from_result(result: Any) -> dict:
     if hasattr(result, "average_memory_power_w"):
         metrics["average_memory_power_w"] = result.average_memory_power_w
     return metrics
+
+
+def cell_envelope(
+    spec: RunSpec, outcome: RunOutcome, echo: dict
+) -> ResultEnvelope:
+    """The versioned envelope of one finished cell run.
+
+    The one place a cell's ``ResultEnvelope`` and ``Provenance`` are
+    built, so client calls and job results carry identical bytes.
+    """
+    return ResultEnvelope(
+        kind=spec.kind,
+        scenario=getattr(spec, "scenario", None),
+        request=echo,
+        metrics=metrics_from_result(outcome.result),
+        provenance=Provenance(
+            cache="hit" if outcome.hit else "miss",
+            cache_key=spec.key(),
+            compute_seconds=round(outcome.compute_seconds, 6),
+            single_flight=outcome.store_info.get("single_flight"),
+        ),
+    )
 
 
 def _cell_echo(spec: RunSpec) -> dict:
@@ -155,73 +172,58 @@ class ReproClient:
 
     # -- worker duty -------------------------------------------------------
 
-    def run_cell_payload(self, spec: RunSpec) -> tuple[dict, bool, float]:
-        """Run (or recall) one cell, returning its encoded payload.
-
-        The ``/v1/worker/run`` route's execution path: the worker
-        computes against *this client's* store (the same one every
-        other route reads), returning ``(payload, hit, seconds)`` for
-        the coordinator to merge into its own store.
-        """
-        with TRACER.span("worker.run", key=spec.key(), kind=spec.kind):
-            return run_payload(spec, self._store)
-
-    def run_cell_slice(
+    def worker_run(
         self,
         spec: RunSpec,
-        window_slice: int,
+        window_slice: int | None = None,
         resume_state: dict | None = None,
     ) -> dict:
-        """Run at most ``window_slice`` DTM windows of one cell.
+        """One ``/v1/worker/run`` cell result, computed against *this
+        client's* store (the same one every other route reads).
 
-        The time-sliced ``/v1/worker/run`` path.  A cached cell is
-        served as a hit; otherwise the cell's stepping engine runs one
-        slice — resumed from ``resume_state`` (a serialized
+        With no ``window_slice`` the cell runs (or is recalled) whole:
+        the entry carries its ``payload`` with the hit/compute-seconds
+        provenance a local run records, for the coordinator to merge
+        into its own store.  With one, at most ``window_slice`` DTM
+        windows run — resumed from ``resume_state`` (a serialized
         :class:`~repro.engine.EngineState`) when the coordinator has a
-        checkpoint from an earlier slice.  Returns the wire-shaped cell
-        result: either a completed entry (``payload`` + provenance) or
-        a partial entry (``partial: true`` + the new checkpoint
-        ``state``), both carrying ``windows_done``/``resumed_from`` so
-        coordinators can prove a resume was warm.  A cache hit reports
-        both as 0 — no windows executed; ``cache == "hit"`` is the
-        discriminator.
+        checkpoint from an earlier slice, otherwise served as a hit
+        when cached.  The entry is then either completed (``payload``
+        + provenance) or partial (``partial: true`` + the new
+        checkpoint ``state``), both carrying
+        ``windows_done``/``resumed_from`` so coordinators can prove a
+        resume was warm.  A cache hit reports both as 0 — no windows
+        executed; ``cache == "hit"`` is the discriminator.
         """
         key = spec.key()
         entry: dict[str, Any] = {"key": key, "kind": spec.kind}
-        payload = cached_payload(spec, self._store)
-        if payload is not None:
-            entry.update(
-                payload=payload,
-                cache="hit",
-                compute_seconds=0.0,
-                windows_done=0,
-                resumed_from=0,
+        if window_slice is None:
+            with TRACER.span("worker.run", key=key, kind=spec.kind):
+                outcome = run_cell(spec, self._store)
+        else:
+            resume = (
+                None if resume_state is None
+                else EngineState.from_dict(resume_state)
             )
-            return entry
-        engine = engine_for_spec(spec)
-        resumed_from = 0
-        started = time.perf_counter()
-        with TRACER.span(
-            "worker.slice", key=key, kind=spec.kind, slice=window_slice
-        ), PROGRESS.track(key):
-            if resume_state is not None:
-                engine.restore(EngineState.from_dict(resume_state))
-                resumed_from = engine.windows
-            engine.step_windows(window_slice)
-            seconds = time.perf_counter() - started
+            with TRACER.span(
+                "worker.slice", key=key, kind=spec.kind, slice=window_slice
+            ):
+                outcome = run_cell(
+                    spec, self._store, resume=resume,
+                    window_slice=window_slice, on_slice=lambda state: True,
+                )
             entry.update(
-                windows_done=engine.windows,
-                resumed_from=resumed_from,
-                compute_seconds=round(seconds, 6),
+                windows_done=outcome.windows,
+                resumed_from=0 if resume is None else resume.windows,
             )
-            if not engine.done:
-                entry.update(partial=True, state=engine.checkpoint().to_dict())
-                return entry
-            result = engine.finish()
-        payload = runner_for(spec.kind).encode(result)
-        store = default_store() if self._store is None else self._store
-        store.put(key, payload, meta=spec_meta(spec))
-        entry.update(payload=payload, cache="miss")
+        entry["compute_seconds"] = round(outcome.compute_seconds, 6)
+        if outcome.payload is None:
+            entry.update(partial=True, state=outcome.state.to_dict())
+        else:
+            entry.update(
+                payload=outcome.payload,
+                cache="hit" if outcome.hit else "miss",
+            )
         return entry
 
     # -- jobs façade -------------------------------------------------------
@@ -277,13 +279,11 @@ class ReproClient:
         windows execute — the result is bit-identical to an
         uninterrupted run.  The finished payload is written through
         this client's store like any other run; an already-cached cell
-        short-circuits (unless resuming) exactly like :meth:`simulate`.
+        short-circuits (unless resuming from a checkpoint) exactly like
+        :meth:`simulate`.
         """
         return self._run_resumable(
-            request.spec(), request_to_dict(request),
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
+            request, checkpoint_dir, checkpoint_every, resume
         )
 
     def server_resumable(
@@ -297,47 +297,26 @@ class ReproClient:
         """Run one Chapter 5 cell with periodic on-disk checkpoints
         (see :meth:`simulate_resumable`)."""
         return self._run_resumable(
-            request.spec(), request_to_dict(request),
-            checkpoint_dir=checkpoint_dir,
-            checkpoint_every=checkpoint_every,
-            resume=resume,
+            request, checkpoint_dir, checkpoint_every, resume
         )
 
     def _run_resumable(
         self,
-        spec: RunSpec,
-        echo: dict,
-        *,
+        request: SimulateRequest | ServerRequest,
         checkpoint_dir: str | Path,
         checkpoint_every: int,
         resume: bool,
     ) -> ResultEnvelope:
-        key = spec.key()
+        spec = request.spec()
         checkpoint = CheckpointFile(
-            Path(checkpoint_dir) / f"{key}.checkpoint.json"
+            Path(checkpoint_dir) / f"{spec.key()}.checkpoint.json"
         )
-        if not resume:
-            payload = cached_payload(spec, self._store)
-            if payload is not None:
-                result = runner_for(spec.kind).decode(payload)
-                return self._envelope(spec, result, True, 0.0, echo)
         observer = CheckpointObserver(checkpoint, every_windows=checkpoint_every)
-        engine = engine_for_spec(spec, extra_observers=(observer,))
-        if resume and checkpoint.exists():
-            engine.restore(checkpoint.load())
-        started = time.perf_counter()
-        with PROGRESS.track(key):
-            result = engine.run_to_completion()
-        seconds = time.perf_counter() - started
-        runner = runner_for(spec.kind)
-        payload = runner.encode(result)
-        store = default_store() if self._store is None else self._store
-        store.put(key, payload, meta=spec_meta(spec))
-        # Hand back the decode of the stored payload — the same shape a
-        # cached or campaign-computed call returns.
-        return self._envelope(
-            spec, runner.decode(payload), False, seconds, echo
+        state = checkpoint.load() if resume and checkpoint.exists() else None
+        outcome = run_cell(
+            spec, self._store, resume=state, observers=(observer,)
         )
+        return cell_envelope(spec, outcome, request_to_dict(request))
 
     # -- scenario library --------------------------------------------------
 
@@ -358,11 +337,7 @@ class ReproClient:
     # -- internals ---------------------------------------------------------
 
     def _run_cell(self, spec: RunSpec, echo: dict) -> ResultEnvelope:
-        outcome = run_outcome(spec, store=self._store)
-        return self._envelope(
-            spec, outcome.result, outcome.hit, outcome.compute_seconds,
-            echo, outcome.store_info,
-        )
+        return cell_envelope(spec, run_outcome(spec, self._store), echo)
 
     def _table(
         self, request: CampaignRequest | ScenarioRequest
@@ -382,30 +357,4 @@ class ReproClient:
             specs, jobs=jobs, store=self._store, backend=self._backend
         )
         for spec, outcome in campaign.iter_outcomes():
-            yield self._envelope(
-                spec, outcome.result, outcome.hit, outcome.compute_seconds,
-                _cell_echo(spec), outcome.store_info,
-            )
-
-    def _envelope(
-        self,
-        spec: RunSpec,
-        result: Any,
-        hit: bool,
-        elapsed: float,
-        echo: dict,
-        store_info: dict | None = None,
-    ) -> ResultEnvelope:
-        store_info = store_info or {}
-        return ResultEnvelope(
-            kind=spec.kind,
-            scenario=getattr(spec, "scenario", None),
-            request=echo,
-            metrics=metrics_from_result(result),
-            provenance=Provenance(
-                cache="hit" if hit else "miss",
-                cache_key=spec.key(),
-                compute_seconds=round(elapsed, 6),
-                single_flight=store_info.get("single_flight"),
-            ),
-        )
+            yield cell_envelope(spec, outcome, _cell_echo(spec))

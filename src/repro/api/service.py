@@ -520,7 +520,9 @@ class _Handler(BaseHTTPRequestHandler):
             )
         window_slice = body.get("window_slice")
         if window_slice is not None and (
-            not isinstance(window_slice, int) or window_slice < 1
+            isinstance(window_slice, bool)
+            or not isinstance(window_slice, int)
+            or window_slice < 1
         ):
             raise ConfigurationError(
                 "window_slice must be a positive integer"
@@ -534,23 +536,12 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             specs = [cell_from_wire(raw) for raw in cells]
-            results = []
-            for spec in specs:
-                if window_slice is None:
-                    payload, hit, seconds = self.server.client.run_cell_payload(spec)
-                    results.append({
-                        "key": spec.key(),
-                        "kind": spec.kind,
-                        "payload": payload,
-                        "cache": "hit" if hit else "miss",
-                        "compute_seconds": round(seconds, 6),
-                    })
-                else:
-                    results.append(
-                        self.server.client.run_cell_slice(
-                            spec, window_slice, resume.get(spec.key())
-                        )
-                    )
+            results = [
+                self.server.client.worker_run(
+                    spec, window_slice, resume.get(spec.key())
+                )
+                for spec in specs
+            ]
         finally:
             self.server.release_run_slot()
         self._respond(

@@ -1,10 +1,11 @@
 """Generic experiment-campaign engine.
 
-One ``run(spec)`` entry point executes any registered run spec with
-write-through caching; ``sweep()`` expands declarative parameter grids;
-``Campaign`` runs a batch in parallel with deterministic result order;
-the ``ResultStore`` hierarchy makes the cache pluggable (in-memory
-memo, atomic on-disk JSON, null).
+``run_cell`` runs any registered spec's cell on its stepping engine
+with write-through caching (``run(spec)`` is its plain view);
+``sweep()`` expands declarative parameter grids; ``Campaign`` runs a
+batch in parallel with deterministic result order; the
+``ResultStore`` hierarchy makes the cache pluggable (in-memory memo,
+atomic on-disk JSON, null).
 
 The chapter-specific runners live in :mod:`repro.analysis.specs`;
 this package knows nothing about thermal simulation — only how to
@@ -16,7 +17,7 @@ from repro.campaign.engine import (
     RunOutcome,
     cached_payload,
     run,
-    run_cached,
+    run_cell,
     run_outcome,
     run_payload,
     sweep,
@@ -57,7 +58,7 @@ __all__ = [
     "RunOutcome",
     "cached_payload",
     "run",
-    "run_cached",
+    "run_cell",
     "run_outcome",
     "run_payload",
     "sweep",

@@ -1,12 +1,14 @@
 """Campaign execution: single runs, grid expansion, pluggable backends.
 
-:func:`run` is the one entry point for executing any registered spec
-with caching.  :func:`sweep` expands a declarative parameter grid into
-specs.  :class:`Campaign` executes a list of specs — deduplicated by
-cache key, dispatched through an :class:`~repro.cluster.ExecutionBackend`
-(in-process serial, local process pool, or an HTTP worker fleet) — and
-returns results in the order the specs were given, so tables built from
-a campaign are byte-identical no matter where the cells ran.
+:func:`run_cell` is the one cell runner: every cell, whole or
+time-sliced, fresh or resumed, runs through it on its stepping engine,
+and :func:`run` is the plain entry point over it.  :func:`sweep`
+expands a declarative parameter grid into specs.  :class:`Campaign`
+executes a list of specs — deduplicated by cache key, dispatched
+through an :class:`~repro.cluster.ExecutionBackend` (in-process
+serial, local process pool, or an HTTP worker fleet) — and returns
+results in the order the specs were given, so tables built from a
+campaign are byte-identical no matter where the cells ran.
 
 Every returned result is the decode of its cache payload (fresh runs
 are round-tripped through the codec before returning), so fresh and
@@ -20,11 +22,12 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.campaign.spec import RunSpec, runner_for, spec_meta
 from repro.campaign.stores import GLOBAL_MEMORY, ResultStore, default_store
 from repro.engine.progress import PROGRESS
+from repro.engine.state import EngineState
 from repro.errors import ConfigurationError
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
@@ -54,47 +57,99 @@ def _decode_cached(kind: str, key: str, payload: dict) -> Any:
 
 @dataclass(frozen=True)
 class RunOutcome:
-    """Everything one cached run reports.
+    """Everything one cell run reports.
 
-    ``store_info`` is the store's provenance for the access:
-    ``{"single_flight": "coalesced"}`` when this call was served by
-    another thread's in-flight compute, ``{}`` otherwise, so plain
-    warm envelopes stay byte-identical.
+    A finished cell carries its ``payload`` and decoded ``result``; a
+    time-sliced cell stopped before its end carries neither (both
+    None) but the engine checkpoint ``state`` to continue from.
+    ``compute_seconds`` is this call's compute wall time (0.0 on a
+    hit) and ``windows`` the engine's window count when the call
+    returned (0 on a hit).  ``store_info`` is the store's provenance
+    for the access: ``{"single_flight": "coalesced"}`` when this call
+    was served by another thread's in-flight compute, ``{}``
+    otherwise, so plain warm envelopes stay byte-identical.
     """
 
-    payload: dict
+    payload: dict | None
     result: Any
     hit: bool
     compute_seconds: float
     store_info: dict = field(default_factory=dict)
+    windows: int = 0
+    state: EngineState | None = None
 
 
-def _outcome(spec: RunSpec, store: ResultStore) -> RunOutcome:
-    """Run ``spec`` unless cached.
+def _round_trip_error(kind: str) -> ConfigurationError:
+    return ConfigurationError(
+        f"runner codec for kind {kind!r} cannot round-trip its result"
+    )
 
-    ``compute_seconds`` is the wall time of the runner's ``execute``
-    call alone (0.0 on a hit) — measured here, at the source, so pool
-    workers report their own per-cell cost instead of the consumer
-    guessing from yield-to-yield gaps.  The lookup-then-compute goes
-    through the store's ``get_or_compute`` transaction, so a
-    single-flight store coalesces concurrent identical cells.
+
+def run_cell(
+    spec: RunSpec,
+    store: ResultStore | None,
+    *,
+    resume: EngineState | None = None,
+    window_slice: int | None = None,
+    observers: tuple = (),
+    on_slice: Callable[[EngineState], Any] | None = None,
+) -> RunOutcome:
+    """Run one cell on its stepping engine: the only cell runner.
+
+    Looks the cell up in ``store`` (None = the default stack), and on a
+    miss builds the kind's engine with ``observers`` attached, restores
+    ``resume``, steps it, finishes it, encodes the result and writes
+    the payload back.  A ``resume`` checkpoint marks the cell
+    unfinished, so the lookup is skipped and the run continues from it.
+
+    With no ``window_slice`` the cell runs to completion, and without a
+    ``resume`` the lookup-then-compute goes through the store's
+    ``get_or_compute`` transaction, so a single-flight store coalesces
+    concurrent identical cells.  With a ``window_slice`` the engine
+    steps that many windows at a time; at each boundary before the end
+    ``on_slice`` receives the engine checkpoint, and a truthy return
+    stops the run: the outcome then carries that checkpoint and no
+    payload.
+
+    The compute runs under a ``cell`` span and the caller's progress
+    label (the cache key when the caller set none).  The engine is only
+    built on a miss, so warm reads never pay for its construction.
     """
+    store = default_store() if store is None else store
     runner = runner_for(spec.kind)
     key = spec.key()
+    engine: Any = None
+    stopped: EngineState | None = None
 
     def validate(payload: dict) -> bool:
         # A payload written under an older result schema won't decode;
         # treat it as a miss and recompute.
         return _decode_cached(spec.kind, key, payload) is not None
 
-    def compute() -> tuple[dict, dict]:
+    def compute() -> tuple[dict | None, dict]:
+        nonlocal engine, stopped
         started = time.perf_counter()
-        # Label the execution with its cache key so engine-hosted runs
-        # surface live snapshots under /v1/progress (no-op for
-        # consumers that never read the broker).
+        label = PROGRESS.current_label() or key
         with TRACER.span("cell", key=key, kind=spec.kind):
-            with PROGRESS.track(key):
-                fresh = runner.execute(spec)
+            with PROGRESS.track(label):
+                engine = runner.make_engine(
+                    spec, extra_observers=tuple(observers)
+                )
+                if resume is not None:
+                    engine.restore(resume)
+                if window_slice is None:
+                    result = engine.run_to_completion()
+                else:
+                    while True:
+                        engine.step_windows(window_slice)
+                        if engine.done:
+                            break
+                        state = engine.checkpoint()
+                        if on_slice is not None and on_slice(state):
+                            stopped = state
+                            seconds = time.perf_counter() - started
+                            return None, {"compute_seconds": seconds}
+                    result = engine.finish()
         seconds = time.perf_counter() - started
         METRICS.observe(
             "repro_cell_compute_seconds",
@@ -102,22 +157,34 @@ def _outcome(spec: RunSpec, store: ResultStore) -> RunOutcome:
             seconds,
             kind=spec.kind,
         )
-        return runner.encode(fresh), {"compute_seconds": seconds}
+        return runner.encode(result), {"compute_seconds": seconds}
 
-    payload, hit, info = store.get_or_compute(
-        key, compute, meta=spec_meta(spec), validate=validate
-    )
+    meta = spec_meta(spec)
+    if resume is None and window_slice is None:
+        payload, hit, info = store.get_or_compute(
+            key, compute, meta=meta, validate=validate
+        )
+    else:
+        payload = None if resume is not None else cached_payload(spec, store)
+        hit, info = payload is not None, {}
+        if not hit:
+            payload, info = compute()
+            if payload is not None:
+                store.put(key, payload, meta=meta)
     info = dict(info)
+    seconds = float(info.pop("compute_seconds", 0.0))
+    if payload is None:
+        return RunOutcome(
+            None, None, False, seconds, info,
+            windows=engine.windows, state=stopped,
+        )
     if hit:
         result = _decode_cached(spec.kind, key, payload)
         if result is None:
             # Only reachable for a coalesced payload (validated hits
             # passed ``validate`` above): the leader just produced a
             # payload that won't decode, which is a codec bug.
-            raise ConfigurationError(
-                f"runner codec for kind {spec.kind!r} cannot round-trip "
-                f"its result"
-            )
+            raise _round_trip_error(spec.kind)
         return RunOutcome(payload, result, True, 0.0, info)
     result = _decode(spec.kind, payload)
     if result is None:
@@ -125,21 +192,19 @@ def _outcome(spec: RunSpec, store: ResultStore) -> RunOutcome:
         # fail at the source rather than handing back values that
         # would differ between cached and fresh (or serial and
         # parallel) calls.
-        raise ConfigurationError(
-            f"runner codec for kind {spec.kind!r} cannot round-trip its result"
-        )
+        raise _round_trip_error(spec.kind)
     _DECODE_MEMO[key] = result
-    compute_seconds = float(info.pop("compute_seconds", 0.0))
-    return RunOutcome(payload, result, False, compute_seconds, info)
+    return RunOutcome(
+        payload, result, False, seconds, info, windows=engine.windows
+    )
 
 
 def cached_payload(spec: RunSpec, store: ResultStore | None = None) -> dict | None:
     """The spec's stored payload, or None when absent or stale-schema.
 
-    The decodability check mirrors :func:`_outcome`'s: a
-    payload written under an older result schema reads as a miss, so
-    callers (the time-sliced worker path) recompute instead of
-    forwarding undecodable bytes to a coordinator.
+    The decodability check mirrors :func:`run_cell`'s: a payload
+    written under an older result schema reads as a miss, so callers
+    recompute instead of forwarding undecodable bytes.
     """
     store = default_store() if store is None else store
     key = spec.key()
@@ -157,36 +222,19 @@ def run(spec: RunSpec, store: ResultStore | None = None) -> Any:
     A cached payload short-circuits execution; a fresh run is encoded
     and written through the store for the next caller.
     """
-    return run_cached(spec, store)[0]
+    return run_cell(spec, store).result
 
 
 def run_outcome(
     spec: RunSpec, store: ResultStore | None = None
 ) -> RunOutcome:
-    """Run (or recall) one spec, reporting full provenance.
+    """Run (or recall) one whole spec, reporting full provenance.
 
-    The richest single-cell entry point: payload, decoded result,
-    hit/miss, execute wall time, and the store's single-flight info
-    (see :class:`RunOutcome`).  ``run``,
-    ``run_cached``, and ``run_payload`` are narrower views of this.
+    Payload, decoded result, hit/miss, compute wall time, and the
+    store's single-flight info (see :class:`RunOutcome`).  ``run`` and
+    ``run_payload`` are narrower views of this.
     """
-    store = default_store() if store is None else store
-    return _outcome(spec, store)
-
-
-def run_cached(
-    spec: RunSpec, store: ResultStore | None = None
-) -> tuple[Any, bool, float]:
-    """Like :func:`run`, also reporting cache provenance.
-
-    Returns ``(result, hit, compute_seconds)``: ``hit`` is True when
-    the result was decoded from an existing store payload instead of
-    being executed, and ``compute_seconds`` is the runner's execute
-    wall time (0.0 on a hit) — the provenance the :mod:`repro.api`
-    envelopes record, measured identically to :meth:`Campaign.iter_run`.
-    """
-    outcome = run_outcome(spec, store)
-    return outcome.result, outcome.hit, outcome.compute_seconds
+    return run_cell(spec, store)
 
 
 def run_payload(
@@ -397,8 +445,5 @@ class Campaign:
     def _decoded(self, spec: RunSpec, payload: dict) -> Any:
         result = _decode_cached(spec.kind, spec.key(), payload)
         if result is None:
-            raise ConfigurationError(
-                f"runner codec for kind {spec.kind!r} cannot round-trip "
-                f"its result"
-            )
+            raise _round_trip_error(spec.kind)
         return result

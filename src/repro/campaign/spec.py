@@ -3,8 +3,10 @@
 A *run spec* is a frozen dataclass describing one experiment: it
 carries a ``kind`` class attribute naming its runner and a stable
 ``key()`` used for caching and deduplication.  The registry maps each
-kind to a :class:`Runner` — the execute function plus the JSON codecs
-that let results round-trip through a :class:`~repro.campaign.stores.ResultStore`.
+kind to a :class:`Runner` — the factory of the kind's stepping engine
+plus the JSON codecs that let results round-trip through a
+:class:`~repro.campaign.stores.ResultStore`.  Every cell runs on its
+engine through :func:`repro.campaign.engine.run_cell`.
 
 Registering a runner in the module that defines its spec class makes
 the pairing survive process boundaries: unpickling a spec in a pool
@@ -89,21 +91,17 @@ def spec_meta(spec: RunSpec) -> dict:
 
 @dataclass(frozen=True)
 class Runner:
-    """Execution + serialization (+ optional stepping) for one spec kind."""
+    """Engine factory + serialization for one spec kind."""
 
     kind: str
-    #: Runs the spec, returning the (arbitrary) result object.
-    execute: Callable[[Any], Any]
+    #: Builds the :class:`repro.engine.SteppingEngine` that runs one
+    #: spec (``make_engine(spec, extra_observers=())``).  Every cell —
+    #: whole, time-sliced, checkpointed or resumed — runs on it.
+    make_engine: Callable[..., Any]
     #: Result object -> JSON-serializable dict.
     encode: Callable[[Any], dict]
     #: JSON dict -> result object (inverse of ``encode``).
     decode: Callable[[dict], Any]
-    #: Optional factory building a :class:`repro.engine.SteppingEngine`
-    #: for the spec (``make_engine(spec, extra_observers=())``).  Kinds
-    #: that provide it support checkpoint/resume and time-sliced
-    #: execution; ``execute`` must equal
-    #: ``make_engine(spec).run_to_completion()`` bit for bit.
-    make_engine: Callable[..., Any] | None = None
 
 
 _RUNNERS: dict[str, Runner] = {}
@@ -149,27 +147,28 @@ def spec_kinds_with_types() -> tuple[str, ...]:
 
 def register_runner(
     kind: str,
-    execute: Callable[[Any], Any],
+    make_engine: Callable[..., Any],
     *,
     encode: Callable[[Any], dict],
     decode: Callable[[dict], Any],
     spec_type: type | None = None,
-    make_engine: Callable[..., Any] | None = None,
 ) -> Runner:
     """Register (or re-register) the runner for ``kind``.
 
-    Re-registration is allowed so module reloads stay idempotent.
-    ``spec_type`` additionally registers the kind's spec dataclass for
-    the cluster wire format (see :func:`register_spec_type`);
-    ``make_engine`` opts the kind into resumable (checkpoint/restore,
-    time-sliced) execution.
+    ``make_engine(spec, extra_observers=())`` builds the stepping
+    engine that runs one spec; it is required, because
+    :func:`~repro.campaign.engine.run_cell` runs every cell on its
+    engine.  Re-registration is allowed so module reloads stay
+    idempotent.  ``spec_type`` additionally registers the kind's spec
+    dataclass for the cluster wire format (see
+    :func:`register_spec_type`).
     """
+    if not callable(make_engine):
+        raise ConfigurationError(
+            f"runner for kind {kind!r} needs a make_engine factory"
+        )
     runner = Runner(
-        kind=kind,
-        execute=execute,
-        encode=encode,
-        decode=decode,
-        make_engine=make_engine,
+        kind=kind, make_engine=make_engine, encode=encode, decode=decode
     )
     _RUNNERS[kind] = runner
     if spec_type is not None:
@@ -178,18 +177,10 @@ def register_runner(
 
 
 def engine_for_spec(spec: RunSpec, extra_observers: tuple = ()) -> Any:
-    """A fresh stepping engine for one spec's run.
-
-    Raises :class:`~repro.errors.ConfigurationError` for kinds whose
-    runner registered no engine factory (only whole-run execution).
-    """
-    runner = runner_for(spec.kind)
-    if runner.make_engine is None:
-        raise ConfigurationError(
-            f"spec kind {spec.kind!r} does not support engine-hosted "
-            f"(resumable/time-sliced) execution"
-        )
-    return runner.make_engine(spec, extra_observers=extra_observers)
+    """A fresh stepping engine for one spec's run."""
+    return runner_for(spec.kind).make_engine(
+        spec, extra_observers=extra_observers
+    )
 
 
 def runner_for(kind: str) -> Runner:

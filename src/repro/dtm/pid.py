@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, checkpoint_flag, checkpoint_float
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,17 @@ class PIDController:
 
     def load_state_dict(self, state) -> None:
         """Restore controller state captured by :meth:`state_dict`."""
-        self._integral = float(state.get("integral", 0.0))
+        self._integral = checkpoint_float(
+            state.get("integral", 0.0), "PID integral"
+        )
         previous = state.get("previous_error")
-        self._previous_error = None if previous is None else float(previous)
-        self._saturated_low = bool(state.get("saturated_low", False))
-        self._saturated_high = bool(state.get("saturated_high", False))
+        self._previous_error = (
+            None if previous is None
+            else checkpoint_float(previous, "PID previous_error")
+        )
+        self._saturated_low = checkpoint_flag(
+            state.get("saturated_low", False), "PID saturated_low"
+        )
+        self._saturated_high = checkpoint_flag(
+            state.get("saturated_high", False), "PID saturated_high"
+        )

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, checkpoint_flag
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
 
@@ -88,4 +88,6 @@ class DTMTS(DTMPolicy):
 
     def load_state_dict(self, state) -> None:
         """Restore hysteresis state."""
-        self._shut_down = bool(state.get("shut_down", False))
+        self._shut_down = checkpoint_flag(
+            state.get("shut_down", False), "DTM-TS shut_down"
+        )

@@ -74,6 +74,15 @@ def checkpoint_float(
     return value
 
 
+def checkpoint_flag(value: object, where: str) -> bool:
+    """``value`` if it is a JSON boolean, else :class:`CheckpointError`
+    naming ``where`` (a string such as ``"false"`` or a number is
+    refused rather than cast)."""
+    if not isinstance(value, bool):
+        raise CheckpointError(f"{where} must be a boolean, got {value!r}")
+    return value
+
+
 def checkpoint_count(value: object, where: str, limit: float = math.inf) -> int:
     """``value`` as an integer in ``[0, limit)``, or
     :class:`CheckpointError` naming ``where`` (booleans refused)."""

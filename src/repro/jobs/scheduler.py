@@ -35,8 +35,8 @@ import threading
 import time
 from typing import Any
 
-from repro.api.client import _cell_echo, metrics_from_result
-from repro.api.envelope import SCHEMA_VERSION, Provenance, ResultEnvelope
+from repro.api.client import _cell_echo, cell_envelope
+from repro.api.envelope import SCHEMA_VERSION
 from repro.api.requests import (
     CampaignRequest,
     CompareRequest,
@@ -44,15 +44,7 @@ from repro.api.requests import (
     request_from_dict,
     request_to_dict,
 )
-from repro.campaign import (
-    Campaign,
-    cached_payload,
-    default_store,
-    engine_for_spec,
-    run_outcome,
-    runner_for,
-    spec_meta,
-)
+from repro.campaign import Campaign, RunOutcome, run_cell
 from repro.engine import EngineState
 from repro.engine.progress import PROGRESS
 from repro.errors import ConfigurationError, ReproError
@@ -354,36 +346,17 @@ class JobScheduler:
         return None
 
     def _finish_cell(
-        self,
-        record: JobRecord,
-        spec: Any,
-        echo: dict,
-        result: Any,
-        hit: bool,
-        seconds: float,
-        store_info: dict | None = None,
+        self, record: JobRecord, spec: Any, echo: dict, outcome: RunOutcome
     ) -> None:
-        store_info = store_info or {}
-        envelope = ResultEnvelope(
-            kind=spec.kind,
-            scenario=getattr(spec, "scenario", None),
-            request=echo,
-            metrics=metrics_from_result(result),
-            provenance=Provenance(
-                cache="hit" if hit else "miss",
-                cache_key=spec.key(),
-                compute_seconds=round(seconds, 6),
-                single_flight=store_info.get("single_flight"),
-            ),
-        )
-        record.results.append(envelope.to_dict())
+        cache = "hit" if outcome.hit else "miss"
+        record.results.append(cell_envelope(spec, outcome, echo).to_dict())
         record.cells_done += 1
         record.cell_states.pop(spec.key(), None)
         self.queue.persist(record)
         self.metrics.counter_inc(
             "repro_job_cells_total",
             "Cells served to jobs by cache state",
-            cache="hit" if hit else "miss",
+            cache=cache,
         )
         # The cell's progress stream is complete; prune it eagerly.
         PROGRESS.forget(job_progress_label(record.job_id, spec.key()))
@@ -391,7 +364,7 @@ class JobScheduler:
             "job.cell_finished",
             job=record.job_id,
             cell=spec.key(),
-            cache="hit" if hit else "miss",
+            cache=cache,
             done=record.cells_done,
             total=record.cells_total,
         )
@@ -411,47 +384,31 @@ class JobScheduler:
 
     def _run_one_sliced(self, record: JobRecord, spec: Any, echo: dict) -> str:
         key = spec.key()
-        payload = cached_payload(spec, self._store)
-        if payload is not None:
-            result = runner_for(spec.kind).decode(payload)
-            self._finish_cell(record, spec, echo, result, True, 0.0)
-            return _DONE
-        try:
-            engine = engine_for_spec(spec)
-        except ConfigurationError:
-            # No engine factory for this kind: whole-run execution,
-            # interruptible only at cell boundaries.
-            outcome = run_outcome(spec, store=self._store)
-            self._finish_cell(
-                record, spec, echo, outcome.result, outcome.hit,
-                outcome.compute_seconds, outcome.store_info,
+        resume = record.cell_states.get(key)
+        if resume is not None:
+            resume = EngineState.from_dict(resume)
+            record.add_event(
+                "cell_resumed", f"{key} from window {resume.windows}"
             )
-            return _DONE
-        started = time.perf_counter()
+        interruption = None
+
+        def on_slice(state: EngineState) -> bool:
+            # Window-slice boundary: persist the checkpoint (crash
+            # durability), then honor cancel/drain/preempt.
+            nonlocal interruption
+            record.cell_states[key] = state.to_dict()
+            self.queue.persist(record)
+            interruption = self._interruption(record)
+            return interruption is not None
+
         with PROGRESS.track(job_progress_label(record.job_id, key)):
-            resume = record.cell_states.get(key)
-            if resume is not None:
-                engine.restore(EngineState.from_dict(resume))
-                record.add_event(
-                    "cell_resumed", f"{key} from window {engine.windows}"
-                )
-            while True:
-                engine.step_windows(self.window_slice)
-                if engine.done:
-                    break
-                # Window-slice boundary: persist the checkpoint (crash
-                # durability), then honor cancel/drain/preempt.
-                record.cell_states[key] = engine.checkpoint().to_dict()
-                self.queue.persist(record)
-                interruption = self._interruption(record)
-                if interruption is not None:
-                    return interruption
-            result = engine.finish()
-        seconds = time.perf_counter() - started
-        payload = runner_for(spec.kind).encode(result)
-        store = default_store() if self._store is None else self._store
-        store.put(key, payload, meta=spec_meta(spec))
-        self._finish_cell(record, spec, echo, result, False, seconds)
+            outcome = run_cell(
+                spec, self._store, resume=resume,
+                window_slice=self.window_slice, on_slice=on_slice,
+            )
+        if outcome.payload is None:
+            return interruption
+        self._finish_cell(record, spec, echo, outcome)
         return _DONE
 
     def _run_cells_backend(
@@ -461,10 +418,7 @@ class JobScheduler:
         echo_by_position = iter(echoes)
         campaign = Campaign(specs, store=self._store, backend=self.backend)
         for spec, outcome in campaign.iter_outcomes():
-            self._finish_cell(
-                record, spec, next(echo_by_position), outcome.result,
-                outcome.hit, outcome.compute_seconds, outcome.store_info,
-            )
+            self._finish_cell(record, spec, next(echo_by_position), outcome)
             if record.cells_done < record.cells_total:
                 interruption = self._interruption(record)
                 if interruption is not None:

@@ -235,6 +235,19 @@ def test_worker_route_errors(service):
         data=json.dumps({"cells": [{"kind": "nope", "fields": {}}]}).encode(),
     )
     assert code == 400 and "no spec type" in body["error"]
+    for window_slice in (True, False, 0, -5, 2.5, "100"):
+        # ``True`` is an ``int`` subclass: it must not run a 1-window
+        # slice.
+        code, body = _error(
+            service, "/v1/worker/run",
+            data=json.dumps({
+                "cells": [cell_to_wire(Chapter4Spec(copies=1))],
+                "window_slice": window_slice,
+            }).encode(),
+        )
+        assert code == 400, window_slice
+        assert body["schema_version"] == SCHEMA_VERSION
+        assert "window_slice must be a positive integer" in body["error"]
     code, body = _error(service, "/v1/worker/run")
     assert code == 405 and "use POST" in body["error"]
     code, body = _error(service, "/v1/worker/health", data=b"{}")
@@ -281,8 +294,8 @@ def one_slot_service():
     thread.join(timeout=5)
 
 
-#: A cell no other test computes, so the worker always tries to resume
-#: it (a cached cell would be served without touching ``resume``).
+#: A cell no other test computes, so its resume state is always the
+#: one restored.
 _RESUME_SPEC = Chapter4Spec(mix="W3", policy="bw", copies=1, inlet_delta_c=0.37)
 
 

@@ -52,12 +52,20 @@ class SquareSpec:
         return spec_key(self)
 
 
-def _execute_square(spec: SquareSpec) -> dict:
-    _CALLS["square"] += 1
-    return {"value": spec.value, "square": spec.value**2}
+class _SquareEngine:
+    """The smallest engine ``run_cell`` runs whole: one window, no state."""
+
+    windows = 1
+
+    def __init__(self, spec: SquareSpec, extra_observers: tuple = ()) -> None:
+        self.spec = spec
+
+    def run_to_completion(self) -> dict:
+        _CALLS["square"] += 1
+        return {"value": self.spec.value, "square": self.spec.value**2}
 
 
-register_runner("test-square", _execute_square, encode=dict, decode=dict)
+register_runner("test-square", _SquareEngine, encode=dict, decode=dict)
 
 
 def _sample_trace() -> TemperatureTrace:

@@ -73,15 +73,23 @@ class WirelessSpec:
         return spec_key(self)
 
 
-def _square(spec) -> dict:
-    return {"value": spec.value, "square": spec.value**2}
+class _SquareEngine:
+    """The smallest engine ``run_cell`` runs whole: one window, no state."""
+
+    windows = 1
+
+    def __init__(self, spec, extra_observers: tuple = ()) -> None:
+        self.spec = spec
+
+    def run_to_completion(self) -> dict:
+        return {"value": self.spec.value, "square": self.spec.value**2}
 
 
 register_runner(
-    "cluster-square", _square, encode=dict, decode=dict,
+    "cluster-square", _SquareEngine, encode=dict, decode=dict,
     spec_type=ClusterSquareSpec,
 )
-register_runner("cluster-wireless", _square, encode=dict, decode=dict)
+register_runner("cluster-wireless", _SquareEngine, encode=dict, decode=dict)
 
 
 # ---------------------------------------------------------------------------

@@ -161,29 +161,16 @@ def test_restore_rejects_wrong_strategy_and_observer_mismatch():
         extra.restore(state)
 
 
-def test_engine_kinds_only_for_registered_factories():
-    class FakeSpec:
-        kind = "ch4"
+def test_register_runner_requires_an_engine_factory():
+    """Every cell runs on its engine, so a kind with no engine factory
+    cannot be registered."""
+    from repro.campaign import register_runner, registered_kinds
 
-        def key(self):
-            return "x"
-
-    with pytest.raises(ConfigurationError, match="resumable"):
-        # Register-free kinds fail loudly through engine_for_spec.
-        from repro.campaign.spec import Runner, _RUNNERS
-
-        original = _RUNNERS["ch4"]
-        try:
-            _RUNNERS["ch4"] = Runner(
-                kind="ch4",
-                execute=original.execute,
-                encode=original.encode,
-                decode=original.decode,
-                make_engine=None,
-            )
-            engine_for_spec(FakeSpec())
-        finally:
-            _RUNNERS["ch4"] = original
+    with pytest.raises(ConfigurationError, match="make_engine"):
+        register_runner("no-engine", None, encode=dict, decode=dict)
+    with pytest.raises(TypeError):
+        register_runner("no-engine", encode=dict, decode=dict)
+    assert "no-engine" not in registered_kinds()
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +424,8 @@ def test_the_layer_ledger_still_resolves_its_targets():
 # -- malformed snapshots --------------------------------------------------------
 
 
-def _ch4_state() -> dict:
-    engine = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
+def _ch4_state(policy: str = "ts") -> dict:
+    engine = engine_for_spec(Chapter4Spec(mix="W1", policy=policy, copies=1))
     engine.step_windows(20)
     return engine.checkpoint().to_dict()
 
@@ -461,6 +448,9 @@ def _set(state: dict, path: str, value) -> dict:
 _DELETE = object()
 #: The job running in core slot 0: ``[app index, copy, remaining]``.
 _SLOT0 = "strategy_state.scheduler.slots.0"
+#: The AMB controller of a ``bw+pid`` policy; paths under it are
+#: broken in a ``bw+pid`` snapshot, every other path in a ``ts`` one.
+_PID = "strategy_state.policy.amb"
 
 
 def _trace(**columns) -> dict:
@@ -501,6 +491,15 @@ def _trace(**columns) -> dict:
         ("observers.0.since_s", -0.5, "since_s must be >= 0"),
         ("observers.0.trace", _trace(amb_c=["hot"]), r"amb_c\[0\] must be a number"),
         ("observers.0.trace", _trace(dram_c=[]), "equal lengths"),
+        ("strategy_state.policy.shut_down", "false", "must be a boolean"),
+        ("strategy_state.policy.shut_down", 1, "must be a boolean"),
+        (_PID + ".integral", float("nan"), "integral must be finite"),
+        (_PID + ".integral", float("inf"), "integral must be finite"),
+        (_PID + ".integral", "7", "integral must be a number"),
+        (_PID + ".previous_error", float("nan"), "previous_error must be"),
+        (_PID + ".previous_error", "0.5", "previous_error must be a number"),
+        (_PID + ".saturated_low", "false", "saturated_low must be a boolean"),
+        (_PID + ".saturated_high", 0, "saturated_high must be a boolean"),
     ],
     ids=[
         "t_amb-string", "t_amb-short", "t_dram-nan", "t_ambient-missing",
@@ -511,7 +510,10 @@ def _trace(**columns) -> dict:
         "shutdown-above-total", "remaining-negative", "remaining-nan",
         "remaining-zero", "app_index-negative", "copy_index-out-of-range",
         "trace_since-nan", "trace_since-negative", "trace-string-sample",
-        "trace-ragged-columns",
+        "trace-ragged-columns", "ts-shut_down-string", "ts-shut_down-int",
+        "pid-integral-nan", "pid-integral-inf", "pid-integral-string",
+        "pid-previous_error-nan", "pid-previous_error-string",
+        "pid-saturated_low-string", "pid-saturated_high-int",
     ],
 )
 def test_malformed_snapshots_raise_checkpoint_errors(path, value, match):
@@ -519,8 +521,9 @@ def test_malformed_snapshots_raise_checkpoint_errors(path, value, match):
     HTTP, an ``error:`` line on the CLI), never a raw ValueError or
     KeyError, and a NaN temperature, counter, job or trace sample is
     refused rather than restored."""
-    broken = _set(_ch4_state(), path, value)
-    engine = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
+    policy = "bw+pid" if path.startswith(_PID) else "ts"
+    broken = _set(_ch4_state(policy), path, value)
+    engine = engine_for_spec(Chapter4Spec(mix="W1", policy=policy, copies=1))
     with pytest.raises(CheckpointError, match=match):
         engine.restore(EngineState.from_dict(json.loads(json.dumps(broken))))
 

@@ -1,0 +1,194 @@
+"""One cell runner: every caller of ``run_cell`` yields the same bytes.
+
+``run_cell`` is the only code that looks up, builds, restores, steps,
+finishes, encodes and stores a cell.  Its four callers — a campaign's
+whole run, a job's time-sliced cell, the worker route's single slices
+and the checkpointed CLI run — must therefore agree bit for bit with a
+plain uncached ``run_payload``, on a Chapter 4 and a Chapter 5 cell,
+including when they stop mid-cell and resume from a checkpoint.
+"""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+from repro.api import ReproClient, ServerRequest, SimulateRequest
+from repro.api.envelope import dumps_canonical
+from repro.api.requests import request_to_dict
+from repro.campaign import (
+    Campaign,
+    MemoryStore,
+    NullStore,
+    engine_for_spec,
+    run_cell,
+    run_payload,
+)
+from repro.engine import CheckpointObserver, SteppingEngine
+from repro.engine.progress import PROGRESS
+from repro.jobs import (
+    COMPLETED,
+    QUEUED,
+    JobQueue,
+    JobScheduler,
+    job_progress_label,
+)
+
+#: The two cells every caller runs, as typed single-cell requests.
+CELLS = {
+    "ch4": SimulateRequest(mix="W1", policy="ts", copies=1),
+    "ch5": ServerRequest(platform="PE1950", mix="W1", policy="bw", copies=1),
+}
+
+
+def _via_campaign(request, tmp_path) -> dict:
+    spec = request.spec()
+    ((_, outcome),) = Campaign([spec], store=MemoryStore()).iter_outcomes()
+    assert not outcome.hit
+    return outcome.payload
+
+
+def _via_job(request, tmp_path) -> dict:
+    """A job cell sliced every 50 windows, drained after its first
+    slice, then resumed by a fresh scheduler from the persisted state."""
+    store = MemoryStore()
+    jobs_dir = tmp_path / "jobs"
+    queue = JobQueue(jobs_dir)
+    job_id = queue.submit("t", request_to_dict(request)).job_id
+    first = JobScheduler(queue, store=store, window_slice=50)
+    first.stop()  # drain at the first slice boundary
+    first._execute(queue.next_ready(timeout_s=0))
+    parked = queue.get(job_id)
+    assert parked.status == QUEUED
+    (state,) = parked.cell_states.values()
+    assert state["windows"] == 50
+
+    revived = JobQueue(jobs_dir)
+    assert revived.recover()["requeued"] == 1
+    record = revived.next_ready(timeout_s=0)
+    JobScheduler(revived, store=store, window_slice=50)._execute(record)
+    assert record.status == COMPLETED
+    assert "cell_resumed" in [event["event"] for event in record.events]
+    return store.get(request.spec().key())
+
+
+def _via_worker(request, tmp_path) -> dict:
+    """Single worker slices chained through their wire checkpoints."""
+    client = ReproClient(store=MemoryStore())
+    spec = request.spec()
+    state = None
+    slices = 0
+    while True:
+        entry = json.loads(json.dumps(client.worker_run(spec, 50, state)))
+        slices += 1
+        if not entry.get("partial"):
+            break
+        assert entry["windows_done"] == 50 * slices
+        state = entry["state"]
+    assert slices > 1 and entry["cache"] == "miss"
+    assert entry["resumed_from"] == 50 * (slices - 1)
+    return entry["payload"]
+
+
+def _via_checkpoint_file(request, tmp_path) -> dict:
+    """An interrupted checkpointed run resumed from its file."""
+    spec = request.spec()
+    path = tmp_path / f"{spec.key()}.checkpoint.json"
+    interrupted = engine_for_spec(
+        spec,
+        extra_observers=(CheckpointObserver(str(path), every_windows=40),),
+    )
+    interrupted.step_windows(80)  # killed right after the window-80 write
+    assert path.exists()
+    store = MemoryStore()
+    resumable = (
+        ReproClient.simulate_resumable if isinstance(request, SimulateRequest)
+        else ReproClient.server_resumable
+    )
+    envelope = resumable(
+        ReproClient(store=store), request,
+        checkpoint_dir=tmp_path, checkpoint_every=40, resume=True,
+    )
+    assert envelope.provenance.cache == "miss"
+    assert not path.exists()  # removed on completion
+    return store.get(spec.key())
+
+
+@pytest.mark.parametrize("cell", sorted(CELLS))
+@pytest.mark.parametrize(
+    "caller", [_via_campaign, _via_job, _via_worker, _via_checkpoint_file],
+    ids=["campaign", "job-sliced-resumed", "worker-slices", "checkpoint-file"],
+)
+def test_every_run_cell_caller_yields_the_reference_bytes(
+    caller, cell, tmp_path, monkeypatch
+):
+    """Same payload bytes, and no window stepped twice: a resumed
+    caller really continued from its checkpoint instead of rerunning."""
+    stepped = [0]
+    step_window = SteppingEngine.step_window
+
+    def counted(engine):
+        stepped[0] += 1
+        step_window(engine)
+
+    monkeypatch.setattr(SteppingEngine, "step_window", counted)
+    request = CELLS[cell]
+    expected, hit, _ = run_payload(request.spec(), NullStore())
+    assert not hit
+    windows, stepped[0] = stepped[0], 0
+    got = caller(request, tmp_path)
+    assert dumps_canonical(got) == dumps_canonical(expected)
+    assert stepped[0] == windows
+
+
+def test_job_cells_publish_progress_under_the_job_label(tmp_path):
+    """While a sliced job cell runs, the active progress label — and
+    every snapshot the engine publishes — is ``<job-id>/<key>``."""
+    PROGRESS.clear()
+    request = CELLS["ch4"]
+    key = request.spec().key()
+    queue = JobQueue(tmp_path / "jobs")
+    job_id = queue.submit("t", request_to_dict(request)).job_id
+    scheduler = JobScheduler(queue, store=MemoryStore(), window_slice=50)
+    seen: list[tuple[str | None, list[str]]] = []
+
+    def spy(record):
+        seen.append((PROGRESS.current_label(), sorted(PROGRESS.snapshot())))
+        return None
+
+    scheduler._interruption = spy
+    scheduler._execute(queue.next_ready(timeout_s=0))
+    label = job_progress_label(job_id, key)
+    assert label == f"{job_id}/{key}"
+    # Every slice boundary runs under the job label; the last check,
+    # between cells, runs after the cell's label was popped.
+    *slices, (between_cells, _) = seen
+    assert len(slices) > 10 and between_cells is None
+    assert {current for current, _ in slices} == {label}
+    published = {name for _, names in seen for name in names}
+    assert published == {label}
+    assert PROGRESS.current_label() is None
+
+
+def test_run_cell_without_on_slice_runs_every_slice_to_the_end():
+    spec = CELLS["ch5"].spec()
+    outcome = run_cell(spec, NullStore(), window_slice=50)
+    assert outcome.state is None and outcome.windows > 50
+    expected, _, _ = run_payload(spec, NullStore())
+    assert dumps_canonical(outcome.payload) == dumps_canonical(expected)
+
+
+def test_a_resumed_cell_skips_the_lookup_and_a_stopped_one_stores_nothing():
+    spec = CELLS["ch5"].spec()
+    store = MemoryStore()
+    stopped = run_cell(spec, store, window_slice=30, on_slice=lambda state: 1)
+    assert stopped.payload is None and stopped.result is None
+    assert stopped.state.windows == stopped.windows == 30
+    assert store.get(spec.key()) is None
+    finished = run_cell(spec, store, resume=stopped.state)
+    assert not finished.hit and finished.windows > 30
+    # Cached now, but a checkpoint still continues rather than hits.
+    again = run_cell(spec, store, resume=stopped.state)
+    assert not again.hit and again.payload == finished.payload
+    assert run_cell(spec, store, window_slice=30).hit

@@ -65,11 +65,19 @@ class CubeSpec:
         return spec_key(self)
 
 
-def _execute_cube(spec: CubeSpec) -> dict:
-    return {"value": spec.value, "cube": spec.value**3}
+class _CubeEngine:
+    """The smallest engine ``run_cell`` runs whole: one window, no state."""
+
+    windows = 1
+
+    def __init__(self, spec: CubeSpec, extra_observers: tuple = ()) -> None:
+        self.spec = spec
+
+    def run_to_completion(self) -> dict:
+        return {"value": self.spec.value, "cube": self.spec.value**3}
 
 
-register_runner("test-cube", _execute_cube, encode=dict, decode=dict)
+register_runner("test-cube", _CubeEngine, encode=dict, decode=dict)
 
 
 def _scope(request) -> str:
