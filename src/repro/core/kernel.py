@@ -38,7 +38,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from repro.core.memspot import MemSpotSample, checked_thermal_state
+from repro.core.memspot import MemSpotSample
+from repro.engine.codec import Field, Float, ListOf
 from repro.errors import ConfigurationError, ThermalModelError
 from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
@@ -73,10 +74,11 @@ class ThermalLoad(NamedTuple):
 class BatchedMemSpot:
     """The flat-state counterpart of :class:`~repro.core.memspot.MemSpot`.
 
-    Same constructor, same :meth:`sample`/:meth:`reset` and checkpoint
-    interface, same numbers; a window is :meth:`load` then :meth:`step`
-    (see the module doc), and the state lives in flat per-position
-    lists instead of one object tree per DIMM.
+    Same constructor, same :meth:`sample`/:meth:`reset`, same numbers;
+    a window is :meth:`load` then :meth:`step` (see the module doc), and
+    the state lives in flat per-position lists instead of one object
+    tree per DIMM.  Those lists are the engine checkpoint's thermal
+    section (``STATE_FIELDS``).
     """
 
     def __init__(
@@ -181,25 +183,18 @@ class BatchedMemSpot:
 
     # -- checkpoint support ------------------------------------------------
 
-    def thermal_state(self) -> dict:
-        """Serializable thermal state (same shape as MemSpot's)."""
-        return {
-            "t_ambient": self._t_ambient,
-            "t_amb": list(self._t_amb),
-            "t_dram": list(self._t_dram),
-        }
+    STATE_FIELDS = (
+        Field("t_ambient", "_t_ambient", Float()),
+        Field("t_amb", "_t_amb", ListOf(Float(), lambda kernel: kernel._dimms)),
+        Field("t_dram", "_t_dram", ListOf(Float(), lambda kernel: kernel._dimms)),
+    )
 
-    def load_thermal_state(self, state: dict) -> None:
-        """Restore temperatures captured by :meth:`thermal_state`.
-
-        The RC gain cache is invalidated so the first step after a
-        restore recomputes the same ``1 - exp(-dt/tau)`` gains a fresh
-        kernel would — restored trajectories stay bit-identical.
-        """
-        self._t_ambient, self._t_amb, self._t_dram = checked_thermal_state(
-            state, self._dimms
-        )
-        self._gain_dt = -1.0
+    def _state_hook(self, values: dict, path: str) -> dict:
+        # Invalidate the RC gain cache so the first step after a
+        # restore recomputes the same ``1 - exp(-dt/tau)`` gains a
+        # fresh kernel would: restored trajectories stay bit-identical.
+        values["_gain_dt"] = -1.0
+        return values
 
     # -- sampling ----------------------------------------------------------
 

@@ -17,9 +17,9 @@ policy polling every sensor would act on).
 
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
-from repro.errors import CheckpointError, ConfigurationError, checkpoint_float
+from repro.errors import ConfigurationError
 from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
 from repro.power.dimm_power import ChannelTraffic, channel_dimm_powers
@@ -189,60 +189,3 @@ class MemSpot:
             inlet = self._ambient.inlet_c
             for model in self._dimm_models:
                 model.reset(inlet)
-
-    # -- checkpoint support ------------------------------------------------
-
-    def thermal_state(self) -> dict:
-        """Serializable thermal state (the engine checkpoint payload).
-
-        The shape is shared with :class:`~repro.core.kernel.BatchedMemSpot`
-        — the two kernels are bit-identical, so a checkpoint taken under
-        one restores into the other.
-        """
-        return {
-            "t_ambient": self._ambient.node_temperature_c,
-            "t_amb": [m.temperatures.amb_c for m in self._dimm_models],
-            "t_dram": [m.temperatures.dram_c for m in self._dimm_models],
-        }
-
-    def load_thermal_state(self, state: dict) -> None:
-        """Restore temperatures captured by :meth:`thermal_state`."""
-        t_ambient, t_amb, t_dram = checked_thermal_state(
-            state, len(self._dimm_models)
-        )
-        self._ambient.restore_node(t_ambient)
-        for model, amb_c, dram_c in zip(self._dimm_models, t_amb, t_dram):
-            model.reset_to(amb_c, dram_c)
-
-
-def checked_thermal_state(
-    state: Any, dimms: int
-) -> tuple[float, list[float], list[float]]:
-    """Validate a ``thermal_state()`` snapshot for a ``dimms``-long chain.
-
-    Returns ``(t_ambient, t_amb, t_dram)`` as floats.  A missing key, a
-    non-numeric or non-finite temperature, or a chain of the wrong
-    length raises :class:`~repro.errors.CheckpointError` before any
-    kernel state is touched.
-    """
-    if not isinstance(state, dict):
-        raise CheckpointError(
-            f"thermal state must be an object, got {type(state).__name__}"
-        )
-    missing = [k for k in ("t_ambient", "t_amb", "t_dram") if k not in state]
-    if missing:
-        raise CheckpointError(f"thermal state is missing {missing}")
-    chains = []
-    for name in ("t_amb", "t_dram"):
-        chain = state[name]
-        if not isinstance(chain, list) or len(chain) != dimms:
-            raise CheckpointError(
-                f"thermal state {name} must list {dimms} DIMM positions, "
-                f"got {chain!r}"
-            )
-        chains.append([
-            checkpoint_float(t, f"thermal state {name}[{i}]")
-            for i, t in enumerate(chain)
-        ])
-    t_ambient = checkpoint_float(state["t_ambient"], "thermal state t_ambient")
-    return t_ambient, chains[0], chains[1]

@@ -25,21 +25,17 @@ execution all come for free and are bit-identical to a straight run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.core.kernel import BatchedMemSpot
 from repro.core.results import RunResult
 from repro.core.windowmodel import MemoryEnvelope, WindowModel
 from repro.cpu.power import simulated_chip_power_w
 from repro.dtm.base import DTMPolicy
+from repro.engine.codec import Count, Field, Float, Nested
 from repro.engine.observers import Observer, ProgressObserver, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
-from repro.errors import (
-    ConfigurationError,
-    SimulationError,
-    checkpoint_count,
-    checkpoint_float,
-)
+from repro.errors import CheckpointError, ConfigurationError, SimulationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 from repro.params.power_params import ProcessorPowerTable, SIMULATED_CPU_POWER
 from repro.params.thermal_params import (
@@ -137,6 +133,14 @@ class Chapter4Strategy:
     """
 
     kind = "ch4"
+    STATE_FIELDS = (
+        Field("scheduler", "scheduler", Nested()),
+        Field("policy", "_policy", Nested(), {}),
+        Field("rotation", "_rotation", Count(), 0),
+        Field("since_rotation_s", "_since_rotation_s", Float(0.0), 0.0),
+        Field("total_intervals", "_total_intervals", Count(), 0),
+        Field("shutdown_intervals", "_shutdown_intervals", Count(), 0),
+    )
 
     def __init__(
         self,
@@ -331,37 +335,17 @@ class Chapter4Strategy:
             "total_jobs": self.scheduler.total_jobs,
         }
 
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "scheduler": self.scheduler.state_dict(),
-            "policy": self._policy.state_dict(),
-            "rotation": self._rotation,
-            "since_rotation_s": self._since_rotation_s,
-            "total_intervals": self._total_intervals,
-            "shutdown_intervals": self._shutdown_intervals,
-        }
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        # Counters are validated before anything is overwritten.
-        rotation = checkpoint_count(state.get("rotation", 0), "rotation")
-        since_rotation_s = checkpoint_float(
-            state.get("since_rotation_s", 0.0), "since_rotation_s", 0.0
-        )
-        total = checkpoint_count(
-            state.get("total_intervals", 0), "total_intervals"
-        )
-        shutdown = checkpoint_count(
-            state.get("shutdown_intervals", 0), "shutdown_intervals", total + 1
-        )
-        self.scheduler.load_state_dict(state["scheduler"])
-        self._policy.load_state_dict(state.get("policy", {}))
+    def _state_hook(self, values: dict, path: str) -> dict:
+        total = values["_total_intervals"]
+        if values["_shutdown_intervals"] > total:
+            raise CheckpointError(
+                f"{path}.shutdown_intervals must be <= total_intervals "
+                f"({total}), got {values['_shutdown_intervals']!r}"
+            )
         # The scheduler moved to an arbitrary point: retake the
         # occupied slots even if finished_jobs happens to match.
-        self._occupied_at = -1
-        self._rotation = rotation
-        self._since_rotation_s = since_rotation_s
-        self._total_intervals = total
-        self._shutdown_intervals = shutdown
+        values["_occupied_at"] = -1
+        return values
 
 
 class TwoLevelSimulator:

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
-from repro.dtm.levels import LevelTracker
+from repro.dtm.levels import TRACKER_FIELD, LevelTracker
+from repro.engine.codec import Count, Field, Float
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
 
@@ -30,6 +31,11 @@ class DTMACG(DTMPolicy):
     """
 
     name = "DTM-ACG"
+    STATE_FIELDS = (
+        TRACKER_FIELD,
+        Field("since_rotation_s", "_since_rotation_s", Float(0.0), 0.0),
+        Field("rotation", "rotation", Count(), 0),
+    )
 
     def __init__(
         self,
@@ -86,17 +92,3 @@ class DTMACG(DTMPolicy):
         self._tracker.reset()
         self._since_rotation_s = 0.0
         self.rotation = 0
-
-    def state_dict(self) -> dict:
-        """Serializable latch + rotation state."""
-        return {
-            "tracker": self._tracker.state_dict(),
-            "since_rotation_s": self._since_rotation_s,
-            "rotation": self.rotation,
-        }
-
-    def load_state_dict(self, state) -> None:
-        """Restore latch + rotation state."""
-        self._tracker.load_state_dict(state.get("tracker", {}))
-        self._since_rotation_s = float(state.get("since_rotation_s", 0.0))
-        self.rotation = int(state.get("rotation", 0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from repro.errors import ConfigurationError
 
@@ -68,6 +68,11 @@ class DTMPolicy(abc.ABC):
 
     #: Human-readable scheme name ("DTM-ACG", ...).
     name: str = "DTM"
+    #: Runtime state for engine checkpoints (hysteresis latches, PID
+    #: integrals, rotation counters; see :mod:`repro.engine.codec`).
+    #: It must round-trip bit-exactly: a restored policy produces the
+    #: same decision stream as one that never paused.
+    STATE_FIELDS: tuple = ()
 
     @abc.abstractmethod
     def decide(self, reading: Any, dt_s: float) -> ControlDecision:
@@ -82,18 +87,6 @@ class DTMPolicy(abc.ABC):
     def reset(self) -> None:
         """Restore initial policy state (default: stateless)."""
 
-    def state_dict(self) -> dict[str, Any]:
-        """JSON-serializable runtime state (hysteresis latches, PID
-        integrals, rotation counters) for engine checkpoints.
-
-        Stateless policies return ``{}``.  The dict must round-trip
-        through :meth:`load_state_dict` bit-exactly: a restored policy
-        produces the same decision stream as one that never paused.
-        """
-        return {}
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Restore runtime state captured by :meth:`state_dict`."""
 
 
 def _decision_memo(policy: DTMPolicy) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
-from repro.dtm.levels import LevelTracker
+from repro.dtm.levels import TRACKER_FIELD, LevelTracker
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
 
@@ -25,6 +25,7 @@ class DTMBW(DTMPolicy):
     """
 
     name = "DTM-BW"
+    STATE_FIELDS = (TRACKER_FIELD,)
 
     def __init__(self, levels: EmergencyLevels | None = None, cores: int = 4) -> None:
         self._levels = levels if levels is not None else SIMULATION_LEVELS
@@ -50,11 +51,3 @@ class DTMBW(DTMPolicy):
     def reset(self) -> None:
         """Clear the shutdown latch."""
         self._tracker.reset()
-
-    def state_dict(self) -> dict:
-        """Serializable latch state."""
-        return {"tracker": self._tracker.state_dict()}
-
-    def load_state_dict(self, state) -> None:
-        """Restore latch state."""
-        self._tracker.load_state_dict(state.get("tracker", {}))

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
-from repro.dtm.levels import LevelTracker
+from repro.dtm.levels import TRACKER_FIELD, LevelTracker
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
 
@@ -29,6 +29,7 @@ class DTMCDVFS(DTMPolicy):
     """
 
     name = "DTM-CDVFS"
+    STATE_FIELDS = (TRACKER_FIELD,)
 
     def __init__(
         self,
@@ -60,11 +61,3 @@ class DTMCDVFS(DTMPolicy):
     def reset(self) -> None:
         """Clear the shutdown latch."""
         self._tracker.reset()
-
-    def state_dict(self) -> dict:
-        """Serializable latch state."""
-        return {"tracker": self._tracker.state_dict()}
-
-    def load_state_dict(self, state) -> None:
-        """Restore latch state."""
-        self._tracker.load_state_dict(state.get("tracker", {}))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Any
 
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
-from repro.dtm.levels import LevelTracker
+from repro.dtm.levels import TRACKER_FIELD, LevelTracker
 from repro.params.emergency import EmergencyLevels, PE1950_LEVELS
 
 
@@ -28,6 +28,7 @@ class DTMCOMB(DTMPolicy):
     """
 
     name = "DTM-COMB"
+    STATE_FIELDS = (TRACKER_FIELD,)
 
     def __init__(
         self,
@@ -61,11 +62,3 @@ class DTMCOMB(DTMPolicy):
     def reset(self) -> None:
         """Clear the shutdown latch."""
         self._tracker.reset()
-
-    def state_dict(self) -> dict:
-        """Serializable latch state."""
-        return {"tracker": self._tracker.state_dict()}
-
-    def load_state_dict(self, state) -> None:
-        """Restore latch state."""
-        self._tracker.load_state_dict(state.get("tracker", {}))

@@ -10,11 +10,14 @@ policy stays shut down until the temperature falls to the release point
 from __future__ import annotations
 
 from repro.dtm.base import ThermalReading
+from repro.engine.codec import Field, Flag, Nested
 from repro.params.emergency import EmergencyLevels
 
 
 class LevelTracker:
     """Quantizes thermal readings into emergency levels with hysteresis."""
+
+    STATE_FIELDS = (Field("latched", "_latched_shutdown", Flag(), False),)
 
     def __init__(self, levels: EmergencyLevels) -> None:
         self._levels = levels
@@ -59,10 +62,6 @@ class LevelTracker:
         """Clear the shutdown latch."""
         self._latched_shutdown = False
 
-    def state_dict(self) -> dict:
-        """Serializable latch state (for engine checkpoints)."""
-        return {"latched": self._latched_shutdown}
 
-    def load_state_dict(self, state) -> None:
-        """Restore latch state captured by :meth:`state_dict`."""
-        self._latched_shutdown = bool(state.get("latched", False))
+#: The checkpoint field of a policy's level tracker.
+TRACKER_FIELD = Field("tracker", "_tracker", Nested(), {})

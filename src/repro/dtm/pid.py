@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError, checkpoint_flag, checkpoint_float
+from repro.engine.codec import Field, Flag, Float, Optional
+from repro.errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,13 @@ class PIDController:
             effect of winding up during the long cold approach, §4.3.4).
         output_min / output_max: actuator saturation bounds on m(t).
     """
+
+    STATE_FIELDS = (
+        Field("integral", "_integral", Float(), 0.0),
+        Field("previous_error", "_previous_error", Optional(Float()), None),
+        Field("saturated_low", "_saturated_low", Flag(), False),
+        Field("saturated_high", "_saturated_high", Flag(), False),
+    )
 
     def __init__(
         self,
@@ -130,29 +138,3 @@ class PIDController:
         self._previous_error = None
         self._saturated_low = False
         self._saturated_high = False
-
-    def state_dict(self) -> dict:
-        """Serializable controller state (for engine checkpoints)."""
-        return {
-            "integral": self._integral,
-            "previous_error": self._previous_error,
-            "saturated_low": self._saturated_low,
-            "saturated_high": self._saturated_high,
-        }
-
-    def load_state_dict(self, state) -> None:
-        """Restore controller state captured by :meth:`state_dict`."""
-        self._integral = checkpoint_float(
-            state.get("integral", 0.0), "PID integral"
-        )
-        previous = state.get("previous_error")
-        self._previous_error = (
-            None if previous is None
-            else checkpoint_float(previous, "PID previous_error")
-        )
-        self._saturated_low = checkpoint_flag(
-            state.get("saturated_low", False), "PID saturated_low"
-        )
-        self._saturated_high = checkpoint_flag(
-            state.get("saturated_high", False), "PID saturated_high"
-        )

@@ -24,6 +24,7 @@ from repro.dtm.pid import (
     DRAM_TARGET_C,
     PIDController,
 )
+from repro.engine.codec import Field, Nested
 from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
@@ -39,6 +40,11 @@ class PIDPolicy(DTMPolicy):
         amb_target_c / dram_target_c: controller targets (defaults §4.3.4).
         min_active: lower bound on gated cores for acg/comb (Chapter 5).
     """
+
+    STATE_FIELDS = (
+        Field("amb", "_amb_pid", Nested(), {}),
+        Field("dram", "_dram_pid", Nested(), {}),
+    )
 
     def __init__(
         self,
@@ -136,17 +142,6 @@ class PIDPolicy(DTMPolicy):
         self._amb_pid.reset()
         self._dram_pid.reset()
 
-    def state_dict(self) -> dict:
-        """Serializable state of both controllers."""
-        return {
-            "amb": self._amb_pid.state_dict(),
-            "dram": self._dram_pid.state_dict(),
-        }
-
-    def load_state_dict(self, state) -> None:
-        """Restore both controllers."""
-        self._amb_pid.load_state_dict(state.get("amb", {}))
-        self._dram_pid.load_state_dict(state.get("dram", {}))
 
 
 def make_pid_policy(

@@ -12,7 +12,8 @@ from __future__ import annotations
 from typing import Any
 
 from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
-from repro.errors import ConfigurationError, checkpoint_flag
+from repro.engine.codec import Field, Flag
+from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 
 
@@ -29,6 +30,7 @@ class DTMTS(DTMPolicy):
     """
 
     name = "DTM-TS"
+    STATE_FIELDS = (Field("shut_down", "_shut_down", Flag(), False),)
 
     def __init__(
         self,
@@ -81,13 +83,3 @@ class DTMTS(DTMPolicy):
     def reset(self) -> None:
         """Memory back on."""
         self._shut_down = False
-
-    def state_dict(self) -> dict:
-        """Serializable hysteresis state."""
-        return {"shut_down": self._shut_down}
-
-    def load_state_dict(self, state) -> None:
-        """Restore hysteresis state."""
-        self._shut_down = checkpoint_flag(
-            state.get("shut_down", False), "DTM-TS shut_down"
-        )

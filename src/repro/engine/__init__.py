@@ -14,7 +14,6 @@ from repro.engine.observers import (
     CheckpointObserver,
     Observer,
     ProgressObserver,
-    SteadyStateGuard,
     TraceRecorder,
 )
 from repro.engine.progress import PROGRESS, ProgressBroker
@@ -37,7 +36,6 @@ __all__ = [
     "ProgressBroker",
     "ProgressObserver",
     "RunStrategy",
-    "SteadyStateGuard",
     "SteppingEngine",
     "TraceRecorder",
     "WindowOutcome",

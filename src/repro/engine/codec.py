@@ -1,0 +1,303 @@
+"""The checkpoint codec: run state declared once, checked in one place.
+
+Every stateful part of a run (the DTM policies' latches, integrals and
+rotation counters, the batch scheduler, the strategies' counters, the
+thermal kernel's temperatures, the trace recorder) declares its
+checkpoint fields once, in a class-level ``STATE_FIELDS`` table of
+:class:`Field` entries: the key in the snapshot, the attribute holding
+the value, its kind, and the value an absent key decodes as.
+Dataclasses (:class:`~repro.engine.state.EngineState`, the job store's
+``JobRecord``) declare it on the field instead:
+``windows: int = state_field(Count())``.
+
+:func:`state_dict` writes a component.  :func:`decode_state` checks a
+snapshot section against the component's table, and the tables of the
+components nested in it, without assigning anything; :func:`apply_state`
+then assigns what it decoded, so a restore succeeds whole or changes
+nothing.  Every :class:`~repro.errors.CheckpointError` names the field's
+dotted path from the snapshot root, list items by index
+(``strategy_state.scheduler.slots.0.2 must be >= 0.0, got -1.0``).
+
+A component whose state holds objects, or obeys a rule across fields,
+defines ``_state_hook(values, path)``: it receives the decoded values by
+attribute, types and ranges already checked, checks the cross-field
+rules, maps values to objects, and returns the attribute values to
+assign.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from typing import Any, Callable, Mapping, NamedTuple
+
+from repro.errors import CheckpointError
+
+#: Default of a field whose key must be present.
+REQUIRED: Any = object()
+
+
+class Kind:
+    """How one value is written (:meth:`encode`) and checked
+    (:meth:`decode`, given the owning component, raising
+    :class:`CheckpointError` naming ``path``)."""
+
+    def encode(self, value: Any) -> Any:
+        return value
+
+    def decode(self, value: Any, path: str, owner: Any) -> Any:
+        raise NotImplementedError
+
+
+@dataclasses.dataclass(frozen=True)
+class Float(Kind):
+    """A finite number ``>= minimum`` (booleans refused)."""
+
+    minimum: float = -math.inf
+
+    def decode(self, value: Any, path: str, owner: Any) -> float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise CheckpointError(f"{path} must be a number, got {value!r}")
+        value = float(value)
+        if not math.isfinite(value):
+            raise CheckpointError(f"{path} must be finite, got {value!r}")
+        if value < self.minimum:
+            raise CheckpointError(f"{path} must be >= {self.minimum}, got {value!r}")
+        return value
+
+
+@dataclasses.dataclass(frozen=True)
+class Count(Kind):
+    """An integer in ``[minimum, limit)``; ``limit`` may be a function
+    of the owning component."""
+
+    limit: float | Callable[[Any], int] = math.inf
+    minimum: float = 0
+
+    def decode(self, value: Any, path: str, owner: Any) -> int:
+        limit = self.limit(owner) if callable(self.limit) else self.limit
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, int)
+            or not self.minimum <= value < limit
+        ):
+            what = "a non-negative integer" if self.minimum == 0 else "an integer"
+            below = "" if limit == math.inf else f" below {limit}"
+            raise CheckpointError(f"{path} must be {what}{below}, got {value!r}")
+        return value
+
+
+class Flag(Kind):
+    """A JSON boolean: ``"false"`` or ``1`` is refused, not cast."""
+
+    def decode(self, value: Any, path: str, owner: Any) -> bool:
+        if not isinstance(value, bool):
+            raise CheckpointError(f"{path} must be a boolean, got {value!r}")
+        return value
+
+
+@dataclasses.dataclass(frozen=True)
+class Text(Kind):
+    """A string, one of ``choices`` when given."""
+
+    choices: frozenset[str] | None = None
+
+    def decode(self, value: Any, path: str, owner: Any) -> str:
+        if not isinstance(value, str):
+            raise CheckpointError(f"{path} must be a string, got {value!r}")
+        if self.choices is not None and value not in self.choices:
+            raise CheckpointError(
+                f"{path} must be one of {sorted(self.choices)}, got {value!r}"
+            )
+        return value
+
+
+@dataclasses.dataclass(frozen=True)
+class Optional(Kind):
+    """``kind`` or null, which stands for the attribute value ``none``
+    (JSON has no infinity, so a pristine ``inf`` is written as null)."""
+
+    kind: Kind
+    none: Any = None
+
+    def encode(self, value: Any) -> Any:
+        return None if value == self.none else self.kind.encode(value)
+
+    def decode(self, value: Any, path: str, owner: Any) -> Any:
+        return self.none if value is None else self.kind.decode(value, path, owner)
+
+
+@dataclasses.dataclass(frozen=True)
+class ListOf(Kind):
+    """A list of ``item`` values, ``length(owner)`` long when given."""
+
+    item: Kind
+    length: Callable[[Any], int] | None = None
+
+    def encode(self, value: Any) -> list:
+        return [self.item.encode(item) for item in value]
+
+    def decode(self, value: Any, path: str, owner: Any) -> list:
+        if not isinstance(value, list):
+            raise CheckpointError(f"{path} must be a list, got {value!r}")
+        if self.length is not None and len(value) != self.length(owner):
+            raise CheckpointError(
+                f"{path} must list {self.length(owner)} values, got {value!r}"
+            )
+        return [
+            self.item.decode(item, f"{path}.{index}", owner)
+            for index, item in enumerate(value)
+        ]
+
+
+class Row(Kind):
+    """A fixed-length list with one kind per position."""
+
+    def __init__(self, *items: Kind) -> None:
+        self.items = items
+
+    def encode(self, value: Any) -> list:
+        return [kind.encode(item) for kind, item in zip(self.items, value)]
+
+    def decode(self, value: Any, path: str, owner: Any) -> list:
+        if not isinstance(value, list) or len(value) != len(self.items):
+            raise CheckpointError(
+                f"{path} must be a list of {len(self.items)} values, got {value!r}"
+            )
+        return [
+            kind.decode(item, f"{path}.{index}", owner)
+            for index, (kind, item) in enumerate(zip(self.items, value))
+        ]
+
+
+@dataclasses.dataclass(frozen=True)
+class Object(Kind):
+    """A JSON object, its values of kind ``item`` (kept as they are
+    when ``item`` is None)."""
+
+    item: Kind | None = None
+
+    def encode(self, value: Any) -> dict:
+        if self.item is None:
+            return dict(value)
+        return {key: self.item.encode(item) for key, item in value.items()}
+
+    def decode(self, value: Any, path: str, owner: Any) -> dict:
+        if not isinstance(value, Mapping):
+            raise CheckpointError(f"{path} must be an object, got {value!r}")
+        if self.item is None:
+            return dict(value)
+        return {
+            key: self.item.decode(item, f"{path}.{key}", owner)
+            for key, item in value.items()
+        }
+
+
+@dataclasses.dataclass(frozen=True)
+class Nested(Kind):
+    """A component restored in place, by its own table or by
+    ``fields`` when its class declares none."""
+
+    fields: tuple | None = None
+
+    def encode(self, value: Any) -> dict:
+        return state_dict(value, self.fields)
+
+
+class Field(NamedTuple):
+    """One checkpoint field of a component."""
+
+    key: str
+    attr: str
+    kind: Kind
+    default: Any = REQUIRED
+
+
+def state_field(kind: Kind, default: Any = REQUIRED, required: bool = False) -> Any:
+    """A dataclass field declared for the codec.  A callable default is
+    a factory (``list``); a ``required`` key must be present in a
+    snapshot even though the dataclass gives the field a default."""
+    metadata = {"checkpoint": kind, "required": required}
+    if default is REQUIRED:
+        return dataclasses.field(metadata=metadata)
+    if callable(default):
+        return dataclasses.field(default_factory=default, metadata=metadata)
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+def _default(f: dataclasses.Field) -> Any:
+    if f.metadata["required"]:
+        return REQUIRED
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return REQUIRED if f.default is dataclasses.MISSING else f.default
+
+
+def fields_of(component: Any) -> tuple[Field, ...]:
+    """The declared checkpoint fields of a component or dataclass."""
+    if dataclasses.is_dataclass(component):
+        return tuple(
+            Field(f.name, f.name, f.metadata["checkpoint"], _default(f))
+            for f in dataclasses.fields(component)
+            if "checkpoint" in f.metadata
+        )
+    return component.STATE_FIELDS
+
+
+def state_dict(component: Any, fields: tuple | None = None) -> dict:
+    """A component's checkpoint state (JSON-ready)."""
+    return {
+        field.key: field.kind.encode(getattr(component, field.attr))
+        for field in fields or fields_of(component)
+    }
+
+
+class Decoded(dict):
+    """Decoded values of a nested component, by attribute."""
+
+
+def decode_state(
+    component: Any, raw: Any, path: str, fields: tuple | None = None
+) -> Decoded:
+    """Check ``raw`` against the component's table, recursively, and
+    return the values to assign without assigning any."""
+    if not isinstance(raw, Mapping):
+        raise CheckpointError(f"{path or 'state'} must be an object, got {raw!r}")
+    values = Decoded()
+    for field in fields or fields_of(component):
+        where = f"{path}.{field.key}" if path else field.key
+        value = raw.get(field.key, field.default)
+        if value is REQUIRED:
+            raise CheckpointError(f"{where} is missing")
+        if isinstance(field.kind, Nested):
+            child = getattr(component, field.attr)
+            value = decode_state(child, value, where, field.kind.fields)
+        else:
+            value = field.kind.decode(value, where, component)
+        values[field.attr] = value
+    hook = getattr(component, "_state_hook", None)
+    return values if hook is None else Decoded(hook(values, path))
+
+
+def apply_state(component: Any, values: Mapping[str, Any]) -> None:
+    """Assign values returned by :func:`decode_state`."""
+    for attr, value in values.items():
+        if isinstance(value, Decoded):
+            apply_state(getattr(component, attr), value)
+        else:
+            setattr(component, attr, value)
+
+
+def load_state_dict(component: Any, raw: Any, path: str = "") -> None:
+    """Restore a component from :func:`state_dict` output, all or
+    nothing."""
+    apply_state(component, decode_state(component, raw, path))
+
+
+def decode_record(cls: type, raw: Any, what: str) -> Any:
+    """A dataclass built from checked values; errors read
+    ``malformed <what>: ...``."""
+    try:
+        return cls(**decode_state(cls, raw, ""))
+    except CheckpointError as error:
+        raise CheckpointError(f"malformed {what}: {error}") from None

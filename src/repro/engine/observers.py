@@ -15,25 +15,22 @@ previously copy-pasted across the two simulator loops:
   :class:`~repro.engine.state.CheckpointFile` every N windows and
   removes it when the run completes.
 
-:class:`SteadyStateGuard` is the early-stop/convergence observer: it
-asks the engine to stop once the hottest AMB temperature has stopped
-moving — useful for warm-up studies, never attached by default (it
-changes results by construction).
-
 Observers that carry run state (the recorder's trace and sampling
-phase) expose ``state_dict``/``load_state_dict`` so engine checkpoints
-capture them; stateless observers inherit the empty defaults.
+phase) declare it in ``STATE_FIELDS`` so engine checkpoints capture it
+(see :mod:`repro.engine.codec`); stateless observers inherit the empty
+table.
 """
 
 from __future__ import annotations
 
 from math import inf
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING
 
 from repro.core.results import TemperatureTrace
+from repro.engine.codec import Field, Float, ListOf, Nested, Optional
 from repro.engine.progress import PROGRESS
 from repro.engine.state import CheckpointFile, EngineStateSerializer
-from repro.errors import CheckpointError, checkpoint_float
+from repro.errors import CheckpointError
 from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -43,18 +40,21 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 class Observer:
     """Base observer: every hook is optional."""
 
+    #: Checkpoint fields (none: a stateless observer).
+    STATE_FIELDS: tuple[Field, ...] = ()
+
     def on_window(self, engine: "SteppingEngine") -> None:
         """Called after each completed window (clock already advanced)."""
 
     def on_finish(self, engine: "SteppingEngine") -> None:
         """Called once when the run completes (after ``finalize``)."""
 
-    def state_dict(self) -> dict[str, Any]:
-        """Serializable observer state for engine checkpoints."""
-        return {}
 
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`."""
+#: The recorded :class:`TemperatureTrace`'s columns as checkpoint fields.
+_TRACE_FIELDS = tuple(
+    Field(name, name, ListOf(Float()), [])
+    for name in ("times_s", "amb_c", "dram_c", "ambient_c")
+)
 
 
 class TraceRecorder(Observer):
@@ -75,6 +75,17 @@ class TraceRecorder(Observer):
         self.enabled = enabled
         self.trace = TemperatureTrace()
         self._since_s = inf
+
+    # The whole trace-so-far rides in every snapshot: the final result
+    # embeds the full trace, so a run resumed on another machine cannot
+    # reconstruct it from anything less.  This makes checkpoint size
+    # grow with recorded samples — time-sliced dispatch of trace-heavy
+    # cells should use generous slices.  JSON has no Infinity, so the
+    # pristine accumulator is written as null.
+    STATE_FIELDS = (
+        Field("since_s", "_since_s", Optional(Float(0.0), none=inf), None),
+        Field("trace", "trace", Nested(_TRACE_FIELDS), {}),
+    )
 
     def on_window(self, engine: "SteppingEngine") -> None:
         if not self.enabled:
@@ -98,38 +109,12 @@ class TraceRecorder(Observer):
                 engine.now_s, sample.amb_c, sample.dram_c, sample.ambient_c
             )
 
-    def state_dict(self) -> dict[str, Any]:
-        # The whole trace-so-far rides in every snapshot: the final
-        # result embeds the full trace, so a run resumed on another
-        # machine cannot reconstruct it from anything less.  This makes
-        # checkpoint size grow with recorded samples — time-sliced
-        # dispatch of trace-heavy cells should use generous slices.
-        return {
-            # JSON has no Infinity; None marks the pristine accumulator.
-            "since_s": None if self._since_s == inf else self._since_s,
-            "trace": {
-                "times_s": list(self.trace.times_s),
-                "amb_c": list(self.trace.amb_c),
-                "dram_c": list(self.trace.dram_c),
-                "ambient_c": list(self.trace.ambient_c),
-            },
-        }
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        since = state.get("since_s")
-        since = inf if since is None else checkpoint_float(since, "since_s", 0.0)
-        raw = state.get("trace", {})
-        columns = [
-            [
-                checkpoint_float(value, f"trace {name}[{i}]")
-                for i, value in enumerate(raw.get(name, []))
-            ]
-            for name in ("times_s", "amb_c", "dram_c", "ambient_c")
-        ]
-        if len({len(column) for column in columns}) > 1:
-            raise CheckpointError("trace columns must have equal lengths")
-        self._since_s = since
-        self.trace = TemperatureTrace(*columns)
+    def _state_hook(self, values: dict, path: str) -> dict:
+        columns = values["trace"]
+        if len({len(column) for column in columns.values()}) > 1:
+            raise CheckpointError(f"{path}.trace columns must have equal lengths")
+        values["trace"] = TemperatureTrace(**columns)
+        return values
 
 
 class ProgressObserver(Observer):
@@ -205,47 +190,3 @@ class CheckpointObserver(Observer):
         # A finished run needs no resume point; leaving one behind
         # would make a later --resume silently replay a stale batch.
         self.checkpoint.remove()
-
-
-class SteadyStateGuard(Observer):
-    """Requests an early stop once the AMB temperature converges.
-
-    After ``min_windows`` windows, if the hottest AMB reading has moved
-    less than ``tolerance_c`` over the last ``window_span`` windows,
-    the guard calls :meth:`SteppingEngine.request_stop` and the run
-    finalizes from its partial state.  Attach explicitly — an
-    early-stopped run is *not* comparable to a completed one.
-    """
-
-    def __init__(
-        self,
-        tolerance_c: float = 0.01,
-        window_span: int = 100,
-        min_windows: int = 200,
-    ) -> None:
-        if window_span < 1:
-            raise ValueError("window_span must be >= 1")
-        self.tolerance_c = tolerance_c
-        self.window_span = window_span
-        self.min_windows = min_windows
-        self._recent: list[float] = []
-        self.stopped = False
-
-    def on_window(self, engine: "SteppingEngine") -> None:
-        self._recent.append(engine.sample.amb_c)
-        if len(self._recent) > self.window_span:
-            del self._recent[0]
-        if (
-            engine.windows >= self.min_windows
-            and len(self._recent) == self.window_span
-            and max(self._recent) - min(self._recent) <= self.tolerance_c
-        ):
-            self.stopped = True
-            engine.request_stop()
-
-    def state_dict(self) -> dict[str, Any]:
-        return {"recent": list(self._recent), "stopped": self.stopped}
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        self._recent = [float(t) for t in state.get("recent", [])]
-        self.stopped = bool(state.get("stopped", False))

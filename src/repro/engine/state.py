@@ -16,6 +16,18 @@ round-trip bit-exactly through Python's shortest-repr serialization,
 which is what makes a restored run *bit-identical* to an uninterrupted
 one rather than merely close.
 
+Every section is written and checked by the one checkpoint codec
+(:mod:`repro.engine.codec`) from the fields each component declares.
+To add a piece of run state, declare it in the owning component's
+``STATE_FIELDS`` table (``Field(key, attribute, kind, default)``); the
+default is what a snapshot written before the field existed decodes
+as, which makes the addition a minor-version change.  A rule across
+fields (a count bounded by another, a list as long as the batch has
+slots) goes in the component's ``_state_hook``, which receives values
+whose types and ranges are already checked.  A restore decodes the
+whole snapshot before it assigns anything, so a refused snapshot
+leaves the engine as it was.
+
 :class:`CheckpointFile` stores one snapshot on disk with the same
 write-then-rename discipline as
 :class:`~repro.campaign.stores.JsonDirStore`: the JSON is serialized
@@ -29,11 +41,22 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from repro.errors import CheckpointError, checkpoint_count, checkpoint_float
+from repro.engine.codec import (
+    Count,
+    Float,
+    ListOf,
+    Object,
+    Text,
+    decode_record,
+    fields_of,
+    state_dict,
+    state_field,
+)
+from repro.errors import CheckpointError
 
 #: Engine snapshot schema version.  Bump the minor for additive
 #: changes, the major for breaking ones (same rules as the API's
@@ -51,102 +74,55 @@ def _state_major(version: str) -> int:
     return int(major)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EngineState:
-    """One engine snapshot, taken at a DTM-window boundary."""
+    """One engine snapshot, taken at a DTM-window boundary.
 
+    :meth:`from_dict` checks the fields declared here;
+    :meth:`SteppingEngine.restore <repro.engine.stepping.SteppingEngine.restore>`
+    checks the thermal, strategy and observer sections against the
+    components they restore.
+    """
+
+    version: str = state_field(Text(), ENGINE_STATE_VERSION)
     #: Strategy kind the snapshot belongs to (``ch4``, ``ch5``, ...).
     #: Restoring into an engine built for a different kind fails.
-    strategy: str
+    strategy: str = state_field(Text())
     #: Windows completed so far.
-    windows: int
+    windows: int = state_field(Count())
     #: Simulated seconds elapsed.
-    now_s: float
+    now_s: float = state_field(Float())
     #: The engine-owned accumulators (traffic, energies, peaks, ...).
-    accumulators: dict[str, float]
-    #: Thermal-chain temperatures (``MemSpot.thermal_state()`` shape).
-    thermal: dict[str, Any]
+    accumulators: dict[str, float] = state_field(Object(Float()))
+    #: Thermal-chain temperatures (the thermal kernel's fields).
+    thermal: dict[str, Any] = state_field(Object())
     #: Strategy-owned state (scheduler, policy, rotation counters).
-    strategy_state: dict[str, Any]
+    strategy_state: dict[str, Any] = state_field(Object())
     #: Per-observer state, in engine attach order.
-    observers: list[dict] = field(default_factory=list)
-    version: str = ENGINE_STATE_VERSION
+    observers: list[dict] = state_field(ListOf(Object()), list)
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready)."""
-        return {
-            "version": self.version,
-            "strategy": self.strategy,
-            "windows": self.windows,
-            "now_s": self.now_s,
-            "accumulators": dict(self.accumulators),
-            "thermal": dict(self.thermal),
-            "strategy_state": dict(self.strategy_state),
-            "observers": [dict(state) for state in self.observers],
-        }
+        return state_dict(self)
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "EngineState":
-        """Rebuild a snapshot, rejecting incompatible majors.
-
-        Every defect raises :class:`CheckpointError`: a missing key, a
-        section that is not an object, a window count that is not a
-        non-negative integer, or a clock or accumulator that is not a
-        finite number.  The thermal and strategy sections are checked
-        by :meth:`SteppingEngine.restore`, which knows their shape.
-        """
+        """Rebuild a snapshot, rejecting incompatible majors before
+        anything else; every defect raises :class:`CheckpointError`."""
         if not isinstance(raw, Mapping):
             raise CheckpointError(
                 f"engine state must be a JSON object, got {type(raw).__name__}"
             )
-        version = str(raw.get("version", ""))
-        if _state_major(version) != _state_major(ENGINE_STATE_VERSION):
+        version = raw.get("version", "")
+        if isinstance(version, str) and _state_major(version) != _state_major(
+            ENGINE_STATE_VERSION
+        ):
             raise CheckpointError(
                 f"incompatible engine-state version {version!r}: this "
                 f"engine speaks major {_state_major(ENGINE_STATE_VERSION)} "
                 f"({ENGINE_STATE_VERSION})"
             )
-        missing = [
-            name
-            for name in (
-                "strategy", "windows", "now_s", "accumulators", "thermal",
-                "strategy_state",
-            )
-            if name not in raw
-        ]
-        if missing:
-            raise CheckpointError(f"malformed engine state: missing {missing}")
-        windows = checkpoint_count(raw["windows"], "malformed engine state: windows")
-        sections = {}
-        for name in ("accumulators", "thermal", "strategy_state"):
-            if not isinstance(raw[name], Mapping):
-                raise CheckpointError(
-                    f"malformed engine state: {name} must be an object, "
-                    f"got {raw[name]!r}"
-                )
-            sections[name] = dict(raw[name])
-        observers = raw.get("observers", [])
-        if not isinstance(observers, list) or not all(
-            isinstance(state, Mapping) for state in observers
-        ):
-            raise CheckpointError(
-                "malformed engine state: observers must be a list of objects"
-            )
-        return cls(
-            strategy=str(raw["strategy"]),
-            windows=windows,
-            now_s=checkpoint_float(raw["now_s"], "engine state now_s"),
-            accumulators={
-                name: checkpoint_float(
-                    value, f"engine state accumulators.{name}"
-                )
-                for name, value in sections["accumulators"].items()
-            },
-            thermal=sections["thermal"],
-            strategy_state=sections["strategy_state"],
-            observers=[dict(state) for state in observers],
-            version=version,
-        )
+        return decode_record(cls, raw, "engine state")
 
 
 class EngineStateSerializer:
@@ -183,27 +159,15 @@ class EngineStateSerializer:
 
     def serialize(self, state: EngineState) -> str:
         """The snapshot's canonical JSON document."""
-        # Top-level keys in sorted order, matching json.dumps(...,
-        # sort_keys=True) byte for byte.
-        return (
-            '{"accumulators": '
-            + self._section("accumulators", state.accumulators)
-            + ', "now_s": '
-            + json.dumps(state.now_s)
-            + ', "observers": '
-            + self._section("observers", state.observers)
-            + ', "strategy": '
-            + self._section("strategy", state.strategy)
-            + ', "strategy_state": '
-            + self._section("strategy_state", state.strategy_state)
-            + ', "thermal": '
-            + self._section("thermal", state.thermal)
-            + ', "version": '
-            + self._section("version", state.version)
-            + ', "windows": '
-            + json.dumps(state.windows)
-            + "}"
-        )
+        return "{" + ", ".join(
+            f'"{key}": {self._section(key, getattr(state, key))}'
+            for key in _SORTED_KEYS
+        ) + "}"
+
+
+#: EngineState's keys in the order ``json.dumps(..., sort_keys=True)``
+#: writes them.
+_SORTED_KEYS = sorted(field.key for field in fields_of(EngineState))
 
 
 class CheckpointFile:

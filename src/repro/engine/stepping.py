@@ -18,8 +18,7 @@ only execute to completion inside one opaque call.
   uninterrupted one (the engine tests enforce this for both
   simulators, restoring in a fresh process);
 - pluggable :class:`~repro.engine.observers.Observer` hooks for trace
-  recording, progress emission, checkpoint files, and early-stop
-  guards.
+  recording, progress emission and checkpoint files.
 
 A :class:`RunStrategy` supplies everything experiment-specific: the
 model wiring (scheduler, policy, window model, MEMSpot), the
@@ -63,10 +62,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable, Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Hashable, Iterable, Protocol
 
+from repro.engine.codec import apply_state, decode_state, state_dict
 from repro.engine.state import EngineState
-from repro.errors import CheckpointError, ReproError, SimulationError
+from repro.errors import CheckpointError, SimulationError
 from repro.obs.trace import engine_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
@@ -119,6 +119,8 @@ class RunStrategy(Protocol):
     #: The batch scheduler the engine advances with each outcome's
     #: progress (None for a run without one).
     scheduler: Any
+    #: The strategy's checkpoint fields (see :mod:`repro.engine.codec`).
+    STATE_FIELDS: tuple
 
     def done(self, engine: "SteppingEngine") -> bool:
         """Whether the run has nothing left to simulate."""
@@ -138,14 +140,6 @@ class RunStrategy(Protocol):
 
     def finalize(self, engine: "SteppingEngine") -> Any:
         """Build the run's result object from the engine state."""
-        ...
-
-    def state_dict(self) -> dict[str, Any]:
-        """Serializable strategy state for checkpoints."""
-        ...
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict`."""
         ...
 
     def progress(self, engine: "SteppingEngine") -> dict[str, Any]:
@@ -208,7 +202,6 @@ class SteppingEngine:
         #: The previous window's MEMSpot sample — what the next
         #: window's sensor reading sees.
         self.sample: "MemSpotSample" = strategy.memspot.sample()
-        self._stop_requested = False
         self._result: Any = None
         self._finished = False
 
@@ -218,11 +211,6 @@ class SteppingEngine:
     def observers(self) -> tuple["Observer", ...]:
         """The attached observers, in notification order."""
         return tuple(self._observers)
-
-    def request_stop(self) -> None:
-        """Ask :meth:`run_to_completion` to finalize after this window
-        (the early-stop/convergence-guard hook)."""
-        self._stop_requested = True
 
     # -- stepping ----------------------------------------------------------
 
@@ -311,17 +299,16 @@ class SteppingEngine:
     def step_windows(self, count: int) -> int:
         """Advance up to ``count`` windows; returns how many ran.
 
-        Stops early when the batch completes (or an observer requested
-        a stop), so callers can slice a run without overshooting:
-        time-sliced cluster cells and the CLI's checkpointed runs are
-        both built on this.
+        Stops early when the batch completes, so callers can slice a
+        run without overshooting: time-sliced cluster cells and the
+        CLI's checkpointed runs are both built on this.
         """
         if count < 0:
             raise SimulationError("cannot step a negative window count")
         done = self.strategy.done
         step = self.step_window
         stepped = 0
-        while stepped < count and not self._stop_requested and not done(self):
+        while stepped < count and not done(self):
             step()
             stepped += 1
         return stepped
@@ -330,7 +317,7 @@ class SteppingEngine:
         """Run the remaining windows and return the strategy's result."""
         done = self.strategy.done
         step = self.step_window
-        while not self._stop_requested and not done(self):
+        while not done(self):
             step()
         return self.finish()
 
@@ -352,9 +339,9 @@ class SteppingEngine:
             windows=self.windows,
             now_s=self.now_s,
             accumulators={name: getattr(self, name) for name in _ACCUMULATORS},
-            thermal=self.strategy.memspot.thermal_state(),
-            strategy_state=self.strategy.state_dict(),
-            observers=[obs.state_dict() for obs in self._observers],
+            thermal=state_dict(self._memspot),
+            strategy_state=state_dict(self.strategy),
+            observers=[state_dict(observer) for observer in self._observers],
         )
 
     def restore(self, state: EngineState) -> None:
@@ -384,26 +371,29 @@ class SteppingEngine:
             raise CheckpointError(
                 f"checkpoint is missing accumulators {missing}"
             )
-        # Validates before it overwrites: a bad thermal section leaves
-        # the kernel untouched.
-        self.strategy.memspot.load_thermal_state(state.thermal)
-        try:
-            self.strategy.load_state_dict(state.strategy_state)
-            for observer, observer_state in zip(self._observers, state.observers):
-                observer.load_state_dict(observer_state)
-        except (
-            ReproError, LookupError, TypeError, ValueError, AttributeError
-        ) as error:
-            raise CheckpointError(
-                f"checkpoint strategy or observer state is malformed: "
-                f"{error!r}"
-            ) from None
+        # Everything is decoded and checked before anything is
+        # assigned: a refused snapshot leaves the engine as it was.
+        sections = [
+            (self._memspot, state.thermal, "thermal"),
+            (self.strategy, state.strategy_state, "strategy_state"),
+        ] + [
+            (observer, section, f"observers.{index}")
+            for index, (observer, section) in enumerate(
+                zip(self._observers, state.observers)
+            )
+        ]
+        decoded = [
+            (component, decode_state(component, section, path))
+            for component, section, path in sections
+        ]
+        for component, values in decoded:
+            apply_state(component, values)
         # EngineState.from_dict has already checked these are finite
         # numbers and a non-negative window count.
-        self.windows = int(state.windows)
-        self.now_s = float(state.now_s)
+        self.windows = state.windows
+        self.now_s = state.now_s
         for name in _ACCUMULATORS:
-            setattr(self, name, float(state.accumulators[name]))
+            setattr(self, name, state.accumulators[name])
         # At a window boundary the live sample's temperatures equal the
         # chain maxima, which is exactly what ``sample()`` reports; the
         # power field is never read before the next step overwrites it.
@@ -411,6 +401,5 @@ class SteppingEngine:
         # The scheduler moved to an arbitrary point: every cached
         # outcome is stale, even if the finished-job count matches.
         self._window_cache.clear()
-        self._stop_requested = False
         self._result = None
         self._finished = False

@@ -7,8 +7,6 @@ still letting programming errors (``TypeError`` and friends) propagate.
 
 from __future__ import annotations
 
-import math
-
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
@@ -51,47 +49,12 @@ class CheckpointError(ReproError):
     """An engine checkpoint could not be captured, decoded, or restored.
 
     Raised for version-skewed snapshots, snapshots taken under a
-    different strategy kind, and checkpoint files that fail to decode.
-    A *torn* file can never cause this: checkpoints are published with
-    the same write-then-rename discipline as the result stores.
+    different strategy kind, checkpoint files that fail to decode, and
+    any field the checkpoint codec (:mod:`repro.engine.codec`) refuses,
+    job-store records included.  A *torn* file can never cause this:
+    checkpoints are published with the same write-then-rename
+    discipline as the result stores.
     """
-
-
-def checkpoint_float(
-    value: object, where: str, minimum: float = -math.inf
-) -> float:
-    """``value`` as a finite float ``>= minimum``, or
-    :class:`CheckpointError` naming ``where``.  Booleans, strings, NaN
-    and infinities are refused, so a hand-edited or corrupted snapshot
-    fails before it is restored."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CheckpointError(f"{where} must be a number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise CheckpointError(f"{where} must be finite, got {value!r}")
-    if value < minimum:
-        raise CheckpointError(f"{where} must be >= {minimum}, got {value!r}")
-    return value
-
-
-def checkpoint_flag(value: object, where: str) -> bool:
-    """``value`` if it is a JSON boolean, else :class:`CheckpointError`
-    naming ``where`` (a string such as ``"false"`` or a number is
-    refused rather than cast)."""
-    if not isinstance(value, bool):
-        raise CheckpointError(f"{where} must be a boolean, got {value!r}")
-    return value
-
-
-def checkpoint_count(value: object, where: str, limit: float = math.inf) -> int:
-    """``value`` as an integer in ``[0, limit)``, or
-    :class:`CheckpointError` naming ``where`` (booleans refused)."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < limit:
-        below = "" if limit == math.inf else f" below {limit}"
-        raise CheckpointError(
-            f"{where} must be a non-negative integer{below}, got {value!r}"
-        )
-    return value
 
 
 class ClusterError(ReproError):

@@ -20,15 +20,28 @@ audit trail.
 from __future__ import annotations
 
 import json
+import math
 import os
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.errors import ConfigurationError
+from repro.engine.codec import (
+    Count,
+    Flag,
+    Float,
+    ListOf,
+    Object,
+    Optional,
+    Text,
+    decode_record,
+    state_dict,
+    state_field,
+)
+from repro.errors import CheckpointError, ConfigurationError
 
 #: On-disk record format tag (checked on load).
 RECORD_FORMAT = "repro-job-record"
@@ -62,37 +75,42 @@ def new_job_id() -> str:
 
 @dataclass
 class JobRecord:
-    """The full persistent state of one submitted job."""
+    """The full persistent state of one submitted job.
 
-    job_id: str
-    tenant: str
-    request: dict
-    priority: int = 0
-    status: str = QUEUED
+    Every field is declared for the checkpoint codec, so a record with
+    a mistyped field is refused when it is read back, like one with an
+    unknown status.
+    """
+
+    job_id: str = state_field(Text())
+    tenant: str = state_field(Text())
+    request: dict = state_field(Object())
+    priority: int = state_field(Count(minimum=-math.inf), 0)
+    status: str = state_field(Text(JOB_STATES), QUEUED, required=True)
     #: Monotonic per-queue sequence number: FIFO order within a
     #: priority band.  A preempted job keeps its original number, so it
     #: resumes ahead of later same-priority arrivals.
-    submit_seq: int = 0
-    created_s: float = 0.0
-    started_s: float | None = None
-    finished_s: float | None = None
-    cells_total: int = 0
-    cells_done: int = 0
+    submit_seq: int = state_field(Count(), 0)
+    created_s: float = state_field(Float(), 0.0)
+    started_s: float | None = state_field(Optional(Float()), None)
+    finished_s: float | None = state_field(Optional(Float()), None)
+    cells_total: int = state_field(Count(), 0)
+    cells_done: int = state_field(Count(), 0)
     #: Cache key -> serialized EngineState checkpoint for cells that
     #: were interrupted mid-run (preemption, SIGTERM drain, crash).
-    cell_states: dict[str, dict] = field(default_factory=dict)
+    cell_states: dict[str, dict] = state_field(Object(Object()), dict)
     #: Envelope dicts of completed cells, in spec order.
-    results: list[dict] = field(default_factory=list)
+    results: list[dict] = state_field(ListOf(Object()), list)
     #: How many times the job was preempted by higher-priority work.
-    preemptions: int = 0
+    preemptions: int = state_field(Count(), 0)
     #: Cooperative-cancel flag checked at window-slice boundaries.
-    cancel_requested: bool = False
-    error: str | None = None
+    cancel_requested: bool = state_field(Flag(), False)
+    error: str | None = state_field(Optional(Text()), None)
     #: The submitter's trace context (``trace_id:span_id`` header
     #: value), so the scheduler joins the submit's trace when the job
     #: runs — possibly after a process restart.
-    trace: str | None = None
-    events: list[dict] = field(default_factory=list)
+    trace: str | None = state_field(Optional(Text()), None)
+    events: list[dict] = state_field(ListOf(Object()), list)
 
     def add_event(self, event: str, detail: str = "") -> None:
         """Append to the audit log (bounded; oldest evicted)."""
@@ -109,41 +127,13 @@ class JobRecord:
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready); inverse of :meth:`from_dict`."""
-        return {
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "request": dict(self.request),
-            "priority": self.priority,
-            "status": self.status,
-            "submit_seq": self.submit_seq,
-            "created_s": self.created_s,
-            "started_s": self.started_s,
-            "finished_s": self.finished_s,
-            "cells_total": self.cells_total,
-            "cells_done": self.cells_done,
-            "cell_states": dict(self.cell_states),
-            "results": list(self.results),
-            "preemptions": self.preemptions,
-            "cancel_requested": self.cancel_requested,
-            "error": self.error,
-            "trace": self.trace,
-            "events": list(self.events),
-        }
+        return state_dict(self)
 
     @classmethod
     def from_dict(cls, raw: dict) -> "JobRecord":
-        """Rebuild a record from its dict form."""
-        missing = {"job_id", "tenant", "request", "status"} - set(raw)
-        if missing:
-            raise ConfigurationError(
-                f"job record is missing fields {sorted(missing)}"
-            )
-        if raw["status"] not in JOB_STATES:
-            raise ConfigurationError(
-                f"job record has unknown status {raw['status']!r}"
-            )
-        known = {key for key in cls.__dataclass_fields__}
-        return cls(**{key: value for key, value in raw.items() if key in known})
+        """Rebuild a record from its dict form; a missing or mistyped
+        field raises :class:`~repro.errors.CheckpointError`."""
+        return decode_record(cls, raw, "job record")
 
 
 class JobStore:
@@ -193,7 +183,7 @@ class JobStore:
             return None
         try:
             return JobRecord.from_dict(raw.get("job") or {})
-        except ConfigurationError:
+        except CheckpointError:
             return None
 
     def delete(self, job_id: str) -> bool:

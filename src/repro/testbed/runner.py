@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.core.kernel import BatchedMemSpot
 from repro.core.results import TemperatureTrace
 from repro.cpu.power import measured_chip_power_w
 from repro.dtm.base import DTMPolicy
+from repro.engine.codec import Field, Nested
 from repro.engine.observers import Observer, ProgressObserver, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
 from repro.errors import ConfigurationError, SimulationError
@@ -102,6 +103,10 @@ class ServerStrategy:
     """
 
     kind = "ch5"
+    STATE_FIELDS = (
+        Field("scheduler", "scheduler", Nested()),
+        Field("policy", "_policy", Nested(), {}),
+    )
 
     def __init__(
         self,
@@ -267,16 +272,6 @@ class ServerStrategy:
             "total_jobs": self.scheduler.total_jobs,
         }
 
-    def state_dict(self) -> dict[str, Any]:
-        return {
-            "scheduler": self.scheduler.state_dict(),
-            "policy": self._policy.state_dict(),
-        }
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        self.scheduler.load_state_dict(state["scheduler"])
-        self._policy.load_state_dict(state.get("policy", {}))
-
     def _build_loads(
         self,
         scheduler: BatchScheduler,
@@ -421,6 +416,7 @@ class HomogeneousStrategy:
 
     kind = "homogeneous"
     scheduler = None
+    STATE_FIELDS = ()
 
     def __init__(
         self,
@@ -487,12 +483,6 @@ class HomogeneousStrategy:
 
     def progress(self, engine: SteppingEngine) -> dict[str, Any]:
         return {"duration_s": self._duration_s}
-
-    def state_dict(self) -> dict[str, Any]:
-        return {}
-
-    def load_state_dict(self, state: Mapping[str, Any]) -> None:
-        pass
 
 
 def run_homogeneous(

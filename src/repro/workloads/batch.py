@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.errors import SchedulingError, checkpoint_count, checkpoint_float
+from repro.engine.codec import Count, Field, Float, ListOf, Optional, Row
+from repro.errors import CheckpointError, SchedulingError
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import AppProfile
 
@@ -29,10 +30,37 @@ class BatchJob:
 
     app: AppProfile
     copy_index: int
+    #: The application's position in the mix (how checkpoints name it).
+    app_index: int = 0
     remaining_instructions: float = field(init=False)
 
     def __post_init__(self) -> None:
         self.remaining_instructions = self.app.instructions
+
+
+class _JobRef(Row):
+    """A job in a checkpoint: ``[app index in the mix, copy index,
+    remaining instructions]``, so the state crosses process boundaries
+    without serializing :class:`AppProfile` objects."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            Count(lambda scheduler: len(scheduler._mix.apps)),
+            Count(lambda scheduler: scheduler._copies),
+            Float(0.0),
+        )
+
+    def encode(self, job: BatchJob) -> list:
+        return [job.app_index, job.copy_index, job.remaining_instructions]
+
+    def decode(self, value, path: str, scheduler: BatchScheduler) -> BatchJob:
+        index, copy_index, remaining = super().decode(value, path, scheduler)
+        job = BatchJob(scheduler._mix.apps[index], copy_index, index)
+        job.remaining_instructions = remaining
+        return job
+
+
+_JOB = _JobRef()
 
 
 class BatchScheduler:
@@ -43,6 +71,12 @@ class BatchScheduler:
         copies: copies of every application in the batch.
         cores: number of core slots.
     """
+
+    STATE_FIELDS = (
+        Field("queue", "_queue", ListOf(_JOB)),
+        Field("slots", "_slots", ListOf(Optional(_JOB))),
+        Field("finished", "_finished", ListOf(_JOB)),
+    )
 
     def __init__(self, mix: WorkloadMix, copies: int, cores: int) -> None:
         if copies < 1:
@@ -55,9 +89,9 @@ class BatchScheduler:
         # Interleave copies round-robin over applications:
         # A1#0, A2#0, ..., An#0, A1#1, A2#1, ...
         self._queue: list[BatchJob] = [
-            BatchJob(app=app, copy_index=copy)
+            BatchJob(app=app, copy_index=copy, app_index=index)
             for copy in range(copies)
-            for app in mix.apps
+            for index, app in enumerate(mix.apps)
         ]
         self._total_jobs = len(self._queue)
         self._slots: list[BatchJob | None] = [None] * cores
@@ -165,74 +199,26 @@ class BatchScheduler:
 
     # -- checkpoint support ------------------------------------------------
 
-    def _job_ref(self, job: BatchJob) -> list:
-        """Serializable job identity: (mix app index, copy, remaining)."""
-        index = next(
-            i for i, app in enumerate(self._mix.apps) if app is job.app
-        )
-        return [index, job.copy_index, job.remaining_instructions]
-
-    def state_dict(self) -> dict:
-        """Serializable scheduler state (for engine checkpoints).
-
-        Jobs are identified by their application's index in the mix and
-        their copy index, so the state crosses process boundaries
-        without serializing :class:`AppProfile` objects.
-        """
-        return {
-            "queue": [self._job_ref(job) for job in self._queue],
-            "slots": [
-                None if job is None else self._job_ref(job)
-                for job in self._slots
-            ],
-            "finished": [self._job_ref(job) for job in self._finished],
-        }
-
-    def _job_from_ref(self, ref, where: str) -> BatchJob:
-        """A job from :meth:`_job_ref` output, validated: indices in
-        range, and a finite remaining count, positive unless the job
-        is finished."""
-        index, copy_index, remaining = ref
-        apps = self._mix.apps
-        job = BatchJob(
-            app=apps[checkpoint_count(index, f"{where} app index", len(apps))],
-            copy_index=checkpoint_count(
-                copy_index, f"{where} copy index", self._copies
-            ),
-        )
-        remaining = checkpoint_float(remaining, f"{where} remaining", 0.0)
-        if not remaining and where != "finished":
-            raise SchedulingError(f"{where} job has no instructions remaining")
-        job.remaining_instructions = remaining
-        return job
-
-    def load_state_dict(self, state) -> None:
-        """Restore scheduler state captured by :meth:`state_dict`.
-
-        The scheduler must have been constructed with the same (mix,
-        copies, cores) as the one that produced the state.  Every job
-        is validated before anything is overwritten.
-        """
-        queue = [self._job_from_ref(ref, "queued") for ref in state["queue"]]
-        slots = [
-            None if ref is None else self._job_from_ref(ref, "running")
-            for ref in state["slots"]
-        ]
-        finished = [
-            self._job_from_ref(ref, "finished") for ref in state["finished"]
-        ]
+    def _state_hook(self, values: dict, path: str) -> dict:
+        """The batch's shape: one entry per core slot, every job
+        accounted for, and instructions left on each job that has not
+        finished.  A scheduler restores state written by one built with
+        the same (mix, copies, cores)."""
+        slots = values["_slots"]
         if len(slots) != self._cores:
-            raise SchedulingError(
-                f"checkpoint has {len(slots)} core slots, "
-                f"scheduler has {self._cores}"
+            raise CheckpointError(
+                f"{path}.slots must list {self._cores} core slots, got {len(slots)}"
             )
-        if len(queue) + len(finished) + sum(
-            1 for job in slots if job is not None
-        ) != self._total_jobs:
-            raise SchedulingError(
-                "checkpoint job count does not match this batch "
+        for key in ("queue", "slots"):
+            for index, job in enumerate(values[f"_{key}"]):
+                if job is not None and not job.remaining_instructions:
+                    raise CheckpointError(
+                        f"{path}.{key}.{index} has no instructions remaining"
+                    )
+        jobs = len(values["_queue"]) + len(values["_finished"])
+        if jobs + sum(1 for job in slots if job is not None) != self._total_jobs:
+            raise CheckpointError(
+                f"{path} job count does not match this batch "
                 f"({self._total_jobs} jobs expected)"
             )
-        self._queue = queue
-        self._slots = slots
-        self._finished = finished
+        return values

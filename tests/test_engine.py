@@ -10,6 +10,8 @@ tolerance) to an uninterrupted run.
 from __future__ import annotations
 
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,8 +31,9 @@ from repro.engine import (
     CheckpointObserver,
     EngineState,
     PROGRESS,
-    SteadyStateGuard,
+    TraceRecorder,
 )
+from repro.engine import codec
 from repro.errors import CheckpointError, ConfigurationError
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -155,7 +158,7 @@ def test_restore_rejects_wrong_strategy_and_observer_mismatch():
 
     extra = engine_for_spec(
         Chapter4Spec(mix="W1", policy="ts", copies=1),
-        extra_observers=(SteadyStateGuard(),),
+        extra_observers=(TraceRecorder(),),
     )
     with pytest.raises(CheckpointError, match="observer"):
         extra.restore(state)
@@ -251,21 +254,8 @@ def test_checkpoint_observer_resume_roundtrip_via_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Observers: early stop, progress broker
+# Observers: progress broker
 # ---------------------------------------------------------------------------
-
-
-def test_steady_state_guard_stops_long_runs_early():
-    spec = Chapter4Spec(mix="W1", policy="no-limit", copies=2)
-    full = engine_for_spec(spec)
-    full_result = full.run_to_completion()
-
-    guard = SteadyStateGuard(tolerance_c=5.0, window_span=50, min_windows=100)
-    engine = engine_for_spec(spec, extra_observers=(guard,))
-    result = engine.run_to_completion()
-    assert guard.stopped
-    assert engine.windows < full.windows
-    assert result.runtime_s < full_result.runtime_s
 
 
 def test_progress_broker_tracks_engine_runs():
@@ -322,23 +312,21 @@ def test_engine_state_error_paths(tmp_path):
 
 
 def test_observer_defaults_and_validation(tmp_path):
-    from repro.engine import Observer, ProgressObserver, TraceRecorder
+    from repro.engine import Observer, ProgressObserver
 
     base = Observer()
-    assert base.state_dict() == {}
-    base.load_state_dict({})
+    assert codec.state_dict(base) == {}
+    codec.load_state_dict(base, {})
     with pytest.raises(ValueError):
         ProgressObserver(every_windows=0)
     with pytest.raises(ValueError):
         CheckpointObserver(tmp_path / "x.json", every_windows=0)
-    with pytest.raises(ValueError):
-        SteadyStateGuard(window_span=0)
     # The recorder round-trips its pristine (never sampled) state.
     recorder = TraceRecorder(resolution_s=1.0)
-    state = recorder.state_dict()
+    state = codec.state_dict(recorder)
     assert state["since_s"] is None
-    recorder.load_state_dict(state)
-    assert recorder.state_dict() == state
+    codec.load_state_dict(recorder, state)
+    assert codec.state_dict(recorder) == state
 
 
 # -- the per-window call ledger -----------------------------------------------
@@ -445,12 +433,31 @@ def _set(state: dict, path: str, value) -> dict:
     return state
 
 
+def _get(state: dict, path: str):
+    node = state
+    for part in path.split("."):
+        node = node[int(part) if isinstance(node, list) else part]
+    return node
+
+
+def _refuses_and_keeps_state(engine, broken: dict, match: str) -> None:
+    """Restoring ``broken`` raises a CheckpointError matching ``match``
+    and leaves the engine's checkpoint as it was."""
+    before = engine.checkpoint().to_dict()
+    with pytest.raises(CheckpointError, match=match):
+        engine.restore(EngineState.from_dict(json.loads(json.dumps(broken))))
+    assert engine.checkpoint().to_dict() == before
+
+
 _DELETE = object()
 #: The job running in core slot 0: ``[app index, copy, remaining]``.
 _SLOT0 = "strategy_state.scheduler.slots.0"
 #: The AMB controller of a ``bw+pid`` policy; paths under it are
-#: broken in a ``bw+pid`` snapshot, every other path in a ``ts`` one.
+#: broken in a ``bw+pid`` snapshot.
 _PID = "strategy_state.policy.amb"
+#: Paths under it are broken in an ``acg`` snapshot, every other path
+#: in a ``ts`` one.
+_ACG = "strategy_state.policy."
 
 
 def _trace(**columns) -> dict:
@@ -464,8 +471,8 @@ def _trace(**columns) -> dict:
 @pytest.mark.parametrize(
     "path,value,match",
     [
-        ("thermal.t_amb", ["x", 1.0, 1.0, 1.0], r"t_amb\[0\] must be a number"),
-        ("thermal.t_amb", [60.0, 60.0], "must list 4 DIMM positions"),
+        ("thermal.t_amb", ["x", 1.0, 1.0, 1.0], r"t_amb\.0 must be a number"),
+        ("thermal.t_amb", [60.0, 60.0], "t_amb must list 4 values"),
         ("thermal.t_dram", [float("nan")] * 4, "must be finite"),
         ("thermal.t_ambient", _DELETE, "missing"),
         ("thermal.t_ambient", float("inf"), "must be finite"),
@@ -474,22 +481,34 @@ def _trace(**columns) -> dict:
         ("now_s", True, "must be a number"),
         ("windows", -3, "non-negative integer"),
         ("windows", "abc", "non-negative integer"),
-        ("strategy_state.scheduler", _DELETE, "malformed"),
-        ("strategy_state.scheduler", "x", "malformed"),
+        ("strategy_state.scheduler", _DELETE, "scheduler is missing"),
+        ("strategy_state.scheduler", "x", "scheduler must be an object"),
         ("strategy_state", [], "must be an object"),
-        ("observers", [1], "list of objects"),
+        ("observers", [1], r"observers\.0 must be an object"),
         ("strategy_state.since_rotation_s", float("nan"), "must be finite"),
         ("strategy_state.rotation", -1, "rotation must be a non-negative"),
         ("strategy_state.total_intervals", 20.5, "must be a non-negative"),
-        ("strategy_state.shutdown_intervals", 10**9, "integer below 21"),
-        (_SLOT0 + ".2", -1.0, "running remaining must be >= 0"),
-        (_SLOT0 + ".2", float("nan"), "running remaining must be finite"),
-        (_SLOT0 + ".2", 0.0, "no instructions remaining"),
-        (_SLOT0 + ".0", -1, "running app index must be a non-negative"),
-        (_SLOT0 + ".1", 1, "running copy index .* below 1"),
+        (
+            "strategy_state.shutdown_intervals", 10**9,
+            r"shutdown_intervals must be <= total_intervals \(20\)",
+        ),
+        (_SLOT0 + ".2", -1.0, r"slots\.0\.2 must be >= 0"),
+        (_SLOT0 + ".2", float("nan"), r"slots\.0\.2 must be finite"),
+        (_SLOT0 + ".2", 0.0, r"slots\.0 has no instructions remaining"),
+        ("strategy_state.scheduler.slots", [None] * 3, "must list 4 core slots"),
+        ("strategy_state.scheduler.slots", [None] * 4, "job count does not match"),
+        (
+            "strategy_state.scheduler.queue", [[0, 0, 0.0]],
+            r"queue\.0 has no instructions remaining",
+        ),
+        (_SLOT0 + ".0", -1, r"slots\.0\.0 must be a non-negative"),
+        (_SLOT0 + ".1", 1, r"slots\.0\.1 must be .* below 1"),
         ("observers.0.since_s", float("nan"), "since_s must be finite"),
         ("observers.0.since_s", -0.5, "since_s must be >= 0"),
-        ("observers.0.trace", _trace(amb_c=["hot"]), r"amb_c\[0\] must be a number"),
+        (
+            "observers.0.trace", _trace(amb_c=["hot"]),
+            r"trace\.amb_c\.0 must be a number",
+        ),
         ("observers.0.trace", _trace(dram_c=[]), "equal lengths"),
         ("strategy_state.policy.shut_down", "false", "must be a boolean"),
         ("strategy_state.policy.shut_down", 1, "must be a boolean"),
@@ -500,6 +519,15 @@ def _trace(**columns) -> dict:
         (_PID + ".previous_error", "0.5", "previous_error must be a number"),
         (_PID + ".saturated_low", "false", "saturated_low must be a boolean"),
         (_PID + ".saturated_high", 0, "saturated_high must be a boolean"),
+        # Refused since the codec checks every declared field; each
+        # restored silently before (NaN, a truncated 2.7, "false" -> True).
+        (_ACG + "since_rotation_s", float("nan"), "since_rotation_s must be finite"),
+        (_ACG + "since_rotation_s", -5, r"since_rotation_s must be >= 0\.0"),
+        (_ACG + "rotation", -1, "rotation must be a non-negative integer"),
+        (_ACG + "rotation", 2.7, "rotation must be a non-negative integer"),
+        (_ACG + "rotation", "3", "rotation must be a non-negative integer"),
+        (_ACG + "tracker.latched", "false", "latched must be a boolean"),
+        (_ACG + "tracker.latched", 1, "latched must be a boolean"),
     ],
     ids=[
         "t_amb-string", "t_amb-short", "t_dram-nan", "t_ambient-missing",
@@ -508,24 +536,162 @@ def _trace(**columns) -> dict:
         "scheduler-string", "strategy_state-list", "observers-ints",
         "since_rotation-nan", "rotation-negative", "total_intervals-float",
         "shutdown-above-total", "remaining-negative", "remaining-nan",
-        "remaining-zero", "app_index-negative", "copy_index-out-of-range",
+        "remaining-zero", "slots-short", "jobs-missing",
+        "queued-remaining-zero", "app_index-negative", "copy_index-out-of-range",
         "trace_since-nan", "trace_since-negative", "trace-string-sample",
         "trace-ragged-columns", "ts-shut_down-string", "ts-shut_down-int",
         "pid-integral-nan", "pid-integral-inf", "pid-integral-string",
         "pid-previous_error-nan", "pid-previous_error-string",
         "pid-saturated_low-string", "pid-saturated_high-int",
+        "acg-since_rotation-nan", "acg-since_rotation-negative",
+        "acg-rotation-negative", "acg-rotation-fractional",
+        "acg-rotation-string", "tracker-latched-string", "tracker-latched-int",
     ],
 )
 def test_malformed_snapshots_raise_checkpoint_errors(path, value, match):
     """Every defect surfaces as a CheckpointError (a structured 400 over
     HTTP, an ``error:`` line on the CLI), never a raw ValueError or
-    KeyError, and a NaN temperature, counter, job or trace sample is
-    refused rather than restored."""
-    policy = "bw+pid" if path.startswith(_PID) else "ts"
+    KeyError; a NaN temperature, counter, job or trace sample is
+    refused rather than restored, and the refused restore leaves the
+    engine as it was."""
+    if path.startswith(_PID):
+        policy = "bw+pid"
+    elif path.startswith(_ACG) and "shut_down" not in path:
+        policy = "acg"
+    else:
+        policy = "ts"
     broken = _set(_ch4_state(policy), path, value)
     engine = engine_for_spec(Chapter4Spec(mix="W1", policy=policy, copies=1))
-    with pytest.raises(CheckpointError, match=match):
-        engine.restore(EngineState.from_dict(json.loads(json.dumps(broken))))
+    engine.step_windows(5)
+    _refuses_and_keeps_state(engine, broken, match)
+
+
+def _bad_values(kind, value):
+    """``(suffix, label, bad value, condition)`` cases breaking one
+    declared ``kind``; ``value`` is the snapshot's value there, whose
+    first item (if any) gets its item kind's cases."""
+    if isinstance(kind, codec.Optional):
+        yield from _bad_values(kind.kind, value)
+    elif isinstance(kind, codec.Float):
+        yield "", "string", "x", "must be a number"
+        yield "", "nan", float("nan"), "must be finite"
+        yield "", "inf", float("inf"), "must be finite"
+        if kind.minimum > -math.inf:
+            yield "", "below-minimum", kind.minimum - 5, "must be >="
+    elif isinstance(kind, codec.Count):
+        condition = "must be a non-negative integer"
+        yield "", "negative", -1, condition
+        yield "", "fractional", 2.5, condition
+        yield "", "string", "3", condition
+        yield "", "bool", True, condition
+    elif isinstance(kind, codec.Flag):
+        yield "", "string", "false", "must be a boolean"
+        yield "", "int", 1, "must be a boolean"
+    elif isinstance(kind, codec.Text):
+        yield "", "int", 5, "must be a string"
+    elif isinstance(kind, (codec.Object, codec.Nested)):
+        yield "", "list", [], "must be an object"
+        if isinstance(kind, codec.Object) and kind.item is not None and value:
+            key = next(iter(value))
+            for suffix, label, bad, condition in _bad_values(kind.item, value[key]):
+                yield f".{key}{suffix}", label, bad, condition
+    elif isinstance(kind, codec.Row):
+        yield "", "string", "x", f"must be a list of {len(kind.items)} values"
+        for index, item in enumerate(kind.items):
+            for suffix, label, bad, condition in _bad_values(item, value[index]):
+                yield f".{index}{suffix}", label, bad, condition
+    elif isinstance(kind, codec.ListOf):
+        yield "", "string", "x", "must be a list"
+        if kind.length is not None:
+            yield "", "short", value[:-1], f"must list {len(value)} values"
+        if value:
+            for suffix, label, bad, condition in _bad_values(kind.item, value[0]):
+                yield f".0{suffix}", label, bad, condition
+    else:  # pragma: no cover - a new kind needs its cases here
+        raise AssertionError(f"no malformed cases for {kind!r}")
+
+
+def _declared(component, path, fields=None):
+    """``(owner, dotted path, field)`` for every field declared under
+    ``component``, nested components included."""
+    for field in fields or codec.fields_of(component):
+        where = f"{path}.{field.key}" if path else field.key
+        yield component, where, field
+        if isinstance(field.kind, codec.Nested):
+            yield from _declared(
+                getattr(component, field.attr), where, field.kind.fields
+            )
+
+
+def _schema_cases():
+    """One malformed snapshot per (declared field, broken condition),
+    walking every component the pinned checkpoint cells reach; a field
+    shared by several cells is broken in the first."""
+    from test_checkpoint_goldens import CELLS, GOLDEN_DIR, _engine
+
+    cases, seen = [], set()
+    for name, (spec, _) in sorted(CELLS.items()):
+        snapshot = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+        engine = _engine(spec)
+        sections = [(EngineState, "")]
+        sections.append((engine.strategy.memspot, "thermal"))
+        sections.append((engine.strategy, "strategy_state"))
+        sections += [
+            (observer, f"observers.{index}")
+            for index, observer in enumerate(engine.observers)
+        ]
+        for component, root in sections:
+            for owner, path, field in _declared(component, root):
+                owner_name = owner.__name__ if owner is EngineState else type(owner).__name__
+                checks = []
+                if field.default is codec.REQUIRED:
+                    checks.append(("", "missing", _DELETE, "is missing"))
+                checks += _bad_values(field.kind, _get(snapshot, path))
+                for suffix, label, bad, condition in checks:
+                    key = (owner_name, field.key, suffix, label)
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    cases.append(pytest.param(
+                        name, path + suffix, bad,
+                        re.escape(path + suffix) + " " + condition,
+                        id=f"{owner_name}.{field.key}{suffix}-{label}",
+                    ))
+    return cases
+
+
+@pytest.mark.parametrize("cell,path,value,match", _schema_cases())
+def test_every_declared_field_refuses_malformed_values(cell, path, value, match):
+    """Each field the components declare, broken once per kind of
+    defect in a pinned checkpoint, is refused with a message naming its
+    path and the condition, and the refused restore changes nothing."""
+    from test_checkpoint_goldens import CELLS, GOLDEN_DIR, _engine
+
+    snapshot = json.loads((GOLDEN_DIR / f"{cell}.json").read_text())
+    engine = _engine(CELLS[cell][0])
+    engine.step_windows(5)
+    _refuses_and_keeps_state(engine, _set(snapshot, path, value), match)
+
+
+def test_refused_restore_leaves_the_engine_unchanged():
+    """Regression: the thermal section and the PID controllers were
+    restored before a later field was refused, so a failed restore left
+    a half-overwritten engine."""
+    spec = Chapter4Spec(mix="W1", policy="bw+pid", copies=1)
+    source = engine_for_spec(spec)
+    source.step_windows(300)
+    broken = source.checkpoint().to_dict()
+    broken["strategy_state"]["policy"]["amb"]["saturated_low"] = "false"
+    engine = engine_for_spec(spec)
+    engine.step_windows(5)
+    before = engine.checkpoint().to_dict()
+    with pytest.raises(CheckpointError, match="saturated_low"):
+        engine.restore(EngineState.from_dict(broken))
+    after = engine.checkpoint().to_dict()
+    assert after["thermal"] == before["thermal"]
+    assert after["strategy_state"]["policy"] == before["strategy_state"]["policy"]
+    assert engine.windows == 5
+    assert after == before
 
 
 def test_bad_thermal_state_leaves_the_kernel_untouched():
@@ -533,8 +699,8 @@ def test_bad_thermal_state_leaves_the_kernel_untouched():
     from repro.params.thermal_params import AOHS_1_5, ISOLATED_AMBIENT
 
     kernel = BatchedMemSpot(AOHS_1_5, ISOLATED_AMBIENT)
-    before = kernel.thermal_state()
+    before = codec.state_dict(kernel)
     bad = {**before, "t_dram": before["t_dram"][:3] + ["hot"]}
-    with pytest.raises(CheckpointError, match=r"t_dram\[3\]"):
-        kernel.load_thermal_state(bad)
-    assert kernel.thermal_state() == before
+    with pytest.raises(CheckpointError, match=r"t_dram\.3"):
+        codec.load_state_dict(kernel, bad, "thermal")
+    assert codec.state_dict(kernel) == before

@@ -117,6 +117,58 @@ class TestJobStore:
         assert store.load("other") is None
         assert list(store.iter_records()) == []
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("job_id", 5),
+            ("tenant", None),
+            ("tenant", "<missing>"),
+            ("request", "simulate"),
+            ("priority", "high"),
+            ("priority", 1.5),
+            ("status", "paused"),
+            ("submit_seq", None),
+            ("submit_seq", -1),
+            ("created_s", "now"),
+            ("started_s", float("nan")),
+            ("finished_s", True),
+            ("cells_total", "2"),
+            ("cells_done", True),
+            ("cell_states", []),
+            ("cell_states", {"ch4-key": 5}),
+            ("results", {}),
+            ("preemptions", 0.5),
+            ("cancel_requested", "yes"),
+            ("error", 404),
+            ("trace", 7),
+            ("events", 5),
+            ("events", [1]),
+        ],
+    )
+    def test_record_with_a_mistyped_field_is_unreadable(
+        self, tmp_path, field, value
+    ):
+        """Regression: a record with one mistyped field loaded, and
+        ``recover()`` then raised TypeError ordering it, so ``serve
+        --jobs`` could not start.  Such a record is now unreadable, like
+        one with an unknown status, and the rest of the queue recovers."""
+        store = JobStore(tmp_path)
+        for job_id in ("job-good", "job-bad"):
+            store.save(
+                JobRecord(job_id=job_id, tenant="t", request=dict(FAST_REQUEST))
+            )
+        path = tmp_path / "job-bad.json"
+        document = json.loads(path.read_text())
+        if value == "<missing>":
+            del document["job"][field]
+        else:
+            document["job"][field] = value
+        path.write_text(json.dumps(document))
+        assert store.load("job-bad") is None
+        queue = JobQueue(tmp_path)
+        assert queue.recover() == {"requeued": 1, "terminal": 0}
+        assert queue.next_ready(timeout_s=0).job_id == "job-good"
+
     def test_malformed_job_ids_rejected(self, tmp_path):
         store = JobStore(tmp_path)
         with pytest.raises(ConfigurationError):

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.kernel import BatchedMemSpot
 from repro.core.memspot import MemSpot
+from repro.engine.codec import load_state_dict, state_dict
 from repro.errors import ConfigurationError
 from repro.params.thermal_params import (
     AOHS_1_5,
@@ -149,6 +150,25 @@ def test_batched_kernel_matches_scalar_bitwise(seed, cooling, ambient, shape, wa
     assert scalar.sample() == batched.sample()
 
 
+def _scalar_state(kernel: MemSpot) -> dict:
+    """The scalar oracle's temperatures in the batched kernel's
+    checkpoint shape."""
+    return {
+        "t_ambient": kernel.ambient_model.node_temperature_c,
+        "t_amb": [model.temperatures.amb_c for model in kernel.dimm_models],
+        "t_dram": [model.temperatures.dram_c for model in kernel.dimm_models],
+    }
+
+
+def _load_scalar(kernel: MemSpot, state: dict) -> None:
+    """Force the scalar oracle to a batched-kernel thermal state."""
+    kernel.ambient_model.restore_node(state["t_ambient"])
+    for model, amb_c, dram_c in zip(
+        kernel.dimm_models, state["t_amb"], state["t_dram"]
+    ):
+        model.reset_to(amb_c, dram_c)
+
+
 @pytest.mark.parametrize("dimms", range(1, 9))
 def test_batched_kernel_matches_scalar_at_every_chain_length(dimms):
     """Deterministic companion to the property above: each chain length
@@ -167,19 +187,19 @@ def test_batched_kernel_matches_scalar_at_every_chain_length(dimms):
         }
         start["t_amb"][-1] = 130.0
         start["t_dram"][-1] = 110.0
-        scalar.load_thermal_state(start)
-        batched.load_thermal_state(start)
+        _load_scalar(scalar, start)
+        load_state_dict(batched, start)
         for step in range(80):
             inputs = (rng.random() * 3e10, rng.random() * 1.5e10,
                       rng.random() * 12.0, 0.01)
             assert scalar.step(*inputs) == _batched_step(batched, *inputs), (
                 ambient.interaction, step
             )
-        assert scalar.thermal_state() == batched.thermal_state()
+        assert _scalar_state(scalar) == state_dict(batched)
 
 
 def test_flat_chain_resumes_bitwise_from_mid_run_thermal_state():
-    """A mid-run ``thermal_state()`` loaded into a fresh kernel
+    """A mid-run thermal state loaded into a fresh kernel
     continues exactly (``==``) as the uninterrupted kernel and the
     scalar oracle do, on the flat 4-DIMM body and the generic loop."""
     rng = random.Random(7)
@@ -195,16 +215,16 @@ def test_flat_chain_resumes_bitwise_from_mid_run_thermal_state():
         for inputs in stream[:50]:
             _batched_step(whole, *inputs)
             _batched_step(first, *inputs)
-        state = json.loads(json.dumps(first.thermal_state()))
+        state = json.loads(json.dumps(state_dict(first)))
         resumed = BatchedMemSpot(*shape)
-        resumed.load_thermal_state(state)
+        load_state_dict(resumed, state)
         oracle = MemSpot(*shape)
-        oracle.load_thermal_state(state)
+        _load_scalar(oracle, state)
         for inputs in stream[50:]:
             sample = _batched_step(whole, *inputs)
             assert sample == _batched_step(resumed, *inputs)
             assert sample == oracle.step(*inputs)
-        assert whole.thermal_state() == resumed.thermal_state()
+        assert state_dict(whole) == state_dict(resumed)
 
 
 @pytest.mark.parametrize("ambient", [ISOLATED_AMBIENT, INTEGRATED_AMBIENT],
@@ -222,7 +242,7 @@ def test_a_load_built_once_steps_like_one_rebuilt_every_window(dimms, ambient):
         assert reused.step(load, 0.01) == rebuilt.step(
             rebuilt.load(*inputs), 0.01
         ), step
-    assert reused.thermal_state() == rebuilt.thermal_state()
+    assert state_dict(reused) == state_dict(rebuilt)
 
 
 def test_batched_kernel_rejects_bad_inputs():
@@ -244,12 +264,12 @@ def test_non_finite_load_inputs_are_refused(field, bad):
     sensors read absolute zero from then on and no DTM policy ever
     throttled."""
     kernel = BatchedMemSpot(AOHS_1_5, INTEGRATED_AMBIENT)
-    before = kernel.thermal_state()
+    before = state_dict(kernel)
     inputs = {"read": 1e10, "write": 5e9, "heating": 4.0}
     inputs[field] = bad
     with pytest.raises(ConfigurationError, match="finite"):
         kernel.load(inputs["read"], inputs["write"], inputs["heating"])
-    assert kernel.thermal_state() == before
+    assert state_dict(kernel) == before
 
 
 def test_batched_kernel_exposes_chain_state():
