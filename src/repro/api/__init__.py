@@ -16,48 +16,40 @@ The same surface is exposed over HTTP by ``python -m repro serve``
 (see :mod:`repro.api.service`) and echoed by every CLI ``--json`` flag.
 """
 
-from repro.api.client import ReproClient, metrics_from_result
-from repro.api.envelope import (
-    SCHEMA_VERSION,
-    Provenance,
-    ResultEnvelope,
-    check_schema_compatible,
-    dumps_canonical,
-    results_document,
-    scenarios_document,
-    schema_major,
-)
-from repro.api.requests import (
-    REQUEST_TYPES,
-    CampaignRequest,
-    CompareRequest,
-    ScenarioRequest,
-    ServerRequest,
-    SimulateRequest,
-    request_from_dict,
-    request_to_dict,
-)
-from repro.api.service import ReproService, serve
+import importlib
 
-__all__ = [
-    "SCHEMA_VERSION",
-    "CampaignRequest",
-    "CompareRequest",
-    "Provenance",
-    "REQUEST_TYPES",
-    "ReproClient",
-    "ReproService",
-    "ResultEnvelope",
-    "ScenarioRequest",
-    "ServerRequest",
-    "SimulateRequest",
-    "check_schema_compatible",
-    "dumps_canonical",
-    "metrics_from_result",
-    "request_from_dict",
-    "request_to_dict",
-    "results_document",
-    "scenarios_document",
-    "schema_major",
-    "serve",
-]
+#: Public name -> the submodule defining it.  Names load on first use,
+#: so importing one submodule (``repro.api.http`` from the fleet
+#: coordinator, say) does not load the HTTP service and the jobs layer.
+_EXPORTS = {
+    "ReproClient": "client",
+    "metrics_from_result": "client",
+    "SCHEMA_VERSION": "envelope",
+    "Provenance": "envelope",
+    "ResultEnvelope": "envelope",
+    "check_schema_compatible": "envelope",
+    "dumps_canonical": "envelope",
+    "results_document": "envelope",
+    "scenarios_document": "envelope",
+    "schema_major": "envelope",
+    "REQUEST_TYPES": "requests",
+    "CampaignRequest": "requests",
+    "CompareRequest": "requests",
+    "ScenarioRequest": "requests",
+    "ServerRequest": "requests",
+    "SimulateRequest": "requests",
+    "request_from_dict": "requests",
+    "request_to_dict": "requests",
+    "ReproService": "service",
+    "serve": "service",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"repro.api.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

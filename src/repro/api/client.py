@@ -226,40 +226,6 @@ class ReproClient:
             )
         return entry
 
-    # -- jobs façade -------------------------------------------------------
-
-    def submit_job(
-        self,
-        url: str,
-        request: Any,
-        *,
-        tenant: str = "default",
-        priority: int = 0,
-    ) -> dict:
-        """Submit a typed request to a jobs-enabled service at ``url``.
-
-        ``request`` is any API request object (or its dict form).
-        Returns the job document; raise-or-retry behavior lives in
-        :class:`~repro.jobs.JobsClient`, which this wraps.
-        """
-        from repro.jobs.client import JobsClient
-
-        body = request if isinstance(request, dict) else request_to_dict(request)
-        return JobsClient(url).submit(body, tenant=tenant, priority=priority)
-
-    def wait_job(
-        self,
-        url: str,
-        job_id: str,
-        *,
-        timeout_s: float = 300.0,
-        poll_s: float = 0.25,
-    ) -> dict:
-        """Poll a submitted job until terminal; returns its result document."""
-        from repro.jobs.client import JobsClient
-
-        return JobsClient(url).wait(job_id, timeout_s=timeout_s, poll_s=poll_s)
-
     # -- resumable runs ----------------------------------------------------
 
     def simulate_resumable(

@@ -7,57 +7,25 @@ ResultStore), and responds with the canonical envelope JSON — so a
 ``curl`` and a ``--json`` CLI call for the same warm request return
 byte-identical bodies.
 
-Routes (v1):
-
-- ``GET  /v1/scenarios``            — scenario-library listing
-  (``?kind=ch4|ch5`` and ``?tag=...`` filter).
-- ``GET|POST /v1/simulate``         — one Chapter 4 cell.
-- ``GET|POST /v1/server``           — one Chapter 5 cell.
-- ``GET|POST /v1/compare``          — every ch4 scheme on one mix.
-- ``GET|POST /v1/campaign``         — a named grid.
-- ``GET|POST /v1/scenarios/run``    — registered scenarios by name.
-- ``GET  /v1/healthz``              — liveness: version, uptime, queue
-  depth, and backend kind (always mounted, jobs enabled or not).
-- ``GET  /metrics``                 — the service's metrics registry as
-  Prometheus-style text (``?format=json`` for a JSON document):
-  request-latency histograms per route, queue depth, per-tenant job
-  latency, cache hit/miss counters, fleet health.
-- ``POST /v1/jobs``                 — submit a job (any typed request)
-  with ``tenant``/``priority``; 429 with ``retry_after_s`` when the
-  tenant's quota or rate limit refuses it.  Requires ``serve --jobs``.
-- ``GET  /v1/jobs``                 — list jobs (``?tenant=`` filters).
-- ``GET  /v1/jobs/<id>``            — status with live per-cell
-  progress fed by the PROGRESS broker.
-- ``POST /v1/jobs/<id>/cancel``     — cancel (immediate while queued,
-  at the next window-slice boundary while running).
-- ``GET  /v1/jobs/<id>/result``     — the completed job's result
-  document (409 while not completed); warm results are byte-identical
-  to the equivalent direct CLI/HTTP call.
-- ``GET  /v1/worker/health``        — fleet heartbeat probe (status,
-  pid, wire version, runnable spec kinds).
-- ``POST /v1/worker/run``           — execute wire-format cells for a
-  :class:`~repro.cluster.HttpWorkerBackend` coordinator, returning
-  encoded payloads with cache provenance.  Cells run against this
-  worker's own store stack, so repeat dispatches are cache hits here
-  even before the coordinator merges payloads into its shared store.
-  With ``window_slice`` in the body each cell runs at most that many
-  DTM windows, resuming from the coordinator-supplied ``resume``
-  checkpoints; unfinished cells come back as ``partial`` entries
-  carrying a fresh :class:`~repro.engine.EngineState`.
-- ``GET  /v1/progress``             — live progress snapshots of the
-  engine runs executing in this process (``?key=`` filters to one
-  cell), fed by the engines' progress observers.  Covers runs started
-  by any route of this service *and* sliced worker cells, so a
-  coordinator can watch its fleet warm up cell by cell.
+The v1 routes are the rows of one table, ``_ROUTES``, the only place a
+path or method is spelled out; each handler's docstring says what its
+route answers.  A path no row matches answers 404, and a matched path
+asked with a method its row does not list (``PUT``, ``DELETE`` and
+``PATCH`` included) answers 405 with an ``Allow`` header.  The matched
+pattern is also the histogram's ``route`` label (``other`` when none
+matched).  The ``/v1/jobs`` routes answer 503 without ``serve --jobs``.
 
 GET passes request fields as query parameters, typed by the one request
 schema in :mod:`repro.api.requests` exactly as CLI flags and ``jobs
 submit --set`` are (lists comma-separated, e.g.
 ``?grid=ch4&mixes=W1,W2``); POST passes a JSON object (the route
 implies the ``type`` tag).  Every field is checked before any work
-starts; library errors return ``400 {"schema_version": ..., "error":
-...}`` naming the bad field or value; unknown routes 404;
-refusals carry machine-readable fields (``retry_after_s``, ``reason``).
+starts.  Every error answer is one ``{"schema_version": ..., "error":
+...}`` document built by ``_Handler._error``, and closes the connection
+(the request body may be unread): library errors are 400s naming the
+bad field or value, an unknown job or trace is a 404, a result read
+before its job completed a 409, and refusals (429, 503) carry
+machine-readable fields (``retry_after_s``, ``reason``).
 
 Concurrency is bounded: the server remains threaded (cheap routes and
 status polls always answer), but the compute routes (the run routes and
@@ -75,8 +43,10 @@ it warm), then the HTTP loop exits cleanly.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import re
 import signal
 import threading
 import time
@@ -96,21 +66,17 @@ from repro.api.requests import request_from_dict, request_from_text
 from repro.campaign import spec_kinds_with_types
 from repro.cluster.wire import WIRE_VERSION, cell_from_wire
 from repro.engine.progress import PROGRESS
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    ConflictError,
+    NotFoundError,
+    ReproError,
+)
 from repro.jobs.tenancy import QuotaExceeded
 from repro.obs.log import LOG
 from repro.obs.metrics import METRICS, MetricsRegistry
 from repro.obs.slo import slo_document
 from repro.obs.trace import TRACE_HEADER, TRACER, chrome_trace
-
-#: Route path -> request ``type`` tag.
-_RUN_ROUTES = {
-    "/v1/simulate": "simulate",
-    "/v1/server": "server",
-    "/v1/compare": "compare",
-    "/v1/campaign": "campaign",
-    "/v1/scenarios/run": "scenarios",
-}
 
 
 def _params_from_query(query: str) -> dict[str, str]:
@@ -118,23 +84,21 @@ def _params_from_query(query: str) -> dict[str, str]:
     return dict(parse_qsl(query, keep_blank_values=True))
 
 
-def _route_label(path: str) -> str:
-    """A bounded-cardinality route label for the request histogram."""
-    if path in _RUN_ROUTES:
-        return path
-    if path in (
-        "/v1/scenarios", "/v1/progress", "/v1/healthz", "/metrics",
-        "/v1/worker/health", "/v1/worker/run", "/v1/jobs", "/v1/slo",
-    ):
-        return path
-    if path.startswith("/v1/trace/"):
-        return "/v1/trace/<id>"
-    if path.startswith("/v1/jobs/"):
-        suffix = path.rsplit("/", 1)[-1]
-        if suffix in ("cancel", "result"):
-            return f"/v1/jobs/<id>/{suffix}"
-        return "/v1/jobs/<id>"
-    return "other"
+def _match(path: str) -> tuple[str | None, str | None]:
+    """The route pattern ``path`` matches, and its ``<id>`` segment."""
+    if path in _ROUTES and "<id>" not in path:
+        return path, None
+    for regex, pattern in _ID_ROUTES:
+        found = regex.fullmatch(path)
+        if found:
+            return pattern, found.group(1)
+    return None, None
+
+
+def _check_params(params: dict, allowed: set, what: str) -> None:
+    unknown = set(params) - allowed
+    if unknown:
+        raise ConfigurationError(f"unknown {what} parameters {sorted(unknown)}")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -174,17 +138,27 @@ class _Handler(BaseHTTPRequestHandler):
         *,
         extra: dict | None = None,
         retry_after_s: float | None = None,
+        headers: dict | None = None,
     ) -> None:
+        """Answer with an error document (the only place one is built)."""
         document = {"schema_version": SCHEMA_VERSION, "error": message}
         document.update(extra or {})
-        headers = None
+        headers = {"Connection": "close", **(headers or {})}
         if retry_after_s is not None:
             document["retry_after_s"] = retry_after_s
-            headers = {"Retry-After": str(max(1, round(retry_after_s)))}
+            headers["Retry-After"] = str(max(1, round(retry_after_s)))
         self._respond(status, document, headers=headers)
 
     def _read_json_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        text = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(text)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ConfigurationError(
+                f"Content-Length must be a non-negative integer, got {text!r}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}
@@ -198,114 +172,122 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- routing -----------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 (http.server API)
-        self._dispatch("POST")
-
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self) -> None:
+        """Answer a request of any method through the route table."""
+        method = self.command
         url = urlparse(self.path)
-        # Adopt the caller's trace context (if any) for the whole
-        # request, and wrap the route in a server-side span, so
-        # engine/job/cell spans opened on this handler thread nest
-        # under the remote caller's span.
-        remote = TRACER.parse_header(self.headers.get(TRACE_HEADER))
-        if remote is not None and TRACER.enabled:
-            with TRACER.activate(*remote):
-                with TRACER.span(
-                    "http", route=_route_label(url.path), method=method
-                ):
-                    self._dispatch_inner(method, url)
-        elif TRACER.enabled:
-            with TRACER.span(
-                "http", route=_route_label(url.path), method=method
-            ):
-                self._dispatch_inner(method, url)
-        else:
-            self._dispatch_inner(method, url)
+        pattern, ident = _match(url.path)
+        with contextlib.ExitStack() as stack:
+            if TRACER.enabled:
+                # Adopt the caller's trace context (if any) for the
+                # whole request, and wrap the route in a server-side
+                # span, so engine/job/cell spans opened on this handler
+                # thread nest under the remote caller's span.
+                remote = TRACER.parse_header(self.headers.get(TRACE_HEADER))
+                if remote is not None:
+                    stack.enter_context(TRACER.activate(*remote))
+                stack.enter_context(TRACER.span(
+                    "http", route=pattern or "other", method=method
+                ))
+            started = time.perf_counter()
+            try:
+                if pattern is None:
+                    raise NotFoundError(f"unknown route {url.path!r}")
+                self._route(method, url, pattern, ident)
+            except QuotaExceeded as error:
+                self._error(
+                    429,
+                    str(error),
+                    extra={"reason": error.reason, "tenant": error.tenant},
+                    retry_after_s=error.retry_after_s,
+                )
+            except NotFoundError as error:
+                self._error(404, str(error))
+            except ConflictError as error:
+                self._error(409, str(error), extra=error.detail)
+            except ReproError as error:
+                self._error(400, str(error))
+            finally:
+                self.server.metrics.observe(
+                    "repro_http_request_seconds",
+                    "HTTP request latency per route",
+                    time.perf_counter() - started,
+                    route=pattern or "other",
+                    method=method,
+                )
 
-    def _dispatch_inner(self, method: str, url) -> None:
-        started = time.perf_counter()
-        try:
-            if method == "GET":
-                self._route_get(url)
-            else:
-                self._route_post(url)
-        except QuotaExceeded as error:
+    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = _dispatch
+
+    def _route(self, method: str, url, pattern: str, ident: str | None) -> None:
+        """Run the table's handler for ``(method, pattern)``."""
+        methods = _ROUTES[pattern]
+        handler = methods.get(method)
+        if handler is None:
+            self._error(
+                405,
+                f"use {' or '.join(methods)} for {url.path}",
+                headers={"Allow": ", ".join(methods)},
+            )
+        elif pattern.startswith("/v1/jobs") and self.server.jobs is None:
+            self._error(
+                503,
+                "the jobs service is not enabled on this instance "
+                "(start it with 'repro serve --jobs')",
+                extra={"reason": "jobs_disabled"},
+            )
+        else:
+            handler(self, _params_from_query(url.query), ident)
+
+    def _compute(self, work) -> None:
+        """Answer ``work()``'s document from a compute slot (or a 429)."""
+        if not self.server.acquire_run_slot():
             self._error(
                 429,
-                str(error),
-                extra={"reason": error.reason, "tenant": error.tenant},
-                retry_after_s=error.retry_after_s,
+                f"all {self.server.max_concurrent_runs} compute slots are "
+                "busy; retry, or queue the work through POST /v1/jobs",
+                extra={"reason": "capacity"},
+                retry_after_s=1.0,
             )
-        except ReproError as error:
-            self._error(400, str(error))
+            return
+        # Release the slot before responding: a client that reads the
+        # body and immediately sends its next request must find the
+        # slot free, never a spurious 429.
+        try:
+            document = work()
         finally:
-            self.server.metrics.observe(
-                "repro_http_request_seconds",
-                "HTTP request latency per route",
-                time.perf_counter() - started,
-                route=_route_label(url.path),
-                method=method,
+            self.server.release_run_slot()
+        self._respond(200, document)
+
+    def _run(self, compute, request) -> None:
+        """One run route: ``compute(client, request)`` in a slot."""
+        if getattr(request, "jobs", 1) != 1:
+            # Forking a worker pool inside a handler thread of a
+            # multithreaded server risks child deadlocks; HTTP callers
+            # get parallelism by issuing concurrent requests against
+            # the shared cache instead.
+            raise ConfigurationError(
+                "jobs is not supported over HTTP; issue concurrent "
+                "requests instead (the cache is shared)"
             )
+        self._compute(lambda: compute(self.server.client, request))
 
-    def _route_get(self, url) -> None:
-        if url.path == "/v1/scenarios":
-            params = _params_from_query(url.query)
-            self._list_scenarios(params)
-        elif url.path == "/v1/progress":
-            self._progress(_params_from_query(url.query))
-        elif url.path == "/v1/healthz":
-            self._healthz()
-        elif url.path == "/metrics":
-            self._metrics(_params_from_query(url.query))
-        elif url.path == "/v1/worker/health":
-            self._worker_health()
-        elif url.path == "/v1/worker/run":
-            self._error(405, "use POST for /v1/worker/run")
-        elif url.path == "/v1/jobs":
-            self._jobs_list(_params_from_query(url.query))
-        elif url.path.startswith("/v1/jobs/"):
-            self._jobs_get(url.path)
-        elif url.path == "/v1/slo":
-            self._slo()
-        elif url.path.startswith("/v1/trace/"):
-            self._trace(url.path)
-        elif url.path in _RUN_ROUTES:
-            params = _params_from_query(url.query)
-            self._run(request_from_text(_RUN_ROUTES[url.path], params))
-        else:
-            self._error(404, f"unknown route {url.path!r}")
-
-    def _route_post(self, url) -> None:
-        if url.path in _RUN_ROUTES:
-            body = self._read_json_body()
-            self._run(request_from_dict({**body, "type": _RUN_ROUTES[url.path]}))
-        elif url.path == "/v1/worker/run":
-            self._worker_run(self._read_json_body())
-        elif url.path == "/v1/jobs":
-            self._jobs_submit(self._read_json_body())
-        elif url.path.startswith("/v1/jobs/") and url.path.endswith("/cancel"):
-            self._jobs_cancel(url.path)
-        elif url.path == "/v1/worker/health":
-            self._error(405, "use GET for /v1/worker/health")
-        elif url.path in (
-            "/v1/progress", "/v1/scenarios", "/v1/healthz", "/metrics",
-            "/v1/slo",
-        ) or url.path.startswith("/v1/trace/"):
-            self._error(405, f"use GET for {url.path}")
-        else:
-            self._error(404, f"unknown route {url.path!r}")
+    def _health(self, **fields) -> None:
+        self._respond(200, {
+            "schema_version": SCHEMA_VERSION,
+            "status": "ok",
+            "role": self.server.role,
+            "pid": os.getpid(),
+            "wire_version": WIRE_VERSION,
+            **fields,
+        })
 
     # -- handlers ----------------------------------------------------------
+    # Each takes the query parameters and the path's ``<id>`` segment
+    # (None on a fixed path).
 
-    def _list_scenarios(self, params: dict) -> None:
-        unknown = set(params) - {"kind", "tag"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown scenario-listing parameters {sorted(unknown)}"
-            )
+    def _list_scenarios(self, params: dict, ident: str | None) -> None:
+        """The scenario library (``?kind=ch4|ch5`` and ``?tag=`` filter)."""
+        _check_params(params, {"kind", "tag"}, "scenario-listing")
         kind = params.get("kind")
         if kind is not None and kind not in ("ch4", "ch5"):
             raise ConfigurationError(
@@ -316,33 +298,25 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._respond(200, scenarios_document(descriptors))
 
-    def _progress(self, params: dict) -> None:
-        """Live engine-run snapshots from the process-wide broker."""
-        unknown = set(params) - {"key"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown progress parameters {sorted(unknown)}"
-            )
+    def _progress(self, params: dict, ident: str | None) -> None:
+        """Live progress of this process's engine runs (``?key=`` filters),
+        sliced worker cells included."""
+        _check_params(params, {"key"}, "progress")
         self._respond(200, {
             "schema_version": SCHEMA_VERSION,
             "runs": PROGRESS.snapshot(params.get("key")),
         })
 
-    def _healthz(self) -> None:
+    def _healthz(self, params: dict, ident: str | None) -> None:
         """Liveness + queue summary (mounted with or without --jobs)."""
         jobs = self.server.jobs
-        self._respond(200, {
-            "schema_version": SCHEMA_VERSION,
-            "status": "ok",
-            "role": self.server.role,
-            "pid": os.getpid(),
-            "version": __version__,
-            "wire_version": WIRE_VERSION,
-            "uptime_s": round(self.server.uptime_s(), 3),
-            "jobs": None if jobs is None else jobs.health(),
-        })
+        self._health(
+            version=__version__,
+            uptime_s=round(self.server.uptime_s(), 3),
+            jobs=None if jobs is None else jobs.health(),
+        )
 
-    def _metrics(self, params: dict) -> None:
+    def _metrics(self, params: dict, ident: str | None) -> None:
         """The metrics registry, as Prometheus text or JSON."""
         fmt = params.get("format", "text")
         if fmt not in ("text", "json"):
@@ -368,7 +342,7 @@ class _Handler(BaseHTTPRequestHandler):
                 content_type="text/plain; version=0.0.4",
             )
 
-    def _slo(self) -> None:
+    def _slo(self, params: dict, ident: str | None) -> None:
         """Current SLO verdicts from the service's metrics registry."""
         jobs = self.server.jobs
         if jobs is not None:
@@ -377,7 +351,7 @@ class _Handler(BaseHTTPRequestHandler):
         document["schema_version"] = SCHEMA_VERSION
         self._respond(200, document)
 
-    def _trace(self, path: str) -> None:
+    def _trace(self, params: dict, trace_id: str | None) -> None:
         """One trace's spans from the in-process ring.
 
         ``?format=chrome`` (the default) answers with a Chrome
@@ -385,9 +359,6 @@ class _Handler(BaseHTTPRequestHandler):
         dicts.  Unknown trace ids answer 404 — the ring is bounded, so
         old traces age out.
         """
-        trace_id = path[len("/v1/trace/"):]
-        url = urlparse(self.path)
-        params = _params_from_query(url.query)
         fmt = params.get("format", "chrome")
         if fmt not in ("chrome", "spans"):
             raise ConfigurationError(
@@ -395,8 +366,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         spans = TRACER.spans(trace_id)
         if not spans:
-            self._error(404, f"no spans retained for trace {trace_id!r}")
-            return
+            raise NotFoundError(f"no spans retained for trace {trace_id!r}")
         if fmt == "spans":
             self._respond(200, {
                 "schema_version": SCHEMA_VERSION,
@@ -408,106 +378,45 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- jobs --------------------------------------------------------------
 
-    def _jobs_manager(self):
-        jobs = self.server.jobs
-        if jobs is None:
-            self._error(
-                503,
-                "the jobs service is not enabled on this instance "
-                "(start it with 'repro serve --jobs')",
-                extra={"reason": "jobs_disabled"},
-            )
-            return None
-        return jobs
+    def _jobs_submit(self, params: dict, ident: str | None) -> None:
+        """Queue any typed request (429 when the tenant's quota refuses)."""
+        body = self._read_json_body()
+        self._respond(202, self.server.jobs.submit_body(body))
 
-    def _jobs_submit(self, body: dict) -> None:
-        jobs = self._jobs_manager()
-        if jobs is None:
-            return
-        self._respond(202, jobs.submit_body(body))
+    def _jobs_list(self, params: dict, ident: str | None) -> None:
+        """Every job, newest first (``?tenant=`` filters)."""
+        _check_params(params, {"tenant"}, "job-listing")
+        tenant = params.get("tenant")
+        self._respond(200, self.server.jobs.list_document(tenant))
 
-    def _jobs_list(self, params: dict) -> None:
-        jobs = self._jobs_manager()
-        if jobs is None:
-            return
-        unknown = set(params) - {"tenant"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown job-listing parameters {sorted(unknown)}"
-            )
-        self._respond(200, jobs.list_document(params.get("tenant")))
+    def _jobs_status(self, params: dict, job_id: str | None) -> None:
+        """One job's status, with live per-cell progress."""
+        self._respond(200, self.server.jobs.status_document(job_id))
 
-    def _job_id_from(self, path: str, suffix: str = "") -> str | None:
-        parts = path.split("/")
-        # /v1/jobs/<id> or /v1/jobs/<id>/<suffix>
-        expected = 4 if not suffix else 5
-        if len(parts) != expected or (suffix and parts[4] != suffix):
-            self._error(404, f"unknown route {path!r}")
-            return None
-        return parts[3]
+    def _jobs_result(self, params: dict, job_id: str | None) -> None:
+        """The completed job's result (byte-identical to a warm run)."""
+        self._respond(200, self.server.jobs.result_document(job_id))
 
-    def _jobs_get(self, path: str) -> None:
-        jobs = self._jobs_manager()
-        if jobs is None:
-            return
-        if path.endswith("/result"):
-            job_id = self._job_id_from(path, "result")
-            if job_id is None:
-                return
-            status, document = jobs.result_document(job_id)
-            self._respond(status, document)
-            return
-        job_id = self._job_id_from(path)
-        if job_id is None:
-            return
-        document = jobs.status_document(job_id)
-        if document is None:
-            self._error(404, f"unknown job {job_id!r}")
-        else:
-            self._respond(200, document)
+    def _jobs_cancel(self, params: dict, job_id: str | None) -> None:
+        """Cancel: at once when queued, at a slice boundary when running."""
+        self._respond(200, self.server.jobs.cancel(job_id))
 
-    def _jobs_cancel(self, path: str) -> None:
-        jobs = self._jobs_manager()
-        if jobs is None:
-            return
-        job_id = self._job_id_from(path, "cancel")
-        if job_id is None:
-            return
-        self._respond(200, jobs.cancel(job_id))
+    # -- workers -----------------------------------------------------------
 
-    # -- workers / runs ----------------------------------------------------
-
-    def _worker_health(self) -> None:
+    def _worker_health(self, params: dict, ident: str | None) -> None:
         """The fleet heartbeat probe: alive, and what this worker can run."""
-        self._respond(200, {
-            "schema_version": SCHEMA_VERSION,
-            "status": "ok",
-            "role": self.server.role,
-            "pid": os.getpid(),
-            "wire_version": WIRE_VERSION,
-            "kinds": list(spec_kinds_with_types()),
-        })
+        self._health(kinds=list(spec_kinds_with_types()))
 
-    def _reject_over_capacity(self) -> bool:
-        """429 when every compute slot is busy; True when rejected."""
-        if self.server.acquire_run_slot():
-            return False
-        self._error(
-            429,
-            f"all {self.server.max_concurrent_runs} compute slots are "
-            "busy; retry, or queue the work through POST /v1/jobs",
-            extra={"reason": "capacity"},
-            retry_after_s=1.0,
-        )
-        return True
-
-    def _worker_run(self, body: dict) -> None:
+    def _worker_run(self, params: dict, ident: str | None) -> None:
         """Execute wire-format cells against this worker's own store.
 
         The response carries each cell's encoded payload plus the same
         hit/compute-seconds provenance a local run would record, so the
         coordinator's envelopes are indistinguishable from local ones.
+        With ``window_slice``, an unfinished cell comes back ``partial``
+        with the engine state to ``resume`` from.
         """
+        body = self._read_json_body()
         cells = body.get("cells")
         if not isinstance(cells, list) or not cells:
             raise ConfigurationError(
@@ -532,9 +441,8 @@ class _Handler(BaseHTTPRequestHandler):
             raise ConfigurationError(
                 "worker run 'resume' must map cell keys to engine states"
             )
-        if self._reject_over_capacity():
-            return
-        try:
+
+        def work() -> dict:
             specs = [cell_from_wire(raw) for raw in cells]
             results = [
                 self.server.client.worker_run(
@@ -542,43 +450,58 @@ class _Handler(BaseHTTPRequestHandler):
                 )
                 for spec in specs
             ]
-        finally:
-            self.server.release_run_slot()
-        self._respond(
-            200, {"schema_version": SCHEMA_VERSION, "results": results}
-        )
+            return {"schema_version": SCHEMA_VERSION, "results": results}
 
-    def _run(self, request) -> None:
-        type_tag = request.TYPE
-        if getattr(request, "jobs", 1) != 1:
-            # Forking a worker pool inside a handler thread of a
-            # multithreaded server risks child deadlocks; HTTP callers
-            # get parallelism by issuing concurrent requests against
-            # the shared cache instead.
-            raise ConfigurationError(
-                "jobs is not supported over HTTP; issue concurrent "
-                "requests instead (the cache is shared)"
-            )
-        if self._reject_over_capacity():
-            return
-        # Release the slot before responding: a client that reads the
-        # body and immediately sends its next request must find the
-        # slot free, never a spurious 429.
-        try:
-            client = self.server.client
-            if type_tag == "simulate":
-                document = client.simulate(request).to_json()
-            elif type_tag == "server":
-                document = client.server(request).to_json()
-            elif type_tag == "compare":
-                document = results_document(client.compare(request))
-            elif type_tag == "campaign":
-                document = results_document(list(client.run_campaign(request)))
-            else:  # scenarios
-                document = results_document(list(client.run_scenarios(request)))
-        finally:
-            self.server.release_run_slot()
-        self._respond(200, document)
+        self._compute(work)
+
+
+def _run_route(type_tag: str, compute) -> dict:
+    """GET and POST handlers of a run route; ``compute`` answers."""
+
+    def from_query(handler: _Handler, params: dict, _) -> None:
+        handler._run(compute, request_from_text(type_tag, params))
+
+    def from_body(handler: _Handler, params: dict, _) -> None:
+        body = handler._read_json_body()
+        handler._run(compute, request_from_dict({**body, "type": type_tag}))
+
+    return {"GET": from_query, "POST": from_body}
+
+
+#: The route table: path pattern -> {method: handler}.  ``<id>``
+#: matches one non-empty path segment.
+_ROUTES: dict[str, dict] = {
+    "/v1/scenarios": {"GET": _Handler._list_scenarios},
+    # One Chapter 4 cell, one Chapter 5 cell, every ch4 scheme on one
+    # mix, a named grid, and registered scenarios by name.
+    "/v1/simulate": _run_route("simulate", lambda c, r: c.simulate(r).to_json()),
+    "/v1/server": _run_route("server", lambda c, r: c.server(r).to_json()),
+    "/v1/compare": _run_route(
+        "compare", lambda c, r: results_document(c.compare(r))
+    ),
+    "/v1/campaign": _run_route(
+        "campaign", lambda c, r: results_document(c.run_campaign(r))
+    ),
+    "/v1/scenarios/run": _run_route(
+        "scenarios", lambda c, r: results_document(c.run_scenarios(r))
+    ),
+    "/v1/progress": {"GET": _Handler._progress},
+    "/v1/healthz": {"GET": _Handler._healthz},
+    "/metrics": {"GET": _Handler._metrics},
+    "/v1/slo": {"GET": _Handler._slo},
+    "/v1/trace/<id>": {"GET": _Handler._trace},
+    "/v1/worker/health": {"GET": _Handler._worker_health},
+    "/v1/worker/run": {"POST": _Handler._worker_run},
+    "/v1/jobs": {"GET": _Handler._jobs_list, "POST": _Handler._jobs_submit},
+    "/v1/jobs/<id>": {"GET": _Handler._jobs_status},
+    "/v1/jobs/<id>/result": {"GET": _Handler._jobs_result},
+    "/v1/jobs/<id>/cancel": {"POST": _Handler._jobs_cancel},
+}
+_ID_ROUTES = [
+    (re.compile(re.escape(pattern).replace("<id>", "([^/]+)")), pattern)
+    for pattern in _ROUTES
+    if "<id>" in pattern
+]
 
 
 class ReproService(ThreadingHTTPServer):
@@ -706,12 +629,14 @@ def serve(
     try:
         if jobs is not None:
             recovered = jobs.start()
-            if recovered["requeued"]:
+            if recovered["requeued"] or recovered["unreadable"]:
                 LOG.info(
                     "service.recovered",
                     f"recovered {recovered['requeued']} queued/running "
-                    f"job(s) from disk",
+                    f"job(s) from disk, skipped {recovered['unreadable']} "
+                    f"unreadable record(s)",
                     requeued=recovered["requeued"],
+                    unreadable=recovered["unreadable"],
                 )
         try:
             signal.signal(signal.SIGTERM, _on_sigterm)

@@ -72,8 +72,6 @@ import argparse
 import contextlib
 import json
 import sys
-import urllib.error
-import urllib.request
 from pathlib import Path
 
 from repro.analysis.campaigns import CAMPAIGN_GRIDS
@@ -92,6 +90,7 @@ from repro.api import (
     scenarios_document,
     serve,
 )
+from repro.api.http import call_json
 from repro.api.requests import (
     REQUEST_SCHEMA,
     request_from_text,
@@ -782,11 +781,7 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         )
         job = document["job"]
         if args.wait:
-            try:
-                result = client.wait(job["id"], timeout_s=args.timeout)
-            except TimeoutError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 2
+            result = client.wait(job["id"], timeout_s=args.timeout)
             if args.json:
                 _print_json(result)
             else:
@@ -888,19 +883,6 @@ def _apply_obs_flags(args: argparse.Namespace) -> None:
         LOG.configure(json_mode=True)
 
 
-def _fetch_json(url: str) -> dict:
-    """GET ``url`` and parse the JSON body (ReproError on failure)."""
-    try:
-        with urllib.request.urlopen(url, timeout=30.0) as response:
-            return json.loads(response.read().decode("utf-8"))
-    except urllib.error.HTTPError as error:
-        raise ConfigurationError(
-            f"GET {url} failed: HTTP {error.code}"
-        ) from None
-    except (urllib.error.URLError, OSError, ValueError) as error:
-        raise ConfigurationError(f"GET {url} failed: {error}") from None
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.url is None):
         raise ConfigurationError(
@@ -911,8 +893,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         if not args.trace_id:
             raise ConfigurationError("--url requires --trace-id")
         base = args.url.rstrip("/")
-        document = _fetch_json(
-            f"{base}/v1/trace/{args.trace_id}?format=chrome"
+        document = call_json(
+            "GET",
+            f"{base}/v1/trace/{args.trace_id}?format=chrome",
+            timeout_s=30.0,
         )
     else:
         spans = list(read_jsonl(args.input))
@@ -971,7 +955,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     if args.action == "rules":
         print(render_alert_rules(with_overrides(DEFAULT_SLOS, overrides)), end="")
         return 0
-    document = _fetch_json(args.url.rstrip("/") + "/v1/slo")
+    document = call_json(
+        "GET", args.url.rstrip("/") + "/v1/slo", timeout_s=30.0
+    )
     slos = document.get("slos", [])
     _override_results(slos, overrides)
     breaches = sum(1 for entry in slos if entry["status"] == BREACH)
@@ -1047,9 +1033,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ReproError as error:
-        # Every library failure surfaces as one clean line, never a
-        # traceback: unknown scenarios, bad grid axes, unknown mixes, ...
+    except (ReproError, TimeoutError) as error:
+        # Every library failure (and a ``--wait`` that ran out of time)
+        # surfaces as one clean line, never a traceback: unknown
+        # scenarios, bad grid axes, unknown mixes, unreachable services.
         print(f"error: {error}", file=sys.stderr)
         return 2
 

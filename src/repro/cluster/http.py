@@ -21,10 +21,10 @@ Shards a campaign's cells across worker processes speaking the existing
   mid-slice loses only that slice: the dead-worker requeue re-dispatches
   from the last returned checkpoint instead of recomputing from zero.
 - **Per-cell retry with worker blacklisting** — a chunk whose request
-  fails transiently (connection refused/reset, timeout, 5xx) has its
-  cells requeued *excluding* the worker that failed them; a worker
-  failing ``blacklist_after`` consecutive requests stops receiving
-  work.  A cell is abandoned (→ :class:`~repro.errors.ClusterError`)
+  fails transiently (connection refused/reset, timeout, 5xx, a reply
+  that is not a JSON object) has its cells requeued *excluding* the
+  worker that failed them; a worker failing ``blacklist_after``
+  consecutive requests stops receiving work.  A cell is abandoned (→ :class:`~repro.errors.ClusterError`)
   only after ``max_attempts`` tries, and a 4xx response — the worker
   understood the request and rejected the cell itself — fails the grid
   immediately rather than burning retries.
@@ -44,33 +44,19 @@ a distributed run warm the very cache a later local run reads.
 
 from __future__ import annotations
 
-import http.client
-import json
 import math
-import socket
 import threading
-import urllib.error
-import urllib.request
 from collections import deque
 from typing import Callable, Iterator, Sequence
 
+from repro.api.http import ServiceError, call_json
 from repro.campaign.stores import ResultStore
 from repro.cluster.backends import Cell, CellResult, ExecutionBackend
 from repro.cluster.wire import cell_to_wire
 from repro.errors import ClusterError, ConfigurationError
 from repro.obs.log import LOG
 from repro.obs.metrics import METRICS
-from repro.obs.trace import TRACE_HEADER, TRACER
-
-#: Exceptions that mean "this worker, this time" — retry elsewhere.
-_TRANSIENT_ERRORS = (
-    urllib.error.URLError,
-    http.client.HTTPException,
-    ConnectionError,
-    socket.timeout,
-    TimeoutError,
-    OSError,
-)
+from repro.obs.trace import TRACER
 
 
 def _normalize_worker_url(url: str) -> str:
@@ -211,6 +197,8 @@ class HttpWorkerBackend(ExecutionBackend):
         #: stale generation makes every later deliver/requeue a no-op.
         self._generation = 0
         self._closed = False
+        #: The submitting caller's trace context (see submit_cells).
+        self._trace_header: str | None = None
 
     # -- protocol ----------------------------------------------------------
 
@@ -370,21 +358,19 @@ class HttpWorkerBackend(ExecutionBackend):
                 return
             try:
                 completed, partials = self._post_run(worker, cells)
-            except urllib.error.HTTPError as error:
-                body = self._error_body(error)
-                if 400 <= error.code < 500:
+            except ServiceError as error:
+                if error.status is not None and 400 <= error.status < 500:
                     # The worker parsed the request and rejected a
                     # cell itself — retrying elsewhere cannot help.
                     self._set_fatal(
                         f"worker {worker.url} rejected cells "
                         f"{[cell.key for cell in cells]} "
-                        f"({error.code}): {body}",
+                        f"({error.status}): {error.error}",
                         generation,
                     )
                 else:
-                    self._requeue(worker, cells, f"{error.code}: {body}", generation)
-            except (*_TRANSIENT_ERRORS, ValueError) as error:
-                self._requeue(worker, cells, repr(error), generation)
+                    # A 5xx, a transport failure or a non-JSON reply.
+                    self._requeue(worker, cells, str(error), generation)
             except ClusterError as error:
                 self._requeue(worker, cells, str(error), generation)
             except Exception as error:  # noqa: BLE001
@@ -410,17 +396,13 @@ class HttpWorkerBackend(ExecutionBackend):
             }
             if resume:
                 body["resume"] = resume
-        headers = {"Content-Type": "application/json"}
-        trace_header = getattr(self, "_trace_header", None)
-        if trace_header:
-            headers[TRACE_HEADER] = trace_header
-        request = urllib.request.Request(
+        document = call_json(
+            "POST",
             f"{worker.url}/v1/worker/run",
-            data=json.dumps(body).encode(),
-            headers=headers,
+            body,
+            timeout_s=self.timeout_s,
+            trace_header=self._trace_header,
         )
-        with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-            document = json.load(resp)
         raw_results = document.get("results")
         if not isinstance(raw_results, list) or len(raw_results) != len(cells):
             raise ClusterError(
@@ -459,17 +441,6 @@ class HttpWorkerBackend(ExecutionBackend):
                 f"from its run document"
             )
         return completed, partials
-
-    @staticmethod
-    def _error_body(error: urllib.error.HTTPError) -> str:
-        try:
-            raw = error.read().decode(errors="replace")
-        except OSError:
-            return error.reason or "?"
-        try:
-            return json.loads(raw).get("error", raw.strip())
-        except ValueError:
-            return raw.strip() or (error.reason or "?")
 
     def _deliver(
         self,
@@ -681,12 +652,12 @@ class HttpWorkerBackend(ExecutionBackend):
 
     def _check_health(self, worker: _Worker) -> bool:
         try:
-            with urllib.request.urlopen(
+            document = call_json(
+                "GET",
                 f"{worker.url}/v1/worker/health",
-                timeout=self.health_timeout_s,
-            ) as resp:
-                document = json.load(resp)
-        except (*_TRANSIENT_ERRORS, ValueError):
+                timeout_s=self.health_timeout_s,
+            )
+        except ServiceError:
             return False
         return document.get("status") == "ok"
 

@@ -65,3 +65,16 @@ class ClusterError(ReproError):
     failures are retried and blacklisted internally, so seeing this
     exception means the fleet as a whole could not complete the grid.
     """
+
+
+class NotFoundError(ReproError):
+    """A request named a job, trace or route that does not exist."""
+
+
+class ConflictError(ReproError):
+    """A request its target cannot answer yet (a job's result before the
+    job completed); ``detail`` holds fields such as the job's status."""
+
+    def __init__(self, message: str, **detail) -> None:
+        super().__init__(message)
+        self.detail = detail

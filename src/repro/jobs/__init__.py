@@ -22,7 +22,7 @@ fully usable in-process:
     })
 """
 
-from repro.jobs.client import JobsApiError, JobsClient, wait_for_port_file
+from repro.jobs.client import JobsClient, wait_for_port_file
 from repro.jobs.queue import JobQueue
 from repro.obs.metrics import MetricsRegistry
 from repro.jobs.scheduler import (
@@ -60,7 +60,6 @@ __all__ = [
     "JobRecord",
     "JobScheduler",
     "JobStore",
-    "JobsApiError",
     "JobsClient",
     "JobsManager",
     "MetricsRegistry",

@@ -1,41 +1,19 @@
-"""A small stdlib HTTP client for the ``/v1/jobs`` lifecycle.
+"""A small client for the ``/v1/jobs`` lifecycle.
 
-Used by the ``repro jobs`` CLI subcommands and by the
-:class:`~repro.api.client.ReproClient` ``submit_job``/``wait_job``
-façade.  Every error response is structured
-(``{"schema_version", "error", ...}``); :class:`JobsApiError` carries
-the HTTP status and the decoded body so callers can distinguish a 429
-quota refusal (``retry_after_s``) from a 400.
+Used by the ``repro jobs`` CLI subcommands.  Every call goes through
+:func:`repro.api.http.call_json`, so any failure is one
+:class:`~repro.api.http.ServiceError`: its ``status`` and ``body`` let
+a caller tell a 429 quota refusal (``retry_after_s``) from a 400, a
+404 unknown job or a 409 result read before the job finished; a
+``status`` of None means no JSON answer came back at all.
 """
 
 from __future__ import annotations
 
-import json
 import time
-import urllib.error
-import urllib.request
-from typing import Any
+from urllib.parse import quote, urlencode
 
-from repro.errors import ReproError
-from repro.obs.trace import TRACE_HEADER, TRACER
-
-
-class JobsApiError(ReproError):
-    """A non-2xx answer from the jobs service."""
-
-    def __init__(self, status: int, body: dict) -> None:
-        super().__init__(
-            f"jobs service answered {status}: "
-            f"{body.get('error', 'unknown error')}"
-        )
-        self.status = status
-        self.body = body
-
-    @property
-    def retry_after_s(self) -> float | None:
-        """Backoff hint on 429 responses, when the server sent one."""
-        value = self.body.get("retry_after_s")
-        return float(value) if isinstance(value, (int, float)) else None
+from repro.api.http import call_json
 
 
 class JobsClient:
@@ -45,29 +23,9 @@ class JobsClient:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = timeout_s
 
-    def _call(
-        self, method: str, path: str, body: dict | None = None
-    ) -> dict:
-        data = None if body is None else json.dumps(body).encode()
-        headers = {"Content-Type": "application/json"} if data else {}
-        trace_header = TRACER.propagation_header()
-        if trace_header:
-            headers[TRACE_HEADER] = trace_header
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers=headers,
-        )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout_s) as resp:
-                return json.load(resp)
-        except urllib.error.HTTPError as error:
-            try:
-                payload = json.loads(error.read().decode())
-            except ValueError:
-                payload = {"error": f"non-JSON {error.code} response"}
-            raise JobsApiError(error.code, payload) from None
+    def _job_url(self, job_id: str, action: str = "") -> str:
+        """``/v1/jobs/<id>[/<action>]``, with the id URL-quoted."""
+        return f"{self.base_url}/v1/jobs/{quote(job_id, safe='')}{action}"
 
     # -- lifecycle calls -----------------------------------------------------
 
@@ -79,28 +37,37 @@ class JobsClient:
         priority: int = 0,
     ) -> dict:
         """Submit one typed request dict; returns the job document."""
-        return self._call(
+        return call_json(
             "POST",
-            "/v1/jobs",
+            f"{self.base_url}/v1/jobs",
             {"request": request, "tenant": tenant, "priority": priority},
+            timeout_s=self.timeout_s,
         )
 
     def status(self, job_id: str) -> dict:
         """The job's status document (with live per-cell progress)."""
-        return self._call("GET", f"/v1/jobs/{job_id}")
+        return call_json(
+            "GET", self._job_url(job_id), timeout_s=self.timeout_s
+        )
 
     def result(self, job_id: str) -> dict:
         """The completed job's result document (409 while running)."""
-        return self._call("GET", f"/v1/jobs/{job_id}/result")
+        return call_json(
+            "GET", self._job_url(job_id, "/result"), timeout_s=self.timeout_s
+        )
 
     def cancel(self, job_id: str) -> dict:
         """Request cancellation; returns the job document."""
-        return self._call("POST", f"/v1/jobs/{job_id}/cancel")
+        return call_json(
+            "POST", self._job_url(job_id, "/cancel"), timeout_s=self.timeout_s
+        )
 
     def list(self, tenant: str | None = None) -> dict:
         """Every known job, optionally filtered by tenant."""
-        suffix = f"?tenant={tenant}" if tenant else ""
-        return self._call("GET", f"/v1/jobs{suffix}")
+        query = f"?{urlencode({'tenant': tenant})}" if tenant else ""
+        return call_json(
+            "GET", f"{self.base_url}/v1/jobs{query}", timeout_s=self.timeout_s
+        )
 
     def wait(
         self,
@@ -111,9 +78,9 @@ class JobsClient:
     ) -> dict:
         """Poll until the job is terminal; returns the result document.
 
-        Raises :class:`JobsApiError` when the job ends cancelled or
-        failed (the 409 result answer), or :class:`TimeoutError` when
-        ``timeout_s`` elapses first.
+        Raises :class:`~repro.api.http.ServiceError` when the job ends
+        cancelled or failed (the 409 result answer), or
+        :class:`TimeoutError` when ``timeout_s`` elapses first.
         """
         deadline = time.monotonic() + timeout_s
         while True:
@@ -127,13 +94,12 @@ class JobsClient:
                 )
             time.sleep(poll_s)
 
-    def healthz(self) -> dict:
-        """The service's ``/v1/healthz`` document."""
-        return self._call("GET", "/v1/healthz")
-
     def metrics_json(self) -> dict:
         """The ``/metrics?format=json`` document."""
-        return self._call("GET", "/metrics?format=json")
+        return call_json(
+            "GET", f"{self.base_url}/metrics?format=json",
+            timeout_s=self.timeout_s,
+        )
 
 
 def wait_for_port_file(path: str, *, timeout_s: float = 15.0) -> int:

@@ -26,7 +26,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, NotFoundError
 from repro.jobs.store import (
     CANCELLED,
     QUEUED,
@@ -34,6 +34,7 @@ from repro.jobs.store import (
     JobRecord,
     JobStore,
 )
+from repro.obs.log import LOG
 
 
 class JobQueue:
@@ -57,12 +58,22 @@ class JobQueue:
         process died: they go back to ``queued`` with their checkpoints
         intact and a ``recovered`` event, so the scheduler resumes them
         from the last window-slice boundary rather than from scratch.
+        A record that does not load is counted as ``unreadable``,
+        logged by name, and left on disk for an operator to inspect.
         """
-        requeued = 0
-        terminal = 0
+        counts = {"requeued": 0, "terminal": 0, "unreadable": 0}
         with self._lock:
             self.store.sweep_tmp()
-            for record in self.store.iter_records():
+            for path in sorted(self.store.root.glob("*.json")):
+                record = self.store.load(path.stem)
+                if record is None:
+                    counts["unreadable"] += 1
+                    LOG.warning(
+                        "jobs.record_unreadable",
+                        f"skipping unreadable job record {path}",
+                        path=str(path),
+                    )
+                    continue
                 self._records[record.job_id] = record
                 self._next_seq = max(self._next_seq, record.submit_seq + 1)
                 if record.status == RUNNING:
@@ -78,11 +89,11 @@ class JobQueue:
                         self._heap,
                         (-record.priority, record.submit_seq, record.job_id),
                     )
-                    requeued += 1
+                    counts["requeued"] += 1
                 else:
-                    terminal += 1
+                    counts["terminal"] += 1
             self._lock.notify_all()
-        return {"requeued": requeued, "terminal": terminal}
+        return counts
 
     # -- producer side -----------------------------------------------------
 
@@ -185,6 +196,13 @@ class JobQueue:
         with self._lock:
             return self._records.get(job_id)
 
+    def require(self, job_id: str) -> JobRecord:
+        """Like :meth:`get`, but an unknown job is a ``NotFoundError``."""
+        record = self.get(job_id)
+        if record is None:
+            raise NotFoundError(f"unknown job {job_id!r}")
+        return record
+
     def list_records(self, tenant: str | None = None) -> list[JobRecord]:
         """Every known record, newest submit first."""
         with self._lock:
@@ -226,9 +244,7 @@ class JobQueue:
         Terminal jobs are left as they are (idempotent).
         """
         with self._lock:
-            record = self._records.get(job_id)
-            if record is None:
-                raise ConfigurationError(f"unknown job {job_id!r}")
+            record = self.require(job_id)
             if record.terminal:
                 return record
             record.cancel_requested = True

@@ -47,7 +47,7 @@ from repro.api.requests import (
 from repro.campaign import Campaign, RunOutcome, run_cell
 from repro.engine import EngineState
 from repro.engine.progress import PROGRESS
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ConflictError, ReproError
 from repro.jobs.queue import JobQueue
 from repro.obs.log import LOG
 from repro.obs.metrics import METRICS, MetricsRegistry
@@ -559,37 +559,33 @@ class JobsManager:
             }
         return {"schema_version": SCHEMA_VERSION, "job": job}
 
-    def status_document(self, job_id: str) -> dict | None:
-        """Status with live per-cell progress, or None when unknown."""
-        record = self.queue.get(job_id)
-        if record is None:
-            return None
-        return self.job_document(record, progress=True)
+    def status_document(self, job_id: str) -> dict:
+        """Status with live per-cell progress.
 
-    def result_document(self, job_id: str) -> tuple[int, dict]:
-        """``(http status, document)`` for ``GET /v1/jobs/<id>/result``.
+        Raises :class:`~repro.errors.NotFoundError` for an unknown job.
+        """
+        return self.job_document(self.queue.require(job_id), progress=True)
+
+    def result_document(self, job_id: str) -> dict:
+        """The ``GET /v1/jobs/<id>/result`` document.
 
         A completed single-cell job answers with the bare envelope —
         byte-identical to the equivalent warm CLI ``--json`` — and
-        multi-cell jobs with the standard results document.
+        multi-cell jobs with the standard results document.  Raises
+        :class:`~repro.errors.NotFoundError` for an unknown job and
+        :class:`~repro.errors.ConflictError` (with the job's
+        ``status``) for one that has not completed.
         """
-        record = self.queue.get(job_id)
-        if record is None:
-            return 404, {
-                "schema_version": SCHEMA_VERSION,
-                "error": f"unknown job {job_id!r}",
-            }
+        record = self.queue.require(job_id)
         if record.status != COMPLETED:
-            return 409, {
-                "schema_version": SCHEMA_VERSION,
-                "error": f"job {job_id} has no result "
-                f"(status {record.status!r})",
-                "status": record.status,
-            }
+            raise ConflictError(
+                f"job {job_id} has no result (status {record.status!r})",
+                status=record.status,
+            )
         request_type = record.request.get("type")
         if request_type in _SINGLE_ENVELOPE_TYPES:
-            return 200, dict(record.results[0])
-        return 200, {
+            return dict(record.results[0])
+        return {
             "schema_version": SCHEMA_VERSION,
             "results": [dict(result) for result in record.results],
         }

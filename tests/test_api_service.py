@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import http.client
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -13,8 +16,11 @@ import pytest
 from repro.analysis.specs import Chapter4Spec, Chapter5Spec, run_result_from_dict
 from repro.api import SCHEMA_VERSION, ReproClient, ReproService, ResultEnvelope
 from repro.api import service as service_module
+from repro.api.http import ServiceError, call_json
+from repro.campaign import MemoryStore
 from repro.cli import main
 from repro.cluster import WIRE_VERSION, cell_to_wire
+from repro.jobs import JobsManager
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +55,36 @@ def _error(service: ReproService, path: str, data: bytes | None = None):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         urllib.request.urlopen(request)
     return excinfo.value.code, json.loads(excinfo.value.read())
+
+
+@contextlib.contextmanager
+def _serving(svc: ReproService):
+    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield svc
+    finally:
+        svc.shutdown()
+        svc.server_close()
+        thread.join(timeout=5)
+
+
+def _raw(svc: ReproService, method: str, path: str, headers: str = ""):
+    """One request over a raw socket: (status, headers, JSON body).
+
+    The 5 s socket timeout turns a hung handler into a failure, and a
+    dropped connection fails in ``begin()``.
+    """
+    head = f"{method} {path} HTTP/1.1\r\nHost: 127.0.0.1\r\n{headers}\r\n"
+    with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
+        sock.sendall(head.encode())
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return (
+            response.status,
+            dict(response.getheaders()),
+            json.loads(response.read()),
+        )
 
 
 def test_scenarios_listing_route(service):
@@ -393,7 +429,21 @@ def test_jobs_rejected_over_http(service):
     assert code == 400 and "jobs is not supported over HTTP" in body["error"]
 
 
-def test_error_responses(service):
+def test_bad_content_length_is_a_structured_400(service):
+    """A non-integer or negative Content-Length is refused before any
+    read: never a dropped connection, never a handler blocked reading
+    to end of stream."""
+    for value in ("abc", "-1"):
+        code, headers, body = _raw(
+            service, "POST", "/v1/simulate", f"Content-Length: {value}\r\n"
+        )
+        assert code == 400, value
+        assert headers["Content-Type"] == "application/json"
+        assert body["schema_version"] == SCHEMA_VERSION
+        assert "Content-Length must be a non-negative integer" in body["error"]
+
+
+def test_error_responses(service, tmp_path):
     code, body = _error(service, "/nope")
     assert code == 404 and "unknown route" in body["error"]
     code, body = _error(service, "/v1/simulate?policy=warp")
@@ -427,6 +477,53 @@ def test_error_responses(service):
     assert code == 400 and "unknown workload mix 'W99'" in body["error"]
     # Every error body is itself versioned.
     assert body["schema_version"] == SCHEMA_VERSION
+    # A known path asked with a method its route does not list is a
+    # JSON 405 naming the allowed methods; an unknown path stays 404.
+    for method in ("PUT", "DELETE"):
+        code, headers, body = _raw(service, method, "/v1/simulate")
+        assert code == 405 and headers["Allow"] == "GET, POST", method
+        assert body["schema_version"] == SCHEMA_VERSION
+        assert "use GET or POST" in body["error"]
+    code, _, body = _raw(service, "PUT", "/nope")
+    assert code == 404 and "unknown route" in body["error"]
+    jobs = JobsManager(str(tmp_path / "jobs"), store=MemoryStore())
+    with _serving(ReproService(port=0, jobs=jobs)) as svc:
+        for method, path, allowed in (
+            ("POST", "/v1/jobs/job-x", "GET"),
+            ("POST", "/v1/jobs/job-x/result", "GET"),
+            ("GET", "/v1/jobs/job-x/cancel", "POST"),
+        ):
+            code, headers, body = _raw(svc, method, path)
+            assert code == 405 and headers["Allow"] == allowed, path
+            assert body["schema_version"] == SCHEMA_VERSION
+        # Every other method on every route of the table is a 405.
+        for pattern, methods in service_module._ROUTES.items():
+            path = pattern.replace("<id>", "job-x")
+            for method in {"GET", "POST", "PUT", "DELETE", "PATCH"} - set(methods):
+                code, headers, _ = _raw(svc, method, path)
+                assert code == 405, (method, path)
+                assert headers["Allow"] == ", ".join(methods), (method, path)
+
+
+def test_call_json_maps_every_failure_to_one_error(service):
+    """A JSON error answer keeps its status and body; a reply that is
+    not a JSON object, or no reply, has no status."""
+    with pytest.raises(ServiceError) as excinfo:
+        call_json("GET", service.url + "/nope", timeout_s=5)
+    assert excinfo.value.status == 404
+    assert excinfo.value.error == "unknown route '/nope'"
+    assert excinfo.value.body["schema_version"] == SCHEMA_VERSION
+    assert "GET " + service.url + "/nope answered 404" in str(excinfo.value)
+    # The Prometheus text of /metrics is a 200 without a JSON object;
+    # http.server's own 501 page for an unknown method is not JSON.
+    for method, path in (("GET", "/metrics"), ("OPTIONS", "/v1/simulate")):
+        with pytest.raises(ServiceError) as excinfo:
+            call_json(method, service.url + path, timeout_s=5)
+        assert excinfo.value.status is None, method
+        assert excinfo.value.body == {} and excinfo.value.retry_after_s is None
+    with pytest.raises(ServiceError) as excinfo:
+        call_json("GET", "http://127.0.0.1:1/v1/healthz", timeout_s=5)
+    assert excinfo.value.status is None and "failed" in str(excinfo.value)
 
 
 def test_cli_json_and_http_are_byte_identical(service, capsys):

@@ -1,8 +1,15 @@
 """Command-line interface."""
 
+import json
+import socket
+import threading
+
 import pytest
 
+from repro.api import ReproService
+from repro.campaign import MemoryStore
 from repro.cli import main
+from repro.jobs import JobsManager
 
 
 def test_simulate_command(capsys):
@@ -387,3 +394,74 @@ def test_cache_migrate_wraps_bare_files(capsys, tmp_path, monkeypatch):
     assert store.get("test-cube-00c2") == {"cube": 8}
     assert main(["cache", "stats"]) == 0
     assert "unrecorded=1" in capsys.readouterr().out
+
+
+# -- HTTP client commands ----------------------------------------------------
+
+
+@pytest.fixture()
+def queued_jobs_service(tmp_path):
+    """A jobs-enabled service whose scheduler never starts, so every
+    submitted job stays queued."""
+    jobs = JobsManager(str(tmp_path / "jobs"), store=MemoryStore())
+    service = ReproService(port=0, jobs=jobs)
+    thread = threading.Thread(target=service.serve_forever, daemon=True)
+    thread.start()
+    yield service
+    service.shutdown()
+    service.server_close()
+    thread.join(timeout=5)
+
+
+def _one_error_line(capsys) -> str:
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return lines[0]
+
+
+def test_client_failures_are_one_error_line(capsys):
+    """Every command that calls a service fails with one ``error:`` line
+    and exit 2 when nothing listens, never a traceback."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    url = f"http://127.0.0.1:{probe.getsockname()[1]}"
+    probe.close()
+    for argv in (
+        ["jobs", "status", "--url", url, "job-x"],
+        ["jobs", "list", "--url", url],
+        ["jobs", "submit", "--url", url, "--type", "simulate",
+         "--set", "mix=W1"],
+        ["trace", "export", "--url", url, "--trace-id", "abc"],
+        ["slo", "check", "--url", url],
+    ):
+        assert main(argv) == 2, argv
+        assert url in _one_error_line(capsys), argv
+
+
+def test_jobs_list_url_encodes_the_tenant(queued_jobs_service, capsys):
+    url = queued_jobs_service.url
+    for tenant in ("a b", "a&b"):
+        assert main([
+            "jobs", "submit", "--url", url, "--type", "simulate",
+            "--set", "mix=W1", "--set", "copies=1", "--tenant", tenant,
+            "--json",
+        ]) == 0
+        job_id = json.loads(capsys.readouterr().out)["job"]["id"]
+        assert main([
+            "jobs", "list", "--url", url, "--tenant", tenant, "--json",
+        ]) == 0
+        listing = json.loads(capsys.readouterr().out)
+        assert [job["id"] for job in listing["jobs"]] == [job_id], tenant
+
+
+def test_http_error_line_carries_the_service_error(
+    queued_jobs_service, capsys
+):
+    url = queued_jobs_service.url
+    assert main(["trace", "export", "--url", url, "--trace-id", "nope"]) == 2
+    line = _one_error_line(capsys)
+    assert "404" in line and "no spans retained for trace 'nope'" in line
+    assert main(["jobs", "status", "--url", url, "job-missing"]) == 2
+    line = _one_error_line(capsys)
+    assert "404" in line and "unknown job 'job-missing'" in line

@@ -34,11 +34,12 @@ from pathlib import Path
 import pytest
 
 from repro.api import ReproClient, ReproService, SimulateRequest
+from repro.api.http import ServiceError
 from repro.api.envelope import SCHEMA_VERSION, dumps_canonical
 from repro.campaign import MemoryStore
 from repro.cli import main
 from repro.engine.progress import PROGRESS, ProgressBroker
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ConflictError, ReproError
 from repro.jobs import (
     CANCELLED,
     COMPLETED,
@@ -46,7 +47,6 @@ from repro.jobs import (
     RUNNING,
     JobQueue,
     JobRecord,
-    JobsApiError,
     JobsClient,
     JobsManager,
     JobStore,
@@ -146,7 +146,7 @@ class TestJobStore:
         ],
     )
     def test_record_with_a_mistyped_field_is_unreadable(
-        self, tmp_path, field, value
+        self, tmp_path, field, value, capsys
     ):
         """Regression: a record with one mistyped field loaded, and
         ``recover()`` then raised TypeError ordering it, so ``serve
@@ -166,8 +166,13 @@ class TestJobStore:
         path.write_text(json.dumps(document))
         assert store.load("job-bad") is None
         queue = JobQueue(tmp_path)
-        assert queue.recover() == {"requeued": 1, "terminal": 0}
+        assert queue.recover() == {
+            "requeued": 1, "terminal": 0, "unreadable": 1
+        }
         assert queue.next_ready(timeout_s=0).job_id == "job-good"
+        # The skipped record is named in the log and left on disk.
+        assert f"skipping unreadable job record {path}" in capsys.readouterr().out
+        assert path.exists()
 
     def test_malformed_job_ids_rejected(self, tmp_path):
         store = JobStore(tmp_path)
@@ -235,7 +240,7 @@ class TestJobQueue:
         # process: the running job comes back queued, checkpoint intact.
         revived = JobQueue(tmp_path)
         counts = revived.recover()
-        assert counts == {"requeued": 1, "terminal": 0}
+        assert counts == {"requeued": 1, "terminal": 0, "unreadable": 0}
         resumed = revived.next_ready(timeout_s=0)
         assert resumed.job_id == record.job_id
         assert resumed.cell_states == {"ch4-key": {"windows": 500}}
@@ -247,7 +252,9 @@ class TestJobQueue:
         record.status = COMPLETED
         queue.persist(record)
         revived = JobQueue(tmp_path)
-        assert revived.recover() == {"requeued": 0, "terminal": 1}
+        assert revived.recover() == {
+            "requeued": 0, "terminal": 1, "unreadable": 0
+        }
         assert revived.next_ready(timeout_s=0) is None
 
 
@@ -467,8 +474,7 @@ class TestJobsManager:
             job_id = _submit(manager, tenant="alice")
             record = _wait_terminal(manager, job_id)
             assert record.status == COMPLETED
-            status, document = manager.result_document(job_id)
-            assert status == 200
+            document = manager.result_document(job_id)
             # The warm job ran against the already-populated store, so
             # its bare-envelope result serializes byte-identically to
             # the direct client envelope (which is what the CLI
@@ -528,9 +534,9 @@ class TestJobsManager:
             manager.cancel(job_id)
             record = _wait_terminal(manager, job_id)
             assert record.status == CANCELLED
-            status, document = manager.result_document(job_id)
-            assert status == 409
-            assert document["status"] == CANCELLED
+            with pytest.raises(ConflictError) as excinfo:
+                manager.result_document(job_id)
+            assert excinfo.value.detail["status"] == CANCELLED
         finally:
             manager.stop(drain=False)
 
@@ -685,7 +691,7 @@ class TestJobsHttp:
             )
             assert status == 202
             client = JobsClient(service.url)
-            with pytest.raises(JobsApiError) as excinfo:
+            with pytest.raises(ServiceError) as excinfo:
                 client.submit(dict(FAST_REQUEST), tenant="alice")
             assert excinfo.value.status == 429
             body = excinfo.value.body
@@ -741,6 +747,13 @@ class TestJobsHttp:
         status, document = _http(jobs_service, "GET", "/v1/jobs/job-missing")
         assert status == 404
         assert "unknown job" in document["error"]
+        for method, path in (
+            ("POST", "/v1/jobs/job-missing/cancel"),
+            ("GET", "/v1/jobs/job-missing/result"),
+        ):
+            status, document = _http(jobs_service, method, path)
+            assert status == 404, path
+            assert "unknown job" in document["error"], path
 
 
 # ---------------------------------------------------------------------------
