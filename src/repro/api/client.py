@@ -39,7 +39,6 @@ from repro.campaign import (
     RunSpec,
     default_store,
     run_cell,
-    run_outcome,
 )
 from repro.engine import CheckpointFile, CheckpointObserver, EngineState
 from repro.obs.trace import TRACER
@@ -303,7 +302,7 @@ class ReproClient:
     # -- internals ---------------------------------------------------------
 
     def _run_cell(self, spec: RunSpec, echo: dict) -> ResultEnvelope:
-        return cell_envelope(spec, run_outcome(spec, self._store), echo)
+        return cell_envelope(spec, run_cell(spec, self._store), echo)
 
     def _table(
         self, request: CampaignRequest | ScenarioRequest

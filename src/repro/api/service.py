@@ -13,7 +13,9 @@ route answers.  A path no row matches answers 404, and a matched path
 asked with a method its row does not list (``PUT``, ``DELETE`` and
 ``PATCH`` included) answers 405 with an ``Allow`` header.  The matched
 pattern is also the histogram's ``route`` label (``other`` when none
-matched).  The ``/v1/jobs`` routes answer 503 without ``serve --jobs``.
+matched).  Each row also lists the query parameters its method
+accepts; any other parameter is a 400 before the handler runs.  The
+``/v1/jobs`` routes answer 503 without ``serve --jobs``.
 
 GET passes request fields as query parameters, typed by the one request
 schema in :mod:`repro.api.requests` exactly as CLI flags and ``jobs
@@ -62,7 +64,12 @@ from repro.api.envelope import (
     results_document,
     scenarios_document,
 )
-from repro.api.requests import request_from_dict, request_from_text
+from repro.api.requests import (
+    REQUEST_SCHEMA,
+    REQUEST_TYPES,
+    request_from_dict,
+    request_from_text,
+)
 from repro.campaign import spec_kinds_with_types
 from repro.cluster.wire import WIRE_VERSION, cell_from_wire
 from repro.engine.progress import PROGRESS
@@ -93,12 +100,6 @@ def _match(path: str) -> tuple[str | None, str | None]:
         if found:
             return pattern, found.group(1)
     return None, None
-
-
-def _check_params(params: dict, allowed: set, what: str) -> None:
-    unknown = set(params) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown {what} parameters {sorted(unknown)}")
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -221,8 +222,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self, method: str, url, pattern: str, ident: str | None) -> None:
         """Run the table's handler for ``(method, pattern)``."""
         methods = _ROUTES[pattern]
-        handler = methods.get(method)
-        if handler is None:
+        if method not in methods:
             self._error(
                 405,
                 f"use {' or '.join(methods)} for {url.path}",
@@ -236,7 +236,15 @@ class _Handler(BaseHTTPRequestHandler):
                 extra={"reason": "jobs_disabled"},
             )
         else:
-            handler(self, _params_from_query(url.query), ident)
+            handler, accepted = methods[method]
+            params = _params_from_query(url.query)
+            unknown = params.keys() - accepted
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown query parameters {sorted(unknown)} for "
+                    f"{method} {pattern} (accepted: {sorted(accepted)})"
+                )
+            handler(self, params, ident)
 
     def _compute(self, work) -> None:
         """Answer ``work()``'s document from a compute slot (or a 429)."""
@@ -287,7 +295,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _list_scenarios(self, params: dict, ident: str | None) -> None:
         """The scenario library (``?kind=ch4|ch5`` and ``?tag=`` filter)."""
-        _check_params(params, {"kind", "tag"}, "scenario-listing")
         kind = params.get("kind")
         if kind is not None and kind not in ("ch4", "ch5"):
             raise ConfigurationError(
@@ -301,7 +308,6 @@ class _Handler(BaseHTTPRequestHandler):
     def _progress(self, params: dict, ident: str | None) -> None:
         """Live progress of this process's engine runs (``?key=`` filters),
         sliced worker cells included."""
-        _check_params(params, {"key"}, "progress")
         self._respond(200, {
             "schema_version": SCHEMA_VERSION,
             "runs": PROGRESS.snapshot(params.get("key")),
@@ -385,7 +391,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _jobs_list(self, params: dict, ident: str | None) -> None:
         """Every job, newest first (``?tenant=`` filters)."""
-        _check_params(params, {"tenant"}, "job-listing")
         tenant = params.get("tenant")
         self._respond(200, self.server.jobs.list_document(tenant))
 
@@ -456,7 +461,11 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 def _run_route(type_tag: str, compute) -> dict:
-    """GET and POST handlers of a run route; ``compute`` answers."""
+    """GET and POST rows of a run route; ``compute`` answers.
+
+    GET takes the request's fields as query parameters; POST takes
+    them as its JSON body, and no query parameter.
+    """
 
     def from_query(handler: _Handler, params: dict, _) -> None:
         handler._run(compute, request_from_text(type_tag, params))
@@ -465,13 +474,15 @@ def _run_route(type_tag: str, compute) -> dict:
         body = handler._read_json_body()
         handler._run(compute, request_from_dict({**body, "type": type_tag}))
 
-    return {"GET": from_query, "POST": from_body}
+    fields = tuple(REQUEST_SCHEMA[REQUEST_TYPES[type_tag]])
+    return {"GET": (from_query, fields), "POST": (from_body, ())}
 
 
-#: The route table: path pattern -> {method: handler}.  ``<id>``
-#: matches one non-empty path segment.
+#: The route table: path pattern -> {method: (handler, the query
+#: parameters it accepts)}.  ``<id>`` matches one non-empty path
+#: segment.
 _ROUTES: dict[str, dict] = {
-    "/v1/scenarios": {"GET": _Handler._list_scenarios},
+    "/v1/scenarios": {"GET": (_Handler._list_scenarios, ("kind", "tag"))},
     # One Chapter 4 cell, one Chapter 5 cell, every ch4 scheme on one
     # mix, a named grid, and registered scenarios by name.
     "/v1/simulate": _run_route("simulate", lambda c, r: c.simulate(r).to_json()),
@@ -485,17 +496,20 @@ _ROUTES: dict[str, dict] = {
     "/v1/scenarios/run": _run_route(
         "scenarios", lambda c, r: results_document(c.run_scenarios(r))
     ),
-    "/v1/progress": {"GET": _Handler._progress},
-    "/v1/healthz": {"GET": _Handler._healthz},
-    "/metrics": {"GET": _Handler._metrics},
-    "/v1/slo": {"GET": _Handler._slo},
-    "/v1/trace/<id>": {"GET": _Handler._trace},
-    "/v1/worker/health": {"GET": _Handler._worker_health},
-    "/v1/worker/run": {"POST": _Handler._worker_run},
-    "/v1/jobs": {"GET": _Handler._jobs_list, "POST": _Handler._jobs_submit},
-    "/v1/jobs/<id>": {"GET": _Handler._jobs_status},
-    "/v1/jobs/<id>/result": {"GET": _Handler._jobs_result},
-    "/v1/jobs/<id>/cancel": {"POST": _Handler._jobs_cancel},
+    "/v1/progress": {"GET": (_Handler._progress, ("key",))},
+    "/v1/healthz": {"GET": (_Handler._healthz, ())},
+    "/metrics": {"GET": (_Handler._metrics, ("format",))},
+    "/v1/slo": {"GET": (_Handler._slo, ())},
+    "/v1/trace/<id>": {"GET": (_Handler._trace, ("format",))},
+    "/v1/worker/health": {"GET": (_Handler._worker_health, ())},
+    "/v1/worker/run": {"POST": (_Handler._worker_run, ())},
+    "/v1/jobs": {
+        "GET": (_Handler._jobs_list, ("tenant",)),
+        "POST": (_Handler._jobs_submit, ()),
+    },
+    "/v1/jobs/<id>": {"GET": (_Handler._jobs_status, ())},
+    "/v1/jobs/<id>/result": {"GET": (_Handler._jobs_result, ())},
+    "/v1/jobs/<id>/cancel": {"POST": (_Handler._jobs_cancel, ())},
 }
 _ID_ROUTES = [
     (re.compile(re.escape(pattern).replace("<id>", "([^/]+)")), pattern)

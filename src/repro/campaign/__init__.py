@@ -18,7 +18,6 @@ from repro.campaign.engine import (
     cached_payload,
     run,
     run_cell,
-    run_outcome,
     run_payload,
     sweep,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "cached_payload",
     "run",
     "run_cell",
-    "run_outcome",
     "run_payload",
     "sweep",
     "CACHE_VERSION",

@@ -225,18 +225,6 @@ def run(spec: RunSpec, store: ResultStore | None = None) -> Any:
     return run_cell(spec, store).result
 
 
-def run_outcome(
-    spec: RunSpec, store: ResultStore | None = None
-) -> RunOutcome:
-    """Run (or recall) one whole spec, reporting full provenance.
-
-    Payload, decoded result, hit/miss, compute wall time, and the
-    store's single-flight info (see :class:`RunOutcome`).  ``run`` and
-    ``run_payload`` are narrower views of this.
-    """
-    return run_cell(spec, store)
-
-
 def run_payload(
     spec: RunSpec, store: ResultStore | None = None
 ) -> tuple[dict, bool, float]:
@@ -247,7 +235,7 @@ def run_payload(
     JSON-serializable, so they cross process and HTTP boundaries and
     can be written into any :class:`ResultStore` unchanged.
     """
-    outcome = run_outcome(spec, store)
+    outcome = run_cell(spec, store)
     return outcome.payload, outcome.hit, outcome.compute_seconds
 
 

@@ -1,12 +1,11 @@
 """Single-flight coalescing of concurrent identical computes.
 
 When N threads ask for the same cold cache key at once — N handler
-threads of the ``ThreadingHTTPServer`` service, or a
-:class:`~repro.cluster.backends.VectorBackend` batch whose claimed
-cells race an API request — exactly one of them (the *leader*) should execute the
-compute; the others (*followers*) wait and receive the leader's
-payload.  Without coalescing each thread runs the full simulation,
-multiplying minutes of identical work.
+threads of the ``ThreadingHTTPServer`` service, say — exactly one of
+them (the *leader*) should execute the compute; the others
+(*followers*) wait and receive the leader's payload.  Without
+coalescing each thread runs the full simulation, multiplying minutes
+of identical work.
 
 :class:`SingleFlightStore` wraps any inner store and overrides
 ``get_or_compute`` with that protocol.  Flights live in a
@@ -18,11 +17,9 @@ process-wide table keyed by ``(scope, key)``:
   of the spec, so one key can only ever name one computation and
   cross-instance sharing is safe.  ``scope`` (default ``"default"``)
   exists so tests with independent store roots can opt out of sharing.
-- Keyed by *thread owner*, so a leader that re-enters the store while
-  computing (the vector backend claims a flight, then runs the cell
-  through ``run_outcome``, which calls ``get_or_compute`` again) passes
-  straight through
-  instead of deadlocking on its own flight.
+- Keyed by *thread owner*, so a leader whose compute re-enters
+  ``get_or_compute`` for its own key computes directly instead of
+  deadlocking on its own flight.
 
 Instances hold only the inner store and the scope string — no locks or
 events — so a ``SingleFlightStore`` pickles cleanly into pool workers
@@ -90,53 +87,18 @@ class SingleFlightStore(ResultStore):
     ) -> None:
         self.inner.put(key, payload, meta=meta)
 
-    # -- flight control (used directly by the vector backend) --------------
+    # -- the coalesced transaction -----------------------------------------
 
-    def try_lead(self, key: str) -> bool:
-        """Claim (or confirm owning) the flight for ``key``.
-
-        True means this thread is the leader and must eventually call
-        :meth:`settle`; False means another thread's flight is in
-        progress — :meth:`follow` it.  Re-claiming a flight this thread
-        already owns is idempotent (``settle`` fires once).
-        """
-        ident = threading.get_ident()
-        with _FLIGHTS_LOCK:
-            flight = _FLIGHTS.get((self.scope, key))
-            if flight is None:
-                _FLIGHTS[(self.scope, key)] = _Flight()
-                return True
-            return flight.owner == ident
-
-    def settle(self, key: str, payload: dict | None) -> None:
-        """Publish the flight's outcome and wake every follower.
+    def _settle(self, key: str, payload: dict | None) -> None:
+        """Close the flight for ``key`` and wake every follower.
 
         ``payload=None`` reports leader failure — followers recompute.
-        Idempotent: settling an already-settled (or never-led) key is a
-        no-op, so error-path ``finally`` blocks can settle broadly.
         """
         with _FLIGHTS_LOCK:
             flight = _FLIGHTS.pop((self.scope, key), None)
         if flight is not None:
             flight.payload = payload
             flight.event.set()
-
-    def follow(self, key: str, timeout: float | None = None) -> dict | None:
-        """Wait out the in-progress flight for ``key``, if any.
-
-        Returns the leader's payload, or None when there is no flight,
-        the wait timed out, or the leader failed — in every None case
-        the caller should fall back to computing (or reading) itself.
-        """
-        with _FLIGHTS_LOCK:
-            flight = _FLIGHTS.get((self.scope, key))
-        if flight is None:
-            return self.inner.get(key)
-        if not flight.event.wait(timeout):
-            return None
-        return flight.payload
-
-    # -- the coalesced transaction -----------------------------------------
 
     def get_or_compute(
         self,
@@ -174,10 +136,10 @@ class SingleFlightStore(ResultStore):
             try:
                 payload, info = compute()
             except BaseException:
-                self.settle(key, None)
+                self._settle(key, None)
                 raise
             self.inner.put(key, payload, meta=meta)
-            self.settle(key, payload)
+            self._settle(key, payload)
             _count_request(hit=False)
             _count_flight("led")
             return payload, False, info

@@ -103,7 +103,7 @@ from repro.campaign import (
     disk_cache_enabled,
     migrate,
 )
-from repro.cluster import BACKEND_CHOICES, HttpWorkerBackend, backend_for
+from repro.cluster import BACKEND_CHOICES, backend_for
 from repro.jobs import (
     JobsClient,
     JobsManager,
@@ -290,15 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs-dir", default=".repro_jobs", metavar="DIR",
         help="directory for persistent job records (default .repro_jobs); "
         "queued and running jobs found here are resumed on start",
-    )
-    serve_cmd.add_argument(
-        "--jobs-backend", default=None, choices=("vector", "http"),
-        help="where job cells execute; default runs them in-process, "
-        "time-sliced and preemptible at window-slice boundaries",
-    )
-    serve_cmd.add_argument(
-        "--jobs-workers", default=None, metavar="URL[,URL...]",
-        help="worker base URLs for --jobs-backend http",
     )
     serve_cmd.add_argument(
         "--window-slice", type=int, default=500, metavar="N",
@@ -489,10 +480,8 @@ def _add_backend_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--backend", default=None, choices=BACKEND_CHOICES,
         help="where cells execute: local process pool (sized by --jobs), "
-        "serial (in-process), vector (in-process and serial, claiming "
-        "every cold cell's single-flight slot first), or http (a "
-        "worker fleet); without the flag, runs are serial unless "
-        "--jobs > 1 builds a pool",
+        "serial (in-process), or http (a worker fleet); without the "
+        "flag, runs are serial unless --jobs > 1 builds a pool",
     )
     command.add_argument(
         "--workers", default=None, metavar="URL[,URL...]",
@@ -843,20 +832,6 @@ def _parse_tenant_quota(item: str) -> tuple[str, TenantPolicy]:
 
 
 def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
-    backend = None
-    if args.jobs_backend == "vector":
-        backend = backend_for("vector")
-    elif args.jobs_backend == "http":
-        workers = split_names(args.jobs_workers or "")
-        if not workers:
-            raise ConfigurationError(
-                "--jobs-backend http needs --jobs-workers URL[,URL...]"
-            )
-        backend = HttpWorkerBackend(workers)
-    elif args.jobs_workers:
-        raise ConfigurationError(
-            "--jobs-workers needs a matching --jobs-backend"
-        )
     quotas = QuotaManager(
         default=TenantPolicy(
             max_active=args.quota_max_active,
@@ -869,7 +844,6 @@ def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
     )
     return JobsManager(
         args.jobs_dir,
-        backend=backend,
         window_slice=args.window_slice,
         quotas=quotas,
     )
@@ -987,12 +961,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     _apply_obs_flags(args)
     jobs = _jobs_manager_from_flags(args) if args.jobs else None
-    if not args.jobs and (
-        args.jobs_backend or args.jobs_workers or args.tenant_quota
-    ):
-        raise ConfigurationError(
-            "--jobs-* and --tenant-quota flags need --jobs"
-        )
+    if not args.jobs and args.tenant_quota:
+        raise ConfigurationError("--tenant-quota needs --jobs")
     return serve(
         host=args.host,
         port=args.port,

@@ -5,11 +5,6 @@ package decides *where*.  An :class:`ExecutionBackend` receives a
 campaign's deduplicated cells and streams back encoded payloads:
 
 - :class:`SerialBackend` — the calling process, one cell at a time.
-- :class:`VectorBackend` — the calling process, serial, with every
-  cold cell's single-flight slot claimed before the batch runs.  Its
-  lockstep gangs are gone (solo windows outran them); the name stays
-  for ``--backend vector`` and the benchmark harness until the next
-  benchmark change retires it.
 - :class:`LocalProcessBackend` — a reusable local process pool.
 - :class:`HttpWorkerBackend` — a coordinator sharding cells across
   ``python -m repro worker`` processes over the ``/v1`` JSON protocol,
@@ -34,7 +29,7 @@ from repro.cluster.wire import WIRE_VERSION, cell_from_wire, cell_to_wire
 from repro.errors import ClusterError, ConfigurationError
 
 #: The CLI's ``--backend`` vocabulary.
-BACKEND_CHOICES = ("local", "serial", "vector", "http")
+BACKEND_CHOICES = ("local", "serial", "http")
 
 def backend_for(
     name: str,
@@ -54,15 +49,6 @@ def backend_for(
         if jobs != 1:
             raise ConfigurationError("--jobs does not apply to --backend serial")
         return SerialBackend()
-    if name == "vector":
-        if workers:
-            raise ConfigurationError("--workers only applies to --backend http")
-        if jobs != 1:
-            raise ConfigurationError(
-                "--jobs does not apply to --backend vector: cells run "
-                "in this process, one at a time"
-            )
-        return VectorBackend()
     if name == "local":
         if workers:
             raise ConfigurationError("--workers only applies to --backend http")

@@ -2,8 +2,7 @@
 
 :class:`~repro.campaign.Campaign` owns *what* to run (dedup, ordering,
 caching, provenance); an :class:`ExecutionBackend` owns *where*: the
-calling process (:class:`SerialBackend`, or :class:`VectorBackend`,
-which claims single-flight slots up front), a pool of local worker
+calling process (:class:`SerialBackend`), a pool of local worker
 processes (:class:`LocalProcessBackend`), or an HTTP worker fleet
 (:class:`~repro.cluster.http.HttpWorkerBackend`).
 
@@ -41,13 +40,9 @@ from abc import ABC, abstractmethod
 from concurrent.futures import Future, ProcessPoolExecutor
 from typing import ClassVar, Iterator, Sequence
 
-from repro.campaign.engine import cached_payload, run_outcome
+from repro.campaign.engine import run_cell
 from repro.campaign.spec import RunSpec
-from repro.campaign.stores import (
-    ResultStore,
-    SingleFlightStore,
-    default_store,
-)
+from repro.campaign.stores import ResultStore
 from repro.errors import ConfigurationError
 
 #: One submitted cell: (cache key, run spec).
@@ -113,93 +108,16 @@ class SerialBackend(ExecutionBackend):
 
     def iter_results(self) -> Iterator[CellResult]:
         for key, spec in self._cells:
-            outcome = run_outcome(spec, self._store)
+            outcome = run_cell(spec, self._store)
             yield (
                 key, outcome.payload, outcome.hit,
                 outcome.compute_seconds, outcome.store_info,
             )
 
 
-class VectorBackend(ExecutionBackend):
-    """Serial execution that claims every cold cell's flight up front.
-
-    Kept for its callers while the lockstep gangs it used to run are
-    gone (solo windows now outrun them): the frozen benchmark harness
-    (``perfbench/sims.py``) and ``--backend vector`` /
-    ``--jobs-backend vector`` still construct it, with no arguments.
-    The next benchmark change retires it in favor of
-    :class:`SerialBackend`.
-
-    One pass over the batch serves cache hits at once and, when the
-    store coalesces (the default stack does), registers a single-flight
-    claim for each cold cell before any of them runs: an API request
-    racing this batch for the same cell waits for it instead of
-    recomputing, and cells another thread is already computing are
-    followed instead of recomputed.  The claimed cells then run one at
-    a time, exactly as :class:`SerialBackend` runs them, so payloads
-    are byte-identical.
-    """
-
-    name = "vector"
-    in_process = True
-    shares_disk = True
-
-    def __init__(self) -> None:
-        self._cells: list[Cell] = []
-        self._store: ResultStore | None = None
-
-    def submit_cells(
-        self, cells: Sequence[Cell], store: ResultStore | None = None
-    ) -> None:
-        self._cells = list(cells)
-        self._store = store
-
-    def iter_results(self) -> Iterator[CellResult]:
-        store = default_store() if self._store is None else self._store
-        flights = store if isinstance(store, SingleFlightStore) else None
-        led: set[str] = set()
-        misses: list[Cell] = []
-        try:
-            for key, spec in self._cells:
-                payload = cached_payload(spec, store)
-                if payload is not None:
-                    yield key, payload, True, 0.0, {}
-                    continue
-                if flights is not None:
-                    if flights.try_lead(key):
-                        led.add(key)
-                    else:
-                        joined = flights.follow(key)
-                        if joined is not None:
-                            yield (
-                                key, joined, True, 0.0,
-                                {"single_flight": "coalesced"},
-                            )
-                            continue
-                        # The other leader failed; claim the flight
-                        # ourselves (best effort) and compute.
-                        if flights.try_lead(key):
-                            led.add(key)
-                misses.append((key, spec))
-            for key, spec in misses:
-                # ``run_outcome`` re-enters ``get_or_compute``; the
-                # flight table recognizes this thread as the owner and
-                # passes straight through, so settling stays ours.
-                outcome = run_outcome(spec, store)
-                if flights is not None:
-                    flights.settle(key, outcome.payload)
-                    led.discard(key)
-                yield (
-                    key, outcome.payload, outcome.hit,
-                    outcome.compute_seconds, outcome.store_info,
-                )
-        finally:
-            if flights is not None:
-                # Wake followers of any cell we claimed but never
-                # finished (error, abandoned iterator) empty-handed so
-                # they recompute instead of waiting forever.
-                for key in led:
-                    flights.settle(key, None)
+#: The frozen benchmark harness still imports this name; it is the
+#: serial backend.
+VectorBackend = SerialBackend
 
 
 def _pool_worker_execute(
@@ -212,7 +130,7 @@ def _pool_worker_execute(
     shared disk layer; an explicit store arrives as a pickled copy, so
     its disk layers are shared but memory layers are private.
     """
-    outcome = run_outcome(spec, store)
+    outcome = run_cell(spec, store)
     return (
         spec.key(), outcome.payload, outcome.hit,
         outcome.compute_seconds, outcome.store_info,

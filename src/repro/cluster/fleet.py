@@ -36,6 +36,29 @@ def _repro_src_dir() -> str:
     return str(Path(repro.__file__).resolve().parent.parent)
 
 
+def await_port_file(
+    path: str | Path, process: subprocess.Popen, *, timeout_s: float
+) -> int:
+    """Wait for a ``--port-file`` written by ``process``; return the port.
+
+    Raises :class:`~repro.errors.ClusterError` when the process exits
+    first or nothing appears within ``timeout_s``.
+    """
+    path = Path(path)
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if process.poll() is not None:
+            raise ClusterError(
+                f"process {process.pid} exited with code "
+                f"{process.returncode} before writing {path}"
+            )
+        text = path.read_text() if path.exists() else ""
+        if text.strip():
+            return int(text)
+        time.sleep(0.05)
+    raise ClusterError(f"no port appeared in {path} within {timeout_s}s")
+
+
 class LocalFleet:
     """A context manager owning N local worker subprocesses."""
 
@@ -93,33 +116,18 @@ class LocalFleet:
                 )
                 log.close()
                 self._procs.append(proc)
-            self._urls = [
-                f"http://{self.host}:{self._await_port(index)}"
-                for index in range(self.count)
+            ports = [
+                await_port_file(
+                    root / f"worker-{index}.port", proc,
+                    timeout_s=self.startup_timeout_s,
+                )
+                for index, proc in enumerate(self._procs)
             ]
+            self._urls = [f"http://{self.host}:{port}" for port in ports]
         except BaseException:
             self.stop()
             raise
         return self
-
-    def _await_port(self, index: int) -> int:
-        assert self._workdir is not None
-        port_file = Path(self._workdir.name) / f"worker-{index}.port"
-        deadline = time.monotonic() + self.startup_timeout_s
-        while time.monotonic() < deadline:
-            proc = self._procs[index]
-            if proc.poll() is not None:
-                raise ClusterError(
-                    f"worker {index} exited with code {proc.returncode} "
-                    f"before listening (see {port_file.parent}/worker-{index}.log)"
-                )
-            text = port_file.read_text() if port_file.exists() else ""
-            if text.strip():
-                return int(text)
-            time.sleep(0.05)
-        raise ClusterError(
-            f"worker {index} did not listen within {self.startup_timeout_s}s"
-        )
 
     def kill(self, index: int) -> None:
         """SIGKILL one worker (simulates a machine dying mid-grid)."""

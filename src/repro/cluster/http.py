@@ -7,11 +7,10 @@ Shards a campaign's cells across worker processes speaking the existing
   ``chunk_cells`` cells (auto-sized from the grid by default), so
   small grids amortize HTTP round-trips instead of paying one request
   per cell.  Dispatch stays pull-based: a worker takes its next chunk
-  when a slot frees, so a slow worker never strands cells.
-- **Bounded in-flight dispatch** — ``slots_per_worker`` pump threads
-  per worker, each carrying at most one HTTP request, so a fleet of N
-  workers never holds more than ``N x slots_per_worker`` chunks in
-  flight regardless of grid size.
+  when its request returns, so a slow worker never strands cells.
+- **Bounded in-flight dispatch** — one pump thread per worker, each
+  carrying at most one HTTP request, so a fleet of N workers never
+  holds more than N chunks in flight regardless of grid size.
 - **Time-sliced, preemptible cells** — with ``window_slice`` set, a
   worker runs at most that many DTM windows per request and returns
   either the finished payload or a versioned
@@ -47,7 +46,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.api.http import ServiceError, call_json
 from repro.campaign.stores import ResultStore
@@ -124,12 +123,10 @@ class HttpWorkerBackend(ExecutionBackend):
         health_timeout_s: float = 3.0,
         heartbeat_interval_s: float = 1.0,
         dead_after_missed: int = 2,
-        slots_per_worker: int = 1,
         max_attempts: int = 3,
         blacklist_after: int = 2,
         chunk_cells: int | None = None,
         window_slice: int | None = None,
-        on_event: Callable[[dict], None] | None = None,
     ) -> None:
         urls = [_normalize_worker_url(url) for url in workers]
         if not urls:
@@ -138,8 +135,6 @@ class HttpWorkerBackend(ExecutionBackend):
             )
         if len(set(urls)) != len(urls):
             raise ConfigurationError(f"duplicate worker URLs in {urls}")
-        if slots_per_worker < 1:
-            raise ConfigurationError("slots_per_worker must be >= 1")
         if max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
         if chunk_cells is not None and chunk_cells < 1:
@@ -156,11 +151,10 @@ class HttpWorkerBackend(ExecutionBackend):
         self.health_timeout_s = health_timeout_s
         self.heartbeat_interval_s = heartbeat_interval_s
         self.dead_after_missed = dead_after_missed
-        self.slots_per_worker = slots_per_worker
         self.max_attempts = max_attempts
         self.blacklist_after = blacklist_after
         #: Cells per request; None auto-sizes per batch (two dispatch
-        #: waves per slot, so stragglers can still be rebalanced).
+        #: waves per worker, so stragglers can still be rebalanced).
         self.chunk_cells = chunk_cells
         #: Max DTM windows a worker may run per request (None = whole
         #: cell).  Slicing forces one cell per request so each partial
@@ -169,12 +163,6 @@ class HttpWorkerBackend(ExecutionBackend):
         #: checkpoint state carries the trace-so-far, so each slice
         #: ships it both ways — slice wall time should dwarf that.
         self.window_slice = window_slice
-        #: Optional fleet-event listener: called with a small dict for
-        #: worker deaths and cell requeues (the jobs scheduler turns
-        #: these into job events).  Handlers run under the backend's
-        #: dispatch lock — they must be quick and must not call back
-        #: into this backend.
-        self.on_event = on_event
         self._workers = [_Worker(url) for url in urls]
         #: Cells per request for the current batch (set at submit).
         self._chunk = 1
@@ -207,13 +195,12 @@ class HttpWorkerBackend(ExecutionBackend):
             return 1
         if self.chunk_cells is not None:
             return self.chunk_cells
-        slots = max(1, len(self._workers) * self.slots_per_worker)
-        # Two dispatch waves per slot, but never more than 16 cells per
-        # request: an uncapped chunk on a huge grid (cells >> slots)
+        # Two dispatch waves per worker, but never more than 16 cells
+        # per request: an uncapped chunk on a huge grid (cells >> workers)
         # serializes whole shards behind single requests, so adding
         # workers stops shrinking the chunk — and therefore stops
         # adding parallelism or retry granularity.
-        return max(1, min(math.ceil(cells / (slots * 2)), 16))
+        return max(1, min(math.ceil(cells / (len(self._workers) * 2)), 16))
 
     def submit_cells(
         self, cells: Sequence[Cell], store: ResultStore | None = None
@@ -257,11 +244,10 @@ class HttpWorkerBackend(ExecutionBackend):
             threading.Thread(
                 target=self._pump,
                 args=(worker, generation),
-                name=f"repro-fleet-pump-{index}-{slot}",
+                name=f"repro-fleet-pump-{index}",
                 daemon=True,
             )
             for index, worker in enumerate(self._workers)
-            for slot in range(self.slots_per_worker)
         ]
         self._threads.append(
             threading.Thread(
@@ -351,7 +337,7 @@ class HttpWorkerBackend(ExecutionBackend):
                 self._cond.wait(timeout=0.2)
 
     def _pump(self, worker: _Worker, generation: int) -> None:
-        """One dispatch slot: pull a chunk, POST it, deliver or requeue."""
+        """One worker's loop: pull a chunk, POST it, deliver or requeue."""
         while True:
             cells = self._take_chunk(worker, generation)
             if not cells:
@@ -488,7 +474,7 @@ class HttpWorkerBackend(ExecutionBackend):
                 cell.windows_done = int(raw.get("windows_done", 0))
                 cell.compute_seconds += float(raw.get("compute_seconds", 0.0))
                 cell.slices += 1
-                # Front of the queue: the next free slot continues this
+                # Front of the queue: the next free worker continues this
                 # cell while its worker-side caches are still warm.
                 self._pending.appendleft(cell)
             self._cond.notify_all()
@@ -503,16 +489,6 @@ class HttpWorkerBackend(ExecutionBackend):
             for held in worker.in_flight.values()
         )
 
-    def _emit(self, event: str, **detail) -> None:
-        """Report a fleet event to the listener (errors swallowed)."""
-        hook = self.on_event
-        if hook is None:
-            return
-        try:
-            hook({"event": event, **detail})
-        except Exception:
-            pass
-
     def _requeue(
         self,
         worker: _Worker,
@@ -523,12 +499,6 @@ class HttpWorkerBackend(ExecutionBackend):
         with self._cond:
             if generation != self._generation:
                 return
-            self._emit(
-                "cells_requeued",
-                worker=worker.url,
-                keys=[cell.key for cell in cells],
-                why=why,
-            )
             METRICS.counter_inc(
                 "repro_fleet_requeues_total",
                 "Dispatch failures that requeued cells",
@@ -587,11 +557,6 @@ class HttpWorkerBackend(ExecutionBackend):
             if generation != self._generation:
                 return
             if worker.alive:
-                self._emit(
-                    "worker_dead",
-                    worker=worker.url,
-                    rescued=sorted(worker.in_flight),
-                )
                 METRICS.counter_inc(
                     "repro_fleet_workers_blacklisted_total",
                     "Workers marked dead/blacklisted by the coordinator",

@@ -3,9 +3,9 @@
 Promotes the single-campaign coordinator into a long-running shared
 service: a crash-safe persistent job queue with priorities and
 FIFO-within-priority ordering, per-tenant quotas and token-bucket rate
-limits, a priority-preempting scheduler that drains the queue onto any
-:class:`~repro.cluster.ExecutionBackend`, and a bounded-cardinality
-metrics registry backing ``GET /metrics``.
+limits, a priority-preempting scheduler that runs every job's cells
+in-process, time-sliced at window boundaries, and a
+bounded-cardinality metrics registry backing ``GET /metrics``.
 
 The HTTP surface lives in :mod:`repro.api.service` (``/v1/jobs``,
 ``/v1/healthz``, ``/metrics``); this package is transport-free and
@@ -22,7 +22,7 @@ fully usable in-process:
     })
 """
 
-from repro.jobs.client import JobsClient, wait_for_port_file
+from repro.jobs.client import JobsClient
 from repro.jobs.queue import JobQueue
 from repro.obs.metrics import MetricsRegistry
 from repro.jobs.scheduler import (
@@ -70,5 +70,4 @@ __all__ = [
     "expand_job_request",
     "job_progress_label",
     "new_job_id",
-    "wait_for_port_file",
 ]

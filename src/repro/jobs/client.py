@@ -101,17 +101,3 @@ class JobsClient:
             timeout_s=self.timeout_s,
         )
 
-
-def wait_for_port_file(path: str, *, timeout_s: float = 15.0) -> int:
-    """Poll a ``--port-file`` until the serving process writes it."""
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            with open(path) as handle:
-                text = handle.read().strip()
-            if text:
-                return int(text)
-        except (OSError, ValueError):
-            pass
-        time.sleep(0.05)
-    raise TimeoutError(f"no port appeared in {path} within {timeout_s}s")

@@ -6,23 +6,15 @@ through the same typed-request machinery the CLI and HTTP routes use,
 so a job's result document is exactly what the equivalent direct call
 would have produced — warm results are byte-identical.
 
-Execution has two paths:
-
-- **in-process sliced (default, ``backend=None``)** — every cell runs
-  on this thread through its :class:`~repro.engine.SteppingEngine` in
-  ``window_slice``-window slices.  At each slice boundary the engine's
-  checkpoint is persisted into the job record (crash durability) and
-  the scheduler checks for cancellation, a drain request, and queued
-  higher-priority work.  Preemption therefore lands at window-slice
-  granularity: the running job checkpoints, requeues with its original
-  submit sequence, and the urgent job takes the thread.
-- **execution backend** — cells run through
-  :class:`~repro.campaign.Campaign` on any
-  :class:`~repro.cluster.ExecutionBackend` (in-process serial, a process
-  pool, an HTTP worker fleet).  Cancel/preempt/drain are honored at
-  cell boundaries (the backend owns the intra-cell loop); an
-  :class:`~repro.cluster.HttpWorkerBackend`'s heartbeat requeues and
-  worker deaths surface as events on the running job's record.
+Every cell runs on this thread through
+:func:`~repro.campaign.run_cell`, in ``window_slice``-window slices of
+its :class:`~repro.engine.SteppingEngine`.  At each slice boundary the
+engine's checkpoint is persisted into the job record (crash
+durability) and the scheduler checks for cancellation, a drain
+request, and queued higher-priority work.  Preemption therefore lands
+at window-slice granularity: the running job checkpoints, requeues
+with its original submit sequence, and the urgent job takes the
+thread.
 
 :class:`JobsManager` bundles queue + scheduler + quotas + metrics into
 the object :class:`~repro.api.service.ReproService` mounts under
@@ -44,7 +36,7 @@ from repro.api.requests import (
     request_from_dict,
     request_to_dict,
 )
-from repro.campaign import Campaign, RunOutcome, run_cell
+from repro.campaign import run_cell
 from repro.engine import EngineState
 from repro.engine.progress import PROGRESS
 from repro.errors import ConfigurationError, ConflictError, ReproError
@@ -96,8 +88,8 @@ def expand_job_request(request: Any) -> tuple[list, list[dict]]:
     if isinstance(request, (CampaignRequest, ScenarioRequest)):
         if request.jobs != 1:
             raise ConfigurationError(
-                "job requests must have jobs=1: the scheduler (and its "
-                "backend) owns parallelism"
+                "job requests must have jobs=1: the scheduler runs "
+                "their cells one at a time"
             )
         _, specs = request.cells()
         return specs, [_cell_echo(spec) for spec in specs]
@@ -113,7 +105,6 @@ class JobScheduler:
         queue: JobQueue,
         *,
         store: Any | None = None,
-        backend: Any | None = None,
         window_slice: int = 500,
         metrics: MetricsRegistry | None = None,
         poll_s: float = 0.25,
@@ -122,18 +113,11 @@ class JobScheduler:
             raise ConfigurationError("window_slice must be >= 1")
         self.queue = queue
         self._store = store
-        self.backend = backend
         self.window_slice = window_slice
         self.metrics = metrics if metrics is not None else METRICS
         self._poll_s = poll_s
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self._current: JobRecord | None = None
-        self._current_lock = threading.Lock()
-        if backend is not None and getattr(backend, "on_event", "x") is None:
-            # An HttpWorkerBackend without a listener: surface its
-            # heartbeat requeues / worker deaths on the running job.
-            backend.on_event = self._fleet_event
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -161,18 +145,6 @@ class JobScheduler:
             thread.join(timeout=timeout_s if drain else self._poll_s * 4)
             self._thread = None
 
-    @property
-    def running_job_id(self) -> str | None:
-        """The job currently on the scheduler thread, if any."""
-        with self._current_lock:
-            return self._current.job_id if self._current else None
-
-    def backend_kind(self) -> str:
-        """A short label for the execution backend in use."""
-        if self.backend is None:
-            return "serial"
-        return type(self.backend).__name__.replace("Backend", "").lower()
-
     # -- the loop -----------------------------------------------------------
 
     def _loop(self) -> None:
@@ -181,8 +153,6 @@ class JobScheduler:
             self._publish_queue_gauges()
             if record is None:
                 continue
-            with self._current_lock:
-                self._current = record
             try:
                 self._execute_traced(record)
             except ReproError as error:
@@ -190,8 +160,6 @@ class JobScheduler:
             except Exception as error:  # noqa: BLE001 — keep the loop alive
                 self._fail(record, f"{type(error).__name__}: {error}")
             finally:
-                with self._current_lock:
-                    self._current = None
                 self._publish_queue_gauges()
 
     def _publish_queue_gauges(self) -> None:
@@ -204,37 +172,6 @@ class JobScheduler:
             "repro_jobs_running",
             "Jobs currently executing",
             self.queue.running_count(),
-        )
-        backend = self.backend
-        if backend is not None and hasattr(backend, "fleet_stats"):
-            stats = backend.fleet_stats()
-            self.metrics.gauge_set(
-                "repro_fleet_workers_alive",
-                "Fleet workers answering heartbeats",
-                sum(1 for worker in stats if worker["alive"]),
-            )
-            self.metrics.gauge_set(
-                "repro_fleet_workers_dead",
-                "Fleet workers marked dead",
-                sum(1 for worker in stats if not worker["alive"]),
-            )
-
-    def _fleet_event(self, event: dict) -> None:
-        """Backend listener: pin fleet events to the running job."""
-        with self._current_lock:
-            record = self._current
-        if record is None:
-            return
-        name = str(event.get("event", "fleet_event"))
-        detail = ", ".join(
-            f"{key}={value}"
-            for key, value in sorted(event.items())
-            if key != "event"
-        )
-        record.add_event(name, detail)
-        self.queue.persist(record)
-        self.metrics.counter_inc(
-            "repro_fleet_events_total", "Fleet events observed", kind=name
         )
 
     def _fail(self, record: JobRecord, message: str) -> None:
@@ -292,11 +229,7 @@ class JobScheduler:
         # A resumed/preempted job's completed cells are already in
         # record.results; continue from the first unfinished spec.
         start = min(record.cells_done, len(specs))
-        if self.backend is None:
-            runner = self._run_cells_sliced
-        else:
-            runner = self._run_cells_backend
-        state = runner(record, specs[start:], echoes[start:])
+        state = self._run_cells(record, specs[start:], echoes[start:])
         if state == _PREEMPTED:
             record.preemptions += 1
             self.metrics.counter_inc(
@@ -345,36 +278,12 @@ class JobScheduler:
             return _PREEMPTED
         return None
 
-    def _finish_cell(
-        self, record: JobRecord, spec: Any, echo: dict, outcome: RunOutcome
-    ) -> None:
-        cache = "hit" if outcome.hit else "miss"
-        record.results.append(cell_envelope(spec, outcome, echo).to_dict())
-        record.cells_done += 1
-        record.cell_states.pop(spec.key(), None)
-        self.queue.persist(record)
-        self.metrics.counter_inc(
-            "repro_job_cells_total",
-            "Cells served to jobs by cache state",
-            cache=cache,
-        )
-        # The cell's progress stream is complete; prune it eagerly.
-        PROGRESS.forget(job_progress_label(record.job_id, spec.key()))
-        LOG.info(
-            "job.cell_finished",
-            job=record.job_id,
-            cell=spec.key(),
-            cache=cache,
-            done=record.cells_done,
-            total=record.cells_total,
-        )
-
-    def _run_cells_sliced(
+    def _run_cells(
         self, record: JobRecord, specs: list, echoes: list[dict]
     ) -> str:
-        """The in-process path: every cell time-sliced on this thread."""
+        """Run the job's cells in order, each time-sliced on this thread."""
         for spec, echo in zip(specs, echoes):
-            state = self._run_one_sliced(record, spec, echo)
+            state = self._run_one(record, spec, echo)
             if state != _DONE:
                 return state
             interruption = self._interruption(record)
@@ -382,7 +291,8 @@ class JobScheduler:
                 return interruption
         return _DONE
 
-    def _run_one_sliced(self, record: JobRecord, spec: Any, echo: dict) -> str:
+    def _run_one(self, record: JobRecord, spec: Any, echo: dict) -> str:
+        """Run one cell to completion or to an interruption."""
         key = spec.key()
         resume = record.cell_states.get(key)
         if resume is not None:
@@ -408,24 +318,26 @@ class JobScheduler:
             )
         if outcome.payload is None:
             return interruption
-        self._finish_cell(record, spec, echo, outcome)
-        return _DONE
-
-    def _run_cells_backend(
-        self, record: JobRecord, specs: list, echoes: list[dict]
-    ) -> str:
-        """The backend path: cells via Campaign, checks between cells."""
-        echo_by_position = iter(echoes)
-        campaign = Campaign(specs, store=self._store, backend=self.backend)
-        for spec, outcome in campaign.iter_outcomes():
-            self._finish_cell(record, spec, next(echo_by_position), outcome)
-            if record.cells_done < record.cells_total:
-                interruption = self._interruption(record)
-                if interruption is not None:
-                    # Abandoning the iterator drops the backend's
-                    # remaining cells; completed ones are cached, so
-                    # the resume recomputes nothing.
-                    return interruption
+        cache = "hit" if outcome.hit else "miss"
+        record.results.append(cell_envelope(spec, outcome, echo).to_dict())
+        record.cells_done += 1
+        record.cell_states.pop(key, None)
+        self.queue.persist(record)
+        self.metrics.counter_inc(
+            "repro_job_cells_total",
+            "Cells served to jobs by cache state",
+            cache=cache,
+        )
+        # The cell's progress stream is complete; prune it eagerly.
+        PROGRESS.forget(job_progress_label(record.job_id, key))
+        LOG.info(
+            "job.cell_finished",
+            job=record.job_id,
+            cell=key,
+            cache=cache,
+            done=record.cells_done,
+            total=record.cells_total,
+        )
         return _DONE
 
 
@@ -443,7 +355,6 @@ class JobsManager:
         jobs_dir: str,
         *,
         store: Any | None = None,
-        backend: Any | None = None,
         window_slice: int = 500,
         quotas: QuotaManager | None = None,
         metrics: MetricsRegistry | None = None,
@@ -454,7 +365,6 @@ class JobsManager:
         self.scheduler = JobScheduler(
             self.queue,
             store=store,
-            backend=backend,
             window_slice=window_slice,
             metrics=self.metrics,
         )
@@ -512,8 +422,7 @@ class JobsManager:
         )
         record.cells_total = len(specs)
         # Capture the submitter's trace context so the scheduler thread
-        # (and any backend workers it dispatches to) joins the same
-        # trace when the job eventually runs.
+        # joins the same trace when the job eventually runs.
         record.trace = TRACER.propagation_header()
         self.queue.persist(record)
         self.metrics.counter_inc(
@@ -617,16 +526,16 @@ class JobsManager:
 
     # -- introspection -------------------------------------------------------
 
-    def backend_kind(self) -> str:
-        """The scheduler's execution-backend label."""
-        return self.scheduler.backend_kind()
-
     def health(self) -> dict:
-        """The jobs section of ``/v1/healthz``."""
+        """The jobs section of ``/v1/healthz``.
+
+        ``backend`` is always ``"serial"``: job cells run on the
+        scheduler thread.
+        """
         return {
             "queue_depth": self.queue.depth(),
             "running": self.queue.running_count(),
-            "backend": self.backend_kind(),
+            "backend": "serial",
         }
 
     def publish_usage_metrics(self) -> None:

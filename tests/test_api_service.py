@@ -249,7 +249,7 @@ def test_progress_route_reports_engine_runs(service, tmp_path, monkeypatch):
     status, empty = _get(service, "/v1/progress?key=nope")
     assert status == 200 and empty["runs"] == {}
     code, body = _error(service, "/v1/progress?bogus=1")
-    assert code == 400 and "unknown progress parameters" in body["error"]
+    assert code == 400 and "unknown query parameters ['bogus']" in body["error"]
     code, body = _error(service, "/v1/progress", data=b"{}")
     assert code == 405
 
@@ -451,7 +451,7 @@ def test_error_responses(service, tmp_path):
     code, body = _error(service, "/v1/simulate?copies=two")
     assert code == 400 and "must be an integer" in body["error"]
     code, body = _error(service, "/v1/scenarios?flavor=spicy")
-    assert code == 400 and "unknown scenario-listing parameters" in body["error"]
+    assert code == 400 and "unknown query parameters ['flavor']" in body["error"]
     code, body = _error(service, "/v1/scenarios?kind=ch6")
     assert code == 400 and "kind must be" in body["error"]
     code, body = _error(service, "/v1/simulate", data=b"{not json")
@@ -503,6 +503,99 @@ def test_error_responses(service, tmp_path):
                 code, headers, _ = _raw(svc, method, path)
                 assert code == 405, (method, path)
                 assert headers["Allow"] == ", ".join(methods), (method, path)
+
+
+#: A valid body for each POST row, so a refusal can only come from the
+#: query string.
+_CELL = {"mix": "W1", "policy": "ts", "copies": 1}
+_POST_BODIES = {
+    "/v1/simulate": _CELL,
+    "/v1/server": {"mix": "W1", "policy": "bw", "copies": 1},
+    "/v1/compare": {"mix": "W1", "copies": 1},
+    "/v1/campaign": {
+        "grid": "ch4", "mixes": ["W1"], "policies": ["ts"], "copies": 1,
+    },
+    "/v1/scenarios/run": {"names": ["hot-ambient"]},
+    "/v1/worker/run": {
+        "cells": [cell_to_wire(Chapter4Spec(mix="W1", policy="ts", copies=1))]
+    },
+    "/v1/jobs": {"request": {"type": "simulate", **_CELL}},
+}
+
+
+@pytest.fixture(scope="module")
+def idle_jobs_service(tmp_path_factory):
+    """A jobs-enabled service whose scheduler never starts, holding one
+    queued job for the ``<id>`` routes."""
+    jobs = JobsManager(
+        str(tmp_path_factory.mktemp("jobs")), store=MemoryStore()
+    )
+    queued = jobs.submit_body({"request": {"type": "simulate", **_CELL}})
+    svc = ReproService(
+        port=0, client=ReproClient(store=MemoryStore()), jobs=jobs
+    )
+    with _serving(svc):
+        yield svc, queued["job"]["id"]
+
+
+def _exchange(svc: ReproService, method: str, path: str, body=None):
+    """One request with an optional JSON body: (status, JSON document)."""
+    connection = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+    try:
+        data = None if body is None else json.dumps(body).encode()
+        connection.request(method, path, body=data)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize(
+    "method, pattern",
+    [
+        (method, pattern)
+        for pattern, methods in service_module._ROUTES.items()
+        for method in methods
+    ],
+)
+def test_every_route_refuses_a_stray_query_parameter(
+    idle_jobs_service, method, pattern
+):
+    """Each table row names the query parameters it accepts; any other
+    is a structured 400 before the handler runs."""
+    svc, job_id = idle_jobs_service
+    before = [r.to_dict() for r in svc.jobs.queue.list_records()]
+    status, body = _exchange(
+        svc, method, pattern.replace("<id>", job_id) + "?stray=1",
+        _POST_BODIES.get(pattern) if method == "POST" else None,
+    )
+    assert status == 400, body
+    assert body["schema_version"] == SCHEMA_VERSION
+    assert body["error"].startswith(
+        f"unknown query parameters ['stray'] for {method} {pattern}"
+    )
+    # Nothing was submitted or cancelled.
+    assert [r.to_dict() for r in svc.jobs.queue.list_records()] == before
+
+
+def test_query_parameters_follow_the_route_table(idle_jobs_service):
+    svc, _ = idle_jobs_service
+    # A POST run route takes its request from the body alone: a valid
+    # body does not make a query string acceptable.
+    status, body = _exchange(
+        svc, "POST", "/v1/simulate?policy=warp&mix=W99", _CELL
+    )
+    assert status == 400
+    assert "unknown query parameters ['mix', 'policy']" in body["error"]
+    # The parameters each row does accept keep working.
+    for path in (
+        "/metrics?format=json",
+        "/v1/progress?key=nope",
+        "/v1/scenarios?kind=ch4&tag=x",
+        "/v1/jobs?tenant=default",
+    ):
+        status, _ = _exchange(svc, "GET", path)
+        assert status == 200, path
 
 
 def test_call_json_maps_every_failure_to_one_error(service):

@@ -58,6 +58,18 @@ def test_unknown_policy_rejected():
         main(["simulate", "--policy", "warp"])
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["campaign", "--backend", "vector"], "invalid choice: 'vector'"),
+    (["serve", "--jobs", "--jobs-backend", "http"], "unrecognized arguments"),
+    (["serve", "--jobs", "--jobs-workers", "x:1"], "unrecognized arguments"),
+])
+def test_removed_backend_options_are_unknown(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_command_required():
     with pytest.raises(SystemExit):
         main([])

@@ -30,13 +30,11 @@ from repro.campaign import (
     spec_type_for,
     sweep,
 )
-from repro.campaign.stores import SingleFlightStore, flights_in_progress
 from repro.cluster import (
     BACKEND_CHOICES,
     HttpWorkerBackend,
     LocalProcessBackend,
     SerialBackend,
-    VectorBackend,
     backend_for,
     cell_from_wire,
     cell_to_wire,
@@ -278,7 +276,7 @@ def test_backend_for_factory():
     assert isinstance(local, LocalProcessBackend) and local.jobs == 3
     http = backend_for("http", workers=["127.0.0.1:9001"])
     assert isinstance(http, HttpWorkerBackend)
-    assert set(BACKEND_CHOICES) == {"local", "serial", "vector", "http"}
+    assert set(BACKEND_CHOICES) == {"local", "serial", "http"}
     with pytest.raises(ConfigurationError, match="needs --workers"):
         backend_for("http")
     with pytest.raises(ConfigurationError, match="only applies"):
@@ -293,6 +291,8 @@ def test_backend_for_factory():
         backend_for("http", jobs=4, workers=["127.0.0.1:9001"])
     with pytest.raises(ConfigurationError, match="unknown backend"):
         backend_for("quantum")
+    with pytest.raises(ConfigurationError, match="unknown backend"):
+        backend_for("vector")
 
 
 def test_http_backend_validates_configuration():
@@ -531,88 +531,27 @@ def test_batch_cells_validates():
     with pytest.raises(TypeError, match="batch_cells"):
         HttpWorkerBackend(["127.0.0.1:9001"], batch_cells=4)
     with pytest.raises(TypeError, match="batch_cells"):
-        backend_for("vector", batch_cells=4)
+        backend_for("serial", batch_cells=4)
 
 
 # ---------------------------------------------------------------------------
-# The in-process vector backend (serial execution, flights claimed first)
+# Gang planning (every cell runs solo)
 # ---------------------------------------------------------------------------
 
 #: Cheap Chapter 4 cells: an inlet family plus two thermally-sensitive
 #: partners.
-_VECTOR_BASE = Chapter4Spec(mix="W1", policy="no-limit", copies=1)
-_VECTOR_SPECS = (
-    _VECTOR_BASE,
-    replace(_VECTOR_BASE, inlet_delta_c=1.0),
-    replace(_VECTOR_BASE, policy="ts"),
-    replace(_VECTOR_BASE, policy="ts", inlet_delta_c=1.0),
+_BASE = Chapter4Spec(mix="W1", policy="no-limit", copies=1)
+_SPECS = (
+    _BASE,
+    replace(_BASE, inlet_delta_c=1.0),
+    replace(_BASE, policy="ts"),
+    replace(_BASE, policy="ts", inlet_delta_c=1.0),
 )
 
 
-def test_vector_backend_payloads_match_serial_backend_bytes():
-    cells = [(spec_key(spec), spec) for spec in _VECTOR_SPECS]
-
-    def payload_bytes(backend) -> list[bytes]:
-        with backend:
-            backend.submit_cells(cells, store=MemoryStore())
-            by_key = {key: payload for key, payload, *_ in backend.iter_results()}
-        return [
-            json.dumps(by_key[key], sort_keys=True).encode() for key, _ in cells
-        ]
-
-    assert payload_bytes(VectorBackend()) == payload_bytes(SerialBackend())
-
-
 def test_plan_gangs_returns_every_cell_solo_in_order():
-    specs = [*_VECTOR_SPECS, Chapter5Spec(mix="W1", policy="bw", copies=1)]
+    specs = [*_SPECS, Chapter5Spec(mix="W1", policy="bw", copies=1)]
     cells = [(spec_key(spec), spec) for spec in specs]
     plan = plan_gangs(cells, batch_cells=16)
     assert plan.gangs == ()
     assert plan.solo == tuple(cells)
-
-
-class _SignallingFlights(SingleFlightStore):
-    """A flight store that reports when a caller starts following."""
-
-    def __init__(self, inner) -> None:
-        super().__init__(inner, scope="vector-coalesce")
-        self.following = threading.Event()
-
-    def follow(self, key, timeout=None):
-        self.following.set()
-        return super().follow(key, timeout)
-
-
-def test_vector_backend_coalesces_with_a_racing_flight():
-    """A cold cell another thread is already computing is followed, not
-    recomputed: the backend yields the leader's payload as a coalesced
-    hit, and its own claimed cells still compute and settle."""
-    store = _SignallingFlights(MemoryStore())
-    racing, own = _VECTOR_SPECS[0], _VECTOR_SPECS[2]
-    racing_key = spec_key(racing)
-    leader_payload = run_payload(racing, MemoryStore())[0]
-    claimed = threading.Event()
-
-    def leader() -> None:
-        assert store.try_lead(racing_key)
-        claimed.set()
-        # Settle only once the backend is waiting on this flight.
-        store.following.wait(10)
-        store.settle(racing_key, leader_payload)
-
-    thread = threading.Thread(target=leader)
-    thread.start()
-    assert claimed.wait(10)
-    with VectorBackend() as backend:
-        backend.submit_cells(
-            [(racing_key, racing), (spec_key(own), own)], store=store
-        )
-        results = {key: rest for key, *rest in backend.iter_results()}
-    thread.join(10)
-    assert not thread.is_alive()
-    payload, hit, seconds, info = results[racing_key]
-    assert payload == leader_payload and hit and seconds == 0.0
-    assert info == {"single_flight": "coalesced"}
-    payload, hit, _, _ = results[spec_key(own)]
-    assert not hit and payload == run_payload(own, MemoryStore())[0]
-    assert flights_in_progress("vector-coalesce") == 0

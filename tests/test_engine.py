@@ -30,6 +30,7 @@ from repro.engine import (
     CheckpointFile,
     CheckpointObserver,
     EngineState,
+    EngineStateSerializer,
     PROGRESS,
     TraceRecorder,
 )
@@ -251,6 +252,31 @@ def test_checkpoint_observer_resume_roundtrip_via_file(tmp_path):
     result = resumed_engine.run_to_completion()
     assert server_result_to_dict(result) == baseline
     assert not path.exists()
+
+
+def test_serializer_output_matches_plain_dumps_across_writes():
+    engine = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
+    serializer = EngineStateSerializer()
+    for _ in range(3):
+        engine.step_windows(97)
+        state = engine.checkpoint()
+        assert serializer.serialize(state) == json.dumps(
+            state.to_dict(), sort_keys=True
+        )
+
+
+def test_checkpoint_file_written_via_serializer_loads_identically(tmp_path):
+    engine = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
+    engine.step_windows(113)
+    state = engine.checkpoint()
+    plain = CheckpointFile(tmp_path / "plain.json")
+    cached = CheckpointFile(tmp_path / "deep" / "cached.json")  # mkdir path
+    plain.write(state)
+    cached.write(state, serializer=EngineStateSerializer())
+    assert (tmp_path / "plain.json").read_text() == (
+        tmp_path / "deep" / "cached.json"
+    ).read_text()
+    assert cached.load().to_dict() == state.to_dict()
 
 
 # ---------------------------------------------------------------------------

@@ -36,17 +36,26 @@ import pytest
 from repro.api import ReproClient, ReproService, SimulateRequest
 from repro.api.http import ServiceError
 from repro.api.envelope import SCHEMA_VERSION, dumps_canonical
+from repro.api.requests import request_from_dict
 from repro.campaign import MemoryStore
 from repro.cli import main
+from repro.cluster.fleet import await_port_file
 from repro.engine.progress import PROGRESS, ProgressBroker
-from repro.errors import ConfigurationError, ConflictError, ReproError
+from repro.errors import (
+    ClusterError,
+    ConfigurationError,
+    ConflictError,
+    ReproError,
+)
 from repro.jobs import (
     CANCELLED,
     COMPLETED,
+    FAILED,
     QUEUED,
     RUNNING,
     JobQueue,
     JobRecord,
+    JobScheduler,
     JobsClient,
     JobsManager,
     JobStore,
@@ -55,10 +64,11 @@ from repro.jobs import (
     QuotaManager,
     TenantPolicy,
     TokenBucket,
+    expand_job_request,
     job_progress_label,
-    wait_for_port_file,
 )
 from repro.obs.metrics import OVERFLOW_LABEL
+from repro.obs.trace import TRACER
 
 #: The workhorse request: one cold ch4 cell, ~0.3 s of compute —
 #: thousands of windows, so small window slices yield many preemption
@@ -578,6 +588,106 @@ class TestJobsManager:
         with pytest.raises(ConfigurationError):
             manager.submit_body({"request": "not-a-dict"})
 
+    @pytest.mark.parametrize("body, match", [
+        ([], "must be a JSON object"),
+        ({"request": FAST_REQUEST, "tenant": ""}, "tenant must be"),
+        ({"request": FAST_REQUEST, "priority": "high"}, "must be an integer"),
+        ({"request": FAST_REQUEST, "priority": True}, "must be an integer"),
+        ({"request": FAST_REQUEST, "priority": 101}, "between -100 and 100"),
+        ({"request": {"type": "campaign", "jobs": 2}}, "jobs=1"),
+    ])
+    def test_submit_body_refuses_each_bad_field(self, tmp_path, body, match):
+        manager = _manager(tmp_path, MemoryStore())
+        with pytest.raises(ConfigurationError, match=match):
+            manager.submit_body(body)
+        assert manager.queue.list_records() == []
+
+    def test_compare_job_runs_one_cell_per_scheme(self):
+        specs, echoes = expand_job_request(
+            request_from_dict({"type": "compare", "mix": "W1", "copies": 1})
+        )
+        assert len(specs) == len(echoes) == 8
+        assert {echo["type"] for echo in echoes} == {"simulate"}
+        assert [echo["policy"] for echo in echoes] == [
+            spec.policy for spec in specs
+        ]
+
+    def test_multi_cell_job_answers_a_results_document(self, tmp_path):
+        manager = _manager(tmp_path, MemoryStore())
+        manager.start()
+        try:
+            job_id = _submit(manager, {
+                "type": "campaign", "grid": "ch4", "mixes": ["W1"],
+                "policies": ["ts", "no-limit"], "copies": 1,
+            })
+            record = _wait_terminal(manager, job_id)
+        finally:
+            manager.stop(drain=False)
+        assert record.status == COMPLETED
+        assert record.cells_done == record.cells_total == 2
+        document = manager.result_document(job_id)
+        assert document == {
+            "schema_version": SCHEMA_VERSION, "results": record.results,
+        }
+
+    @pytest.mark.parametrize("error, message", [
+        (ReproError("no such cell"), "no such cell"),
+        (RuntimeError("boom"), "RuntimeError: boom"),
+    ])
+    def test_a_failing_cell_fails_its_job_with_the_error(
+        self, tmp_path, monkeypatch, error, message
+    ):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("repro.jobs.scheduler.run_cell", broken)
+        manager = _manager(tmp_path, MemoryStore())
+        manager.start()
+        try:
+            job_id = _submit(manager)
+            record = _wait_terminal(manager, job_id)
+        finally:
+            manager.stop(drain=False)
+        assert record.status == FAILED and record.error == message
+        assert "failed" in _event_names(record)
+        assert manager.status_document(job_id)["job"]["error"] == message
+
+    def test_job_joins_the_trace_captured_at_submit(self, tmp_path):
+        manager = _manager(tmp_path, MemoryStore())
+        TRACER.configure(enabled=True)
+        try:
+            with TRACER.span("client") as parent:
+                job_id = _submit(manager)
+            manager.start()
+            try:
+                assert _wait_terminal(manager, job_id).status == COMPLETED
+            finally:
+                manager.stop(drain=False)
+            spans = TRACER.spans(parent.trace_id)
+        finally:
+            TRACER.configure(enabled=False)
+            TRACER.clear()
+        jobs = [span for span in spans if span.name == "job"]
+        assert len(jobs) == 1 and jobs[0].parent_id == parent.span_id
+
+    def test_cancelling_a_queued_job_is_immediate(self, tmp_path):
+        manager = _manager(tmp_path, MemoryStore())
+        job_id = _submit(manager)
+        assert manager.cancel(job_id)["job"]["status"] == CANCELLED
+        assert manager.queue.get(job_id).terminal
+
+    def test_scheduler_refuses_a_zero_slice_and_starts_once(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="window_slice"):
+            JobScheduler(JobQueue(tmp_path / "queue"), window_slice=0)
+        manager = _manager(tmp_path, MemoryStore())
+        manager.start()
+        try:
+            thread = manager.scheduler._thread
+            manager.scheduler.start()
+            assert manager.scheduler._thread is thread
+        finally:
+            manager.stop(drain=False)
+
     def test_invalid_request_rejected_before_quota_and_disk(self, tmp_path):
         """A bad request is a 400 at submit: no record, no quota token."""
         jobs_dir = tmp_path / "jobs"
@@ -810,8 +920,8 @@ def _spawn_server(workdir: Path, cache_dir: Path, *extra: str):
         stderr=subprocess.DEVNULL,
     )
     try:
-        port = wait_for_port_file(str(port_file), timeout_s=30)
-    except TimeoutError:
+        port = await_port_file(port_file, process, timeout_s=30)
+    except ClusterError:
         process.kill()
         raise
     return process, f"http://127.0.0.1:{port}"

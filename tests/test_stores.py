@@ -33,7 +33,7 @@ from repro.campaign import (
     TieredStore,
     migrate,
     register_runner,
-    run_outcome,
+    run_cell,
     spec_key,
     spec_meta,
 )
@@ -196,9 +196,23 @@ def test_single_flight_n_cold_requests_one_compute(tmp_path, request):
 def test_single_flight_leader_failure_followers_recover(request):
     store = SingleFlightStore(MemoryStore(), scope=_scope(request))
     key = "test-cube-doomed"
-    assert store.try_lead(key)  # this thread is the (doomed) leader
     computes, lock = [], threading.Lock()
+    leading = threading.Event()
     started = threading.Barrier(4)
+    failures: list[BaseException] = []
+    served: list[tuple[dict, bool]] = []
+
+    def doomed() -> tuple[dict, dict]:
+        leading.set()
+        started.wait()
+        time.sleep(0.05)  # let the followers park on the flight
+        raise RuntimeError("leader dies empty-handed")
+
+    def lead() -> None:
+        try:
+            store.get_or_compute(key, doomed)
+        except RuntimeError as error:
+            failures.append(error)
 
     def compute() -> tuple[dict, dict]:
         with lock:
@@ -208,75 +222,50 @@ def test_single_flight_leader_failure_followers_recover(request):
     def follow() -> None:
         started.wait()
         payload, hit, _ = store.get_or_compute(key, compute)
-        assert payload == {"ok": True}
-        assert not hit  # recovered by computing, not by coalescing
+        with lock:
+            served.append((payload, hit))
 
+    leader = threading.Thread(target=lead)
+    leader.start()
+    assert leading.wait(10)  # the leader thread holds the flight
     threads = [threading.Thread(target=follow) for _ in range(3)]
     for t in threads:
         t.start()
-    started.wait()
-    time.sleep(0.05)  # let the followers park on the flight
-    store.settle(key, None)  # leader dies empty-handed
-    for t in threads:
+    for t in [leader, *threads]:
         t.join()
 
+    assert len(failures) == 1  # the leader's own error reached it
+    assert len(served) == 3
+    for payload, hit in served:
+        assert payload == {"ok": True}
+        assert not hit  # recovered by computing, not by coalescing
     assert len(computes) == 3  # every follower recovered independently
     assert flights_in_progress(_scope(request)) == 0
-    store.settle(key, None)  # idempotent on a settled key
 
 
 def test_single_flight_owner_reenters_without_deadlock(request):
     store = SingleFlightStore(MemoryStore(), scope=_scope(request))
     key = "test-cube-nested"
-    assert store.try_lead(key)
-    assert store.try_lead(key)  # re-claiming our own flight is fine
-    # A nested get_or_compute under our own flight computes directly
-    # instead of waiting on ourselves.
-    payload, hit, _ = store.get_or_compute(key, lambda: ({"n": 1}, {}))
+    nested: list = []
+
+    def compute() -> tuple[dict, dict]:
+        # A nested get_or_compute under our own flight computes directly
+        # instead of waiting on ourselves.
+        nested.append(store.get_or_compute(key, lambda: ({"n": 1}, {})))
+        assert flights_in_progress(_scope(request)) == 1
+        return nested[0][0], {}
+
+    payload, hit, _ = store.get_or_compute(key, compute)
+    assert nested[0][0] == {"n": 1} and not nested[0][1]
     assert payload == {"n": 1} and not hit
-    store.settle(key, payload)
     assert flights_in_progress(_scope(request)) == 0
 
 
-def test_follow_covers_every_flight_state(request):
-    store = SingleFlightStore(MemoryStore(), scope=_scope(request))
-    key = "test-cube-00f1"
-    # No flight in progress: follow degrades to a plain inner read.
-    assert store.follow(key) is None
-    store.put(key, {"cube": 1})
-    assert store.follow(key) == {"cube": 1}
-    # An open flight that outlives the timeout: the caller gets None
-    # and should fall back to computing itself.
-    other = "test-cube-00f2"
-    assert store.try_lead(other)
-    waited: list = []
-    follower = threading.Thread(
-        target=lambda: waited.append(store.follow(other, timeout=0.01))
-    )
-    follower.start()
-    follower.join()
-    assert waited == [None]
-    # A settled flight hands its payload to followers; publish to the
-    # inner store first so a follower arriving after the settle (the
-    # no-flight path) reads the same payload instead of racing.
-    store.put(other, {"cube": 8})
-    done: list = []
-    follower = threading.Thread(
-        target=lambda: done.append(store.follow(other, timeout=5.0))
-    )
-    follower.start()
-    time.sleep(0.02)  # usually parks the follower on the flight
-    store.settle(other, {"cube": 8})
-    follower.join()
-    assert done == [{"cube": 8}]
-    assert flights_in_progress(_scope(request)) == 0
-
-
-def test_run_outcome_reports_flight_provenance(tmp_path, request):
+def test_run_cell_reports_flight_provenance(tmp_path, request):
     store = SingleFlightStore(JsonDirStore(tmp_path), scope=_scope(request))
-    cold = run_outcome(CubeSpec(5), store)
+    cold = run_cell(CubeSpec(5), store)
     assert not cold.hit and cold.payload["cube"] == 125
-    warm = run_outcome(CubeSpec(5), store)
+    warm = run_cell(CubeSpec(5), store)
     assert warm.hit and warm.store_info == {}
 
 

@@ -42,8 +42,7 @@ diffable JSON file instead of anecdotes.  Current probes:
 - ``job_queue_throughput`` — submit-to-complete latency through the
   ``repro.jobs`` service: warm single-cell jobs at 1/8/32 queued
   (the per-job queue overhead — persist, schedule, envelope), and one
-  cold 8-cell compare job on the serial sliced scheduler vs the
-  vector backend (serial cells, single-flight slots claimed first).
+  cold 8-cell compare job on the time-sliced scheduler.
 - ``tracing_overhead`` — the same Fig. 4.3 cell with ``repro.obs``
   tracing off (the default: one ``is None`` check per window) vs on
   at the default 1-in-32 window sampling, reps interleaved.  The
@@ -82,7 +81,7 @@ from repro.campaign import (  # noqa: E402
     SingleFlightStore,
     TieredStore,
     engine_for_spec,
-    run_outcome,
+    run_cell,
     run_payload,
 )
 from repro.cluster import HttpWorkerBackend, LocalFleet  # noqa: E402
@@ -519,7 +518,7 @@ class _CountingFlightStore(SingleFlightStore):
 def bench_single_flight_dedup(threads: int = 6) -> dict:
     """N threads stampede one cold cell; exactly one compute may run.
 
-    This is the service/vector-backend scenario the
+    This is the concurrent-service scenario the
     :class:`SingleFlightStore` exists for: without coalescing the
     stampede runs ``threads`` identical GIL-bound simulations.  The
     bench times the coalesced stampede against the solo cell and
@@ -543,7 +542,7 @@ def bench_single_flight_dedup(threads: int = 6) -> dict:
 
         def stampede() -> None:
             gate.wait()
-            outcome = run_outcome(spec, store)
+            outcome = run_cell(spec, store)
             with lock:
                 outcomes.append(outcome)
 
@@ -631,8 +630,8 @@ def bench_tracing_overhead(repeats: int) -> dict:
 
 
 #: The job-bench cold workload: the full Fig. 4.3 comparison — eight
-#: same-workload cells, which the serial sliced scheduler steps in
-#: window slices and the vector backend runs whole, one after another.
+#: same-workload cells, which the scheduler steps in window slices, one
+#: after another.
 JOB_COLD_REQUEST = {"type": "compare", "mix": "W1", "copies": 1}
 JOB_COLD_CELLS = 8
 
@@ -640,33 +639,27 @@ JOB_COLD_CELLS = 8
 def bench_job_queue_throughput(repeats: int) -> dict:
     """Submit-to-complete latency through the jobs service.
 
-    Two probes of :mod:`repro.jobs`:
+    Two probes of :mod:`repro.jobs`, on its one (time-sliced) scheduler:
 
-    - warm jobs at 1/8/32 queued, on the serial sliced scheduler and
-      on the vector backend: every cell is a cache hit, so the
+    - warm jobs at 1/8/32 queued: every cell is a cache hit, so the
       measured time is pure service overhead — persist, enqueue,
       schedule, envelope, persist again — per job;
-    - one cold 8-cell compare job (the Fig. 4.3 scheme sweep) on the
-      serial (sliced, preemptible) scheduler vs the vector backend,
-      which runs each cell whole with its single-flight slot claimed.
+    - one cold 8-cell compare job (the Fig. 4.3 scheme sweep).
     """
     import tempfile
 
-    from repro.cluster import VectorBackend
     from repro.jobs import JobsManager, QuotaManager, TenantPolicy
 
     warm_request = {
         "type": "simulate", "mix": "W1", "policy": "ts", "copies": 1,
     }
     warm_store = MemoryStore()
-    run_outcome(
-        Chapter4Spec(mix="W1", policy="ts", copies=1), store=warm_store
-    )
+    run_cell(Chapter4Spec(mix="W1", policy="ts", copies=1), warm_store)
 
-    def drive(store, request, count, backend=None) -> float:
+    def drive(store, request, count) -> float:
         with tempfile.TemporaryDirectory(prefix="repro-bench-jobs-") as root:
             manager = JobsManager(
-                root, store=store, backend=backend, window_slice=2000,
+                root, store=store, window_slice=2000,
                 # The bench measures the queue, not the admission
                 # control: quotas sized so 32 queued jobs all admit.
                 quotas=QuotaManager(TenantPolicy(
@@ -698,37 +691,21 @@ def bench_job_queue_throughput(repeats: int) -> dict:
         "description": (
             "submit-to-complete latency through the jobs service: warm "
             "single-cell jobs at 1/8/32 queued (pure queue overhead), "
-            "and one cold 8-cell compare job (Fig. 4.3 sweep), serial "
-            "sliced scheduler vs vector backend"
+            "and one cold 8-cell compare job (Fig. 4.3 sweep)"
         ),
     }
     for load in (1, 8, 32):
-        serial_best = min(
+        best = min(
             drive(warm_store, warm_request, load) for _ in range(repeats)
         )
-        vector_best = min(
-            drive(warm_store, warm_request, load, backend=VectorBackend())
-            for _ in range(repeats)
-        )
-        result[f"warm_{load}_jobs_serial_seconds"] = round(serial_best, 4)
-        result[f"warm_{load}_jobs_vector_seconds"] = round(vector_best, 4)
-        result[f"warm_{load}_jobs_ms_per_job"] = round(
-            min(serial_best, vector_best) / load * 1e3, 3
-        )
+        result[f"warm_{load}_jobs_serial_seconds"] = round(best, 4)
+        result[f"warm_{load}_jobs_ms_per_job"] = round(best / load * 1e3, 3)
 
-    serial_cold = min(
+    cold = min(
         drive(MemoryStore(), JOB_COLD_REQUEST, 1) for _ in range(repeats)
     )
-    vector_cold = min(
-        drive(MemoryStore(), JOB_COLD_REQUEST, 1, backend=VectorBackend())
-        for _ in range(repeats)
-    )
     result["cold_compare_cells"] = JOB_COLD_CELLS
-    result["cold_compare_serial_seconds"] = round(serial_cold, 4)
-    result["cold_compare_vector_seconds"] = round(vector_cold, 4)
-    result["cold_compare_vector_speedup"] = round(
-        serial_cold / vector_cold, 3
-    )
+    result["cold_compare_serial_seconds"] = round(cold, 4)
     return result
 
 
@@ -831,10 +808,8 @@ def main(argv: list[str] | None = None) -> int:
                 f"  {name}: warm {bench['warm_1_jobs_ms_per_job']}/"
                 f"{bench['warm_8_jobs_ms_per_job']}/"
                 f"{bench['warm_32_jobs_ms_per_job']} ms/job at 1/8/32, "
-                f"cold compare serial "
-                f"{bench['cold_compare_serial_seconds']}s vs vector "
-                f"{bench['cold_compare_vector_seconds']}s "
-                f"({bench['cold_compare_vector_speedup']}x)"
+                f"cold compare "
+                f"{bench['cold_compare_serial_seconds']}s"
             )
             continue
         if headline is None and "traced_over_untraced" in bench:
