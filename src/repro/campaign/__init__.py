@@ -15,7 +15,6 @@ execute, cache, and order runs.
 from repro.campaign.engine import (
     Campaign,
     RunOutcome,
-    cached_payload,
     run,
     run_cell,
     run_payload,
@@ -55,7 +54,6 @@ from repro.campaign.stores import (
 __all__ = [
     "Campaign",
     "RunOutcome",
-    "cached_payload",
     "run",
     "run_cell",
     "run_payload",
