@@ -18,8 +18,7 @@ from repro.core.windowmodel import WindowModel
 from repro.dram.address import AddressMapper
 from repro.dram.controller import ChannelController
 from repro.dram.trafficgen import poisson_trace
-from repro.dtm.acg import DTMACG
-from repro.dtm.pid_policies import PIDPolicy
+from repro.dtm import DTMACG, PIDPolicy
 from repro.params.dram_timing import FBDIMMChannelParams
 from repro.params.thermal_params import AOHS_1_0, FDHS_1_0, ISOLATED_AMBIENT
 from repro.thermal.isolated import stable_temperatures

@@ -14,10 +14,8 @@ from repro.analysis.normalize import geometric_mean
 from repro.analysis.tables import format_table
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
 from repro.core.windowmodel import WindowModel
-from repro.dtm.acg import DTMACG
+from repro.dtm import DTMACG, DTMCDVFS, DTMCOMB
 from repro.dtm.base import NoLimitPolicy
-from repro.dtm.cdvfs import DTMCDVFS
-from repro.dtm.comb import DTMCOMB
 from repro.params.emergency import SIMULATION_LEVELS
 
 

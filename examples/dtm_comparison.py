@@ -13,7 +13,7 @@ import sys
 from repro import SimulationConfig, TwoLevelSimulator
 from repro.analysis.tables import format_table
 from repro.core.windowmodel import WindowModel
-from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMTS, make_pid_policy
+from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMTS, PIDPolicy
 from repro.dtm.base import NoLimitPolicy
 from repro.params.thermal_params import COOLING_CONFIGS
 
@@ -30,9 +30,9 @@ def main() -> None:
         DTMBW(),
         DTMACG(),
         DTMCDVFS(),
-        make_pid_policy("bw"),
-        make_pid_policy("acg"),
-        make_pid_policy("cdvfs"),
+        PIDPolicy("bw"),
+        PIDPolicy("acg"),
+        PIDPolicy("cdvfs"),
     ]
     baseline = None
     rows = []

@@ -24,7 +24,7 @@ def main() -> None:
             NoLimitPolicy(cores=4),
             DTMBW(platform.levels),
             DTMACG(platform.levels, min_active=2),
-            DTMCDVFS(platform.levels, stopped_level=4),
+            DTMCDVFS(platform.levels),
             DTMCOMB(platform.levels, min_active=2),
         ]
         baseline = None

@@ -10,7 +10,7 @@ Run:  python examples/thermal_emergency_trace.py
 from repro import SimulationConfig, TwoLevelSimulator
 from repro.analysis.tables import format_series
 from repro.core.windowmodel import WindowModel
-from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMTS, make_pid_policy
+from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMTS, PIDPolicy
 
 
 def main() -> None:
@@ -21,11 +21,11 @@ def main() -> None:
     for policy in (
         DTMTS(),
         DTMBW(),
-        make_pid_policy("bw"),
+        PIDPolicy("bw"),
         DTMACG(),
-        make_pid_policy("acg"),
+        PIDPolicy("acg"),
         DTMCDVFS(),
-        make_pid_policy("cdvfs"),
+        PIDPolicy("cdvfs"),
     ):
         result = TwoLevelSimulator(config, policy, window_model=window_model).run()
         window = result.trace.window(0.0, 1000.0)

@@ -30,13 +30,8 @@ from repro.campaign import register_runner, run, spec_key
 from repro.core.results import RunResult, TemperatureTrace
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
 from repro.core.windowmodel import MemoryEnvelope, WindowModel
-from repro.dtm.acg import DTMACG
-from repro.dtm.base import DTMPolicy, NoLimitPolicy
-from repro.dtm.bw import DTMBW
-from repro.dtm.cdvfs import DTMCDVFS
-from repro.dtm.comb import DTMCOMB
-from repro.dtm.pid_policies import PIDPolicy
-from repro.dtm.ts import DTMTS
+from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB, DTMTS, DTMPolicy, PIDPolicy
+from repro.dtm.base import NoLimitPolicy
 from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 from repro.params.thermal_params import (
@@ -276,7 +271,7 @@ def make_chapter5_policy(name: str, platform: ServerPlatform) -> DTMPolicy:
     if name == "acg":
         return DTMACG(platform.levels, cores=platform.total_cores, min_active=2)
     if name == "cdvfs":
-        return DTMCDVFS(platform.levels, cores=platform.total_cores, stopped_level=4)
+        return DTMCDVFS(platform.levels, cores=platform.total_cores)
     if name == "comb":
         return DTMCOMB(platform.levels, cores=platform.total_cores, min_active=2)
     raise ConfigurationError(f"unknown Chapter 5 policy {name!r}")

@@ -27,7 +27,9 @@ starts.  Every error answer is one ``{"schema_version": ..., "error":
 (the request body may be unread): library errors are 400s naming the
 bad field or value, an unknown job or trace is a 404, a result read
 before its job completed a 409, and refusals (429, 503) carry
-machine-readable fields (``retry_after_s``, ``reason``).
+machine-readable fields (``retry_after_s``, ``reason``).  Any other
+exception a handler raises is logged (``http.unhandled``) and answered
+as a 500, so a fault never closes the connection without a reply.
 
 Concurrency is bounded: the server remains threaded (cheap routes and
 status polls always answer), but the compute routes (the run routes and
@@ -52,6 +54,7 @@ import re
 import signal
 import threading
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from urllib.parse import parse_qsl, urlparse
@@ -208,6 +211,18 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(409, str(error), extra=error.detail)
             except ReproError as error:
                 self._error(400, str(error))
+            except Exception as error:  # noqa: BLE001 - a fault still answers
+                LOG.error(
+                    "http.unhandled",
+                    f"{method} {url.path} raised {type(error).__name__}: {error}",
+                    route=pattern or "other",
+                    method=method,
+                    error=repr(error),
+                    traceback=traceback.format_exc(),
+                )
+                self._error(
+                    500, f"internal error ({type(error).__name__}); see the service log"
+                )
             finally:
                 self.server.metrics.observe(
                     "repro_http_request_seconds",

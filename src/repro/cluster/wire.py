@@ -14,23 +14,60 @@ Wire shape::
 
 Only JSON-scalar spec fields survive the trip (every registered spec
 kind — ``ch4``, ``ch5``, and the scenario-lowered cells — satisfies
-this).  ``cell_from_wire`` re-validates through the spec dataclass's
-own ``__post_init__``, so a malformed or hostile payload fails with a
-:class:`~repro.errors.ConfigurationError`, never a partial spec.
+this).  ``cell_from_wire`` checks each value against its field's
+declared type with the checkpoint codec's kinds (a bool field takes a
+bool, an int field an int but not a bool, a float field an int or a
+finite float, null only where the field is optional), then rebuilds
+the spec through its dataclass, so a malformed or hostile payload
+fails with a :class:`~repro.errors.ConfigurationError`, never a
+partial spec.  Values are checked, not converted: the cache key hashes
+each value as sent.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
+import types
+import typing
 from dataclasses import asdict, is_dataclass
+from functools import lru_cache
 from typing import Any, Mapping
 
 from repro.campaign.spec import RunSpec, spec_type_for
-from repro.errors import ConfigurationError
+from repro.engine.codec import Count, Flag, Float, Kind, Optional, Text
+from repro.errors import CheckpointError, ConfigurationError
 
 #: Bump when the cell wire shape changes incompatibly.  A worker that
 #: receives a foreign version rejects the request outright rather than
 #: guessing at fields.
 WIRE_VERSION = 1
+
+#: The kind that checks a wire value, by the field's declared type.
+_KINDS: dict[type, Kind] = {
+    bool: Flag(),
+    int: Count(minimum=-math.inf),
+    float: Float(),
+    str: Text(),
+}
+
+
+@lru_cache(maxsize=None)
+def _field_kinds(cls: type) -> dict[str, Kind]:
+    """The kind of each scalar field of a spec type, by field name."""
+    hints = typing.get_type_hints(cls)
+    kinds = {}
+    for field in dataclasses.fields(cls):
+        declared = hints[field.name]
+        nullable = False
+        if typing.get_origin(declared) in (typing.Union, types.UnionType):
+            members = [t for t in typing.get_args(declared) if t is not type(None)]
+            nullable = len(members) == 1
+            declared = members[0] if nullable else None
+        kind = _KINDS.get(declared)
+        if kind is not None:
+            kinds[field.name] = Optional(kind) if nullable else kind
+    return kinds
 
 
 def cell_to_wire(spec: RunSpec) -> dict:
@@ -68,6 +105,15 @@ def cell_from_wire(raw: Mapping[str, Any]) -> RunSpec:
             f"wire cell for kind {kind!r} needs a 'fields' object"
         )
     cls = spec_type_for(kind)
+    kinds = _field_kinds(cls)
+    for name, value in fields.items():
+        if name in kinds:
+            try:
+                kinds[name].decode(value, f"fields.{name}", None)
+            except CheckpointError as error:
+                raise ConfigurationError(
+                    f"wire cell for kind {kind!r}: {error}"
+                ) from None
     try:
         spec = cls(**{str(name): value for name, value in fields.items()})
     except TypeError as error:

@@ -36,7 +36,9 @@ per-client loop the tests keep as an oracle.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from typing import Any
 
 from repro.cache.sharing import SharedCacheModel
 from repro.errors import ConfigurationError
@@ -121,6 +123,45 @@ class WindowResult:
     def l2_misses_per_s(self) -> float:
         """Aggregate L2 miss rate."""
         return sum(slot.l2_misses_per_s for slot in self.slots)
+
+
+def operating_point(
+    envelope: MemoryEnvelope,
+    effective_peak: float,
+    rates_at: Callable[[float], tuple],
+    steps: int,
+) -> tuple[float, float, float, Any]:
+    """The served operating point of a level-1 model.
+
+    ``rates_at(latency_s)`` returns the model's rates at one pinned
+    memory latency, total demand (bytes/s) last.  Demand falls as
+    latency grows and latency grows with utilization, so
+    ``demand(L(u)) - u * effective_peak`` has one root: ``steps``
+    bisections on utilization find it.  When demand exceeds the peak
+    even at the saturated latency (tight caps), the memory controller
+    admits traffic at the peak and every rate scales down uniformly.
+
+    Returns ``(utilization, latency_s, scale, rates)``: ``rates`` is
+    ``rates_at(latency_s)``, to be multiplied by the admission
+    ``scale`` (1.0 unless saturated).
+    """
+    rho_max = envelope.rho_max
+    latency = envelope.latency_s(rho_max)
+    rates = rates_at(latency)
+    demand = rates[-1]
+    if demand >= rho_max * effective_peak:
+        scale = rho_max * effective_peak / demand if demand > 0 else 1.0
+        return rho_max, latency, scale, rates
+    lo, hi = 0.0, rho_max
+    for _ in range(steps):
+        mid = (lo + hi) / 2.0
+        if rates_at(envelope.latency_s(mid))[-1] > mid * effective_peak:
+            lo = mid
+        else:
+            hi = mid
+    utilization = (lo + hi) / 2.0
+    latency = envelope.latency_s(utilization)
+    return utilization, latency, 1.0, rates_at(latency)
 
 
 #: Idle window: nothing running (or memory off).
@@ -258,7 +299,6 @@ class WindowModel:
         frequency_hz: float,
         bandwidth_cap_bytes_per_s: float | None = None,
         memory_on: bool = True,
-        cache_capacity_override_bytes: float | None = None,
     ) -> WindowResult:
         """Evaluate one window.
 
@@ -270,8 +310,6 @@ class WindowModel:
                 cap; 0 behaves as memory off).
             memory_on: False models thermal shutdown — every core stalls
                 on its first miss, so progress and traffic are zero.
-            cache_capacity_override_bytes: per-call L2 capacity override
-                (the Chapter 5 servers have one L2 per socket).
 
         Returns:
             The window's :class:`WindowResult`.
@@ -291,13 +329,10 @@ class WindowModel:
             None
             if bandwidth_cap_bytes_per_s is None
             else round(bandwidth_cap_bytes_per_s),
-            cache_capacity_override_bytes,
         )
         result = self._cache.get(key)
         if result is None:
-            result = self._solve(
-                apps, frequency_hz, bandwidth_cap_bytes_per_s, cache_capacity_override_bytes
-            )
+            result = self._solve(apps, frequency_hz, bandwidth_cap_bytes_per_s)
             self._cache[key] = result
         return self._reorder(result, names)
 
@@ -320,51 +355,17 @@ class WindowModel:
         )
 
     def _solve(
-        self,
-        apps: list[AppProfile],
-        frequency_hz: float,
-        cap: float | None,
-        cache_override: float | None,
+        self, apps: list[AppProfile], frequency_hz: float, cap: float | None
     ) -> WindowResult:
-        """Bisection on channel utilization (see module docstring).
-
-        ``demand(L(u))`` decreases in u while served capacity ``u * B``
-        increases, so the operating point is the unique crossing.  When
-        demand exceeds capacity even at the saturated latency (tight
-        caps), all rates scale down uniformly — admission control at the
-        memory controller.
-        """
-        envelope = self._envelope
-        effective_peak = envelope.peak_bandwidth_bytes_per_s
+        """The window at its served operating point (:func:`operating_point`)."""
+        effective_peak = self._envelope.peak_bandwidth_bytes_per_s
         if cap is not None:
             effective_peak = min(effective_peak, cap)
         frequency_scale = frequency_hz / self._max_frequency_hz
-        cache_model = (
-            self._cache_model
-            if cache_override is None
-            else SharedCacheModel(cache_override)
+        rates = _FixedLatencyRates(apps, frequency_hz, frequency_scale, self._cache_model)
+        utilization, latency, scale, (ipc, miss_ratio, _) = operating_point(
+            self._envelope, effective_peak, rates.at_latency, BISECTION_STEPS
         )
-        rates = _FixedLatencyRates(apps, frequency_hz, frequency_scale, cache_model)
-        rho_max = envelope.rho_max
-        scale = 1.0
-        ipc, miss_ratio, demand = rates.at_latency(envelope.latency_s(rho_max))
-        if demand >= rho_max * effective_peak:
-            utilization = rho_max
-            latency = envelope.latency_s(rho_max)
-            if demand > 0:
-                scale = rho_max * effective_peak / demand
-        else:
-            lo, hi = 0.0, rho_max
-            for _ in range(BISECTION_STEPS):
-                mid = (lo + hi) / 2.0
-                _, _, demand_mid = rates.at_latency(envelope.latency_s(mid))
-                if demand_mid > mid * effective_peak:
-                    lo = mid
-                else:
-                    hi = mid
-            utilization = (lo + hi) / 2.0
-            latency = envelope.latency_s(utilization)
-            ipc, miss_ratio, _ = rates.at_latency(latency)
         slots = []
         total_read = 0.0
         total_write = 0.0

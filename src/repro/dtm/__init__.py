@@ -1,32 +1,31 @@
 """Dynamic thermal management policies (§4.2, §5.2).
 
-Existing schemes:
+Every policy maps a thermal reading to a
+:class:`~repro.dtm.base.ControlDecision` once per DTM interval.
 
 - :class:`repro.dtm.ts.DTMTS` — thermal shutdown with TDP/TRP hysteresis.
-- :class:`repro.dtm.bw.DTMBW` — bandwidth throttling by emergency level.
+- :mod:`repro.dtm.ladder` — the table-driven schemes, one
+  :class:`~repro.dtm.ladder.LadderPolicy` each: bandwidth throttling
+  (:class:`DTMBW`) and the paper's proposals, adaptive core gating
+  (:class:`DTMACG`), coordinated DVFS (:class:`DTMCDVFS`) and both
+  combined (:class:`DTMCOMB`, Chapter 5).
+  :func:`~repro.dtm.ladder.ladder_decision` is the one map from an
+  emergency-table rung to a decision.
+- :class:`repro.dtm.pid_policies.PIDPolicy` — PID-driven variants that
+  pick rungs of the same ladders, driven by
+  :class:`repro.dtm.pid.PIDController` (Eq. 4.1 with integral-enable
+  threshold and saturation anti-windup).
 
-Proposed schemes (the paper's contribution):
-
-- :class:`repro.dtm.acg.DTMACG` — adaptive core gating.
-- :class:`repro.dtm.cdvfs.DTMCDVFS` — coordinated DVFS.
-- :class:`repro.dtm.comb.DTMCOMB` — gating + DVFS combined (Chapter 5).
-
-Formal control:
-
-- :class:`repro.dtm.pid.PIDController` — Eq. 4.1 with integral-enable
-  threshold and saturation anti-windup.
-- :mod:`repro.dtm.pid_policies` — PID-driven variants of BW/ACG/CDVFS.
+Each policy builds its decisions in its constructor, so ``decide``
+returns a shared frozen decision and allocates nothing.
 """
 
 from repro.dtm.base import ControlDecision, DTMPolicy, ThermalReading
 from repro.dtm.levels import LevelTracker
 from repro.dtm.ts import DTMTS
-from repro.dtm.bw import DTMBW
-from repro.dtm.acg import DTMACG
-from repro.dtm.cdvfs import DTMCDVFS
-from repro.dtm.comb import DTMCOMB
+from repro.dtm.ladder import DTMACG, DTMBW, DTMCDVFS, DTMCOMB, LadderPolicy
 from repro.dtm.pid import PIDController, PIDGains
-from repro.dtm.pid_policies import PIDPolicy, make_pid_policy
+from repro.dtm.pid_policies import PIDPolicy
 
 __all__ = [
     "ControlDecision",
@@ -34,6 +33,7 @@ __all__ = [
     "ThermalReading",
     "LevelTracker",
     "DTMTS",
+    "LadderPolicy",
     "DTMBW",
     "DTMACG",
     "DTMCDVFS",
@@ -41,5 +41,4 @@ __all__ = [
     "PIDController",
     "PIDGains",
     "PIDPolicy",
-    "make_pid_policy",
 ]

@@ -24,10 +24,6 @@ class ThermalReading:
     amb_c: float
     dram_c: float
 
-    def hotter(self, other: "ThermalReading") -> bool:
-        """Whether either component exceeds the other reading's."""
-        return self.amb_c > other.amb_c or self.dram_c > other.dram_c
-
 
 @dataclass(frozen=True)
 class ControlDecision:
@@ -88,34 +84,14 @@ class DTMPolicy(abc.ABC):
         """Restore initial policy state (default: stateless)."""
 
 
-
-def _decision_memo(policy: DTMPolicy) -> dict:
-    """The per-instance cache of frozen decisions.
-
-    A policy emits very few *distinct* decisions (one per ladder rung /
-    latch state); :meth:`DTMPolicy.decide` implementations reuse
-    the frozen :class:`ControlDecision` objects instead of validating a
-    new one per window.  Lazy so the concrete policies' constructors
-    stay untouched.
-    """
-    memo = getattr(policy, "_decision_cache", None)
-    if memo is None:
-        memo = policy._decision_cache = {}
-    return memo
-
-
 class NoLimitPolicy(DTMPolicy):
     """The ideal system without any thermal limit (the paper's baseline)."""
 
     name = "No-limit"
 
     def __init__(self, cores: int = 4) -> None:
-        self._cores = cores
+        self._decision = ControlDecision(active_cores=cores)
 
     def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Always full speed, regardless of temperature."""
-        memo = _decision_memo(self)
-        decision = memo.get(None)
-        if decision is None:
-            decision = memo[None] = ControlDecision(active_cores=self._cores)
-        return decision
+        return self._decision

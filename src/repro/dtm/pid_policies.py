@@ -4,7 +4,8 @@ Two controllers run side by side — one regulating the AMB temperature,
 one the DRAM temperature — and the more conservative output acts (for
 any given cooling configuration one of the two is always the binding
 limit, §4.2.3).  The normalized output selects a rung of the same
-decision ladder the table-driven scheme uses, so "DTM-ACG + PID" picks an
+decision ladder the table-driven scheme uses
+(:func:`repro.dtm.ladder.ladder_decision`), so "DTM-ACG + PID" picks an
 active-core count, "DTM-CDVFS + PID" a DVFS level, and "DTM-BW + PID" a
 bandwidth cap.  A reading at or above a TDP forces the most aggressive
 rung regardless of controller state (the worst-case safety net).
@@ -14,7 +15,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
+from repro.dtm.base import ControlDecision, DTMPolicy
+from repro.dtm.ladder import ladder_decision
 from repro.dtm.pid import (
     AMB_GAINS,
     AMB_INTEGRAL_ENABLE_C,
@@ -58,10 +60,11 @@ class PIDPolicy(DTMPolicy):
     ) -> None:
         if scheme not in ("bw", "acg", "cdvfs", "comb"):
             raise ConfigurationError(f"unknown PID scheme {scheme!r}")
-        self._scheme = scheme
         self._levels = levels if levels is not None else SIMULATION_LEVELS
-        self._cores = cores
-        self._min_active = min_active
+        self._decisions = tuple(
+            ladder_decision(scheme, self._levels, rung, cores, min_active)
+            for rung in range(self._levels.level_count)
+        )
         self.name = f"DTM-{scheme.upper()}+PID"
         amb_enable = AMB_INTEGRAL_ENABLE_C if integral_enabled else float("inf")
         dram_enable = DRAM_INTEGRAL_ENABLE_C if integral_enabled else float("inf")
@@ -71,11 +74,6 @@ class PIDPolicy(DTMPolicy):
         self._dram_pid = PIDController(
             DRAM_GAINS, dram_target_c, integral_enable_c=dram_enable
         )
-
-    @property
-    def scheme(self) -> str:
-        """Which actuator this policy drives."""
-        return self._scheme
 
     def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """Run both controllers; the binding (lower) output acts."""
@@ -90,65 +88,10 @@ class PIDPolicy(DTMPolicy):
         # Safety net: at/above a TDP, force the most aggressive rung.
         if amb_c >= self._levels.amb_tdp_c or dram_c >= self._levels.dram_tdp_c:
             rung = rung_count - 1
-        memo = _decision_memo(self)
-        decision = memo.get(rung)
-        if decision is None:
-            decision = memo[rung] = self._decision_for_rung(rung)
-        return decision
-
-    def _decision_for_rung(self, rung: int) -> ControlDecision:
-        """Translate a ladder rung into the scheme's actuator state."""
-        if self._scheme == "bw":
-            cap = self._levels.bw_caps_bytes_per_s[rung]
-            memory_on = cap is None or cap > 0.0
-            return ControlDecision(
-                memory_on=memory_on,
-                bandwidth_cap_bytes_per_s=cap if memory_on else 0.0,
-                active_cores=self._cores,
-                emergency_level=rung,
-            )
-        if self._scheme == "acg":
-            active = self._levels.acg_active_cores[rung]
-            if active > 0:
-                active = max(active, self._min_active)
-            return ControlDecision(
-                memory_on=active > 0,
-                active_cores=min(active, self._cores),
-                emergency_level=rung,
-            )
-        if self._scheme == "cdvfs":
-            dvfs = self._levels.cdvfs_levels[rung]
-            stopped = dvfs >= 4
-            return ControlDecision(
-                memory_on=not stopped,
-                active_cores=0 if stopped else self._cores,
-                dvfs_level=dvfs,
-                emergency_level=rung,
-            )
-        # comb: both ladders at once.
-        active = self._levels.acg_active_cores[rung]
-        if active > 0:
-            active = max(active, self._min_active)
-        dvfs = min(self._levels.cdvfs_levels[rung], 3)
-        return ControlDecision(
-            memory_on=active > 0,
-            active_cores=min(active, self._cores),
-            dvfs_level=dvfs if active > 0 else 4,
-            emergency_level=rung,
-        )
+        return self._decisions[rung]
 
     def reset(self) -> None:
         """Reset both controllers."""
         self._amb_pid.reset()
         self._dram_pid.reset()
 
-
-
-def make_pid_policy(
-    scheme: str,
-    levels: EmergencyLevels | None = None,
-    cores: int = 4,
-    **kwargs,
-) -> PIDPolicy:
-    """Convenience constructor for PID-driven policies."""
-    return PIDPolicy(scheme, levels=levels, cores=cores, **kwargs)

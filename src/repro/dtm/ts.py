@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.dtm.base import ControlDecision, DTMPolicy, _decision_memo
+from repro.dtm.base import ControlDecision, DTMPolicy
 from repro.engine.codec import Field, Flag
 from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
@@ -40,16 +40,29 @@ class DTMTS(DTMPolicy):
         dram_trp_c: float | None = None,
     ) -> None:
         self._levels = levels if levels is not None else SIMULATION_LEVELS
-        self._cores = cores
         self._amb_trp_c = amb_trp_c if amb_trp_c is not None else self._levels.amb_trp_c
         self._dram_trp_c = (
             dram_trp_c if dram_trp_c is not None else self._levels.dram_trp_c
         )
-        if self._amb_trp_c >= self._levels.amb_tdp_c:
+        # Written so that a NaN release point fails too: it would never
+        # release the memory.
+        if not self._amb_trp_c < self._levels.amb_tdp_c:
             raise ConfigurationError("AMB TRP must be below the AMB TDP")
-        if self._dram_trp_c >= self._levels.dram_tdp_c:
+        if not self._dram_trp_c < self._levels.dram_tdp_c:
             raise ConfigurationError("DRAM TRP must be below the DRAM TDP")
         self._shut_down = False
+        #: Indexed by (shut down, emergency level).
+        self._decisions = tuple(
+            tuple(
+                ControlDecision(
+                    memory_on=not shut_down,
+                    active_cores=cores,
+                    emergency_level=level,
+                )
+                for level in range(self._levels.level_count)
+            )
+            for shut_down in (False, True)
+        )
 
     @property
     def shut_down(self) -> bool:
@@ -69,16 +82,7 @@ class DTMTS(DTMPolicy):
             and dram_c <= self._dram_trp_c
         ):
             self._shut_down = False
-        key = (self._shut_down, levels.level(amb_c, dram_c))
-        memo = _decision_memo(self)
-        decision = memo.get(key)
-        if decision is None:
-            decision = memo[key] = ControlDecision(
-                memory_on=not key[0],
-                active_cores=self._cores,
-                emergency_level=key[1],
-            )
-        return decision
+        return self._decisions[self._shut_down][levels.level(amb_c, dram_c)]
 
     def reset(self) -> None:
         """Memory back on."""

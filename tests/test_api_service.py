@@ -318,6 +318,20 @@ def test_worker_run_rejects_gangs_field(service):
     assert "unknown worker run fields ['gangs']" in body["error"]
 
 
+def test_worker_run_refuses_a_mistyped_cell(service):
+    """A wire value of the wrong type is a structured 400 naming the
+    field, never a handler crash that closes the connection."""
+    spec = Chapter5Spec(policy="no-limit", copies=1)
+    cell = cell_to_wire(spec)
+    cell["fields"]["copies"] = "1"
+    code, body = _error(
+        service, "/v1/worker/run", data=json.dumps({"cells": [cell]}).encode()
+    )
+    assert code == 400
+    assert body["schema_version"] == SCHEMA_VERSION
+    assert "fields.copies must be an integer, got '1'" in body["error"]
+
+
 @pytest.fixture(scope="module")
 def one_slot_service():
     """A service with a single compute slot, so a leaked slot shows."""
@@ -392,6 +406,38 @@ def test_worker_run_rejects_a_malformed_resume_state(one_slot_service, defect):
     assert "state" in body["error"] or "thermal" in body["error"]
     assert one_slot_service.acquire_run_slot()
     one_slot_service.release_run_slot()
+
+
+def test_an_unexpected_handler_error_is_a_structured_500(
+    one_slot_service, monkeypatch
+):
+    """A fault outside the library's errors answers a 500 error
+    document; the request is still timed and its run slot freed."""
+    svc = one_slot_service
+
+    def broken(request):
+        raise RuntimeError("injected fault")
+
+    def timed() -> int:
+        return svc.metrics.histogram_stats(
+            "repro_http_request_seconds", route="/v1/simulate"
+        )[0]
+
+    monkeypatch.setattr(svc.client, "simulate", broken)
+    url = svc.url + "/v1/simulate?mix=W1&policy=ts&copies=1"
+    before = timed()
+    with pytest.raises(ServiceError) as excinfo:
+        call_json("GET", url, timeout_s=5)
+    assert excinfo.value.status == 500
+    assert excinfo.value.body["schema_version"] == SCHEMA_VERSION
+    assert "RuntimeError" in excinfo.value.error
+    # The latency lands just after the reply is written.
+    deadline = time.monotonic() + 5.0
+    while timed() == before and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert timed() == before + 1
+    monkeypatch.undo()
+    assert call_json("GET", url, timeout_s=5)["request"]["mix"] == "W1"
 
 
 def test_sequential_requests_never_see_spurious_429(monkeypatch):

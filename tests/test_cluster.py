@@ -32,6 +32,7 @@ from repro.campaign import (
 )
 from repro.cluster import (
     BACKEND_CHOICES,
+    WIRE_VERSION,
     HttpWorkerBackend,
     LocalProcessBackend,
     SerialBackend,
@@ -126,6 +127,44 @@ def test_wire_rejects_malformed_cells():
         cell_from_wire({"kind": "ch4", "fields": {"bogus_field": 1}})
     with pytest.raises(ConfigurationError, match="dataclass"):
         cell_to_wire(object())
+
+
+@pytest.mark.parametrize(
+    "kind, fields",
+    [
+        ("ch5", {"copies": "1"}),
+        ("ch5", {"ambient_override_c": float("nan")}),
+        ("ch4", {"record_trace": "no"}),
+        ("ch4", {"amb_trp_c": float("nan"), "policy": "ts"}),
+        ("ch4", {"copies": True}),
+        ("ch4", {"record_trace": 1}),
+        ("ch4", {"mix": None}),
+        ("ch4", {"dtm_interval_s": float("inf")}),
+        ("ch5", {"amb_tdp_c": "90"}),
+    ],
+    ids=lambda value: value if isinstance(value, str) else "-".join(value),
+)
+def test_wire_refuses_a_value_of_the_wrong_type(kind, fields):
+    """Each wire value is checked against its field's declared type
+    before the spec is built: a string count, a NaN temperature, a
+    string flag, a bool count, an int flag, a null where the field has
+    no null, an infinite interval and a string temperature are all
+    refused, naming the field."""
+    wire = {"wire_version": WIRE_VERSION, "kind": kind, "fields": fields}
+    with pytest.raises(ConfigurationError, match=f"fields.{next(iter(fields))}"):
+        cell_from_wire(wire)
+
+
+def test_wire_checks_values_without_converting_them():
+    """An int for a float field and null for an optional one are
+    accepted as sent, so the cache key hashes what the coordinator
+    sent."""
+    spec = cell_from_wire({
+        "kind": "ch4",
+        "fields": {"dtm_interval_s": 1, "interaction": None, "copies": 1},
+    })
+    assert spec.dtm_interval_s == 1 and type(spec.dtm_interval_s) is int
+    assert spec.key() == Chapter4Spec(dtm_interval_s=1, copies=1).key()
 
 
 def test_wire_revalidates_through_spec_post_init():

@@ -11,7 +11,7 @@ from repro.dtm.pid import (
     PIDController,
     PIDGains,
 )
-from repro.dtm.pid_policies import PIDPolicy, make_pid_policy
+from repro.dtm.pid_policies import PIDPolicy
 from repro.errors import ConfigurationError
 from repro.params.emergency import SIMULATION_LEVELS
 
@@ -108,27 +108,27 @@ def test_gain_validation():
 
 
 def test_pid_policy_full_speed_when_cold():
-    policy = make_pid_policy("acg")
+    policy = PIDPolicy("acg")
     decision = policy.decide(ThermalReading(60.0, 40.0), 0.01)
     assert decision.active_cores == 4
     assert decision.memory_on
 
 
 def test_pid_policy_throttles_when_hot():
-    policy = make_pid_policy("acg")
+    policy = PIDPolicy("acg")
     decision = policy.decide(ThermalReading(112.0, 80.0), 0.01)
     assert decision.active_cores == 0
 
 
 def test_pid_policy_safety_net_at_tdp():
     for scheme in ("bw", "acg", "cdvfs"):
-        policy = make_pid_policy(scheme)
+        policy = PIDPolicy(scheme)
         decision = policy.decide(ThermalReading(110.0, 80.0), 0.01)
         assert not decision.memory_on
 
 
 def test_pid_policy_intermediate_band():
-    policy = make_pid_policy("cdvfs")
+    policy = PIDPolicy("cdvfs")
     # Slightly above target: some but not full throttling after a while.
     decision = None
     for _ in range(20):
@@ -138,14 +138,14 @@ def test_pid_policy_intermediate_band():
 
 
 def test_pid_policy_bw_scheme_caps_bandwidth():
-    policy = make_pid_policy("bw")
+    policy = PIDPolicy("bw")
     decision = policy.decide(ThermalReading(109.9, 80.0), 0.01)
     # Some ladder rung below "no limit" after seeing a hot reading.
     assert decision.emergency_level >= 1
 
 
 def test_pid_policy_dram_controller_binds_under_fdhs():
-    policy = make_pid_policy("acg", levels=SIMULATION_LEVELS)
+    policy = PIDPolicy("acg", levels=SIMULATION_LEVELS)
     # Hot DRAM, cool AMB: the DRAM controller must throttle.
     decision = policy.decide(ThermalReading(90.0, 85.5), 0.01)
     assert decision.active_cores < 4
@@ -157,4 +157,4 @@ def test_pid_policy_unknown_scheme():
 
 
 def test_pid_policy_name():
-    assert make_pid_policy("cdvfs").name == "DTM-CDVFS+PID"
+    assert PIDPolicy("cdvfs").name == "DTM-CDVFS+PID"

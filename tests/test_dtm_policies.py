@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.dtm.acg import DTMACG
+from repro.analysis.specs import make_chapter4_policy, make_chapter5_policy
+from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB, DTMTS, PIDPolicy
 from repro.dtm.base import ControlDecision, NoLimitPolicy, ThermalReading
-from repro.dtm.bw import DTMBW
-from repro.dtm.cdvfs import DTMCDVFS
-from repro.dtm.comb import DTMCOMB
 from repro.dtm.levels import LevelTracker
-from repro.dtm.ts import DTMTS
+from repro.dtm.pid import AMB_GAINS
 from repro.errors import ConfigurationError
 from repro.params.emergency import PE1950_LEVELS, SIMULATION_LEVELS
+from repro.testbed.platforms import PLATFORMS
 from repro.units import gbps
 
 COOL = ThermalReading(amb_c=100.0, dram_c=70.0)
@@ -62,6 +61,13 @@ def test_ts_custom_trp():
 def test_ts_rejects_trp_at_tdp():
     with pytest.raises(ConfigurationError):
         DTMTS(amb_trp_c=110.0)
+
+
+@pytest.mark.parametrize("trp", ["amb_trp_c", "dram_trp_c"])
+def test_ts_rejects_a_nan_release_point(trp):
+    """A NaN release point would never release the memory."""
+    with pytest.raises(ConfigurationError, match="TRP must be below"):
+        DTMTS(**{trp: float("nan")})
 
 
 def test_bw_ladder_follows_levels():
@@ -182,3 +188,56 @@ def test_decision_validation():
         ControlDecision(bandwidth_cap_bytes_per_s=-1.0)
     with pytest.raises(ConfigurationError):
         ControlDecision(active_cores=-1)
+
+
+def _reading_at_rung(levels, rung):
+    """A reading whose emergency level is ``rung`` (DRAM kept cool)."""
+    amb = levels.amb_thresholds_c
+    dram = levels.dram_thresholds_c
+    return ThermalReading(
+        amb_c=amb[rung - 1] if rung else amb[0] - 10.0,
+        dram_c=dram[0] - 10.0 if dram else 0.0,
+    )
+
+
+def _pid_at_rung(scheme, levels, rung, cores, min_active):
+    """The PID policy's first decision when its output selects ``rung``.
+
+    At 50 degC both integrals stay off and the first step has no
+    derivative, so the AMB output is ``Kc * (target - 50)``; the target
+    is placed so that output lands on the rung, and the DRAM controller
+    saturates at full performance.
+    """
+    top = levels.level_count - 1
+    output = 5.0 - 10.0 * rung / top
+    policy = PIDPolicy(
+        scheme,
+        levels,
+        cores=cores,
+        amb_target_c=50.0 + output / AMB_GAINS.kc,
+        dram_target_c=200.0,
+        min_active=min_active,
+    )
+    return policy.decide(ThermalReading(50.0, 40.0), 0.01)
+
+
+@pytest.mark.parametrize("table", ["SIMULATION", "PE1950", "SR1500AL"])
+@pytest.mark.parametrize("scheme", ["bw", "acg", "cdvfs", "comb"])
+def test_table_and_pid_policies_share_every_rung(table, scheme):
+    """A PID variant picks a rung of the table-driven scheme's ladder:
+    on every rung of every shipped table, with the cores and
+    ``min_active`` the policy factories pass, both return one decision."""
+    if table == "SIMULATION":
+        levels, cores = SIMULATION_LEVELS, 4
+        policy = lambda: make_chapter4_policy(scheme, levels)  # noqa: E731
+        min_active = 1 if scheme == "comb" else 0
+    else:
+        platform = PLATFORMS[table]
+        levels, cores = platform.levels, platform.total_cores
+        policy = lambda: make_chapter5_policy(scheme, platform)  # noqa: E731
+        min_active = 2 if scheme in ("acg", "comb") else 0
+    for rung in range(levels.level_count):
+        table_decision = policy().decide(_reading_at_rung(levels, rung), 0.01)
+        pid_decision = _pid_at_rung(scheme, levels, rung, cores, min_active)
+        assert table_decision.emergency_level == rung
+        assert pid_decision == table_decision, (rung, pid_decision, table_decision)

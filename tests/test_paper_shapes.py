@@ -8,12 +8,8 @@ shapes EXPERIMENTS.md records quantitatively at the benchmark scale.
 import pytest
 
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
-from repro.dtm.acg import DTMACG
+from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMTS, PIDPolicy
 from repro.dtm.base import NoLimitPolicy
-from repro.dtm.bw import DTMBW
-from repro.dtm.cdvfs import DTMCDVFS
-from repro.dtm.pid_policies import make_pid_policy
-from repro.dtm.ts import DTMTS
 from repro.params.thermal_params import INTEGRATED_AMBIENT
 
 
@@ -28,9 +24,9 @@ def w1_results(window_model):
         ("bw", DTMBW()),
         ("acg", DTMACG()),
         ("cdvfs", DTMCDVFS()),
-        ("bw+pid", make_pid_policy("bw")),
-        ("acg+pid", make_pid_policy("acg")),
-        ("cdvfs+pid", make_pid_policy("cdvfs")),
+        ("bw+pid", PIDPolicy("bw")),
+        ("acg+pid", PIDPolicy("acg")),
+        ("cdvfs+pid", PIDPolicy("cdvfs")),
     ):
         results[key] = TwoLevelSimulator(config, policy, window_model=window_model).run()
     return results

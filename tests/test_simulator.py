@@ -9,11 +9,8 @@ from repro.analysis.specs import (
 )
 from repro.campaign import engine_for_spec
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
-from repro.dtm.acg import DTMACG
+from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMTS
 from repro.dtm.base import NoLimitPolicy
-from repro.dtm.bw import DTMBW
-from repro.dtm.cdvfs import DTMCDVFS
-from repro.dtm.ts import DTMTS
 from repro.errors import ConfigurationError, SimulationError
 from repro.params.thermal_params import FDHS_1_0, INTEGRATED_AMBIENT
 

@@ -2,9 +2,17 @@
 
 import pytest
 
+from repro.cache.sharing import SharedCacheModel
 from repro.errors import ConfigurationError
-from repro.testbed.performance import ServerWindowModel, SocketLoad
+from repro.testbed.linux import TimeSliceModel
+from repro.testbed.performance import (
+    ProgramRate,
+    ServerWindowModel,
+    ServerWindowResult,
+    SocketLoad,
+)
 from repro.testbed.platforms import PE1950, SR1500AL
+from repro.units import CACHE_LINE_BYTES
 from repro.workloads.profiles import get_app
 
 F = 3.0e9
@@ -152,12 +160,135 @@ def _demand_shapes():
     }
 
 
+def _oracle_program_rate(
+    platform, socket_index, app, frequency_hz, latency_cycles, share, duty, extra
+):
+    """Closed-form rate of one program at fixed latency and cache share."""
+    mpi = app.misses_per_instruction(share)
+    ips = frequency_hz * (1.0 / (app.cpi_base + mpi * latency_cycles / app.mlp)) * duty
+    misses = ips * mpi
+    if extra > 0.0 and ips > 0.0:
+        extra_mpi = extra * duty / ips
+        ipc_adj = 1.0 / (app.cpi_base + (mpi + extra_mpi) * latency_cycles / app.mlp)
+        ips = frequency_hz * ipc_adj * duty
+        misses = ips * (mpi + extra_mpi)
+    top_frequency = platform.cpu_power.operating_points[0].frequency_hz
+    spec = 1.0 + app.spec_traffic_frac * frequency_hz / top_frequency
+    bytes_per_s = misses * CACHE_LINE_BYTES * (spec + app.write_frac)
+    utilization = min(1.0, (ips / frequency_hz) / 2.0) if frequency_hz else 0.0
+    return ProgramRate(app.name, socket_index, ips, misses, bytes_per_s, utilization)
+
+
+def _oracle_rates_at(platform, sockets, frequency_hz, latency_s, slice_s):
+    """Every program's rate at one latency, one object per program, and
+    the total demand: the socket model written plainly."""
+    capacity = platform.l2_per_socket_bytes
+    cache_model = SharedCacheModel(capacity)
+    slice_model = TimeSliceModel(capacity)
+    latency_cycles = latency_s * frequency_hz
+    programs, demand = [], 0.0
+    for index, load in enumerate(sockets):
+        apps = load.resident
+        if len(apps) == 2 and load.active_cores == 2:
+            # Shape 1: the co-runners share the L2.
+            rates = []
+            for app in apps:
+                mpi = app.misses_per_instruction(capacity / 2)
+                ipc = 1.0 / (app.cpi_base + mpi * latency_cycles / app.mlp)
+                rates.append(frequency_hz * ipc * app.apki / 1000.0)
+            shares, _ = cache_model.solve(rates, [app.mrc for app in apps])
+            socket = [
+                _oracle_program_rate(
+                    platform, index, app, frequency_hz, latency_cycles, share, 1.0, 0.0
+                )
+                for app, share in zip(apps, shares)
+            ]
+        elif len(apps) == 2:
+            # Shape 2: a time-shared core, switch cold misses charged.
+            socket = [
+                _oracle_program_rate(
+                    platform, index, app, frequency_hz, latency_cycles, capacity, 0.5,
+                    slice_model.extra_misses_per_s(
+                        slice_s, min(app.mrc.c_half_bytes, capacity)
+                    ),
+                )
+                for app in apps
+            ]
+        else:
+            # Shape 3: one program, solo with the whole L2.
+            socket = [
+                _oracle_program_rate(
+                    platform, index, apps[0], frequency_hz, latency_cycles, capacity,
+                    1.0, 0.0,
+                )
+            ]
+        programs.extend(socket)
+        demand += sum(rate.bytes_per_s for rate in socket)
+    return programs, demand
+
+
+def _oracle_evaluate(platform, sockets, frequency_hz, voltage_v, cap, slice_s):
+    """The server window on the oracle rates: a 20-step bisection, or
+    uniform admission scaling when saturated."""
+    envelope = ServerWindowModel(platform).envelope
+    effective_peak = envelope.peak_bandwidth_bytes_per_s
+    if cap is not None:
+        effective_peak = min(effective_peak, max(cap, 1.0))
+    rho_max = envelope.rho_max
+    programs, demand = _oracle_rates_at(
+        platform, sockets, frequency_hz, envelope.latency_s(rho_max), slice_s
+    )
+    if demand >= rho_max * effective_peak:
+        scale = rho_max * effective_peak / demand if demand > 0 else 1.0
+        programs = [
+            ProgramRate(
+                p.app_name,
+                p.socket,
+                p.instructions_per_s * scale,
+                p.l2_misses_per_s * scale,
+                p.bytes_per_s * scale,
+                p.utilization * scale,
+            )
+            for p in programs
+        ]
+        utilization = rho_max
+        latency = envelope.latency_s(rho_max)
+    else:
+        lo, hi = 0.0, rho_max
+        for _ in range(20):
+            mid = (lo + hi) / 2.0
+            _, demand_mid = _oracle_rates_at(
+                platform, sockets, frequency_hz, envelope.latency_s(mid), slice_s
+            )
+            if demand_mid > mid * effective_peak:
+                lo = mid
+            else:
+                hi = mid
+        utilization = (lo + hi) / 2.0
+        latency = envelope.latency_s(utilization)
+        programs, _ = _oracle_rates_at(platform, sockets, frequency_hz, latency, slice_s)
+    write_fracs = {app.name: app.write_frac for load in sockets for app in load.resident}
+    total_read = total_write = total_misses = heating = 0.0
+    max_frequency = platform.cpu_power.operating_points[0].frequency_hz
+    for rate in programs:
+        write_frac = write_fracs[rate.app_name]
+        write = rate.bytes_per_s * write_frac / (1.0 + write_frac)
+        total_write += write
+        total_read += rate.bytes_per_s - write
+        total_misses += rate.l2_misses_per_s
+        heating += voltage_v * rate.instructions_per_s / max_frequency
+    return ServerWindowResult(
+        tuple(programs), total_read, total_write, total_misses,
+        min(utilization, 1.0), latency, heating,
+    )
+
+
 @pytest.mark.parametrize("platform", [PE1950, SR1500AL], ids=lambda p: p.name)
 @pytest.mark.parametrize("shape", sorted(_demand_shapes()))
-def test_demand_kernel_matches_rates_at_bit_for_bit(platform, shape):
-    """The bisection's demand kernel is an exact re-expression of
-    ``_rates_at``: same value, to the bit, at every latency, frequency
-    and time slice the bisection can meet."""
+def test_latency_rates_match_oracle(platform, shape):
+    """The one per-latency routine gives each program's rates and the
+    total demand of the plain per-program model, to the bit, at every
+    latency, frequency and time slice the bisection can meet."""
     model = ServerWindowModel(platform)
     sockets = _demand_shapes()[shape]
     envelope = model.envelope
@@ -165,8 +296,36 @@ def test_demand_kernel_matches_rates_at_bit_for_bit(platform, shape):
     for point in platform.cpu_power.operating_points:
         frequency = point.frequency_hz
         for slice_s in (0.1, 0.005):
-            demand_at = model._demand_kernel(sockets, frequency, slice_s)
+            rates_at = model._latency_rates(sockets, frequency, slice_s)
             for utilization in (0.0, rho_max / 2, rho_max):
                 latency = envelope.latency_s(utilization)
-                _, expected = model._rates_at(sockets, frequency, latency, slice_s)
-                assert demand_at(latency) == expected, (frequency, slice_s, utilization)
+                rates, demand = rates_at(latency)
+                programs, expected = _oracle_rates_at(
+                    platform, sockets, frequency, latency, slice_s
+                )
+                where = (frequency, slice_s, utilization)
+                assert demand == expected, where
+                assert rates == [
+                    (p.instructions_per_s, p.l2_misses_per_s, p.bytes_per_s)
+                    for p in programs
+                ], where
+
+
+@pytest.mark.parametrize("platform", [PE1950, SR1500AL], ids=lambda p: p.name)
+@pytest.mark.parametrize("shape", sorted(_demand_shapes()))
+def test_evaluate_matches_oracle_bit_for_bit(platform, shape):
+    """A whole evaluation, bisected or saturated, equals the oracle's."""
+    sockets = _demand_shapes()[shape]
+    rho_max = ServerWindowModel(platform).envelope.rho_max
+    saturated = set()
+    for cap in (None, 6e9, 1.5e9, 0.0):
+        for point in platform.cpu_power.operating_points[::3]:
+            result = ServerWindowModel(platform).evaluate(
+                sockets, point.frequency_hz, point.voltage_v, cap
+            )
+            assert result == _oracle_evaluate(
+                platform, sockets, point.frequency_hz, point.voltage_v, cap,
+                platform.time_slice_s,
+            )
+            saturated.add(result.utilization == rho_max)
+    assert saturated == {True, False}

@@ -14,11 +14,8 @@ from repro.analysis.specs import (
 )
 from repro.campaign import MemoryStore, NullStore, engine_for_spec, run
 from repro.cluster import cell_from_wire, cell_to_wire
-from repro.dtm.acg import DTMACG
+from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB
 from repro.dtm.base import NoLimitPolicy
-from repro.dtm.bw import DTMBW
-from repro.dtm.cdvfs import DTMCDVFS
-from repro.dtm.comb import DTMCOMB
 from repro.engine import EngineState, SteppingEngine
 from repro.errors import ConfigurationError
 from repro.testbed.performance import ServerWindowModel
@@ -53,7 +50,7 @@ def test_policies_slower_than_no_limit(pe1950_model):
     for policy in (
         DTMBW(PE1950.levels),
         DTMACG(PE1950.levels, min_active=2),
-        DTMCDVFS(PE1950.levels, stopped_level=4),
+        DTMCDVFS(PE1950.levels),
     ):
         result = _run(PE1950, policy, pe1950_model)
         assert result.runtime_s > base.runtime_s, policy.name
@@ -63,7 +60,7 @@ def test_proposed_schemes_beat_bw(pe1950_model):
     """The headline Chapter 5 result on the PE1950."""
     bw = _run(PE1950, DTMBW(PE1950.levels), pe1950_model)
     acg = _run(PE1950, DTMACG(PE1950.levels, min_active=2), pe1950_model)
-    cdvfs = _run(PE1950, DTMCDVFS(PE1950.levels, stopped_level=4), pe1950_model)
+    cdvfs = _run(PE1950, DTMCDVFS(PE1950.levels), pe1950_model)
     assert acg.runtime_s < bw.runtime_s
     assert cdvfs.runtime_s < bw.runtime_s
 
@@ -76,7 +73,7 @@ def test_acg_cuts_l2_misses(pe1950_model):
 
 def test_cdvfs_saves_cpu_power(sr1500al_model):
     bw = _run(SR1500AL, DTMBW(SR1500AL.levels), sr1500al_model)
-    cdvfs = _run(SR1500AL, DTMCDVFS(SR1500AL.levels, stopped_level=4), sr1500al_model)
+    cdvfs = _run(SR1500AL, DTMCDVFS(SR1500AL.levels), sr1500al_model)
     assert cdvfs.average_cpu_power_w < bw.average_cpu_power_w
 
 
@@ -245,10 +242,11 @@ _INVALID_CH5_FIELDS = [
 )
 def test_invalid_ch5_inputs_rejected_before_running(fields):
     """Bad time slices and base levels fail up front, on the spec path
-    and the wire path alike, and nothing reaches the store."""
+    and the wire path alike, and nothing reaches the store.  On the wire
+    path a non-finite value is already refused when the cell decodes."""
     spec = Chapter5Spec(mix="W1", copies=1, **fields)
-    for cell in (spec, cell_from_wire(cell_to_wire(spec))):
+    for make_cell in (lambda: spec, lambda: cell_from_wire(cell_to_wire(spec))):
         store = MemoryStore()
         with pytest.raises(ConfigurationError):
-            run(cell, store=store)
-        assert store.get(cell.key()) is None
+            run(make_cell(), store=store)
+        assert store.get(spec.key()) is None

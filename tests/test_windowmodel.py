@@ -148,11 +148,10 @@ def test_envelope_validation():
         MemoryEnvelope(rho_max=1.5)
 
 
-def test_cache_override_changes_result():
-    model = _model()
+def test_cache_capacity_changes_result():
     apps = [get_app("galgel")] * 2
-    small = model.evaluate(apps, F_MAX, cache_capacity_override_bytes=1024 * 1024)
-    large = model.evaluate(apps, F_MAX, cache_capacity_override_bytes=16 * 1024 * 1024)
+    small = _model(l2_capacity_bytes=1024 * 1024).evaluate(apps, F_MAX)
+    large = _model(l2_capacity_bytes=16 * 1024 * 1024).evaluate(apps, F_MAX)
     assert small.l2_misses_per_s > large.l2_misses_per_s
 
 
@@ -252,7 +251,7 @@ def _oracle_window(apps, frequency_hz, cap, capacity):
 def test_evaluate_matches_oracle_bit_for_bit():
     """A cold evaluation (hoisted first sweep, flat sharing kernels)
     equals the plain per-client model exactly, for a seeded sample of
-    (apps, frequency, cap, cache override) keys covering 1-4 co-runners,
+    (apps, frequency, cap, L2 capacity) keys covering 1-4 co-runners,
     saturated and bisected operating points."""
     rng = random.Random(20070609)
     saturated = set()
@@ -263,9 +262,7 @@ def test_evaluate_matches_oracle_bit_for_bit():
         cap = rng.choice([None, 1.6e9, 3.2e9, 6.4e9, 12.8e9])
         override = rng.choice([None, 2 * 1024 * 1024])
         capacity = 4 * 1024 * 1024 if override is None else override
-        result = WindowModel().evaluate(
-            apps, frequency, cap, cache_capacity_override_bytes=override
-        )
+        result = WindowModel(l2_capacity_bytes=capacity).evaluate(apps, frequency, cap)
         assert result == _oracle_window(apps, frequency, cap, capacity)
         saturated.add(result.utilization == MemoryEnvelope().rho_max)
     assert saturated == {True, False}
