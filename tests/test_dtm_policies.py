@@ -1,5 +1,7 @@
 """Table-driven DTM policies: TS, BW, ACG, CDVFS, COMB."""
 
+import functools
+
 import pytest
 
 from repro.analysis.specs import make_chapter4_policy, make_chapter5_policy
@@ -229,12 +231,12 @@ def test_table_and_pid_policies_share_every_rung(table, scheme):
     ``min_active`` the policy factories pass, both return one decision."""
     if table == "SIMULATION":
         levels, cores = SIMULATION_LEVELS, 4
-        policy = lambda: make_chapter4_policy(scheme, levels)  # noqa: E731
+        policy = functools.partial(make_chapter4_policy, scheme, levels)
         min_active = 1 if scheme == "comb" else 0
     else:
         platform = PLATFORMS[table]
         levels, cores = platform.levels, platform.total_cores
-        policy = lambda: make_chapter5_policy(scheme, platform)  # noqa: E731
+        policy = functools.partial(make_chapter5_policy, scheme, platform)
         min_active = 2 if scheme in ("acg", "comb") else 0
     for rung in range(levels.level_count):
         table_decision = policy().decide(_reading_at_rung(levels, rung), 0.01)
