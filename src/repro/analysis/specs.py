@@ -365,12 +365,10 @@ register_runner(
     _chapter4_engine,
     encode=run_result_to_dict,
     decode=run_result_from_dict,
-    spec_type=Chapter4Spec,
 )
 register_runner(
     "ch5",
     _chapter5_engine,
     encode=server_result_to_dict,
     decode=server_result_from_dict,
-    spec_type=Chapter5Spec,
 )

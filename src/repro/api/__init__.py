@@ -19,8 +19,8 @@ The same surface is exposed over HTTP by ``python -m repro serve``
 import importlib
 
 #: Public name -> the submodule defining it.  Names load on first use,
-#: so importing one submodule (``repro.api.http`` from the fleet
-#: coordinator, say) does not load the HTTP service and the jobs layer.
+#: so importing one submodule (``repro.api.http`` from the jobs client,
+#: say) does not load the HTTP service and the jobs layer.
 _EXPORTS = {
     "ReproClient": "client",
     "metrics_from_result": "client",

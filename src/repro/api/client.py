@@ -40,8 +40,7 @@ from repro.campaign import (
     default_store,
     run_cell,
 )
-from repro.engine import CheckpointFile, CheckpointObserver, EngineState
-from repro.obs.trace import TRACER
+from repro.engine import CheckpointFile, CheckpointObserver
 from repro.scenarios import iter_scenarios
 
 
@@ -98,9 +97,9 @@ class ReproClient:
 
     ``backend`` selects where multi-cell runs execute (an
     :class:`~repro.cluster.ExecutionBackend` — e.g. a reusable process
-    pool or an HTTP worker fleet).  The backend is borrowed, not owned:
-    the caller closes it (normally with a ``with`` block) after its
-    last campaign, so one fleet serves many client calls.  ``None``
+    pool).  The backend is borrowed, not owned: the caller closes it
+    (normally with a ``with`` block) after its last campaign, so one
+    pool serves many client calls.  ``None``
     keeps the classic behavior — serial, or a per-run pool when the
     request's ``jobs`` asks for one.
     """
@@ -168,62 +167,6 @@ class ReproClient:
     def scenarios_table(self, request: ScenarioRequest) -> tuple[list[str], list[list[Any]]]:
         """Scenario runs as a (headers, rows) table — the CLI's view."""
         return self._table(request)
-
-    # -- worker duty -------------------------------------------------------
-
-    def worker_run(
-        self,
-        spec: RunSpec,
-        window_slice: int | None = None,
-        resume_state: dict | None = None,
-    ) -> dict:
-        """One ``/v1/worker/run`` cell result, computed against *this
-        client's* store (the same one every other route reads).
-
-        With no ``window_slice`` the cell runs (or is recalled) whole:
-        the entry carries its ``payload`` with the hit/compute-seconds
-        provenance a local run records, for the coordinator to merge
-        into its own store.  With one, at most ``window_slice`` DTM
-        windows run — resumed from ``resume_state`` (a serialized
-        :class:`~repro.engine.EngineState`) when the coordinator has a
-        checkpoint from an earlier slice, otherwise served as a hit
-        when cached.  The entry is then either completed (``payload``
-        + provenance) or partial (``partial: true`` + the new
-        checkpoint ``state``), both carrying
-        ``windows_done``/``resumed_from`` so coordinators can prove a
-        resume was warm.  A cache hit reports both as 0 — no windows
-        executed; ``cache == "hit"`` is the discriminator.
-        """
-        key = spec.key()
-        entry: dict[str, Any] = {"key": key, "kind": spec.kind}
-        if window_slice is None:
-            with TRACER.span("worker.run", key=key, kind=spec.kind):
-                outcome = run_cell(spec, self._store)
-        else:
-            resume = (
-                None if resume_state is None
-                else EngineState.from_dict(resume_state)
-            )
-            with TRACER.span(
-                "worker.slice", key=key, kind=spec.kind, slice=window_slice
-            ):
-                outcome = run_cell(
-                    spec, self._store, resume=resume,
-                    window_slice=window_slice, on_slice=lambda state: True,
-                )
-            entry.update(
-                windows_done=outcome.windows,
-                resumed_from=0 if resume is None else resume.windows,
-            )
-        entry["compute_seconds"] = round(outcome.compute_seconds, 6)
-        if outcome.payload is None:
-            entry.update(partial=True, state=outcome.state.to_dict())
-        else:
-            entry.update(
-                payload=outcome.payload,
-                cache="hit" if outcome.hit else "miss",
-            )
-        return entry
 
     # -- resumable runs ----------------------------------------------------
 

@@ -1,11 +1,10 @@
 """One JSON-over-HTTP client for every outbound call.
 
-The CLI (``trace export --url``, ``slo check``),
-:class:`~repro.jobs.JobsClient` and the fleet coordinator
-(:class:`~repro.cluster.HttpWorkerBackend`) all call a service through
+The CLI (``trace export --url``, ``slo check``) and
+:class:`~repro.jobs.JobsClient` both call a service through
 :func:`call_json`, so a failed call reads the same everywhere.  This
-module imports nothing from the api, cluster or jobs layers, so each of
-them can use it without an import cycle.
+module imports nothing from the api or jobs layers, so each of them
+can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -54,17 +53,17 @@ def call_json(
     body: dict | None = None,
     *,
     timeout_s: float,
-    trace_header: str | None = None,
 ) -> dict:
     """Send one request (``body`` as JSON); the reply's JSON object.
 
-    ``trace_header`` is the trace context to propagate, by default the
-    calling thread's own.  Raises :class:`ServiceError` for a non-2xx
-    answer, a transport failure, or a reply that is not a JSON object.
+    The calling thread's trace context rides along as the
+    ``X-Repro-Trace`` header.  Raises :class:`ServiceError` for a
+    non-2xx answer, a transport failure, or a reply that is not a JSON
+    object.
     """
     data = None if body is None else json.dumps(body).encode()
     headers = {"Content-Type": "application/json"} if data is not None else {}
-    trace_header = trace_header or TRACER.propagation_header()
+    trace_header = TRACER.propagation_header()
     if trace_header:
         headers[TRACE_HEADER] = trace_header
     where = f"{method} {url}"

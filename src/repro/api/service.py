@@ -32,13 +32,13 @@ exception a handler raises is logged (``http.unhandled``) and answered
 as a 500, so a fault never closes the connection without a reply.
 
 Concurrency is bounded: the server remains threaded (cheap routes and
-status polls always answer), but the compute routes (the run routes and
-``/v1/worker/run``) share ``max_concurrent_runs`` slots.  A burst of
-cold campaign submits beyond the bound gets a structured 429 with a
-``Retry-After`` header instead of forking unbounded work — submit
-through ``/v1/jobs`` to queue instead of racing for slots.  Identical
-*simultaneous* cold requests within the bound are still single-flighted
-by the store stack (:class:`~repro.campaign.stores.SingleFlightStore`).
+status polls always answer), but the run routes share
+``max_concurrent_runs`` slots.  A burst of cold campaign submits beyond
+the bound gets a structured 429 with a ``Retry-After`` header instead
+of forking unbounded work — submit through ``/v1/jobs`` to queue
+instead of racing for slots.  Identical *simultaneous* cold requests
+within the bound are still single-flighted by the store stack
+(:class:`~repro.campaign.stores.SingleFlightStore`).
 
 ``serve`` handles SIGTERM by draining: the jobs scheduler checkpoints
 its in-flight window slice and requeues the job (so a restart resumes
@@ -73,8 +73,6 @@ from repro.api.requests import (
     request_from_dict,
     request_from_text,
 )
-from repro.campaign import spec_kinds_with_types
-from repro.cluster.wire import WIRE_VERSION, cell_from_wire
 from repro.engine.progress import PROGRESS
 from repro.errors import (
     ConfigurationError,
@@ -261,8 +259,18 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             handler(self, params, ident)
 
-    def _compute(self, work) -> None:
-        """Answer ``work()``'s document from a compute slot (or a 429)."""
+    def _run(self, compute, request) -> None:
+        """One run route: ``compute(client, request)``'s document,
+        answered from a compute slot (or a 429)."""
+        if getattr(request, "jobs", 1) != 1:
+            # Forking a worker pool inside a handler thread of a
+            # multithreaded server risks child deadlocks; HTTP callers
+            # get parallelism by issuing concurrent requests against
+            # the shared cache instead.
+            raise ConfigurationError(
+                "jobs is not supported over HTTP; issue concurrent "
+                "requests instead (the cache is shared)"
+            )
         if not self.server.acquire_run_slot():
             self._error(
                 429,
@@ -276,33 +284,10 @@ class _Handler(BaseHTTPRequestHandler):
         # body and immediately sends its next request must find the
         # slot free, never a spurious 429.
         try:
-            document = work()
+            document = compute(self.server.client, request)
         finally:
             self.server.release_run_slot()
         self._respond(200, document)
-
-    def _run(self, compute, request) -> None:
-        """One run route: ``compute(client, request)`` in a slot."""
-        if getattr(request, "jobs", 1) != 1:
-            # Forking a worker pool inside a handler thread of a
-            # multithreaded server risks child deadlocks; HTTP callers
-            # get parallelism by issuing concurrent requests against
-            # the shared cache instead.
-            raise ConfigurationError(
-                "jobs is not supported over HTTP; issue concurrent "
-                "requests instead (the cache is shared)"
-            )
-        self._compute(lambda: compute(self.server.client, request))
-
-    def _health(self, **fields) -> None:
-        self._respond(200, {
-            "schema_version": SCHEMA_VERSION,
-            "status": "ok",
-            "role": self.server.role,
-            "pid": os.getpid(),
-            "wire_version": WIRE_VERSION,
-            **fields,
-        })
 
     # -- handlers ----------------------------------------------------------
     # Each takes the query parameters and the path's ``<id>`` segment
@@ -321,8 +306,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._respond(200, scenarios_document(descriptors))
 
     def _progress(self, params: dict, ident: str | None) -> None:
-        """Live progress of this process's engine runs (``?key=`` filters),
-        sliced worker cells included."""
+        """Live progress of this process's engine runs (``?key=`` filters)."""
         self._respond(200, {
             "schema_version": SCHEMA_VERSION,
             "runs": PROGRESS.snapshot(params.get("key")),
@@ -331,11 +315,14 @@ class _Handler(BaseHTTPRequestHandler):
     def _healthz(self, params: dict, ident: str | None) -> None:
         """Liveness + queue summary (mounted with or without --jobs)."""
         jobs = self.server.jobs
-        self._health(
-            version=__version__,
-            uptime_s=round(self.server.uptime_s(), 3),
-            jobs=None if jobs is None else jobs.health(),
-        )
+        self._respond(200, {
+            "schema_version": SCHEMA_VERSION,
+            "status": "ok",
+            "pid": os.getpid(),
+            "version": __version__,
+            "uptime_s": round(self.server.uptime_s(), 3),
+            "jobs": None if jobs is None else jobs.health(),
+        })
 
     def _metrics(self, params: dict, ident: str | None) -> None:
         """The metrics registry, as Prometheus text or JSON."""
@@ -421,59 +408,6 @@ class _Handler(BaseHTTPRequestHandler):
         """Cancel: at once when queued, at a slice boundary when running."""
         self._respond(200, self.server.jobs.cancel(job_id))
 
-    # -- workers -----------------------------------------------------------
-
-    def _worker_health(self, params: dict, ident: str | None) -> None:
-        """The fleet heartbeat probe: alive, and what this worker can run."""
-        self._health(kinds=list(spec_kinds_with_types()))
-
-    def _worker_run(self, params: dict, ident: str | None) -> None:
-        """Execute wire-format cells against this worker's own store.
-
-        The response carries each cell's encoded payload plus the same
-        hit/compute-seconds provenance a local run would record, so the
-        coordinator's envelopes are indistinguishable from local ones.
-        With ``window_slice``, an unfinished cell comes back ``partial``
-        with the engine state to ``resume`` from.
-        """
-        body = self._read_json_body()
-        cells = body.get("cells")
-        if not isinstance(cells, list) or not cells:
-            raise ConfigurationError(
-                "worker run body needs a non-empty 'cells' list"
-            )
-        unknown = set(body) - {"cells", "window_slice", "resume"}
-        if unknown:
-            raise ConfigurationError(
-                f"unknown worker run fields {sorted(unknown)}"
-            )
-        window_slice = body.get("window_slice")
-        if window_slice is not None and (
-            isinstance(window_slice, bool)
-            or not isinstance(window_slice, int)
-            or window_slice < 1
-        ):
-            raise ConfigurationError(
-                "window_slice must be a positive integer"
-            )
-        resume = body.get("resume") or {}
-        if not isinstance(resume, dict):
-            raise ConfigurationError(
-                "worker run 'resume' must map cell keys to engine states"
-            )
-
-        def work() -> dict:
-            specs = [cell_from_wire(raw) for raw in cells]
-            results = [
-                self.server.client.worker_run(
-                    spec, window_slice, resume.get(spec.key())
-                )
-                for spec in specs
-            ]
-            return {"schema_version": SCHEMA_VERSION, "results": results}
-
-        self._compute(work)
-
 
 def _run_route(type_tag: str, compute) -> dict:
     """GET and POST rows of a run route; ``compute`` answers.
@@ -516,8 +450,6 @@ _ROUTES: dict[str, dict] = {
     "/metrics": {"GET": (_Handler._metrics, ("format",))},
     "/v1/slo": {"GET": (_Handler._slo, ())},
     "/v1/trace/<id>": {"GET": (_Handler._trace, ("format",))},
-    "/v1/worker/health": {"GET": (_Handler._worker_health, ())},
-    "/v1/worker/run": {"POST": (_Handler._worker_run, ())},
     "/v1/jobs": {
         "GET": (_Handler._jobs_list, ("tenant",)),
         "POST": (_Handler._jobs_submit, ()),
@@ -554,22 +486,16 @@ class ReproService(ThreadingHTTPServer):
         *,
         client: ReproClient | None = None,
         verbose: bool = False,
-        role: str = "api",
         jobs=None,
         max_concurrent_runs: int | None = None,
     ) -> None:
         self.client = client if client is not None else ReproClient()
         self.verbose = verbose
-        #: "api" for the front service, "worker" for fleet members.
-        #: Purely informational — every instance serves all routes —
-        #: but surfaced in banners and health documents so an operator
-        #: can tell what a port was started as.
-        self.role = role
         #: The mounted JobsManager (None = jobs routes answer 503).
         self.jobs = jobs
         #: One registry serves /metrics; shared with the jobs manager
         #: (which defaults to the process-wide METRICS), so engine,
-        #: store, cluster, and scheduler series land in one scrape.
+        #: store, and scheduler series land in one scrape.
         self.metrics: MetricsRegistry = (
             jobs.metrics if jobs is not None else METRICS
         )
@@ -612,16 +538,13 @@ def serve(
     client: ReproClient | None = None,
     port_file: str | None = None,
     verbose: bool = False,
-    role: str = "api",
     jobs=None,
     max_concurrent_runs: int | None = None,
 ) -> int:
-    """Run the service until interrupted (the ``serve``/``worker`` subcommands).
+    """Run the service until interrupted (the ``serve`` subcommand).
 
     ``port_file`` writes the bound port to a file once listening —
-    the hook CI, tests, and :class:`~repro.cluster.LocalFleet` use
-    with ``--port 0``.  ``role="worker"`` only changes the banner and
-    health document; fleet workers serve the full route table.
+    the hook CI and tests use with ``--port 0``.
 
     With ``jobs`` (a :class:`~repro.jobs.JobsManager`), persisted jobs
     are recovered and the scheduler starts before the listener; SIGTERM
@@ -630,7 +553,7 @@ def serve(
     loses acknowledged work.
     """
     service = ReproService(
-        host, port, client=client, verbose=verbose, role=role,
+        host, port, client=client, verbose=verbose,
         jobs=jobs, max_concurrent_runs=max_concurrent_runs,
     )
     draining = threading.Event()
@@ -644,10 +567,7 @@ def serve(
         if draining.is_set():
             return
         draining.set()
-        LOG.info(
-            "service.draining", "sigterm: draining in-flight slices",
-            role=role,
-        )
+        LOG.info("service.draining", "sigterm: draining in-flight slices")
         # shutdown() must not run on the thread inside serve_forever()
         # (it would deadlock waiting for itself), and a signal handler
         # runs exactly there — hand the drain to a helper thread.
@@ -673,13 +593,11 @@ def serve(
             pass  # not the main thread (tests drive serve() directly)
         if port_file:
             Path(port_file).write_text(f"{service.port}\n")
-        label = "API" if role == "api" else role
         extras = " with jobs" if jobs is not None else ""
         LOG.info(
             "service.listening",
-            f"serving repro {label}{extras} (schema {SCHEMA_VERSION}) "
+            f"serving repro API{extras} (schema {SCHEMA_VERSION}) "
             f"on {service.url}",
-            role=role,
             url=service.url,
             jobs=jobs is not None,
         )

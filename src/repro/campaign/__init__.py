@@ -26,14 +26,11 @@ from repro.campaign.spec import (
     RunSpec,
     engine_for_spec,
     register_runner,
-    register_spec_type,
     registered_kinds,
     runner_for,
     spec_fields,
     spec_key,
-    spec_kinds_with_types,
     spec_meta,
-    spec_type_for,
 )
 from repro.campaign.stores import (
     GLOBAL_MEMORY,
@@ -63,14 +60,11 @@ __all__ = [
     "RunSpec",
     "engine_for_spec",
     "register_runner",
-    "register_spec_type",
     "registered_kinds",
     "runner_for",
     "spec_fields",
     "spec_key",
-    "spec_kinds_with_types",
     "spec_meta",
-    "spec_type_for",
     "GLOBAL_MEMORY",
     "JsonDirStore",
     "MemoryStore",

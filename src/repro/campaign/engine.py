@@ -6,9 +6,9 @@ and :func:`run` is the plain entry point over it.  :func:`sweep`
 expands a declarative parameter grid into specs.  :class:`Campaign`
 executes a list of specs — deduplicated by cache key, dispatched
 through an :class:`~repro.cluster.ExecutionBackend` (in-process
-serial, local process pool, or an HTTP worker fleet) — and returns
-results in the order the specs were given, so tables built from a
-campaign are byte-identical no matter where the cells ran.
+serial or a local process pool) — and returns results in the order
+the specs were given, so tables built from a campaign are
+byte-identical no matter where the cells ran.
 
 Every returned result is the decode of its cache payload (fresh runs
 are round-tripped through the codec before returning), so fresh and
@@ -230,10 +230,9 @@ def run_payload(
 ) -> tuple[dict, bool, float]:
     """Run (or recall) one spec, returning its *encoded* payload.
 
-    Returns ``(payload, hit, compute_seconds)``.  This is the form
-    execution backends and cluster workers traffic in: payloads are
-    JSON-serializable, so they cross process and HTTP boundaries and
-    can be written into any :class:`ResultStore` unchanged.
+    Returns ``(payload, hit, compute_seconds)``.  Payloads are
+    JSON-serializable, so they cross process boundaries and can be
+    written into any :class:`ResultStore` unchanged.
     """
     outcome = run_cell(spec, store)
     return outcome.payload, outcome.hit, outcome.compute_seconds
@@ -267,17 +266,16 @@ class Campaign:
     """A batch of run specs executed with dedup, caching, and parallelism.
 
     Results come back in spec order regardless of completion order, and
-    every result is decoded from its cache payload — the serial,
-    process-pool, and HTTP-fleet paths therefore produce identical
-    values.
+    every result is decoded from its cache payload — the serial and
+    process-pool paths therefore produce identical values.
 
     Execution is delegated to an
     :class:`~repro.cluster.ExecutionBackend`.  With no explicit
     ``backend`` the campaign builds (and deterministically shuts down)
     its own: serial for ``jobs == 1``, a local process pool otherwise.
-    An explicit backend is *borrowed* — it can be reused across many
-    campaigns (one process pool, one worker fleet) and is closed by its
-    owner, normally a ``with`` block around the whole batch.
+    An explicit backend is *borrowed* — one process pool can be reused
+    across many campaigns and is closed by its owner, normally a
+    ``with`` block around the whole batch.
     """
 
     def __init__(
@@ -318,22 +316,19 @@ class Campaign:
         return LocalProcessBackend(jobs=min(self.jobs, cells))
 
     def _backfill_store(self, backend: Any) -> ResultStore | None:
-        """Where the coordinator re-publishes payloads it received.
+        """Where the campaign re-publishes payloads it received.
 
         - in-process backends wrote through the campaign store already;
-        - pool workers on this host share the default disk layer, so
-          only the process-wide memory memo needs the payload;
-        - remote (HTTP) workers share nothing — their payloads are
-          written through the campaign's full store, which is what
-          makes a distributed run warm the same cache a local run
-          reads;
-        - an explicit store always gets a full write-through.
+        - an explicit store gets a full write-through (pool workers
+          computed against a pickled copy of it);
+        - otherwise pool workers on this host wrote the default disk
+          layer, so only the process-wide memory memo needs the payload.
         """
         if backend.in_process:
             return None
         if self._explicit_store is not None:
             return self.store
-        return GLOBAL_MEMORY if backend.shares_disk else self.store
+        return GLOBAL_MEMORY
 
     def iter_run(self) -> Iterator[tuple[RunSpec, Any, bool, float]]:
         """Stream ``(spec, result, cache_hit, compute_seconds)`` in spec order.
@@ -376,8 +371,8 @@ class Campaign:
             backend = self._default_backend(len(unique))
         if not backend.in_process:
             # Serve cells the campaign's own store already holds before
-            # dispatching anything: a warm local cache must not make a
-            # remote fleet (or a fresh pool) recompute the grid.
+            # dispatching anything: a warm cache must not send work to
+            # a fresh pool.
             for key, spec in list(unique.items()):
                 payload = self.store.get(key)
                 if payload is None:

@@ -106,44 +106,6 @@ class Runner:
 
 _RUNNERS: dict[str, Runner] = {}
 
-#: Spec dataclass per kind, for rebuilding specs from wire payloads
-#: (:mod:`repro.cluster.wire`).  Populated by ``register_runner``'s
-#: ``spec_type`` argument or :func:`register_spec_type`.
-_SPEC_TYPES: dict[str, type] = {}
-
-
-def register_spec_type(cls: type) -> type:
-    """Register the spec dataclass for its ``kind`` (usable as a decorator).
-
-    Registration makes the kind's cells serializable through the
-    cluster wire format: a coordinator can ship the spec's fields to a
-    worker process, which rebuilds the identical frozen dataclass.
-    """
-    kind = getattr(cls, "kind", None)
-    if not isinstance(kind, str) or not kind:
-        raise ConfigurationError(
-            f"spec type {cls.__name__} must define a non-empty 'kind' "
-            f"class attribute"
-        )
-    _SPEC_TYPES[kind] = cls
-    return cls
-
-
-def spec_type_for(kind: str) -> type:
-    """Look up the spec dataclass registered for ``kind``."""
-    cls = _SPEC_TYPES.get(kind)
-    if cls is None:
-        raise ConfigurationError(
-            f"no spec type registered for kind {kind!r} "
-            f"(registered: {sorted(_SPEC_TYPES) or 'none'})"
-        )
-    return cls
-
-
-def spec_kinds_with_types() -> tuple[str, ...]:
-    """Kinds whose specs can round-trip the cluster wire format."""
-    return tuple(sorted(_SPEC_TYPES))
-
 
 def register_runner(
     kind: str,
@@ -151,7 +113,6 @@ def register_runner(
     *,
     encode: Callable[[Any], dict],
     decode: Callable[[dict], Any],
-    spec_type: type | None = None,
 ) -> Runner:
     """Register (or re-register) the runner for ``kind``.
 
@@ -159,9 +120,7 @@ def register_runner(
     engine that runs one spec; it is required, because
     :func:`~repro.campaign.engine.run_cell` runs every cell on its
     engine.  Re-registration is allowed so module reloads stay
-    idempotent.  ``spec_type`` additionally registers the kind's spec
-    dataclass for the cluster wire format (see
-    :func:`register_spec_type`).
+    idempotent.
     """
     if not callable(make_engine):
         raise ConfigurationError(
@@ -171,8 +130,6 @@ def register_runner(
         kind=kind, make_engine=make_engine, encode=encode, decode=decode
     )
     _RUNNERS[kind] = runner
-    if spec_type is not None:
-        register_spec_type(spec_type)
     return runner
 
 

@@ -27,14 +27,11 @@ Commands:
   files as records, report stale-version records).
 - ``serve`` — expose the API over HTTP (``/v1/simulate``,
   ``/v1/scenarios``, ``/v1/campaign``, ...).
-- ``worker`` — run a fleet worker: the same HTTP service, started for
-  the ``/v1/worker/{run,health}`` routes an
-  :class:`~repro.cluster.HttpWorkerBackend` coordinator dispatches to.
 
-``campaign`` and ``scenarios run`` accept ``--backend
-{local,serial,http}``; ``--backend http --workers URL,URL`` shards the
-grid across a worker fleet and merges the results into this process's
-result store, so a later local run is all cache hits.
+``campaign`` and ``scenarios run`` accept ``--backend {local,serial}``;
+``--backend local --jobs N`` runs the grid on a pool of N local worker
+processes that share this host's disk cache, so a later run of the
+same cells is all cache hits.
 
 ``simulate`` and ``server`` accept ``--checkpoint-dir DIR``
 (``--checkpoint-every N`` windows, atomic files, removed on
@@ -61,9 +58,7 @@ Examples::
     python -m repro cache prune --max-entries 500
     python -m repro cache migrate --dry-run
     python -m repro serve --port 8765
-    python -m repro worker --port 9001
-    python -m repro campaign --mixes W1,W2 --backend http \\
-        --workers http://127.0.0.1:9001,http://127.0.0.1:9002
+    python -m repro campaign --mixes W1,W2 --backend local --jobs 2
 """
 
 from __future__ import annotations
@@ -95,7 +90,6 @@ from repro.api.requests import (
     REQUEST_SCHEMA,
     request_from_text,
     request_to_dict,
-    split_names,
 )
 from repro.campaign import (
     CACHE_VERSION,
@@ -212,31 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     add_json_flag(s_run)
 
-    def add_serve_flags(command: argparse.ArgumentParser, default_port: int) -> None:
-        command.add_argument("--host", default="127.0.0.1")
-        command.add_argument(
-            "--port", type=int, default=default_port,
-            help="TCP port (0 binds an ephemeral port; see --port-file)",
-        )
-        command.add_argument(
-            "--port-file", default=None, metavar="PATH",
-            help="write the bound port to PATH once listening",
-        )
-        command.add_argument(
-            "--verbose", action="store_true", help="log each HTTP request"
-        )
-        command.add_argument(
-            "--trace", action="store_true",
-            help="record spans for every request/campaign window "
-            "(also REPRO_TRACE=1); export with 'repro trace export' "
-            "or GET /v1/trace/<trace_id>",
-        )
-        command.add_argument(
-            "--log-json", action="store_true",
-            help="emit one-line JSON logs (ts/level/event/trace_id) on "
-            "stderr instead of plain text (also REPRO_LOG_JSON=1)",
-        )
-
     cache = sub.add_parser(
         "cache",
         help="inspect or maintain the on-disk result cache "
@@ -280,7 +249,29 @@ def _build_parser() -> argparse.ArgumentParser:
     serve_cmd = sub.add_parser(
         "serve", help="serve the API over HTTP (see repro.api.service)"
     )
-    add_serve_flags(serve_cmd, default_port=8765)
+    serve_cmd.add_argument("--host", default="127.0.0.1")
+    serve_cmd.add_argument(
+        "--port", type=int, default=8765,
+        help="TCP port (0 binds an ephemeral port; see --port-file)",
+    )
+    serve_cmd.add_argument(
+        "--port-file", default=None, metavar="PATH",
+        help="write the bound port to PATH once listening",
+    )
+    serve_cmd.add_argument(
+        "--verbose", action="store_true", help="log each HTTP request"
+    )
+    serve_cmd.add_argument(
+        "--trace", action="store_true",
+        help="record spans for every request/campaign window "
+        "(also REPRO_TRACE=1); export with 'repro trace export' "
+        "or GET /v1/trace/<trace_id>",
+    )
+    serve_cmd.add_argument(
+        "--log-json", action="store_true",
+        help="emit one-line JSON logs (ts/level/event/trace_id) on "
+        "stderr instead of plain text (also REPRO_LOG_JSON=1)",
+    )
     serve_cmd.add_argument(
         "--jobs", action="store_true",
         help="mount the multi-tenant job service (/v1/jobs): persistent "
@@ -372,13 +363,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_url_flag(j_list)
     j_list.add_argument("--tenant", default=None, help="filter by tenant")
     add_json_flag(j_list)
-
-    worker_cmd = sub.add_parser(
-        "worker",
-        help="run a campaign fleet worker (the /v1/worker HTTP routes an "
-        "HttpWorkerBackend coordinator dispatches cells to)",
-    )
-    add_serve_flags(worker_cmd, default_port=9001)
 
     trace_cmd = sub.add_parser(
         "trace", help="export recorded traces (Chrome trace-event JSON)"
@@ -479,25 +463,10 @@ def _request_from_args(args: argparse.Namespace):
 def _add_backend_flags(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--backend", default=None, choices=BACKEND_CHOICES,
-        help="where cells execute: local process pool (sized by --jobs), "
-        "serial (in-process), or http (a worker fleet); without the "
-        "flag, runs are serial unless --jobs > 1 builds a pool",
+        help="where cells execute: local process pool (sized by --jobs) "
+        "or serial (in-process); without the flag, runs are serial "
+        "unless --jobs > 1 builds a pool",
     )
-    command.add_argument(
-        "--workers", default=None, metavar="URL[,URL...]",
-        help="comma-separated worker base URLs for --backend http "
-        "(start workers with 'python -m repro worker')",
-    )
-
-
-def _backend_from_args(args: argparse.Namespace, jobs: int):
-    """Build the borrowed execution backend the flags describe (or None)."""
-    workers = split_names(args.workers or "")
-    if args.backend is None:
-        if workers:
-            raise ConfigurationError("--workers requires --backend http")
-        return None
-    return backend_for(args.backend, jobs=jobs, workers=workers)
 
 
 def _print_json(document) -> None:
@@ -648,9 +617,11 @@ def _run_grid_command(args: argparse.Namespace) -> int:
     else:
         run, table, label = "run_scenarios", "scenarios_table", "scenarios"
     with contextlib.ExitStack() as stack:
-        backend = _backend_from_args(args, request.jobs)
-        if backend is not None:
-            stack.enter_context(backend)
+        backend = None
+        if args.backend is not None:
+            backend = stack.enter_context(
+                backend_for(args.backend, jobs=request.jobs)
+            )
         client = ReproClient(backend=backend)
         if args.json:
             _print_json(results_document(list(getattr(client, run)(request))))
@@ -973,17 +944,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    _apply_obs_flags(args)
-    return serve(
-        host=args.host,
-        port=args.port,
-        port_file=args.port_file,
-        verbose=args.verbose,
-        role="worker",
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = _build_parser().parse_args(argv)
@@ -997,7 +957,6 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _cmd_cache,
         "jobs": _cmd_jobs,
         "serve": _cmd_serve,
-        "worker": _cmd_worker,
         "trace": _cmd_trace,
         "slo": _cmd_slo,
     }

@@ -2,9 +2,8 @@
 
 :class:`~repro.campaign.Campaign` owns *what* to run (dedup, ordering,
 caching, provenance); an :class:`ExecutionBackend` owns *where*: the
-calling process (:class:`SerialBackend`), a pool of local worker
-processes (:class:`LocalProcessBackend`), or an HTTP worker fleet
-(:class:`~repro.cluster.http.HttpWorkerBackend`).
+calling process (:class:`SerialBackend`) or a pool of local worker
+processes (:class:`LocalProcessBackend`).
 
 The protocol is two calls per batch:
 
@@ -22,16 +21,16 @@ The protocol is two calls per batch:
 Backends are context managers.  A campaign that builds its own backend
 closes it when the run (or an abandoned iterator) finishes; a backend
 passed in from outside is *borrowed* and survives the campaign, so one
-process pool or worker fleet can serve many grids::
+process pool can serve many grids::
 
     with LocalProcessBackend(jobs=8) as backend:
         Campaign(specs_a, backend=backend).run()
         Campaign(specs_b, backend=backend).run()   # same pool, no respawn
 
-Two class flags tell the campaign how results relate to its cache:
-``in_process`` (payloads were already written through the campaign's
-store) and ``shares_disk`` (executors share this host's default disk
-layer, so only the in-process memo needs backfilling).
+The ``in_process`` class flag tells the campaign whether payloads were
+already written through its store.  Pool workers run on this host and
+share its default disk layer, so after a pool run only the campaign's
+in-process memo (or its explicit store) needs the payloads.
 """
 
 from __future__ import annotations
@@ -58,10 +57,8 @@ class ExecutionBackend(ABC):
     #: Registry name (the CLI's ``--backend`` vocabulary).
     name: ClassVar[str] = "?"
     #: True when results were computed in this process *through the
-    #: campaign's store* — no coordinator backfill needed.
+    #: campaign's store* — no backfill needed.
     in_process: ClassVar[bool] = False
-    #: True when executors share this host's default disk cache layer.
-    shares_disk: ClassVar[bool] = False
 
     @abstractmethod
     def submit_cells(
@@ -94,7 +91,6 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
     in_process = True
-    shares_disk = True
 
     def __init__(self) -> None:
         self._cells: list[Cell] = []
@@ -147,7 +143,6 @@ class LocalProcessBackend(ExecutionBackend):
     """
 
     name = "local"
-    shares_disk = True
 
     def __init__(self, jobs: int) -> None:
         if jobs < 1:

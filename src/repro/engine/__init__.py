@@ -6,7 +6,8 @@ Layer stack::
     repro.core.simulator  <- Chapter4Strategy / TwoLevelSimulator
     repro.testbed.runner  <- ServerStrategy / HomogeneousStrategy
     repro.campaign        <- cached, deduplicated cells over the engine
-    repro.cluster         <- time-sliced, preemptible distributed cells
+    repro.cluster         <- serial or process-pool execution of cells
+    repro.jobs            <- time-sliced, preemptible job cells
     repro.api / cli       <- envelopes, /v1/progress, --checkpoint-dir
 """
 

@@ -300,7 +300,7 @@ class SteppingEngine:
         """Advance up to ``count`` windows; returns how many ran.
 
         Stops early when the batch completes, so callers can slice a
-        run without overshooting: time-sliced cluster cells and the
+        run without overshooting: time-sliced job cells and the
         CLI's checkpointed runs are both built on this.
         """
         if count < 0:

@@ -57,16 +57,6 @@ class CheckpointError(ReproError):
     """
 
 
-class ClusterError(ReproError):
-    """Distributed campaign execution failed (workers dead, cell rejected,
-    or retries exhausted).
-
-    Raised by the :mod:`repro.cluster` coordinator; transient worker
-    failures are retried and blacklisted internally, so seeing this
-    exception means the fleet as a whole could not complete the grid.
-    """
-
-
 class NotFoundError(ReproError):
     """A request named a job, trace or route that does not exist."""
 

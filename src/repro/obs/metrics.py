@@ -15,8 +15,8 @@ caller discipline.
 
 This module is the process-wide home of the registry: the
 :data:`METRICS` singleton collects engine cell timings, store
-hit/miss/single-flight counts, cluster dispatch events, HTTP route
-latencies, and the jobs-service series, so one ``/metrics`` scrape
+hit/miss/single-flight counts, HTTP route latencies, and the
+jobs-service series, so one ``/metrics`` scrape
 describes the whole process.
 """
 
@@ -360,5 +360,5 @@ class MetricsRegistry:
 
 #: The process-wide registry: every subsystem that does not receive an
 #: explicit registry emits here, so ``GET /metrics`` on any service in
-#: this process describes engine, stores, cluster, and jobs at once.
+#: this process describes engine, stores, HTTP and jobs at once.
 METRICS = MetricsRegistry()

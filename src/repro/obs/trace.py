@@ -1,7 +1,7 @@
 """End-to-end tracing: spans, context propagation, Chrome export.
 
-One campaign run — CLI or client, coordinator, every fleet worker, and
-the per-window engine loop inside each cell — should read as *one*
+One request — CLI or client, the HTTP service and its jobs scheduler,
+and the per-window engine loop inside each cell — should read as *one*
 trace.  The pieces:
 
 - :class:`Span` — a named interval with ``trace_id``/``span_id``/
@@ -14,8 +14,9 @@ trace.  The pieces:
   current context as the ``X-Repro-Trace`` header value
   (``trace_id:span_id``); :meth:`Tracer.activate` adopts one on the
   receiving side.  The HTTP service extracts the header for every
-  route, and both the worker backend and the jobs client inject it, so
-  worker-side spans share the coordinator's ``trace_id``.
+  route, and the jobs client (every :func:`repro.api.http.call_json`
+  caller) injects it, so service-side spans share the caller's
+  ``trace_id``.
 - **Storage** — finished spans land in a bounded in-memory ring
   (served by ``GET /v1/trace/<trace_id>``) and, when configured, an
   append-only JSONL sink for post-hoc export.

@@ -10,7 +10,8 @@ level boundaries and decision ladders exactly as tabulated in the paper.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 from repro.units import gbps
@@ -69,8 +70,19 @@ class EmergencyLevels:
             raise ConfigurationError(
                 "AMB and DRAM threshold lists must have equal length when both used"
             )
-        if self.amb_trp_c >= self.amb_tdp_c:
-            raise ConfigurationError("AMB TRP must be below the AMB TDP")
+        for name in ("amb_thresholds_c", "dram_thresholds_c"):
+            if not all(math.isfinite(t) for t in getattr(self, name)):
+                raise ConfigurationError(f"{name} must all be finite")
+        for part, trp, tdp in (
+            ("AMB", self.amb_trp_c, self.amb_tdp_c),
+            ("DRAM", self.dram_trp_c, self.dram_tdp_c),
+        ):
+            if not (math.isfinite(trp) and math.isfinite(tdp)):
+                raise ConfigurationError(
+                    f"{part} TRP and TDP must be finite, got {trp} and {tdp}"
+                )
+            if not trp < tdp:
+                raise ConfigurationError(f"{part} TRP must be below the {part} TDP")
 
     @property
     def level_count(self) -> int:

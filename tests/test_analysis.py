@@ -128,3 +128,15 @@ def test_policy_factories():
         assert make_chapter5_policy(name, PE1950) is not None
     with pytest.raises(ConfigurationError):
         make_chapter5_policy("warp", PE1950)
+
+
+def test_invalid_ch4_spec_is_refused_when_run():
+    """A spec the dataclass accepts but the model cannot run is refused
+    by the runner before anything is stored."""
+    from repro.campaign import MemoryStore, run_payload
+
+    spec = Chapter4Spec(copies=1, bandwidth_scale=-2.0)
+    store = MemoryStore()
+    with pytest.raises(ConfigurationError, match="bandwidth_scale"):
+        run_payload(spec, store)
+    assert store.get(spec.key()) is None

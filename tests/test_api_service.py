@@ -13,13 +13,12 @@ import urllib.request
 
 import pytest
 
-from repro.analysis.specs import Chapter4Spec, Chapter5Spec, run_result_from_dict
+from repro.analysis.specs import Chapter4Spec
 from repro.api import SCHEMA_VERSION, ReproClient, ReproService, ResultEnvelope
 from repro.api import service as service_module
 from repro.api.http import ServiceError, call_json
 from repro.campaign import MemoryStore
 from repro.cli import main
-from repro.cluster import WIRE_VERSION, cell_to_wire
 from repro.jobs import JobsManager
 
 
@@ -133,6 +132,23 @@ def test_campaign_route(service):
     assert policies == ["DTM-TS", "DTM-BW"]
 
 
+def test_worker_health_route(service):
+    """The fleet's worker routes are gone: each answers the structured
+    404 of an unknown route, and the one health document, ``/v1/healthz``,
+    no longer carries the fleet's ``role`` and ``wire_version``."""
+    for method, path in (
+        ("GET", "/v1/worker/health"), ("POST", "/v1/worker/run"),
+    ):
+        code, _, body = _raw(service, method, path)
+        assert code == 404, path
+        assert body["schema_version"] == SCHEMA_VERSION
+        assert f"unknown route {path!r}" in body["error"]
+    status, document = _get(service, "/v1/healthz")
+    assert status == 200
+    assert document["status"] == "ok" and document["pid"] > 0
+    assert "role" not in document and "wire_version" not in document
+
+
 def test_compare_route(service):
     status, document = _post(service, "/v1/compare", {"mix": "W1", "copies": 1})
     assert status == 200
@@ -146,84 +162,6 @@ def test_scenarios_run_route(service):
     assert document["results"][0]["scenario"] == "cold-aisle"
 
 
-def test_worker_health_route(service):
-    status, document = _get(service, "/v1/worker/health")
-    assert status == 200
-    assert document["status"] == "ok"
-    assert document["role"] == "api"  # `repro worker` reports "worker"
-    assert document["wire_version"] == WIRE_VERSION
-    assert {"ch4", "ch5"} <= set(document["kinds"])
-    assert document["pid"] > 0
-
-
-def test_worker_run_route_executes_wire_cells(service):
-    spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
-    status, document = _post(
-        service, "/v1/worker/run", {"cells": [cell_to_wire(spec)]}
-    )
-    assert status == 200
-    assert document["schema_version"] == SCHEMA_VERSION
-    (result,) = document["results"]
-    assert result["key"] == spec.key()
-    assert result["kind"] == "ch4"
-    assert result["cache"] in ("hit", "miss")
-    restored = run_result_from_dict(result["payload"])
-    assert restored.runtime_s > 0
-    # A repeat dispatch hits the worker's own cache.
-    _, again = _post(
-        service, "/v1/worker/run", {"cells": [cell_to_wire(spec)]}
-    )
-    assert again["results"][0]["cache"] == "hit"
-    assert again["results"][0]["compute_seconds"] == 0.0
-
-
-def test_worker_run_route_time_sliced_partial_then_resume(
-    service, tmp_path, monkeypatch
-):
-    """A window_slice request returns a checkpoint for an unfinished
-    cell; replaying the checkpoint finishes the cell with the same
-    payload a whole-run dispatch produces."""
-    from repro.campaign import GLOBAL_MEMORY, NullStore, run
-    from repro.analysis.specs import run_result_to_dict
-
-    # The cell must be cold or a cache hit short-circuits the slice:
-    # private disk store (the service resolves the default stack per
-    # request) and a cleared process memo.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    GLOBAL_MEMORY.clear()
-    spec = Chapter4Spec(mix="W1", policy="ts", copies=1, inlet_delta_c=-0.5)
-    status, document = _post(
-        service, "/v1/worker/run",
-        {"cells": [cell_to_wire(spec)], "window_slice": 100},
-    )
-    assert status == 200
-    (first,) = document["results"]
-    assert first["key"] == spec.key()
-    assert first["partial"] is True
-    assert first["windows_done"] == 100
-    assert first["resumed_from"] == 0
-    state = first["state"]
-    assert state["strategy"] == "ch4"
-    assert state["windows"] == 100
-
-    # Resume with a huge slice: the cell completes, warm.
-    status, document = _post(
-        service, "/v1/worker/run",
-        {
-            "cells": [cell_to_wire(spec)],
-            "window_slice": 10_000_000,
-            "resume": {spec.key(): state},
-        },
-    )
-    assert status == 200
-    (final,) = document["results"]
-    assert "partial" not in final
-    assert final["resumed_from"] == 100
-    assert final["windows_done"] > 100
-    expected = run(spec, store=NullStore())
-    assert final["payload"] == run_result_to_dict(expected)
-
-
 def test_progress_route_reports_engine_runs(service, tmp_path, monkeypatch):
     from repro.campaign import GLOBAL_MEMORY
     from repro.engine import PROGRESS
@@ -231,13 +169,10 @@ def test_progress_route_reports_engine_runs(service, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     GLOBAL_MEMORY.clear()
     PROGRESS.clear()
-    spec = Chapter4Spec(mix="W1", policy="ts", copies=1, inlet_delta_c=-1.0)
-    # Cold-run the cell through the worker route so the service's own
-    # process hosts the engine (progress is process-local).
-    _post(
-        service, "/v1/worker/run",
-        {"cells": [cell_to_wire(spec)], "window_slice": 10_000_000},
-    )
+    spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
+    # Cold-run the cell through the simulate route so the service's
+    # own process hosts the engine (progress is process-local).
+    _post(service, "/v1/simulate", {"mix": "W1", "policy": "ts", "copies": 1})
     status, document = _get(service, "/v1/progress")
     assert status == 200
     runs = document["runs"]
@@ -254,84 +189,6 @@ def test_progress_route_reports_engine_runs(service, tmp_path, monkeypatch):
     assert code == 405
 
 
-def test_worker_route_errors(service):
-    code, body = _error(service, "/v1/worker/run", data=b"{}")
-    assert code == 400 and "non-empty 'cells'" in body["error"]
-    code, body = _error(
-        service, "/v1/worker/run", data=b'{"cells": [], "x": 1}'
-    )
-    assert code == 400 and "non-empty 'cells'" in body["error"]
-    code, body = _error(
-        service, "/v1/worker/run",
-        data=json.dumps({"cells": [1], "extra": True}).encode(),
-    )
-    assert code == 400 and "unknown worker run fields" in body["error"]
-    code, body = _error(
-        service, "/v1/worker/run",
-        data=json.dumps({"cells": [{"kind": "nope", "fields": {}}]}).encode(),
-    )
-    assert code == 400 and "no spec type" in body["error"]
-    for window_slice in (True, False, 0, -5, 2.5, "100"):
-        # ``True`` is an ``int`` subclass: it must not run a 1-window
-        # slice.
-        code, body = _error(
-            service, "/v1/worker/run",
-            data=json.dumps({
-                "cells": [cell_to_wire(Chapter4Spec(copies=1))],
-                "window_slice": window_slice,
-            }).encode(),
-        )
-        assert code == 400, window_slice
-        assert body["schema_version"] == SCHEMA_VERSION
-        assert "window_slice must be a positive integer" in body["error"]
-    code, body = _error(service, "/v1/worker/run")
-    assert code == 405 and "use POST" in body["error"]
-    code, body = _error(service, "/v1/worker/health", data=b"{}")
-    assert code == 405 and "use GET" in body["error"]
-
-
-def test_worker_run_rejects_invalid_ch5_cells(service):
-    """An invalid Chapter 5 cell on the wire is a structured 400 before
-    any window runs, never a 500 or a cached payload."""
-    for fields in ({"time_slice_s": -1.0}, {"base_frequency_level": 9}):
-        spec = Chapter5Spec(policy="no-limit", copies=1, **fields)
-        code, body = _error(
-            service, "/v1/worker/run",
-            data=json.dumps({"cells": [cell_to_wire(spec)]}).encode(),
-        )
-        assert code == 400 and next(iter(fields)) in body["error"]
-
-
-def test_worker_run_rejects_gangs_field(service):
-    """Fleet dispatch is per cell: a body still carrying the retired
-    ``gangs`` field is an unknown field, answered with a structured 400."""
-    spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
-    key = spec.key()
-    code, body = _error(
-        service, "/v1/worker/run",
-        data=json.dumps({
-            "cells": [cell_to_wire(spec)], "gangs": [[key, key]],
-        }).encode(),
-    )
-    assert code == 400
-    assert body["schema_version"] == SCHEMA_VERSION
-    assert "unknown worker run fields ['gangs']" in body["error"]
-
-
-def test_worker_run_refuses_a_mistyped_cell(service):
-    """A wire value of the wrong type is a structured 400 naming the
-    field, never a handler crash that closes the connection."""
-    spec = Chapter5Spec(policy="no-limit", copies=1)
-    cell = cell_to_wire(spec)
-    cell["fields"]["copies"] = "1"
-    code, body = _error(
-        service, "/v1/worker/run", data=json.dumps({"cells": [cell]}).encode()
-    )
-    assert code == 400
-    assert body["schema_version"] == SCHEMA_VERSION
-    assert "fields.copies must be an integer, got '1'" in body["error"]
-
-
 @pytest.fixture(scope="module")
 def one_slot_service():
     """A service with a single compute slot, so a leaked slot shows."""
@@ -342,70 +199,6 @@ def one_slot_service():
     svc.shutdown()
     svc.server_close()
     thread.join(timeout=5)
-
-
-#: A cell no other test computes, so its resume state is always the
-#: one restored.
-_RESUME_SPEC = Chapter4Spec(mix="W3", policy="bw", copies=1, inlet_delta_c=0.37)
-
-
-def _resume_state() -> dict:
-    from repro.campaign import engine_for_spec
-
-    engine = engine_for_spec(_RESUME_SPEC)
-    engine.step_windows(10)
-    return engine.checkpoint().to_dict()
-
-
-def _t_amb_not_numeric(state: dict) -> None:
-    state["thermal"]["t_amb"][0] = "x"
-
-
-def _t_ambient_missing(state: dict) -> None:
-    del state["thermal"]["t_ambient"]
-
-
-def _traffic_bytes_not_numeric(state: dict) -> None:
-    state["accumulators"]["traffic_bytes"] = "x"
-
-
-def _scheduler_missing(state: dict) -> None:
-    del state["strategy_state"]["scheduler"]
-
-
-def _running_job_remaining_negative(state: dict) -> None:
-    state["strategy_state"]["scheduler"]["slots"][0][2] = -1.0
-
-
-@pytest.mark.parametrize(
-    "defect",
-    [
-        _t_amb_not_numeric,
-        _t_ambient_missing,
-        _traffic_bytes_not_numeric,
-        _scheduler_missing,
-        _running_job_remaining_negative,
-    ],
-)
-def test_worker_run_rejects_a_malformed_resume_state(one_slot_service, defect):
-    """A broken checkpoint in a sliced worker run is a structured 400
-    naming the defect, not a dropped connection, and the compute slot
-    it took is released."""
-    state = _resume_state()
-    defect(state)
-    code, body = _error(
-        one_slot_service, "/v1/worker/run",
-        data=json.dumps({
-            "cells": [cell_to_wire(_RESUME_SPEC)],
-            "window_slice": 50,
-            "resume": {_RESUME_SPEC.key(): state},
-        }).encode(),
-    )
-    assert code == 400
-    assert body["schema_version"] == SCHEMA_VERSION
-    assert "state" in body["error"] or "thermal" in body["error"]
-    assert one_slot_service.acquire_run_slot()
-    one_slot_service.release_run_slot()
 
 
 def test_an_unexpected_handler_error_is_a_structured_500(
@@ -562,9 +355,6 @@ _POST_BODIES = {
         "grid": "ch4", "mixes": ["W1"], "policies": ["ts"], "copies": 1,
     },
     "/v1/scenarios/run": {"names": ["hot-ambient"]},
-    "/v1/worker/run": {
-        "cells": [cell_to_wire(Chapter4Spec(mix="W1", policy="ts", copies=1))]
-    },
     "/v1/jobs": {"request": {"type": "simulate", **_CELL}},
 }
 
@@ -719,12 +509,9 @@ def test_cli_serve_subcommand(tmp_path, monkeypatch, capsys):
     assert "serving repro API" in capsys.readouterr().out
 
 
-def test_cli_worker_subcommand(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(
-        ReproService, "serve_forever",
-        lambda self, *a, **k: (_ for _ in ()).throw(KeyboardInterrupt()),
-    )
-    port_file = tmp_path / "port"
-    assert main(["worker", "--port", "0", "--port-file", str(port_file)]) == 0
-    assert int(port_file.read_text()) > 0
-    assert "serving repro worker" in capsys.readouterr().out
+def test_cli_worker_subcommand(capsys):
+    """``repro worker`` left with the fleet: it is an unknown command."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(["worker", "--port", "0"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'worker'" in capsys.readouterr().err

@@ -62,6 +62,8 @@ def test_unknown_policy_rejected():
     (["campaign", "--backend", "vector"], "invalid choice: 'vector'"),
     (["serve", "--jobs", "--jobs-backend", "http"], "unrecognized arguments"),
     (["serve", "--jobs", "--jobs-workers", "x:1"], "unrecognized arguments"),
+    (["campaign", "--backend", "http"], "invalid choice: 'http'"),
+    (["campaign", "--workers", "x:1"], "unrecognized arguments"),
 ])
 def test_removed_backend_options_are_unknown(argv, message, capsys):
     with pytest.raises(SystemExit) as excinfo:

@@ -39,10 +39,8 @@ from repro.api.envelope import SCHEMA_VERSION, dumps_canonical
 from repro.api.requests import request_from_dict
 from repro.campaign import MemoryStore
 from repro.cli import main
-from repro.cluster.fleet import await_port_file
 from repro.engine.progress import PROGRESS, ProgressBroker
 from repro.errors import (
-    ClusterError,
     ConfigurationError,
     ConflictError,
     ReproError,
@@ -896,6 +894,30 @@ class TestRunCapacity:
 # ---------------------------------------------------------------------------
 
 
+def _await_port_file(
+    path: Path, process: subprocess.Popen, timeout_s: float = 30.0
+) -> int:
+    """The port ``process`` wrote to its ``--port-file``.
+
+    Fails the test (killing the process) when the process exits first
+    or no port appears within ``timeout_s``.
+    """
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if process.poll() is not None:
+            pytest.fail(
+                f"server exited with code {process.returncode} "
+                f"before writing {path}"
+            )
+        text = path.read_text() if path.exists() else ""
+        if text.strip():
+            return int(text)
+        time.sleep(0.05)
+    process.kill()
+    process.wait(timeout=10)
+    pytest.fail(f"no port appeared in {path} within {timeout_s}s")
+
+
 def _spawn_server(workdir: Path, cache_dir: Path, *extra: str):
     port_file = workdir / "port.txt"
     port_file.unlink(missing_ok=True)
@@ -919,12 +941,7 @@ def _spawn_server(workdir: Path, cache_dir: Path, *extra: str):
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
-    try:
-        port = await_port_file(port_file, process, timeout_s=30)
-    except ClusterError:
-        process.kill()
-        raise
-    return process, f"http://127.0.0.1:{port}"
+    return process, f"http://127.0.0.1:{_await_port_file(port_file, process)}"
 
 
 class TestServerCrashRecovery:

@@ -3,8 +3,7 @@
 Covers the PR 9 acceptance criteria:
 
 - spans parent correctly across nested blocks and propagate across the
-  ``X-Repro-Trace`` header (one fleet campaign = one trace, asserted
-  end to end over a live 2-worker :class:`LocalFleet`);
+  ``X-Repro-Trace`` header into the HTTP service;
 - the :class:`TracingObserver` stays out of the engine's observer
   list — enabling it never changes engine checkpoint shape or restore
   compatibility;
@@ -22,7 +21,6 @@ Covers the PR 9 acceptance criteria:
 from __future__ import annotations
 
 import json
-import subprocess
 import sys
 import threading
 import time
@@ -38,12 +36,10 @@ import check_prom  # noqa: E402
 from repro.analysis.specs import Chapter4Spec
 from repro.api import ReproService
 from repro.campaign import (
-    Campaign,
     MemoryStore,
     SingleFlightStore,
     engine_for_spec,
 )
-from repro.cluster import HttpWorkerBackend, LocalFleet
 from repro.engine.progress import PROGRESS, ProgressBroker
 from repro.errors import ConfigurationError
 from repro.obs import (
@@ -541,17 +537,17 @@ class TestStructuredLog:
     def test_json_mode_emits_one_line_documents(self, capsys):
         log = StructuredLog()
         log.configure(json_mode=True)
-        log.warning("fleet.worker_dead", worker="w0", rescued=3)
+        log.warning("jobs.requeued", job="j0", requeued=3)
         log.error("job.failed", job="j1")
         captured = capsys.readouterr()
         assert captured.out == ""
         line, error_line = captured.err.strip().splitlines()
         assert json.loads(error_line)["level"] == "error"
         document = json.loads(line)
-        assert document["event"] == "fleet.worker_dead"
+        assert document["event"] == "jobs.requeued"
         assert document["level"] == "warning"
-        assert document["worker"] == "w0"
-        assert document["rescued"] == 3
+        assert document["job"] == "j0"
+        assert document["requeued"] == 3
         assert "ts" in document
 
     def test_json_logs_carry_active_trace_id(self, capsys):
@@ -650,74 +646,6 @@ class TestServiceRoutes:
         assert check_prom.check_text(text) == [], (
             check_prom.check_text(text)
         )
-
-
-class TestFleetTracePropagation:
-    def test_two_worker_campaign_is_one_trace(self, tmp_path):
-        """PR 9 acceptance: one fleet campaign = one trace.
-
-        The coordinator opens a campaign span; both workers run with
-        ``REPRO_TRACE=1`` and must record their cell spans under the
-        coordinator's trace id, provable by fetching each worker's
-        ``/v1/trace/<trace_id>`` and the Chrome export's validity.
-        """
-        from repro.obs.trace import TRACER
-
-        specs = [
-            Chapter4Spec(mix="W1", policy=policy, copies=1)
-            for policy in ("ts", "acg", "bw", "no-limit")
-        ]
-        TRACER.configure(enabled=True)
-        TRACER.clear()
-        try:
-            with LocalFleet(
-                2, env={"REPRO_TRACE": "1", "REPRO_CACHE": "0"}
-            ) as fleet:
-                with TRACER.span("campaign", cells=len(specs)) as root:
-                    trace_id = root.trace_id
-                    with HttpWorkerBackend(
-                        fleet.urls, chunk_cells=2
-                    ) as backend:
-                        results = Campaign(
-                            specs, store=MemoryStore(), backend=backend
-                        ).run()
-                assert len(results) == len(specs)
-
-                worker_spans = []
-                for url in fleet.urls:
-                    status, document = _get_json(
-                        f"{url}/v1/trace/{trace_id}?format=spans"
-                    )
-                    assert status == 200
-                    worker_spans.extend(document["spans"])
-        finally:
-            TRACER.configure(enabled=False)
-            TRACER.clear()
-
-        assert worker_spans, "workers recorded no spans for the trace"
-        assert {s["trace_id"] for s in worker_spans} == {trace_id}
-        names = {s["name"] for s in worker_spans}
-        assert "http" in names, names
-        assert "cell" in names or "worker.run" in names, names
-        # Sampled engine window spans rode along under the same trace.
-        window_spans = [s for s in worker_spans if s["name"] == "window"]
-        assert window_spans, "no engine window spans in the trace"
-        assert all(
-            {"policy_s", "kernel_s", "apply_s"} <= set(s["args"])
-            for s in window_spans
-        )
-        # The merged Chrome export is valid and spans both processes.
-        from repro.obs.trace import Span
-
-        document = chrome_trace(
-            [Span.from_dict(s) for s in worker_spans]
-            + TRACER.spans(trace_id)
-        )
-        parsed = json.loads(json.dumps(document))
-        assert len(parsed["traceEvents"]) == len(worker_spans) + len(
-            TRACER.spans(trace_id)
-        )
-        assert len({e["pid"] for e in parsed["traceEvents"]}) >= 2
 
 
 class TestCli:

@@ -125,3 +125,55 @@ def test_trp_below_tdp_required():
             amb_tdp_c=110.0,
             amb_trp_c=111.0,
         )
+
+
+def _levels(**overrides) -> EmergencyLevels:
+    fields = dict(
+        amb_thresholds_c=(108.0,),
+        dram_thresholds_c=(83.0,),
+        bw_caps_bytes_per_s=(None, 0.0),
+        acg_active_cores=(4, 0),
+        cdvfs_levels=(0, 4),
+    )
+    fields.update(overrides)
+    return EmergencyLevels(**fields)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"amb_tdp_c": float("nan")},
+        {"amb_trp_c": float("nan")},
+        {"dram_tdp_c": float("nan")},
+        {"dram_trp_c": float("nan")},
+        {"amb_tdp_c": float("inf")},
+        {"dram_trp_c": float("-inf")},
+        {"amb_thresholds_c": (float("nan"),)},
+        {"dram_thresholds_c": (float("inf"),)},
+        {"dram_tdp_c": 85.0, "dram_trp_c": 85.0},
+        {"dram_tdp_c": 80.0, "dram_trp_c": 84.0},
+    ],
+    ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+)
+def test_non_finite_or_inverted_points_are_refused(overrides):
+    """A NaN or infinite threshold, TDP or TRP is refused, and the TRP
+    must sit below the TDP for the DRAM pair as well as the AMB pair."""
+    with pytest.raises(ConfigurationError):
+        _levels(**overrides)
+
+
+def test_nan_tdp_cell_is_refused_before_any_window_runs(monkeypatch):
+    """A Chapter 5 cell with a NaN AMB TDP fails with a
+    ``ConfigurationError`` when its engine is built, instead of running
+    with every level threshold at NaN."""
+    from repro.analysis.specs import Chapter5Spec
+    from repro.campaign import NullStore, run_payload
+    from repro.engine import SteppingEngine
+
+    def no_window(engine):
+        raise AssertionError("a window ran")
+
+    monkeypatch.setattr(SteppingEngine, "step_window", no_window)
+    spec = Chapter5Spec(policy="bw", copies=1, amb_tdp_c=float("nan"))
+    with pytest.raises(ConfigurationError, match="finite"):
+        run_payload(spec, NullStore())

@@ -1,16 +1,15 @@
 """One cell runner: every caller of ``run_cell`` yields the same bytes.
 
 ``run_cell`` is the only code that looks up, builds, restores, steps,
-finishes, encodes and stores a cell.  Its four callers — a campaign's
-whole run, a job's time-sliced cell, the worker route's single slices
-and the checkpointed CLI run — must therefore agree bit for bit with a
-plain uncached ``run_payload``, on a Chapter 4 and a Chapter 5 cell,
-including when they stop mid-cell and resume from a checkpoint.
+finishes, encodes and stores a cell.  Its three callers — a campaign's
+whole run, a job's time-sliced cell and the checkpointed CLI run — must
+therefore agree bit for bit with a plain uncached ``run_payload``, on a
+Chapter 4 and a Chapter 5 cell, including when they stop mid-cell and
+resume from a checkpoint.
 """
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
@@ -73,24 +72,6 @@ def _via_job(request, tmp_path) -> dict:
     return store.get(request.spec().key())
 
 
-def _via_worker(request, tmp_path) -> dict:
-    """Single worker slices chained through their wire checkpoints."""
-    client = ReproClient(store=MemoryStore())
-    spec = request.spec()
-    state = None
-    slices = 0
-    while True:
-        entry = json.loads(json.dumps(client.worker_run(spec, 50, state)))
-        slices += 1
-        if not entry.get("partial"):
-            break
-        assert entry["windows_done"] == 50 * slices
-        state = entry["state"]
-    assert slices > 1 and entry["cache"] == "miss"
-    assert entry["resumed_from"] == 50 * (slices - 1)
-    return entry["payload"]
-
-
 def _via_checkpoint_file(request, tmp_path) -> dict:
     """An interrupted checkpointed run resumed from its file."""
     spec = request.spec()
@@ -117,8 +98,8 @@ def _via_checkpoint_file(request, tmp_path) -> dict:
 
 @pytest.mark.parametrize("cell", sorted(CELLS))
 @pytest.mark.parametrize(
-    "caller", [_via_campaign, _via_job, _via_worker, _via_checkpoint_file],
-    ids=["campaign", "job-sliced-resumed", "worker-slices", "checkpoint-file"],
+    "caller", [_via_campaign, _via_job, _via_checkpoint_file],
+    ids=["campaign", "job-sliced-resumed", "checkpoint-file"],
 )
 def test_every_run_cell_caller_yields_the_reference_bytes(
     caller, cell, tmp_path, monkeypatch

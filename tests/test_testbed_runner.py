@@ -13,7 +13,6 @@ from repro.analysis.specs import (
     trace_to_dict,
 )
 from repro.campaign import MemoryStore, NullStore, engine_for_spec, run
-from repro.cluster import cell_from_wire, cell_to_wire
 from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB
 from repro.dtm.base import NoLimitPolicy
 from repro.engine import EngineState, SteppingEngine
@@ -241,12 +240,10 @@ _INVALID_CH5_FIELDS = [
     ids=lambda fields: "-".join(f"{k}={v}" for k, v in fields.items()),
 )
 def test_invalid_ch5_inputs_rejected_before_running(fields):
-    """Bad time slices and base levels fail up front, on the spec path
-    and the wire path alike, and nothing reaches the store.  On the wire
-    path a non-finite value is already refused when the cell decodes."""
+    """Bad time slices and base levels fail up front, and nothing
+    reaches the store."""
     spec = Chapter5Spec(mix="W1", copies=1, **fields)
-    for make_cell in (lambda: spec, lambda: cell_from_wire(cell_to_wire(spec))):
-        store = MemoryStore()
-        with pytest.raises(ConfigurationError):
-            run(make_cell(), store=store)
-        assert store.get(spec.key()) is None
+    store = MemoryStore()
+    with pytest.raises(ConfigurationError):
+        run(spec, store=store)
+    assert store.get(spec.key()) is None

@@ -15,23 +15,17 @@ diffable JSON file instead of anecdotes.  Current probes:
 - ``kernel_window_stream`` — the batched thermal kernel (``load`` then
   ``step`` per window) vs the per-node ``MemSpot`` oracle on an
   identical window stream, asserted bit-identical.
-- ``campaign_grid_serial`` / ``campaign_grid_fleet2`` — the 8-cell ch4
-  grid cold through an in-process serial run vs an
-  ``HttpWorkerBackend`` over a 2-worker :class:`LocalFleet` with
-  chunked dispatch (one request per worker), measuring the scale-out
-  path end to end (worker boot excluded).  Both sides run in cold
-  processes, so the comparison is apples to apples.
+- ``campaign_grid_serial`` — the 8-cell ch4 grid cold through an
+  in-process serial run in a fresh process (no warm memo).
 - ``checkpoint_overhead`` — per-window cost of engine checkpointing at
   its most aggressive setting (a checkpoint written every window).
   Two regression assertions: the optimized observer path (section-
   reuse serializer + raw-``os`` writes) must beat the naive PR-5-era
-  re-dump + pathlib path run interleaved on the same filesystem
-  (relative, so disk weather cancels), and the CPU-side cost per
-  checkpoint (snapshot + serialize + encode, no I/O) must stay under
-  an absolute 60 us budget.
-- ``resume_vs_restart`` — a 2-worker fleet loses a worker mid-cell;
-  wall clock of the grid with time-sliced (resume-from-checkpoint)
-  dispatch vs whole-run (restart-from-zero) dispatch.
+  re-dump + pathlib path, the two run interleaved on the same
+  filesystem with their order alternating between repeats (relative,
+  so disk weather cancels), and the CPU-side cost per checkpoint
+  (snapshot + serialize + encode, no I/O) must stay under an absolute
+  60 us budget.
 - ``warm_hit_latency`` — per-hit cost of a warm ``get_or_compute``
   through the ``JsonDirStore`` disk layer and through the
   memory-fronted tiered stack (reps interleaved).
@@ -52,7 +46,7 @@ diffable JSON file instead of anecdotes.  Current probes:
 Usage::
 
     PYTHONPATH=src python tools/run_benches.py [--output PATH]
-        [--repeats N] [--skip-fleet]
+        [--repeats N]
 """
 
 from __future__ import annotations
@@ -74,7 +68,6 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 from repro.analysis import specs as specs_module  # noqa: E402
 from repro.analysis.specs import Chapter4Spec  # noqa: E402
 from repro.campaign import (  # noqa: E402
-    Campaign,
     JsonDirStore,
     MemoryStore,
     NullStore,
@@ -84,7 +77,6 @@ from repro.campaign import (  # noqa: E402
     run_cell,
     run_payload,
 )
-from repro.cluster import HttpWorkerBackend, LocalFleet  # noqa: E402
 from repro.core.kernel import BatchedMemSpot  # noqa: E402
 from repro.core.memspot import MemSpot  # noqa: E402
 from repro.core.windowmodel import WindowModel  # noqa: E402
@@ -97,18 +89,14 @@ from repro.engine import (  # noqa: E402
 from repro.params.thermal_params import AOHS_1_5, ISOLATED_AMBIENT  # noqa: E402
 from repro.workloads.mixes import get_mix  # noqa: E402
 
-#: The campaign grid both execution paths run (cold, copies=1): all
-#: eight Fig. 4.3 schemes, ordered so each worker's half is a
-#: memoization-coherent family — the bandwidth-capped schemes share
-#: level-1 window-model entries, as do the frequency-scaled ones —
-#: which keeps the duplicated per-worker warm-up to a minimum.
+#: The campaign grid (cold, copies=1): all eight Fig. 4.3 schemes.
 GRID_POLICIES = (
     "bw", "acg", "bw+pid", "acg+pid",
     "no-limit", "ts", "cdvfs", "cdvfs+pid",
 )
 
-#: Driver for the cold-process serial baseline: same grid, same
-#: MemoryStore, fresh interpreter (no warm window-model memo).
+#: Driver for the cold serial grid: a fresh interpreter (no warm
+#: window-model memo) and a MemoryStore.
 _SERIAL_DRIVER = """
 import json, sys, time
 sys.path.insert(0, {src!r})
@@ -119,13 +107,6 @@ started = time.perf_counter()
 Campaign(specs, store=MemoryStore()).run()
 print(json.dumps({{"seconds": time.perf_counter() - started}}))
 """
-
-
-def _grid_specs() -> list[Chapter4Spec]:
-    return [
-        Chapter4Spec(mix="W1", policy=policy, copies=1)
-        for policy in GRID_POLICIES
-    ]
 
 
 def bench_fig4_3_cell(repeats: int) -> dict:
@@ -205,57 +186,17 @@ def _serial_grid_once() -> float:
     return json.loads(proc.stdout)["seconds"]
 
 
-def _fleet_grid_once(workers: int, chunk: int) -> float:
-    specs = _grid_specs()
-    with LocalFleet(workers, env={"REPRO_CACHE": "0"}) as fleet:
-        # The grid takes a few seconds; a 5 s heartbeat keeps liveness
-        # probing off the timed path without disabling dead-worker
-        # detection for longer grids.
-        with HttpWorkerBackend(
-            fleet.urls, chunk_cells=chunk, heartbeat_interval_s=5.0
-        ) as backend:
-            started = time.perf_counter()
-            results = Campaign(
-                specs, store=MemoryStore(), backend=backend
-            ).run()
-            elapsed = time.perf_counter() - started
-    assert len(results) == len(specs)
-    return elapsed
-
-
-def bench_campaign_grids(repeats: int, workers: int = 2) -> tuple[dict, dict]:
-    """Serial vs 2-worker fleet, reps interleaved so machine-load
-    drift hits both sides equally; best-of-``repeats`` per side."""
-    chunk = len(GRID_POLICIES) // workers
-    serial_samples: list[float] = []
-    fleet_samples: list[float] = []
-    for _ in range(repeats):
-        serial_samples.append(_serial_grid_once())
-        fleet_samples.append(_fleet_grid_once(workers, chunk))
-    serial = {
+def bench_campaign_grid_serial(repeats: int) -> dict:
+    samples = [_serial_grid_once() for _ in range(repeats)]
+    return {
         "description": (
             f"cold ch4 grid, {len(GRID_POLICIES)} cells, serial in a "
             f"fresh process (no warm memo)"
         ),
         "cells": len(GRID_POLICIES),
-        "best_seconds": round(min(serial_samples), 4),
-        "samples_seconds": [round(s, 4) for s in serial_samples],
+        "best_seconds": round(min(samples), 4),
+        "samples_seconds": [round(s, 4) for s in samples],
     }
-    fleet = {
-        "description": (
-            f"cold ch4 grid, {len(GRID_POLICIES)} cells, "
-            f"HttpWorkerBackend over {workers} LocalFleet workers, "
-            f"chunked dispatch ({chunk} cells/request), reps "
-            f"interleaved with the serial baseline"
-        ),
-        "cells": len(GRID_POLICIES),
-        "workers": workers,
-        "chunk_cells": chunk,
-        "best_seconds": round(min(fleet_samples), 4),
-        "samples_seconds": [round(s, 4) for s in fleet_samples],
-        "speedup_vs_serial": round(min(serial_samples) / min(fleet_samples), 3),
-    }
-    return serial, fleet
 
 
 class _NaiveCheckpointWriter(Observer):
@@ -278,6 +219,13 @@ class _NaiveCheckpointWriter(Observer):
         )
         tmp.write_text(text + "\n")
         os.replace(tmp, self.path)
+
+
+#: Minimum repeats of the checkpoint bench.  One repeat is a 4-5 s run
+#: bound by file I/O per write path; best of 3 did not separate the two
+#: paths on a 2-vCPU box, so the bench takes more samples and
+#: alternates which path runs first.
+CHECKPOINT_REPEATS = 7
 
 
 def bench_checkpoint_overhead(repeats: int) -> dict:
@@ -311,13 +259,14 @@ def bench_checkpoint_overhead(repeats: int) -> dict:
     opt_samples: list[float] = []
     naive_samples: list[float] = []
     windows = 0
-    for _ in range(repeats):
+    for repeat in range(max(repeats, CHECKPOINT_REPEATS)):
         seconds, windows = plain()
         plain_samples.append(seconds)
-        seconds, windows = checkpointed(optimized=True)
-        opt_samples.append(seconds)
-        seconds, windows = checkpointed(optimized=False)
-        naive_samples.append(seconds)
+        # Alternate the order so neither write path always runs on the
+        # file-system state the other one left behind.
+        for optimized in (True, False) if repeat % 2 == 0 else (False, True):
+            seconds, windows = checkpointed(optimized=optimized)
+            (opt_samples if optimized else naive_samples).append(seconds)
     best_plain = min(plain_samples)
     best_opt = min(opt_samples)
     best_naive = min(naive_samples)
@@ -329,7 +278,8 @@ def bench_checkpoint_overhead(repeats: int) -> dict:
     # rename) whose cost on a journaled filesystem swings 2-3x with
     # unrelated disk load, so an absolute wall-clock budget mostly
     # tests the weather.  Both write paths run interleaved in this
-    # process against the same filesystem, so the comparison is fair:
+    # process against the same filesystem, each first in half of the
+    # repeats, so the comparison is fair:
     # the optimized path (section-reuse serializer + raw-os writes)
     # must not lose to the naive re-dump + pathlib path it replaced.
     assert best_opt <= best_naive * 1.10, (
@@ -371,84 +321,6 @@ def bench_checkpoint_overhead(repeats: int) -> dict:
         "naive_overhead_us_per_window": round(naive_us, 2),
         "cpu_us_per_checkpoint": round(cpu_us, 2),
         "cpu_budget_us_per_checkpoint": cpu_budget_us,
-    }
-
-
-def _killed_fleet_grid(window_slice: int | None) -> dict:
-    """Run one big cell on a 2-worker fleet, killing a worker mid-cell.
-
-    With ``window_slice`` the survivor resumes from the cell's last
-    checkpoint; without it the cell restarts from zero.  The kill fires
-    at a fixed wall delay and targets whichever worker actually holds
-    the cell at that instant (``fleet_stats`` in-flight view), so both
-    variants genuinely lose mid-cell work.
-    """
-    spec = Chapter4Spec(mix="W1", policy="ts", copies=2)
-    # Time the cell solo so the kill lands mid-cell in both variants.
-    solo_engine = engine_for_spec(spec)
-    solo_started = time.perf_counter()
-    solo_engine.run_to_completion()
-    solo_seconds = time.perf_counter() - solo_started
-    kill_after = max(0.2, solo_seconds * 0.6)
-
-    with LocalFleet(2, env={"REPRO_CACHE": "0"}) as fleet:
-        backend = HttpWorkerBackend(
-            fleet.urls,
-            window_slice=window_slice,
-            heartbeat_interval_s=0.25,
-            health_timeout_s=1.0,
-        )
-        with backend:
-            campaign = Campaign(
-                [spec], store=MemoryStore(), backend=backend
-            )
-            results: list = []
-
-            def consume() -> None:
-                results.extend(r for _, r, _, _ in campaign.iter_run())
-
-            started = time.perf_counter()
-            consumer = threading.Thread(target=consume, daemon=True)
-            consumer.start()
-            time.sleep(kill_after)
-            holder = next(
-                (
-                    index
-                    for index, worker in enumerate(backend.fleet_stats())
-                    if worker["in_flight_cells"]
-                ),
-                0,
-            )
-            fleet.kill(holder)
-            consumer.join(timeout=600)
-            elapsed = time.perf_counter() - started
-            stats = backend.dispatch_stats()
-    assert len(results) == 1, "grid did not survive the kill"
-    record = next(iter(stats["cells"].values()), {})
-    return {
-        "solo_cell_seconds": round(solo_seconds, 4),
-        "kill_after_seconds": round(kill_after, 4),
-        "killed_worker": holder,
-        "grid_seconds": round(elapsed, 4),
-        "resumed_from_window": record.get("resumed_from", 0),
-        "slices": record.get("slices", 1),
-    }
-
-
-def bench_resume_vs_restart() -> dict:
-    resumed = _killed_fleet_grid(window_slice=2000)
-    restarted = _killed_fleet_grid(window_slice=None)
-    return {
-        "description": (
-            "one W1/ts copies=2 cell on a 2-worker fleet, one worker "
-            "SIGKILLed mid-cell: time-sliced resume-from-checkpoint vs "
-            "whole-run restart-from-zero"
-        ),
-        "resume": resumed,
-        "restart": restarted,
-        "resume_speedup": round(
-            restarted["grid_seconds"] / resumed["grid_seconds"], 3
-        ),
     }
 
 
@@ -715,11 +587,6 @@ def main(argv: list[str] | None = None) -> int:
         "--output", default=str(REPO_ROOT / "BENCH_PR10.json"), metavar="PATH"
     )
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument(
-        "--skip-fleet", action="store_true",
-        help="skip the fleet benches (e.g. sandboxes without "
-        "subprocess networking)",
-    )
     args = parser.parse_args(argv)
 
     benches: dict[str, dict] = {}
@@ -737,30 +604,14 @@ def main(argv: list[str] | None = None) -> int:
     benches["job_queue_throughput"] = bench_job_queue_throughput(args.repeats)
     print("bench: tracing_overhead ...", flush=True)
     benches["tracing_overhead"] = bench_tracing_overhead(args.repeats)
-    if args.skip_fleet:
-        print("bench: campaign_grid_serial ...", flush=True)
-        benches["campaign_grid_serial"] = {
-            "description": "cold ch4 grid, serial in a fresh process",
-            "cells": len(GRID_POLICIES),
-            "best_seconds": round(_serial_grid_once(), 4),
-        }
-    else:
-        print("bench: campaign_grid serial vs fleet2 (interleaved) ...",
-              flush=True)
-        serial, fleet = bench_campaign_grids(args.repeats)
-        benches["campaign_grid_serial"] = serial
-        benches["campaign_grid_fleet2"] = fleet
-        print("bench: resume_vs_restart ...", flush=True)
-        benches["resume_vs_restart"] = bench_resume_vs_restart()
+    print("bench: campaign_grid_serial ...", flush=True)
+    benches["campaign_grid_serial"] = bench_campaign_grid_serial(args.repeats)
 
     document = {
         "schema_version": "1.0",
         "generated_by": "tools/run_benches.py",
         "python": platform.python_version(),
         "platform": platform.platform(),
-        # Interpret fleet-vs-serial with this in hand: on a one-core
-        # box the fleet can only win back its own overhead; the
-        # parallel speedup is real on multi-core runners.
         "cpu_count": os.cpu_count(),
         "benches": benches,
     }
@@ -783,20 +634,10 @@ def main(argv: list[str] | None = None) -> int:
         extra = (
             f" (speedup {bench['speedup']}x)" if "speedup" in bench else ""
         ) + (
-            f" (speedup vs serial {bench['speedup_vs_serial']}x)"
-            if "speedup_vs_serial" in bench
-            else ""
-        ) + (
-            f" (resume speedup {bench['resume_speedup']}x)"
-            if "resume_speedup" in bench
-            else ""
-        ) + (
             f" ({bench['overhead_us_per_window']} us/window)"
             if "overhead_us_per_window" in bench
             else ""
         )
-        if headline is None and "resume" in bench:
-            headline = bench["resume"]["grid_seconds"]
         if headline is None and "flat_us_per_hit" in bench:
             print(
                 f"  {name}: flat {bench['flat_us_per_hit']} us/hit, "
