@@ -24,14 +24,33 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import ClassVar
+from functools import partial
+from typing import Any, ClassVar
 
 from repro.campaign import register_runner, run, spec_key
 from repro.core.results import RunResult, TemperatureTrace
-from repro.core.simulator import SimulationConfig, TwoLevelSimulator
+from repro.core.simulator import (
+    DTM_OVERHEAD_S,
+    DUTY_CYCLE,
+    POSITIVE,
+    SimulationConfig,
+    TwoLevelSimulator,
+    duty_windows,
+)
 from repro.core.windowmodel import MemoryEnvelope, WindowModel
 from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB, DTMTS, DTMPolicy, PIDPolicy
 from repro.dtm.base import NoLimitPolicy
+from repro.engine.codec import (
+    Count,
+    Flag,
+    Float,
+    Optional,
+    Text,
+    check_domain,
+    domain,
+    load_state_dict,
+    state_dict,
+)
 from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 from repro.params.thermal_params import (
@@ -42,8 +61,10 @@ from repro.params.thermal_params import (
 from repro.testbed.performance import ServerWindowModel
 from repro.testbed.platforms import PLATFORMS, ServerPlatform
 from repro.testbed.runner import ServerRunResult, ServerSimulator
+from repro.workloads.mixes import MIX
 
 __all__ = [
+    "AMBIENT_MODELS",
     "CHAPTER4_POLICIES",
     "CHAPTER4_POLICY_CHOICES",
     "CHAPTER5_POLICIES",
@@ -52,6 +73,7 @@ __all__ = [
     "bench_copies",
     "make_chapter4_policy",
     "make_chapter5_policy",
+    "result_to_dict",
     "run_chapter4",
     "run_chapter5",
     "run_result_from_dict",
@@ -95,40 +117,56 @@ CHAPTER4_POLICIES = (
 CHAPTER4_POLICY_CHOICES = CHAPTER4_POLICIES + ("comb",)
 
 
+#: The Table 3.3 ambient models, by their spec name.
+AMBIENT_MODELS = {"isolated": ISOLATED_AMBIENT, "integrated": INTEGRATED_AMBIENT}
+
+_COPIES = Count(minimum=1)
+
+
 @dataclass(frozen=True)
 class Chapter4Spec:
-    """One Chapter 4 simulation run."""
+    """One Chapter 4 simulation run; a value outside a field's declared
+    domain is refused at construction."""
 
     kind: ClassVar[str] = "ch4"
     #: Presentation-only fields left out of the cache key: the same
     #: physical run under different scenario labels shares one entry.
     KEY_EXCLUDED_FIELDS: ClassVar[tuple[str, ...]] = ("scenario",)
 
-    mix: str = "W1"
-    policy: str = "ts"
-    cooling: str = "AOHS_1.5"
+    mix: str = domain(MIX, "W1")
+    policy: str = domain(Text(CHAPTER4_POLICY_CHOICES, noun="ch4 policy"), "ts")
+    cooling: str = domain(
+        Text(tuple(COOLING_CONFIGS), noun="cooling"), "AOHS_1.5"
+    )
     #: "isolated" or "integrated" (Table 3.3 row).
-    ambient: str = "isolated"
-    copies: int = 2
-    dtm_interval_s: float = 0.010
+    ambient: str = domain(
+        Text(tuple(AMBIENT_MODELS), noun="ambient model"), "isolated"
+    )
+    copies: int = domain(_COPIES, 2)
+    #: Longer than the fixed DTM overhead it pays each interval.
+    dtm_interval_s: float = domain(Float(DTM_OVERHEAD_S, strict=True), 0.010)
     #: CPU-memory interaction override (§4.5.2 sweeps 1.0 / 1.5 / 2.0).
-    interaction: float | None = None
+    interaction: float | None = domain(Optional(Float(0.0)), None)
     #: DTM-TS release point overrides (Fig. 4.2 sweeps).
-    amb_trp_c: float | None = None
-    dram_trp_c: float | None = None
-    record_trace: bool = False
+    amb_trp_c: float | None = domain(Optional(Float()), None)
+    dram_trp_c: float | None = domain(Optional(Float()), None)
+    record_trace: bool = domain(Flag(), False)
     #: Name of the scenario that produced this spec (None for ad-hoc runs).
-    scenario: str | None = None
+    scenario: str | None = domain(Optional(Text()), None)
     #: Machine-room inlet shift, degC (scenario knob; 0 = Table 3.3).
-    inlet_delta_c: float = 0.0
+    inlet_delta_c: float = domain(Float(), 0.0)
     #: Platform shape overrides (Table 4.1 uses 4 channels x 4 DIMMs).
-    channels: int = 4
-    dimms_per_channel: int = 4
+    channels: int = domain(Count(minimum=1), 4)
+    dimms_per_channel: int = domain(Count(minimum=1), 4)
     #: Traffic shape: the cores run ``duty_cycle`` of each period.
-    duty_cycle: float = 1.0
-    duty_period_s: float = 0.1
+    duty_cycle: float = domain(DUTY_CYCLE, 1.0)
+    duty_period_s: float = domain(POSITIVE, 0.1)
     #: Scales the memory envelope's peak bandwidth (narrow/wide pipes).
-    bandwidth_scale: float = 1.0
+    bandwidth_scale: float = domain(POSITIVE, 1.0)
+
+    def __post_init__(self) -> None:
+        check_domain(self)
+        duty_windows(self.duty_cycle, self.duty_period_s, self.dtm_interval_s)
 
     def key(self) -> str:
         """Stable hash key of this spec."""
@@ -176,17 +214,13 @@ def _shared_window_model(envelope: MemoryEnvelope | None = None) -> WindowModel:
 
 def _chapter4_engine(spec: Chapter4Spec, extra_observers: tuple = ()):
     """A stepping engine for one Chapter 4 spec (checkpoint/slice surface)."""
-    if spec.cooling not in COOLING_CONFIGS:
-        raise ConfigurationError(f"unknown cooling {spec.cooling!r}")
-    ambient = ISOLATED_AMBIENT if spec.ambient == "isolated" else INTEGRATED_AMBIENT
+    ambient = AMBIENT_MODELS[spec.ambient]
     if spec.interaction is not None:
         ambient = ambient.with_interaction(spec.interaction)
     if spec.inlet_delta_c != 0.0:
         ambient = ambient.with_inlet_delta(spec.inlet_delta_c)
     envelope: MemoryEnvelope | None = None
     if spec.bandwidth_scale != 1.0:
-        if spec.bandwidth_scale <= 0:
-            raise ConfigurationError("bandwidth_scale must be positive")
         base = MemoryEnvelope()
         envelope = replace(
             base,
@@ -229,24 +263,32 @@ def run_chapter4(spec: Chapter4Spec) -> RunResult:
 CHAPTER5_POLICIES = ("no-limit", "bw", "acg", "cdvfs", "comb")
 
 
+def _operating_points(spec: "Chapter5Spec") -> int:
+    """The DVFS ladder length of the spec's platform."""
+    return len(PLATFORMS[spec.platform].cpu_power.operating_points)
+
+
 @dataclass(frozen=True)
 class Chapter5Spec:
-    """One Chapter 5 server measurement."""
+    """One Chapter 5 server measurement; a value outside a field's
+    declared domain is refused at construction."""
 
     kind: ClassVar[str] = "ch5"
     #: Presentation-only fields left out of the cache key (see ch4).
     KEY_EXCLUDED_FIELDS: ClassVar[tuple[str, ...]] = ("scenario",)
 
-    platform: str = "PE1950"
-    mix: str = "W1"
-    policy: str = "bw"
-    copies: int = 2
-    time_slice_s: float | None = None
-    ambient_override_c: float | None = None
-    amb_tdp_c: float | None = None
-    base_frequency_level: int = 0
+    platform: str = domain(Text(tuple(PLATFORMS), noun="platform"), "PE1950")
+    mix: str = domain(MIX, "W1")
+    policy: str = domain(Text(CHAPTER5_POLICIES, noun="ch5 policy"), "bw")
+    copies: int = domain(_COPIES, 2)
+    time_slice_s: float | None = domain(Optional(POSITIVE), None)
+    ambient_override_c: float | None = domain(Optional(Float()), None)
+    amb_tdp_c: float | None = domain(Optional(Float()), None)
+    base_frequency_level: int = domain(Count(limit=_operating_points), 0)
     #: Name of the scenario that produced this spec (None for ad-hoc runs).
-    scenario: str | None = None
+    scenario: str | None = domain(Optional(Text()), None)
+
+    __post_init__ = check_domain
 
     def key(self) -> str:
         """Stable hash key of this spec."""
@@ -254,9 +296,7 @@ class Chapter5Spec:
 
 
 def _platform_for(spec: Chapter5Spec) -> ServerPlatform:
-    base = PLATFORMS.get(spec.platform)
-    if base is None:
-        raise ConfigurationError(f"unknown platform {spec.platform!r}")
+    base = PLATFORMS[spec.platform]
     if spec.amb_tdp_c is not None:
         return base.with_levels(base.levels.with_amb_tdp(spec.amb_tdp_c))
     return base
@@ -311,53 +351,33 @@ def run_chapter5(spec: Chapter5Spec) -> ServerRunResult:
 
 def trace_to_dict(trace: TemperatureTrace) -> dict:
     """Serialize a temperature trace."""
-    return {
-        "times_s": trace.times_s,
-        "amb_c": trace.amb_c,
-        "dram_c": trace.dram_c,
-        "ambient_c": trace.ambient_c,
-    }
+    return state_dict(trace)
 
 
 def trace_from_dict(raw: dict) -> TemperatureTrace:
-    """Rebuild a temperature trace from its payload."""
+    """Rebuild a temperature trace from its payload through its declared
+    columns (:class:`~repro.errors.CheckpointError` on a damaged one)."""
     trace = TemperatureTrace()
-    for t, a, d, amb in zip(
-        raw.get("times_s", []),
-        raw.get("amb_c", []),
-        raw.get("dram_c", []),
-        raw.get("ambient_c", []),
-    ):
-        trace.append(t, a, d, amb)
+    load_state_dict(trace, raw, "trace")
     return trace
 
 
-def run_result_to_dict(result: RunResult) -> dict:
-    """Serialize a :class:`RunResult` (trace included)."""
+def result_to_dict(result: RunResult | ServerRunResult) -> dict:
+    """Serialize a run or server result (trace included)."""
     payload = {k: v for k, v in result.__dict__.items() if k != "trace"}
     payload["trace"] = trace_to_dict(result.trace)
     return payload
 
 
-def run_result_from_dict(raw: dict) -> RunResult:
-    """Rebuild a :class:`RunResult` from its payload."""
+def _result_from_dict(cls: type, raw: dict) -> Any:
     raw = dict(raw)
-    trace = trace_from_dict(raw.pop("trace", {}))
-    return RunResult(trace=trace, **raw)
+    return cls(trace=trace_from_dict(raw.pop("trace", {})), **raw)
 
 
-def server_result_to_dict(result: ServerRunResult) -> dict:
-    """Serialize a :class:`ServerRunResult` (trace included)."""
-    payload = {k: v for k, v in result.__dict__.items() if k != "trace"}
-    payload["trace"] = trace_to_dict(result.trace)
-    return payload
-
-
-def server_result_from_dict(raw: dict) -> ServerRunResult:
-    """Rebuild a :class:`ServerRunResult` from its payload."""
-    raw = dict(raw)
-    trace = trace_from_dict(raw.pop("trace", {}))
-    return ServerRunResult(trace=trace, **raw)
+#: Each kind's payload codec: the results differ, the encoding does not.
+run_result_to_dict = server_result_to_dict = result_to_dict
+run_result_from_dict = partial(_result_from_dict, RunResult)
+server_result_from_dict = partial(_result_from_dict, ServerRunResult)
 
 
 register_runner(

@@ -7,13 +7,16 @@ the :class:`~repro.api.client.ReproClient` methods, and the HTTP routes
 of ``python -m repro serve`` all construct these same objects, which is
 what keeps the three surfaces behaviorally identical.
 
-One schema: each field's type (its annotation: ``str``, ``int`` or a
-``tuple[str, ...]`` name list), allowed values and help text are
-declared once, on the field.  :data:`REQUEST_SCHEMA` resolves them once
-per class for the shared ``__post_init__`` check, the CLI's generated
-flags, and :func:`request_from_text`, which parses the text of CLI
-flags, HTTP query strings and ``jobs submit --set`` alike (name lists
-split on commas: ``mixes=W1,W2``).
+One schema: each field's domain (a :mod:`repro.engine.codec` kind: a
+name, a count or a name list) and help text are declared once, on the
+field.  A field that lowers to a run-spec field takes that field's
+domain (``SimulateRequest.cooling`` is ``Chapter4Spec.cooling``'s), so
+a bad value fails the same way, naming the field, from a request and
+from a spec.  :data:`REQUEST_SCHEMA` resolves the declarations once per
+class for the CLI's generated flags, the service's query parameters
+and :func:`request_from_text`, which parses the text of CLI flags, HTTP
+query strings and ``jobs submit --set`` alike (name lists split on
+commas: ``mixes=W1,W2``).
 
 ``request_to_dict``/``request_from_dict`` round-trip requests through
 plain JSON-shaped dicts keyed by a ``"type"`` tag — the form the HTTP
@@ -23,112 +26,60 @@ service accepts and the form echoed inside every
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
-from typing import Any, Callable, ClassVar, Mapping, NamedTuple
+from typing import Any, ClassVar, Mapping, NamedTuple
 
 from repro.analysis.campaigns import CAMPAIGN_GRIDS, NamedGrid, expand_campaign
-from repro.analysis.specs import (
-    CHAPTER4_POLICIES,
-    CHAPTER4_POLICY_CHOICES,
-    CHAPTER5_POLICIES,
-)
+from repro.analysis.specs import CHAPTER4_POLICIES, Chapter4Spec, Chapter5Spec
 from repro.campaign import RunSpec
+from repro.engine.codec import (
+    Count,
+    Kind,
+    ListOf,
+    Optional,
+    Text,
+    check_domain,
+    domain,
+    domain_of,
+)
 from repro.errors import ConfigurationError
-from repro.params.thermal_params import COOLING_CONFIGS
 from repro.scenarios import grid_scenario
-from repro.testbed.platforms import PLATFORMS
-from repro.workloads.mixes import get_mix
 
 
 class FieldSpec(NamedTuple):
     """One request field, resolved once from its dataclass declaration."""
 
     name: str
-    kind: str  # "str", "int" (a count >= 1) or "names" (a name list)
+    kind: Kind
     default: Any
     help: str
-    choices: tuple[str, ...] | None = None  # allowed values; CLI choices=
-    noun: str | None = None  # what "unknown <noun>" errors call a value
-    check: Callable[[str], Any] | None = None  # raises on an unknown name
 
 
-def _field(default: Any, help_text: str, **rules: Any) -> Any:
-    """A request field: default, help text and allowed values."""
-    return field(default=default, metadata={"help": help_text, **rules})
+def _field(kind: Kind, default: Any, help_text: str) -> Any:
+    """A request field: its domain, default and help text."""
+    return domain(kind, default, help=help_text)
 
 
-_mix = partial(_field, "W1", "workload mix of Table 4.2 or 5.2", check=get_mix)
-_cooling = partial(
-    _field, "AOHS_1.5", "cooling configuration",
-    choices=tuple(sorted(COOLING_CONFIGS)), noun="cooling",
+def _lowered(spec: type, name: str, default: Any, help_text: str) -> Any:
+    """A request field that lowers to field ``name`` of run spec class
+    ``spec``, and so takes that field's domain."""
+    return _field(domain_of(spec, name), default, help_text)
+
+
+_MIX_HELP = "workload mix of Table 4.2 or 5.2"
+_COPIES_HELP = "copies of each program in the batch"
+_jobs = partial(
+    _field, Count(minimum=1), 1,
+    "parallel worker processes; results are order-deterministic",
 )
-_copies = partial(_field, 2, "copies of each program in the batch")
-_jobs = partial(_field, 1, "parallel worker processes; results are order-deterministic")
-
-
-def _check_count(name: str, value: Any) -> None:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ConfigurationError(f"{name} must be >= 1")
-
-
-def _name_tuple(axis: str, value: Any) -> tuple[str, ...]:
-    """Normalize a list axis to a tuple of strings.
-
-    A bare string is rejected rather than exploded into characters
-    (``tuple("W1")`` would become ``("W", "1")`` and produce baffling
-    "unknown mix 'W'" errors downstream).
-    """
-    if not isinstance(value, str):
-        try:
-            items = tuple(value)
-        except TypeError:
-            items = None
-        if items is not None and all(isinstance(item, str) for item in items):
-            return items
-    raise ConfigurationError(
-        f"{axis} must be a list of strings, got {value!r}"
-    )
 
 
 class _Request:
-    """The one validation every request class shares, driven by the schema.
+    """The one validation every request class shares: each field's
+    declared domain, checked in place (:func:`check_domain`)."""
 
-    A name list normalizes to a tuple; it may stay ``None`` when that is
-    its default, and must not be empty when its default is ``()``.
-    """
-
-    def __post_init__(self) -> None:
-        for spec in REQUEST_SCHEMA[type(self)].values():
-            value = getattr(self, spec.name)
-            if spec.kind == "int":
-                _check_count(spec.name, value)
-                continue
-            if spec.kind == "str":
-                if not isinstance(value, str):
-                    raise ConfigurationError(
-                        f"{spec.name} must be a string, got {value!r}"
-                    )
-                names = (value,)
-            elif value is None and spec.default is None:
-                continue
-            else:
-                names = _name_tuple(spec.name, value)
-                object.__setattr__(self, spec.name, names)
-                if not names and spec.default is not None:
-                    raise ConfigurationError(
-                        f"{spec.name} must list at least one name"
-                    )
-            for name in names:
-                if spec.choices is not None and name not in spec.choices:
-                    raise ConfigurationError(
-                        f"unknown {spec.noun} {name!r}: {spec.name} must "
-                        f"be one of {list(spec.choices)}"
-                    )
-                if spec.check is not None:
-                    spec.check(name)
+    __post_init__ = check_domain
 
 
 @dataclass(frozen=True)
@@ -137,17 +88,15 @@ class SimulateRequest(_Request):
 
     TYPE: ClassVar[str] = "simulate"
 
-    mix: str = _mix()
-    policy: str = _field(
-        "acg", "Chapter 4 DTM scheme",
-        choices=CHAPTER4_POLICY_CHOICES, noun="ch4 policy",
+    mix: str = _lowered(Chapter4Spec, "mix", "W1", _MIX_HELP)
+    policy: str = _lowered(Chapter4Spec, "policy", "acg", "Chapter 4 DTM scheme")
+    cooling: str = _lowered(
+        Chapter4Spec, "cooling", "AOHS_1.5", "cooling configuration"
     )
-    cooling: str = _cooling()
-    ambient: str = _field(
-        "isolated", "thermal model of the memory ambient",
-        choices=("isolated", "integrated"), noun="ambient model",
+    ambient: str = _lowered(
+        Chapter4Spec, "ambient", "isolated", "thermal model of the memory ambient"
     )
-    copies: int = _copies()
+    copies: int = _lowered(Chapter4Spec, "copies", 2, _COPIES_HELP)
 
     def spec(self) -> RunSpec:
         """Lower to the campaign engine via the scenario engine."""
@@ -164,16 +113,12 @@ class ServerRequest(_Request):
 
     TYPE: ClassVar[str] = "server"
 
-    platform: str = _field(
-        "PE1950", "Chapter 5 server platform",
-        choices=tuple(sorted(PLATFORMS)), noun="platform",
+    platform: str = _lowered(
+        Chapter5Spec, "platform", "PE1950", "Chapter 5 server platform"
     )
-    mix: str = _mix()
-    policy: str = _field(
-        "acg", "Chapter 5 DTM scheme",
-        choices=CHAPTER5_POLICIES, noun="ch5 policy",
-    )
-    copies: int = _copies()
+    mix: str = _lowered(Chapter5Spec, "mix", "W1", _MIX_HELP)
+    policy: str = _lowered(Chapter5Spec, "policy", "acg", "Chapter 5 DTM scheme")
+    copies: int = _lowered(Chapter5Spec, "copies", 2, _COPIES_HELP)
 
     def spec(self) -> RunSpec:
         """Lower to the campaign engine via the scenario engine."""
@@ -189,9 +134,11 @@ class CompareRequest(_Request):
 
     TYPE: ClassVar[str] = "compare"
 
-    mix: str = _mix()
-    cooling: str = _cooling()
-    copies: int = _copies()
+    mix: str = _lowered(Chapter4Spec, "mix", "W1", _MIX_HELP)
+    cooling: str = _lowered(
+        Chapter4Spec, "cooling", "AOHS_1.5", "cooling configuration"
+    )
+    copies: int = _lowered(Chapter4Spec, "copies", 2, _COPIES_HELP)
 
     def cell_requests(self) -> list[SimulateRequest]:
         """The per-policy simulate cells, no-limit baseline first."""
@@ -216,24 +163,26 @@ class CampaignRequest(_Request):
     TYPE: ClassVar[str] = "campaign"
 
     grid: str = _field(
-        "ch4", "named grid: ch4 for simulation, ch5 for server "
+        Text(tuple(CAMPAIGN_GRIDS), noun="campaign grid"), "ch4",
+        "named grid: ch4 for simulation, ch5 for server "
         "measurement, scenarios for the registered library",
-        choices=tuple(sorted(CAMPAIGN_GRIDS)), noun="campaign grid",
     )
     mixes: tuple[str, ...] | None = _field(
-        None, "comma-separated workload mixes (default: W1, or each "
+        Optional(ListOf(domain_of(Chapter4Spec, "mix"))), None,
+        "comma-separated workload mixes (default: W1, or each "
         "scenario's own mix for the scenarios grid)",
-        check=get_mix,
     )
     policies: tuple[str, ...] | None = _field(
-        None, "comma-separated policies (default: every policy of the "
+        Optional(ListOf(Text())), None,
+        "comma-separated policies (default: every policy of the "
         "grid, or each scenario's own policy for the scenarios grid)",
     )
     variants: tuple[str, ...] | None = _field(
-        None, "comma-separated third-axis values: coolings (ch4), "
+        Optional(ListOf(Text())), None,
+        "comma-separated third-axis values: coolings (ch4), "
         "platforms (ch5) or scenario names (scenarios)",
     )
-    copies: int = _copies()
+    copies: int = _lowered(Chapter4Spec, "copies", 2, _COPIES_HELP)
     jobs: int = _jobs()
 
     def cells(self) -> tuple[NamedGrid, list[RunSpec]]:
@@ -253,8 +202,10 @@ class ScenarioRequest(_Request):
 
     TYPE: ClassVar[str] = "scenarios"
 
-    names: tuple[str, ...] = _field((), "comma-separated scenario names, or 'all'")
-    copies: int = _copies()
+    names: tuple[str, ...] = _field(
+        ListOf(Text(), nonempty=True), (), "comma-separated scenario names, or 'all'"
+    )
+    copies: int = _lowered(Chapter4Spec, "copies", 2, _COPIES_HELP)
     jobs: int = _jobs()
 
     def cells(self) -> tuple[NamedGrid, list[RunSpec]]:
@@ -282,13 +233,9 @@ REQUEST_TYPES: dict[str, type] = {
 }
 
 #: Every request class's fields, resolved once: class -> name -> spec.
-#: The kind is the annotation; a ``tuple[str, ...]`` field is a name list.
 REQUEST_SCHEMA: dict[type, dict[str, FieldSpec]] = {
     cls: {
-        f.name: FieldSpec(
-            f.name, f.type if f.type in ("str", "int") else "names",
-            f.default, **f.metadata,
-        )
+        f.name: FieldSpec(f.name, f.metadata["domain"], f.default, f.metadata["help"])
         for f in fields(cls)
     }
     for cls in REQUEST_TYPES.values()
@@ -303,19 +250,18 @@ def split_names(text: str) -> tuple[str, ...]:
 def request_from_text(type_tag: str, values: Mapping[str, Any]) -> Any:
     """Build a typed request from the text of CLI flags, query strings, ``--set``.
 
-    A string value parses by its field's kind: an ``int`` field as an
-    integer, a name list by :func:`split_names`, a ``str`` field as
-    given.  Any other value is taken as already typed (the CLI's
-    positional scenario names).  Unknown keys fail as in
-    :func:`request_from_dict`.
+    A string value parses by its field's kind: a count as an integer,
+    a name list by :func:`split_names`, a name as given.  Any other
+    value is taken as already typed (the CLI's positional scenario
+    names).  Unknown keys fail as in :func:`request_from_dict`.
     """
     schema = REQUEST_SCHEMA.get(REQUEST_TYPES.get(type_tag), {})
     data = dict(values, type=type_tag)
     for name, spec in schema.items():
         text = data.get(name)
-        if not isinstance(text, str) or spec.kind == "str":
+        if not isinstance(text, str) or isinstance(spec.kind, Text):
             continue
-        if spec.kind == "names":
+        if not isinstance(spec.kind, Count):
             data[name] = split_names(text)
             continue
         try:
@@ -355,7 +301,12 @@ def request_from_dict(raw: Mapping[str, Any]) -> Any:
             f"(choices: {sorted(REQUEST_TYPES)})"
         )
     known = REQUEST_SCHEMA[cls]
-    data = {key: value for key, value in raw.items() if key != "type"}
+    # A JSON array is a name list: the request holds it as a tuple.
+    data = {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in raw.items()
+        if key != "type"
+    }
     unknown = data.keys() - known.keys()
     if unknown:
         raise ConfigurationError(

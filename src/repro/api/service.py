@@ -57,6 +57,7 @@ import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Any
 from urllib.parse import parse_qsl, urlparse
 
 from repro import __version__
@@ -73,6 +74,7 @@ from repro.api.requests import (
     request_from_dict,
     request_from_text,
 )
+from repro.engine.codec import Kind, Optional, Text
 from repro.engine.progress import PROGRESS
 from repro.errors import (
     ConfigurationError,
@@ -90,6 +92,13 @@ from repro.obs.trace import TRACE_HEADER, TRACER, chrome_trace
 def _params_from_query(query: str) -> dict[str, str]:
     """Query parameters as text (a repeated key keeps its last value)."""
     return dict(parse_qsl(query, keep_blank_values=True))
+
+
+def _param(params: dict, name: str, kind: Kind, default: Any = None) -> Any:
+    """Query parameter ``name``, refused (a 400 naming it) outside ``kind``."""
+    value = params.get(name, default)
+    kind.decode(value, name, None, ConfigurationError)
+    return value
 
 
 def _match(path: str) -> tuple[str | None, str | None]:
@@ -295,11 +304,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _list_scenarios(self, params: dict, ident: str | None) -> None:
         """The scenario library (``?kind=ch4|ch5`` and ``?tag=`` filter)."""
-        kind = params.get("kind")
-        if kind is not None and kind not in ("ch4", "ch5"):
-            raise ConfigurationError(
-                f"kind must be 'ch4' or 'ch5', got {kind!r}"
-            )
+        kind = _param(params, "kind", Optional(Text(("ch4", "ch5"))))
         descriptors = self.server.client.list_scenarios(
             kind=kind, tag=params.get("tag")
         )
@@ -326,11 +331,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _metrics(self, params: dict, ident: str | None) -> None:
         """The metrics registry, as Prometheus text or JSON."""
-        fmt = params.get("format", "text")
-        if fmt not in ("text", "json"):
-            raise ConfigurationError(
-                f"metrics format must be 'text' or 'json', got {fmt!r}"
-            )
+        fmt = _param(params, "format", Text(("text", "json")), "text")
         jobs = self.server.jobs
         if jobs is not None:
             jobs.publish_usage_metrics()
@@ -367,11 +368,7 @@ class _Handler(BaseHTTPRequestHandler):
         dicts.  Unknown trace ids answer 404 — the ring is bounded, so
         old traces age out.
         """
-        fmt = params.get("format", "chrome")
-        if fmt not in ("chrome", "spans"):
-            raise ConfigurationError(
-                f"trace format must be 'chrome' or 'spans', got {fmt!r}"
-            )
+        fmt = _param(params, "format", Text(("chrome", "spans")), "chrome")
         spans = TRACER.spans(trace_id)
         if not spans:
             raise NotFoundError(f"no spans retained for trace {trace_id!r}")

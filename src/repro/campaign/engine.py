@@ -28,7 +28,7 @@ from repro.campaign.spec import RunSpec, runner_for, spec_meta
 from repro.campaign.stores import GLOBAL_MEMORY, ResultStore, default_store
 from repro.engine.progress import PROGRESS
 from repro.engine.state import EngineState
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 
@@ -41,8 +41,9 @@ def _decode(kind: str, payload: dict) -> Any:
     runner = runner_for(kind)
     try:
         return runner.decode(payload)
-    except (KeyError, TypeError, ValueError):
-        # Stale payload from an older schema: treat as a cache miss.
+    except (CheckpointError, KeyError, TypeError, ValueError):
+        # A stale payload from an older schema, or a damaged one: treat
+        # it as a cache miss.
         return None
 
 

@@ -43,6 +43,7 @@ from typing import Iterator, Mapping
 
 from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores.base import ResultStore
+from repro.engine.codec import Count, Float, Optional
 from repro.errors import ConfigurationError
 
 #: ``format`` marker of wrapped on-disk entries.
@@ -271,14 +272,8 @@ class JsonDirStore(ResultStore):
         files) raises :class:`ConfigurationError` before anything is
         removed.
         """
-        if max_entries is not None and max_entries < 0:
-            raise ConfigurationError(
-                f"max_entries must be >= 0, got {max_entries}"
-            )
-        if tmp_grace_s < 0:
-            raise ConfigurationError(
-                f"tmp_grace_s must be >= 0, got {tmp_grace_s}"
-            )
+        Optional(Count()).decode(max_entries, "max_entries", self, ConfigurationError)
+        Float(0.0).decode(tmp_grace_s, "tmp_grace_s", self, ConfigurationError)
         removed = self._sweep_tmp(tmp_grace_s)
         if max_entries is None:
             return removed

@@ -430,8 +430,11 @@ def _add_request_flags(command: argparse.ArgumentParser, cls: type, skip=()) -> 
     for spec in REQUEST_SCHEMA[cls].values():
         if spec.name not in skip:
             default = "" if spec.default is None else f" (default {spec.default})"
+            choices = getattr(spec.kind, "choices", None)
             command.add_argument(
-                f"--{spec.name}", choices=spec.choices, help=spec.help + default
+                f"--{spec.name}",
+                metavar=choices and "{" + ",".join(choices) + "}",
+                help=spec.help + default,
             )
 
 
@@ -498,8 +501,6 @@ def _checkpoint_kwargs(args: argparse.Namespace) -> dict | None:
         if args.resume:
             raise ConfigurationError("--resume requires --checkpoint-dir")
         return None
-    if args.checkpoint_every < 1:
-        raise ConfigurationError("--checkpoint-every must be >= 1")
     return {
         "checkpoint_dir": args.checkpoint_dir,
         "checkpoint_every": args.checkpoint_every,

@@ -43,6 +43,7 @@ from repro.campaign.engine import run_cell
 from repro.campaign.spec import RunSpec
 from repro.campaign.stores import ResultStore
 from repro.errors import ConfigurationError
+from repro.obs.trace import TRACER
 
 #: One submitted cell: (cache key, run spec).
 Cell = tuple[str, RunSpec]
@@ -133,6 +134,20 @@ def _pool_worker_execute(
     )
 
 
+def _pool_worker_traced(
+    spec: RunSpec, store: ResultStore | None, header: str, sample_every: int,
+    ring: int,
+) -> tuple:
+    """:func:`_pool_worker_execute` inside the caller's trace, sampled and
+    bounded like it: the cell's spans come back with its result, for the
+    caller's ring (and sink)."""
+    TRACER.configure(enabled=True, sample_every=sample_every, ring=ring, sink="")
+    TRACER.clear()
+    with TRACER.activate(*TRACER.parse_header(header)):
+        result = _pool_worker_execute(spec, store)
+    return (*result, TRACER.spans())
+
+
 class LocalProcessBackend(ExecutionBackend):
     """Run cells on a pool of local worker processes.
 
@@ -165,14 +180,22 @@ class LocalProcessBackend(ExecutionBackend):
         for future in self._futures.values():
             future.cancel()
         pool = self._ensure_pool()
+        # A traced caller's context rides along; untraced, nothing does.
+        header = TRACER.propagation_header()
+        extra = (
+            () if header is None
+            else (header, TRACER.sample_every, TRACER.ring_size)
+        )
+        work = _pool_worker_execute if header is None else _pool_worker_traced
         self._futures = {
-            key: pool.submit(_pool_worker_execute, spec, store)
-            for key, spec in cells
+            key: pool.submit(work, spec, store, *extra) for key, spec in cells
         }
 
     def iter_results(self) -> Iterator[CellResult]:
         for key, future in self._futures.items():
-            _, payload, hit, seconds, info = future.result()
+            _, payload, hit, seconds, info, *spans = future.result()
+            for span in spans[0] if spans else ():
+                TRACER.record(span)
             yield key, payload, hit, seconds, info
 
     def close(self) -> None:

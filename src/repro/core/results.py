@@ -4,17 +4,28 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import SimulationError
+from repro.engine.codec import Float, ListOf, state_field
+from repro.errors import CheckpointError, SimulationError
+
+_COLUMN = ListOf(Float())
 
 
 @dataclass
 class TemperatureTrace:
-    """Downsampled temperature time series of one run."""
+    """Downsampled temperature time series of one run.
 
-    times_s: list[float] = field(default_factory=list)
-    amb_c: list[float] = field(default_factory=list)
-    dram_c: list[float] = field(default_factory=list)
-    ambient_c: list[float] = field(default_factory=list)
+    Its columns are declared for the codec: a checkpoint or a cached
+    payload decodes them as lists of finite numbers of one length."""
+
+    times_s: list[float] = state_field(_COLUMN, list)
+    amb_c: list[float] = state_field(_COLUMN, list)
+    dram_c: list[float] = state_field(_COLUMN, list)
+    ambient_c: list[float] = state_field(_COLUMN, list)
+
+    def _state_hook(self, values: dict, path: str) -> dict:
+        if len({len(column) for column in values.values()}) > 1:
+            raise CheckpointError(f"{path} columns must have equal lengths")
+        return values
 
     def append(self, time_s: float, amb_c: float, dram_c: float, ambient_c: float) -> None:
         """Record one sample."""

@@ -24,7 +24,7 @@ execution all come for free and are bit-identical to a straight run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.core.kernel import BatchedMemSpot
@@ -32,7 +32,16 @@ from repro.core.results import RunResult
 from repro.core.windowmodel import MemoryEnvelope, WindowModel
 from repro.cpu.power import simulated_chip_power_w
 from repro.dtm.base import DTMPolicy
-from repro.engine.codec import Count, Field, Float, Nested
+from repro.engine.codec import (
+    Count,
+    Field,
+    Flag,
+    Float,
+    Instance,
+    Nested,
+    check_domain,
+    domain,
+)
 from repro.engine.observers import Observer, ProgressObserver, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
 from repro.errors import CheckpointError, ConfigurationError, SimulationError
@@ -45,7 +54,34 @@ from repro.params.thermal_params import (
     ISOLATED_AMBIENT,
 )
 from repro.workloads.batch import BatchScheduler
-from repro.workloads.mixes import get_mix
+from repro.workloads.mixes import MIX, get_mix
+
+
+#: A time, rate or size the model divides by: finite and above zero.
+POSITIVE = Float(0.0, strict=True)
+#: The fraction of each duty period the cores run.
+DUTY_CYCLE = Float(0.0, 1.0, strict=True)
+#: DTM control overhead per interval, seconds (Table 4.1: 25 us).
+DTM_OVERHEAD_S = 25e-6
+
+
+def duty_windows(
+    duty_cycle: float, duty_period_s: float, dtm_interval_s: float
+) -> tuple[int, int]:
+    """(running windows, DTM windows) per duty period.
+
+    The burst gate counts windows, not float time, so the duty cycle is
+    exact and drift-free.  Gating is per whole window, so a burst must
+    span at least one window or the batch never makes progress."""
+    per_period = max(1, round(duty_period_s / dtm_interval_s))
+    on = round(duty_cycle * per_period)
+    if duty_cycle < 1.0 and (on < 1 or per_period < 2):
+        raise ConfigurationError(
+            "duty cycle on-time must cover at least one DTM interval "
+            f"(duty_cycle={duty_cycle}, duty_period_s={duty_period_s}, "
+            f"dtm_interval_s={dtm_interval_s})"
+        )
+    return on, per_period
 
 
 @dataclass(frozen=True)
@@ -60,67 +96,44 @@ class SimulationConfig:
     not a configuration choice.
     """
 
-    mix_name: str = "W1"
+    mix_name: str = domain(MIX, "W1")
     #: Copies of each application in the batch (the paper uses 50; the
     #: benchmark harness scales this down — shapes are scale-invariant).
-    copies: int = 2
-    cores: int = 4
-    cooling: CoolingConfig = AOHS_1_5
-    ambient: AmbientModelParams = ISOLATED_AMBIENT
-    levels: EmergencyLevels = SIMULATION_LEVELS
-    dtm_interval_s: float = 0.010
-    dtm_overhead_s: float = 25e-6
-    rotation_interval_s: float = 0.100
-    cpu_power: ProcessorPowerTable = SIMULATED_CPU_POWER
-    envelope: MemoryEnvelope = field(default_factory=MemoryEnvelope)
-    l2_capacity_bytes: float = 4 * 1024 * 1024
-    physical_channels: int = 4
-    dimms_per_channel: int = 4
-    record_trace: bool = True
-    trace_resolution_s: float = 1.0
-    max_sim_s: float = 500_000.0
+    copies: int = domain(Count(minimum=1), 2)
+    cores: int = domain(Count(minimum=1), 4)
+    cooling: CoolingConfig = domain(Instance(CoolingConfig), AOHS_1_5)
+    ambient: AmbientModelParams = domain(
+        Instance(AmbientModelParams), ISOLATED_AMBIENT
+    )
+    levels: EmergencyLevels = domain(Instance(EmergencyLevels), SIMULATION_LEVELS)
+    dtm_interval_s: float = domain(POSITIVE, 0.010)
+    dtm_overhead_s: float = domain(Float(0.0), DTM_OVERHEAD_S)
+    rotation_interval_s: float = domain(POSITIVE, 0.100)
+    cpu_power: ProcessorPowerTable = domain(
+        Instance(ProcessorPowerTable), SIMULATED_CPU_POWER
+    )
+    envelope: MemoryEnvelope = domain(Instance(MemoryEnvelope), MemoryEnvelope)
+    l2_capacity_bytes: float = domain(POSITIVE, 4 * 1024 * 1024)
+    physical_channels: int = domain(Count(minimum=1), 4)
+    dimms_per_channel: int = domain(Count(minimum=1), 4)
+    record_trace: bool = domain(Flag(), True)
+    trace_resolution_s: float = domain(POSITIVE, 1.0)
+    max_sim_s: float = domain(POSITIVE, 500_000.0)
     #: Use the cache-aware batch refill policy (§6 future-work extension;
     #: see :mod:`repro.workloads.scheduling`) instead of round-robin.
-    cache_aware_scheduling: bool = False
+    cache_aware_scheduling: bool = domain(Flag(), False)
     #: Traffic shape: fraction of each ``duty_period_s`` the cores run.
     #: Below 1.0 the batch executes in bursts separated by idle windows
     #: (the scenario engine's "idle-burst" traffic shapes); 1.0 is the
     #: paper's continuous batch.
-    duty_cycle: float = 1.0
-    duty_period_s: float = 0.1
+    duty_cycle: float = domain(DUTY_CYCLE, 1.0)
+    duty_period_s: float = domain(POSITIVE, 0.1)
 
     def __post_init__(self) -> None:
-        if self.dtm_interval_s <= 0:
-            raise ConfigurationError("DTM interval must be positive")
-        if self.dtm_overhead_s < 0:
-            raise ConfigurationError("DTM overhead must be non-negative")
-        if self.dtm_overhead_s >= self.dtm_interval_s:
+        check_domain(self)
+        if not self.dtm_overhead_s < self.dtm_interval_s:
             raise ConfigurationError("DTM overhead must be below the interval")
-        if self.copies < 1:
-            raise ConfigurationError("need at least one batch copy")
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ConfigurationError("duty cycle must be within (0, 1]")
-        if self.duty_period_s <= 0:
-            raise ConfigurationError("duty period must be positive")
-        if self.duty_cycle < 1.0:
-            # Gating is per whole DTM window, so the burst must span at
-            # least one window or the batch can never make progress.
-            if self.duty_windows_on() < 1 or self.duty_windows_per_period() < 2:
-                raise ConfigurationError(
-                    "duty cycle on-time must cover at least one DTM interval "
-                    f"(duty_cycle={self.duty_cycle}, "
-                    f"duty_period_s={self.duty_period_s}, "
-                    f"dtm_interval_s={self.dtm_interval_s})"
-                )
-
-    def duty_windows_per_period(self) -> int:
-        """DTM windows per duty period (the burst gate counts windows,
-        not float time, so the duty cycle is exact and drift-free)."""
-        return max(1, round(self.duty_period_s / self.dtm_interval_s))
-
-    def duty_windows_on(self) -> int:
-        """Running windows at the start of each duty period."""
-        return round(self.duty_cycle * self.duty_windows_per_period())
+        duty_windows(self.duty_cycle, self.duty_period_s, self.dtm_interval_s)
 
 
 class Chapter4Strategy:
@@ -176,8 +189,9 @@ class Chapter4Strategy:
         self._overhead_factor = 1.0 - cfg.dtm_overhead_s / self.dt_s
         self._top_level = cfg.levels.level_count - 1
         self._burst_gated = cfg.duty_cycle < 1.0
-        self._duty_windows = cfg.duty_windows_per_period()
-        self._duty_on = cfg.duty_windows_on()
+        self._duty_on, self._duty_windows = duty_windows(
+            cfg.duty_cycle, cfg.duty_period_s, cfg.dtm_interval_s
+        )
         self._rotation = 0
         self._since_rotation_s = 0.0
         self._total_intervals = 0

@@ -1,14 +1,22 @@
-"""The checkpoint codec: run state declared once, checked in one place.
+"""Value domains: inputs and run state declared once, checked in one place.
 
-Every stateful part of a run (the DTM policies' latches, integrals and
-rotation counters, the batch scheduler, the strategies' counters, the
-thermal kernel's temperatures, the trace recorder) declares its
-checkpoint fields once, in a class-level ``STATE_FIELDS`` table of
-:class:`Field` entries: the key in the snapshot, the attribute holding
-the value, its kind, and the value an absent key decodes as.
-Dataclasses (:class:`~repro.engine.state.EngineState`, the job store's
-``JobRecord``) declare it on the field instead:
-``windows: int = state_field(Count())``.
+One :class:`Kind` vocabulary declares both.  An input dataclass (the
+run specs, :class:`~repro.core.simulator.SimulationConfig`, the
+:mod:`repro.params` tables, the API requests) declares each field's
+domain once, ``copies: int = domain(Count(minimum=1), 2)``, and its
+``__post_init__`` calls :func:`check_domain`, which refuses a value
+outside it with a :class:`~repro.errors.ConfigurationError` naming the
+field.  A rule across fields follows that call in the same hook.
+
+For checkpoints, every stateful part of a run (the DTM policies'
+latches, integrals and rotation counters, the batch scheduler, the
+strategies' counters, the thermal kernel's temperatures, the trace
+recorder) declares its checkpoint fields once, in a class-level
+``STATE_FIELDS`` table of :class:`Field` entries: the key in the
+snapshot, the attribute holding the value, its kind, and the value an
+absent key decodes as.  Dataclasses (:class:`~repro.engine.state.EngineState`,
+the job store's ``JobRecord``, :class:`~repro.core.results.TemperatureTrace`)
+declare it on the field instead: ``windows: int = state_field(Count())``.
 
 :func:`state_dict` writes a component.  :func:`decode_state` checks a
 snapshot section against the component's table, and the tables of the
@@ -31,7 +39,7 @@ import dataclasses
 import math
 from typing import Any, Callable, Mapping, NamedTuple
 
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, ConfigurationError
 
 #: Default of a field whose key must be present.
 REQUIRED: Any = object()
@@ -39,31 +47,48 @@ REQUIRED: Any = object()
 
 class Kind:
     """How one value is written (:meth:`encode`) and checked
-    (:meth:`decode`, given the owning component, raising
-    :class:`CheckpointError` naming ``path``)."""
+    (:meth:`decode`, given the owning component, raising ``error``
+    naming ``path``; NaN fails every bound)."""
 
     def encode(self, value: Any) -> Any:
         return value
 
-    def decode(self, value: Any, path: str, owner: Any) -> Any:
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> Any:
         raise NotImplementedError
 
 
 @dataclasses.dataclass(frozen=True)
 class Float(Kind):
-    """A finite number ``>= minimum`` (booleans refused)."""
+    """A finite number ``>= minimum`` (``> minimum`` when ``strict``)
+    and ``<= maximum``; booleans refused."""
 
     minimum: float = -math.inf
+    maximum: float = math.inf
+    strict: bool = False
 
-    def decode(self, value: Any, path: str, owner: Any) -> float:
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise CheckpointError(f"{path} must be a number, got {value!r}")
+            raise error(f"{path} must be a number, got {value!r}")
         value = float(value)
         if not math.isfinite(value):
-            raise CheckpointError(f"{path} must be finite, got {value!r}")
-        if value < self.minimum:
-            raise CheckpointError(f"{path} must be >= {self.minimum}, got {value!r}")
+            raise error(f"{path} must be finite, got {value!r}")
+        if not (value > self.minimum if self.strict else value >= self.minimum):
+            bound = ">" if self.strict else ">="
+            raise error(f"{path} must be {bound} {self.minimum}, got {value!r}")
+        if not value <= self.maximum:
+            raise error(f"{path} must be <= {self.maximum}, got {value!r}")
         return value
+
+    def holds_all(self, values: Any) -> bool:
+        """Whether every item is a plain float in this domain, in a few
+        C-level passes (a trace column runs to thousands of samples): a
+        finite sum rules out NaN and infinity, and the least and greatest
+        item bound the rest."""
+        if set(map(type, values)) != {float} or not math.isfinite(sum(values)):
+            return False
+        low = min(values)
+        above = low > self.minimum if self.strict else low >= self.minimum
+        return above and max(values) <= self.maximum
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,7 +99,7 @@ class Count(Kind):
     limit: float | Callable[[Any], int] = math.inf
     minimum: float = 0
 
-    def decode(self, value: Any, path: str, owner: Any) -> int:
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> int:
         limit = self.limit(owner) if callable(self.limit) else self.limit
         if (
             isinstance(value, bool)
@@ -82,32 +107,38 @@ class Count(Kind):
             or not self.minimum <= value < limit
         ):
             what = "a non-negative integer" if self.minimum == 0 else "an integer"
+            if self.minimum != 0 and type(value) is int:
+                what = f">= {self.minimum}"
             below = "" if limit == math.inf else f" below {limit}"
-            raise CheckpointError(f"{path} must be {what}{below}, got {value!r}")
+            raise error(f"{path} must be {what}{below}, got {value!r}")
         return value
 
 
 class Flag(Kind):
-    """A JSON boolean: ``"false"`` or ``1`` is refused, not cast."""
+    """A boolean: ``"false"`` or ``1`` is refused, not cast."""
 
-    def decode(self, value: Any, path: str, owner: Any) -> bool:
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> bool:
         if not isinstance(value, bool):
-            raise CheckpointError(f"{path} must be a boolean, got {value!r}")
+            raise error(f"{path} must be a boolean, got {value!r}")
         return value
 
 
 @dataclasses.dataclass(frozen=True)
 class Text(Kind):
-    """A string, one of ``choices`` when given."""
+    """A string, one of ``choices`` when given; a refusal calls a value
+    outside them an ``unknown <noun>`` when ``noun`` is given."""
 
-    choices: frozenset[str] | None = None
+    choices: tuple[str, ...] | frozenset[str] | None = None
+    noun: str | None = None
 
-    def decode(self, value: Any, path: str, owner: Any) -> str:
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> str:
         if not isinstance(value, str):
-            raise CheckpointError(f"{path} must be a string, got {value!r}")
+            raise error(f"{path} must be a string, got {value!r}")
         if self.choices is not None and value not in self.choices:
-            raise CheckpointError(
-                f"{path} must be one of {sorted(self.choices)}, got {value!r}"
+            unknown = f"unknown {self.noun} {value!r}: " if self.noun else ""
+            raise error(
+                f"{unknown}{path} must be one of {sorted(self.choices)}, "
+                f"got {value!r}"
             )
         return value
 
@@ -123,29 +154,35 @@ class Optional(Kind):
     def encode(self, value: Any) -> Any:
         return None if value == self.none else self.kind.encode(value)
 
-    def decode(self, value: Any, path: str, owner: Any) -> Any:
-        return self.none if value is None else self.kind.decode(value, path, owner)
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> Any:
+        if value is None:
+            return self.none
+        return self.kind.decode(value, path, owner, error)
 
 
 @dataclasses.dataclass(frozen=True)
 class ListOf(Kind):
-    """A list of ``item`` values, ``length(owner)`` long when given."""
+    """A list (a tuple too) of ``item`` values, ``length(owner)`` long
+    when given, and not empty when ``nonempty``."""
 
     item: Kind
     length: Callable[[Any], int] | None = None
+    nonempty: bool = False
 
     def encode(self, value: Any) -> list:
         return [self.item.encode(item) for item in value]
 
-    def decode(self, value: Any, path: str, owner: Any) -> list:
-        if not isinstance(value, list):
-            raise CheckpointError(f"{path} must be a list, got {value!r}")
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> list:
+        if not isinstance(value, (list, tuple)):
+            raise error(f"{path} must be a list, got {value!r}")
         if self.length is not None and len(value) != self.length(owner):
-            raise CheckpointError(
-                f"{path} must list {self.length(owner)} values, got {value!r}"
-            )
+            raise error(f"{path} must list {self.length(owner)} values, got {value!r}")
+        if self.nonempty and not value:
+            raise error(f"{path} must list at least one value")
+        if isinstance(self.item, Float) and self.item.holds_all(value):
+            return list(value)
         return [
-            self.item.decode(item, f"{path}.{index}", owner)
+            self.item.decode(item, f"{path}.{index}", owner, error)
             for index, item in enumerate(value)
         ]
 
@@ -159,15 +196,27 @@ class Row(Kind):
     def encode(self, value: Any) -> list:
         return [kind.encode(item) for kind, item in zip(self.items, value)]
 
-    def decode(self, value: Any, path: str, owner: Any) -> list:
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> list:
         if not isinstance(value, list) or len(value) != len(self.items):
-            raise CheckpointError(
+            raise error(
                 f"{path} must be a list of {len(self.items)} values, got {value!r}"
             )
         return [
-            kind.decode(item, f"{path}.{index}", owner)
+            kind.decode(item, f"{path}.{index}", owner, error)
             for index, (kind, item) in enumerate(zip(self.items, value))
         ]
+
+
+@dataclasses.dataclass(frozen=True)
+class Instance(Kind):
+    """A ``cls`` object, whose own construction checked its fields."""
+
+    cls: type
+
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> Any:
+        if not isinstance(value, self.cls):
+            raise error(f"{path} must be a {self.cls.__name__}, got {value!r}")
+        return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,13 +231,13 @@ class Object(Kind):
             return dict(value)
         return {key: self.item.encode(item) for key, item in value.items()}
 
-    def decode(self, value: Any, path: str, owner: Any) -> dict:
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> dict:
         if not isinstance(value, Mapping):
-            raise CheckpointError(f"{path} must be an object, got {value!r}")
+            raise error(f"{path} must be an object, got {value!r}")
         if self.item is None:
             return dict(value)
         return {
-            key: self.item.decode(item, f"{path}.{key}", owner)
+            key: self.item.decode(item, f"{path}.{key}", owner, error)
             for key, item in value.items()
         }
 
@@ -213,16 +262,58 @@ class Field(NamedTuple):
     default: Any = REQUIRED
 
 
-def state_field(kind: Kind, default: Any = REQUIRED, required: bool = False) -> Any:
-    """A dataclass field declared for the codec.  A callable default is
-    a factory (``list``); a ``required`` key must be present in a
-    snapshot even though the dataclass gives the field a default."""
-    metadata = {"checkpoint": kind, "required": required}
+def _field(default: Any, metadata: dict) -> Any:
+    """A dataclass field; a callable default is a factory (``list``)."""
     if default is REQUIRED:
         return dataclasses.field(metadata=metadata)
     if callable(default):
         return dataclasses.field(default_factory=default, metadata=metadata)
     return dataclasses.field(default=default, metadata=metadata)
+
+
+def state_field(kind: Kind, default: Any = REQUIRED, required: bool = False) -> Any:
+    """A dataclass field declared for the codec; a ``required`` key must
+    be present in a snapshot even though the field has a default."""
+    return _field(default, {"checkpoint": kind, "required": required})
+
+
+def domain(kind: Kind, default: Any = REQUIRED, **metadata: Any) -> Any:
+    """A dataclass field whose value must be of ``kind``, checked when
+    the object is built (:func:`check_domain`); ``metadata`` rides along
+    (a request field's ``help``)."""
+    return _field(default, {"domain": kind, **metadata})
+
+
+def domain_of(cls: type, name: str) -> Kind:
+    """The declared kind of field ``name`` of dataclass ``cls``."""
+    return cls.__dataclass_fields__[name].metadata["domain"]
+
+
+#: Per dataclass: ``(name, kind.decode)`` of its declared fields, in
+#: field order.
+_DOMAINS: dict[type, tuple[tuple[str, Callable], ...]] = {}
+
+
+def check_domain(obj: Any) -> None:
+    """Refuse, with a :class:`ConfigurationError` naming the field, any
+    declared field of dataclass ``obj`` outside its kind; usable as a
+    whole ``__post_init__``.
+
+    A value is checked in place and never converted (what ``decode``
+    returns is dropped), so an ``int`` given for a float field stays an
+    ``int`` and keeps its spec's cache key.  Fields are checked in
+    declaration order: a ``Count(limit=...)`` may read an earlier one.
+    """
+    table = _DOMAINS.get(type(obj))
+    if table is None:
+        table = _DOMAINS[type(obj)] = tuple(
+            (f.name, f.metadata["domain"].decode)
+            for f in dataclasses.fields(obj)
+            if "domain" in f.metadata
+        )
+    values = vars(obj)
+    for name, decode in table:
+        decode(values[name], name, obj, ConfigurationError)
 
 
 def _default(f: dataclasses.Field) -> Any:
@@ -273,7 +364,7 @@ def decode_state(
             child = getattr(component, field.attr)
             value = decode_state(child, value, where, field.kind.fields)
         else:
-            value = field.kind.decode(value, where, component)
+            value = field.kind.decode(value, where, component, CheckpointError)
         values[field.attr] = value
     hook = getattr(component, "_state_hook", None)
     return values if hook is None else Decoded(hook(values, path))

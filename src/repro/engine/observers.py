@@ -27,10 +27,10 @@ from math import inf
 from typing import TYPE_CHECKING
 
 from repro.core.results import TemperatureTrace
-from repro.engine.codec import Field, Float, ListOf, Nested, Optional
+from repro.engine.codec import Count, Field, Float, Nested, Optional
 from repro.engine.progress import PROGRESS
 from repro.engine.state import CheckpointFile, EngineStateSerializer
-from repro.errors import CheckpointError
+from repro.errors import ConfigurationError
 from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -50,11 +50,8 @@ class Observer:
         """Called once when the run completes (after ``finalize``)."""
 
 
-#: The recorded :class:`TemperatureTrace`'s columns as checkpoint fields.
-_TRACE_FIELDS = tuple(
-    Field(name, name, ListOf(Float()), [])
-    for name in ("times_s", "amb_c", "dram_c", "ambient_c")
-)
+#: An observer period, in windows.
+_EVERY = Count(minimum=1)
 
 
 class TraceRecorder(Observer):
@@ -84,7 +81,7 @@ class TraceRecorder(Observer):
     # pristine accumulator is written as null.
     STATE_FIELDS = (
         Field("since_s", "_since_s", Optional(Float(0.0), none=inf), None),
-        Field("trace", "trace", Nested(_TRACE_FIELDS), {}),
+        Field("trace", "trace", Nested(), {}),
     )
 
     def on_window(self, engine: "SteppingEngine") -> None:
@@ -109,13 +106,6 @@ class TraceRecorder(Observer):
                 engine.now_s, sample.amb_c, sample.dram_c, sample.ambient_c
             )
 
-    def _state_hook(self, values: dict, path: str) -> dict:
-        columns = values["trace"]
-        if len({len(column) for column in columns.values()}) > 1:
-            raise CheckpointError(f"{path}.trace columns must have equal lengths")
-        values["trace"] = TemperatureTrace(**columns)
-        return values
-
 
 class ProgressObserver(Observer):
     """Publishes run progress to the process-wide broker.
@@ -127,8 +117,7 @@ class ProgressObserver(Observer):
     """
 
     def __init__(self, every_windows: int = 200) -> None:
-        if every_windows < 1:
-            raise ValueError("every_windows must be >= 1")
+        _EVERY.decode(every_windows, "every_windows", self, ConfigurationError)
         self.every_windows = every_windows
 
     def _publish(self, engine: "SteppingEngine", done: bool) -> None:
@@ -169,8 +158,7 @@ class CheckpointObserver(Observer):
     def __init__(
         self, checkpoint: CheckpointFile | str, every_windows: int = 1000
     ) -> None:
-        if every_windows < 1:
-            raise ValueError("every_windows must be >= 1")
+        _EVERY.decode(every_windows, "every_windows", self, ConfigurationError)
         self.checkpoint = (
             checkpoint
             if isinstance(checkpoint, CheckpointFile)

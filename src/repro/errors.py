@@ -13,7 +13,15 @@ class ReproError(Exception):
 
 
 class ConfigurationError(ReproError):
-    """A simulation or model was configured with inconsistent parameters."""
+    """A simulation, model or request was configured outside its domain.
+
+    Raised when an input dataclass (a run spec, ``SimulationConfig``, a
+    :mod:`repro.params` table, an API request, a scenario) is built with
+    a value outside its field's declared domain
+    (:func:`repro.engine.codec.check_domain`, naming the field) or
+    breaking a rule across fields.  The HTTP service answers it with a
+    JSON 400, the CLI with one ``error:`` line (exit 2).
+    """
 
 
 class TimingViolationError(ReproError):
@@ -50,8 +58,11 @@ class CheckpointError(ReproError):
 
     Raised for version-skewed snapshots, snapshots taken under a
     different strategy kind, checkpoint files that fail to decode, and
-    any field the checkpoint codec (:mod:`repro.engine.codec`) refuses,
-    job-store records included.  A *torn* file can never cause this:
+    any field the codec (:mod:`repro.engine.codec`) refuses, naming its
+    dotted path: job-store records and the trace columns of cached
+    results included, through the same kinds that declare the input
+    domains.  A cached payload refused this way is a cache miss and is
+    recomputed.  A *torn* checkpoint file can never cause this:
     checkpoints are published with the same write-then-rename
     discipline as the result stores.
     """

@@ -38,6 +38,7 @@ from repro.api.requests import (
 )
 from repro.campaign import run_cell
 from repro.engine import EngineState
+from repro.engine.codec import Count
 from repro.engine.progress import PROGRESS
 from repro.errors import ConfigurationError, ConflictError, ReproError
 from repro.jobs.queue import JobQueue
@@ -109,8 +110,7 @@ class JobScheduler:
         metrics: MetricsRegistry | None = None,
         poll_s: float = 0.25,
     ) -> None:
-        if window_slice < 1:
-            raise ConfigurationError("window_slice must be >= 1")
+        Count(minimum=1).decode(window_slice, "window_slice", self, ConfigurationError)
         self.queue = queue
         self._store = store
         self.window_slice = window_slice

@@ -147,7 +147,7 @@ class _SpanHandle:
         if exc_type is not None:
             self.args = dict(self.args)
             self.args["error"] = exc_type.__name__
-        self.tracer._record(
+        self.tracer.record(
             Span(
                 name=self.name,
                 trace_id=self.trace_id,
@@ -224,6 +224,11 @@ class Tracer:
             if ring is not None:
                 self._ring = deque(self._ring, maxlen=max(16, int(ring)))
 
+    @property
+    def ring_size(self) -> int:
+        """How many finished spans the ring keeps."""
+        return self._ring.maxlen
+
     # -- span creation ------------------------------------------------------
 
     def span(self, name: str, **args) -> _SpanHandle | _NullSpan:
@@ -273,7 +278,8 @@ class Tracer:
 
     # -- storage ------------------------------------------------------------
 
-    def _record(self, span: Span) -> None:
+    def record(self, span: Span) -> None:
+        """Keep a finished span (also one a pool worker sent back)."""
         with self._lock:
             self._ring.append(span)
             sink = self._sink_path
@@ -375,7 +381,7 @@ class TracingObserver:
         total = policy_s + kernel_s + apply_s
         current = _CURRENT.get()
         trace_id, parent_id = (_new_id(16), None) if current is None else current
-        tracer._record(
+        tracer.record(
             Span(
                 name="window",
                 trace_id=trace_id,

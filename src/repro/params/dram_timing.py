@@ -9,9 +9,15 @@ simulator (:mod:`repro.dram`) and the analytic window model
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.engine.codec import Count, Flag, Float, Instance, check_domain, domain
 from repro.errors import ConfigurationError
+
+#: A latency, in nanoseconds: finite and never negative.
+_NS = Float(0.0)
+#: A count of things the platform has at least one of.
+_SOME = Count(minimum=1)
 
 
 @dataclass(frozen=True)
@@ -23,38 +29,37 @@ class DDR2Timing:
     """
 
     #: Activate to read/write delay (RAS-to-CAS).
-    trcd_ns: float = 15.0
+    trcd_ns: float = domain(_NS, 15.0)
     #: Read command to first data (CAS latency).
-    tcl_ns: float = 15.0
+    tcl_ns: float = domain(_NS, 15.0)
     #: Precharge to activate delay.
-    trp_ns: float = 15.0
+    trp_ns: float = domain(_NS, 15.0)
     #: Activate to precharge minimum (row active time).
-    tras_ns: float = 39.0
+    tras_ns: float = domain(_NS, 39.0)
     #: Activate to activate on the same bank (row cycle).
-    trc_ns: float = 54.0
+    trc_ns: float = domain(_NS, 54.0)
     #: Write-to-read turnaround.
-    twtr_ns: float = 9.0
+    twtr_ns: float = domain(_NS, 9.0)
     #: Write latency (command to first write data).
-    twl_ns: float = 12.0
+    twl_ns: float = domain(_NS, 12.0)
     #: Write to precharge delay.
-    twpd_ns: float = 36.0
+    twpd_ns: float = domain(_NS, 36.0)
     #: Read to precharge delay.
-    trpd_ns: float = 9.0
+    trpd_ns: float = domain(_NS, 9.0)
     #: Activate to activate across banks (row-to-row delay).
-    trrd_ns: float = 9.0
+    trrd_ns: float = domain(_NS, 9.0)
     #: Data transfer rate in mega-transfers per second.
-    transfer_rate_mt: float = 667.0
+    transfer_rate_mt: float = domain(Float(0.0, strict=True), 667.0)
     #: Burst length in transfers; 4 transfers of 8 bytes moves 32 bytes
     #: per DDR2 x8 rank access, so a 64 B line spans two channels (§3.3).
-    burst_length: int = 4
+    burst_length: int = domain(_SOME, 4)
 
     def __post_init__(self) -> None:
-        if self.trc_ns < self.tras_ns:
+        check_domain(self)
+        if not self.trc_ns >= self.tras_ns:
             raise ConfigurationError(
                 f"tRC ({self.trc_ns} ns) must be >= tRAS ({self.tras_ns} ns)"
             )
-        if self.transfer_rate_mt <= 0:
-            raise ConfigurationError("transfer rate must be positive")
 
     @property
     def clock_period_ns(self) -> float:
@@ -84,21 +89,23 @@ class FBDIMMChannelParams:
     """
 
     #: Commands per southbound frame when no write data is carried.
-    southbound_commands_per_frame: int = 3
+    southbound_commands_per_frame: int = domain(_SOME, 3)
     #: Write-data payload bytes per southbound frame (1 command + 16 B).
-    southbound_write_bytes: int = 16
+    southbound_write_bytes: int = domain(_SOME, 16)
     #: Read-data payload bytes per northbound frame.
-    northbound_read_bytes: int = 32
+    northbound_read_bytes: int = domain(_SOME, 32)
     #: AMB pass-through latency per hop, nanoseconds (each direction).
-    amb_hop_ns: float = 3.0
+    amb_hop_ns: float = domain(_NS, 3.0)
     #: AMB local translation latency (FBDIMM frame -> DDR2 command), ns.
-    amb_translate_ns: float = 5.0
+    amb_translate_ns: float = domain(_NS, 5.0)
     #: Memory controller fixed overhead per request, ns (Table 4.1: 12 ns).
-    controller_overhead_ns: float = 12.0
+    controller_overhead_ns: float = domain(_NS, 12.0)
     #: Memory controller request buffer entries (Table 4.1).
-    controller_queue_entries: int = 64
+    controller_queue_entries: int = domain(_SOME, 64)
     #: Whether variable read latency is enabled (§3.2).
-    variable_read_latency: bool = True
+    variable_read_latency: bool = domain(Flag(), True)
+
+    __post_init__ = check_domain
 
     def frame_period_ns(self, timing: DDR2Timing) -> float:
         """FBDIMM frame period, in nanoseconds.
@@ -128,44 +135,45 @@ class SimulatedSystemParams:
     """Whole-system parameters of the simulated platform (Table 4.1)."""
 
     #: Number of processor cores.
-    cores: int = 4
+    cores: int = domain(_SOME, 4)
     #: Issue width per core.
-    issue_width: int = 4
+    issue_width: int = domain(_SOME, 4)
     #: Pipeline depth (stages).
-    pipeline_stages: int = 21
+    pipeline_stages: int = domain(_SOME, 21)
     #: Nominal (maximum) core clock in Hz.
-    max_frequency_hz: float = 3.2e9
+    max_frequency_hz: float = domain(Float(0.0, strict=True), 3.2e9)
     #: Shared L2 capacity in bytes (4 MB).
-    l2_capacity_bytes: int = 4 * 1024 * 1024
+    l2_capacity_bytes: int = domain(_SOME, 4 * 1024 * 1024)
     #: L2 associativity.
-    l2_ways: int = 8
+    l2_ways: int = domain(_SOME, 8)
     #: Cache line size in bytes.
-    line_bytes: int = 64
+    line_bytes: int = domain(_SOME, 64)
     #: Logical FBDIMM channels (each logical channel = 2 physical, §3.3:
     #: a 64 B line is transferred over two FBDIMM channels).
-    logical_channels: int = 2
+    logical_channels: int = domain(_SOME, 2)
     #: Physical FBDIMM channels.
-    physical_channels: int = 4
+    physical_channels: int = domain(_SOME, 4)
     #: DIMMs per physical channel.
-    dimms_per_channel: int = 4
+    dimms_per_channel: int = domain(_SOME, 4)
     #: DRAM banks per DIMM.
-    banks_per_dimm: int = 8
+    banks_per_dimm: int = domain(_SOME, 8)
     #: DTM control interval in seconds (Table 4.1: 10 ms).
-    dtm_interval_s: float = 0.010
+    dtm_interval_s: float = domain(Float(0.0, strict=True), 0.010)
     #: DTM control overhead per interval in seconds (Table 4.1: 25 us).
-    dtm_overhead_s: float = 25e-6
+    dtm_overhead_s: float = domain(Float(0.0), 25e-6)
     #: DDR2 device timing.
-    timing: DDR2Timing = field(default_factory=DDR2Timing)
+    timing: DDR2Timing = domain(Instance(DDR2Timing), DDR2Timing)
     #: FBDIMM channel parameters.
-    channel: FBDIMMChannelParams = field(default_factory=FBDIMMChannelParams)
+    channel: FBDIMMChannelParams = domain(
+        Instance(FBDIMMChannelParams), FBDIMMChannelParams
+    )
 
     def __post_init__(self) -> None:
+        check_domain(self)
         if self.physical_channels % self.logical_channels != 0:
             raise ConfigurationError(
                 "physical channels must be a multiple of logical channels"
             )
-        if self.cores <= 0:
-            raise ConfigurationError("core count must be positive")
 
     @property
     def total_dimms(self) -> int:

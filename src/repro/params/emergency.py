@@ -10,11 +10,16 @@ level boundaries and decision ladders exactly as tabulated in the paper.
 from __future__ import annotations
 
 import bisect
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.engine.codec import Count, Float, ListOf, Optional, check_domain, domain
 from repro.errors import ConfigurationError
 from repro.units import gbps
+
+
+def _levels(table: "EmergencyLevels") -> int:
+    """One ladder entry per emergency level."""
+    return table.level_count
 
 
 @dataclass(frozen=True)
@@ -37,52 +42,38 @@ class EmergencyLevels:
       where ``len(points)`` means "all cores stopped".
     """
 
-    amb_thresholds_c: tuple[float, ...]
-    dram_thresholds_c: tuple[float, ...]
-    bw_caps_bytes_per_s: tuple[float | None, ...]
-    acg_active_cores: tuple[int, ...]
-    cdvfs_levels: tuple[int, ...]
+    amb_thresholds_c: tuple[float, ...] = domain(ListOf(Float()))
+    dram_thresholds_c: tuple[float, ...] = domain(ListOf(Float()))
+    bw_caps_bytes_per_s: tuple[float | None, ...] = domain(
+        ListOf(Optional(Float(0.0)), length=_levels)
+    )
+    acg_active_cores: tuple[int, ...] = domain(ListOf(Count(), length=_levels))
+    cdvfs_levels: tuple[int, ...] = domain(ListOf(Count(), length=_levels))
     #: AMB / DRAM thermal design points, degC.
-    amb_tdp_c: float = 110.0
-    dram_tdp_c: float = 85.0
+    amb_tdp_c: float = domain(Float(), 110.0)
+    dram_tdp_c: float = domain(Float(), 85.0)
     #: Thermal release points for hysteresis-style policies (DTM-TS), degC.
-    amb_trp_c: float = 109.0
-    dram_trp_c: float = 84.0
+    amb_trp_c: float = domain(Float(), 109.0)
+    dram_trp_c: float = domain(Float(), 84.0)
 
     def __post_init__(self) -> None:
-        levels = self.level_count
-        for name, ladder in (
-            ("bw_caps_bytes_per_s", self.bw_caps_bytes_per_s),
-            ("acg_active_cores", self.acg_active_cores),
-            ("cdvfs_levels", self.cdvfs_levels),
+        check_domain(self)
+        for part, thresholds in (
+            ("AMB", self.amb_thresholds_c),
+            ("DRAM", self.dram_thresholds_c),
         ):
-            if len(ladder) != levels:
-                raise ConfigurationError(
-                    f"{name} must have {levels} entries, got {len(ladder)}"
-                )
-        if list(self.amb_thresholds_c) != sorted(self.amb_thresholds_c):
-            raise ConfigurationError("AMB thresholds must be ascending")
-        if list(self.dram_thresholds_c) != sorted(self.dram_thresholds_c):
-            raise ConfigurationError("DRAM thresholds must be ascending")
+            if list(thresholds) != sorted(thresholds):
+                raise ConfigurationError(f"{part} thresholds must be ascending")
         if self.dram_thresholds_c and len(self.dram_thresholds_c) != len(
             self.amb_thresholds_c
         ):
             raise ConfigurationError(
                 "AMB and DRAM threshold lists must have equal length when both used"
             )
-        for name in ("amb_thresholds_c", "dram_thresholds_c"):
-            if not all(math.isfinite(t) for t in getattr(self, name)):
-                raise ConfigurationError(f"{name} must all be finite")
-        for part, trp, tdp in (
-            ("AMB", self.amb_trp_c, self.amb_tdp_c),
-            ("DRAM", self.dram_trp_c, self.dram_tdp_c),
-        ):
-            if not (math.isfinite(trp) and math.isfinite(tdp)):
-                raise ConfigurationError(
-                    f"{part} TRP and TDP must be finite, got {trp} and {tdp}"
-                )
-            if not trp < tdp:
-                raise ConfigurationError(f"{part} TRP must be below the {part} TDP")
+        if not self.amb_trp_c < self.amb_tdp_c:
+            raise ConfigurationError("AMB TRP must be below the AMB TDP")
+        if not self.dram_trp_c < self.dram_tdp_c:
+            raise ConfigurationError("DRAM TRP must be below the DRAM TDP")
 
     @property
     def level_count(self) -> int:
@@ -110,16 +101,11 @@ class EmergencyLevels:
         paper's rationale of stepping levels down from the design point.
         """
         delta = tdp_c - self.amb_tdp_c
-        return EmergencyLevels(
+        return replace(
+            self,
             amb_thresholds_c=tuple(t + delta for t in self.amb_thresholds_c),
-            dram_thresholds_c=self.dram_thresholds_c,
-            bw_caps_bytes_per_s=self.bw_caps_bytes_per_s,
-            acg_active_cores=self.acg_active_cores,
-            cdvfs_levels=self.cdvfs_levels,
             amb_tdp_c=tdp_c,
-            dram_tdp_c=self.dram_tdp_c,
             amb_trp_c=self.amb_trp_c + delta,
-            dram_trp_c=self.dram_trp_c,
         )
 
 

@@ -13,9 +13,13 @@ Three parameter families live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.engine.codec import Count, Float, Instance, ListOf, check_domain, domain
 from repro.errors import ConfigurationError
+
+#: A power, coefficient or operating-point value: finite, never negative.
+_AMOUNT = Float(0.0)
 
 
 @dataclass(frozen=True)
@@ -29,15 +33,13 @@ class DRAMPowerParams:
     """
 
     #: Static power per DIMM, watts.
-    static_w: float = 0.98
+    static_w: float = domain(_AMOUNT, 0.98)
     #: Read throughput coefficient, watts per GB/s.
-    alpha1_w_per_gbps: float = 1.12
+    alpha1_w_per_gbps: float = domain(_AMOUNT, 1.12)
     #: Write throughput coefficient, watts per GB/s.
-    alpha2_w_per_gbps: float = 1.16
+    alpha2_w_per_gbps: float = domain(_AMOUNT, 1.16)
 
-    def __post_init__(self) -> None:
-        if self.static_w < 0 or self.alpha1_w_per_gbps < 0 or self.alpha2_w_per_gbps < 0:
-            raise ConfigurationError("DRAM power parameters must be non-negative")
+    __post_init__ = check_domain
 
 
 @dataclass(frozen=True)
@@ -51,18 +53,17 @@ class AMBPowerParams:
     """
 
     #: Idle power of the last AMB on the daisy chain, watts.
-    idle_last_dimm_w: float = 4.0
+    idle_last_dimm_w: float = domain(_AMOUNT, 4.0)
     #: Idle power of every other AMB, watts.
-    idle_other_dimm_w: float = 5.1
+    idle_other_dimm_w: float = domain(_AMOUNT, 5.1)
     #: Bypass-traffic coefficient, watts per GB/s.
-    beta_w_per_gbps: float = 0.19
+    beta_w_per_gbps: float = domain(_AMOUNT, 0.19)
     #: Local-traffic coefficient, watts per GB/s.
-    gamma_w_per_gbps: float = 0.75
+    gamma_w_per_gbps: float = domain(_AMOUNT, 0.75)
 
     def __post_init__(self) -> None:
-        if self.beta_w_per_gbps < 0 or self.gamma_w_per_gbps < 0:
-            raise ConfigurationError("AMB power coefficients must be non-negative")
-        if self.gamma_w_per_gbps < self.beta_w_per_gbps:
+        check_domain(self)
+        if not self.gamma_w_per_gbps >= self.beta_w_per_gbps:
             raise ConfigurationError(
                 "a local request must cost at least as much as a bypassed one (§3.3)"
             )
@@ -76,12 +77,14 @@ class AMBPowerParams:
 class DVFSOperatingPoint:
     """One processor DVFS operating point (frequency + supply voltage)."""
 
-    frequency_hz: float
-    voltage_v: float
+    frequency_hz: float = domain(_AMOUNT)
+    voltage_v: float = domain(_AMOUNT)
 
-    def __post_init__(self) -> None:
-        if self.frequency_hz < 0 or self.voltage_v < 0:
-            raise ConfigurationError("operating point values must be non-negative")
+    __post_init__ = check_domain
+
+
+#: A DVFS ladder: at least one operating point, highest first.
+_LADDER = ListOf(Instance(DVFSOperatingPoint), nonempty=True)
 
 
 @dataclass(frozen=True)
@@ -98,27 +101,29 @@ class ProcessorPowerTable:
     - DTM-CDVFS: per operating point — 62, 80.6, 116.5, 193.4, 260 W.
     """
 
-    cores: int = 4
+    cores: int = domain(Count(minimum=1), 4)
     #: Peak power per active core at the top operating point, watts.
-    core_peak_w: float = 65.0
+    core_peak_w: float = domain(_AMOUNT, 65.0)
     #: Standby (clock-gated / halted) power per core, watts.
-    core_standby_w: float = 15.5
+    core_standby_w: float = domain(_AMOUNT, 15.5)
     #: DVFS ladder, highest first (Table 4.1 / Table 4.4).
-    operating_points: tuple[DVFSOperatingPoint, ...] = (
-        DVFSOperatingPoint(3.2e9, 1.55),
-        DVFSOperatingPoint(2.8e9, 1.35),
-        DVFSOperatingPoint(1.6e9, 1.15),
-        DVFSOperatingPoint(0.8e9, 0.95),
+    operating_points: tuple[DVFSOperatingPoint, ...] = domain(
+        _LADDER,
+        (
+            DVFSOperatingPoint(3.2e9, 1.55),
+            DVFSOperatingPoint(2.8e9, 1.35),
+            DVFSOperatingPoint(1.6e9, 1.15),
+            DVFSOperatingPoint(0.8e9, 0.95),
+        ),
     )
     #: Power at each DVFS point with all cores active (Table 4.4),
     #: highest-frequency first; the all-stopped state draws standby power.
-    cdvfs_power_w: tuple[float, ...] = (260.0, 193.4, 116.5, 80.6)
+    cdvfs_power_w: tuple[float, ...] = domain(
+        ListOf(_AMOUNT, length=lambda table: len(table.operating_points)),
+        (260.0, 193.4, 116.5, 80.6),
+    )
 
-    def __post_init__(self) -> None:
-        if len(self.cdvfs_power_w) != len(self.operating_points):
-            raise ConfigurationError(
-                "cdvfs_power_w must have one entry per operating point"
-            )
+    __post_init__ = check_domain
 
     @property
     def standby_w(self) -> float:
@@ -167,23 +172,28 @@ class MeasuredProcessorPower:
     ``P = idle + sum_cores(active_w * utilization * (V/Vmax)^2 * (f/fmax))``
     """
 
-    sockets: int = 2
-    cores_per_socket: int = 2
+    sockets: int = domain(Count(minimum=1), 2)
+    cores_per_socket: int = domain(Count(minimum=1), 2)
     #: Idle power of both sockets combined (uncore + leakage), watts.
-    idle_w: float = 55.0
+    idle_w: float = domain(_AMOUNT, 55.0)
     #: Maximum dynamic power per core at top frequency/voltage, watts.
-    core_active_w: float = 30.0
+    core_active_w: float = domain(_AMOUNT, 30.0)
     #: Activity floor of an online core: even fully stalled on memory, a
     #: running core spins its front end and caches.  This is why DTM-BW
     #: saves almost no CPU power despite throttling memory (§5.4.4).
-    min_activity: float = 0.35
+    min_activity: float = domain(Float(0.0, 1.0), 0.35)
     #: DVFS ladder of the Xeon 5160 (§5.2.1), highest first.
-    operating_points: tuple[DVFSOperatingPoint, ...] = (
-        DVFSOperatingPoint(3.000e9, 1.2125),
-        DVFSOperatingPoint(2.667e9, 1.1625),
-        DVFSOperatingPoint(2.333e9, 1.1000),
-        DVFSOperatingPoint(2.000e9, 1.0375),
+    operating_points: tuple[DVFSOperatingPoint, ...] = domain(
+        _LADDER,
+        (
+            DVFSOperatingPoint(3.000e9, 1.2125),
+            DVFSOperatingPoint(2.667e9, 1.1625),
+            DVFSOperatingPoint(2.333e9, 1.1000),
+            DVFSOperatingPoint(2.000e9, 1.0375),
+        ),
     )
+
+    __post_init__ = check_domain
 
     @property
     def total_cores(self) -> int:

@@ -10,9 +10,13 @@ memory thermal interaction coefficient of the integrated ambient model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
+from repro.engine.codec import Float, Instance, Object, Text, check_domain, domain
 from repro.errors import ConfigurationError
+
+#: A quantity the model divides by or scales with: finite and above zero.
+_POSITIVE = Float(0.0, strict=True)
 
 
 @dataclass(frozen=True)
@@ -20,49 +24,33 @@ class ThermalResistances:
     """Thermal resistances of one cooling configuration, in degC/W (Table 3.2)."""
 
     #: AMB to ambient.
-    psi_amb: float
+    psi_amb: float = domain(_POSITIVE)
     #: DRAM-power contribution to AMB temperature (DRAM -> AMB coupling).
-    psi_dram_amb: float
+    psi_dram_amb: float = domain(_POSITIVE)
     #: DRAM chip to ambient.
-    psi_dram: float
+    psi_dram: float = domain(_POSITIVE)
     #: AMB-power contribution to DRAM temperature (AMB -> DRAM coupling).
-    psi_amb_dram: float
+    psi_amb_dram: float = domain(_POSITIVE)
 
-    def __post_init__(self) -> None:
-        for name, value in (
-            ("psi_amb", self.psi_amb),
-            ("psi_dram_amb", self.psi_dram_amb),
-            ("psi_dram", self.psi_dram),
-            ("psi_amb_dram", self.psi_amb_dram),
-        ):
-            if value <= 0:
-                raise ConfigurationError(f"{name} must be positive, got {value}")
+    __post_init__ = check_domain
 
 
 @dataclass(frozen=True)
 class CoolingConfig:
     """A named cooling configuration: heat spreader + air velocity (Table 3.2)."""
 
-    name: str
+    name: str = domain(Text())
     #: Heat spreader type: "AOHS" (AMB only) or "FDHS" (full DIMM).
-    heat_spreader: str
+    heat_spreader: str = domain(Text(("AOHS", "FDHS")))
     #: Cooling air velocity in m/s.
-    air_velocity_m_per_s: float
-    resistances: ThermalResistances
+    air_velocity_m_per_s: float = domain(_POSITIVE)
+    resistances: ThermalResistances = domain(Instance(ThermalResistances))
     #: AMB thermal RC time constant, seconds (Table 3.2).
-    tau_amb_s: float = 50.0
+    tau_amb_s: float = domain(_POSITIVE, 50.0)
     #: DRAM thermal RC time constant, seconds (Table 3.2).
-    tau_dram_s: float = 100.0
+    tau_dram_s: float = domain(_POSITIVE, 100.0)
 
-    def __post_init__(self) -> None:
-        if self.heat_spreader not in ("AOHS", "FDHS"):
-            raise ConfigurationError(
-                f"heat spreader must be AOHS or FDHS, got {self.heat_spreader!r}"
-            )
-        if self.air_velocity_m_per_s <= 0:
-            raise ConfigurationError("air velocity must be positive")
-        if self.tau_amb_s <= 0 or self.tau_dram_s <= 0:
-            raise ConfigurationError("time constants must be positive")
+    __post_init__ = check_domain
 
 
 #: AMB-Only Heat Spreader columns of Table 3.2.
@@ -137,17 +125,13 @@ class AmbientModelParams:
     """
 
     #: System inlet temperature per cooling configuration name, degC.
-    inlet_by_cooling: dict[str, float]
+    inlet_by_cooling: dict[str, float] = domain(Object(Float()))
     #: Psi_CPU_MEM * xi, degC per (volt * IPC) summed over cores.
-    interaction: float
+    interaction: float = domain(Float(0.0))
     #: RC time constant of the ambient node, seconds (§3.5: 20 s).
-    tau_ambient_s: float = 20.0
+    tau_ambient_s: float = domain(_POSITIVE, 20.0)
 
-    def __post_init__(self) -> None:
-        if self.interaction < 0:
-            raise ConfigurationError("interaction degree must be non-negative")
-        if self.tau_ambient_s <= 0:
-            raise ConfigurationError("tau_ambient_s must be positive")
+    __post_init__ = check_domain
 
     def inlet_for(self, cooling_name: str) -> float:
         """System inlet temperature for a cooling configuration."""
@@ -160,11 +144,7 @@ class AmbientModelParams:
 
     def with_interaction(self, interaction: float) -> "AmbientModelParams":
         """A copy with a different CPU-memory interaction degree (§4.5.2)."""
-        return AmbientModelParams(
-            inlet_by_cooling=dict(self.inlet_by_cooling),
-            interaction=interaction,
-            tau_ambient_s=self.tau_ambient_s,
-        )
+        return replace(self, interaction=interaction)
 
     def with_inlet_delta(self, delta_c: float) -> "AmbientModelParams":
         """A copy with every inlet temperature shifted by ``delta_c``.
@@ -173,13 +153,12 @@ class AmbientModelParams:
         over-provisioned cold aisle (negative delta) shifts the whole
         Table 3.3 inlet row without touching the interaction model.
         """
-        return AmbientModelParams(
+        return replace(
+            self,
             inlet_by_cooling={
                 name: inlet + delta_c
                 for name, inlet in self.inlet_by_cooling.items()
             },
-            interaction=self.interaction,
-            tau_ambient_s=self.tau_ambient_s,
         )
 
 

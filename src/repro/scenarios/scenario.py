@@ -19,47 +19,18 @@ flow through the same composition path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterator
+from dataclasses import dataclass, fields, replace
+from typing import Any, Iterator
 
-from repro.analysis.specs import (
-    CHAPTER4_POLICY_CHOICES,
-    CHAPTER5_POLICIES,
-    Chapter4Spec,
-    Chapter5Spec,
-)
+from repro.analysis.specs import Chapter4Spec, Chapter5Spec
 from repro.campaign import RunSpec
 from repro.errors import ConfigurationError
-from repro.params.thermal_params import COOLING_CONFIGS
-from repro.testbed.platforms import PLATFORMS
+
+#: The run spec each scenario kind lowers to.
+_SPECS = {"ch4": Chapter4Spec, "ch5": Chapter5Spec}
 
 #: Spec kinds a scenario can lower to.
-SCENARIO_KINDS = ("ch4", "ch5")
-
-#: Fields that only make sense for Chapter 4 (simulation) scenarios,
-#: with their neutral defaults.
-_CH4_ONLY = {
-    "cooling": "AOHS_1.5",
-    "ambient": "isolated",
-    "interaction": None,
-    "amb_trp_c": None,
-    "dram_trp_c": None,
-    "inlet_delta_c": 0.0,
-    "channels": 4,
-    "dimms_per_channel": 4,
-    "duty_cycle": 1.0,
-    "duty_period_s": 0.1,
-    "bandwidth_scale": 1.0,
-}
-
-#: Fields that only make sense for Chapter 5 (server) scenarios.
-_CH5_ONLY = {
-    "platform": "PE1950",
-    "time_slice_s": None,
-    "ambient_override_c": None,
-    "amb_tdp_c": None,
-    "base_frequency_level": 0,
-}
+SCENARIO_KINDS = tuple(_SPECS)
 
 
 @dataclass(frozen=True)
@@ -113,47 +84,18 @@ class Scenario:
                 f"scenario {self.name!r}: kind must be one of {SCENARIO_KINDS}, "
                 f"got {self.kind!r}"
             )
-        choices = (
-            CHAPTER4_POLICY_CHOICES if self.kind == "ch4" else CHAPTER5_POLICIES
-        )
-        if self.policy not in choices:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: policy {self.policy!r} is not a "
-                f"{self.kind} policy (choices: {list(choices)})"
-            )
-        if self.kind == "ch4" and self.cooling not in COOLING_CONFIGS:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: unknown cooling {self.cooling!r}"
-            )
-        if self.kind == "ch4" and self.ambient not in ("isolated", "integrated"):
-            raise ConfigurationError(
-                f"scenario {self.name!r}: ambient must be isolated or integrated"
-            )
-        if self.kind == "ch5" and self.platform not in PLATFORMS:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: unknown platform {self.platform!r} "
-                f"(choices: {sorted(PLATFORMS)})"
-            )
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: duty cycle must be within (0, 1]"
-            )
-        if self.duty_period_s <= 0 or self.bandwidth_scale <= 0:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: duty period and bandwidth scale "
-                "must be positive"
-            )
-        if self.channels < 1 or self.dimms_per_channel < 1:
-            raise ConfigurationError(
-                f"scenario {self.name!r}: need at least one channel and one DIMM"
-            )
-        off_kind = _CH5_ONLY if self.kind == "ch4" else _CH4_ONLY
+        off_kind = _ONLY["ch5" if self.kind == "ch4" else "ch4"]
         for field_name, default in off_kind.items():
             if getattr(self, field_name) != default:
                 raise ConfigurationError(
                     f"scenario {self.name!r}: {field_name!r} does not apply to "
                     f"{self.kind} scenarios"
                 )
+        # Every other axis is checked by the spec it lowers to.
+        try:
+            self.spec()
+        except ConfigurationError as error:
+            raise ConfigurationError(f"scenario {self.name!r}: {error}") from None
 
     def spec(
         self,
@@ -167,42 +109,35 @@ class Scenario:
         the campaign's scenarios grid crosses a scenario with extra
         workloads or policies.
         """
-        mix = self.mix if mix is None else mix
-        policy = self.policy if policy is None else policy
-        if self.kind == "ch4":
-            return Chapter4Spec(
-                scenario=self.name,
-                mix=mix,
-                policy=policy,
-                cooling=self.cooling,
-                ambient=self.ambient,
-                copies=copies,
-                dtm_interval_s=self.dtm_interval_s,
-                interaction=self.interaction,
-                amb_trp_c=self.amb_trp_c,
-                dram_trp_c=self.dram_trp_c,
-                inlet_delta_c=self.inlet_delta_c,
-                channels=self.channels,
-                dimms_per_channel=self.dimms_per_channel,
-                duty_cycle=self.duty_cycle,
-                duty_period_s=self.duty_period_s,
-                bandwidth_scale=self.bandwidth_scale,
-            )
-        return Chapter5Spec(
+        axes = {name: getattr(self, name) for name in _ONLY[self.kind]}
+        return _SPECS[self.kind](
             scenario=self.name,
-            platform=self.platform,
-            mix=mix,
-            policy=policy,
+            mix=self.mix if mix is None else mix,
+            policy=self.policy if policy is None else policy,
             copies=copies,
-            time_slice_s=self.time_slice_s,
-            ambient_override_c=self.ambient_override_c,
-            amb_tdp_c=self.amb_tdp_c,
-            base_frequency_level=self.base_frequency_level,
+            **axes,
         )
 
     def with_overrides(self, **changes) -> "Scenario":
         """A copy with dataclass fields replaced (validation re-runs)."""
         return replace(self, **changes)
+
+
+def _only(spec: type, other: type) -> dict[str, Any]:
+    """The scenario axes of run spec ``spec`` that ``other`` lacks, with
+    their neutral defaults: the axes that only make sense for one kind."""
+    theirs = {f.name for f in fields(other)}
+    return {
+        f.name: f.default
+        for f in fields(spec)
+        if f.name not in theirs and f.name in Scenario.__dataclass_fields__
+    }
+
+
+_ONLY = {
+    "ch4": _only(Chapter4Spec, Chapter5Spec),
+    "ch5": _only(Chapter5Spec, Chapter4Spec),
+}
 
 
 def grid_scenario(

@@ -21,12 +21,16 @@ the loaded SR1500AL (Fig. 5.9).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
-from repro.errors import ConfigurationError
+from repro.engine.codec import Count, Float, Instance, Text, check_domain, domain
 from repro.params.emergency import EmergencyLevels, PE1950_LEVELS, SR1500AL_LEVELS
 from repro.params.power_params import MeasuredProcessorPower, XEON_5160_POWER
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig, ThermalResistances
+
+
+_SOME = Count(minimum=1)
+_POSITIVE = Float(0.0, strict=True)
 
 
 def _server_cooling(name: str, psi_amb: float) -> CoolingConfig:
@@ -48,42 +52,40 @@ def _server_cooling(name: str, psi_amb: float) -> CoolingConfig:
 class ServerPlatform:
     """One measured server's full configuration."""
 
-    name: str
+    name: str = domain(Text())
     #: System (front panel) ambient temperature, degC.
-    system_ambient_c: float
+    system_ambient_c: float = domain(Float())
     #: FBDIMM channels in use and DIMMs per channel.
-    channels: int
-    dimms_per_channel: int
+    channels: int = domain(_SOME)
+    dimms_per_channel: int = domain(_SOME)
     #: Emergency table (Table 5.1 rows for this machine).
-    levels: EmergencyLevels
+    levels: EmergencyLevels = domain(Instance(EmergencyLevels))
     #: DIMM cooling configuration.
-    cooling: CoolingConfig
+    cooling: CoolingConfig = domain(Instance(CoolingConfig))
     #: CPU->memory preheat coefficient of Eq. 3.6 for this layout
     #: (stronger when a processor is aligned with the DIMMs, §5.4.3).
-    cpu_mem_interaction: float
+    cpu_mem_interaction: float = domain(Float(0.0))
     #: Constant inlet rise from CPU *idle* power (the sockets draw ~70 W
     #: even stalled, which already pre-heats the airflow), degC.
-    cpu_idle_preheat_c: float = 7.0
+    cpu_idle_preheat_c: float = domain(Float(), 7.0)
     #: Per-socket shared L2 capacity, bytes (Xeon 5160: 4 MB, 16-way).
-    l2_per_socket_bytes: int = 4 * 1024 * 1024
+    l2_per_socket_bytes: int = domain(_SOME, 4 * 1024 * 1024)
     #: Sockets and cores per socket.
-    sockets: int = 2
-    cores_per_socket: int = 2
+    sockets: int = domain(_SOME, 2)
+    cores_per_socket: int = domain(_SOME, 2)
     #: Memory envelope: FSB-limited peak and loaded idle latency.
-    peak_bandwidth_bytes_per_s: float = 11.0e9
-    idle_latency_s: float = 95e-9
+    peak_bandwidth_bytes_per_s: float = domain(_POSITIVE, 11.0e9)
+    idle_latency_s: float = domain(_POSITIVE, 95e-9)
     #: Processor power model.
-    cpu_power: MeasuredProcessorPower = XEON_5160_POWER
+    cpu_power: MeasuredProcessorPower = domain(
+        Instance(MeasuredProcessorPower), XEON_5160_POWER
+    )
     #: DTM polling interval (§5.2.1: one second).
-    dtm_interval_s: float = 1.0
+    dtm_interval_s: float = domain(_POSITIVE, 1.0)
     #: Default scheduler time slice (§5.3.1: 100 ms).
-    time_slice_s: float = 0.100
+    time_slice_s: float = domain(_POSITIVE, 0.100)
 
-    def __post_init__(self) -> None:
-        if self.channels < 1 or self.dimms_per_channel < 1:
-            raise ConfigurationError("need at least one channel and DIMM")
-        if self.sockets < 1 or self.cores_per_socket < 1:
-            raise ConfigurationError("need at least one socket and core")
+    __post_init__ = check_domain
 
     @property
     def total_cores(self) -> int:
@@ -112,24 +114,7 @@ class ServerPlatform:
 
     def with_levels(self, levels: EmergencyLevels) -> "ServerPlatform":
         """A copy with a different emergency table (TDP sweeps, §5.4.5)."""
-        return ServerPlatform(
-            name=self.name,
-            system_ambient_c=self.system_ambient_c,
-            channels=self.channels,
-            dimms_per_channel=self.dimms_per_channel,
-            levels=levels,
-            cooling=self.cooling,
-            cpu_mem_interaction=self.cpu_mem_interaction,
-            cpu_idle_preheat_c=self.cpu_idle_preheat_c,
-            l2_per_socket_bytes=self.l2_per_socket_bytes,
-            sockets=self.sockets,
-            cores_per_socket=self.cores_per_socket,
-            peak_bandwidth_bytes_per_s=self.peak_bandwidth_bytes_per_s,
-            idle_latency_s=self.idle_latency_s,
-            cpu_power=self.cpu_power,
-            dtm_interval_s=self.dtm_interval_s,
-            time_slice_s=self.time_slice_s,
-        )
+        return replace(self, levels=levels)
 
 
 #: Dell PowerEdge 1950: 26 degC room, two DIMMs (one per channel),

@@ -25,7 +25,6 @@ sensor logging attached as an observer.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -300,11 +299,6 @@ class ServerStrategy:
         return loads, slot_groups
 
 
-def _is_number(value: object) -> bool:
-    """A real int or float (booleans refused)."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 class ServerSimulator:
     """Runs one (platform, workload, policy) measurement to completion."""
 
@@ -322,26 +316,6 @@ class ServerSimulator:
     ) -> None:
         if copies < 1:
             raise ConfigurationError("need at least one batch copy")
-        # Checked here, before the first window: a bad slice would
-        # otherwise fail mid-run (or, under a policy that never
-        # time-shares a core, not at all) and a bad level only at the
-        # first cpufreq write.
-        if time_slice_s is not None and not (
-            _is_number(time_slice_s) and 0 < time_slice_s < math.inf
-        ):
-            raise ConfigurationError(
-                f"time_slice_s must be finite and > 0, got {time_slice_s!r}"
-            )
-        levels = len(platform.cpu_power.operating_points)
-        if not (
-            _is_number(base_frequency_level)
-            and isinstance(base_frequency_level, int)
-            and 0 <= base_frequency_level < levels
-        ):
-            raise ConfigurationError(
-                f"base_frequency_level must be an integer in [0, {levels}), "
-                f"got {base_frequency_level!r}"
-            )
         self._platform = platform
         self._policy = policy
         self._mix = get_mix(mix_name)

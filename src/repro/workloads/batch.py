@@ -53,8 +53,10 @@ class _JobRef(Row):
     def encode(self, job: BatchJob) -> list:
         return [job.app_index, job.copy_index, job.remaining_instructions]
 
-    def decode(self, value, path: str, scheduler: BatchScheduler) -> BatchJob:
-        index, copy_index, remaining = super().decode(value, path, scheduler)
+    def decode(
+        self, value, path: str, scheduler: BatchScheduler, error: type
+    ) -> BatchJob:
+        index, copy_index, remaining = super().decode(value, path, scheduler, error)
         job = BatchJob(scheduler._mix.apps[index], copy_index, index)
         job.remaining_instructions = remaining
         return job

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.engine.codec import Text
 from repro.errors import WorkloadError
 from repro.workloads.profiles import AppProfile, get_app
 
@@ -45,6 +46,9 @@ WORKLOAD_MIXES: dict[str, WorkloadMix] = {
         WorkloadMix("W12", ("libquantum", "lbm", "omnetpp", "wrf")),
     )
 }
+
+#: The domain of a mix-name field: one of the tabulated mixes.
+MIX = Text(tuple(WORKLOAD_MIXES), noun="workload mix")
 
 #: The Chapter 4 (simulation) mixes, in presentation order.
 SIMULATION_MIXES = ("W1", "W2", "W3", "W4", "W5", "W6", "W7", "W8")

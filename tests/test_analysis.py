@@ -130,13 +130,8 @@ def test_policy_factories():
         make_chapter5_policy("warp", PE1950)
 
 
-def test_invalid_ch4_spec_is_refused_when_run():
-    """A spec the dataclass accepts but the model cannot run is refused
-    by the runner before anything is stored."""
-    from repro.campaign import MemoryStore, run_payload
-
-    spec = Chapter4Spec(copies=1, bandwidth_scale=-2.0)
-    store = MemoryStore()
-    with pytest.raises(ConfigurationError, match="bandwidth_scale"):
-        run_payload(spec, store)
-    assert store.get(spec.key()) is None
+def test_invalid_ch4_spec_is_refused_at_construction():
+    """A value the model cannot run is refused when the spec is built,
+    naming the field, so no cell with it can run or be stored."""
+    with pytest.raises(ConfigurationError, match="bandwidth_scale must be > 0"):
+        Chapter4Spec(copies=1, bandwidth_scale=-2.0)

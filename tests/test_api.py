@@ -167,9 +167,9 @@ def test_campaign_request_validation():
         CampaignRequest(grid="ch6")
     with pytest.raises(ConfigurationError, match="jobs must be >= 1"):
         CampaignRequest(jobs=0)
-    # Lists normalize to tuples so the request stays hashable.
+    # A list is checked in place, not converted.
     request = CampaignRequest(grid="ch4", mixes=["W1"], policies=["ts"])
-    assert request.mixes == ("W1",)
+    assert request.mixes == ["W1"]
     grid, specs = request.cells()
     assert grid.name == "ch4"
     assert len(specs) == 1
@@ -184,7 +184,7 @@ def test_campaign_request_default_axes():
 
 
 def test_scenario_request_validation():
-    with pytest.raises(ConfigurationError, match="at least one name"):
+    with pytest.raises(ConfigurationError, match="names must list at least one"):
         ScenarioRequest(names=())
     with pytest.raises(ConfigurationError, match="unknown scenario"):
         ScenarioRequest(names=("warp",)).cells()

@@ -15,6 +15,7 @@ from repro.analysis.specs import (
     run_result_to_dict,
     server_result_from_dict,
     server_result_to_dict,
+    trace_from_dict,
 )
 from repro.campaign import (
     GLOBAL_MEMORY,
@@ -32,7 +33,7 @@ from repro.campaign import (
 )
 from repro.campaign.stores import make_record
 from repro.core.results import RunResult, TemperatureTrace
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.testbed.runner import ServerRunResult
 
 # ---------------------------------------------------------------------------
@@ -321,6 +322,37 @@ def test_server_result_disk_round_trip(tmp_path):
     restored = server_result_from_dict(store.get("ch5-roundtrip0000000001"))
     assert restored == original
     assert restored.trace.dram_c == original.trace.dram_c
+
+
+@pytest.mark.parametrize("damage", ["short-column", "non-number"])
+def test_torn_trace_payload_is_a_miss_and_recomputes(tmp_path, damage):
+    """A cached ch4 payload with a torn or corrupted trace column is
+    refused by the trace codec, so the cell recomputes and the record
+    is rewritten, instead of serving the damaged trace."""
+    from repro.campaign import run_cell
+    from repro.campaign.engine import _DECODE_MEMO
+
+    spec = Chapter4Spec(mix="W1", policy="ts", copies=1, record_trace=True)
+    store = JsonDirStore(tmp_path)
+    fresh = run_cell(spec, store)
+    path = tmp_path / spec.key()[-2:] / f"{spec.key()}.json"
+    record = json.loads(path.read_text())
+    trace = record["payload"]["trace"]
+    if damage == "short-column":
+        trace["amb_c"] = trace["amb_c"][:3]
+        match = "trace columns must have equal lengths"
+    else:
+        trace["dram_c"][0] = "hot"
+        match = r"trace\.dram_c\.0 must be a number"
+    path.write_text(json.dumps(record))
+    with pytest.raises(CheckpointError, match=match):
+        trace_from_dict(trace)
+
+    _DECODE_MEMO.pop(spec.key(), None)  # as in a fresh process
+    again = run_cell(spec, store)
+    assert not again.hit
+    assert len(again.result.trace) == len(fresh.result.trace) > 3
+    assert json.loads(path.read_text())["payload"] == fresh.payload
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,9 @@ def test_simulate_comb_policy(capsys):
     assert "DTM-COMB" in out
 
 
-def test_unknown_policy_rejected():
-    with pytest.raises(SystemExit):
-        main(["simulate", "--policy", "warp"])
+def test_unknown_policy_rejected(capsys):
+    assert main(["simulate", "--policy", "warp"]) == 2
+    assert "error: unknown ch4 policy 'warp'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -310,6 +310,17 @@ def test_simulate_with_checkpoint_dir_matches_plain_run(capsys, tmp_path, monkey
     plain = json.loads(capsys.readouterr().out)
     assert plain["provenance"]["cache"] == "hit"
     assert plain["metrics"] == checkpointed["metrics"]
+
+
+def test_checkpoint_every_zero_is_one_clean_error_line(capsys, tmp_path):
+    """The checkpoint observer refuses the period, before any window
+    runs; the CLI prints its one error line."""
+    assert main(["simulate", "--copies", "1", "--checkpoint-dir", str(tmp_path),
+                 "--checkpoint-every", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: every_windows must be >= 1, got 0\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_resume_finishes_from_checkpoint(capsys, tmp_path, monkeypatch):

@@ -343,9 +343,9 @@ def test_observer_defaults_and_validation(tmp_path):
     base = Observer()
     assert codec.state_dict(base) == {}
     codec.load_state_dict(base, {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="every_windows must be >= 1"):
         ProgressObserver(every_windows=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigurationError, match="every_windows must be >= 1"):
         CheckpointObserver(tmp_path / "x.json", every_windows=0)
     # The recorder round-trips its pristine (never sampled) state.
     recorder = TraceRecorder(resolution_s=1.0)
@@ -590,6 +590,34 @@ def test_malformed_snapshots_raise_checkpoint_errors(path, value, match):
     engine = engine_for_spec(Chapter4Spec(mix="W1", policy=policy, copies=1))
     engine.step_windows(5)
     _refuses_and_keeps_state(engine, broken, match)
+
+
+@pytest.mark.parametrize("values", [
+    [], [1.0, 2.5], [1e308, 1e308], [0.0, -0.0], [1.0, math.nan],
+    [math.inf, 1.0], [-math.inf, math.inf], [1, 2.0], [True], ["x"],
+    [-1.0], [2.0], [0.5, 1.0],
+], ids=repr)
+@pytest.mark.parametrize("kind", [
+    codec.Float(), codec.Float(0.0), codec.Float(0.0, 1.0, strict=True),
+], ids=repr)
+def test_float_column_decode_matches_the_per_item_decode(kind, values):
+    """The one-pass column check of a list of floats accepts, converts
+    and refuses exactly as the item-by-item decode does."""
+    column = codec.ListOf(kind)
+
+    def per_item():
+        return [kind.decode(item, f"col.{index}", None, CheckpointError)
+                for index, item in enumerate(values)]
+
+    try:
+        expected = per_item()
+    except CheckpointError as error:
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(error))}$"):
+            column.decode(values, "col", None, CheckpointError)
+    else:
+        decoded = column.decode(values, "col", None, CheckpointError)
+        assert decoded == expected
+        assert [type(item) for item in decoded] == [float] * len(values)
 
 
 def _bad_values(kind, value):

@@ -229,6 +229,62 @@ class TestEngineTracing:
         assert resumed.checkpoint().to_dict() == plain.checkpoint().to_dict()
 
 
+class TestPoolTracing:
+    SPECS = [Chapter4Spec(mix="W1", policy=policy, copies=1) for policy in ("ts", "bw")]
+
+    @staticmethod
+    def _traced_campaign(backend) -> list:
+        """Spans of one root-spanned 2-cell campaign's trace."""
+        from repro.campaign import Campaign, NullStore
+        from repro.obs.trace import DEFAULT_RING
+
+        TRACER.clear()
+        TRACER.configure(enabled=True, ring=100_000)
+        try:
+            with TRACER.span("root") as root:
+                Campaign(
+                    TestPoolTracing.SPECS, store=NullStore(), backend=backend
+                ).run()
+            return TRACER.spans(root.trace_id)
+        finally:
+            TRACER.configure(enabled=False, ring=DEFAULT_RING)
+            TRACER.clear()
+
+    def test_pool_workers_join_the_callers_trace(self):
+        """A pooled campaign records the same span names, and one cell
+        span per cell, under the caller's trace as a serial one."""
+        from repro.cluster import LocalProcessBackend, SerialBackend
+
+        serial = self._traced_campaign(SerialBackend())
+        with LocalProcessBackend(2) as pool:
+            pooled = self._traced_campaign(pool)
+
+        def cells(spans):
+            return sum(span.name == "cell" for span in spans)
+
+        assert {span.name for span in pooled} == {span.name for span in serial}
+        assert cells(pooled) == cells(serial) == 2
+        assert len(pooled) == len(serial)
+
+    def test_untraced_pool_sends_no_trace_context(self, monkeypatch):
+        from concurrent.futures import Future
+
+        from repro.cluster import LocalProcessBackend
+        from repro.cluster.backends import _pool_worker_execute
+
+        submitted = []
+
+        class Pool:
+            def submit(self, work, *args):
+                submitted.append((work, args))
+                return Future()
+
+        backend = LocalProcessBackend(1)
+        monkeypatch.setattr(backend, "_ensure_pool", Pool)
+        backend.submit_cells([("key", self.SPECS[0])])
+        assert submitted == [(_pool_worker_execute, (self.SPECS[0], None))]
+
+
 class TestMetricsMoved:
     def test_histogram_buckets_are_not_double_counted(self):
         """The bug tools/check_prom.py caught: ``observe`` stored

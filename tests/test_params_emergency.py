@@ -162,18 +162,11 @@ def test_non_finite_or_inverted_points_are_refused(overrides):
         _levels(**overrides)
 
 
-def test_nan_tdp_cell_is_refused_before_any_window_runs(monkeypatch):
-    """A Chapter 5 cell with a NaN AMB TDP fails with a
-    ``ConfigurationError`` when its engine is built, instead of running
-    with every level threshold at NaN."""
+def test_nan_tdp_cell_is_refused_before_any_window_runs():
+    """A Chapter 5 cell with a NaN AMB TDP is refused when its spec is
+    built, naming the field, instead of running with every level
+    threshold at NaN."""
     from repro.analysis.specs import Chapter5Spec
-    from repro.campaign import NullStore, run_payload
-    from repro.engine import SteppingEngine
 
-    def no_window(engine):
-        raise AssertionError("a window ran")
-
-    monkeypatch.setattr(SteppingEngine, "step_window", no_window)
-    spec = Chapter5Spec(policy="bw", copies=1, amb_tdp_c=float("nan"))
-    with pytest.raises(ConfigurationError, match="finite"):
-        run_payload(spec, NullStore())
+    with pytest.raises(ConfigurationError, match="amb_tdp_c must be finite"):
+        Chapter5Spec(policy="bw", copies=1, amb_tdp_c=float("nan"))

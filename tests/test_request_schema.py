@@ -9,17 +9,33 @@ submit --set`` all read that declaration, so for every field of every
 - given as text, one non-default value reaches the same typed value on
   all three paths.
 
+The last two tests draw a bad value for one declared field (NaN,
++-inf, the wrong type, out of range, an unknown name) and expect the
+same :class:`ConfigurationError` naming the field from the Python
+constructor of a run spec or scenario, and, for a request field, from
+HTTP GET and POST against a live service, CLI flags and ``jobs --set``.
+
 Nothing here runs a simulation: the CLI and ``--set`` arguments are
-only parsed, and the query string goes through the service's parser.
+only parsed, the query string goes through the service's parser, and
+every request sent to the live service is refused before it runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
+import re
+import threading
+import urllib.error
+import urllib.request
 from urllib.parse import urlencode
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.specs import Chapter4Spec, Chapter5Spec
+from repro.api import ReproService
 from repro.api.requests import (
     REQUEST_SCHEMA,
     REQUEST_TYPES,
@@ -27,6 +43,8 @@ from repro.api.requests import (
     request_from_text,
 )
 from repro.api.service import _params_from_query
+from repro.engine import codec
+from repro.scenarios import Scenario
 from repro.cli import (
     _build_parser,
     _job_request_from_flags,
@@ -144,7 +162,7 @@ def test_required_names_refused_on_every_path():
     with pytest.raises(SystemExit):
         _build_parser().parse_args(["scenarios", "run"])
     for build in (_via_http, _via_set):
-        with pytest.raises(ConfigurationError, match="at least one name"):
+        with pytest.raises(ConfigurationError, match="names must list at least one"):
             build("scenarios", {})
 
 
@@ -170,3 +188,201 @@ def test_cli_bad_count_is_one_clean_error_line(capsys):
     assert main(["simulate", "--copies", "two"]) == 2
     err = capsys.readouterr().err
     assert err == "error: copies must be an integer, got 'two'\n"
+
+
+# ---------------------------------------------------------------------------
+# One declared domain per field: bad values, refused alike everywhere
+# ---------------------------------------------------------------------------
+
+NAN, INF = math.nan, math.inf
+
+
+def _bad_values(kind: codec.Kind, owner: object) -> list:
+    """Typed values outside ``kind``, for a field of ``owner``'s class."""
+    if isinstance(kind, codec.Optional):
+        return [bad for bad in _bad_values(kind.kind, owner) if bad is not None]
+    if isinstance(kind, codec.Float):
+        bad = [NAN, INF, -INF, "1.0", True, None]
+        if kind.minimum > -INF:
+            bad.append(kind.minimum if kind.strict else kind.minimum - 1)
+        if kind.maximum < INF:
+            bad.append(kind.maximum + 1)
+        return bad
+    if isinstance(kind, codec.Count):
+        limit = kind.limit(owner) if callable(kind.limit) else kind.limit
+        bad = [NAN, INF, -INF, "2", True, 1.5, None, kind.minimum - 1]
+        return bad + ([limit] if limit < INF else [])
+    if isinstance(kind, codec.Flag):
+        return ["no", 1, NAN, None]
+    assert isinstance(kind, codec.Text), kind
+    return [5, NAN, True, None] + (["nope"] if kind.choices else [])
+
+
+def _scenario(spec: type):
+    """A maker of ``spec.kind`` scenarios, on that kind's policy."""
+    def build(**fields):
+        fields = {"policy": spec().policy, **fields}
+        return Scenario(name="probe", description="d", kind=spec.kind, **fields)
+    return build
+
+
+def _spec_fields(spec: type, make, only=None) -> tuple:
+    """(make, {field: bad values}) for one construction target."""
+    owner = spec()
+    return make, {
+        f.name: _bad_values(f.metadata["domain"], owner)
+        for f in dataclasses.fields(spec)
+        if only is None or f.name in only
+    }
+
+
+_SCENARIO_AXES = {f.name for f in dataclasses.fields(Scenario)}
+
+#: Construction target -> (make, {field: bad values}).
+_TARGETS = {
+    "ch4": _spec_fields(Chapter4Spec, Chapter4Spec),
+    "ch5": _spec_fields(Chapter5Spec, Chapter5Spec),
+    "scenario-ch4": _spec_fields(
+        Chapter4Spec, _scenario(Chapter4Spec), _SCENARIO_AXES
+    ),
+    "scenario-ch5": _spec_fields(
+        Chapter5Spec, _scenario(Chapter5Spec), _SCENARIO_AXES
+    ),
+}
+
+
+def _naming(field: str) -> str:
+    """A refusal that names ``field`` (or one of its list items)."""
+    return rf"\b{re.escape(field)}(\.\d+)? must\b"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_bad_spec_or_scenario_value_is_refused_at_construction(data):
+    target = data.draw(st.sampled_from(sorted(_TARGETS)), label="target")
+    make, fields = _TARGETS[target]
+    name = data.draw(st.sampled_from(sorted(fields)), label="field")
+    value = data.draw(st.sampled_from(fields[name]), label="value")
+    with pytest.raises(ConfigurationError, match=_naming(name)):
+        make(**{name: value})
+
+
+@pytest.mark.parametrize("spec, name, value", [
+    (Chapter4Spec, "interaction", NAN),
+    (Chapter4Spec, "inlet_delta_c", NAN),
+    (Chapter4Spec, "inlet_delta_c", INF),
+    (Chapter4Spec, "bandwidth_scale", NAN),
+    (Chapter4Spec, "bandwidth_scale", INF),
+    (Chapter4Spec, "channels", True),
+    (Chapter4Spec, "record_trace", "no"),
+    (Chapter4Spec, "ambient", "bogus"),
+    (Chapter4Spec, "dtm_interval_s", NAN),
+    (Chapter4Spec, "duty_period_s", INF),
+    (Chapter5Spec, "ambient_override_c", NAN),
+])
+def test_values_that_used_to_run_are_refused_at_construction(spec, name, value):
+    """Each of these ran (to a NaN ambient, or the wrong model) or
+    escaped as a bare ValueError/OverflowError before."""
+    with pytest.raises(ConfigurationError, match=_naming(name)):
+        spec(**{name: value})
+
+
+def _request_cases(kind: codec.Kind) -> list[tuple]:
+    """``(typed value, text or None)`` outside a request field's kind;
+    None marks a value the text surfaces cannot spell."""
+    if isinstance(kind, codec.Count):
+        return [
+            (0, "0"), (True, "true"), (1.5, "1.5"), (NAN, "nan"),
+            (INF, "inf"), (-INF, "-inf"), ("two", "two"),
+        ]
+    if isinstance(kind, codec.Text):
+        return [("nope", "nope"), (5, "5"), (NAN, "nan"), (True, "true"), (None, None)]
+    if isinstance(kind, codec.Optional):  # the mixes list
+        return [(("W1", "nope"), "W1,nope"), ("W1", None), ((5,), None)]
+    return [((), None), ("all", None), ((5,), None)]  # the names list
+
+
+#: Request type -> {field: bad cases}, for every field a request takes
+#: from a declared domain (``policies`` and ``variants`` are checked
+#: against the chosen grid when the campaign expands).
+_REQUEST_FIELDS = {
+    type_tag: {
+        name: _request_cases(spec.kind)
+        for name, spec in REQUEST_SCHEMA[cls].items()
+        if name not in ("policies", "variants")
+    }
+    for type_tag, cls in REQUEST_TYPES.items()
+}
+_ROUTE = {"scenarios": "/v1/scenarios/run"}
+
+
+@pytest.fixture(scope="module")
+def live_service():
+    svc = ReproService(port=0)
+    thread = threading.Thread(target=svc.serve_forever, daemon=True)
+    thread.start()
+    yield svc
+    svc.shutdown()
+    svc.server_close()
+    thread.join(timeout=5)
+
+
+def _http_error(svc: ReproService, path: str, body: dict | None = None) -> str:
+    """The ``error`` of the JSON 400 the service answers."""
+    data = None if body is None else json.dumps(body).encode()
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(urllib.request.Request(svc.url + path, data=data))
+    assert excinfo.value.code == 400
+    return json.loads(excinfo.value.read())["error"]
+
+
+def _cli_error(type_tag: str, texts: dict[str, str]) -> str:
+    argv = ["scenarios", "run"] if type_tag == "scenarios" else [type_tag]
+    for name, text in texts.items():
+        if type_tag == "scenarios" and name == "names":
+            argv += text.split(",")
+        else:
+            argv.append(f"--{name}={text}")
+    with pytest.raises(ConfigurationError) as excinfo:
+        _request_from_args(_build_parser().parse_args(argv))
+    return str(excinfo.value)
+
+
+def _set_error(type_tag: str, texts: dict[str, str]) -> str:
+    argv = ["jobs", "submit", "--url", "http://127.0.0.1:1", "--type", type_tag]
+    for name, text in texts.items():
+        argv += ["--set", f"{name}={text}"]
+    with pytest.raises(ConfigurationError) as excinfo:
+        _job_request_from_flags(_build_parser().parse_args(argv))
+    return str(excinfo.value)
+
+
+@settings(
+    max_examples=80, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(st.data())
+def test_a_bad_request_field_fails_alike_on_every_surface(live_service, data):
+    type_tag = data.draw(st.sampled_from(sorted(_REQUEST_FIELDS)), label="type")
+    fields = _REQUEST_FIELDS[type_tag]
+    name = data.draw(st.sampled_from(sorted(fields)), label="field")
+    typed, text = data.draw(st.sampled_from(fields[name]), label="value")
+    required = {} if name in REQUIRED.get(type_tag, {}) else REQUIRED.get(type_tag, {})
+    cls = REQUEST_TYPES[type_tag]
+    route = _ROUTE.get(type_tag, f"/v1/{type_tag}")
+
+    typed_fields = {key: (value,) for key, value in required.items()}
+    with pytest.raises(ConfigurationError, match=_naming(name)):
+        cls(**typed_fields, **{name: typed})
+    posted = _http_error(live_service, route, {**typed_fields, name: typed})
+    assert re.search(_naming(name), posted), posted
+    if text is None:
+        return
+    texts = {**required, name: text}
+    errors = {
+        _http_error(live_service, f"{route}?{urlencode(texts)}"),
+        _cli_error(type_tag, texts),
+        _set_error(type_tag, texts),
+    }
+    assert len(errors) == 1, errors
+    assert re.search(_naming(name), errors.pop())

@@ -67,7 +67,7 @@ def test_scenario_validation():
         Scenario(name="x", description="d", kind="ch6")
     with pytest.raises(ConfigurationError, match="policy"):
         Scenario(name="x", description="d", kind="ch5", policy="ts")
-    with pytest.raises(ConfigurationError, match="duty cycle"):
+    with pytest.raises(ConfigurationError, match="duty_cycle must be > 0"):
         Scenario(name="x", description="d", duty_cycle=0.0)
     with pytest.raises(ConfigurationError, match="cooling"):
         Scenario(name="x", description="d", cooling="NOHS_9.9")
@@ -130,7 +130,7 @@ def test_scenario_label_does_not_affect_cache_key():
 
 def test_sub_window_duty_cycle_fails_fast():
     """A burst shorter than one DTM window is a config error, not a hang."""
-    from repro.core.simulator import SimulationConfig
+    from repro.core.simulator import SimulationConfig, duty_windows
 
     with pytest.raises(ConfigurationError, match="at least one DTM interval"):
         SimulationConfig(duty_cycle=0.04, duty_period_s=0.1)
@@ -138,8 +138,11 @@ def test_sub_window_duty_cycle_fails_fast():
         SimulationConfig(duty_cycle=0.5, duty_period_s=0.01)
     # The library's burst scenario quantizes exactly: 10 of 40 windows on.
     config = SimulationConfig(duty_cycle=0.25, duty_period_s=0.4)
-    assert config.duty_windows_per_period() == 40
-    assert config.duty_windows_on() == 10
+    assert duty_windows(
+        config.duty_cycle, config.duty_period_s, config.dtm_interval_s
+    ) == (10, 40)
+    with pytest.raises(ConfigurationError, match="at least one DTM interval"):
+        Chapter4Spec(duty_cycle=0.04, duty_period_s=0.1)
 
 
 def test_run_scenario_executes():
