@@ -12,7 +12,10 @@
   caches them in memory and on disk so the 25+ benches don't recompute
   the same (workload, policy, cooling) runs.
 - :mod:`repro.analysis.campaigns` — named parameter grids for the
-  ``python -m repro campaign`` subcommand.
+  ``python -m repro campaign`` subcommand.  Not re-exported here: it
+  builds on :mod:`repro.scenarios`, which builds on the specs, so
+  importing it from this package would make the two packages import
+  each other.
 """
 
 from repro.analysis.normalize import geometric_mean, normalize_map
@@ -25,7 +28,6 @@ from repro.analysis.specs import (
     run_chapter4,
     run_chapter5,
 )
-from repro.analysis.campaigns import CAMPAIGN_GRIDS, run_campaign
 
 __all__ = [
     "geometric_mean",
@@ -40,6 +42,4 @@ __all__ = [
     "bench_copies",
     "run_chapter4",
     "run_chapter5",
-    "CAMPAIGN_GRIDS",
-    "run_campaign",
 ]

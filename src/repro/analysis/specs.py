@@ -147,7 +147,8 @@ class Chapter4Spec:
     dtm_interval_s: float = domain(Float(DTM_OVERHEAD_S, strict=True), 0.010)
     #: CPU-memory interaction override (§4.5.2 sweeps 1.0 / 1.5 / 2.0).
     interaction: float | None = domain(Optional(Float(0.0)), None)
-    #: DTM-TS release point overrides (Fig. 4.2 sweeps).
+    #: DTM-TS release point overrides (Fig. 4.2 sweeps): below the
+    #: table's TDP; every other policy ignores them.
     amb_trp_c: float | None = domain(Optional(Float()), None)
     dram_trp_c: float | None = domain(Optional(Float()), None)
     record_trace: bool = domain(Flag(), False)
@@ -167,6 +168,12 @@ class Chapter4Spec:
     def __post_init__(self) -> None:
         check_domain(self)
         duty_windows(self.duty_cycle, self.duty_period_s, self.dtm_interval_s)
+        for name, trp_c, tdp_c in (
+            ("amb_trp_c", self.amb_trp_c, SIMULATION_LEVELS.amb_tdp_c),
+            ("dram_trp_c", self.dram_trp_c, SIMULATION_LEVELS.dram_tdp_c),
+        ):
+            if self.policy == "ts" and trp_c is not None and not trp_c < tdp_c:
+                raise ConfigurationError(f"{name} must be below {tdp_c}, got {trp_c!r}")
 
     def key(self) -> str:
         """Stable hash key of this spec."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.setassoc import SetAssociativeCache
+from repro.engine.codec import Float, check_domain, domain
 from repro.errors import ConfigurationError
 
 
@@ -29,21 +30,17 @@ from repro.errors import ConfigurationError
 class MissRatioCurve:
     """Parametric miss-ratio curve of one application."""
 
-    m_peak: float
-    m_floor: float
-    c_half_bytes: float
-    alpha: float = 1.0
+    m_peak: float = domain(Float(0.0, 1.0))
+    m_floor: float = domain(Float(0.0, 1.0))
+    c_half_bytes: float = domain(Float(0.0, strict=True))
+    alpha: float = domain(Float(0.0, strict=True), 1.0)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.m_floor <= self.m_peak <= 1.0:
+        check_domain(self)
+        if not self.m_floor <= self.m_peak:
             raise ConfigurationError(
-                "need 0 <= m_floor <= m_peak <= 1 "
-                f"(got floor={self.m_floor}, peak={self.m_peak})"
+                f"m_floor must be <= m_peak ({self.m_peak}), got {self.m_floor}"
             )
-        if self.c_half_bytes <= 0:
-            raise ConfigurationError("c_half must be positive")
-        if self.alpha <= 0:
-            raise ConfigurationError("alpha must be positive")
 
     def miss_ratio(self, capacity_bytes: float) -> float:
         """Miss ratio with ``capacity_bytes`` of effective cache."""

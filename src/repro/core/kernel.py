@@ -307,8 +307,8 @@ class BatchedMemSpot:
         gain_dram = self._gain_dram
         if self._dimms == 4:
             # The default FBDIMM chain, unrolled over locals: the loop
-            # below with i = 0..3 written out; ``max`` runs over the
-            # same left-to-right sequence.
+            # below with i = 0..3 written out, each ``max`` as its
+            # left-to-right compares (the same result bit for bit).
             pa0, pa1, pa2, pa3 = amb_rise
             pd0, pd1, pd2, pd3 = amb_dram_rise
             ta0, ta1, ta2, ta3 = self._t_amb
@@ -323,12 +323,15 @@ class BatchedMemSpot:
             td3 += (ambient_c + pd3 + dram_dram - td3) * gain_dram
             self._t_amb = [ta0, ta1, ta2, ta3]
             self._t_dram = [td0, td1, td2, td3]
-            return MemSpotSample(
-                max(-273.15, ta0, ta1, ta2, ta3),
-                max(-273.15, td0, td1, td2, td3),
-                ambient_c,
-                power_w,
-            )
+            amb_c = ta0 if ta0 > -273.15 else -273.15
+            amb_c = ta1 if ta1 > amb_c else amb_c
+            amb_c = ta2 if ta2 > amb_c else amb_c
+            amb_c = ta3 if ta3 > amb_c else amb_c
+            dram_c = td0 if td0 > -273.15 else -273.15
+            dram_c = td1 if td1 > dram_c else dram_c
+            dram_c = td2 if td2 > dram_c else dram_c
+            dram_c = td3 if td3 > dram_c else dram_c
+            return MemSpotSample(amb_c, dram_c, ambient_c, power_w)
 
         # Any other chain length: one flat pass over the chain, Eq. 3.3/
         # 3.4 stable points (ambient + AMB rise + DRAM rise), Eq. 3.5 RC

@@ -187,6 +187,7 @@ class Chapter4Strategy:
         self._stopped_level = len(self._points)
         self._max_frequency = self._points[0].frequency_hz
         self._overhead_factor = 1.0 - cfg.dtm_overhead_s / self.dt_s
+        self._rotation_interval_s = cfg.rotation_interval_s
         self._top_level = cfg.levels.level_count - 1
         self._burst_gated = cfg.duty_cycle < 1.0
         self._duty_on, self._duty_windows = duty_windows(
@@ -196,10 +197,11 @@ class Chapter4Strategy:
         self._since_rotation_s = 0.0
         self._total_intervals = 0
         self._shutdown_intervals = 0
-        # The occupied slots, refreshed when the finished-job count
-        # moves (see window).
+        # The occupied slots and their count (see `done`), and the
+        # current window's decision, for `window_outcome`.
         self._occupied: list[int] = []
-        self._occupied_at = -1
+        self._occupied_count = 0
+        self._decision = None
         self.trace_recorder = TraceRecorder(
             resolution_s=cfg.trace_resolution_s, enabled=cfg.record_trace
         )
@@ -211,6 +213,10 @@ class Chapter4Strategy:
     # -- engine protocol ---------------------------------------------------
 
     def done(self, engine: SteppingEngine) -> bool:
+        """Whether the batch is done.  Also retakes the occupied slots:
+        the engine asks whenever they can have moved (a job finished)."""
+        self._occupied = self.scheduler.occupied_slots()
+        self._occupied_count = len(self._occupied)
         return self.scheduler.done
 
     def max_sim_horizon(self) -> float | None:
@@ -231,40 +237,37 @@ class Chapter4Strategy:
         reading — through :meth:`DTMPolicy.decide`.  The rotation,
         shutdown and burst counters advance here, once per window.
 
-        Both schedulers assign slots only when a job finishes, so the
-        occupied slots are taken once per finished-job count, and the
-        rest of the window is a pure function of the returned key,
-        ``(decision, burst_idle, rotation offset)``.
+        The rest of the window is a pure function of the returned key,
+        ``(decision index, burst_idle, rotation offset)``, while the
+        occupied slots stand (see :meth:`done`): a policy numbers its
+        decisions, so the key holds only ints.
         """
         dt = self.dt_s
-        decision = self._policy.decide(engine.sample, dt)
+        decision = self._decision = self._policy.decide(engine.sample, dt)
         self._total_intervals += 1
         if not decision.memory_on or decision.emergency_level >= self._top_level:
             self._shutdown_intervals += 1
         self._since_rotation_s += dt
-        if self._since_rotation_s >= self._config.rotation_interval_s:
+        if self._since_rotation_s >= self._rotation_interval_s:
             self._since_rotation_s = 0.0
             self._rotation += 1
         burst_idle = (
             self._burst_gated
             and (self._total_intervals - 1) % self._duty_windows >= self._duty_on
         )
-        scheduler = self.scheduler
-        if scheduler.finished_jobs != self._occupied_at:
-            self._occupied_at = scheduler.finished_jobs
-            self._occupied = scheduler.occupied_slots()
-        occupied = self._occupied
+        occupied = self._occupied_count
         return (
-            decision,
+            decision.index,
             burst_idle,
-            self._rotation % len(occupied) if occupied else 0,
+            self._rotation % occupied if occupied else 0,
         )
 
     def window_outcome(self, key: tuple) -> WindowOutcome:
         """The window after its decision: slot selection, level-1
         evaluation, per-slot progress, chip power and the thermal load
         (Eq. 3.2 power and stable-point terms)."""
-        decision, burst_idle, offset = key
+        _, burst_idle, offset = key
+        decision = self._decision
         dt = self.dt_s
         occupied = self._occupied
         if decision.dvfs_level >= self._stopped_level:
@@ -356,9 +359,6 @@ class Chapter4Strategy:
                 f"{path}.shutdown_intervals must be <= total_intervals "
                 f"({total}), got {values['_shutdown_intervals']!r}"
             )
-        # The scheduler moved to an arbitrary point: retake the
-        # occupied slots even if finished_jobs happens to match.
-        values["_occupied_at"] = -1
         return values
 
 

@@ -36,12 +36,13 @@ per-client loop the tests keep as an oracle.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
 from repro.cache.sharing import SharedCacheModel
-from repro.errors import ConfigurationError
+from repro.engine.codec import Float, check_domain, domain
 from repro.units import CACHE_LINE_BYTES
 from repro.workloads.profiles import AppProfile
 
@@ -66,18 +67,15 @@ class MemoryEnvelope:
     DTM-BW's unthrottled operating point).
     """
 
-    idle_latency_s: float = 65e-9
-    peak_bandwidth_bytes_per_s: float = 25.6e9
+    idle_latency_s: float = domain(Float(0.0, strict=True), 65e-9)
+    peak_bandwidth_bytes_per_s: float = domain(Float(0.0, strict=True), 25.6e9)
     #: Queueing-delay coefficient of the latency curve.
-    queue_coefficient: float = 0.35
-    #: Utilization ceiling; the fixed point settles just below it.
-    rho_max: float = 0.98
+    queue_coefficient: float = domain(Float(0.0), 0.35)
+    #: Utilization ceiling, in (0, 1): the latency curve divides by
+    #: ``1 - rho``.  The fixed point settles just below it.
+    rho_max: float = domain(Float(0.0, math.nextafter(1.0, 0.0), strict=True), 0.98)
 
-    def __post_init__(self) -> None:
-        if self.idle_latency_s <= 0 or self.peak_bandwidth_bytes_per_s <= 0:
-            raise ConfigurationError("envelope values must be positive")
-        if not 0.0 < self.rho_max < 1.0:
-            raise ConfigurationError("rho_max must be within (0, 1)")
+    __post_init__ = check_domain
 
     def latency_s(self, utilization: float) -> float:
         """Loaded memory latency at a given channel utilization."""

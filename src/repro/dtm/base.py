@@ -11,7 +11,7 @@ decision uniformly.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigurationError
@@ -38,6 +38,8 @@ class ControlDecision:
             ``n_points`` = stopped).
         emergency_level: the quantized thermal emergency level that
             produced this decision (for logging / analysis).
+        index: the decision's number among its policy's, the
+            simulator's window-cache key; not compared or hashed.
     """
 
     memory_on: bool = True
@@ -45,6 +47,7 @@ class ControlDecision:
     active_cores: int = 4
     dvfs_level: int = 0
     emergency_level: int = 0
+    index: int = field(default=0, compare=False)
 
     def __post_init__(self) -> None:
         if self.bandwidth_cap_bytes_per_s is not None and self.bandwidth_cap_bytes_per_s < 0:
@@ -72,7 +75,8 @@ class DTMPolicy(abc.ABC):
 
     @abc.abstractmethod
     def decide(self, reading: Any, dt_s: float) -> ControlDecision:
-        """Produce the actuator state for the next interval.
+        """Produce the actuator state for the next interval: one of the
+        decisions built in the constructor, each with its own ``index``.
 
         ``reading`` is anything with ``amb_c``/``dram_c`` attributes
         (degC): a :class:`ThermalReading`, or the engine's last

@@ -56,6 +56,7 @@ def ladder_decision(
             bandwidth_cap_bytes_per_s=cap if memory_on else 0.0,
             active_cores=cores,
             emergency_level=rung,
+            index=rung,
         )
     if scheme == "cdvfs":
         dvfs = levels.cdvfs_levels[rung]
@@ -65,6 +66,7 @@ def ladder_decision(
             active_cores=0 if stopped else cores,
             dvfs_level=dvfs,
             emergency_level=rung,
+            index=rung,
         )
     active = levels.acg_active_cores[rung]
     if active > 0:
@@ -74,6 +76,7 @@ def ladder_decision(
         active_cores=min(active, cores),
         dvfs_level=levels.cdvfs_levels[rung] if scheme == "comb" else 0,
         emergency_level=rung,
+        index=rung,
     )
 
 

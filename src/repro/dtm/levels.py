@@ -9,6 +9,8 @@ policy stays shut down until the temperature falls to the release point
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 from repro.dtm.base import ThermalReading
 from repro.engine.codec import Field, Flag, Nested
 from repro.params.emergency import EmergencyLevels
@@ -22,11 +24,9 @@ class LevelTracker:
     def __init__(self, levels: EmergencyLevels) -> None:
         self._levels = levels
         self._latched_shutdown = False
-
-    @property
-    def levels(self) -> EmergencyLevels:
-        """The emergency-level table."""
-        return self._levels
+        self._amb_thresholds = tuple(levels.amb_thresholds_c)
+        self._dram_thresholds = tuple(levels.dram_thresholds_c)
+        self._top = levels.level_count - 1
 
     @property
     def latched(self) -> bool:
@@ -43,19 +43,18 @@ class LevelTracker:
         """
         amb_c = reading.amb_c
         dram_c = reading.dram_c
-        levels = self._levels
-        raw = levels.level(amb_c, dram_c)
-        top = levels.level_count - 1
-        if raw >= top:
+        # ``EmergencyLevels.level``, on the cached thresholds.
+        raw = bisect_right(self._amb_thresholds, amb_c)
+        dram_level = bisect_right(self._dram_thresholds, dram_c)
+        if dram_level > raw:
+            raw = dram_level
+        if raw >= self._top:
             self._latched_shutdown = True
         if self._latched_shutdown:
-            released = (
-                amb_c <= levels.amb_trp_c and dram_c <= levels.dram_trp_c
-            )
-            if not released:
-                return top
+            levels = self._levels
+            if not (amb_c <= levels.amb_trp_c and dram_c <= levels.dram_trp_c):
+                return self._top
             self._latched_shutdown = False
-            raw = levels.level(amb_c, dram_c)
         return raw
 
     def reset(self) -> None:

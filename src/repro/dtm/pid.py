@@ -91,11 +91,6 @@ class PIDController:
         self._saturated_high = False
 
     @property
-    def target_c(self) -> float:
-        """The regulation target, degC."""
-        return self._target_c
-
-    @property
     def integral(self) -> float:
         """Accumulated integral term (for tests)."""
         return self._integral
@@ -122,7 +117,10 @@ class PIDController:
         self._previous_error = error
         g = self._gains
         raw = g.kc * (error + g.ki * self._integral + g.kd * derivative)
-        output = min(self._output_max, max(self._output_min, raw))
+        # ``min(output_max, max(output_min, raw))`` as its compares.
+        output = raw if raw > self._output_min else self._output_min
+        if not output < self._output_max:
+            output = self._output_max
         self._saturated_low = output <= self._output_min
         self._saturated_high = output >= self._output_max
         return output

@@ -65,6 +65,7 @@ class PIDPolicy(DTMPolicy):
             ladder_decision(scheme, self._levels, rung, cores, min_active)
             for rung in range(self._levels.level_count)
         )
+        self._top_rung = self._levels.level_count - 1
         self.name = f"DTM-{scheme.upper()}+PID"
         amb_enable = AMB_INTEGRAL_ENABLE_C if integral_enabled else float("inf")
         dram_enable = DRAM_INTEGRAL_ENABLE_C if integral_enabled else float("inf")
@@ -81,13 +82,12 @@ class PIDPolicy(DTMPolicy):
         dram_c = reading.dram_c
         amb_u = self._amb_pid.normalized(self._amb_pid.update(amb_c, dt_s))
         dram_u = self._dram_pid.normalized(self._dram_pid.update(dram_c, dt_s))
-        u = min(amb_u, dram_u)
-        rung_count = self._levels.level_count
+        u = dram_u if dram_u < amb_u else amb_u  # min(amb_u, dram_u)
         # u = 1 -> rung 0 (full performance); u = 0 -> most aggressive rung.
-        rung = round((1.0 - u) * (rung_count - 1))
+        rung = round((1.0 - u) * self._top_rung)
         # Safety net: at/above a TDP, force the most aggressive rung.
         if amb_c >= self._levels.amb_tdp_c or dram_c >= self._levels.dram_tdp_c:
-            rung = rung_count - 1
+            rung = self._top_rung
         return self._decisions[rung]
 
     def reset(self) -> None:

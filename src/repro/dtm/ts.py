@@ -9,6 +9,7 @@ stay safely below the TDP to tolerate imperfect sensors (§4.4.1).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Any
 
 from repro.dtm.base import ControlDecision, DTMPolicy
@@ -58,16 +59,14 @@ class DTMTS(DTMPolicy):
                     memory_on=not shut_down,
                     active_cores=cores,
                     emergency_level=level,
+                    index=shut_down * self._levels.level_count + level,
                 )
                 for level in range(self._levels.level_count)
             )
             for shut_down in (False, True)
         )
-
-    @property
-    def shut_down(self) -> bool:
-        """Whether memory is currently shut down."""
-        return self._shut_down
+        self._amb_thresholds = tuple(self._levels.amb_thresholds_c)
+        self._dram_thresholds = tuple(self._levels.dram_thresholds_c)
 
     def decide(self, reading: Any, dt_s: float) -> ControlDecision:
         """On/off decision with hysteresis between TDP and TRP."""
@@ -82,7 +81,12 @@ class DTMTS(DTMPolicy):
             and dram_c <= self._dram_trp_c
         ):
             self._shut_down = False
-        return self._decisions[self._shut_down][levels.level(amb_c, dram_c)]
+        # ``levels.level(amb_c, dram_c)``, on the cached thresholds.
+        level = bisect_right(self._amb_thresholds, amb_c)
+        dram_level = bisect_right(self._dram_thresholds, dram_c)
+        if dram_level > level:
+            level = dram_level
+        return self._decisions[self._shut_down][level]
 
     def reset(self) -> None:
         """Memory back on."""

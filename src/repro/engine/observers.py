@@ -1,8 +1,9 @@
 """Pluggable engine observers — the accounting that used to be inlined.
 
-An :class:`Observer` is notified after every completed window and once
-at run end.  The three concrete observers replace machinery that was
-previously copy-pasted across the two simulator loops:
+An :class:`Observer` is notified after every window its period makes
+due (every window by default) and once at run end.  The three concrete
+observers replace machinery that was previously copy-pasted across the
+two simulator loops:
 
 - :class:`TraceRecorder` — the trace-sampling accounting (resolution
   gating for Chapter 4, every-window logging for Chapter 5), owning
@@ -42,9 +43,12 @@ class Observer:
 
     #: Checkpoint fields (none: a stateless observer).
     STATE_FIELDS: tuple[Field, ...] = ()
+    #: The period of :meth:`on_window`: the engine calls it after each
+    #: window whose count is a multiple of this (None: never).
+    every_windows: int | None = 1
 
     def on_window(self, engine: "SteppingEngine") -> None:
-        """Called after each completed window (clock already advanced)."""
+        """Called after each due window (clock already advanced)."""
 
     def on_finish(self, engine: "SteppingEngine") -> None:
         """Called once when the run completes (after ``finalize``)."""
@@ -69,7 +73,10 @@ class TraceRecorder(Observer):
         self, resolution_s: float | None = None, enabled: bool = True
     ) -> None:
         self.resolution_s = resolution_s
-        self.enabled = enabled
+        # Disabled, it is never called and its state stays as built;
+        # it stays attached, so the checkpoint's observer list keeps
+        # its shape.
+        self.every_windows = 1 if enabled else None
         self.trace = TemperatureTrace()
         self._since_s = inf
 
@@ -85,14 +92,6 @@ class TraceRecorder(Observer):
     )
 
     def on_window(self, engine: "SteppingEngine") -> None:
-        if not self.enabled:
-            # State is provably unchanged by a disabled window: the
-            # accumulator starts at infinity and only the (enabled)
-            # record branch ever resets it, so ``inf + dt`` is still
-            # infinity — skipping the arithmetic keeps checkpoints
-            # byte-identical while sparing the per-window cost on
-            # trace-less campaign cells.
-            return
         sample = engine.sample
         if self.resolution_s is None:
             self.trace.append(
@@ -131,8 +130,7 @@ class ProgressObserver(Observer):
         PROGRESS.publish(snapshot)
 
     def on_window(self, engine: "SteppingEngine") -> None:
-        if engine.windows % self.every_windows == 0:
-            self._publish(engine, done=False)
+        self._publish(engine, done=False)
 
     def on_finish(self, engine: "SteppingEngine") -> None:
         self._publish(engine, done=True)
@@ -168,11 +166,8 @@ class CheckpointObserver(Observer):
         self._serializer = EngineStateSerializer()
 
     def on_window(self, engine: "SteppingEngine") -> None:
-        if engine.windows % self.every_windows == 0:
-            with TRACER.span("checkpoint", window=engine.windows):
-                self.checkpoint.write(
-                    engine.checkpoint(), serializer=self._serializer
-                )
+        with TRACER.span("checkpoint", window=engine.windows):
+            self.checkpoint.write(engine.checkpoint(), serializer=self._serializer)
 
     def on_finish(self, engine: "SteppingEngine") -> None:
         # A finished run needs no resume point; leaving one behind

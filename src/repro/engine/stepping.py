@@ -42,25 +42,30 @@ Within one window the division of labor is:
    built with ``memspot.load``) and the engine stores it;
 4. engine: the thermal kernel's ``step(outcome.load, dt)`` (the RC
    update, the only part of MEMSpot that depends on thermal state);
-5. engine (:meth:`SteppingEngine.apply_window`): every accumulation,
-   in the historical per-slot order (part of the bit-identity
-   contract) — instructions, the scheduler's ``advance``, traffic, L2
-   misses, peaks, integrals, energies — then the clock and observers.
+5. engine: every accumulation, in the historical per-slot order (part
+   of the bit-identity contract) — instructions, the scheduler's
+   ``advance``, traffic, L2 misses, peaks, integrals, energies — then
+   the clock, the observers due (each declares ``every_windows``), and
+   ``done`` if a job finished (every window without a scheduler).
 
 Between job completions the scheduler's slot assignment is frozen, so
 an outcome is a pure function of its key for as long as no job
 finishes: the engine clears the cache when ``advance`` reports a
 finished job and on :meth:`SteppingEngine.restore`.
 
-:meth:`SteppingEngine.step_window` is that whole window and the unit
-every loop steps.  With tracing on, the engine counts windows and
-times only the sampled ones (see :class:`~repro.obs.trace.TracingObserver`).
+:meth:`SteppingEngine._run` is that window as one flat loop, for every
+stepping method, with the accumulators in locals written back before
+an observer or ``done`` sees the engine: about 13 Python calls a
+ch4 window (cProfile over ``perfbench`` ``cells_solo --seed 1``).
+With tracing on it times only every ``sample_every``-th window (see
+:class:`~repro.obs.trace.TracingObserver`).
 """
 
 from __future__ import annotations
 
 import math
-import time
+import sys
+from time import perf_counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Hashable, Iterable, Protocol
 
@@ -123,11 +128,14 @@ class RunStrategy(Protocol):
     STATE_FIELDS: tuple
 
     def done(self, engine: "SteppingEngine") -> bool:
-        """Whether the run has nothing left to simulate."""
+        """Whether the run has nothing left to simulate; asked at slice
+        start and after each window that finished a job (every window
+        without a scheduler), so slot-derived state may refresh here."""
         ...
 
     def window(self, engine: "SteppingEngine") -> Hashable:
-        """Decide on ``engine.sample``; return the window's cache key."""
+        """Decide on ``engine.sample`` (the rest of the engine may lag);
+        return the window's cache key."""
         ...
 
     def window_outcome(self, key: Any) -> WindowOutcome:
@@ -181,10 +189,16 @@ class SteppingEngine:
         self._horizon = math.inf if horizon is None else horizon
         self._scheduler = strategy.scheduler
         self._observers = list(observers)
+        #: (observer, period) of each observer called per window, and
+        #: the period of their union (0: none is ever due).
+        self._periodic = [
+            (o, o.every_windows) for o in self._observers if o.every_windows
+        ]
+        self._due_every = math.gcd(*(every for _, every in self._periodic))
         #: Key -> :class:`WindowOutcome`, valid until a job finishes.
         self._window_cache: dict = {}
-        # When process-wide tracing is on, `step_window` counts windows
-        # and times every `sample_every`-th one for this recorder.
+        # When process-wide tracing is on, the window loop counts
+        # windows and times every `sample_every`-th one for this recorder.
         self._tracing = engine_observer()
         self._traced_windows = 0
         self.windows = 0
@@ -219,82 +233,9 @@ class SteppingEngine:
         """Whether the strategy has nothing left to simulate."""
         return self.strategy.done(self)
 
-    def step_window(self) -> None:
-        """Advance exactly one DTM window.
-
-        Runaway guard, the strategy's decision, the window-cache lookup
-        (the strategy computes the outcome on a miss), the thermal
-        kernel step, and :meth:`apply_window`.
-        """
-        if self._tracing is not None:
-            index = self._traced_windows
-            self._traced_windows = index + 1
-            if not index % self._tracing.sample_every:
-                self._step_window_timed(index)
-                return
-        if self.now_s > self._horizon:
-            raise self.strategy.timeout_error(self)
-        key = self.strategy.window(self)
-        outcome = self._window_cache.get(key)
-        if outcome is None:
-            outcome = self._window_cache[key] = self.strategy.window_outcome(key)
-        self.apply_window(outcome, self._memspot.step(outcome.load, self.dt_s))
-
-    def _step_window_timed(self, index: int) -> None:
-        """`step_window` with per-phase wall timing, for a sampled window.
-
-        Identical arithmetic to the plain path; only `perf_counter`
-        reads are added around the three phases, and the tracing
-        recorder records them as window ``index``'s span.
-        """
-        t0 = time.perf_counter()
-        if self.now_s > self._horizon:
-            raise self.strategy.timeout_error(self)
-        key = self.strategy.window(self)
-        outcome = self._window_cache.get(key)
-        if outcome is None:
-            outcome = self._window_cache[key] = self.strategy.window_outcome(key)
-        t1 = time.perf_counter()
-        sample = self._memspot.step(outcome.load, self.dt_s)
-        t2 = time.perf_counter()
-        self.apply_window(outcome, sample)
-        t3 = time.perf_counter()
-        self._tracing.record_window(index, t1 - t0, t2 - t1, t3 - t2)
-
-    def apply_window(self, outcome: WindowOutcome, sample: "MemSpotSample") -> None:
-        """One window's accounting, then the clock and observers.
-
-        ``sample`` is the thermal kernel's output for ``outcome``.
-        Every accumulation below keeps the historical floating-point
-        order (part of the bit-identity contract): per-slot
-        instructions, the scheduler advance, traffic and misses, then
-        peaks (each ``max(peak, value)`` written as its compare),
-        integrals and energies.  A finished job invalidates the window
-        cache.
-        """
-        dt = self.dt_s
-        progress = outcome.progress
-        if progress is not None:
-            instructions = self.instructions
-            for advanced in progress.values():
-                instructions += advanced
-            self.instructions = instructions
-            if self._scheduler.advance(progress):
-                self._window_cache.clear()
-            self.traffic_bytes += outcome.traffic_bytes
-            self.l2_misses += outcome.l2_misses
-        self.sample = sample
-        if sample.amb_c > self.peak_amb_c:
-            self.peak_amb_c = sample.amb_c
-        if sample.dram_c > self.peak_dram_c:
-            self.peak_dram_c = sample.dram_c
-        self.ambient_integral += sample.ambient_c * dt
-        self.memory_energy_j += sample.memory_power_w * dt
-        self.cpu_energy_j += outcome.cpu_power_w * dt
-        self.now_s += dt
-        self.windows += 1
-        for observer in self._observers:
-            observer.on_window(self)
+    def step_window(self) -> int:
+        """Advance one DTM window; returns 1, or 0 when the run is done."""
+        return self._run(1)
 
     def step_windows(self, count: int) -> int:
         """Advance up to ``count`` windows; returns how many ran.
@@ -305,21 +246,112 @@ class SteppingEngine:
         """
         if count < 0:
             raise SimulationError("cannot step a negative window count")
-        done = self.strategy.done
-        step = self.step_window
-        stepped = 0
-        while stepped < count and not done(self):
-            step()
-            stepped += 1
-        return stepped
+        return self._run(count)
 
     def run_to_completion(self) -> Any:
         """Run the remaining windows and return the strategy's result."""
-        done = self.strategy.done
-        step = self.step_window
-        while not done(self):
-            step()
+        self._run(sys.maxsize)
         return self.finish()
+
+    def _run(self, count: int) -> int:
+        """The window loop: up to ``count`` windows, fewer when the run
+        is done; returns how many ran (see the module doc)."""
+        strategy = self.strategy
+        done = strategy.done
+        if count < 1 or done(self):
+            return 0
+        window = strategy.window
+        window_outcome = strategy.window_outcome
+        cache = self._window_cache
+        kernel_step = self._memspot.step
+        advance = None if self._scheduler is None else self._scheduler.advance
+        # Without a scheduler `done` may read the clock: ask every window.
+        every_window = check_done = advance is None
+        dt = self.dt_s
+        horizon = self._horizon
+        due_every = self._due_every
+        due = self.windows // due_every * due_every + due_every if due_every else -1
+        tracing = self._tracing
+        first = self._traced_windows
+        timed = -1 if tracing is None else -first % tracing.sample_every
+        now, windows = self.now_s, self.windows
+        traffic, misses = self.traffic_bytes, self.l2_misses
+        instructions, ambient_integral = self.instructions, self.ambient_integral
+        cpu_energy, memory_energy = self.cpu_energy_j, self.memory_energy_j
+        peak_amb, peak_dram = self.peak_amb_c, self.peak_dram_c
+        stepped = 0
+        try:
+            while stepped < count and now <= horizon:
+                timing = stepped == timed
+                if timing:
+                    t0 = perf_counter()
+                key = window(self)
+                outcome = cache.get(key)
+                if outcome is None:
+                    outcome = cache[key] = window_outcome(key)
+                if timing:
+                    t1 = perf_counter()
+                sample = kernel_step(outcome.load, dt)
+                if timing:
+                    t2 = perf_counter()
+                progress = outcome.progress
+                if progress is not None:
+                    for advanced in progress.values():
+                        instructions += advanced
+                    if advance(progress):
+                        cache.clear()
+                        check_done = True
+                    traffic += outcome.traffic_bytes
+                    misses += outcome.l2_misses
+                self.sample = sample
+                amb_c, dram_c, ambient_c, power_w = sample
+                if amb_c > peak_amb:
+                    peak_amb = amb_c
+                if dram_c > peak_dram:
+                    peak_dram = dram_c
+                ambient_integral += ambient_c * dt
+                memory_energy += power_w * dt
+                cpu_energy += outcome.cpu_power_w * dt
+                now += dt
+                windows += 1
+                stepped += 1
+                if windows == due or check_done:
+                    self._store(
+                        now, windows, traffic, misses, instructions, cpu_energy,
+                        memory_energy, ambient_integral, peak_amb, peak_dram,
+                    )
+                    if windows == due:
+                        for observer, every in self._periodic:
+                            if not windows % every:
+                                observer.on_window(self)
+                        due += due_every
+                if timing:
+                    tracing.record_window(
+                        first + timed, t1 - t0, t2 - t1, perf_counter() - t2
+                    )
+                    timed += tracing.sample_every
+                if check_done:
+                    if done(self):
+                        break
+                    check_done = every_window
+        finally:
+            self._traced_windows = first + stepped
+            self._store(
+                now, windows, traffic, misses, instructions, cpu_energy,
+                memory_energy, ambient_integral, peak_amb, peak_dram,
+            )
+        # Short of ``count`` and not done: the horizon stopped the loop.
+        if stepped < count and not done(self):
+            raise strategy.timeout_error(self)
+        return stepped
+
+    def _store(self, *values: float) -> None:
+        """Write the window loop's locals back to the engine."""
+        (
+            self.now_s, self.windows, self.traffic_bytes, self.l2_misses,
+            self.instructions, self.cpu_energy_j, self.memory_energy_j,
+            self.ambient_integral, self.peak_amb_c, self.peak_dram_c,
+        ) = values
 
     def finish(self) -> Any:
         """Finalize the result (idempotent) and notify observers."""

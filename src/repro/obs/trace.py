@@ -346,8 +346,8 @@ class TracingObserver:
     miss), the thermal kernel step, and accounting + observer fan-out
     (scheduler advance, checkpoint writes) — and hands them here as a
     ``window`` span whose args carry the phase split, so a Perfetto
-    view of a slow cell answers "where did the time go".  Unsampled
-    windows pay one counter increment and one modulo.
+    view of a slow cell answers "where did the time go".  Every window
+    pays a few int compares, sampled or not.
 
     Not an engine observer: it is never in the observer list, so it
     never changes checkpoint shape or restore compatibility.

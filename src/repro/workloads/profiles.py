@@ -26,38 +26,29 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cache.mrc import MissRatioCurve
+from repro.engine.codec import Float, Instance, Text, check_domain, domain
 from repro.errors import WorkloadError
 
 MB = 1024 * 1024
+#: A rate or count the window model divides by.
+_POSITIVE = Float(0.0, strict=True)
 
 
 @dataclass(frozen=True)
 class AppProfile:
     """Architectural profile of one application."""
 
-    name: str
-    suite: str
-    cpi_base: float
-    apki: float
-    mrc: MissRatioCurve
-    write_frac: float
-    mlp: float
-    instructions: float
-    spec_traffic_frac: float = 0.09
+    name: str = domain(Text())
+    suite: str = domain(Text())
+    cpi_base: float = domain(_POSITIVE)
+    apki: float = domain(Float(0.0))
+    mrc: MissRatioCurve = domain(Instance(MissRatioCurve))
+    write_frac: float = domain(Float(0.0, 1.0))
+    mlp: float = domain(_POSITIVE)
+    instructions: float = domain(_POSITIVE)
+    spec_traffic_frac: float = domain(Float(0.0), 0.09)
 
-    def __post_init__(self) -> None:
-        if self.cpi_base <= 0:
-            raise WorkloadError(f"{self.name}: cpi_base must be positive")
-        if self.apki < 0:
-            raise WorkloadError(f"{self.name}: apki must be non-negative")
-        if not 0.0 <= self.write_frac <= 1.0:
-            raise WorkloadError(f"{self.name}: write_frac must be in [0, 1]")
-        if self.mlp <= 0:
-            raise WorkloadError(f"{self.name}: mlp must be positive")
-        if self.instructions <= 0:
-            raise WorkloadError(f"{self.name}: instructions must be positive")
-        if self.spec_traffic_frac < 0:
-            raise WorkloadError(f"{self.name}: spec_traffic_frac must be >= 0")
+    __post_init__ = check_domain
 
     def misses_per_instruction(self, cache_share_bytes: float) -> float:
         """L2 misses per instruction at a given effective cache share."""

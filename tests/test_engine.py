@@ -367,22 +367,21 @@ def test_observer_defaults_and_validation(tmp_path):
     ids=["ch4", "ch5"],
 )
 def test_each_layer_runs_once_per_window(spec, monkeypatch):
-    """A solo run calls the engine step, the engine apply, the thermal
-    kernel and the policy decision exactly once per DTM window, through
-    their public names (what a tracer wrapping those names relies on:
-    ``decide`` on every policy class that defines it)."""
+    """A solo run calls the thermal kernel, the batch advance and the
+    policy decision exactly once per DTM window, through their public
+    names (what a tracer wrapping those names relies on: ``decide`` on
+    every policy class that defines it)."""
     from repro.core.kernel import BatchedMemSpot
     from repro.dtm.base import DTMPolicy
-    from repro.engine import SteppingEngine
+    from repro.workloads.batch import BatchScheduler
 
     policies = [DTMPolicy]
     for policy_class in policies:
         policies.extend(policy_class.__subclasses__())
     calls: dict[str, int] = {}
     for owner, name, label in (
-        (SteppingEngine, "step_window", "SteppingEngine.step_window"),
-        (SteppingEngine, "apply_window", "SteppingEngine.apply_window"),
         (BatchedMemSpot, "step", "BatchedMemSpot.step"),
+        (BatchScheduler, "advance", "BatchScheduler.advance"),
     ) + tuple(
         (policy_class, "decide", "DTMPolicy.decide")
         for policy_class in policies
@@ -403,20 +402,97 @@ def test_each_layer_runs_once_per_window(spec, monkeypatch):
     assert calls == dict.fromkeys(calls, engine.windows)
 
 
+@pytest.mark.parametrize("policy", ["acg", "acg+pid", "ts", "no-limit"])
+def test_a_ch4_window_costs_at_most_20_python_calls(policy):
+    """The window loop's fixed cost, counted by cProfile over a whole
+    cell: a ladder, a PID, the TS and the no-limit policy, each on a
+    level-1 memo of its own so the count does not depend on test order."""
+    import cProfile
+    import pstats
+
+    from repro.analysis.specs import make_chapter4_policy
+    from repro.core.simulator import SimulationConfig, TwoLevelSimulator
+
+    config = SimulationConfig(mix_name="W1", copies=1, record_trace=False)
+    engine = TwoLevelSimulator(config, make_chapter4_policy(policy)).engine()
+    profiler = cProfile.Profile()
+    profiler.runcall(engine.run_to_completion)
+    calls = sum(entry[1] for entry in pstats.Stats(profiler).stats.values())
+    assert engine.windows > 10_000
+    assert calls / engine.windows <= 20
+
+
+def test_observers_are_called_exactly_at_their_due_windows(tmp_path):
+    """An observer runs after each window whose count is a multiple of
+    its period (every window by default), across slice boundaries."""
+    from repro.engine import Observer
+
+    seen: dict[str, list[int]] = {"every": [], "sevens": []}
+
+    class Every(Observer):
+        def on_window(self, engine) -> None:
+            # The engine's clock is written back before any observer.
+            assert engine.now_s == pytest.approx(engine.windows * engine.dt_s)
+            seen["every"].append(engine.windows)
+
+    class Sevens(CheckpointObserver):
+        def on_window(self, engine) -> None:
+            seen["sevens"].append(engine.windows)
+            super().on_window(engine)
+
+    engine = engine_for_spec(
+        Chapter4Spec(mix="W1", policy="ts", copies=1),
+        extra_observers=(Every(), Sevens(tmp_path / "c.json", every_windows=7)),
+    )
+    for count in (3, 10, 1, 22):
+        engine.step_windows(count)
+    assert seen == {"every": list(range(1, 37)), "sevens": [7, 14, 21, 28, 35]}
+    assert CheckpointFile(tmp_path / "c.json").load().windows == 35
+
+
+def test_a_run_resumed_mid_period_matches_a_straight_run(tmp_path):
+    """Checkpointed between two due windows of every observer and
+    restored in a fresh engine, the run reaches the same checkpoints
+    and the same payload bytes as one that never stopped."""
+    spec = Chapter4Spec(mix="W2", policy="acg+pid", copies=1)
+
+    def build(name: str):
+        observer = CheckpointObserver(tmp_path / name, every_windows=50)
+        return engine_for_spec(spec, extra_observers=(observer,))
+
+    straight = build("straight.json")
+    straight.step_windows(260)
+    at_260 = straight.checkpoint().to_dict()
+    at_250 = CheckpointFile(tmp_path / "straight.json").load().to_dict()
+    expected = json.dumps(run_result_to_dict(straight.run_to_completion()))
+
+    paused = build("paused.json")
+    paused.step_windows(123)
+    resumed = build("resumed.json")
+    resumed.restore(EngineState.from_dict(paused.checkpoint().to_dict()))
+    resumed.step_windows(137)
+    assert resumed.checkpoint().to_dict() == at_260
+    assert CheckpointFile(tmp_path / "resumed.json").load().to_dict() == at_250
+    got = json.dumps(run_result_to_dict(resumed.run_to_completion()))
+    assert got == expected
+
+
 #: Span names the per-layer ledger (``perfbench --trace 1``) must
 #: resolve against the program.
 LEDGER_SPANS = {
-    "engine.step", "engine.apply", "simulator.window", "testbed.window",
+    "engine.step", "simulator.window", "testbed.window",
     "dtm.decide", "batch.advance", "kernel.step", "windowmodel.evaluate",
     "sharing.solve", "testbed.evaluate",
 }
-#: Ledger targets whose code was deleted with the lockstep gang and the
-#: split window body; the ledger reports them as unwrapped.
+#: Ledger targets whose code was deleted with the lockstep gang, the
+#: split window body and the per-window accounting call (now inside the
+#: engine's window loop); the ledger reports them as unwrapped.
 RETIRED_TARGETS = {
     "repro.engine.gang.GangStrategy",
     "repro.core.simulator.Chapter4Strategy.window_with_decision",
     "repro.core.simulator.Chapter4Strategy.window_fast",
     "repro.core.kernel.GridMemSpot",
+    "repro.engine.stepping.SteppingEngine.apply_window",
 }
 
 

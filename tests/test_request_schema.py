@@ -44,7 +44,7 @@ from repro.api.requests import (
 )
 from repro.api.service import _params_from_query
 from repro.engine import codec
-from repro.scenarios import Scenario
+from repro.scenarios import Scenario, get_scenario
 from repro.cli import (
     _build_parser,
     _job_request_from_flags,
@@ -52,6 +52,7 @@ from repro.cli import (
     main,
 )
 from repro.errors import ConfigurationError, ReproError
+from repro.params.emergency import SIMULATION_LEVELS
 
 #: Per request type and field: a non-default text value and the typed
 #: value it must produce.
@@ -226,11 +227,21 @@ def _scenario(spec: type):
     return build
 
 
+#: Values a ch4 field's kind accepts but the spec refuses across
+#: fields: on the default "ts" policy, a release point at or above the
+#: table's TDP.
+_CH4_RULES = {
+    "amb_trp_c": [SIMULATION_LEVELS.amb_tdp_c, SIMULATION_LEVELS.amb_tdp_c + 90.0],
+    "dram_trp_c": [SIMULATION_LEVELS.dram_tdp_c, SIMULATION_LEVELS.dram_tdp_c + 1.0],
+}
+
+
 def _spec_fields(spec: type, make, only=None) -> tuple:
     """(make, {field: bad values}) for one construction target."""
     owner = spec()
+    rules = _CH4_RULES if spec is Chapter4Spec else {}
     return make, {
-        f.name: _bad_values(f.metadata["domain"], owner)
+        f.name: _bad_values(f.metadata["domain"], owner) + rules.get(f.name, [])
         for f in dataclasses.fields(spec)
         if only is None or f.name in only
     }
@@ -279,12 +290,23 @@ def test_a_bad_spec_or_scenario_value_is_refused_at_construction(data):
     (Chapter4Spec, "dtm_interval_s", NAN),
     (Chapter4Spec, "duty_period_s", INF),
     (Chapter5Spec, "ambient_override_c", NAN),
+    (Chapter4Spec, "amb_trp_c", 200.0),
+    (Chapter4Spec, "dram_trp_c", 85.0),
 ])
 def test_values_that_used_to_run_are_refused_at_construction(spec, name, value):
-    """Each of these ran (to a NaN ambient, or the wrong model) or
-    escaped as a bare ValueError/OverflowError before."""
+    """Each of these ran (to a NaN ambient, or the wrong model),
+    escaped as a bare ValueError/OverflowError, or (a DTM-TS release
+    point at or above the TDP) was refused only when the policy was
+    built."""
     with pytest.raises(ConfigurationError, match=_naming(name)):
         spec(**{name: value})
+
+
+def test_release_points_are_ignored_off_the_ts_policy():
+    """Campaigns cross the throttle-storm scenario with every policy;
+    only DTM-TS reads the release points."""
+    assert Chapter4Spec(policy="bw", amb_trp_c=200.0).amb_trp_c == 200.0
+    get_scenario("throttle-storm").spec(policy="acg")
 
 
 def _request_cases(kind: codec.Kind) -> list[tuple]:

@@ -24,7 +24,8 @@ from repro.campaign import (
     run_cell,
     run_payload,
 )
-from repro.engine import CheckpointObserver, SteppingEngine
+from repro.core.kernel import BatchedMemSpot
+from repro.engine import CheckpointObserver
 from repro.engine.progress import PROGRESS
 from repro.jobs import (
     COMPLETED,
@@ -107,17 +108,18 @@ def test_every_run_cell_caller_yields_the_reference_bytes(
     """Same payload bytes, and no window stepped twice: a resumed
     caller really continued from its checkpoint instead of rerunning."""
     stepped = [0]
-    step_window = SteppingEngine.step_window
+    kernel_step = BatchedMemSpot.step
 
-    def counted(engine):
+    def counted(memspot, *args):
         stepped[0] += 1
-        step_window(engine)
+        return kernel_step(memspot, *args)
 
-    monkeypatch.setattr(SteppingEngine, "step_window", counted)
+    monkeypatch.setattr(BatchedMemSpot, "step", counted)
     request = CELLS[cell]
     expected, hit, _ = run_payload(request.spec(), NullStore())
     assert not hit
     windows, stepped[0] = stepped[0], 0
+    assert windows > 0
     got = caller(request, tmp_path)
     assert dumps_canonical(got) == dumps_canonical(expected)
     assert stepped[0] == windows

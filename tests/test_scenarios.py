@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.campaigns import run_campaign
@@ -183,3 +188,18 @@ def test_scenarios_campaign_grid_crosses_mix_overrides():
     assert [(row[0], row[2]) for row in rows] == [
         ("cold-aisle", "W1"), ("cold-aisle", "W2"),
     ]
+
+
+def test_the_scenario_module_imports_first_in_a_fresh_interpreter():
+    """``repro.scenarios.scenario`` builds on the run specs, so
+    ``repro.analysis`` must not import the scenarios back (its package
+    once did, through ``repro.analysis.campaigns``)."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "from repro.scenarios.scenario import SCENARIO_KINDS"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1,15 +1,19 @@
 """Level-1 analytic window model."""
 
+import dataclasses
+import math
 import random
 
 import pytest
 from test_cache import oracle_solve
 
+from repro.cache.mrc import MissRatioCurve
 from repro.core.windowmodel import MemoryEnvelope, SlotResult, WindowModel, WindowResult
+from repro.engine import codec
 from repro.errors import ConfigurationError
 from repro.units import CACHE_LINE_BYTES
 from repro.workloads.mixes import get_mix
-from repro.workloads.profiles import all_apps, get_app
+from repro.workloads.profiles import AppProfile, all_apps, get_app
 
 F_MAX = 3.2e9
 
@@ -266,3 +270,33 @@ def test_evaluate_matches_oracle_bit_for_bit():
         assert result == _oracle_window(apps, frequency, cap, capacity)
         saturated.add(result.utilization == MemoryEnvelope().rho_max)
     assert saturated == {True, False}
+
+
+def _numeric_fields(cls: type) -> list[str]:
+    return [
+        f.name
+        for f in dataclasses.fields(cls)
+        if isinstance(f.metadata.get("domain"), codec.Float)
+    ]
+
+
+_CURVE = dict(m_peak=0.8, m_floor=0.2, c_half_bytes=1024.0 * 1024.0)
+_MODEL_INPUTS = {
+    MemoryEnvelope: {},
+    MissRatioCurve: _CURVE,
+    AppProfile: dict(
+        name="probe", suite="cpu2000", cpi_base=0.5, apki=20.0,
+        mrc=MissRatioCurve(**_CURVE), write_frac=0.3, mlp=4.0,
+        instructions=1e9,
+    ),
+}
+
+
+@pytest.mark.parametrize("cls, field", [
+    (cls, field) for cls in _MODEL_INPUTS for field in _numeric_fields(cls)
+], ids=lambda value: getattr(value, "__name__", value))
+def test_model_inputs_refuse_nan_in_every_numeric_field(cls, field):
+    """A NaN fails every bound, so no level-1 input can carry one."""
+    cls(**_MODEL_INPUTS[cls])  # the base values build
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be finite"):
+        cls(**{**_MODEL_INPUTS[cls], field: math.nan})
