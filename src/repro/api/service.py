@@ -117,6 +117,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ReproService"
     protocol_version = "HTTP/1.1"
+    # ``_respond`` sends the headers and the body in two writes; with
+    # Nagle's algorithm on, a keep-alive client's second request waits
+    # for its own delayed ACK of the first (about 40 ms each).
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

@@ -9,7 +9,9 @@ parametric curves the analytic model uses.
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 
+from repro.engine.codec import Count, check_domain, domain
 from repro.errors import ConfigurationError
 
 
@@ -17,25 +19,24 @@ def _is_power_of_two(value: int) -> bool:
     return value > 0 and (value & (value - 1)) == 0
 
 
+@dataclass(eq=False)
 class SetAssociativeCache:
-    """A classic LRU set-associative cache with per-set recency order.
+    """A classic LRU set-associative cache with per-set recency order."""
 
-    Args:
-        capacity_bytes: total capacity.
-        ways: associativity.
-        line_bytes: line size.
-    """
+    #: Total capacity, bytes: a multiple of ``ways * line_bytes``.
+    capacity_bytes: int = domain(Count(minimum=1))
+    #: Associativity.
+    ways: int = domain(Count(minimum=1))
+    #: Line size, bytes.
+    line_bytes: int = domain(Count(minimum=1), 64)
 
-    def __init__(self, capacity_bytes: int, ways: int, line_bytes: int = 64) -> None:
-        if capacity_bytes <= 0 or ways <= 0 or line_bytes <= 0:
-            raise ConfigurationError("cache geometry must be positive")
-        if capacity_bytes % (ways * line_bytes) != 0:
+    def __post_init__(self) -> None:
+        check_domain(self)
+        if self.capacity_bytes % (self.ways * self.line_bytes) != 0:
             raise ConfigurationError(
                 "capacity must be a multiple of ways * line size"
             )
-        self._ways = ways
-        self._line_bytes = line_bytes
-        self._sets = capacity_bytes // (ways * line_bytes)
+        self._sets = self.capacity_bytes // (self.ways * self.line_bytes)
         if not _is_power_of_two(self._sets):
             raise ConfigurationError("number of sets must be a power of two")
         # Each set is an OrderedDict tag -> dirty flag; order = recency
@@ -48,19 +49,9 @@ class SetAssociativeCache:
         self.writebacks = 0
 
     @property
-    def capacity_bytes(self) -> int:
-        """Total capacity."""
-        return self._sets * self._ways * self._line_bytes
-
-    @property
     def sets(self) -> int:
         """Number of sets."""
         return self._sets
-
-    @property
-    def ways(self) -> int:
-        """Associativity."""
-        return self._ways
 
     def access(self, address: int, is_write: bool = False) -> bool:
         """Access one address; returns True on hit.
@@ -68,7 +59,7 @@ class SetAssociativeCache:
         A miss fills the line, evicting the LRU entry of the set; evicting
         a dirty line counts a writeback (memory write traffic).
         """
-        line = address // self._line_bytes
+        line = address // self.line_bytes
         set_index = line % self._sets
         tag = line // self._sets
         entries = self._lines[set_index]
@@ -78,7 +69,7 @@ class SetAssociativeCache:
             entries.move_to_end(tag)
             return True
         self.misses += 1
-        if len(entries) >= self._ways:
+        if len(entries) >= self.ways:
             _, dirty = entries.popitem(last=False)
             if dirty:
                 self.writebacks += 1

@@ -28,8 +28,10 @@ per-client oracle in the tests agree bit for bit on every version.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.cache.mrc import MissRatioCurve
+from repro.engine.codec import Float, check_domain, domain
 from repro.errors import ConfigurationError
 
 #: Fixed-point iterations (converges geometrically; a dozen suffices for
@@ -116,22 +118,14 @@ def _flat4(capacity, rates, curves):
 _FLAT_KERNELS = {2: _flat2, 3: _flat3, 4: _flat4}
 
 
+@dataclass(frozen=True)
 class SharedCacheModel:
-    """Insertion-rate-proportional occupancy fixed point.
+    """Insertion-rate-proportional occupancy fixed point."""
 
-    Args:
-        capacity_bytes: total shared-cache capacity.
-    """
+    #: Total shared-cache capacity, bytes.
+    capacity_bytes: float = domain(Float(0.0, strict=True))
 
-    def __init__(self, capacity_bytes: float) -> None:
-        if capacity_bytes <= 0:
-            raise ConfigurationError("cache capacity must be positive")
-        self._capacity = capacity_bytes
-
-    @property
-    def capacity_bytes(self) -> float:
-        """Total shared capacity."""
-        return self._capacity
+    __post_init__ = check_domain
 
     def solve(
         self, rates: Sequence[float], curves: Sequence[MissRatioCurve]
@@ -154,7 +148,7 @@ class SharedCacheModel:
         with under-relaxation, then evaluates each client's MRC at its
         converged share.
         """
-        capacity = self._capacity
+        capacity = self.capacity_bytes
         kernel = _FLAT_KERNELS.get(len(rates))
         if kernel is not None and all(rate > 0.0 for rate in rates):
             return kernel(capacity, rates, curves)

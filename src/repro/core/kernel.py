@@ -335,7 +335,7 @@ class BatchedMemSpot:
 
         # Any other chain length: one flat pass over the chain, Eq. 3.3/
         # 3.4 stable points (ambient + AMB rise + DRAM rise), Eq. 3.5 RC
-        # update.
+        # update, each peak ``max`` as its compare.
         t_amb = self._t_amb
         t_dram = self._t_dram
         amb_c = -273.15
@@ -347,6 +347,6 @@ class BatchedMemSpot:
             ) * gain_dram
             t_amb[i] = ta
             t_dram[i] = td
-            amb_c = max(amb_c, ta)
-            dram_c = max(dram_c, td)
+            amb_c = ta if ta > amb_c else amb_c
+            dram_c = td if td > dram_c else dram_c
         return MemSpotSample(amb_c, dram_c, ambient_c, power_w)

@@ -170,6 +170,10 @@ class ListOf(Kind):
     nonempty: bool = False
 
     def encode(self, value: Any) -> list:
+        if type(self.item).encode is Kind.encode:
+            # The item kind writes values as they are (a trace column's
+            # floats): one C-level copy, not one call per item.
+            return list(value)
         return [self.item.encode(item) for item in value]
 
     def decode(self, value: Any, path: str, owner: Any, error: type) -> list:

@@ -56,7 +56,9 @@ finished job and on :meth:`SteppingEngine.restore`.
 :meth:`SteppingEngine._run` is that window as one flat loop, for every
 stepping method, with the accumulators in locals written back before
 an observer or ``done`` sees the engine: about 13 Python calls a
-ch4 window (cProfile over ``perfbench`` ``cells_solo --seed 1``).
+ch4 window (cProfile over ``perfbench`` ``cells_solo --seed 1``), and
+17-22 a ch5 window (cProfile over whole W1 cells of each policy on
+both servers, on a warm server model).
 With tracing on it times only every ``sample_every``-th window (see
 :class:`~repro.obs.trace.TracingObserver`).
 """

@@ -13,7 +13,7 @@ the per-second mechanism application and performance evaluation, the
 engine supplies stepping, checkpoint/resume and observers, and the
 results stay byte-identical to the historical inlined loop.  Between
 job completions a window's products depend only on the policy
-decision, which is the strategy's window-cache key (see
+decision, whose ``index`` is the strategy's window-cache key (see
 :meth:`ServerStrategy.window`).
 
 :func:`run_homogeneous` reproduces the §5.4.1 warm-up experiments: four
@@ -131,6 +131,7 @@ class ServerStrategy:
         self._hotplug = CPUHotplug(platform.total_cores)
         self._cpufreq = CPUFreq(platform.cpu_power)
         self._throttle = OpenLoopThrottle()
+        self._decision = None
         self.memspot = BatchedMemSpot(
             cooling=platform.cooling,
             ambient=platform.ambient_params(ambient_override_c),
@@ -161,20 +162,24 @@ class ServerStrategy:
             f"{self.scheduler.total_jobs} jobs)"
         )
 
-    def window(self, engine: SteppingEngine) -> Any:
-        """One DTM window's decision, which is also its cache key.
+    def window(self, engine: SteppingEngine) -> int:
+        """One DTM window's decision; its cache key is the decision's
+        ``index``.
 
         The policy reads ``engine.sample``, the previous window's
         sample, whose ``amb_c`` is the AMB sensor reading.  Between job
         completions the round-robin scheduler's slot assignment is
         frozen, so everything after the decision is a pure function of
-        the decision.
+        the decision, and a policy numbers its decisions (the rung of
+        every Chapter 5 ladder), so the key is one int.
         """
-        return self._policy.decide(engine.sample, self.dt_s)
+        decision = self._decision = self._policy.decide(engine.sample, self.dt_s)
+        return decision.index
 
-    def window_outcome(self, decision: Any) -> WindowOutcome:
+    def window_outcome(self, key: int) -> WindowOutcome:
         """The window after its decision: the mechanisms, the socket
         model, per-slot progress, chip power and the thermal load."""
+        decision = self._decision
         platform = self._platform
         hotplug = self._hotplug
         cpufreq = self._cpufreq

@@ -263,6 +263,29 @@ def test_sequential_requests_never_see_spurious_429(monkeypatch):
     assert statuses == [200] * 5
 
 
+def test_keep_alive_requests_do_not_wait_for_a_delayed_ack(service):
+    """Headers and body go out in two writes; with Nagle's algorithm on,
+    each request on a kept-alive connection waited ~40 ms for the
+    client's delayed ACK.  Twenty warm ones finish well under that."""
+    path = "/v1/simulate?mix=W1&policy=ts&copies=1"
+    connection = http.client.HTTPConnection("127.0.0.1", service.port, timeout=10)
+    try:
+        def get() -> dict:
+            connection.request("GET", path)
+            response = connection.getresponse()
+            assert response.status == 200
+            return json.loads(response.read())
+
+        get()  # computes the cell, or finds it in the store
+        start = time.perf_counter()
+        replies = [get() for _ in range(20)]
+        elapsed = time.perf_counter() - start
+    finally:
+        connection.close()
+    assert {reply["provenance"]["cache"] for reply in replies} == {"hit"}
+    assert elapsed < 0.4
+
+
 def test_jobs_rejected_over_http(service):
     code, body = _error(service, "/v1/campaign?grid=ch4&mixes=W1&policies=ts&copies=1&jobs=4")
     assert code == 400 and "jobs is not supported over HTTP" in body["error"]

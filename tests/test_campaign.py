@@ -1,16 +1,19 @@
 """Campaign engine: stores, runner registry, sweeps, parallel execution."""
 
+import io
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import ClassVar
 
 import pytest
 
 from repro.analysis.specs import (
     Chapter4Spec,
+    Chapter5Spec,
     run_result_from_dict,
     run_result_to_dict,
     server_result_from_dict,
@@ -31,10 +34,13 @@ from repro.campaign import (
     spec_key,
     sweep,
 )
+from repro.campaign.spec import spec_meta
 from repro.campaign.stores import make_record
 from repro.core.results import RunResult, TemperatureTrace
 from repro.errors import CheckpointError, ConfigurationError
 from repro.testbed.runner import ServerRunResult
+
+GOLDENS = Path(__file__).parent / "goldens"
 
 # ---------------------------------------------------------------------------
 # A tiny synthetic runner so engine tests don't pay for real simulations.
@@ -185,19 +191,56 @@ def test_json_dir_store_write_is_atomic(tmp_path, monkeypatch):
     store = JsonDirStore(tmp_path)
     key = "test-square-atomic01"
     store.put(key, {"generation": 1})
+    torn = []
+    real_open = Path.open
 
-    def torn_dump(payload, handle, **kwargs):
-        handle.write('{"generation": 2, "torn')
-        handle.flush()
-        raise OSError("disk full")
+    class TornWrite:
+        """A file handle whose write stops halfway: the disk fills."""
 
-    monkeypatch.setattr("repro.campaign.stores.disk.json.dump", torn_dump)
+        def __init__(self, handle):
+            self._handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self._handle.close()
+
+        def write(self, text):
+            self._handle.write(text[: len(text) // 2])
+            self._handle.flush()
+            torn.append(text)
+            raise OSError("disk full")
+
+    def torn_open(path, mode="r", *args, **kwargs):
+        handle = real_open(path, mode, *args, **kwargs)
+        return TornWrite(handle) if "w" in mode else handle
+
+    monkeypatch.setattr(Path, "open", torn_open)
     store.put(key, {"generation": 2})
     monkeypatch.undo()
+    assert torn and '"generation": 2' in torn[0]
     # The reader still sees the intact old payload, and the torn temp
     # file was cleaned up rather than published over it.
     assert store.get(key) == {"generation": 1}
     assert not list(tmp_path.rglob("*.tmp.*"))
+
+
+def test_json_dir_store_writes_a_record_as_its_json_dumps_text(tmp_path):
+    """The file ``put`` writes for a ch5 payload is ``json.dumps`` of
+    the record byte for byte, the same text ``json.dump`` streams, so a
+    record reads the same whichever encoder wrote it."""
+    payload = json.loads((GOLDENS / "ch5_PE1950_W1_acg_copies1.json").read_text())
+    spec = Chapter5Spec(platform="PE1950", mix="W1", policy="acg", copies=1)
+    key, meta = spec_key(spec), spec_meta(spec)
+    store = JsonDirStore(tmp_path)
+    store.put(key, payload, meta)
+    expected = json.dumps(make_record(payload, meta, key=key))
+    streamed = io.StringIO()
+    json.dump(make_record(payload, meta, key=key), streamed)
+    assert streamed.getvalue() == expected
+    assert (tmp_path / key[-2:] / f"{key}.json").read_bytes() == expected.encode()
+    assert store.get(key) == payload
 
 
 def test_json_dir_store_ignores_corrupt_files(tmp_path):

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.specs import (
+    CHAPTER5_POLICIES,
     Chapter4Spec,
     Chapter5Spec,
     run_result_to_dict,
@@ -420,6 +421,55 @@ def test_a_ch4_window_costs_at_most_20_python_calls(policy):
     calls = sum(entry[1] for entry in pstats.Stats(profiler).stats.values())
     assert engine.windows > 10_000
     assert calls / engine.windows <= 20
+
+
+@pytest.mark.parametrize("platform", ["PE1950", "SR1500AL"])
+@pytest.mark.parametrize("policy", CHAPTER5_POLICIES)
+def test_a_ch5_window_costs_at_most_24_python_calls(policy, platform):
+    """The Chapter 5 window loop's cost, counted by cProfile over a
+    whole cell on a server model a first run of the cell has warmed."""
+    import cProfile
+    import pstats
+
+    from repro.analysis.specs import make_chapter5_policy
+    from repro.testbed.performance import ServerWindowModel
+    from repro.testbed.platforms import PLATFORMS
+    from repro.testbed.runner import ServerSimulator
+
+    server = PLATFORMS[platform]
+    simulator = ServerSimulator(
+        server, make_chapter5_policy(policy, server), "W1", copies=1,
+        window_model=ServerWindowModel(server),
+    )
+    simulator.run()
+    engine = simulator.engine()
+    profiler = cProfile.Profile()
+    profiler.runcall(engine.run_to_completion)
+    calls = sum(entry[1] for entry in pstats.Stats(profiler).stats.values())
+    assert engine.windows > 100
+    assert calls / engine.windows <= 24
+
+
+@pytest.mark.parametrize("platform", ["PE1950", "SR1500AL"])
+@pytest.mark.parametrize("policy", CHAPTER5_POLICIES)
+def test_a_ch5_decision_index_names_one_decision(policy, platform):
+    """The server strategy keys its window cache on ``decision.index``:
+    over AMB readings rising through every emergency level and falling
+    back, each index only ever carries one decision, and a ladder
+    policy reaches one index per rung."""
+    from repro.analysis.specs import make_chapter5_policy
+    from repro.dtm.base import ThermalReading
+    from repro.testbed.platforms import PLATFORMS
+
+    server = PLATFORMS[platform]
+    subject = make_chapter5_policy(policy, server)
+    steps = [20.0 + 0.25 * step for step in range(521)]
+    by_index = {}
+    for amb_c in steps + steps[::-1]:
+        decision = subject.decide(ThermalReading(amb_c, amb_c), server.dtm_interval_s)
+        assert by_index.setdefault(decision.index, decision) == decision
+    rungs = 1 if policy == "no-limit" else server.levels.level_count
+    assert sorted(by_index) == list(range(rungs))
 
 
 def test_observers_are_called_exactly_at_their_due_windows(tmp_path):

@@ -8,6 +8,8 @@ import pytest
 from test_cache import oracle_solve
 
 from repro.cache.mrc import MissRatioCurve
+from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.sharing import SharedCacheModel
 from repro.core.windowmodel import MemoryEnvelope, SlotResult, WindowModel, WindowResult
 from repro.engine import codec
 from repro.errors import ConfigurationError
@@ -276,7 +278,7 @@ def _numeric_fields(cls: type) -> list[str]:
     return [
         f.name
         for f in dataclasses.fields(cls)
-        if isinstance(f.metadata.get("domain"), codec.Float)
+        if isinstance(f.metadata.get("domain"), (codec.Float, codec.Count))
     ]
 
 
@@ -289,14 +291,35 @@ _MODEL_INPUTS = {
         mrc=MissRatioCurve(**_CURVE), write_frac=0.3, mlp=4.0,
         instructions=1e9,
     ),
+    SharedCacheModel: dict(capacity_bytes=4 * 1024 * 1024),
+    SetAssociativeCache: dict(capacity_bytes=64 * 1024, ways=8, line_bytes=64),
 }
-
-
-@pytest.mark.parametrize("cls, field", [
+_MODEL_FIELDS = [
     (cls, field) for cls in _MODEL_INPUTS for field in _numeric_fields(cls)
-], ids=lambda value: getattr(value, "__name__", value))
+]
+
+
+@pytest.mark.parametrize(
+    "cls, field", _MODEL_FIELDS, ids=lambda value: getattr(value, "__name__", value)
+)
 def test_model_inputs_refuse_nan_in_every_numeric_field(cls, field):
-    """A NaN fails every bound, so no level-1 input can carry one."""
+    """A NaN fails every bound, so no level-1 input can carry one (an
+    integer field refuses any float)."""
     cls(**_MODEL_INPUTS[cls])  # the base values build
-    with pytest.raises(ConfigurationError, match=rf"^{field} must be finite"):
+    refusal = "finite" if isinstance(codec.domain_of(cls, field), codec.Float) else "an integer"
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be {refusal}"):
         cls(**{**_MODEL_INPUTS[cls], field: math.nan})
+
+
+@pytest.mark.parametrize("value", [math.inf, 0, -1])
+@pytest.mark.parametrize(
+    "cls, field",
+    [(cls, field) for cls, field in _MODEL_FIELDS
+     if cls in (SharedCacheModel, SetAssociativeCache)],
+    ids=lambda value: getattr(value, "__name__", value),
+)
+def test_cache_inputs_refuse_infinity_and_non_positive_values(cls, field, value):
+    """The cache geometry is refused at construction, naming the field,
+    so ``solve`` and ``access`` never see a bad capacity."""
+    with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
+        cls(**{**_MODEL_INPUTS[cls], field: value})
