@@ -36,7 +36,6 @@ from repro.campaign.stores import (
     GLOBAL_MEMORY,
     JsonDirStore,
     MemoryStore,
-    MigrationReport,
     NullStore,
     ResultStore,
     SingleFlightStore,
@@ -45,7 +44,6 @@ from repro.campaign.stores import (
     default_disk_store,
     default_store,
     disk_cache_enabled,
-    migrate,
 )
 
 __all__ = [
@@ -68,7 +66,6 @@ __all__ = [
     "GLOBAL_MEMORY",
     "JsonDirStore",
     "MemoryStore",
-    "MigrationReport",
     "NullStore",
     "ResultStore",
     "SingleFlightStore",
@@ -77,5 +74,4 @@ __all__ = [
     "default_disk_store",
     "default_store",
     "disk_cache_enabled",
-    "migrate",
 ]

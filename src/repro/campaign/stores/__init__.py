@@ -17,9 +17,6 @@ Implementations:
 - :class:`TieredStore` — layered lookup (memory in front of disk) with
   read-through backfill.
 
-:func:`migrate` wraps bare pre-record files in place and reports
-stale-version records (:mod:`~repro.campaign.stores.migrate`).
-
 :func:`default_store` assembles the standard stack from the
 environment: ``REPRO_CACHE_DIR`` relocates the disk cache (default
 ``.exp_cache``) and ``REPRO_CACHE=0`` drops the disk layer entirely.
@@ -47,7 +44,6 @@ from repro.campaign.stores.disk import (
     payload_of,
     version_of,
 )
-from repro.campaign.stores.migrate import MigrationReport, migrate
 from repro.campaign.stores.singleflight import (
     SingleFlightStore,
     flights_in_progress,
@@ -61,7 +57,6 @@ __all__ = [
     "UNRECORDED",
     "JsonDirStore",
     "MemoryStore",
-    "MigrationReport",
     "NullStore",
     "ResultStore",
     "SingleFlightStore",
@@ -72,7 +67,6 @@ __all__ = [
     "disk_cache_enabled",
     "flights_in_progress",
     "make_record",
-    "migrate",
     "payload_of",
     "version_of",
 ]

@@ -7,11 +7,13 @@ the store reads: a miss opens exactly one path.
 
 Writes are atomic: the document goes to a
 ``<key>.json.tmp.<pid>.<tid>.<counter>`` sibling first and is
-published with :func:`os.replace`, so a reader (or a concurrent pool
-worker, or another handler thread of the HTTP service) can never
-observe a partially written file.  The tmp name embeds the pid, the
-thread id, *and* a process-wide monotonic counter — two threads of one
-process writing the same key each get their own tmp file instead of
+published with :func:`os.replace`
+(:func:`~repro.engine.state.publish_atomic`, the routine checkpoints
+and job records use too), so a reader (or a concurrent pool worker, or
+another handler thread of the HTTP service) can never observe a
+partially written file.  The tmp name embeds the pid, the thread id,
+*and* a process-wide monotonic counter — two threads of one process
+writing the same key each get their own tmp file instead of
 interleaving writes into a shared one.
 
 A record is encoded whole by :func:`json.dumps` (CPython's C encoder;
@@ -25,11 +27,10 @@ cache metadata::
      "cache_version": "v2", "kind": "ch4",
      "spec": {...key fields...}, "payload": {...}}
 
-``get`` unwraps the payload.  A *bare* file (a payload dict with no
+``get`` unwraps the payload.  ``put`` is the one writer, and every
+file it writes is a record.  A *bare* file (a payload dict with no
 ``format`` marker, written before the record format existed) reads as
-a miss until ``repro cache migrate`` wraps it
-(:mod:`repro.campaign.stores.migrate`); :meth:`JsonDirStore.stats`
-labels it ``"unrecorded"`` either way.
+a miss, and :meth:`JsonDirStore.stats` labels it ``"unrecorded"``.
 
 I/O errors degrade to cache misses — the store is an accelerator, not
 a dependency.
@@ -48,14 +49,15 @@ from typing import Iterator, Mapping
 from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores.base import ResultStore
 from repro.engine.codec import Count, Float, Optional
+from repro.engine.state import publish_atomic
 from repro.errors import ConfigurationError
 
 #: ``format`` marker of wrapped on-disk entries.
 RECORD_FORMAT = "repro-cache-record"
 #: Version of the record wrapper itself (not of the cached payload).
 RECORD_VERSION = 1
-#: Version label of entries with no recorded cache version: bare
-#: pre-record files, and the records ``cache migrate`` wraps them in.
+#: Version label of entries with no recorded cache version (bare
+#: pre-record files).
 UNRECORDED = "unrecorded"
 #: Tmp files older than this many seconds are swept by ``prune()``;
 #: young ones may belong to an in-flight writer and are left alone.
@@ -109,8 +111,7 @@ def payload_of(document: object) -> dict | None:
 def version_of(document: object) -> str:
     """The cache-version label of a parsed entry document.
 
-    A bare file has no recorded version and reads as ``UNRECORDED``,
-    the label ``cache migrate`` stamps when it wraps one.
+    A bare file has no recorded version and reads as ``UNRECORDED``.
     """
     if is_record(document):
         return str(document.get("cache_version") or "unknown")
@@ -156,27 +157,12 @@ class JsonDirStore(ResultStore):
     def put(
         self, key: str, payload: dict, meta: Mapping | None = None
     ) -> None:
-        self.write_document(key, make_record(payload, meta, key=key))
-
-    def write_document(self, key: str, document: dict) -> None:
-        """Atomically publish a raw entry document under ``key``.
-
-        Used by ``cache migrate`` to wrap bare files in place — unlike
-        :meth:`put` this never re-stamps the cache version.
-        """
         path = self._path(key)
-        tmp = self._tmp_path(path)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            text = json.dumps(document)
-            with tmp.open("w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
+            text = json.dumps(make_record(payload, meta, key=key))
+            publish_atomic(str(path), str(self._tmp_path(path)), text.encode())
         except (OSError, TypeError, ValueError):
-            try:
-                tmp.unlink(missing_ok=True)
-            except OSError:
-                pass
+            pass  # a failed write is a later miss; the tmp is already gone
 
     # -- enumeration -------------------------------------------------------
 

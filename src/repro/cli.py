@@ -22,9 +22,8 @@ Commands:
 - ``scenarios`` — list the registered scenario library, or run named
   scenarios through the campaign engine.
 - ``cache`` — inspect or maintain the on-disk result cache:
-  ``stats`` (census with per-version counts), ``prune`` (evict oldest
-  entries, sweep stale tmp files), ``migrate`` (wrap bare pre-record
-  files as records, report stale-version records).
+  ``stats`` (census with per-version counts) and ``prune`` (evict
+  oldest entries, sweep stale tmp files).
 - ``serve`` — expose the API over HTTP (``/v1/simulate``,
   ``/v1/scenarios``, ``/v1/campaign``, ...).
 
@@ -56,7 +55,6 @@ Examples::
     python -m repro scenarios run hot-ambient throttle-storm --copies 1
     python -m repro cache stats --json
     python -m repro cache prune --max-entries 500
-    python -m repro cache migrate --dry-run
     python -m repro serve --port 8765
     python -m repro campaign --mixes W1,W2 --backend local --jobs 2
 """
@@ -95,7 +93,6 @@ from repro.campaign import (
     CACHE_VERSION,
     default_disk_store,
     disk_cache_enabled,
-    migrate,
 )
 from repro.cluster import BACKEND_CHOICES, backend_for
 from repro.jobs import (
@@ -232,19 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "younger ones may belong to an in-flight writer",
     )
     add_json_flag(c_prune)
-    c_migrate = cache_action.add_parser(
-        "migrate",
-        help="wrap bare pre-record <hh>/<key>.json files in place as "
-        "records (same key, payload unchanged, cache_version "
-        "'unrecorded') so they are served again; report records "
-        f"stamped with a version other than {CACHE_VERSION} as stale "
-        "and leave them untouched",
-    )
-    c_migrate.add_argument(
-        "--dry-run", action="store_true",
-        help="report what would be wrapped without writing",
-    )
-    add_json_flag(c_migrate)
 
     serve_cmd = sub.add_parser(
         "serve", help="serve the API over HTTP (see repro.api.service)"
@@ -687,27 +671,15 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         print(f"versions:   {rendered or 'none'} (current: {CACHE_VERSION})")
         print(f"tmp files:  {stats['tmp_files']}")
         return 0
-    if args.action == "prune":
-        kwargs = {}
-        if args.tmp_grace_s is not None:
-            kwargs["tmp_grace_s"] = args.tmp_grace_s
-        removed = store.prune(args.max_entries, **kwargs)
-        if args.json:
-            _print_json({"removed": removed, "root": store.stats()["root"]})
-        else:
-            print(f"removed {removed} file(s)")
-        return 0
-    # action == "migrate"
-    report = migrate(store, dry_run=args.dry_run)
+    # action == "prune"
+    kwargs = {}
+    if args.tmp_grace_s is not None:
+        kwargs["tmp_grace_s"] = args.tmp_grace_s
+    removed = store.prune(args.max_entries, **kwargs)
     if args.json:
-        _print_json(report.to_dict())
-        return 0
-    verb = "would wrap" if args.dry_run else "wrapped"
-    print(
-        f"{verb} {report.wrapped} of {report.scanned} entries "
-        f"(current {report.target}: {report.current}, "
-        f"unrecorded: {report.unrecorded}, stale: {report.stale})"
-    )
+        _print_json({"removed": removed, "root": store.stats()["root"]})
+    else:
+        print(f"removed {removed} file(s)")
     return 0
 
 

@@ -1,9 +1,10 @@
 """The paper's primary contribution: the two-level thermal simulator.
 
-Level 1 (:mod:`repro.core.windowmodel`, :mod:`repro.core.tracegen`)
-produces performance and memory-throughput figures for every combination
-of co-running applications and DTM control state, in 10 ms windows —
-the role the paper's extended M5 plays (§4.3.1, Fig. 4.1).
+Level 1 (:mod:`repro.core.windowmodel`) produces performance and
+memory-throughput figures for every combination of co-running
+applications and DTM control state, in 10 ms windows — the role the
+paper's extended M5 plays (§4.3.1, Fig. 4.1).  Its memo, filled as the
+runs ask for windows, is the level-1 table.
 
 Level 2 (:mod:`repro.core.memspot`) is MEMSpot: it replays those windows
 through the power model (Eq. 3.1/3.2), the thermal model (Eqs. 3.3–3.6)
@@ -19,7 +20,6 @@ from repro.core.windowmodel import MemoryEnvelope, WindowModel, WindowResult
 from repro.core.memspot import MemSpot, MemSpotSample
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
 from repro.core.results import RunResult
-from repro.core.tracegen import DesignPoint, TraceLibrary
 from repro.core.calibration import calibrate_envelope
 
 __all__ = [
@@ -31,7 +31,5 @@ __all__ = [
     "SimulationConfig",
     "TwoLevelSimulator",
     "RunResult",
-    "DesignPoint",
-    "TraceLibrary",
     "calibrate_envelope",
 ]

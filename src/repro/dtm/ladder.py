@@ -31,7 +31,6 @@ from typing import Any
 
 from repro.dtm.base import ControlDecision, DTMPolicy
 from repro.dtm.levels import TRACKER_FIELD, LevelTracker
-from repro.engine.codec import Count, Field, Float
 from repro.params.emergency import EmergencyLevels, PE1950_LEVELS, SIMULATION_LEVELS
 
 #: The DVFS ladder position meaning "all cores stopped": the number of
@@ -128,49 +127,20 @@ class DTMBW(LadderPolicy):
 class DTMACG(LadderPolicy):
     """Adaptive core gating by emergency level.
 
+    The policy decides how many cores stay active; the run that applies
+    the decision picks which ones
+    (:class:`~repro.core.simulator.Chapter4Strategy` rotates the gated
+    slots round-robin every ``rotation_interval_s``, 100 ms by default).
+
     Args:
         levels: emergency table with the active-core ladder.
         cores: total core count.
-        rotation_interval_s: how often the gated-core rotation advances
-            (fairness); defaults to 100 ms, the Linux time-slice scale the
-            measured systems use (§5.3.1).
         min_active: lower bound on active cores (Chapter 5 servers keep
             one core per socket alive to use its L2, §5.2.2).
     """
 
     name = "DTM-ACG"
     scheme = "acg"
-    STATE_FIELDS = (
-        TRACKER_FIELD,
-        Field("since_rotation_s", "_since_rotation_s", Float(0.0), 0.0),
-        Field("rotation", "rotation", Count(), 0),
-    )
-
-    def __init__(
-        self,
-        levels: EmergencyLevels | None = None,
-        cores: int = 4,
-        rotation_interval_s: float = 0.100,
-        min_active: int = 0,
-    ) -> None:
-        super().__init__(levels, cores, min_active)
-        self._rotation_interval_s = rotation_interval_s
-        self._since_rotation_s = 0.0
-        self.rotation = 0
-
-    def decide(self, reading: Any, dt_s: float) -> ControlDecision:
-        """The rung's gating; the round-robin rotation advances with time."""
-        self._since_rotation_s += dt_s
-        if self._since_rotation_s >= self._rotation_interval_s:
-            self._since_rotation_s = 0.0
-            self.rotation += 1
-        return self._decisions[self._tracker.level(reading)]
-
-    def reset(self) -> None:
-        """Clear latch and rotation."""
-        super().reset()
-        self._since_rotation_s = 0.0
-        self.rotation = 0
 
 
 class DTMCDVFS(LadderPolicy):

@@ -28,13 +28,14 @@ whose types and ranges are already checked.  A restore decodes the
 whole snapshot before it assigns anything, so a refused snapshot
 leaves the engine as it was.
 
-:class:`CheckpointFile` stores one snapshot on disk with the same
-write-then-rename discipline as
-:class:`~repro.campaign.stores.JsonDirStore`: the JSON is serialized
-*before* the temp file is opened, published with :func:`os.replace`,
-and the temp sibling is unlinked on any failure — an interrupted or
-abandoned run can leave behind a valid previous checkpoint or nothing,
-never a torn or partial file.
+:class:`CheckpointFile` stores one snapshot on disk through
+:func:`publish_atomic`, the one write-then-rename routine the result
+store (:class:`~repro.campaign.stores.JsonDirStore`) and the job
+records (:class:`~repro.jobs.store.JobStore`) publish with too: the
+JSON is serialized *before* the temp file is opened, published with
+:func:`os.replace`, and the temp sibling is unlinked on any failure —
+an interrupted or abandoned run can leave behind a valid previous
+checkpoint or nothing, never a torn or partial file.
 """
 
 from __future__ import annotations
@@ -170,14 +171,44 @@ class EngineStateSerializer:
 _SORTED_KEYS = sorted(field.key for field in fields_of(EngineState))
 
 
+def publish_atomic(path: str, tmp: str, data: bytes) -> None:
+    """Write ``data`` to ``tmp``, then publish it as ``path``.
+
+    Readers of ``path`` see the previous file or the new one, never a
+    torn write.  A missing parent directory is created on the first
+    failed open rather than probed per write.  Any failure, a
+    ``KeyboardInterrupt`` included, unlinks ``tmp`` and re-raises; the
+    caller picks the tmp name (unique per writer) and the error policy.
+    """
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    try:
+        try:
+            fd = os.open(tmp, flags, 0o666)
+        except FileNotFoundError:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            fd = os.open(tmp, flags, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 class CheckpointFile:
     """One on-disk checkpoint slot with atomic write-then-rename.
 
     The write path is tuned for the worst-case every-window cadence:
     the temp-sibling path is computed once per process (not per write),
-    the file I/O goes through raw ``os.open``/``os.write`` instead of
-    the pathlib convenience wrappers, and the parent directory is
-    created on demand (first write) rather than probed per write.
+    and :func:`publish_atomic` writes through raw ``os.open``/``os.write``
+    and creates the parent directory on demand.
     """
 
     def __init__(self, path: Path | str) -> None:
@@ -217,34 +248,7 @@ class CheckpointFile:
             text = json.dumps(state.to_dict(), sort_keys=True)
         else:
             text = serializer.serialize(state)
-        data = (text + "\n").encode()
-        tmp = self._tmp_path()
-        flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
-        try:
-            try:
-                fd = os.open(tmp, flags, 0o666)
-            except FileNotFoundError:
-                # First write (or someone removed the directory
-                # mid-run): create the parent and retry.  Probing with
-                # mkdir on *every* write would cost a syscall per
-                # checkpoint on the worst-case every-window cadence.
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(tmp, flags, 0o666)
-            try:
-                view = memoryview(data)
-                while view:
-                    view = view[os.write(fd, view):]
-            finally:
-                os.close(fd)
-            os.replace(tmp, self._path_str)
-        except BaseException:
-            # KeyboardInterrupt included: an interrupted run must not
-            # leave a partial sibling behind.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        publish_atomic(self._path_str, self._tmp_path(), (text + "\n").encode())
 
     def load(self) -> EngineState:
         """Read and validate the published snapshot."""

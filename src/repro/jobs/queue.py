@@ -131,9 +131,11 @@ class JobQueue:
     def next_ready(self, timeout_s: float | None = None) -> JobRecord | None:
         """Pop the most urgent queued job, blocking up to ``timeout_s``.
 
-        The popped record is marked ``running`` and persisted before it
-        is returned, so a crash between pop and first slice still
-        recovers the job.
+        The popped record is marked ``running`` in memory.  The
+        scheduler persists that mark before the job's first slice
+        (where a failed write fails the one job, not the scheduler
+        thread), so a crash between pop and first slice still recovers
+        the job.
         """
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         with self._lock:
@@ -144,7 +146,6 @@ class JobQueue:
                     if record.started_s is None:
                         record.started_s = round(time.time(), 3)
                     record.add_event("started")
-                    self.store.save(record)
                     return record
                 if deadline is None:
                     self._lock.wait()

@@ -175,11 +175,20 @@ class JobScheduler:
         )
 
     def _fail(self, record: JobRecord, message: str) -> None:
+        """Mark ``record`` failed.  The failure stands in memory even if
+        writing it fails too (a full disk), so the loop lives on."""
         record.status = FAILED
         record.error = message
         record.finished_s = round(time.time(), 3)
         record.add_event("failed", message)
-        self.queue.persist(record)
+        try:
+            self.queue.persist(record)
+        except Exception as error:  # noqa: BLE001 — keep the loop alive
+            LOG.error(
+                "job.persist_failed",
+                job=record.job_id,
+                error=f"{type(error).__name__}: {error}",
+            )
         self._observe_finished(record)
         LOG.error("job.failed", job=record.job_id, error=message)
 
@@ -223,6 +232,7 @@ class JobScheduler:
                 self._execute(record)
 
     def _execute(self, record: JobRecord) -> None:
+        self.queue.persist(record)  # the `running` mark, before any slice
         request = request_from_dict(record.request)
         specs, echoes = expand_job_request(request)
         record.cells_total = len(specs)

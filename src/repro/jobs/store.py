@@ -3,8 +3,9 @@
 The jobs service must survive being killed at any instant: a submit
 that was acknowledged is never lost, and a job that was mid-cell
 resumes from its last window-slice checkpoint instead of restarting.
-Both properties come from the same discipline the result cache uses
-(:class:`~repro.campaign.stores.JsonDirStore`): every record mutation
+Both properties come from the routine the result cache and the
+checkpoint files publish with too
+(:func:`~repro.engine.state.publish_atomic`): every record mutation
 is written to a temp file in the same directory and published with one
 atomic ``os.replace``.  A reader therefore sees either the previous
 complete record or the new complete record, never a torn write.
@@ -41,6 +42,7 @@ from repro.engine.codec import (
     state_dict,
     state_field,
 )
+from repro.engine.state import publish_atomic
 from repro.errors import CheckpointError, ConfigurationError
 
 #: On-disk record format tag (checked on load).
@@ -155,22 +157,20 @@ class JobStore:
         return self.root / f"{job_id}.json"
 
     def save(self, record: JobRecord) -> None:
-        """Atomically persist ``record`` (publish-or-nothing)."""
+        """Atomically persist ``record`` (publish-or-nothing); a failed
+        write raises and leaves no tmp file behind."""
         global _tmp_counter
         path = self._path(record.job_id)
         with _tmp_lock:
             _tmp_counter += 1
             counter = _tmp_counter
-        tmp = path.with_name(
-            f"{path.name}.tmp.{os.getpid()}.{threading.get_ident()}.{counter}"
-        )
+        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}.{counter}"
         document = {
             "format": RECORD_FORMAT,
             "version": RECORD_VERSION,
             "job": record.to_dict(),
         }
-        tmp.write_text(json.dumps(document, sort_keys=True))
-        os.replace(tmp, path)
+        publish_atomic(str(path), tmp, json.dumps(document, sort_keys=True).encode())
 
     def load(self, job_id: str) -> JobRecord | None:
         """The stored record, or None when absent/unreadable."""

@@ -192,34 +192,18 @@ def test_json_dir_store_write_is_atomic(tmp_path, monkeypatch):
     key = "test-square-atomic01"
     store.put(key, {"generation": 1})
     torn = []
-    real_open = Path.open
+    real_write = os.write
 
-    class TornWrite:
-        """A file handle whose write stops halfway: the disk fills."""
+    def torn_write(fd, data):
+        """A write that stops halfway: the disk fills."""
+        real_write(fd, bytes(data[: len(data) // 2]))
+        torn.append(bytes(data))
+        raise OSError("disk full")
 
-        def __init__(self, handle):
-            self._handle = handle
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc_info):
-            self._handle.close()
-
-        def write(self, text):
-            self._handle.write(text[: len(text) // 2])
-            self._handle.flush()
-            torn.append(text)
-            raise OSError("disk full")
-
-    def torn_open(path, mode="r", *args, **kwargs):
-        handle = real_open(path, mode, *args, **kwargs)
-        return TornWrite(handle) if "w" in mode else handle
-
-    monkeypatch.setattr(Path, "open", torn_open)
+    monkeypatch.setattr(os, "write", torn_write)
     store.put(key, {"generation": 2})
     monkeypatch.undo()
-    assert torn and '"generation": 2' in torn[0]
+    assert torn and b'"generation": 2' in torn[0]
     # The reader still sees the intact old payload, and the torn temp
     # file was cleaned up rather than published over it.
     assert store.get(key) == {"generation": 1}

@@ -10,7 +10,7 @@ must restore into a fresh engine and finish with the same payload as a
 run that never paused.
 
 The cells cover every stateful component: DTM-TS hysteresis, the
-emergency-level latch (ACG, CDVFS, COMB), ACG's gated-core rotation,
+emergency-level latch (ACG, CDVFS, COMB), the gated-core rotation,
 the PID controllers (``bw+pid``), the batch scheduler with finished,
 running and queued jobs, a trace recorder holding samples, a Chapter 5
 server and the §5.4.1 homogeneous warm-up.
@@ -147,3 +147,20 @@ def test_pinned_checkpoint_resumes_to_the_uninterrupted_payload(name):
     engine.restore(state)
     assert engine.windows == at_window
     assert _payload(spec, engine.run_to_completion()) == _uninterrupted(spec)
+
+
+def test_a_checkpoint_with_the_retired_acg_rotation_keys_still_resumes(tmp_path):
+    """DTM-ACG once kept a rotation counter of its own (``rotation``,
+    ``since_rotation_s``) that nothing read.  Checkpoints written then
+    carry both keys in ``strategy_state.policy``; a reader ignores them
+    and finishes with the uninterrupted run's payload bytes."""
+    spec, at_window = CELLS["checkpoint_ch4_W1_acg"]
+    raw = json.loads((GOLDEN_DIR / "checkpoint_ch4_W1_acg.json").read_text())
+    raw["strategy_state"]["policy"].update(rotation=1122, since_rotation_s=0.03)
+    path = tmp_path / "cell.checkpoint.json"
+    path.write_text(json.dumps(raw, sort_keys=True) + "\n")
+    engine = _engine(spec)
+    engine.restore(CheckpointFile(path).load())
+    assert engine.windows == at_window
+    resumed = json.dumps(_payload(spec, engine.run_to_completion()), sort_keys=True)
+    assert resumed == json.dumps(_uninterrupted(spec), sort_keys=True)

@@ -403,20 +403,24 @@ def test_cache_prune_rejects_negative_arguments(
     assert sorted(tmp_path.rglob("*")) == before  # nothing removed
 
 
-def test_cache_migrate_wraps_bare_files(capsys, tmp_path, monkeypatch):
+def test_cache_migrate_is_an_invalid_choice(capsys, tmp_path, monkeypatch):
+    """``cache migrate`` is gone: ``put`` writes every file as a record,
+    and a bare file left by an older writer reads as a miss that
+    ``cache stats`` labels ``unrecorded``."""
     import json
 
     from repro.campaign import JsonDirStore
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["cache", "migrate"])
+    assert exit_info.value.code == 2
+    assert "invalid choice: 'migrate'" in capsys.readouterr().err
     store = JsonDirStore(tmp_path)
-    store.write_document("test-cube-00c2", {"cube": 8})  # bare
+    path = store._path("test-cube-00c2")
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"cube": 8}))  # bare
     assert store.get("test-cube-00c2") is None
-    assert main(["cache", "migrate", "--dry-run"]) == 0
-    assert "would wrap 1 of 1 entries" in capsys.readouterr().out
-    assert main(["cache", "migrate", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["wrapped"] == 1
-    assert store.get("test-cube-00c2") == {"cube": 8}
     assert main(["cache", "stats"]) == 0
     assert "unrecorded=1" in capsys.readouterr().out
 

@@ -1,127 +1,9 @@
-"""CPU substrate: DVFS ladder, core gating, chip facade, power."""
+"""Chip power as a function of DTM state (Table 4.4, Chapter 5)."""
 
 import pytest
 
-from repro.cpu.dvfs import DVFSLadder
-from repro.cpu.gating import CoreGating
-from repro.cpu.multicore import MulticoreChip
 from repro.cpu.power import measured_chip_power_w, simulated_chip_power_w
 from repro.errors import ConfigurationError
-from repro.params.power_params import SIMULATED_CPU_POWER
-
-
-def _ladder() -> DVFSLadder:
-    return DVFSLadder(SIMULATED_CPU_POWER.operating_points)
-
-
-def test_ladder_starts_at_top():
-    ladder = _ladder()
-    assert ladder.level == 0
-    assert ladder.frequency_hz == 3.2e9
-    assert ladder.voltage_v == 1.55
-
-
-def test_ladder_walk():
-    ladder = _ladder()
-    ladder.set_level(2)
-    assert ladder.frequency_hz == 1.6e9
-    assert ladder.frequency_scale == pytest.approx(0.5)
-
-
-def test_ladder_stopped_state():
-    ladder = _ladder()
-    ladder.set_level(ladder.stopped_level)
-    assert ladder.is_stopped
-    assert ladder.frequency_hz == 0.0
-    assert ladder.voltage_v == 0.0
-
-
-def test_ladder_rejects_bad_level():
-    with pytest.raises(ConfigurationError):
-        _ladder().set_level(9)
-
-
-def test_ladder_requires_descending_points():
-    points = tuple(reversed(SIMULATED_CPU_POWER.operating_points))
-    with pytest.raises(ConfigurationError):
-        DVFSLadder(points)
-
-
-def test_gating_all_active_initially():
-    gating = CoreGating(4)
-    assert gating.active_cores() == [0, 1, 2, 3]
-
-
-def test_gating_reduces_count():
-    gating = CoreGating(4)
-    gating.set_active_count(2)
-    assert len(gating.active_cores()) == 2
-
-
-def test_gating_rotation_changes_victims():
-    gating = CoreGating(4)
-    gating.set_active_count(2)
-    first = gating.active_cores()
-    gating.rotate()
-    second = gating.active_cores()
-    assert first != second
-
-
-def test_gating_rotation_covers_all_cores():
-    """Round-robin fairness: over a full rotation cycle every core gets
-    gated at some point (§4.2.2)."""
-    gating = CoreGating(4)
-    gating.set_active_count(3)
-    gated_at_some_point = set()
-    for _ in range(8):
-        active = set(gating.active_cores())
-        gated_at_some_point |= set(range(4)) - active
-        gating.rotate()
-    assert gated_at_some_point == {0, 1, 2, 3}
-
-
-def test_protected_core_never_gated():
-    gating = CoreGating(4, protected_cores=frozenset({0}))
-    gating.set_active_count(1)
-    for _ in range(8):
-        assert 0 in gating.active_cores()
-        gating.rotate()
-
-
-def test_protected_clamps_minimum():
-    gating = CoreGating(4, protected_cores=frozenset({0, 2}))
-    gating.set_active_count(1)
-    assert gating.active_count == 2
-
-
-def test_zero_active_allowed_without_protection():
-    gating = CoreGating(4)
-    gating.set_active_count(0)
-    assert gating.active_cores() == []
-
-
-def test_gating_validation():
-    with pytest.raises(ConfigurationError):
-        CoreGating(0)
-    with pytest.raises(ConfigurationError):
-        CoreGating(2, protected_cores=frozenset({5}))
-    with pytest.raises(ConfigurationError):
-        CoreGating(4).set_active_count(5)
-
-
-def test_chip_running_cores_respect_dvfs_stop():
-    chip = MulticoreChip(4, SIMULATED_CPU_POWER.operating_points)
-    chip.dvfs.set_level(chip.dvfs.stopped_level)
-    assert chip.running_cores == []
-
-
-def test_chip_memory_toggle():
-    chip = MulticoreChip(4, SIMULATED_CPU_POWER.operating_points)
-    chip.set_memory_on(False)
-    assert not chip.memory_on
-    chip.reset()
-    assert chip.memory_on
-    assert chip.running_cores == [0, 1, 2, 3]
 
 
 def test_simulated_power_ts_states():

@@ -121,14 +121,6 @@ def test_acg_min_active_for_servers():
     assert decision.active_cores == 2
 
 
-def test_acg_rotation_advances_with_time():
-    policy = DTMACG(rotation_interval_s=0.1)
-    before = policy.rotation
-    for _ in range(11):
-        policy.decide(WARM, 0.01)
-    assert policy.rotation == before + 1
-
-
 def test_cdvfs_ladder_follows_levels():
     policy = DTMCDVFS()
     assert policy.decide(COOL, 0.01).dvfs_level == 0

@@ -672,12 +672,7 @@ def _trace(**columns) -> dict:
         (_PID + ".saturated_low", "false", "saturated_low must be a boolean"),
         (_PID + ".saturated_high", 0, "saturated_high must be a boolean"),
         # Refused since the codec checks every declared field; each
-        # restored silently before (NaN, a truncated 2.7, "false" -> True).
-        (_ACG + "since_rotation_s", float("nan"), "since_rotation_s must be finite"),
-        (_ACG + "since_rotation_s", -5, r"since_rotation_s must be >= 0\.0"),
-        (_ACG + "rotation", -1, "rotation must be a non-negative integer"),
-        (_ACG + "rotation", 2.7, "rotation must be a non-negative integer"),
-        (_ACG + "rotation", "3", "rotation must be a non-negative integer"),
+        # restored silently before ("false" -> True).
         (_ACG + "tracker.latched", "false", "latched must be a boolean"),
         (_ACG + "tracker.latched", 1, "latched must be a boolean"),
     ],
@@ -695,9 +690,7 @@ def _trace(**columns) -> dict:
         "pid-integral-nan", "pid-integral-inf", "pid-integral-string",
         "pid-previous_error-nan", "pid-previous_error-string",
         "pid-saturated_low-string", "pid-saturated_high-int",
-        "acg-since_rotation-nan", "acg-since_rotation-negative",
-        "acg-rotation-negative", "acg-rotation-fractional",
-        "acg-rotation-string", "tracker-latched-string", "tracker-latched-int",
+        "tracker-latched-string", "tracker-latched-int",
     ],
 )
 def test_malformed_snapshots_raise_checkpoint_errors(path, value, match):

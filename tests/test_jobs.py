@@ -20,6 +20,7 @@ The acceptance criteria covered here:
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import signal
@@ -188,6 +189,25 @@ class TestJobStore:
             store.load("../escape")
         with pytest.raises(ConfigurationError):
             store.load(".hidden")
+
+    def test_a_failed_save_raises_and_leaves_no_tmp_file(
+        self, tmp_path, monkeypatch
+    ):
+        store = JobStore(tmp_path)
+        record = JobRecord(job_id="job-x", tenant="t", request=FAST_REQUEST)
+        store.save(record)
+        published = (tmp_path / "job-x.json").read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError(errno.EIO, "I/O error")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        record.status = RUNNING
+        with pytest.raises(OSError):
+            store.save(record)
+        monkeypatch.undo()
+        assert [p.name for p in tmp_path.iterdir()] == ["job-x.json"]
+        assert (tmp_path / "job-x.json").read_bytes() == published
 
     def test_sweep_tmp_removes_crashed_writer_leftovers(self, tmp_path):
         store = JobStore(tmp_path)
@@ -649,6 +669,38 @@ class TestJobsManager:
         assert record.status == FAILED and record.error == message
         assert "failed" in _event_names(record)
         assert manager.status_document(job_id)["job"]["error"] == message
+
+    @pytest.mark.parametrize("faulty_saves", [
+        (RUNNING,),  # the save marking the job running
+        (COMPLETED, FAILED),  # the completion save, then the failure's own
+    ], ids=["running-mark", "completion-and-failure"])
+    def test_a_failed_record_write_fails_the_job_not_the_scheduler(
+        self, tmp_path, monkeypatch, faulty_saves
+    ):
+        """A full disk under one job's record fails that job (in memory,
+        with the error) and the scheduler thread goes on to the next."""
+        real_save = JobStore.save
+        pending = list(faulty_saves)
+
+        def flaky_save(store, record):
+            if pending and record.status == pending[0]:
+                pending.pop(0)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_save(store, record)
+
+        monkeypatch.setattr(JobStore, "save", flaky_save)
+        manager = _manager(tmp_path, MemoryStore())
+        manager.start()
+        try:
+            first = _wait_terminal(manager, _submit(manager))
+            assert pending == []
+            assert first.status == FAILED
+            assert "No space left on device" in first.error
+            assert manager.scheduler._thread.is_alive()
+            later = _wait_terminal(manager, _submit(manager))
+            assert later.status == COMPLETED
+        finally:
+            manager.stop(drain=False)
 
     def test_job_joins_the_trace_captured_at_submit(self, tmp_path):
         manager = _manager(tmp_path, MemoryStore())

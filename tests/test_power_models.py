@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from repro.errors import ConfigurationError
 from repro.power import (
     ChannelTraffic,
-    EnergyMeter,
     amb_power_w,
     channel_dimm_powers,
     dram_power_w,
@@ -102,42 +101,6 @@ def test_channel_split_conserves_local_traffic():
 def test_channel_requires_dimm():
     with pytest.raises(ConfigurationError):
         channel_dimm_powers(ChannelTraffic(0.0, 0.0), dimms=0)
-
-
-def test_energy_meter_accumulates():
-    meter = EnergyMeter()
-    meter.add("cpu", 100.0, 2.0)
-    meter.add("cpu", 50.0, 2.0)
-    meter.add("memory", 10.0, 4.0)
-    assert meter.energy_j("cpu") == pytest.approx(300.0)
-    assert meter.energy_j("memory") == pytest.approx(40.0)
-    assert meter.total_energy_j() == pytest.approx(340.0)
-
-
-def test_energy_meter_average_power():
-    meter = EnergyMeter()
-    meter.add("cpu", 100.0, 1.0)
-    meter.add("cpu", 200.0, 3.0)
-    assert meter.average_power_w("cpu") == pytest.approx(175.0)
-
-
-def test_energy_meter_merged_channels():
-    meter = EnergyMeter()
-    meter.add("cpu", 10.0, 1.0)
-    meter.add("memory", 20.0, 1.0)
-    assert meter.merged("cpu", "memory") == pytest.approx(30.0)
-
-
-def test_energy_meter_unknown_channel_is_zero():
-    assert EnergyMeter().energy_j("nothing") == 0.0
-
-
-def test_energy_meter_rejects_negative():
-    meter = EnergyMeter()
-    with pytest.raises(ConfigurationError):
-        meter.add("cpu", -1.0, 1.0)
-    with pytest.raises(ConfigurationError):
-        meter.add("cpu", 1.0, -1.0)
 
 
 @given(

@@ -4,8 +4,14 @@ Neither directory runs in the tier-1 suite, so a name they import that
 the package no longer has would otherwise go unnoticed.  Importing runs
 nothing: the examples guard ``__main__`` and the benches only define
 pytest functions.
+
+The other way round, every ``src/repro`` module must be reachable by
+imports from a run path (the CLI, the HTTP service, ``python -m
+repro``, or a bench, example, tool or perfbench file): a module only
+tests import is a second copy of something no run uses.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
@@ -29,3 +35,107 @@ def test_script_imports(path, monkeypatch):
         f"_imported_{path.parent.name}_{path.stem}", path
     )
     spec.loader.exec_module(importlib.util.module_from_spec(spec))
+
+
+# ---------------------------------------------------------------------------
+# Orphan modules: every src/repro module is reachable from a run path
+# ---------------------------------------------------------------------------
+
+SRC = ROOT / "src"
+#: The modules a run starts from: the CLI, the HTTP service and
+#: ``python -m repro``, plus every bench, example, tool and perfbench file.
+ROOT_MODULES = ("repro.cli", "repro.api.service", "repro.__main__")
+ROOT_DIRS = ("benchmarks", "examples", "tools", "perfbench")
+#: Modules imported for their side effect alone.  The scenario library
+#: registers the built-in scenarios when ``repro.scenarios`` loads.
+SIDE_EFFECT_MODULES = frozenset({"repro.scenarios.library"})
+
+
+def _module_files() -> dict[str, Path]:
+    """Dotted name -> file of every module and package under src/repro."""
+    modules = {}
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        parts = list(path.relative_to(SRC).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+        modules[".".join(parts)] = path
+    return modules
+
+
+def _imports(path: Path, package: str) -> list[tuple[str, str | None, str]]:
+    """``(module, name, bound)`` of every import in ``path`` at any
+    depth: ``name`` is None for a plain ``import module``, and ``bound``
+    is the name the import binds."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found.extend(
+                (alias.name, None, alias.asname or alias.name) for alias in node.names
+            )
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{base}" if base else anchor
+            found.extend(
+                (base, alias.name, alias.asname or alias.name) for alias in node.names
+            )
+    return found
+
+
+def _reachable() -> set[str]:
+    """Every module the run-path roots import, transitively."""
+    modules = _module_files()
+    packages = {
+        name for name, path in modules.items() if path.name == "__init__.py"
+    }
+
+    def resolve(module: str, name: str | None) -> list[str]:
+        """The modules one import names.  A name a package re-exports
+        leads to the module that defines it; the package's other
+        imports are not followed."""
+        if module not in modules:
+            return []  # the standard library or a third-party package
+        if name is None:
+            return [module]
+        if f"{module}.{name}" in modules:
+            return [f"{module}.{name}"]
+        if module in packages:
+            for source, imported, bound in _imports(modules[module], module):
+                if bound == name:
+                    return [module, *resolve(source, imported)]
+        return [module]
+
+    def targets(path: Path, package: str) -> list[str]:
+        return [
+            target
+            for module, name, _ in _imports(path, package)
+            for target in resolve(module, name)
+        ]
+
+    frontier = list(ROOT_MODULES) + [
+        target
+        for directory in ROOT_DIRS
+        for path in sorted((ROOT / directory).rglob("*.py"))
+        for target in targets(path, "")
+    ]
+    reached: set[str] = set()
+    while frontier:
+        module = frontier.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        if module not in packages:  # never follow an __init__'s own imports
+            frontier.extend(targets(modules[module], module.rsplit(".", 1)[0]))
+    return reached
+
+
+def test_every_module_is_reachable_from_a_run_path():
+    """A module that no CLI command, service route, bench, example,
+    tool or perfbench file imports is a second copy nothing runs."""
+    modules = _module_files()
+    leaves = {
+        name for name, path in modules.items() if path.name != "__init__.py"
+    }
+    orphans = sorted(leaves - _reachable() - SIDE_EFFECT_MODULES)
+    assert orphans == []

@@ -1,4 +1,4 @@
-"""The store stack: single-flight dedup, the one disk layout, migrate.
+"""The store stack: single-flight dedup, the one disk layout.
 
 The acceptance-critical properties live here:
 
@@ -6,8 +6,7 @@ The acceptance-critical properties live here:
   0 torn reads (single-flight coalescing + atomic disk publishes).
 - A ``JsonDirStore`` miss opens exactly one path; files outside the
   ``<hh>/<key>.json`` layout are never served.
-- ``migrate()`` turns a bare payload file into a record that serves a
-  byte-identical warm envelope, and reports stale records untouched.
+- A bare payload file (no record wrapper) is never served.
 
 ``REPRO_STORE_STRESS`` scales the thread-hammer tests (default 1x) so
 the CI store-stress leg can turn the same tests up without an edit.
@@ -23,27 +22,20 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
-from repro.api import ReproClient, SimulateRequest
 from repro.campaign import (
     CACHE_VERSION,
-    GLOBAL_MEMORY,
     JsonDirStore,
     MemoryStore,
     SingleFlightStore,
     TieredStore,
-    migrate,
     register_runner,
     run_cell,
     spec_key,
-    spec_meta,
 )
 from repro.campaign.stores import (
-    RECORD_FORMAT,
-    RECORD_VERSION,
     UNRECORDED,
     default_disk_store,
     flights_in_progress,
-    make_record,
 )
 
 #: Thread-count multiplier for the hammer tests (CI stress leg sets 4).
@@ -335,83 +327,24 @@ def test_prune_sweeps_stale_tmp_files_only(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# cache migrate: wrap bare files in place, report stale records
+# Bare files: the pre-record format reads as a miss
 # ---------------------------------------------------------------------------
 
 
-def test_migrate_wraps_bare_entry_into_byte_identical_hit(tmp_path):
-    request = SimulateRequest(mix="W1", policy="ts", copies=1)
-    key = request.spec().key()
+def test_bare_entry_reads_as_a_miss_labelled_unrecorded(tmp_path):
+    """A bare ``<hh>/<key>.json`` (the payload dict alone, as written
+    before the record format) is never served, and the census labels
+    it ``unrecorded``; the next ``put`` publishes a record over it."""
     store = JsonDirStore(tmp_path)
-    client = ReproClient(store)
-    client.simulate(request)  # cold compute
-    warm_before = client.simulate(request).to_json()
-    payload = store.get(key)
-
-    # Rewrite the entry as the bare <hh>/<key>.json file an older
-    # writer left: the payload dict alone.  It reads as a miss.
+    key = "test-cube-00c2"
     path = store._path(key)
-    path.write_text(json.dumps(payload))
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({"cube": 8}))
     assert store.get(key) is None
     assert store.stats()["versions"] == {UNRECORDED: 1}
-
-    plan = migrate(store, dry_run=True)
-    assert (plan.scanned, plan.wrapped) == (1, 1)
-    assert plan.by_version == {UNRECORDED: 1}
-    assert store.get(key) is None  # dry run wrote nothing
-
-    report = migrate(store)
-    assert report.to_dict() == {
-        "target": CACHE_VERSION, "dry_run": False, "scanned": 1,
-        "wrapped": 1, "current": 0, "unrecorded": 0, "stale": 0,
-        "by_version": {UNRECORDED: 1},
-    }
-    record = json.loads(path.read_text())
-    assert record == {
-        "format": RECORD_FORMAT, "record": RECORD_VERSION,
-        "cache_version": UNRECORDED, "kind": "ch4", "spec": None,
-        "payload": payload,
-    }
-    assert json.dumps(store.get(key)) == json.dumps(payload)
-    assert store.stats()["versions"] == {UNRECORDED: 1}
-
-    # The warm envelope served from the wrapped record is byte-identical
-    # to the one served before the rewrite.
-    GLOBAL_MEMORY.clear()
-    warm_after = ReproClient(store).simulate(request)
-    assert warm_after.provenance.cache == "hit"
-    assert warm_after.to_json() == warm_before
-
-    # A second pass is a no-op.
-    wrapped_bytes = path.read_bytes()
-    again = migrate(store)
-    assert (again.wrapped, again.unrecorded) == (0, 1)
-    assert path.read_bytes() == wrapped_bytes
-
-
-def test_migrate_reports_stale_records_untouched(tmp_path):
-    store = JsonDirStore(tmp_path)
-    spec = CubeSpec(4)
-    store.put(spec.key(), {"cube": 64}, meta=spec_meta(spec))
-    stale_key = "test-cube-0a1"
-    store.write_document(stale_key, make_record(
-        {"cube": 1}, {"cache_version": "v1", "spec": {"value": 1}},
-        key=stale_key,
-    ))
-    stale_bytes = store._path(stale_key).read_bytes()
-    store.write_document("test-cube-0b2", {"cube": 8})  # bare
-
-    report = migrate(store)
-    assert (report.scanned, report.current, report.stale, report.wrapped) == (
-        3, 1, 1, 1,
-    )
-    assert report.by_version == {
-        CACHE_VERSION: 1, "v1": 1, UNRECORDED: 1,
-    }
-    # The stale record is reported, not rewritten or removed.
-    assert store._path(stale_key).read_bytes() == stale_bytes
-    assert store.get(spec.key()) == {"cube": 64}
-    assert store.get("test-cube-0b2") == {"cube": 8}
+    store.put(key, {"cube": 8})
+    assert store.get(key) == {"cube": 8}
+    assert store.stats()["versions"] == {CACHE_VERSION: 1}
 
 
 # ---------------------------------------------------------------------------
