@@ -31,14 +31,3 @@ def arithmetic_mean(values: list[float]) -> float:
     if not values:
         raise ConfigurationError("mean of empty list")
     return sum(values) / len(values)
-
-
-def improvement_percent(baseline: float, improved: float) -> float:
-    """Percentage improvement of ``improved`` over ``baseline``.
-
-    Runtime semantics: smaller is better, so a drop from 1.80 to 1.50
-    reports +16.7%.
-    """
-    if baseline <= 0:
-        raise ConfigurationError("baseline must be positive")
-    return (baseline - improved) / baseline * 100.0

@@ -39,16 +39,3 @@ def summarize_series(values: list[float], threshold: float) -> SeriesSummary:
         mean=sum(values) / len(values),
         overshoot_fraction=over / len(values),
     )
-
-
-def time_above(times_s: list[float], values: list[float], threshold: float) -> float:
-    """Total time (seconds) the series spends at or above a threshold."""
-    if len(times_s) != len(values):
-        raise ConfigurationError("times and values must align")
-    if len(times_s) < 2:
-        return 0.0
-    total = 0.0
-    for index in range(1, len(times_s)):
-        if values[index] >= threshold:
-            total += times_s[index] - times_s[index - 1]
-    return total

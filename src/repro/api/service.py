@@ -322,15 +322,16 @@ class _Handler(BaseHTTPRequestHandler):
         })
 
     def _healthz(self, params: dict, ident: str | None) -> None:
-        """Liveness + queue summary (mounted with or without --jobs)."""
-        jobs = self.server.jobs
+        """Liveness + queue summary (mounted with or without --jobs);
+        ``degraded`` once a job record write has failed."""
+        jobs = None if self.server.jobs is None else self.server.jobs.health()
         self._respond(200, {
             "schema_version": SCHEMA_VERSION,
-            "status": "ok",
+            "status": "degraded" if jobs and jobs["persist_failures"] else "ok",
             "pid": os.getpid(),
             "version": __version__,
             "uptime_s": round(self.server.uptime_s(), 3),
-            "jobs": None if jobs is None else jobs.health(),
+            "jobs": jobs,
         })
 
     def _metrics(self, params: dict, ident: str | None) -> None:

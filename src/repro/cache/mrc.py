@@ -49,12 +49,6 @@ class MissRatioCurve:
         scaled = (capacity_bytes / self.c_half_bytes) ** self.alpha
         return self.m_floor + (self.m_peak - self.m_floor) / (1.0 + scaled)
 
-    def is_streaming(self, tolerance: float = 0.05) -> bool:
-        """Whether extra capacity barely helps (m_floor close to m_peak)."""
-        if self.m_peak == 0.0:
-            return True
-        return (self.m_peak - self.m_floor) / self.m_peak < tolerance
-
 
 def measured_mrc(
     trace: list[int],

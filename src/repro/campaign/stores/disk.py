@@ -44,7 +44,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores.base import ResultStore
@@ -190,13 +190,6 @@ class JsonDirStore(ResultStore):
             )
         except OSError:
             return []
-
-    def iter_records(self) -> Iterator[tuple[str, dict]]:
-        """Yield every readable ``(key, document)`` entry once."""
-        for key, path in self._entry_items():
-            document = self._read_document(path)
-            if isinstance(document, dict):
-                yield key, document
 
     def _tmp_files(self) -> list[Path]:
         """Every leftover tmp file under the ``<hh>/`` directories."""

@@ -36,17 +36,6 @@ class CalibrationReport:
     idle_requests: int
     stream_requests: int
 
-    def to_envelope(
-        self, queue_coefficient: float = 0.35, rho_max: float = 0.98
-    ) -> MemoryEnvelope:
-        """Build a :class:`MemoryEnvelope` from the measured values."""
-        return MemoryEnvelope(
-            idle_latency_s=self.idle_latency_s,
-            peak_bandwidth_bytes_per_s=self.peak_bandwidth_bytes_per_s,
-            queue_coefficient=queue_coefficient,
-            rho_max=rho_max,
-        )
-
 
 def measure_idle_latency_s(
     params: SimulatedSystemParams | None = None,

@@ -146,16 +146,6 @@ class BatchedMemSpot:
         """Cooling configuration."""
         return self._cooling
 
-    @property
-    def amb_temperatures_c(self) -> list[float]:
-        """Per-chain-position AMB temperatures (for tests/ablations)."""
-        return list(self._t_amb)
-
-    @property
-    def dram_temperatures_c(self) -> list[float]:
-        """Per-chain-position DRAM temperatures (for tests/ablations)."""
-        return list(self._t_dram)
-
     # -- lifecycle ---------------------------------------------------------
 
     def _settle_idle(self) -> None:

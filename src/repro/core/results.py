@@ -113,18 +113,3 @@ class RunResult:
         if baseline.traffic_bytes <= 0:
             raise SimulationError("baseline traffic must be positive")
         return self.traffic_bytes / baseline.traffic_bytes
-
-    def normalized_energy(self, baseline: "RunResult", channel: str = "memory") -> float:
-        """Energy relative to a baseline run (Fig. 4.9/4.10 metric)."""
-        if channel == "memory":
-            own, base = self.memory_energy_j, baseline.memory_energy_j
-        elif channel == "cpu":
-            own, base = self.cpu_energy_j, baseline.cpu_energy_j
-        elif channel == "total":
-            own = self.memory_energy_j + self.cpu_energy_j
-            base = baseline.memory_energy_j + baseline.cpu_energy_j
-        else:
-            raise SimulationError(f"unknown energy channel {channel!r}")
-        if base <= 0:
-            raise SimulationError("baseline energy must be positive")
-        return own / base

@@ -394,7 +394,3 @@ class WindowModel:
             utilization=min(utilization, 1.0),
             latency_s=latency,
         )
-
-    def clear_cache(self) -> None:
-        """Drop memoized results (e.g. after changing the envelope)."""
-        self._cache.clear()

@@ -56,11 +56,6 @@ class AMB:
         """Daisy-chain position (0 = closest to the controller)."""
         return self._position
 
-    @property
-    def is_last(self) -> bool:
-        """Whether this AMB terminates the chain (4.0 W idle, Table 3.1)."""
-        return self._position == self._chain_length - 1
-
     def southbound_delay_s(self) -> float:
         """Time for a southbound frame to reach this AMB and be translated.
 

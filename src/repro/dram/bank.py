@@ -131,19 +131,9 @@ class DimmDevices:
         self._data_bus_free_s = 0.0
         self._read_cas_blocked_until_s = 0.0
 
-    @property
-    def bank_count(self) -> int:
-        """Number of banks on this DIMM."""
-        return len(self._banks)
-
     def bank(self, index: int) -> Bank:
         """Access one bank (for tests and statistics)."""
         return self._banks[index]
-
-    @property
-    def data_bus_free_s(self) -> float:
-        """When the internal DDR2 data bus becomes free."""
-        return self._data_bus_free_s
 
     def schedule_access(
         self, bank_index: int, earliest_act_s: float, is_write: bool
@@ -197,10 +187,6 @@ class DimmDevices:
         if is_write:
             self._read_cas_blocked_until_s = schedule.burst_end_s + ns_to_s(t.twtr_ns)
         return schedule
-
-    def total_accesses(self) -> int:
-        """Accesses served across all banks."""
-        return sum(bank.accesses for bank in self._banks)
 
     def reset(self) -> None:
         """Reset every bank and bus constraint to time 0."""

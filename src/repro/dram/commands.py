@@ -15,16 +15,6 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 
 
-class DRAMCommand(enum.Enum):
-    """DDR2 command types issued on the DIMM-internal bus."""
-
-    ACTIVATE = "ACT"
-    READ_AP = "RDA"
-    WRITE_AP = "WRA"
-    PRECHARGE = "PRE"
-    REFRESH = "REF"
-
-
 class RequestKind(enum.Enum):
     """Memory request direction."""
 

@@ -112,11 +112,6 @@ class ChannelController:
         self.stats = ChannelStats()
 
     @property
-    def dimm_count(self) -> int:
-        """DIMMs on this channel."""
-        return len(self._devices)
-
-    @property
     def ambs(self) -> list[AMB]:
         """The channel's AMBs, nearest first."""
         return self._ambs

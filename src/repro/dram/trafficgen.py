@@ -109,28 +109,3 @@ def poisson_trace(
             )
         )
     return requests
-
-
-def bank_conflict_trace(
-    count: int,
-    row_stride_bytes: int,
-    interarrival_s: float = 3e-9,
-    request_bytes: int = 32,
-) -> list[MemoryRequest]:
-    """Pathological same-bank accesses: every request hits one bank.
-
-    Strides of ``channels * dimms * banks * columns * line`` bytes land on
-    the same bank with a new row each time, forcing the full tRC cycle —
-    the worst case for close-page throughput.
-    """
-    if count < 0:
-        raise ConfigurationError("count must be non-negative")
-    return [
-        MemoryRequest(
-            kind=RequestKind.READ,
-            address=index * row_stride_bytes,
-            arrival_s=index * interarrival_s,
-            bytes=request_bytes,
-        )
-        for index in range(count)
-    ]

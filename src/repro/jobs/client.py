@@ -94,10 +94,3 @@ class JobsClient:
                 )
             time.sleep(poll_s)
 
-    def metrics_json(self) -> dict:
-        """The ``/metrics?format=json`` document."""
-        return call_json(
-            "GET", f"{self.base_url}/metrics?format=json",
-            timeout_s=self.timeout_s,
-        )
-

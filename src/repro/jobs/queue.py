@@ -2,10 +2,9 @@
 
 ``JobQueue`` is the single synchronization point of the jobs service:
 submitters (HTTP handler threads) push records, the scheduler thread
-pops the most urgent one, and every mutation is written through to the
-:class:`~repro.jobs.store.JobStore` before it is observable — so the
-on-disk state is always at least as advanced as what any client was
-told.
+pops the most urgent one, and every change to a job goes through
+:meth:`JobQueue.transition`, which writes the new record before the job
+takes it.  So the service never reports a state that is not on disk.
 
 Ordering is strict priority (higher number = more urgent), FIFO within
 a priority band via the monotonically increasing ``submit_seq``.  A
@@ -21,20 +20,38 @@ re-offered to the new scheduler.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import threading
 import time
 from pathlib import Path
+from typing import Callable
 
-from repro.errors import ConfigurationError, NotFoundError
+from repro.errors import ConflictError, NotFoundError
 from repro.jobs.store import (
     CANCELLED,
+    COMPLETED,
+    FAILED,
     QUEUED,
     RUNNING,
+    TERMINAL_STATES,
     JobRecord,
     JobStore,
+    new_job_id,
 )
 from repro.obs.log import LOG
+
+#: The moves a job may make, by its current status (None: a record not
+#: yet submitted).  A terminal status has no way out.
+MOVES = {
+    None: frozenset({QUEUED}),
+    QUEUED: frozenset({RUNNING, CANCELLED, FAILED}),
+    RUNNING: frozenset({RUNNING, QUEUED, COMPLETED, FAILED, CANCELLED}),
+}
+
+
+def _now() -> float:
+    return round(time.time(), 3)
 
 
 class JobQueue:
@@ -48,6 +65,75 @@ class JobQueue:
         #: (cancelled while queued) are skipped at pop time.
         self._heap: list[tuple[int, int, str]] = []
         self._next_seq = 0
+        #: Record writes that failed (each left its job as it was).
+        self.persist_failures = 0
+        #: Called once per job on its entry to a terminal state, after
+        #: the write; the scheduler installs its metrics hook here.
+        self.on_terminal: Callable[[JobRecord], None] = lambda record: None
+
+    # -- the one way a job changes -----------------------------------------
+
+    def transition(
+        self,
+        record: JobRecord,
+        status: str,
+        event: str | None = None,
+        detail: str = "",
+        **fields,
+    ) -> None:
+        """Move ``record`` to ``status``, persisting first.
+
+        The move must be in :data:`MOVES`, else
+        :class:`~repro.errors.ConflictError`.  The new state (``fields``
+        replaced, ``event`` appended, ``started_s`` stamped on the first
+        entry to ``running`` and ``finished_s`` on entry to a terminal
+        status) is written through the store; only after the write
+        succeeds does ``record`` take it.  A failed write is logged as
+        ``job.persist_failed``, counted in :attr:`persist_failures` and
+        re-raised, with ``record`` unchanged.  A move to ``queued``
+        pushes the job and wakes the scheduler; a move to a terminal
+        status runs :attr:`on_terminal`.
+        """
+        with self._lock:
+            known = self._records.get(record.job_id) is record
+            origin = record.status if known else None
+            if status not in MOVES.get(origin, ()):
+                raise ConflictError(
+                    f"job {record.job_id} cannot move from {origin} to "
+                    f"{status}",
+                    status=origin,
+                )
+            if status == RUNNING and record.started_s is None:
+                fields.setdefault("started_s", _now())
+            if status in TERMINAL_STATES:
+                fields.setdefault("finished_s", _now())
+            new = dataclasses.replace(record, status=status, **fields)
+            if event is not None:
+                new.events = list(record.events)
+                new.add_event(event, detail)
+            try:
+                self.store.save(new)
+            except Exception as error:
+                self.persist_failures += 1
+                LOG.error(
+                    "job.persist_failed",
+                    job=record.job_id,
+                    status=status,
+                    error=f"{type(error).__name__}: {error}",
+                )
+                raise
+            vars(record).update(vars(new))
+            self._records[record.job_id] = record
+            if status == QUEUED:
+                self._push(record)
+        if status in TERMINAL_STATES:
+            self.on_terminal(record)
+
+    def _push(self, record: JobRecord) -> None:
+        heapq.heappush(
+            self._heap, (-record.priority, record.submit_seq, record.job_id)
+        )
+        self._lock.notify_all()
 
     # -- recovery ----------------------------------------------------------
 
@@ -58,6 +144,8 @@ class JobQueue:
         process died: they go back to ``queued`` with their checkpoints
         intact and a ``recovered`` event, so the scheduler resumes them
         from the last window-slice boundary rather than from scratch.
+        One whose requeue cannot be written stays ``running``, as on
+        disk, and is counted in neither ``requeued`` nor ``terminal``.
         A record that does not load is counted as ``unreadable``,
         logged by name, and left on disk for an operator to inspect.
         """
@@ -76,54 +164,41 @@ class JobQueue:
                     continue
                 self._records[record.job_id] = record
                 self._next_seq = max(self._next_seq, record.submit_seq + 1)
-                if record.status == RUNNING:
-                    record.status = QUEUED
-                    record.add_event(
-                        "recovered",
-                        f"requeued after restart with "
-                        f"{len(record.cell_states)} cell checkpoint(s)",
-                    )
-                    self.store.save(record)
                 if record.status == QUEUED:
-                    heapq.heappush(
-                        self._heap,
-                        (-record.priority, record.submit_seq, record.job_id),
-                    )
+                    self._push(record)
+                elif record.status == RUNNING:
+                    try:
+                        self.transition(
+                            record, QUEUED, "recovered",
+                            f"requeued after restart with "
+                            f"{len(record.cell_states)} cell checkpoint(s)",
+                        )
+                    except OSError:
+                        continue
+                if record.status == QUEUED:
                     counts["requeued"] += 1
                 else:
                     counts["terminal"] += 1
-            self._lock.notify_all()
         return counts
 
     # -- producer side -----------------------------------------------------
 
     def submit(
-        self, tenant: str, request: dict, *, priority: int = 0, job_id: str | None = None
+        self, tenant: str, request: dict, *, priority: int = 0,
+        cells_total: int = 0, trace: str | None = None,
     ) -> JobRecord:
-        """Persist and enqueue a new job; returns its record."""
-        from repro.jobs.store import new_job_id
-
+        """Persist and enqueue a new job (one write); returns its record."""
         record = JobRecord(
-            job_id=job_id or new_job_id(),
-            tenant=tenant,
-            request=dict(request),
-            priority=int(priority),
-            created_s=round(time.time(), 3),
+            job_id=new_job_id(), tenant=tenant, request=dict(request),
+            priority=int(priority), created_s=_now(),
         )
         with self._lock:
-            if record.job_id in self._records:
-                raise ConfigurationError(
-                    f"duplicate job id {record.job_id!r}"
-                )
-            record.submit_seq = self._next_seq
-            self._next_seq += 1
-            record.add_event("queued", f"priority {record.priority}")
-            self.store.save(record)
-            self._records[record.job_id] = record
-            heapq.heappush(
-                self._heap, (-record.priority, record.submit_seq, record.job_id)
+            self.transition(
+                record, QUEUED, "queued", f"priority {record.priority}",
+                submit_seq=self._next_seq, cells_total=cells_total,
+                trace=trace,
             )
-            self._lock.notify_all()
+            self._next_seq += 1
         return record
 
     # -- consumer side (the scheduler thread) ------------------------------
@@ -131,22 +206,19 @@ class JobQueue:
     def next_ready(self, timeout_s: float | None = None) -> JobRecord | None:
         """Pop the most urgent queued job, blocking up to ``timeout_s``.
 
-        The popped record is marked ``running`` in memory.  The
-        scheduler persists that mark before the job's first slice
-        (where a failed write fails the one job, not the scheduler
-        thread), so a crash between pop and first slice still recovers
-        the job.
+        The popped record is still ``queued``: the scheduler's running
+        transition is its first write, so a crash before it leaves the
+        job queued on disk, and a cancel that lands first wins (the
+        table refuses ``cancelled`` → ``running``).
         """
         deadline = None if timeout_s is None else time.monotonic() + timeout_s
         with self._lock:
             while True:
-                record = self._pop_queued_locked()
-                if record is not None:
-                    record.status = RUNNING
-                    if record.started_s is None:
-                        record.started_s = round(time.time(), 3)
-                    record.add_event("started")
-                    return record
+                while self._heap:
+                    _, _, job_id = heapq.heappop(self._heap)
+                    record = self._records.get(job_id)
+                    if record is not None and record.status == QUEUED:
+                        return record
                 if deadline is None:
                     self._lock.wait()
                 else:
@@ -155,40 +227,14 @@ class JobQueue:
                         return None
                     self._lock.wait(remaining)
 
-    def _pop_queued_locked(self) -> JobRecord | None:
-        while self._heap:
-            _, _, job_id = heapq.heappop(self._heap)
-            record = self._records.get(job_id)
-            if record is not None and record.status == QUEUED:
-                return record
-        return None
-
-    def requeue(self, record: JobRecord, *, event: str, detail: str = "") -> None:
-        """Put an interrupted job back in line (original submit_seq)."""
-        with self._lock:
-            record.status = QUEUED
-            record.add_event(event, detail)
-            self.store.save(record)
-            heapq.heappush(
-                self._heap, (-record.priority, record.submit_seq, record.job_id)
-            )
-            self._lock.notify_all()
-
-    def persist(self, record: JobRecord) -> None:
-        """Write a record's current state through to disk."""
-        with self._lock:
-            self.store.save(record)
-
     def has_queued_higher_than(self, priority: int) -> bool:
         """Is a strictly more urgent job waiting?  (Preemption probe.)"""
         with self._lock:
-            for neg_priority, _, job_id in self._heap:
-                record = self._records.get(job_id)
-                if record is None or record.status != QUEUED:
-                    continue
-                if -neg_priority > priority:
-                    return True
-            return False
+            return any(
+                -neg_priority > priority
+                and self._records[job_id].status == QUEUED
+                for neg_priority, _, job_id in self._heap
+            )
 
     # -- inspection / control ----------------------------------------------
 
@@ -214,52 +260,32 @@ class JobQueue:
             ]
         return sorted(records, key=lambda r: -r.submit_seq)
 
-    def depth(self) -> int:
-        """Number of jobs currently waiting to run."""
-        with self._lock:
-            return sum(
-                1 for r in self._records.values() if r.status == QUEUED
-            )
-
-    def running_count(self) -> int:
-        """Number of jobs currently executing."""
-        with self._lock:
-            return sum(
-                1 for r in self._records.values() if r.status == RUNNING
-            )
-
-    def active_count(self, tenant: str) -> int:
-        """Queued + running jobs for one tenant (the quota basis)."""
+    def count(self, *statuses: str, tenant: str | None = None) -> int:
+        """Jobs in any of ``statuses`` (of one ``tenant``, if given)."""
         with self._lock:
             return sum(
                 1
                 for r in self._records.values()
-                if r.tenant == tenant and r.status in (QUEUED, RUNNING)
+                if r.status in statuses and tenant in (None, r.tenant)
             )
 
     def request_cancel(self, job_id: str) -> JobRecord:
         """Cancel a job: immediate when queued, cooperative when running.
 
-        A queued job flips straight to ``cancelled``; a running one
+        A queued job moves straight to ``cancelled``; a running one
         gets its flag set and stops at the next window-slice boundary.
-        Terminal jobs are left as they are (idempotent).
+        Terminal jobs are left as they are (idempotent).  A failed write
+        raises and leaves the job as it was.
         """
         with self._lock:
             record = self.require(job_id)
-            if record.terminal:
-                return record
-            record.cancel_requested = True
             if record.status == QUEUED:
-                record.status = CANCELLED
-                record.finished_s = round(time.time(), 3)
-                record.add_event("cancelled", "cancelled while queued")
-            else:
-                record.add_event("cancel_requested")
-            self.store.save(record)
+                self.transition(
+                    record, CANCELLED, "cancelled", "cancelled while queued",
+                    cancel_requested=True,
+                )
+            elif record.status == RUNNING:
+                self.transition(
+                    record, RUNNING, "cancel_requested", cancel_requested=True
+                )
             return record
-
-    def cancel_requested(self, job_id: str) -> bool:
-        """Has a cancel been requested for this job?"""
-        with self._lock:
-            record = self._records.get(job_id)
-            return bool(record and record.cancel_requested)

@@ -14,7 +14,10 @@ durability) and the scheduler checks for cancellation, a drain
 request, and queued higher-priority work.  Preemption therefore lands
 at window-slice granularity: the running job checkpoints, requeues
 with its original submit sequence, and the urgent job takes the
-thread.
+thread.  Each of those writes is a
+:meth:`~repro.jobs.queue.JobQueue.transition`; when one fails, the job
+fails if that can be written, else keeps its on-disk state, and the
+loop goes on.
 
 :class:`JobsManager` bundles queue + scheduler + quotas + metrics into
 the object :class:`~repro.api.service.ReproService` mounts under
@@ -24,7 +27,7 @@ the object :class:`~repro.api.service.ReproService` mounts under
 from __future__ import annotations
 
 import threading
-import time
+from contextlib import nullcontext
 from typing import Any
 
 from repro.api.client import _cell_echo, cell_envelope
@@ -49,6 +52,8 @@ from repro.jobs.store import (
     CANCELLED,
     COMPLETED,
     FAILED,
+    QUEUED,
+    RUNNING,
     JobRecord,
 )
 from repro.jobs.tenancy import QuotaManager
@@ -57,8 +62,9 @@ from repro.jobs.tenancy import QuotaManager
 #: the CLI's single-envelope ``--json`` output).
 _SINGLE_ENVELOPE_TYPES = frozenset({"simulate", "server"})
 
-#: Per-cell slice outcomes (module-private control flow).
-_DONE = "done"
+#: Per-cell slice outcomes (module-private control flow), each also
+#: the event of the transition the job makes on it.
+_DONE = "completed"
 _PREEMPTED = "preempted"
 _CANCELLED = "cancelled"
 _DRAINED = "drained"
@@ -112,6 +118,7 @@ class JobScheduler:
     ) -> None:
         Count(minimum=1).decode(window_slice, "window_slice", self, ConfigurationError)
         self.queue = queue
+        queue.on_terminal = self._on_terminal
         self._store = store
         self.window_slice = window_slice
         self.metrics = metrics if metrics is not None else METRICS
@@ -132,13 +139,10 @@ class JobScheduler:
         self._thread.start()
 
     def stop(self, *, drain: bool = True, timeout_s: float = 60.0) -> None:
-        """Stop the loop; with ``drain`` the in-flight slice finishes.
-
-        The running job (if any) checkpoints at its next window-slice
-        boundary and goes back to the queue in ``queued`` state, so a
-        subsequent start — in this process or after a restart — resumes
-        it warm.
-        """
+        """Stop the loop; with ``drain`` the in-flight slice finishes:
+        the running job checkpoints at its next window-slice boundary and
+        parks ``queued``, so the next start (here or after a restart)
+        resumes it warm."""
         self._stop.set()
         thread = self._thread
         if thread is not None:
@@ -164,55 +168,43 @@ class JobScheduler:
 
     def _publish_queue_gauges(self) -> None:
         self.metrics.gauge_set(
-            "repro_jobs_queue_depth",
-            "Jobs waiting to run",
-            self.queue.depth(),
+            "repro_jobs_queue_depth", "Jobs waiting to run",
+            self.queue.count(QUEUED),
         )
         self.metrics.gauge_set(
-            "repro_jobs_running",
-            "Jobs currently executing",
-            self.queue.running_count(),
+            "repro_jobs_running", "Jobs currently executing",
+            self.queue.count(RUNNING),
         )
 
     def _fail(self, record: JobRecord, message: str) -> None:
-        """Mark ``record`` failed.  The failure stands in memory even if
-        writing it fails too (a full disk), so the loop lives on."""
-        record.status = FAILED
-        record.error = message
-        record.finished_s = round(time.time(), 3)
-        record.add_event("failed", message)
+        """Fail ``record``.  If even that write fails, the job keeps its
+        on-disk state (``transition`` logged and counted the failure)
+        and the loop lives on."""
         try:
-            self.queue.persist(record)
-        except Exception as error:  # noqa: BLE001 — keep the loop alive
-            LOG.error(
-                "job.persist_failed",
-                job=record.job_id,
-                error=f"{type(error).__name__}: {error}",
-            )
-        self._observe_finished(record)
+            self.queue.transition(record, FAILED, "failed", message, error=message)
+        except Exception:  # noqa: BLE001 — keep the loop alive
+            return
         LOG.error("job.failed", job=record.job_id, error=message)
 
-    def _observe_finished(self, record: JobRecord) -> None:
+    def _on_terminal(self, record: JobRecord) -> None:
+        """The queue's hook on a job's entry to a terminal state."""
         self.metrics.counter_inc(
             "repro_jobs_finished_total",
             "Jobs reaching a terminal state",
             status=record.status,
             tenant=record.tenant,
         )
-        if record.finished_s and record.created_s:
-            self.metrics.observe(
-                "repro_job_latency_seconds",
-                "Submit-to-terminal latency per tenant",
-                max(0.0, record.finished_s - record.created_s),
-                tenant=record.tenant,
-            )
-        if record.started_s and record.created_s:
-            self.metrics.observe(
-                "repro_job_queue_wait_seconds",
-                "Submit-to-first-start wait per tenant",
-                max(0.0, record.started_s - record.created_s),
-                tenant=record.tenant,
-            )
+        for name, help_text, at_s in (
+            ("repro_job_latency_seconds",
+             "Submit-to-terminal latency per tenant", record.finished_s),
+            ("repro_job_queue_wait_seconds",
+             "Submit-to-first-start wait per tenant", record.started_s),
+        ):
+            if at_s and record.created_s:
+                self.metrics.observe(
+                    name, help_text, max(0.0, at_s - record.created_s),
+                    tenant=record.tenant,
+                )
         # Eager /v1/progress hygiene: a terminal job's per-cell streams
         # will never update again, so a long-lived service drops them
         # now instead of leaning on the bounded-finished eviction.
@@ -222,65 +214,47 @@ class JobScheduler:
 
     def _execute_traced(self, record: JobRecord) -> None:
         """Run one job under the trace context captured at submit."""
-        parsed = TRACER.parse_header(getattr(record, "trace", None))
-        if parsed is None:
-            with TRACER.span("job", job=record.job_id, tenant=record.tenant):
-                self._execute(record)
-            return
-        with TRACER.activate(*parsed):
+        parsed = TRACER.parse_header(record.trace)
+        with TRACER.activate(*parsed) if parsed else nullcontext():
             with TRACER.span("job", job=record.job_id, tenant=record.tenant):
                 self._execute(record)
 
     def _execute(self, record: JobRecord) -> None:
-        self.queue.persist(record)  # the `running` mark, before any slice
         request = request_from_dict(record.request)
         specs, echoes = expand_job_request(request)
-        record.cells_total = len(specs)
+        self.queue.transition(
+            record, RUNNING, "started", cells_total=len(specs)
+        )
         # A resumed/preempted job's completed cells are already in
         # record.results; continue from the first unfinished spec.
         start = min(record.cells_done, len(specs))
         state = self._run_cells(record, specs[start:], echoes[start:])
+        status, detail, fields = {
+            _PREEMPTED: (
+                QUEUED,
+                f"after {record.cells_done}/{record.cells_total} cell(s); "
+                f"checkpoints kept",
+                {"preemptions": record.preemptions + 1},
+            ),
+            _DRAINED: (QUEUED, "scheduler stopping", {}),
+            _CANCELLED: (CANCELLED, "stopped at a slice boundary", {}),
+            _DONE: (COMPLETED, "", {"cell_states": {}}),
+        }[state]
+        self.queue.transition(record, status, state, detail, **fields)
         if state == _PREEMPTED:
-            record.preemptions += 1
             self.metrics.counter_inc(
                 "repro_job_preemptions_total",
                 "Jobs preempted by higher-priority submits",
             )
-            self.queue.requeue(
-                record,
-                event="preempted",
-                detail=f"after {record.cells_done}/{record.cells_total} "
-                f"cell(s); checkpoints kept",
+        elif state == _DONE:
+            LOG.info(
+                "job.completed", job=record.job_id, tenant=record.tenant,
+                cells=record.cells_done,
             )
-            return
-        if state == _DRAINED:
-            self.queue.requeue(
-                record, event="drained", detail="scheduler stopping"
-            )
-            return
-        if state == _CANCELLED:
-            record.status = CANCELLED
-            record.finished_s = round(time.time(), 3)
-            record.add_event("cancelled", "stopped at a slice boundary")
-            self.queue.persist(record)
-            self._observe_finished(record)
-            return
-        record.status = COMPLETED
-        record.finished_s = round(time.time(), 3)
-        record.cell_states.clear()
-        record.add_event("completed")
-        self.queue.persist(record)
-        self._observe_finished(record)
-        LOG.info(
-            "job.completed",
-            job=record.job_id,
-            tenant=record.tenant,
-            cells=record.cells_done,
-        )
 
     def _interruption(self, record: JobRecord) -> str | None:
         """Which interruption applies at this boundary, if any."""
-        if self.queue.cancel_requested(record.job_id):
+        if record.cancel_requested:
             return _CANCELLED
         if self._stop.is_set():
             return _DRAINED
@@ -307,8 +281,9 @@ class JobScheduler:
         resume = record.cell_states.get(key)
         if resume is not None:
             resume = EngineState.from_dict(resume)
-            record.add_event(
-                "cell_resumed", f"{key} from window {resume.windows}"
+            self.queue.transition(
+                record, RUNNING, "cell_resumed",
+                f"{key} from window {resume.windows}",
             )
         interruption = None
 
@@ -316,8 +291,10 @@ class JobScheduler:
             # Window-slice boundary: persist the checkpoint (crash
             # durability), then honor cancel/drain/preempt.
             nonlocal interruption
-            record.cell_states[key] = state.to_dict()
-            self.queue.persist(record)
+            self.queue.transition(
+                record, RUNNING,
+                cell_states={**record.cell_states, key: state.to_dict()},
+            )
             interruption = self._interruption(record)
             return interruption is not None
 
@@ -329,10 +306,14 @@ class JobScheduler:
         if outcome.payload is None:
             return interruption
         cache = "hit" if outcome.hit else "miss"
-        record.results.append(cell_envelope(spec, outcome, echo).to_dict())
-        record.cells_done += 1
-        record.cell_states.pop(key, None)
-        self.queue.persist(record)
+        self.queue.transition(
+            record, RUNNING,
+            results=[*record.results, cell_envelope(spec, outcome, echo).to_dict()],
+            cells_done=record.cells_done + 1,
+            cell_states={
+                k: v for k, v in record.cell_states.items() if k != key
+            },
+        )
         self.metrics.counter_inc(
             "repro_job_cells_total",
             "Cells served to jobs by cache state",
@@ -341,12 +322,8 @@ class JobScheduler:
         # The cell's progress stream is complete; prune it eagerly.
         PROGRESS.forget(job_progress_label(record.job_id, key))
         LOG.info(
-            "job.cell_finished",
-            job=record.job_id,
-            cell=key,
-            cache=cache,
-            done=record.cells_done,
-            total=record.cells_total,
+            "job.cell_finished", job=record.job_id, cell=key, cache=cache,
+            done=record.cells_done, total=record.cells_total,
         )
         return _DONE
 
@@ -426,26 +403,22 @@ class JobsManager:
         # quota token or touching disk.
         request = request_from_dict(raw_request)
         specs, _ = expand_job_request(request)
-        self.quotas.admit(tenant, self.queue.active_count(tenant))
-        record = self.queue.submit(
-            tenant, request_to_dict(request), priority=priority
+        self.quotas.admit(
+            tenant, self.queue.count(QUEUED, RUNNING, tenant=tenant)
         )
-        record.cells_total = len(specs)
-        # Capture the submitter's trace context so the scheduler thread
-        # joins the same trace when the job eventually runs.
-        record.trace = TRACER.propagation_header()
-        self.queue.persist(record)
+        # The submitter's trace context rides in the record's one
+        # write, so the scheduler joins the same trace when it runs it.
+        record = self.queue.submit(
+            tenant, request_to_dict(request), priority=priority,
+            cells_total=len(specs), trace=TRACER.propagation_header(),
+        )
         self.metrics.counter_inc(
-            "repro_jobs_submitted_total",
-            "Jobs accepted per tenant",
+            "repro_jobs_submitted_total", "Jobs accepted per tenant",
             tenant=tenant,
         )
         LOG.info(
-            "job.submitted",
-            job=record.job_id,
-            tenant=tenant,
-            priority=priority,
-            cells=record.cells_total,
+            "job.submitted", job=record.job_id, tenant=tenant,
+            priority=priority, cells=record.cells_total,
         )
         return self.job_document(record)
 
@@ -479,10 +452,8 @@ class JobsManager:
         return {"schema_version": SCHEMA_VERSION, "job": job}
 
     def status_document(self, job_id: str) -> dict:
-        """Status with live per-cell progress.
-
-        Raises :class:`~repro.errors.NotFoundError` for an unknown job.
-        """
+        """Status with live per-cell progress (``NotFoundError`` for an
+        unknown job)."""
         return self.job_document(self.queue.require(job_id), progress=True)
 
     def result_document(self, job_id: str) -> dict:
@@ -517,10 +488,6 @@ class JobsManager:
             "Cancel requests accepted",
             tenant=record.tenant,
         )
-        if record.terminal:
-            # A queued job cancels immediately (no scheduler pass will
-            # ever observe it) — prune its progress streams here.
-            PROGRESS.forget_prefix(f"{job_id}/")
         LOG.info("job.cancel_requested", job=job_id, status=record.status)
         return self.job_document(record)
 
@@ -543,9 +510,10 @@ class JobsManager:
         scheduler thread.
         """
         return {
-            "queue_depth": self.queue.depth(),
-            "running": self.queue.running_count(),
+            "queue_depth": self.queue.count(QUEUED),
+            "running": self.queue.count(RUNNING),
             "backend": "serial",
+            "persist_failures": self.queue.persist_failures,
         }
 
     def publish_usage_metrics(self) -> None:

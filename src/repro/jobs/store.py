@@ -5,10 +5,12 @@ that was acknowledged is never lost, and a job that was mid-cell
 resumes from its last window-slice checkpoint instead of restarting.
 Both properties come from the routine the result cache and the
 checkpoint files publish with too
-(:func:`~repro.engine.state.publish_atomic`): every record mutation
-is written to a temp file in the same directory and published with one
-atomic ``os.replace``.  A reader therefore sees either the previous
-complete record or the new complete record, never a torn write.
+(:func:`~repro.engine.state.publish_atomic`): every record is written
+to a temp file in the same directory and published with one atomic
+``os.replace``.  A reader therefore sees either the previous complete
+record or the new complete record, never a torn write.  The one writer
+is :meth:`~repro.jobs.queue.JobQueue.transition`, which saves a job's
+new state before the job takes it in memory.
 
 The record carries everything needed to resume: the original typed
 request dict, per-cell :class:`~repro.engine.EngineState` checkpoints
@@ -28,7 +30,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any
 
 from repro.engine.codec import (
     Count,
@@ -158,7 +160,8 @@ class JobStore:
 
     def save(self, record: JobRecord) -> None:
         """Atomically persist ``record`` (publish-or-nothing); a failed
-        write raises and leaves no tmp file behind."""
+        write raises and leaves no tmp file behind.  Only
+        :meth:`~repro.jobs.queue.JobQueue.transition` calls it."""
         global _tmp_counter
         path = self._path(record.job_id)
         with _tmp_lock:
@@ -185,21 +188,6 @@ class JobStore:
             return JobRecord.from_dict(raw.get("job") or {})
         except CheckpointError:
             return None
-
-    def delete(self, job_id: str) -> bool:
-        """Remove a record; True when something was deleted."""
-        try:
-            self._path(job_id).unlink()
-            return True
-        except OSError:
-            return False
-
-    def iter_records(self) -> Iterator[JobRecord]:
-        """Every readable record on disk (order unspecified)."""
-        for path in sorted(self.root.glob("*.json")):
-            record = self.load(path.stem)
-            if record is not None:
-                yield record
 
     def sweep_tmp(self) -> int:
         """Remove leftover temp files from crashed writers."""

@@ -300,13 +300,6 @@ class Tracer:
             return snapshot
         return [span for span in snapshot if span.trace_id == trace_id]
 
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids in the ring, oldest first."""
-        seen: dict[str, None] = {}
-        for span in self.spans():
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
-
     def clear(self) -> None:
         """Drop retained spans (test isolation)."""
         with self._lock:

@@ -71,11 +71,6 @@ class DDR2Timing:
         """Time for one burst on the DDR2 data bus."""
         return self.burst_length * self.clock_period_ns / 2.0
 
-    def in_cycles(self, nanoseconds: float) -> int:
-        """Round a latency in ns up to whole bus-clock cycles."""
-        period = self.clock_period_ns
-        return max(0, int(-(-nanoseconds // period)))
-
 
 @dataclass(frozen=True)
 class FBDIMMChannelParams:
@@ -116,18 +111,6 @@ class FBDIMMChannelParams:
         of one DDR2 channel"): 32 B / 6 ns = 5.33 GB/s at 667 MT/s.
         """
         return 2.0 * timing.clock_period_ns
-
-    def northbound_peak_bytes_per_s(self, timing: DDR2Timing) -> float:
-        """Peak read bandwidth of one FBDIMM channel in bytes/second.
-
-        The northbound link matches the bandwidth of one DDR2 channel
-        (§3.2): 32 B per frame at the bus clock rate.
-        """
-        return self.northbound_read_bytes / (self.frame_period_ns(timing) * 1e-9)
-
-    def southbound_peak_bytes_per_s(self, timing: DDR2Timing) -> float:
-        """Peak write bandwidth of one FBDIMM channel in bytes/second."""
-        return self.southbound_write_bytes / (self.frame_period_ns(timing) * 1e-9)
 
 
 @dataclass(frozen=True)
@@ -179,15 +162,3 @@ class SimulatedSystemParams:
     def total_dimms(self) -> int:
         """Total DIMMs in the memory subsystem."""
         return self.physical_channels * self.dimms_per_channel
-
-    @property
-    def peak_read_bandwidth_bytes_per_s(self) -> float:
-        """Aggregate peak read bandwidth across all physical channels."""
-        per_channel = self.channel.northbound_peak_bytes_per_s(self.timing)
-        return per_channel * self.physical_channels
-
-    @property
-    def peak_write_bandwidth_bytes_per_s(self) -> float:
-        """Aggregate peak write bandwidth across all physical channels."""
-        per_channel = self.channel.southbound_peak_bytes_per_s(self.timing)
-        return per_channel * self.physical_channels

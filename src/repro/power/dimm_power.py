@@ -90,14 +90,3 @@ def channel_dimm_powers(
         dram_w = dram_power_w(local_read, local_write, params=dram_params)
         powers.append(DimmPower(position=position, amb_w=amb_w, dram_w=dram_w))
     return powers
-
-
-def hottest_dimm_power(
-    traffic: ChannelTraffic,
-    dimms: int,
-    amb_params: AMBPowerParams | None = None,
-    dram_params: DRAMPowerParams | None = None,
-) -> DimmPower:
-    """The chain position with the highest AMB power (the thermal hot spot)."""
-    powers = channel_dimm_powers(traffic, dimms, amb_params, dram_params)
-    return max(powers, key=lambda p: p.amb_w)

@@ -46,12 +46,6 @@ class OpenLoopThrottle:
         """The programmed cap (None = disabled)."""
         return self._max_activations
 
-    def program_activations(self, max_activations: int | None) -> None:
-        """Program the cap directly in activations per window."""
-        if max_activations is not None and max_activations < 1:
-            raise ConfigurationError("activation cap must be >= 1 or None")
-        self._max_activations = max_activations
-
     def program_bandwidth(self, bytes_per_s: float | None) -> None:
         """Program the cap from a target bandwidth."""
         if bytes_per_s is None:
@@ -67,10 +61,3 @@ class OpenLoopThrottle:
         if self._max_activations is None:
             return None
         return self._max_activations * self._line_bytes / self._window_s
-
-    def clamp(self, demand_bytes_per_s: float) -> float:
-        """Throughput actually served for a given demand."""
-        cap = self.bandwidth_cap_bytes_per_s()
-        if cap is None:
-            return demand_bytes_per_s
-        return min(demand_bytes_per_s, cap)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
-from repro.thermal.sensors import ThermalSensor, despike
+from repro.thermal.sensors import ThermalSensor
 
 
 @dataclass
@@ -28,13 +28,6 @@ class SensorLog:
         """Record one sample."""
         self.times_s.append(time_s)
         self.values.append(value)
-
-    def despiked_mean(self, drop_fraction: float = 0.005) -> float:
-        """Mean after removing the hottest ``drop_fraction`` of samples."""
-        kept = despike(self.values, drop_fraction)
-        if not kept:
-            return 0.0
-        return sum(kept) / len(kept)
 
     def __len__(self) -> int:
         return len(self.times_s)

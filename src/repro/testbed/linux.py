@@ -14,7 +14,7 @@ constraints the paper describes:
 
 from __future__ import annotations
 
-from repro.errors import ConfigurationError, SchedulingError
+from repro.errors import ConfigurationError
 from repro.params.power_params import DVFSOperatingPoint, MeasuredProcessorPower, XEON_5160_POWER
 
 
@@ -34,19 +34,6 @@ class CPUHotplug:
     def online_cores(self) -> list[int]:
         """Ids of online cores."""
         return [i for i, on in enumerate(self._online) if on]
-
-    def set_online(self, core: int, online: bool) -> None:
-        """Write '0'/'1' to a core's online file.
-
-        Raises:
-            SchedulingError: when disabling core 0 ("the first core of
-                the first processor cannot be disabled", §5.2.1).
-        """
-        if not 0 <= core < len(self._online):
-            raise ConfigurationError(f"core {core} out of range")
-        if core == 0 and not online:
-            raise SchedulingError("core 0 cannot be disabled (Linux hotplug)")
-        self._online[core] = online
 
     def apply_count(self, active: int, sockets: int = 2) -> list[int]:
         """Bring exactly ``active`` cores online, balanced across sockets.
@@ -117,14 +104,6 @@ class CPUFreq:
         if not 0 <= level < len(self.points):
             raise ConfigurationError(f"invalid cpufreq level {level}")
         self._level = level
-
-    def set_frequency_hz(self, frequency_hz: float) -> None:
-        """Select the ladder point matching a frequency (scaling_setspeed)."""
-        for index, point in enumerate(self.points):
-            if abs(point.frequency_hz - frequency_hz) < 1e6:
-                self._level = index
-                return
-        raise ConfigurationError(f"unsupported frequency {frequency_hz} Hz")
 
     def reset(self) -> None:
         """Back to full speed."""

@@ -83,12 +83,6 @@ class ServerRunResult:
             raise SimulationError("baseline runtime must be positive")
         return self.runtime_s / baseline.runtime_s
 
-    def normalized_misses(self, baseline: "ServerRunResult") -> float:
-        """L2 misses relative to a baseline (Fig. 5.8 metric)."""
-        if baseline.l2_misses <= 0:
-            raise SimulationError("baseline misses must be positive")
-        return self.l2_misses / baseline.l2_misses
-
 
 class ServerStrategy:
     """One Chapter 5 (platform, workload, policy) measurement as an

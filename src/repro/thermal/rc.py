@@ -80,20 +80,3 @@ class RCNode:
     def reset(self, temperature_c: float) -> None:
         """Force the node to a temperature (e.g. cold start at ambient)."""
         self._temperature_c = temperature_c
-
-    def time_to_reach(self, stable_c: float, target_c: float) -> float:
-        """Analytic time to move from the current temp to ``target_c``.
-
-        Useful in tests: inverts Eq. 3.5 under constant power.  Returns
-        ``inf`` when the target lies beyond the stable temperature.
-        """
-        gap_now = stable_c - self._temperature_c
-        gap_then = stable_c - target_c
-        if gap_now == 0.0:
-            return 0.0 if target_c == self._temperature_c else math.inf
-        ratio = gap_then / gap_now
-        if ratio <= 0.0:
-            return math.inf
-        if ratio >= 1.0:
-            return 0.0
-        return -self._tau_s * math.log(ratio)

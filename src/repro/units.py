@@ -44,30 +44,6 @@ def ns_to_s(nanoseconds: float) -> float:
     return nanoseconds * NS
 
 
-def s_to_ns(seconds: float) -> float:
-    """Convert seconds to nanoseconds."""
-    return seconds / NS
-
-
-def mt_per_s_to_hz(mega_transfers: float) -> float:
-    """Convert a DDR transfer rate in MT/s to the bus clock in Hz.
-
-    DDR transfers twice per bus clock, so e.g. 667 MT/s corresponds to a
-    333.5 MHz bus clock.
-    """
-    return mega_transfers * 1e6 / 2.0
-
-
-def celsius_to_kelvin(celsius: float) -> float:
-    """Convert degrees Celsius to Kelvin."""
-    return celsius + 273.15
-
-
-def kelvin_to_celsius(kelvin: float) -> float:
-    """Convert Kelvin to degrees Celsius."""
-    return kelvin - 273.15
-
-
 def joules(power_watts: float, seconds: float) -> float:
     """Energy in joules for a constant power draw over an interval."""
     return power_watts * seconds

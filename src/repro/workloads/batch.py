@@ -121,11 +121,6 @@ class BatchScheduler:
         return len(self._finished)
 
     @property
-    def waiting_jobs(self) -> int:
-        """Jobs not yet assigned to any slot."""
-        return len(self._queue)
-
-    @property
     def done(self) -> bool:
         """Whether every job has completed."""
         return len(self._finished) == self._total_jobs

@@ -12,10 +12,9 @@ from repro.analysis.specs import (
 from repro.analysis.normalize import (
     arithmetic_mean,
     geometric_mean,
-    improvement_percent,
     normalize_map,
 )
-from repro.analysis.series import downsample, summarize_series, time_above
+from repro.analysis.series import downsample, summarize_series
 from repro.analysis.tables import format_series, format_table, sparkline
 from repro.errors import ConfigurationError
 from repro.testbed.platforms import PE1950
@@ -42,10 +41,6 @@ def test_geometric_mean():
 
 def test_arithmetic_mean():
     assert arithmetic_mean([1.0, 3.0]) == 2.0
-
-
-def test_improvement_percent():
-    assert improvement_percent(1.80, 1.50) == pytest.approx(16.666, rel=1e-3)
 
 
 def test_format_table_alignment():
@@ -91,12 +86,6 @@ def test_summarize_series():
     assert summary.maximum == 4.0
     assert summary.mean == 2.5
     assert summary.overshoot_fraction == 0.5
-
-
-def test_time_above():
-    times = [0.0, 1.0, 2.0, 3.0]
-    values = [0.0, 5.0, 5.0, 0.0]
-    assert time_above(times, values, threshold=4.0) == pytest.approx(2.0)
 
 
 def test_bench_copies_env(monkeypatch):

@@ -88,13 +88,6 @@ def test_mrc_limits():
     assert curve.miss_ratio(1e15) == pytest.approx(0.2, abs=1e-3)
 
 
-def test_mrc_streaming_detection():
-    streaming = MissRatioCurve(m_peak=0.8, m_floor=0.79, c_half_bytes=1 * MB)
-    sensitive = MissRatioCurve(m_peak=0.8, m_floor=0.2, c_half_bytes=1 * MB)
-    assert streaming.is_streaming()
-    assert not sensitive.is_streaming()
-
-
 def test_mrc_validation():
     with pytest.raises(ConfigurationError):
         MissRatioCurve(m_peak=0.5, m_floor=0.6, c_half_bytes=1 * MB)

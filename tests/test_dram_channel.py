@@ -98,11 +98,6 @@ def test_amb_traffic_accounting():
     assert amb.traffic.bypass_bytes == 64
 
 
-def test_amb_is_last_flag():
-    assert AMB(3, 4, PARAMS).is_last
-    assert not AMB(2, 4, PARAMS).is_last
-
-
 def test_amb_reset_traffic():
     amb = AMB(0, 4, PARAMS)
     amb.record_local(32, is_write=False)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.dram.commands import DRAMCommand, MemoryRequest, RequestKind
+from repro.dram.commands import MemoryRequest, RequestKind
 from repro.errors import ConfigurationError
 
 
@@ -29,9 +29,3 @@ def test_request_validation():
         MemoryRequest(RequestKind.READ, 0, -1.0)
     with pytest.raises(ConfigurationError):
         MemoryRequest(RequestKind.READ, 0, 0.0, bytes=0)
-
-
-def test_close_page_command_set():
-    # Close page + auto precharge: RAS, CAS-AP and implicit PRE (§3.3).
-    names = {command.value for command in DRAMCommand}
-    assert {"ACT", "RDA", "WRA", "PRE", "REF"} == names

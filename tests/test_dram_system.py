@@ -58,13 +58,6 @@ def test_peak_bandwidth_measurement():
     assert peak > 16e9
 
 
-def test_calibration_report_builds_envelope():
-    report = calibrate_envelope(idle_requests=100, stream_requests=2000)
-    envelope = report.to_envelope()
-    assert isinstance(envelope, MemoryEnvelope)
-    assert envelope.idle_latency_s == report.idle_latency_s
-
-
 def test_envelope_defaults_match_cycle_level_measurements():
     """The window model's default envelope must track the cycle-level
     simulator: latency within a factor-ish band, and the default combined

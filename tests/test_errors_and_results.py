@@ -82,14 +82,6 @@ def test_normalized_metrics():
     assert other.normalized_traffic(baseline) == pytest.approx(0.8)
 
 
-def test_normalized_energy_channels():
-    baseline = _result()
-    other = _result(cpu_energy_j=5_000.0, memory_energy_j=5_000.0)
-    assert other.normalized_energy(baseline, "cpu") == pytest.approx(0.5)
-    assert other.normalized_energy(baseline, "memory") == pytest.approx(1.0)
-    assert other.normalized_energy(baseline, "total") == pytest.approx(10_000 / 15_000)
-
-
 def test_zero_baseline_rejected():
     baseline = _result(runtime_s=0.0)
     with pytest.raises(SimulationError):

@@ -15,7 +15,10 @@ The acceptance criteria covered here:
 - quota exhaustion answers a structured 429 with ``retry_after_s``;
 - ``/metrics`` reports queue depth and per-tenant latency histograms;
 - a warm job's result envelope is byte-identical to the equivalent
-  warm CLI ``--json`` run.
+  warm CLI ``--json`` run;
+- a failed record write at any step of a job's life (the fault matrix)
+  leaves the job as it is on disk, so a restart recovers exactly the
+  status the service last reported.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from pathlib import Path
 import pytest
 
 from repro.api import ReproClient, ReproService, SimulateRequest
-from repro.api.http import ServiceError
+from repro.api.http import ServiceError, call_json
 from repro.api.envelope import SCHEMA_VERSION, dumps_canonical
 from repro.api.requests import request_from_dict
-from repro.campaign import MemoryStore
+from repro.campaign import MemoryStore, run_cell
 from repro.cli import main
 from repro.engine.progress import PROGRESS, ProgressBroker
 from repro.errors import (
@@ -124,7 +127,9 @@ class TestJobStore:
         (tmp_path / "other.json").write_text('{"format": "not-a-job"}')
         assert store.load("torn") is None
         assert store.load("other") is None
-        assert list(store.iter_records()) == []
+        assert JobQueue(tmp_path).recover() == {
+            "requeued": 0, "terminal": 0, "unreadable": 2
+        }
 
     @pytest.mark.parametrize(
         "field,value",
@@ -236,8 +241,9 @@ class TestJobQueue:
         first = queue.submit("t", FAST_REQUEST, priority=0)
         running = queue.next_ready(timeout_s=0)
         assert running.job_id == first.job_id
+        queue.transition(running, RUNNING, "started")
         later = queue.submit("t", FAST_REQUEST, priority=0)
-        queue.requeue(running, event="preempted")
+        queue.transition(running, QUEUED, "preempted")
         # The preempted job resumes ahead of the later same-priority
         # arrival because it kept its original sequence number.
         assert queue.next_ready(timeout_s=0).job_id == first.job_id
@@ -262,8 +268,9 @@ class TestJobQueue:
         queue = JobQueue(tmp_path)
         record = queue.submit("t", FAST_REQUEST, priority=2)
         popped = queue.next_ready(timeout_s=0)
-        popped.cell_states["ch4-key"] = {"windows": 500}
-        queue.persist(popped)
+        queue.transition(
+            popped, RUNNING, "started", cell_states={"ch4-key": {"windows": 500}}
+        )
         # A fresh queue over the same directory models the restarted
         # process: the running job comes back queued, checkpoint intact.
         revived = JobQueue(tmp_path)
@@ -277,13 +284,25 @@ class TestJobQueue:
     def test_recover_skips_terminal_jobs(self, tmp_path):
         queue = JobQueue(tmp_path)
         record = queue.submit("t", FAST_REQUEST)
-        record.status = COMPLETED
-        queue.persist(record)
+        queue.transition(record, RUNNING, "started")
+        queue.transition(record, COMPLETED, "completed")
         revived = JobQueue(tmp_path)
         assert revived.recover() == {
             "requeued": 0, "terminal": 1, "unreadable": 0
         }
         assert revived.next_ready(timeout_s=0) is None
+
+    def test_transition_refuses_a_move_outside_the_table(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        record = queue.submit("t", FAST_REQUEST)
+        with pytest.raises(ConflictError, match="from queued to completed"):
+            queue.transition(record, COMPLETED, "completed")
+        queue.transition(record, CANCELLED, "cancelled")
+        assert record.finished_s is not None
+        for status in (QUEUED, RUNNING, FAILED, CANCELLED):
+            with pytest.raises(ConflictError):
+                queue.transition(record, status)
+        assert queue.store.load(record.job_id).to_dict() == record.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +500,141 @@ def _wait_terminal(manager: JobsManager, job_id: str) -> JobRecord:
     return manager.queue.get(job_id)
 
 
+#: A job slow enough (two copies) to be caught running.
+SLOW_REQUEST = {"type": "simulate", "mix": "W1", "policy": "ts", "copies": 2}
+
+
+def _write_name(old: JobRecord | None, new: JobRecord) -> str:
+    """Which write of a job's life stores ``new`` over ``old``."""
+    if old is None:
+        return "submit"
+    if new.status == CANCELLED:
+        return f"{old.status}-cancel"
+    if new.status == QUEUED:
+        return new.events[-1]["event"]  # preempted, drained, recovered
+    if new.status != RUNNING:
+        return new.status
+    if old.status == QUEUED:
+        return "running-mark"
+    if len(new.results) > len(old.results):
+        return "cell-result"
+    if new.cell_states != old.cell_states:
+        return "checkpoint"
+    return new.events[-1]["event"]  # cancel_requested, cell_resumed
+
+
+class _DiskFull:
+    """Fail the named record writes with ENOSPC, once each, in order."""
+
+    def __init__(self, monkeypatch, writes) -> None:
+        self.pending = list(writes)
+        real_save = JobStore.save
+
+        def save(store, record):
+            old = store.load(record.job_id)
+            if self.pending and _write_name(old, record) == self.pending[0]:
+                self.pending.pop(0)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_save(store, record)
+
+        monkeypatch.setattr(JobStore, "save", save)
+
+
+def _run_one_job(manager, monkeypatch):
+    manager.start()
+    return _submit(manager)
+
+
+def _run_a_failing_cell(manager, monkeypatch):
+    real_run_cell = run_cell
+    calls = []
+
+    def fails_once(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("boom")
+        return real_run_cell(*args, **kwargs)
+
+    monkeypatch.setattr("repro.jobs.scheduler.run_cell", fails_once)
+    return _run_one_job(manager, monkeypatch)
+
+
+def _submit_while_running(manager, monkeypatch):
+    manager.start()
+    with pytest.raises(OSError):
+        _submit(manager)
+    return None
+
+
+def _start_slow_job(manager) -> str:
+    manager.start()
+    job_id = _submit(manager, SLOW_REQUEST)
+    _wait_until(lambda: manager.queue.get(job_id).cell_states)
+    return job_id
+
+
+def _preempt(manager, monkeypatch):
+    job_id = _start_slow_job(manager)
+    _submit(manager, priority=10)
+    return job_id
+
+
+def _drain(manager, monkeypatch):
+    job_id = _start_slow_job(manager)
+    manager.stop(drain=True)
+    return job_id
+
+
+def _cancel_queued(manager, monkeypatch):
+    job_id = _submit(manager)  # the scheduler is not started
+    with pytest.raises(OSError):
+        manager.cancel(job_id)
+    return job_id
+
+
+def _cancel_running(manager, monkeypatch):
+    job_id = _start_slow_job(manager)
+    manager.cancel(job_id)
+    return job_id
+
+
+def _cancel_running_refused(manager, monkeypatch):
+    job_id = _start_slow_job(manager)
+    with pytest.raises(OSError):
+        manager.cancel(job_id)
+    return job_id
+
+
+def _restart_after_a_crash(manager, monkeypatch):
+    """A record left ``running`` by a process that died, then a start."""
+    manager.queue.store.save(JobRecord(
+        job_id="job-crashed", tenant="t", request=dict(FAST_REQUEST),
+        status=RUNNING, cells_total=1,
+    ))
+    manager.start()
+    return "job-crashed"
+
+
+#: case -> (writes that fail, how the job is driven, status it ends in).
+#: A job whose failure cannot be written either stays ``running``, as
+#: on disk; one whose cancel cannot be written runs on.
+_FAULT_CASES = {
+    "submit": (("submit",), _submit_while_running, None),
+    "running-mark": (("running-mark",), _run_one_job, FAILED),
+    "slice-checkpoint": (("checkpoint",), _run_one_job, FAILED),
+    "cell-result": (("cell-result",), _run_one_job, FAILED),
+    "preempt-requeue": (("preempted",), _preempt, FAILED),
+    "drain-requeue": (("drained",), _drain, FAILED),
+    "queued-cancel": (("queued-cancel",), _cancel_queued, QUEUED),
+    "cancel-request": (("cancel_requested",), _cancel_running_refused, COMPLETED),
+    "running-cancel": (("running-cancel",), _cancel_running, FAILED),
+    "completion": (("completed",), _run_one_job, FAILED),
+    "failure": (("failed",), _run_a_failing_cell, RUNNING),
+    "completion-and-failure": (("completed", "failed"), _run_one_job, RUNNING),
+    "recover-requeue": (("recovered",), _restart_after_a_crash, RUNNING),
+}
+
+
 class TestJobsManager:
     def test_job_completes_and_warm_result_is_cli_byte_identical(
         self, tmp_path
@@ -670,37 +824,143 @@ class TestJobsManager:
         assert "failed" in _event_names(record)
         assert manager.status_document(job_id)["job"]["error"] == message
 
-    @pytest.mark.parametrize("faulty_saves", [
-        (RUNNING,),  # the save marking the job running
-        (COMPLETED, FAILED),  # the completion save, then the failure's own
-    ], ids=["running-mark", "completion-and-failure"])
-    def test_a_failed_record_write_fails_the_job_not_the_scheduler(
-        self, tmp_path, monkeypatch, faulty_saves
+    @pytest.mark.parametrize("case", sorted(_FAULT_CASES))
+    def test_a_failed_record_write_leaves_the_job_as_on_disk(
+        self, tmp_path, monkeypatch, case
     ):
-        """A full disk under one job's record fails that job (in memory,
-        with the error) and the scheduler thread goes on to the next."""
-        real_save = JobStore.save
-        pending = list(faulty_saves)
-
-        def flaky_save(store, record):
-            if pending and record.status == pending[0]:
-                pending.pop(0)
-                raise OSError(errno.ENOSPC, "No space left on device")
-            real_save(store, record)
-
-        monkeypatch.setattr(JobStore, "save", flaky_save)
-        manager = _manager(tmp_path, MemoryStore())
-        manager.start()
+        """ENOSPC at one write (or two) of a job's life: what the API
+        reports is what a restart recovers, the scheduler lives on, and
+        a job submitted afterwards completes."""
+        writes, drive, expected = _FAULT_CASES[case]
+        disk = _DiskFull(monkeypatch, writes)
+        manager = JobsManager(
+            str(tmp_path / "jobs"), store=MemoryStore(), window_slice=200
+        )
         try:
-            first = _wait_terminal(manager, _submit(manager))
-            assert pending == []
-            assert first.status == FAILED
-            assert "No space left on device" in first.error
+            job_id = drive(manager, monkeypatch)
+            _wait_until(lambda: not disk.pending)
+            if job_id is None:
+                assert manager.queue.list_records() == []
+                reported = None
+            else:
+                _wait_until(
+                    lambda: manager.queue.get(job_id).status == expected
+                )
+                reported = manager.status_document(job_id)["job"]["status"]
+            assert reported == expected
+            assert manager.health()["persist_failures"] == len(writes)
+            # The restart: what is on disk, as recover() brings it back
+            # (a running job goes back in line).
+            revived = JobQueue(tmp_path / "jobs")
+            revived.recover()
+            recovered = revived.get(job_id) if job_id else None
+            assert (recovered and recovered.status) == (
+                QUEUED if reported == RUNNING else reported
+            )
+            manager.scheduler.start()  # a no-op unless drained/unstarted
             assert manager.scheduler._thread.is_alive()
             later = _wait_terminal(manager, _submit(manager))
             assert later.status == COMPLETED
         finally:
             manager.stop(drain=False)
+
+    def test_a_submit_makes_one_record_write(self, tmp_path, monkeypatch):
+        saved = []
+        real_save = JobStore.save
+
+        def counted_save(store, record):
+            saved.append(record.to_dict())
+            real_save(store, record)
+
+        monkeypatch.setattr(JobStore, "save", counted_save)
+        manager = _manager(tmp_path, MemoryStore())
+        job_id = _submit(manager, {
+            "type": "campaign", "grid": "ch4", "mixes": ["W1"],
+            "policies": ["ts", "no-limit"], "copies": 1,
+        })
+        assert saved == [manager.queue.get(job_id).to_dict()]
+        assert saved[0]["status"] == QUEUED and saved[0]["cells_total"] == 2
+
+    def test_job_joins_the_submit_trace_when_submit_returns_late(
+        self, tmp_path, monkeypatch
+    ):
+        """The scheduler may run a job before ``submit`` returns to the
+        HTTP thread; the trace must already be in the queued record."""
+        real_submit = JobQueue.submit
+
+        def late_submit(queue, *args, **kwargs):
+            record = real_submit(queue, *args, **kwargs)
+            time.sleep(0.5)
+            return record
+
+        monkeypatch.setattr(JobQueue, "submit", late_submit)
+        manager = _manager(tmp_path, MemoryStore())
+        manager.start()
+        TRACER.configure(enabled=True)
+        try:
+            with TRACER.span("client") as parent:
+                job_id = _submit(manager)
+            assert _wait_terminal(manager, job_id).status == COMPLETED
+            spans = TRACER.spans(parent.trace_id)
+        finally:
+            TRACER.configure(enabled=False)
+            TRACER.clear()
+            manager.stop(drain=False)
+        jobs = [span for span in spans if span.name == "job"]
+        assert len(jobs) == 1 and jobs[0].parent_id == parent.span_id
+
+    def test_racing_submits_and_cancels_keep_memory_equal_to_disk(
+        self, tmp_path
+    ):
+        """Four client threads submit and at once cancel jobs while the
+        scheduler runs them, with a short switch interval: every job
+        ends terminal, counted finished once, and as it is on disk."""
+        metrics = MetricsRegistry()
+        manager = _manager(
+            tmp_path, MemoryStore(), metrics=metrics,
+            quotas=QuotaManager(
+                TenantPolicy(max_active=100, rate_per_s=1e6, burst=100)
+            ),
+        )
+        manager.scheduler.window_slice = 50
+
+        def client():
+            for _ in range(5):
+                manager.cancel(_submit(manager))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            manager.start()
+            clients = [threading.Thread(target=client) for _ in range(4)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in clients)
+            _wait_until(lambda: all(
+                record.terminal for record in manager.queue.list_records()
+            ))
+        finally:
+            sys.setswitchinterval(interval)
+            manager.stop(drain=False)
+        records = manager.queue.list_records()
+        assert len(records) == 20
+        assert metrics.counter_total("repro_jobs_finished_total") == 20
+        for record in records:
+            on_disk = manager.queue.store.load(record.job_id)
+            assert on_disk.to_dict() == record.to_dict()
+
+    def test_a_job_cancelled_while_queued_counts_as_finished(self, tmp_path):
+        metrics = MetricsRegistry()
+        manager = _manager(tmp_path, MemoryStore(), metrics=metrics)
+        manager.cancel(_submit(manager, tenant="alice"))
+        assert metrics.counter_value(
+            "repro_jobs_finished_total", status=CANCELLED, tenant="alice"
+        ) == 1
+        assert metrics.counter_value(
+            "repro_job_cancels_total", tenant="alice"
+        ) == 1
 
     def test_job_joins_the_trace_captured_at_submit(self, tmp_path):
         manager = _manager(tmp_path, MemoryStore())
@@ -870,6 +1130,24 @@ class TestJobsHttp:
         assert document["uptime_s"] >= 0
         assert document["jobs"]["backend"] == "serial"
         assert set(document["jobs"]) >= {"queue_depth", "running", "backend"}
+        assert document["jobs"]["persist_failures"] == 0
+
+    def test_healthz_is_degraded_after_a_failed_record_write(
+        self, jobs_service, monkeypatch
+    ):
+        def full_disk(store, record):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(JobStore, "save", full_disk)
+        status, _ = _http(
+            jobs_service, "POST", "/v1/jobs", {"request": FAST_REQUEST}
+        )
+        monkeypatch.undo()
+        assert status == 500
+        assert _http(jobs_service, "GET", "/v1/jobs")[1]["jobs"] == []
+        status, document = _http(jobs_service, "GET", "/v1/healthz")
+        assert status == 200 and document["status"] == "degraded"
+        assert document["jobs"]["persist_failures"] == 1
 
     def test_healthz_without_jobs_still_answers(self):
         service = ReproService(port=0)
@@ -899,7 +1177,12 @@ class TestJobsHttp:
         assert 'repro_job_latency_seconds_bucket{' in text
         assert 'tenant="metered"' in text
         assert "repro_uptime_seconds" in text
-        names = {m["name"] for m in client.metrics_json()["metrics"]}
+        names = {
+            metric["name"]
+            for metric in call_json(
+                "GET", f"{jobs_service.url}/metrics?format=json", timeout_s=60
+            )["metrics"]
+        }
         assert {"repro_jobs_queue_depth", "repro_job_latency_seconds",
                 "repro_http_request_seconds"} <= names
 

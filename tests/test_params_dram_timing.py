@@ -29,12 +29,6 @@ def test_burst_duration_is_two_clocks():
     assert t.burst_duration_ns == pytest.approx(2 * t.clock_period_ns)
 
 
-def test_in_cycles_rounds_up():
-    t = DDR2Timing()
-    assert t.in_cycles(15.0) == 6  # 15 / 2.999 -> 5.003 -> 6
-    assert t.in_cycles(0.0) == 0
-
-
 def test_trc_must_cover_tras():
     with pytest.raises(ConfigurationError):
         DDR2Timing(tras_ns=60.0, trc_ns=54.0)
@@ -44,20 +38,23 @@ def test_northbound_matches_ddr2_channel():
     t = DDR2Timing()
     c = FBDIMMChannelParams()
     # §3.2: the northbound link matches one DDR2 channel: 667 MT * 8 B.
-    assert c.northbound_peak_bytes_per_s(t) == pytest.approx(667e6 * 8, rel=1e-3)
+    peak = c.northbound_read_bytes / (c.frame_period_ns(t) * 1e-9)
+    assert peak == pytest.approx(667e6 * 8, rel=1e-3)
 
 
 def test_southbound_is_half_northbound():
-    t = DDR2Timing()
+    # §3.2: a southbound frame carries 16 B of write data, a northbound
+    # frame 32 B of read data, at the same frame rate.
     c = FBDIMMChannelParams()
-    ratio = c.southbound_peak_bytes_per_s(t) / c.northbound_peak_bytes_per_s(t)
-    assert ratio == pytest.approx(0.5)
+    assert c.southbound_write_bytes / c.northbound_read_bytes == pytest.approx(0.5)
 
 
 def test_system_peak_bandwidth_about_21gbps():
-    # §2.2: "peak memory bandwidth of 21 GB/s".
+    # §2.2: "peak memory bandwidth of 21 GB/s" over four physical channels.
     params = SimulatedSystemParams()
-    assert params.peak_read_bandwidth_bytes_per_s == pytest.approx(21.3e9, rel=0.02)
+    channel = params.channel
+    per_channel = channel.northbound_read_bytes / (channel.frame_period_ns(params.timing) * 1e-9)
+    assert params.physical_channels * per_channel == pytest.approx(21.3e9, rel=0.02)
 
 
 def test_system_dimm_count():

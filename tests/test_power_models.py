@@ -10,7 +10,6 @@ from repro.power import (
     channel_dimm_powers,
     dram_power_w,
 )
-from repro.power.dimm_power import hottest_dimm_power
 from repro.units import gbps
 
 
@@ -79,7 +78,8 @@ def test_channel_split_bypass_decreases_along_chain():
 
 def test_hottest_dimm_is_nearest_controller():
     traffic = ChannelTraffic(gbps(4.0), gbps(1.0))
-    assert hottest_dimm_power(traffic, dimms=4).position == 0
+    powers = channel_dimm_powers(traffic, dimms=4)
+    assert max(powers, key=lambda p: p.total_w).position == 0
 
 
 def test_single_dimm_channel_is_last():

@@ -275,12 +275,13 @@ def test_non_finite_load_inputs_are_refused(field, bad):
 def test_batched_kernel_exposes_chain_state():
     batched = BatchedMemSpot(FDHS_1_0, ISOLATED_AMBIENT, dimms_per_channel=4)
     _batched_step(batched, 2e10, 1e10, 0.0, 1.0)
-    amb = batched.amb_temperatures_c
+    state = state_dict(batched)
+    amb = state["t_amb"]
     # Nearest DIMM carries the most bypass traffic and runs hottest;
     # the last AMB idles cooler (§5.4.1 / Table 3.1).
     assert amb[0] == max(amb)
     assert amb[-1] == min(amb)
-    assert len(batched.dram_temperatures_c) == 4
+    assert len(state["t_dram"]) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,15 @@ pytest functions.
 The other way round, every ``src/repro`` module must be reachable by
 imports from a run path (the CLI, the HTTP service, ``python -m
 repro``, or a bench, example, tool or perfbench file): a module only
-tests import is a second copy of something no run uses.
+tests import is a second copy of something no run uses.  One level
+down, every top-level function and class and every method of one must
+be named somewhere in those files besides its own definition.
 """
 
 import ast
 import importlib.util
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,3 +143,67 @@ def test_every_module_is_reachable_from_a_run_path():
     }
     orphans = sorted(leaves - _reachable() - SIDE_EFFECT_MODULES)
     assert orphans == []
+
+
+# ---------------------------------------------------------------------------
+# Orphan symbols: every function, class and method is named past its def
+# ---------------------------------------------------------------------------
+
+_DRAM_PROBE = (
+    "an observation point of the cycle-level DRAM model, which "
+    "calibrate_envelope runs; its own tests read it"
+)
+_ORACLE_HOOK = (
+    "a state hook of the scalar MemSpot oracle, which the batched-kernel "
+    "equivalence tests load and read"
+)
+#: Symbols that only tests name, each with the reason it stays.
+TEST_ONLY_SYMBOLS = {
+    "repro.core.memspot.MemSpot.ambient_model": _ORACLE_HOOK,
+    "repro.thermal.integrated.AmbientModel.node_temperature_c": _ORACLE_HOOK,
+    "repro.thermal.integrated.AmbientModel.restore_node": _ORACLE_HOOK,
+    "repro.dram.amb.AMBTraffic.bypass_bytes": _DRAM_PROBE,
+    "repro.dram.amb.AMBTraffic.local_bytes": _DRAM_PROBE,
+    "repro.dram.channel.FrameLink.frames_sent": _DRAM_PROBE,
+    "repro.dram.channel.FrameLink.next_free_s": _DRAM_PROBE,
+    "repro.dram.controller.ChannelController.ambs": _DRAM_PROBE,
+    "repro.dram.stats.ChannelStats.total_requests": _DRAM_PROBE,
+}
+
+
+def _symbols() -> list[tuple[str, str]]:
+    """``(qualified name, name)`` of every top-level function and class
+    under src/repro and every method of such a class (dunders aside)."""
+    found = []
+    for module, path in _module_files().items():
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                found.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                found.extend(
+                    (f"{module}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                )
+    return [(q, name) for q, name in found if not name.startswith("__")]
+
+
+def _orphan_symbols() -> set[str]:
+    """Symbols whose name appears once (their definition) across src/
+    and the run-path directories; tests do not count."""
+    words = Counter(
+        word
+        for directory in ("src", *ROOT_DIRS)
+        for path in (ROOT / directory).rglob("*.py")
+        for word in re.findall(r"[A-Za-z_]\w*", path.read_text())
+    )
+    return {qualified for qualified, name in _symbols() if words[name] <= 1}
+
+
+def test_every_symbol_is_named_outside_its_definition():
+    """A function, class or method that nothing but its own tests names
+    is code no run needs."""
+    orphans = _orphan_symbols()
+    assert sorted(orphans - set(TEST_ONLY_SYMBOLS)) == []
+    # An entry whose symbol went, or gained a caller, leaves the list.
+    assert sorted(set(TEST_ONLY_SYMBOLS) - orphans) == []

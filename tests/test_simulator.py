@@ -132,9 +132,6 @@ def test_normalization_helpers(window_model):
     assert other.normalized_traffic(baseline) == pytest.approx(
         other.traffic_bytes / baseline.traffic_bytes
     )
-    assert other.normalized_energy(baseline, "total") > 0
-    with pytest.raises(SimulationError):
-        other.normalized_energy(baseline, "plutonium")
 
 
 class _NeverStores(dict):

@@ -59,9 +59,10 @@ def test_node_never_overshoots():
 
 
 def test_time_to_reach_matches_simulation():
+    # Inverting Eq. 3.5: t = tau * ln((stable - T0) / (stable - target)).
+    predicted = 50.0 * math.log((120.0 - 80.0) / (120.0 - 110.0))
     node = RCNode(50.0, 80.0)
-    predicted = node.time_to_reach(stable_c=120.0, target_c=110.0)
-    # Simulate with small steps to the target.
+    assert node.step(120.0, predicted) == pytest.approx(110.0)
     sim = RCNode(50.0, 80.0)
     elapsed = 0.0
     while sim.temperature_c < 110.0:
@@ -71,13 +72,16 @@ def test_time_to_reach_matches_simulation():
 
 
 def test_time_to_reach_unreachable():
+    # A target beyond the stable temperature is never reached, even
+    # after an unbounded step.
     node = RCNode(50.0, 80.0)
-    assert node.time_to_reach(stable_c=100.0, target_c=105.0) == math.inf
+    assert node.step(100.0, math.inf) == pytest.approx(100.0)
+    assert node.temperature_c < 105.0
 
 
 def test_time_to_reach_already_there():
     node = RCNode(50.0, 80.0)
-    assert node.time_to_reach(stable_c=100.0, target_c=80.0) == 0.0
+    assert node.step(100.0, 0.0) == 80.0
 
 
 @given(

@@ -4,7 +4,6 @@ import pytest
 
 from repro.dram.commands import RequestKind
 from repro.dram.trafficgen import (
-    bank_conflict_trace,
     poisson_trace,
     random_trace,
     stream_trace,
@@ -51,11 +50,6 @@ def test_poisson_mean_interarrival():
     )
     mean = trace[-1].arrival_s / len(trace)
     assert mean == pytest.approx(1e-7, rel=0.1)
-
-
-def test_bank_conflict_trace_strides():
-    trace = bank_conflict_trace(count=3, row_stride_bytes=1 << 21)
-    assert [r.address for r in trace] == [0, 1 << 21, 1 << 22]
 
 
 def test_generator_validation():

@@ -17,20 +17,7 @@ def test_gbps_value():
 
 
 def test_ns_roundtrip():
-    assert units.s_to_ns(units.ns_to_s(15.0)) == pytest.approx(15.0)
-
-
-def test_mt_to_hz_ddr_halves():
-    # 667 MT/s means a 333.5 MHz bus clock.
-    assert units.mt_per_s_to_hz(667.0) == pytest.approx(333.5e6)
-
-
-def test_celsius_kelvin_roundtrip():
-    assert units.kelvin_to_celsius(units.celsius_to_kelvin(85.0)) == pytest.approx(85.0)
-
-
-def test_celsius_kelvin_offset():
-    assert units.celsius_to_kelvin(0.0) == pytest.approx(273.15)
+    assert units.ns_to_s(15.0) / units.NS == pytest.approx(15.0)
 
 
 def test_joules():
@@ -50,9 +37,3 @@ def test_binary_prefixes():
 def test_gbps_monotone(value):
     assert units.gbps(value) >= 0
     assert math.isclose(units.to_gbps(units.gbps(value)), value, rel_tol=1e-12, abs_tol=1e-12)
-
-
-@given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
-def test_kelvin_roundtrip_property(celsius):
-    back = units.kelvin_to_celsius(units.celsius_to_kelvin(celsius))
-    assert math.isclose(back, celsius, rel_tol=1e-9, abs_tol=1e-9)

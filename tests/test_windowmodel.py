@@ -172,13 +172,6 @@ def test_slot_results_aggregate_consistently():
     )
 
 
-def test_clear_cache():
-    model = _model()
-    model.evaluate([get_app("swim")], F_MAX)
-    model.clear_cache()
-    assert model.cache_entries == 0
-
-
 def _oracle_rates_at_latency(apps, frequency_hz, latency_s, capacity, frequency_scale):
     """Plain per-client IPC sweeps at a pinned latency: every sweep,
     including the latency-free first one, solves the cache split."""
