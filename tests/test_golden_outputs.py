@@ -5,8 +5,9 @@ scheme family, three on the integrated-ambient, two-DIMM-chain and
 burst-idle paths, a cache-aware-scheduling run, and a run checkpointed
 mid-epoch and resumed in a fresh engine), the Chapter 5 grid (one cell
 per policy on each platform, plus a run checkpointed mid-epoch and
-resumed), the §5.4.1 homogeneous warm-up traces, and the campaign
-tables built from them, so that refactors
+resumed), the §5.4.1 homogeneous warm-up traces, the campaign
+tables built from them, and the run spec and request echo of every
+scenario-library entry, so that refactors
 for speed (batched kernels, scenario plumbing, cache layers) cannot
 silently drift the physics.  Any numeric deviation beyond 1e-9
 fails the suite.
@@ -32,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.campaigns import run_campaign
+from repro.api import CampaignRequest, ReproClient
 from repro.analysis.specs import (
     CHAPTER5_POLICIES,
     Chapter4Spec,
@@ -156,6 +158,37 @@ def _campaign_payload() -> dict:
     return tables
 
 
+#: The mix and policy every library entry is also crossed with (both
+#: valid on either chapter).
+SCENARIO_CROSSING = {"mixes": ("W2",), "policies": ("no-limit",)}
+
+
+def _scenario_library_payload() -> dict:
+    """Per library entry, in grid order: its ``/v1/scenarios``
+    descriptor, and the request echo (``type``, ``kind`` and every spec
+    field) and cache key of its ``campaign --grid scenarios`` cell at
+    ``copies=1``, alone and crossed with :data:`SCENARIO_CROSSING`."""
+    client = ReproClient(NullStore())
+    descriptors = {d["name"]: d for d in client.list_scenarios()}
+    entries = []
+    for envelope in client.run_campaign(
+        CampaignRequest(grid="scenarios", copies=1)
+    ):
+        (crossed,) = client.run_campaign(CampaignRequest(
+            grid="scenarios", variants=(envelope.scenario,), copies=1,
+            **SCENARIO_CROSSING,
+        ))
+        entries.append({
+            "descriptor": descriptors.pop(envelope.scenario),
+            "echo": envelope.request,
+            "key": envelope.provenance.cache_key,
+            "crossed_echo": crossed.request,
+            "crossed_key": crossed.provenance.cache_key,
+        })
+    assert descriptors == {}
+    return {"scenarios": entries}
+
+
 def _compare(golden, fresh, path: str, mismatches: list[str]) -> None:
     """Recursively diff two JSON-shaped values within TOLERANCE."""
     if isinstance(golden, dict) and isinstance(fresh, dict):
@@ -259,3 +292,7 @@ def test_golden_homogeneous_trace(platform, app):
 
 def test_golden_campaign_tables():
     _check_golden("campaign_tables", _campaign_payload())
+
+
+def test_golden_scenario_library():
+    _check_golden("scenario_library", _scenario_library_payload())
