@@ -1,22 +1,20 @@
 """Named campaign grids: declarative (mix x policy x ...) sweeps.
 
-The CLI's ``campaign`` subcommand — and anything else that wants a
-full results table instead of a single run — goes through here.  A
-named grid pairs a spec sweep with the metric columns its table
-reports; the campaign engine handles expansion, caching, parallelism,
-and deterministic ordering, so the same grid run with any ``--jobs``
-value produces an identical table.
+A named grid pairs a spec expansion with the metric columns its table
+reports; :meth:`repro.api.requests.CampaignRequest.cells` expands it,
+and the campaign engine handles caching, parallelism, and
+deterministic ordering, so the same grid run with any ``--jobs`` value
+produces an identical table.
 
-Every grid cell is composed through the scenario engine
-(:mod:`repro.scenarios`): the ``ch4``/``ch5`` grids lower canonical
-:func:`~repro.scenarios.scenario.grid_scenario` cells, and the
-``scenarios`` grid sweeps the registered scenario library itself,
+The ``ch4``/``ch5`` grids build ad-hoc cells (:func:`ch4_cell`,
+:func:`ch5_cell`, the same cells a ``simulate``/``server`` request
+runs), and the ``scenarios`` grid sweeps the scenario library itself,
 optionally crossed with extra mixes or policies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
 from repro.analysis.specs import (
@@ -25,9 +23,33 @@ from repro.analysis.specs import (
     Chapter4Spec,
     Chapter5Spec,
 )
-from repro.campaign import Campaign, ResultStore
-from repro.errors import ConfigurationError
-from repro.scenarios import get_scenario, grid_scenario, scenario_names
+from repro.engine.codec import Text, domain_of
+from repro.scenarios import SCENARIO_NAMES, get_scenario
+
+
+def ch4_cell(
+    mix: str,
+    policy: str,
+    copies: int,
+    cooling: str = "AOHS_1.5",
+    ambient: str = "isolated",
+) -> Chapter4Spec:
+    """One ad-hoc Chapter 4 cell, labelled by its axes, so a CLI run and
+    the same campaign grid cell carry one label (and one cache entry)."""
+    return Chapter4Spec(
+        scenario=f"ch4:{cooling}:{mix}:{policy}", mix=mix, policy=policy,
+        cooling=cooling, ambient=ambient, copies=copies,
+    )
+
+
+def ch5_cell(
+    mix: str, policy: str, copies: int, platform: str = "PE1950"
+) -> Chapter5Spec:
+    """One ad-hoc Chapter 5 cell, labelled by its axes (see :func:`ch4_cell`)."""
+    return Chapter5Spec(
+        scenario=f"ch5:{platform}:{mix}:{policy}", platform=platform,
+        mix=mix, policy=policy, copies=copies,
+    )
 
 
 @dataclass(frozen=True)
@@ -36,10 +58,15 @@ class NamedGrid:
 
     name: str
     description: str
-    #: Policy names this grid accepts.
-    policy_choices: tuple[str, ...]
+    #: The kind of one policy name on this grid.
+    policy: Text
+    #: Policies swept when ``--policies`` is not given; empty means
+    #: "keep each scenario's own policy".
+    policies_default: tuple[str, ...]
     #: CLI flag selecting this grid's third axis (e.g. "--coolings").
     variant_flag: str
+    #: The kind of one value of that third axis.
+    variant: Text
     #: Variant used when the flag is not given.
     variant_default: str
     #: (mixes, policies, variants, copies) -> specs.
@@ -52,15 +79,6 @@ class NamedGrid:
     #: Mixes used when ``--mixes`` is not given; empty means "keep each
     #: scenario's own mix" (only meaningful for the scenarios grid).
     mixes_default: tuple[str, ...] = ("W1",)
-    #: Policies used when ``--policies`` is not given; empty means "keep
-    #: each scenario's own policy".
-    policies_default: tuple[str, ...] | None = None
-
-    def default_policies(self) -> list[str]:
-        """The policy sweep when the user gives no ``--policies``."""
-        if self.policies_default is None:
-            return list(self.policy_choices)
-        return list(self.policies_default)
 
 
 def _expand_ch4(
@@ -70,7 +88,7 @@ def _expand_ch4(
     copies: int,
 ) -> list[Chapter4Spec]:
     return [
-        grid_scenario("ch4", mix, policy, cooling=cooling).spec(copies=copies)
+        ch4_cell(mix, policy, copies, cooling=cooling)
         for cooling in coolings
         for mix in mixes
         for policy in policies
@@ -99,7 +117,7 @@ def _expand_ch5(
     copies: int,
 ) -> list[Chapter5Spec]:
     return [
-        grid_scenario("ch5", mix, policy, platform=platform).spec(copies=copies)
+        ch5_cell(mix, policy, copies, platform=platform)
         for platform in platforms
         for mix in mixes
         for policy in policies
@@ -125,18 +143,15 @@ def _expand_scenarios(
     names: Sequence[str],
     copies: int,
 ) -> list[Any]:
-    expanded: list[str] = []
-    for token in names:
-        if token == "all":
-            expanded.extend(scenario_names())
-        else:
-            expanded.append(token)
     specs = []
-    for name in expanded:
-        scenario = get_scenario(name)
-        for mix in (mixes or [None]):
-            for policy in (policies or [None]):
-                specs.append(scenario.spec(copies=copies, mix=mix, policy=policy))
+    for token in names:
+        for name in SCENARIO_NAMES if token == "all" else [token]:
+            spec = get_scenario(name).spec
+            specs.extend(
+                replace(spec, mix=mix, policy=policy, copies=copies)
+                for mix in mixes or [spec.mix]
+                for policy in policies or [spec.policy]
+            )
     return specs
 
 
@@ -159,8 +174,10 @@ CAMPAIGN_GRIDS: dict[str, NamedGrid] = {
         name="ch4",
         description="Chapter 4 two-level simulation sweep "
         "(cooling x mix x policy)",
-        policy_choices=CHAPTER4_POLICY_CHOICES,
+        policy=domain_of(Chapter4Spec, "policy"),
+        policies_default=CHAPTER4_POLICY_CHOICES,
         variant_flag="--coolings",
+        variant=domain_of(Chapter4Spec, "cooling"),
         variant_default="AOHS_1.5",
         expand=_expand_ch4,
         headers=[
@@ -173,8 +190,10 @@ CAMPAIGN_GRIDS: dict[str, NamedGrid] = {
         name="ch5",
         description="Chapter 5 server measurement sweep "
         "(platform x mix x policy)",
-        policy_choices=CHAPTER5_POLICIES,
+        policy=domain_of(Chapter5Spec, "policy"),
+        policies_default=CHAPTER5_POLICIES,
         variant_flag="--platforms",
+        variant=domain_of(Chapter5Spec, "platform"),
         variant_default="PE1950",
         expand=_expand_ch5,
         headers=[
@@ -187,10 +206,13 @@ CAMPAIGN_GRIDS: dict[str, NamedGrid] = {
         name="scenarios",
         description="registered scenario library "
         "(scenario [x mix] [x policy])",
-        policy_choices=tuple(
-            dict.fromkeys(CHAPTER4_POLICY_CHOICES + CHAPTER5_POLICIES)
+        policy=Text(
+            tuple(dict.fromkeys(CHAPTER4_POLICY_CHOICES + CHAPTER5_POLICIES)),
+            noun="policy",
         ),
+        policies_default=(),
         variant_flag="--scenarios",
+        variant=Text(SCENARIO_NAMES + ("all",), noun="scenario"),
         variant_default="all",
         expand=_expand_scenarios,
         headers=[
@@ -199,69 +221,6 @@ CAMPAIGN_GRIDS: dict[str, NamedGrid] = {
         ],
         row=_scenario_row,
         mixes_default=(),
-        policies_default=(),
     ),
 }
 
-
-def expand_campaign(
-    grid_name: str,
-    *,
-    mixes: Sequence[str] | None = None,
-    policies: Sequence[str] | None = None,
-    variants: Sequence[str] | None = None,
-    copies: int = 2,
-) -> tuple[NamedGrid, list[Any]]:
-    """Resolve a named grid's axes and expand them into run specs.
-
-    ``None`` axes take the grid's defaults (every policy, the default
-    mix/variant); explicit empty sequences stay empty — on the ch4/ch5
-    grids (and for ``variants`` everywhere) that fails with "zero
-    runs", while the scenarios grid reads an empty mix/policy axis as
-    "keep each scenario's own".  This is the one expansion path shared
-    by :func:`run_campaign`, the CLI, and the :mod:`repro.api` client,
-    so an HTTP campaign and a CLI campaign always name the same cells.
-    """
-    grid = CAMPAIGN_GRIDS.get(grid_name)
-    if grid is None:
-        raise ConfigurationError(
-            f"unknown campaign grid {grid_name!r} (have: {sorted(CAMPAIGN_GRIDS)})"
-        )
-    mixes = list(grid.mixes_default) if mixes is None else list(mixes)
-    policies = grid.default_policies() if policies is None else list(policies)
-    variants = [grid.variant_default] if variants is None else list(variants)
-    unknown = [p for p in policies if p not in grid.policy_choices]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown {grid_name} policies {unknown} "
-            f"(choices: {list(grid.policy_choices)})"
-        )
-    specs = grid.expand(mixes, policies, variants, copies)
-    if not specs:
-        raise ConfigurationError("campaign expanded to zero runs")
-    return grid, specs
-
-
-def run_campaign(
-    grid_name: str,
-    *,
-    mixes: Sequence[str] | None = None,
-    policies: Sequence[str] | None = None,
-    variants: Sequence[str] | None = None,
-    copies: int = 2,
-    jobs: int = 1,
-    store: ResultStore | None = None,
-) -> tuple[list[str], list[list[Any]]]:
-    """Run a named grid and return its (headers, rows) table.
-
-    ``variants`` selects the grid's third axis — cooling configurations
-    for ``ch4``, server platforms for ``ch5``, scenario names (or
-    ``all``) for ``scenarios``.  Rows come back in deterministic sweep
-    order regardless of ``jobs``.
-    """
-    grid, specs = expand_campaign(
-        grid_name, mixes=mixes, policies=policies, variants=variants, copies=copies
-    )
-    results = Campaign(specs, jobs=jobs, store=store).run()
-    rows = [grid.row(spec, result) for spec, result in zip(specs, results)]
-    return list(grid.headers), rows

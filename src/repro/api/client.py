@@ -3,8 +3,9 @@
 A client wraps one :class:`~repro.campaign.ResultStore` (the default
 shared memory+disk stack unless told otherwise) and turns typed request
 objects into versioned :class:`~repro.api.envelope.ResultEnvelope`
-records.  Every run flows through the scenario and campaign engines, so
-client calls, CLI invocations, and HTTP requests all share one cache:
+records.  Every run is a request's ``cells()`` run through the campaign
+engine, so client calls, CLI invocations, jobs and HTTP requests all
+share one cache:
 
     from repro.api import ReproClient, SimulateRequest
 
@@ -12,17 +13,17 @@ client calls, CLI invocations, and HTTP requests all share one cache:
     envelope = client.simulate(SimulateRequest(mix="W1", policy="acg"))
     print(envelope.metrics["peak_amb_c"], envelope.provenance.cache)
 
-``run_campaign``/``run_scenarios`` are iterators: they yield each
-cell's envelope as soon as it (and every earlier cell) completes, so a
-consumer can stream a large grid without holding it in memory.
+``run_campaign`` is an iterator: it yields each cell's envelope as
+soon as it (and every earlier cell) completes, so a consumer can
+stream a large grid without holding it in memory.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.analysis.campaigns import CAMPAIGN_GRIDS
 from repro.api.envelope import Provenance, ResultEnvelope
 from repro.api.requests import (
     CampaignRequest,
@@ -30,7 +31,6 @@ from repro.api.requests import (
     ScenarioRequest,
     ServerRequest,
     SimulateRequest,
-    request_to_dict,
 )
 from repro.campaign import (
     Campaign,
@@ -81,19 +81,8 @@ def cell_envelope(
     )
 
 
-def _cell_echo(spec: RunSpec) -> dict:
-    """The request echo for one campaign/scenario cell.
-
-    Cells echo the fully resolved run spec under type ``"cell"``
-    (library scenarios carry knobs no top-level request can express),
-    so unlike simulate/server/compare echoes they are *descriptive*,
-    not replayable through ``request_from_dict``.
-    """
-    return {"type": "cell", "kind": spec.kind, **asdict(spec)}
-
-
 class ReproClient:
-    """Typed façade over the scenario + campaign engines.
+    """Typed façade over the requests' cells and the campaign engine.
 
     ``backend`` selects where multi-cell runs execute (an
     :class:`~repro.cluster.ExecutionBackend` — e.g. a reusable process
@@ -124,61 +113,58 @@ class ReproClient:
     def simulate(self, request: SimulateRequest | None = None, **axes: Any) -> ResultEnvelope:
         """Run one Chapter 4 simulation cell."""
         request = SimulateRequest(**axes) if request is None else request
-        return self._run_cell(request.spec(), request_to_dict(request))
+        return self._run_cell(*request.cells()[0])
 
     def server(self, request: ServerRequest | None = None, **axes: Any) -> ResultEnvelope:
         """Run one Chapter 5 server measurement cell."""
         request = ServerRequest(**axes) if request is None else request
-        return self._run_cell(request.spec(), request_to_dict(request))
+        return self._run_cell(*request.cells()[0])
 
     # -- multi-cell runs ---------------------------------------------------
 
     def compare(self, request: CompareRequest | None = None, **axes: Any) -> list[ResultEnvelope]:
-        """Every Chapter 4 scheme on one mix; baseline envelope first.
-
-        Each envelope echoes the equivalent per-policy simulate request,
-        so a compare is exactly N cache-shared simulate calls.
-        """
+        """Every Chapter 4 scheme on one mix; baseline envelope first."""
         request = CompareRequest(**axes) if request is None else request
-        return [
-            self._run_cell(cell.spec(), request_to_dict(cell))
-            for cell in request.cell_requests()
-        ]
+        return [self._run_cell(spec, echo) for spec, echo in request.cells()]
 
-    def run_campaign(self, request: CampaignRequest) -> Iterator[ResultEnvelope]:
-        """Stream a named grid's per-cell envelopes as they complete.
+    def run_campaign(
+        self, request: CampaignRequest | ScenarioRequest
+    ) -> Iterator[ResultEnvelope]:
+        """Stream a named grid's (or named scenarios') per-cell
+        envelopes as they complete.
 
         Cells arrive in deterministic sweep order; with ``jobs > 1``
         they are computed by a process pool and yielded as the ordered
-        prefix completes.
+        prefix completes.  A bad request fails here, before any cell.
         """
-        _, specs = request.cells()
-        return self._iter_cells(specs, request.jobs)
+        cells = request.cells()
+        outcomes = self._campaign(cells, request.jobs).iter_outcomes()
+        return (
+            cell_envelope(spec, outcome, echo)
+            for (spec, outcome), (_, echo) in zip(outcomes, cells)
+        )
 
-    def campaign_table(self, request: CampaignRequest) -> tuple[list[str], list[list[Any]]]:
-        """A named grid's (headers, rows) table — the CLI's view."""
-        return self._table(request)
-
-    def run_scenarios(self, request: ScenarioRequest) -> Iterator[ResultEnvelope]:
-        """Stream registered scenarios' envelopes as they complete."""
-        _, specs = request.cells()
-        return self._iter_cells(specs, request.jobs)
-
-    def scenarios_table(self, request: ScenarioRequest) -> tuple[list[str], list[list[Any]]]:
-        """Scenario runs as a (headers, rows) table — the CLI's view."""
-        return self._table(request)
+    def campaign_table(
+        self, request: CampaignRequest | ScenarioRequest
+    ) -> tuple[list[str], list[list[Any]]]:
+        """A named grid's (or named scenarios') (headers, rows) table —
+        the CLI's view."""
+        grid = CAMPAIGN_GRIDS[request.grid]
+        campaign = self._campaign(request.cells(), request.jobs)
+        rows = [grid.row(spec, result) for spec, result, _, _ in campaign.iter_run()]
+        return list(grid.headers), rows
 
     # -- resumable runs ----------------------------------------------------
 
-    def simulate_resumable(
+    def run_resumable(
         self,
-        request: SimulateRequest,
+        request: SimulateRequest | ServerRequest,
         *,
         checkpoint_dir: str | Path,
         checkpoint_every: int = 2000,
         resume: bool = False,
     ) -> ResultEnvelope:
-        """Run one Chapter 4 cell with periodic on-disk checkpoints.
+        """Run one cell with periodic on-disk checkpoints.
 
         The run writes an atomic checkpoint every ``checkpoint_every``
         DTM windows under ``checkpoint_dir`` (named by the spec's cache
@@ -190,32 +176,7 @@ class ReproClient:
         short-circuits (unless resuming from a checkpoint) exactly like
         :meth:`simulate`.
         """
-        return self._run_resumable(
-            request, checkpoint_dir, checkpoint_every, resume
-        )
-
-    def server_resumable(
-        self,
-        request: ServerRequest,
-        *,
-        checkpoint_dir: str | Path,
-        checkpoint_every: int = 2000,
-        resume: bool = False,
-    ) -> ResultEnvelope:
-        """Run one Chapter 5 cell with periodic on-disk checkpoints
-        (see :meth:`simulate_resumable`)."""
-        return self._run_resumable(
-            request, checkpoint_dir, checkpoint_every, resume
-        )
-
-    def _run_resumable(
-        self,
-        request: SimulateRequest | ServerRequest,
-        checkpoint_dir: str | Path,
-        checkpoint_every: int,
-        resume: bool,
-    ) -> ResultEnvelope:
-        spec = request.spec()
+        ((spec, echo),) = request.cells()
         checkpoint = CheckpointFile(
             Path(checkpoint_dir) / f"{spec.key()}.checkpoint.json"
         )
@@ -224,22 +185,22 @@ class ReproClient:
         outcome = run_cell(
             spec, self._store, resume=state, observers=(observer,)
         )
-        return cell_envelope(spec, outcome, request_to_dict(request))
+        return cell_envelope(spec, outcome, echo)
 
     # -- scenario library --------------------------------------------------
 
     def list_scenarios(self, kind: str | None = None, tag: str | None = None) -> list[dict]:
-        """Descriptors of the registered scenario library."""
+        """Descriptors of the scenario library."""
         return [
             {
-                "name": scenario.name,
-                "kind": scenario.kind,
-                "mix": scenario.mix,
-                "policy": scenario.policy,
-                "tags": list(scenario.tags),
-                "description": scenario.description,
+                "name": entry.spec.scenario,
+                "kind": entry.spec.kind,
+                "mix": entry.spec.mix,
+                "policy": entry.spec.policy,
+                "tags": list(entry.tags),
+                "description": entry.description,
             }
-            for scenario in iter_scenarios(kind=kind, tag=tag)
+            for entry in iter_scenarios(kind=kind, tag=tag)
         ]
 
     # -- internals ---------------------------------------------------------
@@ -247,22 +208,8 @@ class ReproClient:
     def _run_cell(self, spec: RunSpec, echo: dict) -> ResultEnvelope:
         return cell_envelope(spec, run_cell(spec, self._store), echo)
 
-    def _table(
-        self, request: CampaignRequest | ScenarioRequest
-    ) -> tuple[list[str], list[list[Any]]]:
-        grid, specs = request.cells()
-        campaign = Campaign(
-            specs, jobs=request.jobs, store=self._store, backend=self._backend
+    def _campaign(self, cells: list, jobs: int) -> Campaign:
+        return Campaign(
+            [spec for spec, _ in cells],
+            jobs=jobs, store=self._store, backend=self._backend,
         )
-        rows = [
-            grid.row(spec, result)
-            for spec, result, _, _ in campaign.iter_run()
-        ]
-        return list(grid.headers), rows
-
-    def _iter_cells(self, specs: list[RunSpec], jobs: int) -> Iterator[ResultEnvelope]:
-        campaign = Campaign(
-            specs, jobs=jobs, store=self._store, backend=self._backend
-        )
-        for spec, outcome in campaign.iter_outcomes():
-            yield cell_envelope(spec, outcome, _cell_echo(spec))

@@ -1,10 +1,11 @@
 """Typed request objects — the stable input vocabulary of the API.
 
-Each request is a frozen, validated dataclass that knows how to lower
-itself to campaign-engine run specs (via the scenario engine, so API
-runs share cache entries with CLI and bench runs).  The CLI subcommands,
-the :class:`~repro.api.client.ReproClient` methods, and the HTTP routes
-of ``python -m repro serve`` all construct these same objects, which is
+Each request is a frozen, validated dataclass with one lowering,
+``cells()``: its ``(run spec, request echo)`` pairs, which the
+:class:`~repro.api.client.ReproClient` methods and the job scheduler
+both run (so API runs share cache entries with CLI, job and bench
+runs).  The CLI subcommands, the client, and the HTTP routes of
+``python -m repro serve`` all construct these same objects, which is
 what keeps the three surfaces behaviorally identical.
 
 One schema: each field's domain (a :mod:`repro.engine.codec` kind: a
@@ -26,11 +27,11 @@ service accepts and the form echoed inside every
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from typing import Any, ClassVar, Mapping, NamedTuple
 
-from repro.analysis.campaigns import CAMPAIGN_GRIDS, NamedGrid, expand_campaign
+from repro.analysis.campaigns import CAMPAIGN_GRIDS, ch4_cell, ch5_cell
 from repro.analysis.specs import CHAPTER4_POLICIES, Chapter4Spec, Chapter5Spec
 from repro.campaign import RunSpec
 from repro.engine.codec import (
@@ -44,7 +45,10 @@ from repro.engine.codec import (
     domain_of,
 )
 from repro.errors import ConfigurationError
-from repro.scenarios import grid_scenario
+
+#: One cell of a request: its run spec and the request echo its
+#: envelope carries.
+Cell = tuple[RunSpec, dict]
 
 
 class FieldSpec(NamedTuple):
@@ -69,6 +73,20 @@ def _lowered(spec: type, name: str, default: Any, help_text: str) -> Any:
 
 _MIX_HELP = "workload mix of Table 4.2 or 5.2"
 _COPIES_HELP = "copies of each program in the batch"
+
+
+@dataclass(frozen=True)
+class _OnGrid(Kind):
+    """A name on an axis of the request's grid: its ``policy`` or its
+    ``variant`` kind, so a refusal names the grid's own noun."""
+
+    axis: str
+
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> str:
+        kind = getattr(CAMPAIGN_GRIDS[owner.grid], self.axis)
+        return kind.decode(value, path, owner, error)
+
+
 _jobs = partial(
     _field, Count(minimum=1), 1,
     "parallel worker processes; results are order-deterministic",
@@ -98,13 +116,13 @@ class SimulateRequest(_Request):
     )
     copies: int = _lowered(Chapter4Spec, "copies", 2, _COPIES_HELP)
 
-    def spec(self) -> RunSpec:
-        """Lower to the campaign engine via the scenario engine."""
-        scenario = grid_scenario(
-            "ch4", self.mix, self.policy,
+    def cells(self) -> list[Cell]:
+        """The one cell, echoing this request."""
+        spec = ch4_cell(
+            self.mix, self.policy, self.copies,
             cooling=self.cooling, ambient=self.ambient,
         )
-        return scenario.spec(copies=self.copies)
+        return [(spec, request_to_dict(self))]
 
 
 @dataclass(frozen=True)
@@ -120,12 +138,10 @@ class ServerRequest(_Request):
     policy: str = _lowered(Chapter5Spec, "policy", "acg", "Chapter 5 DTM scheme")
     copies: int = _lowered(Chapter5Spec, "copies", 2, _COPIES_HELP)
 
-    def spec(self) -> RunSpec:
-        """Lower to the campaign engine via the scenario engine."""
-        scenario = grid_scenario(
-            "ch5", self.mix, self.policy, platform=self.platform
-        )
-        return scenario.spec(copies=self.copies)
+    def cells(self) -> list[Cell]:
+        """The one cell, echoing this request."""
+        spec = ch5_cell(self.mix, self.policy, self.copies, platform=self.platform)
+        return [(spec, request_to_dict(self))]
 
 
 @dataclass(frozen=True)
@@ -140,14 +156,19 @@ class CompareRequest(_Request):
     )
     copies: int = _lowered(Chapter4Spec, "copies", 2, _COPIES_HELP)
 
-    def cell_requests(self) -> list[SimulateRequest]:
-        """The per-policy simulate cells, no-limit baseline first."""
+    def cells(self) -> list[Cell]:
+        """One simulate cell per scheme, no-limit baseline first.
+
+        Each echoes the equivalent simulate request, so a compare is
+        exactly N cache-shared simulate calls.
+        """
         return [
-            SimulateRequest(
+            cell
+            for policy in CHAPTER4_POLICIES
+            for cell in SimulateRequest(
                 mix=self.mix, policy=policy,
                 cooling=self.cooling, copies=self.copies,
-            )
-            for policy in CHAPTER4_POLICIES
+            ).cells()
         ]
 
 
@@ -173,27 +194,42 @@ class CampaignRequest(_Request):
         "scenario's own mix for the scenarios grid)",
     )
     policies: tuple[str, ...] | None = _field(
-        Optional(ListOf(Text())), None,
+        Optional(ListOf(_OnGrid("policy"))), None,
         "comma-separated policies (default: every policy of the "
         "grid, or each scenario's own policy for the scenarios grid)",
     )
     variants: tuple[str, ...] | None = _field(
-        Optional(ListOf(Text())), None,
+        Optional(ListOf(_OnGrid("variant"))), None,
         "comma-separated third-axis values: coolings (ch4), "
         "platforms (ch5) or scenario names (scenarios)",
     )
     copies: int = _lowered(Chapter4Spec, "copies", 2, _COPIES_HELP)
     jobs: int = _jobs()
 
-    def cells(self) -> tuple[NamedGrid, list[RunSpec]]:
-        """Resolve defaults and expand into (grid, run specs)."""
-        return expand_campaign(
-            self.grid,
-            mixes=self.mixes,
-            policies=self.policies,
-            variants=self.variants,
-            copies=self.copies,
+    def cells(self) -> list[Cell]:
+        """The grid's cells, ``None`` axes taking the grid's defaults.
+
+        Explicit empty axes stay empty: on the ch4/ch5 grids (and for
+        ``variants`` everywhere) that fails with "zero runs", while the
+        scenarios grid reads an empty mix or policy axis as "keep each
+        scenario's own".  A cell echoes its whole run spec under type
+        ``"cell"`` (library scenarios carry knobs no top-level request
+        can express), so unlike a simulate/server/compare echo it is
+        descriptive, not replayable through :func:`request_from_dict`.
+        """
+        grid = CAMPAIGN_GRIDS[self.grid]
+        specs = grid.expand(
+            grid.mixes_default if self.mixes is None else self.mixes,
+            grid.policies_default if self.policies is None else self.policies,
+            (grid.variant_default,) if self.variants is None else self.variants,
+            self.copies,
         )
+        if not specs:
+            raise ConfigurationError("campaign expanded to zero runs")
+        return [
+            (spec, {"type": "cell", "kind": spec.kind, **asdict(spec)})
+            for spec in specs
+        ]
 
 
 @dataclass(frozen=True)
@@ -201,23 +237,23 @@ class ScenarioRequest(_Request):
     """Run registered library scenarios by name (``all`` expands)."""
 
     TYPE: ClassVar[str] = "scenarios"
+    #: The campaign grid whose cells (and table) these runs are.
+    grid: ClassVar[str] = "scenarios"
 
     names: tuple[str, ...] = _field(
-        ListOf(Text(), nonempty=True), (), "comma-separated scenario names, or 'all'"
+        ListOf(CAMPAIGN_GRIDS["scenarios"].variant, nonempty=True), (),
+        "comma-separated scenario names, or 'all'",
     )
     copies: int = _lowered(Chapter4Spec, "copies", 2, _COPIES_HELP)
     jobs: int = _jobs()
 
-    def cells(self) -> tuple[NamedGrid, list[RunSpec]]:
-        """Expand names (resolving ``all``) into (grid, run specs).
-
-        Goes through the shared :func:`expand_campaign` path — the
-        names are the scenarios grid's variant axis — so CLI, HTTP,
-        and client scenario runs always name the same cells.
-        """
-        return expand_campaign(
-            "scenarios", variants=self.names, copies=self.copies
-        )
+    def cells(self) -> list[Cell]:
+        """The scenarios grid's cells for these names (``all`` expands),
+        so a scenario run names the same cells as ``campaign --grid
+        scenarios``."""
+        return CampaignRequest(
+            grid=self.grid, variants=self.names, copies=self.copies
+        ).cells()
 
 
 #: Every request class, keyed by its wire ``type`` tag.

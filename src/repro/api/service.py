@@ -15,7 +15,8 @@ asked with a method its row does not list (``PUT``, ``DELETE`` and
 pattern is also the histogram's ``route`` label (``other`` when none
 matched).  Each row also lists the query parameters its method
 accepts; any other parameter is a 400 before the handler runs.  The
-``/v1/jobs`` routes answer 503 without ``serve --jobs``.
+``/v1/jobs`` routes answer 503 without ``serve --jobs``, and a submit
+whose job record cannot be written (a full disk) answers 503 too.
 
 GET passes request fields as query parameters, typed by the one request
 schema in :mod:`repro.api.requests` exactly as CLI flags and ``jobs
@@ -80,6 +81,7 @@ from repro.errors import (
     ConfigurationError,
     ConflictError,
     NotFoundError,
+    Unavailable,
     ReproError,
 )
 from repro.jobs.tenancy import QuotaExceeded
@@ -214,6 +216,13 @@ class _Handler(BaseHTTPRequestHandler):
                     429,
                     str(error),
                     extra={"reason": error.reason, "tenant": error.tenant},
+                    retry_after_s=error.retry_after_s,
+                )
+            except Unavailable as error:
+                self._error(
+                    503,
+                    str(error),
+                    extra={"reason": error.reason},
                     retry_after_s=error.retry_after_s,
                 )
             except NotFoundError as error:
@@ -445,7 +454,7 @@ _ROUTES: dict[str, dict] = {
         "campaign", lambda c, r: results_document(c.run_campaign(r))
     ),
     "/v1/scenarios/run": _run_route(
-        "scenarios", lambda c, r: results_document(c.run_scenarios(r))
+        "scenarios", lambda c, r: results_document(c.run_campaign(r))
     ),
     "/v1/progress": {"GET": (_Handler._progress, ("key",))},
     "/v1/healthz": {"GET": (_Handler._healthz, ())},

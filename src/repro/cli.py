@@ -37,8 +37,8 @@ same cells is all cache hits.
 completion) and ``--resume`` — an interrupted long run finishes from
 its last checkpoint with bit-identical results.
 
-Every run — ad-hoc or named — is composed by the scenario engine
-(:mod:`repro.scenarios`) and executed through the campaign engine, so
+Every run — ad-hoc or named — is a typed request's cells
+(:mod:`repro.api.requests`) executed through the campaign engine, so
 results are cached, deduplicated, and identical across entry points.
 
 Examples::
@@ -499,7 +499,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if checkpointing is None:
         envelope = client.simulate(request)
     else:
-        envelope = client.simulate_resumable(request, **checkpointing)
+        envelope = client.run_resumable(request, **checkpointing)
     if args.json:
         print(envelope.to_json())
         return 0
@@ -546,7 +546,7 @@ def _cmd_server(args: argparse.Namespace) -> int:
     if checkpointing is None:
         envelope = client.server(request)
     else:
-        envelope = client.server_resumable(request, **checkpointing)
+        envelope = client.run_resumable(request, **checkpointing)
     if args.json:
         print(envelope.to_json())
         return 0
@@ -597,10 +597,10 @@ def _cmd_homogeneous(args: argparse.Namespace) -> int:
 def _run_grid_command(args: argparse.Namespace) -> int:
     """``campaign`` and ``scenarios run``: backend wiring, JSON/table."""
     request = _request_from_args(args)
-    if isinstance(request, CampaignRequest):
-        run, table, label = "run_campaign", "campaign_table", f"campaign {request.grid}"
-    else:
-        run, table, label = "run_scenarios", "scenarios_table", "scenarios"
+    label = (
+        "scenarios" if isinstance(request, ScenarioRequest)
+        else f"campaign {request.grid}"
+    )
     with contextlib.ExitStack() as stack:
         backend = None
         if args.backend is not None:
@@ -609,14 +609,14 @@ def _run_grid_command(args: argparse.Namespace) -> int:
             )
         client = ReproClient(backend=backend)
         if args.json:
-            _print_json(results_document(list(getattr(client, run)(request))))
+            _print_json(results_document(list(client.run_campaign(request))))
             if args.export:
                 # The cells are warm now, so the table pass is all hits
                 # served from the local store (no re-dispatch).
-                headers, rows = getattr(client, table)(request)
+                headers, rows = client.campaign_table(request)
                 _export_csv(args.export, headers, rows, quiet=True)
             return 0
-        headers, rows = getattr(client, table)(request)
+        headers, rows = client.campaign_table(request)
     print(f"{label}: {len(rows)} runs\n")
     print(format_table(headers, rows))
     _export_csv(args.export, headers, rows)

@@ -124,7 +124,7 @@ class SimulationConfig:
     cache_aware_scheduling: bool = domain(Flag(), False)
     #: Traffic shape: fraction of each ``duty_period_s`` the cores run.
     #: Below 1.0 the batch executes in bursts separated by idle windows
-    #: (the scenario engine's "idle-burst" traffic shapes); 1.0 is the
+    #: (the scenario library's "idle-burst" traffic shapes); 1.0 is the
     #: paper's continuous batch.
     duty_cycle: float = domain(DUTY_CYCLE, 1.0)
     duty_period_s: float = domain(POSITIVE, 0.1)

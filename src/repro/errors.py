@@ -79,3 +79,14 @@ class ConflictError(ReproError):
     def __init__(self, message: str, **detail) -> None:
         super().__init__(message)
         self.detail = detail
+
+
+class Unavailable(ReproError):
+    """A request the service cannot take now but may take later (a job
+    whose record cannot be written): the HTTP service answers a 503
+    carrying ``reason`` and a ``Retry-After`` of ``retry_after_s``."""
+
+    def __init__(self, message: str, reason: str, retry_after_s: float) -> None:
+        super().__init__(message)
+        self.reason = reason
+        self.retry_after_s = retry_after_s

@@ -28,7 +28,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.jobs.scheduler import (
     JobScheduler,
     JobsManager,
-    expand_job_request,
     job_progress_label,
 )
 from repro.jobs.store import (
@@ -67,7 +66,6 @@ __all__ = [
     "QuotaManager",
     "TenantPolicy",
     "TokenBucket",
-    "expand_job_request",
     "job_progress_label",
     "new_job_id",
 ]

@@ -30,20 +30,19 @@ import threading
 from contextlib import nullcontext
 from typing import Any
 
-from repro.api.client import _cell_echo, cell_envelope
+from repro.api.client import cell_envelope
 from repro.api.envelope import SCHEMA_VERSION
-from repro.api.requests import (
-    CampaignRequest,
-    CompareRequest,
-    ScenarioRequest,
-    request_from_dict,
-    request_to_dict,
-)
+from repro.api.requests import request_from_dict, request_to_dict
 from repro.campaign import run_cell
 from repro.engine import EngineState
 from repro.engine.codec import Count
 from repro.engine.progress import PROGRESS
-from repro.errors import ConfigurationError, ConflictError, ReproError
+from repro.errors import (
+    ConfigurationError,
+    ConflictError,
+    ReproError,
+    Unavailable,
+)
 from repro.jobs.queue import JobQueue
 from repro.obs.log import LOG
 from repro.obs.metrics import METRICS, MetricsRegistry
@@ -62,6 +61,9 @@ from repro.jobs.tenancy import QuotaManager
 #: the CLI's single-envelope ``--json`` output).
 _SINGLE_ENVELOPE_TYPES = frozenset({"simulate", "server"})
 
+#: The backoff a submit refused for an unwritable job record suggests.
+_STORE_RETRY_AFTER_S = 5.0
+
 #: Per-cell slice outcomes (module-private control flow), each also
 #: the event of the transition the job makes on it.
 _DONE = "completed"
@@ -77,31 +79,6 @@ def job_progress_label(job_id: str, key: str) -> str:
     direct API call) publish to distinct streams — per-job isolation.
     """
     return f"{job_id}/{key}"
-
-
-def expand_job_request(request: Any) -> tuple[list, list[dict]]:
-    """Lower a typed request to ``(specs, request echoes)``.
-
-    The echoes are exactly what the equivalent direct client call would
-    embed in each envelope, which is what keeps warm job results
-    byte-identical to warm CLI ``--json`` output.
-    """
-    if isinstance(request, CompareRequest):
-        cells = request.cell_requests()
-        return (
-            [cell.spec() for cell in cells],
-            [request_to_dict(cell) for cell in cells],
-        )
-    if isinstance(request, (CampaignRequest, ScenarioRequest)):
-        if request.jobs != 1:
-            raise ConfigurationError(
-                "job requests must have jobs=1: the scheduler runs "
-                "their cells one at a time"
-            )
-        _, specs = request.cells()
-        return specs, [_cell_echo(spec) for spec in specs]
-    # simulate / server
-    return [request.spec()], [request_to_dict(request)]
 
 
 class JobScheduler:
@@ -220,15 +197,13 @@ class JobScheduler:
                 self._execute(record)
 
     def _execute(self, record: JobRecord) -> None:
-        request = request_from_dict(record.request)
-        specs, echoes = expand_job_request(request)
+        cells = request_from_dict(record.request).cells()
         self.queue.transition(
-            record, RUNNING, "started", cells_total=len(specs)
+            record, RUNNING, "started", cells_total=len(cells)
         )
         # A resumed/preempted job's completed cells are already in
-        # record.results; continue from the first unfinished spec.
-        start = min(record.cells_done, len(specs))
-        state = self._run_cells(record, specs[start:], echoes[start:])
+        # record.results; continue from the first unfinished cell.
+        state = self._run_cells(record, cells[record.cells_done:])
         status, detail, fields = {
             _PREEMPTED: (
                 QUEUED,
@@ -262,16 +237,14 @@ class JobScheduler:
             return _PREEMPTED
         return None
 
-    def _run_cells(
-        self, record: JobRecord, specs: list, echoes: list[dict]
-    ) -> str:
+    def _run_cells(self, record: JobRecord, cells: list) -> str:
         """Run the job's cells in order, each time-sliced on this thread."""
-        for spec, echo in zip(specs, echoes):
+        for index, (spec, echo) in enumerate(cells, 1):
             state = self._run_one(record, spec, echo)
             if state != _DONE:
                 return state
             interruption = self._interruption(record)
-            if interruption is not None and spec is not specs[-1]:
+            if interruption is not None and index < len(cells):
                 return interruption
         return _DONE
 
@@ -373,8 +346,10 @@ class JobsManager:
     def submit_body(self, body: dict) -> dict:
         """Validate and enqueue one ``POST /v1/jobs`` body.
 
-        Raises :class:`~repro.jobs.tenancy.QuotaExceeded` (429) or
-        :class:`~repro.errors.ConfigurationError` (400).
+        Raises :class:`~repro.jobs.tenancy.QuotaExceeded` (429),
+        :class:`~repro.errors.ConfigurationError` (400) or, when the
+        job record cannot be written, :class:`~repro.errors.Unavailable`
+        (503).
         """
         if not isinstance(body, dict):
             raise ConfigurationError("job submit body must be a JSON object")
@@ -402,16 +377,28 @@ class JobsManager:
         # Validate the request shape (and normalize it) before taking a
         # quota token or touching disk.
         request = request_from_dict(raw_request)
-        specs, _ = expand_job_request(request)
+        if getattr(request, "jobs", 1) != 1:
+            raise ConfigurationError(
+                "job requests must have jobs=1: the scheduler runs "
+                "their cells one at a time"
+            )
+        cells = request.cells()
         self.quotas.admit(
             tenant, self.queue.count(QUEUED, RUNNING, tenant=tenant)
         )
         # The submitter's trace context rides in the record's one
         # write, so the scheduler joins the same trace when it runs it.
-        record = self.queue.submit(
-            tenant, request_to_dict(request), priority=priority,
-            cells_total=len(specs), trace=TRACER.propagation_header(),
-        )
+        try:
+            record = self.queue.submit(
+                tenant, request_to_dict(request), priority=priority,
+                cells_total=len(cells), trace=TRACER.propagation_header(),
+            )
+        except OSError as error:
+            raise Unavailable(
+                f"the job record could not be written ({error}); retry later",
+                reason="job_store_unavailable",
+                retry_after_s=_STORE_RETRY_AFTER_S,
+            ) from None
         self.metrics.counter_inc(
             "repro_jobs_submitted_total", "Jobs accepted per tenant",
             tenant=tenant,

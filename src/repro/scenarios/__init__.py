@@ -1,51 +1,31 @@
-"""Declarative scenario engine: one vocabulary for naming any run.
+"""The named scenario library: each entry is a run spec with a name.
 
-Importing this package registers the built-in library, so::
+::
 
-    from repro.scenarios import get_scenario, run_scenario
+    from dataclasses import replace
+    from repro.campaign import run
+    from repro.scenarios import get_scenario
 
-    result = run_scenario("hot-ambient", copies=1)
+    result = run(replace(get_scenario("hot-ambient").spec, copies=1))
 
-is all it takes to execute a named scenario through the campaign engine
-(cached, deduplicated, parallelizable).  See
-:mod:`repro.scenarios.scenario` for the dataclass and registry and
-:mod:`repro.scenarios.library` for the built-ins.
+runs a named scenario through the campaign engine (cached,
+deduplicated, parallelizable).  See :mod:`repro.scenarios.library`.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.campaign import ResultStore
-from repro.campaign import run as _campaign_run
-from repro.scenarios.library import SCENARIO_LIBRARY
-from repro.scenarios.scenario import (
-    SCENARIO_KINDS,
-    Scenario,
+from repro.scenarios.library import (
+    SCENARIO_LIBRARY,
+    SCENARIO_NAMES,
+    LibraryEntry,
     get_scenario,
-    grid_scenario,
     iter_scenarios,
-    register_scenario,
-    scenario_names,
 )
 
 __all__ = [
-    "SCENARIO_KINDS",
     "SCENARIO_LIBRARY",
-    "Scenario",
+    "SCENARIO_NAMES",
+    "LibraryEntry",
     "get_scenario",
-    "grid_scenario",
     "iter_scenarios",
-    "register_scenario",
-    "run_scenario",
-    "scenario_names",
 ]
-
-
-def run_scenario(
-    name: str,
-    copies: int = 2,
-    store: ResultStore | None = None,
-) -> Any:
-    """Run (or recall) one registered scenario through the campaign engine."""
-    return _campaign_run(get_scenario(name).spec(copies=copies), store=store)

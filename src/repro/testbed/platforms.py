@@ -144,7 +144,7 @@ SR1500AL = ServerPlatform(
 )
 
 #: Canonical registry of the measured platforms, keyed by name.  The
-#: CLI, the scenario engine, and the client API all resolve platform
+#: CLI, the run specs, and the client API all resolve platform
 #: names through this one mapping.
 PLATFORMS: dict[str, ServerPlatform] = {
     platform.name: platform for platform in (PE1950, SR1500AL)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.api import (
@@ -21,7 +23,7 @@ from repro.api import (
     results_document,
     schema_major,
 )
-from repro.analysis.specs import CHAPTER4_POLICIES
+from repro.analysis.specs import CHAPTER4_POLICIES, CHAPTER4_POLICY_CHOICES
 from repro.campaign import MemoryStore, run
 from repro.errors import ConfigurationError
 from repro.testbed.platforms import PE1950, PLATFORMS, SR1500AL
@@ -157,9 +159,12 @@ def test_server_request_validation():
 def test_compare_request_validation():
     with pytest.raises(ConfigurationError, match="unknown cooling"):
         CompareRequest(cooling="ICE")
-    cells = CompareRequest(mix="W1", copies=1).cell_requests()
-    assert [cell.policy for cell in cells] == list(CHAPTER4_POLICIES)
-    assert cells[0].policy == "no-limit"
+    cells = CompareRequest(mix="W1", copies=1).cells()
+    assert [spec.policy for spec, _ in cells] == list(CHAPTER4_POLICIES)
+    # Each cell is the equivalent simulate request's one cell.
+    assert cells[0] == SimulateRequest(
+        mix="W1", policy="no-limit", copies=1
+    ).cells()[0]
 
 
 def test_campaign_request_validation():
@@ -170,15 +175,20 @@ def test_campaign_request_validation():
     # A list is checked in place, not converted.
     request = CampaignRequest(grid="ch4", mixes=["W1"], policies=["ts"])
     assert request.mixes == ["W1"]
-    grid, specs = request.cells()
-    assert grid.name == "ch4"
-    assert len(specs) == 1
+    ((spec, echo),) = request.cells()
+    assert spec.kind == "ch4"
+    assert echo == {"type": "cell", "kind": "ch4", **dataclasses.asdict(spec)}
+    # A policy or variant outside the chosen grid is refused at once.
+    with pytest.raises(ConfigurationError, match=r"policies\.0 must be one of"):
+        CampaignRequest(grid="ch5", policies=("ts",))
+    with pytest.raises(ConfigurationError, match=r"variants\.0 must be one of"):
+        CampaignRequest(grid="ch4", variants=("PE1950",))
 
 
 def test_campaign_request_default_axes():
-    grid, specs = CampaignRequest(grid="ch4", copies=1).cells()
+    cells = CampaignRequest(grid="ch4", copies=1).cells()
     # None axes resolve to the grid defaults: every policy, mix W1.
-    assert len(specs) == len(grid.policy_choices)
+    assert len(cells) == len(CHAPTER4_POLICY_CHOICES)
     with pytest.raises(ConfigurationError, match="zero runs"):
         CampaignRequest(grid="ch4", mixes=()).cells()
 
@@ -186,11 +196,11 @@ def test_campaign_request_default_axes():
 def test_scenario_request_validation():
     with pytest.raises(ConfigurationError, match="names must list at least one"):
         ScenarioRequest(names=())
-    with pytest.raises(ConfigurationError, match="unknown scenario"):
-        ScenarioRequest(names=("warp",)).cells()
-    grid, specs = ScenarioRequest(names=("all",), copies=1).cells()
-    assert grid.name == "scenarios"
-    assert len(specs) >= 13
+    with pytest.raises(ConfigurationError, match="unknown scenario 'warp'"):
+        ScenarioRequest(names=("warp",))
+    cells = ScenarioRequest(names=("all",), copies=1).cells()
+    assert cells == CampaignRequest(grid="scenarios", copies=1).cells()
+    assert len(cells) >= 13
 
 
 def test_list_axes_reject_bare_strings():
@@ -310,13 +320,13 @@ def test_streaming_iterator_can_be_abandoned():
     iterator.close()  # must not hang on the rest of the grid
 
 
-def test_client_run_scenarios_and_table():
+def test_client_runs_named_scenarios_and_their_table():
     client = ReproClient()
     request = ScenarioRequest(names=("cold-aisle",), copies=1)
-    envelopes = list(client.run_scenarios(request))
+    envelopes = list(client.run_campaign(request))
     assert len(envelopes) == 1
     assert envelopes[0].scenario == "cold-aisle"
-    headers, rows = client.scenarios_table(request)
+    headers, rows = client.campaign_table(request)
     assert headers[0] == "scenario"
     assert rows[0][0] == "cold-aisle"
 

@@ -122,7 +122,7 @@ def _one_clean_error_line(err: str) -> bool:
 def test_campaign_bad_inputs_fail_cleanly(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     assert main(["campaign", "--mixes", "W1", "--policies", "warp"]) == 2
-    assert "unknown ch4 policies" in capsys.readouterr().err
+    assert "unknown ch4 policy 'warp'" in capsys.readouterr().err
     assert main(["campaign", "--mixes", "", "--policies", "ts"]) == 2
     assert "zero runs" in capsys.readouterr().err
     assert main(["campaign", "--mixes", "W1", "--jobs", "0"]) == 2
@@ -337,7 +337,7 @@ def test_simulate_resume_finishes_from_checkpoint(capsys, tmp_path, monkeypatch)
     GLOBAL_MEMORY.clear()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     request = SimulateRequest(mix="W1", policy="ts", copies=1)
-    spec = request.spec()
+    ((spec, _),) = request.cells()
     uninterrupted = run(spec, store=NullStore())
 
     # Fake the interrupted first half exactly as the CLI would have

@@ -32,7 +32,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.campaigns import run_campaign
 from repro.api import CampaignRequest, ReproClient
 from repro.analysis.specs import (
     CHAPTER5_POLICIES,
@@ -141,19 +140,16 @@ def _homogeneous_payload(platform: str, app: str) -> dict:
 
 def _campaign_payload() -> dict:
     """The formatted campaign tables (the byte-identity check)."""
+    client = ReproClient(NullStore())
     tables = {}
     for grid, policies, variants in (
-        ("ch4", ["ts"], ["AOHS_1.5"]),
-        ("ch5", ["bw"], ["PE1950"]),
+        ("ch4", ("ts",), ("AOHS_1.5",)),
+        ("ch5", ("bw",), ("PE1950",)),
     ):
-        headers, rows = run_campaign(
-            grid,
-            mixes=["W1"],
-            policies=policies,
-            variants=variants,
+        headers, rows = client.campaign_table(CampaignRequest(
+            grid=grid, mixes=("W1",), policies=policies, variants=variants,
             copies=1,
-            store=NullStore(),
-        )
+        ))
         tables[grid] = {"headers": headers, "rows": rows}
     return tables
 

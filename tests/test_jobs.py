@@ -48,6 +48,7 @@ from repro.errors import (
     ConfigurationError,
     ConflictError,
     ReproError,
+    Unavailable,
 )
 from repro.jobs import (
     CANCELLED,
@@ -66,7 +67,6 @@ from repro.jobs import (
     QuotaManager,
     TenantPolicy,
     TokenBucket,
-    expand_job_request,
     job_progress_label,
 )
 from repro.obs.metrics import OVERFLOW_LABEL
@@ -561,7 +561,7 @@ def _run_a_failing_cell(manager, monkeypatch):
 
 def _submit_while_running(manager, monkeypatch):
     manager.start()
-    with pytest.raises(OSError):
+    with pytest.raises(Unavailable, match="No space left"):
         _submit(manager)
     return None
 
@@ -775,14 +775,12 @@ class TestJobsManager:
         assert manager.queue.list_records() == []
 
     def test_compare_job_runs_one_cell_per_scheme(self):
-        specs, echoes = expand_job_request(
-            request_from_dict({"type": "compare", "mix": "W1", "copies": 1})
-        )
-        assert len(specs) == len(echoes) == 8
-        assert {echo["type"] for echo in echoes} == {"simulate"}
-        assert [echo["policy"] for echo in echoes] == [
-            spec.policy for spec in specs
-        ]
+        cells = request_from_dict(
+            {"type": "compare", "mix": "W1", "copies": 1}
+        ).cells()
+        assert len(cells) == 8
+        assert {echo["type"] for _, echo in cells} == {"simulate"}
+        assert all(echo["policy"] == spec.policy for spec, echo in cells)
 
     def test_multi_cell_job_answers_a_results_document(self, tmp_path):
         manager = _manager(tmp_path, MemoryStore())
@@ -1139,11 +1137,13 @@ class TestJobsHttp:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(JobStore, "save", full_disk)
-        status, _ = _http(
+        status, document = _http(
             jobs_service, "POST", "/v1/jobs", {"request": FAST_REQUEST}
         )
         monkeypatch.undo()
-        assert status == 500
+        assert status == 503
+        assert document["reason"] == "job_store_unavailable"
+        assert document["retry_after_s"] > 0
         assert _http(jobs_service, "GET", "/v1/jobs")[1]["jobs"] == []
         status, document = _http(jobs_service, "GET", "/v1/healthz")
         assert status == 200 and document["status"] == "degraded"

@@ -12,8 +12,9 @@ submit --set`` all read that declaration, so for every field of every
 The last two tests draw a bad value for one declared field (NaN,
 +-inf, the wrong type, out of range, an unknown name) and expect the
 same :class:`ConfigurationError` naming the field from the Python
-constructor of a run spec or scenario, and, for a request field, from
-HTTP GET and POST against a live service, CLI flags and ``jobs --set``.
+constructor of a run spec (a library scenario is one), and, for a
+request field, from HTTP GET and POST against a live service, CLI
+flags and ``jobs --set``.
 
 Nothing here runs a simulation: the CLI and ``--set`` arguments are
 only parsed, the query string goes through the service's parser, and
@@ -29,22 +30,27 @@ import re
 import threading
 import urllib.error
 import urllib.request
+from functools import partial
 from urllib.parse import urlencode
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.analysis.campaigns import CAMPAIGN_GRIDS
 from repro.analysis.specs import Chapter4Spec, Chapter5Spec
 from repro.api import ReproService
 from repro.api.requests import (
     REQUEST_SCHEMA,
     REQUEST_TYPES,
+    CampaignRequest,
+    ScenarioRequest,
     request_from_dict,
     request_from_text,
+    split_names,
 )
 from repro.api.service import _params_from_query
 from repro.engine import codec
-from repro.scenarios import Scenario, get_scenario
+from repro.scenarios import get_scenario
 from repro.cli import (
     _build_parser,
     _job_request_from_flags,
@@ -219,14 +225,6 @@ def _bad_values(kind: codec.Kind, owner: object) -> list:
     return [5, NAN, True, None] + (["nope"] if kind.choices else [])
 
 
-def _scenario(spec: type):
-    """A maker of ``spec.kind`` scenarios, on that kind's policy."""
-    def build(**fields):
-        fields = {"policy": spec().policy, **fields}
-        return Scenario(name="probe", description="d", kind=spec.kind, **fields)
-    return build
-
-
 #: Values a ch4 field's kind accepts but the spec refuses across
 #: fields: on the default "ts" policy, a release point at or above the
 #: table's TDP.
@@ -236,29 +234,27 @@ _CH4_RULES = {
 }
 
 
-def _spec_fields(spec: type, make, only=None) -> tuple:
+def _spec_fields(spec: type, make) -> tuple:
     """(make, {field: bad values}) for one construction target."""
     owner = spec()
     rules = _CH4_RULES if spec is Chapter4Spec else {}
     return make, {
         f.name: _bad_values(f.metadata["domain"], owner) + rules.get(f.name, [])
         for f in dataclasses.fields(spec)
-        if only is None or f.name in only
     }
 
 
-_SCENARIO_AXES = {f.name for f in dataclasses.fields(Scenario)}
+def _crossing(name: str):
+    """A maker of library scenario ``name`` with fields replaced."""
+    return partial(dataclasses.replace, get_scenario(name).spec)
+
 
 #: Construction target -> (make, {field: bad values}).
 _TARGETS = {
     "ch4": _spec_fields(Chapter4Spec, Chapter4Spec),
     "ch5": _spec_fields(Chapter5Spec, Chapter5Spec),
-    "scenario-ch4": _spec_fields(
-        Chapter4Spec, _scenario(Chapter4Spec), _SCENARIO_AXES
-    ),
-    "scenario-ch5": _spec_fields(
-        Chapter5Spec, _scenario(Chapter5Spec), _SCENARIO_AXES
-    ),
+    "scenario-ch4": _spec_fields(Chapter4Spec, _crossing("hot-ambient")),
+    "scenario-ch5": _spec_fields(Chapter5Spec, _crossing("server-hot-inlet")),
 }
 
 
@@ -306,12 +302,13 @@ def test_release_points_are_ignored_off_the_ts_policy():
     """Campaigns cross the throttle-storm scenario with every policy;
     only DTM-TS reads the release points."""
     assert Chapter4Spec(policy="bw", amb_trp_c=200.0).amb_trp_c == 200.0
-    get_scenario("throttle-storm").spec(policy="acg")
+    dataclasses.replace(get_scenario("throttle-storm").spec, policy="acg")
 
 
-def _request_cases(kind: codec.Kind) -> list[tuple]:
-    """``(typed value, text or None)`` outside a request field's kind;
-    None marks a value the text surfaces cannot spell."""
+def _request_cases(kind: codec.Kind, good: object) -> list[tuple]:
+    """``(typed value, text or None)`` outside a request field's kind,
+    whose sample value is ``good``; None marks a value the text
+    surfaces cannot spell."""
     if isinstance(kind, codec.Count):
         return [
             (0, "0"), (True, "true"), (1.5, "1.5"), (NAN, "nan"),
@@ -319,19 +316,19 @@ def _request_cases(kind: codec.Kind) -> list[tuple]:
         ]
     if isinstance(kind, codec.Text):
         return [("nope", "nope"), (5, "5"), (NAN, "nan"), (True, "true"), (None, None)]
-    if isinstance(kind, codec.Optional):  # the mixes list
-        return [(("W1", "nope"), "W1,nope"), ("W1", None), ((5,), None)]
-    return [((), None), ("all", None), ((5,), None)]  # the names list
+    # A name list: a bad name after a good one, a bare name, a non-name.
+    item = good[0]
+    cases = [((item, "nope"), f"{item},nope"), (item, None), ((5,), None)]
+    return cases if isinstance(kind, codec.Optional) else [((), None), *cases]
 
 
-#: Request type -> {field: bad cases}, for every field a request takes
-#: from a declared domain (``policies`` and ``variants`` are checked
-#: against the chosen grid when the campaign expands).
+#: Request type -> {field: bad cases}, for every field of every request
+#: (on the default ch4 grid, ``policies`` and ``variants`` take that
+#: grid's policies and coolings).
 _REQUEST_FIELDS = {
     type_tag: {
-        name: _request_cases(spec.kind)
+        name: _request_cases(spec.kind, SAMPLES[type_tag][name][1])
         for name, spec in REQUEST_SCHEMA[cls].items()
-        if name not in ("policies", "variants")
     }
     for type_tag, cls in REQUEST_TYPES.items()
 }
@@ -363,6 +360,9 @@ def _cli_error(type_tag: str, texts: dict[str, str]) -> str:
     for name, text in texts.items():
         if type_tag == "scenarios" and name == "names":
             argv += text.split(",")
+        elif type_tag == "campaign" and name == "variants":
+            grid = CAMPAIGN_GRIDS[texts.get("grid", "ch4")]
+            argv.append(f"{grid.variant_flag}={text}")
         else:
             argv.append(f"--{name}={text}")
     with pytest.raises(ConfigurationError) as excinfo:
@@ -408,3 +408,34 @@ def test_a_bad_request_field_fails_alike_on_every_surface(live_service, data):
     }
     assert len(errors) == 1, errors
     assert re.search(_naming(name), errors.pop())
+
+
+@pytest.mark.parametrize("texts, name", [
+    ({"grid": "ch5", "policies": "bw,ts"}, "policies"),
+    ({"grid": "ch4", "policies": "comb,warp"}, "policies"),
+    ({"grid": "ch5", "variants": "PE1950,AOHS_1.5"}, "variants"),
+    ({"grid": "ch4", "variants": "all"}, "variants"),
+    ({"grid": "scenarios", "variants": "all,warp"}, "variants"),
+])
+def test_a_policy_or_variant_outside_its_grid_fails_alike_on_every_surface(
+    live_service, texts, name
+):
+    """Each grid has its own policies and third axis: a value outside
+    the chosen grid's is refused before any work, naming the field."""
+    typed = {key: split_names(text) if key != "grid" else text
+             for key, text in texts.items()}
+    with pytest.raises(ConfigurationError, match=_naming(name)):
+        CampaignRequest(**typed)
+    errors = {
+        _http_error(live_service, "/v1/campaign", typed),
+        _http_error(live_service, f"/v1/campaign?{urlencode(texts)}"),
+        _cli_error("campaign", texts),
+        _set_error("campaign", texts),
+    }
+    assert len(errors) == 1, errors
+    assert re.search(_naming(name), errors.pop())
+
+
+def test_all_is_a_variant_of_the_scenarios_grid_only():
+    assert CampaignRequest(grid="scenarios", variants=("all",)).variants == ("all",)
+    assert ScenarioRequest(names=("all", "idle-burst")).names == ("all", "idle-burst")

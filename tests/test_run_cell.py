@@ -42,8 +42,14 @@ CELLS = {
 }
 
 
+def _spec(request):
+    """The run spec of a single-cell request."""
+    ((spec, _),) = request.cells()
+    return spec
+
+
 def _via_campaign(request, tmp_path) -> dict:
-    spec = request.spec()
+    spec = _spec(request)
     ((_, outcome),) = Campaign([spec], store=MemoryStore()).iter_outcomes()
     assert not outcome.hit
     return outcome.payload
@@ -70,12 +76,12 @@ def _via_job(request, tmp_path) -> dict:
     JobScheduler(revived, store=store, window_slice=50)._execute(record)
     assert record.status == COMPLETED
     assert "cell_resumed" in [event["event"] for event in record.events]
-    return store.get(request.spec().key())
+    return store.get(_spec(request).key())
 
 
 def _via_checkpoint_file(request, tmp_path) -> dict:
     """An interrupted checkpointed run resumed from its file."""
-    spec = request.spec()
+    spec = _spec(request)
     path = tmp_path / f"{spec.key()}.checkpoint.json"
     interrupted = engine_for_spec(
         spec,
@@ -84,13 +90,8 @@ def _via_checkpoint_file(request, tmp_path) -> dict:
     interrupted.step_windows(80)  # killed right after the window-80 write
     assert path.exists()
     store = MemoryStore()
-    resumable = (
-        ReproClient.simulate_resumable if isinstance(request, SimulateRequest)
-        else ReproClient.server_resumable
-    )
-    envelope = resumable(
-        ReproClient(store=store), request,
-        checkpoint_dir=tmp_path, checkpoint_every=40, resume=True,
+    envelope = ReproClient(store=store).run_resumable(
+        request, checkpoint_dir=tmp_path, checkpoint_every=40, resume=True,
     )
     assert envelope.provenance.cache == "miss"
     assert not path.exists()  # removed on completion
@@ -116,7 +117,7 @@ def test_every_run_cell_caller_yields_the_reference_bytes(
 
     monkeypatch.setattr(BatchedMemSpot, "step", counted)
     request = CELLS[cell]
-    expected, hit, _ = run_payload(request.spec(), NullStore())
+    expected, hit, _ = run_payload(_spec(request), NullStore())
     assert not hit
     windows, stepped[0] = stepped[0], 0
     assert windows > 0
@@ -130,7 +131,7 @@ def test_job_cells_publish_progress_under_the_job_label(tmp_path):
     every snapshot the engine publishes — is ``<job-id>/<key>``."""
     PROGRESS.clear()
     request = CELLS["ch4"]
-    key = request.spec().key()
+    key = _spec(request).key()
     queue = JobQueue(tmp_path / "jobs")
     job_id = queue.submit("t", request_to_dict(request)).job_id
     scheduler = JobScheduler(queue, store=MemoryStore(), window_slice=50)
@@ -155,7 +156,7 @@ def test_job_cells_publish_progress_under_the_job_label(tmp_path):
 
 
 def test_run_cell_without_on_slice_runs_every_slice_to_the_end():
-    spec = CELLS["ch5"].spec()
+    spec = _spec(CELLS["ch5"])
     outcome = run_cell(spec, NullStore(), window_slice=50)
     assert outcome.state is None and outcome.windows > 50
     expected, _, _ = run_payload(spec, NullStore())
@@ -163,7 +164,7 @@ def test_run_cell_without_on_slice_runs_every_slice_to_the_end():
 
 
 def test_a_resumed_cell_skips_the_lookup_and_a_stopped_one_stores_nothing():
-    spec = CELLS["ch5"].spec()
+    spec = _spec(CELLS["ch5"])
     store = MemoryStore()
     stopped = run_cell(spec, store, window_slice=30, on_slice=lambda state: 1)
     assert stopped.payload is None and stopped.result is None

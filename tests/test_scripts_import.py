@@ -50,9 +50,6 @@ SRC = ROOT / "src"
 #: ``python -m repro``, plus every bench, example, tool and perfbench file.
 ROOT_MODULES = ("repro.cli", "repro.api.service", "repro.__main__")
 ROOT_DIRS = ("benchmarks", "examples", "tools", "perfbench")
-#: Modules imported for their side effect alone.  The scenario library
-#: registers the built-in scenarios when ``repro.scenarios`` loads.
-SIDE_EFFECT_MODULES = frozenset({"repro.scenarios.library"})
 
 
 def _module_files() -> dict[str, Path]:
@@ -141,7 +138,7 @@ def test_every_module_is_reachable_from_a_run_path():
     leaves = {
         name for name, path in modules.items() if path.name != "__init__.py"
     }
-    orphans = sorted(leaves - _reachable() - SIDE_EFFECT_MODULES)
+    orphans = sorted(leaves - _reachable())
     assert orphans == []
 
 
