@@ -9,8 +9,8 @@ baseline of every workload).  This module defines the two spec kinds —
 registers their runners with :mod:`repro.campaign`, which provides the
 caching, grid expansion, and parallel execution:
 
-- a process-wide **memory memo** so one pytest session never repeats a
-  run, and
+- a process-wide **memo** of decoded results so one pytest session
+  never repeats a run, and
 - an **on-disk JSON cache** under ``.exp_cache/`` keyed by the
   spec hash, so tests and benches across sessions reuse results.
   Temperature traces are persisted alongside the scalars.

@@ -1,7 +1,7 @@
 """The :class:`ReproClient` façade — the stable programmatic surface.
 
-A client wraps one :class:`~repro.campaign.ResultStore` (the default
-shared memory+disk stack unless told otherwise) and turns typed request
+A client wraps one :class:`~repro.campaign.ResultStore` (the process's
+default result cache unless told otherwise) and turns typed request
 objects into versioned :class:`~repro.api.envelope.ResultEnvelope`
 records.  Every run is a request's ``cells()`` run through the campaign
 engine, so client calls, CLI invocations, jobs and HTTP requests all
@@ -37,7 +37,6 @@ from repro.campaign import (
     ResultStore,
     RunOutcome,
     RunSpec,
-    default_store,
     run_cell,
 )
 from repro.engine import CheckpointFile, CheckpointObserver
@@ -96,17 +95,11 @@ class ReproClient:
     def __init__(
         self, store: ResultStore | None = None, *, backend: Any | None = None
     ) -> None:
-        #: None is a meaningful sentinel ("the default stack"), kept as
-        #: such all the way into the campaign engine: pool workers then
-        #: rebuild their own default store instead of receiving a
-        #: pickled copy of the process-wide memo.
-        self._store = store
+        #: The explicit store, or None for the default cache; pool
+        #: workers then build their own instead of receiving a pickled
+        #: copy of this process's memo.
+        self.store = store
         self._backend = backend
-
-    @property
-    def store(self) -> ResultStore:
-        """The result store backing this client's runs."""
-        return default_store() if self._store is None else self._store
 
     # -- single-cell runs --------------------------------------------------
 
@@ -183,7 +176,7 @@ class ReproClient:
         observer = CheckpointObserver(checkpoint, every_windows=checkpoint_every)
         state = checkpoint.load() if resume and checkpoint.exists() else None
         outcome = run_cell(
-            spec, self._store, resume=state, observers=(observer,)
+            spec, self.store, resume=state, observers=(observer,)
         )
         return cell_envelope(spec, outcome, echo)
 
@@ -206,10 +199,10 @@ class ReproClient:
     # -- internals ---------------------------------------------------------
 
     def _run_cell(self, spec: RunSpec, echo: dict) -> ResultEnvelope:
-        return cell_envelope(spec, run_cell(spec, self._store), echo)
+        return cell_envelope(spec, run_cell(spec, self.store), echo)
 
     def _campaign(self, cells: list, jobs: int) -> Campaign:
         return Campaign(
             [spec for spec, _ in cells],
-            jobs=jobs, store=self._store, backend=self._backend,
+            jobs=jobs, store=self.store, backend=self._backend,
         )

@@ -38,8 +38,8 @@ status polls always answer), but the run routes share
 the bound gets a structured 429 with a ``Retry-After`` header instead
 of forking unbounded work — submit through ``/v1/jobs`` to queue
 instead of racing for slots.  Identical *simultaneous* cold requests
-within the bound are still single-flighted by the store stack
-(:class:`~repro.campaign.stores.SingleFlightStore`).
+within the bound still run one compute: the default result cache
+single-flights them (:class:`~repro.campaign.stores.ResultCache`).
 
 ``serve`` handles SIGTERM by draining: the jobs scheduler checkpoints
 its in-flight window slice and requeues the job (so a restart resumes

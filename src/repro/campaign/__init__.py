@@ -4,8 +4,9 @@
 with write-through caching (``run(spec)`` is its plain view);
 ``sweep()`` expands declarative parameter grids; ``Campaign`` runs a
 batch in parallel with deterministic result order; the
-``ResultStore`` hierarchy makes the cache pluggable (in-memory memo,
-atomic on-disk JSON, null).
+default cache is one process memo of decoded cells over the atomic
+on-disk JSON store, and an explicit ``ResultStore`` (memory, disk,
+null) replaces it.
 
 The chapter-specific runners live in :mod:`repro.analysis.specs`;
 this package knows nothing about thermal simulation — only how to
@@ -33,16 +34,13 @@ from repro.campaign.spec import (
     spec_meta,
 )
 from repro.campaign.stores import (
-    GLOBAL_MEMORY,
     JsonDirStore,
     MemoryStore,
     NullStore,
+    ResultCache,
     ResultStore,
-    SingleFlightStore,
-    TieredStore,
-    cache_dir,
+    default_cache,
     default_disk_store,
-    default_store,
     disk_cache_enabled,
 )
 
@@ -63,15 +61,12 @@ __all__ = [
     "spec_fields",
     "spec_key",
     "spec_meta",
-    "GLOBAL_MEMORY",
     "JsonDirStore",
     "MemoryStore",
     "NullStore",
+    "ResultCache",
     "ResultStore",
-    "SingleFlightStore",
-    "TieredStore",
-    "cache_dir",
+    "default_cache",
     "default_disk_store",
-    "default_store",
     "disk_cache_enabled",
 ]

@@ -12,9 +12,12 @@ byte-identical no matter where the cells ran.
 
 Every returned result is the decode of its cache payload (fresh runs
 are round-tripped through the codec before returning), so fresh and
-cached calls yield identical shapes.  Decoded objects are memoized per
-process by spec key — keys are content hashes of the spec, so a key
-can only ever name one result.
+cached calls yield identical shapes.  ``run_cell`` and ``Campaign``
+look a cell up through one routine, :func:`_lookup`: with no explicit
+store, the default cache's memo of decoded cells
+(:func:`~repro.campaign.stores.default_cache`), otherwise the store's
+``get`` and one decode.  An explicit store is plain ``get``/``put``
+and never fronted by the memo.
 """
 
 from __future__ import annotations
@@ -25,16 +28,21 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.campaign.spec import RunSpec, runner_for, spec_meta
-from repro.campaign.stores import GLOBAL_MEMORY, ResultStore, default_store
+from repro.campaign.stores import ResultCache, ResultStore, default_cache
 from repro.engine.progress import PROGRESS
 from repro.engine.state import EngineState
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 
-#: Per-process memo of decoded results, so repeated cache hits don't
-#: re-decode payloads (temperature traces rebuild point by point).
-_DECODE_MEMO: dict[str, Any] = {}
+
+def _count_request(hit: bool) -> None:
+    """Feed the warm-hit-ratio SLO: one sample per lookup transaction."""
+    METRICS.counter_inc(
+        "repro_store_requests_total",
+        "Result-store lookup transactions by cache outcome",
+        cache="hit" if hit else "miss",
+    )
 
 
 def _decode(kind: str, payload: dict) -> Any:
@@ -47,13 +55,32 @@ def _decode(kind: str, payload: dict) -> Any:
         return None
 
 
-def _decode_cached(kind: str, key: str, payload: dict) -> Any:
-    result = _DECODE_MEMO.get(key)
+def _lookup(
+    kind: str, key: str, store: ResultStore | None, cache: ResultCache | None
+) -> tuple[dict, Any] | None:
+    """The cell's cached ``(payload, result)``, or None on a miss.
+
+    ``cache`` is the default cache when ``store`` is None: its memo
+    first, otherwise its disk store, whose decoded hit then fills the
+    memo.  An undecodable payload (an older schema, a damaged file) is
+    a miss.
+    """
+    if cache is not None:
+        entry = cache.memo.get(key)
+        if entry is not None:
+            return entry
+        store = cache.disk
+        if store is None:
+            return None
+    payload = store.get(key)
+    if payload is None:
+        return None
+    result = _decode(kind, payload)
     if result is None:
-        result = _decode(kind, payload)
-        if result is not None:
-            _DECODE_MEMO[key] = result
-    return result
+        return None
+    if cache is not None:
+        cache.memo[key] = (payload, result)
+    return payload, result
 
 
 @dataclass(frozen=True)
@@ -65,7 +92,7 @@ class RunOutcome:
     None) but the engine checkpoint ``state`` to continue from.
     ``compute_seconds`` is this call's compute wall time (0.0 on a
     hit) and ``windows`` the engine's window count when the call
-    returned (0 on a hit).  ``store_info`` is the store's provenance
+    returned (0 on a hit).  ``store_info`` is the cache's provenance
     for the access: ``{"single_flight": "coalesced"}`` when this call
     was served by another thread's in-flight compute, ``{}``
     otherwise, so plain warm envelopes stay byte-identical.
@@ -97,17 +124,16 @@ def run_cell(
 ) -> RunOutcome:
     """Run one cell on its stepping engine: the only cell runner.
 
-    Looks the cell up in ``store`` (None = the default stack), and on a
+    Looks the cell up (``store`` None = the default cache), and on a
     miss builds the kind's engine with ``observers`` attached, restores
     ``resume``, steps it, finishes it, encodes the result and writes
     the payload back.  A ``resume`` checkpoint marks the cell
     unfinished, so the lookup is skipped and the run continues from it.
 
-    With no ``window_slice`` the cell runs to completion, and without a
-    ``resume`` the lookup-then-compute goes through the store's
-    ``get_or_compute`` transaction, so a single-flight store coalesces
-    concurrent identical cells.  With a ``window_slice`` the engine
-    steps that many windows at a time; at each boundary before the end
+    With no ``window_slice`` the cell runs to completion, and a cold
+    default-cache cell is single-flighted: concurrent identical cells
+    run one compute.  With a ``window_slice`` the engine steps that
+    many windows at a time; at each boundary before the end
     ``on_slice`` receives the engine checkpoint, and a truthy return
     stops the run: the outcome then carries that checkpoint and no
     payload.
@@ -116,20 +142,17 @@ def run_cell(
     label (the cache key when the caller set none).  The engine is only
     built on a miss, so warm reads never pay for its construction.
     """
-    store = default_store() if store is None else store
-    runner = runner_for(spec.kind)
+    cache = default_cache() if store is None else None
     key = spec.key()
-    engine: Any = None
-    stopped: EngineState | None = None
+    if resume is None:
+        entry = _lookup(spec.kind, key, store, cache)
+        if entry is not None:
+            _count_request(hit=True)
+            return RunOutcome(entry[0], entry[1], True, 0.0, {})
 
-    def validate(payload: dict) -> bool:
-        # A payload written under an older result schema won't decode;
-        # treat it as a miss and recompute.
-        return _decode_cached(spec.kind, key, payload) is not None
-
-    def compute() -> tuple[dict | None, dict]:
-        nonlocal engine, stopped
+    def compute() -> RunOutcome:
         started = time.perf_counter()
+        runner = runner_for(spec.kind)
         label = PROGRESS.current_label() or key
         with TRACER.span("cell", key=key, kind=spec.kind):
             with PROGRESS.track(label):
@@ -147,9 +170,11 @@ def run_cell(
                             break
                         state = engine.checkpoint()
                         if on_slice is not None and on_slice(state):
-                            stopped = state
                             seconds = time.perf_counter() - started
-                            return None, {"compute_seconds": seconds}
+                            return RunOutcome(
+                                None, None, False, seconds,
+                                windows=engine.windows, state=state,
+                            )
                     result = engine.finish()
         seconds = time.perf_counter() - started
         METRICS.observe(
@@ -158,63 +183,36 @@ def run_cell(
             seconds,
             kind=spec.kind,
         )
-        return runner.encode(result), {"compute_seconds": seconds}
-
-    meta = spec_meta(spec)
-    if resume is None and window_slice is None:
-        payload, hit, info = store.get_or_compute(
-            key, compute, meta=meta, validate=validate
-        )
-    else:
-        payload = None if resume is not None else cached_payload(spec, store)
-        hit, info = payload is not None, {}
-        if not hit:
-            payload, info = compute()
-            if payload is not None:
-                store.put(key, payload, meta=meta)
-    info = dict(info)
-    seconds = float(info.pop("compute_seconds", 0.0))
-    if payload is None:
-        return RunOutcome(
-            None, None, False, seconds, info,
-            windows=engine.windows, state=stopped,
-        )
-    if hit:
-        result = _decode_cached(spec.kind, key, payload)
+        payload = runner.encode(result)
+        result = _decode(spec.kind, payload)
         if result is None:
-            # Only reachable for a coalesced payload (validated hits
-            # passed ``validate`` above): the leader just produced a
-            # payload that won't decode, which is a codec bug.
+            # A just-produced payload that won't decode is a codec bug;
+            # fail at the source rather than handing back values that
+            # would differ between cached and fresh (or serial and
+            # parallel) calls.
             raise _round_trip_error(spec.kind)
-        return RunOutcome(payload, result, True, 0.0, info)
-    result = _decode(spec.kind, payload)
-    if result is None:
-        # A just-produced payload that won't decode is a codec bug;
-        # fail at the source rather than handing back values that
-        # would differ between cached and fresh (or serial and
-        # parallel) calls.
-        raise _round_trip_error(spec.kind)
-    _DECODE_MEMO[key] = result
-    return RunOutcome(
-        payload, result, False, seconds, info, windows=engine.windows
-    )
+        if cache is None:
+            store.put(key, payload, meta=spec_meta(spec))
+        else:
+            if cache.disk is not None:
+                cache.disk.put(key, payload, meta=spec_meta(spec))
+            cache.memo[key] = (payload, result)
+        return RunOutcome(
+            payload, result, False, seconds, windows=engine.windows
+        )
 
-
-def cached_payload(spec: RunSpec, store: ResultStore | None = None) -> dict | None:
-    """The spec's stored payload, or None when absent or stale-schema.
-
-    The decodability check mirrors :func:`run_cell`'s: a payload
-    written under an older result schema reads as a miss, so callers
-    recompute instead of forwarding undecodable bytes.
-    """
-    store = default_store() if store is None else store
-    key = spec.key()
-    payload = store.get(key)
-    if payload is None:
-        return None
-    if _decode_cached(spec.kind, key, payload) is None:
-        return None
-    return payload
+    if cache is None or resume is not None or window_slice is not None:
+        outcome = compute()
+    else:
+        outcome, coalesced = cache.coalesce(key, compute)
+        if coalesced:
+            outcome = RunOutcome(
+                outcome.payload, outcome.result, True, 0.0,
+                {"single_flight": "coalesced"},
+            )
+    if resume is None:
+        _count_request(hit=outcome.hit)
+    return outcome
 
 
 def run(spec: RunSpec, store: ResultStore | None = None) -> Any:
@@ -291,11 +289,10 @@ class Campaign:
         if jobs < 1:
             raise ConfigurationError("jobs must be >= 1")
         self.jobs = jobs
-        #: None means "the default stack" — kept distinct from the
-        #: resolved store so pool workers can rebuild their own default
-        #: instead of receiving a pickled copy of the shared memo.
-        self._explicit_store = store
-        self.store = default_store() if store is None else store
+        #: The explicit store, or None for the default cache; pool
+        #: workers then build their own instead of receiving a pickled
+        #: copy of this process's memo.
+        self.store = store
         #: Borrowed execution backend (None = build per run).
         self.backend = backend
         for spec in self.specs:
@@ -315,21 +312,6 @@ class Campaign:
         if self.jobs == 1 or cells <= 1:
             return SerialBackend()
         return LocalProcessBackend(jobs=min(self.jobs, cells))
-
-    def _backfill_store(self, backend: Any) -> ResultStore | None:
-        """Where the campaign re-publishes payloads it received.
-
-        - in-process backends wrote through the campaign store already;
-        - an explicit store gets a full write-through (pool workers
-          computed against a pickled copy of it);
-        - otherwise pool workers on this host wrote the default disk
-          layer, so only the process-wide memory memo needs the payload.
-        """
-        if backend.in_process:
-            return None
-        if self._explicit_store is not None:
-            return self.store
-        return GLOBAL_MEMORY
 
     def iter_run(self) -> Iterator[tuple[RunSpec, Any, bool, float]]:
         """Stream ``(spec, result, cache_hit, compute_seconds)`` in spec order.
@@ -356,45 +338,42 @@ class Campaign:
         """Stream ``(spec, RunOutcome)`` in spec order.
 
         Like :meth:`iter_run` but carrying the full provenance,
-        including the store's single-flight info for each cell (``{}``
+        including the cache's single-flight info for each cell (``{}``
         for warm hits and duplicate-spec repeats).
+
+        A pool backend's cells ran in other processes, so the campaign
+        publishes what it receives: into the default cache's memo (the
+        workers wrote this host's disk store themselves), or through
+        the explicit store.
         """
         unique: dict[str, RunSpec] = {}
         for spec in self.specs:
             unique.setdefault(spec.key(), spec)
-        #: key -> spec for backfill metadata, surviving warm-serve
-        #: deletions from ``unique``.
-        spec_of = dict(unique)
-        seen: dict[str, tuple[dict, bool, float, dict]] = {}
+        cache = default_cache() if self.store is None else None
+        seen: dict[str, RunOutcome] = {}
         backend = self.backend
         owned = backend is None
         if owned:
             backend = self._default_backend(len(unique))
-        if not backend.in_process:
-            # Serve cells the campaign's own store already holds before
-            # dispatching anything: a warm cache must not send work to
-            # a fresh pool.
+        in_process = backend.in_process
+        if not in_process:
+            # Serve the cells already cached before dispatching
+            # anything: a warm cache must not send work to a fresh pool.
             for key, spec in list(unique.items()):
-                payload = self.store.get(key)
-                if payload is None:
-                    continue
-                if _decode_cached(spec.kind, key, payload) is None:
-                    continue  # stale-schema payload: recompute
-                seen[key] = (payload, True, 0.0, {})
-                del unique[key]
-        backfill = self._backfill_store(backend)
+                entry = _lookup(spec.kind, key, self.store, cache)
+                if entry is not None:
+                    seen[key] = RunOutcome(entry[0], entry[1], True, 0.0, {})
+                    del unique[key]
         try:
-            backend.submit_cells(
-                list(unique.items()), store=self._explicit_store
-            )
+            backend.submit_cells(list(unique.items()), store=self.store)
             results = backend.iter_results()
-            emitted: dict[str, dict] = {}
+            emitted: dict[str, RunOutcome] = {}
             for spec in self.specs:
                 key = spec.key()
                 if key in emitted:
+                    first = emitted[key]
                     yield spec, RunOutcome(
-                        emitted[key], self._decoded(spec, emitted[key]),
-                        True, 0.0, {},
+                        first.payload, first.result, True, 0.0, {}
                     )
                     continue
                 while key not in seen:
@@ -406,28 +385,24 @@ class Campaign:
                             f"{type(backend).__name__} finished without "
                             f"delivering cell {key}"
                         ) from None
-                    seen[done_key] = (payload, hit, seconds, info)
-                    if backfill is not None:
-                        done_spec = spec_of.get(done_key)
-                        backfill.put(
-                            done_key, payload,
-                            meta=(
-                                spec_meta(done_spec)
-                                if done_spec is not None else None
-                            ),
-                        )
-                payload, hit, seconds, info = seen.pop(key)
-                emitted[key] = payload
-                yield spec, RunOutcome(
-                    payload, self._decoded(spec, payload), hit, seconds,
-                    dict(info),
-                )
+                    done_spec = unique[done_key]
+                    entry = None if cache is None else cache.memo.get(done_key)
+                    if entry is None:
+                        result = _decode(done_spec.kind, payload)
+                        if result is None:
+                            raise _round_trip_error(done_spec.kind)
+                        entry = (payload, result)
+                        if cache is not None:
+                            cache.memo[done_key] = entry
+                        elif not in_process:
+                            self.store.put(
+                                done_key, payload, meta=spec_meta(done_spec)
+                            )
+                    seen[done_key] = RunOutcome(
+                        payload, entry[1], hit, seconds, dict(info)
+                    )
+                emitted[key] = seen.pop(key)
+                yield spec, emitted[key]
         finally:
             if owned:
                 backend.close()
-
-    def _decoded(self, spec: RunSpec, payload: dict) -> Any:
-        result = _decode_cached(spec.kind, spec.key(), payload)
-        if result is None:
-            raise _round_trip_error(spec.kind)
-        return result

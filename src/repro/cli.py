@@ -111,7 +111,7 @@ from repro.obs import (
     render_alert_rules,
     with_overrides,
 )
-from repro.obs.slo import BREACH, NO_DATA, parse_overrides
+from repro.obs.slo import BREACH, parse_overrides, reverdict
 from repro.testbed.platforms import PLATFORMS
 from repro.testbed.runner import run_homogeneous
 
@@ -840,34 +840,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _override_results(slos: list[dict], overrides: dict[str, float]) -> None:
-    """Re-verdict fetched SLO results against client-side thresholds.
-
-    The service reported each objective's measured value; overriding a
-    threshold is therefore a pure client-side re-check — no second
-    scrape, and a deliberate way to gate CI tighter than the deployed
-    defaults (or synthesize a breach to test the gate itself).
-    """
-    known = {entry["name"] for entry in slos}
-    unknown = sorted(set(overrides) - known)
-    if unknown:
-        raise ConfigurationError(
-            f"unknown SLO name(s) {unknown}; known: {sorted(known)}"
-        )
-    for entry in slos:
-        if entry["name"] not in overrides:
-            continue
-        threshold = overrides[entry["name"]]
-        entry["threshold"] = threshold
-        if entry["status"] == NO_DATA or entry["value"] is None:
-            continue
-        if entry["direction"] == "le":
-            satisfied = entry["value"] <= threshold
-        else:
-            satisfied = entry["value"] >= threshold
-        entry["status"] = "ok" if satisfied else BREACH
-
-
 def _cmd_slo(args: argparse.Namespace) -> int:
     overrides = parse_overrides(args.overrides)
     if args.action == "rules":
@@ -877,7 +849,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         "GET", args.url.rstrip("/") + "/v1/slo", timeout_s=30.0
     )
     slos = document.get("slos", [])
-    _override_results(slos, overrides)
+    reverdict(slos, overrides)
     breaches = sum(1 for entry in slos if entry["status"] == BREACH)
     document["breaches"] = breaches
     document["status"] = BREACH if breaches else "ok"

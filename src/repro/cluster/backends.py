@@ -9,7 +9,7 @@ The protocol is two calls per batch:
 
 - ``submit_cells(cells, store=...)`` hands over the unique
   ``(key, spec)`` cells.  ``store`` is the campaign's *explicit* store
-  or ``None`` for "each executor resolves its own default stack" —
+  or ``None`` for "each executor resolves its own default cache" —
   the sentinel convention the process pool has always used.
 - ``iter_results()`` yields
   ``(key, payload, hit, compute_seconds, store_info)`` once per
@@ -29,7 +29,7 @@ process pool can serve many grids::
 
 The ``in_process`` class flag tells the campaign whether payloads were
 already written through its store.  Pool workers run on this host and
-share its default disk layer, so after a pool run only the campaign's
+share its default disk store, so after a pool run only the campaign's
 in-process memo (or its explicit store) needs the payloads.
 """
 
@@ -122,10 +122,10 @@ def _pool_worker_execute(
 ) -> CellResult:
     """Pool-worker entry: run one spec, return its :data:`CellResult`.
 
-    With no explicit store the worker uses its own default stack, so
+    With no explicit store the worker uses its own default cache, so
     results cached by earlier campaigns (or sibling workers) hit the
-    shared disk layer; an explicit store arrives as a pickled copy, so
-    its disk layers are shared but memory layers are private.
+    shared disk store; an explicit store arrives as a pickled copy, so
+    a disk store is shared but a memory store is private.
     """
     outcome = run_cell(spec, store)
     return (

@@ -394,6 +394,9 @@ class JobsManager:
                 cells_total=len(cells), trace=TRACER.propagation_header(),
             )
         except OSError as error:
+            # Refused: the retry that Retry-After asks for must not
+            # find the token spent.
+            self.quotas.refund(tenant)
             raise Unavailable(
                 f"the job record could not be written ({error}); retry later",
                 reason="job_store_unavailable",

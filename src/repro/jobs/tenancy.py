@@ -86,6 +86,11 @@ class TokenBucket:
             return True
         return False
 
+    def give_back(self) -> None:
+        """Return one token :meth:`take` consumed (capped at the burst)."""
+        self._refill()
+        self._tokens = min(self.burst, self._tokens + 1.0)
+
     def seconds_until_token(self) -> float:
         """How long until :meth:`take` would succeed."""
         self._refill()
@@ -155,6 +160,17 @@ class QuotaManager:
                     retry_after_s=bucket.seconds_until_token(),
                 )
             self._admitted[key] = self._admitted.get(key, 0) + 1
+
+    def refund(self, tenant: str) -> None:
+        """Undo one :meth:`admit` of ``tenant`` whose submit was then
+        refused (its record could not be written): the token and the
+        admitted count go back."""
+        with self._lock:
+            key = self._bucket_key(tenant)
+            bucket = self._buckets.get(key)
+            if bucket is not None:
+                bucket.give_back()
+                self._admitted[key] -= 1
 
     def usage(self) -> dict[str, dict]:
         """Per-tenant admitted counts (for ``/metrics`` and debugging)."""

@@ -221,6 +221,35 @@ def with_overrides(
     )
 
 
+def reverdict(slos: list[dict], overrides: dict[str, float]) -> None:
+    """Re-verdict fetched ``GET /v1/slo`` results in place against
+    overridden thresholds.
+
+    The service reported each objective's measured value, so an
+    override is a client-side re-check through :func:`with_overrides`
+    (unknown names raise) and the objective's own comparison: no second
+    scrape, and a way to gate CI tighter than the deployed defaults.
+    """
+    specs = with_overrides(
+        tuple(
+            SloSpec(
+                name=entry["name"], description=entry["description"],
+                kind=entry["kind"], metric=entry["metric"],
+                threshold=entry["threshold"], direction=entry["direction"],
+            )
+            for entry in slos
+        ),
+        overrides,
+    )
+    for entry, spec in zip(slos, specs):
+        if spec.name not in overrides:
+            continue
+        entry["threshold"] = spec.threshold
+        value = entry["value"]
+        if entry["status"] != NO_DATA and value is not None:
+            entry["status"] = OK if _satisfied(value, spec) else BREACH
+
+
 def parse_overrides(pairs: list[str]) -> dict[str, float]:
     """``["name=0.5", ...]`` -> ``{"name": 0.5}`` (CLI plumbing)."""
     overrides: dict[str, float] = {}

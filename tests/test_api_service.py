@@ -163,11 +163,9 @@ def test_scenarios_run_route(service):
 
 
 def test_progress_route_reports_engine_runs(service, tmp_path, monkeypatch):
-    from repro.campaign import GLOBAL_MEMORY
     from repro.engine import PROGRESS
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    GLOBAL_MEMORY.clear()
     PROGRESS.clear()
     spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
     # Cold-run the cell through the simulate route so the service's

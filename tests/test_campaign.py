@@ -21,15 +21,16 @@ from repro.analysis.specs import (
     trace_from_dict,
 )
 from repro.campaign import (
-    GLOBAL_MEMORY,
     Campaign,
     JsonDirStore,
     MemoryStore,
     NullStore,
-    TieredStore,
+    default_cache,
+    engine_for_spec,
     register_runner,
     registered_kinds,
     run,
+    run_cell,
     runner_for,
     spec_key,
     sweep,
@@ -315,16 +316,33 @@ def test_json_dir_store_concurrent_writers_never_tear_or_lose(tmp_path):
     assert not list(tmp_path.rglob("*.tmp.*"))
 
 
-def test_tiered_store_backfills_front_layers(tmp_path):
-    front = MemoryStore()
-    back = JsonDirStore(tmp_path)
-    store = TieredStore([front, back])
-    back.put("k", {"a": 1})
-    assert front.get("k") is None
-    assert store.get("k") == {"a": 1}
-    assert front.get("k") == {"a": 1}  # backfilled
-    store.put("j", {"b": 2})
-    assert front.get("j") == {"b": 2} and back.get("j") == {"b": 2}
+def _count_disk_reads(monkeypatch) -> list[str]:
+    """Record the key of every ``JsonDirStore.get`` from here on."""
+    reads: list[str] = []
+    real_get = JsonDirStore.get
+
+    def counting_get(self, key):
+        reads.append(key)
+        return real_get(self, key)
+
+    monkeypatch.setattr(JsonDirStore, "get", counting_get)
+    return reads
+
+
+def test_disk_hit_fills_the_memo(tmp_path, monkeypatch):
+    """A default-cache hit on disk is decoded once into the memo; the
+    next lookup of the key reads the memo, not the disk."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    key = SquareSpec(31).key()
+    JsonDirStore(tmp_path).put(key, {"value": 31, "square": 961})
+    reads = _count_disk_reads(monkeypatch)
+    _CALLS["square"] = 0
+    first = run_cell(SquareSpec(31), None)
+    assert first.hit and first.result == {"value": 31, "square": 961}
+    assert default_cache().memo[key] == (first.payload, first.result)
+    assert run_cell(SquareSpec(31), None).result is first.result
+    assert reads == [key] and _CALLS["square"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +374,6 @@ def test_torn_trace_payload_is_a_miss_and_recomputes(tmp_path, damage):
     """A cached ch4 payload with a torn or corrupted trace column is
     refused by the trace codec, so the cell recomputes and the record
     is rewritten, instead of serving the damaged trace."""
-    from repro.campaign import run_cell
-    from repro.campaign.engine import _DECODE_MEMO
-
     spec = Chapter4Spec(mix="W1", policy="ts", copies=1, record_trace=True)
     store = JsonDirStore(tmp_path)
     fresh = run_cell(spec, store)
@@ -375,7 +390,6 @@ def test_torn_trace_payload_is_a_miss_and_recomputes(tmp_path, damage):
     with pytest.raises(CheckpointError, match=match):
         trace_from_dict(trace)
 
-    _DECODE_MEMO.pop(spec.key(), None)  # as in a fresh process
     again = run_cell(spec, store)
     assert not again.hit
     assert len(again.result.trace) == len(fresh.result.trace) > 3
@@ -388,15 +402,14 @@ def test_torn_trace_payload_is_a_miss_and_recomputes(tmp_path, damage):
 
 
 def test_run_short_circuits_on_cache_hit(tmp_path):
-    store = TieredStore([MemoryStore(), JsonDirStore(tmp_path)])
+    store = JsonDirStore(tmp_path)
     _CALLS["square"] = 0
     first = run(SquareSpec(7), store)
     second = run(SquareSpec(7), store)
     assert first == second == {"value": 7, "square": 49}
     assert _CALLS["square"] == 1  # runner not invoked twice for one key
-    # A fresh memory layer over the same disk store still hits disk.
-    cold = TieredStore([MemoryStore(), JsonDirStore(tmp_path)])
-    assert run(SquareSpec(7), cold) == first
+    # A second store over the same directory still hits disk.
+    assert run(SquareSpec(7), JsonDirStore(tmp_path)) == first
     assert _CALLS["square"] == 1
 
 
@@ -432,17 +445,14 @@ def test_campaign_workers_honor_explicit_store(tmp_path, monkeypatch):
     key = SquareSpec(21).key()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "default"))
     JsonDirStore(tmp_path / "default").put(key, poison)
-    GLOBAL_MEMORY.put(key, poison)
-    try:
-        own = JsonDirStore(tmp_path / "own")
-        specs = sweep(SquareSpec, {"value": (21, 22)})
-        results = Campaign(specs, jobs=2, store=own).run()
-        # A worker that consulted the default stack would return the
-        # poisoned payload instead of recomputing.
-        assert [r["square"] for r in results] == [441, 484]
-        assert own.get(key) == {"value": 21, "square": 441}
-    finally:
-        GLOBAL_MEMORY._data.pop(key, None)
+    default_cache().memo[key] = (poison, poison)
+    own = JsonDirStore(tmp_path / "own")
+    specs = sweep(SquareSpec, {"value": (21, 22)})
+    results = Campaign(specs, jobs=2, store=own).run()
+    # A campaign or worker that consulted the default cache would
+    # return the poisoned payload instead of recomputing.
+    assert [r["square"] for r in results] == [441, 484]
+    assert own.get(key) == {"value": 21, "square": 441}
 
 
 def test_campaign_parallel_real_runs_match_serial(tmp_path, monkeypatch):
@@ -469,11 +479,48 @@ def test_campaign_worker_results_populate_parent_store():
     assert store.get(SquareSpec(11).key()) == {"value": 11, "square": 121}
 
 
-def test_global_memory_is_default_front(monkeypatch, tmp_path):
+def test_default_cache_memo_serves_repeat_runs(monkeypatch, tmp_path):
+    """A fresh run fills the memo and the disk store; a repeat is a
+    memo hit that reads neither the disk nor the runner."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    key = SquareSpec(9).key()
     _CALLS["square"] = 0
-    GLOBAL_MEMORY._data.pop(SquareSpec(9).key(), None)
-    run(SquareSpec(9))
-    run(SquareSpec(9))
-    assert _CALLS["square"] == 1
-    assert GLOBAL_MEMORY.get(SquareSpec(9).key()) is not None
+    first = run_cell(SquareSpec(9), None)
+    reads = _count_disk_reads(monkeypatch)
+    second = run_cell(SquareSpec(9), None)
+    assert not first.hit and second.hit
+    assert second.result is first.result
+    assert _CALLS["square"] == 1 and reads == []
+    assert default_cache().memo[key] == (first.payload, first.result)
+    assert JsonDirStore(tmp_path).get(key) == {"value": 9, "square": 81}
+
+
+def test_an_explicit_store_never_changes_a_default_cache_result(
+    tmp_path, monkeypatch
+):
+    """A store that answers one W1/no-limit payload for every key
+    serves it to its own caller only: a later default-cache ``run()``
+    of the idle-burst spec still returns idle-burst's own result."""
+    from dataclasses import replace
+
+    from repro.scenarios import get_scenario
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    idle = replace(get_scenario("idle-burst").spec, copies=1)
+    own = run_result_to_dict(engine_for_spec(idle).run_to_completion())
+    JsonDirStore(tmp_path).put(idle.key(), own, meta=spec_meta(idle))
+    no_limit = run_cell(
+        Chapter4Spec(mix="W1", policy="no-limit", copies=1), NullStore()
+    ).payload
+
+    class OnePayloadStore(NullStore):
+        def get(self, key):
+            return no_limit
+
+    foreign = run_cell(idle, OnePayloadStore())
+    assert foreign.hit and foreign.payload == no_limit
+    result = run(idle)
+    assert result == run_result_from_dict(own)
+    assert result.runtime_s != foreign.result.runtime_s

@@ -94,16 +94,13 @@ def test_campaign_command(capsys, tmp_path, monkeypatch):
 
 
 def test_campaign_parallel_output_is_deterministic(capsys, tmp_path, monkeypatch):
-    from repro.campaign import GLOBAL_MEMORY
-
-    GLOBAL_MEMORY.clear()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c1"))
     args = ["campaign", "--grid", "ch5", "--mixes", "W1",
             "--policies", "bw,comb", "--copies", "1"]
     assert main(args + ["--jobs", "2"]) == 0
     parallel_out = capsys.readouterr().out
-    # Fresh caches so the serial run really recomputes.
-    GLOBAL_MEMORY.clear()
+    # A fresh cache directory (and so a fresh memo): the serial run
+    # really recomputes.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "c2"))
     assert main(args + ["--jobs", "1"]) == 0
     serial_out = capsys.readouterr().out
@@ -292,9 +289,6 @@ def test_simulate_with_checkpoint_dir_matches_plain_run(capsys, tmp_path, monkey
     leaves no checkpoint files once the run completes."""
     import json
 
-    from repro.campaign import GLOBAL_MEMORY
-
-    GLOBAL_MEMORY.clear()  # the suite-shared memo would turn the cold run into a hit
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     ckpt_dir = tmp_path / "ckpt"
     assert main(["simulate", "--mix", "W1", "--policy", "ts", "--copies", "1",
@@ -332,9 +326,6 @@ def test_simulate_resume_finishes_from_checkpoint(capsys, tmp_path, monkeypatch)
     from repro.campaign import NullStore, engine_for_spec, run
     from repro.engine import CheckpointFile, CheckpointObserver
 
-    from repro.campaign import GLOBAL_MEMORY
-
-    GLOBAL_MEMORY.clear()
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     request = SimulateRequest(mix="W1", policy="ts", copies=1)
     ((spec, _),) = request.cells()

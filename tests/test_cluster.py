@@ -11,10 +11,10 @@ import pytest
 
 from repro.analysis.specs import Chapter4Spec, Chapter5Spec
 from repro.campaign import (
-    GLOBAL_MEMORY,
     Campaign,
     JsonDirStore,
     MemoryStore,
+    default_cache,
     register_runner,
     run_payload,
     spec_key,
@@ -173,8 +173,12 @@ class _PrivateStoreBackend(SerialBackend):
             yield key, payload, hit, seconds, {}
 
 
-def test_pool_payloads_backfill_the_campaign_store(tmp_path, monkeypatch):
+def test_pool_payloads_fill_the_explicit_store_or_the_memo(
+    tmp_path, monkeypatch
+):
     # Explicit store: payloads computed elsewhere land in it.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
     store = MemoryStore()
     Campaign(
         [ClusterSquareSpec(91)], store=store, backend=_PrivateStoreBackend()
@@ -182,12 +186,15 @@ def test_pool_payloads_backfill_the_campaign_store(tmp_path, monkeypatch):
     assert store.get(ClusterSquareSpec(91).key()) == {
         "value": 91, "square": 8281,
     }
-    # Default store: pool workers wrote this host's disk layer
-    # themselves, so the campaign fills only the in-process memo.
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert default_cache().memo == {}
+    # Default cache: pool workers wrote this host's disk store
+    # themselves, so the campaign fills the parent's memo and nothing
+    # else.
     key = ClusterSquareSpec(92).key()
-    Campaign([ClusterSquareSpec(92)], backend=_PrivateStoreBackend()).run()
-    assert GLOBAL_MEMORY.get(key) == {"value": 92, "square": 8464}
+    (result,) = Campaign(
+        [ClusterSquareSpec(92)], backend=_PrivateStoreBackend()
+    ).run()
+    assert default_cache().memo == {key: ({"value": 92, "square": 8464}, result)}
     assert JsonDirStore(tmp_path).get(key) is None
 
 

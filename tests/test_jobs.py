@@ -1121,6 +1121,38 @@ class TestJobsHttp:
             service.server_close()
             thread.join(timeout=5)
 
+    def test_refused_submit_spends_no_rate_token(self, tmp_path, monkeypatch):
+        """A submit refused with 503 (its record cannot be written)
+        gives its rate token back, so the retry is accepted."""
+        quotas = QuotaManager(TenantPolicy(rate_per_s=0.001, burst=1))
+        manager = JobsManager(
+            str(tmp_path / "jobs-r"), store=MemoryStore(), quotas=quotas
+        )
+        service = ReproService(port=0, jobs=manager)
+        thread = threading.Thread(target=service.serve_forever, daemon=True)
+        thread.start()
+        try:
+            def full_disk(store, record):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            monkeypatch.setattr(JobStore, "save", full_disk)
+            status, document = _http(
+                service, "POST", "/v1/jobs", {"request": FAST_REQUEST}
+            )
+            monkeypatch.undo()
+            assert status == 503
+            assert document["reason"] == "job_store_unavailable"
+            assert quotas.usage() == {"default": {"admitted": 0}}
+            status, document = _http(
+                service, "POST", "/v1/jobs", {"request": FAST_REQUEST}
+            )
+            assert status == 202, document
+            assert quotas.usage() == {"default": {"admitted": 1}}
+        finally:
+            service.shutdown()
+            service.server_close()
+            thread.join(timeout=5)
+
     def test_healthz_reports_queue_and_backend(self, jobs_service):
         status, document = _http(jobs_service, "GET", "/v1/healthz")
         assert status == 200

@@ -26,7 +26,9 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import pytest
 
@@ -37,8 +39,10 @@ from repro.analysis.specs import Chapter4Spec
 from repro.api import ReproService
 from repro.campaign import (
     MemoryStore,
-    SingleFlightStore,
     engine_for_spec,
+    register_runner,
+    run_cell,
+    spec_key,
 )
 from repro.engine.progress import PROGRESS, ProgressBroker
 from repro.errors import ConfigurationError
@@ -358,8 +362,39 @@ class TestMetricsMoved:
         )
 
 
+@dataclass(frozen=True)
+class GateSpec:
+    """A synthetic cell whose compute waits on ``_GATES[value]`` if set."""
+
+    kind: ClassVar[str] = "test-obs-gate"
+
+    value: int = 1
+
+    def key(self) -> str:
+        return spec_key(self)
+
+
+_GATES: dict = {}
+
+
+class _GateEngine:
+    windows = 1
+
+    def __init__(self, spec: GateSpec, extra_observers: tuple = ()) -> None:
+        self.spec = spec
+
+    def run_to_completion(self) -> dict:
+        gate = _GATES.get(self.spec.value)
+        if gate is not None:
+            gate.wait(timeout=10)
+        return {"v": self.spec.value}
+
+
+register_runner("test-obs-gate", _GateEngine, encode=dict, decode=dict)
+
+
 class TestStoreMetrics:
-    def test_get_or_compute_counts_hits_and_misses(self):
+    def test_lookups_count_hits_and_misses(self):
         before_hit = METRICS.counter_total(
             "repro_store_requests_total", cache="hit"
         )
@@ -367,9 +402,8 @@ class TestStoreMetrics:
             "repro_store_requests_total", cache="miss"
         )
         store = MemoryStore()
-        store.get_or_compute("k1", lambda: ({"v": 1}, {}))
-        store.get_or_compute("k1", lambda: ({"v": 1}, {}))
-        store.get_or_compute("k1", lambda: ({"v": 1}, {}))
+        for _ in range(3):
+            run_cell(GateSpec(1), store)
         assert METRICS.counter_total(
             "repro_store_requests_total", cache="miss"
         ) == before_miss + 1
@@ -377,29 +411,27 @@ class TestStoreMetrics:
             "repro_store_requests_total", cache="hit"
         ) == before_hit + 2
 
-    def test_single_flight_counts_led_and_coalesced(self):
+    def test_single_flight_counts_led_and_coalesced(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
         before_led = METRICS.counter_total(
             "repro_store_single_flight_total", outcome="led"
         )
         before_coalesced = METRICS.counter_total(
             "repro_store_single_flight_total", outcome="coalesced"
         )
-        store = SingleFlightStore(MemoryStore(), scope="test-obs-sf")
         gate = threading.Barrier(3)
         release = threading.Event()
-
-        def compute():
-            release.wait(timeout=10)
-            return {"v": 1}, {}
+        monkeypatch.setitem(_GATES, 2, release)
 
         def racer():
             gate.wait()
-            store.get_or_compute("cold", compute)
+            run_cell(GateSpec(2), None)
 
         pool = [threading.Thread(target=racer) for _ in range(3)]
         for thread in pool:
             thread.start()
-        # Leader is blocked inside compute(); give the other two time
+        # Leader is blocked inside its compute; give the other two time
         # to reach the flight table as followers, then release.
         time.sleep(0.2)
         release.set()
@@ -786,5 +818,5 @@ def _prime_store() -> None:
     """Drive >= min_events store lookups so warm_hit_ratio has data."""
     store = MemoryStore()
     for _ in range(6):
-        store.get_or_compute("prime-a", lambda: ({"v": 1}, {}))
-        store.get_or_compute("prime-b", lambda: ({"v": 2}, {}))
+        run_cell(GateSpec(3), store)
+        run_cell(GateSpec(4), store)

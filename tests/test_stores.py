@@ -1,9 +1,10 @@
-"""The store stack: single-flight dedup, the one disk layout.
+"""The default result cache's single-flight, and the one disk layout.
 
 The acceptance-critical properties live here:
 
-- N concurrent identical cold requests perform exactly 1 compute and
-  0 torn reads (single-flight coalescing + atomic disk publishes).
+- N concurrent identical cold cells through the default cache perform
+  exactly 1 compute, and concurrent writers cause 0 torn reads
+  (single-flight coalescing + atomic disk publishes).
 - A ``JsonDirStore`` miss opens exactly one path; files outside the
   ``<hh>/<key>.json`` layout are never served.
 - A bare payload file (no record wrapper) is never served.
@@ -16,27 +17,24 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
+import pytest
+
 from repro.campaign import (
     CACHE_VERSION,
     JsonDirStore,
-    MemoryStore,
-    SingleFlightStore,
-    TieredStore,
+    default_cache,
     register_runner,
     run_cell,
     spec_key,
 )
-from repro.campaign.stores import (
-    UNRECORDED,
-    default_disk_store,
-    flights_in_progress,
-)
+from repro.campaign.stores import UNRECORDED, default_disk_store
 
 #: Thread-count multiplier for the hammer tests (CI stress leg sets 4).
 STRESS = max(1, int(os.environ.get("REPRO_STORE_STRESS", "1")))
@@ -57,6 +55,11 @@ class CubeSpec:
         return spec_key(self)
 
 
+#: CubeSpec value -> a callable its engine runs before finishing, so a
+#: test can hold, fail or re-enter one cell's compute.
+_HOOKS: dict = {}
+
+
 class _CubeEngine:
     """The smallest engine ``run_cell`` runs whole: one window, no state."""
 
@@ -66,16 +69,21 @@ class _CubeEngine:
         self.spec = spec
 
     def run_to_completion(self) -> dict:
+        hook = _HOOKS.get(self.spec.value)
+        if hook is not None:
+            hook()
         return {"value": self.spec.value, "cube": self.spec.value**3}
 
 
 register_runner("test-cube", _CubeEngine, encode=dict, decode=dict)
 
 
-def _scope(request) -> str:
-    # A per-test flight scope keeps these tests out of the "default"
-    # scope shared by every default_store() stack in the process.
-    return f"test:{request.node.name}"
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """The default cache over an empty ``tmp_path`` disk store."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    return default_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -149,73 +157,81 @@ def test_concurrent_thread_writers_same_key_no_torn_reads(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_single_flight_n_cold_requests_one_compute(tmp_path, request):
-    store = SingleFlightStore(JsonDirStore(tmp_path), scope=_scope(request))
-    key = CubeSpec(3).key()
+def test_single_flight_n_cold_requests_one_compute(fresh_cache, monkeypatch):
+    spec = CubeSpec(3)
     computes, lock = [], threading.Lock()
     gate = threading.Barrier(6 * STRESS)
-    results: list[tuple[dict, bool, dict]] = []
+    outcomes: list = []
 
-    def compute() -> tuple[dict, dict]:
+    def hold() -> None:
         with lock:
             computes.append(threading.get_ident())
         time.sleep(0.05)  # hold the flight open so followers pile up
-        return {"cube": 27}, {"compute_seconds": 0.05}
+
+    monkeypatch.setitem(_HOOKS, spec.value, hold)
 
     def ask() -> None:
         gate.wait()
-        outcome = store.get_or_compute(key, compute)
+        outcome = run_cell(spec, None)
         with lock:
-            results.append(outcome)
+            outcomes.append(outcome)
 
     threads = [threading.Thread(target=ask) for _ in range(6 * STRESS)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the flight-table races finely
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
 
+    assert not any(t.is_alive() for t in threads)
     assert len(computes) == 1  # exactly one compute across the stampede
-    assert all(payload == {"cube": 27} for payload, _, _ in results)
-    misses = [info for _, hit, info in results if not hit]
-    hits = [info for _, hit, info in results if hit]
-    assert len(misses) == 1
-    assert all(info.get("single_flight") == "coalesced" for info in hits)
-    assert flights_in_progress(_scope(request)) == 0
-    # The leader's publish reached the disk layer for everyone after.
-    assert store.get(key) == {"cube": 27}
+    assert len(outcomes) == 6 * STRESS
+    assert all(o.payload == {"value": 3, "cube": 27} for o in outcomes)
+    assert len([o for o in outcomes if not o.hit]) == 1
+    assert all(
+        o.store_info == {"single_flight": "coalesced"}
+        for o in outcomes if o.hit
+    )
+    assert fresh_cache.flights == {}
+    # The leader's publish reached the disk store for everyone after.
+    assert fresh_cache.disk.get(spec.key()) == {"value": 3, "cube": 27}
 
 
-def test_single_flight_leader_failure_followers_recover(request):
-    store = SingleFlightStore(MemoryStore(), scope=_scope(request))
-    key = "test-cube-doomed"
+def test_single_flight_leader_failure_followers_recover(fresh_cache, monkeypatch):
+    spec = CubeSpec(4)
     computes, lock = [], threading.Lock()
     leading = threading.Event()
     started = threading.Barrier(4)
     failures: list[BaseException] = []
-    served: list[tuple[dict, bool]] = []
+    served: list = []
+    leader = threading.current_thread()  # replaced before any compute
 
-    def doomed() -> tuple[dict, dict]:
-        leading.set()
-        started.wait()
-        time.sleep(0.05)  # let the followers park on the flight
-        raise RuntimeError("leader dies empty-handed")
+    def compute() -> None:
+        if threading.current_thread() is leader:
+            leading.set()
+            started.wait()
+            time.sleep(0.05)  # let the followers park on the flight
+            raise RuntimeError("leader dies empty-handed")
+        with lock:
+            computes.append(threading.get_ident())
+
+    monkeypatch.setitem(_HOOKS, spec.value, compute)
 
     def lead() -> None:
         try:
-            store.get_or_compute(key, doomed)
+            run_cell(spec, None)
         except RuntimeError as error:
             failures.append(error)
 
-    def compute() -> tuple[dict, dict]:
-        with lock:
-            computes.append(threading.get_ident())
-        return {"ok": True}, {}
-
     def follow() -> None:
         started.wait()
-        payload, hit, _ = store.get_or_compute(key, compute)
+        outcome = run_cell(spec, None)
         with lock:
-            served.append((payload, hit))
+            served.append(outcome)
 
     leader = threading.Thread(target=lead)
     leader.start()
@@ -224,40 +240,44 @@ def test_single_flight_leader_failure_followers_recover(request):
     for t in threads:
         t.start()
     for t in [leader, *threads]:
-        t.join()
+        t.join(timeout=30)
 
+    assert not any(t.is_alive() for t in [leader, *threads])
     assert len(failures) == 1  # the leader's own error reached it
     assert len(served) == 3
-    for payload, hit in served:
-        assert payload == {"ok": True}
-        assert not hit  # recovered by computing, not by coalescing
+    for outcome in served:
+        assert outcome.payload == {"value": 4, "cube": 64}
+        assert not outcome.hit  # recovered by computing, not by coalescing
     assert len(computes) == 3  # every follower recovered independently
-    assert flights_in_progress(_scope(request)) == 0
+    assert fresh_cache.flights == {}
 
 
-def test_single_flight_owner_reenters_without_deadlock(request):
-    store = SingleFlightStore(MemoryStore(), scope=_scope(request))
-    key = "test-cube-nested"
+def test_single_flight_owner_reenters_without_deadlock(fresh_cache, monkeypatch):
+    spec = CubeSpec(6)
     nested: list = []
+    depth = []
 
-    def compute() -> tuple[dict, dict]:
-        # A nested get_or_compute under our own flight computes directly
-        # instead of waiting on ourselves.
-        nested.append(store.get_or_compute(key, lambda: ({"n": 1}, {})))
-        assert flights_in_progress(_scope(request)) == 1
-        return nested[0][0], {}
+    def reenter() -> None:
+        # A nested run of the cell this thread leads computes directly
+        # instead of waiting on its own flight.
+        if not depth:
+            depth.append(1)
+            nested.append(run_cell(spec, None))
+            assert list(fresh_cache.flights) == [spec.key()]
 
-    payload, hit, _ = store.get_or_compute(key, compute)
-    assert nested[0][0] == {"n": 1} and not nested[0][1]
-    assert payload == {"n": 1} and not hit
-    assert flights_in_progress(_scope(request)) == 0
+    monkeypatch.setitem(_HOOKS, spec.value, reenter)
+    outcome = run_cell(spec, None)
+    assert nested[0].payload == {"value": 6, "cube": 216}
+    assert not nested[0].hit
+    assert outcome.payload == {"value": 6, "cube": 216} and not outcome.hit
+    assert fresh_cache.flights == {}
 
 
-def test_run_cell_reports_flight_provenance(tmp_path, request):
-    store = SingleFlightStore(JsonDirStore(tmp_path), scope=_scope(request))
-    cold = run_cell(CubeSpec(5), store)
+def test_run_cell_reports_flight_provenance(fresh_cache):
+    cold = run_cell(CubeSpec(5), None)
     assert not cold.hit and cold.payload["cube"] == 125
-    warm = run_cell(CubeSpec(5), store)
+    assert cold.store_info == {}
+    warm = run_cell(CubeSpec(5), None)
     assert warm.hit and warm.store_info == {}
 
 
@@ -360,15 +380,18 @@ def test_default_disk_store_follows_cache_env(tmp_path, monkeypatch):
     assert default_disk_store() is None
 
 
-def test_single_flight_wraps_default_stack(tmp_path, monkeypatch):
-    from repro.campaign.stores import default_store
-
+def test_default_cache_is_built_once_per_cache_env(tmp_path, monkeypatch):
+    """One cache per (``REPRO_CACHE``, ``REPRO_CACHE_DIR``); a change of
+    either builds a new one with an empty memo."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
-    stack = default_store()
-    assert isinstance(stack, SingleFlightStore)
-    assert isinstance(stack.inner, TieredStore)
+    cache = default_cache()
+    assert default_cache() is cache
+    assert isinstance(cache.disk, JsonDirStore) and cache.disk.root == tmp_path
+    run_cell(CubeSpec(7), None)
+    assert CubeSpec(7).key() in cache.memo
     monkeypatch.setenv("REPRO_CACHE", "0")
-    memory_only = default_store()
-    assert isinstance(memory_only, SingleFlightStore)
-    assert isinstance(memory_only.inner, MemoryStore)
+    memory_only = default_cache()
+    assert memory_only is not cache
+    assert memory_only.disk is None and memory_only.memo == {}
+    assert default_cache() is memory_only

@@ -26,13 +26,13 @@ diffable JSON file instead of anecdotes.  Current probes:
   so disk weather cancels), and the CPU-side cost per checkpoint
   (snapshot + serialize + encode, no I/O) must stay under an absolute
   60 us budget.
-- ``warm_hit_latency`` — per-hit cost of a warm ``get_or_compute``
-  through the ``JsonDirStore`` disk layer and through the
-  memory-fronted tiered stack (reps interleaved).
+- ``warm_hit_latency`` — per-hit cost of a warm Fig. 4.3 cell read
+  through ``JsonDirStore.get`` and through the default result cache's
+  lookup (a warm ``run_cell(spec, None)``), reps interleaved.
 - ``single_flight_dedup`` — N threads stampede one cold Fig. 4.3 cell
-  through a ``SingleFlightStore``; the bench asserts exactly one
-  compute ran (the PR 7 acceptance bar) and reports the wall clock
-  next to the solo-cell time.
+  through the default result cache under a temporary
+  ``REPRO_CACHE_DIR``; the bench asserts exactly one compute ran and
+  reports the wall clock next to the solo-cell time.
 - ``job_queue_throughput`` — submit-to-complete latency through the
   ``repro.jobs`` service: warm single-cell jobs at 1/8/32 queued
   (the per-job queue overhead — persist, schedule, envelope), and one
@@ -52,6 +52,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -71,8 +72,6 @@ from repro.campaign import (  # noqa: E402
     JsonDirStore,
     MemoryStore,
     NullStore,
-    SingleFlightStore,
-    TieredStore,
     engine_for_spec,
     run_cell,
     run_payload,
@@ -86,6 +85,7 @@ from repro.engine import (  # noqa: E402
     EngineStateSerializer,
     Observer,
 )
+from repro.obs.metrics import METRICS  # noqa: E402
 from repro.params.thermal_params import AOHS_1_5, ISOLATED_AMBIENT  # noqa: E402
 from repro.workloads.mixes import get_mix  # noqa: E402
 
@@ -324,77 +324,84 @@ def bench_checkpoint_overhead(repeats: int) -> dict:
     }
 
 
-def bench_warm_hit_latency(repeats: int, hits: int = 2000) -> dict:
-    """Per-hit cost of warm lookups through the store stack.
+@contextlib.contextmanager
+def _default_cache_in(root: str):
+    """Point the default result cache at an enabled disk store under
+    ``root`` for the block, then restore the environment."""
+    names = ("REPRO_CACHE", "REPRO_CACHE_DIR")
+    saved = {name: os.environ.get(name) for name in names}
+    os.environ["REPRO_CACHE"] = "1"
+    os.environ["REPRO_CACHE_DIR"] = root
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
 
-    One payload (a realistic ~1 KB record) is served ``hits`` times
-    from the disk store and from the memory-fronted tiered stack.
-    Reps interleave the variants so disk weather hits both equally.
+
+def bench_warm_hit_latency(repeats: int, hits: int = 2000) -> dict:
+    """Per-hit cost of warm lookups of one cell.
+
+    One Fig. 4.3 cell is computed once into a fresh default cache, then
+    read ``hits`` times through ``JsonDirStore.get`` (a file open and
+    JSON parse per hit) and through the default cache's lookup (a warm
+    ``run_cell``: one memo read).  Reps interleave the variants so disk
+    weather hits both equally.
     """
     import tempfile
 
-    payload = {"trace": [round(0.1 * i, 3) for i in range(100)], "ok": 1}
-    key = "bench-warmhit-00aa"
+    spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
+    key = spec.key()
 
-    def drive(store) -> float:
-        compute = lambda: (payload, {})  # noqa: E731 (never called warm)
+    def drive_disk(store) -> float:
         started = time.perf_counter()
         for _ in range(hits):
-            _, hit, _ = store.get_or_compute(key, compute)
-            assert hit
+            assert store.get(key) is not None
+        return time.perf_counter() - started
+
+    def drive_cache() -> float:
+        started = time.perf_counter()
+        for _ in range(hits):
+            assert run_cell(spec, None).hit
         return time.perf_counter() - started
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-warm-") as root:
-        flat = JsonDirStore(Path(root) / "flat")
-        tiered = SingleFlightStore(
-            TieredStore([MemoryStore(), JsonDirStore(Path(root) / "tier")]),
-            scope="bench-warmhit",
-        )
-        for store in (flat, tiered):
-            store.put(key, payload)
-        samples = {name: [] for name in ("flat", "tiered")}
-        for _ in range(repeats):
-            samples["flat"].append(drive(flat))
-            samples["tiered"].append(drive(tiered))
+        with _default_cache_in(root):
+            run_cell(spec, None)
+            disk = JsonDirStore(root)
+            samples = {"flat": [], "cache": []}
+            for _ in range(repeats):
+                samples["flat"].append(drive_disk(disk))
+                samples["cache"].append(drive_cache())
 
     best = {name: min(times) for name, times in samples.items()}
     return {
         "description": (
-            f"{hits} warm get_or_compute hits on one ~1 KB entry: "
-            f"JsonDirStore vs the memory-fronted single-flight stack "
-            f"(reps interleaved)"
+            f"{hits} warm hits on one W1/ts cell: JsonDirStore.get vs "
+            f"the default result cache's lookup (reps interleaved)"
         ),
         "hits": hits,
         "flat_us_per_hit": round(best["flat"] / hits * 1e6, 2),
-        "tiered_us_per_hit": round(best["tiered"] / hits * 1e6, 2),
+        "cache_us_per_hit": round(best["cache"] / hits * 1e6, 2),
     }
 
 
-class _CountingFlightStore(SingleFlightStore):
-    """A single-flight store that counts how many computes actually ran."""
-
-    def __init__(self, inner, *, scope: str) -> None:
-        super().__init__(inner, scope=scope)
-        self.computes = 0
-        self._count_lock = threading.Lock()
-
-    def get_or_compute(self, key, compute, meta=None, validate=None):
-        def counted():
-            with self._count_lock:
-                self.computes += 1
-            return compute()
-
-        return super().get_or_compute(key, counted, meta, validate)
+def _computes(kind: str) -> int:
+    """Cell computes this process finished, by the compute histogram."""
+    return METRICS.histogram_stats("repro_cell_compute_seconds", kind=kind)[0]
 
 
 def bench_single_flight_dedup(threads: int = 6) -> dict:
     """N threads stampede one cold cell; exactly one compute may run.
 
-    This is the concurrent-service scenario the
-    :class:`SingleFlightStore` exists for: without coalescing the
-    stampede runs ``threads`` identical GIL-bound simulations.  The
-    bench times the coalesced stampede against the solo cell and
-    asserts the dedup (1 compute, everyone served the same payload).
+    This is the concurrent-service case the default result cache's
+    single-flight exists for: without coalescing the stampede runs
+    ``threads`` identical GIL-bound simulations.  The bench times the
+    coalesced stampede against the solo cell and asserts the dedup (1
+    compute, everyone served the same payload).
     """
     import tempfile
 
@@ -404,30 +411,29 @@ def bench_single_flight_dedup(threads: int = 6) -> dict:
     solo_seconds = time.perf_counter() - solo_started
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-sf-") as root:
-        store = _CountingFlightStore(
-            TieredStore([MemoryStore(), JsonDirStore(Path(root))]),
-            scope="bench-single-flight",
-        )
-        gate = threading.Barrier(threads)
-        outcomes: list = []
-        lock = threading.Lock()
+        with _default_cache_in(root):
+            gate = threading.Barrier(threads)
+            outcomes: list = []
+            lock = threading.Lock()
 
-        def stampede() -> None:
-            gate.wait()
-            outcome = run_cell(spec, store)
-            with lock:
-                outcomes.append(outcome)
+            def stampede() -> None:
+                gate.wait()
+                outcome = run_cell(spec, None)
+                with lock:
+                    outcomes.append(outcome)
 
-        pool = [threading.Thread(target=stampede) for _ in range(threads)]
-        started = time.perf_counter()
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join()
-        stampede_seconds = time.perf_counter() - started
+            pool = [threading.Thread(target=stampede) for _ in range(threads)]
+            before = _computes(spec.kind)
+            started = time.perf_counter()
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join()
+            stampede_seconds = time.perf_counter() - started
+            computes = _computes(spec.kind) - before
 
-    assert store.computes == 1, (
-        f"stampede of {threads} ran {store.computes} computes; "
+    assert computes == 1, (
+        f"stampede of {threads} ran {computes} computes; "
         f"single-flight must coalesce them into 1"
     )
     assert len(outcomes) == threads
@@ -437,15 +443,15 @@ def bench_single_flight_dedup(threads: int = 6) -> dict:
     )
     return {
         "description": (
-            f"{threads} threads stampede one cold W1/ts cell through a "
-            f"SingleFlightStore: exactly 1 compute serves everyone"
+            f"{threads} threads stampede one cold W1/ts cell through the "
+            f"default result cache: exactly 1 compute serves everyone"
         ),
         "threads": threads,
-        "computes": store.computes,
+        "computes": computes,
         "coalesced_followers": coalesced,
         "solo_cell_seconds": round(solo_seconds, 4),
         "stampede_seconds": round(stampede_seconds, 4),
-        "computes_saved": threads - store.computes,
+        "computes_saved": threads - computes,
     }
 
 
@@ -641,7 +647,7 @@ def main(argv: list[str] | None = None) -> int:
         if headline is None and "flat_us_per_hit" in bench:
             print(
                 f"  {name}: flat {bench['flat_us_per_hit']} us/hit, "
-                f"tiered {bench['tiered_us_per_hit']} us/hit"
+                f"default cache {bench['cache_us_per_hit']} us/hit"
             )
             continue
         if headline is None and "warm_1_jobs_ms_per_job" in bench:
