@@ -12,34 +12,8 @@
   caches them in memory and on disk so the 25+ benches don't recompute
   the same (workload, policy, cooling) runs.
 - :mod:`repro.analysis.campaigns` — named parameter grids for the
-  ``python -m repro campaign`` subcommand.  Not re-exported here: it
-  builds on :mod:`repro.scenarios`, which builds on the specs, so
-  importing it from this package would make the two packages import
-  each other.
+  ``python -m repro campaign`` subcommand.
+
+The package itself imports nothing: import the submodule you need, so a
+table renderer never loads the simulators.
 """
-
-from repro.analysis.normalize import geometric_mean, normalize_map
-from repro.analysis.tables import format_csv, format_table, sparkline
-from repro.analysis.series import downsample, summarize_series
-from repro.analysis.specs import (
-    Chapter4Spec,
-    Chapter5Spec,
-    bench_copies,
-    run_chapter4,
-    run_chapter5,
-)
-
-__all__ = [
-    "geometric_mean",
-    "normalize_map",
-    "format_csv",
-    "format_table",
-    "sparkline",
-    "downsample",
-    "summarize_series",
-    "Chapter4Spec",
-    "Chapter5Spec",
-    "bench_copies",
-    "run_chapter4",
-    "run_chapter5",
-]

@@ -25,7 +25,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Any, ClassVar
+from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.campaign import register_runner, run, spec_key
 from repro.core.results import RunResult, TemperatureTrace
@@ -58,10 +58,12 @@ from repro.params.thermal_params import (
     INTEGRATED_AMBIENT,
     ISOLATED_AMBIENT,
 )
-from repro.testbed.performance import ServerWindowModel
 from repro.testbed.platforms import PLATFORMS, ServerPlatform
-from repro.testbed.runner import ServerRunResult, ServerSimulator
 from repro.workloads.mixes import MIX
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.testbed.performance import ServerWindowModel
+    from repro.testbed.runner import ServerRunResult
 
 __all__ = [
     "AMBIENT_MODELS",
@@ -325,7 +327,14 @@ def make_chapter5_policy(name: str, platform: ServerPlatform) -> DTMPolicy:
 
 
 def _chapter5_engine(spec: Chapter5Spec, extra_observers: tuple = ()):
-    """A stepping engine for one Chapter 5 spec (checkpoint/slice surface)."""
+    """A stepping engine for one Chapter 5 spec (checkpoint/slice surface).
+
+    The testbed simulator loads here, not with this module, so a
+    Chapter 4 run never imports it.
+    """
+    from repro.testbed.performance import ServerWindowModel
+    from repro.testbed.runner import ServerSimulator
+
     platform = _platform_for(spec)
     model_key = f"{spec.platform}|{spec.amb_tdp_c}"
     model = _server_models.get(model_key)
@@ -384,7 +393,13 @@ def _result_from_dict(cls: type, raw: dict) -> Any:
 #: Each kind's payload codec: the results differ, the encoding does not.
 run_result_to_dict = server_result_to_dict = result_to_dict
 run_result_from_dict = partial(_result_from_dict, RunResult)
-server_result_from_dict = partial(_result_from_dict, ServerRunResult)
+
+
+def server_result_from_dict(raw: dict) -> ServerRunResult:
+    """Rebuild a Chapter 5 result (the testbed runner loads on first use)."""
+    from repro.testbed.runner import ServerRunResult
+
+    return _result_from_dict(ServerRunResult, raw)
 
 
 register_runner(

@@ -16,7 +16,7 @@ The same surface is exposed over HTTP by ``python -m repro serve``
 (see :mod:`repro.api.service`) and echoed by every CLI ``--json`` flag.
 """
 
-import importlib
+from repro import lazy_exports
 
 #: Public name -> the submodule defining it.  Names load on first use,
 #: so importing one submodule (``repro.api.http`` from the jobs client,
@@ -44,12 +44,4 @@ _EXPORTS = {
     "serve": "service",
 }
 
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    if name not in _EXPORTS:
-        raise AttributeError(f"module 'repro.api' has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"repro.api.{_EXPORTS[name]}"), name)
-    globals()[name] = value
-    return value
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

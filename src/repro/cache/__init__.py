@@ -12,14 +12,3 @@ This package provides:
   insertion-rate-proportional occupancy fixed point that predicts each
   co-runner's effective cache share.
 """
-
-from repro.cache.setassoc import SetAssociativeCache
-from repro.cache.mrc import MissRatioCurve, measured_mrc
-from repro.cache.sharing import SharedCacheModel
-
-__all__ = [
-    "SetAssociativeCache",
-    "MissRatioCurve",
-    "measured_mrc",
-    "SharedCacheModel",
-]

@@ -13,60 +13,29 @@ this package knows nothing about thermal simulation — only how to
 execute, cache, and order runs.
 """
 
-from repro.campaign.engine import (
-    Campaign,
-    RunOutcome,
-    run,
-    run_cell,
-    run_payload,
-    sweep,
-)
-from repro.campaign.spec import (
-    CACHE_VERSION,
-    Runner,
-    RunSpec,
-    engine_for_spec,
-    register_runner,
-    registered_kinds,
-    runner_for,
-    spec_fields,
-    spec_key,
-    spec_meta,
-)
-from repro.campaign.stores import (
-    JsonDirStore,
-    MemoryStore,
-    NullStore,
-    ResultCache,
-    ResultStore,
-    default_cache,
-    default_disk_store,
-    disk_cache_enabled,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Campaign",
-    "RunOutcome",
-    "run",
-    "run_cell",
-    "run_payload",
-    "sweep",
-    "CACHE_VERSION",
-    "Runner",
-    "RunSpec",
-    "engine_for_spec",
-    "register_runner",
-    "registered_kinds",
-    "runner_for",
-    "spec_fields",
-    "spec_key",
-    "spec_meta",
-    "JsonDirStore",
-    "MemoryStore",
-    "NullStore",
-    "ResultCache",
-    "ResultStore",
-    "default_cache",
-    "default_disk_store",
-    "disk_cache_enabled",
-]
+_EXPORTS = {
+    "Campaign": "engine",
+    "RunOutcome": "engine",
+    "run": "engine",
+    "run_cell": "engine",
+    "run_payload": "engine",
+    "sweep": "engine",
+    "CACHE_VERSION": "spec",
+    "RunSpec": "spec",
+    "engine_for_spec": "spec",
+    "register_runner": "spec",
+    "registered_kinds": "spec",
+    "runner_for": "spec",
+    "spec_key": "spec",
+    "JsonDirStore": "stores.disk",
+    "MemoryStore": "stores.base",
+    "NullStore": "stores.base",
+    "ResultStore": "stores.base",
+    "default_cache": "stores.cache",
+    "default_disk_store": "stores.cache",
+    "disk_cache_enabled": "stores.cache",
+}
+
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -15,6 +15,7 @@ worker imports the defining module, which re-registers the runner.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -42,9 +43,18 @@ class RunSpec(Protocol):
         ...
 
 
+#: Instance attribute holding a spec's computed key; not a dataclass
+#: field, so it is never hashed itself.
+_KEY_ATTR = "_spec_key"
+
+
 def _key_fields(spec: RunSpec) -> dict:
     excluded = getattr(spec, "KEY_EXCLUDED_FIELDS", ())
-    return {k: v for k, v in spec.__dict__.items() if k not in excluded}
+    return {
+        f.name: getattr(spec, f.name)
+        for f in dataclasses.fields(spec)
+        if f.name not in excluded
+    }
 
 
 def spec_key(spec: RunSpec) -> str:
@@ -56,12 +66,21 @@ def spec_key(spec: RunSpec) -> str:
     presentation metadata (e.g. the scenario label) and are left out,
     so differently-labeled descriptions of the same physical run share
     one cache entry.
+
+    A spec is frozen, so its key is hashed once and kept on the
+    instance: a warm request asks for it at lookup and again for the
+    envelope's provenance.
     """
-    payload = json.dumps(_key_fields(spec), sort_keys=True, default=str)
-    digest = hashlib.sha256(
-        f"{CACHE_VERSION}|{spec.kind}|{payload}".encode()
-    ).hexdigest()
-    return f"{spec.kind}-{digest[:20]}"
+    key = spec.__dict__.get(_KEY_ATTR)
+    if key is None:
+        payload = json.dumps(_key_fields(spec), sort_keys=True, default=str)
+        digest = hashlib.sha256(
+            f"{CACHE_VERSION}|{spec.kind}|{payload}".encode()
+        ).hexdigest()
+        key = f"{spec.kind}-{digest[:20]}"
+        # Frozen dataclasses refuse setattr; the key is no field.
+        object.__setattr__(spec, _KEY_ATTR, key)
+    return key
 
 
 def spec_fields(spec: RunSpec) -> dict:

@@ -41,6 +41,12 @@ Every run — ad-hoc or named — is a typed request's cells
 (:mod:`repro.api.requests`) executed through the campaign engine, so
 results are cached, deduplicated, and identical across entry points.
 
+Each call is a fresh process whose warm answer is mostly imports, so
+the module imports only what the parser and the run commands share;
+``serve``, ``jobs``, ``homogeneous``, ``slo`` and ``trace`` import
+their own dependencies in their handlers, and ``simulate`` never
+loads the HTTP service, the job layer or the testbed runner.
+
 Examples::
 
     python -m repro simulate --mix W1 --policy acg
@@ -69,51 +75,29 @@ from pathlib import Path
 
 from repro.analysis.campaigns import CAMPAIGN_GRIDS
 from repro.analysis.tables import format_csv, format_series, format_table
-from repro.api import (
-    REQUEST_TYPES,
+from repro.api.client import ReproClient
+from repro.api.envelope import (
     SCHEMA_VERSION,
-    CampaignRequest,
-    CompareRequest,
-    ReproClient,
-    ScenarioRequest,
-    ServerRequest,
-    SimulateRequest,
     dumps_canonical,
     results_document,
     scenarios_document,
-    serve,
 )
-from repro.api.http import call_json
 from repro.api.requests import (
     REQUEST_SCHEMA,
+    REQUEST_TYPES,
+    CampaignRequest,
+    CompareRequest,
+    ScenarioRequest,
+    ServerRequest,
+    SimulateRequest,
     request_from_text,
     request_to_dict,
 )
-from repro.campaign import (
-    CACHE_VERSION,
-    default_disk_store,
-    disk_cache_enabled,
-)
+from repro.campaign.spec import CACHE_VERSION
+from repro.campaign.stores import default_disk_store, disk_cache_enabled
 from repro.cluster import BACKEND_CHOICES, backend_for
-from repro.jobs import (
-    JobsClient,
-    JobsManager,
-    QuotaManager,
-    TenantPolicy,
-)
 from repro.errors import ConfigurationError, ReproError
-from repro.obs import (
-    DEFAULT_SLOS,
-    LOG,
-    TRACER,
-    chrome_trace,
-    read_jsonl,
-    render_alert_rules,
-    with_overrides,
-)
-from repro.obs.slo import BREACH, parse_overrides, reverdict
 from repro.testbed.platforms import PLATFORMS
-from repro.testbed.runner import run_homogeneous
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -564,6 +548,8 @@ def _cmd_server(args: argparse.Namespace) -> int:
 
 
 def _cmd_homogeneous(args: argparse.Namespace) -> int:
+    from repro.testbed.runner import run_homogeneous
+
     platform = PLATFORMS[args.platform]
     trace, _ = run_homogeneous(platform, args.app, duration_s=args.duration)
     crossed = next(
@@ -705,6 +691,8 @@ def _print_job_line(job: dict) -> None:
 
 
 def _cmd_jobs(args: argparse.Namespace) -> int:
+    from repro.jobs.client import JobsClient
+
     client = JobsClient(args.url)
     if args.action == "submit":
         document = client.submit(
@@ -758,6 +746,8 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
 
 
 def _parse_tenant_quota(item: str) -> tuple[str, TenantPolicy]:
+    from repro.jobs.tenancy import TenantPolicy
+
     name, eq, spec = item.partition("=")
     parts = spec.split(",")
     if not eq or not name or len(parts) != 3:
@@ -776,6 +766,8 @@ def _parse_tenant_quota(item: str) -> tuple[str, TenantPolicy]:
 
 
 def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
+    from repro.jobs import JobsManager, QuotaManager, TenantPolicy
+
     quotas = QuotaManager(
         default=TenantPolicy(
             max_active=args.quota_max_active,
@@ -795,6 +787,9 @@ def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
 
 def _apply_obs_flags(args: argparse.Namespace) -> None:
     """Honor --trace / --log-json before the service starts."""
+    from repro.obs.log import LOG
+    from repro.obs.trace import TRACER
+
     if args.trace:
         TRACER.configure(enabled=True)
     if args.log_json:
@@ -802,6 +797,9 @@ def _apply_obs_flags(args: argparse.Namespace) -> None:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.api.http import call_json
+    from repro.obs.trace import chrome_trace, read_jsonl
+
     if (args.input is None) == (args.url is None):
         raise ConfigurationError(
             "trace export needs exactly one span source: --input JSONL "
@@ -841,6 +839,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_slo(args: argparse.Namespace) -> int:
+    from repro.api.http import call_json
+    from repro.obs.slo import (
+        BREACH,
+        DEFAULT_SLOS,
+        parse_overrides,
+        render_alert_rules,
+        reverdict,
+        with_overrides,
+    )
+
     overrides = parse_overrides(args.overrides)
     if args.action == "rules":
         print(render_alert_rules(with_overrides(DEFAULT_SLOS, overrides)), end="")
@@ -875,6 +883,8 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.api.service import serve
+
     _apply_obs_flags(args)
     jobs = _jobs_manager_from_flags(args) if args.jobs else None
     if not args.jobs and args.tenant_quota:

@@ -36,14 +36,16 @@ in-process memo (or its explicit store) needs the payloads.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import ClassVar, Iterator, Sequence
+from typing import TYPE_CHECKING, ClassVar, Iterator, Sequence
 
 from repro.campaign.engine import run_cell
 from repro.campaign.spec import RunSpec
 from repro.campaign.stores import ResultStore
 from repro.errors import ConfigurationError
 from repro.obs.trace import TRACER
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 #: One submitted cell: (cache key, run spec).
 Cell = tuple[str, RunSpec]
@@ -171,6 +173,9 @@ class LocalProcessBackend(ExecutionBackend):
         if self._closed:
             raise ConfigurationError("backend is closed")
         if self._pool is None:
+            # Imported here: a serial run never loads multiprocessing.
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(max_workers=self.jobs)
         return self._pool
 

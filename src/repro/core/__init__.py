@@ -15,21 +15,3 @@ flat, bit-identical form, :class:`repro.core.kernel.BatchedMemSpot`;
 :class:`repro.core.simulator.TwoLevelSimulator` wires both levels to the
 batch-job scheduler and runs a workload to completion.
 """
-
-from repro.core.windowmodel import MemoryEnvelope, WindowModel, WindowResult
-from repro.core.memspot import MemSpot, MemSpotSample
-from repro.core.simulator import SimulationConfig, TwoLevelSimulator
-from repro.core.results import RunResult
-from repro.core.calibration import calibrate_envelope
-
-__all__ = [
-    "MemoryEnvelope",
-    "WindowModel",
-    "WindowResult",
-    "MemSpot",
-    "MemSpotSample",
-    "SimulationConfig",
-    "TwoLevelSimulator",
-    "RunResult",
-    "calibrate_envelope",
-]

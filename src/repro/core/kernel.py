@@ -20,7 +20,7 @@ lists, and splits a window in two:
   strategy's window cache) reuses the load it built once.
 - :meth:`BatchedMemSpot.step` is the state half: the Eq. 3.6 ambient
   node, the Eq. 3.5 RC update of each AMB and DRAM, and the chain
-  peaks, returned as a :class:`~repro.core.memspot.MemSpotSample`.  The
+  peaks, returned as a :class:`MemSpotSample`.  The
   default FBDIMM topology, four DIMMs per channel, gets that pass
   unrolled over local variables; every other length runs the loop.
 
@@ -38,12 +38,30 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from repro.core.memspot import MemSpotSample
 from repro.engine.codec import Field, Float, ListOf
 from repro.errors import ConfigurationError, ThermalModelError
 from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
 from repro.units import GB
+
+
+class MemSpotSample(NamedTuple):
+    """One MEMSpot step's outputs.
+
+    A named tuple, not a dataclass: the kernel returns one per 10 ms
+    window, and the tuple builds at a fraction of the cost while keeping
+    attribute access and ``==``.  The scalar ``MemSpot`` oracle returns
+    the same type.
+    """
+
+    #: Hottest AMB temperature across the chain, degC.
+    amb_c: float
+    #: Hottest DRAM temperature across the chain, degC.
+    dram_c: float
+    #: DRAM ambient (memory inlet) temperature, degC.
+    ambient_c: float
+    #: Total memory subsystem power (all channels), watts.
+    memory_power_w: float
 
 
 class ThermalLoad(NamedTuple):

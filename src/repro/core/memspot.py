@@ -17,32 +17,13 @@ policy polling every sensor would act on).
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
+from repro.core.kernel import MemSpotSample
 from repro.errors import ConfigurationError
 from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
 from repro.power.dimm_power import ChannelTraffic, channel_dimm_powers
 from repro.thermal.integrated import AmbientModel
 from repro.thermal.isolated import DimmThermalModel
-
-
-class MemSpotSample(NamedTuple):
-    """One MEMSpot step's outputs.
-
-    A named tuple, not a dataclass: the batched kernel returns one per
-    10 ms window, and the tuple builds at a fraction of the cost while
-    keeping attribute access and ``==``.
-    """
-
-    #: Hottest AMB temperature across the chain, degC.
-    amb_c: float
-    #: Hottest DRAM temperature across the chain, degC.
-    dram_c: float
-    #: DRAM ambient (memory inlet) temperature, degC.
-    ambient_c: float
-    #: Total memory subsystem power (all channels), watts.
-    memory_power_w: float
 
 
 class MemSpot:

@@ -80,7 +80,7 @@ class DTMPolicy(abc.ABC):
 
         ``reading`` is anything with ``amb_c``/``dram_c`` attributes
         (degC): a :class:`ThermalReading`, or the engine's last
-        :class:`~repro.core.memspot.MemSpotSample`, which the simulators
+        :class:`~repro.core.kernel.MemSpotSample`, which the simulators
         pass as is instead of building a reading per window.
         """
 

@@ -11,33 +11,19 @@ Layer stack::
     repro.api / cli       <- envelopes, /v1/progress, --checkpoint-dir
 """
 
-from repro.engine.observers import (
-    CheckpointObserver,
-    Observer,
-    ProgressObserver,
-    TraceRecorder,
-)
-from repro.engine.progress import PROGRESS, ProgressBroker
-from repro.engine.state import (
-    ENGINE_STATE_VERSION,
-    CheckpointFile,
-    EngineState,
-    EngineStateSerializer,
-)
-from repro.engine.stepping import RunStrategy, SteppingEngine, WindowOutcome
+from repro import lazy_exports
 
-__all__ = [
-    "ENGINE_STATE_VERSION",
-    "PROGRESS",
-    "CheckpointFile",
-    "CheckpointObserver",
-    "EngineState",
-    "EngineStateSerializer",
-    "Observer",
-    "ProgressBroker",
-    "ProgressObserver",
-    "RunStrategy",
-    "SteppingEngine",
-    "TraceRecorder",
-    "WindowOutcome",
-]
+_EXPORTS = {
+    "CheckpointFile": "state",
+    "CheckpointObserver": "observers",
+    "ENGINE_STATE_VERSION": "state",
+    "EngineState": "state",
+    "EngineStateSerializer": "state",
+    "Observer": "observers",
+    "PROGRESS": "progress",
+    "ProgressObserver": "observers",
+    "SteppingEngine": "stepping",
+    "TraceRecorder": "observers",
+}
+
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

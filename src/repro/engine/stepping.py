@@ -77,8 +77,7 @@ from repro.errors import CheckpointError, SimulationError
 from repro.obs.trace import engine_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.core.kernel import ThermalLoad
-    from repro.core.memspot import MemSpotSample
+    from repro.core.kernel import MemSpotSample, ThermalLoad
     from repro.engine.observers import Observer
 
 

@@ -12,51 +12,21 @@ One package answers "what is this process doing and is it healthy":
 - :mod:`repro.obs.log` — one-line JSON logs correlated by trace id.
 """
 
-from repro.obs.log import LOG, StructuredLog
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    METRICS,
-    OVERFLOW_LABEL,
-    MetricsRegistry,
-)
-from repro.obs.slo import (
-    DEFAULT_SLOS,
-    SloResult,
-    SloSpec,
-    evaluate,
-    render_alert_rules,
-    slo_document,
-    with_overrides,
-)
-from repro.obs.trace import (
-    TRACE_HEADER,
-    TRACER,
-    Span,
-    Tracer,
-    TracingObserver,
-    chrome_trace,
-    read_jsonl,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_BUCKETS",
-    "DEFAULT_SLOS",
-    "LOG",
-    "METRICS",
-    "OVERFLOW_LABEL",
-    "MetricsRegistry",
-    "Span",
-    "SloResult",
-    "SloSpec",
-    "StructuredLog",
-    "TRACER",
-    "TRACE_HEADER",
-    "Tracer",
-    "TracingObserver",
-    "chrome_trace",
-    "evaluate",
-    "read_jsonl",
-    "render_alert_rules",
-    "slo_document",
-    "with_overrides",
-]
+_EXPORTS = {
+    "DEFAULT_SLOS": "slo",
+    "METRICS": "metrics",
+    "MetricsRegistry": "metrics",
+    "SloSpec": "slo",
+    "StructuredLog": "log",
+    "TracingObserver": "trace",
+    "chrome_trace": "trace",
+    "evaluate": "slo",
+    "read_jsonl": "trace",
+    "render_alert_rules": "slo",
+    "slo_document": "slo",
+    "with_overrides": "slo",
+}
+
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -14,59 +14,3 @@ The values are deliberately kept as plain dataclasses / dictionaries so a
 user can construct modified copies for sensitivity studies without touching
 library code.
 """
-
-from repro.params.dram_timing import DDR2Timing, FBDIMMChannelParams, SimulatedSystemParams
-from repro.params.power_params import (
-    AMBPowerParams,
-    DRAMPowerParams,
-    ProcessorPowerTable,
-    SIMULATED_CPU_POWER,
-    XEON_5160_POWER,
-)
-from repro.params.thermal_params import (
-    AmbientModelParams,
-    CoolingConfig,
-    ThermalResistances,
-    AOHS_1_0,
-    AOHS_1_5,
-    AOHS_3_0,
-    FDHS_1_0,
-    FDHS_1_5,
-    FDHS_3_0,
-    COOLING_CONFIGS,
-    ISOLATED_AMBIENT,
-    INTEGRATED_AMBIENT,
-)
-from repro.params.emergency import (
-    EmergencyLevels,
-    SIMULATION_LEVELS,
-    PE1950_LEVELS,
-    SR1500AL_LEVELS,
-)
-
-__all__ = [
-    "DDR2Timing",
-    "FBDIMMChannelParams",
-    "SimulatedSystemParams",
-    "AMBPowerParams",
-    "DRAMPowerParams",
-    "ProcessorPowerTable",
-    "SIMULATED_CPU_POWER",
-    "XEON_5160_POWER",
-    "AmbientModelParams",
-    "CoolingConfig",
-    "ThermalResistances",
-    "AOHS_1_0",
-    "AOHS_1_5",
-    "AOHS_3_0",
-    "FDHS_1_0",
-    "FDHS_1_5",
-    "FDHS_3_0",
-    "COOLING_CONFIGS",
-    "ISOLATED_AMBIENT",
-    "INTEGRATED_AMBIENT",
-    "EmergencyLevels",
-    "SIMULATION_LEVELS",
-    "PE1950_LEVELS",
-    "SR1500AL_LEVELS",
-]

@@ -22,23 +22,13 @@ machines, so this package models them:
   producing Fig. 5.4–5.15 data.
 """
 
-from repro.testbed.platforms import ServerPlatform, PE1950, SR1500AL
-from repro.testbed.performance import ServerWindowModel
-from repro.testbed.linux import CPUHotplug, CPUFreq, TimeSliceModel
-from repro.testbed.chipset import OpenLoopThrottle
-from repro.testbed.daughtercard import DaughterCard
-from repro.testbed.runner import ServerSimulator, ServerRunResult
+from repro import lazy_exports
 
-__all__ = [
-    "ServerPlatform",
-    "PE1950",
-    "SR1500AL",
-    "ServerWindowModel",
-    "CPUHotplug",
-    "CPUFreq",
-    "TimeSliceModel",
-    "OpenLoopThrottle",
-    "DaughterCard",
-    "ServerSimulator",
-    "ServerRunResult",
-]
+_EXPORTS = {
+    "PE1950": "platforms",
+    "SR1500AL": "platforms",
+    "ServerSimulator": "runner",
+    "ServerWindowModel": "performance",
+}
+
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

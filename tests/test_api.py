@@ -23,8 +23,14 @@ from repro.api import (
     results_document,
     schema_major,
 )
-from repro.analysis.specs import CHAPTER4_POLICIES, CHAPTER4_POLICY_CHOICES
-from repro.campaign import MemoryStore, run
+from repro.analysis.specs import (
+    CHAPTER4_POLICIES,
+    CHAPTER4_POLICY_CHOICES,
+    Chapter4Spec,
+)
+from repro.api.client import cell_envelope
+from repro.campaign import MemoryStore, run, run_cell
+from repro.campaign import spec as spec_module
 from repro.errors import ConfigurationError
 from repro.testbed.platforms import PE1950, PLATFORMS, SR1500AL
 
@@ -246,6 +252,30 @@ def test_client_simulate_provenance_miss_then_hit():
     assert second.request["type"] == "simulate"
     assert second.kind == "ch4"
     assert second.scenario == "ch4:AOHS_1.5:W1:ts"
+
+
+def test_a_warm_cell_hashes_its_spec_once(monkeypatch):
+    """The lookup and the envelope's provenance share one key hash, and
+    the key kept on the spec never enters the hashed fields."""
+    store = MemoryStore()
+    run(Chapter4Spec(mix="W1", policy="ts", copies=1), store)
+    hashed = []
+    key_fields = spec_module._key_fields
+    monkeypatch.setattr(
+        spec_module, "_key_fields",
+        lambda spec: hashed.append(spec) or key_fields(spec),
+    )
+    spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
+    outcome = run_cell(spec, store)
+    envelope = cell_envelope(spec, outcome, {})
+    assert outcome.hit
+    assert hashed == [spec]
+    assert envelope.provenance.cache_key == spec.key()
+    fields = spec_module.spec_fields(spec)
+    assert sorted(fields) == sorted(
+        f.name for f in dataclasses.fields(spec) if f.name != "scenario"
+    )
+    assert dataclasses.replace(spec).key() == spec.key()
 
 
 def test_client_simulate_kwargs_shorthand():

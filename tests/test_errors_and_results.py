@@ -11,7 +11,6 @@ def test_all_errors_derive_from_repro_error():
     for name in (
         "ConfigurationError",
         "TimingViolationError",
-        "ProtocolError",
         "SchedulingError",
         "ThermalModelError",
         "SimulationError",

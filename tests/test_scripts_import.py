@@ -84,6 +84,18 @@ def _imports(path: Path, package: str) -> list[tuple[str, str | None, str]]:
     return found
 
 
+def _lazy_exports(path: Path) -> dict[str, str]:
+    """A lazy package's ``_EXPORTS`` table (public name -> defining
+    module, relative to the package), or ``{}`` for any other file."""
+    for node in ast.parse(path.read_text(), str(path)).body:
+        if (
+            isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["_EXPORTS"]
+        ):
+            return ast.literal_eval(node.value)
+    return {}
+
+
 def _reachable() -> set[str]:
     """Every module the run-path roots import, transitively."""
     modules = _module_files()
@@ -92,9 +104,10 @@ def _reachable() -> set[str]:
     }
 
     def resolve(module: str, name: str | None) -> list[str]:
-        """The modules one import names.  A name a package re-exports
-        leads to the module that defines it; the package's other
-        imports are not followed."""
+        """The modules one import names.  A name a package re-exports,
+        eagerly or through its lazy ``_EXPORTS`` table, leads to the
+        module that defines it; the package's other imports are not
+        followed."""
         if module not in modules:
             return []  # the standard library or a third-party package
         if name is None:
@@ -102,6 +115,9 @@ def _reachable() -> set[str]:
         if f"{module}.{name}" in modules:
             return [f"{module}.{name}"]
         if module in packages:
+            source = _lazy_exports(modules[module]).get(name)
+            if source is not None:
+                return [module, *resolve(f"{module}.{source}", name)]
             for source, imported, bound in _imports(modules[module], module):
                 if bound == name:
                     return [module, *resolve(source, imported)]
