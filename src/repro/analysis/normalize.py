@@ -7,6 +7,16 @@ import math
 from repro.errors import ConfigurationError
 
 
+def normalize_map(values: dict[str, float], baseline_key: str) -> dict[str, float]:
+    """Divide every value by the baseline entry's value."""
+    if baseline_key not in values:
+        raise ConfigurationError(f"baseline {baseline_key!r} missing from values")
+    base = values[baseline_key]
+    if base == 0:
+        raise ConfigurationError("baseline value must be non-zero")
+    return {key: value / base for key, value in values.items()}
+
+
 def geometric_mean(values: list[float]) -> float:
     """Geometric mean (the right average for normalized ratios)."""
     if not values:

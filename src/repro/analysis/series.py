@@ -7,6 +7,16 @@ from dataclasses import dataclass
 from repro.errors import ConfigurationError
 
 
+def downsample(values: list[float], target_points: int) -> list[float]:
+    """Pick ~``target_points`` evenly spaced samples."""
+    if target_points < 1:
+        raise ConfigurationError("need at least one point")
+    if len(values) <= target_points:
+        return list(values)
+    stride = len(values) / target_points
+    return [values[int(i * stride)] for i in range(target_points)]
+
+
 @dataclass(frozen=True)
 class SeriesSummary:
     """Summary statistics of one temperature series."""

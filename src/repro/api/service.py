@@ -61,6 +61,11 @@ from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qsl, urlparse
 
+# /v1/server and Chapter 5 jobs run the testbed simulator, which
+# repro.analysis.specs loads only on first use; the service loads it at
+# start-up so its first such request does not pay for the import.
+import repro.testbed.performance  # noqa: F401
+import repro.testbed.runner  # noqa: F401
 from repro import __version__
 from repro.api.client import ReproClient
 from repro.api.envelope import (

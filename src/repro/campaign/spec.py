@@ -15,7 +15,6 @@ worker imports the defining module, which re-registers the runner.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -43,17 +42,17 @@ class RunSpec(Protocol):
         ...
 
 
-#: Instance attribute holding a spec's computed key; not a dataclass
-#: field, so it is never hashed itself.
+#: Instance attribute holding a spec's computed key; it is no field,
+#: so it is never hashed itself.
 _KEY_ATTR = "_spec_key"
 
 
 def _key_fields(spec: RunSpec) -> dict:
     excluded = getattr(spec, "KEY_EXCLUDED_FIELDS", ())
     return {
-        f.name: getattr(spec, f.name)
-        for f in dataclasses.fields(spec)
-        if f.name not in excluded
+        k: v
+        for k, v in spec.__dict__.items()
+        if k not in excluded and k != _KEY_ATTR
     }
 
 

@@ -16,14 +16,9 @@ from repro import lazy_exports
 _EXPORTS = {
     "CheckpointFile": "state",
     "CheckpointObserver": "observers",
-    "ENGINE_STATE_VERSION": "state",
     "EngineState": "state",
     "EngineStateSerializer": "state",
     "Observer": "observers",
-    "PROGRESS": "progress",
-    "ProgressObserver": "observers",
-    "SteppingEngine": "stepping",
-    "TraceRecorder": "observers",
 }
 
 __getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

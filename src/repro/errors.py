@@ -33,6 +33,10 @@ class TimingViolationError(ReproError):
     """
 
 
+class ProtocolError(ReproError):
+    """An FBDIMM channel frame or AMB interaction broke protocol rules."""
+
+
 class SchedulingError(ReproError):
     """The batch-job scheduler or OS emulation reached an invalid state."""
 

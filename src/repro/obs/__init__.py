@@ -10,23 +10,6 @@ One package answers "what is this process doing and is it healthy":
 - :mod:`repro.obs.slo` — declarative objectives evaluated from those
   metrics, served at ``/v1/slo`` and gated by ``repro slo check``;
 - :mod:`repro.obs.log` — one-line JSON logs correlated by trace id.
+
+The package itself imports nothing: import the submodule you need.
 """
-
-from repro import lazy_exports
-
-_EXPORTS = {
-    "DEFAULT_SLOS": "slo",
-    "METRICS": "metrics",
-    "MetricsRegistry": "metrics",
-    "SloSpec": "slo",
-    "StructuredLog": "log",
-    "TracingObserver": "trace",
-    "chrome_trace": "trace",
-    "evaluate": "slo",
-    "read_jsonl": "trace",
-    "render_alert_rules": "slo",
-    "slo_document": "slo",
-    "with_overrides": "slo",
-}
-
-__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -12,11 +12,23 @@ from repro.analysis.specs import (
 from repro.analysis.normalize import (
     arithmetic_mean,
     geometric_mean,
+    normalize_map,
 )
-from repro.analysis.series import summarize_series
+from repro.analysis.series import downsample, summarize_series
 from repro.analysis.tables import format_series, format_table, sparkline
 from repro.errors import ConfigurationError
 from repro.testbed.platforms import PE1950
+
+
+def test_normalize_map():
+    values = {"a": 2.0, "b": 4.0}
+    normalized = normalize_map(values, "a")
+    assert normalized == {"a": 1.0, "b": 2.0}
+
+
+def test_normalize_map_missing_baseline():
+    with pytest.raises(ConfigurationError):
+        normalize_map({"a": 1.0}, "z")
 
 
 def test_geometric_mean():
@@ -61,6 +73,11 @@ def test_sparkline_downsamples():
 def test_format_series():
     text = format_series("amb", [100.0, 110.0])
     assert "100.00" in text and "110.00" in text
+
+
+def test_downsample():
+    assert downsample([1.0, 2.0, 3.0, 4.0], 2) == [1.0, 3.0]
+    assert downsample([1.0], 5) == [1.0]
 
 
 def test_summarize_series():

@@ -163,7 +163,7 @@ def test_scenarios_run_route(service):
 
 
 def test_progress_route_reports_engine_runs(service, tmp_path, monkeypatch):
-    from repro.engine import PROGRESS
+    from repro.engine.progress import PROGRESS
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     PROGRESS.clear()

@@ -18,7 +18,7 @@ from repro.core.windowmodel import WindowModel
 from repro.cpu.power import simulated_chip_power_w
 from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMTS
 from repro.dtm.base import ControlDecision, DTMPolicy
-from repro.engine import SteppingEngine
+from repro.engine.stepping import SteppingEngine
 from repro.params.power_params import SIMULATED_CPU_POWER
 
 POINTS = SIMULATED_CPU_POWER.operating_points

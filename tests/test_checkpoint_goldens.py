@@ -37,7 +37,8 @@ from repro.analysis.specs import (
     trace_to_dict,
 )
 from repro.campaign import NullStore, engine_for_spec, run
-from repro.engine import CheckpointFile, SteppingEngine
+from repro.engine import CheckpointFile
+from repro.engine.stepping import SteppingEngine
 from repro.testbed.performance import ServerWindowModel
 from repro.testbed.platforms import PLATFORMS
 from repro.testbed.runner import HomogeneousStrategy, run_homogeneous

@@ -27,14 +27,14 @@ from repro.analysis.specs import (
 )
 from repro.campaign import NullStore, engine_for_spec, run
 from repro.engine import (
-    ENGINE_STATE_VERSION,
     CheckpointFile,
     CheckpointObserver,
     EngineState,
     EngineStateSerializer,
-    PROGRESS,
-    TraceRecorder,
 )
+from repro.engine.observers import TraceRecorder
+from repro.engine.progress import PROGRESS
+from repro.engine.state import ENGINE_STATE_VERSION
 from repro.engine import codec
 from repro.errors import CheckpointError, ConfigurationError
 
@@ -339,7 +339,8 @@ def test_engine_state_error_paths(tmp_path):
 
 
 def test_observer_defaults_and_validation(tmp_path):
-    from repro.engine import Observer, ProgressObserver
+    from repro.engine import Observer
+    from repro.engine.observers import ProgressObserver
 
     base = Observer()
     assert codec.state_dict(base) == {}

@@ -11,6 +11,7 @@ def test_all_errors_derive_from_repro_error():
     for name in (
         "ConfigurationError",
         "TimingViolationError",
+        "ProtocolError",
         "SchedulingError",
         "ThermalModelError",
         "SimulationError",

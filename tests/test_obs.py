@@ -46,22 +46,28 @@ from repro.campaign import (
 )
 from repro.engine.progress import PROGRESS, ProgressBroker
 from repro.errors import ConfigurationError
-from repro.obs import (
+from repro.obs.log import StructuredLog
+from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.slo import (
+    BREACH,
     DEFAULT_SLOS,
-    METRICS,
-    MetricsRegistry,
+    NO_DATA,
+    OK,
     SloSpec,
-    StructuredLog,
-    TracingObserver,
-    chrome_trace,
     evaluate,
-    read_jsonl,
+    parse_overrides,
     render_alert_rules,
     slo_document,
     with_overrides,
 )
-from repro.obs.slo import BREACH, NO_DATA, OK, parse_overrides
-from repro.obs.trace import TRACE_HEADER, TRACER, Tracer
+from repro.obs.trace import (
+    TRACE_HEADER,
+    TRACER,
+    Tracer,
+    TracingObserver,
+    chrome_trace,
+    read_jsonl,
+)
 
 
 @pytest.fixture

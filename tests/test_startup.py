@@ -63,6 +63,15 @@ def test_the_cli_loads_no_service_jobs_dram_or_testbed_runner():
     )) == []
 
 
+def test_the_service_loads_the_testbed_runner_before_it_serves():
+    """/v1/server and Chapter 5 jobs run the testbed simulator; the
+    service pays for importing it at start-up, not in a request."""
+    modules = _loaded_after("import repro.api.service")
+    assert _loaded_packages(modules, (
+        "repro.testbed.runner", "repro.testbed.performance",
+    )) == ["repro.testbed.performance", "repro.testbed.runner"]
+
+
 def test_the_chapter4_path_loads_no_chapter5_pool_or_oracle_module():
     # repro.cluster too: a serial run never starts the process pool.
     modules = _loaded_after(f"{CH4_IMPORTS}, repro.cluster")

@@ -15,7 +15,8 @@ from repro.analysis.specs import (
 from repro.campaign import NullStore, engine_for_spec, run
 from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB
 from repro.dtm.base import NoLimitPolicy
-from repro.engine import EngineState, SteppingEngine
+from repro.engine import EngineState
+from repro.engine.stepping import SteppingEngine
 from repro.errors import ConfigurationError
 from repro.testbed.performance import ServerWindowModel
 from repro.testbed.platforms import PE1950, PLATFORMS, SR1500AL
