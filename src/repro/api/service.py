@@ -32,14 +32,17 @@ machine-readable fields (``retry_after_s``, ``reason``).  Any other
 exception a handler raises is logged (``http.unhandled``) and answered
 as a 500, so a fault never closes the connection without a reply.
 
-Concurrency is bounded: the server remains threaded (cheap routes and
-status polls always answer), but the run routes share
-``max_concurrent_runs`` slots.  A burst of cold campaign submits beyond
-the bound gets a structured 429 with a ``Retry-After`` header instead
-of forking unbounded work — submit through ``/v1/jobs`` to queue
-instead of racing for slots.  Identical *simultaneous* cold requests
-within the bound still run one compute: the default result cache
-single-flights them (:class:`~repro.campaign.stores.ResultCache`).
+Concurrency is bounded where it costs: every open connection has its
+own handler thread, so cheap routes and status polls always answer,
+but the run routes share ``max_concurrent_runs`` slots.  A burst of
+cold campaign submits beyond the bound gets a structured 429 with a
+``Retry-After`` header instead of forking unbounded work — submit
+through ``/v1/jobs`` to queue instead of racing for slots.  Identical
+*simultaneous* cold requests within the bound still run one compute:
+the default result cache single-flights them
+(:class:`~repro.campaign.stores.ResultCache`).  A handler thread
+outlives its connection: it waits, idle, for the next one, so a
+closed-loop client's warm requests do not each start a thread.
 
 ``serve`` handles SIGTERM by draining: the jobs scheduler checkpoints
 its in-flight window slice and requeues the job (so a restart resumes
@@ -49,14 +52,16 @@ it warm), then the HTTP loop exits cleanly.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import json
 import os
+import queue
 import re
 import signal
 import threading
 import time
 import traceback
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Any
 from urllib.parse import parse_qsl, urlparse
@@ -481,8 +486,14 @@ _ID_ROUTES = [
 ]
 
 
-class ReproService(ThreadingHTTPServer):
-    """Threaded HTTP server exposing the client API.
+#: Seconds an idle handler thread waits for its next connection before
+#: it exits.
+_HANDLER_IDLE_S = 30.0
+
+
+class ReproService(HTTPServer):
+    """HTTP server exposing the client API, one handler thread per
+    open connection.
 
     ``port=0`` binds an ephemeral port; read it back from
     :attr:`port` (or pass ``port_file`` to :func:`serve`).
@@ -491,9 +502,15 @@ class ReproService(ThreadingHTTPServer):
     ``/v1/jobs`` (the caller starts/stops it — normally :func:`serve`).
     ``max_concurrent_runs`` bounds the simultaneously executing compute
     routes; excess requests get a structured 429.
-    """
 
-    daemon_threads = True
+    A new connection goes to a handler thread that is waiting idle, or
+    to a new daemon thread when none is, so it never waits behind a
+    busy one.  Each connection runs in a fresh :mod:`contextvars`
+    context, as on a new thread, so no trace or progress label carries
+    over.  A thread goes idle just before it closes its connection, and
+    exits after ``_HANDLER_IDLE_S`` without one or at
+    :meth:`server_close`.
+    """
 
     def __init__(
         self,
@@ -522,7 +539,78 @@ class ReproService(ThreadingHTTPServer):
         self.max_concurrent_runs = max_concurrent_runs
         self._run_slots = threading.BoundedSemaphore(max_concurrent_runs)
         self._started_monotonic = time.monotonic()
+        #: The inboxes of the handler threads waiting for a connection,
+        #: the most recently idle last.
+        self._idle: list[queue.SimpleQueue] = []
+        self._idle_lock = threading.Lock()
+        self._closed = False
         super().__init__((host, port), _Handler)
+
+    # -- handler threads ---------------------------------------------------
+
+    def process_request(self, request, client_address) -> None:
+        """Hand the connection to an idle handler thread, or start one."""
+        with self._idle_lock:
+            inbox = self._idle.pop() if self._idle else None
+        if inbox is not None:
+            inbox.put((request, client_address))
+            return
+        threading.Thread(
+            target=self._handler_thread,
+            args=(request, client_address),
+            name="repro-http",
+            daemon=True,
+        ).start()
+
+    def _handler_thread(self, request, client_address) -> None:
+        """Serve connections until none comes for ``_HANDLER_IDLE_S``."""
+        inbox: queue.SimpleQueue = queue.SimpleQueue()
+        while request is not None:
+            contextvars.Context().run(
+                self._serve_connection, request, client_address, inbox
+            )
+            request, client_address = self._next_connection(inbox)
+
+    def _serve_connection(self, request, client_address, inbox) -> None:
+        """Serve one connection as ``ThreadingMixIn`` does, then go idle."""
+        try:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            # Idle before the close: a client that opens its next
+            # connection once this one closes finds this thread.
+            with self._idle_lock:
+                if self._closed:
+                    inbox.put((None, None))
+                else:
+                    self._idle.append(inbox)
+        finally:
+            self.shutdown_request(request)
+
+    def _next_connection(self, inbox: queue.SimpleQueue) -> tuple:
+        """The next connection handed to this thread; ``(None, None)``
+        once it has waited ``_HANDLER_IDLE_S`` or the server closed."""
+        try:
+            return inbox.get(timeout=_HANDLER_IDLE_S)
+        except queue.Empty:
+            pass
+        with self._idle_lock:
+            if inbox in self._idle:
+                self._idle.remove(inbox)
+                return None, None
+        # process_request took this inbox as the wait ran out: its
+        # connection is on the way.
+        return inbox.get()
+
+    def server_close(self) -> None:
+        """Close the listener and release every idle handler thread."""
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for inbox in idle:
+            inbox.put((None, None))
 
     def uptime_s(self) -> float:
         """Seconds since this service object was created."""

@@ -79,7 +79,7 @@ def _lookup(
     if result is None:
         return None
     if cache is not None:
-        cache.memo[key] = (payload, result)
+        cache.remember(key, (payload, result))
     return payload, result
 
 
@@ -196,7 +196,7 @@ def run_cell(
         else:
             if cache.disk is not None:
                 cache.disk.put(key, payload, meta=spec_meta(spec))
-            cache.memo[key] = (payload, result)
+            cache.remember(key, (payload, result))
         return RunOutcome(
             payload, result, False, seconds, windows=engine.windows
         )
@@ -393,7 +393,7 @@ class Campaign:
                             raise _round_trip_error(done_spec.kind)
                         entry = (payload, result)
                         if cache is not None:
-                            cache.memo[done_key] = entry
+                            cache.remember(done_key, entry)
                         elif not in_process:
                             self.store.put(
                                 done_key, payload, meta=spec_meta(done_spec)

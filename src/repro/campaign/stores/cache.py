@@ -1,13 +1,17 @@
 """The default result cache: one process memo over the disk store.
 
 A run given no explicit store reads and writes :class:`ResultCache`.
-It keeps, per cache key, the ``(payload, decoded result)`` pair of
-every cell this process looked up or computed, in front of the
-environment's :class:`~repro.campaign.stores.JsonDirStore` (none under
-``REPRO_CACHE=0``).  :func:`repro.campaign.engine.run_cell` does the
-lookup — the memo, otherwise the disk and one decode — so a warm hit
-is one dict read.  Keys are content hashes of the spec, so a key can
-only ever name one result.
+It keeps, per cache key, the ``(payload, decoded result)`` pair of the
+last ``MEMO_LIMIT`` cells this process looked up or computed, in front
+of the environment's :class:`~repro.campaign.stores.JsonDirStore`
+(none under ``REPRO_CACHE=0``).  :func:`repro.campaign.engine.run_cell`
+does the lookup — the memo, otherwise the disk and one decode — so a
+warm hit is one dict read.  Every memo write goes through
+:meth:`ResultCache.remember`, which evicts the oldest entries above the
+limit, so a long-running ``repro serve`` holds a bounded memo; an
+evicted cell is read from the disk again (recomputed without one).
+Keys are content hashes of the spec, so a key can only ever name one
+result.
 
 :func:`default_cache` builds the cache once per process, and builds a
 new one (with an empty memo) only when ``REPRO_CACHE`` or
@@ -36,6 +40,11 @@ from repro.campaign.stores.disk import JsonDirStore
 from repro.obs.metrics import METRICS
 
 
+#: The memo keeps this many cells, evicting the oldest first (a
+#: ``service_mix`` perfbench run touches about 160; one cell is ~15 KB).
+MEMO_LIMIT = 1024
+
+
 def _count_flight(outcome: str) -> None:
     METRICS.counter_inc(
         "repro_store_single_flight_total",
@@ -62,11 +71,22 @@ class ResultCache:
 
     def __init__(self, disk: JsonDirStore | None) -> None:
         self.disk = disk
-        #: key -> (payload, decoded result)
+        #: key -> (payload, decoded result), oldest first
         self.memo: dict[str, tuple[dict, Any]] = {}
         #: key -> the flight computing it
         self.flights: dict[str, _Flight] = {}
         self._lock = threading.Lock()
+
+    def remember(self, key: str, entry: tuple[dict, Any]) -> None:
+        """Keep ``entry`` for ``key``; the oldest go above ``MEMO_LIMIT``.
+
+        Writers take the lock, so eviction never races an insert;
+        readers stay one lock-free ``memo.get``.
+        """
+        with self._lock:
+            self.memo[key] = entry
+            while len(self.memo) > MEMO_LIMIT:
+                del self.memo[next(iter(self.memo))]
 
     def coalesce(
         self, key: str, compute: Callable[[], Any]

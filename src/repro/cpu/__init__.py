@@ -11,10 +11,3 @@ prices the resulting chip state:
 - :mod:`repro.cpu.power` — chip power as a function of DTM state
   (Table 4.4 for the simulated platform, activity-based for Chapter 5).
 """
-
-from repro.cpu.power import simulated_chip_power_w, measured_chip_power_w
-
-__all__ = [
-    "simulated_chip_power_w",
-    "measured_chip_power_w",
-]

@@ -24,35 +24,3 @@ package is that substrate, built from scratch:
 The simulator is *timing-exact*: every constraint of Table 4.1 is checked
 on every command, and violations raise :class:`repro.errors.TimingViolationError`.
 """
-
-from repro.dram.commands import MemoryRequest, RequestKind
-from repro.dram.address import AddressMapper, DecodedAddress
-from repro.dram.bank import Bank, DimmDevices
-from repro.dram.amb import AMB
-from repro.dram.channel import FBDIMMChannel
-from repro.dram.controller import ChannelController, CompletedRequest
-from repro.dram.system import MemorySystem
-from repro.dram.trafficgen import (
-    poisson_trace,
-    random_trace,
-    stream_trace,
-)
-from repro.dram.stats import ChannelStats
-
-__all__ = [
-    "MemoryRequest",
-    "RequestKind",
-    "AddressMapper",
-    "DecodedAddress",
-    "Bank",
-    "DimmDevices",
-    "AMB",
-    "FBDIMMChannel",
-    "ChannelController",
-    "CompletedRequest",
-    "MemorySystem",
-    "poisson_trace",
-    "random_trace",
-    "stream_trace",
-    "ChannelStats",
-]

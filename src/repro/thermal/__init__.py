@@ -9,19 +9,3 @@
 - :mod:`repro.thermal.sensors` — thermal sensor emulation (quantization,
   reading period, noise spikes) matching the measured platforms of Ch. 5.
 """
-
-from repro.thermal.rc import RCNode, exponential_step
-from repro.thermal.isolated import DimmThermalModel, DimmTemperatures, stable_temperatures
-from repro.thermal.integrated import AmbientModel, CoreActivity
-from repro.thermal.sensors import ThermalSensor
-
-__all__ = [
-    "RCNode",
-    "exponential_step",
-    "DimmThermalModel",
-    "DimmTemperatures",
-    "stable_temperatures",
-    "AmbientModel",
-    "CoreActivity",
-    "ThermalSensor",
-]

@@ -15,19 +15,3 @@ which sit between 5 and 10 GB/s, which idle below — §4.3.2 / §5.4.1).
 - :mod:`repro.workloads.batch` — the batch-job model: N copies of every
   application in the mix, assigned to cores round-robin as jobs finish.
 """
-
-from repro.workloads.profiles import AppProfile, get_app, all_apps, SPEC2000_HIGH, SPEC2000_MODERATE
-from repro.workloads.mixes import WORKLOAD_MIXES, get_mix
-from repro.workloads.batch import BatchJob, BatchScheduler
-
-__all__ = [
-    "AppProfile",
-    "get_app",
-    "all_apps",
-    "SPEC2000_HIGH",
-    "SPEC2000_MODERATE",
-    "WORKLOAD_MIXES",
-    "get_mix",
-    "BatchJob",
-    "BatchScheduler",
-]

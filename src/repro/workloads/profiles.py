@@ -148,11 +148,3 @@ def get_app(name: str) -> AppProfile:
     except KeyError:
         known = ", ".join(sorted(_PROFILES))
         raise WorkloadError(f"unknown application {name!r}; known: {known}") from None
-
-
-def all_apps(suite: str | None = None) -> list[AppProfile]:
-    """All profiles, optionally filtered by suite ('cpu2000' / 'cpu2006')."""
-    profiles = sorted(_PROFILES.values(), key=lambda p: p.name)
-    if suite is None:
-        return profiles
-    return [p for p in profiles if p.suite == suite]

@@ -6,6 +6,8 @@ import contextlib
 import http.client
 import json
 import socket
+import struct
+import sys
 import threading
 import time
 import urllib.error
@@ -283,6 +285,208 @@ def test_keep_alive_requests_do_not_wait_for_a_delayed_ack(service):
     assert {reply["provenance"]["cache"] for reply in replies} == {"hit"}
     assert elapsed < 0.4
 
+
+# ---------------------------------------------------------------------------
+# Handler threads: one per open connection, reused by the next
+# ---------------------------------------------------------------------------
+
+
+def _recording(svc: ReproService, monkeypatch, after=None) -> list:
+    """Record the thread that serves each of ``svc``'s connections.
+
+    ``after(n)`` runs once the n-th connection (from 1) is served,
+    still on its thread and in its context.
+    """
+    threads = []
+    finish = svc.finish_request
+
+    def recording(request, client_address):
+        threads.append(threading.current_thread())
+        finish(request, client_address)
+        if after is not None:
+            after(len(threads))
+
+    monkeypatch.setattr(svc, "finish_request", recording)
+    return threads
+
+
+def _await_idle(svc: ReproService, count: int = 1) -> None:
+    """Wait up to 5 s until ``count`` handler threads wait for a
+    connection (a thread goes idle just after its reply is written)."""
+    deadline = time.monotonic() + 5.0
+    while len(svc._idle) < count:
+        assert time.monotonic() < deadline, "no handler thread went idle"
+        time.sleep(0.001)
+
+
+def test_sequential_connections_share_one_handler_thread(monkeypatch):
+    svc = ReproService(port=0)
+    threads = _recording(svc, monkeypatch)
+    with _serving(svc):
+        for _ in range(6):
+            # urllib closes each connection (``Connection: close``).
+            assert _get(svc, "/v1/healthz")[0] == 200
+            _await_idle(svc)
+    assert len(threads) == 6 and len(set(threads)) == 1
+
+
+def test_neither_a_held_connection_nor_a_slow_compute_delays_healthz(
+    monkeypatch,
+):
+    svc = ReproService(port=0)
+    entered, release = threading.Event(), threading.Event()
+    simulate = svc.client.simulate
+
+    def slow(request):
+        entered.set()
+        release.wait(timeout=10)
+        return simulate(request)
+
+    monkeypatch.setattr(svc.client, "simulate", slow)
+    replies = []
+    with _serving(svc):
+        held = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+        try:
+            # A kept-alive connection: its thread now waits on it.
+            held.request("GET", "/v1/healthz")
+            assert held.getresponse().read()
+            started = time.perf_counter()
+            assert _raw(svc, "GET", "/v1/healthz")[0] == 200
+            assert time.perf_counter() - started < 2.0
+            busy = threading.Thread(target=lambda: replies.append(
+                _get(svc, "/v1/simulate?mix=W1&policy=ts&copies=1")[0]
+            ))
+            busy.start()
+            assert entered.wait(timeout=5)
+            started = time.perf_counter()
+            assert _raw(svc, "GET", "/v1/healthz")[0] == 200
+            assert time.perf_counter() - started < 2.0
+        finally:
+            release.set()
+            held.close()
+        busy.join(timeout=30)
+    assert not busy.is_alive() and replies == [200]
+
+
+def test_a_reused_thread_starts_each_connection_in_a_fresh_context(
+    monkeypatch,
+):
+    """The next connection on a thread neither joins the trace of the
+    one before nor sees its progress label, even when that one left
+    both set (as a missed reset would)."""
+    from repro.engine.progress import PROGRESS
+    from repro.obs.trace import TRACE_HEADER, TRACER
+
+    monkeypatch.setattr(TRACER, "enabled", True)
+    trace_id, parent_id = "feedface0000cafe", "abcd00000000cafe"
+    seen = []
+
+    def leak(served: int) -> None:
+        seen.append((TRACER.current_trace_id(), PROGRESS.current_label()))
+        TRACER.activate(trace_id, parent_id).__enter__()
+        PROGRESS.track("leaked").__enter__()
+
+    svc = ReproService(port=0)
+    threads = _recording(svc, monkeypatch, after=leak)
+    with _serving(svc):
+        header = f"{TRACE_HEADER}: {trace_id}:{parent_id}\r\n"
+        assert _raw(svc, "GET", "/v1/healthz", header)[0] == 200
+        _await_idle(svc)
+        assert _raw(svc, "GET", "/v1/healthz")[0] == 200
+        _await_idle(svc)
+    assert len(threads) == 2 and threads[0] is threads[1]
+    assert seen == [(None, None), (None, None)]
+    joined = [span for span in TRACER.spans(trace_id) if span.name == "http"]
+    assert len(joined) == 1 and joined[0].parent_id == parent_id
+
+
+def test_a_failed_connection_leaves_its_thread_reusable(monkeypatch):
+    svc = ReproService(port=0)
+    errors = []
+
+    def fail_first(served: int) -> None:
+        if served == 1:
+            raise RuntimeError("injected connection fault")
+
+    threads = _recording(svc, monkeypatch, after=fail_first)
+    monkeypatch.setattr(
+        svc, "handle_error", lambda request, address: errors.append(address)
+    )
+    with _serving(svc):
+        # The handler raises after its reply; the server logs it.
+        assert _raw(svc, "GET", "/v1/healthz")[0] == 200
+        _await_idle(svc)
+        # A client that resets its connection instead of reading.
+        with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
+            sock.sendall(b"GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
+            sock.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+        _await_idle(svc)
+        assert _raw(svc, "GET", "/v1/healthz")[0] == 200
+        _await_idle(svc)
+    assert len(errors) >= 1
+    assert len(threads) == 3 and len(set(threads)) == 1
+
+
+def test_server_close_ends_every_idle_handler_thread(monkeypatch):
+    svc = ReproService(port=0)
+    threads = _recording(svc, monkeypatch)
+    with _serving(svc):
+        # Two connections open at once are served by two threads.
+        first = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+        second = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+        for connection in (first, second):
+            connection.request("GET", "/v1/healthz")
+            assert connection.getresponse().read()
+        first.close()
+        second.close()
+        _await_idle(svc, 2)
+    assert len(set(threads)) == 2
+    for thread in threads:
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def test_an_idle_handler_thread_exits_after_its_idle_period(monkeypatch):
+    monkeypatch.setattr(service_module, "_HANDLER_IDLE_S", 0.05)
+    svc = ReproService(port=0)
+    threads = _recording(svc, monkeypatch)
+    with _serving(svc):
+        assert _get(svc, "/v1/healthz")[0] == 200
+        threads[0].join(timeout=5)
+        assert not threads[0].is_alive() and svc._idle == []
+        # The next connection starts a new thread.
+        assert _get(svc, "/v1/healthz")[0] == 200
+    assert len(threads) == 2 and threads[0] is not threads[1]
+
+
+
+def test_hand_offs_racing_idle_exits_answer_every_connection(monkeypatch):
+    """Eight clients against handler threads that give up after 1 ms
+    idle, under a short switch interval: hand-offs race the threads'
+    exits, and every connection is still answered."""
+    monkeypatch.setattr(service_module, "_HANDLER_IDLE_S", 0.001)
+    svc = ReproService(port=0)
+    statuses = []
+
+    def client() -> None:
+        for _ in range(25):
+            statuses.append(_raw(svc, "GET", "/v1/healthz")[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with _serving(svc):
+            clients = [threading.Thread(target=client) for _ in range(8)]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in clients)
+    assert statuses == [200] * 200
 
 def test_jobs_rejected_over_http(service):
     code, body = _error(service, "/v1/campaign?grid=ch4&mixes=W1&policies=ts&copies=1&jobs=4")

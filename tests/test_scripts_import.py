@@ -191,6 +191,15 @@ TEST_ONLY_SYMBOLS = {
     "repro.dram.channel.FrameLink.next_free_s": _DRAM_PROBE,
     "repro.dram.controller.ChannelController.ambs": _DRAM_PROBE,
     "repro.dram.stats.ChannelStats.total_requests": _DRAM_PROBE,
+    "repro.dram.trafficgen.random_trace": (
+        "an input stream of the cycle-level DRAM model beside the stream "
+        "and Poisson traces calibration runs; its own tests drive the "
+        "model's bank spread with it"
+    ),
+    "repro.thermal.rc.exponential_step": (
+        "the closed form of the Eq. 3.5 update that RCNode's cached-gain "
+        "step implements; the RC and property tests check it"
+    ),
 }
 
 

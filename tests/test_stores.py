@@ -35,6 +35,7 @@ from repro.campaign import (
     spec_key,
 )
 from repro.campaign.stores import UNRECORDED, default_disk_store
+from repro.campaign.stores import cache as cache_module
 
 #: Thread-count multiplier for the hammer tests (CI stress leg sets 4).
 STRESS = max(1, int(os.environ.get("REPRO_STORE_STRESS", "1")))
@@ -395,3 +396,75 @@ def test_default_cache_is_built_once_per_cache_env(tmp_path, monkeypatch):
     assert memory_only is not cache
     assert memory_only.disk is None and memory_only.memo == {}
     assert default_cache() is memory_only
+
+
+# ---------------------------------------------------------------------------
+# Memo bound: oldest first, an evicted cell is read again
+# ---------------------------------------------------------------------------
+
+
+def _computes(monkeypatch) -> list[int]:
+    """The values of the cube cells ``run_cell`` computes from now on."""
+    computed = []
+    run = _CubeEngine.run_to_completion
+
+    def counting(engine):
+        computed.append(engine.spec.value)
+        return run(engine)
+
+    monkeypatch.setattr(_CubeEngine, "run_to_completion", counting)
+    return computed
+
+
+@pytest.mark.parametrize("disk", [False, True], ids=["cache-off", "disk"])
+def test_memo_evicts_its_oldest_cells_above_the_limit(
+    disk, tmp_path, monkeypatch
+):
+    """Above ``MEMO_LIMIT`` the oldest cells leave the memo.  A later
+    lookup of one is a disk hit with the disk on, a recompute under
+    ``REPRO_CACHE=0``; either way it returns to the memo as the newest."""
+    monkeypatch.setattr(cache_module, "MEMO_LIMIT", 2)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    if disk:
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_CACHE", "0")
+    cache = default_cache()
+    computed = _computes(monkeypatch)
+    for value in (31, 32, 33):
+        assert not run_cell(CubeSpec(value), None).hit
+    assert list(cache.memo) == [CubeSpec(32).key(), CubeSpec(33).key()]
+    assert run_cell(CubeSpec(33), None).hit  # a memo hit
+    again = run_cell(CubeSpec(31), None)
+    assert again.hit is disk
+    assert again.result == {"value": 31, "cube": 29791}
+    assert computed == ([31, 32, 33] if disk else [31, 32, 33, 31])
+    assert list(cache.memo) == [CubeSpec(33).key(), CubeSpec(31).key()]
+
+
+def test_concurrent_memo_writes_keep_the_bound(monkeypatch):
+    """Writers racing under a short switch interval never lose the
+    bound or trip over each other's evictions."""
+    monkeypatch.setattr(cache_module, "MEMO_LIMIT", 8)
+    cache = cache_module.ResultCache(None)
+    failures = []
+
+    def write(worker: int) -> None:
+        try:
+            for index in range(500):
+                cache.remember(f"{worker}-{index}", ({}, index))
+        except Exception as error:  # noqa: BLE001 - reported below
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writers = [threading.Thread(target=write, args=(n,)) for n in range(8)]
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in writers)
+    assert failures == [] and len(cache.memo) == 8

@@ -15,7 +15,7 @@ from repro.engine import codec
 from repro.errors import ConfigurationError
 from repro.units import CACHE_LINE_BYTES
 from repro.workloads.mixes import get_mix
-from repro.workloads.profiles import AppProfile, all_apps, get_app
+from repro.workloads.profiles import AppProfile, get_app
 
 F_MAX = 3.2e9
 

@@ -12,7 +12,6 @@ from repro.workloads.mixes import SIMULATION_MIXES, WORKLOAD_MIXES, get_mix
 from repro.workloads.profiles import (
     SPEC2000_HIGH,
     SPEC2000_MODERATE,
-    all_apps,
     get_app,
 )
 
@@ -35,12 +34,6 @@ def test_cpu2006_selections_present():
 def test_unknown_app_raises():
     with pytest.raises(WorkloadError):
         get_app("doom")
-
-
-def test_all_apps_filter():
-    cpu2000 = all_apps("cpu2000")
-    assert all(p.suite == "cpu2000" for p in cpu2000)
-    assert len(all_apps()) == len(cpu2000) + len(all_apps("cpu2006"))
 
 
 def test_high_apps_are_more_intense_than_low():
