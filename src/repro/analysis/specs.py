@@ -221,7 +221,7 @@ def _shared_window_model(envelope: MemoryEnvelope | None = None) -> WindowModel:
     return model
 
 
-def _chapter4_engine(spec: Chapter4Spec, extra_observers: tuple = ()):
+def _chapter4_engine(spec: Chapter4Spec):
     """A stepping engine for one Chapter 4 spec (checkpoint/slice surface)."""
     ambient = AMBIENT_MODELS[spec.ambient]
     if spec.interaction is not None:
@@ -256,7 +256,7 @@ def _chapter4_engine(spec: Chapter4Spec, extra_observers: tuple = ()):
     simulator = TwoLevelSimulator(
         config, policy, window_model=_shared_window_model(envelope)
     )
-    return simulator.engine(extra_observers=extra_observers)
+    return simulator.engine()
 
 
 def run_chapter4(spec: Chapter4Spec) -> RunResult:
@@ -326,7 +326,7 @@ def make_chapter5_policy(name: str, platform: ServerPlatform) -> DTMPolicy:
     raise ConfigurationError(f"unknown Chapter 5 policy {name!r}")
 
 
-def _chapter5_engine(spec: Chapter5Spec, extra_observers: tuple = ()):
+def _chapter5_engine(spec: Chapter5Spec):
     """A stepping engine for one Chapter 5 spec (checkpoint/slice surface).
 
     The testbed simulator loads here, not with this module, so a
@@ -352,7 +352,7 @@ def _chapter5_engine(spec: Chapter5Spec, extra_observers: tuple = ()):
         window_model=model,
         base_frequency_level=spec.base_frequency_level,
     )
-    return simulator.engine(extra_observers=extra_observers)
+    return simulator.engine()
 
 
 def run_chapter5(spec: Chapter5Spec) -> ServerRunResult:

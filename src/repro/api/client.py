@@ -39,7 +39,9 @@ from repro.campaign import (
     RunSpec,
     run_cell,
 )
-from repro.engine import CheckpointFile, CheckpointObserver
+from repro.engine.codec import Count
+from repro.engine.state import CheckpointFile, EngineStateSerializer
+from repro.errors import ConfigurationError
 from repro.scenarios import iter_scenarios
 
 
@@ -83,23 +85,15 @@ def cell_envelope(
 class ReproClient:
     """Typed façade over the requests' cells and the campaign engine.
 
-    ``backend`` selects where multi-cell runs execute (an
-    :class:`~repro.cluster.ExecutionBackend` — e.g. a reusable process
-    pool).  The backend is borrowed, not owned: the caller closes it
-    (normally with a ``with`` block) after its last campaign, so one
-    pool serves many client calls.  ``None``
-    keeps the classic behavior — serial, or a per-run pool when the
-    request's ``jobs`` asks for one.
+    Multi-cell runs execute serially, or on a process pool of the
+    request's ``jobs`` workers that the run starts and closes.
     """
 
-    def __init__(
-        self, store: ResultStore | None = None, *, backend: Any | None = None
-    ) -> None:
+    def __init__(self, store: ResultStore | None = None) -> None:
         #: The explicit store, or None for the default cache; pool
         #: workers then build their own instead of receiving a pickled
         #: copy of this process's memo.
         self.store = store
-        self._backend = backend
 
     # -- single-cell runs --------------------------------------------------
 
@@ -144,7 +138,10 @@ class ReproClient:
         the CLI's view."""
         grid = CAMPAIGN_GRIDS[request.grid]
         campaign = self._campaign(request.cells(), request.jobs)
-        rows = [grid.row(spec, result) for spec, result, _, _ in campaign.iter_run()]
+        rows = [
+            grid.row(spec, outcome.result)
+            for spec, outcome in campaign.iter_outcomes()
+        ]
         return list(grid.headers), rows
 
     # -- resumable runs ----------------------------------------------------
@@ -159,25 +156,34 @@ class ReproClient:
     ) -> ResultEnvelope:
         """Run one cell with periodic on-disk checkpoints.
 
-        The run writes an atomic checkpoint every ``checkpoint_every``
-        DTM windows under ``checkpoint_dir`` (named by the spec's cache
-        key) and removes it on completion.  With ``resume=True`` an
-        existing checkpoint is restored first, so only the remaining
-        windows execute — the result is bit-identical to an
-        uninterrupted run.  The finished payload is written through
-        this client's store like any other run; an already-cached cell
-        short-circuits (unless resuming from a checkpoint) exactly like
+        The cell runs in slices of ``checkpoint_every`` DTM windows,
+        and at each slice boundary its engine state is published
+        atomically under ``checkpoint_dir`` (named by the spec's cache
+        key): the document a job keeps in its record's ``cell_states``,
+        so either restores into the other.  The file is removed once
+        the payload comes back.  With ``resume=True`` an existing
+        checkpoint is restored first, so only the remaining windows
+        execute — the result is bit-identical to an uninterrupted run.
+        The finished payload is written through this client's store
+        like any other run; an already-cached cell short-circuits
+        (unless resuming from a checkpoint) exactly like
         :meth:`simulate`.
         """
+        Count(minimum=1).decode(
+            checkpoint_every, "checkpoint_every", self, ConfigurationError
+        )
         ((spec, echo),) = request.cells()
         checkpoint = CheckpointFile(
             Path(checkpoint_dir) / f"{spec.key()}.checkpoint.json"
         )
-        observer = CheckpointObserver(checkpoint, every_windows=checkpoint_every)
         state = checkpoint.load() if resume and checkpoint.exists() else None
+        # Consecutive states share most sections; rewrite only the rest.
+        serializer = EngineStateSerializer()
         outcome = run_cell(
-            spec, self.store, resume=state, observers=(observer,)
+            spec, self.store, resume=state, window_slice=checkpoint_every,
+            on_slice=lambda now: checkpoint.write(now, serializer),
         )
+        checkpoint.remove()
         return cell_envelope(spec, outcome, echo)
 
     # -- scenario library --------------------------------------------------
@@ -202,7 +208,4 @@ class ReproClient:
         return cell_envelope(spec, run_cell(spec, self.store), echo)
 
     def _campaign(self, cells: list, jobs: int) -> Campaign:
-        return Campaign(
-            [spec for spec, _ in cells],
-            jobs=jobs, store=self.store, backend=self._backend,
-        )
+        return Campaign([spec for spec, _ in cells], jobs=jobs, store=self.store)

@@ -28,9 +28,13 @@ starts.  Every error answer is one ``{"schema_version": ..., "error":
 (the request body may be unread): library errors are 400s naming the
 bad field or value, an unknown job or trace is a 404, a result read
 before its job completed a 409, and refusals (429, 503) carry
-machine-readable fields (``retry_after_s``, ``reason``).  Any other
-exception a handler raises is logged (``http.unhandled``) and answered
-as a 500, so a fault never closes the connection without a reply.
+machine-readable fields (``retry_after_s``, ``reason``).  A client
+that resets its connection mid-request is logged at info level
+(``http.client_disconnected``) and sent nothing.  Any other exception
+a handler raises is logged (``http.unhandled``) and answered as a
+500, so a fault never closes the connection without a reply; one
+that escapes a connection is logged too (``http.connection_error``),
+never printed as a bare traceback.
 
 Concurrency is bounded where it costs: every open connection has its
 own handler thread, so cheap routes and status polls always answer,
@@ -58,6 +62,7 @@ import os
 import queue
 import re
 import signal
+import sys
 import threading
 import time
 import traceback
@@ -122,6 +127,12 @@ def _match(path: str) -> tuple[str | None, str | None]:
         if found:
             return pattern, found.group(1)
     return None, None
+
+
+def _log_disconnect(client_address, error: ConnectionError) -> None:
+    LOG.info(
+        "http.client_disconnected", peer=client_address[0], error=repr(error)
+    )
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -241,6 +252,11 @@ class _Handler(BaseHTTPRequestHandler):
                 self._error(409, str(error), extra=error.detail)
             except ReproError as error:
                 self._error(400, str(error))
+            except ConnectionError as error:
+                # The client went away mid-request: no fault of ours,
+                # and nobody to answer.
+                self.close_connection = True
+                _log_disconnect(self.client_address, error)
             except Exception as error:  # noqa: BLE001 - a fault still answers
                 LOG.error(
                     "http.unhandled",
@@ -602,6 +618,21 @@ class ReproService(HTTPServer):
         # process_request took this inbox as the wait ran out: its
         # connection is on the way.
         return inbox.get()
+
+    def handle_error(self, request, client_address) -> None:
+        """Log an exception that escaped a connection as one structured
+        event, in place of ``socketserver``'s traceback on stderr."""
+        error = sys.exc_info()[1]
+        if isinstance(error, ConnectionError):
+            _log_disconnect(client_address, error)
+            return
+        LOG.error(
+            "http.connection_error",
+            f"connection from {client_address[0]} raised "
+            f"{type(error).__name__}: {error}",
+            error=repr(error),
+            traceback=traceback.format_exc(),
+        )
 
     def server_close(self) -> None:
         """Close the listener and release every idle handler thread."""

@@ -1,20 +1,20 @@
-"""Campaign execution: single runs, grid expansion, pluggable backends.
+"""Campaign execution: single runs, grid expansion, ordered batches.
 
 :func:`run_cell` is the one cell runner: every cell, whole or
 time-sliced, fresh or resumed, runs through it on its stepping engine,
 and :func:`run` is the plain entry point over it.  :func:`sweep`
 expands a declarative parameter grid into specs.  :class:`Campaign`
-executes a list of specs — deduplicated by cache key, dispatched
-through an :class:`~repro.cluster.ExecutionBackend` (in-process
-serial or a local process pool) — and returns results in the order
-the specs were given, so tables built from a campaign are
-byte-identical no matter where the cells ran.
+executes a list of specs — deduplicated by cache key, run by a
+backend's ``run_cells`` (in-process serial or a local process pool,
+:mod:`repro.cluster`) — and returns results in the order the specs
+were given, so tables built from a campaign are byte-identical no
+matter where the cells ran.
 
 Every returned result is the decode of its cache payload (fresh runs
 are round-tripped through the codec before returning), so fresh and
-cached calls yield identical shapes.  ``run_cell`` and ``Campaign``
-look a cell up through one routine, :func:`_lookup`: with no explicit
-store, the default cache's memo of decoded cells
+cached calls yield identical shapes.  ``run_cell`` and the process
+pool look a cell up through one routine, :func:`_lookup`: with no
+explicit store, the default cache's memo of decoded cells
 (:func:`~repro.campaign.stores.default_cache`), otherwise the store's
 ``get`` and one decode.  An explicit store is plain ``get``/``put``
 and never fronted by the memo.
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.campaign.spec import RunSpec, runner_for, spec_meta
@@ -119,16 +119,15 @@ def run_cell(
     *,
     resume: EngineState | None = None,
     window_slice: int | None = None,
-    observers: tuple = (),
     on_slice: Callable[[EngineState], Any] | None = None,
 ) -> RunOutcome:
     """Run one cell on its stepping engine: the only cell runner.
 
     Looks the cell up (``store`` None = the default cache), and on a
-    miss builds the kind's engine with ``observers`` attached, restores
-    ``resume``, steps it, finishes it, encodes the result and writes
-    the payload back.  A ``resume`` checkpoint marks the cell
-    unfinished, so the lookup is skipped and the run continues from it.
+    miss builds the kind's engine, restores ``resume``, steps it,
+    finishes it, encodes the result and writes the payload back.  A
+    ``resume`` checkpoint marks the cell unfinished, so the lookup is
+    skipped and the run continues from it.
 
     With no ``window_slice`` the cell runs to completion, and a cold
     default-cache cell is single-flighted: concurrent identical cells
@@ -156,9 +155,7 @@ def run_cell(
         label = PROGRESS.current_label() or key
         with TRACER.span("cell", key=key, kind=spec.kind):
             with PROGRESS.track(label):
-                engine = runner.make_engine(
-                    spec, extra_observers=tuple(observers)
-                )
+                engine = runner.make_engine(spec)
                 if resume is not None:
                     engine.restore(resume)
                 if window_slice is None:
@@ -237,6 +234,42 @@ def run_payload(
     return outcome.payload, outcome.hit, outcome.compute_seconds
 
 
+def cached_outcome(spec: RunSpec, store: ResultStore | None) -> RunOutcome | None:
+    """The cell's cached outcome (a hit), or None on a miss.
+
+    The lookup of :func:`run_cell` without the compute, for a process
+    pool that serves warm cells before it dispatches the rest.
+    """
+    cache = default_cache() if store is None else None
+    entry = _lookup(spec.kind, spec.key(), store, cache)
+    return None if entry is None else RunOutcome(*entry, True, 0.0, {})
+
+
+def adopt_outcome(
+    spec: RunSpec, outcome: RunOutcome, store: ResultStore | None
+) -> RunOutcome:
+    """A cell run in another process, published in this one.
+
+    ``outcome`` carries the payload but no result: the payload is
+    decoded here, once, and remembered in the default cache's memo
+    (the worker wrote this host's disk store itself) or put through the
+    explicit ``store`` (the worker wrote a pickled copy of it).
+    """
+    key = spec.key()
+    cache = default_cache() if store is None else None
+    entry = None if cache is None else cache.memo.get(key)
+    if entry is None:
+        result = _decode(spec.kind, outcome.payload)
+        if result is None:
+            raise _round_trip_error(spec.kind)
+        entry = (outcome.payload, result)
+        if cache is not None:
+            cache.remember(key, entry)
+        else:
+            store.put(key, outcome.payload, meta=spec_meta(spec))
+    return replace(outcome, result=entry[1])
+
+
 def sweep(
     spec_type: type,
     grid: Mapping[str, Sequence[Any]],
@@ -264,17 +297,18 @@ def sweep(
 class Campaign:
     """A batch of run specs executed with dedup, caching, and parallelism.
 
-    Results come back in spec order regardless of completion order, and
-    every result is decoded from its cache payload — the serial and
-    process-pool paths therefore produce identical values.
+    Results come back in spec order, and every result is decoded from
+    its cache payload — the serial and process-pool paths therefore
+    produce identical values.
 
-    Execution is delegated to an
-    :class:`~repro.cluster.ExecutionBackend`.  With no explicit
-    ``backend`` the campaign builds (and deterministically shuts down)
-    its own: serial for ``jobs == 1``, a local process pool otherwise.
-    An explicit backend is *borrowed* — one process pool can be reused
-    across many campaigns and is closed by its owner, normally a
-    ``with`` block around the whole batch.
+    The campaign hands its deduplicated specs to a backend's
+    ``run_cells`` (:mod:`repro.cluster`), which yields their outcomes in
+    the order given.  With no explicit ``backend`` the campaign builds
+    (and deterministically shuts down) its own: serial for
+    ``jobs == 1``, a local process pool otherwise.  An explicit backend
+    is *borrowed* — one process pool can be reused across many
+    campaigns and is closed by its owner, normally a ``with`` block
+    around the whole batch.
     """
 
     def __init__(
@@ -303,7 +337,7 @@ class Campaign:
 
     def run(self) -> list[Any]:
         """Execute every spec and return results in spec order."""
-        return [result for _, result, _, _ in self.iter_run()]
+        return [outcome.result for _, outcome in self.iter_outcomes()]
 
     def _default_backend(self, cells: int) -> Any:
         """The owned backend for one run: serial, or a process pool."""
@@ -313,96 +347,41 @@ class Campaign:
             return SerialBackend()
         return LocalProcessBackend(jobs=min(self.jobs, cells))
 
-    def iter_run(self) -> Iterator[tuple[RunSpec, Any, bool, float]]:
-        """Stream ``(spec, result, cache_hit, compute_seconds)`` in spec order.
+    def iter_outcomes(self) -> Iterator[tuple[RunSpec, RunOutcome]]:
+        """Stream ``(spec, RunOutcome)`` in spec order.
 
         Cells are yielded as soon as they (and every earlier spec)
         complete, so a consumer can render or transmit per-cell results
         while later cells are still running — this backs the streaming
-        ``ReproClient.run_campaign`` iterator.  Order stays the spec
-        order, so collecting the iterator reproduces :meth:`run`
-        byte-for-byte no matter how many workers ran it.
-
-        ``compute_seconds`` is the cell's own execute wall time as
-        measured where it ran (0.0 on a cache hit), so parallel cells
-        report true per-cell cost.  A duplicate spec is a hit on its
-        repeat occurrences: the first one carries the compute.
-        Abandoning the iterator early cancels not-yet-started cells and
-        shuts down the campaign-owned backend; a borrowed backend stays
-        open for its owner to reuse or close.
-        """
-        for spec, outcome in self.iter_outcomes():
-            yield spec, outcome.result, outcome.hit, outcome.compute_seconds
-
-    def iter_outcomes(self) -> Iterator[tuple[RunSpec, "RunOutcome"]]:
-        """Stream ``(spec, RunOutcome)`` in spec order.
-
-        Like :meth:`iter_run` but carrying the full provenance,
-        including the cache's single-flight info for each cell (``{}``
-        for warm hits and duplicate-spec repeats).
-
-        A pool backend's cells ran in other processes, so the campaign
-        publishes what it receives: into the default cache's memo (the
-        workers wrote this host's disk store themselves), or through
-        the explicit store.
+        ``ReproClient.run_campaign`` iterator.  ``compute_seconds`` is
+        the cell's own execute wall time as measured where it ran (0.0
+        on a cache hit).  A duplicate spec is a hit on its repeat
+        occurrences: the first one carries the compute.  Abandoning the
+        iterator early cancels not-yet-started cells and shuts down the
+        campaign-owned backend; a borrowed backend stays open for its
+        owner to reuse or close.
         """
         unique: dict[str, RunSpec] = {}
         for spec in self.specs:
             unique.setdefault(spec.key(), spec)
-        cache = default_cache() if self.store is None else None
-        seen: dict[str, RunOutcome] = {}
         backend = self.backend
         owned = backend is None
         if owned:
             backend = self._default_backend(len(unique))
-        in_process = backend.in_process
-        if not in_process:
-            # Serve the cells already cached before dispatching
-            # anything: a warm cache must not send work to a fresh pool.
-            for key, spec in list(unique.items()):
-                entry = _lookup(spec.kind, key, self.store, cache)
-                if entry is not None:
-                    seen[key] = RunOutcome(entry[0], entry[1], True, 0.0, {})
-                    del unique[key]
+        outcomes = backend.run_cells(list(unique.values()), self.store)
         try:
-            backend.submit_cells(list(unique.items()), store=self.store)
-            results = backend.iter_results()
             emitted: dict[str, RunOutcome] = {}
             for spec in self.specs:
                 key = spec.key()
-                if key in emitted:
-                    first = emitted[key]
+                first = emitted.get(key)
+                if first is None:
+                    emitted[key] = first = next(outcomes)
+                    yield spec, first
+                else:
                     yield spec, RunOutcome(
                         first.payload, first.result, True, 0.0, {}
                     )
-                    continue
-                while key not in seen:
-                    try:
-                        done_key, payload, hit, seconds, info = next(results)
-                    except StopIteration:
-                        raise ConfigurationError(
-                            f"execution backend "
-                            f"{type(backend).__name__} finished without "
-                            f"delivering cell {key}"
-                        ) from None
-                    done_spec = unique[done_key]
-                    entry = None if cache is None else cache.memo.get(done_key)
-                    if entry is None:
-                        result = _decode(done_spec.kind, payload)
-                        if result is None:
-                            raise _round_trip_error(done_spec.kind)
-                        entry = (payload, result)
-                        if cache is not None:
-                            cache.remember(done_key, entry)
-                        elif not in_process:
-                            self.store.put(
-                                done_key, payload, meta=spec_meta(done_spec)
-                            )
-                    seen[done_key] = RunOutcome(
-                        payload, entry[1], hit, seconds, dict(info)
-                    )
-                emitted[key] = seen.pop(key)
-                yield spec, emitted[key]
         finally:
+            outcomes.close()
             if owned:
                 backend.close()

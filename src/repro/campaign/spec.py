@@ -113,7 +113,7 @@ class Runner:
 
     kind: str
     #: Builds the :class:`repro.engine.SteppingEngine` that runs one
-    #: spec (``make_engine(spec, extra_observers=())``).  Every cell —
+    #: spec (``make_engine(spec)``).  Every cell —
     #: whole, time-sliced, checkpointed or resumed — runs on it.
     make_engine: Callable[..., Any]
     #: Result object -> JSON-serializable dict.
@@ -134,7 +134,7 @@ def register_runner(
 ) -> Runner:
     """Register (or re-register) the runner for ``kind``.
 
-    ``make_engine(spec, extra_observers=())`` builds the stepping
+    ``make_engine(spec)`` builds the stepping
     engine that runs one spec; it is required, because
     :func:`~repro.campaign.engine.run_cell` runs every cell on its
     engine.  Re-registration is allowed so module reloads stay
@@ -151,11 +151,9 @@ def register_runner(
     return runner
 
 
-def engine_for_spec(spec: RunSpec, extra_observers: tuple = ()) -> Any:
+def engine_for_spec(spec: RunSpec) -> Any:
     """A fresh stepping engine for one spec's run."""
-    return runner_for(spec.kind).make_engine(
-        spec, extra_observers=extra_observers
-    )
+    return runner_for(spec.kind).make_engine(spec)
 
 
 def runner_for(kind: str) -> Runner:

@@ -11,10 +11,8 @@ published with :func:`os.replace`
 (:func:`~repro.engine.state.publish_atomic`, the routine checkpoints
 and job records use too), so a reader (or a concurrent pool worker, or
 another handler thread of the HTTP service) can never observe a
-partially written file.  The tmp name embeds the pid, the thread id,
-*and* a process-wide monotonic counter — two threads of one process
-writing the same key each get their own tmp file instead of
-interleaving writes into a shared one.
+partially written file, and two threads writing the same key never
+share a tmp file.
 
 A record is encoded whole by :func:`json.dumps` (CPython's C encoder;
 ``json.dump`` streams through the pure-Python one, about twice as
@@ -38,10 +36,7 @@ a dependency.
 
 from __future__ import annotations
 
-import itertools
 import json
-import os
-import threading
 import time
 from pathlib import Path
 from typing import Mapping
@@ -62,11 +57,6 @@ UNRECORDED = "unrecorded"
 #: Tmp files older than this many seconds are swept by ``prune()``;
 #: young ones may belong to an in-flight writer and are left alone.
 DEFAULT_TMP_GRACE_S = 3600.0
-
-#: Process-wide monotonic suffix for tmp names (thread-safe: CPython
-#: evaluates ``next()`` on an ``itertools.count`` atomically).
-_TMP_COUNTER = itertools.count()
-
 
 def make_record(
     payload: dict, meta: Mapping | None = None, key: str | None = None
@@ -132,12 +122,6 @@ class JsonDirStore(ResultStore):
     def _path(self, key: str) -> Path:
         return self.root / key[-2:] / f"{key}.json"
 
-    def _tmp_path(self, path: Path) -> Path:
-        return path.with_name(
-            f"{path.name}.tmp.{os.getpid()}"
-            f".{threading.get_ident()}.{next(_TMP_COUNTER)}"
-        )
-
     # -- lookup ------------------------------------------------------------
 
     def get(self, key: str) -> dict | None:
@@ -160,7 +144,7 @@ class JsonDirStore(ResultStore):
         path = self._path(key)
         try:
             text = json.dumps(make_record(payload, meta, key=key))
-            publish_atomic(str(path), str(self._tmp_path(path)), text.encode())
+            publish_atomic(str(path), text.encode())
         except (OSError, TypeError, ValueError):
             pass  # a failed write is a later miss; the tmp is already gone
 

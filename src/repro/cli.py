@@ -27,15 +27,16 @@ Commands:
 - ``serve`` — expose the API over HTTP (``/v1/simulate``,
   ``/v1/scenarios``, ``/v1/campaign``, ...).
 
-``campaign`` and ``scenarios run`` accept ``--backend {local,serial}``;
-``--backend local --jobs N`` runs the grid on a pool of N local worker
-processes that share this host's disk cache, so a later run of the
-same cells is all cache hits.
+``campaign`` and ``scenarios run`` run serially, or with ``--jobs N``
+(N > 1) on a pool of N local worker processes that share this host's
+disk cache, so a later run of the same cells is all cache hits.
 
-``simulate`` and ``server`` accept ``--checkpoint-dir DIR``
-(``--checkpoint-every N`` windows, atomic files, removed on
-completion) and ``--resume`` — an interrupted long run finishes from
-its last checkpoint with bit-identical results.
+``simulate`` and ``server`` accept ``--checkpoint-dir DIR`` and
+``--resume``: the cell runs in slices of ``--checkpoint-every N``
+windows, and at each slice boundary its engine state is written
+atomically, in the format a job keeps in its record (removed on
+completion); an interrupted long run finishes from its last
+checkpoint with bit-identical results.
 
 Every run — ad-hoc or named — is a typed request's cells
 (:mod:`repro.api.requests`) executed through the campaign engine, so
@@ -62,13 +63,11 @@ Examples::
     python -m repro cache stats --json
     python -m repro cache prune --max-entries 500
     python -m repro serve --port 8765
-    python -m repro campaign --mixes W1,W2 --backend local --jobs 2
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -95,7 +94,6 @@ from repro.api.requests import (
 )
 from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores import default_disk_store, disk_cache_enabled
-from repro.cluster import BACKEND_CHOICES, backend_for
 from repro.errors import ConfigurationError, ReproError
 from repro.testbed.platforms import PLATFORMS
 
@@ -162,7 +160,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help=f"comma-separated {grid.variant_flag[2:]} ({grid.name} "
             f"grid only; default {grid.variant_default})",
         )
-    _add_backend_flags(campaign)
     campaign.add_argument(
         "--export", default=None, metavar="PATH",
         help="also write the table as CSV to PATH",
@@ -180,7 +177,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s_run = action.add_parser("run", help="run one or more scenarios by name")
     s_run.add_argument("names", nargs="+", metavar="NAME")
     _add_request_flags(s_run, ScenarioRequest, skip=("names",))
-    _add_backend_flags(s_run)
     s_run.add_argument(
         "--export", default=None, metavar="PATH",
         help="also write the table as CSV to PATH",
@@ -431,15 +427,6 @@ def _request_from_args(args: argparse.Namespace):
     return request_from_text(cls.TYPE, values)
 
 
-def _add_backend_flags(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--backend", default=None, choices=BACKEND_CHOICES,
-        help="where cells execute: local process pool (sized by --jobs) "
-        "or serial (in-process); without the flag, runs are serial "
-        "unless --jobs > 1 builds a pool",
-    )
-
-
 def _print_json(document) -> None:
     print(dumps_canonical(document))
 
@@ -581,28 +568,22 @@ def _cmd_homogeneous(args: argparse.Namespace) -> int:
 
 
 def _run_grid_command(args: argparse.Namespace) -> int:
-    """``campaign`` and ``scenarios run``: backend wiring, JSON/table."""
+    """``campaign`` and ``scenarios run``: JSON or table."""
     request = _request_from_args(args)
     label = (
         "scenarios" if isinstance(request, ScenarioRequest)
         else f"campaign {request.grid}"
     )
-    with contextlib.ExitStack() as stack:
-        backend = None
-        if args.backend is not None:
-            backend = stack.enter_context(
-                backend_for(args.backend, jobs=request.jobs)
-            )
-        client = ReproClient(backend=backend)
-        if args.json:
-            _print_json(results_document(list(client.run_campaign(request))))
-            if args.export:
-                # The cells are warm now, so the table pass is all hits
-                # served from the local store (no re-dispatch).
-                headers, rows = client.campaign_table(request)
-                _export_csv(args.export, headers, rows, quiet=True)
-            return 0
-        headers, rows = client.campaign_table(request)
+    client = ReproClient()
+    if args.json:
+        _print_json(results_document(list(client.run_campaign(request))))
+        if args.export:
+            # The cells are warm now, so the table pass is all hits
+            # served from the local store (no re-dispatch).
+            headers, rows = client.campaign_table(request)
+            _export_csv(args.export, headers, rows, quiet=True)
+        return 0
+    headers, rows = client.campaign_table(request)
     print(f"{label}: {len(rows)} runs\n")
     print(format_table(headers, rows))
     _export_csv(args.export, headers, rows)

@@ -1,48 +1,24 @@
 """Campaign execution backends: where a campaign's cells run.
 
 The campaign engine (:mod:`repro.campaign`) decides *what* to run; this
-package decides *where*.  An :class:`ExecutionBackend` receives a
-campaign's deduplicated cells and streams back encoded payloads:
+package decides *where*.  A backend's one method, ``run_cells(specs,
+store)``, runs a campaign's deduplicated cells and yields their
+outcomes in the order given:
 
 - :class:`SerialBackend` — the calling process, one cell at a time.
 - :class:`LocalProcessBackend` — a reusable local process pool whose
   workers share this host's disk cache.
+
+A campaign picks one from its ``jobs`` (serial for 1, a pool
+otherwise), or borrows the one it is given.
 """
 
-from repro.cluster.backends import (
-    ExecutionBackend,
-    LocalProcessBackend,
-    SerialBackend,
-    VectorBackend,
-)
-from repro.errors import ConfigurationError
+from repro import lazy_exports
 
-#: The CLI's ``--backend`` vocabulary.
-BACKEND_CHOICES = ("local", "serial")
+_EXPORTS = {
+    "LocalProcessBackend": "backends",
+    "SerialBackend": "backends",
+    "VectorBackend": "backends",
+}
 
-
-def backend_for(name: str, *, jobs: int = 1) -> ExecutionBackend:
-    """Build an execution backend from CLI-shaped arguments.
-
-    ``jobs`` sizes the ``local`` pool; asking a serial backend for more
-    than one job fails loudly rather than being silently ignored.
-    """
-    if name == "serial":
-        if jobs != 1:
-            raise ConfigurationError("--jobs does not apply to --backend serial")
-        return SerialBackend()
-    if name == "local":
-        return LocalProcessBackend(jobs=jobs)
-    raise ConfigurationError(
-        f"unknown backend {name!r} (choices: {list(BACKEND_CHOICES)})"
-    )
-
-
-__all__ = [
-    "BACKEND_CHOICES",
-    "ExecutionBackend",
-    "LocalProcessBackend",
-    "SerialBackend",
-    "VectorBackend",
-    "backend_for",
-]
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

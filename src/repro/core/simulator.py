@@ -390,22 +390,13 @@ class TwoLevelSimulator:
         """The level-1 model (shared across runs for memoization)."""
         return self._window
 
-    def engine(
-        self, extra_observers: tuple[Observer, ...] = ()
-    ) -> SteppingEngine:
-        """A fresh stepping engine for one run of this configuration.
-
-        The engine carries the strategy's default observers (trace
-        recorder, progress emitter) plus ``extra_observers`` — pass a
-        :class:`~repro.engine.CheckpointObserver` for resumable runs.
-        A restored engine must be built with the same extras, in the
-        same order, as the one that wrote the checkpoint.
-        """
+    def engine(self) -> SteppingEngine:
+        """A fresh stepping engine for one run of this configuration,
+        carrying the strategy's observers (trace recorder, progress
+        emitter); every engine of a cell is built alike, so any of its
+        checkpoints restores into any other."""
         strategy = Chapter4Strategy(self._config, self._policy, self._window)
-        return SteppingEngine(
-            strategy,
-            observers=(*strategy.default_observers(), *extra_observers),
-        )
+        return SteppingEngine(strategy, observers=strategy.default_observers())
 
     def run(self) -> RunResult:
         """Simulate the batch job to completion."""

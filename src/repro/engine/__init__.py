@@ -15,7 +15,6 @@ from repro import lazy_exports
 
 _EXPORTS = {
     "CheckpointFile": "state",
-    "CheckpointObserver": "observers",
     "EngineState": "state",
     "EngineStateSerializer": "state",
     "Observer": "observers",

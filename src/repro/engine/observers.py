@@ -1,7 +1,7 @@
 """Pluggable engine observers — the accounting that used to be inlined.
 
 An :class:`Observer` is notified after every window its period makes
-due (every window by default) and once at run end.  The three concrete
+due (every window by default) and once at run end.  The two concrete
 observers replace machinery that was previously copy-pasted across the
 two simulator loops:
 
@@ -12,9 +12,13 @@ two simulator loops:
 - :class:`ProgressObserver` — publishes periodic run-progress
   snapshots to the process-wide broker
   (:data:`~repro.engine.progress.PROGRESS`), feeding ``/v1/progress``.
-- :class:`CheckpointObserver` — writes an atomic
-  :class:`~repro.engine.state.CheckpointFile` every N windows and
-  removes it when the run completes.
+
+Checkpoints are no observer's job: a resumable run is stepped in
+window slices by :func:`~repro.campaign.engine.run_cell`, whose
+``on_slice`` callback receives the engine state at each boundary (the
+CLI writes it to a :class:`~repro.engine.state.CheckpointFile`, a job
+into its record), so every engine of a cell carries the same observers
+and any of its checkpoints restores into any other.
 
 Observers that carry run state (the recorder's trace and sampling
 phase) declare it in ``STATE_FIELDS`` so engine checkpoints capture it
@@ -30,9 +34,7 @@ from typing import TYPE_CHECKING
 from repro.core.results import TemperatureTrace
 from repro.engine.codec import Count, Field, Float, Nested, Optional
 from repro.engine.progress import PROGRESS
-from repro.engine.state import CheckpointFile, EngineStateSerializer
 from repro.errors import ConfigurationError
-from repro.obs.trace import TRACER
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.engine.stepping import SteppingEngine
@@ -134,42 +136,3 @@ class ProgressObserver(Observer):
 
     def on_finish(self, engine: "SteppingEngine") -> None:
         self._publish(engine, done=True)
-
-
-class CheckpointObserver(Observer):
-    """Writes an atomic checkpoint every N windows, removed on finish.
-
-    The checkpoint is taken *after* the window completes, so a restore
-    resumes at an exact window boundary.  All file I/O goes through
-    :class:`~repro.engine.state.CheckpointFile`: a run interrupted at
-    any point leaves either the last complete snapshot or nothing —
-    never a torn file, never a stray temp sibling.
-
-    Consecutive snapshots of one run share most of their bytes (the
-    header never changes; the observer states — carrying the whole
-    trace-so-far — change only when the trace grows), so the observer
-    serializes through a per-run
-    :class:`~repro.engine.state.EngineStateSerializer` that re-dumps
-    only the sections whose content moved since the previous write.
-    """
-
-    def __init__(
-        self, checkpoint: CheckpointFile | str, every_windows: int = 1000
-    ) -> None:
-        _EVERY.decode(every_windows, "every_windows", self, ConfigurationError)
-        self.checkpoint = (
-            checkpoint
-            if isinstance(checkpoint, CheckpointFile)
-            else CheckpointFile(checkpoint)
-        )
-        self.every_windows = every_windows
-        self._serializer = EngineStateSerializer()
-
-    def on_window(self, engine: "SteppingEngine") -> None:
-        with TRACER.span("checkpoint", window=engine.windows):
-            self.checkpoint.write(engine.checkpoint(), serializer=self._serializer)
-
-    def on_finish(self, engine: "SteppingEngine") -> None:
-        # A finished run needs no resume point; leaving one behind
-        # would make a later --resume silently replay a stale batch.
-        self.checkpoint.remove()

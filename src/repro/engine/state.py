@@ -40,8 +40,10 @@ checkpoint or nothing, never a torn or partial file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -171,15 +173,24 @@ class EngineStateSerializer:
 _SORTED_KEYS = sorted(field.key for field in fields_of(EngineState))
 
 
-def publish_atomic(path: str, tmp: str, data: bytes) -> None:
-    """Write ``data`` to ``tmp``, then publish it as ``path``.
+#: Process-wide suffix of temp names (``next`` on an
+#: ``itertools.count`` is atomic in CPython).
+_TMP_COUNTER = itertools.count()
+
+
+def publish_atomic(path: str, data: bytes) -> None:
+    """Write ``data`` to a temp sibling, then publish it as ``path``.
 
     Readers of ``path`` see the previous file or the new one, never a
-    torn write.  A missing parent directory is created on the first
-    failed open rather than probed per write.  Any failure, a
-    ``KeyboardInterrupt`` included, unlinks ``tmp`` and re-raises; the
-    caller picks the tmp name (unique per writer) and the error policy.
+    torn write.  The sibling is ``<path>.tmp.<pid>.<tid>.<n>``, with
+    ``n`` from one process-wide counter, so no two writers — processes,
+    threads of one process, or two writes of one thread — share one.
+    A missing parent directory is created on the first failed open
+    rather than probed per write.  Any failure, a ``KeyboardInterrupt``
+    included, unlinks the sibling and re-raises; the caller picks the
+    error policy.
     """
+    tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}.{next(_TMP_COUNTER)}"
     flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
     try:
         try:
@@ -205,26 +216,14 @@ def publish_atomic(path: str, tmp: str, data: bytes) -> None:
 class CheckpointFile:
     """One on-disk checkpoint slot with atomic write-then-rename.
 
-    The write path is tuned for the worst-case every-window cadence:
-    the temp-sibling path is computed once per process (not per write),
-    and :func:`publish_atomic` writes through raw ``os.open``/``os.write``
-    and creates the parent directory on demand.
+    :func:`publish_atomic` writes through raw ``os.open``/``os.write``
+    and creates the parent directory on demand, which keeps the
+    every-window cadence cheap.
     """
 
     def __init__(self, path: Path | str) -> None:
         self.path = Path(path)
         self._path_str = str(self.path)
-        self._tmp_pid = -1
-        self._tmp = ""
-
-    def _tmp_path(self) -> str:
-        # Keyed on the pid so a forked worker inheriting this object
-        # writes its own sibling instead of racing the parent's.
-        pid = os.getpid()
-        if pid != self._tmp_pid:
-            self._tmp_pid = pid
-            self._tmp = f"{self._path_str}.tmp.{pid}"
-        return self._tmp
 
     def exists(self) -> bool:
         """Whether a published checkpoint is present."""
@@ -240,15 +239,15 @@ class CheckpointFile:
         The document is serialized before the temp file opens, so an
         unserializable state aborts before touching disk; any I/O
         failure mid-write unlinks the temp sibling, leaving either the
-        previous valid checkpoint or nothing.  A ``serializer`` lets
-        repeat writers (:class:`~repro.engine.observers.CheckpointObserver`)
-        reuse unchanged sections' serialized text between snapshots.
+        previous valid checkpoint or nothing.  A ``serializer`` lets a
+        repeat writer (a resumable run's slice boundaries) reuse
+        unchanged sections' serialized text between snapshots.
         """
         if serializer is None:
             text = json.dumps(state.to_dict(), sort_keys=True)
         else:
             text = serializer.serialize(state)
-        publish_atomic(self._path_str, self._tmp_path(), (text + "\n").encode())
+        publish_atomic(self._path_str, (text + "\n").encode())
 
     def load(self) -> EngineState:
         """Read and validate the published snapshot."""

@@ -3,9 +3,8 @@
 Promotes the single-campaign coordinator into a long-running shared
 service: a crash-safe persistent job queue with priorities and
 FIFO-within-priority ordering, per-tenant quotas and token-bucket rate
-limits, a priority-preempting scheduler that runs every job's cells
-in-process, time-sliced at window boundaries, and a
-bounded-cardinality metrics registry backing ``GET /metrics``.
+limits, and a priority-preempting scheduler that runs every job's
+cells in-process, time-sliced at window boundaries.
 
 The HTTP surface lives in :mod:`repro.api.service` (``/v1/jobs``,
 ``/v1/healthz``, ``/metrics``); this package is transport-free and
@@ -22,50 +21,27 @@ fully usable in-process:
     })
 """
 
-from repro.jobs.client import JobsClient
-from repro.jobs.queue import JobQueue
-from repro.obs.metrics import MetricsRegistry
-from repro.jobs.scheduler import (
-    JobScheduler,
-    JobsManager,
-    job_progress_label,
-)
-from repro.jobs.store import (
-    CANCELLED,
-    COMPLETED,
-    FAILED,
-    QUEUED,
-    RUNNING,
-    TERMINAL_STATES,
-    JobRecord,
-    JobStore,
-    new_job_id,
-)
-from repro.jobs.tenancy import (
-    QuotaExceeded,
-    QuotaManager,
-    TenantPolicy,
-    TokenBucket,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CANCELLED",
-    "COMPLETED",
-    "FAILED",
-    "QUEUED",
-    "RUNNING",
-    "TERMINAL_STATES",
-    "JobQueue",
-    "JobRecord",
-    "JobScheduler",
-    "JobStore",
-    "JobsClient",
-    "JobsManager",
-    "MetricsRegistry",
-    "QuotaExceeded",
-    "QuotaManager",
-    "TenantPolicy",
-    "TokenBucket",
-    "job_progress_label",
-    "new_job_id",
-]
+_EXPORTS = {
+    "JobsClient": "client",
+    "JobQueue": "queue",
+    "JobScheduler": "scheduler",
+    "JobsManager": "scheduler",
+    "job_progress_label": "scheduler",
+    "CANCELLED": "store",
+    "COMPLETED": "store",
+    "FAILED": "store",
+    "QUEUED": "store",
+    "RUNNING": "store",
+    "TERMINAL_STATES": "store",
+    "JobRecord": "store",
+    "JobStore": "store",
+    "new_job_id": "store",
+    "QuotaExceeded": "tenancy",
+    "QuotaManager": "tenancy",
+    "TenantPolicy": "tenancy",
+    "TokenBucket": "tenancy",
+}
+
+__getattr__, __all__ = lazy_exports(__name__, _EXPORTS)

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
 import time
 import uuid
 from dataclasses import dataclass
@@ -67,10 +65,6 @@ JOB_STATES = frozenset({QUEUED, RUNNING}) | TERMINAL_STATES
 #: Events kept per record (oldest dropped first) so a pathological
 #: preemption ping-pong cannot grow a record without bound.
 _MAX_EVENTS = 200
-
-_tmp_counter = 0
-_tmp_lock = threading.Lock()
-
 
 def new_job_id() -> str:
     """A fresh, URL-safe job identifier."""
@@ -162,18 +156,13 @@ class JobStore:
         """Atomically persist ``record`` (publish-or-nothing); a failed
         write raises and leaves no tmp file behind.  Only
         :meth:`~repro.jobs.queue.JobQueue.transition` calls it."""
-        global _tmp_counter
         path = self._path(record.job_id)
-        with _tmp_lock:
-            _tmp_counter += 1
-            counter = _tmp_counter
-        tmp = f"{path}.tmp.{os.getpid()}.{threading.get_ident()}.{counter}"
         document = {
             "format": RECORD_FORMAT,
             "version": RECORD_VERSION,
             "job": record.to_dict(),
         }
-        publish_atomic(str(path), tmp, json.dumps(document, sort_keys=True).encode())
+        publish_atomic(str(path), json.dumps(document, sort_keys=True).encode())
 
     def load(self, job_id: str) -> JobRecord | None:
         """The stored record, or None when absent/unreadable."""

@@ -330,15 +330,9 @@ class ServerSimulator:
         """The socket-aware performance model (shared for memoization)."""
         return self._window
 
-    def engine(
-        self, extra_observers: tuple[Observer, ...] = ()
-    ) -> SteppingEngine:
-        """A fresh stepping engine for one run of this measurement.
-
-        Same contract as :meth:`TwoLevelSimulator.engine`: default
-        observers (trace recorder, progress emitter) plus the caller's
-        extras; restores require the same observer line-up.
-        """
+    def engine(self) -> SteppingEngine:
+        """A fresh stepping engine for one run of this measurement
+        (same contract as :meth:`TwoLevelSimulator.engine`)."""
         strategy = ServerStrategy(
             self._platform,
             self._policy,
@@ -350,10 +344,7 @@ class ServerSimulator:
             self._base_frequency_level,
             self._max_sim_s,
         )
-        return SteppingEngine(
-            strategy,
-            observers=(*strategy.default_observers(), *extra_observers),
-        )
+        return SteppingEngine(strategy, observers=strategy.default_observers())
 
     def run(self) -> ServerRunResult:
         """Execute the batch job under the policy."""

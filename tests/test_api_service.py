@@ -429,6 +429,41 @@ def test_a_failed_connection_leaves_its_thread_reusable(monkeypatch):
     assert len(threads) == 3 and len(set(threads)) == 1
 
 
+def test_a_client_reset_mid_reply_is_a_logged_disconnect(monkeypatch, capfd):
+    """A client that resets its connection while its reply is being
+    written is no server fault: one info-level
+    ``http.client_disconnected`` event, no error-level event, no 500
+    written to the dead socket and nothing on stderr."""
+    svc = ReproService(port=0)
+    events = []
+    monkeypatch.setattr(
+        service_module.LOG, "_emit",
+        lambda level, event, message, fields: events.append((level, event)),
+    )
+    entered, reset = threading.Event(), threading.Event()
+    respond = service_module._Handler._respond
+
+    def after_the_reset(handler, *args, **kwargs) -> None:
+        entered.set()
+        reset.wait(timeout=5)
+        time.sleep(0.05)  # the RST reaches the server's socket
+        respond(handler, *args, **kwargs)
+
+    monkeypatch.setattr(service_module._Handler, "_respond", after_the_reset)
+    with _serving(svc):
+        sock = socket.create_connection(("127.0.0.1", svc.port), timeout=5)
+        sock.sendall(
+            b"GET /metrics?format=json HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n"
+        )
+        assert entered.wait(timeout=5)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        sock.close()
+        reset.set()
+        _await_idle(svc)
+    assert events == [("info", "http.client_disconnected")]
+    assert capfd.readouterr().err == ""
+
+
 def test_server_close_ends_every_idle_handler_thread(monkeypatch):
     svc = ReproService(port=0)
     threads = _recording(svc, monkeypatch)

@@ -65,7 +65,7 @@ class _SquareEngine:
 
     windows = 1
 
-    def __init__(self, spec: SquareSpec, extra_observers: tuple = ()) -> None:
+    def __init__(self, spec: SquareSpec) -> None:
         self.spec = spec
 
     def run_to_completion(self) -> dict:

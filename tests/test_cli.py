@@ -59,10 +59,13 @@ def test_unknown_policy_rejected(capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["campaign", "--backend", "vector"], "invalid choice: 'vector'"),
+    (["campaign", "--backend", "vector"], "unrecognized arguments"),
     (["serve", "--jobs", "--jobs-backend", "http"], "unrecognized arguments"),
     (["serve", "--jobs", "--jobs-workers", "x:1"], "unrecognized arguments"),
-    (["campaign", "--backend", "http"], "invalid choice: 'http'"),
+    (["campaign", "--backend", "http"], "unrecognized arguments"),
+    (["campaign", "--backend", "local"], "unrecognized arguments"),
+    (["scenarios", "run", "hot-ambient", "--backend", "serial"],
+     "unrecognized arguments"),
     (["campaign", "--workers", "x:1"], "unrecognized arguments"),
 ])
 def test_removed_backend_options_are_unknown(argv, message, capsys):
@@ -307,13 +310,13 @@ def test_simulate_with_checkpoint_dir_matches_plain_run(capsys, tmp_path, monkey
 
 
 def test_checkpoint_every_zero_is_one_clean_error_line(capsys, tmp_path):
-    """The checkpoint observer refuses the period, before any window
+    """The resumable run refuses the slice length, before any window
     runs; the CLI prints its one error line."""
     assert main(["simulate", "--copies", "1", "--checkpoint-dir", str(tmp_path),
                  "--checkpoint-every", "0"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: every_windows must be >= 1, got 0\n"
+    assert captured.err == "error: checkpoint_every must be >= 1, got 0\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -323,8 +326,8 @@ def test_simulate_resume_finishes_from_checkpoint(capsys, tmp_path, monkeypatch)
     import json
 
     from repro.api import SimulateRequest
-    from repro.campaign import NullStore, engine_for_spec, run
-    from repro.engine import CheckpointFile, CheckpointObserver
+    from repro.campaign import NullStore, run, run_cell
+    from repro.engine import CheckpointFile
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     request = SimulateRequest(mix="W1", policy="ts", copies=1)
@@ -332,15 +335,15 @@ def test_simulate_resume_finishes_from_checkpoint(capsys, tmp_path, monkeypatch)
     uninterrupted = run(spec, store=NullStore())
 
     # Fake the interrupted first half exactly as the CLI would have
-    # left it: same observer line-up (the CheckpointObserver included),
-    # same file name, abandoned mid-run.
+    # left it: same slices, same file name, abandoned mid-run.
     ckpt_dir = tmp_path / "ckpt"
     checkpoint = CheckpointFile(ckpt_dir / f"{spec.key()}.checkpoint.json")
-    engine = engine_for_spec(
-        spec,
-        extra_observers=(CheckpointObserver(checkpoint, every_windows=200),),
-    )
-    engine.step_windows(400)
+
+    def on_slice(state) -> bool:
+        checkpoint.write(state)
+        return state.windows >= 400
+
+    run_cell(spec, NullStore(), window_slice=200, on_slice=on_slice)
 
     assert main(["simulate", "--mix", "W1", "--policy", "ts", "--copies", "1",
                  "--checkpoint-dir", str(ckpt_dir), "--resume",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -16,16 +17,10 @@ from repro.campaign import (
     MemoryStore,
     default_cache,
     register_runner,
-    run_payload,
     spec_key,
     sweep,
 )
-from repro.cluster import (
-    BACKEND_CHOICES,
-    LocalProcessBackend,
-    SerialBackend,
-    backend_for,
-)
+from repro.cluster import LocalProcessBackend, SerialBackend
 from repro.engine.gang import plan_gangs
 from repro.errors import ConfigurationError
 
@@ -49,7 +44,7 @@ class _SquareEngine:
 
     windows = 1
 
-    def __init__(self, spec, extra_observers: tuple = ()) -> None:
+    def __init__(self, spec) -> None:
         self.spec = spec
 
     def run_to_completion(self) -> dict:
@@ -94,7 +89,7 @@ def test_process_backend_is_reused_across_campaigns_then_closed():
     assert [r["square"] for r in second] == [1849, 1936]
     # A closed backend refuses further work.
     with pytest.raises(ConfigurationError, match="closed"):
-        backend.submit_cells([])
+        list(backend.run_cells([ClusterSquareSpec(45)], MemoryStore()))
 
 
 def test_process_backend_streams_in_spec_order():
@@ -102,8 +97,8 @@ def test_process_backend_streams_in_spec_order():
     with LocalProcessBackend(jobs=2) as backend:
         campaign = Campaign(specs, store=MemoryStore(), backend=backend)
         rows = [
-            (spec.value, result["square"], hit)
-            for spec, result, hit, _ in campaign.iter_run()
+            (spec.value, outcome.result["square"], outcome.hit)
+            for spec, outcome in campaign.iter_outcomes()
         ]
     # Spec order, and the duplicate cell is a hit on its repeat.
     assert rows == [
@@ -111,11 +106,11 @@ def test_process_backend_streams_in_spec_order():
     ]
 
 
-def test_abandoned_iter_run_leaves_no_stray_processes():
+def test_abandoned_iterator_leaves_no_stray_processes():
     """Abandoning a parallel iterator must shut its owned pool down."""
     before = set(multiprocessing.active_children())
     specs = sweep(ClusterSquareSpec, {"value": tuple(range(60, 68))})
-    iterator = Campaign(specs, jobs=2, store=MemoryStore()).iter_run()
+    iterator = Campaign(specs, jobs=2, store=MemoryStore()).iter_outcomes()
     next(iterator)
     iterator.close()  # abandon mid-grid
     deadline = time.monotonic() + 10.0
@@ -132,7 +127,7 @@ def test_abandoned_iterator_keeps_borrowed_backend_usable():
         specs = sweep(ClusterSquareSpec, {"value": (71, 72, 73)})
         iterator = Campaign(
             specs, store=MemoryStore(), backend=backend
-        ).iter_run()
+        ).iter_outcomes()
         next(iterator)
         iterator.close()
         # The borrowed backend is still open: a fresh campaign works.
@@ -143,34 +138,21 @@ def test_abandoned_iterator_keeps_borrowed_backend_usable():
         assert [r["square"] for r in results] == [5476, 5625]
 
 
-class _ShortBackend(SerialBackend):
-    """Delivers only the first submitted cell."""
+def _inline_pool(backend: LocalProcessBackend, monkeypatch) -> list:
+    """Give ``backend`` a pool that runs each submitted cell at once, in
+    this process, against a private store — as a pool worker does with
+    its pickled store copy; returns the keys of the cells submitted."""
+    submitted = []
 
-    def iter_results(self):
-        yield next(super().iter_results())
+    class Pool:
+        def submit(self, work, spec, store, *trace):
+            submitted.append(spec.key())
+            future = Future()
+            future.set_result(work(spec, MemoryStore(), *trace))
+            return future
 
-
-def test_backend_under_delivery_is_a_clean_error():
-    specs = sweep(ClusterSquareSpec, {"value": (81, 82)})
-    with pytest.raises(ConfigurationError, match="without delivering"):
-        Campaign(specs, store=MemoryStore(), backend=_ShortBackend()).run()
-
-
-class _PrivateStoreBackend(SerialBackend):
-    """Computes against a private store, as a pool worker does with its
-    pickled store copy, and records the cells it was handed."""
-
-    in_process = False
-
-    def submit_cells(self, cells, store=None) -> None:
-        super().submit_cells(cells, store)
-        self.submitted = [key for key, _ in cells]
-
-    def iter_results(self):
-        private = MemoryStore()
-        for key, spec in self._cells:
-            payload, hit, seconds = run_payload(spec, private)
-            yield key, payload, hit, seconds, {}
+    monkeypatch.setattr(backend, "_ensure_pool", Pool)
+    return submitted
 
 
 def test_pool_payloads_fill_the_explicit_store_or_the_memo(
@@ -179,66 +161,70 @@ def test_pool_payloads_fill_the_explicit_store_or_the_memo(
     # Explicit store: payloads computed elsewhere land in it.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
+    backend = LocalProcessBackend(1)
+    _inline_pool(backend, monkeypatch)
     store = MemoryStore()
-    Campaign(
-        [ClusterSquareSpec(91)], store=store, backend=_PrivateStoreBackend()
-    ).run()
+    Campaign([ClusterSquareSpec(91)], store=store, backend=backend).run()
     assert store.get(ClusterSquareSpec(91).key()) == {
         "value": 91, "square": 8281,
     }
     assert default_cache().memo == {}
     # Default cache: pool workers wrote this host's disk store
-    # themselves, so the campaign fills the parent's memo and nothing
+    # themselves, so the pool fills the parent's memo and nothing
     # else.
     key = ClusterSquareSpec(92).key()
-    (result,) = Campaign(
-        [ClusterSquareSpec(92)], backend=_PrivateStoreBackend()
-    ).run()
+    (result,) = Campaign([ClusterSquareSpec(92)], backend=backend).run()
     assert default_cache().memo == {key: ({"value": 92, "square": 8464}, result)}
     assert JsonDirStore(tmp_path).get(key) is None
 
 
-def test_warm_local_store_cells_are_not_dispatched():
+def test_warm_local_store_cells_are_not_dispatched(monkeypatch):
     """Cells the campaign's store already holds never reach the pool."""
     store = MemoryStore()
     warm = ClusterSquareSpec(101)
     store.put(warm.key(), {"value": 101, "square": 10201})
     cold = ClusterSquareSpec(102)
-    backend = _PrivateStoreBackend()
+    backend = LocalProcessBackend(1)
+    submitted = _inline_pool(backend, monkeypatch)
     rows = [
-        (spec.value, result["square"], hit)
-        for spec, result, hit, _ in Campaign(
+        (spec.value, outcome.result["square"], outcome.hit)
+        for spec, outcome in Campaign(
             [warm, cold], store=store, backend=backend
-        ).iter_run()
+        ).iter_outcomes()
     ]
     assert rows == [(101, 10201, True), (102, 10404, False)]
-    assert backend.submitted == [cold.key()]
+    assert submitted == [cold.key()]
 
 
-# ---------------------------------------------------------------------------
-# Backend factory
-# ---------------------------------------------------------------------------
+def test_a_serial_campaign_decodes_each_payload_once(monkeypatch):
+    """The campaign hands a serial backend's outcomes on as ``run_cell``
+    made them: one decode per cold cell, none per warm one."""
+    from repro.campaign import engine as campaign_engine
 
+    decodes = []
+    decode = campaign_engine._decode
 
-def test_backend_for_factory():
-    assert isinstance(backend_for("serial"), SerialBackend)
-    local = backend_for("local", jobs=3)
-    assert isinstance(local, LocalProcessBackend) and local.jobs == 3
-    assert set(BACKEND_CHOICES) == {"local", "serial"}
-    # --jobs shapes the local pool; on the serial backend it must fail
-    # loudly rather than be silently ignored.
-    with pytest.raises(ConfigurationError, match="jobs does not apply"):
-        backend_for("serial", jobs=4)
-    for retired in ("http", "quantum", "vector"):
-        with pytest.raises(ConfigurationError, match="unknown backend"):
-            backend_for(retired)
+    def counted(kind, payload):
+        decodes.append(payload["value"])
+        return decode(kind, payload)
+
+    monkeypatch.setattr(campaign_engine, "_decode", counted)
+    store = MemoryStore()
+    specs = sweep(ClusterSquareSpec, {"value": (111, 112, 113)})
+    with SerialBackend() as serial:
+        Campaign(specs, store=store, backend=serial).run()
+    assert decodes == [111, 112, 113]
+    Campaign(specs, store=store, backend=SerialBackend()).run()
+    assert decodes == [111, 112, 113] * 2  # a warm read decodes its hit
 
 
 def test_batch_cells_validates():
     """No backend takes a gang width any more: ``batch_cells`` is an
     unknown argument, not a silently ignored one."""
+    with pytest.raises(TypeError, match="takes no arguments"):
+        SerialBackend(batch_cells=4)
     with pytest.raises(TypeError, match="batch_cells"):
-        backend_for("serial", batch_cells=4)
+        LocalProcessBackend(2, batch_cells=4)
 
 
 # ---------------------------------------------------------------------------

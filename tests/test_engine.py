@@ -25,20 +25,29 @@ from repro.analysis.specs import (
     run_result_to_dict,
     server_result_to_dict,
 )
-from repro.campaign import NullStore, engine_for_spec, run
+from repro.api import ReproClient, SimulateRequest
+from repro.campaign import NullStore, engine_for_spec, run, run_cell
 from repro.engine import (
     CheckpointFile,
-    CheckpointObserver,
     EngineState,
     EngineStateSerializer,
+    Observer,
 )
 from repro.engine.observers import TraceRecorder
 from repro.engine.progress import PROGRESS
 from repro.engine.state import ENGINE_STATE_VERSION
+from repro.engine.stepping import SteppingEngine
 from repro.engine import codec
 from repro.errors import CheckpointError, ConfigurationError
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _with_observers(spec, *extra) -> SteppingEngine:
+    """A fresh engine for ``spec`` with ``extra`` observers after the
+    ones every engine of the cell carries."""
+    base = engine_for_spec(spec)
+    return SteppingEngine(base.strategy, observers=(*base.observers, *extra))
 
 #: Shared construction of the acceptance engines, used both in-process
 #: and by the fresh-interpreter restore driver.  Policies with internal
@@ -158,9 +167,8 @@ def test_restore_rejects_wrong_strategy_and_observer_mismatch():
     with pytest.raises(CheckpointError, match="strategy"):
         ch5.restore(state)
 
-    extra = engine_for_spec(
-        Chapter4Spec(mix="W1", policy="ts", copies=1),
-        extra_observers=(TraceRecorder(),),
+    extra = _with_observers(
+        Chapter4Spec(mix="W1", policy="ts", copies=1), TraceRecorder()
     )
     with pytest.raises(CheckpointError, match="observer"):
         extra.restore(state)
@@ -217,42 +225,46 @@ def test_checkpoint_file_write_is_atomic_and_cleans_tmp_on_failure(
     assert checkpoint.load() == good  # previous snapshot survived intact
 
 
-def test_checkpoint_observer_writes_periodically_and_removes_on_finish(
-    tmp_path,
+def test_a_resumable_run_checkpoints_each_slice_and_removes_on_finish(
+    tmp_path, monkeypatch
 ):
-    spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
-    path = tmp_path / "run.checkpoint.json"
-    observer = CheckpointObserver(CheckpointFile(path), every_windows=50)
-    engine = engine_for_spec(spec, extra_observers=(observer,))
-    engine.step_windows(120)
-    assert path.is_file()
-    snapshot = CheckpointFile(path).load()
-    assert snapshot.windows == 100  # last multiple of every_windows
-    engine.run_to_completion()
+    request = SimulateRequest(mix="W1", policy="ts", copies=1)
+    ((spec, _),) = request.cells()
+    path = tmp_path / f"{spec.key()}.checkpoint.json"
+    written: list[int] = []
+    write = CheckpointFile.write
+
+    def spy(checkpoint, state, serializer=None) -> None:
+        write(checkpoint, state, serializer)
+        written.append(CheckpointFile(path).load().windows)
+
+    monkeypatch.setattr(CheckpointFile, "write", spy)
+    ReproClient(store=NullStore()).run_resumable(
+        request, checkpoint_dir=tmp_path, checkpoint_every=500
+    )
+    # One snapshot per slice boundary before the end.
+    assert len(written) > 3
+    assert written == list(range(500, 500 * len(written) + 1, 500))
     # A completed run leaves nothing to resume — and no temp files.
     assert list(tmp_path.iterdir()) == []
 
 
-def test_checkpoint_observer_resume_roundtrip_via_file(tmp_path):
+def test_a_slice_checkpoint_file_resumes_bit_identically(tmp_path):
     spec = Chapter5Spec(platform="PE1950", mix="W1", policy="bw", copies=1)
     baseline = server_result_to_dict(engine_for_spec(spec).run_to_completion())
 
-    path = tmp_path / "srv.checkpoint.json"
-    observer = CheckpointObserver(CheckpointFile(path), every_windows=40)
-    engine = engine_for_spec(spec, extra_observers=(observer,))
-    engine.step_windows(95)  # abandon mid-run; file holds window 80
+    checkpoint = CheckpointFile(tmp_path / "srv.checkpoint.json")
 
-    resumed_engine = engine_for_spec(
-        spec,
-        extra_observers=(
-            CheckpointObserver(CheckpointFile(path), every_windows=40),
-        ),
-    )
-    resumed_engine.restore(CheckpointFile(path).load())
+    def on_slice(state: EngineState) -> bool:
+        checkpoint.write(state)
+        return state.windows >= 80  # abandon after the window-80 write
+
+    run_cell(spec, NullStore(), window_slice=40, on_slice=on_slice)
+    resumed_engine = engine_for_spec(spec)
+    resumed_engine.restore(checkpoint.load())
     assert resumed_engine.windows == 80
     result = resumed_engine.run_to_completion()
     assert server_result_to_dict(result) == baseline
-    assert not path.exists()
 
 
 def test_serializer_output_matches_plain_dumps_across_writes():
@@ -338,8 +350,7 @@ def test_engine_state_error_paths(tmp_path):
         engine.restore(EngineState.from_dict(broken))
 
 
-def test_observer_defaults_and_validation(tmp_path):
-    from repro.engine import Observer
+def test_observer_defaults_and_validation():
     from repro.engine.observers import ProgressObserver
 
     base = Observer()
@@ -347,8 +358,6 @@ def test_observer_defaults_and_validation(tmp_path):
     codec.load_state_dict(base, {})
     with pytest.raises(ConfigurationError, match="every_windows must be >= 1"):
         ProgressObserver(every_windows=0)
-    with pytest.raises(ConfigurationError, match="every_windows must be >= 1"):
-        CheckpointObserver(tmp_path / "x.json", every_windows=0)
     # The recorder round-trips its pristine (never sampled) state.
     recorder = TraceRecorder(resolution_s=1.0)
     state = codec.state_dict(recorder)
@@ -473,11 +482,9 @@ def test_a_ch5_decision_index_names_one_decision(policy, platform):
     assert sorted(by_index) == list(range(rungs))
 
 
-def test_observers_are_called_exactly_at_their_due_windows(tmp_path):
+def test_observers_are_called_exactly_at_their_due_windows():
     """An observer runs after each window whose count is a multiple of
     its period (every window by default), across slice boundaries."""
-    from repro.engine import Observer
-
     seen: dict[str, list[int]] = {"every": [], "sevens": []}
 
     class Every(Observer):
@@ -486,44 +493,55 @@ def test_observers_are_called_exactly_at_their_due_windows(tmp_path):
             assert engine.now_s == pytest.approx(engine.windows * engine.dt_s)
             seen["every"].append(engine.windows)
 
-    class Sevens(CheckpointObserver):
+    class Sevens(Observer):
+        every_windows = 7
+
         def on_window(self, engine) -> None:
             seen["sevens"].append(engine.windows)
-            super().on_window(engine)
 
-    engine = engine_for_spec(
-        Chapter4Spec(mix="W1", policy="ts", copies=1),
-        extra_observers=(Every(), Sevens(tmp_path / "c.json", every_windows=7)),
+    engine = _with_observers(
+        Chapter4Spec(mix="W1", policy="ts", copies=1), Every(), Sevens()
     )
     for count in (3, 10, 1, 22):
         engine.step_windows(count)
     assert seen == {"every": list(range(1, 37)), "sevens": [7, 14, 21, 28, 35]}
-    assert CheckpointFile(tmp_path / "c.json").load().windows == 35
 
 
-def test_a_run_resumed_mid_period_matches_a_straight_run(tmp_path):
+class _Snapshots(Observer):
+    """Keeps the engine's checkpoint every 50 windows."""
+
+    every_windows = 50
+
+    def __init__(self) -> None:
+        self.states: list[dict] = []
+
+    def on_window(self, engine) -> None:
+        self.states.append(engine.checkpoint().to_dict())
+
+
+def test_a_run_resumed_mid_period_matches_a_straight_run():
     """Checkpointed between two due windows of every observer and
     restored in a fresh engine, the run reaches the same checkpoints
     and the same payload bytes as one that never stopped."""
     spec = Chapter4Spec(mix="W2", policy="acg+pid", copies=1)
 
-    def build(name: str):
-        observer = CheckpointObserver(tmp_path / name, every_windows=50)
-        return engine_for_spec(spec, extra_observers=(observer,))
+    def build():
+        snapshots = _Snapshots()
+        return _with_observers(spec, snapshots), snapshots
 
-    straight = build("straight.json")
+    straight, straight_snapshots = build()
     straight.step_windows(260)
     at_260 = straight.checkpoint().to_dict()
-    at_250 = CheckpointFile(tmp_path / "straight.json").load().to_dict()
+    at_250 = straight_snapshots.states[-1]
     expected = json.dumps(run_result_to_dict(straight.run_to_completion()))
 
-    paused = build("paused.json")
+    paused, _ = build()
     paused.step_windows(123)
-    resumed = build("resumed.json")
+    resumed, resumed_snapshots = build()
     resumed.restore(EngineState.from_dict(paused.checkpoint().to_dict()))
     resumed.step_windows(137)
     assert resumed.checkpoint().to_dict() == at_260
-    assert CheckpointFile(tmp_path / "resumed.json").load().to_dict() == at_250
+    assert resumed_snapshots.states[-1] == at_250
     got = json.dumps(run_result_to_dict(resumed.run_to_completion()))
     assert got == expected
 

@@ -62,14 +62,13 @@ from repro.jobs import (
     JobsClient,
     JobsManager,
     JobStore,
-    MetricsRegistry,
     QuotaExceeded,
     QuotaManager,
     TenantPolicy,
     TokenBucket,
     job_progress_label,
 )
-from repro.obs.metrics import OVERFLOW_LABEL
+from repro.obs.metrics import OVERFLOW_LABEL, MetricsRegistry
 from repro.obs.trace import TRACER
 
 #: The workhorse request: one cold ch4 cell, ~0.3 s of compute —

@@ -279,20 +279,25 @@ class TestPoolTracing:
     def test_untraced_pool_sends_no_trace_context(self, monkeypatch):
         from concurrent.futures import Future
 
+        from repro.campaign import NullStore
         from repro.cluster import LocalProcessBackend
-        from repro.cluster.backends import _pool_worker_execute
+        from repro.cluster.backends import _pool_worker
 
         submitted = []
 
         class Pool:
             def submit(self, work, *args):
                 submitted.append((work, args))
-                return Future()
+                future = Future()
+                future.set_result(work(*args))
+                return future
 
         backend = LocalProcessBackend(1)
         monkeypatch.setattr(backend, "_ensure_pool", Pool)
-        backend.submit_cells([("key", self.SPECS[0])])
-        assert submitted == [(_pool_worker_execute, (self.SPECS[0], None))]
+        store = NullStore()
+        (outcome,) = backend.run_cells(self.SPECS[:1], store)
+        assert submitted == [(_pool_worker, (self.SPECS[0], store))]
+        assert outcome.result.runtime_s > 0
 
 
 class TestMetricsMoved:
@@ -386,7 +391,7 @@ _GATES: dict = {}
 class _GateEngine:
     windows = 1
 
-    def __init__(self, spec: GateSpec, extra_observers: tuple = ()) -> None:
+    def __init__(self, spec: GateSpec) -> None:
         self.spec = spec
 
     def run_to_completion(self) -> dict:

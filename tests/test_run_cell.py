@@ -5,11 +5,13 @@ finishes, encodes and stores a cell.  Its three callers — a campaign's
 whole run, a job's time-sliced cell and the checkpointed CLI run — must
 therefore agree bit for bit with a plain uncached ``run_payload``, on a
 Chapter 4 and a Chapter 5 cell, including when they stop mid-cell and
-resume from a checkpoint.
+resume from a checkpoint.  A job and the CLI checkpoint at the same
+slice boundaries, so each resumes the other's checkpoint.
 """
 
 from __future__ import annotations
 
+import json
 
 import pytest
 
@@ -18,14 +20,15 @@ from repro.api.envelope import dumps_canonical
 from repro.api.requests import request_to_dict
 from repro.campaign import (
     Campaign,
+    JsonDirStore,
     MemoryStore,
     NullStore,
-    engine_for_spec,
     run_cell,
     run_payload,
 )
+from repro.cli import main
 from repro.core.kernel import BatchedMemSpot
-from repro.engine import CheckpointObserver
+from repro.engine import CheckpointFile
 from repro.engine.progress import PROGRESS
 from repro.jobs import (
     COMPLETED,
@@ -83,11 +86,13 @@ def _via_checkpoint_file(request, tmp_path) -> dict:
     """An interrupted checkpointed run resumed from its file."""
     spec = _spec(request)
     path = tmp_path / f"{spec.key()}.checkpoint.json"
-    interrupted = engine_for_spec(
-        spec,
-        extra_observers=(CheckpointObserver(str(path), every_windows=40),),
-    )
-    interrupted.step_windows(80)  # killed right after the window-80 write
+    checkpoint = CheckpointFile(path)
+
+    def on_slice(state) -> bool:
+        checkpoint.write(state)
+        return state.windows >= 80  # killed right after the window-80 write
+
+    run_cell(spec, NullStore(), window_slice=40, on_slice=on_slice)
     assert path.exists()
     store = MemoryStore()
     envelope = ReproClient(store=store).run_resumable(
@@ -98,31 +103,119 @@ def _via_checkpoint_file(request, tmp_path) -> dict:
     return store.get(spec.key())
 
 
+@pytest.fixture
+def stepped(monkeypatch) -> list[int]:
+    """``[n]``: the thermal-kernel steps, one per window, since reset."""
+    count = [0]
+    kernel_step = BatchedMemSpot.step
+
+    def counted(memspot, *args):
+        count[0] += 1
+        return kernel_step(memspot, *args)
+
+    monkeypatch.setattr(BatchedMemSpot, "step", counted)
+    return count
+
+
+def _reference(request, stepped) -> tuple[dict, int]:
+    """The uncached payload of ``request``'s cell and its window count;
+    resets ``stepped``."""
+    expected, hit, _ = run_payload(_spec(request), NullStore())
+    assert not hit
+    windows, stepped[0] = stepped[0], 0
+    assert windows > 0
+    return expected, windows
+
+
 @pytest.mark.parametrize("cell", sorted(CELLS))
 @pytest.mark.parametrize(
     "caller", [_via_campaign, _via_job, _via_checkpoint_file],
     ids=["campaign", "job-sliced-resumed", "checkpoint-file"],
 )
 def test_every_run_cell_caller_yields_the_reference_bytes(
-    caller, cell, tmp_path, monkeypatch
+    caller, cell, tmp_path, stepped
 ):
     """Same payload bytes, and no window stepped twice: a resumed
     caller really continued from its checkpoint instead of rerunning."""
-    stepped = [0]
-    kernel_step = BatchedMemSpot.step
-
-    def counted(memspot, *args):
-        stepped[0] += 1
-        return kernel_step(memspot, *args)
-
-    monkeypatch.setattr(BatchedMemSpot, "step", counted)
     request = CELLS[cell]
-    expected, hit, _ = run_payload(_spec(request), NullStore())
-    assert not hit
-    windows, stepped[0] = stepped[0], 0
-    assert windows > 0
+    expected, windows = _reference(request, stepped)
     got = caller(request, tmp_path)
     assert dumps_canonical(got) == dumps_canonical(expected)
+    assert stepped[0] == windows
+
+
+#: The ``repro simulate`` arguments of the Chapter 4 cell.
+SIMULATE_ARGS = ["simulate", "--mix", "W1", "--policy", "ts", "--copies", "1"]
+
+
+def test_a_cli_checkpoint_resumes_as_a_job_cell(tmp_path, monkeypatch, stepped):
+    """``repro simulate --checkpoint-dir``, killed after its second
+    checkpoint, leaves a state a job cell resumes to the reference
+    bytes, stepping each window once."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    request = CELLS["ch4"]
+    key = _spec(request).key()
+    expected, windows = _reference(request, stepped)
+    write = CheckpointFile.write
+
+    def killed_after_window_100(checkpoint, state, serializer=None) -> None:
+        write(checkpoint, state, serializer)
+        if state.windows >= 100:
+            raise KeyboardInterrupt
+
+    monkeypatch.setattr(CheckpointFile, "write", killed_after_window_100)
+    ckpt_dir = tmp_path / "ckpt"
+    with pytest.raises(KeyboardInterrupt):
+        main([*SIMULATE_ARGS, "--checkpoint-dir", str(ckpt_dir),
+              "--checkpoint-every", "50"])
+    monkeypatch.setattr(CheckpointFile, "write", write)
+    state = CheckpointFile(ckpt_dir / f"{key}.checkpoint.json").load()
+    assert state.windows == 100
+
+    jobs_dir = tmp_path / "jobs"
+    queue = JobQueue(jobs_dir)
+    record = queue.submit("t", request_to_dict(request))
+    record.cell_states = {key: state.to_dict()}
+    queue.store.save(record)
+    revived = JobQueue(jobs_dir)
+    assert revived.recover()["requeued"] == 1
+    record = revived.next_ready(timeout_s=0)
+    store = MemoryStore()
+    JobScheduler(revived, store=store, window_slice=50)._execute(record)
+    assert record.status == COMPLETED
+    assert f"{key} from window 100" in [e.get("detail") for e in record.events]
+    assert dumps_canonical(store.get(key)) == dumps_canonical(expected)
+    assert stepped[0] == windows
+
+
+def test_a_job_cell_state_resumes_through_the_cli(
+    tmp_path, monkeypatch, capsys, stepped
+):
+    """A job's ``cell_states`` entry, saved as the CLI's checkpoint
+    file, resumes through ``repro simulate --resume`` to the reference
+    bytes, stepping each window once."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    request = CELLS["ch4"]
+    key = _spec(request).key()
+    expected, windows = _reference(request, stepped)
+    queue = JobQueue(tmp_path / "jobs")
+    job_id = queue.submit("t", request_to_dict(request)).job_id
+    first = JobScheduler(queue, store=MemoryStore(), window_slice=50)
+    first.stop()  # drain at the first slice boundary
+    first._execute(queue.next_ready(timeout_s=0))
+    (state,) = queue.get(job_id).cell_states.values()
+    assert state["windows"] == 50
+
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_dir.mkdir()
+    path = ckpt_dir / f"{key}.checkpoint.json"
+    path.write_text(json.dumps(state))
+    assert main([*SIMULATE_ARGS, "--checkpoint-dir", str(ckpt_dir),
+                 "--resume", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["provenance"]["cache"] == "miss"
+    payload = JsonDirStore(tmp_path / "cache").get(key)
+    assert dumps_canonical(payload) == dumps_canonical(expected)
+    assert not path.exists()
     assert stepped[0] == windows
 
 

@@ -63,6 +63,17 @@ def test_the_cli_loads_no_service_jobs_dram_or_testbed_runner():
     )) == []
 
 
+def test_the_jobs_client_loads_no_simulator_or_scheduler():
+    """``repro jobs`` talks to a service over HTTP: its client loads the
+    HTTP helper, not the Chapter 4 simulator or the job scheduler."""
+    modules = _loaded_after("import repro.jobs.client")
+    assert _loaded_packages(modules, (
+        "repro.core", "repro.campaign", "repro.jobs.scheduler",
+        "repro.jobs.queue", "repro.jobs.store",
+    )) == []
+    assert "repro.api.http" in modules
+
+
 def test_the_service_loads_the_testbed_runner_before_it_serves():
     """/v1/server and Chapter 5 jobs run the testbed simulator; the
     service pays for importing it at start-up, not in a request."""

@@ -66,7 +66,7 @@ class _CubeEngine:
 
     windows = 1
 
-    def __init__(self, spec: CubeSpec, extra_observers: tuple = ()) -> None:
+    def __init__(self, spec: CubeSpec) -> None:
         self.spec = spec
 
     def run_to_completion(self) -> dict:
@@ -92,24 +92,35 @@ def fresh_cache(tmp_path, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def test_tmp_names_are_unique_across_threads(tmp_path):
+def test_tmp_names_are_unique_across_threads(tmp_path, monkeypatch):
+    """``publish_atomic`` names its own temp sibling: one per write,
+    whichever thread writes, in the form the sweeps glob for."""
     store = JsonDirStore(tmp_path)
     target = store._path("test-cube-abc")
     names, lock = [], threading.Lock()
+    replace = os.replace
 
-    def grab() -> None:
-        mine = [store._tmp_path(target).name for _ in range(50)]
+    def recorded(src, dst) -> None:
         with lock:
-            names.extend(mine)
+            names.append(Path(src).name)
+        replace(src, dst)
 
-    threads = [threading.Thread(target=grab) for _ in range(8)]
+    monkeypatch.setattr("repro.engine.state.os.replace", recorded)
+
+    def write() -> None:
+        for _ in range(50):
+            store.put("test-cube-abc", {"cube": 1})
+
+    threads = [threading.Thread(target=write) for _ in range(8)]
     for t in threads:
         t.start()
     for t in threads:
         t.join()
-    assert len(names) == len(set(names))
+    assert len(names) == 400 and len(set(names)) == 400
     pid = os.getpid()
-    assert all(f".tmp.{pid}." in name for name in names)
+    assert all(
+        name.startswith(f"{target.name}.tmp.{pid}.") for name in names
+    )
 
 
 def test_concurrent_thread_writers_same_key_no_torn_reads(tmp_path):

@@ -81,9 +81,8 @@ from repro.core.memspot import MemSpot  # noqa: E402
 from repro.core.windowmodel import WindowModel  # noqa: E402
 from repro.engine import (  # noqa: E402
     CheckpointFile,
-    CheckpointObserver,
+    EngineState,
     EngineStateSerializer,
-    Observer,
 )
 from repro.obs.metrics import METRICS  # noqa: E402
 from repro.params.thermal_params import AOHS_1_5, ISOLATED_AMBIENT  # noqa: E402
@@ -199,26 +198,22 @@ def bench_campaign_grid_serial(repeats: int) -> dict:
     }
 
 
-class _NaiveCheckpointWriter(Observer):
+def _naive_checkpoint_writer(path: Path):
     """The PR-5-era checkpoint path: full re-dump + pathlib write.
 
-    Kept here as the bench's comparison arm — this is what
-    :class:`~repro.engine.observers.CheckpointObserver` did before the
-    section-reuse serializer and the raw-``os`` write path, and what it
+    Kept here as the bench's comparison arm — this is what a checkpoint
+    write did before the section-reuse serializer and the raw-``os``
+    write path, and what :class:`~repro.engine.state.CheckpointFile`
     must keep beating.
     """
 
-    def __init__(self, path: Path) -> None:
-        self.path = path
-
-    def on_window(self, engine) -> None:
-        state = engine.checkpoint()
+    def on_slice(state: EngineState) -> None:
         text = json.dumps(state.to_dict(), sort_keys=True)
-        tmp = self.path.with_suffix(
-            f"{self.path.suffix}.tmp.{os.getpid()}"
-        )
+        tmp = path.with_suffix(f"{path.suffix}.tmp.{os.getpid()}")
         tmp.write_text(text + "\n")
-        os.replace(tmp, self.path)
+        os.replace(tmp, path)
+
+    return on_slice
 
 
 #: Minimum repeats of the checkpoint bench.  One repeat is a 4-5 s run
@@ -235,25 +230,28 @@ def bench_checkpoint_overhead(repeats: int) -> dict:
     spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
 
     def plain() -> tuple[float, int]:
-        engine = engine_for_spec(spec)
         started = time.perf_counter()
-        engine.run_to_completion()
-        return time.perf_counter() - started, engine.windows
+        outcome = run_cell(spec, NullStore())
+        return time.perf_counter() - started, outcome.windows
 
     def checkpointed(optimized: bool) -> tuple[float, int]:
+        # Both arms run the cell in one-window slices, as a resumable
+        # CLI run or a job does, and write each slice's state.
         with tempfile.TemporaryDirectory(prefix="repro-bench-ckpt-") as root:
             path = Path(root) / "cell.checkpoint.json"
-            observer: Observer
             if optimized:
-                observer = CheckpointObserver(
-                    CheckpointFile(path), every_windows=1
-                )
+                checkpoint = CheckpointFile(path)
+                serializer = EngineStateSerializer()
+
+                def on_slice(state: EngineState) -> None:
+                    checkpoint.write(state, serializer)
             else:
-                observer = _NaiveCheckpointWriter(path)
-            engine = engine_for_spec(spec, extra_observers=(observer,))
+                on_slice = _naive_checkpoint_writer(path)
             started = time.perf_counter()
-            engine.run_to_completion()
-            return time.perf_counter() - started, engine.windows
+            outcome = run_cell(
+                spec, NullStore(), window_slice=1, on_slice=on_slice
+            )
+            return time.perf_counter() - started, outcome.windows
 
     plain_samples: list[float] = []
     opt_samples: list[float] = []
@@ -310,8 +308,9 @@ def bench_checkpoint_overhead(repeats: int) -> dict:
     return {
         "description": (
             "W1/ts cell with a checkpoint written every window vs none "
-            "(worst-case checkpoint cadence); the optimized observer "
-            "path is raced against the naive PR-5-era write path"
+            "(worst-case checkpoint cadence, one-window run_cell "
+            "slices); the CheckpointFile path is raced against the "
+            "naive PR-5-era write path"
         ),
         "windows": windows,
         "plain_seconds": round(best_plain, 4),
