@@ -29,6 +29,7 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.campaign.spec import RunSpec, runner_for, spec_meta
 from repro.campaign.stores import ResultCache, ResultStore, default_cache
+from repro.engine.codec import Count, Optional
 from repro.engine.progress import PROGRESS
 from repro.engine.state import EngineState
 from repro.errors import CheckpointError, ConfigurationError
@@ -113,6 +114,10 @@ def _round_trip_error(kind: str) -> ConfigurationError:
     )
 
 
+#: A slice length, in windows (None: run to completion).
+_WINDOW_SLICE = Optional(Count(minimum=1))
+
+
 def run_cell(
     spec: RunSpec,
     store: ResultStore | None,
@@ -140,7 +145,9 @@ def run_cell(
     The compute runs under a ``cell`` span and the caller's progress
     label (the cache key when the caller set none).  The engine is only
     built on a miss, so warm reads never pay for its construction.
+    A ``window_slice`` below 1 is refused before the lookup.
     """
+    _WINDOW_SLICE.decode(window_slice, "window_slice", None, ConfigurationError)
     cache = default_cache() if store is None else None
     key = spec.key()
     if resume is None:

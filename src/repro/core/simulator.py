@@ -25,7 +25,6 @@ execution all come for free and are bit-identical to a straight run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 from repro.core.kernel import BatchedMemSpot
 from repro.core.results import RunResult
@@ -42,9 +41,9 @@ from repro.engine.codec import (
     check_domain,
     domain,
 )
-from repro.engine.observers import Observer, ProgressObserver, TraceRecorder
+from repro.engine.observers import TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
-from repro.errors import CheckpointError, ConfigurationError, SimulationError
+from repro.errors import CheckpointError, ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
 from repro.params.power_params import ProcessorPowerTable, SIMULATED_CPU_POWER
 from repro.params.thermal_params import (
@@ -205,10 +204,7 @@ class Chapter4Strategy:
         self.trace_recorder = TraceRecorder(
             resolution_s=cfg.trace_resolution_s, enabled=cfg.record_trace
         )
-
-    def default_observers(self) -> tuple[Observer, ...]:
-        """The observers every Chapter 4 engine carries."""
-        return (self.trace_recorder, ProgressObserver())
+        self.max_sim_s = cfg.max_sim_s
 
     # -- engine protocol ---------------------------------------------------
 
@@ -218,16 +214,6 @@ class Chapter4Strategy:
         self._occupied = self.scheduler.occupied_slots()
         self._occupied_count = len(self._occupied)
         return self.scheduler.done
-
-    def max_sim_horizon(self) -> float | None:
-        return self._config.max_sim_s
-
-    def timeout_error(self, engine: SteppingEngine) -> SimulationError:
-        return SimulationError(
-            f"batch did not finish within {self._config.max_sim_s} "
-            f"simulated seconds ({self.scheduler.finished_jobs}/"
-            f"{self.scheduler.total_jobs} jobs done)"
-        )
 
     def window(self, engine: SteppingEngine) -> tuple:
         """One DTM window's decision, on the last sample.
@@ -346,12 +332,6 @@ class Chapter4Strategy:
             trace=self.trace_recorder.trace,
         )
 
-    def progress(self, engine: SteppingEngine) -> dict[str, Any]:
-        return {
-            "finished_jobs": self.scheduler.finished_jobs,
-            "total_jobs": self.scheduler.total_jobs,
-        }
-
     def _state_hook(self, values: dict, path: str) -> dict:
         total = values["_total_intervals"]
         if values["_shutdown_intervals"] > total:
@@ -391,12 +371,10 @@ class TwoLevelSimulator:
         return self._window
 
     def engine(self) -> SteppingEngine:
-        """A fresh stepping engine for one run of this configuration,
-        carrying the strategy's observers (trace recorder, progress
-        emitter); every engine of a cell is built alike, so any of its
-        checkpoints restores into any other."""
-        strategy = Chapter4Strategy(self._config, self._policy, self._window)
-        return SteppingEngine(strategy, observers=strategy.default_observers())
+        """A fresh stepping engine for one run of this configuration."""
+        return SteppingEngine(
+            Chapter4Strategy(self._config, self._policy, self._window)
+        )
 
     def run(self) -> RunResult:
         """Simulate the batch job to completion."""

@@ -246,15 +246,11 @@ class Object(Kind):
         }
 
 
-@dataclasses.dataclass(frozen=True)
 class Nested(Kind):
-    """A component restored in place, by its own table or by
-    ``fields`` when its class declares none."""
-
-    fields: tuple | None = None
+    """A component restored in place, by its own table."""
 
     def encode(self, value: Any) -> dict:
-        return state_dict(value, self.fields)
+        return state_dict(value)
 
 
 class Field(NamedTuple):
@@ -339,11 +335,11 @@ def fields_of(component: Any) -> tuple[Field, ...]:
     return component.STATE_FIELDS
 
 
-def state_dict(component: Any, fields: tuple | None = None) -> dict:
+def state_dict(component: Any) -> dict:
     """A component's checkpoint state (JSON-ready)."""
     return {
         field.key: field.kind.encode(getattr(component, field.attr))
-        for field in fields or fields_of(component)
+        for field in fields_of(component)
     }
 
 
@@ -351,22 +347,20 @@ class Decoded(dict):
     """Decoded values of a nested component, by attribute."""
 
 
-def decode_state(
-    component: Any, raw: Any, path: str, fields: tuple | None = None
-) -> Decoded:
+def decode_state(component: Any, raw: Any, path: str) -> Decoded:
     """Check ``raw`` against the component's table, recursively, and
     return the values to assign without assigning any."""
     if not isinstance(raw, Mapping):
         raise CheckpointError(f"{path or 'state'} must be an object, got {raw!r}")
     values = Decoded()
-    for field in fields or fields_of(component):
+    for field in fields_of(component):
         where = f"{path}.{field.key}" if path else field.key
         value = raw.get(field.key, field.default)
         if value is REQUIRED:
             raise CheckpointError(f"{where} is missing")
         if isinstance(field.kind, Nested):
             child = getattr(component, field.attr)
-            value = decode_state(child, value, where, field.kind.fields)
+            value = decode_state(child, value, where)
         else:
             value = field.kind.decode(value, where, component, CheckpointError)
         values[field.attr] = value

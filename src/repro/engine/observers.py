@@ -3,7 +3,8 @@
 An :class:`Observer` is notified after every window its period makes
 due (every window by default) and once at run end.  The two concrete
 observers replace machinery that was previously copy-pasted across the
-two simulator loops:
+two simulator loops, and the engine attaches both, in this order, to
+every run:
 
 - :class:`TraceRecorder` — the trace-sampling accounting (resolution
   gating for Chapter 4, every-window logging for Chapter 5), owning
@@ -11,7 +12,8 @@ two simulator loops:
   embeds.
 - :class:`ProgressObserver` — publishes periodic run-progress
   snapshots to the process-wide broker
-  (:data:`~repro.engine.progress.PROGRESS`), feeding ``/v1/progress``.
+  (:data:`~repro.engine.progress.PROGRESS`), feeding ``/v1/progress``,
+  with the job counts of the engine's scheduler.
 
 Checkpoints are no observer's job: a resumable run is stepped in
 window slices by :func:`~repro.campaign.engine.run_cell`, whose
@@ -32,9 +34,8 @@ from math import inf
 from typing import TYPE_CHECKING
 
 from repro.core.results import TemperatureTrace
-from repro.engine.codec import Count, Field, Float, Nested, Optional
+from repro.engine.codec import Field, Float, Nested, Optional
 from repro.engine.progress import PROGRESS
-from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.engine.stepping import SteppingEngine
@@ -54,10 +55,6 @@ class Observer:
 
     def on_finish(self, engine: "SteppingEngine") -> None:
         """Called once when the run completes (after ``finalize``)."""
-
-
-#: An observer period, in windows.
-_EVERY = Count(minimum=1)
 
 
 class TraceRecorder(Observer):
@@ -111,15 +108,14 @@ class TraceRecorder(Observer):
 class ProgressObserver(Observer):
     """Publishes run progress to the process-wide broker.
 
-    Emits every ``every_windows`` windows plus a final ``done`` record.
+    Emits every :attr:`every_windows` windows plus a final ``done``
+    record; a run with a scheduler adds its finished and total jobs.
     Publishing is a no-op unless the surrounding code labeled the run
     with :meth:`~repro.engine.progress.ProgressBroker.track`, so the
-    observer is safe to attach unconditionally.
+    engine attaches the observer unconditionally.
     """
 
-    def __init__(self, every_windows: int = 200) -> None:
-        _EVERY.decode(every_windows, "every_windows", self, ConfigurationError)
-        self.every_windows = every_windows
+    every_windows = 200
 
     def _publish(self, engine: "SteppingEngine", done: bool) -> None:
         snapshot = {
@@ -128,7 +124,10 @@ class ProgressObserver(Observer):
             "now_s": engine.now_s,
             "done": done,
         }
-        snapshot.update(engine.strategy.progress(engine))
+        scheduler = engine.scheduler
+        if scheduler is not None:
+            snapshot["finished_jobs"] = scheduler.finished_jobs
+            snapshot["total_jobs"] = scheduler.total_jobs
         PROGRESS.publish(snapshot)
 
     def on_window(self, engine: "SteppingEngine") -> None:

@@ -3,12 +3,9 @@
 Both of the paper's experimental tracks follow the same per-DTM-window
 cadence: read the sensors, let the policy (or chipset) decide, evaluate
 the level-1 performance model, advance the batch, step MEMSpot, account
-energy and peaks, sample the trace.  Before this module that cadence
-was inlined three times (``TwoLevelSimulator.run``,
-``ServerSimulator.run``, ``run_homogeneous``), which meant runs could
-only execute to completion inside one opaque call.
+energy and peaks, sample the trace.
 
-:class:`SteppingEngine` owns the cadence behind an incremental surface:
+:class:`SteppingEngine` owns that cadence and the run around it:
 
 - :meth:`step_windows` / :meth:`run_to_completion` — advance one slice
   or the whole batch;
@@ -17,21 +14,24 @@ only execute to completion inside one opaque call.
   at any window boundary.  A restored run is **bit-identical** to an
   uninterrupted one (the engine tests enforce this for both
   simulators, restoring in a fresh process);
-- pluggable :class:`~repro.engine.observers.Observer` hooks for trace
-  recording, progress emission and checkpoint files.
+- the observers every engine of a cell carries — the strategy's trace
+  recorder, then a :class:`~repro.engine.observers.ProgressObserver`
+  — so any checkpoint of a cell restores into any other engine of it,
+  plus the extra ones a caller attaches (the §5.4.1 daughter card);
+- the runaway horizon, and the shared post-step accounting (peaks,
+  the ambient-temperature time integral, memory/CPU energy) in exactly
+  the floating-point order the historical inlined loops used, so
+  engine-hosted runs reproduce their goldens byte for byte.
 
-A :class:`RunStrategy` supplies everything experiment-specific: the
-model wiring (scheduler, policy, window model, MEMSpot), the
-per-window actuation/evaluation, and the final result object.  The
-engine itself performs the shared post-step accounting — peak
-tracking, the ambient-temperature time integral, memory/CPU energy —
-in exactly the floating-point order the inlined loops used, so
-engine-hosted runs reproduce the pre-refactor goldens byte for byte.
+A :class:`RunStrategy` supplies only what differs between experiments:
+the model wiring (scheduler, policy, window model, MEMSpot), the
+window's decision and outcome, and the final result object.
 
 Within one window the division of labor is:
 
-1. engine: runaway guard (``now > max_sim_s`` raises the strategy's
-   :class:`~repro.errors.SimulationError`; the horizon is read once,
+1. engine: runaway guard (``now > strategy.max_sim_s`` raises one
+   :class:`~repro.errors.SimulationError` naming the kind, the limit
+   and the scheduler's finished/total jobs; the limit is read once,
    when the engine is built);
 2. strategy ``window(engine)``: sensor reading -> decision, plus the
    strategy's own per-window counters; it returns the window's cache
@@ -72,13 +72,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Hashable, Iterable, Protocol
 
 from repro.engine.codec import apply_state, decode_state, state_dict
+from repro.engine.observers import ProgressObserver
 from repro.engine.state import EngineState
 from repro.errors import CheckpointError, SimulationError
 from repro.obs.trace import engine_observer
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.kernel import MemSpotSample, ThermalLoad
-    from repro.engine.observers import Observer
+    from repro.engine.observers import Observer, TraceRecorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,7 +103,8 @@ class WindowOutcome:
 
 
 class RunStrategy(Protocol):
-    """Experiment-specific wiring the engine drives (see module doc).
+    """Experiment-specific wiring the engine drives (see module doc):
+    the window and the result, nothing of the run around them.
 
     A window is split in two: :meth:`window` decides and returns a
     hashable cache key; :meth:`window_outcome` turns a key the engine
@@ -123,8 +125,14 @@ class RunStrategy(Protocol):
     #: The level-2 thermal kernel (a ``BatchedMemSpot``).
     memspot: Any
     #: The batch scheduler the engine advances with each outcome's
-    #: progress (None for a run without one).
+    #: progress and reads job counts from (None for a run without one).
     scheduler: Any
+    #: The trace recorder the engine attaches as its first observer;
+    #: ``finalize`` embeds its trace.
+    trace_recorder: "TraceRecorder"
+    #: Simulated-seconds runaway limit (None: no limit; a strategy with
+    #: a limit has a scheduler); read once, when the engine is built.
+    max_sim_s: float | None
     #: The strategy's checkpoint fields (see :mod:`repro.engine.codec`).
     STATE_FIELDS: tuple
 
@@ -143,21 +151,8 @@ class RunStrategy(Protocol):
         """Compute the outcome of a window whose key missed the cache."""
         ...
 
-    def timeout_error(self, engine: "SteppingEngine") -> SimulationError:
-        """The error raised when the run exceeds its horizon."""
-        ...
-
     def finalize(self, engine: "SteppingEngine") -> Any:
         """Build the run's result object from the engine state."""
-        ...
-
-    def progress(self, engine: "SteppingEngine") -> dict[str, Any]:
-        """Extra progress-snapshot fields (job counts, ...)."""
-        ...
-
-    def max_sim_horizon(self) -> float | None:
-        """Simulated-seconds runaway limit (None = unbounded); read once,
-        when the engine is built."""
         ...
 
 
@@ -175,7 +170,12 @@ _ACCUMULATORS = (
 
 
 class SteppingEngine:
-    """Drives one :class:`RunStrategy` window by window."""
+    """Drives one :class:`RunStrategy` window by window.
+
+    Every engine carries the strategy's trace recorder, then a
+    :class:`~repro.engine.observers.ProgressObserver`; ``observers``
+    are extra ones, notified after those two.
+    """
 
     def __init__(
         self,
@@ -185,11 +185,15 @@ class SteppingEngine:
         self.strategy = strategy
         self.dt_s = strategy.dt_s
         self._memspot = strategy.memspot
-        horizon = strategy.max_sim_horizon()
         #: Runaway limit, read once: every strategy's is fixed per run.
-        self._horizon = math.inf if horizon is None else horizon
-        self._scheduler = strategy.scheduler
-        self._observers = list(observers)
+        self._horizon = (
+            math.inf if strategy.max_sim_s is None else strategy.max_sim_s
+        )
+        #: The strategy's batch scheduler (None for a run without one).
+        self.scheduler = strategy.scheduler
+        self._observers = [
+            strategy.trace_recorder, ProgressObserver(), *observers
+        ]
         #: (observer, period) of each observer called per window, and
         #: the period of their union (0: none is ever due).
         self._periodic = [
@@ -265,7 +269,7 @@ class SteppingEngine:
         window_outcome = strategy.window_outcome
         cache = self._window_cache
         kernel_step = self._memspot.step
-        advance = None if self._scheduler is None else self._scheduler.advance
+        advance = None if self.scheduler is None else self.scheduler.advance
         # Without a scheduler `done` may read the clock: ask every window.
         every_window = check_done = advance is None
         dt = self.dt_s
@@ -343,7 +347,11 @@ class SteppingEngine:
             )
         # Short of ``count`` and not done: the horizon stopped the loop.
         if stepped < count and not done(self):
-            raise strategy.timeout_error(self)
+            raise SimulationError(
+                f"{strategy.kind} run did not finish within {self._horizon} "
+                f"simulated seconds ({self.scheduler.finished_jobs}/"
+                f"{self.scheduler.total_jobs} jobs done)"
+            )
         return stepped
 
     def _store(self, *values: float) -> None:

@@ -16,8 +16,10 @@ at window-slice granularity: the running job checkpoints, requeues
 with its original submit sequence, and the urgent job takes the
 thread.  Each of those writes is a
 :meth:`~repro.jobs.queue.JobQueue.transition`; when one fails, the job
-fails if that can be written, else keeps its on-disk state, and the
-loop goes on.
+fails if that can be written, else keeps its on-disk state while the
+loop goes on and retries the ``failed`` write on each iteration until
+it lands, so the job stops holding its tenant's slot without a
+restart.
 
 :class:`JobsManager` bundles queue + scheduler + quotas + metrics into
 the object :class:`~repro.api.service.ReproService` mounts under
@@ -64,6 +66,10 @@ _SINGLE_ENVELOPE_TYPES = frozenset({"simulate", "server"})
 #: The backoff a submit refused for an unwritable job record suggests.
 _STORE_RETRY_AFTER_S = 5.0
 
+#: How long the idle loop waits for a ready job before it looks again
+#: (and retries the ``failed`` writes that have not landed).
+_POLL_S = 0.25
+
 #: Per-cell slice outcomes (module-private control flow), each also
 #: the event of the transition the job makes on it.
 _DONE = "completed"
@@ -91,7 +97,6 @@ class JobScheduler:
         store: Any | None = None,
         window_slice: int = 500,
         metrics: MetricsRegistry | None = None,
-        poll_s: float = 0.25,
     ) -> None:
         Count(minimum=1).decode(window_slice, "window_slice", self, ConfigurationError)
         self.queue = queue
@@ -99,7 +104,9 @@ class JobScheduler:
         self._store = store
         self.window_slice = window_slice
         self.metrics = metrics if metrics is not None else METRICS
-        self._poll_s = poll_s
+        #: (record, error) of each job whose ``failed`` write has not
+        #: landed yet; the loop retries them.
+        self._pending_failures: list[tuple[JobRecord, str]] = []
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -123,15 +130,17 @@ class JobScheduler:
         self._stop.set()
         thread = self._thread
         if thread is not None:
-            thread.join(timeout=timeout_s if drain else self._poll_s * 4)
+            thread.join(timeout=timeout_s if drain else _POLL_S * 4)
             self._thread = None
 
     # -- the loop -----------------------------------------------------------
 
     def _loop(self) -> None:
         while not self._stop.is_set():
-            record = self.queue.next_ready(timeout_s=self._poll_s)
-            self._publish_queue_gauges()
+            pending, self._pending_failures = self._pending_failures, []
+            for record, message in pending:
+                self._fail(record, message)
+            record = self.queue.next_ready(timeout_s=_POLL_S)
             if record is None:
                 continue
             try:
@@ -140,26 +149,19 @@ class JobScheduler:
                 self._fail(record, str(error))
             except Exception as error:  # noqa: BLE001 — keep the loop alive
                 self._fail(record, f"{type(error).__name__}: {error}")
-            finally:
-                self._publish_queue_gauges()
-
-    def _publish_queue_gauges(self) -> None:
-        self.metrics.gauge_set(
-            "repro_jobs_queue_depth", "Jobs waiting to run",
-            self.queue.count(QUEUED),
-        )
-        self.metrics.gauge_set(
-            "repro_jobs_running", "Jobs currently executing",
-            self.queue.count(RUNNING),
-        )
 
     def _fail(self, record: JobRecord, message: str) -> None:
         """Fail ``record``.  If even that write fails, the job keeps its
         on-disk state (``transition`` logged and counted the failure)
-        and the loop lives on."""
+        and the loop retries it on its next iteration.  A job that
+        reached a terminal state another way (a cancel of a job whose
+        running mark failed) is left as it is."""
         try:
             self.queue.transition(record, FAILED, "failed", message, error=message)
+        except ConflictError:
+            return
         except Exception:  # noqa: BLE001 — keep the loop alive
+            self._pending_failures.append((record, message))
             return
         LOG.error("job.failed", job=record.job_id, error=message)
 
@@ -507,7 +509,8 @@ class JobsManager:
         }
 
     def publish_usage_metrics(self) -> None:
-        """Refresh per-tenant usage gauges (called per /metrics scrape)."""
+        """Refresh the queue and per-tenant usage gauges (called per
+        /metrics and /v1/slo scrape)."""
         for tenant, usage in self.quotas.usage().items():
             self.metrics.gauge_set(
                 "repro_tenant_admitted_total",
@@ -515,4 +518,11 @@ class JobsManager:
                 usage["admitted"],
                 tenant=tenant,
             )
-        self.scheduler._publish_queue_gauges()
+        self.metrics.gauge_set(
+            "repro_jobs_queue_depth", "Jobs waiting to run",
+            self.queue.count(QUEUED),
+        )
+        self.metrics.gauge_set(
+            "repro_jobs_running", "Jobs currently executing",
+            self.queue.count(RUNNING),
+        )

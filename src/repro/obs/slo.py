@@ -40,8 +40,7 @@ class SloSpec:
     - ``"quantile"`` — ``metric`` is a histogram; the ``quantile`` of
       its aggregate distribution must satisfy the threshold.
     - ``"ratio"`` — ``metric`` filtered by ``event_labels`` divided by
-      the same (or ``total_metric``) family unfiltered; the ratio must
-      satisfy the threshold.
+      the same family unfiltered; the ratio must satisfy the threshold.
 
     ``direction`` is ``"le"`` (value must stay at or below the
     threshold: latencies, error rates) or ``"ge"`` (at or above:
@@ -56,7 +55,6 @@ class SloSpec:
     direction: str = "le"
     quantile: float = 0.99
     event_labels: tuple[tuple[str, str], ...] = ()
-    total_metric: str = ""
     #: Ratios over fewer events than this report ``no_data`` rather
     #: than letting one early failure read as a 100% error rate.
     min_events: int = 1
@@ -163,8 +161,7 @@ def _evaluate_one(registry: MetricsRegistry, spec: SloSpec) -> SloResult:
         if math.isinf(value):
             detail += ", beyond the largest bucket"
         return SloResult(spec, status, value, detail)
-    total_metric = spec.total_metric or spec.metric
-    total = registry.counter_total(total_metric)
+    total = registry.counter_total(spec.metric)
     if total < spec.min_events:
         return SloResult(spec, NO_DATA, None, f"{int(total)} event(s)")
     events = registry.counter_total(
@@ -311,12 +308,11 @@ def render_alert_rules(
         selector = "".join(
             f'{name}="{value}",' for name, value in spec.event_labels
         ).rstrip(",")
-        total = spec.total_metric or spec.metric
         if spec.direction == "le":
             budget = max(spec.threshold, 1e-9)
             ratio = (
                 f"sum(rate({spec.metric}{{{selector}}}[{{win}}])) / "
-                f"sum(rate({total}[{{win}}]))"
+                f"sum(rate({spec.metric}[{{win}}]))"
             )
         else:
             # A floor objective burns budget with *misses* of the good
@@ -324,7 +320,7 @@ def render_alert_rules(
             budget = max(1.0 - spec.threshold, 1e-9)
             ratio = (
                 f"(1 - sum(rate({spec.metric}{{{selector}}}[{{win}}])) / "
-                f"sum(rate({total}[{{win}}])))"
+                f"sum(rate({spec.metric}[{{win}}])))"
             )
         for window, factor, severity in (("5m", 14.4, "page"), ("1h", 6.0, "ticket")):
             expr = f"{ratio.replace('{win}', window)} > {round(factor * budget, 6)}"

@@ -26,14 +26,13 @@ sensor logging attached as an observer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.core.kernel import BatchedMemSpot
 from repro.core.results import TemperatureTrace
 from repro.cpu.power import measured_chip_power_w
 from repro.dtm.base import DTMPolicy
 from repro.engine.codec import Field, Nested
-from repro.engine.observers import Observer, ProgressObserver, TraceRecorder
+from repro.engine.observers import Observer, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
 from repro.errors import ConfigurationError, SimulationError
 from repro.testbed.chipset import OpenLoopThrottle
@@ -118,7 +117,7 @@ class ServerStrategy:
         self._window = window_model
         self._time_slice_s = time_slice_s
         self._base_frequency_level = base_frequency_level
-        self._max_sim_s = max_sim_s
+        self.max_sim_s = max_sim_s
         policy.reset()
         self._mix = get_mix(mix_name)
         self.scheduler = BatchScheduler(self._mix, copies, platform.total_cores)
@@ -137,24 +136,10 @@ class ServerStrategy:
         self._safety_cap = platform.levels.bw_caps_bytes_per_s[-1]
         self.trace_recorder = TraceRecorder(resolution_s=None)
 
-    def default_observers(self) -> tuple[Observer, ...]:
-        """The observers every Chapter 5 engine carries."""
-        return (self.trace_recorder, ProgressObserver())
-
     # -- engine protocol ---------------------------------------------------
 
     def done(self, engine: SteppingEngine) -> bool:
         return self.scheduler.done
-
-    def max_sim_horizon(self) -> float | None:
-        return self._max_sim_s
-
-    def timeout_error(self, engine: SteppingEngine) -> SimulationError:
-        return SimulationError(
-            f"server batch did not finish within {self._max_sim_s} s "
-            f"({self.scheduler.finished_jobs}/"
-            f"{self.scheduler.total_jobs} jobs)"
-        )
 
     def window(self, engine: SteppingEngine) -> int:
         """One DTM window's decision; its cache key is the decision's
@@ -264,12 +249,6 @@ class ServerStrategy:
             trace=self.trace_recorder.trace,
         )
 
-    def progress(self, engine: SteppingEngine) -> dict[str, Any]:
-        return {
-            "finished_jobs": self.scheduler.finished_jobs,
-            "total_jobs": self.scheduler.total_jobs,
-        }
-
     def _build_loads(
         self,
         scheduler: BatchScheduler,
@@ -331,9 +310,8 @@ class ServerSimulator:
         return self._window
 
     def engine(self) -> SteppingEngine:
-        """A fresh stepping engine for one run of this measurement
-        (same contract as :meth:`TwoLevelSimulator.engine`)."""
-        strategy = ServerStrategy(
+        """A fresh stepping engine for one run of this measurement."""
+        return SteppingEngine(ServerStrategy(
             self._platform,
             self._policy,
             self._mix.name,
@@ -343,8 +321,7 @@ class ServerSimulator:
             self._window,
             self._base_frequency_level,
             self._max_sim_s,
-        )
-        return SteppingEngine(strategy, observers=strategy.default_observers())
+        ))
 
     def run(self) -> ServerRunResult:
         """Execute the batch job under the policy."""
@@ -380,6 +357,7 @@ class HomogeneousStrategy:
 
     kind = "homogeneous"
     scheduler = None
+    max_sim_s = None
     STATE_FIELDS = ()
 
     def __init__(
@@ -410,17 +388,8 @@ class HomogeneousStrategy:
         ]
         self.trace_recorder = TraceRecorder(resolution_s=None)
 
-    def default_observers(self) -> tuple[Observer, ...]:
-        return (self.trace_recorder, ProgressObserver())
-
     def done(self, engine: SteppingEngine) -> bool:
         return engine.now_s >= self._duration_s
-
-    def max_sim_horizon(self) -> float | None:
-        return None
-
-    def timeout_error(self, engine: SteppingEngine) -> SimulationError:
-        raise AssertionError("homogeneous runs have a fixed duration")
 
     def window(self, engine: SteppingEngine) -> bool:
         return engine.sample.amb_c >= self._safety_threshold_c
@@ -444,9 +413,6 @@ class HomogeneousStrategy:
 
     def finalize(self, engine: SteppingEngine) -> TemperatureTrace:
         return self.trace_recorder.trace
-
-    def progress(self, engine: SteppingEngine) -> dict[str, Any]:
-        return {"duration_s": self._duration_s}
 
 
 def run_homogeneous(
@@ -482,9 +448,5 @@ def run_homogeneous(
         safety_threshold_c,
         window,
     )
-    engine = SteppingEngine(
-        strategy,
-        observers=(*strategy.default_observers(), DaughterCardObserver(card)),
-    )
-    trace = engine.run_to_completion()
-    return trace, card
+    engine = SteppingEngine(strategy, observers=(DaughterCardObserver(card),))
+    return engine.run_to_completion(), card

@@ -83,7 +83,7 @@ def _engine(spec) -> SteppingEngine:
         platform, get_app(app), duration_s, 3.0e9, 100.0,
         ServerWindowModel(platform),
     )
-    return SteppingEngine(strategy, observers=strategy.default_observers())
+    return SteppingEngine(strategy)
 
 
 def _payload(spec, result) -> dict:

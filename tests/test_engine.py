@@ -33,7 +33,7 @@ from repro.engine import (
     EngineStateSerializer,
     Observer,
 )
-from repro.engine.observers import TraceRecorder
+from repro.engine.observers import ProgressObserver, TraceRecorder
 from repro.engine.progress import PROGRESS
 from repro.engine.state import ENGINE_STATE_VERSION
 from repro.engine.stepping import SteppingEngine
@@ -46,8 +46,7 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 def _with_observers(spec, *extra) -> SteppingEngine:
     """A fresh engine for ``spec`` with ``extra`` observers after the
     ones every engine of the cell carries."""
-    base = engine_for_spec(spec)
-    return SteppingEngine(base.strategy, observers=(*base.observers, *extra))
+    return SteppingEngine(engine_for_spec(spec).strategy, observers=extra)
 
 #: Shared construction of the acceptance engines, used both in-process
 #: and by the fresh-interpreter restore driver.  Policies with internal
@@ -322,6 +321,130 @@ def test_untracked_runs_do_not_publish():
     assert PROGRESS.snapshot() == {}
 
 
+def _homogeneous_strategy():
+    from repro.testbed.performance import ServerWindowModel
+    from repro.testbed.platforms import PLATFORMS
+    from repro.testbed.runner import HomogeneousStrategy
+    from repro.workloads.profiles import get_app
+
+    platform = PLATFORMS["SR1500AL"]
+    return HomogeneousStrategy(
+        platform, get_app("swim"), 5.0, 3.0e9, 100.0,
+        ServerWindowModel(platform),
+    )
+
+
+@pytest.mark.parametrize("kind", ["ch4", "ch5", "homogeneous"])
+def test_every_engine_carries_the_recorder_then_the_progress_observer(kind):
+    """The engine attaches both itself; ``observers=`` adds after them."""
+    if kind == "homogeneous":
+        strategy = _homogeneous_strategy()
+    else:
+        spec = {"ch4": Chapter4Spec, "ch5": Chapter5Spec}[kind](
+            mix="W1", policy="ts" if kind == "ch4" else "bw", copies=1
+        )
+        strategy = engine_for_spec(spec).strategy
+    recorder, progress = SteppingEngine(strategy).observers
+    assert recorder is strategy.trace_recorder
+    assert type(progress) is ProgressObserver
+    extra = Observer()
+    recorder, progress, last = SteppingEngine(
+        strategy, observers=(extra,)
+    ).observers
+    assert recorder is strategy.trace_recorder
+    assert type(progress) is ProgressObserver
+    assert last is extra
+
+
+def test_run_homogeneous_adds_its_daughter_card_after_them(monkeypatch):
+    from repro.testbed import runner
+    from repro.testbed.platforms import PLATFORMS
+
+    built = []
+
+    class Kept(SteppingEngine):
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(runner, "SteppingEngine", Kept)
+    trace, card = runner.run_homogeneous(
+        PLATFORMS["SR1500AL"], "swim", duration_s=3.0
+    )
+    (engine,) = built
+    recorder, progress, daughter = engine.observers
+    assert recorder is engine.strategy.trace_recorder
+    assert recorder.trace is trace
+    assert type(progress) is ProgressObserver
+    assert type(daughter) is runner.DaughterCardObserver
+    assert daughter.card is card
+
+
+@pytest.mark.parametrize("kind", ["ch4", "ch5"])
+def test_the_timeout_names_the_kind_the_limit_and_the_job_counts(kind):
+    from repro.analysis.specs import make_chapter5_policy
+    from repro.core.simulator import SimulationConfig, TwoLevelSimulator
+    from repro.dtm import DTMTS
+    from repro.errors import SimulationError
+    from repro.testbed.platforms import PLATFORMS
+    from repro.testbed.runner import ServerSimulator
+
+    if kind == "ch4":
+        config = SimulationConfig(mix_name="W1", copies=1, max_sim_s=1.0)
+        engine = TwoLevelSimulator(config, DTMTS()).engine()
+    else:
+        platform = PLATFORMS["PE1950"]
+        engine = ServerSimulator(
+            platform, make_chapter5_policy("bw", platform), "W1", copies=1,
+            max_sim_s=1.0,
+        ).engine()
+    with pytest.raises(SimulationError) as excinfo:
+        engine.run_to_completion()
+    assert str(excinfo.value) == (
+        f"{kind} run did not finish within 1.0 simulated seconds "
+        f"(0/4 jobs done)"
+    )
+
+
+@pytest.mark.parametrize("spec", [
+    Chapter4Spec(mix="W1", policy="ts", copies=1),
+    Chapter5Spec(mix="W1", policy="bw", copies=1),
+], ids=["ch4", "ch5"])
+def test_the_progress_snapshot_keeps_the_job_counts(spec):
+    PROGRESS.clear()
+    engine = engine_for_spec(spec)
+    try:
+        with PROGRESS.track("run"):
+            engine.step_windows(ProgressObserver.every_windows)
+            assert PROGRESS.snapshot("run") == {"run": {
+                "strategy": spec.kind,
+                "windows": ProgressObserver.every_windows,
+                "now_s": engine.now_s,
+                "done": False,
+                "finished_jobs": engine.scheduler.finished_jobs,
+                "total_jobs": 4,
+            }}
+            engine.run_to_completion()
+        final = PROGRESS.snapshot("run")["run"]
+        assert final["done"] is True
+        assert final["finished_jobs"] == final["total_jobs"] == 4
+    finally:
+        PROGRESS.clear()
+
+
+def test_a_run_without_a_scheduler_publishes_no_job_counts():
+    PROGRESS.clear()
+    try:
+        with PROGRESS.track("warm-up"):
+            SteppingEngine(_homogeneous_strategy()).run_to_completion()
+        assert PROGRESS.snapshot("warm-up") == {"warm-up": {
+            "strategy": "homogeneous", "windows": 5, "now_s": 5.0,
+            "done": True,
+        }}
+    finally:
+        PROGRESS.clear()
+
+
 def test_engine_state_error_paths(tmp_path):
     from repro.errors import SimulationError
 
@@ -351,13 +474,9 @@ def test_engine_state_error_paths(tmp_path):
 
 
 def test_observer_defaults_and_validation():
-    from repro.engine.observers import ProgressObserver
-
     base = Observer()
     assert codec.state_dict(base) == {}
     codec.load_state_dict(base, {})
-    with pytest.raises(ConfigurationError, match="every_windows must be >= 1"):
-        ProgressObserver(every_windows=0)
     # The recorder round-trips its pristine (never sampled) state.
     recorder = TraceRecorder(resolution_s=1.0)
     state = codec.state_dict(recorder)
@@ -803,16 +922,14 @@ def _bad_values(kind, value):
         raise AssertionError(f"no malformed cases for {kind!r}")
 
 
-def _declared(component, path, fields=None):
+def _declared(component, path):
     """``(owner, dotted path, field)`` for every field declared under
     ``component``, nested components included."""
-    for field in fields or codec.fields_of(component):
+    for field in codec.fields_of(component):
         where = f"{path}.{field.key}" if path else field.key
         yield component, where, field
         if isinstance(field.kind, codec.Nested):
-            yield from _declared(
-                getattr(component, field.attr), where, field.kind.fields
-            )
+            yield from _declared(getattr(component, field.attr), where)
 
 
 def _schema_cases():

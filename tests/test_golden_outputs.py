@@ -98,8 +98,7 @@ def _resumed_payload(spec, at_window: int, to_dict) -> dict:
     finished in a fresh engine."""
     first = engine_for_spec(spec)
     assert first.step_windows(at_window) == at_window
-    progress = first.strategy.progress(first)
-    assert 0 < progress["finished_jobs"] < progress["total_jobs"]
+    assert 0 < first.scheduler.finished_jobs < first.scheduler.total_jobs
     state = json.loads(json.dumps(first.checkpoint().to_dict()))
     resumed = engine_for_spec(spec)
     resumed.restore(EngineState.from_dict(state))

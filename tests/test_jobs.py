@@ -615,8 +615,10 @@ def _restart_after_a_crash(manager, monkeypatch):
 
 
 #: case -> (writes that fail, how the job is driven, status it ends in).
-#: A job whose failure cannot be written either stays ``running``, as
-#: on disk; one whose cancel cannot be written runs on.
+#: A job whose failure cannot be written at first fails when the
+#: scheduler loop retries the write; one whose requeue after a restart
+#: cannot be written stays ``running``, as on disk; one whose cancel
+#: cannot be written runs on.
 _FAULT_CASES = {
     "submit": (("submit",), _submit_while_running, None),
     "running-mark": (("running-mark",), _run_one_job, FAILED),
@@ -628,8 +630,8 @@ _FAULT_CASES = {
     "cancel-request": (("cancel_requested",), _cancel_running_refused, COMPLETED),
     "running-cancel": (("running-cancel",), _cancel_running, FAILED),
     "completion": (("completed",), _run_one_job, FAILED),
-    "failure": (("failed",), _run_a_failing_cell, RUNNING),
-    "completion-and-failure": (("completed", "failed"), _run_one_job, RUNNING),
+    "failure": (("failed",), _run_a_failing_cell, FAILED),
+    "completion-and-failure": (("completed", "failed"), _run_one_job, FAILED),
     "recover-requeue": (("recovered",), _restart_after_a_crash, RUNNING),
 }
 
@@ -860,6 +862,56 @@ class TestJobsManager:
             assert later.status == COMPLETED
         finally:
             manager.stop(drain=False)
+
+    def test_a_job_whose_failure_cannot_be_written_frees_its_slot_once_it_can(
+        self, tmp_path, monkeypatch
+    ):
+        """While the disk refuses the ``failed`` write the job reads
+        ``running``, as on disk, and holds the tenant's one slot; once
+        the disk takes writes again the scheduler loop's retry lands,
+        without a restart, and the tenant's next submit is admitted."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        real_save = JobStore.save
+        refused = []
+
+        def full_for_failures(store, record):
+            if record.status == FAILED:
+                refused.append(record.job_id)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_save(store, record)
+
+        monkeypatch.setattr("repro.jobs.scheduler.run_cell", broken)
+        monkeypatch.setattr(JobStore, "save", full_for_failures)
+        manager = _manager(
+            tmp_path, MemoryStore(),
+            quotas=QuotaManager(TenantPolicy(max_active=1)),
+        )
+        manager.start()
+        try:
+            job_id = _submit(manager, tenant="solo")
+            _wait_until(lambda: len(refused) >= 2)
+            assert manager.queue.get(job_id).status == RUNNING
+            assert manager.queue.store.load(job_id).status == RUNNING
+            with pytest.raises(QuotaExceeded):
+                _submit(manager, tenant="solo")
+            monkeypatch.setattr(JobStore, "save", real_save)
+            record = _wait_terminal(manager, job_id)
+            assert record.status == FAILED
+            assert record.error == "RuntimeError: boom"
+            assert manager.queue.store.load(job_id).status == FAILED
+            assert manager.health()["running"] == 0
+            monkeypatch.setattr("repro.jobs.scheduler.run_cell", run_cell)
+            later = _wait_terminal(manager, _submit(manager, tenant="solo"))
+            assert later.status == COMPLETED
+        finally:
+            manager.stop(drain=False)
+        revived = JobQueue(tmp_path / "jobs")
+        revived.recover()
+        assert revived.get(job_id).status == FAILED
+        assert revived.get(later.job_id).status == COMPLETED
 
     def test_a_submit_makes_one_record_write(self, tmp_path, monkeypatch):
         saved = []

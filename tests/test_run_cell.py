@@ -12,9 +12,11 @@ slice boundaries, so each resumes the other's checkpoint.
 from __future__ import annotations
 
 import json
+import signal
 
 import pytest
 
+from repro.analysis.specs import Chapter5Spec
 from repro.api import ReproClient, ServerRequest, SimulateRequest
 from repro.api.envelope import dumps_canonical
 from repro.api.requests import request_to_dict
@@ -30,6 +32,7 @@ from repro.cli import main
 from repro.core.kernel import BatchedMemSpot
 from repro.engine import CheckpointFile
 from repro.engine.progress import PROGRESS
+from repro.errors import ConfigurationError
 from repro.jobs import (
     COMPLETED,
     QUEUED,
@@ -269,3 +272,34 @@ def test_a_resumed_cell_skips_the_lookup_and_a_stopped_one_stores_nothing():
     again = run_cell(spec, store, resume=stopped.state)
     assert not again.hit and again.payload == finished.payload
     assert run_cell(spec, store, window_slice=30).hit
+
+
+def test_a_zero_window_slice_is_refused_not_stepped_forever():
+    """A slice of no windows never reaches the end of the cell; an
+    alarm fails the test if the call hangs instead of refusing."""
+
+    def hung(signum, frame):
+        raise AssertionError("run_cell(window_slice=0) did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ConfigurationError, match="window_slice"):
+            run_cell(
+                Chapter5Spec(mix="W1", policy="bw", copies=1), NullStore(),
+                window_slice=0,
+            )
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_bad_window_slice_is_refused_before_the_lookup():
+    """A warm cell does not hide a bad slice length."""
+    spec = _spec(CELLS["ch5"])
+    store = MemoryStore()
+    run_cell(spec, store)
+    for window_slice in (0, -1, True, 2.5, "50"):
+        with pytest.raises(ConfigurationError, match="window_slice"):
+            run_cell(spec, store, window_slice=window_slice)
+    assert run_cell(spec, store, window_slice=1).hit

@@ -160,7 +160,7 @@ def _homogeneous_engine(platform):
         platform, get_app("swim"), 400.0, 3.0e9, 100.0,
         ServerWindowModel(platform),
     )
-    return SteppingEngine(strategy, observers=strategy.default_observers())
+    return SteppingEngine(strategy)
 
 
 @pytest.mark.parametrize(
@@ -202,9 +202,7 @@ def test_restore_drops_a_populated_window_cache():
     target = engine_for_spec(spec)
     target.step_windows(180)
     assert (
-        target.strategy.progress(target)["finished_jobs"]
-        == source.strategy.progress(source)["finished_jobs"]
-        == 1
+        target.scheduler.finished_jobs == source.scheduler.finished_jobs == 1
     )
     assert target._window_cache
     target.restore(EngineState.from_dict(state))

@@ -18,12 +18,13 @@ diffable JSON file instead of anecdotes.  Current probes:
 - ``campaign_grid_serial`` — the 8-cell ch4 grid cold through an
   in-process serial run in a fresh process (no warm memo).
 - ``checkpoint_overhead`` — per-window cost of engine checkpointing at
-  its most aggressive setting (a checkpoint written every window).
-  Two regression assertions: the optimized observer path (section-
-  reuse serializer + raw-``os`` writes) must beat the naive PR-5-era
-  re-dump + pathlib path, the two run interleaved on the same
-  filesystem with their order alternating between repeats (relative,
-  so disk weather cancels), and the CPU-side cost per checkpoint
+  its most aggressive setting (a checkpoint written every window, from
+  ``run_cell``'s one-window slices).  Two regression assertions: the
+  ``CheckpointFile`` path (section-reuse serializer + raw-``os``
+  writes) must be no worse than 1.10x the naive PR-5-era re-dump +
+  pathlib path, the two run interleaved on the same filesystem with
+  their order alternating between repeats (relative, so disk weather
+  cancels), and the CPU-side cost per checkpoint
   (snapshot + serialize + encode, no I/O) must stay under an absolute
   60 us budget.
 - ``warm_hit_latency`` — per-hit cost of a warm Fig. 4.3 cell read
@@ -277,9 +278,9 @@ def bench_checkpoint_overhead(repeats: int) -> dict:
     # unrelated disk load, so an absolute wall-clock budget mostly
     # tests the weather.  Both write paths run interleaved in this
     # process against the same filesystem, each first in half of the
-    # repeats, so the comparison is fair:
-    # the optimized path (section-reuse serializer + raw-os writes)
-    # must not lose to the naive re-dump + pathlib path it replaced.
+    # repeats, so the comparison is fair: the CheckpointFile path
+    # (section-reuse serializer + raw-os writes) must be no worse than
+    # 1.10x the naive re-dump + pathlib path it replaced.
     assert best_opt <= best_naive * 1.10, (
         f"optimized checkpoint path ({best_opt:.3f}s, "
         f"{per_window_us:.1f} us/window) lost to the naive re-dump path "
