@@ -31,7 +31,6 @@ _EXPORTS = {
     "dumps_canonical": "envelope",
     "results_document": "envelope",
     "scenarios_document": "envelope",
-    "schema_major": "envelope",
     "REQUEST_TYPES": "requests",
     "CampaignRequest": "requests",
     "CompareRequest": "requests",

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.campaign.spec import CACHE_VERSION
+from repro.engine.codec import version_major
 from repro.errors import ConfigurationError
 
 #: Envelope schema version.  Bump the minor for additive changes, the
@@ -55,22 +56,13 @@ SCHEMA_VERSION = "1.2"
 _CACHE_STATES = ("hit", "miss")
 
 
-def schema_major(version: str) -> int:
-    """The major component of a ``"<major>.<minor>"`` version string."""
-    major, _, minor = str(version).partition(".")
-    if not major.isdigit() or not minor.isdigit():
-        raise ConfigurationError(
-            f"malformed schema_version {version!r} (expected '<major>.<minor>')"
-        )
-    return int(major)
-
-
 def check_schema_compatible(version: str) -> None:
     """Reject envelopes from an incompatible (different-major) schema."""
-    if schema_major(version) != schema_major(SCHEMA_VERSION):
+    major = version_major(SCHEMA_VERSION, "schema_version", ConfigurationError)
+    if version_major(version, "schema_version", ConfigurationError) != major:
         raise ConfigurationError(
             f"incompatible schema_version {version!r}: this client speaks "
-            f"major {schema_major(SCHEMA_VERSION)} ({SCHEMA_VERSION})"
+            f"major {major} ({SCHEMA_VERSION})"
         )
 
 

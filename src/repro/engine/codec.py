@@ -390,3 +390,14 @@ def decode_record(cls: type, raw: Any, what: str) -> Any:
         return cls(**decode_state(cls, raw, ""))
     except CheckpointError as error:
         raise CheckpointError(f"malformed {what}: {error}") from None
+
+
+def version_major(version: Any, what: str, error: type) -> int:
+    """The major component of a ``"<major>.<minor>"`` version string;
+    a malformed one raises ``error`` naming ``what``."""
+    major, _, minor = str(version).partition(".")
+    if not major.isdigit() or not minor.isdigit():
+        raise error(
+            f"malformed {what} {version!r} (expected '<major>.<minor>')"
+        )
+    return int(major)

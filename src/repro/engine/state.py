@@ -58,6 +58,7 @@ from repro.engine.codec import (
     fields_of,
     state_dict,
     state_field,
+    version_major,
 )
 from repro.errors import CheckpointError
 
@@ -65,16 +66,6 @@ from repro.errors import CheckpointError
 #: changes, the major for breaking ones (same rules as the API's
 #: ``SCHEMA_VERSION``; see the module docstring).
 ENGINE_STATE_VERSION = "1.0"
-
-
-def _state_major(version: str) -> int:
-    major, _, minor = str(version).partition(".")
-    if not major.isdigit() or not minor.isdigit():
-        raise CheckpointError(
-            f"malformed engine-state version {version!r} "
-            f"(expected '<major>.<minor>')"
-        )
-    return int(major)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -117,13 +108,15 @@ class EngineState:
                 f"engine state must be a JSON object, got {type(raw).__name__}"
             )
         version = raw.get("version", "")
-        if isinstance(version, str) and _state_major(version) != _state_major(
-            ENGINE_STATE_VERSION
-        ):
+        major = version_major(
+            ENGINE_STATE_VERSION, "engine-state version", CheckpointError
+        )
+        if isinstance(version, str) and version_major(
+            version, "engine-state version", CheckpointError
+        ) != major:
             raise CheckpointError(
                 f"incompatible engine-state version {version!r}: this "
-                f"engine speaks major {_state_major(ENGINE_STATE_VERSION)} "
-                f"({ENGINE_STATE_VERSION})"
+                f"engine speaks major {major} ({ENGINE_STATE_VERSION})"
             )
         return decode_record(cls, raw, "engine state")
 

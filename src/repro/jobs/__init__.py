@@ -1,10 +1,13 @@
 """``repro.jobs`` — the multi-tenant campaign job service.
 
 Promotes the single-campaign coordinator into a long-running shared
-service: a crash-safe persistent job queue with priorities and
-FIFO-within-priority ordering, per-tenant quotas and token-bucket rate
-limits, and a priority-preempting scheduler that runs every job's
-cells in-process, time-sliced at window boundaries.
+service, one object — :class:`JobsManager` — owning a crash-safe
+persistent job queue with priorities and FIFO-within-priority
+ordering, per-tenant quotas and token-bucket rate limits, and a
+priority-preempting scheduler thread that runs every job's cells
+in-process, time-sliced at window boundaries.  A record write the disk
+refuses has one answer (:meth:`JobQueue.transition`): the job stays as
+on disk and the caller gets a structured 503.
 
 The HTTP surface lives in :mod:`repro.api.service` (``/v1/jobs``,
 ``/v1/healthz``, ``/metrics``); this package is transport-free and
@@ -26,7 +29,6 @@ from repro import lazy_exports
 _EXPORTS = {
     "JobsClient": "client",
     "JobQueue": "queue",
-    "JobScheduler": "scheduler",
     "JobsManager": "scheduler",
     "job_progress_label": "scheduler",
     "CANCELLED": "store",

@@ -6,6 +6,11 @@ pops the most urgent one, and every change to a job goes through
 :meth:`JobQueue.transition`, which writes the new record before the job
 takes it.  So the service never reports a state that is not on disk.
 
+It is also the one answer to a write the disk refuses: the job stays
+as it was and the caller gets :class:`~repro.errors.Unavailable` (a
+503).  A move already decided goes through :meth:`JobQueue.settle`,
+which holds a refused one for :meth:`JobQueue.retry_unwritten`.
+
 Ordering is strict priority (higher number = more urgent), FIFO within
 a priority band via the monotonically increasing ``submit_seq``.  A
 preempted job is requeued with its *original* sequence number, so it
@@ -27,7 +32,7 @@ import time
 from pathlib import Path
 from typing import Callable
 
-from repro.errors import ConflictError, NotFoundError
+from repro.errors import ConflictError, NotFoundError, Unavailable
 from repro.jobs.store import (
     CANCELLED,
     COMPLETED,
@@ -50,6 +55,11 @@ MOVES = {
 }
 
 
+#: The backoff a refused record write asks for, and the least time
+#: between two tries of a held move.
+_STORE_RETRY_AFTER_S = 5.0
+
+
 def _now() -> float:
     return round(time.time(), 3)
 
@@ -67,6 +77,9 @@ class JobQueue:
         self._next_seq = 0
         #: Record writes that failed (each left its job as it was).
         self.persist_failures = 0
+        #: Decided moves the disk refused (job id -> settle() arguments).
+        self._unwritten: dict[str, tuple] = {}
+        self._retry_at = 0.0
         #: Called once per job on its entry to a terminal state, after
         #: the write; the scheduler installs its metrics hook here.
         self.on_terminal: Callable[[JobRecord], None] = lambda record: None
@@ -90,7 +103,8 @@ class JobQueue:
         status) is written through the store; only after the write
         succeeds does ``record`` take it.  A failed write is logged as
         ``job.persist_failed``, counted in :attr:`persist_failures` and
-        re-raised, with ``record`` unchanged.  A move to ``queued``
+        re-raised — an ``OSError`` as :class:`~repro.errors.Unavailable`
+        — with ``record`` unchanged.  A move to ``queued``
         pushes the job and wakes the scheduler; a move to a terminal
         status runs :attr:`on_terminal`.
         """
@@ -121,6 +135,12 @@ class JobQueue:
                     status=status,
                     error=f"{type(error).__name__}: {error}",
                 )
+                if isinstance(error, OSError):
+                    raise Unavailable(
+                        f"the job record could not be written ({error})",
+                        reason="job_store_unavailable",
+                        retry_after_s=_STORE_RETRY_AFTER_S,
+                    ) from error
                 raise
             vars(record).update(vars(new))
             self._records[record.job_id] = record
@@ -135,24 +155,53 @@ class JobQueue:
         )
         self._lock.notify_all()
 
+    # -- decided moves ------------------------------------------------------
+
+    def settle(
+        self, record: JobRecord, status: str, event: str, detail="", **fields
+    ) -> None:
+        """Make a decided move now, or hold it for :meth:`retry_unwritten`
+        if the disk refuses it; drop it if another move got there first."""
+        try:
+            self.transition(record, status, event, detail, **fields)
+        except ConflictError:
+            return
+        except Exception:  # noqa: BLE001 — counted and logged by transition
+            with self._lock:
+                self._unwritten[record.job_id] = (record, status, event, detail, fields)
+                self._retry_at = time.monotonic() + _STORE_RETRY_AFTER_S
+
+    def retry_unwritten(self) -> None:
+        """Settle the held moves again, no sooner than
+        ``_STORE_RETRY_AFTER_S`` after the last refusal."""
+        if not self._unwritten or time.monotonic() < self._retry_at:
+            return
+        with self._lock:
+            held, self._unwritten = list(self._unwritten.values()), {}
+        for record, status, event, detail, fields in held:
+            self.settle(record, status, event, detail, **fields)
+
     # -- recovery ----------------------------------------------------------
 
     def recover(self) -> dict:
         """Load disk state; requeue interrupted work.  Returns counts.
 
         Jobs persisted as ``running`` were in flight when the previous
-        process died: they go back to ``queued`` with their checkpoints
-        intact and a ``recovered`` event, so the scheduler resumes them
-        from the last window-slice boundary rather than from scratch.
-        One whose requeue cannot be written stays ``running``, as on
-        disk, and is counted in neither ``requeued`` nor ``terminal``.
+        process died: they are settled back to ``queued`` with their
+        checkpoints intact and a ``recovered`` event, so the scheduler
+        resumes them from the last window-slice boundary rather than
+        from scratch.  One whose requeue is held stays ``running``, as
+        on disk, and is counted in neither ``requeued`` nor ``terminal``.
         A record that does not load is counted as ``unreadable``,
         logged by name, and left on disk for an operator to inspect.
+        Records already in memory are left as they are.
         """
         counts = {"requeued": 0, "terminal": 0, "unreadable": 0}
         with self._lock:
             self.store.sweep_tmp()
             for path in sorted(self.store.root.glob("*.json")):
+                if path.stem in self._records:
+                    continue
                 record = self.store.load(path.stem)
                 if record is None:
                     counts["unreadable"] += 1
@@ -167,17 +216,14 @@ class JobQueue:
                 if record.status == QUEUED:
                     self._push(record)
                 elif record.status == RUNNING:
-                    try:
-                        self.transition(
-                            record, QUEUED, "recovered",
-                            f"requeued after restart with "
-                            f"{len(record.cell_states)} cell checkpoint(s)",
-                        )
-                    except OSError:
-                        continue
+                    self.settle(
+                        record, QUEUED, "recovered",
+                        f"requeued after restart with "
+                        f"{len(record.cell_states)} cell checkpoint(s)",
+                    )
                 if record.status == QUEUED:
                     counts["requeued"] += 1
-                else:
+                elif record.terminal:
                     counts["terminal"] += 1
         return counts
 
@@ -275,7 +321,7 @@ class JobQueue:
         A queued job moves straight to ``cancelled``; a running one
         gets its flag set and stops at the next window-slice boundary.
         Terminal jobs are left as they are (idempotent).  A failed write
-        raises and leaves the job as it was.
+        raises (see :meth:`transition`) and leaves the job as it was.
         """
         with self._lock:
             record = self.require(job_id)

@@ -1,29 +1,27 @@
-"""The scheduler loop and the service-facing jobs manager.
+"""The jobs service: one object that owns the queue and runs it.
 
-:class:`JobScheduler` is one daemon thread draining the
-:class:`~repro.jobs.queue.JobQueue` in priority order.  Each job lowers
-through the same typed-request machinery the CLI and HTTP routes use,
-so a job's result document is exactly what the equivalent direct call
-would have produced — warm results are byte-identical.
+:class:`JobsManager` is what :class:`~repro.api.service.ReproService`
+mounts under ``/v1/jobs`` and ``/metrics``: the
+:class:`~repro.jobs.queue.JobQueue`, the tenant quotas, the metrics, and
+one daemon thread draining the queue in priority order.  Each job
+lowers through the same typed-request machinery the CLI and HTTP
+routes use, so a job's result document is exactly what the equivalent
+direct call would have produced — warm results are byte-identical.
 
-Every cell runs on this thread through
-:func:`~repro.campaign.run_cell`, in ``window_slice``-window slices of
-its :class:`~repro.engine.SteppingEngine`.  At each slice boundary the
+Every cell runs on that thread through :func:`~repro.campaign.run_cell`,
+in ``window_slice``-window slices of its
+:class:`~repro.engine.SteppingEngine`.  At each slice boundary the
 engine's checkpoint is persisted into the job record (crash
 durability) and the scheduler checks for cancellation, a drain
 request, and queued higher-priority work.  Preemption therefore lands
 at window-slice granularity: the running job checkpoints, requeues
 with its original submit sequence, and the urgent job takes the
 thread.  Each of those writes is a
-:meth:`~repro.jobs.queue.JobQueue.transition`; when one fails, the job
-fails if that can be written, else keeps its on-disk state while the
-loop goes on and retries the ``failed`` write on each iteration until
-it lands, so the job stops holding its tenant's slot without a
-restart.
-
-:class:`JobsManager` bundles queue + scheduler + quotas + metrics into
-the object :class:`~repro.api.service.ReproService` mounts under
-``/v1/jobs`` and ``/metrics``.
+:meth:`~repro.jobs.queue.JobQueue.transition`; one the disk refuses
+fails the job, and a refused ``failed`` (like a refused ``recovered``
+requeue) waits in the queue's one map of unwritten moves, which the
+top of the loop retries at most once per ``_STORE_RETRY_AFTER_S`` — so
+a stuck job frees its tenant's slot without a restart.
 """
 
 from __future__ import annotations
@@ -63,11 +61,8 @@ from repro.jobs.tenancy import QuotaManager
 #: the CLI's single-envelope ``--json`` output).
 _SINGLE_ENVELOPE_TYPES = frozenset({"simulate", "server"})
 
-#: The backoff a submit refused for an unwritable job record suggests.
-_STORE_RETRY_AFTER_S = 5.0
-
 #: How long the idle loop waits for a ready job before it looks again
-#: (and retries the ``failed`` writes that have not landed).
+#: (and retries the moves that have not been written).
 _POLL_S = 0.25
 
 #: Per-cell slice outcomes (module-private control flow), each also
@@ -87,86 +82,79 @@ def job_progress_label(job_id: str, key: str) -> str:
     return f"{job_id}/{key}"
 
 
-class JobScheduler:
-    """One daemon thread executing queued jobs in priority order."""
+class JobsManager:
+    """The jobs service: queue, quotas, metrics and scheduler thread.
+
+    The object :class:`~repro.api.service.ReproService` mounts: HTTP
+    handlers call :meth:`submit_body` / :meth:`status_document` /
+    :meth:`result_document` / :meth:`cancel` / :meth:`list_document`,
+    and ``serve`` drives :meth:`start` / :meth:`stop`.
+    """
 
     def __init__(
         self,
-        queue: JobQueue,
+        jobs_dir: str,
         *,
         store: Any | None = None,
         window_slice: int = 500,
+        quotas: QuotaManager | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         Count(minimum=1).decode(window_slice, "window_slice", self, ConfigurationError)
-        self.queue = queue
-        queue.on_terminal = self._on_terminal
-        self._store = store
         self.window_slice = window_slice
         self.metrics = metrics if metrics is not None else METRICS
-        #: (record, error) of each job whose ``failed`` write has not
-        #: landed yet; the loop retries them.
-        self._pending_failures: list[tuple[JobRecord, str]] = []
+        self.queue = JobQueue(jobs_dir)
+        self.queue.on_terminal = self._on_terminal
+        self.quotas = quotas if quotas is not None else QuotaManager()
+        self._store = store
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
     # -- lifecycle ----------------------------------------------------------
 
-    def start(self) -> None:
-        """Start the scheduler thread (idempotent)."""
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-job-scheduler", daemon=True
-        )
-        self._thread.start()
+    def start(self) -> dict:
+        """Recover persisted jobs, then start the scheduler thread (if
+        it is not running).  Returns the recovery counts."""
+        recovered = self.queue.recover()
+        if self._thread is None:
+            self._stop.clear()
+            self._thread = threading.Thread(
+                target=self._loop, name="repro-job-scheduler", daemon=True
+            )
+            self._thread.start()
+        return recovered
 
-    def stop(self, *, drain: bool = True, timeout_s: float = 60.0) -> None:
-        """Stop the loop; with ``drain`` the in-flight slice finishes:
-        the running job checkpoints at its next window-slice boundary and
-        parks ``queued``, so the next start (here or after a restart)
-        resumes it warm."""
+    def stop(self, *, drain: bool = True) -> None:
+        """Stop the loop; with ``drain`` the running job checkpoints at
+        its next window-slice boundary and parks ``queued``, so the next
+        start (here or after a restart) resumes it warm."""
         self._stop.set()
         thread = self._thread
         if thread is not None:
-            thread.join(timeout=timeout_s if drain else _POLL_S * 4)
+            thread.join(timeout=60.0 if drain else _POLL_S * 4)
             self._thread = None
 
     # -- the loop -----------------------------------------------------------
 
     def _loop(self) -> None:
         while not self._stop.is_set():
-            pending, self._pending_failures = self._pending_failures, []
-            for record, message in pending:
-                self._fail(record, message)
+            self.queue.retry_unwritten()
             record = self.queue.next_ready(timeout_s=_POLL_S)
             if record is None:
                 continue
             try:
                 self._execute_traced(record)
-            except ReproError as error:
-                self._fail(record, str(error))
             except Exception as error:  # noqa: BLE001 — keep the loop alive
-                self._fail(record, f"{type(error).__name__}: {error}")
-
-    def _fail(self, record: JobRecord, message: str) -> None:
-        """Fail ``record``.  If even that write fails, the job keeps its
-        on-disk state (``transition`` logged and counted the failure)
-        and the loop retries it on its next iteration.  A job that
-        reached a terminal state another way (a cancel of a job whose
-        running mark failed) is left as it is."""
-        try:
-            self.queue.transition(record, FAILED, "failed", message, error=message)
-        except ConflictError:
-            return
-        except Exception:  # noqa: BLE001 — keep the loop alive
-            self._pending_failures.append((record, message))
-            return
-        LOG.error("job.failed", job=record.job_id, error=message)
+                message = (
+                    str(error) if isinstance(error, ReproError)
+                    else f"{type(error).__name__}: {error}"
+                )
+                self.queue.settle(record, FAILED, "failed", message, error=message)
 
     def _on_terminal(self, record: JobRecord) -> None:
         """The queue's hook on a job's entry to a terminal state."""
+        if record.status == FAILED:
+            LOG.error("job.failed", job=record.job_id, error=record.error)
         self.metrics.counter_inc(
             "repro_jobs_finished_total",
             "Jobs reaching a terminal state",
@@ -302,47 +290,6 @@ class JobScheduler:
         )
         return _DONE
 
-
-class JobsManager:
-    """Queue + scheduler + quotas + metrics behind one façade.
-
-    The object :class:`~repro.api.service.ReproService` mounts: HTTP
-    handlers call :meth:`submit_body` / :meth:`status_document` /
-    :meth:`result_document` / :meth:`cancel` / :meth:`list_document`,
-    and ``serve`` drives :meth:`start` / :meth:`stop`.
-    """
-
-    def __init__(
-        self,
-        jobs_dir: str,
-        *,
-        store: Any | None = None,
-        window_slice: int = 500,
-        quotas: QuotaManager | None = None,
-        metrics: MetricsRegistry | None = None,
-    ) -> None:
-        self.metrics = metrics if metrics is not None else METRICS
-        self.queue = JobQueue(jobs_dir)
-        self.quotas = quotas if quotas is not None else QuotaManager()
-        self.scheduler = JobScheduler(
-            self.queue,
-            store=store,
-            window_slice=window_slice,
-            metrics=self.metrics,
-        )
-
-    # -- lifecycle ----------------------------------------------------------
-
-    def start(self) -> dict:
-        """Recover persisted jobs, then start scheduling.  Returns counts."""
-        recovered = self.queue.recover()
-        self.scheduler.start()
-        return recovered
-
-    def stop(self, *, drain: bool = True) -> None:
-        """Stop scheduling; with ``drain`` the in-flight slice finishes."""
-        self.scheduler.stop(drain=drain)
-
     # -- submissions ---------------------------------------------------------
 
     def submit_body(self, body: dict) -> dict:
@@ -395,15 +342,11 @@ class JobsManager:
                 tenant, request_to_dict(request), priority=priority,
                 cells_total=len(cells), trace=TRACER.propagation_header(),
             )
-        except OSError as error:
+        except Unavailable:
             # Refused: the retry that Retry-After asks for must not
             # find the token spent.
             self.quotas.refund(tenant)
-            raise Unavailable(
-                f"the job record could not be written ({error}); retry later",
-                reason="job_store_unavailable",
-                retry_after_s=_STORE_RETRY_AFTER_S,
-            ) from None
+            raise
         self.metrics.counter_inc(
             "repro_jobs_submitted_total", "Jobs accepted per tenant",
             tenant=tenant,
@@ -473,7 +416,9 @@ class JobsManager:
         }
 
     def cancel(self, job_id: str) -> dict:
-        """Request cancellation; returns the job document."""
+        """Request cancellation; returns the job document.  Raises
+        :class:`~repro.errors.Unavailable` (503) when the cancel cannot
+        be written."""
         record = self.queue.request_cancel(job_id)
         self.metrics.counter_inc(
             "repro_job_cancels_total",
@@ -496,11 +441,8 @@ class JobsManager:
     # -- introspection -------------------------------------------------------
 
     def health(self) -> dict:
-        """The jobs section of ``/v1/healthz``.
-
-        ``backend`` is always ``"serial"``: job cells run on the
-        scheduler thread.
-        """
+        """The jobs section of ``/v1/healthz`` (job cells run on the
+        scheduler thread: ``backend`` is always ``"serial"``)."""
         return {
             "queue_depth": self.queue.count(QUEUED),
             "running": self.queue.count(RUNNING),

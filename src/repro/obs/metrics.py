@@ -6,10 +6,10 @@ one source of truth: Prometheus-style text exposition (the default
 consumers without a scraper.
 
 Label cardinality is bounded *per metric*: once a metric has
-``max_series`` distinct label sets, further label combinations collapse
-into a single ``"_other"`` series instead of allocating new ones.  An
-unbounded tenant-id stream therefore costs O(1) memory and keeps the
-scrape payload flat — the standing advice from every production
+:data:`DEFAULT_MAX_SERIES` distinct label sets, further label
+combinations collapse into a single ``"_other"`` series instead of
+allocating new ones.  An unbounded tenant-id stream therefore costs
+O(1) memory and keeps the scrape payload flat — the standing advice from every production
 monitoring postmortem, enforced in the registry rather than left to
 caller discipline.
 
@@ -25,8 +25,9 @@ from __future__ import annotations
 import threading
 from typing import Iterator
 
-#: Seconds buckets sized for this workload: warm cells are sub-ms, a
-#: cold cell is ~0.3-0.5 s, multi-cell jobs run seconds to minutes.
+#: Every histogram's seconds buckets, sized for this workload: warm
+#: cells are sub-ms, a cold cell is ~0.3-0.5 s, multi-cell jobs run
+#: seconds to minutes.
 DEFAULT_BUCKETS = (
     0.001, 0.005, 0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 120.0
 )
@@ -34,7 +35,7 @@ DEFAULT_BUCKETS = (
 #: Collapsed-series label value once a metric's cardinality bound hits.
 OVERFLOW_LABEL = "_other"
 
-#: Default distinct-label-set bound per metric.
+#: Distinct-label-set bound per metric.
 DEFAULT_MAX_SERIES = 64
 
 
@@ -82,22 +83,18 @@ class Metric:
         kind: str,
         help_text: str,
         label_names: tuple[str, ...],
-        *,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-        max_series: int = DEFAULT_MAX_SERIES,
     ) -> None:
         self.name = name
         self.kind = kind
         self.help_text = help_text
         self.label_names = label_names
-        self.buckets = buckets if kind == "histogram" else ()
-        self.max_series = max_series
+        self.buckets = DEFAULT_BUCKETS if kind == "histogram" else ()
         self._series: dict[tuple[str, ...], _Series] = {}
 
     def _series_for(self, label_values: tuple[str, ...]) -> _Series:
         series = self._series.get(label_values)
         if series is None:
-            if len(self._series) >= self.max_series:
+            if len(self._series) >= DEFAULT_MAX_SERIES:
                 label_values = (OVERFLOW_LABEL,) * len(self.label_names)
                 series = self._series.get(label_values)
             if series is None:
@@ -195,12 +192,11 @@ class MetricsRegistry:
         kind: str,
         help_text: str,
         label_names: tuple[str, ...],
-        **kwargs,
     ) -> Metric:
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = Metric(
-                name, kind, help_text, label_names, **kwargs
+                name, kind, help_text, label_names
             )
         elif metric.kind != kind or metric.label_names != label_names:
             raise ValueError(
@@ -230,19 +226,12 @@ class MetricsRegistry:
             metric.set(labels, value)
 
     def observe(
-        self,
-        name: str,
-        help_text: str,
-        value: float,
-        *,
-        buckets: tuple[float, ...] = DEFAULT_BUCKETS,
-        **labels: str,
+        self, name: str, help_text: str, value: float, **labels: str
     ) -> None:
         """Record one histogram observation."""
         with self._lock:
             metric = self._register(
-                name, "histogram", help_text, tuple(sorted(labels)),
-                buckets=buckets,
+                name, "histogram", help_text, tuple(sorted(labels))
             )
             metric.observe(labels, value)
 

@@ -21,7 +21,6 @@ from repro.api import (
     request_from_dict,
     request_to_dict,
     results_document,
-    schema_major,
 )
 from repro.analysis.specs import (
     CHAPTER4_POLICIES,
@@ -31,6 +30,7 @@ from repro.analysis.specs import (
 from repro.api.client import cell_envelope
 from repro.campaign import MemoryStore, run, run_cell
 from repro.campaign import spec as spec_module
+from repro.engine.codec import version_major
 from repro.errors import ConfigurationError
 from repro.testbed.platforms import PE1950, PLATFORMS, SR1500AL
 
@@ -90,13 +90,17 @@ def test_envelope_requires_mapping():
 
 
 def test_schema_major_parsing():
-    assert schema_major("1.0") == 1
-    assert schema_major("12.34") == 12
+    assert version_major("1.0", "schema_version", ConfigurationError) == 1
+    assert version_major("12.34", "schema_version", ConfigurationError) == 12
     check_schema_compatible(SCHEMA_VERSION)
-    with pytest.raises(ConfigurationError, match="malformed schema_version"):
-        schema_major("banana")
-    with pytest.raises(ConfigurationError, match="malformed schema_version"):
-        schema_major("1")
+    for malformed in ("banana", "1"):
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"malformed schema_version '{malformed}' \(expected",
+        ):
+            check_schema_compatible(malformed)
+    with pytest.raises(ConfigurationError, match="incompatible schema_version"):
+        check_schema_compatible("2.0")
 
 
 def test_provenance_validation():

@@ -150,9 +150,14 @@ def test_checkpoint_state_round_trips_and_rejects_foreign_major():
 
     foreign = state.to_dict()
     foreign["version"] = "99.0"
-    with pytest.raises(CheckpointError, match="incompatible"):
+    with pytest.raises(CheckpointError, match=re.escape(
+        "incompatible engine-state version '99.0': this engine speaks "
+        f"major 1 ({ENGINE_STATE_VERSION})"
+    )):
         EngineState.from_dict(foreign)
-    with pytest.raises(CheckpointError, match="malformed"):
+    with pytest.raises(CheckpointError, match=re.escape(
+        "malformed engine-state version 'nope' (expected '<major>.<minor>')"
+    )):
         EngineState.from_dict({**state.to_dict(), "version": "nope"})
 
 

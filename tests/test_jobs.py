@@ -23,6 +23,7 @@ The acceptance criteria covered here:
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
@@ -58,7 +59,6 @@ from repro.jobs import (
     RUNNING,
     JobQueue,
     JobRecord,
-    JobScheduler,
     JobsClient,
     JobsManager,
     JobStore,
@@ -522,6 +522,10 @@ def _write_name(old: JobRecord | None, new: JobRecord) -> str:
     return new.events[-1]["event"]  # cancel_requested, cell_resumed
 
 
+def _full_disk(store, record):
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class _DiskFull:
     """Fail the named record writes with ENOSPC, once each, in order."""
 
@@ -586,7 +590,7 @@ def _drain(manager, monkeypatch):
 
 def _cancel_queued(manager, monkeypatch):
     job_id = _submit(manager)  # the scheduler is not started
-    with pytest.raises(OSError):
+    with pytest.raises(Unavailable, match="No space left"):
         manager.cancel(job_id)
     return job_id
 
@@ -599,7 +603,7 @@ def _cancel_running(manager, monkeypatch):
 
 def _cancel_running_refused(manager, monkeypatch):
     job_id = _start_slow_job(manager)
-    with pytest.raises(OSError):
+    with pytest.raises(Unavailable, match="No space left"):
         manager.cancel(job_id)
     return job_id
 
@@ -615,10 +619,10 @@ def _restart_after_a_crash(manager, monkeypatch):
 
 
 #: case -> (writes that fail, how the job is driven, status it ends in).
-#: A job whose failure cannot be written at first fails when the
-#: scheduler loop retries the write; one whose requeue after a restart
-#: cannot be written stays ``running``, as on disk; one whose cancel
-#: cannot be written runs on.
+#: A job whose failure or requeue after a restart cannot be written at
+#: first makes that move when the scheduler loop retries the write (the
+#: requeued job then runs to completion); one whose cancel cannot be
+#: written runs on.
 _FAULT_CASES = {
     "submit": (("submit",), _submit_while_running, None),
     "running-mark": (("running-mark",), _run_one_job, FAILED),
@@ -632,7 +636,7 @@ _FAULT_CASES = {
     "completion": (("completed",), _run_one_job, FAILED),
     "failure": (("failed",), _run_a_failing_cell, FAILED),
     "completion-and-failure": (("completed", "failed"), _run_one_job, FAILED),
-    "recover-requeue": (("recovered",), _restart_after_a_crash, RUNNING),
+    "recover-requeue": (("recovered",), _restart_after_a_crash, COMPLETED),
 }
 
 
@@ -831,6 +835,8 @@ class TestJobsManager:
         reports is what a restart recovers, the scheduler lives on, and
         a job submitted afterwards completes."""
         writes, drive, expected = _FAULT_CASES[case]
+        # A held move is retried within the test's patience.
+        monkeypatch.setattr("repro.jobs.queue._STORE_RETRY_AFTER_S", 0.05)
         disk = _DiskFull(monkeypatch, writes)
         manager = JobsManager(
             str(tmp_path / "jobs"), store=MemoryStore(), window_slice=200
@@ -856,8 +862,8 @@ class TestJobsManager:
             assert (recovered and recovered.status) == (
                 QUEUED if reported == RUNNING else reported
             )
-            manager.scheduler.start()  # a no-op unless drained/unstarted
-            assert manager.scheduler._thread.is_alive()
+            manager.start()  # starts the loop only if drained/unstarted
+            assert manager._thread.is_alive()
             later = _wait_terminal(manager, _submit(manager))
             assert later.status == COMPLETED
         finally:
@@ -885,6 +891,7 @@ class TestJobsManager:
 
         monkeypatch.setattr("repro.jobs.scheduler.run_cell", broken)
         monkeypatch.setattr(JobStore, "save", full_for_failures)
+        monkeypatch.setattr("repro.jobs.queue._STORE_RETRY_AFTER_S", 0.05)
         manager = _manager(
             tmp_path, MemoryStore(),
             quotas=QuotaManager(TenantPolicy(max_active=1)),
@@ -912,6 +919,76 @@ class TestJobsManager:
         revived.recover()
         assert revived.get(job_id).status == FAILED
         assert revived.get(later.job_id).status == COMPLETED
+
+    def test_a_refused_failed_write_is_retried_once_per_backoff(
+        self, tmp_path, monkeypatch
+    ):
+        """A job whose ``failed`` write the disk keeps refusing costs one
+        refused write (one ``job.persist_failed`` line) per
+        ``_STORE_RETRY_AFTER_S``, not one per idle poll of the loop."""
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        real_save = JobStore.save
+        refused = []
+
+        def full_for_failures(store, record):
+            if record.status == FAILED:
+                refused.append(record.job_id)
+                raise OSError(errno.ENOSPC, "No space left on device")
+            real_save(store, record)
+
+        monkeypatch.setattr("repro.jobs.scheduler.run_cell", broken)
+        monkeypatch.setattr(JobStore, "save", full_for_failures)
+        manager = _manager(tmp_path, MemoryStore())
+        manager.start()
+        try:
+            job_id = _submit(manager)
+            _wait_until(lambda: refused)
+            time.sleep(1.5)  # six idle polls, well inside one backoff
+        finally:
+            manager.stop(drain=False)
+        assert refused == [job_id]
+        assert manager.health()["persist_failures"] == 1
+        assert manager.queue.get(job_id).status == RUNNING
+
+    def test_a_requeue_refused_at_start_up_lands_once_the_disk_takes_writes(
+        self, tmp_path, monkeypatch
+    ):
+        """A job left ``running`` by a crash and restarted on a full
+        disk holds its tenant's one slot and the running gauge; once the
+        disk takes writes the loop requeues it, without a second
+        restart, and it completes."""
+        metrics = MetricsRegistry()
+        manager = _manager(
+            tmp_path, MemoryStore(), metrics=metrics,
+            quotas=QuotaManager(TenantPolicy(max_active=1)),
+        )
+        manager.queue.store.save(JobRecord(
+            job_id="job-crashed", tenant="solo", request=dict(FAST_REQUEST),
+            status=RUNNING, cells_total=1,
+        ))
+        monkeypatch.setattr(JobStore, "save", _full_disk)
+        monkeypatch.setattr("repro.jobs.queue._STORE_RETRY_AFTER_S", 0.2)
+        try:
+            assert manager.start() == {
+                "requeued": 0, "terminal": 0, "unreadable": 0
+            }
+            manager.publish_usage_metrics()
+            assert metrics.counter_value("repro_jobs_running") == 1
+            with pytest.raises(QuotaExceeded):
+                _submit(manager, tenant="solo")
+            monkeypatch.undo()
+            record = _wait_terminal(manager, "job-crashed")
+            assert record.status == COMPLETED
+            assert "recovered" in _event_names(record)
+            manager.publish_usage_metrics()
+            assert metrics.counter_value("repro_jobs_running") == 0
+            later = _wait_terminal(manager, _submit(manager, tenant="solo"))
+            assert later.status == COMPLETED
+        finally:
+            manager.stop(drain=False)
 
     def test_a_submit_makes_one_record_write(self, tmp_path, monkeypatch):
         saved = []
@@ -971,7 +1048,7 @@ class TestJobsManager:
                 TenantPolicy(max_active=100, rate_per_s=1e6, burst=100)
             ),
         )
-        manager.scheduler.window_slice = 50
+        manager.window_slice = 50
 
         def client():
             for _ in range(5):
@@ -1037,13 +1114,13 @@ class TestJobsManager:
 
     def test_scheduler_refuses_a_zero_slice_and_starts_once(self, tmp_path):
         with pytest.raises(ConfigurationError, match="window_slice"):
-            JobScheduler(JobQueue(tmp_path / "queue"), window_slice=0)
+            JobsManager(str(tmp_path / "queue"), window_slice=0)
         manager = _manager(tmp_path, MemoryStore())
         manager.start()
         try:
-            thread = manager.scheduler._thread
-            manager.scheduler.start()
-            assert manager.scheduler._thread is thread
+            thread = manager._thread
+            manager.start()
+            assert manager._thread is thread
         finally:
             manager.stop(drain=False)
 
@@ -1094,6 +1171,20 @@ class TestJobsManager:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _serving(jobs):
+    """A threaded service mounting ``jobs`` (a manager or None)."""
+    service = ReproService(port=0, jobs=jobs)
+    thread = threading.Thread(target=service.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield service
+    finally:
+        service.shutdown()
+        service.server_close()
+        thread.join(timeout=5)
+
+
 @pytest.fixture()
 def jobs_service(tmp_path):
     """A threaded jobs-enabled service over a private memory store."""
@@ -1105,15 +1196,10 @@ def jobs_service(tmp_path):
             TenantPolicy(max_active=2, rate_per_s=1000.0, burst=1000)
         ),
     )
-    service = ReproService(port=0, jobs=manager)
-    manager.start()
-    thread = threading.Thread(target=service.serve_forever, daemon=True)
-    thread.start()
-    yield service
-    manager.stop(drain=False)
-    service.shutdown()
-    service.server_close()
-    thread.join(timeout=5)
+    with _serving(manager) as service:
+        manager.start()
+        yield service
+        manager.stop(drain=False)
 
 
 def _http(service, method, path, payload=None):
@@ -1148,10 +1234,7 @@ class TestJobsHttp:
             store=MemoryStore(),
             quotas=QuotaManager(TenantPolicy(max_active=1)),
         )
-        service = ReproService(port=0, jobs=manager)
-        thread = threading.Thread(target=service.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with _serving(manager) as service:
             # Scheduler intentionally NOT started: the first job stays
             # queued, deterministically exhausting max_active=1.
             status, _ = _http(
@@ -1167,10 +1250,6 @@ class TestJobsHttp:
             assert body["reason"] == "max_active"
             assert body["tenant"] == "alice"
             assert excinfo.value.retry_after_s is not None
-        finally:
-            service.shutdown()
-            service.server_close()
-            thread.join(timeout=5)
 
     def test_refused_submit_spends_no_rate_token(self, tmp_path, monkeypatch):
         """A submit refused with 503 (its record cannot be written)
@@ -1179,14 +1258,8 @@ class TestJobsHttp:
         manager = JobsManager(
             str(tmp_path / "jobs-r"), store=MemoryStore(), quotas=quotas
         )
-        service = ReproService(port=0, jobs=manager)
-        thread = threading.Thread(target=service.serve_forever, daemon=True)
-        thread.start()
-        try:
-            def full_disk(store, record):
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-            monkeypatch.setattr(JobStore, "save", full_disk)
+        with _serving(manager) as service:
+            monkeypatch.setattr(JobStore, "save", _full_disk)
             status, document = _http(
                 service, "POST", "/v1/jobs", {"request": FAST_REQUEST}
             )
@@ -1199,10 +1272,37 @@ class TestJobsHttp:
             )
             assert status == 202, document
             assert quotas.usage() == {"default": {"admitted": 1}}
-        finally:
-            service.shutdown()
-            service.server_close()
-            thread.join(timeout=5)
+
+    def test_cancel_refused_by_a_full_disk_is_a_structured_503(
+        self, tmp_path, monkeypatch
+    ):
+        """A cancel whose record write the disk refuses answers the same
+        503 a refused submit does, and the job stays as it was."""
+        manager = JobsManager(str(tmp_path / "jobs-c"), store=MemoryStore())
+        with _serving(manager) as service:  # scheduler not started
+            status, document = _http(
+                service, "POST", "/v1/jobs", {"request": FAST_REQUEST}
+            )
+            assert status == 202
+            job_id = document["job"]["id"]
+            monkeypatch.setattr(JobStore, "save", _full_disk)
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(urllib.request.Request(
+                    f"{service.url}/v1/jobs/{job_id}/cancel", method="POST"
+                ))
+            monkeypatch.undo()
+            assert excinfo.value.code == 503
+            assert excinfo.value.headers["Retry-After"] == "5"
+            document = json.loads(excinfo.value.read())
+            assert document["reason"] == "job_store_unavailable"
+            assert document["retry_after_s"] == 5.0
+            assert "No space left on device" in document["error"]
+            assert manager.queue.get(job_id).status == QUEUED
+            status, document = _http(
+                service, "POST", f"/v1/jobs/{job_id}/cancel"
+            )
+            assert status == 200
+            assert document["job"]["status"] == CANCELLED
 
     def test_healthz_reports_queue_and_backend(self, jobs_service):
         status, document = _http(jobs_service, "GET", "/v1/healthz")
@@ -1216,10 +1316,7 @@ class TestJobsHttp:
     def test_healthz_is_degraded_after_a_failed_record_write(
         self, jobs_service, monkeypatch
     ):
-        def full_disk(store, record):
-            raise OSError(errno.ENOSPC, "No space left on device")
-
-        monkeypatch.setattr(JobStore, "save", full_disk)
+        monkeypatch.setattr(JobStore, "save", _full_disk)
         status, document = _http(
             jobs_service, "POST", "/v1/jobs", {"request": FAST_REQUEST}
         )
@@ -1233,20 +1330,13 @@ class TestJobsHttp:
         assert document["jobs"]["persist_failures"] == 1
 
     def test_healthz_without_jobs_still_answers(self):
-        service = ReproService(port=0)
-        thread = threading.Thread(target=service.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with _serving(None) as service:
             status, document = _http(service, "GET", "/v1/healthz")
             assert status == 200
             assert document["jobs"] is None
             status, document = _http(service, "GET", "/v1/jobs")
             assert status == 503
             assert document["reason"] == "jobs_disabled"
-        finally:
-            service.shutdown()
-            service.server_close()
-            thread.join(timeout=5)
 
     def test_metrics_reports_depth_and_tenant_histograms(self, jobs_service):
         client = JobsClient(jobs_service.url)

@@ -37,7 +37,7 @@ from repro.jobs import (
     COMPLETED,
     QUEUED,
     JobQueue,
-    JobScheduler,
+    JobsManager,
     job_progress_label,
 )
 
@@ -65,21 +65,20 @@ def _via_job(request, tmp_path) -> dict:
     """A job cell sliced every 50 windows, drained after its first
     slice, then resumed by a fresh scheduler from the persisted state."""
     store = MemoryStore()
-    jobs_dir = tmp_path / "jobs"
-    queue = JobQueue(jobs_dir)
-    job_id = queue.submit("t", request_to_dict(request)).job_id
-    first = JobScheduler(queue, store=store, window_slice=50)
+    jobs_dir = str(tmp_path / "jobs")
+    first = JobsManager(jobs_dir, store=store, window_slice=50)
+    job_id = first.queue.submit("t", request_to_dict(request)).job_id
     first.stop()  # drain at the first slice boundary
-    first._execute(queue.next_ready(timeout_s=0))
-    parked = queue.get(job_id)
+    first._execute(first.queue.next_ready(timeout_s=0))
+    parked = first.queue.get(job_id)
     assert parked.status == QUEUED
     (state,) = parked.cell_states.values()
     assert state["windows"] == 50
 
-    revived = JobQueue(jobs_dir)
-    assert revived.recover()["requeued"] == 1
-    record = revived.next_ready(timeout_s=0)
-    JobScheduler(revived, store=store, window_slice=50)._execute(record)
+    revived = JobsManager(jobs_dir, store=store, window_slice=50)
+    assert revived.queue.recover()["requeued"] == 1
+    record = revived.queue.next_ready(timeout_s=0)
+    revived._execute(record)
     assert record.status == COMPLETED
     assert "cell_resumed" in [event["event"] for event in record.events]
     return store.get(_spec(request).key())
@@ -180,11 +179,11 @@ def test_a_cli_checkpoint_resumes_as_a_job_cell(tmp_path, monkeypatch, stepped):
     record = queue.submit("t", request_to_dict(request))
     record.cell_states = {key: state.to_dict()}
     queue.store.save(record)
-    revived = JobQueue(jobs_dir)
-    assert revived.recover()["requeued"] == 1
-    record = revived.next_ready(timeout_s=0)
     store = MemoryStore()
-    JobScheduler(revived, store=store, window_slice=50)._execute(record)
+    revived = JobsManager(str(jobs_dir), store=store, window_slice=50)
+    assert revived.queue.recover()["requeued"] == 1
+    record = revived.queue.next_ready(timeout_s=0)
+    revived._execute(record)
     assert record.status == COMPLETED
     assert f"{key} from window 100" in [e.get("detail") for e in record.events]
     assert dumps_canonical(store.get(key)) == dumps_canonical(expected)
@@ -201,12 +200,13 @@ def test_a_job_cell_state_resumes_through_the_cli(
     request = CELLS["ch4"]
     key = _spec(request).key()
     expected, windows = _reference(request, stepped)
-    queue = JobQueue(tmp_path / "jobs")
-    job_id = queue.submit("t", request_to_dict(request)).job_id
-    first = JobScheduler(queue, store=MemoryStore(), window_slice=50)
+    first = JobsManager(
+        str(tmp_path / "jobs"), store=MemoryStore(), window_slice=50
+    )
+    job_id = first.queue.submit("t", request_to_dict(request)).job_id
     first.stop()  # drain at the first slice boundary
-    first._execute(queue.next_ready(timeout_s=0))
-    (state,) = queue.get(job_id).cell_states.values()
+    first._execute(first.queue.next_ready(timeout_s=0))
+    (state,) = first.queue.get(job_id).cell_states.values()
     assert state["windows"] == 50
 
     ckpt_dir = tmp_path / "ckpt"
@@ -228,17 +228,18 @@ def test_job_cells_publish_progress_under_the_job_label(tmp_path):
     PROGRESS.clear()
     request = CELLS["ch4"]
     key = _spec(request).key()
-    queue = JobQueue(tmp_path / "jobs")
-    job_id = queue.submit("t", request_to_dict(request)).job_id
-    scheduler = JobScheduler(queue, store=MemoryStore(), window_slice=50)
+    manager = JobsManager(
+        str(tmp_path / "jobs"), store=MemoryStore(), window_slice=50
+    )
+    job_id = manager.queue.submit("t", request_to_dict(request)).job_id
     seen: list[tuple[str | None, list[str]]] = []
 
     def spy(record):
         seen.append((PROGRESS.current_label(), sorted(PROGRESS.snapshot())))
         return None
 
-    scheduler._interruption = spy
-    scheduler._execute(queue.next_ready(timeout_s=0))
+    manager._interruption = spy
+    manager._execute(manager.queue.next_ready(timeout_s=0))
     label = job_progress_label(job_id, key)
     assert label == f"{job_id}/{key}"
     # Every slice boundary runs under the job label; the last check,
