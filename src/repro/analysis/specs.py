@@ -25,10 +25,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import TYPE_CHECKING, ClassVar
 
 from repro.campaign import register_runner, run, spec_key
-from repro.core.results import RunResult, TemperatureTrace
+from repro.core.results import RunResult
 from repro.core.simulator import (
     DTM_OVERHEAD_S,
     DUTY_CYCLE,
@@ -47,12 +47,12 @@ from repro.engine.codec import (
     Optional,
     Text,
     check_domain,
+    decode_record,
     domain,
-    load_state_dict,
     state_dict,
 )
 from repro.errors import ConfigurationError
-from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
+from repro.params.emergency import SIMULATION_LEVELS
 from repro.params.thermal_params import (
     COOLING_CONFIGS,
     INTEGRATED_AMBIENT,
@@ -75,21 +75,15 @@ __all__ = [
     "bench_copies",
     "make_chapter4_policy",
     "make_chapter5_policy",
-    "result_to_dict",
     "run_chapter4",
     "run_chapter5",
-    "run_result_from_dict",
-    "run_result_to_dict",
-    "server_result_from_dict",
-    "server_result_to_dict",
-    "trace_from_dict",
-    "trace_to_dict",
 ]
 
 
-def bench_copies(default: int = 2) -> int:
-    """Batch copies per application, from ``REPRO_BENCH_SCALE``."""
-    raw = os.environ.get("REPRO_BENCH_SCALE", str(default))
+def bench_copies() -> int:
+    """Batch copies per application, from ``REPRO_BENCH_SCALE`` (2 when
+    unset)."""
+    raw = os.environ.get("REPRO_BENCH_SCALE", "2")
     try:
         copies = int(raw)
     except ValueError:
@@ -184,11 +178,12 @@ class Chapter4Spec:
 
 def make_chapter4_policy(
     name: str,
-    levels: EmergencyLevels = SIMULATION_LEVELS,
     amb_trp_c: float | None = None,
     dram_trp_c: float | None = None,
 ) -> DTMPolicy:
-    """Construct a Chapter 4 policy by short name."""
+    """Construct a Chapter 4 policy by short name, on the Table 4.3
+    levels."""
+    levels = SIMULATION_LEVELS
     if name == "no-limit":
         return NoLimitPolicy()
     if name == "ts":
@@ -361,56 +356,27 @@ def run_chapter5(spec: Chapter5Spec) -> ServerRunResult:
 
 
 # ---------------------------------------------------------------------------
-# Result codecs (JSON payloads for the ResultStore layers)
+# Result payloads: each result's declared fields, through the codec
 # ---------------------------------------------------------------------------
 
 
-def trace_to_dict(trace: TemperatureTrace) -> dict:
-    """Serialize a temperature trace."""
-    return state_dict(trace)
-
-
-def trace_from_dict(raw: dict) -> TemperatureTrace:
-    """Rebuild a temperature trace from its payload through its declared
-    columns (:class:`~repro.errors.CheckpointError` on a damaged one)."""
-    trace = TemperatureTrace()
-    load_state_dict(trace, raw, "trace")
-    return trace
-
-
-def result_to_dict(result: RunResult | ServerRunResult) -> dict:
-    """Serialize a run or server result (trace included)."""
-    payload = {k: v for k, v in result.__dict__.items() if k != "trace"}
-    payload["trace"] = trace_to_dict(result.trace)
-    return payload
-
-
-def _result_from_dict(cls: type, raw: dict) -> Any:
-    raw = dict(raw)
-    return cls(trace=trace_from_dict(raw.pop("trace", {})), **raw)
-
-
-#: Each kind's payload codec: the results differ, the encoding does not.
-run_result_to_dict = server_result_to_dict = result_to_dict
-run_result_from_dict = partial(_result_from_dict, RunResult)
-
-
-def server_result_from_dict(raw: dict) -> ServerRunResult:
-    """Rebuild a Chapter 5 result (the testbed runner loads on first use)."""
+def _decode_server_result(raw: dict) -> ServerRunResult:
+    """A Chapter 5 payload's result (the testbed runner loads on first
+    use)."""
     from repro.testbed.runner import ServerRunResult
 
-    return _result_from_dict(ServerRunResult, raw)
+    return decode_record(ServerRunResult, raw, "ch5 result")
 
 
 register_runner(
     "ch4",
     _chapter4_engine,
-    encode=run_result_to_dict,
-    decode=run_result_from_dict,
+    encode=state_dict,
+    decode=partial(decode_record, RunResult, what="ch4 result"),
 )
 register_runner(
     "ch5",
     _chapter5_engine,
-    encode=server_result_to_dict,
-    decode=server_result_from_dict,
+    encode=state_dict,
+    decode=_decode_server_result,
 )

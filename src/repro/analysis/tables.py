@@ -5,6 +5,8 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
+#: Characters in a sparkline; longer series are downsampled to it.
+SPARKLINE_WIDTH = 60
 
 
 def _render_cells(
@@ -25,13 +27,9 @@ def _render_cells(
     ]
 
 
-def format_table(
-    headers: list[str],
-    rows: list[list[object]],
-    float_format: str = "{:.3f}",
-) -> str:
-    """Render a fixed-width ASCII table."""
-    rendered = _render_cells(headers, rows, float_format)
+def format_table(headers: list[str], rows: list[list[object]]) -> str:
+    """Render a fixed-width ASCII table; floats show three decimals."""
+    rendered = _render_cells(headers, rows, "{:.3f}")
     widths = [len(h) for h in headers]
     for row in rendered:
         for index, cell in enumerate(row):
@@ -45,17 +43,13 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_csv(
-    headers: list[str],
-    rows: list[list[object]],
-    float_format: str = "{:.6g}",
-) -> str:
+def format_csv(headers: list[str], rows: list[list[object]]) -> str:
     """Render a table as minimal CSV (no quoting; cells must be delimiter-free).
 
     Campaign exports go through this, so floats use a round-trippable
     general format rather than the fixed display precision.
     """
-    cells = _render_cells(headers, rows, float_format)
+    cells = _render_cells(headers, rows, "{:.6g}")
     for row in [list(headers)] + cells:
         for cell in row:
             if "," in cell or "\n" in cell:
@@ -67,13 +61,14 @@ def format_csv(
     return "\n".join(lines)
 
 
-def sparkline(values: list[float], width: int = 60) -> str:
-    """A one-line unicode sparkline of a series (downsampled to ``width``)."""
+def sparkline(values: list[float]) -> str:
+    """A one-line unicode sparkline of a series (downsampled to
+    :data:`SPARKLINE_WIDTH`)."""
     if not values:
         return ""
-    if len(values) > width:
-        stride = len(values) / width
-        values = [values[int(i * stride)] for i in range(width)]
+    if len(values) > SPARKLINE_WIDTH:
+        stride = len(values) / SPARKLINE_WIDTH
+        values = [values[int(i * stride)] for i in range(SPARKLINE_WIDTH)]
     low = min(values)
     high = max(values)
     if high == low:
@@ -86,12 +81,8 @@ def sparkline(values: list[float], width: int = 60) -> str:
     return "".join(chars)
 
 
-def format_series(
-    label: str, values: list[float], low: float | None = None, high: float | None = None
-) -> str:
+def format_series(label: str, values: list[float]) -> str:
     """Label + min/max annotation + sparkline, for temperature traces."""
     if not values:
         return f"{label}: (empty)"
-    lo = min(values) if low is None else low
-    hi = max(values) if high is None else high
-    return f"{label}: [{lo:7.2f} .. {hi:7.2f}] {sparkline(values)}"
+    return f"{label}: [{min(values):7.2f} .. {max(values):7.2f}] {sparkline(values)}"

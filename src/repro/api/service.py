@@ -542,12 +542,10 @@ class ReproService(HTTPServer):
         self.verbose = verbose
         #: The mounted JobsManager (None = jobs routes answer 503).
         self.jobs = jobs
-        #: One registry serves /metrics; shared with the jobs manager
-        #: (which defaults to the process-wide METRICS), so engine,
-        #: store, and scheduler series land in one scrape.
-        self.metrics: MetricsRegistry = (
-            jobs.metrics if jobs is not None else METRICS
-        )
+        #: One registry serves /metrics: the process-wide METRICS, which
+        #: the engine, stores and jobs manager all write, so their
+        #: series land in one scrape.
+        self.metrics: MetricsRegistry = METRICS
         if max_concurrent_runs is None:
             max_concurrent_runs = max(2, os.cpu_count() or 2)
         if max_concurrent_runs < 1:

@@ -39,25 +39,23 @@ class SetAssociativeCache:
         self._sets = self.capacity_bytes // (self.ways * self.line_bytes)
         if not _is_power_of_two(self._sets):
             raise ConfigurationError("number of sets must be a power of two")
-        # Each set is an OrderedDict tag -> dirty flag; order = recency
-        # (last entry is most recently used).
-        self._lines: list[OrderedDict[int, bool]] = [
+        # Each set is an OrderedDict of tags; order = recency (last entry
+        # is most recently used).
+        self._lines: list[OrderedDict[int, None]] = [
             OrderedDict() for _ in range(self._sets)
         ]
         self.hits = 0
         self.misses = 0
-        self.writebacks = 0
 
     @property
     def sets(self) -> int:
         """Number of sets."""
         return self._sets
 
-    def access(self, address: int, is_write: bool = False) -> bool:
+    def access(self, address: int) -> bool:
         """Access one address; returns True on hit.
 
-        A miss fills the line, evicting the LRU entry of the set; evicting
-        a dirty line counts a writeback (memory write traffic).
+        A miss fills the line, evicting the LRU entry of the set.
         """
         line = address // self.line_bytes
         set_index = line % self._sets
@@ -65,15 +63,12 @@ class SetAssociativeCache:
         entries = self._lines[set_index]
         if tag in entries:
             self.hits += 1
-            entries[tag] = entries[tag] or is_write
             entries.move_to_end(tag)
             return True
         self.misses += 1
         if len(entries) >= self.ways:
-            _, dirty = entries.popitem(last=False)
-            if dirty:
-                self.writebacks += 1
-        entries[tag] = is_write
+            entries.popitem(last=False)
+        entries[tag] = None
         return False
 
     @property
@@ -96,7 +91,6 @@ class SetAssociativeCache:
         """Zero counters without flushing contents."""
         self.hits = 0
         self.misses = 0
-        self.writebacks = 0
 
     def flush(self) -> None:
         """Invalidate every line and zero counters."""

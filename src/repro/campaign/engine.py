@@ -50,7 +50,7 @@ def _decode(kind: str, payload: dict) -> Any:
     runner = runner_for(kind)
     try:
         return runner.decode(payload)
-    except (CheckpointError, KeyError, TypeError, ValueError):
+    except CheckpointError:
         # A stale payload from an older schema, or a damaged one: treat
         # it as a cache miss.
         return None

@@ -71,6 +71,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Any, Callable
 
 from repro.analysis.campaigns import CAMPAIGN_GRIDS
 from repro.analysis.tables import format_csv, format_series, format_table
@@ -94,6 +95,7 @@ from repro.api.requests import (
 )
 from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores import default_disk_store, disk_cache_enabled
+from repro.engine.codec import Float
 from repro.errors import ConfigurationError, ReproError
 from repro.testbed.platforms import PLATFORMS
 
@@ -650,16 +652,31 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
+def _named_values(
+    flag: str, items: list[str], form: str, parse: Callable[[str], Any]
+) -> dict[str, Any]:
+    """The ``NAME=VALUE`` items of a repeatable flag, by name, each
+    VALUE through ``parse``.  A missing ``=``, an empty or repeated
+    NAME, or a VALUE that ``parse`` refuses (``ValueError`` or
+    :class:`~repro.errors.ConfigurationError`) is one
+    :class:`~repro.errors.ConfigurationError` naming the flag."""
+    values: dict[str, Any] = {}
+    for item in items:
+        name, eq, text = item.partition("=")
+        if not eq or not name:
+            raise ConfigurationError(f"{flag} expects {form}, got {item!r}")
+        if name in values:
+            raise ConfigurationError(f"{flag} names {name!r} twice")
+        try:
+            values[name] = parse(text)
+        except (ValueError, ConfigurationError) as error:
+            raise ConfigurationError(f"bad {flag} {item!r}: {error}") from None
+    return values
+
+
 def _job_request_from_flags(args: argparse.Namespace) -> dict:
     """The ``--set KEY=VALUE`` request, parsed and checked before submit."""
-    values: dict[str, str] = {}
-    for item in args.fields:
-        key, eq, value = item.partition("=")
-        if not eq or not key:
-            raise ConfigurationError(
-                f"--set expects KEY=VALUE, got {item!r}"
-            )
-        values[key] = value
+    values = _named_values("--set", args.fields, "KEY=VALUE", str)
     return request_to_dict(request_from_text(args.request_type, values))
 
 
@@ -726,24 +743,19 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_tenant_quota(item: str) -> tuple[str, TenantPolicy]:
+def _tenant_policy(text: str) -> TenantPolicy:
+    """A ``MAX_ACTIVE,RATE,BURST`` quota."""
     from repro.jobs.tenancy import TenantPolicy
 
-    name, eq, spec = item.partition("=")
-    parts = spec.split(",")
-    if not eq or not name or len(parts) != 3:
-        raise ConfigurationError(
-            "--tenant-quota expects NAME=MAX_ACTIVE,RATE,BURST, "
-            f"got {item!r}"
-        )
-    try:
-        return name, TenantPolicy(
-            max_active=int(parts[0]),
-            rate_per_s=float(parts[1]),
-            burst=int(parts[2]),
-        )
-    except ValueError as error:
-        raise ConfigurationError(f"bad --tenant-quota {item!r}: {error}")
+    parts = text.split(",")
+    if len(parts) != 3:
+        raise ValueError("expected MAX_ACTIVE,RATE,BURST")
+    return TenantPolicy(int(parts[0]), float(parts[1]), int(parts[2]))
+
+
+def _threshold(text: str) -> float:
+    """An SLO threshold: a finite number."""
+    return Float().decode(float(text), "threshold", None, ConfigurationError)
 
 
 def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
@@ -755,8 +767,9 @@ def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
             rate_per_s=args.quota_rate,
             burst=args.quota_burst,
         ),
-        overrides=dict(
-            _parse_tenant_quota(item) for item in args.tenant_quota
+        overrides=_named_values(
+            "--tenant-quota", args.tenant_quota, "NAME=MAX_ACTIVE,RATE,BURST",
+            _tenant_policy,
         ),
     )
     return JobsManager(
@@ -824,13 +837,14 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     from repro.obs.slo import (
         BREACH,
         DEFAULT_SLOS,
-        parse_overrides,
         render_alert_rules,
         reverdict,
         with_overrides,
     )
 
-    overrides = parse_overrides(args.overrides)
+    overrides = _named_values(
+        "--override", args.overrides, "NAME=THRESHOLD", _threshold
+    )
     if args.action == "rules":
         print(render_alert_rules(with_overrides(DEFAULT_SLOS, overrides)), end="")
         return 0

@@ -105,18 +105,14 @@ class BatchedMemSpot:
         ambient: AmbientModelParams,
         physical_channels: int = 4,
         dimms_per_channel: int = 4,
-        amb_params: AMBPowerParams | None = None,
-        dram_params: DRAMPowerParams | None = None,
-        warm_start: bool = True,
     ) -> None:
         if physical_channels < 1 or dimms_per_channel < 1:
             raise ConfigurationError("need at least one channel and one DIMM")
         self._cooling = cooling
         self._channels = physical_channels
         self._dimms = dimms_per_channel
-        self._warm_start = warm_start
-        p = amb_params if amb_params is not None else AMBPowerParams()
-        d = dram_params if dram_params is not None else DRAMPowerParams()
+        p = AMBPowerParams()
+        d = DRAMPowerParams()
 
         # Power-model constants, flattened per chain position.
         n = dimms_per_channel
@@ -154,8 +150,7 @@ class BatchedMemSpot:
         self._t_ambient = self._inlet
         self._t_amb = [self._inlet] * n
         self._t_dram = [self._inlet] * n
-        if warm_start:
-            self._settle_idle()
+        self._settle_idle()
 
     # -- configuration accessors -------------------------------------------
 
@@ -181,13 +176,9 @@ class BatchedMemSpot:
             self._t_dram[i] = inlet + amb_w * self._psi_amb_dram + dram_w * self._psi_dram
 
     def reset(self) -> None:
-        """Restart at the initial (idle-stable or inlet) temperatures."""
+        """Restart at the idle-stable temperatures."""
         self._t_ambient = self._inlet
-        if self._warm_start:
-            self._settle_idle()
-        else:
-            self._t_amb = [self._inlet] * self._dimms
-            self._t_dram = [self._inlet] * self._dimms
+        self._settle_idle()
 
     # -- checkpoint support ------------------------------------------------
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.core.kernel import MemSpotSample
 from repro.errors import ConfigurationError
-from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.params.thermal_params import AmbientModelParams, CoolingConfig
 from repro.power.dimm_power import ChannelTraffic, channel_dimm_powers
 from repro.thermal.integrated import AmbientModel
@@ -35,7 +34,9 @@ class MemSpot:
             integrated.
         physical_channels: FBDIMM channels in the system.
         dimms_per_channel: DIMMs per channel chain.
-        amb_params / dram_params: power-model constants.
+
+    Power uses the Table 3.1 constants, and every DIMM starts (and
+    restarts) at its idle-stable temperatures.
     """
 
     def __init__(
@@ -44,25 +45,18 @@ class MemSpot:
         ambient: AmbientModelParams,
         physical_channels: int = 4,
         dimms_per_channel: int = 4,
-        amb_params: AMBPowerParams | None = None,
-        dram_params: DRAMPowerParams | None = None,
-        warm_start: bool = True,
     ) -> None:
         if physical_channels < 1 or dimms_per_channel < 1:
             raise ConfigurationError("need at least one channel and one DIMM")
         self._cooling = cooling
         self._channels = physical_channels
         self._dimms_per_channel = dimms_per_channel
-        self._amb_params = amb_params if amb_params is not None else AMBPowerParams()
-        self._dram_params = dram_params if dram_params is not None else DRAMPowerParams()
-        self._warm_start = warm_start
         self._ambient = AmbientModel(ambient, cooling.name)
         inlet = self._ambient.inlet_c
         self._dimm_models = [
             DimmThermalModel(cooling, inlet) for _ in range(dimms_per_channel)
         ]
-        if warm_start:
-            self._settle_idle()
+        self._settle_idle()
 
     def _settle_idle(self) -> None:
         """Start every DIMM at its zero-traffic stable temperature.
@@ -76,9 +70,7 @@ class MemSpot:
 
         inlet = self._ambient.inlet_c
         idle_traffic = ChannelTraffic(0.0, 0.0)
-        powers = channel_dimm_powers(
-            idle_traffic, self._dimms_per_channel, self._amb_params, self._dram_params
-        )
+        powers = channel_dimm_powers(idle_traffic, self._dimms_per_channel)
         for model, power in zip(self._dimm_models, powers):
             stable = stable_temperatures(inlet, power.amb_w, power.dram_w, self._cooling)
             model.reset_to(stable.amb_c, stable.dram_c)
@@ -112,9 +104,7 @@ class MemSpot:
     def idle_power_w(self) -> float:
         """Memory power with zero throughput (static + AMB idle)."""
         traffic = ChannelTraffic(0.0, 0.0)
-        powers = channel_dimm_powers(
-            traffic, self._dimms_per_channel, self._amb_params, self._dram_params
-        )
+        powers = channel_dimm_powers(traffic, self._dimms_per_channel)
         total_w = 0.0
         for power in powers:
             total_w += power.total_w
@@ -143,9 +133,7 @@ class MemSpot:
         traffic = ChannelTraffic(
             read_bytes_per_s / self._channels, write_bytes_per_s / self._channels
         )
-        powers = channel_dimm_powers(
-            traffic, self._dimms_per_channel, self._amb_params, self._dram_params
-        )
+        powers = channel_dimm_powers(traffic, self._dimms_per_channel)
         amb_c = -273.15
         dram_c = -273.15
         total_power = 0.0
@@ -162,11 +150,6 @@ class MemSpot:
         )
 
     def reset(self) -> None:
-        """Restart at the initial (idle-stable or inlet) temperatures."""
+        """Restart at the idle-stable temperatures."""
         self._ambient.reset()
-        if self._warm_start:
-            self._settle_idle()
-        else:
-            inlet = self._ambient.inlet_c
-            for model in self._dimm_models:
-                model.reset(inlet)
+        self._settle_idle()

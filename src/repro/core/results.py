@@ -1,13 +1,36 @@
-"""Result containers for two-level simulation runs."""
+"""Result containers for two-level simulation runs.
+
+A result's fields are declared for the :mod:`repro.engine.codec` codec,
+which writes its cache payload (:func:`~repro.engine.codec.state_dict`,
+in declaration order, the trace last) and reads one back
+(:func:`~repro.engine.codec.decode_record`): a mistyped, missing or
+non-finite field is a :class:`~repro.errors.CheckpointError`, which the
+result cache treats as a miss.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
-from repro.engine.codec import Float, ListOf, state_field
+from repro.engine.codec import (
+    Count,
+    Float,
+    Kind,
+    ListOf,
+    Text,
+    load_state_dict,
+    state_dict,
+    state_field,
+)
 from repro.errors import CheckpointError, SimulationError
 
 _COLUMN = ListOf(Float())
+#: A name, a non-negative total, a fraction and a job count.
+NAME = Text()
+TOTAL = Float(0.0)
+FRACTION = Float(0.0, 1.0)
+JOBS = Count()
 
 
 @dataclass
@@ -52,6 +75,24 @@ class TemperatureTrace:
         return sub
 
 
+class Trace(Kind):
+    """A :class:`TemperatureTrace`, written and read by its columns."""
+
+    def encode(self, value: TemperatureTrace) -> dict:
+        return state_dict(value)
+
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> TemperatureTrace:
+        trace = TemperatureTrace()
+        load_state_dict(trace, value, path)
+        return trace
+
+
+def trace_field() -> Any:
+    """A result's trace field: in every payload, empty when the run
+    recorded none."""
+    return state_field(Trace(), TemperatureTrace, required=True)
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Outputs of one two-level simulation run.
@@ -60,33 +101,33 @@ class RunResult:
     to regenerate the paper's figures.
     """
 
-    workload: str
-    policy: str
-    cooling: str
+    workload: str = state_field(NAME)
+    policy: str = state_field(NAME)
+    cooling: str = state_field(NAME)
     #: Simulated wall-clock time to finish the batch job, seconds.
-    runtime_s: float
+    runtime_s: float = state_field(TOTAL)
     #: Total memory traffic (read + write bytes).
-    traffic_bytes: float
+    traffic_bytes: float = state_field(TOTAL)
     #: Total L2 cache misses.
-    l2_misses: float
+    l2_misses: float = state_field(TOTAL)
     #: Total instructions retired.
-    instructions: float
+    instructions: float = state_field(TOTAL)
     #: Processor energy, joules.
-    cpu_energy_j: float
+    cpu_energy_j: float = state_field(TOTAL)
     #: Memory (FBDIMM) energy, joules.
-    memory_energy_j: float
+    memory_energy_j: float = state_field(TOTAL)
     #: Time-averaged memory inlet (ambient) temperature, degC.
-    mean_ambient_c: float
+    mean_ambient_c: float = state_field(Float())
     #: Peak AMB temperature seen, degC.
-    peak_amb_c: float
+    peak_amb_c: float = state_field(Float())
     #: Peak DRAM temperature seen, degC.
-    peak_dram_c: float
+    peak_dram_c: float = state_field(Float())
     #: Fraction of DTM intervals spent at the highest emergency level.
-    shutdown_fraction: float
+    shutdown_fraction: float = state_field(FRACTION)
     #: Number of completed batch jobs.
-    finished_jobs: int
+    finished_jobs: int = state_field(JOBS)
     #: Temperature trace (downsampled; empty if recording disabled).
-    trace: TemperatureTrace = field(default_factory=TemperatureTrace)
+    trace: TemperatureTrace = trace_field()
 
     @property
     def average_cpu_power_w(self) -> float:

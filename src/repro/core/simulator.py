@@ -44,8 +44,8 @@ from repro.engine.codec import (
 from repro.engine.observers import TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
 from repro.errors import CheckpointError, ConfigurationError
-from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
-from repro.params.power_params import ProcessorPowerTable, SIMULATED_CPU_POWER
+from repro.params.emergency import SIMULATION_LEVELS
+from repro.params.power_params import SIMULATED_CPU_POWER
 from repro.params.thermal_params import (
     AmbientModelParams,
     CoolingConfig,
@@ -62,6 +62,11 @@ POSITIVE = Float(0.0, strict=True)
 DUTY_CYCLE = Float(0.0, 1.0, strict=True)
 #: DTM control overhead per interval, seconds (Table 4.1: 25 us).
 DTM_OVERHEAD_S = 25e-6
+#: The Table 4.1 platform: four cores sharing a 4 MB L2.
+CORES = 4
+L2_CAPACITY_BYTES = 4 * 1024 * 1024
+#: Temperature trace sample period, simulated seconds.
+TRACE_RESOLUTION_S = 1.0
 
 
 def duty_windows(
@@ -85,39 +90,39 @@ def duty_windows(
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Configuration of one two-level simulation run.
+    """Configuration of one two-level simulation run: the axes Chapter 4
+    varies (mix, cooling, ambient model, DTM interval, platform shape,
+    traffic shape).
 
-    Defaults reproduce the Chapter 4 platform: four cores, AOHS_1.5
-    cooling, the isolated ambient model, Table 4.3 emergency levels and a
-    10 ms DTM interval with 25 us overhead.  Every run steps the batched
-    thermal kernel (:class:`~repro.core.kernel.BatchedMemSpot`); the
-    per-node :class:`~repro.core.memspot.MemSpot` is the tests' oracle,
-    not a configuration choice.
+    Defaults reproduce the Chapter 4 platform: AOHS_1.5 cooling, the
+    isolated ambient model and a 10 ms DTM interval.  What the paper
+    holds fixed is a module constant, not a field: the Table 4.1 cores
+    and L2 (:data:`CORES`, :data:`L2_CAPACITY_BYTES`) and 25 us DTM
+    overhead (:data:`DTM_OVERHEAD_S`), the Table 4.3 emergency levels
+    (``SIMULATION_LEVELS``), the Table 4.4 CPU power table
+    (``SIMULATED_CPU_POWER``), the 1 s trace resolution and the
+    engine's runaway horizon (:data:`repro.engine.stepping.MAX_SIM_S`).
+    Every run steps the batched thermal kernel
+    (:class:`~repro.core.kernel.BatchedMemSpot`); the per-node
+    :class:`~repro.core.memspot.MemSpot` is the tests' oracle, not a
+    configuration choice.
     """
 
     mix_name: str = domain(MIX, "W1")
     #: Copies of each application in the batch (the paper uses 50; the
     #: benchmark harness scales this down — shapes are scale-invariant).
     copies: int = domain(Count(minimum=1), 2)
-    cores: int = domain(Count(minimum=1), 4)
     cooling: CoolingConfig = domain(Instance(CoolingConfig), AOHS_1_5)
     ambient: AmbientModelParams = domain(
         Instance(AmbientModelParams), ISOLATED_AMBIENT
     )
-    levels: EmergencyLevels = domain(Instance(EmergencyLevels), SIMULATION_LEVELS)
-    dtm_interval_s: float = domain(POSITIVE, 0.010)
-    dtm_overhead_s: float = domain(Float(0.0), DTM_OVERHEAD_S)
+    #: DTM interval, seconds; above the per-interval control overhead.
+    dtm_interval_s: float = domain(Float(DTM_OVERHEAD_S, strict=True), 0.010)
     rotation_interval_s: float = domain(POSITIVE, 0.100)
-    cpu_power: ProcessorPowerTable = domain(
-        Instance(ProcessorPowerTable), SIMULATED_CPU_POWER
-    )
     envelope: MemoryEnvelope = domain(Instance(MemoryEnvelope), MemoryEnvelope)
-    l2_capacity_bytes: float = domain(POSITIVE, 4 * 1024 * 1024)
     physical_channels: int = domain(Count(minimum=1), 4)
     dimms_per_channel: int = domain(Count(minimum=1), 4)
     record_trace: bool = domain(Flag(), True)
-    trace_resolution_s: float = domain(POSITIVE, 1.0)
-    max_sim_s: float = domain(POSITIVE, 500_000.0)
     #: Use the cache-aware batch refill policy (§6 future-work extension;
     #: see :mod:`repro.workloads.scheduling`) instead of round-robin.
     cache_aware_scheduling: bool = domain(Flag(), False)
@@ -130,8 +135,6 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         check_domain(self)
-        if not self.dtm_overhead_s < self.dtm_interval_s:
-            raise ConfigurationError("DTM overhead must be below the interval")
         duty_windows(self.duty_cycle, self.duty_period_s, self.dtm_interval_s)
 
 
@@ -170,11 +173,10 @@ class Chapter4Strategy:
             from repro.workloads.scheduling import CacheAwareScheduler
 
             self.scheduler: BatchScheduler = CacheAwareScheduler(
-                mix, cfg.copies, cfg.cores,
-                cache_capacity_bytes=cfg.l2_capacity_bytes,
+                mix, cfg.copies, CORES, cache_capacity_bytes=L2_CAPACITY_BYTES
             )
         else:
-            self.scheduler = BatchScheduler(mix, cfg.copies, cfg.cores)
+            self.scheduler = BatchScheduler(mix, cfg.copies, CORES)
         self.memspot = BatchedMemSpot(
             cooling=cfg.cooling,
             ambient=cfg.ambient,
@@ -182,12 +184,12 @@ class Chapter4Strategy:
             dimms_per_channel=cfg.dimms_per_channel,
         )
         self.dt_s = cfg.dtm_interval_s
-        self._points = cfg.cpu_power.operating_points
+        self._points = SIMULATED_CPU_POWER.operating_points
         self._stopped_level = len(self._points)
         self._max_frequency = self._points[0].frequency_hz
-        self._overhead_factor = 1.0 - cfg.dtm_overhead_s / self.dt_s
+        self._overhead_factor = 1.0 - DTM_OVERHEAD_S / self.dt_s
         self._rotation_interval_s = cfg.rotation_interval_s
-        self._top_level = cfg.levels.level_count - 1
+        self._top_level = SIMULATION_LEVELS.level_count - 1
         self._burst_gated = cfg.duty_cycle < 1.0
         self._duty_on, self._duty_windows = duty_windows(
             cfg.duty_cycle, cfg.duty_period_s, cfg.dtm_interval_s
@@ -202,9 +204,8 @@ class Chapter4Strategy:
         self._occupied_count = 0
         self._decision = None
         self.trace_recorder = TraceRecorder(
-            resolution_s=cfg.trace_resolution_s, enabled=cfg.record_trace
+            resolution_s=TRACE_RESOLUTION_S, enabled=cfg.record_trace
         )
-        self.max_sim_s = cfg.max_sim_s
 
     # -- engine protocol ---------------------------------------------------
 
@@ -278,7 +279,6 @@ class Chapter4Strategy:
             active_cores=len(active_slots),
             dvfs_level=min(decision.dvfs_level, self._stopped_level),
             memory_on=decision.memory_on,
-            table=self._config.cpu_power,
         )
         if not active_slots:
             return WindowOutcome(self.memspot.load(0.0, 0.0, 0.0), cpu_power)
@@ -354,11 +354,7 @@ class TwoLevelSimulator:
         self._config = config
         self._policy = policy
         self._mix = get_mix(config.mix_name)
-        self._window = window_model or WindowModel(
-            l2_capacity_bytes=config.l2_capacity_bytes,
-            max_frequency_hz=config.cpu_power.operating_points[0].frequency_hz,
-            envelope=config.envelope,
-        )
+        self._window = window_model or WindowModel(envelope=config.envelope)
 
     @property
     def config(self) -> SimulationConfig:

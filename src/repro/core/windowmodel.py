@@ -51,6 +51,9 @@ BISECTION_STEPS = 24
 #: Damped IPC sweeps per fixed memory latency, one cache-sharing solve
 #: each.
 IPC_SWEEPS = 8
+#: The top core frequency (Table 4.4's first DVFS point): the reference
+#: cycles of the ambient model.
+MAX_FREQUENCY_HZ = 3.2e9
 
 
 @dataclass(frozen=True)
@@ -255,8 +258,6 @@ class WindowModel:
 
     Args:
         l2_capacity_bytes: shared L2 size.
-        max_frequency_hz: the platform's top core frequency (reference
-            cycles for the ambient model use this).
         envelope: the memory latency/bandwidth envelope.
 
     Results are memoized by (apps, control state).  The evaluation is
@@ -267,11 +268,10 @@ class WindowModel:
     def __init__(
         self,
         l2_capacity_bytes: float = 4 * 1024 * 1024,
-        max_frequency_hz: float = 3.2e9,
         envelope: MemoryEnvelope | None = None,
     ) -> None:
         self._l2_capacity = l2_capacity_bytes
-        self._max_frequency_hz = max_frequency_hz
+        self._max_frequency_hz = MAX_FREQUENCY_HZ
         self._envelope = envelope if envelope is not None else MemoryEnvelope()
         self._cache: dict[tuple, WindowResult] = {}
         self._cache_model = SharedCacheModel(l2_capacity_bytes)

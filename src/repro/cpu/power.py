@@ -16,7 +16,6 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.params.power_params import (
     MeasuredProcessorPower,
-    ProcessorPowerTable,
     SIMULATED_CPU_POWER,
     XEON_5160_POWER,
 )
@@ -26,7 +25,6 @@ def simulated_chip_power_w(
     active_cores: int,
     dvfs_level: int,
     memory_on: bool,
-    table: ProcessorPowerTable | None = None,
 ) -> float:
     """Chip power of the simulated platform (Table 4.4).
 
@@ -36,7 +34,6 @@ def simulated_chip_power_w(
             = stopped).
         memory_on: with memory shut down every core stalls and the chip
             draws standby power (Table 4.4 row "0 cores" / "(-, 0)").
-        table: power table; defaults to the paper's values.
 
     Returns:
         Chip power in watts.
@@ -45,7 +42,7 @@ def simulated_chip_power_w(
     active cores draw the CDVFS per-core power of the current level — so
     DTM-COMB is priced consistently too.
     """
-    t = table if table is not None else SIMULATED_CPU_POWER
+    t = SIMULATED_CPU_POWER
     if not memory_on:
         return t.standby_w
     if dvfs_level == len(t.operating_points):

@@ -50,6 +50,10 @@ DRAM_TARGET_C = 84.8
 AMB_INTEGRAL_ENABLE_C = 109.0
 DRAM_INTEGRAL_ENABLE_C = 84.0
 
+#: Actuator saturation bounds on m(t).
+OUTPUT_MIN = -5.0
+OUTPUT_MAX = 5.0
+
 
 class PIDController:
     """Discrete-time PID with integral-enable threshold and freeze-on-saturation.
@@ -60,7 +64,8 @@ class PIDController:
         integral_enable_c: integral accumulates only while the measured
             temperature is at or above this value (avoids the saturation
             effect of winding up during the long cold approach, §4.3.4).
-        output_min / output_max: actuator saturation bounds on m(t).
+
+    The output saturates at :data:`OUTPUT_MIN` / :data:`OUTPUT_MAX`.
     """
 
     STATE_FIELDS = (
@@ -75,16 +80,12 @@ class PIDController:
         gains: PIDGains,
         target_c: float,
         integral_enable_c: float,
-        output_min: float = -5.0,
-        output_max: float = 5.0,
     ) -> None:
-        if output_min >= output_max:
-            raise ConfigurationError("output_min must be below output_max")
         self._gains = gains
         self._target_c = target_c
         self._integral_enable_c = integral_enable_c
-        self._output_min = output_min
-        self._output_max = output_max
+        self._output_min = OUTPUT_MIN
+        self._output_max = OUTPUT_MAX
         self._integral = 0.0
         self._previous_error: float | None = None
         self._saturated_low = False

@@ -39,7 +39,6 @@ class PIDPolicy(DTMPolicy):
             normalized controller output drives.
         levels: emergency table providing the decision ladders and TDPs.
         cores: total core count.
-        amb_target_c / dram_target_c: controller targets (defaults §4.3.4).
         min_active: lower bound on gated cores for acg/comb (Chapter 5).
     """
 
@@ -53,8 +52,6 @@ class PIDPolicy(DTMPolicy):
         scheme: str,
         levels: EmergencyLevels | None = None,
         cores: int = 4,
-        amb_target_c: float = AMB_TARGET_C,
-        dram_target_c: float = DRAM_TARGET_C,
         min_active: int = 0,
         integral_enabled: bool = True,
     ) -> None:
@@ -70,10 +67,10 @@ class PIDPolicy(DTMPolicy):
         amb_enable = AMB_INTEGRAL_ENABLE_C if integral_enabled else float("inf")
         dram_enable = DRAM_INTEGRAL_ENABLE_C if integral_enabled else float("inf")
         self._amb_pid = PIDController(
-            AMB_GAINS, amb_target_c, integral_enable_c=amb_enable
+            AMB_GAINS, AMB_TARGET_C, integral_enable_c=amb_enable
         )
         self._dram_pid = PIDController(
-            DRAM_GAINS, dram_target_c, integral_enable_c=dram_enable
+            DRAM_GAINS, DRAM_TARGET_C, integral_enable_c=dram_enable
         )
 
     def decide(self, reading: Any, dt_s: float) -> ControlDecision:

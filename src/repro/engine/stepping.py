@@ -29,10 +29,11 @@ window's decision and outcome, and the final result object.
 
 Within one window the division of labor is:
 
-1. engine: runaway guard (``now > strategy.max_sim_s`` raises one
-   :class:`~repro.errors.SimulationError` naming the kind, the limit
-   and the scheduler's finished/total jobs; the limit is read once,
-   when the engine is built);
+1. engine: runaway guard (a batch run whose clock passes
+   :data:`MAX_SIM_S` raises one :class:`~repro.errors.SimulationError`
+   naming the kind, the limit and the scheduler's finished/total jobs;
+   a run without a scheduler stops at its own duration; the limit is
+   read once, when the engine is built);
 2. strategy ``window(engine)``: sensor reading -> decision, plus the
    strategy's own per-window counters; it returns the window's cache
    key, on which everything after the decision depends;
@@ -81,6 +82,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.core.kernel import MemSpotSample, ThermalLoad
     from repro.engine.observers import Observer, TraceRecorder
 
+#: Runaway horizon of a batch run (one with a scheduler), simulated
+#: seconds: far past any batch the paper runs, so only a run that can
+#: never finish reaches it.
+MAX_SIM_S = 500_000.0
+
 
 @dataclass(frozen=True, slots=True)
 class WindowOutcome:
@@ -125,14 +131,12 @@ class RunStrategy(Protocol):
     #: The level-2 thermal kernel (a ``BatchedMemSpot``).
     memspot: Any
     #: The batch scheduler the engine advances with each outcome's
-    #: progress and reads job counts from (None for a run without one).
+    #: progress and reads job counts from (None for a run without one,
+    #: which the runaway horizon does not bound).
     scheduler: Any
     #: The trace recorder the engine attaches as its first observer;
     #: ``finalize`` embeds its trace.
     trace_recorder: "TraceRecorder"
-    #: Simulated-seconds runaway limit (None: no limit; a strategy with
-    #: a limit has a scheduler); read once, when the engine is built.
-    max_sim_s: float | None
     #: The strategy's checkpoint fields (see :mod:`repro.engine.codec`).
     STATE_FIELDS: tuple
 
@@ -185,12 +189,10 @@ class SteppingEngine:
         self.strategy = strategy
         self.dt_s = strategy.dt_s
         self._memspot = strategy.memspot
-        #: Runaway limit, read once: every strategy's is fixed per run.
-        self._horizon = (
-            math.inf if strategy.max_sim_s is None else strategy.max_sim_s
-        )
         #: The strategy's batch scheduler (None for a run without one).
         self.scheduler = strategy.scheduler
+        #: Runaway limit, read once: a batch run's is MAX_SIM_S.
+        self._horizon = math.inf if self.scheduler is None else MAX_SIM_S
         self._observers = [
             strategy.trace_recorder, ProgressObserver(), *observers
         ]

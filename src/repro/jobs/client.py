@@ -15,6 +15,9 @@ from urllib.parse import quote, urlencode
 
 from repro.api.http import call_json
 
+#: Seconds between status polls while waiting for a job.
+_POLL_S = 0.25
+
 
 class JobsClient:
     """Talk to one jobs-enabled ``python -m repro serve`` instance."""
@@ -74,7 +77,6 @@ class JobsClient:
         job_id: str,
         *,
         timeout_s: float = 300.0,
-        poll_s: float = 0.25,
     ) -> dict:
         """Poll until the job is terminal; returns the result document.
 
@@ -92,5 +94,5 @@ class JobsClient:
                 raise TimeoutError(
                     f"job {job_id} still {status!r} after {timeout_s}s"
                 )
-            time.sleep(poll_s)
+            time.sleep(_POLL_S)
 

@@ -45,7 +45,7 @@ from repro.errors import (
 )
 from repro.jobs.queue import JobQueue
 from repro.obs.log import LOG
-from repro.obs.metrics import METRICS, MetricsRegistry
+from repro.obs.metrics import METRICS
 from repro.obs.trace import TRACER
 from repro.jobs.store import (
     CANCELLED,
@@ -98,11 +98,9 @@ class JobsManager:
         store: Any | None = None,
         window_slice: int = 500,
         quotas: QuotaManager | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         Count(minimum=1).decode(window_slice, "window_slice", self, ConfigurationError)
         self.window_slice = window_slice
-        self.metrics = metrics if metrics is not None else METRICS
         self.queue = JobQueue(jobs_dir)
         self.queue.on_terminal = self._on_terminal
         self.quotas = quotas if quotas is not None else QuotaManager()
@@ -155,7 +153,7 @@ class JobsManager:
         """The queue's hook on a job's entry to a terminal state."""
         if record.status == FAILED:
             LOG.error("job.failed", job=record.job_id, error=record.error)
-        self.metrics.counter_inc(
+        METRICS.counter_inc(
             "repro_jobs_finished_total",
             "Jobs reaching a terminal state",
             status=record.status,
@@ -168,7 +166,7 @@ class JobsManager:
              "Submit-to-first-start wait per tenant", record.started_s),
         ):
             if at_s and record.created_s:
-                self.metrics.observe(
+                METRICS.observe(
                     name, help_text, max(0.0, at_s - record.created_s),
                     tenant=record.tenant,
                 )
@@ -207,7 +205,7 @@ class JobsManager:
         }[state]
         self.queue.transition(record, status, state, detail, **fields)
         if state == _PREEMPTED:
-            self.metrics.counter_inc(
+            METRICS.counter_inc(
                 "repro_job_preemptions_total",
                 "Jobs preempted by higher-priority submits",
             )
@@ -277,7 +275,7 @@ class JobsManager:
                 k: v for k, v in record.cell_states.items() if k != key
             },
         )
-        self.metrics.counter_inc(
+        METRICS.counter_inc(
             "repro_job_cells_total",
             "Cells served to jobs by cache state",
             cache=cache,
@@ -347,7 +345,7 @@ class JobsManager:
             # find the token spent.
             self.quotas.refund(tenant)
             raise
-        self.metrics.counter_inc(
+        METRICS.counter_inc(
             "repro_jobs_submitted_total", "Jobs accepted per tenant",
             tenant=tenant,
         )
@@ -420,7 +418,7 @@ class JobsManager:
         :class:`~repro.errors.Unavailable` (503) when the cancel cannot
         be written."""
         record = self.queue.request_cancel(job_id)
-        self.metrics.counter_inc(
+        METRICS.counter_inc(
             "repro_job_cancels_total",
             "Cancel requests accepted",
             tenant=record.tenant,
@@ -454,17 +452,17 @@ class JobsManager:
         """Refresh the queue and per-tenant usage gauges (called per
         /metrics and /v1/slo scrape)."""
         for tenant, usage in self.quotas.usage().items():
-            self.metrics.gauge_set(
+            METRICS.gauge_set(
                 "repro_tenant_admitted_total",
                 "Submits admitted per tenant since start",
                 usage["admitted"],
                 tenant=tenant,
             )
-        self.metrics.gauge_set(
+        METRICS.gauge_set(
             "repro_jobs_queue_depth", "Jobs waiting to run",
             self.queue.count(QUEUED),
         )
-        self.metrics.gauge_set(
+        METRICS.gauge_set(
             "repro_jobs_running", "Jobs currently executing",
             self.queue.count(RUNNING),
         )

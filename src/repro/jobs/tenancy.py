@@ -13,7 +13,7 @@ structured 429 when they fail:
 layer surfaces (``reason``, ``retry_after_s``), so clients can back
 off precisely instead of guessing.
 
-Tenant tracking is bounded: after ``max_tenants`` distinct names, new
+Tenant tracking is bounded: after :data:`MAX_TENANTS` distinct names, new
 tenants share one overflow bucket — an unbounded tenant-id stream
 (or an attack) cannot grow server memory or metric cardinality.
 """
@@ -25,10 +25,13 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.engine.codec import Count, Float, check_domain, domain
 from repro.errors import ReproError
 
 #: Label under which tenants beyond the tracking bound are pooled.
 OVERFLOW_TENANT = "_overflow"
+#: Distinct tenants tracked with their own bucket before the overflow.
+MAX_TENANTS = 64
 
 
 class QuotaExceeded(ReproError):
@@ -46,14 +49,18 @@ class QuotaExceeded(ReproError):
 
 @dataclass(frozen=True)
 class TenantPolicy:
-    """The admission limits applied to one tenant."""
+    """The admission limits applied to one tenant; a value outside a
+    field's domain (a negative count, a non-finite rate) is refused at
+    construction."""
 
     #: Max queued+running jobs at once.
-    max_active: int = 8
+    max_active: int = domain(Count(), 8)
     #: Sustained submit rate (tokens refilled per second).
-    rate_per_s: float = 5.0
+    rate_per_s: float = domain(Float(0.0), 5.0)
     #: Bucket capacity (instantaneous burst headroom).
-    burst: int = 10
+    burst: int = domain(Count(), 10)
+
+    __post_init__ = check_domain
 
 
 class TokenBucket:
@@ -110,12 +117,10 @@ class QuotaManager:
         overrides: dict[str, TenantPolicy] | None = None,
         *,
         clock: Callable[[], float] = time.monotonic,
-        max_tenants: int = 64,
     ) -> None:
         self.default = default or TenantPolicy()
         self.overrides = dict(overrides or {})
         self._clock = clock
-        self._max_tenants = max_tenants
         self._lock = threading.Lock()
         self._buckets: dict[str, TokenBucket] = {}
         self._admitted: dict[str, int] = {}
@@ -129,7 +134,7 @@ class QuotaManager:
         # long-tail tenants share the overflow bucket past the bound.
         if tenant in self.overrides or tenant in self._buckets:
             return tenant
-        if len(self._buckets) >= self._max_tenants:
+        if len(self._buckets) >= MAX_TENANTS:
             return OVERFLOW_TENANT
         return tenant
 

@@ -21,20 +21,14 @@ import sys
 import threading
 import time
 
-from repro.obs.trace import TRACER
-
-
-def _env_truthy(name: str) -> bool:
-    import os
-
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+from repro.obs.trace import TRACER, env_truthy
 
 
 class StructuredLog:
     """Process-wide event logger: plain lines or JSON lines."""
 
     def __init__(self) -> None:
-        self.json_mode = _env_truthy("REPRO_LOG_JSON")
+        self.json_mode = env_truthy("REPRO_LOG_JSON")
         self._lock = threading.Lock()
 
     def configure(self, *, json_mode: bool | None = None) -> None:

@@ -113,8 +113,8 @@ class Metric:
 
     # Mutators are called under the registry lock.
 
-    def inc(self, labels: dict[str, str], amount: float) -> None:
-        self._series_for(self._resolve(labels)).value += amount
+    def inc(self, labels: dict[str, str]) -> None:
+        self._series_for(self._resolve(labels)).value += 1.0
 
     def set(self, labels: dict[str, str], value: float) -> None:
         self._series_for(self._resolve(labels)).value = value
@@ -205,15 +205,13 @@ class MetricsRegistry:
             )
         return metric
 
-    def counter_inc(
-        self, name: str, help_text: str, amount: float = 1.0, **labels: str
-    ) -> None:
-        """Increment a counter (registered on first use)."""
+    def counter_inc(self, name: str, help_text: str, **labels: str) -> None:
+        """Add one to a counter (registered on first use)."""
         with self._lock:
             metric = self._register(
                 name, "counter", help_text, tuple(sorted(labels))
             )
-            metric.inc(labels, amount)
+            metric.inc(labels)
 
     def gauge_set(
         self, name: str, help_text: str, value: float, **labels: str

@@ -182,12 +182,10 @@ def evaluate(
     return [_evaluate_one(registry, spec) for spec in specs]
 
 
-def slo_document(
-    registry: MetricsRegistry | None = None,
-    specs: tuple[SloSpec, ...] = DEFAULT_SLOS,
-) -> dict:
-    """The ``GET /v1/slo`` body: results plus an overall verdict."""
-    results = evaluate(registry, specs)
+def slo_document(registry: MetricsRegistry | None = None) -> dict:
+    """The ``GET /v1/slo`` body: the stock objectives' results plus an
+    overall verdict."""
+    results = evaluate(registry, DEFAULT_SLOS)
     breaches = sum(1 for result in results if result.status == BREACH)
     return {
         "status": BREACH if breaches else OK,
@@ -245,24 +243,6 @@ def reverdict(slos: list[dict], overrides: dict[str, float]) -> None:
         value = entry["value"]
         if entry["status"] != NO_DATA and value is not None:
             entry["status"] = OK if _satisfied(value, spec) else BREACH
-
-
-def parse_overrides(pairs: list[str]) -> dict[str, float]:
-    """``["name=0.5", ...]`` -> ``{"name": 0.5}`` (CLI plumbing)."""
-    overrides: dict[str, float] = {}
-    for pair in pairs:
-        name, sep, raw = pair.partition("=")
-        if not sep or not name:
-            raise ConfigurationError(
-                f"SLO override must look like name=threshold, got {pair!r}"
-            )
-        try:
-            overrides[name.strip()] = float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"SLO threshold must be a number, got {raw!r}"
-            ) from None
-    return overrides
 
 
 def _camel(name: str) -> str:

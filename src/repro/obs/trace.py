@@ -62,10 +62,9 @@ def _new_id(length: int) -> str:
     return os.urandom((length + 1) // 2).hex()[:length]
 
 
-def _valid_id(value: str, max_length: int = 32) -> bool:
-    return (
-        0 < len(value) <= max_length and all(ch in _HEX for ch in value)
-    )
+def _valid_id(value: str) -> bool:
+    """1 to 32 hex digits: at most a 128-bit trace id."""
+    return 0 < len(value) <= 32 and all(ch in _HEX for ch in value)
 
 
 @dataclass
@@ -184,7 +183,8 @@ _CURRENT: contextvars.ContextVar[tuple[str, str] | None] = (
 )
 
 
-def _env_truthy(name: str) -> bool:
+def env_truthy(name: str) -> bool:
+    """Whether environment variable ``name`` is set to 1, true, yes or on."""
     return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
 
 
@@ -192,7 +192,7 @@ class Tracer:
     """Process-wide span factory with a bounded ring and JSONL sink."""
 
     def __init__(self) -> None:
-        self.enabled = _env_truthy("REPRO_TRACE")
+        self.enabled = env_truthy("REPRO_TRACE")
         try:
             self.sample_every = max(
                 1, int(os.environ.get("REPRO_TRACE_SAMPLE", DEFAULT_SAMPLE_EVERY))

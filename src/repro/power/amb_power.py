@@ -16,12 +16,14 @@ from repro.errors import ConfigurationError
 from repro.params.power_params import AMBPowerParams
 from repro.units import to_gbps
 
+#: The Table 3.1 constants.
+_PARAMS = AMBPowerParams()
+
 
 def amb_power_w(
     local_bytes_per_s: float,
     bypass_bytes_per_s: float,
     is_last_dimm: bool = False,
-    params: AMBPowerParams | None = None,
 ) -> float:
     """Power of one AMB, in watts (Eq. 3.2).
 
@@ -29,7 +31,6 @@ def amb_power_w(
         local_bytes_per_s: throughput of requests served by this DIMM.
         bypass_bytes_per_s: throughput of requests forwarded past it.
         is_last_dimm: whether this AMB terminates the daisy chain.
-        params: model constants; defaults to the Table 3.1 values.
 
     Returns:
         AMB power in watts.
@@ -39,7 +40,7 @@ def amb_power_w(
     """
     if local_bytes_per_s < 0 or bypass_bytes_per_s < 0:
         raise ConfigurationError("throughput must be non-negative")
-    p = params if params is not None else AMBPowerParams()
+    p = _PARAMS
     return (
         p.idle_power_w(is_last_dimm)
         + p.beta_w_per_gbps * to_gbps(bypass_bytes_per_s)

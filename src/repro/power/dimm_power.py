@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.params.power_params import AMBPowerParams, DRAMPowerParams
 from repro.power.amb_power import amb_power_w
 from repro.power.dram_power import dram_power_w
 
@@ -58,16 +57,13 @@ class DimmPower:
 def channel_dimm_powers(
     traffic: ChannelTraffic,
     dimms: int,
-    amb_params: AMBPowerParams | None = None,
-    dram_params: DRAMPowerParams | None = None,
 ) -> list[DimmPower]:
-    """Power of every DIMM on one channel under uniform interleaving.
+    """Power of every DIMM on one channel under uniform interleaving,
+    with the Table 3.1 / Eq. 3.1 power constants.
 
     Args:
         traffic: total read/write throughput on the channel.
         dimms: number of DIMMs on the daisy chain (>= 1).
-        amb_params: AMB power constants (Table 3.1 defaults).
-        dram_params: DRAM power constants (Eq. 3.1 defaults).
 
     Returns:
         One :class:`DimmPower` per chain position, nearest first.
@@ -85,8 +81,7 @@ def channel_dimm_powers(
             local_bytes_per_s=local,
             bypass_bytes_per_s=bypass,
             is_last_dimm=(position == dimms - 1),
-            params=amb_params,
         )
-        dram_w = dram_power_w(local_read, local_write, params=dram_params)
+        dram_w = dram_power_w(local_read, local_write)
         powers.append(DimmPower(position=position, amb_w=amb_w, dram_w=dram_w))
     return powers

@@ -15,18 +15,19 @@ from repro.errors import ConfigurationError
 from repro.params.power_params import DRAMPowerParams
 from repro.units import to_gbps
 
+#: The Table 3.1 constants.
+_PARAMS = DRAMPowerParams()
+
 
 def dram_power_w(
     read_bytes_per_s: float,
     write_bytes_per_s: float,
-    params: DRAMPowerParams | None = None,
 ) -> float:
     """Power of one DIMM's DRAM chips, in watts (Eq. 3.1).
 
     Args:
         read_bytes_per_s: read throughput served by this DIMM.
         write_bytes_per_s: write throughput served by this DIMM.
-        params: model constants; defaults to the Table 3.1 values.
 
     Returns:
         DRAM power in watts.
@@ -36,7 +37,7 @@ def dram_power_w(
     """
     if read_bytes_per_s < 0 or write_bytes_per_s < 0:
         raise ConfigurationError("throughput must be non-negative")
-    p = params if params is not None else DRAMPowerParams()
+    p = _PARAMS
     return (
         p.static_w
         + p.alpha1_w_per_gbps * to_gbps(read_bytes_per_s)

@@ -20,20 +20,12 @@ from repro.units import CACHE_LINE_BYTES
 class OpenLoopThrottle:
     """Activation-count cap expressed both ways (activations and GB/s)."""
 
-    #: Default window: 21504K bus cycles at 333 MHz (§5.2.1).
-    DEFAULT_WINDOW_S = 21504e3 / 333e6
+    #: The window: 21504K bus cycles at 333 MHz (§5.2.1).
+    WINDOW_S = 21504e3 / 333e6
 
-    def __init__(
-        self,
-        window_s: float = DEFAULT_WINDOW_S,
-        line_bytes: int = CACHE_LINE_BYTES,
-    ) -> None:
-        if window_s <= 0:
-            raise ConfigurationError("throttle window must be positive")
-        if line_bytes <= 0:
-            raise ConfigurationError("line size must be positive")
-        self._window_s = window_s
-        self._line_bytes = line_bytes
+    def __init__(self) -> None:
+        self._window_s = self.WINDOW_S
+        self._line_bytes = CACHE_LINE_BYTES
         self._max_activations: int | None = None
 
     @property

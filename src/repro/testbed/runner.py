@@ -25,13 +25,13 @@ sensor logging attached as an observer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.kernel import BatchedMemSpot
-from repro.core.results import TemperatureTrace
+from repro.core.results import JOBS, NAME, TOTAL, TemperatureTrace, trace_field
 from repro.cpu.power import measured_chip_power_w
 from repro.dtm.base import DTMPolicy
-from repro.engine.codec import Field, Nested
+from repro.engine.codec import Field, Float, Nested, state_field
 from repro.engine.observers import Observer, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
 from repro.errors import ConfigurationError, SimulationError
@@ -48,26 +48,30 @@ from repro.workloads.profiles import AppProfile, get_app
 #: Per-core V*IPC-equivalent heat of a running-but-stalled core (spin
 #: power), folded into the Eq. 3.6 sum alongside committed-work heat.
 _SPIN_HEAT = 0.20
+#: The §5.4.1 warm-up's chipset cap once the AMB passes the safety
+#: threshold: 3 GB/s, as on the SR1500AL.
+SAFETY_CAP_BYTES_PER_S = 3.0e9
 
 
 @dataclass(frozen=True)
 class ServerRunResult:
-    """Outputs of one server experiment."""
+    """Outputs of one server experiment, declared for the codec like
+    :class:`~repro.core.results.RunResult`."""
 
-    platform: str
-    workload: str
-    policy: str
-    runtime_s: float
-    traffic_bytes: float
-    l2_misses: float
-    instructions: float
-    cpu_energy_j: float
-    memory_energy_j: float
+    platform: str = state_field(NAME)
+    workload: str = state_field(NAME)
+    policy: str = state_field(NAME)
+    runtime_s: float = state_field(TOTAL)
+    traffic_bytes: float = state_field(TOTAL)
+    l2_misses: float = state_field(TOTAL)
+    instructions: float = state_field(TOTAL)
+    cpu_energy_j: float = state_field(TOTAL)
+    memory_energy_j: float = state_field(TOTAL)
     #: Time-averaged memory inlet (CPU exhaust) temperature, degC.
-    mean_inlet_c: float
-    peak_amb_c: float
-    finished_jobs: int
-    trace: TemperatureTrace = field(default_factory=TemperatureTrace)
+    mean_inlet_c: float = state_field(Float())
+    peak_amb_c: float = state_field(Float())
+    finished_jobs: int = state_field(JOBS)
+    trace: TemperatureTrace = trace_field()
 
     @property
     def average_cpu_power_w(self) -> float:
@@ -110,14 +114,12 @@ class ServerStrategy:
         ambient_override_c: float | None,
         window_model: ServerWindowModel,
         base_frequency_level: int,
-        max_sim_s: float,
     ) -> None:
         self._platform = platform
         self._policy = policy
         self._window = window_model
         self._time_slice_s = time_slice_s
         self._base_frequency_level = base_frequency_level
-        self.max_sim_s = max_sim_s
         policy.reset()
         self._mix = get_mix(mix_name)
         self.scheduler = BatchScheduler(self._mix, copies, platform.total_cores)
@@ -290,7 +292,6 @@ class ServerSimulator:
         ambient_override_c: float | None = None,
         window_model: ServerWindowModel | None = None,
         base_frequency_level: int = 0,
-        max_sim_s: float = 500_000.0,
     ) -> None:
         if copies < 1:
             raise ConfigurationError("need at least one batch copy")
@@ -302,7 +303,6 @@ class ServerSimulator:
         self._ambient_override_c = ambient_override_c
         self._window = window_model or ServerWindowModel(platform)
         self._base_frequency_level = base_frequency_level
-        self._max_sim_s = max_sim_s
 
     @property
     def window_model(self) -> ServerWindowModel:
@@ -320,7 +320,6 @@ class ServerSimulator:
             self._ambient_override_c,
             self._window,
             self._base_frequency_level,
-            self._max_sim_s,
         ))
 
     def run(self) -> ServerRunResult:
@@ -357,7 +356,6 @@ class HomogeneousStrategy:
 
     kind = "homogeneous"
     scheduler = None
-    max_sim_s = None
     STATE_FIELDS = ()
 
     def __init__(
@@ -365,12 +363,10 @@ class HomogeneousStrategy:
         platform: ServerPlatform,
         app: AppProfile,
         duration_s: float,
-        safety_cap_bytes_per_s: float,
         safety_threshold_c: float,
         window_model: ServerWindowModel,
     ) -> None:
         self._duration_s = duration_s
-        self._safety_cap = safety_cap_bytes_per_s
         self._safety_threshold_c = safety_threshold_c
         self._window = window_model
         self._throttle = OpenLoopThrottle()
@@ -395,7 +391,9 @@ class HomogeneousStrategy:
         return engine.sample.amb_c >= self._safety_threshold_c
 
     def window_outcome(self, armed: bool) -> WindowOutcome:
-        self._throttle.program_bandwidth(self._safety_cap if armed else None)
+        self._throttle.program_bandwidth(
+            SAFETY_CAP_BYTES_PER_S if armed else None
+        )
         result = self._window.evaluate(
             self._loads,
             frequency_hz=self._cpufreq.frequency_hz,
@@ -419,34 +417,26 @@ def run_homogeneous(
     platform: ServerPlatform,
     app_name: str,
     duration_s: float = 500.0,
-    safety_cap_bytes_per_s: float = 3.0e9,
     safety_threshold_c: float = 100.0,
-    daughter_card: DaughterCard | None = None,
     window_model: ServerWindowModel | None = None,
 ) -> tuple[TemperatureTrace, DaughterCard]:
     """Warm-up run of four copies of one program (§5.4.1, Figs. 5.4/5.5).
 
     No DTM policy runs; the chipset open-loop throttle arms only when the
     AMB crosses ``safety_threshold_c`` (the paper disables throttling
-    below 100 degC and caps at 3 GB/s above it on the SR1500AL).
+    below 100 degC and caps at :data:`SAFETY_CAP_BYTES_PER_S` above it
+    on the SR1500AL).
 
-    Returns the model-truth temperature trace and the daughter card whose
-    "amb" channel holds the noisy sensor log.
+    Returns the model-truth temperature trace and a fresh 1 Hz daughter
+    card whose "amb" channel holds the noisy sensor log.
     """
     app: AppProfile = get_app(app_name)
     window = window_model or ServerWindowModel(platform)
-    card = daughter_card or DaughterCard(sampling_period_s=1.0)
-    if "amb" not in card.channels:
-        card.add_channel("amb")
-    if "inlet" not in card.channels:
-        card.add_channel("inlet", noisy=False)
+    card = DaughterCard(sampling_period_s=1.0)
+    card.add_channel("amb")
+    card.add_channel("inlet", noisy=False)
     strategy = HomogeneousStrategy(
-        platform,
-        app,
-        duration_s,
-        safety_cap_bytes_per_s,
-        safety_threshold_c,
-        window,
+        platform, app, duration_s, safety_threshold_c, window
     )
     engine = SteppingEngine(strategy, observers=(DaughterCardObserver(card),))
     return engine.run_to_completion(), card

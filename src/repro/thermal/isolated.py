@@ -101,11 +101,6 @@ class DimmThermalModel:
         self._dram_node.step(stable.dram_c, dt_s)
         return self.temperatures
 
-    def reset(self, ambient_c: float) -> None:
-        """Cold-start the DIMM at the ambient temperature."""
-        self._amb_node.reset(ambient_c)
-        self._dram_node.reset(ambient_c)
-
     def reset_to(self, amb_c: float, dram_c: float) -> None:
         """Force specific AMB/DRAM temperatures (e.g. idle-stable start)."""
         self._amb_node.reset(amb_c)

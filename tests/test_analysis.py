@@ -15,7 +15,12 @@ from repro.analysis.normalize import (
     normalize_map,
 )
 from repro.analysis.series import downsample, summarize_series
-from repro.analysis.tables import format_series, format_table, sparkline
+from repro.analysis.tables import (
+    SPARKLINE_WIDTH,
+    format_series,
+    format_table,
+    sparkline,
+)
 from repro.errors import ConfigurationError
 from repro.testbed.platforms import PE1950
 
@@ -67,7 +72,7 @@ def test_sparkline_flat_series():
 
 
 def test_sparkline_downsamples():
-    assert len(sparkline(list(range(1000)), width=50)) == 50
+    assert len(sparkline(list(range(1000)))) == SPARKLINE_WIDTH
 
 
 def test_format_series():

@@ -28,22 +28,6 @@ def test_lru_eviction_order():
     assert not cache.access(64)
 
 
-def test_dirty_eviction_counts_writeback():
-    cache = SetAssociativeCache(2 * 64, ways=2, line_bytes=64)
-    cache.access(0, is_write=True)
-    cache.access(64)
-    cache.access(128)  # evicts dirty line 0
-    assert cache.writebacks == 1
-
-
-def test_clean_eviction_no_writeback():
-    cache = SetAssociativeCache(2 * 64, ways=2, line_bytes=64)
-    cache.access(0)
-    cache.access(64)
-    cache.access(128)
-    assert cache.writebacks == 0
-
-
 def test_occupancy_bounded_by_capacity():
     cache = SetAssociativeCache(64 * 1024, ways=8)
     for line in range(10000):

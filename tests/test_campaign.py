@@ -14,11 +14,6 @@ import pytest
 from repro.analysis.specs import (
     Chapter4Spec,
     Chapter5Spec,
-    run_result_from_dict,
-    run_result_to_dict,
-    server_result_from_dict,
-    server_result_to_dict,
-    trace_from_dict,
 )
 from repro.campaign import (
     Campaign,
@@ -38,6 +33,7 @@ from repro.campaign import (
 from repro.campaign.spec import spec_meta
 from repro.campaign.stores import make_record
 from repro.core.results import RunResult, TemperatureTrace
+from repro.engine.codec import state_dict
 from repro.errors import CheckpointError, ConfigurationError
 from repro.testbed.runner import ServerRunResult
 
@@ -353,8 +349,8 @@ def test_disk_hit_fills_the_memo(tmp_path, monkeypatch):
 def test_run_result_disk_round_trip(tmp_path):
     store = JsonDirStore(tmp_path)
     original = _sample_run_result()
-    store.put("ch4-roundtrip0000000001", run_result_to_dict(original))
-    restored = run_result_from_dict(store.get("ch4-roundtrip0000000001"))
+    store.put("ch4-roundtrip0000000001", state_dict(original))
+    restored = runner_for("ch4").decode(store.get("ch4-roundtrip0000000001"))
     assert restored == original
     assert restored.trace.times_s == original.trace.times_s
     assert restored.trace.amb_c == original.trace.amb_c
@@ -363,10 +359,40 @@ def test_run_result_disk_round_trip(tmp_path):
 def test_server_result_disk_round_trip(tmp_path):
     store = JsonDirStore(tmp_path)
     original = _sample_server_result()
-    store.put("ch5-roundtrip0000000001", server_result_to_dict(original))
-    restored = server_result_from_dict(store.get("ch5-roundtrip0000000001"))
+    store.put("ch5-roundtrip0000000001", state_dict(original))
+    restored = runner_for("ch5").decode(store.get("ch5-roundtrip0000000001"))
     assert restored == original
     assert restored.trace.dram_c == original.trace.dram_c
+
+
+@pytest.mark.parametrize("spec", [
+    Chapter4Spec(mix="W1", policy="acg", copies=1),
+    Chapter5Spec(mix="W1", policy="bw", copies=1),
+], ids=["ch4", "ch5"])
+@pytest.mark.parametrize("damage", ["mistyped", "non-finite", "missing"])
+def test_a_damaged_result_field_is_a_miss_and_recomputes(tmp_path, spec, damage):
+    """A cached payload whose scalar field is mistyped, non-finite or
+    missing is refused by the result's declared fields, so the cell
+    recomputes and the record is rewritten, instead of a hit that fails
+    later where the value is used."""
+    store = JsonDirStore(tmp_path)
+    fresh = run_cell(spec, store)
+    path = tmp_path / spec.key()[-2:] / f"{spec.key()}.json"
+    record = json.loads(path.read_text())
+    if damage == "mistyped":
+        record["payload"]["runtime_s"] = "soon"
+    elif damage == "non-finite":
+        record["payload"]["runtime_s"] = float("nan")
+    else:
+        del record["payload"]["runtime_s"]
+    path.write_text(json.dumps(record))
+    with pytest.raises(CheckpointError, match="runtime_s"):
+        runner_for(spec.kind).decode(record["payload"])
+
+    again = run_cell(spec, store)
+    assert not again.hit
+    assert again.result == fresh.result
+    assert json.loads(path.read_text())["payload"] == fresh.payload
 
 
 @pytest.mark.parametrize("damage", ["short-column", "non-number"])
@@ -388,7 +414,7 @@ def test_torn_trace_payload_is_a_miss_and_recomputes(tmp_path, damage):
         match = r"trace\.dram_c\.0 must be a number"
     path.write_text(json.dumps(record))
     with pytest.raises(CheckpointError, match=match):
-        trace_from_dict(trace)
+        runner_for("ch4").decode(record["payload"])
 
     again = run_cell(spec, store)
     assert not again.hit
@@ -509,7 +535,7 @@ def test_an_explicit_store_never_changes_a_default_cache_result(
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     idle = replace(get_scenario("idle-burst").spec, copies=1)
-    own = run_result_to_dict(engine_for_spec(idle).run_to_completion())
+    own = state_dict(engine_for_spec(idle).run_to_completion())
     JsonDirStore(tmp_path).put(idle.key(), own, meta=spec_meta(idle))
     no_limit = run_cell(
         Chapter4Spec(mix="W1", policy="no-limit", copies=1), NullStore()
@@ -522,5 +548,5 @@ def test_an_explicit_store_never_changes_a_default_cache_result(
     foreign = run_cell(idle, OnePayloadStore())
     assert foreign.hit and foreign.payload == no_limit
     result = run(idle)
-    assert result == run_result_from_dict(own)
+    assert result == runner_for("ch4").decode(own)
     assert result.runtime_s != foreign.result.runtime_s

@@ -99,11 +99,10 @@ def test_zero_active_cores_stop_progress_and_traffic(window_model):
     assert model.calls == []
 
 
-def test_more_active_cores_than_jobs_runs_every_job(window_model):
+def test_more_active_cores_than_jobs_runs_every_job(window_model, monkeypatch):
     """Six cores, four jobs: a decision for five runs all four."""
-    strategy, _, _ = _strategy(
-        window_model, ControlDecision(active_cores=5), cores=6
-    )
+    monkeypatch.setattr("repro.core.simulator.CORES", 6)
+    strategy, _, _ = _strategy(window_model, ControlDecision(active_cores=5))
     _, outcome = _step(strategy)
     assert len(_running(outcome)) == 4
 
@@ -230,9 +229,11 @@ def test_shutdown_intervals_count_memory_off_or_top_level(
     assert state["shutdown_intervals"] == (7 if shutdown else 0)
 
 
-def test_progress_is_charged_the_dtm_overhead(window_model):
-    free, _, _ = _strategy(window_model, dtm_overhead_s=0.0)
-    charged, _, _ = _strategy(window_model, dtm_overhead_s=0.001)
+def test_progress_is_charged_the_dtm_overhead(window_model, monkeypatch):
+    monkeypatch.setattr("repro.core.simulator.DTM_OVERHEAD_S", 0.0)
+    free, _, _ = _strategy(window_model)
+    monkeypatch.setattr("repro.core.simulator.DTM_OVERHEAD_S", 0.001)
+    charged, _, _ = _strategy(window_model)
     _, full = _step(free)
     _, less = _step(charged)
     for slot, advanced in full.progress.items():

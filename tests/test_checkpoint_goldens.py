@@ -32,12 +32,10 @@ import pytest
 from repro.analysis.specs import (
     Chapter4Spec,
     Chapter5Spec,
-    run_result_to_dict,
-    server_result_to_dict,
-    trace_to_dict,
 )
 from repro.campaign import NullStore, engine_for_spec, run
 from repro.engine import CheckpointFile
+from repro.engine.codec import state_dict
 from repro.engine.stepping import SteppingEngine
 from repro.testbed.performance import ServerWindowModel
 from repro.testbed.platforms import PLATFORMS
@@ -80,7 +78,7 @@ def _engine(spec) -> SteppingEngine:
     platform_name, app, duration_s = HOMOGENEOUS
     platform = PLATFORMS[platform_name]
     strategy = HomogeneousStrategy(
-        platform, get_app(app), duration_s, 3.0e9, 100.0,
+        platform, get_app(app), duration_s, 100.0,
         ServerWindowModel(platform),
     )
     return SteppingEngine(strategy)
@@ -88,10 +86,10 @@ def _engine(spec) -> SteppingEngine:
 
 def _payload(spec, result) -> dict:
     if spec is None:
-        return trace_to_dict(result)
+        return state_dict(result)
     if spec.kind == "ch4":
-        return run_result_to_dict(result)
-    return server_result_to_dict(result)
+        return state_dict(result)
+    return state_dict(result)
 
 
 def _uninterrupted(spec) -> dict:
@@ -100,7 +98,7 @@ def _uninterrupted(spec) -> dict:
         trace, _ = run_homogeneous(
             PLATFORMS[platform_name], app, duration_s=duration_s
         )
-        return trace_to_dict(trace)
+        return state_dict(trace)
     return _payload(spec, run(spec, store=NullStore()))
 
 

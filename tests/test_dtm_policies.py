@@ -194,7 +194,7 @@ def _reading_at_rung(levels, rung):
     )
 
 
-def _pid_at_rung(scheme, levels, rung, cores, min_active):
+def _pid_at_rung(scheme, levels, rung, cores, min_active, monkeypatch):
     """The PID policy's first decision when its output selects ``rung``.
 
     At 50 degC both integrals stay off and the first step has no
@@ -204,26 +204,23 @@ def _pid_at_rung(scheme, levels, rung, cores, min_active):
     """
     top = levels.level_count - 1
     output = 5.0 - 10.0 * rung / top
-    policy = PIDPolicy(
-        scheme,
-        levels,
-        cores=cores,
-        amb_target_c=50.0 + output / AMB_GAINS.kc,
-        dram_target_c=200.0,
-        min_active=min_active,
+    monkeypatch.setattr(
+        "repro.dtm.pid_policies.AMB_TARGET_C", 50.0 + output / AMB_GAINS.kc
     )
+    monkeypatch.setattr("repro.dtm.pid_policies.DRAM_TARGET_C", 200.0)
+    policy = PIDPolicy(scheme, levels, cores=cores, min_active=min_active)
     return policy.decide(ThermalReading(50.0, 40.0), 0.01)
 
 
 @pytest.mark.parametrize("table", ["SIMULATION", "PE1950", "SR1500AL"])
 @pytest.mark.parametrize("scheme", ["bw", "acg", "cdvfs", "comb"])
-def test_table_and_pid_policies_share_every_rung(table, scheme):
+def test_table_and_pid_policies_share_every_rung(table, scheme, monkeypatch):
     """A PID variant picks a rung of the table-driven scheme's ladder:
     on every rung of every shipped table, with the cores and
     ``min_active`` the policy factories pass, both return one decision."""
     if table == "SIMULATION":
         levels, cores = SIMULATION_LEVELS, 4
-        policy = functools.partial(make_chapter4_policy, scheme, levels)
+        policy = functools.partial(make_chapter4_policy, scheme)
         min_active = 1 if scheme == "comb" else 0
     else:
         platform = PLATFORMS[table]
@@ -232,6 +229,8 @@ def test_table_and_pid_policies_share_every_rung(table, scheme):
         min_active = 2 if scheme in ("acg", "comb") else 0
     for rung in range(levels.level_count):
         table_decision = policy().decide(_reading_at_rung(levels, rung), 0.01)
-        pid_decision = _pid_at_rung(scheme, levels, rung, cores, min_active)
+        pid_decision = _pid_at_rung(
+            scheme, levels, rung, cores, min_active, monkeypatch
+        )
         assert table_decision.emergency_level == rung
         assert pid_decision == table_decision, (rung, pid_decision, table_decision)

@@ -22,8 +22,6 @@ from repro.analysis.specs import (
     CHAPTER5_POLICIES,
     Chapter4Spec,
     Chapter5Spec,
-    run_result_to_dict,
-    server_result_to_dict,
 )
 from repro.api import ReproClient, SimulateRequest
 from repro.campaign import NullStore, engine_for_spec, run, run_cell
@@ -33,6 +31,7 @@ from repro.engine import (
     EngineStateSerializer,
     Observer,
 )
+from repro.engine.codec import state_dict
 from repro.engine.observers import ProgressObserver, TraceRecorder
 from repro.engine.progress import PROGRESS
 from repro.engine.state import ENGINE_STATE_VERSION
@@ -72,19 +71,13 @@ def build_engine(kind):
 exec(_BUILD_ENGINE)  # noqa: S102 - defines build_engine for this module
 
 
-def _encode(spec, result) -> dict:
-    if spec.kind == "ch4":
-        return run_result_to_dict(result)
-    return server_result_to_dict(result)
-
-
 #: Driver executed in a *fresh* interpreter: rebuild the identically
 #: configured engine, restore the checkpoint, finish, print the payload.
 _RESTORE_DRIVER = (
     """
 import json, sys
 sys.path.insert(0, {src!r})
-from repro.analysis.specs import run_result_to_dict, server_result_to_dict
+from repro.engine.codec import state_dict
 from repro.engine import EngineState
 """
     + _BUILD_ENGINE
@@ -93,8 +86,7 @@ request = json.load(sys.stdin)
 engine = build_engine(request["kind"])
 engine.restore(EngineState.from_dict(request["state"]))
 result = engine.run_to_completion()
-encode = run_result_to_dict if request["kind"] == "ch4" else server_result_to_dict
-print(json.dumps(encode(result)))
+print(json.dumps(state_dict(result)))
 """
 )
 
@@ -106,8 +98,7 @@ def test_checkpoint_restore_in_fresh_process_is_bit_identical(kind):
     """Run K windows -> checkpoint -> restore in a new interpreter ->
     finish == uninterrupted run, bitwise, for both simulators on the
     batched thermal kernel."""
-    encode = run_result_to_dict if kind == "ch4" else server_result_to_dict
-    baseline = encode(build_engine(kind).run_to_completion())  # noqa: F821
+    baseline = state_dict(build_engine(kind).run_to_completion())  # noqa: F821
 
     engine = build_engine(kind)  # noqa: F821
     stepped = engine.step_windows(173)
@@ -136,7 +127,7 @@ def test_step_windows_then_completion_matches_straight_run():
     while engine.step_windows(97):
         pass
     assert engine.done
-    assert _encode(spec, engine.finish()) == run_result_to_dict(straight)
+    assert state_dict(engine.finish()) == state_dict(straight)
 
 
 def test_checkpoint_state_round_trips_and_rejects_foreign_major():
@@ -255,7 +246,7 @@ def test_a_resumable_run_checkpoints_each_slice_and_removes_on_finish(
 
 def test_a_slice_checkpoint_file_resumes_bit_identically(tmp_path):
     spec = Chapter5Spec(platform="PE1950", mix="W1", policy="bw", copies=1)
-    baseline = server_result_to_dict(engine_for_spec(spec).run_to_completion())
+    baseline = state_dict(engine_for_spec(spec).run_to_completion())
 
     checkpoint = CheckpointFile(tmp_path / "srv.checkpoint.json")
 
@@ -268,7 +259,7 @@ def test_a_slice_checkpoint_file_resumes_bit_identically(tmp_path):
     resumed_engine.restore(checkpoint.load())
     assert resumed_engine.windows == 80
     result = resumed_engine.run_to_completion()
-    assert server_result_to_dict(result) == baseline
+    assert state_dict(result) == baseline
 
 
 def test_serializer_output_matches_plain_dumps_across_writes():
@@ -334,7 +325,7 @@ def _homogeneous_strategy():
 
     platform = PLATFORMS["SR1500AL"]
     return HomogeneousStrategy(
-        platform, get_app("swim"), 5.0, 3.0e9, 100.0,
+        platform, get_app("swim"), 5.0, 100.0,
         ServerWindowModel(platform),
     )
 
@@ -386,7 +377,7 @@ def test_run_homogeneous_adds_its_daughter_card_after_them(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["ch4", "ch5"])
-def test_the_timeout_names_the_kind_the_limit_and_the_job_counts(kind):
+def test_the_timeout_names_the_kind_the_limit_and_the_job_counts(kind, monkeypatch):
     from repro.analysis.specs import make_chapter5_policy
     from repro.core.simulator import SimulationConfig, TwoLevelSimulator
     from repro.dtm import DTMTS
@@ -394,14 +385,14 @@ def test_the_timeout_names_the_kind_the_limit_and_the_job_counts(kind):
     from repro.testbed.platforms import PLATFORMS
     from repro.testbed.runner import ServerSimulator
 
+    monkeypatch.setattr("repro.engine.stepping.MAX_SIM_S", 1.0)
     if kind == "ch4":
-        config = SimulationConfig(mix_name="W1", copies=1, max_sim_s=1.0)
+        config = SimulationConfig(mix_name="W1", copies=1)
         engine = TwoLevelSimulator(config, DTMTS()).engine()
     else:
         platform = PLATFORMS["PE1950"]
         engine = ServerSimulator(
-            platform, make_chapter5_policy("bw", platform), "W1", copies=1,
-            max_sim_s=1.0,
+            platform, make_chapter5_policy("bw", platform), "W1", copies=1
         ).engine()
     with pytest.raises(SimulationError) as excinfo:
         engine.run_to_completion()
@@ -657,7 +648,7 @@ def test_a_run_resumed_mid_period_matches_a_straight_run():
     straight.step_windows(260)
     at_260 = straight.checkpoint().to_dict()
     at_250 = straight_snapshots.states[-1]
-    expected = json.dumps(run_result_to_dict(straight.run_to_completion()))
+    expected = json.dumps(state_dict(straight.run_to_completion()))
 
     paused, _ = build()
     paused.step_windows(123)
@@ -666,7 +657,7 @@ def test_a_run_resumed_mid_period_matches_a_straight_run():
     resumed.step_windows(137)
     assert resumed.checkpoint().to_dict() == at_260
     assert resumed_snapshots.states[-1] == at_250
-    got = json.dumps(run_result_to_dict(resumed.run_to_completion()))
+    got = json.dumps(state_dict(resumed.run_to_completion()))
     assert got == expected
 
 

@@ -37,14 +37,12 @@ from repro.analysis.specs import (
     CHAPTER5_POLICIES,
     Chapter4Spec,
     Chapter5Spec,
-    run_result_to_dict,
-    server_result_to_dict,
-    trace_to_dict,
 )
 from repro.campaign import NullStore, engine_for_spec, run
 from repro.core.simulator import SimulationConfig, TwoLevelSimulator
 from repro.dtm import DTMACG
 from repro.engine import EngineState
+from repro.engine.codec import state_dict
 from repro.testbed.platforms import PLATFORMS
 from repro.testbed.runner import run_homogeneous
 
@@ -55,7 +53,7 @@ UPDATE = os.environ.get("REPRO_UPDATE_GOLDENS") == "1"
 
 def _ch4_payload() -> dict:
     result = run(Chapter4Spec(mix="W1", policy="ts", copies=1), store=NullStore())
-    return run_result_to_dict(result)
+    return state_dict(result)
 
 
 #: One Chapter 4 cell per DTM scheme family beyond the DTM-TS cell above.
@@ -69,7 +67,7 @@ def _ch4_policy_payload(policy: str) -> dict:
     result = run(
         Chapter4Spec(mix="W1", policy=policy, copies=1), store=NullStore()
     )
-    return run_result_to_dict(result)
+    return state_dict(result)
 
 
 #: Chapter 4 cells on the kernel and window-cache paths the default
@@ -90,7 +88,7 @@ def _cache_aware_payload() -> dict:
         mix_name="W2", copies=2, cache_aware_scheduling=True,
         record_trace=False,
     )
-    return run_result_to_dict(TwoLevelSimulator(config, DTMACG()).run())
+    return state_dict(TwoLevelSimulator(config, DTMACG()).run())
 
 
 def _resumed_payload(spec, at_window: int, to_dict) -> dict:
@@ -119,7 +117,7 @@ def _ch5_policy_payload(platform: str, policy: str) -> dict:
         Chapter5Spec(platform=platform, mix="W1", policy=policy, copies=1),
         store=NullStore(),
     )
-    return server_result_to_dict(result)
+    return state_dict(result)
 
 
 #: §5.4.1 warm-up runs (Figs. 5.4/5.5) pinned over 400 s: a
@@ -134,7 +132,7 @@ def _homogeneous_payload(platform: str, app: str) -> dict:
     trace, _ = run_homogeneous(
         PLATFORMS[platform], app, duration_s=HOMOGENEOUS_DURATION_S
     )
-    return trace_to_dict(trace)
+    return state_dict(trace)
 
 
 def _campaign_payload() -> dict:
@@ -238,7 +236,7 @@ def test_golden_ch4_policy_cell(policy):
 @pytest.mark.parametrize("name", sorted(CH4_PATH_CELLS))
 def test_golden_ch4_path_cell(name):
     spec = Chapter4Spec(mix="W1", copies=1, **CH4_PATH_CELLS[name])
-    _check_golden(name, run_result_to_dict(run(spec, store=NullStore())))
+    _check_golden(name, state_dict(run(spec, store=NullStore())))
 
 
 def test_golden_ch4_cache_aware_scheduling():
@@ -249,7 +247,7 @@ def test_golden_ch4_resumed_mid_epoch():
     spec = Chapter4Spec(mix="W1", policy="acg", copies=1)
     _check_golden(
         "ch4_W1_acg_copies1_resumed",
-        _resumed_payload(spec, RESUME_AT_WINDOW, run_result_to_dict),
+        _resumed_payload(spec, RESUME_AT_WINDOW, state_dict),
     )
 
 
@@ -270,7 +268,7 @@ def test_golden_ch5_resumed_mid_epoch():
     spec = Chapter5Spec(platform="PE1950", mix="W1", policy="comb", copies=1)
     _check_golden(
         "ch5_PE1950_W1_comb_copies1_resumed",
-        _resumed_payload(spec, CH5_RESUME_AT_WINDOW, server_result_to_dict),
+        _resumed_payload(spec, CH5_RESUME_AT_WINDOW, state_dict),
     )
 
 

@@ -68,7 +68,7 @@ from repro.jobs import (
     TokenBucket,
     job_progress_label,
 )
-from repro.obs.metrics import OVERFLOW_LABEL, MetricsRegistry
+from repro.obs.metrics import METRICS, OVERFLOW_LABEL, MetricsRegistry
 from repro.obs.trace import TRACER
 
 #: The workhorse request: one cold ch4 cell, ~0.3 s of compute —
@@ -351,12 +351,13 @@ class TestTenancy:
         assert quotas.policy_for("batch").max_active == 1
         assert quotas.policy_for("anyone-else").max_active == 8
 
-    def test_tenant_tracking_is_bounded(self):
+    def test_tenant_tracking_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.jobs.tenancy.MAX_TENANTS", 2)
         clock = FakeClock()
-        quotas = QuotaManager(clock=clock, max_tenants=2)
+        quotas = QuotaManager(clock=clock)
         for name in ("a", "b", "c", "d"):
             quotas.admit(name, active_jobs=0)
-        # Beyond max_tenants, strangers share the overflow bucket
+        # Beyond MAX_TENANTS, strangers share the overflow bucket
         # instead of growing the dict without bound.
         assert len(quotas.usage()) <= 3  # a, b, _overflow
 
@@ -407,8 +408,9 @@ class TestMetricsRegistry:
 
     def test_counter_value_reads_back(self):
         registry = MetricsRegistry()
-        registry.counter_inc("repro_x_total", "help", 2.5)
-        assert registry.counter_value("repro_x_total") == 2.5
+        registry.counter_inc("repro_x_total", "help")
+        registry.counter_inc("repro_x_total", "help")
+        assert registry.counter_value("repro_x_total") == 2.0
         assert registry.counter_value("repro_missing_total") == 0.0
 
 
@@ -479,6 +481,12 @@ class TestProgressIsolation:
 # ---------------------------------------------------------------------------
 # in-process manager: lifecycle, preemption, drain/recover, byte identity
 # ---------------------------------------------------------------------------
+
+
+def _fresh_metrics() -> MetricsRegistry:
+    """The process-wide registry the jobs manager writes, emptied."""
+    METRICS.reset()
+    return METRICS
 
 
 def _manager(tmp_path, store, **kwargs) -> JobsManager:
@@ -960,9 +968,9 @@ class TestJobsManager:
         disk holds its tenant's one slot and the running gauge; once the
         disk takes writes the loop requeues it, without a second
         restart, and it completes."""
-        metrics = MetricsRegistry()
+        metrics = _fresh_metrics()
         manager = _manager(
-            tmp_path, MemoryStore(), metrics=metrics,
+            tmp_path, MemoryStore(),
             quotas=QuotaManager(TenantPolicy(max_active=1)),
         )
         manager.queue.store.save(JobRecord(
@@ -1041,9 +1049,9 @@ class TestJobsManager:
         """Four client threads submit and at once cancel jobs while the
         scheduler runs them, with a short switch interval: every job
         ends terminal, counted finished once, and as it is on disk."""
-        metrics = MetricsRegistry()
+        metrics = _fresh_metrics()
         manager = _manager(
-            tmp_path, MemoryStore(), metrics=metrics,
+            tmp_path, MemoryStore(),
             quotas=QuotaManager(
                 TenantPolicy(max_active=100, rate_per_s=1e6, burst=100)
             ),
@@ -1078,8 +1086,8 @@ class TestJobsManager:
             assert on_disk.to_dict() == record.to_dict()
 
     def test_a_job_cancelled_while_queued_counts_as_finished(self, tmp_path):
-        metrics = MetricsRegistry()
-        manager = _manager(tmp_path, MemoryStore(), metrics=metrics)
+        metrics = _fresh_metrics()
+        manager = _manager(tmp_path, MemoryStore())
         manager.cancel(_submit(manager, tenant="alice"))
         assert metrics.counter_value(
             "repro_jobs_finished_total", status=CANCELLED, tenant="alice"

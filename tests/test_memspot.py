@@ -30,11 +30,6 @@ def test_warm_start_at_idle_stable():
     assert sample.dram_c == pytest.approx(expected.dram_c)
 
 
-def test_cold_start_option():
-    spot = _memspot(warm_start=False)
-    assert spot.sample().amb_c == pytest.approx(50.0)
-
-
 def test_idle_power_accounting():
     spot = _memspot()
     # 4 channels x (3 x 5.1 + 4.0 AMB idle + 4 x 0.98 DRAM static).

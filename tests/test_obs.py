@@ -55,7 +55,6 @@ from repro.obs.slo import (
     OK,
     SloSpec,
     evaluate,
-    parse_overrides,
     render_alert_rules,
     slo_document,
     with_overrides,
@@ -525,13 +524,6 @@ class TestSlo:
         assert by_name["p99_queue_wait"].threshold == 30.0
         with pytest.raises(ConfigurationError, match="unknown SLO"):
             with_overrides(DEFAULT_SLOS, {"p99_job_latencyy": 1.0})
-
-    def test_parse_overrides(self):
-        assert parse_overrides(["a=0.5", "b=2"]) == {"a": 0.5, "b": 2.0}
-        with pytest.raises(ConfigurationError):
-            parse_overrides(["nothreshold"])
-        with pytest.raises(ConfigurationError):
-            parse_overrides(["a=notanumber"])
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ConfigurationError):

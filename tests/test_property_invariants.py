@@ -129,12 +129,11 @@ def _batched_step(kernel: BatchedMemSpot, read, write, heating, dt):
     cooling=st.sampled_from((AOHS_1_5, FDHS_1_0)),
     ambient=st.sampled_from((ISOLATED_AMBIENT, INTEGRATED_AMBIENT)),
     shape=st.sampled_from(_SHAPES),
-    warm=st.booleans(),
 )
-def test_batched_kernel_matches_scalar_bitwise(seed, cooling, ambient, shape, warm):
+def test_batched_kernel_matches_scalar_bitwise(seed, cooling, ambient, shape):
     channels, dimms = shape
-    scalar = MemSpot(cooling, ambient, channels, dimms, warm_start=warm)
-    batched = BatchedMemSpot(cooling, ambient, channels, dimms, warm_start=warm)
+    scalar = MemSpot(cooling, ambient, channels, dimms)
+    batched = BatchedMemSpot(cooling, ambient, channels, dimms)
     assert scalar.sample() == batched.sample()
     rng = random.Random(seed)
     for step in range(60):

@@ -239,3 +239,110 @@ def test_every_symbol_is_named_outside_its_definition():
     assert sorted(orphans - set(TEST_ONLY_SYMBOLS)) == []
     # An entry whose symbol went, or gained a caller, leaves the list.
     assert sorted(set(TEST_ONLY_SYMBOLS) - orphans) == []
+
+
+# ---------------------------------------------------------------------------
+# Settable values: every defaulted parameter has a production caller
+# ---------------------------------------------------------------------------
+
+#: The directories whose calls count as production callers; tests and
+#: examples do not.
+PRODUCTION_DIRS = ("src/repro", "tools", "perfbench", "benchmarks")
+
+_DRAM_SURFACE = (
+    "a knob of the cycle-level DRAM model, which calibrate_envelope runs "
+    "at its defaults; its own tests drive the model with it"
+)
+_KWARGS = "passed through a ``**kwargs`` dict built from CLI flags"
+#: Defaulted parameters that no production call passes by name or
+#: position, each with the reason it stays settable.
+UNSET_PARAMETERS = {
+    "repro.api.client.ReproClient.run_resumable(checkpoint_every=)": _KWARGS,
+    "repro.campaign.stores.disk.JsonDirStore.prune(tmp_grace_s=)": _KWARGS,
+    "repro.core.windowmodel.WindowModel.__init__(l2_capacity_bytes=)": (
+        "the bit-exact oracle test of the level-1 model draws arbitrary "
+        "L2 capacities through it"
+    ),
+    "repro.dram.address.AddressMapper.__init__(rows=)": _DRAM_SURFACE,
+    "repro.dram.address.AddressMapper.__init__(columns=)": _DRAM_SURFACE,
+    "repro.dram.controller.ChannelController.__init__(throttle_window_s=)": (
+        _DRAM_SURFACE
+    ),
+    "repro.dram.stats.ChannelStats.throughput_gbps(elapsed_s=)": _DRAM_SURFACE,
+    "repro.dram.trafficgen.stream_trace(start_address=)": _DRAM_SURFACE,
+    "repro.dram.trafficgen.stream_trace(request_bytes=)": _DRAM_SURFACE,
+    "repro.dram.trafficgen.random_trace(request_bytes=)": _DRAM_SURFACE,
+    "repro.dram.trafficgen.poisson_trace(request_bytes=)": _DRAM_SURFACE,
+}
+
+
+def _production_calls() -> tuple[set[str], dict[str, float]]:
+    """Every keyword any production call passes, and per callee name
+    (a function's, a method's or a class's) the most positional
+    arguments a call passes it (unbounded with a ``*args``)."""
+    keywords: set[str] = set()
+    positional: dict[str, float] = {}
+    for directory in PRODUCTION_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                keywords.update(k.arg for k in node.keywords if k.arg)
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                count = len(node.args)
+                if any(isinstance(arg, ast.Starred) for arg in node.args):
+                    count = float("inf")
+                positional[callee] = max(positional.get(callee, 0), count)
+    return keywords, positional
+
+
+def _unset_parameters() -> set[str]:
+    """``module.Qualified.name(parameter=)`` of every defaulted
+    parameter under src/repro that no production call passes: by
+    keyword (any call with that keyword counts) or by position (a call
+    to a callee of that name with enough positional arguments; a
+    constructor is called by its class's name)."""
+    keywords, positional = _production_calls()
+    found = set()
+
+    def visit(node, prefix: str, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}{child.name}.", child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                ordered = args.posonlyargs + args.args
+                skip = 1 if ordered and ordered[0].arg in ("self", "cls") else 0
+                callee = cls if child.name == "__init__" and cls else child.name
+                reach = positional.get(callee, 0) + skip
+                first = len(ordered) - len(args.defaults)
+                defaulted = [
+                    (index, arg) for index, arg in enumerate(ordered)
+                    if index >= first
+                ] + [
+                    (float("inf"), arg)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                    if default is not None
+                ]
+                found.update(
+                    f"{prefix}{child.name}({arg.arg}=)"
+                    for index, arg in defaulted
+                    if arg.arg not in keywords and index >= reach
+                )
+                visit(child, f"{prefix}{child.name}.", None)
+            else:
+                visit(child, prefix, cls)
+
+    for module, path in _module_files().items():
+        visit(ast.parse(path.read_text(), str(path)), f"{module}.", None)
+    return found
+
+
+def test_every_settable_value_has_a_production_caller():
+    """A defaulted parameter that no run sets is a constant in practice,
+    and each one doubles the configurations tests must cover: make it
+    one, or give the reason it stays."""
+    unset = _unset_parameters()
+    assert sorted(unset - set(UNSET_PARAMETERS)) == []
+    # An entry whose parameter went, or gained a caller, leaves the list.
+    assert sorted(set(UNSET_PARAMETERS) - unset) == []

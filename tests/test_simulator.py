@@ -5,12 +5,12 @@ import pytest
 from repro.analysis.specs import (
     CHAPTER4_POLICY_CHOICES,
     Chapter4Spec,
-    run_result_to_dict,
 )
 from repro.campaign import engine_for_spec
-from repro.core.simulator import SimulationConfig, TwoLevelSimulator
+from repro.core.simulator import DTM_OVERHEAD_S, SimulationConfig, TwoLevelSimulator
 from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMTS
 from repro.dtm.base import NoLimitPolicy
+from repro.engine.codec import state_dict
 from repro.errors import ConfigurationError, SimulationError
 from repro.params.thermal_params import FDHS_1_0, INTEGRATED_AMBIENT
 
@@ -113,14 +113,15 @@ def test_dtm_interval_overhead_charged(window_model):
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         SimulationConfig(dtm_interval_s=0.0)
-    with pytest.raises(ConfigurationError):
-        SimulationConfig(dtm_overhead_s=0.02, dtm_interval_s=0.01)
+    with pytest.raises(ConfigurationError, match="dtm_interval_s"):
+        SimulationConfig(dtm_interval_s=DTM_OVERHEAD_S)
     with pytest.raises(ConfigurationError):
         SimulationConfig(copies=0)
 
 
-def test_horizon_guard(window_model):
-    config = SimulationConfig(mix_name="W1", copies=1, max_sim_s=1.0)
+def test_horizon_guard(window_model, monkeypatch):
+    monkeypatch.setattr("repro.engine.stepping.MAX_SIM_S", 1.0)
+    config = SimulationConfig(mix_name="W1", copies=1)
     with pytest.raises(SimulationError):
         TwoLevelSimulator(config, DTMTS(), window_model=window_model).run()
 
@@ -173,6 +174,6 @@ def test_window_cache_matches_recomputing_every_window(build):
     cached = build()
     uncached = build()
     uncached._window_cache = _NeverStores()
-    assert run_result_to_dict(cached.run_to_completion()) == run_result_to_dict(
+    assert state_dict(cached.run_to_completion()) == state_dict(
         uncached.run_to_completion()
     )

@@ -120,7 +120,7 @@ def test_throttle_clamp():
 
 def test_throttle_validation():
     with pytest.raises(ConfigurationError):
-        OpenLoopThrottle(window_s=0.0)
+        OpenLoopThrottle().program_bandwidth(-1.0)
 
 
 def test_daughtercard_channels_and_logs():

@@ -9,13 +9,12 @@ from repro.analysis import specs as specs_module
 from repro.analysis.specs import (
     CHAPTER5_POLICIES,
     Chapter5Spec,
-    server_result_to_dict,
-    trace_to_dict,
 )
 from repro.campaign import NullStore, engine_for_spec, run
 from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB
 from repro.dtm.base import NoLimitPolicy
 from repro.engine import EngineState
+from repro.engine.codec import state_dict
 from repro.engine.stepping import SteppingEngine
 from repro.errors import ConfigurationError
 from repro.testbed.performance import ServerWindowModel
@@ -157,7 +156,7 @@ class _NeverStores(dict):
 def _homogeneous_engine(platform):
     # SR1500AL/swim arms and disarms the safety throttle.
     strategy = HomogeneousStrategy(
-        platform, get_app("swim"), 400.0, 3.0e9, 100.0,
+        platform, get_app("swim"), 400.0, 100.0,
         ServerWindowModel(platform),
     )
     return SteppingEngine(strategy)
@@ -177,15 +176,13 @@ def test_window_cache_matches_recomputing_every_window(policy, platform):
     and for the homogeneous warm-up."""
     if policy == "homogeneous":
         build = lambda: _homogeneous_engine(PLATFORMS[platform])  # noqa: E731
-        to_dict = trace_to_dict
     else:
         spec = Chapter5Spec(platform=platform, mix="W1", policy=policy, copies=1)
         build = lambda: engine_for_spec(spec)  # noqa: E731
-        to_dict = server_result_to_dict
     cached = build()
     uncached = build()
     uncached._window_cache = _NeverStores()
-    assert to_dict(cached.run_to_completion()) == to_dict(
+    assert state_dict(cached.run_to_completion()) == state_dict(
         uncached.run_to_completion()
     )
 
@@ -195,7 +192,7 @@ def test_restore_drops_a_populated_window_cache():
     window of the same epoch still finishes exactly like a straight
     run."""
     spec = Chapter5Spec(platform="PE1950", mix="W1", policy="comb", copies=1)
-    straight = server_result_to_dict(engine_for_spec(spec).run_to_completion())
+    straight = state_dict(engine_for_spec(spec).run_to_completion())
     source = engine_for_spec(spec)
     source.step_windows(170)
     state = json.loads(json.dumps(source.checkpoint().to_dict()))
@@ -207,7 +204,7 @@ def test_restore_drops_a_populated_window_cache():
     assert target._window_cache
     target.restore(EngineState.from_dict(state))
     assert not target._window_cache
-    assert server_result_to_dict(target.run_to_completion()) == straight
+    assert state_dict(target.run_to_completion()) == straight
 
 
 def test_server_model_memo_is_order_independent(monkeypatch):
@@ -217,9 +214,9 @@ def test_server_model_memo_is_order_independent(monkeypatch):
     first = Chapter5Spec(policy="acg", mix="W1", copies=1, time_slice_s=0.0100004)
     second = replace(first, time_slice_s=0.0100001)
     run(first, store=NullStore())
-    after_first = server_result_to_dict(run(second, store=NullStore()))
+    after_first = state_dict(run(second, store=NullStore()))
     specs_module._server_models.clear()
-    fresh = server_result_to_dict(run(second, store=NullStore()))
+    fresh = state_dict(run(second, store=NullStore()))
     assert after_first == fresh
 
 
