@@ -198,7 +198,7 @@ def make_chapter4_policy(
         return DTMCOMB(levels, min_active=1)
     if name.endswith("+pid"):
         scheme = name.removesuffix("+pid")
-        return PIDPolicy(scheme, levels=levels)
+        return PIDPolicy(scheme)
     raise ConfigurationError(f"unknown Chapter 4 policy {name!r}")
 
 

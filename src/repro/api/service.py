@@ -533,12 +533,11 @@ class ReproService(HTTPServer):
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        client: ReproClient | None = None,
         verbose: bool = False,
         jobs=None,
         max_concurrent_runs: int | None = None,
     ) -> None:
-        self.client = client if client is not None else ReproClient()
+        self.client = ReproClient()
         self.verbose = verbose
         #: The mounted JobsManager (None = jobs routes answer 503).
         self.jobs = jobs
@@ -668,7 +667,6 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     *,
-    client: ReproClient | None = None,
     port_file: str | None = None,
     verbose: bool = False,
     jobs=None,
@@ -686,8 +684,8 @@ def serve(
     loses acknowledged work.
     """
     service = ReproService(
-        host, port, client=client, verbose=verbose,
-        jobs=jobs, max_concurrent_runs=max_concurrent_runs,
+        host, port, verbose=verbose, jobs=jobs,
+        max_concurrent_runs=max_concurrent_runs,
     )
     draining = threading.Event()
 

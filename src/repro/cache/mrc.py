@@ -3,9 +3,7 @@
 An application's L2 behaviour is summarized by its miss ratio as a
 function of the cache capacity it effectively owns.  The analytic window
 model evaluates these curves at the shares predicted by the contention
-model; the synthetic SPEC-like profiles use the parametric form below,
-and :func:`measured_mrc` extracts real curves from the LRU simulator for
-validation.
+model; the synthetic SPEC-like profiles use the parametric form below.
 
 The parametric form is a shifted power law with a compulsory-miss floor:
 
@@ -21,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cache.setassoc import SetAssociativeCache
 from repro.engine.codec import Float, check_domain, domain
 from repro.errors import ConfigurationError
 
@@ -49,25 +46,3 @@ class MissRatioCurve:
         scaled = (capacity_bytes / self.c_half_bytes) ** self.alpha
         return self.m_floor + (self.m_peak - self.m_floor) / (1.0 + scaled)
 
-
-def measured_mrc(
-    trace: list[int],
-    capacities_bytes: list[int],
-    ways: int = 8,
-    line_bytes: int = 64,
-) -> dict[int, float]:
-    """Measure the miss ratio of an address trace at several capacities.
-
-    Runs the LRU simulator once per capacity.  Used in tests to validate
-    that the parametric curves behave like real caches (monotone
-    non-increasing in capacity).
-    """
-    if not trace:
-        raise ConfigurationError("trace must be non-empty")
-    results: dict[int, float] = {}
-    for capacity in capacities_bytes:
-        cache = SetAssociativeCache(capacity, ways=ways, line_bytes=line_bytes)
-        for address in trace:
-            cache.access(address)
-        results[capacity] = cache.miss_ratio
-    return results

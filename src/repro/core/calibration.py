@@ -24,7 +24,6 @@ from repro.core.windowmodel import MemoryEnvelope
 from repro.dram.system import MemorySystem
 from repro.dram.trafficgen import poisson_trace, stream_trace
 from repro.errors import SimulationError
-from repro.params.dram_timing import SimulatedSystemParams
 
 
 @dataclass(frozen=True)
@@ -37,18 +36,14 @@ class CalibrationReport:
     stream_requests: int
 
 
-def measure_idle_latency_s(
-    params: SimulatedSystemParams | None = None,
-    requests: int = 400,
-    seed: int = 7,
-) -> float:
+def measure_idle_latency_s(requests: int = 400) -> float:
     """Mean read latency of a sparse (unloaded) random stream."""
-    system = MemorySystem(params)
+    system = MemorySystem()
     trace = poisson_trace(
         count=requests,
         address_space_bytes=min(system.mapper.capacity_bytes, 1 << 30),
         mean_interarrival_s=2e-6,  # ~0.5 M req/s: far below saturation.
-        seed=seed,
+        seed=7,
     )
     completions = system.run(trace)
     if not completions:
@@ -56,19 +51,11 @@ def measure_idle_latency_s(
     return sum(c.latency_s for c in completions) / len(completions)
 
 
-def measure_peak_bandwidth_bytes_per_s(
-    params: SimulatedSystemParams | None = None,
-    requests: int = 8000,
-    write_fraction: float = 0.0,
-) -> float:
-    """Sustained throughput of a saturating sequential stream."""
-    system = MemorySystem(params)
-    trace = stream_trace(
-        count=requests,
-        interarrival_s=0.0,  # all requests available at time zero.
-        write_fraction=write_fraction,
-    )
-    completions = system.run(trace)
+def measure_peak_bandwidth_bytes_per_s(requests: int = 8000) -> float:
+    """Sustained throughput of a saturating sequential read stream."""
+    system = MemorySystem()
+    # All requests available at time zero.
+    completions = system.run(stream_trace(count=requests, interarrival_s=0.0))
     if not completions:
         raise SimulationError("calibration run produced no completions")
     elapsed = completions[-1].completion_s
@@ -79,13 +66,11 @@ def measure_peak_bandwidth_bytes_per_s(
 
 
 def calibrate_envelope(
-    params: SimulatedSystemParams | None = None,
-    idle_requests: int = 400,
-    stream_requests: int = 8000,
+    idle_requests: int = 400, stream_requests: int = 8000
 ) -> CalibrationReport:
     """Run both measurements and report the envelope parameters."""
-    idle = measure_idle_latency_s(params, requests=idle_requests)
-    peak = measure_peak_bandwidth_bytes_per_s(params, requests=stream_requests)
+    idle = measure_idle_latency_s(requests=idle_requests)
+    peak = measure_peak_bandwidth_bytes_per_s(requests=stream_requests)
     return CalibrationReport(
         idle_latency_s=idle,
         peak_bandwidth_bytes_per_s=peak,

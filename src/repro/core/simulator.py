@@ -30,7 +30,7 @@ from repro.core.kernel import BatchedMemSpot
 from repro.core.results import RunResult
 from repro.core.windowmodel import MemoryEnvelope, WindowModel
 from repro.cpu.power import simulated_chip_power_w
-from repro.dtm.base import DTMPolicy
+from repro.dtm.base import CORES, DTMPolicy
 from repro.engine.codec import (
     Count,
     Field,
@@ -62,9 +62,6 @@ POSITIVE = Float(0.0, strict=True)
 DUTY_CYCLE = Float(0.0, 1.0, strict=True)
 #: DTM control overhead per interval, seconds (Table 4.1: 25 us).
 DTM_OVERHEAD_S = 25e-6
-#: The Table 4.1 platform: four cores sharing a 4 MB L2.
-CORES = 4
-L2_CAPACITY_BYTES = 4 * 1024 * 1024
 #: Temperature trace sample period, simulated seconds.
 TRACE_RESOLUTION_S = 1.0
 
@@ -97,7 +94,8 @@ class SimulationConfig:
     Defaults reproduce the Chapter 4 platform: AOHS_1.5 cooling, the
     isolated ambient model and a 10 ms DTM interval.  What the paper
     holds fixed is a module constant, not a field: the Table 4.1 cores
-    and L2 (:data:`CORES`, :data:`L2_CAPACITY_BYTES`) and 25 us DTM
+    and L2 (:data:`CORES`,
+    :data:`repro.core.windowmodel.L2_CAPACITY_BYTES`) and 25 us DTM
     overhead (:data:`DTM_OVERHEAD_S`), the Table 4.3 emergency levels
     (``SIMULATION_LEVELS``), the Table 4.4 CPU power table
     (``SIMULATED_CPU_POWER``), the 1 s trace resolution and the
@@ -172,9 +170,7 @@ class Chapter4Strategy:
         if cfg.cache_aware_scheduling:
             from repro.workloads.scheduling import CacheAwareScheduler
 
-            self.scheduler: BatchScheduler = CacheAwareScheduler(
-                mix, cfg.copies, CORES, cache_capacity_bytes=L2_CAPACITY_BYTES
-            )
+            self.scheduler: BatchScheduler = CacheAwareScheduler(mix, cfg.copies, CORES)
         else:
             self.scheduler = BatchScheduler(mix, cfg.copies, CORES)
         self.memspot = BatchedMemSpot(

@@ -54,6 +54,8 @@ IPC_SWEEPS = 8
 #: The top core frequency (Table 4.4's first DVFS point): the reference
 #: cycles of the ambient model.
 MAX_FREQUENCY_HZ = 3.2e9
+#: The Table 4.1 shared L2, which the four cores split.
+L2_CAPACITY_BYTES = 4 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -267,7 +269,7 @@ class WindowModel:
 
     def __init__(
         self,
-        l2_capacity_bytes: float = 4 * 1024 * 1024,
+        l2_capacity_bytes: float = L2_CAPACITY_BYTES,
         envelope: MemoryEnvelope | None = None,
     ) -> None:
         self._l2_capacity = l2_capacity_bytes

@@ -61,12 +61,11 @@ class ChannelStats:
         index = min(len(ordered) - 1, int(fraction * len(ordered)))
         return ordered[index]
 
-    def throughput_gbps(self, elapsed_s: float | None = None) -> float:
-        """Served throughput in GB/s over the run."""
-        elapsed = elapsed_s if elapsed_s is not None else self.last_completion_s
-        if elapsed <= 0:
+    def throughput_gbps(self) -> float:
+        """Served throughput in GB/s up to the last completion."""
+        if self.last_completion_s <= 0:
             return 0.0
-        return to_gbps(self.total_bytes / elapsed)
+        return to_gbps(self.total_bytes / self.last_completion_s)
 
     def merge(self, other: "ChannelStats") -> "ChannelStats":
         """Combine two stats objects (for multi-channel totals)."""

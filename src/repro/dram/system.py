@@ -17,42 +17,26 @@ from repro.params.dram_timing import SimulatedSystemParams
 
 
 class MemorySystem:
-    """A complete FBDIMM memory subsystem (Table 4.1 configuration).
+    """A complete FBDIMM memory subsystem: the paper's simulated platform
+    (Table 4.1: 4 physical channels x 4 DIMMs x 8 banks, DDR2-667)."""
 
-    Args:
-        params: system parameters; defaults to the paper's simulated
-            platform (4 physical channels x 4 DIMMs x 8 banks, DDR2-667).
-        activation_cap_per_window: optional open-loop throttle applied to
-            every channel.
-    """
-
-    def __init__(
-        self,
-        params: SimulatedSystemParams | None = None,
-        activation_cap_per_window: int | None = None,
-    ) -> None:
-        self._params = params if params is not None else SimulatedSystemParams()
+    def __init__(self) -> None:
+        params = SimulatedSystemParams()
         self._mapper = AddressMapper(
-            channels=self._params.physical_channels,
-            dimms_per_channel=self._params.dimms_per_channel,
-            banks_per_dimm=self._params.banks_per_dimm,
-            line_bytes=self._params.line_bytes,
+            channels=params.physical_channels,
+            dimms_per_channel=params.dimms_per_channel,
+            banks_per_dimm=params.banks_per_dimm,
+            line_bytes=params.line_bytes,
         )
         self._controllers = [
             ChannelController(
-                dimms=self._params.dimms_per_channel,
-                banks_per_dimm=self._params.banks_per_dimm,
-                timing=self._params.timing,
-                params=self._params.channel,
-                activation_cap_per_window=activation_cap_per_window,
+                dimms=params.dimms_per_channel,
+                banks_per_dimm=params.banks_per_dimm,
+                timing=params.timing,
+                params=params.channel,
             )
-            for _ in range(self._params.physical_channels)
+            for _ in range(params.physical_channels)
         ]
-
-    @property
-    def params(self) -> SimulatedSystemParams:
-        """System parameters in force."""
-        return self._params
 
     @property
     def mapper(self) -> AddressMapper:

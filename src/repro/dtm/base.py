@@ -16,6 +16,10 @@ from typing import Any
 
 from repro.errors import ConfigurationError
 
+#: The core count of the Table 4.1 platform, which the Chapter 4
+#: schemes report.
+CORES = 4
+
 
 @dataclass(frozen=True)
 class ThermalReading:
@@ -44,7 +48,7 @@ class ControlDecision:
 
     memory_on: bool = True
     bandwidth_cap_bytes_per_s: float | None = None
-    active_cores: int = 4
+    active_cores: int = CORES
     dvfs_level: int = 0
     emergency_level: int = 0
     index: int = field(default=0, compare=False)
@@ -93,7 +97,7 @@ class NoLimitPolicy(DTMPolicy):
 
     name = "No-limit"
 
-    def __init__(self, cores: int = 4) -> None:
+    def __init__(self, cores: int = CORES) -> None:
         self._decision = ControlDecision(active_cores=cores)
 
     def decide(self, reading: Any, dt_s: float) -> ControlDecision:

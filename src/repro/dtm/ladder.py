@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.dtm.base import ControlDecision, DTMPolicy
+from repro.dtm.base import CORES, ControlDecision, DTMPolicy
 from repro.dtm.levels import TRACKER_FIELD, LevelTracker
 from repro.params.emergency import EmergencyLevels, PE1950_LEVELS, SIMULATION_LEVELS
 
@@ -90,7 +90,7 @@ class LadderPolicy(DTMPolicy):
     STATE_FIELDS = (TRACKER_FIELD,)
 
     def __init__(
-        self, levels: EmergencyLevels | None = None, cores: int = 4, min_active: int = 0
+        self, levels: EmergencyLevels | None = None, cores: int = CORES, min_active: int = 0
     ) -> None:
         self._levels = levels if levels is not None else SIMULATION_LEVELS
         self._tracker = LevelTracker(self._levels)
@@ -120,7 +120,7 @@ class DTMBW(LadderPolicy):
     name = "DTM-BW"
     scheme = "bw"
 
-    def __init__(self, levels: EmergencyLevels | None = None, cores: int = 4) -> None:
+    def __init__(self, levels: EmergencyLevels | None = None, cores: int = CORES) -> None:
         super().__init__(levels, cores)
 
 
@@ -154,7 +154,7 @@ class DTMCDVFS(LadderPolicy):
     name = "DTM-CDVFS"
     scheme = "cdvfs"
 
-    def __init__(self, levels: EmergencyLevels | None = None, cores: int = 4) -> None:
+    def __init__(self, levels: EmergencyLevels | None = None, cores: int = CORES) -> None:
         super().__init__(levels, cores)
 
 
@@ -176,7 +176,7 @@ class DTMCOMB(LadderPolicy):
     def __init__(
         self,
         levels: EmergencyLevels | None = None,
-        cores: int = 4,
+        cores: int = CORES,
         min_active: int = 2,
     ) -> None:
         super().__init__(

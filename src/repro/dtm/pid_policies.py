@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.dtm.base import ControlDecision, DTMPolicy
+from repro.dtm.base import CORES, ControlDecision, DTMPolicy
 from repro.dtm.ladder import ladder_decision
 from repro.dtm.pid import (
     AMB_GAINS,
@@ -28,18 +28,16 @@ from repro.dtm.pid import (
 )
 from repro.engine.codec import Field, Nested
 from repro.errors import ConfigurationError
-from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
+from repro.params.emergency import SIMULATION_LEVELS
 
 
 class PIDPolicy(DTMPolicy):
-    """A DTM scheme actuated by the dual PID controllers.
+    """A Chapter 4 DTM scheme actuated by the dual PID controllers, on
+    the Table 4.3 ladders and TDPs and the four Table 4.1 cores.
 
     Args:
         scheme: one of "bw", "acg", "cdvfs", "comb" — which actuator the
             normalized controller output drives.
-        levels: emergency table providing the decision ladders and TDPs.
-        cores: total core count.
-        min_active: lower bound on gated cores for acg/comb (Chapter 5).
     """
 
     STATE_FIELDS = (
@@ -47,19 +45,12 @@ class PIDPolicy(DTMPolicy):
         Field("dram", "_dram_pid", Nested(), {}),
     )
 
-    def __init__(
-        self,
-        scheme: str,
-        levels: EmergencyLevels | None = None,
-        cores: int = 4,
-        min_active: int = 0,
-        integral_enabled: bool = True,
-    ) -> None:
+    def __init__(self, scheme: str, integral_enabled: bool = True) -> None:
         if scheme not in ("bw", "acg", "cdvfs", "comb"):
             raise ConfigurationError(f"unknown PID scheme {scheme!r}")
-        self._levels = levels if levels is not None else SIMULATION_LEVELS
+        self._levels = SIMULATION_LEVELS
         self._decisions = tuple(
-            ladder_decision(scheme, self._levels, rung, cores, min_active)
+            ladder_decision(scheme, self._levels, rung, CORES, 0)
             for rung in range(self._levels.level_count)
         )
         self._top_rung = self._levels.level_count - 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Any
 
-from repro.dtm.base import ControlDecision, DTMPolicy
+from repro.dtm.base import CORES, ControlDecision, DTMPolicy
 from repro.engine.codec import Field, Flag
 from repro.errors import ConfigurationError
 from repro.params.emergency import EmergencyLevels, SIMULATION_LEVELS
@@ -24,7 +24,6 @@ class DTMTS(DTMPolicy):
     Args:
         levels: emergency table supplying the TDPs (and level count for
             the reported ``emergency_level``).
-        cores: core count reported in decisions.
         amb_trp_c: AMB thermal release point override (Fig. 4.2 sweep);
             defaults to the table's value.
         dram_trp_c: DRAM release point override.
@@ -36,7 +35,6 @@ class DTMTS(DTMPolicy):
     def __init__(
         self,
         levels: EmergencyLevels | None = None,
-        cores: int = 4,
         amb_trp_c: float | None = None,
         dram_trp_c: float | None = None,
     ) -> None:
@@ -57,7 +55,7 @@ class DTMTS(DTMPolicy):
             tuple(
                 ControlDecision(
                     memory_on=not shut_down,
-                    active_cores=cores,
+                    active_cores=CORES,
                     emergency_level=level,
                     index=shut_down * self._levels.level_count + level,
                 )

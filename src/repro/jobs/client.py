@@ -17,14 +17,15 @@ from repro.api.http import call_json
 
 #: Seconds between status polls while waiting for a job.
 _POLL_S = 0.25
+#: Seconds each call waits for the service's answer.
+_CALL_TIMEOUT_S = 60.0
 
 
 class JobsClient:
     """Talk to one jobs-enabled ``python -m repro serve`` instance."""
 
-    def __init__(self, base_url: str, *, timeout_s: float = 60.0) -> None:
+    def __init__(self, base_url: str) -> None:
         self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
 
     def _job_url(self, job_id: str, action: str = "") -> str:
         """``/v1/jobs/<id>[/<action>]``, with the id URL-quoted."""
@@ -44,32 +45,32 @@ class JobsClient:
             "POST",
             f"{self.base_url}/v1/jobs",
             {"request": request, "tenant": tenant, "priority": priority},
-            timeout_s=self.timeout_s,
+            timeout_s=_CALL_TIMEOUT_S,
         )
 
     def status(self, job_id: str) -> dict:
         """The job's status document (with live per-cell progress)."""
         return call_json(
-            "GET", self._job_url(job_id), timeout_s=self.timeout_s
+            "GET", self._job_url(job_id), timeout_s=_CALL_TIMEOUT_S
         )
 
     def result(self, job_id: str) -> dict:
         """The completed job's result document (409 while running)."""
         return call_json(
-            "GET", self._job_url(job_id, "/result"), timeout_s=self.timeout_s
+            "GET", self._job_url(job_id, "/result"), timeout_s=_CALL_TIMEOUT_S
         )
 
     def cancel(self, job_id: str) -> dict:
         """Request cancellation; returns the job document."""
         return call_json(
-            "POST", self._job_url(job_id, "/cancel"), timeout_s=self.timeout_s
+            "POST", self._job_url(job_id, "/cancel"), timeout_s=_CALL_TIMEOUT_S
         )
 
     def list(self, tenant: str | None = None) -> dict:
         """Every known job, optionally filtered by tenant."""
         query = f"?{urlencode({'tenant': tenant})}" if tenant else ""
         return call_json(
-            "GET", f"{self.base_url}/v1/jobs{query}", timeout_s=self.timeout_s
+            "GET", f"{self.base_url}/v1/jobs{query}", timeout_s=_CALL_TIMEOUT_S
         )
 
     def wait(

@@ -346,13 +346,9 @@ class TracingObserver:
     never changes checkpoint shape or restore compatibility.
     """
 
-    def __init__(
-        self, tracer: Tracer | None = None, sample_every: int | None = None
-    ) -> None:
+    def __init__(self, tracer: Tracer | None = None) -> None:
         self.tracer = tracer if tracer is not None else TRACER
-        self.sample_every = (
-            sample_every if sample_every else self.tracer.sample_every
-        )
+        self.sample_every = self.tracer.sample_every
 
     def record_window(
         self,

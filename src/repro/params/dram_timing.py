@@ -157,8 +157,3 @@ class SimulatedSystemParams:
             raise ConfigurationError(
                 "physical channels must be a multiple of logical channels"
             )
-
-    @property
-    def total_dimms(self) -> int:
-        """Total DIMMs in the memory subsystem."""
-        return self.physical_channels * self.dimms_per_channel

@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 from repro.errors import ConfigurationError
 from repro.thermal.sensors import ThermalSensor
 
+#: Per-sample chance of a noise spike on a thermal channel (visible in
+#: Fig. 5.4's raw curves); the first channel's noise draws from seed 0,
+#: the next from seed 1, and so on.
+SPIKE_PROBABILITY = 0.002
+
 
 @dataclass
 class SensorLog:
@@ -38,24 +43,14 @@ class DaughterCard:
 
     Args:
         sampling_period_s: 10 ms in the paper's experiments.
-        spike_probability: per-sample chance of a noise spike on thermal
-            channels (visible in Fig. 5.4's raw curves).
-        seed: RNG seed for reproducible noise.
     """
 
-    def __init__(
-        self,
-        sampling_period_s: float = 0.010,
-        spike_probability: float = 0.002,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, sampling_period_s: float = 0.010) -> None:
         if sampling_period_s <= 0:
             raise ConfigurationError("sampling period must be positive")
         self._period_s = sampling_period_s
         self._sensors: dict[str, ThermalSensor] = {}
         self._logs: dict[str, SensorLog] = {}
-        self._spike_probability = spike_probability
-        self._seed = seed
         self._last_sample_s: float | None = None
 
     @property
@@ -70,9 +65,9 @@ class DaughterCard:
         self._sensors[name] = ThermalSensor(
             period_s=0.0,
             quantization_c=0.0,
-            spike_probability=self._spike_probability if noisy else 0.0,
+            spike_probability=SPIKE_PROBABILITY if noisy else 0.0,
             spike_magnitude_c=8.0,
-            seed=self._seed + len(self._sensors),
+            seed=len(self._sensors),
         )
         self._logs[name] = SensorLog()
 

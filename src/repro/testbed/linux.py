@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from repro.errors import ConfigurationError
 from repro.params.power_params import DVFSOperatingPoint, MeasuredProcessorPower, XEON_5160_POWER
+from repro.units import CACHE_LINE_BYTES
 
 
 class CPUHotplug:
@@ -121,11 +122,10 @@ class TimeSliceModel:
     10 ms and +12% at 5 ms against the 100 ms default.
     """
 
-    def __init__(self, cache_bytes: int, line_bytes: int = 64) -> None:
-        if cache_bytes <= 0 or line_bytes <= 0:
-            raise ConfigurationError("cache geometry must be positive")
+    def __init__(self, cache_bytes: int) -> None:
+        if cache_bytes <= 0:
+            raise ConfigurationError("cache capacity must be positive")
         self._cache_bytes = cache_bytes
-        self._line_bytes = line_bytes
 
     def extra_misses_per_s(self, slice_s: float, resident_bytes: float) -> float:
         """Extra miss rate caused by switching every ``slice_s`` seconds.
@@ -137,5 +137,5 @@ class TimeSliceModel:
         """
         if slice_s <= 0:
             raise ConfigurationError("time slice must be positive")
-        refill_lines = min(resident_bytes, self._cache_bytes) / self._line_bytes
+        refill_lines = min(resident_bytes, self._cache_bytes) / CACHE_LINE_BYTES
         return refill_lines / slice_s

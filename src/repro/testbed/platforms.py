@@ -92,11 +92,6 @@ class ServerPlatform:
         """Total cores across sockets."""
         return self.sockets * self.cores_per_socket
 
-    @property
-    def total_dimms(self) -> int:
-        """Total FBDIMM count."""
-        return self.channels * self.dimms_per_channel
-
     def ambient_params(self, ambient_override_c: float | None = None) -> AmbientModelParams:
         """Eq. 3.6 parameters for this machine.
 

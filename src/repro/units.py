@@ -42,8 +42,3 @@ def to_gbps(bytes_per_second: float) -> float:
 def ns_to_s(nanoseconds: float) -> float:
     """Convert nanoseconds to seconds."""
     return nanoseconds * NS
-
-
-def joules(power_watts: float, seconds: float) -> float:
-    """Energy in joules for a constant power draw over an interval."""
-    return power_watts * seconds

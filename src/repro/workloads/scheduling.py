@@ -15,26 +15,24 @@ performance.
 from __future__ import annotations
 
 from repro.cache.sharing import SharedCacheModel
-from repro.errors import SchedulingError
+from repro.core.windowmodel import L2_CAPACITY_BYTES, MAX_FREQUENCY_HZ
 from repro.workloads.batch import BatchJob, BatchScheduler
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.profiles import AppProfile
 
 
-def predicted_miss_rate(
-    apps: list[AppProfile],
-    cache_capacity_bytes: float,
-    frequency_hz: float = 3.2e9,
-) -> float:
-    """Predicted aggregate L2 miss rate (misses/s) of a co-running set.
+def predicted_miss_rate(apps: list[AppProfile]) -> float:
+    """Predicted aggregate miss rate (misses/s) of a co-running set in
+    the Table 4.1 L2.
 
-    Uses a nominal per-app IPC of 1/CPI_base for the access rates — the
-    scheduler needs a ranking, not an absolute number.
+    Uses a nominal per-app IPC of 1/CPI_base at the top frequency for
+    the access rates — the scheduler needs a ranking, not an absolute
+    number.
     """
     if not apps:
         return 0.0
-    rates = [frequency_hz / app.cpi_base * app.apki / 1000.0 for app in apps]
-    return SharedCacheModel(cache_capacity_bytes).total_miss_rate_per_s(
+    rates = [MAX_FREQUENCY_HZ / app.cpi_base * app.apki / 1000.0 for app in apps]
+    return SharedCacheModel(L2_CAPACITY_BYTES).total_miss_rate_per_s(
         rates, [app.mrc for app in apps]
     )
 
@@ -47,16 +45,7 @@ class CacheAwareScheduler(BatchScheduler):
     fills a freed core.
     """
 
-    def __init__(
-        self,
-        mix: WorkloadMix,
-        copies: int,
-        cores: int,
-        cache_capacity_bytes: float = 4 * 1024 * 1024,
-    ) -> None:
-        if cache_capacity_bytes <= 0:
-            raise SchedulingError("cache capacity must be positive")
-        self._cache_capacity = cache_capacity_bytes
+    def __init__(self, mix: WorkloadMix, copies: int, cores: int) -> None:
         self._initialized = False
         super().__init__(mix, copies, cores)
         self._initialized = True
@@ -83,9 +72,7 @@ class CacheAwareScheduler(BatchScheduler):
                 if candidate.app.name in seen_apps:
                     continue  # identical apps predict identically
                 seen_apps.add(candidate.app.name)
-                rate = predicted_miss_rate(
-                    residents + [candidate.app], self._cache_capacity
-                )
+                rate = predicted_miss_rate(residents + [candidate.app])
                 if rate < best_rate:
                     best_rate = rate
                     best_queue_index = queue_index

@@ -627,9 +627,8 @@ def idle_jobs_service(tmp_path_factory):
         str(tmp_path_factory.mktemp("jobs")), store=MemoryStore()
     )
     queued = jobs.submit_body({"request": {"type": "simulate", **_CELL}})
-    svc = ReproService(
-        port=0, client=ReproClient(store=MemoryStore()), jobs=jobs
-    )
+    svc = ReproService(port=0, jobs=jobs)
+    svc.client = ReproClient(store=MemoryStore())
     with _serving(svc):
         yield svc, queued["job"]["id"]
 
@@ -734,7 +733,7 @@ def test_cli_json_and_http_are_byte_identical(service, capsys):
 
 
 def test_verbose_logging_path(capsys):
-    svc = ReproService(port=0, client=ReproClient(), verbose=True)
+    svc = ReproService(port=0, verbose=True)
     thread = threading.Thread(target=svc.serve_forever, daemon=True)
     thread.start()
     try:

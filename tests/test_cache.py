@@ -1,61 +1,13 @@
-"""Cache substrate: LRU simulator, MRCs, sharing model."""
+"""Cache substrate: MRCs, sharing model."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.mrc import MissRatioCurve, measured_mrc
-from repro.cache.setassoc import SetAssociativeCache
+from repro.cache.mrc import MissRatioCurve
 from repro.cache.sharing import SharedCacheModel
 from repro.errors import ConfigurationError
 
 MB = 1024 * 1024
-
-
-def test_cold_miss_then_hit():
-    cache = SetAssociativeCache(64 * 1024, ways=8)
-    assert not cache.access(0)
-    assert cache.access(0)
-    assert cache.miss_ratio == pytest.approx(0.5)
-
-
-def test_lru_eviction_order():
-    cache = SetAssociativeCache(2 * 64, ways=2, line_bytes=64)  # 1 set, 2 ways
-    cache.access(0)
-    cache.access(64)
-    cache.access(0)  # refresh line 0
-    cache.access(128)  # evicts line 64 (LRU)
-    assert cache.access(0)
-    assert not cache.access(64)
-
-
-def test_occupancy_bounded_by_capacity():
-    cache = SetAssociativeCache(64 * 1024, ways=8)
-    for line in range(10000):
-        cache.access(line * 64)
-    assert cache.occupancy() <= 64 * 1024 // 64
-
-
-def test_streaming_misses_everything():
-    cache = SetAssociativeCache(64 * 1024, ways=8)
-    for line in range(5000):
-        cache.access(line * 64)
-    assert cache.miss_ratio == 1.0
-
-
-def test_working_set_fits():
-    cache = SetAssociativeCache(64 * 1024, ways=8)
-    lines = 64 * 1024 // 64 // 2  # half capacity
-    for _ in range(10):
-        for line in range(lines):
-            cache.access(line * 64)
-    assert cache.miss_ratio < 0.11  # only the cold pass misses
-
-
-def test_geometry_validation():
-    with pytest.raises(ConfigurationError):
-        SetAssociativeCache(1000, ways=3)  # not a multiple
-    with pytest.raises(ConfigurationError):
-        SetAssociativeCache(3 * 64 * 8, ways=8)  # sets not power of two
 
 
 def test_mrc_monotone_non_increasing():
@@ -77,15 +29,6 @@ def test_mrc_validation():
         MissRatioCurve(m_peak=0.5, m_floor=0.6, c_half_bytes=1 * MB)
     with pytest.raises(ConfigurationError):
         MissRatioCurve(m_peak=0.5, m_floor=0.1, c_half_bytes=0.0)
-
-
-def test_measured_mrc_monotone():
-    # A looping working set measured at growing capacities behaves like
-    # a real cache: miss ratio non-increasing.
-    trace = [(i % 3000) * 64 for i in range(30000)]
-    results = measured_mrc(trace, [32 * 1024, 64 * 1024, 256 * 1024])
-    values = [results[c] for c in sorted(results)]
-    assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
 
 def oracle_solve(capacity, rates, curves):

@@ -13,7 +13,6 @@ from repro.dtm.pid import (
 )
 from repro.dtm.pid_policies import PIDPolicy
 from repro.errors import ConfigurationError
-from repro.params.emergency import SIMULATION_LEVELS
 
 
 def _controller(**kwargs) -> PIDController:
@@ -143,7 +142,7 @@ def test_pid_policy_bw_scheme_caps_bandwidth():
 
 
 def test_pid_policy_dram_controller_binds_under_fdhs():
-    policy = PIDPolicy("acg", levels=SIMULATION_LEVELS)
+    policy = PIDPolicy("acg")
     # Hot DRAM, cool AMB: the DRAM controller must throttle.
     decision = policy.decide(ThermalReading(90.0, 85.5), 0.01)
     assert decision.active_cores < 4

@@ -1,17 +1,14 @@
 """Table-driven DTM policies: TS, BW, ACG, CDVFS, COMB."""
 
-import functools
-
 import pytest
 
-from repro.analysis.specs import make_chapter4_policy, make_chapter5_policy
+from repro.analysis.specs import make_chapter4_policy
 from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB, DTMTS, PIDPolicy
 from repro.dtm.base import ControlDecision, NoLimitPolicy, ThermalReading
 from repro.dtm.levels import LevelTracker
 from repro.dtm.pid import AMB_GAINS
 from repro.errors import ConfigurationError
 from repro.params.emergency import PE1950_LEVELS, SIMULATION_LEVELS
-from repro.testbed.platforms import PLATFORMS
 from repro.units import gbps
 
 COOL = ThermalReading(amb_c=100.0, dram_c=70.0)
@@ -194,7 +191,7 @@ def _reading_at_rung(levels, rung):
     )
 
 
-def _pid_at_rung(scheme, levels, rung, cores, min_active, monkeypatch):
+def _pid_at_rung(scheme, rung, monkeypatch):
     """The PID policy's first decision when its output selects ``rung``.
 
     At 50 degC both integrals stay off and the first step has no
@@ -202,35 +199,26 @@ def _pid_at_rung(scheme, levels, rung, cores, min_active, monkeypatch):
     is placed so that output lands on the rung, and the DRAM controller
     saturates at full performance.
     """
-    top = levels.level_count - 1
+    top = SIMULATION_LEVELS.level_count - 1
     output = 5.0 - 10.0 * rung / top
     monkeypatch.setattr(
         "repro.dtm.pid_policies.AMB_TARGET_C", 50.0 + output / AMB_GAINS.kc
     )
     monkeypatch.setattr("repro.dtm.pid_policies.DRAM_TARGET_C", 200.0)
-    policy = PIDPolicy(scheme, levels, cores=cores, min_active=min_active)
-    return policy.decide(ThermalReading(50.0, 40.0), 0.01)
+    return PIDPolicy(scheme).decide(ThermalReading(50.0, 40.0), 0.01)
 
 
-@pytest.mark.parametrize("table", ["SIMULATION", "PE1950", "SR1500AL"])
 @pytest.mark.parametrize("scheme", ["bw", "acg", "cdvfs", "comb"])
-def test_table_and_pid_policies_share_every_rung(table, scheme, monkeypatch):
+def test_table_and_pid_policies_share_every_rung(scheme, monkeypatch):
     """A PID variant picks a rung of the table-driven scheme's ladder:
-    on every rung of every shipped table, with the cores and
-    ``min_active`` the policy factories pass, both return one decision."""
-    if table == "SIMULATION":
-        levels, cores = SIMULATION_LEVELS, 4
-        policy = functools.partial(make_chapter4_policy, scheme)
-        min_active = 1 if scheme == "comb" else 0
-    else:
-        platform = PLATFORMS[table]
-        levels, cores = platform.levels, platform.total_cores
-        policy = functools.partial(make_chapter5_policy, scheme, platform)
-        min_active = 2 if scheme in ("acg", "comb") else 0
+    on every rung of the Table 4.3 levels, with the cores and
+    ``min_active`` the Chapter 4 factory passes, both return one
+    decision."""
+    levels = SIMULATION_LEVELS
     for rung in range(levels.level_count):
-        table_decision = policy().decide(_reading_at_rung(levels, rung), 0.01)
-        pid_decision = _pid_at_rung(
-            scheme, levels, rung, cores, min_active, monkeypatch
+        table_decision = make_chapter4_policy(scheme).decide(
+            _reading_at_rung(levels, rung), 0.01
         )
+        pid_decision = _pid_at_rung(scheme, rung, monkeypatch)
         assert table_decision.emergency_level == rung
         assert pid_decision == table_decision, (rung, pid_decision, table_decision)

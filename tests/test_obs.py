@@ -85,7 +85,7 @@ class TestTracer:
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        TracingObserver(tracer, sample_every=1).record_window(0, 1e-3, 1e-3, 1e-3)
+        TracingObserver(tracer).record_window(0, 1e-3, 1e-3, 1e-3)
         assert tracer.spans() == []
         assert tracer.propagation_header() is None
 
@@ -163,7 +163,8 @@ class TestEngineTracing:
     def test_traced_engine_emits_sampled_window_spans(self, tracer):
         spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
         engine = engine_for_spec(spec)
-        engine._tracing = TracingObserver(tracer, sample_every=500)
+        engine._tracing = TracingObserver(tracer)
+        engine._tracing.sample_every = 500
         with tracer.span("cell"):
             engine.step_windows(1200)
         windows = [s for s in tracer.spans() if s.name == "window"]
@@ -224,14 +225,16 @@ class TestEngineTracing:
         baseline = plain.checkpoint().to_dict()
 
         traced = engine_for_spec(spec)
-        traced._tracing = TracingObserver(Tracer(), sample_every=10)
+        traced._tracing = TracingObserver(Tracer())
+        traced._tracing.sample_every = 10
         traced.step_windows(300)
         state = traced.checkpoint()
         assert state.to_dict() == baseline
 
         # Restore into a traced engine from an untraced checkpoint.
         resumed = engine_for_spec(spec)
-        resumed._tracing = TracingObserver(Tracer(), sample_every=10)
+        resumed._tracing = TracingObserver(Tracer())
+        resumed._tracing.sample_every = 10
         resumed.restore(state)
         resumed.step_windows(100)
         plain.step_windows(100)

@@ -57,10 +57,6 @@ def test_system_peak_bandwidth_about_21gbps():
     assert params.physical_channels * per_channel == pytest.approx(21.3e9, rel=0.02)
 
 
-def test_system_dimm_count():
-    assert SimulatedSystemParams().total_dimms == 16
-
-
 def test_system_rejects_mismatched_channels():
     with pytest.raises(ConfigurationError):
         SimulatedSystemParams(logical_channels=3, physical_channels=4)

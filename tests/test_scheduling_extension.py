@@ -1,24 +1,19 @@
 """Cache-aware job scheduling extension (§6 future work)."""
 
-import pytest
-
-from repro.errors import SchedulingError
 from repro.workloads.batch import BatchScheduler
 from repro.workloads.mixes import get_mix
 from repro.workloads.profiles import get_app
 from repro.workloads.scheduling import CacheAwareScheduler, predicted_miss_rate
 
-MB = 1024 * 1024
-
 
 def test_predicted_miss_rate_empty():
-    assert predicted_miss_rate([], 4 * MB) == 0.0
+    assert predicted_miss_rate([]) == 0.0
 
 
 def test_predicted_miss_rate_monotone_in_corunners():
     swim = get_app("swim")
-    one = predicted_miss_rate([swim], 4 * MB)
-    four = predicted_miss_rate([swim] * 4, 4 * MB)
+    one = predicted_miss_rate([swim])
+    four = predicted_miss_rate([swim] * 4)
     assert four > one
 
 
@@ -27,8 +22,8 @@ def test_predicted_rate_prefers_mixed_pairs():
     hungry/friendly pair — the signal the scheduler exploits."""
     art = get_app("art")          # cache-sensitive, hungry
     crafty = get_app("crafty")    # small working set
-    both_hungry = predicted_miss_rate([art, art], 4 * MB)
-    mixed = predicted_miss_rate([art, crafty], 4 * MB)
+    both_hungry = predicted_miss_rate([art, art])
+    mixed = predicted_miss_rate([art, crafty])
     assert mixed < both_hungry
 
 
@@ -67,7 +62,3 @@ def test_cache_aware_refill_picks_low_contention_job():
     assert refilled is not None
     assert refilled.app.name != "art"
 
-
-def test_cache_aware_validation():
-    with pytest.raises(SchedulingError):
-        CacheAwareScheduler(get_mix("W1"), copies=1, cores=4, cache_capacity_bytes=0)

@@ -9,14 +9,15 @@ The other way round, every ``src/repro`` module must be reachable by
 imports from a run path (the CLI, the HTTP service, ``python -m
 repro``, or a bench, example, tool or perfbench file): a module only
 tests import is a second copy of something no run uses.  One level
-down, every top-level function and class and every method of one must
-be named somewhere in those files besides its own definition.
+down, code in those files must refer to every top-level function and
+class and every method of one, and a production call must set every
+defaulted parameter.  Both scans read the AST, not the words of a file:
+a docstring or a comment names nothing.
 """
 
 import ast
 import importlib.util
 import re
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -52,11 +53,12 @@ ROOT_MODULES = ("repro.cli", "repro.api.service", "repro.__main__")
 ROOT_DIRS = ("benchmarks", "examples", "tools", "perfbench")
 
 
-def _module_files() -> dict[str, Path]:
-    """Dotted name -> file of every module and package under src/repro."""
+def _module_files(src: Path) -> dict[str, Path]:
+    """Dotted name -> file of every module and package under
+    ``src/repro``."""
     modules = {}
-    for path in sorted((SRC / "repro").rglob("*.py")):
-        parts = list(path.relative_to(SRC).with_suffix("").parts)
+    for path in sorted((src / "repro").rglob("*.py")):
+        parts = list(path.relative_to(src).with_suffix("").parts)
         if parts[-1] == "__init__":
             parts.pop()
         modules[".".join(parts)] = path
@@ -98,7 +100,7 @@ def _lazy_exports(path: Path) -> dict[str, str]:
 
 def _reachable() -> set[str]:
     """Every module the run-path roots import, transitively."""
-    modules = _module_files()
+    modules = _module_files(SRC)
     packages = {
         name for name, path in modules.items() if path.name == "__init__.py"
     }
@@ -150,7 +152,7 @@ def _reachable() -> set[str]:
 def test_every_module_is_reachable_from_a_run_path():
     """A module that no CLI command, service route, bench, example,
     tool or perfbench file imports is a second copy nothing runs."""
-    modules = _module_files()
+    modules = _module_files(SRC)
     leaves = {
         name for name, path in modules.items() if path.name != "__init__.py"
     }
@@ -178,6 +180,10 @@ _LIBRARY_HELPER = (
 TEST_ONLY_SYMBOLS = {
     "repro.analysis.normalize.normalize_map": _LIBRARY_HELPER,
     "repro.analysis.series.downsample": _LIBRARY_HELPER,
+    "repro.api.service.ReproService.process_request": (
+        "a socketserver hook: BaseServer calls it for each accepted "
+        "connection"
+    ),
     "repro.errors.ProtocolError": (
         "part of the public exception hierarchy callers catch; the "
         "hierarchy test pins it"
@@ -190,6 +196,7 @@ TEST_ONLY_SYMBOLS = {
     "repro.dram.channel.FrameLink.frames_sent": _DRAM_PROBE,
     "repro.dram.channel.FrameLink.next_free_s": _DRAM_PROBE,
     "repro.dram.controller.ChannelController.ambs": _DRAM_PROBE,
+    "repro.dram.system.MemorySystem.controllers": _DRAM_PROBE,
     "repro.dram.stats.ChannelStats.total_requests": _DRAM_PROBE,
     "repro.dram.trafficgen.random_trace": (
         "an input stream of the cycle-level DRAM model beside the stream "
@@ -203,11 +210,12 @@ TEST_ONLY_SYMBOLS = {
 }
 
 
-def _symbols() -> list[tuple[str, str]]:
+def _symbols(src: Path) -> list[tuple[str, str]]:
     """``(qualified name, name)`` of every top-level function and class
-    under src/repro and every method of such a class (dunders aside)."""
+    under ``src/repro`` and every method of such a class (dunders
+    aside)."""
     found = []
-    for module, path in _module_files().items():
+    for module, path in _module_files(src).items():
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 found.append((f"{module}.{node.name}", node.name))
@@ -220,22 +228,56 @@ def _symbols() -> list[tuple[str, str]]:
     return [(q, name) for q, name in found if not name.startswith("__")]
 
 
-def _orphan_symbols() -> set[str]:
-    """Symbols whose name appears once (their definition) across src/
-    and the run-path directories; tests do not count."""
-    words = Counter(
-        word
-        for directory in ("src", *ROOT_DIRS)
-        for path in (ROOT / directory).rglob("*.py")
-        for word in re.findall(r"[A-Za-z_]\w*", path.read_text())
-    )
-    return {qualified for qualified, name in _symbols() if words[name] <= 1}
+_DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+
+
+def _referenced_names(roots: list[Path]) -> set[str]:
+    """Every name code under ``roots`` refers to: a ``Name``, an
+    ``Attribute``, an imported name, or a part of an identifier-shaped
+    string (an ``_EXPORTS`` entry, a ``getattr`` name, a dotted patch
+    target).  Definitions, docstrings and comments name nothing."""
+    names: set[str] = set()
+    for root in roots:
+        for path in root.rglob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            docstrings = {
+                id(node.body[0].value)
+                for node in ast.walk(tree)
+                if isinstance(
+                    node,
+                    (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef),
+                )
+                and ast.get_docstring(node, clean=False) is not None
+            }
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.update(node.name.split("."))
+                elif (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and id(node) not in docstrings
+                    and _DOTTED.fullmatch(node.value)
+                ):
+                    names.update(node.value.split("."))
+    return names
+
+
+def _orphan_symbols(src: Path, roots: list[Path]) -> set[str]:
+    """Symbols under ``src/repro`` that no code under ``roots`` refers
+    to by name.  A method name two classes share counts as used for
+    both once anything names it."""
+    names = _referenced_names(roots)
+    return {qualified for qualified, name in _symbols(src) if name not in names}
 
 
 def test_every_symbol_is_named_outside_its_definition():
-    """A function, class or method that nothing but its own tests names
-    is code no run needs."""
-    orphans = _orphan_symbols()
+    """A function, class or method that no code but its own tests
+    refers to is code no run needs."""
+    orphans = _orphan_symbols(SRC, [ROOT / d for d in ("src", *ROOT_DIRS)])
     assert sorted(orphans - set(TEST_ONLY_SYMBOLS)) == []
     # An entry whose symbol went, or gained a caller, leaves the list.
     assert sorted(set(TEST_ONLY_SYMBOLS) - orphans) == []
@@ -253,56 +295,146 @@ _DRAM_SURFACE = (
     "a knob of the cycle-level DRAM model, which calibrate_envelope runs "
     "at its defaults; its own tests drive the model with it"
 )
-_KWARGS = "passed through a ``**kwargs`` dict built from CLI flags"
-#: Defaulted parameters that no production call passes by name or
-#: position, each with the reason it stays settable.
+#: Defaulted parameters that no production call passes, each with the
+#: reason it stays settable.
 UNSET_PARAMETERS = {
-    "repro.api.client.ReproClient.run_resumable(checkpoint_every=)": _KWARGS,
-    "repro.campaign.stores.disk.JsonDirStore.prune(tmp_grace_s=)": _KWARGS,
     "repro.core.windowmodel.WindowModel.__init__(l2_capacity_bytes=)": (
         "the bit-exact oracle test of the level-1 model draws arbitrary "
         "L2 capacities through it"
     ),
     "repro.dram.address.AddressMapper.__init__(rows=)": _DRAM_SURFACE,
     "repro.dram.address.AddressMapper.__init__(columns=)": _DRAM_SURFACE,
+    "repro.dram.controller.ChannelController.__init__"
+    "(activation_cap_per_window=)": _DRAM_SURFACE,
     "repro.dram.controller.ChannelController.__init__(throttle_window_s=)": (
         _DRAM_SURFACE
     ),
-    "repro.dram.stats.ChannelStats.throughput_gbps(elapsed_s=)": _DRAM_SURFACE,
-    "repro.dram.trafficgen.stream_trace(start_address=)": _DRAM_SURFACE,
-    "repro.dram.trafficgen.stream_trace(request_bytes=)": _DRAM_SURFACE,
-    "repro.dram.trafficgen.random_trace(request_bytes=)": _DRAM_SURFACE,
-    "repro.dram.trafficgen.poisson_trace(request_bytes=)": _DRAM_SURFACE,
+    "repro.dram.trafficgen.random_trace(seed=)": _DRAM_SURFACE,
+    "repro.jobs.tenancy.QuotaManager.__init__(clock=)": (
+        "the fake clock the token-bucket tests step by hand"
+    ),
 }
 
 
-def _production_calls() -> tuple[set[str], dict[str, float]]:
-    """Every keyword any production call passes, and per callee name
-    (a function's, a method's or a class's) the most positional
-    arguments a call passes it (unbounded with a ``*args``)."""
-    keywords: set[str] = set()
+def _init_owners(src: Path) -> dict[str, str]:
+    """Class name -> the name of the class whose ``__init__`` a call
+    to it runs: its own, or the nearest base's it inherits; classes
+    with no ``__init__`` under ``src/repro`` (dataclasses, subclasses
+    of library classes) are left out."""
+    classes = {
+        node.name: node
+        for path in _module_files(src).values()
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.ClassDef)
+    }
+
+    def owner(name: str) -> str | None:
+        node = classes.get(name)
+        if node is None:
+            return None
+        if any(
+            isinstance(item, ast.FunctionDef) and item.name == "__init__"
+            for item in node.body
+        ):
+            return name
+        for base in node.bases:
+            found = owner(getattr(base, "id", getattr(base, "attr", "")))
+            if found is not None:
+                return found
+        return None
+
+    return {name: found for name in classes if (found := owner(name))}
+
+
+def _production_calls(
+    src: Path, callers: list[Path]
+) -> tuple[dict[str, set[str]], dict[str, float]]:
+    """Per callee, every keyword a call under ``callers`` passes it and
+    the most positional arguments one passes it (unbounded with a
+    ``*args``).  A callee is a function or method by its name, or
+    ``Class.__init__`` for the class whose ``__init__`` a construction
+    or a ``super().__init__`` runs.  A ``**mapping`` call, or passing
+    the callee itself as an argument, sets every parameter (``"**"``)."""
+    owners = _init_owners(src)
+    keywords: dict[str, set[str]] = {}
     positional: dict[str, float] = {}
-    for directory in PRODUCTION_DIRS:
-        for path in (ROOT / directory).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if not isinstance(node, ast.Call):
-                    continue
-                keywords.update(k.arg for k in node.keywords if k.arg)
-                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                count = len(node.args)
-                if any(isinstance(arg, ast.Starred) for arg in node.args):
-                    count = float("inf")
-                positional[callee] = max(positional.get(callee, 0), count)
+
+    def callee(name: str | None) -> str | None:
+        if name in owners:
+            return f"{owners[name]}.__init__"
+        return name
+
+    def constructed(func: ast.expr, cls: ast.ClassDef | None) -> str | None:
+        """The callee a call of ``func`` runs, inside class ``cls``."""
+        if isinstance(func, ast.Name):
+            return callee(func.id)
+        if not isinstance(func, ast.Attribute):
+            return None
+        if func.attr == "__init__" and cls is not None:
+            for base in cls.bases:
+                found = callee(getattr(base, "id", getattr(base, "attr", None)))
+                if found is not None and found.endswith(".__init__"):
+                    return found
+            return None
+        return callee(func.attr)
+
+    def record(node: ast.Call, cls: ast.ClassDef | None, bound: set[str]) -> None:
+        for value in [*node.args, *(k.value for k in node.keywords)]:
+            if isinstance(value, ast.Starred):
+                value = value.value
+            if isinstance(value, ast.Attribute):
+                passed = value.attr
+            elif isinstance(value, ast.Name) and value.id in bound:
+                passed = value.id
+            else:
+                continue
+            keywords.setdefault(callee(passed), set()).add("**")
+        name = constructed(node.func, cls)
+        if name is None:
+            return
+        names = keywords.setdefault(name, set())
+        names.update(k.arg or "**" for k in node.keywords)
+        count = len(node.args)
+        if any(isinstance(arg, ast.Starred) for arg in node.args):
+            count = float("inf")
+        positional[name] = max(positional.get(name, 0), count)
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None, bound: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                record(child, cls, bound)
+            visit(child, child if isinstance(child, ast.ClassDef) else cls, bound)
+
+    for directory in callers:
+        for path in directory.rglob("*.py"):
+            tree = ast.parse(path.read_text(), str(path))
+            # The names a ``def``, a ``class`` or an import binds: a value
+            # passed by one of those can be the callee itself, a value
+            # passed by any other name (a local, a builtin) cannot.
+            bound = {
+                node.name
+                for node in ast.walk(tree)
+                if isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+                )
+            } | {
+                (alias.asname or alias.name).split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            visit(tree, None, bound)
     return keywords, positional
 
 
-def _unset_parameters() -> set[str]:
+def _unset_parameters(src: Path, callers: list[Path]) -> set[str]:
     """``module.Qualified.name(parameter=)`` of every defaulted
-    parameter under src/repro that no production call passes: by
-    keyword (any call with that keyword counts) or by position (a call
-    to a callee of that name with enough positional arguments; a
-    constructor is called by its class's name)."""
-    keywords, positional = _production_calls()
+    parameter under ``src/repro`` that no call under ``callers`` passes
+    to its callee: by keyword, by position, through a ``**mapping``, or
+    by passing the callee itself on as a value.  A method is matched by
+    its name, whichever class defines it; a constructor by the class
+    whose ``__init__`` it runs."""
+    keywords, positional = _production_calls(src, callers)
     found = set()
 
     def visit(node, prefix: str, cls: str | None) -> None:
@@ -313,8 +445,12 @@ def _unset_parameters() -> set[str]:
                 args = child.args
                 ordered = args.posonlyargs + args.args
                 skip = 1 if ordered and ordered[0].arg in ("self", "cls") else 0
-                callee = cls if child.name == "__init__" and cls else child.name
-                reach = positional.get(callee, 0) + skip
+                name = (
+                    f"{cls}.__init__" if child.name == "__init__" and cls
+                    else child.name
+                )
+                passed = keywords.get(name, set())
+                reach = positional.get(name, 0) + skip
                 first = len(ordered) - len(args.defaults)
                 defaulted = [
                     (index, arg) for index, arg in enumerate(ordered)
@@ -324,16 +460,17 @@ def _unset_parameters() -> set[str]:
                     for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                     if default is not None
                 ]
-                found.update(
-                    f"{prefix}{child.name}({arg.arg}=)"
-                    for index, arg in defaulted
-                    if arg.arg not in keywords and index >= reach
-                )
+                if "**" not in passed:
+                    found.update(
+                        f"{prefix}{child.name}({arg.arg}=)"
+                        for index, arg in defaulted
+                        if arg.arg not in passed and index >= reach
+                    )
                 visit(child, f"{prefix}{child.name}.", None)
             else:
                 visit(child, prefix, cls)
 
-    for module, path in _module_files().items():
+    for module, path in _module_files(src).items():
         visit(ast.parse(path.read_text(), str(path)), f"{module}.", None)
     return found
 
@@ -341,8 +478,102 @@ def _unset_parameters() -> set[str]:
 def test_every_settable_value_has_a_production_caller():
     """A defaulted parameter that no run sets is a constant in practice,
     and each one doubles the configurations tests must cover: make it
-    one, or give the reason it stays."""
-    unset = _unset_parameters()
+    one, or give the reason it stays.
+
+    The scan covers the parameters of functions, methods and explicit
+    ``__init__`` methods.  A method is still matched by its name, so a
+    call to one class's method also counts for every other class's
+    method of that name.  Dataclass fields stay outside it: nearly all
+    the fields no named construction sets are records decoded from disk
+    or from requests (``JobRecord``, ``EngineState``,
+    ``CampaignRequest``), which ``cls(**fields)`` builds, or the paper's
+    parameter and platform tables (``DDR2Timing``, ``AMBPowerParams``,
+    ``ServerPlatform``), whose defaults are the published values.
+    Counting them would add allow-list entries, not remove options."""
+    unset = _unset_parameters(SRC, [ROOT / d for d in PRODUCTION_DIRS])
     assert sorted(unset - set(UNSET_PARAMETERS)) == []
     # An entry whose parameter went, or gained a caller, leaves the list.
     assert sorted(set(UNSET_PARAMETERS) - unset) == []
+
+
+# ---------------------------------------------------------------------------
+# The scans themselves: one small tree per resolution rule
+# ---------------------------------------------------------------------------
+
+#: Per rule: a module under ``src/repro``, a production caller under
+#: ``tools``, the scan, and what it must report.  A scan that matched
+#: names instead of callees and references gets each one wrong.
+SCAN_CASES = {
+    "a keyword counts only for its own callee": (
+        "def wanted(limit=1): ...\n"
+        "def other(limit=1): ...\n",
+        "from repro.cases import other, wanted\n"
+        "wanted()\n"
+        "other(limit=2)\n",
+        _unset_parameters,
+        {"repro.cases.wanted(limit=)"},
+    ),
+    "a subclass runs the __init__ it inherits": (
+        "class Base:\n"
+        "    def __init__(self, size=1): ...\n"
+        "class Child(Base): ...\n",
+        "from repro.cases import Child\n"
+        "Child(2)\n",
+        _unset_parameters,
+        set(),
+    ),
+    "super().__init__ runs the base's __init__": (
+        "class Base:\n"
+        "    def __init__(self, size=1): ...\n"
+        "class Child(Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(2)\n",
+        "from repro.cases import Child\n"
+        "Child()\n",
+        _unset_parameters,
+        set(),
+    ),
+    "a **mapping sets every parameter": (
+        "def build(size=1): ...\n",
+        "from repro.cases import build\n"
+        "options = {'size': 2}\n"
+        "build(**options)\n",
+        _unset_parameters,
+        set(),
+    ),
+    "a function passed as a value has every parameter set": (
+        "def work(spec, size=1): ...\n",
+        "from repro.cases import work\n"
+        "pool.submit(work, 'spec', 2)\n",
+        _unset_parameters,
+        set(),
+    ),
+    "a docstring names nothing": (
+        '"""The cases; helper is one of them."""\n'
+        "def helper(): ...\n",
+        "import repro.cases\n",
+        _orphan_symbols,
+        {"repro.cases.helper"},
+    ),
+    "a definition names nothing": (
+        "class First:\n"
+        "    def total(self): ...\n"
+        "class Second:\n"
+        "    def total(self): ...\n",
+        "from repro.cases import First, Second\n"
+        "First(), Second()\n",
+        _orphan_symbols,
+        {"repro.cases.First.total", "repro.cases.Second.total"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_the_scans_resolve_callees_and_references(case, tmp_path):
+    source, caller, scan, expected = SCAN_CASES[case]
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "cases.py").write_text(source)
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "run.py").write_text(caller)
+    roots = [tmp_path / "src", tmp_path / "tools"]
+    assert scan(tmp_path / "src", roots) == expected

@@ -12,19 +12,24 @@ from repro.errors import ConfigurationError
 
 
 def test_stream_addresses_sequential():
-    trace = stream_trace(count=4, line_bytes=64)
+    trace = stream_trace(count=4)
     assert [r.address for r in trace] == [0, 64, 128, 192]
 
 
-def test_stream_write_fraction():
-    trace = stream_trace(count=1000, write_fraction=0.3, seed=1)
-    writes = sum(1 for r in trace if r.kind is RequestKind.WRITE)
-    assert 200 < writes < 400
-
-
-def test_stream_zero_write_fraction():
-    trace = stream_trace(count=100, write_fraction=0.0)
-    assert all(r.kind is RequestKind.READ for r in trace)
+@pytest.mark.parametrize(
+    "trace",
+    [
+        stream_trace(count=100),
+        random_trace(count=100, address_space_bytes=1 << 20),
+        poisson_trace(count=100, address_space_bytes=1 << 20, mean_interarrival_s=1e-7),
+    ],
+    ids=["stream", "random", "poisson"],
+)
+def test_every_request_is_a_32_byte_read_at_a_line_address(trace):
+    assert all(
+        r.kind is RequestKind.READ and r.bytes == 32 and r.address % 64 == 0
+        for r in trace
+    )
 
 
 def test_stream_interarrival():

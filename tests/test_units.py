@@ -20,10 +20,6 @@ def test_ns_roundtrip():
     assert units.ns_to_s(15.0) / units.NS == pytest.approx(15.0)
 
 
-def test_joules():
-    assert units.joules(65.0, 10.0) == pytest.approx(650.0)
-
-
 def test_cache_line_constant():
     assert units.CACHE_LINE_BYTES == 64
 

@@ -8,7 +8,6 @@ import pytest
 from test_cache import oracle_solve
 
 from repro.cache.mrc import MissRatioCurve
-from repro.cache.setassoc import SetAssociativeCache
 from repro.cache.sharing import SharedCacheModel
 from repro.core.windowmodel import MemoryEnvelope, SlotResult, WindowModel, WindowResult
 from repro.engine import codec
@@ -285,7 +284,6 @@ _MODEL_INPUTS = {
         instructions=1e9,
     ),
     SharedCacheModel: dict(capacity_bytes=4 * 1024 * 1024),
-    SetAssociativeCache: dict(capacity_bytes=64 * 1024, ways=8, line_bytes=64),
 }
 _MODEL_FIELDS = [
     (cls, field) for cls in _MODEL_INPUTS for field in _numeric_fields(cls)
@@ -308,11 +306,11 @@ def test_model_inputs_refuse_nan_in_every_numeric_field(cls, field):
 @pytest.mark.parametrize(
     "cls, field",
     [(cls, field) for cls, field in _MODEL_FIELDS
-     if cls in (SharedCacheModel, SetAssociativeCache)],
+     if cls is SharedCacheModel],
     ids=lambda value: getattr(value, "__name__", value),
 )
 def test_cache_inputs_refuse_infinity_and_non_positive_values(cls, field, value):
-    """The cache geometry is refused at construction, naming the field,
-    so ``solve`` and ``access`` never see a bad capacity."""
+    """The cache capacity is refused at construction, naming the field,
+    so ``solve`` never sees a bad one."""
     with pytest.raises(ConfigurationError, match=rf"^{field} must be"):
         cls(**{**_MODEL_INPUTS[cls], field: value})

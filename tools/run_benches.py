@@ -40,9 +40,10 @@ diffable JSON file instead of anecdotes.  Current probes:
   cold 8-cell compare job on the time-sliced scheduler.
 - ``tracing_overhead`` — the same Fig. 4.3 cell with ``repro.obs``
   tracing off (the default: one ``is None`` check per window) vs on
-  at the default 1-in-32 window sampling, reps interleaved.  The
-  traced/untraced ratio is asserted under a generous ceiling so span
-  recording can never quietly become a per-window tax.
+  at the default 1-in-32 window sampling, in at least 15 back-to-back
+  pairs whose first arm alternates.  The median traced/untraced ratio
+  of the pairs is asserted under a generous ceiling so span recording
+  can never quietly become a per-window tax.
 
 Usage::
 
@@ -58,6 +59,7 @@ import json
 import os
 import platform
 import random
+import statistics
 import subprocess
 import sys
 import threading
@@ -455,15 +457,23 @@ def bench_single_flight_dedup(threads: int = 6) -> dict:
     }
 
 
-#: Traced/untraced wall-clock ceiling for the tracing bench.  The
-#: measured overhead at 1-in-32 window sampling is ~1-2%; 1.15x leaves
-#: room for CI-runner noise while still failing if span recording ever
-#: lands on the per-window hot path unconditionally.
+#: Traced/untraced wall-clock ceiling for the tracing bench, on the
+#: median per-pair ratio.  At 1-in-32 window sampling that median
+#: read 1.05-1.11 on a 2-vCPU host; 1.15x leaves room for CI-runner
+#: noise while still failing if span recording ever lands on the
+#: per-window hot path unconditionally.
 TRACING_MAX_RATIO = 1.15
+#: Minimum traced/untraced pairs of the tracing bench.  One cell takes
+#: ~50-90 ms and its untraced time moves by a quarter from one process
+#: to the next on a 2-vCPU host, so best-of-3 times flaked against the
+#: ceiling; the median ratio of many pairs, each run back to back with
+#: the first arm alternating, does not.
+TRACING_PAIRS = 15
 
 
 def bench_tracing_overhead(repeats: int) -> dict:
-    """One Fig. 4.3 cell untraced vs traced (default sampling)."""
+    """One Fig. 4.3 cell untraced vs traced (default sampling), in
+    pairs whose first arm alternates."""
     from repro.obs.trace import DEFAULT_SAMPLE_EVERY, TRACER
 
     spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
@@ -474,33 +484,43 @@ def bench_tracing_overhead(repeats: int) -> dict:
         engine.run_to_completion()
         return time.perf_counter() - started
 
-    untraced: list[float] = []
-    traced: list[float] = []
-    for _ in range(repeats):
-        assert not TRACER.enabled, "bench expects tracing off by default"
-        untraced.append(cell_once())
+    def traced_once() -> float:
         TRACER.configure(enabled=True, sample_every=DEFAULT_SAMPLE_EVERY)
         try:
             with TRACER.span("bench.cell", policy="ts"):
-                traced.append(cell_once())
+                return cell_once()
         finally:
             TRACER.configure(enabled=False)
             TRACER.clear()
-    best_untraced, best_traced = min(untraced), min(traced)
-    ratio = best_traced / best_untraced
+
+    untraced: list[float] = []
+    traced: list[float] = []
+    for pair in range(max(repeats, TRACING_PAIRS)):
+        assert not TRACER.enabled, "bench expects tracing off by default"
+        if pair % 2 == 0:
+            untraced.append(cell_once())
+            traced.append(traced_once())
+        else:
+            traced.append(traced_once())
+            untraced.append(cell_once())
+    ratio = statistics.median(t / u for t, u in zip(traced, untraced))
+    median_untraced = statistics.median(untraced)
+    median_traced = statistics.median(traced)
     assert ratio <= TRACING_MAX_RATIO, (
-        f"traced cell {best_traced:.3f}s is {ratio:.3f}x the untraced "
-        f"{best_untraced:.3f}s (ceiling {TRACING_MAX_RATIO}x) — tracing "
-        f"overhead regressed"
+        f"the median traced/untraced ratio of {len(traced)} pairs is "
+        f"{ratio:.3f}x (medians {median_traced:.3f}s traced, "
+        f"{median_untraced:.3f}s untraced; ceiling {TRACING_MAX_RATIO}x) "
+        f"— tracing overhead regressed"
     )
     return {
         "description": (
             "one W1/ts cell, tracing disabled (default) vs enabled at "
-            f"1-in-{DEFAULT_SAMPLE_EVERY} window sampling, reps "
-            "interleaved"
+            f"1-in-{DEFAULT_SAMPLE_EVERY} window sampling, in pairs whose "
+            "first arm alternates; the ratio is the median per-pair ratio"
         ),
-        "untraced_seconds": round(best_untraced, 4),
-        "traced_seconds": round(best_traced, 4),
+        "pairs": len(traced),
+        "untraced_seconds": round(median_untraced, 4),
+        "traced_seconds": round(median_traced, 4),
         "traced_over_untraced": round(ratio, 4),
         "max_ratio": TRACING_MAX_RATIO,
         "sample_every": DEFAULT_SAMPLE_EVERY,
