@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.analysis.specs import make_chapter4_policy
+from repro.analysis.specs import make_chapter4_policy, make_chapter5_policy
 from repro.dtm import DTMACG, DTMBW, DTMCDVFS, DTMCOMB, DTMTS, PIDPolicy
 from repro.dtm.base import ControlDecision, NoLimitPolicy, ThermalReading
+from repro.dtm.ladder import ladder_decision
 from repro.dtm.levels import LevelTracker
 from repro.dtm.pid import AMB_GAINS
 from repro.errors import ConfigurationError
 from repro.params.emergency import PE1950_LEVELS, SIMULATION_LEVELS
+from repro.testbed.platforms import PLATFORMS
 from repro.units import gbps
 
 COOL = ThermalReading(amb_c=100.0, dram_c=70.0)
@@ -222,3 +224,23 @@ def test_table_and_pid_policies_share_every_rung(scheme, monkeypatch):
         pid_decision = _pid_at_rung(scheme, rung, monkeypatch)
         assert table_decision.emergency_level == rung
         assert pid_decision == table_decision, (rung, pid_decision, table_decision)
+
+
+@pytest.mark.parametrize("table", ["PE1950", "SR1500AL"])
+@pytest.mark.parametrize("scheme", ["bw", "acg", "cdvfs", "comb"])
+def test_chapter5_policies_take_the_ladder_rung_on_every_rung(table, scheme):
+    """On every rung of a server's emergency table, the Chapter 5
+    factory's policy returns that rung of the scheme's ladder, on the
+    server's levels and cores, with one core per socket as the acg and
+    comb floor."""
+    platform = PLATFORMS[table]
+    levels = platform.levels
+    min_active = platform.sockets if scheme in ("acg", "comb") else 0
+    for rung in range(levels.level_count):
+        decision = make_chapter5_policy(scheme, platform).decide(
+            _reading_at_rung(levels, rung), 0.01
+        )
+        assert decision.emergency_level == rung
+        assert decision == ladder_decision(
+            scheme, levels, rung, platform.total_cores, min_active
+        ), (rung, decision)

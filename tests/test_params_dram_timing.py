@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.core.windowmodel import L2_CAPACITY_BYTES
+from repro.dtm.base import CORES
 from repro.errors import ConfigurationError
 from repro.params.dram_timing import DDR2Timing, FBDIMMChannelParams, SimulatedSystemParams
 
@@ -55,6 +57,19 @@ def test_system_peak_bandwidth_about_21gbps():
     channel = params.channel
     per_channel = channel.northbound_read_bytes / (channel.frame_period_ns(params.timing) * 1e-9)
     assert params.physical_channels * per_channel == pytest.approx(21.3e9, rel=0.02)
+
+
+def test_system_dimm_count():
+    params = SimulatedSystemParams()
+    assert params.physical_channels * params.dimms_per_channel == 16
+
+
+def test_table_4_1_constants_match_the_system_params():
+    """The core count the Chapter 4 schemes report and the L2 the window
+    model and the cache-aware scheduler share are Table 4.1's."""
+    params = SimulatedSystemParams()
+    assert CORES == params.cores
+    assert L2_CAPACITY_BYTES == params.l2_capacity_bytes
 
 
 def test_system_rejects_mismatched_channels():

@@ -1,5 +1,8 @@
 """Cache-aware job scheduling extension (§6 future work)."""
 
+import pytest
+
+from repro.errors import SchedulingError
 from repro.workloads.batch import BatchScheduler
 from repro.workloads.mixes import get_mix
 from repro.workloads.profiles import get_app
@@ -62,3 +65,9 @@ def test_cache_aware_refill_picks_low_contention_job():
     assert refilled is not None
     assert refilled.app.name != "art"
 
+
+def test_cache_aware_validation():
+    with pytest.raises(SchedulingError):
+        CacheAwareScheduler(get_mix("W1"), copies=0, cores=4)
+    with pytest.raises(SchedulingError):
+        CacheAwareScheduler(get_mix("W1"), copies=1, cores=0)

@@ -568,12 +568,138 @@ SCAN_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", SCAN_CASES)
-def test_the_scans_resolve_callees_and_references(case, tmp_path):
-    source, caller, scan, expected = SCAN_CASES[case]
+#: The same shape, for what each scan must still count as a use: a
+#: scan that reported code its callers reach gets each one wrong.
+SCAN_USES = {
+    "a positional count counts only for its own callee": (
+        "def wanted(first, limit=1): ...\n"
+        "def other(first, limit=1): ...\n",
+        "from repro.cases import other, wanted\n"
+        "wanted(1, 2)\n"
+        "other(1)\n",
+        _unset_parameters,
+        {"repro.cases.other(limit=)"},
+    ),
+    "a keyword to a class sets its __init__": (
+        "class Box:\n"
+        "    def __init__(self, size=1): ...\n",
+        "from repro.cases import Box\n"
+        "Box(size=2)\n",
+        _unset_parameters,
+        set(),
+    ),
+    "a subclass with its own __init__ does not run the base's": (
+        "class Base:\n"
+        "    def __init__(self, size=1): ...\n"
+        "class Child(Base):\n"
+        "    def __init__(self, size=1): ...\n",
+        "from repro.cases import Child\n"
+        "Child(size=2)\n",
+        _unset_parameters,
+        {"repro.cases.Base.__init__(size=)"},
+    ),
+    "a grandchild runs the __init__ two bases up": (
+        "class Base:\n"
+        "    def __init__(self, size=1): ...\n"
+        "class Middle(Base): ...\n"
+        "class Leaf(Middle): ...\n",
+        "from repro.cases import Leaf\n"
+        "Leaf(size=2)\n",
+        _unset_parameters,
+        set(),
+    ),
+    "a base named through its module runs its __init__": (
+        "class Base:\n"
+        "    def __init__(self, size=1): ...\n",
+        "import repro.cases\n"
+        "class Child(repro.cases.Base):\n"
+        "    def __init__(self):\n"
+        "        super().__init__(size=2)\n"
+        "Child()\n",
+        _unset_parameters,
+        set(),
+    ),
+    "a keyword-only parameter is not set by position": (
+        "def build(first=0, *, size=1): ...\n",
+        "from repro.cases import build\n"
+        "build(1)\n",
+        _unset_parameters,
+        {"repro.cases.build(size=)"},
+    ),
+    "a *args call sets every positional parameter": (
+        "def build(first=0, size=1): ...\n",
+        "from repro.cases import build\n"
+        "values = (1, 2)\n"
+        "build(*values)\n",
+        _unset_parameters,
+        set(),
+    ),
+    "a method call counts for every method of that name": (
+        "class First:\n"
+        "    def step(self, n=1): ...\n"
+        "class Second:\n"
+        "    def step(self, n=1): ...\n",
+        "from repro.cases import First\n"
+        "First().step(n=2)\n",
+        _unset_parameters,
+        set(),
+    ),
+    "an import names a symbol": (
+        "def helper(): ...\n",
+        "from repro.cases import helper\n",
+        _orphan_symbols,
+        set(),
+    ),
+    "an attribute names a symbol": (
+        "def helper(): ...\n",
+        "import repro.cases\n"
+        "repro.cases.helper\n",
+        _orphan_symbols,
+        set(),
+    ),
+    "an identifier-shaped string names a symbol": (
+        "def helper(): ...\n"
+        "def patched(): ...\n",
+        "_EXPORTS = {'helper': 'repro.cases'}\n"
+        "monkeypatch.setattr('repro.cases.patched', None)\n",
+        _orphan_symbols,
+        set(),
+    ),
+    "a sentence in a string names nothing": (
+        "def helper(): ...\n",
+        "import repro.cases\n"
+        "print('call helper first')\n",
+        _orphan_symbols,
+        {"repro.cases.helper"},
+    ),
+    "a method name shared by two classes is used once one is named": (
+        "class First:\n"
+        "    def total(self): ...\n"
+        "class Second:\n"
+        "    def total(self): ...\n",
+        "from repro.cases import First, Second\n"
+        "First().total(), Second()\n",
+        _orphan_symbols,
+        set(),
+    ),
+}
+
+
+def _scan_tree(tmp_path: Path, case: tuple) -> None:
+    source, caller, scan, expected = case
     (tmp_path / "src" / "repro").mkdir(parents=True)
     (tmp_path / "src" / "repro" / "cases.py").write_text(source)
     (tmp_path / "tools").mkdir()
     (tmp_path / "tools" / "run.py").write_text(caller)
     roots = [tmp_path / "src", tmp_path / "tools"]
     assert scan(tmp_path / "src", roots) == expected
+
+
+@pytest.mark.parametrize("case", SCAN_CASES)
+def test_the_scans_resolve_callees_and_references(case, tmp_path):
+    _scan_tree(tmp_path, SCAN_CASES[case])
+
+
+@pytest.mark.parametrize("case", SCAN_USES)
+def test_the_scans_count_every_use(case, tmp_path):
+    _scan_tree(tmp_path, SCAN_USES[case])
