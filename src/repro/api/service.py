@@ -7,6 +7,16 @@ ResultStore), and responds with the canonical envelope JSON — so a
 ``curl`` and a ``--json`` CLI call for the same warm request return
 byte-identical bodies.
 
+``/v1/simulate`` and ``/v1/server`` keep the body of each plain cache
+hit they answer (no ``single_flight`` entry; never a miss), keyed by
+the decoded request, so GET and POST share it.  The table holds at
+most ``MEMO_LIMIT`` replies, the oldest evicted first.  A kept body is
+served again only while the client uses the default cache and its
+memo holds the cell; an evicted cell, a ``REPRO_CACHE_DIR`` switch or
+a recompute takes the full path and answers what it answers.  A
+served body counts one ``repro_store_requests_total{cache="hit"}``,
+takes its run slot and runs under the ``http`` span like any reply.
+
 The v1 routes are the rows of one table, ``_ROUTES``, the only place a
 path or method is spelled out; each handler's docstring says what its
 route answers.  A path no row matches answers 404, and a matched path
@@ -80,6 +90,7 @@ from repro import __version__
 from repro.api.client import ReproClient
 from repro.api.envelope import (
     SCHEMA_VERSION,
+    ResultEnvelope,
     dumps_canonical,
     results_document,
     scenarios_document,
@@ -90,6 +101,8 @@ from repro.api.requests import (
     request_from_dict,
     request_from_text,
 )
+from repro.campaign.engine import memo_hit
+from repro.campaign.stores import cache as cache_module
 from repro.engine.codec import Kind, Optional, Text
 from repro.engine.progress import PROGRESS
 from repro.errors import (
@@ -129,6 +142,13 @@ def _match(path: str) -> tuple[str | None, str | None]:
     return None, None
 
 
+def _body(document: dict | str) -> bytes:
+    """A reply's body: the canonical JSON of ``document`` (text as
+    given), ending in one newline."""
+    text = document if isinstance(document, str) else dumps_canonical(document)
+    return (text + "\n").encode() if not text.endswith("\n") else text.encode()
+
+
 def _log_disconnect(client_address, error: ConnectionError) -> None:
     LOG.info(
         "http.client_disconnected", peer=client_address[0], error=repr(error)
@@ -154,13 +174,12 @@ class _Handler(BaseHTTPRequestHandler):
     def _respond(
         self,
         status: int,
-        document: dict | str,
+        document: dict | str | bytes,
         *,
         content_type: str = "application/json",
         headers: dict | None = None,
     ) -> None:
-        text = document if isinstance(document, str) else dumps_canonical(document)
-        body = (text + "\n").encode() if not text.endswith("\n") else text.encode()
+        body = document if isinstance(document, bytes) else _body(document)
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
@@ -332,10 +351,10 @@ class _Handler(BaseHTTPRequestHandler):
         # body and immediately sends its next request must find the
         # slot free, never a spurious 429.
         try:
-            document = compute(self.server.client, request)
+            body = self.server.run_reply(compute, request)
         finally:
             self.server.release_run_slot()
-        self._respond(200, document)
+        self._respond(200, body)
 
     # -- handlers ----------------------------------------------------------
     # Each takes the query parameters and the path's ``<id>`` segment
@@ -471,8 +490,8 @@ _ROUTES: dict[str, dict] = {
     "/v1/scenarios": {"GET": (_Handler._list_scenarios, ("kind", "tag"))},
     # One Chapter 4 cell, one Chapter 5 cell, every ch4 scheme on one
     # mix, a named grid, and registered scenarios by name.
-    "/v1/simulate": _run_route("simulate", lambda c, r: c.simulate(r).to_json()),
-    "/v1/server": _run_route("server", lambda c, r: c.server(r).to_json()),
+    "/v1/simulate": _run_route("simulate", lambda c, r: c.simulate(r)),
+    "/v1/server": _run_route("server", lambda c, r: c.server(r)),
     "/v1/compare": _run_route(
         "compare", lambda c, r: results_document(c.compare(r))
     ),
@@ -557,7 +576,40 @@ class ReproService(HTTPServer):
         self._idle: list[queue.SimpleQueue] = []
         self._idle_lock = threading.Lock()
         self._closed = False
+        #: request -> (cache key, body) of single-cell plain-hit
+        #: replies, oldest first
+        self._replies: dict[Any, tuple[str, bytes]] = {}
+        self._replies_lock = threading.Lock()
         super().__init__((host, port), _Handler)
+
+    # -- run replies -------------------------------------------------------
+
+    def run_reply(self, compute, request) -> bytes:
+        """The body answering ``compute(client, request)``.
+
+        A single-cell envelope that is a plain hit (no single-flight
+        entry) is kept, and its body served again while the default
+        cache's memo holds its cell; otherwise the request computes.
+        """
+        shared = self.client.store is None
+        kept = self._replies.get(request) if shared else None
+        if kept is not None and memo_hit(kept[0]):
+            return kept[1]
+        document = compute(self.client, request)
+        if not isinstance(document, ResultEnvelope):
+            return _body(document)
+        body = _body(document.to_json())
+        provenance = document.provenance
+        if (
+            shared
+            and provenance.cache == "hit"
+            and provenance.single_flight is None
+        ):
+            with self._replies_lock:
+                self._replies[request] = (provenance.cache_key, body)
+                while len(self._replies) > cache_module.MEMO_LIMIT:
+                    del self._replies[next(iter(self._replies))]
+        return body
 
     # -- handler threads ---------------------------------------------------
 

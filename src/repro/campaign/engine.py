@@ -252,6 +252,19 @@ def cached_outcome(spec: RunSpec, store: ResultStore | None) -> RunOutcome | Non
     return None if entry is None else RunOutcome(*entry, True, 0.0, {})
 
 
+def memo_hit(key: str) -> bool:
+    """Whether the default cache's memo holds ``key`` now; a hit counts
+    one lookup transaction, as a warm :func:`run_cell` does.
+
+    For a caller that answers a warm cell from what it kept of an
+    earlier reply, without running the cell again.
+    """
+    if key not in default_cache().memo:
+        return False
+    _count_request(hit=True)
+    return True
+
+
 def adopt_outcome(
     spec: RunSpec, outcome: RunOutcome, store: ResultStore | None
 ) -> RunOutcome:

@@ -49,9 +49,12 @@ _KEY_ATTR = "_spec_key"
 
 def _key_fields(spec: RunSpec) -> dict:
     excluded = getattr(spec, "KEY_EXCLUDED_FIELDS", ())
+    # Iterate a copy: another thread keying the same spec may add
+    # ``_KEY_ATTR`` to its ``__dict__`` meanwhile (the copy is one C
+    # call, which no thread switch interrupts).
     return {
         k: v
-        for k, v in spec.__dict__.items()
+        for k, v in dict(spec.__dict__).items()
         if k not in excluded and k != _KEY_ATTR
     }
 

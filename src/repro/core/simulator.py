@@ -357,11 +357,6 @@ class TwoLevelSimulator:
         """The run configuration."""
         return self._config
 
-    @property
-    def window_model(self) -> WindowModel:
-        """The level-1 model (shared across runs for memoization)."""
-        return self._window
-
     def engine(self) -> SteppingEngine:
         """A fresh stepping engine for one run of this configuration."""
         return SteppingEngine(

@@ -74,11 +74,6 @@ class FBDIMMChannel:
         self.southbound = FrameLink(period_s)
         self.northbound = FrameLink(period_s)
 
-    @property
-    def params(self) -> FBDIMMChannelParams:
-        """Channel parameters."""
-        return self._params
-
     def send_command(self, earliest_s: float) -> float:
         """Book a southbound frame carrying the ACT + CAS command pair.
 

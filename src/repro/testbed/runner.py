@@ -304,11 +304,6 @@ class ServerSimulator:
         self._window = window_model or ServerWindowModel(platform)
         self._base_frequency_level = base_frequency_level
 
-    @property
-    def window_model(self) -> ServerWindowModel:
-        """The socket-aware performance model (shared for memoization)."""
-        return self._window
-
     def engine(self) -> SteppingEngine:
         """A fresh stepping engine for one run of this measurement."""
         return SteppingEngine(ServerStrategy(

@@ -66,11 +66,6 @@ class AmbientModel:
         self._node = RCNode(params.tau_ambient_s, inlet)
 
     @property
-    def params(self) -> AmbientModelParams:
-        """The ambient-model parameters in use."""
-        return self._params
-
-    @property
     def inlet_c(self) -> float:
         """System inlet temperature, degC."""
         return self._params.inlet_for(self._cooling_name)

@@ -12,14 +12,23 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
 from repro.analysis.specs import Chapter4Spec
-from repro.api import SCHEMA_VERSION, ReproClient, ReproService, ResultEnvelope
+from repro.api import (
+    SCHEMA_VERSION,
+    ReproClient,
+    ReproService,
+    ResultEnvelope,
+    SimulateRequest,
+)
 from repro.api import service as service_module
+from repro.api.envelope import Provenance
 from repro.api.http import ServiceError, call_json
 from repro.campaign import MemoryStore
+from repro.campaign.stores import cache as cache_module
 from repro.cli import main
 from repro.jobs import JobsManager
 
@@ -68,6 +77,14 @@ def _serving(svc: ReproService):
         svc.shutdown()
         svc.server_close()
         thread.join(timeout=5)
+
+
+def _reply(svc: ReproService, path: str, payload: dict | None = None) -> bytes:
+    """One reply's raw body: a GET, or a POST of ``payload`` as JSON."""
+    data = None if payload is None else json.dumps(payload).encode()
+    request = urllib.request.Request(svc.url + path, data=data)
+    with urllib.request.urlopen(request) as response:
+        return response.read()
 
 
 def _raw(svc: ReproService, method: str, path: str, headers: str = ""):
@@ -287,6 +304,180 @@ def test_keep_alive_requests_do_not_wait_for_a_delayed_ack(service):
 
 
 # ---------------------------------------------------------------------------
+# The reply table: warm single-cell replies served from their bytes
+# ---------------------------------------------------------------------------
+
+_CELL_PATH = "/v1/simulate?mix=W1&policy=ts&copies=1"
+
+
+@pytest.fixture
+def fresh_service(tmp_path, monkeypatch):
+    """A service over a default cache of its own (an empty disk store)."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    with _serving(ReproService(port=0)) as svc:
+        yield svc
+
+
+def _no_compute(request):
+    raise AssertionError("computed a reply the table holds")
+
+
+def test_warm_simulate_replies_are_byte_identical(service):
+    _reply(service, _CELL_PATH)  # computes the cell, or finds it in the store
+    post = {"mix": "W1", "policy": "ts", "copies": 1}
+    bodies = [_reply(service, _CELL_PATH) for _ in range(3)]
+    bodies += [_reply(service, "/v1/simulate", post) for _ in range(3)]
+    assert len(set(bodies)) == 1
+    assert json.loads(bodies[0])["provenance"]["cache"] == "hit"
+
+
+def test_warm_server_replies_are_byte_identical(service):
+    path = "/v1/server?platform=PE1950&mix=W1&policy=bw&copies=1"
+    _reply(service, path)
+    bodies = {_reply(service, path) for _ in range(3)}
+    assert len(bodies) == 1
+    assert json.loads(bodies.pop())["provenance"]["cache"] == "hit"
+
+
+def test_each_served_reply_counts_one_store_hit(fresh_service, monkeypatch):
+    svc = fresh_service
+    _reply(svc, _CELL_PATH)
+    kept = _reply(svc, _CELL_PATH)
+    monkeypatch.setattr(svc.client, "simulate", _no_compute)
+    for _ in range(3):
+        before = svc.metrics.counter_value(
+            "repro_store_requests_total", cache="hit"
+        )
+        assert _reply(svc, _CELL_PATH) == kept
+        assert svc.metrics.counter_value(
+            "repro_store_requests_total", cache="hit"
+        ) == before + 1
+
+
+@pytest.mark.parametrize(
+    "cache_env, answer", [("0", "miss"), ("1", "hit")], ids=["no-disk", "disk"]
+)
+def test_an_evicted_cell_answers_what_the_full_path_answers(
+    fresh_service, monkeypatch, cache_env, answer
+):
+    """A cell the memo evicted is recomputed without a disk store (a
+    fresh miss, not the kept bytes) and read back from one (the same
+    hit bytes)."""
+    svc = fresh_service
+    monkeypatch.setenv("REPRO_CACHE", cache_env)
+    monkeypatch.setattr(cache_module, "MEMO_LIMIT", 1)
+    _reply(svc, _CELL_PATH)
+    kept = _reply(svc, _CELL_PATH)
+    _reply(svc, "/v1/simulate?mix=W1&policy=bw&copies=1")  # evicts _CELL_PATH
+    again = _reply(svc, _CELL_PATH)
+    assert json.loads(again)["provenance"]["cache"] == answer
+    assert (again == kept) is (answer == "hit")
+
+
+def test_a_miss_reply_is_never_kept(fresh_service):
+    svc = fresh_service
+    body = _reply(svc, _CELL_PATH)
+    assert json.loads(body)["provenance"]["cache"] == "miss"
+    assert svc._replies == {}
+
+
+def test_a_coalesced_reply_is_never_kept(fresh_service):
+    svc = fresh_service
+    request = SimulateRequest(mix="W1", policy="ts", copies=1)
+    svc.client.simulate(request)  # computes the cell
+    plain = svc.client.simulate(request)
+    assert plain.provenance.cache == "hit"
+    coalesced = replace(
+        plain, provenance=replace(plain.provenance, single_flight="coalesced")
+    )
+    body = svc.run_reply(lambda client, r: coalesced, request)
+    assert json.loads(body)["provenance"]["single_flight"] == "coalesced"
+    assert svc._replies == {}
+    svc.run_reply(lambda client, r: plain, request)
+    assert list(svc._replies) == [request]
+
+
+def test_a_client_with_its_own_store_keeps_no_reply():
+    svc = ReproService(port=0)
+    svc.client = ReproClient(store=MemoryStore())
+    with _serving(svc):
+        bodies = [_reply(svc, _CELL_PATH) for _ in range(2)]
+    assert json.loads(bodies[1])["provenance"]["cache"] == "hit"
+    assert svc._replies == {}
+
+
+def test_the_reply_table_holds_at_most_memo_limit(fresh_service, monkeypatch):
+    svc = fresh_service
+    monkeypatch.setattr(cache_module, "MEMO_LIMIT", 2)
+    for policy in ("ts", "bw", "acg"):
+        for _ in range(2):
+            _reply(svc, f"/v1/simulate?mix=W1&policy={policy}&copies=1")
+        assert len(svc._replies) <= 2
+    assert [request.policy for request in svc._replies] == ["bw", "acg"]
+
+
+def test_concurrently_kept_replies_stay_bounded_and_their_own(monkeypatch):
+    """Sixteen threads keep replies at once under a short switch
+    interval: each body is its own request's, and the table stays
+    within ``MEMO_LIMIT`` while they insert and evict."""
+    monkeypatch.setattr(cache_module, "MEMO_LIMIT", 4)
+    svc = ReproService(port=0)
+    errors = []
+
+    def envelope(client, request) -> ResultEnvelope:
+        return ResultEnvelope(
+            kind="ch4", scenario=None, request={"copies": request.copies},
+            metrics={}, provenance=Provenance("hit", f"key-{request.copies}"),
+        )
+
+    def keep(copies: int) -> None:
+        request = SimulateRequest(copies=copies)
+        try:
+            for _ in range(50):
+                body = json.loads(svc.run_reply(envelope, request))
+                assert body["request"] == {"copies": copies}
+        except Exception as error:  # noqa: BLE001 - reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=keep, args=(n,)) for n in range(1, 17)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        svc.server_close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(svc._replies) <= 4
+
+
+def test_a_served_reply_records_its_http_span(fresh_service, monkeypatch):
+    from repro.obs.trace import TRACE_HEADER, TRACER
+
+    svc = fresh_service
+    _reply(svc, _CELL_PATH)
+    _reply(svc, _CELL_PATH)
+    monkeypatch.setattr(svc.client, "simulate", _no_compute)
+    monkeypatch.setattr(TRACER, "enabled", True)
+    trace_id, parent_id = "feedface0000beef", "abcd00000000beef"
+    header = f"{TRACE_HEADER}: {trace_id}:{parent_id}\r\n"
+    assert _raw(svc, "GET", _CELL_PATH, header)[0] == 200
+
+    def http_spans() -> list:
+        return [s for s in TRACER.spans(trace_id) if s.name == "http"]
+
+    # The span closes just after the reply is written.
+    _await(http_spans, "no http span was recorded")
+    (span,) = http_spans()
+    assert span.parent_id == parent_id
+    assert span.args == {"route": "/v1/simulate", "method": "GET"}
+
+
+# ---------------------------------------------------------------------------
 # Handler threads: one per open connection, reused by the next
 # ---------------------------------------------------------------------------
 
@@ -310,13 +501,18 @@ def _recording(svc: ReproService, monkeypatch, after=None) -> list:
     return threads
 
 
+def _await(condition, failure: str) -> None:
+    """Wait up to 5 s until ``condition()`` holds."""
+    deadline = time.monotonic() + 5.0
+    while not condition():
+        assert time.monotonic() < deadline, failure
+        time.sleep(0.001)
+
+
 def _await_idle(svc: ReproService, count: int = 1) -> None:
     """Wait up to 5 s until ``count`` handler threads wait for a
     connection (a thread goes idle just after its reply is written)."""
-    deadline = time.monotonic() + 5.0
-    while len(svc._idle) < count:
-        assert time.monotonic() < deadline, "no handler thread went idle"
-        time.sleep(0.001)
+    _await(lambda: len(svc._idle) >= count, "no handler thread went idle")
 
 
 def test_sequential_connections_share_one_handler_thread(monkeypatch):
@@ -422,6 +618,9 @@ def test_a_failed_connection_leaves_its_thread_reusable(monkeypatch):
             sock.setsockopt(
                 socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
             )
+        # No reply shows when its thread took it: until then the thread
+        # is still idle from the first connection.
+        _await(lambda: len(threads) == 2, "the reset connection was not served")
         _await_idle(svc)
         assert _raw(svc, "GET", "/v1/healthz")[0] == 200
         _await_idle(svc)
@@ -722,11 +921,10 @@ def test_cli_json_and_http_are_byte_identical(service, capsys):
     capsys.readouterr()
     assert main(args) == 0
     cli_text = capsys.readouterr().out
-    with urllib.request.urlopen(
-        service.url + "/v1/simulate?mix=W1&policy=acg&copies=1"
-    ) as response:
-        http_text = response.read().decode()
+    path = "/v1/simulate?mix=W1&policy=acg&copies=1"
+    http_text = _reply(service, path).decode()
     assert cli_text == http_text
+    assert _reply(service, path).decode() == cli_text
     envelope = ResultEnvelope.from_dict(json.loads(http_text))
     assert envelope.provenance.cache == "hit"
     assert envelope.provenance.compute_seconds == 0.0
