@@ -54,9 +54,9 @@ cold campaign submits beyond the bound gets a structured 429 with a
 through ``/v1/jobs`` to queue instead of racing for slots.  Identical
 *simultaneous* cold requests within the bound still run one compute:
 the default result cache single-flights them
-(:class:`~repro.campaign.stores.ResultCache`).  A handler thread
-outlives its connection: it waits, idle, for the next one, so a
-closed-loop client's warm requests do not each start a thread.
+(:class:`~repro.campaign.stores.ResultCache`).  Each handler thread
+accepts its own connections and serves them on the spot, with no
+hand-off; see :class:`ReproService` for how many wait.
 
 ``serve`` handles SIGTERM by draining: the jobs scheduler checkpoints
 its in-flight window slice and requeues the job (so a restart resumes
@@ -69,9 +69,9 @@ import contextlib
 import contextvars
 import json
 import os
-import queue
 import re
 import signal
+import socket
 import sys
 import threading
 import time
@@ -521,9 +521,11 @@ _ID_ROUTES = [
 ]
 
 
-#: Seconds an idle handler thread waits for its next connection before
-#: it exits.
-_HANDLER_IDLE_S = 30.0
+#: Most handler threads waiting in ``accept()`` at once; a thread done
+#: with a connection exits when this many wait.  Two is the least that
+#: starts no thread per sequential connection: the kernel wakes the
+#: longest-waiting acceptor, not the one that just served.
+_IDLE_ACCEPTORS = 2
 
 
 class ReproService(HTTPServer):
@@ -538,13 +540,16 @@ class ReproService(HTTPServer):
     ``max_concurrent_runs`` bounds the simultaneously executing compute
     routes; excess requests get a structured 429.
 
-    A new connection goes to a handler thread that is waiting idle, or
-    to a new daemon thread when none is, so it never waits behind a
-    busy one.  Each connection runs in a fresh :mod:`contextvars`
-    context, as on a new thread, so no trace or progress label carries
-    over.  A thread goes idle just before it closes its connection, and
-    exits after ``_HANDLER_IDLE_S`` without one or at
-    :meth:`server_close`.
+    :meth:`serve_forever` starts one daemon handler thread and waits
+    for :meth:`shutdown`.  Handler threads block in ``accept()`` on the
+    listener (:attr:`accepting` counts them), and the one that accepts
+    a connection serves it, first starting one more thread if no other
+    waits: a second client never waits behind a busy one.  Each
+    connection runs in a fresh :mod:`contextvars` context, as on a new
+    thread, so no trace or progress label carries over.  A thread done
+    with its connection waits again, so sequential clients do not each
+    start one, unless ``_IDLE_ACCEPTORS`` already wait: then it exits.
+    :meth:`server_close` ends every waiting thread.
     """
 
     def __init__(
@@ -571,11 +576,11 @@ class ReproService(HTTPServer):
         self.max_concurrent_runs = max_concurrent_runs
         self._run_slots = threading.BoundedSemaphore(max_concurrent_runs)
         self._started_monotonic = time.monotonic()
-        #: The inboxes of the handler threads waiting for a connection,
-        #: the most recently idle last.
-        self._idle: list[queue.SimpleQueue] = []
-        self._idle_lock = threading.Lock()
+        #: Handler threads waiting in ``accept()`` on the listener.
+        self.accepting = 0
+        self._accepting_lock = threading.Lock()
         self._closed = False
+        self._shutdown_requested = threading.Event()
         #: request -> (cache key, body) of single-cell plain-hit
         #: replies, oldest first
         self._replies: dict[Any, tuple[str, bytes]] = {}
@@ -613,60 +618,54 @@ class ReproService(HTTPServer):
 
     # -- handler threads ---------------------------------------------------
 
-    def process_request(self, request, client_address) -> None:
-        """Hand the connection to an idle handler thread, or start one."""
-        with self._idle_lock:
-            inbox = self._idle.pop() if self._idle else None
-        if inbox is not None:
-            inbox.put((request, client_address))
-            return
+    def serve_forever(self) -> None:
+        """Start the first handler thread, then wait for :meth:`shutdown`."""
+        self._start_handler_thread()
+        self._shutdown_requested.wait()
+
+    def shutdown(self) -> None:
+        """Make :meth:`serve_forever` return; handler threads serve on
+        until :meth:`server_close`."""
+        self._shutdown_requested.set()
+
+    def _start_handler_thread(self) -> None:
         threading.Thread(
-            target=self._handler_thread,
-            args=(request, client_address),
-            name="repro-http",
-            daemon=True,
+            target=self._handler_thread, name="repro-http", daemon=True
         ).start()
 
-    def _handler_thread(self, request, client_address) -> None:
-        """Serve connections until none comes for ``_HANDLER_IDLE_S``."""
-        inbox: queue.SimpleQueue = queue.SimpleQueue()
-        while request is not None:
-            contextvars.Context().run(
-                self._serve_connection, request, client_address, inbox
-            )
-            request, client_address = self._next_connection(inbox)
-
-    def _serve_connection(self, request, client_address, inbox) -> None:
-        """Serve one connection as ``ThreadingMixIn`` does, then go idle."""
-        try:
+    def _handler_thread(self) -> None:
+        """Accept connections and serve each on the spot, until the
+        listener closes or ``_IDLE_ACCEPTORS`` other threads wait."""
+        while True:
+            with self._accepting_lock:
+                if self._closed or self.accepting >= _IDLE_ACCEPTORS:
+                    return
+                self.accepting += 1
             try:
-                self.finish_request(request, client_address)
-            except Exception:
-                self.handle_error(request, client_address)
-            # Idle before the close: a client that opens its next
-            # connection once this one closes finds this thread.
-            with self._idle_lock:
-                if self._closed:
-                    inbox.put((None, None))
-                else:
-                    self._idle.append(inbox)
+                request, client_address = self.get_request()
+            except OSError:
+                # Closed (the loop's top returns), or this accept failed.
+                with self._accepting_lock:
+                    self.accepting -= 1
+                continue
+            with self._accepting_lock:
+                self.accepting -= 1
+                last = self.accepting == 0
+            if last:
+                # The next client must not wait behind this connection.
+                self._start_handler_thread()
+            contextvars.Context().run(
+                self._serve_connection, request, client_address
+            )
+
+    def _serve_connection(self, request, client_address) -> None:
+        """Serve one connection as ``ThreadingMixIn`` does."""
+        try:
+            self.finish_request(request, client_address)
+        except Exception:
+            self.handle_error(request, client_address)
         finally:
             self.shutdown_request(request)
-
-    def _next_connection(self, inbox: queue.SimpleQueue) -> tuple:
-        """The next connection handed to this thread; ``(None, None)``
-        once it has waited ``_HANDLER_IDLE_S`` or the server closed."""
-        try:
-            return inbox.get(timeout=_HANDLER_IDLE_S)
-        except queue.Empty:
-            pass
-        with self._idle_lock:
-            if inbox in self._idle:
-                self._idle.remove(inbox)
-                return None, None
-        # process_request took this inbox as the wait ran out: its
-        # connection is on the way.
-        return inbox.get()
 
     def handle_error(self, request, client_address) -> None:
         """Log an exception that escaped a connection as one structured
@@ -684,13 +683,14 @@ class ReproService(HTTPServer):
         )
 
     def server_close(self) -> None:
-        """Close the listener and release every idle handler thread."""
-        super().server_close()
-        with self._idle_lock:
+        """Close the listener: each handler thread exits once done."""
+        with self._accepting_lock:
             self._closed = True
-            idle, self._idle = self._idle, []
-        for inbox in idle:
-            inbox.put((None, None))
+        # A close does not wake a thread blocked in accept(); on Linux,
+        # shutting the listener down does (the accept fails).
+        with contextlib.suppress(OSError):
+            self.socket.shutdown(socket.SHUT_RDWR)
+        super().server_close()
 
     def uptime_s(self) -> float:
         """Seconds since this service object was created."""
@@ -751,9 +751,8 @@ def serve(
             return
         draining.set()
         LOG.info("service.draining", "sigterm: draining in-flight slices")
-        # shutdown() must not run on the thread inside serve_forever()
-        # (it would deadlock waiting for itself), and a signal handler
-        # runs exactly there — hand the drain to a helper thread.
+        # The drain waits for the in-flight slice; a helper thread runs
+        # it, so the handler returns to serve_forever()'s wait at once.
         threading.Thread(
             target=_drain_and_shutdown, name="repro-drain", daemon=True
         ).start()

@@ -242,9 +242,7 @@ def test_an_unexpected_handler_error_is_a_structured_500(
     assert excinfo.value.body["schema_version"] == SCHEMA_VERSION
     assert "RuntimeError" in excinfo.value.error
     # The latency lands just after the reply is written.
-    deadline = time.monotonic() + 5.0
-    while timed() == before and time.monotonic() < deadline:
-        time.sleep(0.01)
+    _await(lambda: timed() != before, "no request latency was recorded")
     assert timed() == before + 1
     monkeypatch.undo()
     assert call_json("GET", url, timeout_s=5)["request"]["mix"] == "W1"
@@ -478,7 +476,7 @@ def test_a_served_reply_records_its_http_span(fresh_service, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Handler threads: one per open connection, reused by the next
+# Handler threads: each accepts its own connections; a few wait between
 # ---------------------------------------------------------------------------
 
 
@@ -509,21 +507,39 @@ def _await(condition, failure: str) -> None:
         time.sleep(0.001)
 
 
-def _await_idle(svc: ReproService, count: int = 1) -> None:
-    """Wait up to 5 s until ``count`` handler threads wait for a
-    connection (a thread goes idle just after its reply is written)."""
-    _await(lambda: len(svc._idle) >= count, "no handler thread went idle")
+def _await_accepting(svc: ReproService, count: int) -> None:
+    """Wait up to 5 s until ``count`` handler threads wait in
+    ``accept()`` (a thread waits again once its connection closed)."""
+    _await(
+        lambda: svc.accepting == count,
+        f"{svc.accepting} handler threads wait in accept(), not {count}",
+    )
 
 
-def test_sequential_connections_share_one_handler_thread(monkeypatch):
+def _handler_threads(before: set) -> list:
+    """The live handler threads not in ``before`` (a thread snapshot
+    taken before the service under test was built)."""
+    return [
+        thread for thread in threading.enumerate()
+        if thread.name == "repro-http" and thread not in before
+    ]
+
+
+def test_sequential_connections_take_turns_on_the_waiting_threads(
+    monkeypatch,
+):
+    """The kernel hands each connection to the longest-waiting thread
+    in accept(), so sequential connections alternate over the
+    ``_IDLE_ACCEPTORS`` waiting threads and start no further one."""
     svc = ReproService(port=0)
     threads = _recording(svc, monkeypatch)
     with _serving(svc):
         for _ in range(6):
             # urllib closes each connection (``Connection: close``).
             assert _get(svc, "/v1/healthz")[0] == 200
-            _await_idle(svc)
-    assert len(threads) == 6 and len(set(threads)) == 1
+            _await_accepting(svc, service_module._IDLE_ACCEPTORS)
+    assert len(threads) == 6
+    assert len(set(threads)) <= service_module._IDLE_ACCEPTORS
 
 
 def test_neither_a_held_connection_nor_a_slow_compute_delays_healthz(
@@ -586,12 +602,12 @@ def test_a_reused_thread_starts_each_connection_in_a_fresh_context(
     threads = _recording(svc, monkeypatch, after=leak)
     with _serving(svc):
         header = f"{TRACE_HEADER}: {trace_id}:{parent_id}\r\n"
-        assert _raw(svc, "GET", "/v1/healthz", header)[0] == 200
-        _await_idle(svc)
-        assert _raw(svc, "GET", "/v1/healthz")[0] == 200
-        _await_idle(svc)
-    assert len(threads) == 2 and threads[0] is threads[1]
-    assert seen == [(None, None), (None, None)]
+        for headers in (header, "", ""):
+            assert _raw(svc, "GET", "/v1/healthz", headers)[0] == 200
+            _await_accepting(svc, service_module._IDLE_ACCEPTORS)
+    # Three connections on at most two threads: one thread served two.
+    assert len(threads) == 3 and len(set(threads)) < 3
+    assert seen == [(None, None)] * 3
     joined = [span for span in TRACER.spans(trace_id) if span.name == "http"]
     assert len(joined) == 1 and joined[0].parent_id == parent_id
 
@@ -608,24 +624,25 @@ def test_a_failed_connection_leaves_its_thread_reusable(monkeypatch):
     monkeypatch.setattr(
         svc, "handle_error", lambda request, address: errors.append(address)
     )
+    bound = service_module._IDLE_ACCEPTORS
     with _serving(svc):
-        # The handler raises after its reply; the server logs it.
+        # The handler raises after its reply; the server logs it.  Only
+        # the first thread and the one it started exist, so two waiting
+        # means the failed thread went back to accept().
         assert _raw(svc, "GET", "/v1/healthz")[0] == 200
-        _await_idle(svc)
+        _await_accepting(svc, bound)
         # A client that resets its connection instead of reading.
         with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as sock:
             sock.sendall(b"GET /metrics HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n")
             sock.setsockopt(
                 socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
             )
-        # No reply shows when its thread took it: until then the thread
-        # is still idle from the first connection.
         _await(lambda: len(threads) == 2, "the reset connection was not served")
-        _await_idle(svc)
+        _await_accepting(svc, bound)
         assert _raw(svc, "GET", "/v1/healthz")[0] == 200
-        _await_idle(svc)
+        _await_accepting(svc, bound)
     assert len(errors) >= 1
-    assert len(threads) == 3 and len(set(threads)) == 1
+    assert len(threads) == 3 and len(set(threads)) <= bound
 
 
 def test_a_client_reset_mid_reply_is_a_logged_disconnect(monkeypatch, capfd):
@@ -658,49 +675,98 @@ def test_a_client_reset_mid_reply_is_a_logged_disconnect(monkeypatch, capfd):
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
         sock.close()
         reset.set()
-        _await_idle(svc)
+        # The thread goes back to accept() once it logged the reset.
+        _await_accepting(svc, service_module._IDLE_ACCEPTORS)
     assert events == [("info", "http.client_disconnected")]
     assert capfd.readouterr().err == ""
 
 
-def test_server_close_ends_every_idle_handler_thread(monkeypatch):
+@pytest.mark.parametrize("waiting", [0, 1, 3])
+def test_server_close_ends_every_handler_thread(monkeypatch, waiting):
+    """server_close() ends every handler thread within 5 s, with 0
+    threads waiting in accept() (the service never served), 1 (beside
+    a thread busy on a kept-alive connection, whose client leaves after
+    the close) or 3 (three threads that served at once)."""
+    monkeypatch.setattr(service_module, "_IDLE_ACCEPTORS", max(2, waiting))
+    before = set(threading.enumerate())
     svc = ReproService(port=0)
     threads = _recording(svc, monkeypatch)
-    with _serving(svc):
-        # Two connections open at once are served by two threads.
-        first = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
-        second = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
-        for connection in (first, second):
+    serving = threading.Thread(target=svc.serve_forever, daemon=True)
+    held = [
+        http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+        for _ in range(waiting)
+    ]
+    if waiting:
+        serving.start()
+        for connection in held:
             connection.request("GET", "/v1/healthz")
             assert connection.getresponse().read()
-        first.close()
-        second.close()
-        _await_idle(svc, 2)
-    assert len(set(threads)) == 2
-    for thread in threads:
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+        # Connections open at once are served by as many threads.
+        assert len(set(threads)) == waiting
+    if waiting == 3:
+        for connection in held:
+            connection.close()
+    _await_accepting(svc, waiting)
+    svc.server_close()
+    for connection in held:
+        connection.close()
+    _await(
+        lambda: not _handler_threads(before),
+        "a handler thread outlived server_close()",
+    )
+    assert svc.accepting == 0
+    if waiting:
+        svc.shutdown()
+        serving.join(timeout=5)
 
 
-def test_an_idle_handler_thread_exits_after_its_idle_period(monkeypatch):
-    monkeypatch.setattr(service_module, "_HANDLER_IDLE_S", 0.05)
+def test_shutdown_makes_serve_forever_return():
+    svc = ReproService(port=0)
+    serving = threading.Thread(target=svc.serve_forever, daemon=True)
+    serving.start()
+    _await_accepting(svc, 1)
+    svc.shutdown()
+    serving.join(timeout=5)
+    assert not serving.is_alive()
+    svc.server_close()
+
+
+def test_a_burst_is_served_and_leaves_at_most_the_idle_bound(monkeypatch):
+    """Eight connections held open at once are each served, each by its
+    own thread; once they close, the threads beyond the
+    ``_IDLE_ACCEPTORS`` waiting ones exit."""
+    before = set(threading.enumerate())
     svc = ReproService(port=0)
     threads = _recording(svc, monkeypatch)
     with _serving(svc):
-        assert _get(svc, "/v1/healthz")[0] == 200
-        threads[0].join(timeout=5)
-        assert not threads[0].is_alive() and svc._idle == []
-        # The next connection starts a new thread.
-        assert _get(svc, "/v1/healthz")[0] == 200
-    assert len(threads) == 2 and threads[0] is not threads[1]
+        held = [
+            http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+            for _ in range(8)
+        ]
+        try:
+            for connection in held:
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                assert response.status == 200 and response.read()
+        finally:
+            for connection in held:
+                connection.close()
+        assert len(set(threads)) == 8
+        bound = service_module._IDLE_ACCEPTORS
+        _await(
+            lambda: len(_handler_threads(before)) <= bound,
+            "more than _IDLE_ACCEPTORS handler threads outlived the burst",
+        )
+        _await_accepting(svc, bound)
 
 
-
-def test_hand_offs_racing_idle_exits_answer_every_connection(monkeypatch):
-    """Eight clients against handler threads that give up after 1 ms
-    idle, under a short switch interval: hand-offs race the threads'
-    exits, and every connection is still answered."""
-    monkeypatch.setattr(service_module, "_HANDLER_IDLE_S", 0.001)
+def test_accepts_racing_thread_exits_answer_every_connection(monkeypatch):
+    """Eight clients against one waiting thread at most, under a short
+    switch interval: each served thread's exit races the next accept,
+    and every connection is still answered; no handler thread outlives
+    server_close()."""
+    monkeypatch.setattr(service_module, "_IDLE_ACCEPTORS", 1)
+    before = set(threading.enumerate())
     svc = ReproService(port=0)
     statuses = []
 
@@ -721,6 +787,11 @@ def test_hand_offs_racing_idle_exits_answer_every_connection(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in clients)
     assert statuses == [200] * 200
+    _await(
+        lambda: not _handler_threads(before),
+        "a handler thread outlived server_close()",
+    )
+
 
 def test_jobs_rejected_over_http(service):
     code, body = _error(service, "/v1/campaign?grid=ch4&mixes=W1&policies=ts&copies=1&jobs=4")

@@ -180,10 +180,6 @@ _LIBRARY_HELPER = (
 TEST_ONLY_SYMBOLS = {
     "repro.analysis.normalize.normalize_map": _LIBRARY_HELPER,
     "repro.analysis.series.downsample": _LIBRARY_HELPER,
-    "repro.api.service.ReproService.process_request": (
-        "a socketserver hook: BaseServer calls it for each accepted "
-        "connection"
-    ),
     "repro.errors.ProtocolError": (
         "part of the public exception hierarchy callers catch; the "
         "hierarchy test pins it"
