@@ -1,10 +1,9 @@
 """One JSON-over-HTTP client for every outbound call.
 
-The CLI (``trace export --url``, ``slo check``) and
-:class:`~repro.jobs.JobsClient` both call a service through
-:func:`call_json`, so a failed call reads the same everywhere.  This
-module imports nothing from the api or jobs layers, so each of them
-can use it without an import cycle.
+:class:`~repro.jobs.JobsClient`, behind every ``repro jobs`` command,
+calls a service through :func:`call_json`, so a failed call reads the
+same everywhere.  This module imports nothing from the api or jobs
+layers, so each of them can use it without an import cycle.
 """
 
 from __future__ import annotations

@@ -104,7 +104,6 @@ from repro.api.requests import (
 from repro.campaign.engine import memo_hit
 from repro.campaign.stores import cache as cache_module
 from repro.engine.codec import Kind, Optional, Text
-from repro.engine.progress import PROGRESS
 from repro.errors import (
     ConfigurationError,
     ConflictError,
@@ -115,7 +114,6 @@ from repro.errors import (
 from repro.jobs.tenancy import QuotaExceeded
 from repro.obs.log import LOG
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.slo import slo_document
 from repro.obs.trace import TRACE_HEADER, TRACER, chrome_trace
 
 
@@ -368,13 +366,6 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._respond(200, scenarios_document(descriptors))
 
-    def _progress(self, params: dict, ident: str | None) -> None:
-        """Live progress of this process's engine runs (``?key=`` filters)."""
-        self._respond(200, {
-            "schema_version": SCHEMA_VERSION,
-            "runs": PROGRESS.snapshot(params.get("key")),
-        })
-
     def _healthz(self, params: dict, ident: str | None) -> None:
         """Liveness + queue summary (mounted with or without --jobs);
         ``degraded`` once a job record write has failed."""
@@ -410,34 +401,13 @@ class _Handler(BaseHTTPRequestHandler):
                 content_type="text/plain; version=0.0.4",
             )
 
-    def _slo(self, params: dict, ident: str | None) -> None:
-        """Current SLO verdicts from the service's metrics registry."""
-        jobs = self.server.jobs
-        if jobs is not None:
-            jobs.publish_usage_metrics()
-        document = slo_document(self.server.metrics)
-        document["schema_version"] = SCHEMA_VERSION
-        self._respond(200, document)
-
     def _trace(self, params: dict, trace_id: str | None) -> None:
-        """One trace's spans from the in-process ring.
-
-        ``?format=chrome`` (the default) answers with a Chrome
-        trace-event document; ``?format=spans`` with the raw span
-        dicts.  Unknown trace ids answer 404 — the ring is bounded, so
-        old traces age out.
-        """
-        fmt = _param(params, "format", Text(("chrome", "spans")), "chrome")
+        """One trace's spans from the in-process ring, as a Chrome
+        trace-event document.  Unknown trace ids answer 404 — the ring
+        is bounded, so old traces age out."""
         spans = TRACER.spans(trace_id)
         if not spans:
             raise NotFoundError(f"no spans retained for trace {trace_id!r}")
-        if fmt == "spans":
-            self._respond(200, {
-                "schema_version": SCHEMA_VERSION,
-                "trace_id": trace_id,
-                "spans": [span.to_dict() for span in spans],
-            })
-            return
         self._respond(200, chrome_trace(spans))
 
     # -- jobs --------------------------------------------------------------
@@ -501,11 +471,9 @@ _ROUTES: dict[str, dict] = {
     "/v1/scenarios/run": _run_route(
         "scenarios", lambda c, r: results_document(c.run_campaign(r))
     ),
-    "/v1/progress": {"GET": (_Handler._progress, ("key",))},
     "/v1/healthz": {"GET": (_Handler._healthz, ())},
     "/metrics": {"GET": (_Handler._metrics, ("format",))},
-    "/v1/slo": {"GET": (_Handler._slo, ())},
-    "/v1/trace/<id>": {"GET": (_Handler._trace, ("format",))},
+    "/v1/trace/<id>": {"GET": (_Handler._trace, ())},
     "/v1/jobs": {
         "GET": (_Handler._jobs_list, ("tenant",)),
         "POST": (_Handler._jobs_submit, ()),

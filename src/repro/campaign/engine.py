@@ -30,7 +30,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 from repro.campaign.spec import RunSpec, runner_for, spec_meta
 from repro.campaign.stores import ResultCache, ResultStore, default_cache
 from repro.engine.codec import Count, Optional
-from repro.engine.progress import PROGRESS
 from repro.engine.state import EngineState
 from repro.errors import CheckpointError, ConfigurationError
 from repro.obs.metrics import METRICS
@@ -38,7 +37,7 @@ from repro.obs.trace import TRACER
 
 
 def _count_request(hit: bool) -> None:
-    """Feed the warm-hit-ratio SLO: one sample per lookup transaction."""
+    """Count one lookup transaction by its cache outcome."""
     METRICS.counter_inc(
         "repro_store_requests_total",
         "Result-store lookup transactions by cache outcome",
@@ -142,8 +141,9 @@ def run_cell(
     stops the run: the outcome then carries that checkpoint and no
     payload.
 
-    The compute runs under a ``cell`` span and the caller's progress
-    label (the cache key when the caller set none).  The engine is only
+    The compute runs under a ``cell`` span and whatever progress label
+    the caller set (a job sets ``<job-id>/<cell-key>``; a direct call
+    sets none, so its engine publishes nothing).  The engine is only
     built on a miss, so warm reads never pay for its construction.
     A ``window_slice`` below 1 is refused before the lookup.
     """
@@ -159,27 +159,25 @@ def run_cell(
     def compute() -> RunOutcome:
         started = time.perf_counter()
         runner = runner_for(spec.kind)
-        label = PROGRESS.current_label() or key
         with TRACER.span("cell", key=key, kind=spec.kind):
-            with PROGRESS.track(label):
-                engine = runner.make_engine(spec)
-                if resume is not None:
-                    engine.restore(resume)
-                if window_slice is None:
-                    result = engine.run_to_completion()
-                else:
-                    while True:
-                        engine.step_windows(window_slice)
-                        if engine.done:
-                            break
-                        state = engine.checkpoint()
-                        if on_slice is not None and on_slice(state):
-                            seconds = time.perf_counter() - started
-                            return RunOutcome(
-                                None, None, False, seconds,
-                                windows=engine.windows, state=state,
-                            )
-                    result = engine.finish()
+            engine = runner.make_engine(spec)
+            if resume is not None:
+                engine.restore(resume)
+            if window_slice is None:
+                result = engine.run_to_completion()
+            else:
+                while True:
+                    engine.step_windows(window_slice)
+                    if engine.done:
+                        break
+                    state = engine.checkpoint()
+                    if on_slice is not None and on_slice(state):
+                        seconds = time.perf_counter() - started
+                        return RunOutcome(
+                            None, None, False, seconds,
+                            windows=engine.windows, state=state,
+                        )
+                result = engine.finish()
         seconds = time.perf_counter() - started
         METRICS.observe(
             "repro_cell_compute_seconds",

@@ -44,9 +44,9 @@ results are cached, deduplicated, and identical across entry points.
 
 Each call is a fresh process whose warm answer is mostly imports, so
 the module imports only what the parser and the run commands share;
-``serve``, ``jobs``, ``homogeneous``, ``slo`` and ``trace`` import
-their own dependencies in their handlers, and ``simulate`` never
-loads the HTTP service, the job layer or the testbed runner.
+``serve``, ``jobs`` and ``homogeneous`` import their own dependencies
+in their handlers, and ``simulate`` never loads the HTTP service, the
+job layer or the testbed runner.
 
 Examples::
 
@@ -68,7 +68,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -95,7 +94,6 @@ from repro.api.requests import (
 )
 from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores import default_disk_store, disk_cache_enabled
-from repro.engine.codec import Float
 from repro.errors import ConfigurationError, ReproError
 from repro.testbed.platforms import PLATFORMS
 
@@ -228,17 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true", help="log each HTTP request"
     )
     serve_cmd.add_argument(
-        "--trace", action="store_true",
-        help="record spans for every request/campaign window "
-        "(also REPRO_TRACE=1); export with 'repro trace export' "
-        "or GET /v1/trace/<trace_id>",
-    )
-    serve_cmd.add_argument(
-        "--log-json", action="store_true",
-        help="emit one-line JSON logs (ts/level/event/trace_id) on "
-        "stderr instead of plain text (also REPRO_LOG_JSON=1)",
-    )
-    serve_cmd.add_argument(
         "--jobs", action="store_true",
         help="mount the multi-tenant job service (/v1/jobs): persistent "
         "priority queue, per-tenant quotas, preemptive scheduling",
@@ -329,61 +316,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_url_flag(j_list)
     j_list.add_argument("--tenant", default=None, help="filter by tenant")
     add_json_flag(j_list)
-
-    trace_cmd = sub.add_parser(
-        "trace", help="export recorded traces (Chrome trace-event JSON)"
-    )
-    trace_action = trace_cmd.add_subparsers(dest="action", required=True)
-    t_export = trace_action.add_parser(
-        "export",
-        help="convert a span source to Chrome trace JSON "
-        "(open in Perfetto / chrome://tracing)",
-    )
-    t_export.add_argument(
-        "--input", default=None, metavar="PATH",
-        help="JSONL span sink written under REPRO_TRACE_JSONL",
-    )
-    t_export.add_argument(
-        "--url", default=None, metavar="URL",
-        help="base URL of a traced service; fetches /v1/trace/<trace-id>",
-    )
-    t_export.add_argument(
-        "--trace-id", default=None, metavar="ID",
-        help="trace to export (required with --url; filters --input)",
-    )
-    t_export.add_argument(
-        "--output", default=None, metavar="PATH",
-        help="write the Chrome trace here (default stdout)",
-    )
-
-    slo_cmd = sub.add_parser(
-        "slo", help="evaluate service-level objectives against a service"
-    )
-    slo_action = slo_cmd.add_subparsers(dest="action", required=True)
-    s_check = slo_action.add_parser(
-        "check",
-        help="fetch /v1/slo and exit nonzero on any breach (CI gate)",
-    )
-    s_check.add_argument(
-        "--url", required=True, metavar="URL",
-        help="base URL of a running service (e.g. http://127.0.0.1:8765)",
-    )
-    s_check.add_argument(
-        "--override", action="append", default=[], metavar="NAME=THRESHOLD",
-        dest="overrides",
-        help="tighten/loosen one SLO threshold client-side (repeatable), "
-        "e.g. --override warm_hit_ratio=0.9",
-    )
-    add_json_flag(s_check)
-    s_rules = slo_action.add_parser(
-        "rules",
-        help="print the SLO set as a Prometheus alerting-rules file "
-        "(multi-window burn-rate alerts)",
-    )
-    s_rules.add_argument(
-        "--override", action="append", default=[], metavar="NAME=THRESHOLD",
-        dest="overrides", help="per-SLO threshold override (repeatable)",
-    )
     return parser
 
 
@@ -738,8 +670,9 @@ def _cmd_jobs(args: argparse.Namespace) -> int:
         return 0
     _print_job_line(document["job"])
     if args.action == "status":
-        for key, done in sorted((document.get("progress") or {}).items()):
-            print(f"  {key}: {done}")
+        progress = document["job"].get("progress", {})
+        for key, snapshot in sorted(progress.items()):
+            print(f"  {key}: {snapshot}")
     return 0
 
 
@@ -751,11 +684,6 @@ def _tenant_policy(text: str) -> TenantPolicy:
     if len(parts) != 3:
         raise ValueError("expected MAX_ACTIVE,RATE,BURST")
     return TenantPolicy(int(parts[0]), float(parts[1]), int(parts[2]))
-
-
-def _threshold(text: str) -> float:
-    """An SLO threshold: a finite number."""
-    return Float().decode(float(text), "threshold", None, ConfigurationError)
 
 
 def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
@@ -779,108 +707,9 @@ def _jobs_manager_from_flags(args: argparse.Namespace) -> JobsManager:
     )
 
 
-def _apply_obs_flags(args: argparse.Namespace) -> None:
-    """Honor --trace / --log-json before the service starts."""
-    from repro.obs.log import LOG
-    from repro.obs.trace import TRACER
-
-    if args.trace:
-        TRACER.configure(enabled=True)
-    if args.log_json:
-        LOG.configure(json_mode=True)
-
-
-def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.api.http import call_json
-    from repro.obs.trace import chrome_trace, read_jsonl
-
-    if (args.input is None) == (args.url is None):
-        raise ConfigurationError(
-            "trace export needs exactly one span source: --input JSONL "
-            "or --url (with --trace-id)"
-        )
-    if args.url is not None:
-        if not args.trace_id:
-            raise ConfigurationError("--url requires --trace-id")
-        base = args.url.rstrip("/")
-        document = call_json(
-            "GET",
-            f"{base}/v1/trace/{args.trace_id}?format=chrome",
-            timeout_s=30.0,
-        )
-    else:
-        spans = list(read_jsonl(args.input))
-        if args.trace_id:
-            spans = [s for s in spans if s.trace_id == args.trace_id]
-        if not spans:
-            raise ConfigurationError(
-                f"no spans in {args.input!r}"
-                + (f" for trace {args.trace_id}" if args.trace_id else "")
-            )
-        document = chrome_trace(spans)
-    text = json.dumps(document, sort_keys=True)
-    if args.output:
-        path = Path(args.output)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text + "\n")
-        print(
-            f"exported {len(document['traceEvents'])} event(s) to {path}",
-            file=sys.stderr,
-        )
-    else:
-        print(text)
-    return 0
-
-
-def _cmd_slo(args: argparse.Namespace) -> int:
-    from repro.api.http import call_json
-    from repro.obs.slo import (
-        BREACH,
-        DEFAULT_SLOS,
-        render_alert_rules,
-        reverdict,
-        with_overrides,
-    )
-
-    overrides = _named_values(
-        "--override", args.overrides, "NAME=THRESHOLD", _threshold
-    )
-    if args.action == "rules":
-        print(render_alert_rules(with_overrides(DEFAULT_SLOS, overrides)), end="")
-        return 0
-    document = call_json(
-        "GET", args.url.rstrip("/") + "/v1/slo", timeout_s=30.0
-    )
-    slos = document.get("slos", [])
-    reverdict(slos, overrides)
-    breaches = sum(1 for entry in slos if entry["status"] == BREACH)
-    document["breaches"] = breaches
-    document["status"] = BREACH if breaches else "ok"
-    if args.json:
-        _print_json(document)
-    else:
-        rows = [
-            [
-                entry["name"],
-                entry["status"],
-                "-" if entry["value"] is None else round(entry["value"], 4),
-                f"{'<=' if entry['direction'] == 'le' else '>='} "
-                f"{entry['threshold']}",
-                entry["detail"],
-            ]
-            for entry in slos
-        ]
-        print(format_table(
-            ["slo", "status", "value", "objective", "detail"], rows
-        ))
-        print(f"\noverall: {document['status']} ({breaches} breach(es))")
-    return 1 if breaches else 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.api.service import serve
 
-    _apply_obs_flags(args)
     jobs = _jobs_manager_from_flags(args) if args.jobs else None
     if not args.jobs and args.tenant_quota:
         raise ConfigurationError("--tenant-quota needs --jobs")
@@ -907,8 +736,6 @@ def main(argv: list[str] | None = None) -> int:
         "cache": _cmd_cache,
         "jobs": _cmd_jobs,
         "serve": _cmd_serve,
-        "trace": _cmd_trace,
-        "slo": _cmd_slo,
     }
     try:
         return handlers[args.command](args)

@@ -78,14 +78,14 @@ def _pool_worker(
     results cached by earlier campaigns (or sibling workers) hit the
     shared disk store; an explicit store arrives as a pickled copy, so
     a disk store is shared but a memory store is private.  A ``trace``
-    of the caller's ``(header, sample_every, ring)`` runs the cell
-    inside the caller's trace, sampled and bounded like it, and its
-    spans come back for the caller's ring (and sink).
+    of the caller's ``(header, ring)`` runs the cell inside the
+    caller's trace, bounded like it, and its spans come back for the
+    caller's ring.
     """
     if trace is None:
         return replace(run_cell(spec, store), result=None), []
-    header, sample_every, ring = trace
-    TRACER.configure(enabled=True, sample_every=sample_every, ring=ring, sink="")
+    header, ring = trace
+    TRACER.configure(enabled=True, ring=ring)
     TRACER.clear()
     with TRACER.activate(*TRACER.parse_header(header)):
         outcome = run_cell(spec, store)
@@ -135,10 +135,7 @@ class LocalProcessBackend:
             pool = self._ensure_pool()
             # A traced caller's context rides along; untraced, nothing does.
             header = TRACER.propagation_header()
-            trace = (
-                () if header is None
-                else ((header, TRACER.sample_every, TRACER.ring_size),)
-            )
+            trace = () if header is None else ((header, TRACER.ring_size),)
             futures = {
                 spec.key(): pool.submit(_pool_worker, spec, store, *trace)
                 for spec in cold

@@ -8,7 +8,7 @@ Layer stack::
     repro.campaign        <- cached, deduplicated cells over the engine
     repro.cluster         <- serial or process-pool execution of cells
     repro.jobs            <- time-sliced, preemptible job cells
-    repro.api / cli       <- envelopes, /v1/progress, --checkpoint-dir
+    repro.api / cli       <- envelopes, job status, --checkpoint-dir
 """
 
 from repro import lazy_exports

@@ -12,8 +12,8 @@ every run:
   embeds.
 - :class:`ProgressObserver` — publishes periodic run-progress
   snapshots to the process-wide broker
-  (:data:`~repro.engine.progress.PROGRESS`), feeding ``/v1/progress``,
-  with the job counts of the engine's scheduler.
+  (:data:`~repro.engine.progress.PROGRESS`), feeding job status, with
+  the job counts of the engine's scheduler.
 
 Checkpoints are no observer's job: a resumable run is stepped in
 window slices by :func:`~repro.campaign.engine.run_cell`, whose
@@ -111,8 +111,9 @@ class ProgressObserver(Observer):
     Emits every :attr:`every_windows` windows plus a final ``done``
     record; a run with a scheduler adds its finished and total jobs.
     Publishing is a no-op unless the surrounding code labeled the run
-    with :meth:`~repro.engine.progress.ProgressBroker.track`, so the
-    engine attaches the observer unconditionally.
+    with :meth:`~repro.engine.progress.ProgressBroker.track` (the jobs
+    scheduler labels each job cell), so the engine attaches the
+    observer unconditionally.
     """
 
     every_windows = 200

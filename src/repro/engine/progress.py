@@ -1,13 +1,13 @@
-"""Process-wide run-progress broker (the ``/v1/progress`` feed).
+"""Process-wide run-progress broker (the feed behind job status).
 
 The stepping engine is the only place that knows how far a run has
-gotten; the HTTP service (and any other consumer) is several layers
-away.  The broker decouples them: the campaign engine labels each
-executing cell with its cache key (:meth:`ProgressBroker.track`), the
-engine's :class:`~repro.engine.observers.ProgressObserver` publishes
-snapshots under whatever label is active on the current thread, and
-``GET /v1/progress`` reads the broker.  Labels are context-local, so
-the threaded HTTP service and campaign pool threads never cross their
+gotten; the jobs service is several layers away.  The broker decouples
+them: the jobs scheduler labels each executing cell
+``<job-id>/<cell-key>`` (:meth:`ProgressBroker.track`), the engine's
+:class:`~repro.engine.observers.ProgressObserver` publishes snapshots
+under whatever label is active on the current thread, and
+``GET /v1/jobs/<id>`` (``repro jobs status``) reads the job's entries.
+Labels are context-local, so concurrent runs never cross their
 streams.
 
 Publishing without an active label is a silent no-op — engines run
@@ -22,8 +22,8 @@ from collections import OrderedDict
 from contextvars import ContextVar
 from typing import Iterator
 
-#: Finished runs retained for late ``/v1/progress`` polls (oldest
-#: evicted first); active runs are never evicted.
+#: Finished runs retained for late status polls (oldest evicted
+#: first); active runs are never evicted.
 _MAX_FINISHED = 64
 
 _CURRENT_LABEL: ContextVar[str | None] = ContextVar(
@@ -50,10 +50,6 @@ class ProgressBroker:
         finally:
             _CURRENT_LABEL.reset(token)
 
-    def current_label(self) -> str | None:
-        """The label active on this context (None = untracked)."""
-        return _CURRENT_LABEL.get()
-
     def publish(self, snapshot: dict) -> None:
         """Record ``snapshot`` under the active label (no-op untracked)."""
         label = _CURRENT_LABEL.get()
@@ -68,21 +64,18 @@ class ProgressBroker:
             for key in finished[: max(0, len(finished) - _MAX_FINISHED)]:
                 del self._runs[key]
 
-    def snapshot(self, label: str | None = None) -> dict[str, dict]:
-        """Current progress: every run, or just ``label``."""
+    def snapshot(self) -> dict[str, dict]:
+        """Current progress of every run, by label."""
         with self._lock:
-            if label is not None:
-                snap = self._runs.get(label)
-                return {} if snap is None else {label: dict(snap)}
             return {key: dict(snap) for key, snap in self._runs.items()}
 
     def forget(self, label: str) -> bool:
         """Drop one run's snapshot; True when something was removed.
 
-        Callers that know a run is over (a completed campaign cell, a
-        finished or cancelled job) prune eagerly instead of waiting for
-        the bounded-finished eviction, so a long-lived ``serve --jobs``
-        process keeps ``/v1/progress`` scoped to live work.
+        Callers that know a run is over (a finished job cell) prune
+        eagerly instead of waiting for the bounded-finished eviction, so
+        a long-lived ``serve --jobs`` process keeps the broker scoped to
+        live work.
         """
         with self._lock:
             return self._runs.pop(label, None) is not None

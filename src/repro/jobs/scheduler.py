@@ -170,7 +170,7 @@ class JobsManager:
                     name, help_text, max(0.0, at_s - record.created_s),
                     tenant=record.tenant,
                 )
-        # Eager /v1/progress hygiene: a terminal job's per-cell streams
+        # Eager progress hygiene: a terminal job's per-cell streams
         # will never update again, so a long-lived service drops them
         # now instead of leaning on the bounded-finished eviction.
         PROGRESS.forget_prefix(f"{record.job_id}/")
@@ -450,7 +450,7 @@ class JobsManager:
 
     def publish_usage_metrics(self) -> None:
         """Refresh the queue and per-tenant usage gauges (called per
-        /metrics and /v1/slo scrape)."""
+        /metrics scrape)."""
         for tenant, usage in self.quotas.usage().items():
             METRICS.gauge_set(
                 "repro_tenant_admitted_total",

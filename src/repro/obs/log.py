@@ -8,7 +8,7 @@ log pipeline.  This module gives those call sites one API:
 
 In the default **plain** mode the second argument (or a ``key=value``
 rendering) is printed exactly as before, so nothing changes for humans.
-With ``--log-json`` (or ``REPRO_LOG_JSON=1``) each event becomes one
+With ``REPRO_LOG_JSON=1`` each event becomes one
 JSON object per line on stderr — ``ts``, ``level``, ``event``, the
 fields, and the current ``trace_id`` when a trace is active — so logs
 join traces and metrics on the same correlation key.
@@ -30,10 +30,6 @@ class StructuredLog:
     def __init__(self) -> None:
         self.json_mode = env_truthy("REPRO_LOG_JSON")
         self._lock = threading.Lock()
-
-    def configure(self, *, json_mode: bool | None = None) -> None:
-        if json_mode is not None:
-            self.json_mode = bool(json_mode)
 
     def _emit(
         self, level: str, event: str, message: str | None, fields: dict
@@ -75,5 +71,5 @@ class StructuredLog:
         self._emit("error", event, message, fields)
 
 
-#: The process-wide logger (CLI ``--log-json`` flips it to JSON mode).
+#: The process-wide logger (``REPRO_LOG_JSON=1`` puts it in JSON mode).
 LOG = StructuredLog()

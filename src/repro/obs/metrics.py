@@ -243,29 +243,6 @@ class MetricsRegistry:
             series = metric._series.get(key)
             return 0.0 if series is None else series.value
 
-    # -- aggregate readers (the SLO evaluator's query surface) -------------
-
-    def counter_total(self, name: str, **label_filter: str) -> float:
-        """Sum of every counter series matching a label *subset*.
-
-        ``counter_total("repro_jobs_finished_total", status="failed")``
-        sums across tenants; with no filter it sums the whole family.
-        Returns 0.0 for unknown metrics.
-        """
-        with self._lock:
-            metric = self._metrics.get(name)
-            if metric is None:
-                return 0.0
-            wanted = {
-                name_: str(value) for name_, value in label_filter.items()
-            }
-            total = 0.0
-            for label_values, series in metric._series.items():
-                labels = dict(zip(metric.label_names, label_values))
-                if all(labels.get(k) == v for k, v in wanted.items()):
-                    total += series.value
-            return total
-
     def histogram_stats(
         self, name: str, **label_filter: str
     ) -> tuple[int, float, list[int]]:
@@ -292,36 +269,6 @@ class MetricsRegistry:
                 for index, bucket in enumerate(series.buckets):
                     buckets[index] += bucket
             return count, total, buckets
-
-    def histogram_quantile(
-        self, name: str, quantile: float, **label_filter: str
-    ) -> float | None:
-        """Estimate a quantile from one histogram's buckets.
-
-        Returns the upper bound of the first bucket whose cumulative
-        count reaches ``quantile * count`` — a conservative (never
-        under-reporting) estimate.  When the target rank lies beyond
-        the last finite bucket the estimate is ``inf`` (the Prometheus
-        convention), so an out-of-range tail can still breach an SLO
-        whose threshold equals the largest bound.  ``None`` when the
-        histogram has no observations.
-        """
-        if not 0.0 < quantile <= 1.0:
-            raise ValueError(f"quantile must be in (0, 1], got {quantile}")
-        with self._lock:
-            metric = self._metrics.get(name)
-        if metric is None:
-            return None
-        count, _, buckets = self.histogram_stats(name, **label_filter)
-        if count == 0:
-            return None
-        target = quantile * count
-        cumulative = 0
-        for bound, bucket in zip(metric.buckets, buckets):
-            cumulative += bucket
-            if cumulative >= target:
-                return bound
-        return float("inf")
 
     def reset(self) -> None:
         """Drop every metric (test isolation for the shared registry)."""

@@ -17,28 +17,25 @@ trace.  The pieces:
   route, and the jobs client (every :func:`repro.api.http.call_json`
   caller) injects it, so service-side spans share the caller's
   ``trace_id``.
-- **Storage** — finished spans land in a bounded in-memory ring
-  (served by ``GET /v1/trace/<trace_id>``) and, when configured, an
-  append-only JSONL sink for post-hoc export.
+- **Storage** — finished spans land in a bounded in-memory ring,
+  served by ``GET /v1/trace/<trace_id>``.
 - :func:`chrome_trace` — spans as Chrome trace-event JSON, which loads
   directly in Perfetto / ``chrome://tracing``.
 
 Tracing is **off by default** and costs one attribute check on the hot
 paths when off.  Enable with ``REPRO_TRACE=1`` (or
-:meth:`Tracer.configure`); ``REPRO_TRACE_SAMPLE`` sets the per-window
-sampling stride and ``REPRO_TRACE_JSONL`` the sink path.
+:meth:`Tracer.configure`); engine ``window`` spans are sampled every
+:data:`DEFAULT_SAMPLE_EVERY`-th window.
 """
 
 from __future__ import annotations
 
 import contextvars
-import json
 import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterator
 
 #: The propagation header carried by every traced HTTP request.
 TRACE_HEADER = "X-Repro-Trace"
@@ -80,33 +77,6 @@ class Span:
     pid: int
     tid: int
     args: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "trace_id": self.trace_id,
-            "span_id": self.span_id,
-            "parent_id": self.parent_id,
-            "start_s": self.start_s,
-            "duration_s": self.duration_s,
-            "pid": self.pid,
-            "tid": self.tid,
-            "args": dict(self.args),
-        }
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Span":
-        return cls(
-            name=str(raw["name"]),
-            trace_id=str(raw["trace_id"]),
-            span_id=str(raw["span_id"]),
-            parent_id=raw.get("parent_id"),
-            start_s=float(raw["start_s"]),
-            duration_s=float(raw["duration_s"]),
-            pid=int(raw.get("pid", 0)),
-            tid=int(raw.get("tid", 0)),
-            args=dict(raw.get("args") or {}),
-        )
 
 
 class _SpanHandle:
@@ -189,38 +159,23 @@ def env_truthy(name: str) -> bool:
 
 
 class Tracer:
-    """Process-wide span factory with a bounded ring and JSONL sink."""
+    """Process-wide span factory with a bounded ring."""
 
     def __init__(self) -> None:
         self.enabled = env_truthy("REPRO_TRACE")
-        try:
-            self.sample_every = max(
-                1, int(os.environ.get("REPRO_TRACE_SAMPLE", DEFAULT_SAMPLE_EVERY))
-            )
-        except ValueError:
-            self.sample_every = DEFAULT_SAMPLE_EVERY
         self._ring: deque[Span] = deque(maxlen=DEFAULT_RING)
         self._lock = threading.Lock()
-        self._sink_path: str | None = (
-            os.environ.get("REPRO_TRACE_JSONL") or None
-        )
 
     def configure(
         self,
         *,
         enabled: bool | None = None,
-        sample_every: int | None = None,
-        sink: str | None = None,
         ring: int | None = None,
     ) -> None:
-        """Adjust the tracer (CLI flags override the env defaults)."""
+        """Adjust the tracer (a pool worker takes on its caller's)."""
         with self._lock:
             if enabled is not None:
                 self.enabled = enabled
-            if sample_every is not None:
-                self.sample_every = max(1, int(sample_every))
-            if sink is not None:
-                self._sink_path = sink or None
             if ring is not None:
                 self._ring = deque(self._ring, maxlen=max(16, int(ring)))
 
@@ -282,15 +237,6 @@ class Tracer:
         """Keep a finished span (also one a pool worker sent back)."""
         with self._lock:
             self._ring.append(span)
-            sink = self._sink_path
-        if sink:
-            line = json.dumps(span.to_dict(), sort_keys=True)
-            try:
-                with self._lock:
-                    with open(sink, "a", encoding="utf-8") as handle:
-                        handle.write(line + "\n")
-            except OSError:
-                pass
 
     def spans(self, trace_id: str | None = None) -> list[Span]:
         """A snapshot of retained spans (optionally one trace only)."""
@@ -348,7 +294,7 @@ class TracingObserver:
 
     def __init__(self, tracer: Tracer | None = None) -> None:
         self.tracer = tracer if tracer is not None else TRACER
-        self.sample_every = self.tracer.sample_every
+        self.sample_every = DEFAULT_SAMPLE_EVERY
 
     def record_window(
         self,
@@ -426,16 +372,3 @@ def chrome_trace(spans: list[Span]) -> dict:
         )
     events.sort(key=lambda event: event["ts"])
     return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-def read_jsonl(path: str) -> Iterator[Span]:
-    """Spans from a JSONL sink file (unreadable lines are skipped)."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield Span.from_dict(json.loads(line))
-            except (ValueError, KeyError, TypeError):
-                continue

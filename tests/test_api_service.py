@@ -181,31 +181,6 @@ def test_scenarios_run_route(service):
     assert document["results"][0]["scenario"] == "cold-aisle"
 
 
-def test_progress_route_reports_engine_runs(service, tmp_path, monkeypatch):
-    from repro.engine.progress import PROGRESS
-
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    PROGRESS.clear()
-    spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
-    # Cold-run the cell through the simulate route so the service's
-    # own process hosts the engine (progress is process-local).
-    _post(service, "/v1/simulate", {"mix": "W1", "policy": "ts", "copies": 1})
-    status, document = _get(service, "/v1/progress")
-    assert status == 200
-    runs = document["runs"]
-    assert spec.key() in runs
-    record = runs[spec.key()]
-    assert record["done"] is True and record["windows"] > 0
-    status, filtered = _get(service, f"/v1/progress?key={spec.key()}")
-    assert status == 200 and set(filtered["runs"]) == {spec.key()}
-    status, empty = _get(service, "/v1/progress?key=nope")
-    assert status == 200 and empty["runs"] == {}
-    code, body = _error(service, "/v1/progress?bogus=1")
-    assert code == 400 and "unknown query parameters ['bogus']" in body["error"]
-    code, body = _error(service, "/v1/progress", data=b"{}")
-    assert code == 405
-
-
 @pytest.fixture(scope="module")
 def one_slot_service():
     """A service with a single compute slot, so a leaked slot shows."""
@@ -586,7 +561,7 @@ def test_a_reused_thread_starts_each_connection_in_a_fresh_context(
     """The next connection on a thread neither joins the trace of the
     one before nor sees its progress label, even when that one left
     both set (as a missed reset would)."""
-    from repro.engine.progress import PROGRESS
+    from repro.engine.progress import _CURRENT_LABEL, PROGRESS
     from repro.obs.trace import TRACE_HEADER, TRACER
 
     monkeypatch.setattr(TRACER, "enabled", True)
@@ -594,7 +569,7 @@ def test_a_reused_thread_starts_each_connection_in_a_fresh_context(
     seen = []
 
     def leak(served: int) -> None:
-        seen.append((TRACER.current_trace_id(), PROGRESS.current_label()))
+        seen.append((TRACER.current_trace_id(), _CURRENT_LABEL.get()))
         TRACER.activate(trace_id, parent_id).__enter__()
         PROGRESS.track("leaked").__enter__()
 
@@ -943,6 +918,26 @@ def test_every_route_refuses_a_stray_query_parameter(
     assert [r.to_dict() for r in svc.jobs.queue.list_records()] == before
 
 
+@pytest.mark.parametrize("path", ["/v1/slo", "/v1/progress"])
+def test_removed_observability_routes_are_unknown(idle_jobs_service, path):
+    svc, _ = idle_jobs_service
+    status, body = _exchange(svc, "GET", path)
+    assert status == 404
+    assert body["schema_version"] == SCHEMA_VERSION
+    assert f"unknown route {path!r}" in body["error"]
+
+
+def test_the_trace_route_answers_chrome_json_only(idle_jobs_service):
+    """``?format=spans`` is gone: the Chrome document is the one shape
+    ``/v1/trace/<id>`` answers."""
+    svc, _ = idle_jobs_service
+    status, body = _exchange(
+        svc, "GET", "/v1/trace/feedface00000001?format=spans"
+    )
+    assert status == 400
+    assert "unknown query parameters ['format']" in body["error"]
+
+
 def test_query_parameters_follow_the_route_table(idle_jobs_service):
     svc, _ = idle_jobs_service
     # A POST run route takes its request from the body alone: a valid
@@ -955,7 +950,6 @@ def test_query_parameters_follow_the_route_table(idle_jobs_service):
     # The parameters each row does accept keep working.
     for path in (
         "/metrics?format=json",
-        "/v1/progress?key=nope",
         "/v1/scenarios?kind=ch4&tag=x",
         "/v1/jobs?tenant=default",
     ):

@@ -75,6 +75,24 @@ def test_removed_backend_options_are_unknown(argv, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["slo", "check"], "invalid choice: 'slo'"),
+    (["slo", "rules"], "invalid choice: 'slo'"),
+    (["trace", "export", "--input", "spans.jsonl"], "invalid choice: 'trace'"),
+    (["trace", "export", "--url", "http://127.0.0.1:1", "feedface00000001"],
+     "invalid choice: 'trace'"),
+    (["serve", "--trace"], "unrecognized arguments: --trace"),
+    (["serve", "--log-json"], "unrecognized arguments: --log-json"),
+])
+def test_removed_observability_commands_are_unknown(argv, message, capsys):
+    """Tracing and JSON logs are switched by ``REPRO_TRACE`` and
+    ``REPRO_LOG_JSON`` alone; a trace is fetched from ``/v1/trace/<id>``."""
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_command_required():
     with pytest.raises(SystemExit):
         main([])
@@ -436,6 +454,37 @@ def queued_jobs_service(tmp_path):
     thread.join(timeout=5)
 
 
+def test_jobs_status_prints_each_running_cells_progress(
+    queued_jobs_service, capsys
+):
+    """``jobs status`` answers how far a running job's cell has got:
+    one line per cell with the latest snapshot its engine published."""
+    url = queued_jobs_service.url
+    jobs = queued_jobs_service.jobs
+    assert main([
+        "jobs", "submit", "--url", url, "--type", "simulate",
+        "--set", "mix=W1", "--set", "policy=ts", "--set", "copies=1",
+        "--json",
+    ]) == 0
+    job_id = json.loads(capsys.readouterr().out)["job"]["id"]
+    printed: list[str] = []
+
+    def status_at_first_boundary(record):
+        if not printed:
+            assert main(["jobs", "status", "--url", url, job_id]) == 0
+            printed.extend(capsys.readouterr().out.splitlines())
+        return None
+
+    jobs._interruption = status_at_first_boundary
+    jobs._execute(jobs.queue.next_ready(timeout_s=0))
+    job_line, *cell_lines = printed
+    assert job_line.startswith(f"{job_id}  running")
+    (cell_line,) = cell_lines
+    key, _, snapshot = cell_line.strip().partition(": ")
+    assert key.startswith("ch4-")
+    assert "'done': False" in snapshot and "'windows': 400" in snapshot
+
+
 def _one_error_line(capsys) -> str:
     err = capsys.readouterr().err
     lines = err.splitlines()
@@ -455,8 +504,6 @@ def test_client_failures_are_one_error_line(capsys):
         ["jobs", "list", "--url", url],
         ["jobs", "submit", "--url", url, "--type", "simulate",
          "--set", "mix=W1"],
-        ["trace", "export", "--url", url, "--trace-id", "abc"],
-        ["slo", "check", "--url", url],
     ):
         assert main(argv) == 2, argv
         assert url in _one_error_line(capsys), argv
@@ -482,16 +529,13 @@ def test_http_error_line_carries_the_service_error(
     queued_jobs_service, capsys
 ):
     url = queued_jobs_service.url
-    assert main(["trace", "export", "--url", url, "--trace-id", "nope"]) == 2
-    line = _one_error_line(capsys)
-    assert "404" in line and "no spans retained for trace 'nope'" in line
     assert main(["jobs", "status", "--url", url, "job-missing"]) == 2
     line = _one_error_line(capsys)
     assert "404" in line and "unknown job 'job-missing'" in line
 
 
 # ---------------------------------------------------------------------------
-# NAME=VALUE flags: --set, --tenant-quota and --override share one parser
+# NAME=VALUE flags: --set and --tenant-quota share one parser
 # ---------------------------------------------------------------------------
 
 #: Per malformed case: the flag's items, and the text its error names.
@@ -508,17 +552,6 @@ _MALFORMED = {
         "bad-value": (["batch=1,nan,2"], "bad --tenant-quota 'batch=1,nan,2'"),
         "repeated-name": (
             ["batch=1,1,1", "batch=2,2,2"], "--tenant-quota names 'batch' twice"
-        ),
-    },
-    "--override": {
-        "missing-equals": (["p99_job_latency"], "--override expects NAME="),
-        "empty-name": (["=0.5"], "--override expects NAME="),
-        "bad-value": (
-            ["p99_job_latency=nan"], "bad --override 'p99_job_latency=nan'"
-        ),
-        "repeated-name": (
-            ["p99_job_latency=1", "p99_job_latency=2"],
-            "--override names 'p99_job_latency' twice",
         ),
     },
 }
@@ -551,8 +584,3 @@ def test_a_malformed_tenant_quota_is_one_error_line(
     monkeypatch.setattr("repro.api.service.serve", _never_called)
     argv = ["serve", "--jobs", "--jobs-dir", str(tmp_path / "jobs")]
     _refuses("--tenant-quota", argv, case, capsys)
-
-
-@pytest.mark.parametrize("case", _CASES)
-def test_a_malformed_slo_override_is_one_error_line(case, capsys):
-    _refuses("--override", ["slo", "rules"], case, capsys)

@@ -305,9 +305,6 @@ def test_progress_broker_tracks_engine_runs():
     assert final["strategy"] == "ch4"
     assert final["windows"] > 0
     assert final["finished_jobs"] == final["total_jobs"]
-    # Filtered view returns just the requested run.
-    assert PROGRESS.snapshot(key) == {key: final}
-    assert PROGRESS.snapshot("missing") == {}
     PROGRESS.clear()
 
 
@@ -412,7 +409,7 @@ def test_the_progress_snapshot_keeps_the_job_counts(spec):
     try:
         with PROGRESS.track("run"):
             engine.step_windows(ProgressObserver.every_windows)
-            assert PROGRESS.snapshot("run") == {"run": {
+            assert PROGRESS.snapshot() == {"run": {
                 "strategy": spec.kind,
                 "windows": ProgressObserver.every_windows,
                 "now_s": engine.now_s,
@@ -421,7 +418,7 @@ def test_the_progress_snapshot_keeps_the_job_counts(spec):
                 "total_jobs": 4,
             }}
             engine.run_to_completion()
-        final = PROGRESS.snapshot("run")["run"]
+        final = PROGRESS.snapshot()["run"]
         assert final["done"] is True
         assert final["finished_jobs"] == final["total_jobs"] == 4
     finally:
@@ -433,7 +430,7 @@ def test_a_run_without_a_scheduler_publishes_no_job_counts():
     try:
         with PROGRESS.track("warm-up"):
             SteppingEngine(_homogeneous_strategy()).run_to_completion()
-        assert PROGRESS.snapshot("warm-up") == {"warm-up": {
+        assert PROGRESS.snapshot() == {"warm-up": {
             "strategy": "homogeneous", "windows": 5, "now_s": 5.0,
             "done": True,
         }}

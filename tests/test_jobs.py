@@ -428,7 +428,7 @@ class TestProgressIsolation:
             with broker.track(label):
                 for step in range(1, windows + 1):
                     broker.publish({"windows": step, "done": False})
-                    seen = broker.snapshot(label)[label]
+                    seen = broker.snapshot()[label]
                     if seen["windows"] != step:
                         errors.append(
                             f"{label} saw {seen['windows']} != {step}"
@@ -448,14 +448,17 @@ class TestProgressIsolation:
         assert snapshot["campaign-a"] == {"windows": 400, "done": True}
         assert snapshot["campaign-b"] == {"windows": 300, "done": True}
 
-    def test_two_concurrent_campaign_cells_publish_under_own_labels(self):
-        """Two real cells computed concurrently stay label-isolated."""
+    def test_two_concurrent_labelled_cells_publish_under_own_labels(self):
+        """Two real cells computed concurrently, each under its own
+        label (as job cells run), stay label-isolated."""
+        PROGRESS.clear()
         results: dict[str, object] = {}
 
         def run_cell(policy: str) -> None:
             client = ReproClient(store=MemoryStore())
             request = SimulateRequest(mix="W1", policy=policy, copies=1)
-            results[policy] = client.simulate(request)
+            with PROGRESS.track(f"job-{policy}/cell"):
+                results[policy] = client.simulate(request)
 
         threads = [
             threading.Thread(target=run_cell, args=(policy,))
@@ -465,11 +468,12 @@ class TestProgressIsolation:
             thread.start()
         for thread in threads:
             thread.join()
-        keys = {results[p].provenance.cache_key for p in ("ts", "acg")}
-        assert len(keys) == 2
         snapshot = PROGRESS.snapshot()
-        for key in keys:
-            assert snapshot[key]["done"] is True
+        assert set(snapshot) == {"job-ts/cell", "job-acg/cell"}
+        for policy in ("ts", "acg"):
+            assert snapshot[f"job-{policy}/cell"]["done"] is True
+            assert snapshot[f"job-{policy}/cell"]["windows"] > 0
+        PROGRESS.clear()
 
     def test_job_progress_labels_are_namespaced_per_job(self):
         assert job_progress_label("job-1", "ch4-k") == "job-1/ch4-k"
@@ -687,6 +691,7 @@ class TestJobsManager:
         manager = JobsManager(
             str(tmp_path / "jobs"), store=store, window_slice=200
         )
+        preempted = METRICS.counter_value("repro_job_preemptions_total")
         manager.start()
         try:
             low_id = _submit(
@@ -708,6 +713,9 @@ class TestJobsManager:
             high = _wait_terminal(manager, high_id)
             assert high.status == COMPLETED and low.status == COMPLETED
             assert low.preemptions >= 1
+            assert METRICS.counter_value(
+                "repro_job_preemptions_total"
+            ) == preempted + low.preemptions
             events = _event_names(low)
             assert "preempted" in events
             # The preempted job resumed from its persisted checkpoint
@@ -1080,7 +1088,12 @@ class TestJobsManager:
             manager.stop(drain=False)
         records = manager.queue.list_records()
         assert len(records) == 20
-        assert metrics.counter_total("repro_jobs_finished_total") == 20
+        assert sum(
+            metrics.counter_value(
+                "repro_jobs_finished_total", status=status, tenant="default"
+            )
+            for status in (COMPLETED, CANCELLED, FAILED)
+        ) == 20
         for record in records:
             on_disk = manager.queue.store.load(record.job_id)
             assert on_disk.to_dict() == record.to_dict()
@@ -1356,7 +1369,11 @@ class TestJobsHttp:
         assert "repro_jobs_queue_depth" in text
         assert 'repro_jobs_submitted_total{tenant="metered"} 1' in text
         assert 'repro_job_latency_seconds_bucket{' in text
+        assert 'repro_job_queue_wait_seconds_bucket{' in text
         assert 'tenant="metered"' in text
+        assert 'repro_tenant_admitted_total{tenant="metered"} 1' in text
+        assert 'repro_job_cells_total{cache=' in text
+        assert "repro_jobs_running 0" in text
         assert "repro_uptime_seconds" in text
         names = {
             metric["name"]

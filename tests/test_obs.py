@@ -1,4 +1,4 @@
-"""The ``repro.obs`` observability layer: tracing, metrics, SLOs, logs.
+"""The ``repro.obs`` observability layer: tracing, metrics, logs.
 
 Covers the PR 9 acceptance criteria:
 
@@ -10,17 +10,19 @@ Covers the PR 9 acceptance criteria:
 - the ``repro.obs.metrics`` registry's exposition passes the strict
   ``tools/check_prom.py`` checker (including the histogram
   bucket-double-count bug that checker caught);
-- SLO evaluation: quantile + ratio objectives, ``no_data`` floors,
-  threshold overrides, the breach gate, and the rendered Prometheus
-  burn-rate rules;
-- finished cells/jobs no longer leak PROGRESS broker entries;
+- finished, failed and cancelled jobs, and direct cells whose engine
+  raises, leave no PROGRESS broker entries;
 - one-line JSON logs carry the active trace id and plain mode stays
   byte-compatible with the pre-obs output.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
 import json
+import pickle
+import re
 import sys
 import threading
 import time
@@ -45,27 +47,18 @@ from repro.campaign import (
     spec_key,
 )
 from repro.engine.progress import PROGRESS, ProgressBroker
-from repro.errors import ConfigurationError
+from repro.engine.stepping import SteppingEngine
+from repro.errors import SimulationError
 from repro.obs.log import StructuredLog
 from repro.obs.metrics import METRICS, MetricsRegistry
-from repro.obs.slo import (
-    BREACH,
-    DEFAULT_SLOS,
-    NO_DATA,
-    OK,
-    SloSpec,
-    evaluate,
-    render_alert_rules,
-    slo_document,
-    with_overrides,
-)
 from repro.obs.trace import (
+    DEFAULT_SAMPLE_EVERY,
     TRACE_HEADER,
     TRACER,
     Tracer,
     TracingObserver,
     chrome_trace,
-    read_jsonl,
+    env_truthy,
 )
 
 
@@ -73,12 +66,66 @@ from repro.obs.trace import (
 def tracer():
     """A process-global-free tracer, enabled, with a tiny ring."""
     tracer = Tracer()
-    tracer.configure(enabled=True, sample_every=1)
+    tracer.configure(enabled=True)
     tracer.clear()
     return tracer
 
 
 class TestTracer:
+    def test_repro_trace_switches_tracing_on(self, monkeypatch):
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        tracer = Tracer()
+        with tracer.span("on"):
+            pass
+        assert [span.name for span in tracer.spans()] == ["on"]
+        monkeypatch.setenv("REPRO_TRACE", "0")
+        assert Tracer().enabled is False
+
+    @pytest.mark.parametrize("value, enabled", [
+        ("1", True), ("true", True), (" Yes ", True), ("ON", True),
+        (None, False), ("", False), ("no", False), ("2", False),
+    ])
+    def test_repro_trace_reads_the_shared_truthy_spellings(
+        self, value, enabled, monkeypatch
+    ):
+        """``REPRO_TRACE`` and ``REPRO_LOG_JSON`` read one set of
+        spellings; anything else, unset included, leaves them off."""
+        if value is None:
+            monkeypatch.delenv("REPRO_TRACE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TRACE", value)
+        assert env_truthy("REPRO_TRACE") is enabled
+        assert Tracer().enabled is enabled
+
+    def test_the_retired_span_file_variable_writes_nothing(
+        self, monkeypatch, tmp_path
+    ):
+        """Spans live only in the in-memory ring: the old
+        ``REPRO_TRACE_JSONL`` sink variable is not read."""
+        sink = tmp_path / "spans.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        monkeypatch.setenv("REPRO_TRACE_JSONL", str(sink))
+        tracer = Tracer()
+        with tracer.span("kept"):
+            pass
+        assert [span.name for span in tracer.spans()] == ["kept"]
+        assert not sink.exists()
+
+    def test_the_window_stride_ignores_the_retired_sample_variable(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_TRACE_SAMPLE", "1")
+        assert TracingObserver(Tracer()).sample_every == DEFAULT_SAMPLE_EVERY
+
+    def test_spans_pickle_whole_for_pool_workers(self, tracer):
+        """A pool worker sends its cell's spans back pickled; each
+        arrives with every field, args included."""
+        with tracer.span("cell", key="ch4-x"):
+            with tracer.span("window", index=0):
+                pass
+        spans = tracer.spans()
+        assert pickle.loads(pickle.dumps(spans)) == spans
+
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer()
         tracer.configure(enabled=False)
@@ -135,15 +182,6 @@ class TestTracer:
         assert len(spans) == 16
         assert spans[-1].args["i"] == 49
 
-    def test_jsonl_sink_roundtrips(self, tracer, tmp_path):
-        sink = tmp_path / "spans.jsonl"
-        tracer.configure(sink=str(sink))
-        with tracer.span("persisted", level=3):
-            pass
-        (span,) = list(read_jsonl(str(sink)))
-        assert span.name == "persisted"
-        assert span.args == {"level": 3}
-
     def test_chrome_trace_shape(self, tracer):
         with tracer.span("outer"):
             with tracer.span("inner"):
@@ -194,9 +232,7 @@ class TestEngineTracing:
 
         untraced, windows = payload_bytes()
         TRACER.clear()
-        TRACER.configure(
-            enabled=True, sample_every=DEFAULT_SAMPLE_EVERY, ring=windows
-        )
+        TRACER.configure(enabled=True, ring=windows)
         try:
             traced, _ = payload_bytes()
             spans = [s for s in TRACER.spans() if s.name == "window"]
@@ -317,23 +353,47 @@ class TestMetricsMoved:
         assert 'le="+Inf"} 2' in text
         assert "repro_t_seconds_count 2" in text
 
-    def test_counter_total_sums_with_label_filter(self):
+    def test_counter_value_reads_one_exact_label_set(self):
         registry = MetricsRegistry()
         registry.counter_inc("repro_f_total", "f", status="ok", tenant="a")
-        registry.counter_inc("repro_f_total", "f", status="ok", tenant="b")
+        registry.counter_inc("repro_f_total", "f", tenant="a", status="ok")
         registry.counter_inc("repro_f_total", "f", status="failed", tenant="a")
-        assert registry.counter_total("repro_f_total") == 3
-        assert registry.counter_total("repro_f_total", status="failed") == 1
-        assert registry.counter_total("repro_missing_total") == 0
+        assert registry.counter_value(
+            "repro_f_total", status="ok", tenant="a"
+        ) == 2
+        assert registry.counter_value(
+            "repro_f_total", tenant="a", status="failed"
+        ) == 1
+        assert registry.counter_value(
+            "repro_f_total", status="ok", tenant="b"
+        ) == 0
+        assert registry.counter_value("repro_missing_total") == 0
 
-    def test_histogram_quantile_is_conservative_upper_bound(self):
+    def test_histogram_stats_sums_the_matching_series(self):
         registry = MetricsRegistry()
-        for value in (0.3, 0.4, 0.45, 12.0):
-            registry.observe("repro_q_seconds", "q", value)
-        # p50 rank 2 of 4 lands in the 0.5 bucket; p99 in the 30 bucket.
-        assert registry.histogram_quantile("repro_q_seconds", 0.5) == 0.5
-        assert registry.histogram_quantile("repro_q_seconds", 0.99) == 30.0
-        assert registry.histogram_quantile("repro_none", 0.5) is None
+        registry.observe("repro_q_seconds", "q", 0.3, route="/a")
+        registry.observe("repro_q_seconds", "q", 12.0, route="/a")
+        registry.observe("repro_q_seconds", "q", 0.4, route="/b")
+        count, total, buckets = registry.histogram_stats("repro_q_seconds")
+        assert count == 3 and total == pytest.approx(12.7)
+        assert sum(buckets) == 3
+        count, total, buckets = registry.histogram_stats(
+            "repro_q_seconds", route="/a"
+        )
+        assert count == 2 and total == pytest.approx(12.3)
+        assert registry.histogram_stats(
+            "repro_q_seconds", route="/c"
+        )[:2] == (0, 0.0)
+        assert registry.histogram_stats("repro_none") == (0, 0.0, [])
+
+    def test_a_family_keeps_its_kind_and_label_names(self):
+        registry = MetricsRegistry()
+        registry.counter_inc("repro_k_total", "k", tenant="a")
+        with pytest.raises(ValueError, match="re-registered"):
+            registry.counter_inc("repro_k_total", "k", route="/a")
+        with pytest.raises(ValueError, match="re-registered"):
+            registry.gauge_set("repro_k_total", "k", 1.0, tenant="a")
+        assert registry.counter_value("repro_k_total", tenant="a") == 1
 
     def test_exposition_passes_strict_checker(self):
         registry = MetricsRegistry()
@@ -408,29 +468,36 @@ register_runner("test-obs-gate", _GateEngine, encode=dict, decode=dict)
 
 class TestStoreMetrics:
     def test_lookups_count_hits_and_misses(self):
-        before_hit = METRICS.counter_total(
+        before_hit = METRICS.counter_value(
             "repro_store_requests_total", cache="hit"
         )
-        before_miss = METRICS.counter_total(
+        before_miss = METRICS.counter_value(
             "repro_store_requests_total", cache="miss"
         )
+        computed = METRICS.histogram_stats(
+            "repro_cell_compute_seconds", kind=GateSpec.kind
+        )[0]
         store = MemoryStore()
         for _ in range(3):
             run_cell(GateSpec(1), store)
-        assert METRICS.counter_total(
+        # Only the miss computes, and its wall time is observed.
+        assert METRICS.histogram_stats(
+            "repro_cell_compute_seconds", kind=GateSpec.kind
+        )[0] == computed + 1
+        assert METRICS.counter_value(
             "repro_store_requests_total", cache="miss"
         ) == before_miss + 1
-        assert METRICS.counter_total(
+        assert METRICS.counter_value(
             "repro_store_requests_total", cache="hit"
         ) == before_hit + 2
 
     def test_single_flight_counts_led_and_coalesced(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_CACHE", raising=False)
-        before_led = METRICS.counter_total(
+        before_led = METRICS.counter_value(
             "repro_store_single_flight_total", outcome="led"
         )
-        before_coalesced = METRICS.counter_total(
+        before_coalesced = METRICS.counter_value(
             "repro_store_single_flight_total", outcome="coalesced"
         )
         gate = threading.Barrier(3)
@@ -450,102 +517,12 @@ class TestStoreMetrics:
         release.set()
         for thread in pool:
             thread.join(timeout=10)
-        assert METRICS.counter_total(
+        assert METRICS.counter_value(
             "repro_store_single_flight_total", outcome="led"
         ) == before_led + 1
-        assert METRICS.counter_total(
+        assert METRICS.counter_value(
             "repro_store_single_flight_total", outcome="coalesced"
         ) == before_coalesced + 2
-
-
-class TestSlo:
-    def test_quantile_slo_ok_and_breach(self):
-        registry = MetricsRegistry()
-        spec = SloSpec(
-            name="p99", description="d", kind="quantile",
-            metric="repro_l_seconds", threshold=1.0,
-        )
-        (result,) = evaluate(registry, (spec,))
-        assert result.status == NO_DATA and result.value is None
-        registry.observe("repro_l_seconds", "l", 0.3)
-        (result,) = evaluate(registry, (spec,))
-        assert result.status == OK and result.value == 0.5
-        for _ in range(200):
-            registry.observe("repro_l_seconds", "l", 20.0)
-        (result,) = evaluate(registry, (spec,))
-        assert result.status == BREACH and result.value == 30.0
-
-    def test_ratio_slo_with_min_events_floor(self):
-        registry = MetricsRegistry()
-        spec = SloSpec(
-            name="err", description="d", kind="ratio",
-            metric="repro_done_total",
-            event_labels=(("status", "failed"),),
-            threshold=0.25, min_events=4,
-        )
-        registry.counter_inc("repro_done_total", "d", status="failed")
-        (result,) = evaluate(registry, (spec,))
-        assert result.status == NO_DATA  # 1 event < min_events=4
-        for _ in range(3):
-            registry.counter_inc("repro_done_total", "d", status="completed")
-        (result,) = evaluate(registry, (spec,))
-        assert result.status == OK and result.value == 0.25
-        registry.counter_inc("repro_done_total", "d", status="failed")
-        (result,) = evaluate(registry, (spec,))
-        assert result.status == BREACH and result.value == 0.4
-
-    def test_ge_direction_floor_objective(self):
-        registry = MetricsRegistry()
-        spec = SloSpec(
-            name="warm", description="d", kind="ratio",
-            metric="repro_req_total", event_labels=(("cache", "hit"),),
-            direction="ge", threshold=0.5,
-        )
-        registry.counter_inc("repro_req_total", "r", cache="hit")
-        registry.counter_inc("repro_req_total", "r", cache="miss")
-        (result,) = evaluate(registry, (spec,))
-        assert result.status == OK
-        for _ in range(3):
-            registry.counter_inc("repro_req_total", "r", cache="miss")
-        (result,) = evaluate(registry, (spec,))
-        assert result.status == BREACH and result.value == 0.2
-
-    def test_document_counts_breaches(self):
-        registry = MetricsRegistry()
-        registry.observe("repro_job_latency_seconds", "l", 500.0)
-        document = slo_document(registry)
-        assert document["status"] == BREACH
-        assert document["breaches"] == 1
-        by_name = {entry["name"]: entry for entry in document["slos"]}
-        assert by_name["p99_job_latency"]["status"] == BREACH
-        assert by_name["warm_hit_ratio"]["status"] == NO_DATA
-
-    def test_overrides_validate_names(self):
-        overridden = with_overrides(DEFAULT_SLOS, {"p99_job_latency": 7.5})
-        by_name = {spec.name: spec for spec in overridden}
-        assert by_name["p99_job_latency"].threshold == 7.5
-        assert by_name["p99_queue_wait"].threshold == 30.0
-        with pytest.raises(ConfigurationError, match="unknown SLO"):
-            with_overrides(DEFAULT_SLOS, {"p99_job_latencyy": 1.0})
-
-    def test_invalid_spec_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SloSpec(name="x", description="d", kind="mean",
-                    metric="m", threshold=1.0)
-        with pytest.raises(ConfigurationError):
-            SloSpec(name="x", description="d", kind="ratio",
-                    metric="m", threshold=1.0, direction="gt")
-
-    def test_rendered_rules_cover_every_slo(self):
-        text = render_alert_rules()
-        assert "groups:" in text
-        assert "P99JobLatencyBreach" in text
-        assert "JobErrorRateFastBurn" in text
-        assert "JobErrorRateSlowBurn" in text
-        # ge-direction budget is inverted: 1 - 0.5 threshold.
-        assert "WarmHitRatioFastBurn" in text
-        assert "> 7.2" in text  # 14.4 * (1 - 0.5)
-        assert 'severity: page' in text and 'severity: ticket' in text
 
 
 class TestProgressPruning:
@@ -562,6 +539,43 @@ class TestProgressPruning:
         assert broker.forget_prefix("job-1/") == 1
         assert set(broker.snapshot()) == {"job-2/cell-a"}
         broker.clear()
+
+    def test_finished_runs_past_the_bound_go_oldest_first(self):
+        """Past 64 finished runs the oldest go; a run still going is
+        never evicted, however old."""
+        broker = ProgressBroker()
+        with broker.track("active"):
+            broker.publish({"windows": 1, "done": False})
+        for index in range(70):
+            with broker.track(f"run-{index}"):
+                broker.publish({"windows": 1, "done": True})
+        labels = set(broker.snapshot())
+        assert "active" in labels
+        assert labels - {"active"} == {f"run-{i}" for i in range(6, 70)}
+
+    def test_an_untracked_publish_is_dropped(self):
+        broker = ProgressBroker()
+        broker.publish({"windows": 1, "done": False})
+        assert broker.snapshot() == {}
+
+    def test_a_direct_cell_publishes_no_progress(self):
+        PROGRESS.clear()
+        run_cell(Chapter4Spec(mix="W1", policy="ts", copies=1), MemoryStore())
+        assert PROGRESS.snapshot() == {}
+
+    def test_a_tracked_direct_cell_publishes_under_the_callers_label(self):
+        PROGRESS.clear()
+        try:
+            with PROGRESS.track("caller"):
+                run_cell(
+                    Chapter4Spec(mix="W1", policy="ts", copies=1),
+                    MemoryStore(),
+                )
+            (label,) = PROGRESS.snapshot()
+            assert label == "caller"
+            assert PROGRESS.snapshot()["caller"]["done"] is True
+        finally:
+            PROGRESS.clear()
 
     def test_completed_job_leaves_no_progress_entries(self, tmp_path):
         from repro.jobs import JobsManager
@@ -618,19 +632,79 @@ class TestProgressPruning:
         assert leaked == []
 
 
+    @staticmethod
+    def _engines_raise(monkeypatch) -> None:
+        """Every engine raises at its finish, after its progress
+        observer has published the run as not done."""
+
+        def finish(engine):
+            raise SimulationError("engine failed at finish")
+
+        monkeypatch.setattr(SteppingEngine, "finish", finish)
+
+    def test_a_direct_cell_whose_engine_raises_leaves_no_entry(
+        self, monkeypatch
+    ):
+        """A direct cell runs unlabelled, so an engine that raises
+        before it publishes ``done`` leaves nothing the bounded
+        eviction would never reach."""
+        self._engines_raise(monkeypatch)
+        PROGRESS.clear()
+        spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
+        with pytest.raises(SimulationError):
+            run_cell(spec, MemoryStore())
+        assert PROGRESS.snapshot() == {}
+
+    def test_a_failed_job_leaves_no_progress_entries(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.jobs import JobsManager
+
+        self._engines_raise(monkeypatch)
+        manager = JobsManager(
+            tmp_path / "jobs", store=MemoryStore(), window_slice=200
+        )
+        manager.start()
+        try:
+            document = manager.submit_body({"request": {
+                "type": "simulate", "mix": "W1", "policy": "ts", "copies": 1,
+            }})
+            job_id = document["job"]["id"]
+            deadline = time.monotonic() + 120
+            while not manager.queue.get(job_id).terminal:
+                assert time.monotonic() < deadline, "job hung"
+                time.sleep(0.01)
+            record = manager.queue.get(job_id)
+        finally:
+            manager.stop(drain=False)
+        assert record.status == "failed"
+        assert "engine failed at finish" in record.error
+        leaked = [
+            label for label in PROGRESS.snapshot()
+            if label.startswith(f"{job_id}/")
+        ]
+        assert leaked == []
+
+
 class TestStructuredLog:
     def test_plain_mode_prints_only_explicit_messages(self, capsys):
         log = StructuredLog()
-        log.configure(json_mode=False)
+        log.json_mode = False
         log.info("service.listening", "listening on :8765", port=8765)
         log.info("job.cell_finished", job="j", cell="c")  # silent
         captured = capsys.readouterr()
         assert captured.out == "listening on :8765\n"
         assert captured.err == ""
 
+    def test_repro_log_json_picks_the_mode(self, monkeypatch):
+        monkeypatch.delenv("REPRO_LOG_JSON", raising=False)
+        assert StructuredLog().json_mode is False
+        monkeypatch.setenv("REPRO_LOG_JSON", "1")
+        assert StructuredLog().json_mode is True
+
     def test_json_mode_emits_one_line_documents(self, capsys):
         log = StructuredLog()
-        log.configure(json_mode=True)
+        log.json_mode = True
         log.warning("jobs.requeued", job="j0", requeued=3)
         log.error("job.failed", job="j1")
         captured = capsys.readouterr()
@@ -644,11 +718,11 @@ class TestStructuredLog:
         assert document["requeued"] == 3
         assert "ts" in document
 
-    def test_json_logs_carry_active_trace_id(self, capsys):
+    def test_json_logs_carry_active_trace_id(self, capsys, monkeypatch):
         from repro.obs.trace import TRACER
 
+        monkeypatch.setenv("REPRO_LOG_JSON", "1")
         log = StructuredLog()
-        log.configure(json_mode=True)
         TRACER.configure(enabled=True)
         try:
             with TRACER.span("op") as span:
@@ -696,13 +770,6 @@ def _wait_for_spans(trace_id: str, timeout: float = 2.0):
 
 
 class TestServiceRoutes:
-    def test_slo_route_serves_document(self, traced_service):
-        status, document = _get_json(traced_service.url + "/v1/slo")
-        assert status == 200
-        assert document["status"] in (OK, BREACH)
-        names = {entry["name"] for entry in document["slos"]}
-        assert {"p99_job_latency", "warm_hit_ratio"} <= names
-
     def test_http_spans_join_the_callers_trace(self, traced_service):
         from repro.obs.trace import TRACER
 
@@ -718,14 +785,25 @@ class TestServiceRoutes:
         assert http and http[0].parent_id == "abcd000000000001"
         assert http[0].args["route"] == "/v1/simulate"
 
+    def test_trace_route_answers_one_requests_chrome_trace(
+        self, traced_service
+    ):
+        trace_id = "feedface00000002"
+        request = urllib.request.Request(
+            traced_service.url + "/v1/simulate?mix=W1&policy=ts&copies=1",
+            headers={TRACE_HEADER: f"{trace_id}:abcd000000000002"},
+        )
+        with urllib.request.urlopen(request) as response:
+            assert response.status == 200
+        assert _wait_for_spans(trace_id)
         status, document = _get_json(
-            traced_service.url + "/v1/trace/feedface00000001"
+            traced_service.url + f"/v1/trace/{trace_id}"
         )
         assert status == 200
-        trace_ids = {
-            event["args"]["trace_id"] for event in document["traceEvents"]
-        }
-        assert trace_ids == {"feedface00000001"}
+        events = document["traceEvents"]
+        assert {event["args"]["trace_id"] for event in events} == {trace_id}
+        assert {event["ph"] for event in events} == {"X"}
+        assert "http" in {event["name"] for event in events}
 
     def test_unknown_trace_is_404(self, traced_service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -742,87 +820,142 @@ class TestServiceRoutes:
         )
 
 
-class TestCli:
-    def test_trace_export_from_jsonl(self, tmp_path, capsys):
-        from repro.cli import main
+# ---------------------------------------------------------------------------
+# README "Observability": one table row per kept surface
+# ---------------------------------------------------------------------------
 
-        tracer = Tracer()
-        tracer.configure(
-            enabled=True, sink=str(tmp_path / "spans.jsonl")
-        )
-        with tracer.span("outer"):
-            with tracer.span("inner"):
-                pass
-        out = tmp_path / "trace.json"
-        code = main([
-            "trace", "export",
-            "--input", str(tmp_path / "spans.jsonl"),
-            "--output", str(out),
-        ])
-        assert code == 0
-        document = json.loads(out.read_text())
-        assert {e["name"] for e in document["traceEvents"]} == {
-            "outer", "inner"
+ROOT = Path(__file__).resolve().parent.parent
+
+#: The registry calls whose first argument names a metric family.
+_METRIC_CALLS = ("counter_inc", "gauge_set", "observe")
+
+
+def _table_rows() -> list[tuple[list[str], str]]:
+    """``(surfaces, test node id)`` of each row of the table under
+    README's "Observability" heading."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Observability\n", 1)[1].split("\n## ", 1)[0]
+    rows = []
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        surface, _, test = line.strip("|").split("|")
+        rows.append((re.findall(r"`([^`]+)`", surface), test.strip(" `")))
+    return rows
+
+
+def _registered_families() -> set[str]:
+    """The first argument of every registry call under ``src/repro``
+    outside the registry itself: a string, or the loop variable of a
+    ``for`` over a literal tuple of rows."""
+    families = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        if path.name == "metrics.py" and path.parent.name == "obs":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loops: dict[str, list] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.For) and isinstance(node.target, ast.Tuple):
+                for index, target in enumerate(node.target.elts):
+                    try:
+                        loops[target.id] = [
+                            ast.literal_eval(row.elts[index])
+                            for row in node.iter.elts
+                        ]
+                    except (AttributeError, ValueError):
+                        pass
+        for node in ast.walk(tree):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _METRIC_CALLS
+            ):
+                continue
+            first = node.args[0]
+            if isinstance(first, ast.Constant):
+                families.add(first.value)
+            else:
+                assert getattr(first, "id", None) in loops, (
+                    f"{path}:{node.lineno}: a metric family that is neither "
+                    "a string nor a loop over literal names"
+                )
+                families.update(loops[first.id])
+    return families
+
+
+def _string_constants() -> set[str]:
+    """Every string literal in code under ``src/repro``; a docstring
+    (a string standing alone as a statement) reads nothing."""
+    found = set()
+    for path in (ROOT / "src" / "repro").rglob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        alone = {
+            id(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Expr)
         }
-
-    def test_trace_export_requires_exactly_one_source(self, capsys):
-        from repro.cli import main
-
-        assert main(["trace", "export"]) == 2
-        assert "span source" in capsys.readouterr().err
-
-    def test_slo_rules_prints_prometheus_rules(self, capsys):
-        from repro.cli import main
-
-        assert main(["slo", "rules"]) == 0
-        out = capsys.readouterr().out
-        assert "groups:" in out and "P99JobLatencyBreach" in out
-
-    def test_slo_check_against_live_service(self, traced_service, capsys):
-        from repro.cli import main
-
-        code = main(["slo", "check", "--url", traced_service.url, "--json"])
-        out = json.loads(capsys.readouterr().out)
-        assert code in (0, 1)
-        assert out["breaches"] >= 0
-
-    def test_slo_check_synthetic_breach_exits_nonzero(
-        self, traced_service, capsys
-    ):
-        """Tightening warm_hit_ratio to an impossible 1.01 floor must
-        flip the gate; prime store traffic first so the ratio has
-        enough events to leave ``no_data``."""
-        _prime_store()
-        from repro.cli import main
-
-        code = main([
-            "slo", "check", "--url", traced_service.url,
-            "--override", "warm_hit_ratio=1.01", "--json",
-        ])
-        document = json.loads(capsys.readouterr().out)
-        by_name = {e["name"]: e for e in document["slos"]}
-        if by_name["warm_hit_ratio"]["status"] == NO_DATA:
-            pytest.skip("no store traffic reached the global registry")
-        assert by_name["warm_hit_ratio"]["status"] == BREACH
-        assert document["status"] == BREACH
-        assert code == 1
-
-    def test_slo_check_unknown_override_fails_cleanly(
-        self, traced_service, capsys
-    ):
-        from repro.cli import main
-
-        code = main([
-            "slo", "check", "--url", traced_service.url,
-            "--override", "not_an_slo=1",
-        ])
-        assert code == 2
-        assert "unknown SLO" in capsys.readouterr().err
+        found.update(
+            node.value for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and id(node) not in alone
+        )
+    return found
 
 
-def _prime_store() -> None:
-    """Drive >= min_events store lookups so warm_hit_ratio has data."""
-    store = MemoryStore()
-    for _ in range(6):
-        run_cell(GateSpec(3), store)
-        run_cell(GateSpec(4), store)
+def _cli_has(words: list[str]) -> bool:
+    """Whether ``repro <words...>`` is a command of the CLI parser."""
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    for word in words:
+        (commands,) = [
+            action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        if word not in commands.choices:
+            return False
+        parser = commands.choices[word]
+    return True
+
+
+def _test_exists(node_id: str) -> bool:
+    """Whether a ``path::[Class::]test`` node id names a test function."""
+    path, *names = node_id.split("[", 1)[0].split("::")
+    body = ast.parse((ROOT / path).read_text()).body
+    for name in names:
+        found = [
+            node for node in body
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            and node.name == name
+        ]
+        if not found:
+            return False
+        body = found[0].body
+    return bool(names) and names[-1].startswith("test_")
+
+
+def test_the_observability_table_matches_the_code():
+    """Every metric family the code registers has one row, every row
+    names a surface that exists, and every row's test resolves."""
+    from repro.api.service import _ROUTES
+
+    rows = _table_rows()
+    surfaces = [surface for names, _ in rows for surface in names]
+    assert len(surfaces) == len(set(surfaces)), "a surface has two rows"
+    families = _registered_families()
+    assert sorted(families - set(surfaces)) == []
+    constants = _string_constants()
+    for surface in surfaces:
+        method, _, path = surface.partition(" ")
+        if method in ("GET", "POST"):
+            assert method in _ROUTES.get(path, {}), surface
+        elif method == "repro":
+            assert _cli_has(path.split()), surface
+        elif surface.startswith("repro_"):
+            assert surface in families, surface
+        elif surface.startswith(("REPRO_", "X-")):
+            assert surface in constants, surface
+        else:
+            raise AssertionError(f"{surface!r} is no kind of surface")
+    for names, node_id in rows:
+        assert _test_exists(node_id), (names, node_id)

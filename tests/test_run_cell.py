@@ -31,7 +31,7 @@ from repro.campaign import (
 from repro.cli import main
 from repro.core.kernel import BatchedMemSpot
 from repro.engine import CheckpointFile
-from repro.engine.progress import PROGRESS
+from repro.engine.progress import _CURRENT_LABEL, PROGRESS
 from repro.errors import ConfigurationError
 from repro.jobs import (
     COMPLETED,
@@ -235,7 +235,7 @@ def test_job_cells_publish_progress_under_the_job_label(tmp_path):
     seen: list[tuple[str | None, list[str]]] = []
 
     def spy(record):
-        seen.append((PROGRESS.current_label(), sorted(PROGRESS.snapshot())))
+        seen.append((_CURRENT_LABEL.get(), sorted(PROGRESS.snapshot())))
         return None
 
     manager._interruption = spy
@@ -249,7 +249,7 @@ def test_job_cells_publish_progress_under_the_job_label(tmp_path):
     assert {current for current, _ in slices} == {label}
     published = {name for _, names in seen for name in names}
     assert published == {label}
-    assert PROGRESS.current_label() is None
+    assert _CURRENT_LABEL.get() is None
 
 
 def test_run_cell_without_on_slice_runs_every_slice_to_the_end():

@@ -485,7 +485,7 @@ def bench_tracing_overhead(repeats: int) -> dict:
         return time.perf_counter() - started
 
     def traced_once() -> float:
-        TRACER.configure(enabled=True, sample_every=DEFAULT_SAMPLE_EVERY)
+        TRACER.configure(enabled=True)
         try:
             with TRACER.span("bench.cell", policy="ts"):
                 return cell_once()
