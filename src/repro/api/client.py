@@ -40,7 +40,7 @@ from repro.campaign import (
     run_cell,
 )
 from repro.engine.codec import Count
-from repro.engine.state import CheckpointFile, EngineStateSerializer
+from repro.engine.state import CheckpointFile
 from repro.errors import ConfigurationError
 from repro.scenarios import iter_scenarios
 
@@ -177,11 +177,9 @@ class ReproClient:
             Path(checkpoint_dir) / f"{spec.key()}.checkpoint.json"
         )
         state = checkpoint.load() if resume and checkpoint.exists() else None
-        # Consecutive states share most sections; rewrite only the rest.
-        serializer = EngineStateSerializer()
         outcome = run_cell(
             spec, self.store, resume=state, window_slice=checkpoint_every,
-            on_slice=lambda now: checkpoint.write(now, serializer),
+            on_slice=checkpoint.write,
         )
         checkpoint.remove()
         return cell_envelope(spec, outcome, echo)

@@ -26,7 +26,6 @@ _EXPORTS = {
     "RunSpec": "spec",
     "engine_for_spec": "spec",
     "register_runner": "spec",
-    "registered_kinds": "spec",
     "runner_for": "spec",
     "spec_key": "spec",
     "JsonDirStore": "stores.disk",

@@ -42,21 +42,9 @@ class RunSpec(Protocol):
         ...
 
 
-#: Instance attribute holding a spec's computed key; it is no field,
-#: so it is never hashed itself.
-_KEY_ATTR = "_spec_key"
-
-
 def _key_fields(spec: RunSpec) -> dict:
     excluded = getattr(spec, "KEY_EXCLUDED_FIELDS", ())
-    # Iterate a copy: another thread keying the same spec may add
-    # ``_KEY_ATTR`` to its ``__dict__`` meanwhile (the copy is one C
-    # call, which no thread switch interrupts).
-    return {
-        k: v
-        for k, v in dict(spec.__dict__).items()
-        if k not in excluded and k != _KEY_ATTR
-    }
+    return {k: v for k, v in spec.__dict__.items() if k not in excluded}
 
 
 def spec_key(spec: RunSpec) -> str:
@@ -68,21 +56,12 @@ def spec_key(spec: RunSpec) -> str:
     presentation metadata (e.g. the scenario label) and are left out,
     so differently-labeled descriptions of the same physical run share
     one cache entry.
-
-    A spec is frozen, so its key is hashed once and kept on the
-    instance: a warm request asks for it at lookup and again for the
-    envelope's provenance.
     """
-    key = spec.__dict__.get(_KEY_ATTR)
-    if key is None:
-        payload = json.dumps(_key_fields(spec), sort_keys=True, default=str)
-        digest = hashlib.sha256(
-            f"{CACHE_VERSION}|{spec.kind}|{payload}".encode()
-        ).hexdigest()
-        key = f"{spec.kind}-{digest[:20]}"
-        # Frozen dataclasses refuse setattr; the key is no field.
-        object.__setattr__(spec, _KEY_ATTR, key)
-    return key
+    payload = json.dumps(_key_fields(spec), sort_keys=True, default=str)
+    digest = hashlib.sha256(
+        f"{CACHE_VERSION}|{spec.kind}|{payload}".encode()
+    ).hexdigest()
+    return f"{spec.kind}-{digest[:20]}"
 
 
 def spec_fields(spec: RunSpec) -> dict:
@@ -168,8 +147,3 @@ def runner_for(kind: str) -> Runner:
             f"(registered: {sorted(_RUNNERS) or 'none'})"
         )
     return runner
-
-
-def registered_kinds() -> tuple[str, ...]:
-    """Names of all registered spec kinds."""
-    return tuple(sorted(_RUNNERS))

@@ -20,9 +20,7 @@ lists, and splits a window in two:
   strategy's window cache) reuses the load it built once.
 - :meth:`BatchedMemSpot.step` is the state half: the Eq. 3.6 ambient
   node, the Eq. 3.5 RC update of each AMB and DRAM, and the chain
-  peaks, returned as a :class:`MemSpotSample`.  The
-  default FBDIMM topology, four DIMMs per channel, gets that pass
-  unrolled over local variables; every other length runs the loop.
+  peaks, returned as a :class:`MemSpotSample`.
 
 Numerical contract: every expression below reproduces ``MemSpot``'s
 floating-point operations *in the same order* — the stable points are
@@ -304,37 +302,9 @@ class BatchedMemSpot:
 
         gain_amb = self._gain_amb
         gain_dram = self._gain_dram
-        if self._dimms == 4:
-            # The default FBDIMM chain, unrolled over locals: the loop
-            # below with i = 0..3 written out, each ``max`` as its
-            # left-to-right compares (the same result bit for bit).
-            pa0, pa1, pa2, pa3 = amb_rise
-            pd0, pd1, pd2, pd3 = amb_dram_rise
-            ta0, ta1, ta2, ta3 = self._t_amb
-            td0, td1, td2, td3 = self._t_dram
-            ta0 += (ambient_c + pa0 + dram_amb - ta0) * gain_amb
-            ta1 += (ambient_c + pa1 + dram_amb - ta1) * gain_amb
-            ta2 += (ambient_c + pa2 + dram_amb - ta2) * gain_amb
-            ta3 += (ambient_c + pa3 + dram_amb - ta3) * gain_amb
-            td0 += (ambient_c + pd0 + dram_dram - td0) * gain_dram
-            td1 += (ambient_c + pd1 + dram_dram - td1) * gain_dram
-            td2 += (ambient_c + pd2 + dram_dram - td2) * gain_dram
-            td3 += (ambient_c + pd3 + dram_dram - td3) * gain_dram
-            self._t_amb = [ta0, ta1, ta2, ta3]
-            self._t_dram = [td0, td1, td2, td3]
-            amb_c = ta0 if ta0 > -273.15 else -273.15
-            amb_c = ta1 if ta1 > amb_c else amb_c
-            amb_c = ta2 if ta2 > amb_c else amb_c
-            amb_c = ta3 if ta3 > amb_c else amb_c
-            dram_c = td0 if td0 > -273.15 else -273.15
-            dram_c = td1 if td1 > dram_c else dram_c
-            dram_c = td2 if td2 > dram_c else dram_c
-            dram_c = td3 if td3 > dram_c else dram_c
-            return MemSpotSample(amb_c, dram_c, ambient_c, power_w)
-
-        # Any other chain length: one flat pass over the chain, Eq. 3.3/
-        # 3.4 stable points (ambient + AMB rise + DRAM rise), Eq. 3.5 RC
-        # update, each peak ``max`` as its compare.
+        # One flat pass over the chain: Eq. 3.3/3.4 stable points
+        # (ambient + AMB rise + DRAM rise), Eq. 3.5 RC update, each peak
+        # ``max`` as its compare.
         t_amb = self._t_amb
         t_dram = self._t_dram
         amb_c = -273.15

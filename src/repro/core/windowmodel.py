@@ -27,9 +27,9 @@ A memo miss is still the costliest call of a cold cell: a bisection over
 utilization whose every point runs ``IPC_SWEEPS`` cache-sharing solves.
 It is written for speed under one exactness contract, shared with
 :mod:`repro.cache.sharing`: only values are hoisted (per-app constants,
-the first sweep's cache split, which no latency changes), never
-operations.  Each expression keeps its operations and their left-to-right
-order — the access rate stays ``frequency_hz * ipc * apki / 1000.0`` —
+which no latency changes), never operations.  Each expression keeps its
+operations and their left-to-right order — the access rate stays
+``frequency_hz * ipc * apki / 1000.0`` —
 and sums keep their order, so every output bit matches the plain
 per-client loop the tests keep as an oracle.
 """
@@ -194,12 +194,7 @@ class _FixedLatencyRates:
     """IPC, miss ratios and demand of one app set at a pinned latency.
 
     Built once per :meth:`WindowModel._solve`: it holds the per-app
-    constants of that call and the first sweep's cache split.  The first
-    IPC sweep starts from ``ipc = 1 / CPI_base`` whatever the latency, so
-    its access rates, and therefore its shares and miss ratios, are the
-    same at every bisection point; solving it once here instead of once
-    per point cuts a bisected evaluation from 26 x ``IPC_SWEEPS`` = 208
-    solves to 183.
+    constants of that call.
     """
 
     def __init__(
@@ -220,9 +215,6 @@ class _FixedLatencyRates:
             1.0 + app.spec_traffic_frac * frequency_scale + app.write_frac for app in apps
         ]
         self._first_ipc = [1.0 / cpi for cpi in self._cpis]
-        _, self._first_miss = self._solve(
-            self._access_rates(self._first_ipc), self._curves
-        )
 
     def _access_rates(self, ipc: list[float]) -> list[float]:
         frequency_hz = self._frequency_hz
@@ -239,10 +231,8 @@ class _FixedLatencyRates:
         cpis, mlps, mpi_per_miss = self._cpis, self._mlps, self._mpi_per_miss
         latency_cycles = latency_s * frequency_hz
         ipc = self._first_ipc
-        miss_ratio = self._first_miss
-        for sweep in range(IPC_SWEEPS):
-            if sweep:
-                _, miss_ratio = self._solve(self._access_rates(ipc), self._curves)
+        for _ in range(IPC_SWEEPS):
+            _, miss_ratio = self._solve(self._access_rates(ipc), self._curves)
             ipc = [
                 x + (1.0 / (cpi + per_miss * miss * latency_cycles / mlp) - x) * 0.6
                 for x, cpi, per_miss, miss, mlp in zip(

@@ -16,7 +16,6 @@ from repro import lazy_exports
 _EXPORTS = {
     "CheckpointFile": "state",
     "EngineState": "state",
-    "EngineStateSerializer": "state",
     "Observer": "observers",
 }
 

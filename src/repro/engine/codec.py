@@ -324,15 +324,25 @@ def _default(f: dataclasses.Field) -> Any:
     return REQUIRED if f.default is dataclasses.MISSING else f.default
 
 
+#: Per dataclass: its declared checkpoint fields, in field order.
+_FIELDS: dict[type, tuple[Field, ...]] = {}
+
+
 def fields_of(component: Any) -> tuple[Field, ...]:
-    """The declared checkpoint fields of a component or dataclass."""
-    if dataclasses.is_dataclass(component):
-        return tuple(
-            Field(f.name, f.name, f.metadata["checkpoint"], _default(f))
-            for f in dataclasses.fields(component)
-            if "checkpoint" in f.metadata
-        )
-    return component.STATE_FIELDS
+    """The declared checkpoint fields of a component or dataclass; a
+    dataclass's table is built once, as :func:`check_domain` builds
+    its own."""
+    table = getattr(component, "STATE_FIELDS", None)
+    if table is None:
+        cls = component if isinstance(component, type) else type(component)
+        table = _FIELDS.get(cls)
+        if table is None:
+            table = _FIELDS[cls] = tuple(
+                Field(f.name, f.name, f.metadata["checkpoint"], _default(f))
+                for f in dataclasses.fields(cls)
+                if "checkpoint" in f.metadata
+            )
+    return table
 
 
 def state_dict(component: Any) -> dict:

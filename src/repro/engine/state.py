@@ -28,7 +28,9 @@ whose types and ranges are already checked.  A restore decodes the
 whole snapshot before it assigns anything, so a refused snapshot
 leaves the engine as it was.
 
-:class:`CheckpointFile` stores one snapshot on disk through
+:class:`CheckpointFile` stores one snapshot on disk, as the
+:func:`encode_checkpoint` bytes of the same ``to_dict()`` a job keeps in
+its record's ``cell_states``, through
 :func:`publish_atomic`, the one write-then-rename routine the result
 store (:class:`~repro.campaign.stores.JsonDirStore`) and the job
 records (:class:`~repro.jobs.store.JobStore`) publish with too: the
@@ -55,7 +57,6 @@ from repro.engine.codec import (
     Object,
     Text,
     decode_record,
-    fields_of,
     state_dict,
     state_field,
     version_major,
@@ -121,49 +122,11 @@ class EngineState:
         return decode_record(cls, raw, "engine state")
 
 
-class EngineStateSerializer:
-    """Incremental :class:`EngineState` -> JSON text, with section reuse.
-
-    Serializing a snapshot from scratch re-dumps every section every
-    time, but between consecutive checkpoints of one run most sections
-    are byte-identical: the strategy/version header never changes, and
-    the observer states — which embed the *entire* trace recorded so
-    far, by far the largest section on trace-recording cells — only
-    change when the trace grows (once per trace-resolution interval,
-    not per window).  This serializer caches each section's serialized
-    text and reuses it while the section's value compares equal, so an
-    every-window checkpoint cadence re-serializes only the small
-    mutable state (clock, accumulators, temperatures).
-
-    The output is byte-identical to
-    ``json.dumps(state.to_dict(), sort_keys=True)`` (a test pins this),
-    so cached and uncached writers publish interchangeable files.  One
-    serializer serves one run's checkpoint stream; sharing it across
-    unrelated runs is safe but defeats the cache.
-    """
-
-    def __init__(self) -> None:
-        self._sections: dict[str, tuple[Any, str]] = {}
-
-    def _section(self, name: str, value: Any) -> str:
-        cached = self._sections.get(name)
-        if cached is not None and cached[0] == value:
-            return cached[1]
-        text = json.dumps(value, sort_keys=True)
-        self._sections[name] = (value, text)
-        return text
-
-    def serialize(self, state: EngineState) -> str:
-        """The snapshot's canonical JSON document."""
-        return "{" + ", ".join(
-            f'"{key}": {self._section(key, getattr(state, key))}'
-            for key in _SORTED_KEYS
-        ) + "}"
-
-
-#: EngineState's keys in the order ``json.dumps(..., sort_keys=True)``
-#: writes them.
-_SORTED_KEYS = sorted(field.key for field in fields_of(EngineState))
+def encode_checkpoint(state: EngineState) -> bytes:
+    """The bytes a checkpoint file holds: the canonical JSON of
+    ``state.to_dict()``, the form a job keeps in its record's
+    ``cell_states``, and a newline."""
+    return (json.dumps(state.to_dict(), sort_keys=True) + "\n").encode()
 
 
 #: Process-wide suffix of temp names (``next`` on an
@@ -222,25 +185,16 @@ class CheckpointFile:
         """Whether a published checkpoint is present."""
         return self.path.is_file()
 
-    def write(
-        self,
-        state: EngineState,
-        serializer: EngineStateSerializer | None = None,
-    ) -> None:
+    def write(self, state: EngineState) -> None:
         """Atomically publish ``state``, replacing any prior snapshot.
 
-        The document is serialized before the temp file opens, so an
-        unserializable state aborts before touching disk; any I/O
-        failure mid-write unlinks the temp sibling, leaving either the
-        previous valid checkpoint or nothing.  A ``serializer`` lets a
-        repeat writer (a resumable run's slice boundaries) reuse
-        unchanged sections' serialized text between snapshots.
+        The document (:func:`encode_checkpoint`) is serialized before
+        the temp file opens, so an unserializable state aborts before
+        touching disk; any I/O failure mid-write unlinks the temp
+        sibling, leaving either the previous valid checkpoint or
+        nothing.
         """
-        if serializer is None:
-            text = json.dumps(state.to_dict(), sort_keys=True)
-        else:
-            text = serializer.serialize(state)
-        publish_atomic(self._path_str, (text + "\n").encode())
+        publish_atomic(self._path_str, encode_checkpoint(state))
 
     def load(self) -> EngineState:
         """Read and validate the published snapshot."""

@@ -28,16 +28,6 @@ class OpenLoopThrottle:
         self._line_bytes = CACHE_LINE_BYTES
         self._max_activations: int | None = None
 
-    @property
-    def window_s(self) -> float:
-        """The throttle window length, seconds."""
-        return self._window_s
-
-    @property
-    def max_activations(self) -> int | None:
-        """The programmed cap (None = disabled)."""
-        return self._max_activations
-
     def program_bandwidth(self, bytes_per_s: float | None) -> None:
         """Program the cap from a target bandwidth."""
         if bytes_per_s is None:

@@ -53,11 +53,6 @@ class DaughterCard:
         self._logs: dict[str, SensorLog] = {}
         self._last_sample_s: float | None = None
 
-    @property
-    def sampling_period_s(self) -> float:
-        """The card's sampling period."""
-        return self._period_s
-
     def add_channel(self, name: str, noisy: bool = True) -> None:
         """Register a sensor channel."""
         if name in self._sensors:

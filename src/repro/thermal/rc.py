@@ -48,33 +48,17 @@ class RCNode:
             raise ThermalModelError(f"tau must be positive, got {tau_s}")
         self._tau_s = tau_s
         self._temperature_c = initial_c
-        # The simulators step with a fixed dt, so cache the (dt, tau) ->
-        # gain pair instead of evaluating exp() every window.  The key
-        # must include tau: a copied or retuned node would otherwise
-        # silently reuse a gain computed for a different time constant.
-        self._cached_dt_s = -1.0
-        self._cached_tau_s = tau_s
-        self._cached_gain = 0.0
 
     @property
     def temperature_c(self) -> float:
         """Current node temperature, degC."""
         return self._temperature_c
 
-    @property
-    def tau_s(self) -> float:
-        """RC time constant, seconds."""
-        return self._tau_s
-
     def step(self, stable_c: float, dt_s: float) -> float:
         """Advance ``dt_s`` seconds toward ``stable_c``; returns the new temp."""
-        if dt_s != self._cached_dt_s or self._tau_s != self._cached_tau_s:
-            if dt_s < 0:
-                raise ThermalModelError(f"time step must be non-negative, got {dt_s}")
-            self._cached_dt_s = dt_s
-            self._cached_tau_s = self._tau_s
-            self._cached_gain = 1.0 - math.exp(-dt_s / self._tau_s)
-        self._temperature_c += (stable_c - self._temperature_c) * self._cached_gain
+        self._temperature_c = exponential_step(
+            self._temperature_c, stable_c, dt_s, self._tau_s
+        )
         return self._temperature_c
 
     def reset(self, temperature_c: float) -> None:

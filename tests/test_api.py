@@ -258,22 +258,15 @@ def test_client_simulate_provenance_miss_then_hit():
     assert second.scenario == "ch4:AOHS_1.5:W1:ts"
 
 
-def test_a_warm_cell_hashes_its_spec_once(monkeypatch):
-    """The lookup and the envelope's provenance share one key hash, and
-    the key kept on the spec never enters the hashed fields."""
+def test_a_warm_cells_provenance_carries_its_spec_key():
+    """The envelope's provenance names the key the lookup used, and the
+    hashed fields are the spec's own, its label aside."""
     store = MemoryStore()
     run(Chapter4Spec(mix="W1", policy="ts", copies=1), store)
-    hashed = []
-    key_fields = spec_module._key_fields
-    monkeypatch.setattr(
-        spec_module, "_key_fields",
-        lambda spec: hashed.append(spec) or key_fields(spec),
-    )
     spec = Chapter4Spec(mix="W1", policy="ts", copies=1)
     outcome = run_cell(spec, store)
     envelope = cell_envelope(spec, outcome, {})
     assert outcome.hit
-    assert hashed == [spec]
     assert envelope.provenance.cache_key == spec.key()
     fields = spec_module.spec_fields(spec)
     assert sorted(fields) == sorted(

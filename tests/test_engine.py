@@ -28,7 +28,6 @@ from repro.campaign import NullStore, engine_for_spec, run, run_cell
 from repro.engine import (
     CheckpointFile,
     EngineState,
-    EngineStateSerializer,
     Observer,
 )
 from repro.engine.codec import state_dict
@@ -172,13 +171,14 @@ def test_restore_rejects_wrong_strategy_and_observer_mismatch():
 def test_register_runner_requires_an_engine_factory():
     """Every cell runs on its engine, so a kind with no engine factory
     cannot be registered."""
-    from repro.campaign import register_runner, registered_kinds
+    from repro.campaign import register_runner, runner_for
 
     with pytest.raises(ConfigurationError, match="make_engine"):
         register_runner("no-engine", None, encode=dict, decode=dict)
     with pytest.raises(TypeError):
         register_runner("no-engine", encode=dict, decode=dict)
-    assert "no-engine" not in registered_kinds()
+    with pytest.raises(ConfigurationError, match="no runner"):
+        runner_for("no-engine")
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +229,8 @@ def test_a_resumable_run_checkpoints_each_slice_and_removes_on_finish(
     written: list[int] = []
     write = CheckpointFile.write
 
-    def spy(checkpoint, state, serializer=None) -> None:
-        write(checkpoint, state, serializer)
+    def spy(checkpoint, state) -> None:
+        write(checkpoint, state)
         written.append(CheckpointFile(path).load().windows)
 
     monkeypatch.setattr(CheckpointFile, "write", spy)
@@ -262,29 +262,20 @@ def test_a_slice_checkpoint_file_resumes_bit_identically(tmp_path):
     assert state_dict(result) == baseline
 
 
-def test_serializer_output_matches_plain_dumps_across_writes():
-    engine = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
-    serializer = EngineStateSerializer()
-    for _ in range(3):
-        engine.step_windows(97)
-        state = engine.checkpoint()
-        assert serializer.serialize(state) == json.dumps(
-            state.to_dict(), sort_keys=True
-        )
-
-
-def test_checkpoint_file_written_via_serializer_loads_identically(tmp_path):
+def test_a_checkpoint_file_holds_the_job_record_form_and_makes_its_directory(
+    tmp_path,
+):
+    """A CLI checkpoint is the canonical JSON of ``state.to_dict()``, the
+    form a job keeps in ``cell_states``; a missing parent is created."""
     engine = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
     engine.step_windows(113)
     state = engine.checkpoint()
-    plain = CheckpointFile(tmp_path / "plain.json")
-    cached = CheckpointFile(tmp_path / "deep" / "cached.json")  # mkdir path
-    plain.write(state)
-    cached.write(state, serializer=EngineStateSerializer())
-    assert (tmp_path / "plain.json").read_text() == (
-        tmp_path / "deep" / "cached.json"
-    ).read_text()
-    assert cached.load().to_dict() == state.to_dict()
+    checkpoint = CheckpointFile(tmp_path / "deep" / "cell.json")
+    checkpoint.write(state)
+    assert (tmp_path / "deep" / "cell.json").read_text() == (
+        json.dumps(state.to_dict(), sort_keys=True) + "\n"
+    )
+    assert checkpoint.load().to_dict() == state.to_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -913,6 +904,18 @@ def _bad_values(kind, value):
                 yield f".0{suffix}", label, bad, condition
     else:  # pragma: no cover - a new kind needs its cases here
         raise AssertionError(f"no malformed cases for {kind!r}")
+
+
+def test_a_default_in_the_cached_field_table_is_copied_per_decode():
+    """A dataclass's field table is built once, so a mutable default is
+    one object; each decoded record still gets its own copy."""
+    raw = engine_for_spec(Chapter4Spec(mix="W1", policy="ts", copies=1))
+    raw = raw.checkpoint().to_dict()
+    del raw["observers"]
+    first, second = EngineState.from_dict(raw), EngineState.from_dict(raw)
+    first.observers.append({})
+    assert second.observers == []
+    assert EngineState.from_dict(raw).observers == []
 
 
 def _declared(component, path):

@@ -281,26 +281,3 @@ def test_batched_kernel_exposes_chain_state():
     assert amb[0] == max(amb)
     assert amb[-1] == min(amb)
     assert len(state["t_dram"]) == 4
-
-
-# ---------------------------------------------------------------------------
-# RCNode cached-gain staleness regression (the (dt, tau) cache key)
-# ---------------------------------------------------------------------------
-
-
-def test_rc_node_gain_cache_tracks_tau_changes():
-    """Regression: a retuned/copied node must not reuse a stale gain.
-
-    The (dt -> gain) cache once keyed on dt alone, so code that mutated
-    or rebuilt ``_tau_s`` (e.g. a copied node, or an ablation sweeping
-    time constants in place) kept stepping with the old time constant.
-    """
-    node = RCNode(tau_s=50.0, initial_c=0.0)
-    node.step(100.0, 1.0)  # populate the gain cache at dt=1
-    # Simulate the hazard: tau changes underneath the cached gain.
-    node._tau_s = 5.0
-    node.reset(0.0)
-    stepped = node.step(100.0, 1.0)
-    fresh = RCNode(tau_s=5.0, initial_c=0.0).step(100.0, 1.0)
-    assert stepped == fresh
-    assert stepped == pytest.approx(100.0 * (1.0 - math.exp(-1.0 / 5.0)))

@@ -160,8 +160,8 @@ def test_a_cli_checkpoint_resumes_as_a_job_cell(tmp_path, monkeypatch, stepped):
     expected, windows = _reference(request, stepped)
     write = CheckpointFile.write
 
-    def killed_after_window_100(checkpoint, state, serializer=None) -> None:
-        write(checkpoint, state, serializer)
+    def killed_after_window_100(checkpoint, state) -> None:
+        write(checkpoint, state)
         if state.windows >= 100:
             raise KeyboardInterrupt
 

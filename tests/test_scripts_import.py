@@ -10,14 +10,18 @@ imports from a run path (the CLI, the HTTP service, ``python -m
 repro``, or a bench, example, tool or perfbench file): a module only
 tests import is a second copy of something no run uses.  One level
 down, code in those files must refer to every top-level function and
-class and every method of one, and a production call must set every
-defaulted parameter.  Both scans read the AST, not the words of a file:
-a docstring or a comment names nothing.
+class (by its name) and every method of one (as an attribute), and a
+production call must set every defaulted parameter.  Both scans read
+the AST, not the words of a file: a docstring or a comment names
+nothing.
 """
 
 import ast
+import importlib
 import importlib.util
+import inspect
 import re
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -189,6 +193,7 @@ TEST_ONLY_SYMBOLS = {
     "repro.thermal.integrated.AmbientModel.restore_node": _ORACLE_HOOK,
     "repro.dram.amb.AMBTraffic.bypass_bytes": _DRAM_PROBE,
     "repro.dram.amb.AMBTraffic.local_bytes": _DRAM_PROBE,
+    "repro.dram.bank.Bank.accesses": _DRAM_PROBE,
     "repro.dram.channel.FrameLink.frames_sent": _DRAM_PROBE,
     "repro.dram.channel.FrameLink.next_free_s": _DRAM_PROBE,
     "repro.dram.controller.ChannelController.ambs": _DRAM_PROBE,
@@ -199,40 +204,50 @@ TEST_ONLY_SYMBOLS = {
         "and Poisson traces calibration runs; its own tests drive the "
         "model's bank spread with it"
     ),
-    "repro.thermal.rc.exponential_step": (
-        "the closed form of the Eq. 3.5 update that RCNode's cached-gain "
-        "step implements; the RC and property tests check it"
-    ),
 }
 
 
-def _symbols(src: Path) -> list[tuple[str, str]]:
-    """``(qualified name, name)`` of every top-level function and class
-    under ``src/repro`` and every method of such a class (dunders
-    aside)."""
+def _symbols(src: Path) -> list[tuple[str, str, bool]]:
+    """``(qualified name, name, is_method)`` of every top-level function
+    and class under ``src/repro`` and every method of such a class
+    (dunders aside, and methods a ``Name`` in their own class body
+    binds again, as ``do_GET = _dispatch`` does)."""
     found = []
     for module, path in _module_files(src).items():
         for node in ast.parse(path.read_text(), str(path)).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                found.append((f"{module}.{node.name}", node.name))
+                found.append((f"{module}.{node.name}", node.name, False))
             if isinstance(node, ast.ClassDef):
+                rebound = {
+                    name.id
+                    for item in node.body
+                    if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for name in ast.walk(item)
+                    if isinstance(name, ast.Name)
+                }
                 found.extend(
-                    (f"{module}.{node.name}.{item.name}", item.name)
+                    (f"{module}.{node.name}.{item.name}", item.name, True)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
+                    and item.name not in rebound
                 )
-    return [(q, name) for q, name in found if not name.startswith("__")]
+    return [entry for entry in found if not entry[1].startswith("__")]
 
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
 
 
-def _referenced_names(roots: list[Path]) -> set[str]:
-    """Every name code under ``roots`` refers to: a ``Name``, an
-    ``Attribute``, an imported name, or a part of an identifier-shaped
-    string (an ``_EXPORTS`` entry, a ``getattr`` name, a dotted patch
-    target).  Definitions, docstrings and comments name nothing."""
-    names: set[str] = set()
+def _referenced_names(roots: list[Path]) -> tuple[set[str], set[str]]:
+    """What code under ``roots`` refers to, as two sets.  Members: every
+    ``Attribute`` and every part of an identifier-shaped string (an
+    ``_EXPORTS`` entry, a ``getattr`` name, a dotted patch target).
+    Globals: every ``Name``, every name a ``from ... import`` imports
+    and every ``Attribute`` (a read through a module, as
+    ``gang_module.plan_gangs``), but no segment of a dotted module path
+    and no string.  Definitions, docstrings and comments name
+    nothing."""
+    members: set[str] = set()
+    globals_: set[str] = set()
     for root in roots:
         for path in root.rglob("*.py"):
             tree = ast.parse(path.read_text(), str(path))
@@ -247,27 +262,35 @@ def _referenced_names(roots: list[Path]) -> set[str]:
             }
             for node in ast.walk(tree):
                 if isinstance(node, ast.Name):
-                    names.add(node.id)
+                    globals_.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.update(node.name.split("."))
+                    members.add(node.attr)
+                    globals_.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    globals_.update(alias.name for alias in node.names)
                 elif (
                     isinstance(node, ast.Constant)
                     and isinstance(node.value, str)
                     and id(node) not in docstrings
                     and _DOTTED.fullmatch(node.value)
                 ):
-                    names.update(node.value.split("."))
-    return names
+                    members.update(node.value.split("."))
+    return members, globals_
 
 
 def _orphan_symbols(src: Path, roots: list[Path]) -> set[str]:
     """Symbols under ``src/repro`` that no code under ``roots`` refers
-    to by name.  A method name two classes share counts as used for
-    both once anything names it."""
-    names = _referenced_names(roots)
-    return {qualified for qualified, name in _symbols(src) if name not in names}
+    to: a method or property through an ``Attribute`` or an
+    identifier-shaped string, a top-level function or class through a
+    ``Name``, an import of that name or a read through its module.  A
+    method name two classes share counts as used for both once anything
+    names it."""
+    members, globals_ = _referenced_names(roots)
+    return {
+        qualified
+        for qualified, name, is_method in _symbols(src)
+        if name not in (members if is_method else globals_)
+    }
 
 
 def test_every_symbol_is_named_outside_its_definition():
@@ -561,6 +584,31 @@ SCAN_CASES = {
         _orphan_symbols,
         {"repro.cases.First.total", "repro.cases.Second.total"},
     ),
+    "a local name uses no method": (
+        "class Simulator:\n"
+        "    @property\n"
+        "    def window_model(self): ...\n",
+        "from repro.cases import Simulator\n"
+        "window_model = Simulator()\n",
+        _orphan_symbols,
+        {"repro.cases.Simulator.window_model"},
+    ),
+    "a package path segment uses no symbol": (
+        "def params(): ...\n"
+        "class Channel:\n"
+        "    @property\n"
+        "    def params(self): ...\n",
+        "import repro.params.thermal\n"
+        "from repro.cases import Channel\n",
+        _orphan_symbols,
+        {"repro.cases.params", "repro.cases.Channel.params"},
+    ),
+    "a re-export alone uses no function": (
+        "def helper(): ...\n",
+        "_EXPORTS = {'helper': 'cases'}\n",
+        _orphan_symbols,
+        {"repro.cases.helper"},
+    ),
 }
 
 
@@ -653,11 +701,21 @@ SCAN_USES = {
         _orphan_symbols,
         set(),
     ),
-    "an identifier-shaped string names a symbol": (
-        "def helper(): ...\n"
-        "def patched(): ...\n",
-        "_EXPORTS = {'helper': 'repro.cases'}\n"
-        "monkeypatch.setattr('repro.cases.patched', None)\n",
+    "an identifier-shaped string names a method": (
+        "class Box:\n"
+        "    def helper(self): ...\n"
+        "    def patched(self): ...\n",
+        "from repro.cases import Box\n"
+        "getattr(Box(), 'helper')\n"
+        "monkeypatch.setattr('repro.cases.Box.patched', None)\n",
+        _orphan_symbols,
+        set(),
+    ),
+    "a name in its own class body uses a method": (
+        "class Handler:\n"
+        "    def _dispatch(self): ...\n"
+        "    do_GET = do_POST = _dispatch\n",
+        "from repro.cases import Handler\n",
         _orphan_symbols,
         set(),
     ),
@@ -699,3 +757,55 @@ def test_the_scans_resolve_callees_and_references(case, tmp_path):
 @pytest.mark.parametrize("case", SCAN_USES)
 def test_the_scans_count_every_use(case, tmp_path):
     _scan_tree(tmp_path, SCAN_USES[case])
+
+
+# ---------------------------------------------------------------------------
+# README's fast-path table names code that exists
+# ---------------------------------------------------------------------------
+
+
+def _fast_path_rows() -> list[str]:
+    """The dotted symbol that opens each row of the table under
+    README's "Fast paths and their margins" heading."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Fast paths and their margins\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    rows = [
+        line for line in section.splitlines()
+        if line.startswith("| ") and not line.startswith(("| Fast path", "| ---"))
+    ]
+    return [re.match(r"\| `([\w.]+)`", line).group(1) for line in rows]
+
+
+def _resolves(dotted: str) -> bool:
+    """Whether ``dotted`` names a module attribute, a class attribute,
+    or an instance attribute its class's own code assigns."""
+    parts = dotted.split(".")
+    cut = len(parts)
+    while cut:
+        try:
+            owner = importlib.import_module(".".join(parts[:cut]))
+            break
+        except ImportError:
+            cut -= 1
+    else:
+        return False
+    for name in parts[cut:-1]:
+        owner = getattr(owner, name, None)
+    if cut == len(parts) or hasattr(owner, parts[-1]):
+        return True
+    return isinstance(owner, type) and any(
+        isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and node.attr == parts[-1]
+        for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(owner))))
+    )
+
+
+def test_the_fast_path_table_matches_the_code():
+    """Every row of the README fast-path table names a symbol that
+    still resolves: a deleted fast path leaves the table with it."""
+    rows = _fast_path_rows()
+    assert len(rows) >= 8
+    assert len(rows) == len(set(rows)), "a fast path has two rows"
+    assert [row for row in rows if not _resolves(row)] == []

@@ -20,7 +20,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, make_dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import ClassVar
 
@@ -162,46 +162,6 @@ def test_concurrent_thread_writers_same_key_no_torn_reads(tmp_path):
     assert store.stats()["entries"] == 1
     # No tmp debris left behind by the losing writers.
     assert store.stats()["tmp_files"] == 0
-
-
-#: A spec of 64 fields: a long walk over ``__dict__`` while it is keyed.
-_WideSpec = make_dataclass(
-    "_WideSpec",
-    [("kind", ClassVar[str], "test-wide")]
-    + [(f"f{n}", int, 0) for n in range(64)],
-    frozen=True,
-)
-
-
-def test_threads_keying_one_spec_at_once_agree():
-    """Threads that ask one fresh spec for its key at once all get it:
-    the key one of them stores on the instance never breaks another's
-    walk over the spec's fields."""
-    errors, keys, rounds = [], set(), 100 * STRESS
-
-    def ask(spec: _WideSpec, gate: threading.Barrier) -> None:
-        gate.wait()
-        try:
-            keys.add(spec_key(spec))
-        except Exception as error:  # noqa: BLE001 - reported below
-            errors.append(error)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for n in range(rounds):
-            spec, gate = _WideSpec(f0=n), threading.Barrier(8)
-            threads = [
-                threading.Thread(target=ask, args=(spec, gate)) for _ in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=10)
-            assert not any(t.is_alive() for t in threads)
-    finally:
-        sys.setswitchinterval(interval)
-    assert errors == [] and len(keys) == rounds
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from repro.errors import ConfigurationError
 from repro.testbed.chipset import OpenLoopThrottle
 from repro.testbed.daughtercard import DaughterCard
 from repro.testbed.linux import CPUFreq, CPUHotplug, TimeSliceModel
+from repro.units import CACHE_LINE_BYTES
 
 MB = 1024 * 1024
 
@@ -98,7 +99,7 @@ def test_throttle_bandwidth_roundtrip():
 
 
 def test_throttle_window_is_66ms():
-    assert OpenLoopThrottle().window_s == pytest.approx(0.0646, abs=0.002)
+    assert OpenLoopThrottle.WINDOW_S == pytest.approx(0.0646, abs=0.002)
 
 
 def test_throttle_disable():
@@ -115,7 +116,9 @@ def test_throttle_clamp():
     assert throttle.bandwidth_cap_bytes_per_s() <= 3.0e9
     # A target below one line per window still admits one activation.
     throttle.program_bandwidth(1.0)
-    assert throttle.max_activations == 1
+    assert throttle.bandwidth_cap_bytes_per_s() == (
+        CACHE_LINE_BYTES / OpenLoopThrottle.WINDOW_S
+    )
 
 
 def test_throttle_validation():

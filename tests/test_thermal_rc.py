@@ -41,16 +41,6 @@ def test_node_many_small_steps_equal_one_big_step():
     assert node_a.temperature_c == pytest.approx(node_b.temperature_c, rel=1e-9)
 
 
-def test_node_cached_gain_tracks_dt_change():
-    node = RCNode(50.0, 0.0)
-    node.step(100.0, 1.0)
-    first = node.temperature_c
-    node.reset(0.0)
-    node.step(100.0, 2.0)  # different dt must not reuse the old gain
-    second = node.temperature_c
-    assert second > first
-
-
 def test_node_never_overshoots():
     node = RCNode(50.0, 0.0)
     for _ in range(1000):

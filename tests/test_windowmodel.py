@@ -247,7 +247,7 @@ def _oracle_window(apps, frequency_hz, cap, capacity):
 
 
 def test_evaluate_matches_oracle_bit_for_bit():
-    """A cold evaluation (hoisted first sweep, flat sharing kernels)
+    """A cold evaluation (flat sharing kernels, hoisted constants)
     equals the plain per-client model exactly, for a seeded sample of
     (apps, frequency, cap, L2 capacity) keys covering 1-4 co-runners,
     saturated and bisected operating points."""
