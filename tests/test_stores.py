@@ -479,3 +479,77 @@ def test_concurrent_memo_writes_keep_the_bound(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in writers)
     assert failures == [] and len(cache.memo) == 8
+
+
+# ---------------------------------------------------------------------------
+# The bytes of both stored records
+# ---------------------------------------------------------------------------
+
+#: A job record as its store reads it back (cell_states holds one
+#: engine checkpoint).
+_JOB = {
+    "job_id": "job-0123456789ab", "tenant": "alice",
+    "request": {
+        "type": "simulate", "mix": "W1", "policy": "ts",
+        "cooling": "AOHS_1.5", "ambient": "isolated", "copies": 1,
+    },
+    "priority": -3, "status": "running", "submit_seq": 7,
+    "created_s": 100.5, "started_s": 101.25, "cells_total": 1,
+    "cell_states": {"ch4-0123456789abcdef0123": {
+        "version": "1.0", "strategy": "ch4", "windows": 50, "now_s": 0.5,
+        "accumulators": {"traffic_bytes": 1024.0},
+        "thermal": {"amb_c": [80.5]},
+        "strategy_state": {"scheduler": {}}, "observers": [{}],
+    }},
+    "events": [
+        {"at_s": 100.5, "event": "queued"},
+        {"at_s": 101.25, "event": "started"},
+    ],
+    "trace": "00112233445566778899aabbccddeeff:0011223344556677",
+}
+
+
+def test_saved_job_and_cache_records_keep_their_bytes(tmp_path):
+    """A job record is written with sorted keys; a cache record is not,
+    so its field order is its byte order.  Both read back as saved."""
+    from repro.jobs.store import JobRecord, JobStore
+
+    store = JsonDirStore(tmp_path / "cache")
+    store.put(
+        "ch4-0123456789abcdef0123", {"runtime_s": 12.5, "finished_jobs": 4},
+        meta={"cache_version": "v2", "kind": "ch4",
+              "spec": {"mix": "W1", "copies": 1}},
+    )
+    store.put("ch5-0123456789abcdef0145", {"runtime_s": 0.5})
+    assert (tmp_path / "cache/23/ch4-0123456789abcdef0123.json").read_bytes() == (
+        b'{"format": "repro-cache-record", "record": 1, "cache_version": "v2",'
+        b' "kind": "ch4", "spec": {"mix": "W1", "copies": 1}, "payload":'
+        b' {"runtime_s": 12.5, "finished_jobs": 4}}'
+    )
+    assert (tmp_path / "cache/45/ch5-0123456789abcdef0145.json").read_bytes() == (
+        b'{"format": "repro-cache-record", "record": 1, "cache_version": "v2",'
+        b' "kind": "ch5", "spec": null, "payload": {"runtime_s": 0.5}}'
+    )
+    assert store.get("ch4-0123456789abcdef0123") == {
+        "runtime_s": 12.5, "finished_jobs": 4,
+    }
+
+    jobs = JobStore(tmp_path / "jobs")
+    jobs.save(JobRecord.from_dict(_JOB))
+    assert (tmp_path / "jobs/job-0123456789ab.json").read_bytes() == (
+        b'{"format": "repro-job-record", "job": {"cancel_requested": false,'
+        b' "cell_states": {"ch4-0123456789abcdef0123": {"accumulators":'
+        b' {"traffic_bytes": 1024.0}, "now_s": 0.5, "observers": [{}],'
+        b' "strategy": "ch4", "strategy_state": {"scheduler": {}}, "thermal":'
+        b' {"amb_c": [80.5]}, "version": "1.0", "windows": 50}},'
+        b' "cells_done": 0, "cells_total": 1, "created_s": 100.5, "error":'
+        b' null, "events": [{"at_s": 100.5, "event": "queued"}, {"at_s":'
+        b' 101.25, "event": "started"}], "finished_s": null, "job_id":'
+        b' "job-0123456789ab", "preemptions": 0, "priority": -3, "request":'
+        b' {"ambient": "isolated", "cooling": "AOHS_1.5", "copies": 1, "mix":'
+        b' "W1", "policy": "ts", "type": "simulate"}, "results": [],'
+        b' "started_s": 101.25, "status": "running", "submit_seq": 7,'
+        b' "tenant": "alice", "trace":'
+        b' "00112233445566778899aabbccddeeff:0011223344556677"}, "version": 1}'
+    )
+    assert jobs.load("job-0123456789ab").to_dict() == JobRecord.from_dict(_JOB).to_dict()
