@@ -27,7 +27,6 @@ _EXPORTS = {
     "SCHEMA_VERSION": "envelope",
     "Provenance": "envelope",
     "ResultEnvelope": "envelope",
-    "check_schema_compatible": "envelope",
     "dumps_canonical": "envelope",
     "results_document": "envelope",
     "scenarios_document": "envelope",

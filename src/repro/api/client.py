@@ -75,7 +75,7 @@ def cell_envelope(
         metrics=metrics_from_result(outcome.result),
         provenance=Provenance(
             cache="hit" if outcome.hit else "miss",
-            cache_key=spec.key(),
+            cache_key=outcome.key,
             compute_seconds=round(outcome.compute_seconds, 6),
             single_flight=outcome.store_info.get("single_flight"),
         ),

@@ -28,9 +28,11 @@ no cacheable spec, emits a plain versioned summary instead):
   byte-identical.  Envelopes from older emitters may also carry a
   ``shard`` field; readers drop it like any unknown key.
 
-``to_dict``/``from_dict`` round-trip losslessly; :meth:`to_json` is the
-canonical serialization (sorted keys, two-space indent) shared by every
-emitter.
+Both classes declare their fields (:mod:`repro.engine.codec`); a
+mistyped or missing one is a :class:`~repro.errors.ConfigurationError`
+naming it.  ``to_dict``/``from_dict`` round-trip losslessly;
+:meth:`to_json` is the canonical serialization (sorted keys, two-space
+indent) shared by every emitter.
 """
 
 from __future__ import annotations
@@ -40,7 +42,17 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.campaign.spec import CACHE_VERSION
-from repro.engine.codec import version_major
+from repro.engine.codec import (
+    Float,
+    Object,
+    Optional,
+    Record,
+    Text,
+    Version,
+    check_domain,
+    decode_record,
+    domain,
+)
 from repro.errors import ConfigurationError
 
 #: Envelope schema version.  Bump the minor for additive changes, the
@@ -52,42 +64,24 @@ from repro.errors import ConfigurationError
 #: envelopes themselves are unchanged.
 SCHEMA_VERSION = "1.2"
 
-#: Provenance values for the ``cache`` field.
-_CACHE_STATES = ("hit", "miss")
-
-
-def check_schema_compatible(version: str) -> None:
-    """Reject envelopes from an incompatible (different-major) schema."""
-    major = version_major(SCHEMA_VERSION, "schema_version", ConfigurationError)
-    if version_major(version, "schema_version", ConfigurationError) != major:
-        raise ConfigurationError(
-            f"incompatible schema_version {version!r}: this client speaks "
-            f"major {major} ({SCHEMA_VERSION})"
-        )
-
 
 @dataclass(frozen=True)
 class Provenance:
     """Where a result came from and what it cost to produce."""
 
     #: ``"hit"`` when the cache served the result, ``"miss"`` otherwise.
-    cache: str
+    cache: str = domain(Text(("hit", "miss")))
     #: The spec's content-hash cache key (``<kind>-<sha256 prefix>``).
-    cache_key: str
+    cache_key: str = domain(Text())
     #: Engine cache version the key was computed under.
-    cache_version: str = CACHE_VERSION
+    cache_version: str = domain(Text(), CACHE_VERSION)
     #: Wall seconds spent executing the run; 0.0 for a cache hit.
-    compute_seconds: float = 0.0
+    compute_seconds: float = domain(Float(0.0), 0.0)
     #: ``"coalesced"`` when this result was served by another thread's
     #: in-flight compute of the same cell; None (omitted) otherwise.
-    single_flight: str | None = None
+    single_flight: str | None = domain(Optional(Text(("coalesced",))), None)
 
-    def __post_init__(self) -> None:
-        if self.cache not in _CACHE_STATES:
-            raise ConfigurationError(
-                f"provenance cache must be one of {_CACHE_STATES}, "
-                f"got {self.cache!r}"
-            )
+    __post_init__ = check_domain
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready).
@@ -108,33 +102,26 @@ class Provenance:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "Provenance":
-        """Rebuild provenance from its dict form.
-
-        Unknown keys are tolerated (and dropped), per the minor-version
-        compatibility rule: a same-major emitter may add fields.
-        """
-        missing = {"cache", "cache_key"} - set(raw)
-        if missing:
-            raise ConfigurationError(
-                f"provenance is missing fields {sorted(missing)}"
-            )
-        known = {key for key in cls.__dataclass_fields__}
-        return cls(**{key: value for key, value in raw.items() if key in known})
+        """Rebuild provenance from its dict form; unknown keys are
+        dropped (a same-major emitter may add fields)."""
+        return decode_record(cls, raw, "provenance", ConfigurationError)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ResultEnvelope:
     """One versioned, machine-readable result record."""
 
-    kind: str
-    scenario: str | None
-    request: dict
-    metrics: dict
-    provenance: Provenance
-    schema_version: str = SCHEMA_VERSION
+    #: Checked first, so a foreign major is refused before any field.
+    schema_version: str = domain(
+        Version(SCHEMA_VERSION), SCHEMA_VERSION, required=True
+    )
+    kind: str = domain(Text())
+    scenario: str | None = domain(Optional(Text()), None)
+    request: dict = domain(Object())
+    metrics: dict = domain(Object())
+    provenance: Provenance = domain(Record(Provenance))
 
-    def __post_init__(self) -> None:
-        check_schema_compatible(self.schema_version)
+    __post_init__ = check_domain
 
     def to_dict(self) -> dict:
         """Plain-dict form; the inverse of :meth:`from_dict`."""
@@ -150,26 +137,7 @@ class ResultEnvelope:
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "ResultEnvelope":
         """Rebuild an envelope, enforcing schema compatibility."""
-        if not isinstance(raw, Mapping):
-            raise ConfigurationError(
-                f"envelope must be a JSON object, got {type(raw).__name__}"
-            )
-        missing = {
-            "schema_version", "kind", "request", "metrics", "provenance"
-        } - set(raw)
-        if missing:
-            raise ConfigurationError(
-                f"envelope is missing fields {sorted(missing)}"
-            )
-        check_schema_compatible(raw["schema_version"])
-        return cls(
-            schema_version=str(raw["schema_version"]),
-            kind=str(raw["kind"]),
-            scenario=raw.get("scenario"),
-            request=dict(raw["request"]),
-            metrics=dict(raw["metrics"]),
-            provenance=Provenance.from_dict(raw["provenance"]),
-        )
+        return decode_record(cls, raw, "envelope", ConfigurationError)
 
     def to_json(self) -> str:
         """Canonical JSON text (sorted keys, two-space indent).

@@ -350,3 +350,19 @@ def request_from_dict(raw: Mapping[str, Any]) -> Any:
             f"(accepted: {sorted(known)})"
         )
     return cls(**data)
+
+
+class AnyRequest(Kind):
+    """A request of any :data:`REQUEST_TYPES` class (its ``type``-tagged
+    dict in a document)."""
+
+    def encode(self, value: Any) -> dict:
+        return request_to_dict(value)
+
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> Any:
+        if type(value) in REQUEST_SCHEMA:
+            return value
+        try:
+            return request_from_dict(value)
+        except ConfigurationError as refusal:
+            raise error(f"{path}: {refusal}") from None

@@ -4,7 +4,7 @@
 time-sliced, fresh or resumed, runs through it on its stepping engine,
 and :func:`run` is the plain entry point over it.  :func:`sweep`
 expands a declarative parameter grid into specs.  :class:`Campaign`
-executes a list of specs — deduplicated by cache key, run by a
+executes a list of specs — equal specs run once, by a
 backend's ``run_cells`` (in-process serial or a local process pool,
 :mod:`repro.cluster`) — and returns results in the order the specs
 were given, so tables built from a campaign are byte-identical no
@@ -87,9 +87,10 @@ def _lookup(
 class RunOutcome:
     """Everything one cell run reports.
 
-    A finished cell carries its ``payload`` and decoded ``result``; a
-    time-sliced cell stopped before its end carries neither (both
-    None) but the engine checkpoint ``state`` to continue from.
+    ``key`` is the cache key the cell ran under.  A finished cell
+    carries its ``payload`` and decoded ``result``; a time-sliced cell
+    stopped before its end carries neither (both None) but the engine
+    checkpoint ``state`` to continue from.
     ``compute_seconds`` is this call's compute wall time (0.0 on a
     hit) and ``windows`` the engine's window count when the call
     returned (0 on a hit).  ``store_info`` is the cache's provenance
@@ -98,6 +99,7 @@ class RunOutcome:
     otherwise, so plain warm envelopes stay byte-identical.
     """
 
+    key: str
     payload: dict | None
     result: Any
     hit: bool
@@ -154,7 +156,7 @@ def run_cell(
         entry = _lookup(spec.kind, key, store, cache)
         if entry is not None:
             _count_request(hit=True)
-            return RunOutcome(entry[0], entry[1], True, 0.0, {})
+            return RunOutcome(key, entry[0], entry[1], True, 0.0, {})
 
     def compute() -> RunOutcome:
         started = time.perf_counter()
@@ -174,7 +176,7 @@ def run_cell(
                     if on_slice is not None and on_slice(state):
                         seconds = time.perf_counter() - started
                         return RunOutcome(
-                            None, None, False, seconds,
+                            key, None, None, False, seconds,
                             windows=engine.windows, state=state,
                         )
                 result = engine.finish()
@@ -200,7 +202,7 @@ def run_cell(
                 cache.disk.put(key, payload, meta=spec_meta(spec))
             cache.remember(key, (payload, result))
         return RunOutcome(
-            payload, result, False, seconds, windows=engine.windows
+            key, payload, result, False, seconds, windows=engine.windows
         )
 
     if cache is None or resume is not None or window_slice is not None:
@@ -209,7 +211,7 @@ def run_cell(
         outcome, coalesced = cache.coalesce(key, compute)
         if coalesced:
             outcome = RunOutcome(
-                outcome.payload, outcome.result, True, 0.0,
+                key, outcome.payload, outcome.result, True, 0.0,
                 {"single_flight": "coalesced"},
             )
     if resume is None:
@@ -246,8 +248,9 @@ def cached_outcome(spec: RunSpec, store: ResultStore | None) -> RunOutcome | Non
     pool that serves warm cells before it dispatches the rest.
     """
     cache = default_cache() if store is None else None
-    entry = _lookup(spec.kind, spec.key(), store, cache)
-    return None if entry is None else RunOutcome(*entry, True, 0.0, {})
+    key = spec.key()
+    entry = _lookup(spec.kind, key, store, cache)
+    return None if entry is None else RunOutcome(key, *entry, True, 0.0, {})
 
 
 def memo_hit(key: str) -> bool:
@@ -268,12 +271,12 @@ def adopt_outcome(
 ) -> RunOutcome:
     """A cell run in another process, published in this one.
 
-    ``outcome`` carries the payload but no result: the payload is
-    decoded here, once, and remembered in the default cache's memo
+    ``outcome`` carries the payload and key but no result: the payload
+    is decoded here, once, and remembered in the default cache's memo
     (the worker wrote this host's disk store itself) or put through the
     explicit ``store`` (the worker wrote a pickled copy of it).
     """
-    key = spec.key()
+    key = outcome.key
     cache = default_cache() if store is None else None
     entry = None if cache is None else cache.memo.get(key)
     if entry is None:
@@ -373,31 +376,28 @@ class Campaign:
         while later cells are still running — this backs the streaming
         ``ReproClient.run_campaign`` iterator.  ``compute_seconds`` is
         the cell's own execute wall time as measured where it ran (0.0
-        on a cache hit).  A duplicate spec is a hit on its repeat
-        occurrences: the first one carries the compute.  Abandoning the
-        iterator early cancels not-yet-started cells and shuts down the
-        campaign-owned backend; a borrowed backend stays open for its
-        owner to reuse or close.
+        on a cache hit).  A repeated (equal) spec is a hit on its repeat
+        occurrences: the first one carries the compute, and is keyed once,
+        where it runs.  Abandoning the iterator early cancels
+        not-yet-started cells and shuts down the campaign-owned backend;
+        a borrowed backend stays open for its owner to reuse or close.
         """
-        unique: dict[str, RunSpec] = {}
-        for spec in self.specs:
-            unique.setdefault(spec.key(), spec)
+        unique = list(dict.fromkeys(self.specs))
         backend = self.backend
         owned = backend is None
         if owned:
             backend = self._default_backend(len(unique))
-        outcomes = backend.run_cells(list(unique.values()), self.store)
+        outcomes = backend.run_cells(unique, self.store)
         try:
-            emitted: dict[str, RunOutcome] = {}
+            emitted: dict[RunSpec, RunOutcome] = {}
             for spec in self.specs:
-                key = spec.key()
-                first = emitted.get(key)
+                first = emitted.get(spec)
                 if first is None:
-                    emitted[key] = first = next(outcomes)
+                    emitted[spec] = first = next(outcomes)
                     yield spec, first
                 else:
                     yield spec, RunOutcome(
-                        first.payload, first.result, True, 0.0, {}
+                        first.key, first.payload, first.result, True, 0.0, {}
                     )
         finally:
             outcomes.close()

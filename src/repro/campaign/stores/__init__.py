@@ -35,8 +35,6 @@ from repro.campaign.stores.disk import (
     UNRECORDED,
     JsonDirStore,
     make_record,
-    payload_of,
-    version_of,
 )
 
 __all__ = [
@@ -53,6 +51,4 @@ __all__ = [
     "default_disk_store",
     "disk_cache_enabled",
     "make_record",
-    "payload_of",
-    "version_of",
 ]

@@ -25,10 +25,11 @@ cache metadata::
      "cache_version": "v2", "kind": "ch4",
      "spec": {...key fields...}, "payload": {...}}
 
-``get`` unwraps the payload.  ``put`` is the one writer, and every
-file it writes is a record.  A *bare* file (a payload dict with no
-``format`` marker, written before the record format existed) reads as
-a miss, and :meth:`JsonDirStore.stats` labels it ``"unrecorded"``.
+:class:`CacheRecord` declares it; its field order is the file's byte
+order.  ``put`` is the one writer, and ``get`` decodes the record:
+anything else (a *bare* payload file from before records, another
+``record`` version, a mistyped field) is a miss, which
+:meth:`JsonDirStore.stats` labels ``"unrecorded"``.
 
 I/O errors degrade to cache misses — the store is an accelerator, not
 a dependency.
@@ -38,74 +39,75 @@ from __future__ import annotations
 
 import json
 import time
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 from repro.campaign.spec import CACHE_VERSION
 from repro.campaign.stores.base import ResultStore
-from repro.engine.codec import Count, Float, Optional
+from repro.engine.codec import (
+    Count,
+    Float,
+    Object,
+    Optional,
+    Text,
+    decode_record,
+    domain,
+    state_dict,
+)
 from repro.engine.state import publish_atomic
-from repro.errors import ConfigurationError
+from repro.errors import CheckpointError, ConfigurationError
 
 #: ``format`` marker of wrapped on-disk entries.
 RECORD_FORMAT = "repro-cache-record"
 #: Version of the record wrapper itself (not of the cached payload).
 RECORD_VERSION = 1
-#: Version label of entries with no recorded cache version (bare
-#: pre-record files).
+#: Version label of entries that are not readable records (bare
+#: pre-record files among them).
 UNRECORDED = "unrecorded"
 #: Tmp files older than this many seconds are swept by ``prune()``;
 #: young ones may belong to an in-flight writer and are left alone.
 DEFAULT_TMP_GRACE_S = 3600.0
 
+
+@dataclass(frozen=True, kw_only=True)
+class CacheRecord:
+    """One on-disk entry: a payload and its spec's cache metadata."""
+
+    format: str = domain(Text((RECORD_FORMAT,)), RECORD_FORMAT, required=True)
+    record: int = domain(
+        Count(RECORD_VERSION + 1, RECORD_VERSION), RECORD_VERSION, required=True
+    )
+    cache_version: str = domain(Text())
+    kind: str | None = domain(Optional(Text()))
+    spec: dict | None = domain(Optional(Object()))
+    payload: dict = domain(Object())
+
+
 def make_record(
     payload: dict, meta: Mapping | None = None, key: str | None = None
 ) -> dict:
-    """Wrap ``payload`` in the on-disk record format.
+    """The on-disk record of ``payload``.
 
     Fields missing from ``meta`` default to the current
     ``CACHE_VERSION``, the kind parsed from the key prefix, and no spec
     fields.
     """
-    meta = dict(meta) if meta else {}
-    kind = meta.get("kind")
-    if kind is None and key is not None:
-        kind = key.rsplit("-", 1)[0]
-    return {
-        "format": RECORD_FORMAT,
-        "record": RECORD_VERSION,
-        "cache_version": meta.get("cache_version", CACHE_VERSION),
-        "kind": kind,
-        "spec": meta.get("spec"),
-        "payload": payload,
-    }
+    meta = meta or {}
+    kind = meta.get("kind") or (key and key.rsplit("-", 1)[0])
+    return state_dict(CacheRecord(
+        cache_version=meta.get("cache_version", CACHE_VERSION), kind=kind,
+        spec=meta.get("spec"), payload=payload,
+    ))
 
 
-def is_record(document: object) -> bool:
-    """Whether a parsed entry document is in the record format."""
-    return isinstance(document, dict) and document.get("format") == RECORD_FORMAT
-
-
-def payload_of(document: object) -> dict | None:
-    """The payload dict inside a parsed record, or None.
-
-    Anything that is not a record (or a record whose payload is not a
-    dict) is unusable and reads as a miss.
-    """
-    if not is_record(document):
+def _read_record(document: object) -> CacheRecord | None:
+    """The record a parsed entry document holds, or None when it is not
+    one this store reads (a miss)."""
+    try:
+        return decode_record(CacheRecord, document, "cache record")
+    except CheckpointError:
         return None
-    payload = document.get("payload")
-    return payload if isinstance(payload, dict) else None
-
-
-def version_of(document: object) -> str:
-    """The cache-version label of a parsed entry document.
-
-    A bare file has no recorded version and reads as ``UNRECORDED``.
-    """
-    if is_record(document):
-        return str(document.get("cache_version") or "unknown")
-    return UNRECORDED
 
 
 def _is_hash_shard(name: str) -> bool:
@@ -125,7 +127,8 @@ class JsonDirStore(ResultStore):
     # -- lookup ------------------------------------------------------------
 
     def get(self, key: str) -> dict | None:
-        return payload_of(self._read_document(self._path(key)))
+        record = _read_record(self._read_document(self._path(key)))
+        return None if record is None else record.payload
 
     @staticmethod
     def _read_document(path: Path) -> object:
@@ -207,7 +210,8 @@ class JsonDirStore(ResultStore):
                 continue
             entries += 1
             shards.add(path.parent.name)
-            label = version_of(self._read_document(path))
+            record = _read_record(self._read_document(path))
+            label = UNRECORDED if record is None else record.cache_version
             versions[label] = versions.get(label, 0) + 1
         return {
             "root": str(self.root),

@@ -128,23 +128,23 @@ class LocalProcessBackend:
         in this process as it is yielded (:func:`adopt_outcome`).
         Closing the iterator early cancels the cells not yet started.
         """
-        outcomes = {spec.key(): cached_outcome(spec, store) for spec in specs}
-        cold = [spec for spec in specs if outcomes[spec.key()] is None]
+        outcomes = [cached_outcome(spec, store) for spec in specs]
         futures = {}
-        if cold:
+        if None in outcomes:
             pool = self._ensure_pool()
             # A traced caller's context rides along; untraced, nothing does.
             header = TRACER.propagation_header()
             trace = () if header is None else ((header, TRACER.ring_size),)
             futures = {
-                spec.key(): pool.submit(_pool_worker, spec, store, *trace)
-                for spec in cold
+                index: pool.submit(_pool_worker, spec, store, *trace)
+                for index, (spec, outcome) in enumerate(zip(specs, outcomes))
+                if outcome is None
             }
         try:
-            for spec in specs:
-                outcome = outcomes[spec.key()]
+            for index, spec in enumerate(specs):
+                outcome = outcomes[index]
                 if outcome is None:
-                    outcome, spans = futures[spec.key()].result()
+                    outcome, spans = futures[index].result()
                     for span in spans:
                         TRACER.record(span)
                     outcome = adopt_outcome(spec, outcome, store)

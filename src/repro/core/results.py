@@ -13,16 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.engine.codec import (
-    Count,
-    Float,
-    Kind,
-    ListOf,
-    Text,
-    load_state_dict,
-    state_dict,
-    state_field,
-)
+from repro.engine.codec import Count, Float, ListOf, Record, Text, domain
 from repro.errors import CheckpointError, SimulationError
 
 _COLUMN = ListOf(Float())
@@ -40,12 +31,13 @@ class TemperatureTrace:
     Its columns are declared for the codec: a checkpoint or a cached
     payload decodes them as lists of finite numbers of one length."""
 
-    times_s: list[float] = state_field(_COLUMN, list)
-    amb_c: list[float] = state_field(_COLUMN, list)
-    dram_c: list[float] = state_field(_COLUMN, list)
-    ambient_c: list[float] = state_field(_COLUMN, list)
+    times_s: list[float] = domain(_COLUMN, list)
+    amb_c: list[float] = domain(_COLUMN, list)
+    dram_c: list[float] = domain(_COLUMN, list)
+    ambient_c: list[float] = domain(_COLUMN, list)
 
-    def _state_hook(self, values: dict, path: str) -> dict:
+    @staticmethod
+    def _state_hook(values: dict, path: str) -> dict:
         if len({len(column) for column in values.values()}) > 1:
             raise CheckpointError(f"{path} columns must have equal lengths")
         return values
@@ -75,22 +67,10 @@ class TemperatureTrace:
         return sub
 
 
-class Trace(Kind):
-    """A :class:`TemperatureTrace`, written and read by its columns."""
-
-    def encode(self, value: TemperatureTrace) -> dict:
-        return state_dict(value)
-
-    def decode(self, value: Any, path: str, owner: Any, error: type) -> TemperatureTrace:
-        trace = TemperatureTrace()
-        load_state_dict(trace, value, path)
-        return trace
-
-
 def trace_field() -> Any:
     """A result's trace field: in every payload, empty when the run
     recorded none."""
-    return state_field(Trace(), TemperatureTrace, required=True)
+    return domain(Record(TemperatureTrace), TemperatureTrace, required=True)
 
 
 @dataclass(frozen=True)
@@ -101,31 +81,31 @@ class RunResult:
     to regenerate the paper's figures.
     """
 
-    workload: str = state_field(NAME)
-    policy: str = state_field(NAME)
-    cooling: str = state_field(NAME)
+    workload: str = domain(NAME)
+    policy: str = domain(NAME)
+    cooling: str = domain(NAME)
     #: Simulated wall-clock time to finish the batch job, seconds.
-    runtime_s: float = state_field(TOTAL)
+    runtime_s: float = domain(TOTAL)
     #: Total memory traffic (read + write bytes).
-    traffic_bytes: float = state_field(TOTAL)
+    traffic_bytes: float = domain(TOTAL)
     #: Total L2 cache misses.
-    l2_misses: float = state_field(TOTAL)
+    l2_misses: float = domain(TOTAL)
     #: Total instructions retired.
-    instructions: float = state_field(TOTAL)
+    instructions: float = domain(TOTAL)
     #: Processor energy, joules.
-    cpu_energy_j: float = state_field(TOTAL)
+    cpu_energy_j: float = domain(TOTAL)
     #: Memory (FBDIMM) energy, joules.
-    memory_energy_j: float = state_field(TOTAL)
+    memory_energy_j: float = domain(TOTAL)
     #: Time-averaged memory inlet (ambient) temperature, degC.
-    mean_ambient_c: float = state_field(Float())
+    mean_ambient_c: float = domain(Float())
     #: Peak AMB temperature seen, degC.
-    peak_amb_c: float = state_field(Float())
+    peak_amb_c: float = domain(Float())
     #: Peak DRAM temperature seen, degC.
-    peak_dram_c: float = state_field(Float())
+    peak_dram_c: float = domain(Float())
     #: Fraction of DTM intervals spent at the highest emergency level.
-    shutdown_fraction: float = state_field(FRACTION)
+    shutdown_fraction: float = domain(FRACTION)
     #: Number of completed batch jobs.
-    finished_jobs: int = state_field(JOBS)
+    finished_jobs: int = domain(JOBS)
     #: Temperature trace (downsampled; empty if recording disabled).
     trace: TemperatureTrace = trace_field()
 

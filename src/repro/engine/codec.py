@@ -1,29 +1,32 @@
-"""Value domains: inputs and run state declared once, checked in one place.
+"""Value domains: inputs, run state and documents declared once, checked
+in one place.
 
-One :class:`Kind` vocabulary declares both.  An input dataclass (the
-run specs, :class:`~repro.core.simulator.SimulationConfig`, the
-:mod:`repro.params` tables, the API requests) declares each field's
-domain once, ``copies: int = domain(Count(minimum=1), 2)``, and its
-``__post_init__`` calls :func:`check_domain`, which refuses a value
-outside it with a :class:`~repro.errors.ConfigurationError` naming the
-field.  A rule across fields follows that call in the same hook.
+One :class:`Kind` vocabulary and one field helper declare them all: a
+dataclass declares each field's domain on the field,
+``copies: int = domain(Count(minimum=1), 2)``.  An input dataclass (a
+run spec, a :mod:`repro.params` table, an API request, an envelope)
+makes :func:`check_domain` its ``__post_init__``, which refuses a value
+outside its kind with a :class:`~repro.errors.ConfigurationError`
+naming the field; a rule across fields follows that call in the same
+hook.  Every document that crosses a process, disk or HTTP boundary is
+read by one :func:`decode_record` call, whose ``error`` is a
+``ConfigurationError`` (HTTP 400) for a wire document and a
+:class:`~repro.errors.CheckpointError` (an unreadable record, a cache
+miss) for a stored one.
 
-For checkpoints, every stateful part of a run (the DTM policies'
+A stateful part of a run that is not a dataclass (the DTM policies'
 latches, integrals and rotation counters, the batch scheduler, the
 strategies' counters, the thermal kernel's temperatures, the trace
-recorder) declares its checkpoint fields once, in a class-level
-``STATE_FIELDS`` table of :class:`Field` entries: the key in the
-snapshot, the attribute holding the value, its kind, and the value an
-absent key decodes as.  Dataclasses (:class:`~repro.engine.state.EngineState`,
-the job store's ``JobRecord``, :class:`~repro.core.results.TemperatureTrace`)
-declare it on the field instead: ``windows: int = state_field(Count())``.
+recorder) declares its fields in a class-level ``STATE_FIELDS`` table
+of :class:`Field` entries: the key in the snapshot, the attribute
+holding the value, its kind, and the value an absent key decodes as.
 
 :func:`state_dict` writes a component.  :func:`decode_state` checks a
 snapshot section against the component's table, and the tables of the
 components nested in it, without assigning anything; :func:`apply_state`
 then assigns what it decoded, so a restore succeeds whole or changes
-nothing.  Every :class:`~repro.errors.CheckpointError` names the field's
-dotted path from the snapshot root, list items by index
+nothing.  Every refusal names the field's dotted path from the document
+root, list items by index
 (``strategy_state.scheduler.slots.0.2 must be >= 0.0, got -1.0``).
 
 A component whose state holds objects, or obeys a rule across fields,
@@ -37,12 +40,15 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from typing import Any, Callable, Mapping, NamedTuple
 
 from repro.errors import CheckpointError, ConfigurationError
 
 #: Default of a field whose key must be present.
 REQUIRED: Any = object()
+
+_DOTTED = re.compile(r"[0-9]+\.[0-9]+")
 
 
 class Kind:
@@ -253,8 +259,43 @@ class Nested(Kind):
         return state_dict(value)
 
 
+@dataclasses.dataclass(frozen=True)
+class Record(Kind):
+    """A nested declared document of dataclass ``cls`` (a ``cls`` object
+    given at construction was checked when it was built)."""
+
+    cls: type
+
+    def encode(self, value: Any) -> dict:
+        return state_dict(value)
+
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> Any:
+        if isinstance(value, self.cls):
+            return value
+        return self.cls(**decode_state(self.cls, value, path, error))
+
+
+@dataclasses.dataclass(frozen=True)
+class Version(Kind):
+    """A ``"<major>.<minor>"`` version: a minor bump only adds fields, a
+    major one may remove them, so only ``current``'s major reads."""
+
+    current: str
+
+    def decode(self, value: Any, path: str, owner: Any, error: type) -> str:
+        if not (isinstance(value, str) and _DOTTED.fullmatch(value)):
+            raise error(f"malformed {path} {value!r} (expected '<major>.<minor>')")
+        major = self.current.partition(".")[0]
+        if int(value.partition(".")[0]) != int(major):
+            raise error(
+                f"incompatible {path} {value!r}: this build speaks major "
+                f"{major} ({self.current})"
+            )
+        return value
+
+
 class Field(NamedTuple):
-    """One checkpoint field of a component."""
+    """One declared field of a component or dataclass."""
 
     key: str
     attr: str
@@ -262,8 +303,14 @@ class Field(NamedTuple):
     default: Any = REQUIRED
 
 
-def _field(default: Any, metadata: dict) -> Any:
-    """A dataclass field; a callable default is a factory (``list``)."""
+def domain(
+    kind: Kind, default: Any = REQUIRED, *, required: bool = False, **metadata: Any
+) -> Any:
+    """A dataclass field whose value must be of ``kind``; a callable
+    ``default`` is a factory (``list``).  A ``required`` key must be
+    present in a decoded document even though the field has a default;
+    ``metadata`` rides along (a request field's ``help``)."""
+    metadata = {"domain": kind, "required": required, **metadata}
     if default is REQUIRED:
         return dataclasses.field(metadata=metadata)
     if callable(default):
@@ -271,27 +318,34 @@ def _field(default: Any, metadata: dict) -> Any:
     return dataclasses.field(default=default, metadata=metadata)
 
 
-def state_field(kind: Kind, default: Any = REQUIRED, required: bool = False) -> Any:
-    """A dataclass field declared for the codec; a ``required`` key must
-    be present in a snapshot even though the field has a default."""
-    return _field(default, {"checkpoint": kind, "required": required})
-
-
-def domain(kind: Kind, default: Any = REQUIRED, **metadata: Any) -> Any:
-    """A dataclass field whose value must be of ``kind``, checked when
-    the object is built (:func:`check_domain`); ``metadata`` rides along
-    (a request field's ``help``)."""
-    return _field(default, {"domain": kind, **metadata})
-
-
 def domain_of(cls: type, name: str) -> Kind:
     """The declared kind of field ``name`` of dataclass ``cls``."""
     return cls.__dataclass_fields__[name].metadata["domain"]
 
 
-#: Per dataclass: ``(name, kind.decode)`` of its declared fields, in
-#: field order.
-_DOMAINS: dict[type, tuple[tuple[str, Callable], ...]] = {}
+def _default(f: dataclasses.Field) -> Any:
+    if f.metadata["required"]:
+        return REQUIRED
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return REQUIRED if f.default is dataclasses.MISSING else f.default
+
+
+#: Per dataclass, built once: its declared fields in field order, and
+#: the ``(name, kind.decode)`` pairs :func:`check_domain` runs.
+_TABLES: dict[type, tuple[tuple[Field, ...], tuple]] = {}
+
+
+def _table(cls: type) -> tuple[tuple[Field, ...], tuple]:
+    table = _TABLES.get(cls)
+    if table is None:
+        fields = tuple(
+            Field(f.name, f.name, f.metadata["domain"], _default(f))
+            for f in dataclasses.fields(cls)
+            if "domain" in f.metadata
+        )
+        table = _TABLES[cls] = fields, tuple((f.key, f.kind.decode) for f in fields)
+    return table
 
 
 def check_domain(obj: Any) -> None:
@@ -304,49 +358,24 @@ def check_domain(obj: Any) -> None:
     ``int`` and keeps its spec's cache key.  Fields are checked in
     declaration order: a ``Count(limit=...)`` may read an earlier one.
     """
-    table = _DOMAINS.get(type(obj))
-    if table is None:
-        table = _DOMAINS[type(obj)] = tuple(
-            (f.name, f.metadata["domain"].decode)
-            for f in dataclasses.fields(obj)
-            if "domain" in f.metadata
-        )
+    checks = (_TABLES.get(type(obj)) or _table(type(obj)))[1]
     values = vars(obj)
-    for name, decode in table:
+    for name, decode in checks:
         decode(values[name], name, obj, ConfigurationError)
 
 
-def _default(f: dataclasses.Field) -> Any:
-    if f.metadata["required"]:
-        return REQUIRED
-    if f.default_factory is not dataclasses.MISSING:
-        return f.default_factory()
-    return REQUIRED if f.default is dataclasses.MISSING else f.default
-
-
-#: Per dataclass: its declared checkpoint fields, in field order.
-_FIELDS: dict[type, tuple[Field, ...]] = {}
-
-
 def fields_of(component: Any) -> tuple[Field, ...]:
-    """The declared checkpoint fields of a component or dataclass; a
-    dataclass's table is built once, as :func:`check_domain` builds
-    its own."""
+    """The declared fields of a component (its ``STATE_FIELDS``) or of
+    a dataclass or its object."""
     table = getattr(component, "STATE_FIELDS", None)
     if table is None:
         cls = component if isinstance(component, type) else type(component)
-        table = _FIELDS.get(cls)
-        if table is None:
-            table = _FIELDS[cls] = tuple(
-                Field(f.name, f.name, f.metadata["checkpoint"], _default(f))
-                for f in dataclasses.fields(cls)
-                if "checkpoint" in f.metadata
-            )
+        table = _table(cls)[0]
     return table
 
 
 def state_dict(component: Any) -> dict:
-    """A component's checkpoint state (JSON-ready)."""
+    """A component's or declared object's document (JSON-ready)."""
     return {
         field.key: field.kind.encode(getattr(component, field.attr))
         for field in fields_of(component)
@@ -354,25 +383,37 @@ def state_dict(component: Any) -> dict:
 
 
 class Decoded(dict):
-    """Decoded values of a nested component, by attribute."""
+    """Decoded values of a component, by attribute; while a dataclass's
+    document decodes, its kinds read the earlier fields' values as
+    attributes (a ``Count(limit=...)`` reading another field)."""
+
+    def __getattr__(self, name: str) -> Any:
+        try:
+            return self[name]
+        except KeyError:
+            raise AttributeError(name) from None
 
 
-def decode_state(component: Any, raw: Any, path: str) -> Decoded:
+def decode_state(
+    component: Any, raw: Any, path: str, error: type = CheckpointError
+) -> Decoded:
     """Check ``raw`` against the component's table, recursively, and
-    return the values to assign without assigning any."""
+    return the values to assign without assigning any; a defect raises
+    ``error`` naming its path."""
     if not isinstance(raw, Mapping):
-        raise CheckpointError(f"{path or 'state'} must be an object, got {raw!r}")
+        raise error(f"{path or 'document'} must be an object, got {raw!r}")
     values = Decoded()
+    owner = values if isinstance(component, type) else component
     for field in fields_of(component):
         where = f"{path}.{field.key}" if path else field.key
         value = raw.get(field.key, field.default)
         if value is REQUIRED:
-            raise CheckpointError(f"{where} is missing")
+            raise error(f"{where} is missing")
         if isinstance(field.kind, Nested):
             child = getattr(component, field.attr)
-            value = decode_state(child, value, where)
+            value = decode_state(child, value, where, error)
         else:
-            value = field.kind.decode(value, where, component, CheckpointError)
+            value = field.kind.decode(value, where, owner, error)
         values[field.attr] = value
     hook = getattr(component, "_state_hook", None)
     return values if hook is None else Decoded(hook(values, path))
@@ -387,27 +428,13 @@ def apply_state(component: Any, values: Mapping[str, Any]) -> None:
             setattr(component, attr, value)
 
 
-def load_state_dict(component: Any, raw: Any, path: str = "") -> None:
-    """Restore a component from :func:`state_dict` output, all or
-    nothing."""
-    apply_state(component, decode_state(component, raw, path))
-
-
-def decode_record(cls: type, raw: Any, what: str) -> Any:
-    """A dataclass built from checked values; errors read
+def decode_record(
+    cls: type, raw: Any, what: str, error: type = CheckpointError
+) -> Any:
+    """A declared dataclass built from checked values: the one reader
+    of every boundary document.  A defect raises ``error`` reading
     ``malformed <what>: ...``."""
     try:
-        return cls(**decode_state(cls, raw, ""))
-    except CheckpointError as error:
-        raise CheckpointError(f"malformed {what}: {error}") from None
-
-
-def version_major(version: Any, what: str, error: type) -> int:
-    """The major component of a ``"<major>.<minor>"`` version string;
-    a malformed one raises ``error`` naming ``what``."""
-    major, _, minor = str(version).partition(".")
-    if not major.isdigit() or not minor.isdigit():
-        raise error(
-            f"malformed {what} {version!r} (expected '<major>.<minor>')"
-        )
-    return int(major)
+        return cls(**decode_state(cls, raw, "", error))
+    except error as refusal:
+        raise error(f"malformed {what}: {refusal}") from None

@@ -56,10 +56,10 @@ from repro.engine.codec import (
     ListOf,
     Object,
     Text,
+    Version,
     decode_record,
+    domain,
     state_dict,
-    state_field,
-    version_major,
 )
 from repro.errors import CheckpointError
 
@@ -79,22 +79,24 @@ class EngineState:
     components they restore.
     """
 
-    version: str = state_field(Text(), ENGINE_STATE_VERSION)
+    version: str = domain(
+        Version(ENGINE_STATE_VERSION), ENGINE_STATE_VERSION, required=True
+    )
     #: Strategy kind the snapshot belongs to (``ch4``, ``ch5``, ...).
     #: Restoring into an engine built for a different kind fails.
-    strategy: str = state_field(Text())
+    strategy: str = domain(Text())
     #: Windows completed so far.
-    windows: int = state_field(Count())
+    windows: int = domain(Count())
     #: Simulated seconds elapsed.
-    now_s: float = state_field(Float())
+    now_s: float = domain(Float())
     #: The engine-owned accumulators (traffic, energies, peaks, ...).
-    accumulators: dict[str, float] = state_field(Object(Float()))
+    accumulators: dict[str, float] = domain(Object(Float()))
     #: Thermal-chain temperatures (the thermal kernel's fields).
-    thermal: dict[str, Any] = state_field(Object())
+    thermal: dict[str, Any] = domain(Object())
     #: Strategy-owned state (scheduler, policy, rotation counters).
-    strategy_state: dict[str, Any] = state_field(Object())
+    strategy_state: dict[str, Any] = domain(Object())
     #: Per-observer state, in engine attach order.
-    observers: list[dict] = state_field(ListOf(Object()), list)
+    observers: list[dict] = domain(ListOf(Object()), list)
 
     def to_dict(self) -> dict:
         """Plain-dict form (JSON-ready)."""
@@ -102,23 +104,8 @@ class EngineState:
 
     @classmethod
     def from_dict(cls, raw: Mapping[str, Any]) -> "EngineState":
-        """Rebuild a snapshot, rejecting incompatible majors before
-        anything else; every defect raises :class:`CheckpointError`."""
-        if not isinstance(raw, Mapping):
-            raise CheckpointError(
-                f"engine state must be a JSON object, got {type(raw).__name__}"
-            )
-        version = raw.get("version", "")
-        major = version_major(
-            ENGINE_STATE_VERSION, "engine-state version", CheckpointError
-        )
-        if isinstance(version, str) and version_major(
-            version, "engine-state version", CheckpointError
-        ) != major:
-            raise CheckpointError(
-                f"incompatible engine-state version {version!r}: this "
-                f"engine speaks major {major} ({ENGINE_STATE_VERSION})"
-            )
+        """Rebuild a snapshot, its version (a foreign major is refused)
+        checked first; every defect raises :class:`CheckpointError`."""
         return decode_record(cls, raw, "engine state")
 
 

@@ -30,7 +30,7 @@ import heapq
 import threading
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Any, Callable
 
 from repro.errors import ConflictError, NotFoundError, Unavailable
 from repro.jobs.store import (
@@ -230,12 +230,13 @@ class JobQueue:
     # -- producer side -----------------------------------------------------
 
     def submit(
-        self, tenant: str, request: dict, *, priority: int = 0,
+        self, tenant: str, request: Any, *, priority: int = 0,
         cells_total: int = 0, trace: str | None = None,
     ) -> JobRecord:
-        """Persist and enqueue a new job (one write); returns its record."""
+        """Persist and enqueue a new job running the typed ``request``
+        (one write); returns its record."""
         record = JobRecord(
-            job_id=new_job_id(), tenant=tenant, request=dict(request),
+            job_id=new_job_id(), tenant=tenant, request=request,
             priority=int(priority), created_s=_now(),
         )
         with self._lock:

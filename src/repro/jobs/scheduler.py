@@ -28,14 +28,15 @@ from __future__ import annotations
 
 import threading
 from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import Any
 
 from repro.api.client import cell_envelope
 from repro.api.envelope import SCHEMA_VERSION
-from repro.api.requests import request_from_dict, request_to_dict
+from repro.api.requests import AnyRequest, request_to_dict
 from repro.campaign import run_cell
 from repro.engine import EngineState
-from repro.engine.codec import Count
+from repro.engine.codec import Count, Text, check_domain, decode_record, domain, fields_of
 from repro.engine.progress import PROGRESS
 from repro.errors import (
     ConfigurationError,
@@ -73,6 +74,28 @@ _CANCELLED = "cancelled"
 _DRAINED = "drained"
 
 
+@dataclass(frozen=True, kw_only=True)
+class JobSubmit:
+    """A ``POST /v1/jobs`` body: a typed request with its ``type`` tag,
+    the tenant it counts against, and its priority band."""
+
+    request: Any = domain(AnyRequest())
+    tenant: str = domain(Text(), "default")
+    priority: int = domain(Count(101, minimum=-100), 0)
+
+    def __post_init__(self) -> None:
+        check_domain(self)
+        if not 0 < len(self.tenant) <= 64:
+            raise ConfigurationError(
+                "tenant must be a non-empty string (at most 64 chars)"
+            )
+        if getattr(self.request, "jobs", 1) != 1:
+            raise ConfigurationError(
+                "job requests must have jobs=1: the scheduler runs "
+                "their cells one at a time"
+            )
+
+
 def job_progress_label(job_id: str, key: str) -> str:
     """The PROGRESS broker label for one job's cell.
 
@@ -107,6 +130,9 @@ class JobsManager:
         self._store = store
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
+        #: Passes the scheduler loop has begun (each runs a job or
+        #: waits up to ``_POLL_S`` for one).
+        self.loop_passes = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -136,6 +162,7 @@ class JobsManager:
 
     def _loop(self) -> None:
         while not self._stop.is_set():
+            self.loop_passes += 1
             self.queue.retry_unwritten()
             record = self.queue.next_ready(timeout_s=_POLL_S)
             if record is None:
@@ -185,7 +212,7 @@ class JobsManager:
                 self._execute(record)
 
     def _execute(self, record: JobRecord) -> None:
-        cells = request_from_dict(record.request).cells()
+        cells = record.request.cells()
         self.queue.transition(
             record, RUNNING, "started", cells_total=len(cells)
         )
@@ -241,7 +268,6 @@ class JobsManager:
         key = spec.key()
         resume = record.cell_states.get(key)
         if resume is not None:
-            resume = EngineState.from_dict(resume)
             self.queue.transition(
                 record, RUNNING, "cell_resumed",
                 f"{key} from window {resume.windows}",
@@ -254,7 +280,7 @@ class JobsManager:
             nonlocal interruption
             self.queue.transition(
                 record, RUNNING,
-                cell_states={**record.cell_states, key: state.to_dict()},
+                cell_states={**record.cell_states, key: state},
             )
             interruption = self._interruption(record)
             return interruption is not None
@@ -298,37 +324,15 @@ class JobsManager:
         job record cannot be written, :class:`~repro.errors.Unavailable`
         (503).
         """
-        if not isinstance(body, dict):
-            raise ConfigurationError("job submit body must be a JSON object")
-        unknown = set(body) - {"request", "tenant", "priority"}
+        # Validate the body (and normalize its request) before taking a
+        # quota token or touching disk.
+        submit = decode_record(JobSubmit, body, "job submit", ConfigurationError)
+        unknown = set(body) - {field.key for field in fields_of(JobSubmit)}
         if unknown:
             raise ConfigurationError(
                 f"unknown job submit fields {sorted(unknown)}"
             )
-        raw_request = body.get("request")
-        if not isinstance(raw_request, dict):
-            raise ConfigurationError(
-                "job submit body needs a 'request' object (a typed API "
-                "request with its 'type' tag)"
-            )
-        tenant = body.get("tenant", "default")
-        if not isinstance(tenant, str) or not tenant or len(tenant) > 64:
-            raise ConfigurationError(
-                "tenant must be a non-empty string (at most 64 chars)"
-            )
-        priority = body.get("priority", 0)
-        if isinstance(priority, bool) or not isinstance(priority, int):
-            raise ConfigurationError("priority must be an integer")
-        if not -100 <= priority <= 100:
-            raise ConfigurationError("priority must be between -100 and 100")
-        # Validate the request shape (and normalize it) before taking a
-        # quota token or touching disk.
-        request = request_from_dict(raw_request)
-        if getattr(request, "jobs", 1) != 1:
-            raise ConfigurationError(
-                "job requests must have jobs=1: the scheduler runs "
-                "their cells one at a time"
-            )
+        request, tenant, priority = submit.request, submit.tenant, submit.priority
         cells = request.cells()
         self.quotas.admit(
             tenant, self.queue.count(QUEUED, RUNNING, tenant=tenant)
@@ -337,7 +341,7 @@ class JobsManager:
         # write, so the scheduler joins the same trace when it runs it.
         try:
             record = self.queue.submit(
-                tenant, request_to_dict(request), priority=priority,
+                tenant, request, priority=priority,
                 cells_total=len(cells), trace=TRACER.propagation_header(),
             )
         except Unavailable:
@@ -364,7 +368,7 @@ class JobsManager:
             "tenant": record.tenant,
             "priority": record.priority,
             "status": record.status,
-            "request": dict(record.request),
+            "request": request_to_dict(record.request),
             "created_s": record.created_s,
             "started_s": record.started_s,
             "finished_s": record.finished_s,
@@ -405,8 +409,7 @@ class JobsManager:
                 f"job {job_id} has no result (status {record.status!r})",
                 status=record.status,
             )
-        request_type = record.request.get("type")
-        if request_type in _SINGLE_ENVELOPE_TYPES:
+        if record.request.TYPE in _SINGLE_ENVELOPE_TYPES:
             return dict(record.results[0])
         return {
             "schema_version": SCHEMA_VERSION,

@@ -13,7 +13,7 @@ is :meth:`~repro.jobs.queue.JobQueue.transition`, which saves a job's
 new state before the job takes it in memory.
 
 The record carries everything needed to resume: the original typed
-request dict, per-cell :class:`~repro.engine.EngineState` checkpoints
+request, per-cell :class:`~repro.engine.EngineState` checkpoints
 (persisted at every window-slice boundary while the job runs), the
 envelopes of cells already completed, and an append-only event log
 (queued/started/preempted/recovered/...) that doubles as the job's
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
+from repro.api.requests import AnyRequest
 from repro.engine.codec import (
     Count,
     Flag,
@@ -37,12 +38,13 @@ from repro.engine.codec import (
     ListOf,
     Object,
     Optional,
+    Record,
     Text,
     decode_record,
+    domain,
     state_dict,
-    state_field,
 )
-from repro.engine.state import publish_atomic
+from repro.engine.state import EngineState, publish_atomic
 from repro.errors import CheckpointError, ConfigurationError
 
 #: On-disk record format tag (checked on load).
@@ -75,40 +77,43 @@ def new_job_id() -> str:
 class JobRecord:
     """The full persistent state of one submitted job.
 
-    Every field is declared for the checkpoint codec, so a record with
-    a mistyped field is refused when it is read back, like one with an
-    unknown status.
+    Every field is declared for the codec, so a record with a mistyped
+    field is refused when it is read back, like one with an unknown
+    status; the request decodes through its request class and each
+    checkpoint as an :class:`~repro.engine.EngineState`.
     """
 
-    job_id: str = state_field(Text())
-    tenant: str = state_field(Text())
-    request: dict = state_field(Object())
-    priority: int = state_field(Count(minimum=-math.inf), 0)
-    status: str = state_field(Text(JOB_STATES), QUEUED, required=True)
+    job_id: str = domain(Text())
+    tenant: str = domain(Text())
+    request: Any = domain(AnyRequest())
+    priority: int = domain(Count(minimum=-math.inf), 0)
+    status: str = domain(Text(JOB_STATES), QUEUED, required=True)
     #: Monotonic per-queue sequence number: FIFO order within a
     #: priority band.  A preempted job keeps its original number, so it
     #: resumes ahead of later same-priority arrivals.
-    submit_seq: int = state_field(Count(), 0)
-    created_s: float = state_field(Float(), 0.0)
-    started_s: float | None = state_field(Optional(Float()), None)
-    finished_s: float | None = state_field(Optional(Float()), None)
-    cells_total: int = state_field(Count(), 0)
-    cells_done: int = state_field(Count(), 0)
-    #: Cache key -> serialized EngineState checkpoint for cells that
-    #: were interrupted mid-run (preemption, SIGTERM drain, crash).
-    cell_states: dict[str, dict] = state_field(Object(Object()), dict)
+    submit_seq: int = domain(Count(), 0)
+    created_s: float = domain(Float(), 0.0)
+    started_s: float | None = domain(Optional(Float()), None)
+    finished_s: float | None = domain(Optional(Float()), None)
+    cells_total: int = domain(Count(), 0)
+    cells_done: int = domain(Count(), 0)
+    #: Cache key -> EngineState checkpoint for cells that were
+    #: interrupted mid-run (preemption, SIGTERM drain, crash).
+    cell_states: dict[str, EngineState] = domain(
+        Object(Record(EngineState)), dict
+    )
     #: Envelope dicts of completed cells, in spec order.
-    results: list[dict] = state_field(ListOf(Object()), list)
+    results: list[dict] = domain(ListOf(Object()), list)
     #: How many times the job was preempted by higher-priority work.
-    preemptions: int = state_field(Count(), 0)
+    preemptions: int = domain(Count(), 0)
     #: Cooperative-cancel flag checked at window-slice boundaries.
-    cancel_requested: bool = state_field(Flag(), False)
-    error: str | None = state_field(Optional(Text()), None)
+    cancel_requested: bool = domain(Flag(), False)
+    error: str | None = domain(Optional(Text()), None)
     #: The submitter's trace context (``trace_id:span_id`` header
     #: value), so the scheduler joins the submit's trace when the job
     #: runs — possibly after a process restart.
-    trace: str | None = state_field(Optional(Text()), None)
-    events: list[dict] = state_field(ListOf(Object()), list)
+    trace: str | None = domain(Optional(Text()), None)
+    events: list[dict] = domain(ListOf(Object()), list)
 
     def add_event(self, event: str, detail: str = "") -> None:
         """Append to the audit log (bounded; oldest evicted)."""
@@ -134,6 +139,18 @@ class JobRecord:
         return decode_record(cls, raw, "job record")
 
 
+@dataclass(frozen=True, kw_only=True)
+class StoredJob:
+    """The file one job record is saved as: its format tag, its layout
+    version (another version reads as unreadable) and the record."""
+
+    format: str = domain(Text((RECORD_FORMAT,)), RECORD_FORMAT, required=True)
+    version: int = domain(
+        Count(RECORD_VERSION + 1, RECORD_VERSION), RECORD_VERSION, required=True
+    )
+    job: JobRecord = domain(Record(JobRecord))
+
+
 class JobStore:
     """A directory of atomically written job records.
 
@@ -157,11 +174,7 @@ class JobStore:
         write raises and leaves no tmp file behind.  Only
         :meth:`~repro.jobs.queue.JobQueue.transition` calls it."""
         path = self._path(record.job_id)
-        document = {
-            "format": RECORD_FORMAT,
-            "version": RECORD_VERSION,
-            "job": record.to_dict(),
-        }
+        document = state_dict(StoredJob(job=record))
         publish_atomic(str(path), json.dumps(document, sort_keys=True).encode())
 
     def load(self, job_id: str) -> JobRecord | None:
@@ -171,10 +184,8 @@ class JobStore:
             raw = json.loads(path.read_text())
         except (OSError, ValueError):
             return None
-        if not isinstance(raw, dict) or raw.get("format") != RECORD_FORMAT:
-            return None
         try:
-            return JobRecord.from_dict(raw.get("job") or {})
+            return decode_record(StoredJob, raw, "job record").job
         except CheckpointError:
             return None
 

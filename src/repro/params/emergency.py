@@ -18,8 +18,9 @@ from repro.units import gbps
 
 
 def _levels(table: "EmergencyLevels") -> int:
-    """One ladder entry per emergency level."""
-    return table.level_count
+    """One ladder entry per emergency level (read from the thresholds,
+    which a document being decoded has too)."""
+    return len(table.amb_thresholds_c) + 1
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from repro.core.kernel import BatchedMemSpot
 from repro.core.results import JOBS, NAME, TOTAL, TemperatureTrace, trace_field
 from repro.cpu.power import measured_chip_power_w
 from repro.dtm.base import DTMPolicy
-from repro.engine.codec import Field, Float, Nested, state_field
+from repro.engine.codec import Field, Float, Nested, domain
 from repro.engine.observers import Observer, TraceRecorder
 from repro.engine.stepping import SteppingEngine, WindowOutcome
 from repro.errors import ConfigurationError, SimulationError
@@ -58,19 +58,19 @@ class ServerRunResult:
     """Outputs of one server experiment, declared for the codec like
     :class:`~repro.core.results.RunResult`."""
 
-    platform: str = state_field(NAME)
-    workload: str = state_field(NAME)
-    policy: str = state_field(NAME)
-    runtime_s: float = state_field(TOTAL)
-    traffic_bytes: float = state_field(TOTAL)
-    l2_misses: float = state_field(TOTAL)
-    instructions: float = state_field(TOTAL)
-    cpu_energy_j: float = state_field(TOTAL)
-    memory_energy_j: float = state_field(TOTAL)
+    platform: str = domain(NAME)
+    workload: str = domain(NAME)
+    policy: str = domain(NAME)
+    runtime_s: float = domain(TOTAL)
+    traffic_bytes: float = domain(TOTAL)
+    l2_misses: float = domain(TOTAL)
+    instructions: float = domain(TOTAL)
+    cpu_energy_j: float = domain(TOTAL)
+    memory_energy_j: float = domain(TOTAL)
     #: Time-averaged memory inlet (CPU exhaust) temperature, degC.
-    mean_inlet_c: float = state_field(Float())
-    peak_amb_c: float = state_field(Float())
-    finished_jobs: int = state_field(JOBS)
+    mean_inlet_c: float = domain(Float())
+    peak_amb_c: float = domain(Float())
+    finished_jobs: int = domain(JOBS)
     trace: TemperatureTrace = trace_field()
 
     @property

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.api import (
     ScenarioRequest,
     ServerRequest,
     SimulateRequest,
-    check_schema_compatible,
     metrics_from_result,
     request_from_dict,
     request_to_dict,
@@ -30,7 +30,7 @@ from repro.analysis.specs import (
 from repro.api.client import cell_envelope
 from repro.campaign import MemoryStore, run, run_cell
 from repro.campaign import spec as spec_module
-from repro.engine.codec import version_major
+from repro.engine.codec import Version
 from repro.errors import ConfigurationError
 from repro.testbed.platforms import PE1950, PLATFORMS, SR1500AL
 
@@ -80,33 +80,63 @@ def test_envelope_accepts_minor_bump():
 def test_envelope_missing_fields_rejected():
     raw = _sample_envelope().to_dict()
     del raw["metrics"], raw["provenance"]
-    with pytest.raises(ConfigurationError, match="missing fields"):
+    with pytest.raises(ConfigurationError, match="metrics is missing"):
         ResultEnvelope.from_dict(raw)
 
 
 def test_envelope_requires_mapping():
-    with pytest.raises(ConfigurationError, match="JSON object"):
+    with pytest.raises(ConfigurationError, match="must be an object"):
         ResultEnvelope.from_dict(["not", "a", "dict"])
 
 
+@pytest.mark.parametrize("path, value", [
+    ("request", 5),
+    ("metrics", [1]),
+    ("provenance", 3),
+    ("kind", 5),
+    ("scenario", 7),
+    ("provenance.compute_seconds", "x"),
+    ("provenance.compute_seconds", float("nan")),
+    ("provenance.cache_key", 5),
+    ("provenance.single_flight", 3),
+    ("provenance.cache_version", None),
+])
+def test_envelope_refuses_each_mistyped_field(path, value):
+    """Each of these raised TypeError or was accepted (``kind: 5`` as
+    ``'5'``); each is now a ConfigurationError naming the field."""
+    raw = _sample_envelope().to_dict()
+    *parents, name = path.split(".")
+    target = raw
+    for parent in parents:
+        target = target[parent]
+    target[name] = value
+    with pytest.raises(ConfigurationError, match=rf"{re.escape(path)} must be"):
+        ResultEnvelope.from_dict(raw)
+
+
 def test_schema_major_parsing():
-    assert version_major("1.0", "schema_version", ConfigurationError) == 1
-    assert version_major("12.34", "schema_version", ConfigurationError) == 12
-    check_schema_compatible(SCHEMA_VERSION)
-    for malformed in ("banana", "1"):
+    kind = Version(SCHEMA_VERSION)
+
+    def check(version):
+        return kind.decode(version, "schema_version", None, ConfigurationError)
+
+    assert check(SCHEMA_VERSION) == SCHEMA_VERSION
+    assert check("1.0") == "1.0"
+    assert Version("12.34").decode("12.0", "v", None, ConfigurationError) == "12.0"
+    for malformed in ("banana", "1", "1.x", "\u00b2.0", 1.2):
         with pytest.raises(
             ConfigurationError,
-            match=rf"malformed schema_version '{malformed}' \(expected",
+            match=rf"malformed schema_version {re.escape(repr(malformed))} \(expected",
         ):
-            check_schema_compatible(malformed)
+            check(malformed)
     with pytest.raises(ConfigurationError, match="incompatible schema_version"):
-        check_schema_compatible("2.0")
+        check("2.0")
 
 
 def test_provenance_validation():
     with pytest.raises(ConfigurationError, match="cache must be one of"):
         Provenance(cache="stale", cache_key="k")
-    with pytest.raises(ConfigurationError, match="missing fields"):
+    with pytest.raises(ConfigurationError, match="cache_key is missing"):
         Provenance.from_dict({"cache": "hit"})
 
 
@@ -273,6 +303,34 @@ def test_a_warm_cells_provenance_carries_its_spec_key():
         f.name for f in dataclasses.fields(spec) if f.name != "scenario"
     )
     assert dataclasses.replace(spec).key() == spec.key()
+
+
+def test_a_cell_is_keyed_once_per_run(monkeypatch):
+    """A simulate call and each cell of a serial campaign hash their
+    spec once, cold or warm: the outcome carries the key to the
+    envelope and the campaign tells repeated specs apart by equality."""
+    keyed = []
+
+    def counting(spec):
+        keyed.append(spec)
+        return spec_module.spec_key(spec)
+
+    monkeypatch.setattr("repro.analysis.specs.spec_key", counting)
+    client = ReproClient(MemoryStore())
+    request = SimulateRequest(mix="W1", policy="ts", copies=1)
+    grid = CampaignRequest(
+        grid="ch4", mixes=("W1",), policies=("ts", "acg"), copies=1
+    )
+    for warm in (False, True):
+        keyed.clear()
+        envelope = client.simulate(request)
+        assert envelope.provenance.cache == ("hit" if warm else "miss")
+        assert len(keyed) == 1
+        keyed.clear()
+        assert [e.provenance.cache for e in client.run_campaign(grid)] == [
+            "hit", "hit" if warm else "miss",
+        ]
+        assert len(keyed) == 2
 
 
 def test_client_simulate_kwargs_shorthand():

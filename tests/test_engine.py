@@ -41,6 +41,11 @@ from repro.errors import CheckpointError, ConfigurationError
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
+def _load(component, raw, path=""):
+    """Restore ``component`` from a checked snapshot section."""
+    codec.apply_state(component, codec.decode_state(component, raw, path))
+
+
 def _with_observers(spec, *extra) -> SteppingEngine:
     """A fresh engine for ``spec`` with ``extra`` observers after the
     ones every engine of the cell carries."""
@@ -141,12 +146,12 @@ def test_checkpoint_state_round_trips_and_rejects_foreign_major():
     foreign = state.to_dict()
     foreign["version"] = "99.0"
     with pytest.raises(CheckpointError, match=re.escape(
-        "incompatible engine-state version '99.0': this engine speaks "
+        "incompatible version '99.0': this build speaks "
         f"major 1 ({ENGINE_STATE_VERSION})"
     )):
         EngineState.from_dict(foreign)
     with pytest.raises(CheckpointError, match=re.escape(
-        "malformed engine-state version 'nope' (expected '<major>.<minor>')"
+        "malformed version 'nope' (expected '<major>.<minor>')"
     )):
         EngineState.from_dict({**state.to_dict(), "version": "nope"})
 
@@ -432,7 +437,7 @@ def test_a_run_without_a_scheduler_publishes_no_job_counts():
 def test_engine_state_error_paths(tmp_path):
     from repro.errors import SimulationError
 
-    with pytest.raises(CheckpointError, match="JSON object"):
+    with pytest.raises(CheckpointError, match="must be an object"):
         EngineState.from_dict([1, 2])  # type: ignore[arg-type]
     with pytest.raises(CheckpointError, match="malformed engine state"):
         EngineState.from_dict({"version": ENGINE_STATE_VERSION})
@@ -460,12 +465,12 @@ def test_engine_state_error_paths(tmp_path):
 def test_observer_defaults_and_validation():
     base = Observer()
     assert codec.state_dict(base) == {}
-    codec.load_state_dict(base, {})
+    _load(base, {})
     # The recorder round-trips its pristine (never sampled) state.
     recorder = TraceRecorder(resolution_s=1.0)
     state = codec.state_dict(recorder)
     assert state["since_s"] is None
-    codec.load_state_dict(recorder, state)
+    _load(recorder, state)
     assert codec.state_dict(recorder) == state
 
 
@@ -884,6 +889,10 @@ def _bad_values(kind, value):
         yield "", "int", 1, "must be a boolean"
     elif isinstance(kind, codec.Text):
         yield "", "int", 5, "must be a string"
+    elif isinstance(kind, codec.Version):
+        yield "", "int", 5, r"5 \(expected '<major>.<minor>'\)"
+        yield "", "malformed", "nope", r"'nope' \(expected '<major>.<minor>'\)"
+        yield "", "foreign-major", "99.0", "'99.0': this build speaks major 1"
     elif isinstance(kind, (codec.Object, codec.Nested)):
         yield "", "list", [], "must be an object"
         if isinstance(kind, codec.Object) and kind.item is not None and value:
@@ -1007,5 +1016,5 @@ def test_bad_thermal_state_leaves_the_kernel_untouched():
     before = codec.state_dict(kernel)
     bad = {**before, "t_dram": before["t_dram"][:3] + ["hot"]}
     with pytest.raises(CheckpointError, match=r"t_dram\.3"):
-        codec.load_state_dict(kernel, bad, "thermal")
+        _load(kernel, bad, "thermal")
     assert codec.state_dict(kernel) == before

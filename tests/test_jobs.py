@@ -44,6 +44,7 @@ from repro.api.envelope import SCHEMA_VERSION, dumps_canonical
 from repro.api.requests import request_from_dict
 from repro.campaign import MemoryStore, run_cell
 from repro.cli import main
+from repro.engine import EngineState
 from repro.engine.progress import PROGRESS, ProgressBroker
 from repro.errors import (
     ConfigurationError,
@@ -75,6 +76,13 @@ from repro.obs.trace import TRACER
 #: thousands of windows, so small window slices yield many preemption
 #: points.
 FAST_REQUEST = {"type": "simulate", "mix": "W1", "policy": "ts", "copies": 1}
+#: The same request, typed (as a job record holds it).
+FAST = request_from_dict(FAST_REQUEST)
+#: A checkpoint as a job record holds one.
+CHECKPOINT = EngineState(
+    strategy="ch4", windows=500, now_s=5.0,
+    accumulators={"traffic_bytes": 1.0}, thermal={}, strategy_state={},
+)
 
 
 def _wait_until(predicate, timeout_s: float = 30.0, interval_s: float = 0.005):
@@ -102,7 +110,7 @@ class TestJobStore:
         record = JobRecord(
             job_id="job-abc",
             tenant="alice",
-            request=dict(FAST_REQUEST),
+            request=FAST,
             priority=7,
             status=RUNNING,
             submit_seq=3,
@@ -110,7 +118,7 @@ class TestJobStore:
             started_s=2.0,
             cells_total=2,
             cells_done=1,
-            cell_states={"ch4-xyz": {"windows": 100}},
+            cell_states={"ch4-xyz": CHECKPOINT},
             results=[{"kind": "ch4"}],
             preemptions=2,
         )
@@ -156,6 +164,10 @@ class TestJobStore:
             ("trace", 7),
             ("events", 5),
             ("events", [1]),
+            ("request", {"type": "bogus"}),
+            ("request", {"type": "simulate", "copies": 0}),
+            ("cell_states", {"ch4-key": {"windows": 100}}),
+            ("cell_states", {"ch4-key": {**CHECKPOINT.to_dict(), "version": "2.0"}}),
         ],
     )
     def test_record_with_a_mistyped_field_is_unreadable(
@@ -168,7 +180,7 @@ class TestJobStore:
         store = JobStore(tmp_path)
         for job_id in ("job-good", "job-bad"):
             store.save(
-                JobRecord(job_id=job_id, tenant="t", request=dict(FAST_REQUEST))
+                JobRecord(job_id=job_id, tenant="t", request=FAST)
             )
         path = tmp_path / "job-bad.json"
         document = json.loads(path.read_text())
@@ -187,6 +199,22 @@ class TestJobStore:
         assert f"skipping unreadable job record {path}" in capsys.readouterr().out
         assert path.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("version", 99), ("version", "1"), ("format", "repro-job-record-2"),
+    ])
+    def test_a_record_file_of_another_layout_is_unreadable(
+        self, tmp_path, field, value
+    ):
+        """The layout version was written and never read: a record file
+        claiming version 99 loaded."""
+        store = JobStore(tmp_path)
+        store.save(JobRecord(job_id="job-x", tenant="t", request=FAST))
+        path = tmp_path / "job-x.json"
+        document = json.loads(path.read_text())
+        document[field] = value
+        path.write_text(json.dumps(document))
+        assert store.load("job-x") is None
+
     def test_malformed_job_ids_rejected(self, tmp_path):
         store = JobStore(tmp_path)
         with pytest.raises(ConfigurationError):
@@ -198,7 +226,7 @@ class TestJobStore:
         self, tmp_path, monkeypatch
     ):
         store = JobStore(tmp_path)
-        record = JobRecord(job_id="job-x", tenant="t", request=FAST_REQUEST)
+        record = JobRecord(job_id="job-x", tenant="t", request=FAST)
         store.save(record)
         published = (tmp_path / "job-x.json").read_bytes()
 
@@ -228,20 +256,20 @@ class TestJobStore:
 class TestJobQueue:
     def test_priority_then_fifo_ordering(self, tmp_path):
         queue = JobQueue(tmp_path)
-        low_first = queue.submit("t", FAST_REQUEST, priority=0)
-        low_second = queue.submit("t", FAST_REQUEST, priority=0)
-        high = queue.submit("t", FAST_REQUEST, priority=5)
+        low_first = queue.submit("t", FAST, priority=0)
+        low_second = queue.submit("t", FAST, priority=0)
+        high = queue.submit("t", FAST, priority=5)
         order = [queue.next_ready(timeout_s=0).job_id for _ in range(3)]
         assert order == [high.job_id, low_first.job_id, low_second.job_id]
         assert queue.next_ready(timeout_s=0) is None
 
     def test_requeue_keeps_original_submit_seq(self, tmp_path):
         queue = JobQueue(tmp_path)
-        first = queue.submit("t", FAST_REQUEST, priority=0)
+        first = queue.submit("t", FAST, priority=0)
         running = queue.next_ready(timeout_s=0)
         assert running.job_id == first.job_id
         queue.transition(running, RUNNING, "started")
-        later = queue.submit("t", FAST_REQUEST, priority=0)
+        later = queue.submit("t", FAST, priority=0)
         queue.transition(running, QUEUED, "preempted")
         # The preempted job resumes ahead of the later same-priority
         # arrival because it kept its original sequence number.
@@ -250,13 +278,13 @@ class TestJobQueue:
 
     def test_has_queued_higher_than(self, tmp_path):
         queue = JobQueue(tmp_path)
-        queue.submit("t", FAST_REQUEST, priority=3)
+        queue.submit("t", FAST, priority=3)
         assert queue.has_queued_higher_than(0)
         assert not queue.has_queued_higher_than(3)
 
     def test_cancel_queued_is_immediate_and_skipped_at_pop(self, tmp_path):
         queue = JobQueue(tmp_path)
-        record = queue.submit("t", FAST_REQUEST)
+        record = queue.submit("t", FAST)
         cancelled = queue.request_cancel(record.job_id)
         assert cancelled.status == CANCELLED
         assert queue.next_ready(timeout_s=0) is None
@@ -265,10 +293,10 @@ class TestJobQueue:
 
     def test_recover_requeues_running_with_checkpoints(self, tmp_path):
         queue = JobQueue(tmp_path)
-        record = queue.submit("t", FAST_REQUEST, priority=2)
+        record = queue.submit("t", FAST, priority=2)
         popped = queue.next_ready(timeout_s=0)
         queue.transition(
-            popped, RUNNING, "started", cell_states={"ch4-key": {"windows": 500}}
+            popped, RUNNING, "started", cell_states={"ch4-key": CHECKPOINT}
         )
         # A fresh queue over the same directory models the restarted
         # process: the running job comes back queued, checkpoint intact.
@@ -277,12 +305,12 @@ class TestJobQueue:
         assert counts == {"requeued": 1, "terminal": 0, "unreadable": 0}
         resumed = revived.next_ready(timeout_s=0)
         assert resumed.job_id == record.job_id
-        assert resumed.cell_states == {"ch4-key": {"windows": 500}}
+        assert resumed.cell_states == {"ch4-key": CHECKPOINT}
         assert "recovered" in _event_names(resumed)
 
     def test_recover_skips_terminal_jobs(self, tmp_path):
         queue = JobQueue(tmp_path)
-        record = queue.submit("t", FAST_REQUEST)
+        record = queue.submit("t", FAST)
         queue.transition(record, RUNNING, "started")
         queue.transition(record, COMPLETED, "completed")
         revived = JobQueue(tmp_path)
@@ -293,7 +321,7 @@ class TestJobQueue:
 
     def test_transition_refuses_a_move_outside_the_table(self, tmp_path):
         queue = JobQueue(tmp_path)
-        record = queue.submit("t", FAST_REQUEST)
+        record = queue.submit("t", FAST)
         with pytest.raises(ConflictError, match="from queued to completed"):
             queue.transition(record, COMPLETED, "completed")
         queue.transition(record, CANCELLED, "cancelled")
@@ -623,7 +651,7 @@ def _cancel_running_refused(manager, monkeypatch):
 def _restart_after_a_crash(manager, monkeypatch):
     """A record left ``running`` by a process that died, then a start."""
     manager.queue.store.save(JobRecord(
-        job_id="job-crashed", tenant="t", request=dict(FAST_REQUEST),
+        job_id="job-crashed", tenant="t", request=FAST,
         status=RUNNING, cells_total=1,
     ))
     manager.start()
@@ -782,11 +810,11 @@ class TestJobsManager:
             manager.submit_body({"request": "not-a-dict"})
 
     @pytest.mark.parametrize("body, match", [
-        ([], "must be a JSON object"),
+        ([], "must be an object"),
         ({"request": FAST_REQUEST, "tenant": ""}, "tenant must be"),
         ({"request": FAST_REQUEST, "priority": "high"}, "must be an integer"),
         ({"request": FAST_REQUEST, "priority": True}, "must be an integer"),
-        ({"request": FAST_REQUEST, "priority": 101}, "between -100 and 100"),
+        ({"request": FAST_REQUEST, "priority": 101}, "priority must be >= -100 below 101"),
         ({"request": {"type": "campaign", "jobs": 2}}, "jobs=1"),
     ])
     def test_submit_body_refuses_each_bad_field(self, tmp_path, body, match):
@@ -962,7 +990,10 @@ class TestJobsManager:
         try:
             job_id = _submit(manager)
             _wait_until(lambda: refused)
-            time.sleep(1.5)  # six idle polls, well inside one backoff
+            # Six more passes of the loop (idle polls), well inside one
+            # backoff.
+            passes = manager.loop_passes
+            _wait_until(lambda: manager.loop_passes >= passes + 6)
         finally:
             manager.stop(drain=False)
         assert refused == [job_id]
@@ -982,7 +1013,7 @@ class TestJobsManager:
             quotas=QuotaManager(TenantPolicy(max_active=1)),
         )
         manager.queue.store.save(JobRecord(
-            job_id="job-crashed", tenant="solo", request=dict(FAST_REQUEST),
+            job_id="job-crashed", tenant="solo", request=FAST,
             status=RUNNING, cells_total=1,
         ))
         monkeypatch.setattr(JobStore, "save", _full_disk)

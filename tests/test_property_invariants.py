@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.core.kernel import BatchedMemSpot
 from repro.core.memspot import MemSpot
-from repro.engine.codec import load_state_dict, state_dict
+from repro.engine.codec import apply_state, decode_state, state_dict
 from repro.errors import ConfigurationError
 from repro.params.thermal_params import (
     AOHS_1_5,
@@ -187,7 +187,7 @@ def test_batched_kernel_matches_scalar_at_every_chain_length(dimms):
         start["t_amb"][-1] = 130.0
         start["t_dram"][-1] = 110.0
         _load_scalar(scalar, start)
-        load_state_dict(batched, start)
+        apply_state(batched, decode_state(batched, start, ""))
         for step in range(80):
             inputs = (rng.random() * 3e10, rng.random() * 1.5e10,
                       rng.random() * 12.0, 0.01)
@@ -216,7 +216,7 @@ def test_flat_chain_resumes_bitwise_from_mid_run_thermal_state():
             _batched_step(first, *inputs)
         state = json.loads(json.dumps(state_dict(first)))
         resumed = BatchedMemSpot(*shape)
-        load_state_dict(resumed, state)
+        apply_state(resumed, decode_state(resumed, state, ""))
         oracle = MemSpot(*shape)
         _load_scalar(oracle, state)
         for inputs in stream[50:]:

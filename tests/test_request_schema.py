@@ -42,11 +42,13 @@ from repro.api import ReproService
 from repro.api.requests import (
     REQUEST_SCHEMA,
     REQUEST_TYPES,
+    AnyRequest,
     CampaignRequest,
     ScenarioRequest,
     request_from_dict,
     request_from_text,
     split_names,
+    _OnGrid,
 )
 from repro.api.service import _params_from_query
 from repro.engine import codec
@@ -205,7 +207,8 @@ NAN, INF = math.nan, math.inf
 
 
 def _bad_values(kind: codec.Kind, owner: object) -> list:
-    """Typed values outside ``kind``, for a field of ``owner``'s class."""
+    """Typed values outside ``kind``, for a field of ``owner``'s class
+    (or of a document whose earlier fields ``owner`` holds)."""
     if isinstance(kind, codec.Optional):
         return [bad for bad in _bad_values(kind.kind, owner) if bad is not None]
     if isinstance(kind, codec.Float):
@@ -221,7 +224,29 @@ def _bad_values(kind: codec.Kind, owner: object) -> list:
         return bad + ([limit] if limit < INF else [])
     if isinstance(kind, codec.Flag):
         return ["no", 1, NAN, None]
-    assert isinstance(kind, codec.Text), kind
+    if isinstance(kind, codec.Version):
+        major = int(kind.current.partition(".")[0])
+        return ["x", "1", f"{major + 1}.0", float(kind.current), None]
+    if isinstance(kind, codec.ListOf):
+        bad = ["x", 5, None, {}]
+        bad += [[item] for item in _bad_values(kind.item, owner)[:2]]
+        if kind.length is not None:
+            bad.append([None] * (kind.length(owner) + 1))
+        return bad + ([[]] if kind.nonempty else [])
+    if isinstance(kind, codec.Row):
+        return ["x", 5, None, [None] * (len(kind.items) + 1)]
+    if isinstance(kind, (codec.Object, codec.Record)):
+        bad = [5, "x", None, []]
+        if getattr(kind, "item", None) is None:
+            return bad
+        return bad + [{"k": item} for item in _bad_values(kind.item, owner)[:2]]
+    if isinstance(kind, codec.Instance):
+        return [5, "x", None]
+    if isinstance(kind, AnyRequest):
+        return [5, None, {"type": "bogus"}, {"type": "simulate", "copies": 0}]
+    if isinstance(kind, _OnGrid):
+        return [5, NAN, None, "nope"]
+    assert isinstance(kind, codec.Text), f"no bad values for {kind!r}"
     return [5, NAN, True, None] + (["nope"] if kind.choices else [])
 
 

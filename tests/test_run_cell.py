@@ -19,7 +19,6 @@ import pytest
 from repro.analysis.specs import Chapter5Spec
 from repro.api import ReproClient, ServerRequest, SimulateRequest
 from repro.api.envelope import dumps_canonical
-from repro.api.requests import request_to_dict
 from repro.campaign import (
     Campaign,
     JsonDirStore,
@@ -67,13 +66,13 @@ def _via_job(request, tmp_path) -> dict:
     store = MemoryStore()
     jobs_dir = str(tmp_path / "jobs")
     first = JobsManager(jobs_dir, store=store, window_slice=50)
-    job_id = first.queue.submit("t", request_to_dict(request)).job_id
+    job_id = first.queue.submit("t", request).job_id
     first.stop()  # drain at the first slice boundary
     first._execute(first.queue.next_ready(timeout_s=0))
     parked = first.queue.get(job_id)
     assert parked.status == QUEUED
     (state,) = parked.cell_states.values()
-    assert state["windows"] == 50
+    assert state.windows == 50
 
     revived = JobsManager(jobs_dir, store=store, window_slice=50)
     assert revived.queue.recover()["requeued"] == 1
@@ -176,8 +175,8 @@ def test_a_cli_checkpoint_resumes_as_a_job_cell(tmp_path, monkeypatch, stepped):
 
     jobs_dir = tmp_path / "jobs"
     queue = JobQueue(jobs_dir)
-    record = queue.submit("t", request_to_dict(request))
-    record.cell_states = {key: state.to_dict()}
+    record = queue.submit("t", request)
+    record.cell_states = {key: state}
     queue.store.save(record)
     store = MemoryStore()
     revived = JobsManager(str(jobs_dir), store=store, window_slice=50)
@@ -203,16 +202,16 @@ def test_a_job_cell_state_resumes_through_the_cli(
     first = JobsManager(
         str(tmp_path / "jobs"), store=MemoryStore(), window_slice=50
     )
-    job_id = first.queue.submit("t", request_to_dict(request)).job_id
+    job_id = first.queue.submit("t", request).job_id
     first.stop()  # drain at the first slice boundary
     first._execute(first.queue.next_ready(timeout_s=0))
     (state,) = first.queue.get(job_id).cell_states.values()
-    assert state["windows"] == 50
+    assert state.windows == 50
 
     ckpt_dir = tmp_path / "ckpt"
     ckpt_dir.mkdir()
     path = ckpt_dir / f"{key}.checkpoint.json"
-    path.write_text(json.dumps(state))
+    path.write_text(json.dumps(state.to_dict()))
     assert main([*SIMULATE_ARGS, "--checkpoint-dir", str(ckpt_dir),
                  "--resume", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["provenance"]["cache"] == "miss"
@@ -231,7 +230,7 @@ def test_job_cells_publish_progress_under_the_job_label(tmp_path):
     manager = JobsManager(
         str(tmp_path / "jobs"), store=MemoryStore(), window_slice=50
     )
-    job_id = manager.queue.submit("t", request_to_dict(request)).job_id
+    job_id = manager.queue.submit("t", request).job_id
     seen: list[tuple[str | None, list[str]]] = []
 
     def spy(record):

@@ -553,3 +553,16 @@ def test_saved_job_and_cache_records_keep_their_bytes(tmp_path):
         b' "00112233445566778899aabbccddeeff:0011223344556677"}, "version": 1}'
     )
     assert jobs.load("job-0123456789ab").to_dict() == JobRecord.from_dict(_JOB).to_dict()
+
+
+def test_a_cache_record_of_another_record_version_is_a_miss(tmp_path):
+    """The record layout version was written and never read: a record
+    claiming version 99 was served as a hit."""
+    store = JsonDirStore(tmp_path)
+    store.put("ch4-0123456789abcdef0123", {"runtime_s": 1.0})
+    path = tmp_path / "23" / "ch4-0123456789abcdef0123.json"
+    record = json.loads(path.read_text())
+    record["record"] = 99
+    path.write_text(json.dumps(record))
+    assert store.get("ch4-0123456789abcdef0123") is None
+    assert store.stats()["versions"] == {UNRECORDED: 1}
